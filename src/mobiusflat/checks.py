@@ -49,15 +49,12 @@ from .spiral import (
     STANDARD,
     IntegratorControls,
     SpiralParams,
-    SpiralState,
     SpiralTrajectory,
     closure_test,
     equilibrium_kappa,
     integrate_grid,
-    integrate_spiral,
     kappa_accel,
     prescribed_curvature_trajectory,
-    reconstruct_curve,
 )
 from .zoo import (
     FAMILY_BY_EPSILON,
@@ -102,10 +99,8 @@ class SuiteSurface:
 
 def spiral_trajectory(n, epsilon, big_r, kappa0, kappa_s0, s_max, step=1e-3, variant=STANDARD):
     params = SpiralParams(n, epsilon, big_r, variant=variant)
-    traj = integrate_spiral(
-        params, SpiralState(0.0, kappa0, kappa_s0), IntegratorControls(s_max=s_max, step=step)
-    )
-    return reconstruct_curve(traj)
+    controls = IntegratorControls(s_max=s_max, step=step)
+    return integrate_grid(params, [[kappa0, kappa_s0]], controls)[0]
 
 
 def preset_trajectory(n, epsilon, step=1e-3, variant=STANDARD):
@@ -971,13 +966,9 @@ def rigidity_scan(cfg: RunConfig) -> dict:
         return result
 
     period = 2.0 * np.pi / np.sqrt(kstar**2 - 1.0)
-    eq_traj = reconstruct_curve(
-        integrate_spiral(
-            params,
-            SpiralState(0.0, kstar, 0.0),
-            IntegratorControls(s_max=1.5 * period, step=cfg.step),
-        )
-    )
+    eq_traj = integrate_grid(
+        params, [[kstar, 0.0]], IntegratorControls(s_max=1.5 * period, step=cfg.step)
+    )[0]
     eq = closure_test(eq_traj, cfg.tol_closed, cfg.tol_open)
     result["equilibrium"] = {
         "expected_period": period,

@@ -36,17 +36,8 @@ from .errors import ConfigError, MobiusFlatError
 from .fd import FDScheme
 from .meshes import export_obj_slice
 from .moebius import fields_from_immersion, moebius_data, moebius_scalar
-from .spiral import (
-    IntegratorControls,
-    SpiralParams,
-    SpiralState,
-    export_csv,
-    integrate_spiral,
-    reconstruct_curve,
-)
-from .zoo import torus_immersion
-
-FAMILY_EPSILON = {"cylinder": 0, "cone": 1, "rotational": -1}
+from .spiral import IntegratorControls, SpiralParams, export_csv, integrate_grid
+from .zoo import FAMILY_BY_EPSILON, torus_immersion
 
 
 def _controls(cfg: RunConfig) -> IntegratorControls:
@@ -61,7 +52,7 @@ def _controls(cfg: RunConfig) -> IntegratorControls:
 def _build_surface(cfg: RunConfig):
     if cfg.family == "torus":
         return torus_immersion(cfg.torus_r, cfg.n), None
-    eps = FAMILY_EPSILON[cfg.family]
+    eps = next(e for e, name in FAMILY_BY_EPSILON.items() if name == cfg.family)
     traj = spiral_trajectory(
         cfg.n, eps, cfg.R, cfg.kappa0, cfg.kappa_s0, cfg.s_max, cfg.step, cfg.spiral_variant
     )
@@ -70,10 +61,7 @@ def _build_surface(cfg: RunConfig):
 
 def cmd_spiral(cfg: RunConfig, out: str, convention: str) -> int:
     params = SpiralParams(cfg.n, cfg.epsilon, cfg.R, variant=cfg.spiral_variant)
-    traj = integrate_spiral(
-        params, SpiralState(0.0, cfg.kappa0, cfg.kappa_s0), _controls(cfg)
-    )
-    traj = reconstruct_curve(traj)
+    traj = integrate_grid(params, [[cfg.kappa0, cfg.kappa_s0]], _controls(cfg))[0]
     path = os.path.join(out, "trajectory.csv")
     export_csv(traj, path)
     print(

@@ -156,12 +156,3 @@ def diff2(field, p: np.ndarray, scheme: FDScheme) -> np.ndarray:
     """Second partials at a single point: (m, m, ...)."""
     return diff2_batch(field, np.asarray(p, dtype=float)[None, :], scheme)[0]
 
-
-def scalar_field(fn):
-    """Wrap an unvectorized scalar function of one chart point."""
-
-    def field(pts):
-        pts = np.atleast_2d(pts)
-        return np.array([fn(q) for q in pts], dtype=float)
-
-    return field

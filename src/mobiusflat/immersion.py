@@ -22,7 +22,6 @@ from .errors import ChartDomainError, DegenerateGeometryError, InputError
 from .fd import FDScheme, diff1_batch, diff2_batch
 from .linalg import (
     generalized_eigvals_descending,
-    gram_schmidt_frame,
     jacobi_eigh,
     require_symmetric,
 )
@@ -127,11 +126,6 @@ def jacobian(imm: ImmersionHandle, p: np.ndarray, scheme: FDScheme) -> np.ndarra
     return jacobian_batch(imm, np.asarray(p, dtype=float)[None, :], scheme)[0]
 
 
-def hessian_batch(imm: ImmersionHandle, pts: np.ndarray, scheme: FDScheme) -> np.ndarray:
-    """Second chart derivatives of f: returns (K, m, m, N)."""
-    return diff2_batch(imm, pts, scheme)
-
-
 def first_fundamental_form_batch(
     imm: ImmersionHandle, pts: np.ndarray, scheme: FDScheme
 ) -> np.ndarray:
@@ -217,7 +211,7 @@ def second_fundamental_form_batch(
     sphere: the ambient-sphere correction to the second derivative is along
     the position vector, which the normal is orthogonal to.
     """
-    hess = hessian_batch(imm, pts, scheme)  # (K, m, m, N)
+    hess = diff2_batch(imm, pts, scheme)  # (K, m, m, N)
     nrm = unit_normal_batch(imm, pts, scheme)  # (K, N)
     return np.einsum("kabn,kn->kab", hess, nrm)
 
@@ -235,7 +229,3 @@ def principal_curvatures(first: MetricSample | np.ndarray, second: np.ndarray) -
     g = first.g if isinstance(first, MetricSample) else np.asarray(first, dtype=float)
     return generalized_eigvals_descending(np.asarray(second, dtype=float), g)
 
-
-def orthonormal_frame(g: np.ndarray) -> np.ndarray:
-    """Columns form a g-orthonormal frame (deterministic Gram-Schmidt)."""
-    return gram_schmidt_frame(g)

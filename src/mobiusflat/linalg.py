@@ -68,11 +68,6 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60):
     return w[order], v[:, order]
 
 
-def eigh_descending(a: np.ndarray):
-    w, v = jacobi_eigh(a)
-    return w[::-1].copy(), v[:, ::-1].copy()
-
-
 def sym_inv_sqrt(a: np.ndarray, floor: float = 1e-14) -> np.ndarray:
     """Inverse square root of a symmetric positive definite matrix."""
     w, v = jacobi_eigh(a)

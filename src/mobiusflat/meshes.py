@@ -61,7 +61,7 @@ def export_obj_slice(
     obj_path = os.path.join(out_dir, f"{stem}.obj")
     lines = [f"# {stem}: chart slice axes {axes}, {res}x{res} grid"]
     for v in proj:
-        lines.append(f"v {v[0]!r} {v[1]!r} {v[2]!r}")
+        lines.append(f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}")
     for i in range(res - 1):
         for j in range(res - 1):
             a = i * res + j + 1  # OBJ indices are 1-based

@@ -19,7 +19,13 @@ with two supported coefficient conventions for (c2, c1):
 Curves are reconstructed alongside kappa in the model space N^2(eps):
 the Euclidean plane (eps = 0), the unit 2-sphere (eps = +1), or the
 Poincare half-plane (eps = -1), by co-integrating the unit-speed frame
-equations with the same fixed-step RK4 stepper.
+equations.
+
+Every integration in this module (single trajectories, batches,
+prescribed-curvature controls and the closure refinement) runs through one
+fixed-step RK4 marcher over a batch of rows.  It bisects any row's crossing of the
+kappa floor, the kappa ceiling or a non-finite value, stores the crossing
+and freezes the row, so a row behaves the same alone or in a batch.
 """
 
 from __future__ import annotations
@@ -74,18 +80,6 @@ class SpiralState:
     s: float
     kappa: float
     kappa_s: float
-
-
-@dataclass(frozen=True)
-class CurveState:
-    """Model-space curve state at arc length s.
-
-    plane: (x, y, theta);  sphere: gamma, tangent in R^3;
-    half-plane: (x, y, phi) with y > 0.
-    """
-
-    model: str
-    coords: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -170,13 +164,8 @@ def default_curve_start(model: str) -> np.ndarray:
     return np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
 
 
-def _joint_rhs(params: SpiralParams, model: str, y: np.ndarray) -> np.ndarray:
-    out = np.empty_like(y)
-    kappa, kappa_s = y[:, 0], y[:, 1]
-    out[:, 0] = kappa_s
-    out[:, 1] = kappa_accel(params, kappa, kappa_s)
-    if y.shape[1] == 2:
-        return out
+def _frame_rhs(model: str, kappa: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
+    """Unit-speed frame equations: fill out[:, 2:] from the curve y[:, 2:]."""
     if model == PLANE:
         theta = y[:, 4]
         out[:, 2] = np.cos(theta)
@@ -191,6 +180,15 @@ def _joint_rhs(params: SpiralParams, model: str, y: np.ndarray) -> np.ndarray:
         gam, tan = y[:, 2:5], y[:, 5:8]
         out[:, 2:5] = tan
         out[:, 5:8] = kappa[:, None] * np.cross(gam, tan) - gam
+
+
+def _joint_rhs(params: SpiralParams, model: str, y: np.ndarray) -> np.ndarray:
+    out = np.empty_like(y)
+    kappa, kappa_s = y[:, 0], y[:, 1]
+    out[:, 0] = kappa_s
+    out[:, 1] = kappa_accel(params, kappa, kappa_s)
+    if y.shape[1] > 2:
+        _frame_rhs(model, kappa, y, out)
     return out
 
 
@@ -202,15 +200,106 @@ def _renormalize_sphere(y: np.ndarray) -> None:
     tan /= np.linalg.norm(tan, axis=1)[:, None]
 
 
-def _rk4_step(params: SpiralParams, model: str, y: np.ndarray, h: float) -> np.ndarray:
-    k1 = _joint_rhs(params, model, y)
-    k2 = _joint_rhs(params, model, y + 0.5 * h * k1)
-    k3 = _joint_rhs(params, model, y + 0.5 * h * k2)
-    k4 = _joint_rhs(params, model, y + h * k3)
+def _rk4_step(rhs, s: float, y: np.ndarray, h: float, sphere: bool) -> np.ndarray:
+    k1 = rhs(s, y)
+    k2 = rhs(s + 0.5 * h, y + 0.5 * h * k1)
+    k3 = rhs(s + 0.5 * h, y + 0.5 * h * k2)
+    k4 = rhs(s + h, y + h * k3)
     out = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if model == SPHERE and y.shape[1] > 2:
+    if sphere:
         _renormalize_sphere(out)
     return out
+
+
+def _march(rhs, y0: np.ndarray, s_max: float, controls: IntegratorControls, sphere: bool):
+    """Fixed-step RK4 of the rows of y0 (B, d) from s = 0 to s_max.
+
+    Column 0 of every row is kappa.  A row whose step leaves the open band
+    (kappa_floor, kappa_ceiling) or turns non-finite is refined by bisection
+    on the step size (to 1e-10 in s), stored at the crossing and frozen.
+    States are stored every store_stride steps and at s_max; with sphere
+    set, the sphere frame columns are re-normalized after every step.
+    Returns one (s, states, termination) triple per row.
+    """
+    floor, ceiling = controls.kappa_floor, controls.kappa_ceiling
+    h, stride = controls.step, controls.store_stride
+    n_steps = int(np.ceil(s_max / h - 1e-12))
+    mid_gap = np.sqrt(floor * ceiling)
+
+    def inside(kappa):
+        return (kappa > floor) & (kappa < ceiling)
+
+    def bisect(s_now, y_row, step_h):
+        lo, hi = 0.0, step_h
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if inside(_rk4_step(rhs, s_now, y_row, mid, sphere)[0, 0]):
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo < 1e-10:
+                break
+        y_end = _rk4_step(rhs, s_now, y_row, hi, sphere)[0]
+        return s_now + hi, y_end, "kappa_floor" if y_end[0] < mid_gap else "kappa_ceiling"
+
+    y = np.array(y0, dtype=float)
+    alive = np.ones(y.shape[0], dtype=bool)
+    events = {}  # row -> (samples kept, s at the crossing, state, termination)
+    stored, stored_s = [y.copy()], [0.0]
+    s_now = 0.0
+    with np.errstate(all="ignore"):
+        for i in range(n_steps):
+            step_h = min(h, s_max - s_now)
+            y_new = _rk4_step(rhs, s_now, y, step_h, sphere)
+            crossed = alive & ~inside(y_new[:, 0])
+            if crossed.any():
+                for row in np.flatnonzero(crossed).tolist():
+                    events[row] = (len(stored),) + bisect(s_now, y[row : row + 1], step_h)
+                alive &= ~crossed
+                if not alive.any():
+                    break
+            if events:
+                y_new[~alive] = y[~alive]
+            y = y_new
+            s_now += step_h
+            if (i + 1) % stride == 0 or i == n_steps - 1:
+                stored.append(y.copy())
+                stored_s.append(s_now)
+
+    arr = np.asarray(stored)  # (K, B, d)
+    s_arr = np.asarray(stored_s)
+    out = []
+    for row in range(arr.shape[1]):
+        if row not in events:
+            out.append((s_arr, arr[:, row], "horizon"))
+            continue
+        kept, s_end, y_end, termination = events[row]
+        out.append(
+            (
+                np.append(s_arr[:kept], s_end),
+                np.concatenate([arr[:kept, row], y_end[None, :]]),
+                termination,
+            )
+        )
+    return out
+
+
+def _check_start(model: str, kappa0, curve_start, controls: IntegratorControls) -> None:
+    """Input checks shared by every integration entry point."""
+    kappa0 = np.asarray(kappa0, dtype=float)
+    if not np.all((kappa0 > controls.kappa_floor) & (kappa0 < controls.kappa_ceiling)):
+        raise InputError("initial kappa must lie strictly between floor and ceiling")
+    if curve_start is None:
+        return
+    if curve_start.size != _CURVE_DIM[model]:
+        raise InputError(f"curve start for model {model} needs {_CURVE_DIM[model]} coords")
+    if model == HALF_PLANE and curve_start[1] <= 0:
+        raise ChartDomainError("half-plane curve start must have y > 0")
+
+
+def _check_half_plane(model: str, curve: np.ndarray) -> None:
+    if model == HALF_PLANE and np.any(curve[:, 1] <= 0):
+        raise ChartDomainError("curve left the half-plane y > 0: integration fault")
 
 
 @dataclass(frozen=True)
@@ -238,17 +327,6 @@ class SpiralTrajectory:
     def first_integral_drift(self) -> float:
         e = first_integral(self.params, self.kappa, self.kappa_s)
         return float(np.max(np.abs(e - self.first_integral_constant)))
-
-    @property
-    def samples(self):
-        """(SpiralState, CurveState) views in sample order."""
-        out = []
-        for i in range(self.s.size):
-            cs = None
-            if self.curve is not None:
-                cs = CurveState(model=self.model, coords=self.curve[i].copy())
-            out.append((SpiralState(float(self.s[i]), float(self.kappa[i]), float(self.kappa_s[i])), cs))
-        return out
 
     # -- smooth evaluation between nodes (cubic Hermite on stored data) -----
 
@@ -304,67 +382,48 @@ class SpiralTrajectory:
         return _joint_rhs(self.params, self.model, full)[:, 2:]
 
 
-def _integrate(
+def _integrate_rows(
     params: SpiralParams,
-    y0: np.ndarray,
+    initial_states,
     controls: IntegratorControls,
-    with_curve: bool,
-):
-    """Fixed-step RK4 with floor/ceiling event bisection; single trajectory."""
+    curve_start: np.ndarray | None,
+) -> list[SpiralTrajectory]:
+    """Integrate (kappa, kappa_s) rows, with the curve when curve_start is given."""
+    y0 = np.atleast_2d(np.asarray(initial_states, dtype=float))
     model = params.model
-    h = controls.step
-    n_steps = int(np.ceil(controls.s_max / h - 1e-12))
-    y = y0[None, :].copy()
-    stored_s = [0.0]
-    stored = [y[0].copy()]
-    termination = "horizon"
-    s_now = 0.0
+    joint = curve_start is not None
+    _check_start(model, y0[:, 0], curve_start, controls)
+    if joint:
+        y0 = np.concatenate([y0, np.tile(curve_start, (y0.shape[0], 1))], axis=1)
 
-    def crossing(state_row):
-        return state_row[0] <= controls.kappa_floor or state_row[0] >= controls.kappa_ceiling
+    def rhs(s, y):
+        return _joint_rhs(params, model, y)
 
-    for i in range(n_steps):
-        step_h = min(h, controls.s_max - s_now)
-        y_new = _rk4_step(params, model, y, step_h)
-        if crossing(y_new[0]):
-            lo, hi = 0.0, step_h
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                y_mid = _rk4_step(params, model, y, mid)
-                if crossing(y_mid[0]):
-                    hi = mid
-                else:
-                    lo = mid
-                if hi - lo < 1e-10:
-                    break
-            y = _rk4_step(params, model, y, hi)
-            mid_gap = np.sqrt(controls.kappa_floor * controls.kappa_ceiling)
-            termination = "kappa_floor" if y[0, 0] < mid_gap else "kappa_ceiling"
-            s_now += hi
-            stored_s.append(s_now)
-            stored.append(y[0].copy())
-            break
-        y = y_new
-        s_now += step_h
-        if (i + 1) % controls.store_stride == 0 or i == n_steps - 1:
-            stored_s.append(s_now)
-            stored.append(y[0].copy())
+    out = []
+    for s, ys, termination in _march(rhs, y0, controls.s_max, controls, joint and model == SPHERE):
+        curve = ys[:, 2:] if joint else None
+        if joint:
+            _check_half_plane(model, curve)
+        out.append(
+            SpiralTrajectory(
+                params=params,
+                controls=controls,
+                s=s,
+                kappa=ys[:, 0],
+                kappa_s=ys[:, 1],
+                curve=curve,
+                termination=termination,
+                first_integral_constant=float(first_integral(params, ys[0, 0], ys[0, 1])),
+                initial_curve=curve_start.copy() if joint else None,
+            )
+        )
+    return out
 
-    arr = np.asarray(stored)
-    s_arr = np.asarray(stored_s)
-    curve = arr[:, 2:] if with_curve else None
-    e0 = float(first_integral(params, arr[0, 0], arr[0, 1]))
-    return SpiralTrajectory(
-        params=params,
-        controls=controls,
-        s=s_arr,
-        kappa=arr[:, 0],
-        kappa_s=arr[:, 1],
-        curve=curve,
-        termination=termination,
-        first_integral_constant=e0,
-        initial_curve=y0[2:].copy() if with_curve else None,
-    )
+
+def _curve_start(model: str, initial_curve) -> np.ndarray:
+    if initial_curve is None:
+        return default_curve_start(model)
+    return np.asarray(initial_curve, dtype=float)
 
 
 def integrate_spiral(
@@ -375,12 +434,7 @@ def integrate_spiral(
     Floor and ceiling crossings terminate cleanly with the event time
     refined by bisection on the step size (to 1e-10 in s).
     """
-    if not (controls.kappa_floor < initial.kappa < controls.kappa_ceiling):
-        raise InputError("initial kappa must lie strictly between floor and ceiling")
-    if initial.kappa <= 0:
-        raise InputError("initial kappa must be positive")
-    y0 = np.array([initial.kappa, initial.kappa_s])
-    return _integrate(params, y0, controls, with_curve=False)
+    return _integrate_rows(params, [[initial.kappa, initial.kappa_s]], controls, None)[0]
 
 
 def reconstruct_curve(
@@ -388,23 +442,14 @@ def reconstruct_curve(
 ) -> SpiralTrajectory:
     """Fill the model-space curve by co-integrating the frame equations.
 
-    The kappa subsystem is autonomous, so re-integrating the joint system
-    reproduces the stored kappa samples bit for bit.
+    Re-runs the joint system from the trajectory's first sample.  The kappa
+    subsystem is autonomous, so this reproduces the stored kappa samples
+    bit for bit; when both are needed, integrate_grid on one row gets them
+    from a single integration.
     """
-    start = (
-        np.asarray(initial_curve, dtype=float)
-        if initial_curve is not None
-        else default_curve_start(traj.model)
-    )
-    if start.size != _CURVE_DIM[traj.model]:
-        raise InputError(f"curve start for model {traj.model} needs {_CURVE_DIM[traj.model]} coords")
-    if traj.model == HALF_PLANE and start[1] <= 0:
-        raise ChartDomainError("half-plane curve start must have y > 0")
-    y0 = np.concatenate([[traj.kappa[0], traj.kappa_s[0]], start])
-    out = _integrate(traj.params, y0, traj.controls, with_curve=True)
-    if out.model == HALF_PLANE and np.any(out.curve[:, 1] <= 0):
-        raise ChartDomainError("curve left the half-plane y > 0: integration fault")
-    return out
+    start = _curve_start(traj.model, initial_curve)
+    row = [[traj.kappa[0], traj.kappa_s[0]]]
+    return _integrate_rows(traj.params, row, traj.controls, start)[0]
 
 
 def integrate_grid(
@@ -413,79 +458,17 @@ def integrate_grid(
     controls: IntegratorControls,
     curve_start: np.ndarray | None = None,
 ) -> list[SpiralTrajectory]:
-    """Joint integration of many initial states in one vectorized sweep.
+    """Joint (kappa, curve) integration of many initial states in one sweep.
 
-    All trajectories share the curve start and the controls.  Rows that
-    cross the floor or ceiling freeze at the step boundary (no bisection
-    refinement in batch mode) and are tagged accordingly.  Each returned
-    trajectory matches what integrate_spiral + reconstruct_curve produce up
-    to the event handling above, since RK4 stepping is elementwise.
+    All trajectories share the curve start and the controls.  RK4 stepping
+    is elementwise, so each row is bit-identical to the same state run on
+    its own, and a one-row grid is the way to get kappa and the curve from
+    one integration.  Rows that cross the floor or ceiling are handled as in
+    integrate_spiral: the crossing is bisected, stored and tagged in the
+    row's termination.
     """
-    initial_states = np.atleast_2d(np.asarray(initial_states, dtype=float))
-    b = initial_states.shape[0]
-    model = params.model
-    start = (
-        np.asarray(curve_start, dtype=float)
-        if curve_start is not None
-        else default_curve_start(model)
-    )
-    if np.any(initial_states[:, 0] <= 0):
-        raise InputError("initial kappa must be positive")
-    y = np.concatenate([initial_states, np.tile(start, (b, 1))], axis=1)
-    h = controls.step
-    n_steps = int(np.ceil(controls.s_max / h - 1e-12))
-    alive = np.ones(b, dtype=bool)
-    end_sample = np.full(b, -1, dtype=int)
-    terminations = np.array(["horizon"] * b, dtype=object)
-
-    stored = [y.copy()]
-    stored_s = [0.0]
-    s_now = 0.0
-    with np.errstate(all="ignore"):
-        for i in range(n_steps):
-            step_h = min(h, controls.s_max - s_now)
-            y_new = _rk4_step(params, model, y, step_h)
-            crossed = alive & (
-                (y_new[:, 0] <= controls.kappa_floor)
-                | (y_new[:, 0] >= controls.kappa_ceiling)
-                | ~np.isfinite(y_new[:, 0])
-            )
-            if np.any(crossed):
-                mid_gap = np.sqrt(controls.kappa_floor * controls.kappa_ceiling)
-                for row in np.nonzero(crossed)[0]:
-                    terminations[row] = (
-                        "kappa_floor" if y_new[row, 0] < mid_gap else "kappa_ceiling"
-                    )
-                    end_sample[row] = len(stored) - 1
-                alive &= ~crossed
-            y_new[~alive] = y[~alive]
-            y = y_new
-            s_now += step_h
-            if (i + 1) % controls.store_stride == 0 or i == n_steps - 1:
-                stored.append(y.copy())
-                stored_s.append(s_now)
-
-    arr = np.asarray(stored)  # (K, B, d)
-    s_arr = np.asarray(stored_s)
-    out = []
-    for row in range(b):
-        stop = end_sample[row] + 1 if end_sample[row] >= 0 else s_arr.size
-        out.append(
-            SpiralTrajectory(
-                params=params,
-                controls=controls,
-                s=s_arr[:stop],
-                kappa=arr[:stop, row, 0],
-                kappa_s=arr[:stop, row, 1],
-                curve=arr[:stop, row, 2:],
-                termination=str(terminations[row]),
-                first_integral_constant=float(
-                    first_integral(params, arr[0, row, 0], arr[0, row, 1])
-                ),
-                initial_curve=start.copy(),
-            )
-        )
-    return out
+    start = _curve_start(params.model, curve_start)
+    return _integrate_rows(params, initial_states, controls, start)
 
 
 def prescribed_curvature_trajectory(
@@ -501,44 +484,27 @@ def prescribed_curvature_trajectory(
     Used for negative controls: the curvature need not solve the spiral
     equation.  The frame equations are integrated with kappa evaluated
     analytically at the RK4 stage points; kappa_s_fn supplies the exact
-    derivative for smooth interpolation between nodes.
+    derivative for smooth interpolation between nodes and drives the kappa
+    column that the floor and ceiling events watch.
     """
     params = SpiralParams(n, epsilon, 0.0, variant=STANDARD)
     model = params.model
-    start = (
-        np.asarray(initial_curve, dtype=float)
-        if initial_curve is not None
-        else default_curve_start(model)
-    )
+    start = _curve_start(model, initial_curve)
+    at0 = np.zeros(1)
+    kappa0 = np.asarray(kappa_fn(at0), dtype=float)
+    _check_start(model, kappa0, start, controls)
 
-    def rhs(s, c):
-        kap = float(kappa_fn(np.asarray([s]))[0])
-        full = np.concatenate([[kap, 0.0], c])[None, :]
-        return _joint_rhs(params, model, full)[0, 2:]
+    def rhs(s, y):
+        at = np.asarray([s])
+        out = np.zeros_like(y)
+        out[:, 0] = kappa_s_fn(at)
+        _frame_rhs(model, np.asarray(kappa_fn(at), dtype=float), y, out)
+        return out
 
-    h = controls.step
-    n_steps = int(np.ceil(controls.s_max / h - 1e-12))
-    c = start.copy()
-    s_now = 0.0
-    stored_s, stored = [0.0], [c.copy()]
-    for i in range(n_steps):
-        step_h = min(h, controls.s_max - s_now)
-        k1 = rhs(s_now, c)
-        k2 = rhs(s_now + 0.5 * step_h, c + 0.5 * step_h * k1)
-        k3 = rhs(s_now + 0.5 * step_h, c + 0.5 * step_h * k2)
-        k4 = rhs(s_now + step_h, c + step_h * k3)
-        c = c + (step_h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if model == SPHERE:
-            row = c[None, :]
-            joint = np.concatenate([np.zeros((1, 2)), row], axis=1)
-            _renormalize_sphere(joint)
-            c = joint[0, 2:]
-        s_now += step_h
-        if (i + 1) % controls.store_stride == 0 or i == n_steps - 1:
-            stored_s.append(s_now)
-            stored.append(c.copy())
-
-    s_arr = np.asarray(stored_s)
+    y0 = np.concatenate([kappa0, np.asarray(kappa_s_fn(at0), dtype=float), start])[None, :]
+    ((s_arr, ys, termination),) = _march(rhs, y0, controls.s_max, controls, model == SPHERE)
+    curve = ys[:, 2:]
+    _check_half_plane(model, curve)
     kap = np.asarray(kappa_fn(s_arr), dtype=float)
     kap_s = np.asarray(kappa_s_fn(s_arr), dtype=float)
     return SpiralTrajectory(
@@ -547,8 +513,8 @@ def prescribed_curvature_trajectory(
         s=s_arr,
         kappa=kap,
         kappa_s=kap_s,
-        curve=np.asarray(stored),
-        termination="horizon",
+        curve=curve,
+        termination=termination,
         first_integral_constant=float(first_integral(params, kap[0], kap_s[0])),
         initial_curve=start,
     )
@@ -640,16 +606,14 @@ def closure_test(
     hi_idx = min(k + 1, traj.s.size - 1)
     y_left = np.concatenate([[traj.kappa[lo_idx], traj.kappa_s[lo_idx]], traj.curve[lo_idx]])
     span = float(traj.s[hi_idx] - traj.s[lo_idx])
-    h = traj.controls.step
+    sphere = traj.model == SPHERE
+
+    def rhs(s, y):
+        return _joint_rhs(traj.params, traj.model, y)
 
     def probe(offset: float) -> float:
-        y = y_left[None, :].copy()
-        remaining = offset
-        while remaining > h * (1 + 1e-12):
-            y = _rk4_step(traj.params, traj.model, y, h)
-            remaining -= h
-        if remaining > 0:
-            y = _rk4_step(traj.params, traj.model, y, remaining)
+        ((_, ys, _),) = _march(rhs, y_left[None, :], offset, traj.controls, sphere)
+        y = ys[-1:]
         return float(_full_defect(traj, y[:, 2:], y[:, 0], y[:, 1])[0])
 
     offsets = np.linspace(0.0, span, 33)

@@ -79,7 +79,9 @@ class TestDataCommands:
         cfg = write_cfg(tmp_path, "family = torus\nslice_res = 8\n")
         assert main(["build", "--config", cfg, "--out", str(tmp_path)]) == 0
         obj = (tmp_path / "torus.obj").read_text().splitlines()
-        assert sum(1 for ln in obj if ln.startswith("v ")) == 64
+        verts = [[float(x) for x in ln.split()[1:]] for ln in obj if ln.startswith("v ")]
+        assert len(verts) == 64
+        assert all(len(v) == 3 for v in verts)
         assert sum(1 for ln in obj if ln.startswith("f ")) == 49
         desc = json.loads((tmp_path / "torus.json").read_text())
         assert desc["resolution"] == 8

@@ -138,16 +138,27 @@ class TestSuite:
 
 
 class TestGridIntegration:
-    def test_matches_single_trajectory(self):
-        params = SpiralParams(4, -1, 0.75)
+    @pytest.mark.parametrize(
+        "params,states",
+        [
+            (SpiralParams(4, 0, -0.05), [(1.0, 0.1), (1.1, -0.05)]),
+            (SpiralParams(4, 1, -1.0), [(1.02, 0.0), (1.0, -0.01)]),
+            (SpiralParams(4, -1, 0.75), [(1.2, 0.05), (1.3, -0.1)]),
+        ],
+        ids=["plane", "sphere", "half-plane"],
+    )
+    def test_matches_single_trajectory(self, params, states):
         controls = IntegratorControls(s_max=3.0, step=1e-3, store_stride=5)
-        grid = integrate_grid(params, np.array([[1.2, 0.05], [1.3, -0.1]]), controls)
-        for row, (k0, ks0) in zip(grid, [(1.2, 0.05), (1.3, -0.1)]):
+        grid = integrate_grid(params, np.array(states), controls)
+        for row, (k0, ks0) in zip(grid, states):
             single = reconstruct_curve(
                 integrate_spiral(params, SpiralState(0.0, k0, ks0), controls)
             )
-            assert np.max(np.abs(row.kappa - single.kappa)) < 1e-14
-            assert np.max(np.abs(row.curve - single.curve)) < 1e-13
+            assert row.termination == single.termination == "horizon"
+            assert np.array_equal(row.s, single.s)
+            assert np.array_equal(row.kappa, single.kappa)
+            assert np.array_equal(row.kappa_s, single.kappa_s)
+            assert np.array_equal(row.curve, single.curve)
 
     def test_terminated_rows_are_tagged(self):
         params = SpiralParams(4, 0, 0.5)  # pulls kappa to the floor
@@ -155,6 +166,8 @@ class TestGridIntegration:
         grid = integrate_grid(params, np.array([[1.0, -0.5], [1.0, -0.4]]), controls)
         assert all(t.termination == "kappa_floor" for t in grid)
         assert all(t.s_end < 60.0 for t in grid)
+        # the crossing is bisected, as for a single trajectory
+        assert all(t.kappa[-1] <= 2e-6 for t in grid)
 
 
 class TestRigidity:
