@@ -20,10 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import __version__
 from .config import RunConfig
 from .curvature import (
     Convention,
     codazzi_defect,
+    convert_scalar,
     metric_field_curvature,
     schouten_coordinate_field,
 )
@@ -35,12 +37,15 @@ from .immersion import (
     principal_curvatures,
     second_fundamental_form_batch,
 )
+from .linalg import gram_schmidt_frame
 from .moebius import (
     SurfaceFields,
+    blaschke_A,
     fields_from_immersion,
     get_fields,
     moebius_data,
     moebius_form,
+    moebius_form_divergence_residual,
     moebius_scalar,
 )
 from .report import CheckRecord, VerificationReport
@@ -279,8 +284,6 @@ def check_trace_identities(cfg: RunConfig, surfaces, rng) -> CheckRecord:
         rho = fields.rho(pts)
         mean = fields.mean(pts)
         for i in range(pts.shape[0]):
-            from .linalg import gram_schmidt_frame
-
             frame = gram_schmidt_frame(g[i])
             b = (frame.T @ h[i] @ frame - mean[i] * np.eye(n)) / rho[i]
             worst = max(worst, abs(float(np.trace(b))))
@@ -342,8 +345,6 @@ def check_moebius_form_structure(cfg: RunConfig, surfaces, rng) -> CheckRecord:
     total += 4
 
     # independent cross-check: sum_j B_ij,j = -(n-1) C_i
-    from .moebius import moebius_form_divergence_residual
-
     div_sch = FDScheme(step=0.01, order=cfg.fd_order, scaled=False)
     details["divergence_identity_residual"] = {
         surf.name: float(
@@ -703,8 +704,6 @@ def check_torus_scalar_audit(cfg: RunConfig, surfaces, rng) -> CheckRecord:
     any_match_all = True
     worst_best = 0.0
     total = 0
-    from .curvature import convert_scalar
-
     match_sets = []
     for r in TORUS_AUDIT_RADII:
         imm = torus_immersion(r, n)
@@ -798,9 +797,6 @@ def check_blaschke_trace_audit(cfg: RunConfig, surfaces, rng) -> CheckRecord:
     the full trace and converted per convention.  Audit: the residual of
     the identity under each normalization, per surface.
     """
-    from .curvature import convert_scalar
-    from .moebius import blaschke_A
-
     n = cfg.n
     scheme = inner_scheme(cfg)
     audit_rows = []
@@ -926,8 +922,6 @@ CHECK_FUNCTIONS = {
 
 def run_suite(cfg: RunConfig) -> VerificationReport:
     """Execute the enabled checks in fixed order and assemble the report."""
-    from . import __version__
-
     report = VerificationReport(version=__version__, seed=cfg.seed, config_hash=cfg.hash())
     enabled = cfg.check_list()
     if not enabled:

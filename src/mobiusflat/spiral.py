@@ -21,17 +21,24 @@ the Euclidean plane (eps = 0), the unit 2-sphere (eps = +1), or the
 Poincare half-plane (eps = -1), by co-integrating the unit-speed frame
 equations.
 
-Every integration in this module (single trajectories, batches,
+Every integration in this module (single trajectories, grids,
 prescribed-curvature controls and the closure refinement) runs through one
-fixed-step RK4 marcher over a batch of rows.  It bisects any row's crossing of the
-kappa floor, the kappa ceiling or a non-finite value, stores the crossing
-and freezes the row, so a row behaves the same alone or in a batch.
+fixed-step RK4 marcher, _march, which advances one row at a time with a
+fused step on Python floats.  Each system has one unrolled step, built once
+per parameter set: the kappa equation, finished by a frame step for the
+plane, the sphere or the half-plane curve.  The marcher bisects a crossing
+of the kappa floor, the kappa ceiling or a non-finite value and ends the row
+there.  A grid is a loop over its rows, so a row is the same alone or in a
+grid by construction.
 """
 
 from __future__ import annotations
 
 import io
+from array import array
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from math import ceil, cos, nan, sin, sqrt
 
 import numpy as np
 
@@ -99,15 +106,21 @@ class IntegratorControls:
             raise InputError("store_stride must be >= 1")
 
 
+def _coefficients(params: SpiralParams) -> tuple[float, float, float]:
+    """(c2, c1, R) of kappa_ss = c2 kappa_s^2 / (2 kappa) + c1 kappa / 2 - R kappa^3."""
+    n, eps = params.n, params.epsilon
+    if params.variant == STANDARD:
+        return float(4 - n), float(-eps * (n - 2)), float(params.R)
+    return float(n + 2), float(eps * (n - 2)), float(params.R)
+
+
 def kappa_accel(params: SpiralParams, kappa, kappa_s):
     """kappa_ss for the selected coefficient convention (vectorized)."""
     kappa = np.asarray(kappa, dtype=float)
     kappa_s = np.asarray(kappa_s, dtype=float)
-    n, eps, big_r = params.n, params.epsilon, params.R
+    c2, c1, big_r = _coefficients(params)
     safe = np.where(np.abs(kappa) < 1e-300, 1e-300, kappa)
-    if params.variant == STANDARD:
-        return (4 - n) * kappa_s**2 / (2.0 * safe) - eps * (n - 2) * kappa / 2.0 - big_r * kappa**3
-    return (n + 2) * kappa_s**2 / (2.0 * safe) + eps * (n - 2) * kappa / 2.0 - big_r * kappa**3
+    return c2 * kappa_s**2 / (2.0 * safe) + c1 * kappa / 2.0 - big_r * kappa**3
 
 
 def spiral_rhs(state: SpiralState, params: SpiralParams, kappa_floor: float = 1e-6):
@@ -164,124 +177,244 @@ def default_curve_start(model: str) -> np.ndarray:
     return np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
 
 
-def _frame_rhs(model: str, kappa: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
-    """Unit-speed frame equations: fill out[:, 2:] from the curve y[:, 2:]."""
+def _frame_rhs(model: str, kappa: np.ndarray, curve: np.ndarray) -> np.ndarray:
+    """Unit-speed frame equations: d curve / ds at the rows of curve (vectorized)."""
+    out = np.empty_like(curve)
     if model == PLANE:
-        theta = y[:, 4]
-        out[:, 2] = np.cos(theta)
-        out[:, 3] = np.sin(theta)
-        out[:, 4] = kappa
+        theta = curve[:, 2]
+        out[:, 0] = np.cos(theta)
+        out[:, 1] = np.sin(theta)
+        out[:, 2] = kappa
     elif model == HALF_PLANE:
-        yy, phi = y[:, 3], y[:, 4]
-        out[:, 2] = yy * np.cos(phi)
-        out[:, 3] = yy * np.sin(phi)
-        out[:, 4] = kappa - np.cos(phi)
+        yy, phi = curve[:, 1], curve[:, 2]
+        out[:, 0] = yy * np.cos(phi)
+        out[:, 1] = yy * np.sin(phi)
+        out[:, 2] = kappa - np.cos(phi)
     else:
-        gam, tan = y[:, 2:5], y[:, 5:8]
-        out[:, 2:5] = tan
-        out[:, 5:8] = kappa[:, None] * np.cross(gam, tan) - gam
-
-
-def _joint_rhs(params: SpiralParams, model: str, y: np.ndarray) -> np.ndarray:
-    out = np.empty_like(y)
-    kappa, kappa_s = y[:, 0], y[:, 1]
-    out[:, 0] = kappa_s
-    out[:, 1] = kappa_accel(params, kappa, kappa_s)
-    if y.shape[1] > 2:
-        _frame_rhs(model, kappa, y, out)
+        gam, tan = curve[:, 0:3], curve[:, 3:6]
+        out[:, 0:3] = tan
+        out[:, 3:6] = kappa[:, None] * np.cross(gam, tan) - gam
     return out
 
 
-def _renormalize_sphere(y: np.ndarray) -> None:
-    gam = y[:, 2:5]
-    gam /= np.linalg.norm(gam, axis=1)[:, None]
-    tan = y[:, 5:8]
-    tan -= np.einsum("ki,ki->k", tan, gam)[:, None] * gam
-    tan /= np.linalg.norm(tan, axis=1)[:, None]
+# ---------------------------------------------------------------------------
+# fused RK4 kernel
+#
+# A state is a tuple (kappa, kappa_s, *curve) of Python floats.  One step is
+# written out stage by stage in the arithmetic order of the vectorized right
+# hand sides above: stage states y + (0.5 h) k, the update
+# y + (h / 6) (((k1 + 2 k2) + 2 k3) + k4), the 1e-300 guard of kappa_accel
+# and the component order of np.cross.  Only kappa**3 rounds differently:
+# it is libm pow here and numpy's own power on arrays, which differ in the
+# last bit for a few percent of inputs.
+#
+# A frame step frame(kn, ksn, q1, q2, q3, q4, h, y) returns the stepped
+# state: kn and ksn are the new kappa and kappa_s, q1..q4 the kappa of the
+# four stages and y the state before the step.  The spiral and the
+# prescribed-curvature systems share the frame steps.
 
 
-def _rk4_step(rhs, s: float, y: np.ndarray, h: float, sphere: bool) -> np.ndarray:
-    k1 = rhs(s, y)
-    k2 = rhs(s + 0.5 * h, y + 0.5 * h * k1)
-    k3 = rhs(s + 0.5 * h, y + 0.5 * h * k2)
-    k4 = rhs(s + h, y + h * k3)
-    out = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if sphere:
-        _renormalize_sphere(out)
-    return out
+def _no_curve(kn, ksn, q1, q2, q3, q4, h, y):
+    return kn, ksn
 
 
-def _march(rhs, y0: np.ndarray, s_max: float, controls: IntegratorControls, sphere: bool):
-    """Fixed-step RK4 of the rows of y0 (B, d) from s = 0 to s_max.
+def _plane_frame(kn, ksn, q1, q2, q3, q4, h, y):
+    """(x, y, theta)' = (cos theta, sin theta, kappa); q1..q4 are the stage kappas."""
+    _, _, x, v, th = y
+    hh = 0.5 * h
+    t2, t3, t4 = th + hh * q1, th + hh * q2, th + h * q3
+    c1, c2, c3, c4 = cos(th), cos(t2), cos(t3), cos(t4)
+    s1, s2, s3, s4 = sin(th), sin(t2), sin(t3), sin(t4)
+    h6 = h / 6.0
+    return (
+        kn,
+        ksn,
+        x + h6 * (((c1 + 2.0 * c2) + 2.0 * c3) + c4),
+        v + h6 * (((s1 + 2.0 * s2) + 2.0 * s3) + s4),
+        th + h6 * (((q1 + 2.0 * q2) + 2.0 * q3) + q4),
+    )
 
-    Column 0 of every row is kappa.  A row whose step leaves the open band
+
+def _half_plane_frame(kn, ksn, q1, q2, q3, q4, h, y):
+    """(x, y, phi)' = (y cos phi, y sin phi, kappa - cos phi)."""
+    _, _, x, v, p = y
+    hh = 0.5 * h
+    c, s = cos(p), sin(p)
+    dx1, dv1, dp1 = v * c, v * s, q1 - c
+    va, pa = v + hh * dv1, p + hh * dp1
+    c, s = cos(pa), sin(pa)
+    dx2, dv2, dp2 = va * c, va * s, q2 - c
+    va, pa = v + hh * dv2, p + hh * dp2
+    c, s = cos(pa), sin(pa)
+    dx3, dv3, dp3 = va * c, va * s, q3 - c
+    va, pa = v + h * dv3, p + h * dp3
+    c, s = cos(pa), sin(pa)
+    dx4, dv4, dp4 = va * c, va * s, q4 - c
+    h6 = h / 6.0
+    return (
+        kn,
+        ksn,
+        x + h6 * (((dx1 + 2.0 * dx2) + 2.0 * dx3) + dx4),
+        v + h6 * (((dv1 + 2.0 * dv2) + 2.0 * dv3) + dv4),
+        p + h6 * (((dp1 + 2.0 * dp2) + 2.0 * dp3) + dp4),
+    )
+
+
+def _sphere_frame(kn, ksn, q1, q2, q3, q4, h, y):
+    """(gamma, T)' = (T, kappa gamma x T - gamma), then re-orthonormalized."""
+    _, _, g1, g2, g3, t1, t2, t3 = y
+    hh = 0.5 * h
+    # stage 1 at (g, t)
+    a1 = q1 * (g2 * t3 - g3 * t2) - g1
+    a2 = q1 * (g3 * t1 - g1 * t3) - g2
+    a3 = q1 * (g1 * t2 - g2 * t1) - g3
+    # stage 2 at (g + hh t, t + hh a)
+    u1, u2, u3 = g1 + hh * t1, g2 + hh * t2, g3 + hh * t3
+    v1, v2, v3 = t1 + hh * a1, t2 + hh * a2, t3 + hh * a3
+    b1 = q2 * (u2 * v3 - u3 * v2) - u1
+    b2 = q2 * (u3 * v1 - u1 * v3) - u2
+    b3 = q2 * (u1 * v2 - u2 * v1) - u3
+    # stage 3 at (g + hh v, t + hh b)
+    u1, u2, u3 = g1 + hh * v1, g2 + hh * v2, g3 + hh * v3
+    w1, w2, w3 = t1 + hh * b1, t2 + hh * b2, t3 + hh * b3
+    c1 = q3 * (u2 * w3 - u3 * w2) - u1
+    c2 = q3 * (u3 * w1 - u1 * w3) - u2
+    c3 = q3 * (u1 * w2 - u2 * w1) - u3
+    # stage 4 at (g + h w, t + h c)
+    u1, u2, u3 = g1 + h * w1, g2 + h * w2, g3 + h * w3
+    z1, z2, z3 = t1 + h * c1, t2 + h * c2, t3 + h * c3
+    d1 = q4 * (u2 * z3 - u3 * z2) - u1
+    d2 = q4 * (u3 * z1 - u1 * z3) - u2
+    d3 = q4 * (u1 * z2 - u2 * z1) - u3
+    h6 = h / 6.0
+    g1 += h6 * (((t1 + 2.0 * v1) + 2.0 * w1) + z1)
+    g2 += h6 * (((t2 + 2.0 * v2) + 2.0 * w2) + z2)
+    g3 += h6 * (((t3 + 2.0 * v3) + 2.0 * w3) + z3)
+    t1 += h6 * (((a1 + 2.0 * b1) + 2.0 * c1) + d1)
+    t2 += h6 * (((a2 + 2.0 * b2) + 2.0 * c2) + d2)
+    t3 += h6 * (((a3 + 2.0 * b3) + 2.0 * c3) + d3)
+    # unit gamma, then T projected off gamma and normalized; the dot product
+    # is summed in the order numpy's einsum uses for three terms
+    norm = sqrt((g1 * g1 + g2 * g2) + g3 * g3)
+    g1, g2, g3 = g1 / norm, g2 / norm, g3 / norm
+    dot = (t1 * g1 + t3 * g3) + t2 * g2
+    t1, t2, t3 = t1 - dot * g1, t2 - dot * g2, t3 - dot * g3
+    norm = sqrt((t1 * t1 + t2 * t2) + t3 * t3)
+    return kn, ksn, g1, g2, g3, t1 / norm, t2 / norm, t3 / norm
+
+
+_FRAME_STEP = {PLANE: _plane_frame, SPHERE: _sphere_frame, HALF_PLANE: _half_plane_frame}
+
+
+def _spiral_step(params: SpiralParams, frame):
+    """RK4 step (s, y, h) -> y of the spiral equation; frame advances the curve."""
+    c2, c1, big_r = _coefficients(params)
+
+    def step(s, y, h):
+        k, ks = y[0], y[1]
+        hh = 0.5 * h
+        a1 = (c2 * (ks * ks) / (2.0 * (1e-300 if abs(k) < 1e-300 else k))
+              + c1 * k / 2.0 - big_r * k**3)
+        k2, ks2 = k + hh * ks, ks + hh * a1
+        a2 = (c2 * (ks2 * ks2) / (2.0 * (1e-300 if abs(k2) < 1e-300 else k2))
+              + c1 * k2 / 2.0 - big_r * k2**3)
+        k3, ks3 = k + hh * ks2, ks + hh * a2
+        a3 = (c2 * (ks3 * ks3) / (2.0 * (1e-300 if abs(k3) < 1e-300 else k3))
+              + c1 * k3 / 2.0 - big_r * k3**3)
+        k4, ks4 = k + h * ks3, ks + h * a3
+        a4 = (c2 * (ks4 * ks4) / (2.0 * (1e-300 if abs(k4) < 1e-300 else k4))
+              + c1 * k4 / 2.0 - big_r * k4**3)
+        h6 = h / 6.0
+        kn = k + h6 * (((ks + 2.0 * ks2) + 2.0 * ks3) + ks4)
+        ksn = ks + h6 * (((a1 + 2.0 * a2) + 2.0 * a3) + a4)
+        return frame(kn, ksn, k, k2, k3, k4, h, y)
+
+    return step
+
+
+def _prescribed_step(model: str, kappa_fn, kappa_s_fn):
+    """RK4 step of the curve under kappa(s) = kappa_fn(s).
+
+    Column 0 integrates kappa_s_fn so that the floor and ceiling events can
+    watch it; column 1 is carried unchanged.
+    """
+    frame = _FRAME_STEP[model]
+
+    def at(fn, s):
+        return np.asarray(fn(np.array([s])), dtype=float).item()
+
+    def step(s, y, h):
+        s_mid, s_end = s + 0.5 * h, s + h
+        q_mid, d_mid = at(kappa_fn, s_mid), at(kappa_s_fn, s_mid)
+        d_sum = ((at(kappa_s_fn, s) + 2.0 * d_mid) + 2.0 * d_mid) + at(kappa_s_fn, s_end)
+        kn = y[0] + h / 6.0 * d_sum
+        return frame(kn, y[1], at(kappa_fn, s), q_mid, q_mid, at(kappa_fn, s_end), h, y)
+
+    return step
+
+
+def _finite_step(step, s: float, y: tuple, h: float) -> tuple:
+    """step(s, y, h), with an all-NaN state where the float arithmetic overflows.
+
+    Python floats raise (x**3 overflowing, cos of an infinity) where numpy
+    arrays give inf or nan; either way the state has left the band.
+    """
+    try:
+        return step(s, y, h)
+    except (ArithmeticError, ValueError):
+        return (nan,) * len(y)
+
+
+def _bisect(step, s_now: float, y: tuple, step_h: float, floor: float, ceiling: float):
+    """Refine a band crossing within one step to 1e-10 in s and tag it."""
+    lo, hi = 0.0, step_h
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if floor < _finite_step(step, s_now, y, mid)[0] < ceiling:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-10:
+            break
+    y_end = _finite_step(step, s_now, y, hi)
+    termination = "kappa_floor" if y_end[0] < sqrt(floor * ceiling) else "kappa_ceiling"
+    return s_now + hi, y_end, termination
+
+
+def _march(step, y0, s_max: float, controls: IntegratorControls):
+    """Fixed-step RK4 of one row y0 from s = 0 to s_max with step(s, y, h).
+
+    Element 0 of the row is kappa.  A step that leaves the open band
     (kappa_floor, kappa_ceiling) or turns non-finite is refined by bisection
-    on the step size (to 1e-10 in s), stored at the crossing and frozen.
-    States are stored every store_stride steps and at s_max; with sphere
-    set, the sphere frame columns are re-normalized after every step.
-    Returns one (s, states, termination) triple per row.
+    on the step size (to 1e-10 in s); the state at the crossing is the last
+    sample.  States are stored every store_stride steps and at s_max.
+    Returns (s, states (K, d), termination).
     """
     floor, ceiling = controls.kappa_floor, controls.kappa_ceiling
     h, stride = controls.step, controls.store_stride
-    n_steps = int(np.ceil(s_max / h - 1e-12))
-    mid_gap = np.sqrt(floor * ceiling)
-
-    def inside(kappa):
-        return (kappa > floor) & (kappa < ceiling)
-
-    def bisect(s_now, y_row, step_h):
-        lo, hi = 0.0, step_h
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if inside(_rk4_step(rhs, s_now, y_row, mid, sphere)[0, 0]):
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-10:
-                break
-        y_end = _rk4_step(rhs, s_now, y_row, hi, sphere)[0]
-        return s_now + hi, y_end, "kappa_floor" if y_end[0] < mid_gap else "kappa_ceiling"
-
-    y = np.array(y0, dtype=float)
-    alive = np.ones(y.shape[0], dtype=bool)
-    events = {}  # row -> (samples kept, s at the crossing, state, termination)
-    stored, stored_s = [y.copy()], [0.0]
-    s_now = 0.0
-    with np.errstate(all="ignore"):
-        for i in range(n_steps):
-            step_h = min(h, s_max - s_now)
-            y_new = _rk4_step(rhs, s_now, y, step_h, sphere)
-            crossed = alive & ~inside(y_new[:, 0])
-            if crossed.any():
-                for row in np.flatnonzero(crossed).tolist():
-                    events[row] = (len(stored),) + bisect(s_now, y[row : row + 1], step_h)
-                alive &= ~crossed
-                if not alive.any():
-                    break
-            if events:
-                y_new[~alive] = y[~alive]
-            y = y_new
-            s_now += step_h
-            if (i + 1) % stride == 0 or i == n_steps - 1:
-                stored.append(y.copy())
-                stored_s.append(s_now)
-
-    arr = np.asarray(stored)  # (K, B, d)
-    s_arr = np.asarray(stored_s)
-    out = []
-    for row in range(arr.shape[1]):
-        if row not in events:
-            out.append((s_arr, arr[:, row], "horizon"))
-            continue
-        kept, s_end, y_end, termination = events[row]
-        out.append(
-            (
-                np.append(s_arr[:kept], s_end),
-                np.concatenate([arr[:kept, row], y_end[None, :]]),
-                termination,
-            )
-        )
-    return out
+    s_max = float(s_max)
+    n_steps = ceil(s_max / h - 1e-12)
+    y = tuple(float(v) for v in y0)
+    stored_s, stored = array("d", [0.0]), array("d", y)
+    s_now, termination = 0.0, "horizon"
+    for i in range(n_steps):
+        step_h = min(h, s_max - s_now)
+        try:  # _finite_step, inline in the hot loop
+            y_new = step(s_now, y, step_h)
+            inside = floor < y_new[0] < ceiling
+        except (ArithmeticError, ValueError):
+            inside = False
+        if not inside:
+            s_end, y_end, termination = _bisect(step, s_now, y, step_h, floor, ceiling)
+            stored_s.append(s_end)
+            stored.extend(y_end)
+            break
+        y = y_new
+        s_now += step_h
+        if (i + 1) % stride == 0 or i == n_steps - 1:
+            stored_s.append(s_now)
+            stored.extend(y)
+    return np.frombuffer(stored_s), np.frombuffer(stored).reshape(-1, len(y)), termination
 
 
 def _check_start(model: str, kappa0, curve_start, controls: IntegratorControls) -> None:
@@ -330,6 +463,16 @@ class SpiralTrajectory:
 
     # -- smooth evaluation between nodes (cubic Hermite on stored data) -----
 
+    @cached_property
+    def _kappa_ss(self) -> np.ndarray:
+        """d kappa_s / ds at the samples, the Hermite slopes of kappa_s_at."""
+        return kappa_accel(self.params, self.kappa, self.kappa_s)
+
+    @cached_property
+    def _curve_ders(self) -> np.ndarray:
+        """d curve / ds at the samples, the Hermite slopes of curve_at."""
+        return _frame_rhs(self.model, self.kappa, self.curve)
+
     def _check_range(self, sq: np.ndarray) -> None:
         if np.any(sq < self.s[0] - 1e-12) or np.any(sq > self.s[-1] + 1e-12):
             raise ChartDomainError(
@@ -359,27 +502,17 @@ class SpiralTrajectory:
         return self._hermite(self.kappa, self.kappa_s, np.asarray(sq, dtype=float))
 
     def kappa_s_at(self, sq) -> np.ndarray:
-        acc = kappa_accel(self.params, self.kappa, self.kappa_s)
-        return self._hermite(self.kappa_s, acc, np.asarray(sq, dtype=float))
+        return self._hermite(self.kappa_s, self._kappa_ss, np.asarray(sq, dtype=float))
 
     def curve_at(self, sq) -> np.ndarray:
         """Model coordinates of the reconstructed curve at arbitrary s."""
         if self.curve is None:
             raise InputError("trajectory has no reconstructed curve; run reconstruct_curve")
-        full = np.concatenate(
-            [self.kappa[:, None], self.kappa_s[:, None], self.curve], axis=1
-        )
-        ders = _joint_rhs(self.params, self.model, full)
-        return self._hermite(self.curve, ders[:, 2:], np.asarray(sq, dtype=float))
+        return self._hermite(self.curve, self._curve_ders, np.asarray(sq, dtype=float))
 
     def curve_velocity_at(self, sq) -> np.ndarray:
-        coords = self.curve_at(sq)
-        kap = self.kappa_at(sq)
-        full = np.concatenate(
-            [np.atleast_1d(kap)[:, None], np.zeros((np.atleast_1d(kap).size, 1)), np.atleast_2d(coords)],
-            axis=1,
-        )
-        return _joint_rhs(self.params, self.model, full)[:, 2:]
+        coords = np.atleast_2d(self.curve_at(sq))
+        return _frame_rhs(self.model, np.atleast_1d(self.kappa_at(sq)), coords)
 
 
 def _integrate_rows(
@@ -395,12 +528,11 @@ def _integrate_rows(
     _check_start(model, y0[:, 0], curve_start, controls)
     if joint:
         y0 = np.concatenate([y0, np.tile(curve_start, (y0.shape[0], 1))], axis=1)
-
-    def rhs(s, y):
-        return _joint_rhs(params, model, y)
+    step = _spiral_step(params, _FRAME_STEP[model] if joint else _no_curve)
 
     out = []
-    for s, ys, termination in _march(rhs, y0, controls.s_max, controls, joint and model == SPHERE):
+    for row in y0:
+        s, ys, termination = _march(step, row, controls.s_max, controls)
         curve = ys[:, 2:] if joint else None
         if joint:
             _check_half_plane(model, curve)
@@ -442,10 +574,11 @@ def reconstruct_curve(
 ) -> SpiralTrajectory:
     """Fill the model-space curve by co-integrating the frame equations.
 
-    Re-runs the joint system from the trajectory's first sample.  The kappa
-    subsystem is autonomous, so this reproduces the stored kappa samples
-    bit for bit; when both are needed, integrate_grid on one row gets them
-    from a single integration.
+    Re-runs the joint system from the trajectory's first sample with the
+    same kernel.  The kappa subsystem is autonomous and its arithmetic does
+    not depend on the curve, so this reproduces the stored kappa samples bit
+    for bit; when both are needed, integrate_grid on one row gets them from
+    a single integration.
     """
     start = _curve_start(traj.model, initial_curve)
     row = [[traj.kappa[0], traj.kappa_s[0]]]
@@ -458,12 +591,13 @@ def integrate_grid(
     controls: IntegratorControls,
     curve_start: np.ndarray | None = None,
 ) -> list[SpiralTrajectory]:
-    """Joint (kappa, curve) integration of many initial states in one sweep.
+    """Joint (kappa, curve) integration of many initial states.
 
-    All trajectories share the curve start and the controls.  RK4 stepping
-    is elementwise, so each row is bit-identical to the same state run on
-    its own, and a one-row grid is the way to get kappa and the curve from
-    one integration.  Rows that cross the floor or ceiling are handled as in
+    All trajectories share the curve start and the controls.  The rows are
+    marched one after another with one step function built for the
+    parameters, so each row is the same as that state run on its own, and a
+    one-row grid is the way to get kappa and the curve from one integration.
+    A row that crosses the floor or ceiling is handled as in
     integrate_spiral: the crossing is bisected, stored and tagged in the
     row's termination.
     """
@@ -483,9 +617,10 @@ def prescribed_curvature_trajectory(
 
     Used for negative controls: the curvature need not solve the spiral
     equation.  The frame equations are integrated with kappa evaluated
-    analytically at the RK4 stage points; kappa_s_fn supplies the exact
-    derivative for smooth interpolation between nodes and drives the kappa
-    column that the floor and ceiling events watch.
+    analytically at the RK4 stage points (one-element array arguments);
+    kappa_s_fn supplies the exact derivative for smooth interpolation
+    between nodes and drives the kappa column that the floor and ceiling
+    events watch.
     """
     params = SpiralParams(n, epsilon, 0.0, variant=STANDARD)
     model = params.model
@@ -494,15 +629,9 @@ def prescribed_curvature_trajectory(
     kappa0 = np.asarray(kappa_fn(at0), dtype=float)
     _check_start(model, kappa0, start, controls)
 
-    def rhs(s, y):
-        at = np.asarray([s])
-        out = np.zeros_like(y)
-        out[:, 0] = kappa_s_fn(at)
-        _frame_rhs(model, np.asarray(kappa_fn(at), dtype=float), y, out)
-        return out
-
-    y0 = np.concatenate([kappa0, np.asarray(kappa_s_fn(at0), dtype=float), start])[None, :]
-    ((s_arr, ys, termination),) = _march(rhs, y0, controls.s_max, controls, model == SPHERE)
+    y0 = np.concatenate([kappa0, np.asarray(kappa_s_fn(at0), dtype=float), start])
+    step = _prescribed_step(model, kappa_fn, kappa_s_fn)
+    s_arr, ys, termination = _march(step, y0, controls.s_max, controls)
     curve = ys[:, 2:]
     _check_half_plane(model, curve)
     kap = np.asarray(kappa_fn(s_arr), dtype=float)
@@ -606,13 +735,10 @@ def closure_test(
     hi_idx = min(k + 1, traj.s.size - 1)
     y_left = np.concatenate([[traj.kappa[lo_idx], traj.kappa_s[lo_idx]], traj.curve[lo_idx]])
     span = float(traj.s[hi_idx] - traj.s[lo_idx])
-    sphere = traj.model == SPHERE
-
-    def rhs(s, y):
-        return _joint_rhs(traj.params, traj.model, y)
+    step = _spiral_step(traj.params, _FRAME_STEP[traj.model])
 
     def probe(offset: float) -> float:
-        ((_, ys, _),) = _march(rhs, y_left[None, :], offset, traj.controls, sphere)
+        _, ys, _ = _march(step, y_left, offset, traj.controls)
         y = ys[-1:]
         return float(_full_defect(traj, y[:, 2:], y[:, 0], y[:, 1])[0])
 

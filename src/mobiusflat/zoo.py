@@ -78,14 +78,6 @@ def _angle_base(d: int) -> np.ndarray:
     return np.full(d, 0.5 * np.pi)
 
 
-def _diag_field(builder):
-    def field(pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        return builder(pts)
-
-    return field
-
-
 def _traj_margin(traj: SpiralTrajectory, margin: float) -> tuple[float, float]:
     lo, hi = float(traj.s[0]) + margin, float(traj.s[-1]) - margin
     if lo >= hi:
@@ -130,8 +122,8 @@ def cylinder_immersion(traj: SpiralTrajectory, n: int, margin: float = 0.15) -> 
 
     fields = SurfaceFields(
         dim=n,
-        metric=_diag_field(metric),
-        shape=_diag_field(shape),
+        metric=metric,
+        shape=shape,
         rho=lambda pts: traj.kappa_at(np.atleast_2d(pts)[:, 0]),
         mean=lambda pts: traj.kappa_at(np.atleast_2d(pts)[:, 0]) / n,
         ambient_curvature=0.0,
@@ -197,8 +189,8 @@ def cone_immersion(
 
     fields = SurfaceFields(
         dim=n,
-        metric=_diag_field(metric),
-        shape=_diag_field(shape),
+        metric=metric,
+        shape=shape,
         rho=lambda pts: traj.kappa_at(np.atleast_2d(pts)[:, 0]) / np.atleast_2d(pts)[:, 1],
         mean=lambda pts: traj.kappa_at(np.atleast_2d(pts)[:, 0])
         / (n * np.atleast_2d(pts)[:, 1]),
@@ -283,8 +275,8 @@ def rotational_immersion(
 
     fields = SurfaceFields(
         dim=n,
-        metric=_diag_field(metric),
-        shape=_diag_field(shape),
+        metric=metric,
+        shape=shape,
         rho=rho,
         mean=mean,
         ambient_curvature=0.0,
@@ -345,8 +337,8 @@ def torus_immersion(r: float, n: int) -> ImmersionHandle:
     mean0 = (r / a - (n - 1) * a / r) / n
     fields = SurfaceFields(
         dim=n,
-        metric=_diag_field(metric),
-        shape=_diag_field(shape),
+        metric=metric,
+        shape=shape,
         rho=lambda pts: np.full(np.atleast_2d(pts).shape[0], rho0),
         mean=lambda pts: np.full(np.atleast_2d(pts).shape[0], mean0),
         ambient_curvature=1.0,

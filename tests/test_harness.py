@@ -44,6 +44,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="tol_trace"):
             parse_config("tol_trace = 0\n")
 
+    def test_fd_order_two_refused(self):
+        # order 2 fails most asserts at the default tolerances
+        with pytest.raises(ConfigError, match="fd_order"):
+            parse_config("fd_order = 2\n")
+        assert parse_config("fd_order = 4\n").fd_order == 4
+
     def test_epsilon_and_family_validation(self):
         with pytest.raises(ConfigError):
             parse_config("epsilon = 2\n")
@@ -144,8 +150,12 @@ class TestGridIntegration:
             (SpiralParams(4, 0, -0.05), [(1.0, 0.1), (1.1, -0.05)]),
             (SpiralParams(4, 1, -1.0), [(1.02, 0.0), (1.0, -0.01)]),
             (SpiralParams(4, -1, 0.75), [(1.2, 0.05), (1.3, -0.1)]),
+            (
+                SpiralParams(4, -1, 0.75),
+                [(k0, ks0) for k0 in np.linspace(1.1, 1.2, 5) for ks0 in np.linspace(-0.02, 0.02, 5)],
+            ),
         ],
-        ids=["plane", "sphere", "half-plane"],
+        ids=["plane", "sphere", "half-plane", "half-plane-25-rows"],
     )
     def test_matches_single_trajectory(self, params, states):
         controls = IntegratorControls(s_max=3.0, step=1e-3, store_stride=5)

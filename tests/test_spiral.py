@@ -1,4 +1,5 @@
 import numpy as np
+import numpy_stepper
 import pytest
 
 from mobiusflat.errors import ChartDomainError, DegenerateGeometryError, InputError
@@ -9,11 +10,14 @@ from mobiusflat.spiral import (
     SpiralParams,
     SpiralState,
     closure_test,
+    default_curve_start,
     equilibrium_kappa,
     export_csv,
     first_integral,
+    integrate_grid,
     integrate_spiral,
     kappa_accel,
+    prescribed_curvature_trajectory,
     reconstruct_curve,
     recomputed_curvature,
     spiral_rhs,
@@ -238,3 +242,126 @@ def test_csv_export_roundtrip(tmp_path):
     assert np.allclose(body[:, 1], traj.kappa)
     e = first_integral(p, body[:, 1], body[:, 2])
     assert np.max(np.abs(e - traj.first_integral_constant)) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the fused float kernel against the numpy batch stepper it replaced
+
+ORACLE_CASES = {
+    ("plane", STANDARD): (SpiralParams(4, 0, -0.05), 1.1, 0.1),
+    ("plane", ALTERNATE): (SpiralParams(4, 0, 0.3, variant=ALTERNATE), 1.1, 0.1),
+    ("sphere", STANDARD): (SpiralParams(4, 1, -1.0), 1.02, 0.05),
+    ("sphere", ALTERNATE): (SpiralParams(5, 1, 0.5, variant=ALTERNATE), 1.5, 0.05),
+    ("half-plane", STANDARD): (SpiralParams(4, -1, 0.75), 1.3, 0.05),
+    ("half-plane", ALTERNATE): (SpiralParams(4, -1, -0.5, variant=ALTERNATE), 1.3, 0.05),
+}
+
+
+def kernel_row(params, k0, ks0, controls, joint):
+    """(s, states, termination) of one row through the public front ends."""
+    if joint:
+        traj = integrate_grid(params, [[k0, ks0]], controls)[0]
+        return traj.s, np.column_stack([traj.kappa, traj.kappa_s, traj.curve]), traj.termination
+    traj = integrate_spiral(params, SpiralState(0.0, k0, ks0), controls)
+    return traj.s, np.column_stack([traj.kappa, traj.kappa_s]), traj.termination
+
+
+def oracle_row(params, k0, ks0, controls, joint):
+    start = list(default_curve_start(params.model)) if joint else []
+    return numpy_stepper.spiral_rows(params, [[k0, ks0] + start], controls)[0]
+
+
+def assert_rows_match(kernel, oracle, atol=1e-12):
+    (s, ys, term), (s_o, ys_o, term_o) = kernel, oracle
+    assert term == term_o
+    assert np.array_equal(s, s_o)
+    assert ys.shape == ys_o.shape
+    assert np.array_equal(np.isnan(ys), np.isnan(ys_o))
+    finite = ~np.isnan(ys)
+    assert np.max(np.abs(ys[finite] - ys_o[finite])) <= atol
+
+
+class TestKernelOracle:
+    @pytest.mark.parametrize("joint", [False, True], ids=["kappa", "joint"])
+    @pytest.mark.parametrize("case", list(ORACLE_CASES), ids=lambda c: f"{c[0]}-{c[1]}")
+    def test_matches_numpy_stepper(self, case, joint):
+        params, k0, ks0 = ORACLE_CASES[case]
+        controls = IntegratorControls(s_max=3.0, step=1e-3)
+        kernel = kernel_row(params, k0, ks0, controls, joint)
+        assert kernel[2] == "horizon"
+        assert_rows_match(kernel, oracle_row(params, k0, ks0, controls, joint))
+
+    @pytest.mark.parametrize(
+        "params,k0,ks0,controls,termination",
+        [
+            (SpiralParams(4, 0, 0.5), 1.0, -0.5, IntegratorControls(s_max=3.0), "kappa_floor"),
+            (
+                SpiralParams(4, 0, -0.5),
+                1.0,
+                0.5,
+                IntegratorControls(s_max=3.0, kappa_ceiling=10.0),
+                "kappa_ceiling",
+            ),
+            # a non-finite kappa_s ends the run inside the first step
+            (
+                SpiralParams(4, -1, 0.75),
+                1.0,
+                float("nan"),
+                IntegratorControls(s_max=3.0),
+                "kappa_ceiling",
+            ),
+        ],
+        ids=["floor", "ceiling", "nan"],
+    )
+    @pytest.mark.parametrize("joint", [False, True], ids=["kappa", "joint"])
+    def test_events_match_numpy_stepper(self, params, k0, ks0, controls, termination, joint):
+        kernel = kernel_row(params, k0, ks0, controls, joint)
+        assert kernel[2] == termination
+        assert kernel[0][-1] < 3.0
+        assert_rows_match(kernel, oracle_row(params, k0, ks0, controls, joint))
+
+    def test_overflow_ends_the_row(self):
+        # kappa blows up in finite s; with the ceiling out of reach the step
+        # overflows, which Python floats raise where numpy gives inf and nan
+        params = SpiralParams(4, 0, -0.5)
+        controls = IntegratorControls(s_max=3.0, kappa_ceiling=1e300)
+        s, ys, term = kernel_row(params, 1.0, 0.5, controls, True)
+        s_o, ys_o, term_o = oracle_row(params, 1.0, 0.5, controls, True)
+        assert term == term_o == "kappa_ceiling"
+        assert np.array_equal(s, s_o)
+        assert np.all(np.isnan(ys[-1]))
+        # kappa reaches 1e54 with the angle at 1e38, where the angle's last
+        # bits are noise; kappa and kappa_s agree to amplified round-off
+        assert np.allclose(ys[:-1, :2], ys_o[:-1, :2], rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("epsilon", [0, 1, -1])
+    def test_prescribed_curvature_matches_numpy_stepper(self, epsilon):
+        def kappa_fn(s):
+            return 1.15 + 0.3 * np.sin(np.asarray(s))
+
+        def kappa_s_fn(s):
+            return 0.3 * np.cos(np.asarray(s))
+
+        controls = IntegratorControls(s_max=3.0)
+        traj = prescribed_curvature_trajectory(4, epsilon, kappa_fn, kappa_s_fn, controls)
+        y0 = np.concatenate([kappa_fn(np.zeros(1)), kappa_s_fn(np.zeros(1)), traj.initial_curve])
+        s, ys, term = numpy_stepper.prescribed_row(traj.model, kappa_fn, kappa_s_fn, y0, controls)
+        assert traj.termination == term == "horizon"
+        assert np.array_equal(traj.s, s)
+        assert np.max(np.abs(traj.curve - ys[:, 2:])) <= 1e-12
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES), ids=lambda c: f"{c[0]}-{c[1]}")
+def test_hermite_slopes_match_joint_rhs(case):
+    # the derivative arrays are computed once per trajectory; queries must
+    # equal the Hermite interpolant built from the joint right-hand side
+    params, k0, ks0 = ORACLE_CASES[case]
+    traj = integrate_grid(params, [[k0, ks0]], IntegratorControls(s_max=1.0))[0]
+    full = np.column_stack([traj.kappa, traj.kappa_s, traj.curve])
+    ders = numpy_stepper.joint_rhs(params, full)
+    sq = np.linspace(0.05, 0.95, 41)
+    for _ in range(2):
+        assert np.array_equal(traj.curve_at(sq), traj._hermite(traj.curve, ders[:, 2:], sq))
+        assert np.array_equal(traj.kappa_s_at(sq), traj._hermite(traj.kappa_s, ders[:, 1], sq))
+    at = np.column_stack([traj.kappa_at(sq), np.zeros(sq.size), traj.curve_at(sq)])
+    assert np.array_equal(traj.curve_velocity_at(sq), numpy_stepper.joint_rhs(params, at)[:, 2:])
