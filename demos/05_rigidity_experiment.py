@@ -5,6 +5,9 @@ Among curves in the hyperbolic half-plane whose curvature solves the spiral
 equation with a fixed R, only the constant (equilibrium) solution closes: it
 is a hyperbolic circle.  Perturbed initial states oscillate in curvature and
 precess without ever returning to their initial position-and-frame state.
+Each perturbed curve is integrated for one curvature period T only: after T
+the curve repeats, moved by a hyperbolic isometry (its holonomy), and the
+closure test follows it over the horizon through powers of that isometry.
 This script runs a reduced grid; the full 5x5 / horizon-200 experiment runs
 via `mobiusflat rigidity` or the acceptance suite.
 """
@@ -25,7 +28,8 @@ print(f"\nperturbed grid ({cfg.grid_size}x{cfg.grid_size}, horizon {cfg.horizon}
 for row in result["grid"]:
     print(
         f"  kappa0 = {row['kappa0']:.4f}, kappa_s0 = {row['kappa_s0']:+.4f}: "
-        f"{row['status']} (min defect {row['min_defect']:.3e})"
+        f"{row['status']} (min defect {row['min_defect']:.3e}; kappa period "
+        f"{row['kappa_period']:.6f}, holonomy trace {row['holonomy_trace']:.6f})"
     )
 print(f"\nclosures among perturbed states: {result['grid_closures']}")
 print(f"flat-model control (non-constant curvature): "

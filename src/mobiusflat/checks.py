@@ -618,19 +618,11 @@ def check_warped_metric_scalar(cfg: RunConfig, surfaces, rng) -> CheckRecord:
             worst_spread = max(worst_spread, spread)
             total += svals.size
             prescribed.append(big_r)
+            # vals holds the full-trace scalars at the first points already;
+            # the conversion is exact (dimension n, the base point's size)
             for name, conv in CONVENTION_BY_NAME.items():
-                computed[name].append(
-                    float(
-                        np.mean(
-                            [
-                                metric_field_curvature(
-                                    field, warped_base_point(n, eps, s0), sch, conv
-                                ).scalar
-                                for s0 in svals[:3]
-                            ]
-                        )
-                    )
-                )
+                scalars = [convert_scalar(v, Convention.FULL_TRACE, conv, n) for v in vals[:3]]
+                computed[name].append(float(np.mean(scalars)))
         x = np.asarray(prescribed)
         for name in CONVENTION_BY_NAME:
             y = np.asarray(computed[name])
@@ -943,8 +935,10 @@ def rigidity_scan(cfg: RunConfig) -> dict:
 
     The equilibrium curvature gives a hyperbolic circle (closed).  A grid of
     perturbed initial states (relative kappa offsets up to grid_spread,
-    kappa_s offsets up to 0.8 * grid_spread * kappa*) is integrated over the
-    horizon; each trajectory is tested for closure.  A small flat-model
+    kappa_s offsets up to 0.8 * grid_spread * kappa*) is tested for closure
+    over the horizon.  Each grid row is integrated for one kappa period only;
+    its period map (period T and holonomy trace, reported per row) carries
+    the closure test over the rest of the horizon.  A small flat-model
     control with non-constant curvature is included.
     """
     n = cfg.n
@@ -984,12 +978,13 @@ def rigidity_scan(cfg: RunConfig) -> dict:
         ]
     )
     controls = IntegratorControls(s_max=cfg.horizon, step=cfg.step, store_stride=10)
-    trajectories = integrate_grid(params, initials, controls)
+    trajectories = integrate_grid(params, initials, controls, period_map=True)
     grid_rows = []
     closures = 0
     for (k0, ks0), traj in zip(initials, trajectories):
         res = closure_test(traj, cfg.tol_closed, cfg.tol_open)
         closures += int(res.status == "closed")
+        pmap = traj.period_map
         grid_rows.append(
             {
                 "kappa0": float(k0),
@@ -997,6 +992,8 @@ def rigidity_scan(cfg: RunConfig) -> dict:
                 "status": res.status,
                 "min_defect": res.defect,
                 "termination": traj.termination,
+                "kappa_period": pmap.period if pmap else None,
+                "holonomy_trace": pmap.trace if pmap else None,
             }
         )
     result["grid"] = grid_rows

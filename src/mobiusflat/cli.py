@@ -188,11 +188,17 @@ def cmd_rigidity(cfg: RunConfig, out: str, convention: str) -> int:
     if "grid" in result:
         csv_path = os.path.join(out, "rigidity_grid.csv")
         with open(csv_path, "w") as fh:
-            fh.write("kappa0,kappa_s0,status,min_defect,termination\n")
+            fh.write(
+                "kappa0,kappa_s0,status,min_defect,termination,kappa_period,holonomy_trace\n"
+            )
             for row in result["grid"]:
+                period, trace = (
+                    "" if row[key] is None else repr(row[key])
+                    for key in ("kappa_period", "holonomy_trace")
+                )
                 fh.write(
                     f"{row['kappa0']!r},{row['kappa_s0']!r},{row['status']},"
-                    f"{row['min_defect']!r},{row['termination']}\n"
+                    f"{row['min_defect']!r},{row['termination']},{period},{trace}\n"
                 )
     eq = result.get("equilibrium", {})
     print(

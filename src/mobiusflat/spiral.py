@@ -30,6 +30,17 @@ plane, the sphere or the half-plane curve.  The marcher bisects a crossing
 of the kappa floor, the kappa ceiling or a non-finite value and ends the row
 there.  A grid is a loop over its rows, so a row is the same alone or in a
 grid by construction.
+
+Closure of a half-plane curve is decided from one kappa period.  The kappa
+subsystem conserves first_integral, so a bounded (kappa, kappa_s) orbit is
+periodic with some period T, and curvature fixes a curve up to isometry: the
+curve on [T, 2T] is the curve on [0, T] moved by one isometry M of the
+half-plane, its holonomy (the argument Langer and Singer use for closed
+elastic curves, J. Differential Geom. 20, 1984).  integrate_grid with
+period_map marches a row only until (kappa, kappa_s) first returns to its
+start, and closure_test reads the defect over the horizon from the images
+M^k of that period.  Plane and sphere rows are always marched to the
+horizon.
 """
 
 from __future__ import annotations
@@ -38,7 +49,7 @@ import io
 from array import array
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from math import ceil, cos, nan, sin, sqrt
+from math import ceil, cos, isfinite, nan, sin, sqrt
 
 import numpy as np
 
@@ -377,17 +388,62 @@ def _bisect(step, s_now: float, y: tuple, step_h: float, floor: float, ceiling: 
         if hi - lo < 1e-10:
             break
     y_end = _finite_step(step, s_now, y, hi)
-    termination = "kappa_floor" if y_end[0] < sqrt(floor * ceiling) else "kappa_ceiling"
+    if not all(isfinite(v) for v in y_end):
+        termination = "non_finite"
+    elif y_end[0] < sqrt(floor * ceiling):
+        termination = "kappa_floor"
+    else:
+        termination = "kappa_ceiling"
     return s_now + hi, y_end, termination
 
 
-def _march(step, y0, s_max: float, controls: IntegratorControls):
+class _Return:
+    """First return of (kappa, kappa_s) to its start y0.
+
+    Watched through the section g(y) = (y - y0) . f(y0) normal to the flow
+    f at y0: g starts at 0 and grows, and the orbit is back at y0 when g
+    next crosses from - to +.  A crossing counts only within a few steps'
+    travel of y0, so an orbit that meets the section line elsewhere does
+    not stop the march.
+    """
+
+    def __init__(self, y0: tuple, flow: tuple, h: float):
+        self.k0, self.ks0 = y0
+        self.f0, self.f1 = flow
+        self.reach2 = (4.0 * h) ** 2 * (self.f0 * self.f0 + self.f1 * self.f1)
+        self.g_prev = 0.0
+
+    def g(self, y) -> float:
+        return (y[0] - self.k0) * self.f0 + (y[1] - self.ks0) * self.f1
+
+    def crossed(self, y) -> bool:
+        """Whether the step that ended at y crossed the section from - to + near y0."""
+        g_prev, self.g_prev = self.g_prev, self.g(y)
+        if not g_prev < 0.0 <= self.g_prev:
+            return False
+        dk, dks = y[0] - self.k0, y[1] - self.ks0
+        return dk * dk + dks * dks < self.reach2
+
+    def bisect(self, step, s_now: float, y: tuple, step_h: float):
+        """The crossing within one step, bisected on the step size to round-off."""
+        lo, hi = 0.0, step_h
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            if self.g(step(s_now, y, mid)) < 0.0:
+                lo = mid
+            else:
+                hi = mid
+        return s_now + hi, step(s_now, y, hi)
+
+
+def _march(step, y0, s_max: float, controls: IntegratorControls, ret: _Return | None = None):
     """Fixed-step RK4 of one row y0 from s = 0 to s_max with step(s, y, h).
 
     Element 0 of the row is kappa.  A step that leaves the open band
     (kappa_floor, kappa_ceiling) or turns non-finite is refined by bisection
     on the step size (to 1e-10 in s); the state at the crossing is the last
-    sample.  States are stored every store_stride steps and at s_max.
+    sample.  With ret, the march also ends at the first return of
+    (kappa, kappa_s) to its start, bisected to round-off and tagged
+    "return".  States are stored every store_stride steps and at the end.
     Returns (s, states (K, d), termination).
     """
     floor, ceiling = controls.kappa_floor, controls.kappa_ceiling
@@ -409,6 +465,12 @@ def _march(step, y0, s_max: float, controls: IntegratorControls):
             stored_s.append(s_end)
             stored.extend(y_end)
             break
+        if ret is not None and ret.crossed(y_new):
+            s_end, y_end = ret.bisect(step, s_now, y, step_h)
+            stored_s.append(s_end)
+            stored.extend(y_end)
+            termination = "return"
+            break
         y = y_new
         s_now += step_h
         if (i + 1) % stride == 0 or i == n_steps - 1:
@@ -417,13 +479,17 @@ def _march(step, y0, s_max: float, controls: IntegratorControls):
     return np.frombuffer(stored_s), np.frombuffer(stored).reshape(-1, len(y)), termination
 
 
-def _check_start(model: str, kappa0, curve_start, controls: IntegratorControls) -> None:
-    """Input checks shared by every integration entry point."""
-    kappa0 = np.asarray(kappa0, dtype=float)
+def _check_start(model: str, states, curve_start, controls: IntegratorControls) -> None:
+    """Input checks shared by every integration entry point; states is (B, 2)."""
+    kappa0, kappa_s0 = states[:, 0], states[:, 1]
     if not np.all((kappa0 > controls.kappa_floor) & (kappa0 < controls.kappa_ceiling)):
         raise InputError("initial kappa must lie strictly between floor and ceiling")
+    if not np.all(np.isfinite(kappa_s0)):
+        raise InputError("initial kappa_s must be finite")
     if curve_start is None:
         return
+    if not np.all(np.isfinite(curve_start)):
+        raise InputError("curve start must be finite")
     if curve_start.size != _CURVE_DIM[model]:
         raise InputError(f"curve start for model {model} needs {_CURVE_DIM[model]} coords")
     if model == HALF_PLANE and curve_start[1] <= 0:
@@ -433,6 +499,51 @@ def _check_start(model: str, kappa0, curve_start, controls: IntegratorControls) 
 def _check_half_plane(model: str, curve: np.ndarray) -> None:
     if model == HALF_PLANE and np.any(curve[:, 1] <= 0):
         raise ChartDomainError("curve left the half-plane y > 0: integration fault")
+
+
+def _half_plane_frame_matrix(x: float, y: float, phi: float) -> np.ndarray:
+    """The isometry taking i with tangent angle 0 to (x + i y, phi), in SL(2, R).
+
+    z -> y z + x moves i to x + i y and keeps angles; the rotation about i
+    by phi is [[cos phi/2, sin phi/2], [-sin phi/2, cos phi/2]].
+    """
+    r, c, s = sqrt(y), cos(0.5 * phi), sin(0.5 * phi)
+    return np.array([[r, x / r], [0.0, 1.0 / r]]) @ np.array([[c, s], [-s, c]])
+
+
+@dataclass(frozen=True)
+class PeriodMap:
+    """One kappa period T of a half-plane row and the isometry it moves the curve by.
+
+    Curvature fixes a curve up to isometry, so once (kappa, kappa_s) is back
+    at its start after s = T the curve repeats, moved by the holonomy
+    M = F_T F_0^-1 (det 1), where F_s is the frame matrix of the curve state
+    at s.  The curve state at s = k T + u is act(state at u, k).
+    """
+
+    period: float
+    holonomy: np.ndarray  # (2, 2), det 1
+
+    @classmethod
+    def from_frames(cls, period: float, start, end) -> "PeriodMap":
+        m = _half_plane_frame_matrix(*end) @ np.linalg.inv(_half_plane_frame_matrix(*start))
+        return cls(period, m / sqrt(np.linalg.det(m)))
+
+    @property
+    def trace(self) -> float:
+        return float(self.holonomy[0, 0] + self.holonomy[1, 1])
+
+    def act(self, curve: np.ndarray, power: int = 1) -> np.ndarray:
+        """Half-plane rows (x, y, phi) moved by M**power = [[a, b], [c, d]].
+
+        z -> (a z + b) / (c z + d) and phi -> phi - 2 arg(c z + d).
+        """
+        (a, b), (c, d) = np.linalg.matrix_power(self.holonomy, power)
+        x, y, phi = curve[:, 0], curve[:, 1], curve[:, 2]
+        p, q = c * x + d, c * y
+        r = p * p + q * q
+        x_new = ((a * x + b) * p + a * y * q) / r
+        return np.column_stack([x_new, (a * d - b * c) * y / r, phi - 2.0 * np.arctan2(q, p)])
 
 
 @dataclass(frozen=True)
@@ -448,6 +559,9 @@ class SpiralTrajectory:
     termination: str
     first_integral_constant: float
     initial_curve: np.ndarray = field(default=None)
+    # set when the row stopped at its first kappa return: the samples cover
+    # one period, and the horizon controls.s_max is covered by periodicity
+    period_map: PeriodMap | None = None
 
     @property
     def model(self) -> str:
@@ -515,24 +629,40 @@ class SpiralTrajectory:
         return _frame_rhs(self.model, np.atleast_1d(self.kappa_at(sq)), coords)
 
 
+def _return_watch(params: SpiralParams, row, controls: IntegratorControls) -> _Return | None:
+    """The first-return watch of a row, or None at a rest point (f(y0) ~ 0)."""
+    k0, ks0 = float(row[0]), float(row[1])
+    flow = (ks0, float(kappa_accel(params, k0, ks0)))
+    if sqrt(flow[0] ** 2 + flow[1] ** 2) <= 1e-9 * sqrt(k0 * k0 + ks0 * ks0):
+        return None
+    return _Return((k0, ks0), flow, controls.step)
+
+
 def _integrate_rows(
     params: SpiralParams,
     initial_states,
     controls: IntegratorControls,
     curve_start: np.ndarray | None,
+    period_map: bool = False,
 ) -> list[SpiralTrajectory]:
     """Integrate (kappa, kappa_s) rows, with the curve when curve_start is given."""
     y0 = np.atleast_2d(np.asarray(initial_states, dtype=float))
     model = params.model
     joint = curve_start is not None
-    _check_start(model, y0[:, 0], curve_start, controls)
+    _check_start(model, y0, curve_start, controls)
     if joint:
         y0 = np.concatenate([y0, np.tile(curve_start, (y0.shape[0], 1))], axis=1)
     step = _spiral_step(params, _FRAME_STEP[model] if joint else _no_curve)
+    watch = period_map and joint and model == HALF_PLANE
 
     out = []
     for row in y0:
-        s, ys, termination = _march(step, row, controls.s_max, controls)
+        ret = _return_watch(params, row, controls) if watch else None
+        s, ys, termination = _march(step, row, controls.s_max, controls, ret)
+        pmap = None
+        if termination == "return":
+            pmap = PeriodMap.from_frames(float(s[-1]), ys[0, 2:], ys[-1, 2:])
+            termination = "horizon"
         curve = ys[:, 2:] if joint else None
         if joint:
             _check_half_plane(model, curve)
@@ -547,6 +677,7 @@ def _integrate_rows(
                 termination=termination,
                 first_integral_constant=float(first_integral(params, ys[0, 0], ys[0, 1])),
                 initial_curve=curve_start.copy() if joint else None,
+                period_map=pmap,
             )
         )
     return out
@@ -590,6 +721,7 @@ def integrate_grid(
     initial_states: np.ndarray,
     controls: IntegratorControls,
     curve_start: np.ndarray | None = None,
+    period_map: bool = False,
 ) -> list[SpiralTrajectory]:
     """Joint (kappa, curve) integration of many initial states.
 
@@ -599,10 +731,18 @@ def integrate_grid(
     one-row grid is the way to get kappa and the curve from one integration.
     A row that crosses the floor or ceiling is handled as in
     integrate_spiral: the crossing is bisected, stored and tagged in the
-    row's termination.
+    row's termination ("non_finite" when the state blew up).
+
+    With period_map, a half-plane row stops where its (kappa, kappa_s)
+    first returns to the start (bisected to round-off) and carries the
+    PeriodMap of that period, with termination "horizon": its samples cover
+    one period and closure_test covers the horizon s_max from them.  Rows
+    without a return (a rest point, a row that leaves the band or does not
+    come back before s_max, and every plane or sphere row) are marched to
+    s_max exactly as without period_map.
     """
     start = _curve_start(params.model, curve_start)
-    return _integrate_rows(params, initial_states, controls, start)
+    return _integrate_rows(params, initial_states, controls, start, period_map)
 
 
 def prescribed_curvature_trajectory(
@@ -627,9 +767,10 @@ def prescribed_curvature_trajectory(
     start = _curve_start(model, initial_curve)
     at0 = np.zeros(1)
     kappa0 = np.asarray(kappa_fn(at0), dtype=float)
-    _check_start(model, kappa0, start, controls)
+    kappa_s0 = np.asarray(kappa_s_fn(at0), dtype=float)
+    _check_start(model, np.column_stack([kappa0, kappa_s0]), start, controls)
 
-    y0 = np.concatenate([kappa0, np.asarray(kappa_s_fn(at0), dtype=float), start])
+    y0 = np.concatenate([kappa0, kappa_s0, start])
     step = _prescribed_step(model, kappa_fn, kappa_s_fn)
     s_arr, ys, termination = _march(step, y0, controls.s_max, controls)
     curve = ys[:, 2:]
@@ -703,6 +844,26 @@ def _full_defect(traj: SpiralTrajectory, coords, kappa, kappa_s) -> np.ndarray:
     )
 
 
+def _closure_candidates(traj: SpiralTrajectory) -> tuple[np.ndarray, np.ndarray]:
+    """(s, states (K, 2 + curve_dim)) over which closure_test minimizes the defect.
+
+    The stored samples; for a row with a period map, the images under M**k of
+    its samples u < T, at s = k T + u <= the horizon controls.s_max.
+    """
+    states = np.column_stack([traj.kappa, traj.kappa_s, traj.curve])
+    pmap = traj.period_map
+    if pmap is None:
+        return traj.s, states
+    u, one = traj.s[:-1], states[:-1]  # the sample at T is the image of u = 0
+    horizon = traj.controls.s_max
+    s_parts, state_parts = [u], [one]
+    for k in range(1, int(horizon // pmap.period) + 1):
+        keep = k * pmap.period + u <= horizon
+        s_parts.append(k * pmap.period + u[keep])
+        state_parts.append(np.column_stack([one[keep, :2], pmap.act(one[keep, 2:], k)]))
+    return np.concatenate(s_parts), np.concatenate(state_parts)
+
+
 def closure_test(
     traj: SpiralTrajectory,
     tol_closed: float = 1e-6,
@@ -713,28 +874,34 @@ def closure_test(
 
     defect(s) = position distance + tangent angle distance
                 + |kappa(s) - kappa(0)| + |kappa_s(s) - kappa_s(0)|,
-    minimized over stored samples with s >= s_min, then refined by local
-    re-integration around the best sample.
+    minimized over candidate samples with s >= s_min, then refined by a
+    golden-section search over local re-integration from the candidate
+    before the best one.  The candidates are the stored samples or, for a
+    row with a period map, their images under the holonomy M**k at
+    s = k T + u up to the horizon; the defect can only vanish near some
+    k T, and there it is small exactly when M**k is close to the identity.
+    A row that ended before the horizon is never reported open.
     """
     if traj.curve is None:
         raise InputError("closure test needs a reconstructed curve")
+    cand_s, cand = _closure_candidates(traj)
     if s_min is None:
-        s_min = min(1.0, 0.25 * traj.s_end)
-    mask = traj.s >= s_min
+        s_min = min(1.0, 0.25 * float(cand_s[-1]))
+    mask = cand_s >= s_min
     if not np.any(mask):
         return ClosureResult("inconclusive", None, float("inf"))
 
-    defects = _full_defect(traj, traj.curve[mask], traj.kappa[mask], traj.kappa_s[mask])
+    defects = _full_defect(traj, cand[mask, 2:], cand[mask, 0], cand[mask, 1])
     k_rel = int(np.argmin(defects))
     k = int(np.nonzero(mask)[0][k_rel])
     coarse = float(defects[k_rel])
 
-    # refine within the bracket of neighbouring stored samples by
-    # re-stepping from the left sample with the trajectory's own stepper
+    # refine within the bracket of neighbouring candidates by re-stepping
+    # from the left one with the trajectory's own stepper
     lo_idx = max(k - 1, 0)
-    hi_idx = min(k + 1, traj.s.size - 1)
-    y_left = np.concatenate([[traj.kappa[lo_idx], traj.kappa_s[lo_idx]], traj.curve[lo_idx]])
-    span = float(traj.s[hi_idx] - traj.s[lo_idx])
+    hi_idx = min(k + 1, cand_s.size - 1)
+    y_left = cand[lo_idx]
+    span = float(cand_s[hi_idx] - cand_s[lo_idx])
     step = _spiral_step(traj.params, _FRAME_STEP[traj.model])
 
     def probe(offset: float) -> float:
@@ -762,7 +929,7 @@ def closure_test(
             x2 = a + gr * (b - a)
             f2 = probe(x2)
     best = min(coarse, f1, f2)
-    best_s = float(traj.s[lo_idx] + (x1 if f1 <= f2 else x2))
+    best_s = float(cand_s[lo_idx] + (x1 if f1 <= f2 else x2))
 
     if best < tol_closed:
         return ClosureResult("closed", best_s, best)

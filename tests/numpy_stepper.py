@@ -2,9 +2,10 @@
 
 Kept as the test oracle: it steps a (B, d) batch of rows with one vectorized
 right-hand side, bisects any row's crossing of the kappa floor, the ceiling
-or a non-finite value (to 1e-10 in s), stores the crossing and freezes the
-row.  Every arithmetic operation is elementwise, so the kernel should match
-it up to numpy's own rounding of kappa**3 against libm pow.
+or a non-finite value (to 1e-10 in s), stores the crossing, tags it (a
+non-finite end state as "non_finite") and freezes the row.  Every arithmetic
+operation is elementwise, so the kernel should match it up to numpy's own
+rounding of kappa**3 against libm pow.
 """
 
 import numpy as np
@@ -80,6 +81,8 @@ def march(rhs, y0, s_max, controls: IntegratorControls, sphere):
             if hi - lo < 1e-10:
                 break
         y_end = rk4_step(rhs, s_now, y_row, hi, sphere)[0]
+        if not np.all(np.isfinite(y_end)):
+            return s_now + hi, y_end, "non_finite"
         return s_now + hi, y_end, "kappa_floor" if y_end[0] < mid_gap else "kappa_ceiling"
 
     y = np.array(y0, dtype=float)

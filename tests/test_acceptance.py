@@ -18,7 +18,6 @@ from mobiusflat.spiral import (
     IntegratorControls,
     SpiralParams,
     equilibrium_kappa,
-    integrate_grid,
     integrate_spiral,
     reconstruct_curve,
     recomputed_curvature,
@@ -108,7 +107,7 @@ def test_criterion_05_first_integral_drift():
             k0 = center * rng.uniform(0.92, 1.1)
             ks0 = rng.uniform(-0.08, 0.08)
             draws += 1
-            traj = integrate_grid(params, np.array([[k0, ks0]]), controls)[0]
+            traj = integrate_spiral(params, SpiralState(0.0, k0, ks0), controls)
             if traj.termination != "horizon":
                 continue
             if traj.kappa.min() < 0.25 or traj.kappa.max() > 4.0:

@@ -1,5 +1,5 @@
 import json
-import os
+import math
 
 from mobiusflat.cli import main
 
@@ -101,4 +101,8 @@ class TestDataCommands:
         assert main(["rigidity", "--config", cfg, "--out", str(tmp_path)]) == 0
         result = json.loads((tmp_path / "rigidity.json").read_text())
         assert result["status"] == "pass"
-        assert os.path.exists(tmp_path / "rigidity_grid.csv")
+        for row in result["grid"]:
+            assert math.isfinite(row["kappa_period"]) and row["kappa_period"] > 0
+            assert math.isfinite(row["holonomy_trace"])
+        header = (tmp_path / "rigidity_grid.csv").read_text().splitlines()[0]
+        assert header.endswith(",kappa_period,holonomy_trace")

@@ -154,6 +154,8 @@ class TestTermination:
             run(p, -1.0, 0.0)
         with pytest.raises(InputError):
             run(p, 0.0, 0.0)
+        with pytest.raises(InputError):
+            integrate_grid(p, [[1.0, 0.0]], IntegratorControls(), [0.0, np.inf, 0.0])
 
 
 class TestCurveReconstruction:
@@ -302,16 +304,8 @@ class TestKernelOracle:
                 IntegratorControls(s_max=3.0, kappa_ceiling=10.0),
                 "kappa_ceiling",
             ),
-            # a non-finite kappa_s ends the run inside the first step
-            (
-                SpiralParams(4, -1, 0.75),
-                1.0,
-                float("nan"),
-                IntegratorControls(s_max=3.0),
-                "kappa_ceiling",
-            ),
         ],
-        ids=["floor", "ceiling", "nan"],
+        ids=["floor", "ceiling"],
     )
     @pytest.mark.parametrize("joint", [False, True], ids=["kappa", "joint"])
     def test_events_match_numpy_stepper(self, params, k0, ks0, controls, termination, joint):
@@ -320,6 +314,13 @@ class TestKernelOracle:
         assert kernel[0][-1] < 3.0
         assert_rows_match(kernel, oracle_row(params, k0, ks0, controls, joint))
 
+    @pytest.mark.parametrize("joint", [False, True], ids=["kappa", "joint"])
+    def test_non_finite_start_refused(self, joint):
+        # a NaN kappa_s would end the row inside the first step, so it is refused
+        controls = IntegratorControls(s_max=3.0)
+        with pytest.raises(InputError):
+            kernel_row(SpiralParams(4, -1, 0.75), 1.0, float("nan"), controls, joint)
+
     def test_overflow_ends_the_row(self):
         # kappa blows up in finite s; with the ceiling out of reach the step
         # overflows, which Python floats raise where numpy gives inf and nan
@@ -327,7 +328,7 @@ class TestKernelOracle:
         controls = IntegratorControls(s_max=3.0, kappa_ceiling=1e300)
         s, ys, term = kernel_row(params, 1.0, 0.5, controls, True)
         s_o, ys_o, term_o = oracle_row(params, 1.0, 0.5, controls, True)
-        assert term == term_o == "kappa_ceiling"
+        assert term == term_o == "non_finite"
         assert np.array_equal(s, s_o)
         assert np.all(np.isnan(ys[-1]))
         # kappa reaches 1e54 with the angle at 1e38, where the angle's last
@@ -365,3 +366,67 @@ def test_hermite_slopes_match_joint_rhs(case):
         assert np.array_equal(traj.kappa_s_at(sq), traj._hermite(traj.kappa_s, ders[:, 1], sq))
     at = np.column_stack([traj.kappa_at(sq), np.zeros(sq.size), traj.curve_at(sq)])
     assert np.array_equal(traj.curve_velocity_at(sq), numpy_stepper.joint_rhs(params, at)[:, 2:])
+
+
+# ---------------------------------------------------------------------------
+# period-map closure against the full-horizon scan it replaced
+
+HALF_PLANE_PARAMS = SpiralParams(4, -1, 0.75)
+KSTAR = equilibrium_kappa(HALF_PLANE_PARAMS)
+
+
+def angle_gap(a, b):
+    return np.abs(np.mod(a - b + np.pi, 2.0 * np.pi) - np.pi)
+
+
+class TestPeriodMap:
+    @pytest.mark.parametrize(
+        "dk,dks", [(0.2, 0.16), (-0.1, 0.0), (0.025, -0.08)], ids=["far", "kappa-only", "near"]
+    )
+    def test_matches_full_horizon_scan(self, dk, dks):
+        # rows of the rigidity grid at horizon 40 (spread 0.2, stride 10)
+        controls = IntegratorControls(s_max=40.0, store_stride=10)
+        row = [[KSTAR * (1.0 + dk), KSTAR * dks]]
+        full = integrate_grid(HALF_PLANE_PARAMS, row, controls)[0]
+        periodic = integrate_grid(HALF_PLANE_PARAMS, row, controls, period_map=True)[0]
+        assert full.period_map is None
+        assert periodic.termination == full.termination == "horizon"
+        assert 4.4 < periodic.period_map.period == periodic.s_end < 4.7
+        ref, res = closure_test(full), closure_test(periodic)
+        assert res.status == ref.status == "open"
+        assert res.defect == pytest.approx(ref.defect, rel=1e-8)
+
+    def test_holonomy_carries_the_frame_one_period_on(self):
+        pmap = integrate_grid(
+            HALF_PLANE_PARAMS, [[1.3, 0.05]], IntegratorControls(s_max=10.0), period_map=True
+        )[0].period_map
+        assert np.linalg.det(pmap.holonomy) == pytest.approx(1.0, abs=1e-14)
+        marched = integrate_grid(
+            HALF_PLANE_PARAMS, [[1.3, 0.05]], IntegratorControls(s_max=pmap.period + 2.0)
+        )[0]
+        u = np.array([0.3, 1.7])
+        moved = pmap.act(marched.curve_at(u))
+        later = marched.curve_at(pmap.period + u)
+        assert np.max(np.abs(moved[:, :2] - later[:, :2])) < 1e-9
+        assert np.max(angle_gap(moved[:, 2], later[:, 2])) < 1e-9
+        assert np.max(np.abs(marched.kappa_at(pmap.period + u) - marched.kappa_at(u))) < 1e-9
+
+    @pytest.mark.parametrize(
+        "params,row,s_max,stride",
+        [
+            (SpiralParams(4, 0, 0.0), [1.0, 0.05], 40.0, 10),  # flat control: kappa is linear
+            (HALF_PLANE_PARAMS, [KSTAR, 0.0], 12.0, 1),  # equilibrium: a rest point
+            (SpiralParams(4, -1, -0.5), [1.0, 0.5], 10.0, 10),  # leaves through the ceiling
+        ],
+        ids=["flat", "equilibrium", "ceiling"],
+    )
+    def test_rows_without_return_are_unchanged(self, params, row, s_max, stride):
+        controls = IntegratorControls(s_max=s_max, store_stride=stride, kappa_ceiling=50.0)
+        plain = integrate_grid(params, [row], controls)[0]
+        watched = integrate_grid(params, [row], controls, period_map=True)[0]
+        assert watched.period_map is None
+        assert watched.termination == plain.termination
+        for name in ("s", "kappa", "kappa_s", "curve"):
+            assert np.array_equal(getattr(watched, name), getattr(plain, name))
+        if plain.termination == "horizon":
+            assert closure_test(watched) == closure_test(plain)
