@@ -33,9 +33,8 @@ from .errors import MobiusFlatError
 from .fd import FDScheme
 from .immersion import (
     ImmersionHandle,
-    first_fundamental_form_batch,
+    fundamental_forms_batch,
     principal_curvatures,
-    second_fundamental_form_batch,
 )
 from .linalg import gram_schmidt_frame
 from .moebius import (
@@ -404,8 +403,7 @@ def check_principal_multiplicity(cfg: RunConfig, surfaces, rng) -> CheckRecord:
     torus_gap = None
     for surf in surfaces:
         pts = sample_points(surf.imm, cfg.samples, rng, cfg.jitter)
-        g = first_fundamental_form_batch(surf.imm, pts, scheme)
-        h = second_fundamental_form_batch(surf.imm, pts, scheme)
+        g, h = fundamental_forms_batch(surf.imm, pts, scheme)
         for i in range(pts.shape[0]):
             lam = np.sort(principal_curvatures(g[i], h[i]))
             cluster = min(lam[-2] - lam[0], lam[-1] - lam[1])

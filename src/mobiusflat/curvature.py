@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometryError, InputError
-from .fd import FDScheme, diff1, diff2
+from .fd import FDScheme, diff1, jet
 from .linalg import gram_schmidt_frame, jacobi_eigh, require_symmetric
 
 
@@ -102,28 +102,11 @@ def christoffel_symbols(metric_field, p: np.ndarray, scheme: FDScheme | None = N
     return g, 0.5 * np.einsum("kl,lij->kij", ginv, bracket)
 
 
-def metric_field_curvature(
-    metric_field,
-    p: np.ndarray,
-    scheme: FDScheme | None = None,
-    convention: Convention = Convention.FULL_TRACE,
-) -> CurvatureBundle:
-    """Full curvature bundle of a metric field at p.
+def _riemann(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Gamma, R_abcd) in chart coordinates from the metric 2-jet at a point.
 
-    The default step (0.02, order 4) is wider than the immersion-level
-    default because metric fields are often themselves finite-difference
-    pipelines whose evaluation noise is amplified by the second
-    derivatives taken here.
+    dg[a, i, j] = d_a g_ij, ddg[a, b, i, j] = d_a d_b g_ij.
     """
-    if scheme is None:
-        scheme = FDScheme(step=0.02, order=4, scaled=False)
-    p = np.asarray(p, dtype=float)
-    m = p.size
-
-    g = _check_metric(np.asarray(metric_field(p[None, :]))[0])
-    dg = diff1(metric_field, p, scheme)  # (m, m, m): dg[a, i, j] = d_a g_ij
-    ddg = diff2(metric_field, p, scheme)  # (m, m, m, m): d_a d_b g_ij
-
     ginv = np.linalg.inv(g)
     # Gamma^k_ij = 1/2 g^{kl} (d_i g_lj + d_j g_li - d_l g_ij)
     bracket = np.einsum("ilj->lij", dg) + np.einsum("jli->lij", dg) - dg
@@ -145,10 +128,47 @@ def metric_field_curvature(
         + np.einsum("ace,edb->abcd", gamma, gamma)
         - np.einsum("ade,ecb->abcd", gamma, gamma)
     )
-    riem = np.einsum("ae,ebcd->abcd", g, riem_up)
+    return gamma, np.einsum("ae,ebcd->abcd", g, riem_up)
+
+
+def _on_frame(tensor: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """Components of a covariant tensor in the frame's columns.
+
+    One single-index contraction per slot: m^(r+1) work for rank r instead
+    of the m^(2r) of contracting all slots at once.  Each contraction takes
+    the leading slot and appends the frame index last, so after r of them
+    the slots are back in order.
+    """
+    for _ in range(tensor.ndim):
+        tensor = np.tensordot(tensor, frame, axes=(0, 0))
+    return tensor
+
+
+def metric_field_curvature(
+    metric_field,
+    p: np.ndarray,
+    scheme: FDScheme | None = None,
+    convention: Convention = Convention.FULL_TRACE,
+) -> CurvatureBundle:
+    """Full curvature bundle of a metric field at p.
+
+    The default step (0.02, order 4) is wider than the immersion-level
+    default because metric fields are often themselves finite-difference
+    pipelines whose evaluation noise is amplified by the second
+    derivatives taken here.  The value and both derivative levels come
+    from one field call on one stencil.
+    """
+    if scheme is None:
+        scheme = FDScheme(step=0.02, order=4, scaled=False)
+    p = np.asarray(p, dtype=float)
+    m = p.size
+
+    g, dg, ddg = jet(metric_field, p, scheme)  # dg[a, i, j] = d_a g_ij; ddg: d_a d_b g_ij
+    g = _check_metric(g)
+    gamma, riem = _riemann(g, dg, ddg)
 
     frame = gram_schmidt_frame(g)
-    riem_on = np.einsum("abcd,ai,bj,ck,dl->ijkl", riem, frame, frame, frame, frame)
+    riem_on = _on_frame(riem, frame)
     ricci_on = np.einsum("ikjk->ij", riem_on)
     full = float(np.einsum("ii->", ricci_on))
     scalar = convert_scalar(full, Convention.FULL_TRACE, convention, m)
@@ -201,9 +221,7 @@ def conformal_scalar(
         scheme = FDScheme(step=0.02, order=4, scaled=False)
     p = np.asarray(p, dtype=float)
     n = base.dim
-    u0 = float(np.asarray(u_field(p[None, :]))[0])
-    du = diff1(u_field, p, scheme)  # (m,)
-    ddu = diff2(u_field, p, scheme)  # (m, m)
+    u0, du, ddu = jet(u_field, p, scheme)  # (), (m,), (m, m)
     ginv = np.linalg.inv(base.metric)
     hess = ddu - np.einsum("kij,k->ij", base.christoffel, du)
     lap = float(np.einsum("ij,ij->", ginv, hess))
@@ -246,6 +264,15 @@ def schouten_coordinate_field(
     return field
 
 
+def covariant_derivative(s0: np.ndarray, ds: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """[a, b, c] = S_ab;c from S_ab (s0), d_c S_ab (ds[c, a, b]) and Gamma^k_ij."""
+    return (
+        np.einsum("cab->abc", ds)
+        - np.einsum("dca,db->abc", gamma, s0)
+        - np.einsum("dcb,ad->abc", gamma, s0)
+    )
+
+
 def codazzi_defect(
     schouten_field,
     metric_field,
@@ -263,12 +290,5 @@ def codazzi_defect(
     bundle = metric_field_curvature(metric_field, p, scheme)
     s0 = np.asarray(schouten_field(p[None, :]))[0]
     ds = diff1(schouten_field, p, scheme)  # (c, a, b) = d_c S_ab
-    gamma = bundle.christoffel
-    nabla = (
-        np.einsum("cab->abc", ds)
-        - np.einsum("dca,db->abc", gamma, s0)
-        - np.einsum("dcb,ad->abc", gamma, s0)
-    )
-    e = bundle.frame
-    nabla_on = np.einsum("abc,ai,bj,ck->ijk", nabla, e, e, e)
+    nabla_on = _on_frame(covariant_derivative(s0, ds, bundle.christoffel), bundle.frame)
     return float(np.max(np.abs(nabla_on - np.einsum("ijk->ikj", nabla_on))))

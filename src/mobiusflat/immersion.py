@@ -2,7 +2,9 @@
 
 The handle wraps a vectorized evaluator f: (K, m) -> (K, N) together with
 chart bounds and an orientation seed.  Everything downstream (fundamental
-forms, normals, shape data) is pure finite-difference numerics on f.
+forms, normals, shape data) is pure finite-difference numerics on f.  A
+request that needs the second fundamental form takes positions, jacobians
+and second derivatives from one jet of f (one evaluator call).
 
 Normals are produced by the generalized cross product of the tangent
 vectors (plus the position vector for immersions into the unit sphere),
@@ -19,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ChartDomainError, DegenerateGeometryError, InputError
-from .fd import FDScheme, diff1_batch, diff2_batch
+from .fd import FDScheme, diff1_batch, jet_batch
 from .linalg import (
     generalized_eigvals_descending,
     jacobi_eigh,
@@ -126,13 +128,16 @@ def jacobian(imm: ImmersionHandle, p: np.ndarray, scheme: FDScheme) -> np.ndarra
     return jacobian_batch(imm, np.asarray(p, dtype=float)[None, :], scheme)[0]
 
 
-def first_fundamental_form_batch(
-    imm: ImmersionHandle, pts: np.ndarray, scheme: FDScheme
-) -> np.ndarray:
-    jac = jacobian_batch(imm, pts, scheme)
+def _gram(jac: np.ndarray) -> np.ndarray:
     gram = np.einsum("kna,knb->kab", jac, jac)
     _require_full_rank(gram)
     return gram
+
+
+def first_fundamental_form_batch(
+    imm: ImmersionHandle, pts: np.ndarray, scheme: FDScheme
+) -> np.ndarray:
+    return _gram(jacobian_batch(imm, pts, scheme))
 
 
 def first_fundamental_form(imm: ImmersionHandle, p: np.ndarray, scheme: FDScheme) -> MetricSample:
@@ -163,14 +168,15 @@ def _cross_complement(mat: np.ndarray) -> np.ndarray:
     return np.stack(comps, axis=-1)
 
 
-def _raw_normal_batch(imm: ImmersionHandle, pts: np.ndarray, scheme: FDScheme) -> np.ndarray:
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+def _raw_normal(imm: ImmersionHandle, pos: np.ndarray | None, jac: np.ndarray) -> np.ndarray:
+    """Unit normal before the orientation sign, from positions (K, N) and jacobians (K, N, m).
+
+    pos is only read for sphere-ambient immersions.
+    """
     m, n = imm.chart_dimension, imm.ambient_dimension
-    jac = jacobian_batch(imm, pts, scheme)  # (K, N, m)
     if imm.ambient_kind == UNIT_SPHERE:
         if m != n - 2:
             raise InputError("sphere-ambient hypersurface needs chart dimension N-2")
-        pos = imm(pts)  # (K, N)
         mat = np.concatenate([jac, pos[:, :, None]], axis=2)
     else:
         if m != n - 1:
@@ -184,7 +190,15 @@ def _raw_normal_batch(imm: ImmersionHandle, pts: np.ndarray, scheme: FDScheme) -
     return raw / nrm[:, None]
 
 
-def _orientation_sign(imm: ImmersionHandle, scheme: FDScheme) -> float:
+def _raw_normal_batch(imm: ImmersionHandle, pts: np.ndarray, scheme: FDScheme) -> np.ndarray:
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    jac = jacobian_batch(imm, pts, scheme)  # (K, N, m)
+    pos = imm(pts) if imm.ambient_kind == UNIT_SPHERE else None
+    return _raw_normal(imm, pos, jac)
+
+
+def orientation_sign(imm: ImmersionHandle, scheme: FDScheme) -> float:
+    """+1 or -1: the sign that points the normal at the base point along the seed."""
     if imm.orientation_seed is None or imm.base_point is None:
         return 1.0
     raw0 = _raw_normal_batch(imm, imm.base_point[None, :], scheme)[0]
@@ -195,11 +209,29 @@ def _orientation_sign(imm: ImmersionHandle, scheme: FDScheme) -> float:
 
 
 def unit_normal_batch(imm: ImmersionHandle, pts: np.ndarray, scheme: FDScheme) -> np.ndarray:
-    return _orientation_sign(imm, scheme) * _raw_normal_batch(imm, pts, scheme)
+    return orientation_sign(imm, scheme) * _raw_normal_batch(imm, pts, scheme)
 
 
 def unit_normal(imm: ImmersionHandle, p: np.ndarray, scheme: FDScheme) -> np.ndarray:
     return unit_normal_batch(imm, np.asarray(p, dtype=float)[None, :], scheme)[0]
+
+
+def fundamental_forms_batch(
+    imm: ImmersionHandle, pts: np.ndarray, scheme: FDScheme, sign: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(I, II) at each point from one jet of the immersion: (K, m, m) each.
+
+    h_ab = <d^2 f / dx_a dx_b, normal>, with the normal built from the
+    jet's jacobian (and its centre values for sphere-ambient immersions).
+    sign is the handle's orientation sign, resolved here when not given.
+    """
+    pos, d1, hess = jet_batch(imm, pts, scheme)  # hess: (K, m, m, N)
+    jac = np.swapaxes(d1, 1, 2)
+    gram = _gram(jac)
+    if sign is None:
+        sign = orientation_sign(imm, scheme)
+    nrm = sign * _raw_normal(imm, pos, jac)  # (K, N)
+    return gram, np.einsum("kabn,kn->kab", hess, nrm)
 
 
 def second_fundamental_form_batch(
@@ -211,9 +243,7 @@ def second_fundamental_form_batch(
     sphere: the ambient-sphere correction to the second derivative is along
     the position vector, which the normal is orthogonal to.
     """
-    hess = diff2_batch(imm, pts, scheme)  # (K, m, m, N)
-    nrm = unit_normal_batch(imm, pts, scheme)  # (K, N)
-    return np.einsum("kabn,kn->kab", hess, nrm)
+    return fundamental_forms_batch(imm, pts, scheme)[1]
 
 
 def second_fundamental_form(imm: ImmersionHandle, p: np.ndarray, scheme: FDScheme) -> np.ndarray:

@@ -30,18 +30,22 @@ import numpy as np
 
 from .curvature import (
     Convention,
+    christoffel_symbols,
     conformal_scalar,
     convert_scalar,
+    covariant_derivative,
     metric_field_curvature,
 )
 from .errors import UmbilicPointError
-from .fd import FDScheme, diff1, diff2
+from .fd import FDScheme, diff1, jet
 from .immersion import (
     UNIT_SPHERE,
     ImmersionHandle,
     MetricSample,
     first_fundamental_form_batch,
-    second_fundamental_form_batch,
+    fundamental_forms_batch,
+    orientation_sign,
+    principal_curvatures,
 )
 from .linalg import gram_schmidt_frame, jacobi_eigh, require_symmetric
 
@@ -103,6 +107,8 @@ class SurfaceFields:
     metric(pts) -> (K, m, m) first fundamental form, shape(pts) -> (K, m, m)
     second fundamental form, rho(pts) -> (K,), mean(pts) -> (K,).
     ambient_curvature is 0 for Euclidean ambient, 1 for the unit sphere.
+    g_moebius(pts) -> (K, m, m), when given, is the Moebius metric rho^2 I
+    computed in one pass; otherwise it is composed from rho and metric.
     """
 
     dim: int
@@ -112,11 +118,15 @@ class SurfaceFields:
     mean: Callable[[np.ndarray], np.ndarray]
     ambient_curvature: float = 0.0
     source: str = "fd"
+    g_moebius: Callable[[np.ndarray], np.ndarray] | None = None
 
     def log_rho(self, pts: np.ndarray) -> np.ndarray:
         return np.log(self.rho(np.atleast_2d(pts)))
 
     def moebius_metric_field(self) -> Callable[[np.ndarray], np.ndarray]:
+        if self.g_moebius is not None:
+            return self.g_moebius
+
         def field(pts: np.ndarray) -> np.ndarray:
             pts = np.atleast_2d(pts)
             return self.rho(pts)[:, None, None] ** 2 * self.metric(pts)
@@ -124,37 +134,47 @@ class SurfaceFields:
         return field
 
 
+def _density(g: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rho, H) per point from batches of the fundamental forms."""
+    n = g.shape[-1]
+    shape_op = np.linalg.solve(g, h)
+    mean = np.einsum("kii->k", shape_op) / n
+    norm2 = np.einsum("kij,kji->k", shape_op, shape_op)
+    rho2 = n / (n - 1) * (norm2 - n * mean**2)
+    if np.any(rho2 <= UMBILIC_THRESHOLD):
+        worst = float(np.min(rho2))
+        raise UmbilicPointError(f"rho^2 = {worst:.3e}: umbilic point in requested batch")
+    return np.sqrt(rho2), mean
+
+
 def fields_from_immersion(imm: ImmersionHandle, scheme: FDScheme) -> SurfaceFields:
-    """Finite-difference backed fields for any immersion handle."""
-    n = imm.chart_dimension
+    """Finite-difference backed fields for any immersion handle.
+
+    The metric alone takes the first-difference stencil; every other
+    request takes I and II from one jet of the immersion, that is one
+    evaluator call.  The orientation sign is resolved once, here.
+    """
+    sign = orientation_sign(imm, scheme)
 
     def metric(pts):
         return first_fundamental_form_batch(imm, np.atleast_2d(pts), scheme)
 
-    def shape(pts):
-        return second_fundamental_form_batch(imm, np.atleast_2d(pts), scheme)
+    def forms(pts):
+        return fundamental_forms_batch(imm, np.atleast_2d(pts), scheme, sign)
 
-    def _density(pts):
-        pts = np.atleast_2d(pts)
-        g = metric(pts)
-        h = shape(pts)
-        shape_op = np.linalg.solve(g, h)
-        mean = np.einsum("kii->k", shape_op) / n
-        norm2 = np.einsum("kij,kji->k", shape_op, shape_op)
-        rho2 = n / (n - 1) * (norm2 - n * mean**2)
-        if np.any(rho2 <= UMBILIC_THRESHOLD):
-            worst = float(np.min(rho2))
-            raise UmbilicPointError(f"rho^2 = {worst:.3e}: umbilic point in requested batch")
-        return np.sqrt(rho2), mean
+    def g_moebius(pts):
+        g, h = forms(pts)
+        return _density(g, h)[0][:, None, None] ** 2 * g
 
     return SurfaceFields(
-        dim=n,
+        dim=imm.chart_dimension,
         metric=metric,
-        shape=shape,
-        rho=lambda pts: _density(pts)[0],
-        mean=lambda pts: _density(pts)[1],
+        shape=lambda pts: forms(pts)[1],
+        rho=lambda pts: _density(*forms(pts))[0],
+        mean=lambda pts: _density(*forms(pts))[1],
         ambient_curvature=1.0 if imm.ambient_kind == UNIT_SPHERE else 0.0,
         source="fd",
+        g_moebius=g_moebius,
     )
 
 
@@ -212,8 +232,7 @@ def blaschke_A(fields: SurfaceFields, p: np.ndarray, scheme: FDScheme) -> np.nda
     frame = gram_schmidt_frame(g)
     h_frame = frame.T @ h @ frame
 
-    d_logrho = diff1(fields.log_rho, p, scheme)
-    dd_logrho = diff2(fields.log_rho, p, scheme)
+    _, d_logrho, dd_logrho = jet(fields.log_rho, p, scheme)
     dg = diff1(fields.metric, p, scheme)
     ginv = np.linalg.inv(g)
     bracket = np.einsum("ilj->lij", dg) + np.einsum("jli->lij", dg) - dg
@@ -240,8 +259,6 @@ def moebius_form_divergence_residual(
     metric's connection.  This is the independent cross-check for the
     completed gradient coupling in the C formula.
     """
-    from .curvature import christoffel_symbols
-
     p = np.asarray(p, dtype=float)
     g_field = fields.moebius_metric_field()
 
@@ -255,12 +272,7 @@ def moebius_form_divergence_residual(
 
     g, gamma = christoffel_symbols(g_field, p, scheme)
     b0 = b_field(p[None, :])[0]
-    db = diff1(b_field, p, scheme)  # (c, a, b)
-    nabla = (
-        np.einsum("cab->abc", db)
-        - np.einsum("dca,db->abc", gamma, b0)
-        - np.einsum("dcb,ad->abc", gamma, b0)
-    )
+    nabla = covariant_derivative(b0, diff1(b_field, p, scheme), gamma)
     ginv = np.linalg.inv(g)
     div = np.einsum("bc,abc->a", ginv, nabla)
     frame = gram_schmidt_frame(g)
@@ -346,8 +358,6 @@ def _shape_at(fields: SurfaceFields, p: np.ndarray) -> np.ndarray:
 
 
 def moebius_data(fields: SurfaceFields, p: np.ndarray, scheme: FDScheme) -> MoebiusData:
-    from .immersion import principal_curvatures as principal
-
     p = np.asarray(p, dtype=float)
     g = _metric_at(fields, p)
     h = _shape_at(fields, p)
@@ -366,7 +376,7 @@ def moebius_data(fields: SurfaceFields, p: np.ndarray, scheme: FDScheme) -> Moeb
         B=b,
         A=a,
         C=c,
-        principal_curvatures=principal(sample, h),
+        principal_curvatures=principal_curvatures(sample, h),
         B_eigenvalues=wb[::-1].copy(),
         A_eigenvalues=wa[::-1].copy(),
     )

@@ -1,19 +1,25 @@
 import numpy as np
 import pytest
 
+from mobiusflat import curvature
 from mobiusflat.curvature import (
     Convention,
     codazzi_defect,
     conformal_scalar,
     convert_scalar,
+    covariant_derivative,
     metric_field_curvature,
     riemann_symmetry_residuals,
     schouten_coordinate_field,
     schouten_tensor,
 )
 from mobiusflat.errors import DegenerateGeometryError, InputError
-from mobiusflat.fd import FDScheme
+from mobiusflat.fd import FDScheme, diff1, jet
+from mobiusflat.moebius import fields_from_immersion
 from mobiusflat.zoo import sphere_chart_metric
+
+import fd_oracle
+from conftest import interior_points
 
 FINE = FDScheme(step=0.005, order=4)
 
@@ -301,3 +307,53 @@ class TestCodazzi:
         sfield = schouten_coordinate_field(field, sch, Convention.FULL_TRACE)
         d = codazzi_defect(sfield, field, np.array([0.4, -0.2, 0.7, 0.1]), sch)
         assert d > 1e-2
+
+
+SHEAR = np.array(
+    [[1.0, 0.3, 0.0, 0.1], [0.0, 1.0, 0.2, 0.0], [0.1, 0.0, 1.0, 0.3], [0.0, -0.2, 0.0, 1.0]]
+)
+
+
+def sheared_field(pts):
+    """A non-diagonal metric, so that its Gram-Schmidt frame is not symmetric."""
+    pts = np.atleast_2d(pts)
+    u = 0.25 * np.sin(pts[:, 0]) * np.cos(pts[:, 1]) + 0.1 * pts[:, 3]
+    out = np.exp(2.0 * u)[:, None, None] * (SHEAR.T @ SHEAR)
+    out[:, 0, 0] += 0.3 * np.sin(pts[:, 1]) ** 2
+    return out
+
+
+class TestFrameRotationOracle:
+    """One-slot-at-a-time frame contractions against the all-slots einsum."""
+
+    @staticmethod
+    def assert_close(got, oracle):
+        assert np.max(np.abs(got - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("surface", ["torus", "rotational"])
+    def test_riemann_on_moebius_metric(self, surface, request):
+        imm = request.getfixturevalue(surface)
+        field = fields_from_immersion(imm, FDScheme(order=4)).moebius_metric_field()
+        sch = FDScheme(step=0.02, order=4, scaled=False)
+        for p in interior_points(imm, 2, seed=11):
+            bundle = metric_field_curvature(field, p, sch)
+            _, riem = curvature._riemann(*jet(field, p, sch))
+            self.assert_close(bundle.riemann, fd_oracle.frame_components(riem, bundle.frame))
+
+    def test_riemann_and_codazzi_on_sheared_metric(self):
+        sch = FDScheme(step=0.02, order=4)
+        sfield = schouten_coordinate_field(sheared_field, sch, Convention.FULL_TRACE)
+        for p in (np.array([0.4, -0.2, 0.7, 0.1]), np.array([-0.9, 0.3, 0.0, 1.2])):
+            bundle = metric_field_curvature(sheared_field, p, sch)
+            assert np.max(np.abs(bundle.frame - bundle.frame.T)) > 0.1
+            _, riem = curvature._riemann(*jet(sheared_field, p, sch))
+            self.assert_close(bundle.riemann, fd_oracle.frame_components(riem, bundle.frame))
+
+            s0 = sfield(p[None, :])[0]
+            nabla = covariant_derivative(s0, diff1(sfield, p, sch), bundle.christoffel)
+            oracle = fd_oracle.frame_components(nabla, bundle.frame)
+            self.assert_close(curvature._on_frame(nabla, bundle.frame), oracle)
+            defect = np.max(np.abs(oracle - np.einsum("ijk->ikj", oracle)))
+            assert abs(codazzi_defect(sfield, sheared_field, p, sch) - defect) <= 1e-13 * np.max(
+                np.abs(oracle)
+            )

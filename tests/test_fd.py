@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from mobiusflat.fd import FDScheme, diff1, diff1_batch, diff2, diff2_batch
+from mobiusflat.fd import FDScheme, diff1, diff1_batch, diff2, diff2_batch, jet, jet_batch
+
+import fd_oracle
 
 
 def poly_field(pts):
@@ -81,3 +83,42 @@ def test_convergence_order(order, slope):
         errs.append(abs(dd + np.sin(0.6)))
     rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(np.abs(rates - slope) < 0.5)
+
+
+def matrix_field(pts):
+    v = vector_field(pts)
+    return np.einsum("ki,kj->kij", v, v) + np.eye(2)
+
+
+class TestJet:
+    """One stencil for values, first and second partials."""
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("field", [poly_field, vector_field, matrix_field])
+    def test_matches_separate_stencils(self, order, field):
+        pts = np.array([[0.1, 0.2], [0.5, -0.3], [1.5, 2.0], [-3.0, 0.0]])
+        for sch in (FDScheme(order=order), FDScheme(step=0.02, order=order, scaled=False)):
+            values, d1, d2 = jet_batch(field, pts, sch)
+            assert np.array_equal(values, field(pts))
+            assert np.array_equal(d1, diff1_batch(field, pts, sch))
+            assert np.array_equal(d2, fd_oracle.diff2_batch(field, pts, sch))
+            assert np.array_equal(diff2_batch(field, pts, sch), d2)
+
+    def test_single_point_front_end(self):
+        p = np.array([0.3, 0.9])
+        sch = FDScheme(order=4)
+        value, d1, d2 = jet(matrix_field, p, sch)
+        assert np.array_equal(value, matrix_field(p[None, :])[0])
+        assert np.array_equal(d1, diff1(matrix_field, p, sch))
+        assert np.array_equal(d2, diff2(matrix_field, p, sch))
+
+    @pytest.mark.parametrize("order,points", [(2, 2 * 3 + 4), (4, 2 * 5 + 16)])
+    def test_one_field_call(self, order, points):
+        calls = []
+
+        def field(pts):
+            calls.append(pts.shape[0])
+            return poly_field(pts)
+
+        jet_batch(field, np.zeros((3, 2)), FDScheme(order=order))
+        assert calls == [3 * points]

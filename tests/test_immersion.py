@@ -9,12 +9,19 @@ from mobiusflat.immersion import (
     ImmersionHandle,
     MetricSample,
     first_fundamental_form,
+    first_fundamental_form_batch,
+    fundamental_forms_batch,
     jacobian,
     principal_curvatures,
     second_fundamental_form,
+    second_fundamental_form_batch,
     unit_normal,
+    unit_normal_batch,
 )
 from mobiusflat.zoo import inverse_stereographic, sphere_chart
+
+import fd_oracle
+from conftest import interior_points
 
 SCHEME = FDScheme(order=4)
 
@@ -116,6 +123,26 @@ class TestUnitNormal:
         j = jacobian(imm, p, SCHEME)
         assert abs(np.linalg.norm(eta) - 1.0) < 1e-12
         assert np.max(np.abs(j.T @ eta)) < 1e-10
+
+
+class TestOneJet:
+    """The second form from one jet equals the separate stencils bit for bit."""
+
+    @pytest.mark.parametrize("surface", ["graph", "torus"])
+    def test_forms_match_separate_stencils(self, surface, request):
+        if surface == "graph":
+            imm, pts = graph_surface(), np.array([[0.3, 0.2], [0.7, 0.1], [-1.1, 0.4]])
+        else:
+            imm = request.getfixturevalue("torus")
+            pts = interior_points(imm, 5, seed=3)
+        hess = fd_oracle.diff2_batch(imm, pts, SCHEME)
+        h_oracle = np.einsum("kabn,kn->kab", hess, unit_normal_batch(imm, pts, SCHEME))
+        assert np.array_equal(second_fundamental_form_batch(imm, pts, SCHEME), h_oracle)
+        g, h = fundamental_forms_batch(imm, pts, SCHEME)
+        assert np.array_equal(g, first_fundamental_form_batch(imm, pts, SCHEME))
+        assert np.array_equal(h, h_oracle)
+        g, h = fundamental_forms_batch(imm, pts, SCHEME, sign=-1.0)
+        assert np.array_equal(h, -h_oracle)
 
 
 class TestPrincipalCurvatures:

@@ -1,10 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from mobiusflat.curvature import Convention
 from mobiusflat.errors import UmbilicPointError
 from mobiusflat.fd import FDScheme
-from mobiusflat.immersion import MetricSample
+from mobiusflat.immersion import (
+    MetricSample,
+    first_fundamental_form_batch,
+    second_fundamental_form_batch,
+)
 from mobiusflat.moebius import (
     blaschke_A,
     fields_from_immersion,
@@ -106,6 +112,50 @@ class TestMoebiusMetric:
             expected *= kap[i] ** 2
             scale = np.max(np.abs(expected))
             assert np.max(np.abs(gm - expected)) / scale < 1e-6
+
+
+def composed_fields(imm, pts):
+    """(I, II, rho, H) composed from the public form functions, as before the jet."""
+    g = first_fundamental_form_batch(imm, pts, SCHEME)
+    h = second_fundamental_form_batch(imm, pts, SCHEME)
+    n = g.shape[-1]
+    shape_op = np.linalg.solve(g, h)
+    mean = np.einsum("kii->k", shape_op) / n
+    norm2 = np.einsum("kij,kji->k", shape_op, shape_op)
+    return g, h, np.sqrt(n / (n - 1) * (norm2 - n * mean**2)), mean
+
+
+class TestOneJetFields:
+    @pytest.mark.parametrize("fixture", ["torus", "rotational"])
+    def test_fields_match_composed_forms(self, fixture, request):
+        imm = request.getfixturevalue(fixture)
+        pts = interior_points(imm, 7, seed=5)
+        fields = fields_from_immersion(imm, SCHEME)
+        g, h, rho, mean = composed_fields(imm, pts)
+        assert np.array_equal(fields.metric(pts), g)
+        assert np.array_equal(fields.shape(pts), h)
+        assert np.array_equal(fields.rho(pts), rho)
+        assert np.array_equal(fields.mean(pts), mean)
+        assert np.array_equal(fields.moebius_metric_field()(pts), rho[:, None, None] ** 2 * g)
+
+    def test_one_evaluator_call_per_request(self, torus):
+        calls = []
+
+        def evaluator(pts):
+            calls.append(pts.shape[0])
+            return torus.evaluator(pts)
+
+        imm = dataclasses.replace(torus, evaluator=evaluator)
+        fields = fields_from_immersion(imm, SCHEME)
+        pts = interior_points(imm, 3, seed=7)
+        stencil = 5 * N_DIM + 16 * N_DIM * (N_DIM - 1) // 2
+        for request in (fields.moebius_metric_field(), fields.shape, fields.rho, fields.mean):
+            calls.clear()
+            request(pts)
+            assert calls == [3 * stencil]
+        calls.clear()
+        fields.metric(pts)
+        assert calls == [3 * 4 * N_DIM]
 
 
 class TestTensorB:
