@@ -36,12 +36,12 @@ from .immersion import (
     fundamental_forms_batch,
     principal_curvatures,
 )
-from .linalg import gram_schmidt_frame
 from .moebius import (
     SurfaceFields,
     blaschke_A,
     fields_from_immersion,
     get_fields,
+    moebius_B,
     moebius_data,
     moebius_form,
     moebius_form_divergence_residual,
@@ -92,13 +92,29 @@ WARPED_AUDIT_R = {
 
 TORUS_AUDIT_RADII = (0.3, 0.5, 1.0 / np.sqrt(2.0))
 
+# Order 2 stays in FDScheme for the convergence tests only: at the suite's
+# steps and tolerances it fails most asserts.
+FD_ORDER = 4
+
+# Immersion-level differencing for the suite.  The step sits above the
+# pointwise optimum: rounding noise in the fields is what the outer curvature
+# stencils amplify, and a slightly larger inner step pushes that incoherent
+# floor down by an order of magnitude at negligible truncation cost.
+INNER_SCHEME = FDScheme(step=0.004, order=FD_ORDER)
+
+# Derivatives of the rho/H/metric fields for the C and A tensors.
+FIELD_SCHEME = FDScheme(step=0.005, order=FD_ORDER, scaled=False)
+
 
 @dataclass
 class SuiteSurface:
+    """One suite surface with its finite-difference fields, built once."""
+
     name: str
     epsilon: int | None
     imm: ImmersionHandle
     traj: SpiralTrajectory | None
+    fields: SurfaceFields
 
 
 def spiral_trajectory(n, epsilon, big_r, kappa0, kappa_s0, s_max, step=1e-3, variant=STANDARD):
@@ -125,9 +141,9 @@ def suite_surfaces(cfg: RunConfig) -> list[SuiteSurface]:
     out = []
     for eps in (0, 1, -1):
         traj = preset_trajectory(cfg.n, eps, cfg.step)
-        out.append(SuiteSurface(FAMILY_BY_EPSILON[eps], eps, build_family(traj, cfg.n), traj))
-    out.append(SuiteSurface("torus", None, torus_immersion(cfg.torus_r, cfg.n), None))
-    return out
+        out.append((FAMILY_BY_EPSILON[eps], eps, build_family(traj, cfg.n), traj))
+    out.append(("torus", None, torus_immersion(cfg.torus_r, cfg.n), None))
+    return [SuiteSurface(*s, fields_from_immersion(s[2], INNER_SCHEME)) for s in out]
 
 
 def sample_points(imm: ImmersionHandle, count: int, rng, jitter: float = 0.1, pad: float = 0.12):
@@ -147,24 +163,13 @@ def sample_points(imm: ImmersionHandle, count: int, rng, jitter: float = 0.1, pa
     return pts
 
 
-def inner_scheme(cfg: RunConfig) -> FDScheme:
-    """Immersion-level differencing for the suite.
-
-    The default step sits above the pointwise optimum: rounding noise in the
-    fields is what the outer curvature stencils amplify, and a slightly
-    larger inner step pushes that incoherent floor down by an order of
-    magnitude at negligible truncation cost.
-    """
-    return FDScheme(step=cfg.fd_step if cfg.fd_step > 0 else 0.004, order=cfg.fd_order)
-
-
 def outer_scheme(cfg: RunConfig, factor: float = 1.0) -> FDScheme:
-    return FDScheme(step=cfg.curvature_step * factor, order=cfg.fd_order, scaled=False)
+    return FDScheme(step=cfg.curvature_step * factor, order=FD_ORDER, scaled=False)
 
 
-def field_scheme(cfg: RunConfig) -> FDScheme:
-    """Derivatives of rho/H/metric fields for the C and A tensors."""
-    return FDScheme(step=0.005, order=cfg.fd_order, scaled=False)
+def direct_scalar(fields: SurfaceFields, p: np.ndarray, sch: FDScheme) -> float:
+    """Full-trace scalar curvature of the Moebius metric rho^2 I at p."""
+    return metric_field_curvature(fields.moebius_metric_field(), p, sch).scalar
 
 
 def warped_scalar_reference(n, eps, kappa, kappa_s, kappa_ss):
@@ -238,7 +243,6 @@ def _guard(fn):
 @_guard
 def check_moebius_metric_match(cfg: RunConfig, surfaces, rng) -> CheckRecord:
     """Computed Moebius metric equals kappa(s)^2 (ds^2 + I_{-eps}) entrywise."""
-    scheme = inner_scheme(cfg)
     worst = 0.0
     total = 0
     per_family = {}
@@ -246,9 +250,7 @@ def check_moebius_metric_match(cfg: RunConfig, surfaces, rng) -> CheckRecord:
         if surf.traj is None:
             continue
         pts = sample_points(surf.imm, cfg.samples, rng, cfg.jitter)
-        fields = fields_from_immersion(surf.imm, scheme)
-        g = fields.metric(pts)
-        rho = fields.rho(pts)
+        g, _, rho, _ = surf.fields.sample(pts)
         expected = warped_metric_field(surf.traj, cfg.n)(pts)
         computed = rho[:, None, None] ** 2 * g
         scale = np.max(np.abs(expected), axis=(1, 2))
@@ -271,20 +273,14 @@ def check_moebius_metric_match(cfg: RunConfig, surfaces, rng) -> CheckRecord:
 @_guard
 def check_trace_identities(cfg: RunConfig, surfaces, rng) -> CheckRecord:
     """tr B = 0 and |B|^2 = (n-1)/n at every sample."""
-    scheme = inner_scheme(cfg)
     n = cfg.n
     worst = 0.0
     total = 0
     for surf in surfaces:
         pts = sample_points(surf.imm, cfg.samples, rng, cfg.jitter)
-        fields = fields_from_immersion(surf.imm, scheme)
-        g = fields.metric(pts)
-        h = fields.shape(pts)
-        rho = fields.rho(pts)
-        mean = fields.mean(pts)
+        g, h, rho, mean = surf.fields.sample(pts)
         for i in range(pts.shape[0]):
-            frame = gram_schmidt_frame(g[i])
-            b = (frame.T @ h[i] @ frame - mean[i] * np.eye(n)) / rho[i]
+            b = moebius_B(g[i], h[i], rho[i], mean[i])
             worst = max(worst, abs(float(np.trace(b))))
             worst = max(worst, abs(float(np.sum(b * b)) - (n - 1) / n))
         total += pts.shape[0]
@@ -301,19 +297,14 @@ def check_trace_identities(cfg: RunConfig, surfaces, rng) -> CheckRecord:
 @_guard
 def check_moebius_form_structure(cfg: RunConfig, surfaces, rng) -> CheckRecord:
     """C vanishes on the torus and circle cylinder; only C_1 survives otherwise."""
-    scheme = inner_scheme(cfg)
-    fscheme = field_scheme(cfg)
     details = {}
     worst = 0.0
     total = 0
 
     torus = next(s for s in surfaces if s.name == "torus")
-    tor_fields = fields_from_immersion(torus.imm, scheme)
     pts = sample_points(torus.imm, 4, rng, cfg.jitter, pad=0.2)
-    c_tor = max(
-        float(np.max(np.abs(moebius_form(tor_fields, p, FDScheme(step=0.05, order=4, scaled=False)))))
-        for p in pts
-    )
+    wide = FDScheme(step=0.05, order=4, scaled=False)
+    c_tor = max(float(np.max(np.abs(moebius_form(torus.fields, p, wide)))) for p in pts)
     details["torus_max_C"] = c_tor
     worst = max(worst, c_tor)
     total += pts.shape[0]
@@ -321,19 +312,18 @@ def check_moebius_form_structure(cfg: RunConfig, surfaces, rng) -> CheckRecord:
     circle = cylinder_immersion(
         spiral_trajectory(cfg.n, 0, 0.0, 1.0, 0.0, 6.0, cfg.step), cfg.n
     )
-    c_circ = float(
-        np.max(np.abs(moebius_form(get_fields(circle, scheme), circle.base_point, fscheme)))
-    )
+    circle_fields = get_fields(circle, INNER_SCHEME)
+    c_circ = float(np.max(np.abs(moebius_form(circle_fields, circle.base_point, FIELD_SCHEME))))
     details["circle_cylinder_max_C"] = c_circ
     worst = max(worst, c_circ)
     total += 1
 
     cyl = next(s for s in surfaces if s.name == "cylinder")
-    cyl_fields = get_fields(cyl.imm, scheme)
+    cyl_fields = get_fields(cyl.imm, INNER_SCHEME)
     tangential = 0.0
     c1_err = 0.0
     for p in sample_points(cyl.imm, 4, rng, cfg.jitter):
-        c = moebius_form(cyl_fields, p, fscheme)
+        c = moebius_form(cyl_fields, p, FIELD_SCHEME)
         kap = float(cyl.traj.kappa_at(p[0:1])[0])
         ks = float(cyl.traj.kappa_s_at(p[0:1])[0])
         tangential = max(tangential, float(np.max(np.abs(c[1:]))))
@@ -344,10 +334,12 @@ def check_moebius_form_structure(cfg: RunConfig, surfaces, rng) -> CheckRecord:
     total += 4
 
     # independent cross-check: sum_j B_ij,j = -(n-1) C_i
-    div_sch = FDScheme(step=0.01, order=cfg.fd_order, scaled=False)
+    div_sch = FDScheme(step=0.01, order=FD_ORDER, scaled=False)
     details["divergence_identity_residual"] = {
         surf.name: float(
-            moebius_form_divergence_residual(get_fields(surf.imm, scheme), surf.imm.base_point, div_sch)
+            moebius_form_divergence_residual(
+                get_fields(surf.imm, INNER_SCHEME), surf.imm.base_point, div_sch
+            )
         )
         for surf in surfaces
         if surf.name in ("cylinder", "rotational")
@@ -368,19 +360,16 @@ def check_moebius_form_structure(cfg: RunConfig, surfaces, rng) -> CheckRecord:
 @_guard
 def check_commutator_closure(cfg: RunConfig, surfaces, rng) -> CheckRecord:
     """B A - A B = 0: B and A are simultaneously diagonalizable."""
-    scheme = inner_scheme(cfg)
-    fscheme = field_scheme(cfg)
     worst = 0.0
     pipeline_worst = 0.0
     total = 0
     for surf in surfaces:
-        fields = get_fields(surf.imm, scheme)
+        fields = get_fields(surf.imm, INNER_SCHEME)
         pts = sample_points(surf.imm, 3, rng, cfg.jitter)
         for p in pts:
-            d = moebius_data(fields, p, fscheme)
+            d = moebius_data(fields, p, FIELD_SCHEME)
             worst = max(worst, d.commutator_norm())
-        pipe = fields_from_immersion(surf.imm, scheme)
-        d = moebius_data(pipe, pts[0], outer_scheme(cfg))
+        d = moebius_data(surf.fields, pts[0], outer_scheme(cfg))
         pipeline_worst = max(pipeline_worst, d.commutator_norm())
         total += pts.shape[0]
     return CheckRecord(
@@ -397,13 +386,12 @@ def check_commutator_closure(cfg: RunConfig, surfaces, rng) -> CheckRecord:
 @_guard
 def check_principal_multiplicity(cfg: RunConfig, surfaces, rng) -> CheckRecord:
     """At least n-1 principal curvatures coincide on every generated surface."""
-    scheme = inner_scheme(cfg)
     worst = 0.0
     total = 0
     torus_gap = None
     for surf in surfaces:
         pts = sample_points(surf.imm, cfg.samples, rng, cfg.jitter)
-        g, h = fundamental_forms_batch(surf.imm, pts, scheme)
+        g, h = fundamental_forms_batch(surf.imm, pts, INNER_SCHEME)
         for i in range(pts.shape[0]):
             lam = np.sort(principal_curvatures(g[i], h[i]))
             cluster = min(lam[-2] - lam[0], lam[-1] - lam[1])
@@ -441,7 +429,7 @@ def check_schouten_codazzi(cfg: RunConfig, surfaces, rng) -> CheckRecord:
     for surf in surfaces:
         if surf.name == "torus":
             continue
-        fields = get_fields(surf.imm, inner_scheme(cfg))
+        fields = get_fields(surf.imm, INNER_SCHEME)
         sfield = schouten_coordinate_field(fields.metric, sch, Convention.FULL_TRACE)
         pts = sample_points(surf.imm, 3, rng, cfg.jitter, pad=0.2)
         vals = [codazzi_defect(sfield, fields.metric, p, sch) for p in pts]
@@ -463,7 +451,7 @@ def check_schouten_codazzi(cfg: RunConfig, surfaces, rng) -> CheckRecord:
 
     # convention audit on a metric whose scalar curvature varies
     rot = next(s for s in surfaces if s.name == "rotational")
-    rot_fields = get_fields(rot.imm, inner_scheme(cfg))
+    rot_fields = get_fields(rot.imm, INNER_SCHEME)
     p_aud = sample_points(rot.imm, 1, rng, cfg.jitter, pad=0.2)[0]
     audit = {}
     for name, conv in CONVENTION_BY_NAME.items():
@@ -500,14 +488,13 @@ def check_schouten_codazzi(cfg: RunConfig, surfaces, rng) -> CheckRecord:
 @_guard
 def check_two_route_scalar(cfg: RunConfig, surfaces, rng) -> CheckRecord:
     """Direct curvature of rho^2 I agrees with the conformal-change route."""
-    scheme = inner_scheme(cfg)
+    sch = outer_scheme(cfg, 0.6)
     worst = 0.0
     total = 0
     count = max(3, cfg.samples // 4)
     for surf in surfaces:
-        fields = fields_from_immersion(surf.imm, scheme)
         for p in sample_points(surf.imm, count, rng, cfg.jitter):
-            res = moebius_scalar(fields, p, scheme, curvature_scheme=outer_scheme(cfg, 0.6))
+            res = moebius_scalar(surf.fields, p, INNER_SCHEME, curvature_scheme=sch)
             worst = max(worst, res.spread())
             total += 1
     return CheckRecord(
@@ -528,22 +515,15 @@ def check_scalar_constancy(cfg: RunConfig, surfaces, rng) -> CheckRecord:
     Negative control: a rotational surface over kappa = 1 + 0.3 sin s (not a
     spiral solution) must exceed ten times the tolerance.
     """
-    scheme = inner_scheme(cfg)
     spreads = {}
     worst = 0.0
     total = 0
-    def direct_scalar(fields: SurfaceFields, p) -> float:
-        return metric_field_curvature(
-            fields.moebius_metric_field(), p, outer_scheme(cfg)
-        ).scalar
-
     for surf in surfaces:
         if surf.traj is None:
             continue
-        fields = fields_from_immersion(surf.imm, scheme)
         vals = []
         for p in sample_points(surf.imm, cfg.samples, rng, cfg.jitter):
-            vals.append(direct_scalar(fields, p))
+            vals.append(direct_scalar(surf.fields, p, outer_scheme(cfg)))
             total += 1
         spreads[surf.name] = float(np.max(vals) - np.min(vals))
         worst = max(worst, spreads[surf.name])
@@ -556,9 +536,9 @@ def check_scalar_constancy(cfg: RunConfig, surfaces, rng) -> CheckRecord:
         IntegratorControls(s_max=4.5, step=cfg.step),
     )
     control_imm = rotational_immersion(control_traj, cfg.n)
-    control_fields = fields_from_immersion(control_imm, scheme)
+    control_fields = fields_from_immersion(control_imm, INNER_SCHEME)
     control_vals = [
-        direct_scalar(control_fields, p)
+        direct_scalar(control_fields, p, outer_scheme(cfg))
         for p in sample_points(control_imm, max(6, cfg.samples // 3), rng, cfg.jitter)
     ]
     control_spread = float(np.max(control_vals) - np.min(control_vals))
@@ -689,7 +669,6 @@ def check_torus_scalar_audit(cfg: RunConfig, surfaces, rng) -> CheckRecord:
     least one pair is expected to match, and the report states which.
     """
     n = cfg.n
-    scheme = inner_scheme(cfg)
     table = []
     any_match_all = True
     worst_best = 0.0
@@ -697,10 +676,10 @@ def check_torus_scalar_audit(cfg: RunConfig, surfaces, rng) -> CheckRecord:
     match_sets = []
     for r in TORUS_AUDIT_RADII:
         imm = torus_immersion(r, n)
-        fields = fields_from_immersion(imm, scheme)
+        fields = fields_from_immersion(imm, INNER_SCHEME)
         pts = sample_points(imm, 3, rng, cfg.jitter)
         vals_full = [
-            moebius_scalar(fields, p, scheme, Convention.FULL_TRACE, outer_scheme(cfg, 0.6)).direct
+            moebius_scalar(fields, p, INNER_SCHEME, curvature_scheme=outer_scheme(cfg, 0.6)).direct
             for p in pts
         ]
         total += len(vals_full)
@@ -788,20 +767,17 @@ def check_blaschke_trace_audit(cfg: RunConfig, surfaces, rng) -> CheckRecord:
     the identity under each normalization, per surface.
     """
     n = cfg.n
-    scheme = inner_scheme(cfg)
     audit_rows = []
     total = 0
     best_residual = float("inf")
     for surf in surfaces:
-        fields = get_fields(surf.imm, scheme)
+        fields = get_fields(surf.imm, INNER_SCHEME)
         pts = sample_points(surf.imm, 2, rng, cfg.jitter, pad=0.2)
         resid = {name: 0.0 for name in CONVENTION_BY_NAME}
         for p in pts:
             sch = FDScheme(step=0.05 if surf.name == "torus" else 0.005, order=4, scaled=False)
             tr_a = float(np.trace(blaschke_A(fields, p, sch)))
-            full = metric_field_curvature(
-                fields.moebius_metric_field(), p, outer_scheme(cfg, 0.6)
-            ).scalar
+            full = direct_scalar(fields, p, outer_scheme(cfg, 0.6))
             for name, conv in CONVENTION_BY_NAME.items():
                 r_c = convert_scalar(full, Convention.FULL_TRACE, conv, n)
                 target = 1.0 / (2 * n) + r_c / (2 * (n - 1))
@@ -831,25 +807,17 @@ def check_blaschke_trace_audit(cfg: RunConfig, surfaces, rng) -> CheckRecord:
 @_guard
 def check_sigma_invariance(cfg: RunConfig, surfaces, rng) -> CheckRecord:
     """B eigenvalues and Moebius scalar agree between f and its sphere lift."""
-    scheme = inner_scheme(cfg)
     worst = 0.0
     total = 0
     for surf in surfaces:
         if surf.name not in ("cylinder", "rotational"):
             continue
-        lifted = lift_to_sphere(surf.imm)
-        base_fields = fields_from_immersion(surf.imm, scheme)
-        lift_fields = fields_from_immersion(lifted, scheme)
+        lift_fields = fields_from_immersion(lift_to_sphere(surf.imm), INNER_SCHEME)
         for p in sample_points(surf.imm, 3, rng, cfg.jitter):
-            d0 = moebius_data(base_fields, p, field_scheme(cfg))
-            d1 = moebius_data(lift_fields, p, field_scheme(cfg))
+            d0 = moebius_data(surf.fields, p, FIELD_SCHEME)
+            d1 = moebius_data(lift_fields, p, FIELD_SCHEME)
             worst = max(worst, float(np.max(np.abs(d0.B_eigenvalues - d1.B_eigenvalues))))
-            s0 = metric_field_curvature(
-                base_fields.moebius_metric_field(), p, outer_scheme(cfg)
-            ).scalar
-            s1 = metric_field_curvature(
-                lift_fields.moebius_metric_field(), p, outer_scheme(cfg)
-            ).scalar
+            s0, s1 = (direct_scalar(f, p, outer_scheme(cfg)) for f in (surf.fields, lift_fields))
             worst = max(worst, abs(s0 - s1))
             total += 1
     return CheckRecord(

@@ -8,7 +8,7 @@ Subcommands:
 * ``verify``     run the verification suite (JSON + markdown report)
 * ``rigidity``   closure experiment around the half-plane equilibrium
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 configuration error.
+Exit codes: 0 all checks pass, 1 a check failed, 2 configuration or output error.
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ import numpy as np
 from . import __version__
 from .checks import (
     CONVENTION_BY_NAME,
+    FIELD_SCHEME,
+    INNER_SCHEME,
     build_family,
-    inner_scheme,
     outer_scheme,
     rigidity_scan,
     run_suite,
@@ -33,7 +34,6 @@ from .checks import (
 )
 from .config import RunConfig, load_config
 from .errors import ConfigError, MobiusFlatError
-from .fd import FDScheme
 from .meshes import export_obj_slice
 from .moebius import fields_from_immersion, moebius_data, moebius_scalar
 from .spiral import IntegratorControls, SpiralParams, export_csv, integrate_grid
@@ -88,9 +88,7 @@ def cmd_build(cfg: RunConfig, out: str, convention: str) -> int:
 
 def cmd_invariants(cfg: RunConfig, out: str, convention: str) -> int:
     imm, _ = _build_surface(cfg)
-    scheme = inner_scheme(cfg)
-    fscheme = FDScheme(step=0.005, order=cfg.fd_order, scaled=False)
-    fields = fields_from_immersion(imm, scheme)
+    fields = fields_from_immersion(imm, INNER_SCHEME)
     rng = np.random.default_rng(cfg.seed)
     pts = sample_points(imm, cfg.samples, rng, cfg.jitter)
     conv = CONVENTION_BY_NAME[convention]
@@ -106,8 +104,8 @@ def cmd_invariants(cfg: RunConfig, out: str, convention: str) -> int:
     )
     rows = []
     for p in pts:
-        d = moebius_data(fields, p, fscheme)
-        s = moebius_scalar(fields, p, scheme, conv, outer_scheme(cfg))
+        d = moebius_data(fields, p, FIELD_SCHEME)
+        s = moebius_scalar(fields, p, INNER_SCHEME, conv, outer_scheme(cfg))
         rows.append(
             list(p)
             + [d.rho, d.H]
@@ -251,12 +249,16 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    os.makedirs(args.out, exist_ok=True)
     try:
+        os.makedirs(args.out, exist_ok=True)
         return COMMANDS[args.command](cfg, args.out, args.convention)
     except MobiusFlatError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        # the commands read no files, so an OSError is a failed output write
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -53,8 +53,6 @@ class RunConfig:
     kappa_floor: float = 1e-6
     kappa_ceiling: float = 1e6
     # finite differencing
-    fd_step: float = 0.0  # 0 = automatic (pointwise default; the suite picks a noise-aware step)
-    fd_order: int = 4
     curvature_step: float = 0.02
     # sampling
     samples: int = 20
@@ -119,10 +117,6 @@ class RunConfig:
             raise ConfigError(f"family must be one of {FAMILIES}")
         if not 0.0 < self.torus_r < 1.0:
             raise ConfigError("torus_r must lie in (0, 1)")
-        if self.fd_order != 4:
-            # order 2 is kept in FDScheme for the convergence check only: at the
-            # suite's steps and tolerances it fails most asserts
-            raise ConfigError("fd_order must be 4")
         for name in (
             "s_max",
             "step",

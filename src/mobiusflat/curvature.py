@@ -32,6 +32,12 @@ from .fd import FDScheme, diff1, jet
 from .linalg import gram_schmidt_frame, jacobi_eigh, require_symmetric
 
 
+# Metric fields are often themselves finite-difference pipelines whose
+# evaluation noise the second derivatives taken here amplify, so the default
+# curvature step is wider than the immersion-level default.
+CURVATURE_SCHEME = FDScheme(step=0.02, order=4, scaled=False)
+
+
 class Convention(enum.Enum):
     HALF_TRACE = "half"
     FULL_TRACE = "full"
@@ -90,16 +96,15 @@ def _check_metric(g: np.ndarray) -> np.ndarray:
     return g
 
 
-def christoffel_symbols(metric_field, p: np.ndarray, scheme: FDScheme | None = None):
-    """(g, Gamma) of a metric field at p; Gamma[k, i, j] = Gamma^k_ij."""
-    if scheme is None:
-        scheme = FDScheme(step=0.02, order=4, scaled=False)
-    p = np.asarray(p, dtype=float)
-    g = _check_metric(np.asarray(metric_field(p[None, :]))[0])
-    dg = diff1(metric_field, p, scheme)
-    ginv = np.linalg.inv(g)
-    bracket = np.einsum("ilj->lij", dg) + np.einsum("jli->lij", dg) - dg
-    return g, 0.5 * np.einsum("kl,lij->kij", ginv, bracket)
+def christoffel_symbols(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """Gamma^k_ij = 1/2 g^{kl} (d_i g_lj + d_j g_li - d_l g_ij) as [..., k, i, j].
+
+    ginv is the inverse metric and dg[a, i, j] = d_a g_ij.  Leading axes of
+    either argument broadcast, so the same formula gives both terms of the
+    derivative d_a Gamma from (d_a g^{-1}, dg) and (g^{-1}, d_a dg).
+    """
+    bracket = np.einsum("...ilj->...lij", dg) + np.einsum("...jli->...lij", dg) - dg
+    return 0.5 * np.einsum("...kl,...lij->...kij", ginv, bracket)
 
 
 def _riemann(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -108,18 +113,9 @@ def _riemann(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> tuple[np.ndarray
     dg[a, i, j] = d_a g_ij, ddg[a, b, i, j] = d_a d_b g_ij.
     """
     ginv = np.linalg.inv(g)
-    # Gamma^k_ij = 1/2 g^{kl} (d_i g_lj + d_j g_li - d_l g_ij)
-    bracket = np.einsum("ilj->lij", dg) + np.einsum("jli->lij", dg) - dg
-    gamma = 0.5 * np.einsum("kl,lij->kij", ginv, bracket)
-
-    # d_a Gamma^k_ij from first+second metric derivatives
+    gamma = christoffel_symbols(ginv, dg)
     dginv = -np.einsum("kp,apq,ql->akl", ginv, dg, ginv)
-    dbracket = (
-        np.einsum("ailj->alij", ddg) + np.einsum("ajli->alij", ddg) - np.einsum("alij->alij", ddg)
-    )
-    dgamma = 0.5 * np.einsum("akl,lij->akij", dginv, bracket) + 0.5 * np.einsum(
-        "kl,alij->akij", ginv, dbracket
-    )
+    dgamma = christoffel_symbols(dginv, dg) + christoffel_symbols(ginv, ddg)
 
     # R^a_{bcd} = d_c Gamma^a_db - d_d Gamma^a_cb + Gamma^a_ce Gamma^e_db - Gamma^a_de Gamma^e_cb
     riem_up = (
@@ -147,23 +143,26 @@ def _on_frame(tensor: np.ndarray, frame: np.ndarray) -> np.ndarray:
 def metric_field_curvature(
     metric_field,
     p: np.ndarray,
-    scheme: FDScheme | None = None,
+    scheme: FDScheme = CURVATURE_SCHEME,
     convention: Convention = Convention.FULL_TRACE,
 ) -> CurvatureBundle:
     """Full curvature bundle of a metric field at p.
 
-    The default step (0.02, order 4) is wider than the immersion-level
-    default because metric fields are often themselves finite-difference
-    pipelines whose evaluation noise is amplified by the second
-    derivatives taken here.  The value and both derivative levels come
-    from one field call on one stencil.
+    The value and both derivative levels come from one field call on one
+    stencil; ``curvature_from_jet`` does the rest.
     """
-    if scheme is None:
-        scheme = FDScheme(step=0.02, order=4, scaled=False)
     p = np.asarray(p, dtype=float)
-    m = p.size
+    return curvature_from_jet(p, *jet(metric_field, p, scheme), convention)
 
-    g, dg, ddg = jet(metric_field, p, scheme)  # dg[a, i, j] = d_a g_ij; ddg: d_a d_b g_ij
+
+def curvature_from_jet(
+    p: np.ndarray,
+    g: np.ndarray,
+    dg: np.ndarray,
+    ddg: np.ndarray,
+    convention: Convention = Convention.FULL_TRACE,
+) -> CurvatureBundle:
+    """Curvature bundle at p from the metric's value, dg[a, i, j] = d_a g_ij and ddg[a, b, i, j]."""
     g = _check_metric(g)
     gamma, riem = _riemann(g, dg, ddg)
 
@@ -171,7 +170,7 @@ def metric_field_curvature(
     riem_on = _on_frame(riem, frame)
     ricci_on = np.einsum("ikjk->ij", riem_on)
     full = float(np.einsum("ii->", ricci_on))
-    scalar = convert_scalar(full, Convention.FULL_TRACE, convention, m)
+    scalar = convert_scalar(full, Convention.FULL_TRACE, convention, g.shape[0])
 
     return CurvatureBundle(
         point=p,
@@ -207,7 +206,7 @@ def riemann_symmetry_residuals(bundle: CurvatureBundle) -> dict[str, float]:
 
 
 def conformal_scalar(
-    base: CurvatureBundle, u_field, p: np.ndarray, scheme: FDScheme | None = None
+    base: CurvatureBundle, u_field, p: np.ndarray, scheme: FDScheme = CURVATURE_SCHEME
 ) -> float:
     """Full-trace scalar curvature of e^{2u} g0 by the conformal change rule.
 
@@ -215,13 +214,15 @@ def conformal_scalar(
 
     with the Laplacian and gradient taken in g0.  This is the independent
     route used to cross-check ``metric_field_curvature`` on conformally
-    rescaled metrics.
+    rescaled metrics.  u's jet is one field call; ``conformal_scalar_from_jet``
+    applies the rule.
     """
-    if scheme is None:
-        scheme = FDScheme(step=0.02, order=4, scaled=False)
-    p = np.asarray(p, dtype=float)
+    return conformal_scalar_from_jet(base, *jet(u_field, np.asarray(p, dtype=float), scheme))
+
+
+def conformal_scalar_from_jet(base: CurvatureBundle, u0, du: np.ndarray, ddu: np.ndarray) -> float:
+    """The conformal change rule from u's value, first partials (m,) and second partials (m, m)."""
     n = base.dim
-    u0, du, ddu = jet(u_field, p, scheme)  # (), (m,), (m, m)
     ginv = np.linalg.inv(base.metric)
     hess = ddu - np.einsum("kij,k->ij", base.christoffel, du)
     lap = float(np.einsum("ij,ij->", ginv, hess))
@@ -246,7 +247,9 @@ def schouten_tensor(bundle: CurvatureBundle, convention: Convention | None = Non
 
 
 def schouten_coordinate_field(
-    metric_field, scheme: FDScheme | None = None, convention: Convention = Convention.FULL_TRACE
+    metric_field,
+    scheme: FDScheme = CURVATURE_SCHEME,
+    convention: Convention = Convention.FULL_TRACE,
 ):
     """Vectorized field p -> S_ab in chart coordinates (for FD derivatives)."""
 
@@ -277,15 +280,13 @@ def codazzi_defect(
     schouten_field,
     metric_field,
     p: np.ndarray,
-    scheme: FDScheme | None = None,
+    scheme: FDScheme = CURVATURE_SCHEME,
 ) -> float:
     """max_{a,b,c} |S_ab;c - S_ac;b| in the orthonormal frame at p.
 
     The covariant derivative uses the Christoffel symbols of the metric
     field; the Schouten field must supply chart-coordinate components.
     """
-    if scheme is None:
-        scheme = FDScheme(step=0.02, order=4, scaled=False)
     p = np.asarray(p, dtype=float)
     bundle = metric_field_curvature(metric_field, p, scheme)
     s0 = np.asarray(schouten_field(p[None, :]))[0]

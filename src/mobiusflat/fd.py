@@ -64,10 +64,6 @@ class FDScheme:
             return np.full_like(p, self.base_step())
         return self.base_step() * np.maximum(1.0, np.abs(p))
 
-    def stencil_reach(self) -> int:
-        """Largest offset multiple used by any stencil of this scheme."""
-        return 2 if self.order == 4 else 1
-
 
 def _eval(field, pts: np.ndarray) -> np.ndarray:
     out = np.asarray(field(pts))

@@ -19,6 +19,11 @@ Hessian of log rho with the shape operator, and the 1-form C measures the
 failure of (H, rho) to be parallel.  The A and C formulas acquire an
 ambient-curvature constant (0 for immersions into Euclidean space, +1 for
 immersions into the unit sphere); the constant enters A's isotropic term.
+
+Each computation asks its fields once per point set: one ``sample`` request
+for (I, h, rho, H) at p, and one stencil of a field that packs every
+differenced quantity side by side.  On finite-difference fields each request
+is one jet of the immersion.
 """
 
 from __future__ import annotations
@@ -29,12 +34,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .curvature import (
+    CURVATURE_SCHEME,
     Convention,
     christoffel_symbols,
-    conformal_scalar,
+    conformal_scalar_from_jet,
     convert_scalar,
     covariant_derivative,
-    metric_field_curvature,
+    curvature_from_jet,
 )
 from .errors import UmbilicPointError
 from .fd import FDScheme, diff1, jet
@@ -56,6 +62,19 @@ UMBILIC_THRESHOLD = 1e-18
 # pointwise kernels
 
 
+def _density(g: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rho, H) per point from batches of the fundamental forms."""
+    n = g.shape[-1]
+    shape_op = np.linalg.solve(g, h)
+    mean = np.einsum("kii->k", shape_op) / n
+    norm2 = np.einsum("kij,kji->k", shape_op, shape_op)
+    rho2 = n / (n - 1) * (norm2 - n * mean**2)
+    if np.any(rho2 <= UMBILIC_THRESHOLD):
+        worst = float(np.min(rho2))
+        raise UmbilicPointError(f"rho^2 = {worst:.3e}: umbilic point, invariants undefined")
+    return np.sqrt(rho2), mean
+
+
 def moebius_density(first: MetricSample | np.ndarray, second: np.ndarray) -> tuple[float, float]:
     """(rho, H) from one sample of the fundamental forms.
 
@@ -65,19 +84,33 @@ def moebius_density(first: MetricSample | np.ndarray, second: np.ndarray) -> tup
     """
     g = first.g if isinstance(first, MetricSample) else np.asarray(first, dtype=float)
     h = require_symmetric(np.asarray(second, dtype=float), what="shape tensor")
-    n = g.shape[0]
-    shape_op = np.linalg.solve(g, h)
-    mean = float(np.trace(shape_op)) / n
-    norm2 = float(np.trace(shape_op @ shape_op))
-    rho2 = n / (n - 1) * (norm2 - n * mean**2)
-    if rho2 <= UMBILIC_THRESHOLD:
-        raise UmbilicPointError(f"rho^2 = {rho2:.3e}: umbilic point, invariants undefined")
-    return float(np.sqrt(rho2)), mean
+    rho, mean = _density(g[None], h[None])
+    return float(rho[0]), float(mean[0])
 
 
 def moebius_metric(first: MetricSample, rho: float) -> MetricSample:
     """g = rho^2 I, componentwise in the chart basis."""
     return MetricSample(point=first.point, g=rho**2 * first.g)
+
+
+class _Pointwise(NamedTuple):
+    """I, h, rho and H at one point, with the I-orthonormal frame and h in it."""
+
+    g: np.ndarray
+    h: np.ndarray
+    rho: float
+    mean: float
+    frame: np.ndarray
+    h_frame: np.ndarray
+
+    @classmethod
+    def build(cls, g: np.ndarray, h: np.ndarray, rho: float, mean: float) -> "_Pointwise":
+        frame = gram_schmidt_frame(g)
+        return cls(g, h, rho, mean, frame, frame.T @ h @ frame)
+
+    @property
+    def B(self) -> np.ndarray:
+        return (self.h_frame - self.mean * np.eye(self.g.shape[0])) / self.rho
 
 
 def moebius_B(
@@ -90,10 +123,7 @@ def moebius_B(
     |B|^2 = (n-1)/n hold identically.
     """
     g = first.g if isinstance(first, MetricSample) else np.asarray(first, dtype=float)
-    h = np.asarray(second, dtype=float)
-    frame = gram_schmidt_frame(g)
-    h_frame = frame.T @ h @ frame
-    return (h_frame - mean * np.eye(g.shape[0])) / rho
+    return _Pointwise.build(g, np.asarray(second, dtype=float), rho, mean).B
 
 
 # ---------------------------------------------------------------------------
@@ -104,11 +134,11 @@ def moebius_B(
 class SurfaceFields:
     """Vectorized per-point data of one hypersurface.
 
-    metric(pts) -> (K, m, m) first fundamental form, shape(pts) -> (K, m, m)
-    second fundamental form, rho(pts) -> (K,), mean(pts) -> (K,).
+    metric(pts) -> (K, m, m) first fundamental form I, shape(pts) -> (K, m, m)
+    second fundamental form h, rho(pts) -> (K,), mean(pts) -> (K,).
+    sample(pts) -> (I, h, rho, H) answers all four in one request: one jet of
+    the immersion for FD fields, the four callables composed when not given.
     ambient_curvature is 0 for Euclidean ambient, 1 for the unit sphere.
-    g_moebius(pts) -> (K, m, m), when given, is the Moebius metric rho^2 I
-    computed in one pass; otherwise it is composed from rho and metric.
     """
 
     dim: int
@@ -117,34 +147,25 @@ class SurfaceFields:
     rho: Callable[[np.ndarray], np.ndarray]
     mean: Callable[[np.ndarray], np.ndarray]
     ambient_curvature: float = 0.0
-    source: str = "fd"
-    g_moebius: Callable[[np.ndarray], np.ndarray] | None = None
+    sample: Callable[[np.ndarray], tuple[np.ndarray, ...]] | None = None
 
-    def log_rho(self, pts: np.ndarray) -> np.ndarray:
-        return np.log(self.rho(np.atleast_2d(pts)))
+    def __post_init__(self):
+        if self.sample is None:
+            parts = (self.metric, self.shape, self.rho, self.mean)
+
+            def sample(pts):
+                return tuple(f(np.atleast_2d(pts)) for f in parts)
+
+            object.__setattr__(self, "sample", sample)
 
     def moebius_metric_field(self) -> Callable[[np.ndarray], np.ndarray]:
-        if self.g_moebius is not None:
-            return self.g_moebius
+        """pts -> (K, m, m) Moebius metric rho^2 I, one sample request per call."""
 
         def field(pts: np.ndarray) -> np.ndarray:
-            pts = np.atleast_2d(pts)
-            return self.rho(pts)[:, None, None] ** 2 * self.metric(pts)
+            g, _, rho, _ = self.sample(pts)
+            return rho[:, None, None] ** 2 * g
 
         return field
-
-
-def _density(g: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rho, H) per point from batches of the fundamental forms."""
-    n = g.shape[-1]
-    shape_op = np.linalg.solve(g, h)
-    mean = np.einsum("kii->k", shape_op) / n
-    norm2 = np.einsum("kij,kji->k", shape_op, shape_op)
-    rho2 = n / (n - 1) * (norm2 - n * mean**2)
-    if np.any(rho2 <= UMBILIC_THRESHOLD):
-        worst = float(np.min(rho2))
-        raise UmbilicPointError(f"rho^2 = {worst:.3e}: umbilic point in requested batch")
-    return np.sqrt(rho2), mean
 
 
 def fields_from_immersion(imm: ImmersionHandle, scheme: FDScheme) -> SurfaceFields:
@@ -159,22 +180,18 @@ def fields_from_immersion(imm: ImmersionHandle, scheme: FDScheme) -> SurfaceFiel
     def metric(pts):
         return first_fundamental_form_batch(imm, np.atleast_2d(pts), scheme)
 
-    def forms(pts):
-        return fundamental_forms_batch(imm, np.atleast_2d(pts), scheme, sign)
-
-    def g_moebius(pts):
-        g, h = forms(pts)
-        return _density(g, h)[0][:, None, None] ** 2 * g
+    def sample(pts):
+        g, h = fundamental_forms_batch(imm, np.atleast_2d(pts), scheme, sign)
+        return (g, h) + _density(g, h)
 
     return SurfaceFields(
         dim=imm.chart_dimension,
         metric=metric,
-        shape=lambda pts: forms(pts)[1],
-        rho=lambda pts: _density(*forms(pts))[0],
-        mean=lambda pts: _density(*forms(pts))[1],
+        shape=lambda pts: sample(pts)[1],
+        rho=lambda pts: sample(pts)[2],
+        mean=lambda pts: sample(pts)[3],
         ambient_curvature=1.0 if imm.ambient_kind == UNIT_SPHERE else 0.0,
-        source="fd",
-        g_moebius=g_moebius,
+        sample=sample,
     )
 
 
@@ -186,7 +203,70 @@ def get_fields(imm: ImmersionHandle, scheme: FDScheme, analytic: bool = True) ->
 
 
 # ---------------------------------------------------------------------------
+# one request per point set
+
+
+def _pointwise(fields: SurfaceFields, p: np.ndarray) -> _Pointwise:
+    """The pointwise record at p from one sample request."""
+    g, h, rho, mean = (q[0] for q in fields.sample(p[None, :]))
+    g = require_symmetric(g, tol=1e-8, what="first fundamental form")
+    h = require_symmetric(h, tol=1e-6, what="second fundamental form")
+    return _Pointwise.build(g, h, float(rho), float(mean))
+
+
+def _differenced(fields: SurfaceFields, quantities, diff, p: np.ndarray, scheme: FDScheme):
+    """diff (``diff1`` or ``jet``) at p of quantities(I, h, rho, H), from one stencil request.
+
+    The quantities are packed side by side into one field, so the stencil is
+    sampled once; each derivative level comes back split per quantity.
+    """
+    shapes = []  # per-point shapes of the quantities, recorded by the one field call
+
+    def field(pts: np.ndarray) -> np.ndarray:
+        parts = quantities(*fields.sample(np.atleast_2d(pts)))
+        shapes[:] = [q.shape[1:] for q in parts]
+        return np.concatenate([q.reshape(q.shape[0], -1) for q in parts], axis=1)
+
+    levels = diff(field, p, scheme)
+    ends = np.cumsum([int(np.prod(shape, dtype=int)) for shape in shapes])[:-1]
+
+    def split(x: np.ndarray) -> list[np.ndarray]:
+        pieces = np.split(x, ends, axis=-1)
+        return [q.reshape(x.shape[:-1] + shape).copy() for q, shape in zip(pieces, shapes)]
+
+    return [split(x) for x in levels] if isinstance(levels, tuple) else split(levels)
+
+
+def _log_rho_mean_metric(g, h, rho, mean):
+    return np.log(rho), mean, g
+
+
+# ---------------------------------------------------------------------------
 # derivative-level invariants
+
+
+def _form(pt: _Pointwise, d_logrho: np.ndarray, d_mean: np.ndarray) -> np.ndarray:
+    """C in the g-frame from the pointwise record and the partials of log rho and H."""
+    e_mean = pt.frame.T @ d_mean
+    e_logrho = pt.frame.T @ d_logrho
+    n = pt.g.shape[0]
+    c_theta = -(e_mean + (pt.h_frame - pt.mean * np.eye(n)) @ e_logrho) / pt.rho
+    return c_theta / pt.rho
+
+
+def _blaschke(pt: _Pointwise, ambient_curvature: float, d_logrho, dd_logrho, dg) -> np.ndarray:
+    """A in the g-frame from the pointwise record, the partials of log rho and dI."""
+    ginv = np.linalg.inv(pt.g)
+    hess = dd_logrho - np.einsum("kij,k->ij", christoffel_symbols(ginv, dg), d_logrho)
+    e_logrho = pt.frame.T @ d_logrho
+    hess_frame = pt.frame.T @ hess @ pt.frame
+    grad2 = float(d_logrho @ ginv @ d_logrho)
+    iso = 0.5 * (ambient_curvature - pt.mean**2 - grad2)
+    n = pt.g.shape[0]
+    a_theta = (
+        np.outer(e_logrho, e_logrho) - hess_frame + pt.mean * pt.h_frame + iso * np.eye(n)
+    )
+    return a_theta / pt.rho**2
 
 
 def moebius_form(fields: SurfaceFields, p: np.ndarray, scheme: FDScheme) -> np.ndarray:
@@ -199,19 +279,8 @@ def moebius_form(fields: SurfaceFields, p: np.ndarray, scheme: FDScheme) -> np.n
     sum_j B_ij,j = -(n-1) C_i is exposed separately as a numerical check.
     """
     p = np.asarray(p, dtype=float)
-    g = _metric_at(fields, p)
-    h = _shape_at(fields, p)
-    rho = float(fields.rho(p[None, :])[0])
-    mean = float(fields.mean(p[None, :])[0])
-    frame = gram_schmidt_frame(g)
-    h_frame = frame.T @ h @ frame
-    d_mean = diff1(fields.mean, p, scheme)
-    d_logrho = diff1(fields.log_rho, p, scheme)
-    e_mean = frame.T @ d_mean
-    e_logrho = frame.T @ d_logrho
-    n = g.shape[0]
-    c_theta = -(e_mean + (h_frame - mean * np.eye(n)) @ e_logrho) / rho
-    return c_theta / rho
+    d_logrho, d_mean, _ = _differenced(fields, _log_rho_mean_metric, diff1, p, scheme)
+    return _form(_pointwise(fields, p), d_logrho, d_mean)
 
 
 def blaschke_A(fields: SurfaceFields, p: np.ndarray, scheme: FDScheme) -> np.ndarray:
@@ -224,29 +293,10 @@ def blaschke_A(fields: SurfaceFields, p: np.ndarray, scheme: FDScheme) -> np.nda
     divided by rho^2.  c is the ambient curvature constant of the fields.
     """
     p = np.asarray(p, dtype=float)
-    g = _metric_at(fields, p)
-    h = _shape_at(fields, p)
-    rho = float(fields.rho(p[None, :])[0])
-    mean = float(fields.mean(p[None, :])[0])
-    n = g.shape[0]
-    frame = gram_schmidt_frame(g)
-    h_frame = frame.T @ h @ frame
-
-    _, d_logrho, dd_logrho = jet(fields.log_rho, p, scheme)
-    dg = diff1(fields.metric, p, scheme)
-    ginv = np.linalg.inv(g)
-    bracket = np.einsum("ilj->lij", dg) + np.einsum("jli->lij", dg) - dg
-    gamma = 0.5 * np.einsum("kl,lij->kij", ginv, bracket)
-    hess = dd_logrho - np.einsum("kij,k->ij", gamma, d_logrho)
-
-    e_logrho = frame.T @ d_logrho
-    hess_frame = frame.T @ hess @ frame
-    grad2 = float(d_logrho @ ginv @ d_logrho)
-    iso = 0.5 * (fields.ambient_curvature - mean**2 - grad2)
-    a_theta = (
-        np.outer(e_logrho, e_logrho) - hess_frame + mean * h_frame + iso * np.eye(n)
+    _, (d_logrho, _, dg), (dd_logrho, _, _) = _differenced(
+        fields, _log_rho_mean_metric, jet, p, scheme
     )
-    return a_theta / rho**2
+    return _blaschke(_pointwise(fields, p), fields.ambient_curvature, d_logrho, dd_logrho, dg)
 
 
 def moebius_form_divergence_residual(
@@ -260,26 +310,20 @@ def moebius_form_divergence_residual(
     completed gradient coupling in the C formula.
     """
     p = np.asarray(p, dtype=float)
-    g_field = fields.moebius_metric_field()
 
-    def b_field(pts):
-        pts = np.atleast_2d(pts)
-        gmat = fields.metric(pts)
-        h = fields.shape(pts)
-        rho = fields.rho(pts)
-        mean = fields.mean(pts)
-        return rho[:, None, None] * (h - mean[:, None, None] * gmat)
+    def quantities(g, h, rho, mean):
+        b = rho[:, None, None] * (h - mean[:, None, None] * g)
+        return rho[:, None, None] ** 2 * g, b, np.log(rho), mean
 
-    g, gamma = christoffel_symbols(g_field, p, scheme)
-    b0 = b_field(p[None, :])[0]
-    nabla = covariant_derivative(b0, diff1(b_field, p, scheme), gamma)
+    values, (d_gm, d_b, d_logrho, d_mean), _ = _differenced(fields, quantities, jet, p, scheme)
+    g, b0 = values[:2]
     ginv = np.linalg.inv(g)
+    nabla = covariant_derivative(b0, d_b, christoffel_symbols(ginv, d_gm))
     div = np.einsum("bc,abc->a", ginv, nabla)
     frame = gram_schmidt_frame(g)
     div_frame = frame.T @ div  # frame components of the 1-form g^{bc} B_ab;c
-    c_frame = moebius_form(fields, p, scheme)
-    n = g.shape[0]
-    return float(np.max(np.abs(div_frame + (n - 1) * c_frame)))
+    c_frame = _form(_pointwise(fields, p), d_logrho, d_mean)
+    return float(np.max(np.abs(div_frame + (p.size - 1) * c_frame)))
 
 
 class MoebiusScalarResult(NamedTuple):
@@ -295,22 +339,25 @@ def moebius_scalar(
     p: np.ndarray,
     scheme: FDScheme,
     convention: Convention = Convention.FULL_TRACE,
-    curvature_scheme: FDScheme | None = None,
+    curvature_scheme: FDScheme = CURVATURE_SCHEME,
 ) -> MoebiusScalarResult:
     """Scalar curvature of the Moebius metric by two independent routes.
 
     direct: curvature of the metric field rho^2 I; conformal_route: the
     conformal-change formula applied to the induced metric with
-    u = log rho.  Their agreement is the two-route consistency check.
+    u = log rho.  Their agreement is the two-route consistency check.  The
+    routes share only the evaluation of their inputs: one stencil of the
+    packed field (rho^2 I, I, log rho).
     """
     p = np.asarray(p, dtype=float)
-    if curvature_scheme is None:
-        curvature_scheme = FDScheme(step=0.02, order=4, scaled=False)
-    direct = metric_field_curvature(
-        fields.moebius_metric_field(), p, curvature_scheme, convention
-    ).scalar
-    base = metric_field_curvature(fields.metric, p, curvature_scheme, Convention.FULL_TRACE)
-    via = conformal_scalar(base, fields.log_rho, p, curvature_scheme)
+
+    def quantities(g, h, rho, mean):
+        return rho[:, None, None] ** 2 * g, g, np.log(rho)
+
+    moebius, induced, u = zip(*_differenced(fields, quantities, jet, p, curvature_scheme))
+    direct = curvature_from_jet(p, *moebius, convention).scalar
+    base = curvature_from_jet(p, *induced)
+    via = conformal_scalar_from_jet(base, *u)
     via = convert_scalar(via, Convention.FULL_TRACE, convention, fields.dim)
     return MoebiusScalarResult(direct=float(direct), conformal_route=float(via))
 
@@ -345,38 +392,27 @@ class MoebiusData:
         return float(np.max(np.abs(c)))
 
 
-def _metric_at(fields: SurfaceFields, p: np.ndarray) -> np.ndarray:
-    return require_symmetric(
-        np.asarray(fields.metric(p[None, :]))[0], tol=1e-8, what="first fundamental form"
-    )
-
-
-def _shape_at(fields: SurfaceFields, p: np.ndarray) -> np.ndarray:
-    return require_symmetric(
-        np.asarray(fields.shape(p[None, :]))[0], tol=1e-6, what="second fundamental form"
-    )
-
-
 def moebius_data(fields: SurfaceFields, p: np.ndarray, scheme: FDScheme) -> MoebiusData:
+    """All invariants at p from one sample request and one stencil request."""
     p = np.asarray(p, dtype=float)
-    g = _metric_at(fields, p)
-    h = _shape_at(fields, p)
-    sample = MetricSample(point=p, g=g)
-    rho, mean = moebius_density(sample, h)
-    b = moebius_B(sample, h, rho, mean)
-    a = blaschke_A(fields, p, scheme)
-    c = moebius_form(fields, p, scheme)
+    pt = _pointwise(fields, p)
+    _, (d_logrho, d_mean, dg), (dd_logrho, _, _) = _differenced(
+        fields, _log_rho_mean_metric, jet, p, scheme
+    )
+    b = pt.B
+    a = _blaschke(pt, fields.ambient_curvature, d_logrho, dd_logrho, dg)
+    sample = MetricSample(point=p, g=pt.g)
     wb, _ = jacobi_eigh(b)
     wa, _ = jacobi_eigh(a)
     return MoebiusData(
         point=p,
-        rho=rho,
-        H=mean,
-        g_moebius=moebius_metric(sample, rho),
+        rho=pt.rho,
+        H=pt.mean,
+        g_moebius=moebius_metric(sample, pt.rho),
         B=b,
         A=a,
-        C=c,
-        principal_curvatures=principal_curvatures(sample, h),
+        C=_form(pt, d_logrho, d_mean),
+        principal_curvatures=principal_curvatures(sample, pt.h),
         B_eigenvalues=wb[::-1].copy(),
         A_eigenvalues=wa[::-1].copy(),
     )

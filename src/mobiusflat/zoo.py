@@ -127,7 +127,6 @@ def cylinder_immersion(traj: SpiralTrajectory, n: int, margin: float = 0.15) -> 
         rho=lambda pts: traj.kappa_at(np.atleast_2d(pts)[:, 0]),
         mean=lambda pts: traj.kappa_at(np.atleast_2d(pts)[:, 0]) / n,
         ambient_curvature=0.0,
-        source="analytic",
     )
     return ImmersionHandle(
         chart_dimension=n,
@@ -195,7 +194,6 @@ def cone_immersion(
         mean=lambda pts: traj.kappa_at(np.atleast_2d(pts)[:, 0])
         / (n * np.atleast_2d(pts)[:, 1]),
         ambient_curvature=0.0,
-        source="analytic",
     )
     return ImmersionHandle(
         chart_dimension=n,
@@ -280,7 +278,6 @@ def rotational_immersion(
         rho=rho,
         mean=mean,
         ambient_curvature=0.0,
-        source="analytic",
     )
     return ImmersionHandle(
         chart_dimension=n,
@@ -342,7 +339,6 @@ def torus_immersion(r: float, n: int) -> ImmersionHandle:
         rho=lambda pts: np.full(np.atleast_2d(pts).shape[0], rho0),
         mean=lambda pts: np.full(np.atleast_2d(pts).shape[0], mean0),
         ambient_curvature=1.0,
-        source="analytic",
     )
     return ImmersionHandle(
         chart_dimension=n,

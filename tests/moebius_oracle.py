@@ -1,0 +1,119 @@
+"""The separate-request compositions that ``moebius_data`` and ``moebius_scalar`` replaced.
+
+Kept as the test oracle.  Each quantity is asked of the fields on its own:
+I, h, rho and H at p one callable at a time, the partials of log rho, H and
+I each from their own stencil, and the two scalar routes each from their
+own metric-field jets.  The A and C formulas are written out here a second
+time, as they stood before the kernels were shared, so the oracle does not
+lean on the code under test.
+"""
+
+import numpy as np
+
+from mobiusflat.curvature import (
+    Convention,
+    conformal_scalar,
+    convert_scalar,
+    metric_field_curvature,
+)
+from mobiusflat.fd import diff1, jet
+from mobiusflat.immersion import MetricSample, principal_curvatures
+from mobiusflat.linalg import gram_schmidt_frame, jacobi_eigh, require_symmetric
+from mobiusflat.moebius import (
+    MoebiusData,
+    MoebiusScalarResult,
+    moebius_B,
+    moebius_density,
+    moebius_metric,
+)
+
+
+def _metric_at(fields, p):
+    return require_symmetric(fields.metric(p[None, :])[0], tol=1e-8, what="first fundamental form")
+
+
+def _shape_at(fields, p):
+    return require_symmetric(fields.shape(p[None, :])[0], tol=1e-6, what="second fundamental form")
+
+
+def log_rho(fields):
+    return lambda pts: np.log(fields.rho(np.atleast_2d(pts)))
+
+
+def moebius_metric_field(fields):
+    def field(pts):
+        pts = np.atleast_2d(pts)
+        return fields.rho(pts)[:, None, None] ** 2 * fields.metric(pts)
+
+    return field
+
+
+def moebius_form(fields, p, scheme):
+    g = _metric_at(fields, p)
+    h = _shape_at(fields, p)
+    rho = float(fields.rho(p[None, :])[0])
+    mean = float(fields.mean(p[None, :])[0])
+    frame = gram_schmidt_frame(g)
+    h_frame = frame.T @ h @ frame
+    e_mean = frame.T @ diff1(fields.mean, p, scheme)
+    e_logrho = frame.T @ diff1(log_rho(fields), p, scheme)
+    n = g.shape[0]
+    return -(e_mean + (h_frame - mean * np.eye(n)) @ e_logrho) / rho / rho
+
+
+def blaschke_A(fields, p, scheme):
+    g = _metric_at(fields, p)
+    h = _shape_at(fields, p)
+    rho = float(fields.rho(p[None, :])[0])
+    mean = float(fields.mean(p[None, :])[0])
+    n = g.shape[0]
+    frame = gram_schmidt_frame(g)
+    h_frame = frame.T @ h @ frame
+    _, d_logrho, dd_logrho = jet(log_rho(fields), p, scheme)
+    dg = diff1(fields.metric, p, scheme)
+    ginv = np.linalg.inv(g)
+    bracket = np.einsum("ilj->lij", dg) + np.einsum("jli->lij", dg) - dg
+    gamma = 0.5 * np.einsum("kl,lij->kij", ginv, bracket)
+    hess = dd_logrho - np.einsum("kij,k->ij", gamma, d_logrho)
+    e_logrho = frame.T @ d_logrho
+    grad2 = float(d_logrho @ ginv @ d_logrho)
+    iso = 0.5 * (fields.ambient_curvature - mean**2 - grad2)
+    a_theta = (
+        np.outer(e_logrho, e_logrho) - frame.T @ hess @ frame + mean * h_frame + iso * np.eye(n)
+    )
+    return a_theta / rho**2
+
+
+def moebius_data(fields, p, scheme):
+    p = np.asarray(p, dtype=float)
+    g = _metric_at(fields, p)
+    h = _shape_at(fields, p)
+    sample = MetricSample(point=p, g=g)
+    rho, mean = moebius_density(sample, h)
+    b = moebius_B(sample, h, rho, mean)
+    a = blaschke_A(fields, p, scheme)
+    wb, _ = jacobi_eigh(b)
+    wa, _ = jacobi_eigh(a)
+    return MoebiusData(
+        point=p,
+        rho=rho,
+        H=mean,
+        g_moebius=moebius_metric(sample, rho),
+        B=b,
+        A=a,
+        C=moebius_form(fields, p, scheme),
+        principal_curvatures=principal_curvatures(sample, h),
+        B_eigenvalues=wb[::-1].copy(),
+        A_eigenvalues=wa[::-1].copy(),
+    )
+
+
+def moebius_scalar(fields, p, curvature_scheme, convention=Convention.FULL_TRACE):
+    p = np.asarray(p, dtype=float)
+    direct = metric_field_curvature(
+        moebius_metric_field(fields), p, curvature_scheme, convention
+    ).scalar
+    base = metric_field_curvature(fields.metric, p, curvature_scheme, Convention.FULL_TRACE)
+    via = conformal_scalar(base, log_rho(fields), p, curvature_scheme)
+    via = convert_scalar(via, Convention.FULL_TRACE, convention, fields.dim)
+    return MoebiusScalarResult(direct=float(direct), conformal_route=float(via))

@@ -66,6 +66,24 @@ class TestConfigErrors:
         assert main(["verify", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == 2
 
 
+class TestOutputErrors:
+    def test_unwritable_out_exit_two(self, tmp_path, capsys):
+        # a regular file where a directory is expected: makedirs fails
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg = write_cfg(tmp_path, "checks =\n")
+        assert main(["verify", "--config", cfg, "--out", str(blocker / "x")]) == 2
+        assert "error: cannot write output:" in capsys.readouterr().err
+
+    def test_unwritable_report_file_exit_two(self, tmp_path, capsys):
+        # the directory exists, but a report path inside it is a directory
+        out = tmp_path / "out"
+        (out / "report.json").mkdir(parents=True)
+        cfg = write_cfg(tmp_path, "checks =\n")
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+        assert "error: cannot write output:" in capsys.readouterr().err
+
+
 class TestDataCommands:
     def test_spiral_csv(self, tmp_path):
         cfg = write_cfg(tmp_path, "s_max = 1.0\n")

@@ -9,7 +9,7 @@ from mobiusflat.checks import (
     run_suite,
     suite_surfaces,
 )
-from mobiusflat.config import RunConfig, parse_config
+from mobiusflat.config import CHECK_NAMES, RunConfig, parse_config
 from mobiusflat.errors import ConfigError, InputError
 from mobiusflat.report import CheckRecord, VerificationReport
 from mobiusflat.spiral import (
@@ -45,10 +45,11 @@ class TestConfig:
             parse_config("tol_trace = 0\n")
 
     def test_fd_order_two_refused(self):
-        # order 2 fails most asserts at the default tolerances
-        with pytest.raises(ConfigError, match="fd_order"):
-            parse_config("fd_order = 2\n")
-        assert parse_config("fd_order = 4\n").fd_order == 4
+        # the suite's order is a constant (order 2 fails most asserts at the
+        # default tolerances), so neither fd_order nor fd_step is a key
+        for text in ("fd_order = 2\n", "fd_order = 4\n", "fd_step = 0.004\n"):
+            with pytest.raises(ConfigError, match="unknown key"):
+                parse_config(text)
 
     def test_epsilon_and_family_validation(self):
         with pytest.raises(ConfigError):
@@ -131,6 +132,11 @@ class TestSuite:
         a = run_suite(fast_cfg).to_json()
         b = run_suite(fast_cfg).to_json()
         assert a == b
+
+    def test_check_registry_matches_config_names(self):
+        # a check's RNG seed comes from its index in CHECK_FUNCTIONS, while
+        # validate() accepts names from CHECK_NAMES: the two lists must agree
+        assert list(CHECK_FUNCTIONS) == list(CHECK_NAMES)
 
     def test_every_check_runs_on_default_surfaces(self):
         cfg = RunConfig(samples=4).validate()

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mobiusflat.curvature import Convention
+from mobiusflat.curvature import CURVATURE_SCHEME, Convention
 from mobiusflat.errors import UmbilicPointError
 from mobiusflat.fd import FDScheme
 from mobiusflat.immersion import (
@@ -30,6 +30,7 @@ from mobiusflat.zoo import (
     sphere_chart_metric,
 )
 
+import moebius_oracle
 from conftest import N_DIM, interior_points
 
 SCHEME = FDScheme(order=4)
@@ -149,13 +150,65 @@ class TestOneJetFields:
         fields = fields_from_immersion(imm, SCHEME)
         pts = interior_points(imm, 3, seed=7)
         stencil = 5 * N_DIM + 16 * N_DIM * (N_DIM - 1) // 2
-        for request in (fields.moebius_metric_field(), fields.shape, fields.rho, fields.mean):
+        for request in (
+            fields.sample,
+            fields.moebius_metric_field(),
+            fields.shape,
+            fields.rho,
+            fields.mean,
+        ):
             calls.clear()
             request(pts)
             assert calls == [3 * stencil]
         calls.clear()
         fields.metric(pts)
         assert calls == [3 * 4 * N_DIM]
+
+
+def counting_fields(imm):
+    """FD fields over imm whose evaluator records the size of each call."""
+    calls = []
+
+    def evaluator(pts):
+        calls.append(pts.shape[0])
+        return imm.evaluator(pts)
+
+    fields = fields_from_immersion(dataclasses.replace(imm, evaluator=evaluator), SCHEME)
+    calls.clear()  # the orientation sign, resolved once at construction
+    return fields, calls
+
+
+class TestOneRequestPerPointSet:
+    STENCIL = 5 * N_DIM + 16 * N_DIM * (N_DIM - 1) // 2  # points of one jet
+
+    def test_moebius_data_one_pointwise_request(self, torus):
+        fields, calls = counting_fields(torus)
+        moebius_data(fields, torus.base_point, FINE)
+        assert calls == [self.STENCIL, self.STENCIL**2]
+
+    def test_moebius_scalar_one_outer_stencil_request(self, torus):
+        fields, calls = counting_fields(torus)
+        moebius_scalar(fields, torus.base_point, SCHEME)
+        assert calls == [self.STENCIL**2]
+
+    @pytest.mark.parametrize("analytic", [True, False], ids=["closed-form", "fd"])
+    @pytest.mark.parametrize("fixture", ["torus", "rotational"])
+    def test_agrees_with_separate_request_oracle(self, fixture, analytic, request):
+        imm = request.getfixturevalue(fixture)
+        fields = get_fields(imm, SCHEME, analytic=analytic)
+
+        def close(new, old):
+            new, old = np.asarray(new), np.asarray(old)
+            return np.max(np.abs(new - old)) <= 1e-10 * max(1.0, float(np.max(np.abs(old))))
+
+        for p in interior_points(imm, 2, seed=43):
+            d, ref = moebius_data(fields, p, FINE), moebius_oracle.moebius_data(fields, p, FINE)
+            for name in ("rho", "H", "B", "A", "C", "principal_curvatures", "A_eigenvalues"):
+                assert close(getattr(d, name), getattr(ref, name)), name
+            assert close(d.g_moebius.g, ref.g_moebius.g)
+            s = moebius_scalar(fields, p, SCHEME)
+            s_ref = moebius_oracle.moebius_scalar(fields, p, CURVATURE_SCHEME)
+            assert close(s, s_ref)
 
 
 class TestTensorB:
