@@ -37,7 +37,7 @@ print(f"|BA - AB| = {d.commutator_norm():.2e}  (closed Moebius form)")
 print(f"C components: {np.round(d.C, 8)}  (only the profile direction survives)")
 
 # the Blaschke trace identity ties tr A to the scalar curvature of rho^2 I
-s = moebius_scalar(fields, p, FDScheme(step=0.004, order=4))
+s = moebius_scalar(fields, p)
 target = 1 / (2 * n) + s.direct / (2 * (n - 1))
 print(f"\nMoebius scalar (full trace): direct {s.direct:.8f}, conformal route {s.conformal_route:.8f}")
 print(f"tr A = {np.sum(d.A_eigenvalues):.8f} vs 1/(2n) + R/(2(n-1)) = {target:.8f}")

@@ -30,7 +30,7 @@ for r in (0.3, 0.5, 1 / np.sqrt(2)):
     )
     fields = fields_from_immersion(imm, scheme)
     c = moebius_form(fields, p, FDScheme(step=0.05, order=4, scaled=False))
-    full = moebius_scalar(fields, p, scheme).direct
+    full = moebius_scalar(fields, p).direct
     base = (n - 1) * (n - 2)
     print(f"r = {r:.4f}")
     print(f"  principal curvatures {np.round(lam, 6)} (two values, multiplicities 1 and {n-1})")

@@ -8,15 +8,29 @@ rescaling.  Unambiguous identities (trace of B, principal multiplicities,
 metric reproduction, closure of curves) are *asserts* and gate the exit
 status.
 
-Analytic closed-form fields of the generators back the tight-tolerance
-identity checks; the finite-difference pipeline route is exercised in
-parallel wherever runtime permits, and the two routes cross-validate.
+Each check is registered once, by ``@register(name, anchor, tolerance,
+kind)`` on its body.  ``tolerance`` names a ``RunConfig`` field, or is a
+constant (the two audits and ``fd_convergence``).  The body only measures:
+it folds its residuals into a ``Residuals`` accumulator (worst value and
+sample count), states any pass condition beyond the tolerance (a negative
+control) with ``Residuals.require``, and returns its details.  Calling the
+registered ``Check`` is the one place a ``CheckRecord`` is built: an assert
+passes when its worst residual is below the tolerance and every extra
+condition holds, an audit always passes, and a body that raises gives a
+failed assert record under the registered name and anchor, so the suite
+goes on.  ``CHECK_FUNCTIONS`` is the registry, in ``CHECK_NAMES`` order.
+
+Closed-form fields of the generators (``SuiteSurface.closed_form``) back the
+tight-tolerance identity checks; the finite-difference pipeline route
+(``SuiteSurface.fields``) is exercised in parallel wherever runtime permits,
+and the two routes cross-validate.
 """
 
 from __future__ import annotations
 
 import traceback
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -40,7 +54,6 @@ from .moebius import (
     SurfaceFields,
     blaschke_A,
     fields_from_immersion,
-    get_fields,
     moebius_B,
     moebius_data,
     moebius_form,
@@ -61,8 +74,8 @@ from .spiral import (
     prescribed_curvature_trajectory,
 )
 from .zoo import (
-    FAMILY_BY_EPSILON,
-    cone_immersion,
+    EPSILON_BY_FAMILY,
+    build_family,
     cylinder_immersion,
     lift_to_sphere,
     rotational_immersion,
@@ -108,13 +121,20 @@ FIELD_SCHEME = FDScheme(step=0.005, order=FD_ORDER, scaled=False)
 
 @dataclass
 class SuiteSurface:
-    """One suite surface with its finite-difference fields, built once."""
+    """One suite surface with both field routes.
+
+    ``fields`` are the finite-difference fields, built once; ``closed_form``
+    are the generator's closed-form fields.
+    """
 
     name: str
-    epsilon: int | None
     imm: ImmersionHandle
     traj: SpiralTrajectory | None
     fields: SurfaceFields
+
+    @property
+    def closed_form(self) -> SurfaceFields:
+        return self.imm.analytic_fields
 
 
 def spiral_trajectory(n, epsilon, big_r, kappa0, kappa_s0, s_max, step=1e-3, variant=STANDARD):
@@ -123,27 +143,22 @@ def spiral_trajectory(n, epsilon, big_r, kappa0, kappa_s0, s_max, step=1e-3, var
     return integrate_grid(params, [[kappa0, kappa_s0]], controls)[0]
 
 
-def preset_trajectory(n, epsilon, step=1e-3, variant=STANDARD):
+def preset_trajectory(n, epsilon, step=1e-3):
     big_r, k0, ks0, s_max = FAMILY_PRESETS[epsilon]
-    return spiral_trajectory(n, epsilon, big_r, k0, ks0, s_max, step, variant)
-
-
-def build_family(traj, n) -> ImmersionHandle:
-    builder = {
-        "cylinder": cylinder_immersion,
-        "cone": cone_immersion,
-        "rotational": rotational_immersion,
-    }[FAMILY_BY_EPSILON[traj.params.epsilon]]
-    return builder(traj, n)
+    return spiral_trajectory(n, epsilon, big_r, k0, ks0, s_max, step)
 
 
 def suite_surfaces(cfg: RunConfig) -> list[SuiteSurface]:
     out = []
-    for eps in (0, 1, -1):
+    for family, eps in EPSILON_BY_FAMILY.items():
         traj = preset_trajectory(cfg.n, eps, cfg.step)
-        out.append((FAMILY_BY_EPSILON[eps], eps, build_family(traj, cfg.n), traj))
-    out.append(("torus", None, torus_immersion(cfg.torus_r, cfg.n), None))
-    return [SuiteSurface(*s, fields_from_immersion(s[2], INNER_SCHEME)) for s in out]
+        out.append((family, build_family(family, traj, cfg.n), traj))
+    out.append(("torus", torus_immersion(cfg.torus_r, cfg.n), None))
+    return [SuiteSurface(*s, fields_from_immersion(s[1], INNER_SCHEME)) for s in out]
+
+
+def _surface(surfaces: list[SuiteSurface], name: str) -> SuiteSurface:
+    return next(s for s in surfaces if s.name == name)
 
 
 def sample_points(imm: ImmersionHandle, count: int, rng, jitter: float = 0.1, pad: float = 0.12):
@@ -211,40 +226,122 @@ def warped_base_point(n, eps, s0):
     return p
 
 
-def _guard(fn):
-    """Run one check; a crash becomes a failed record, never a propagated error."""
+def _warped_scalars(traj: SpiralTrajectory, n: int, svals, sch: FDScheme) -> list[float]:
+    """Full-trace scalars of the warped metric over traj at the profile parameters svals."""
+    field = warped_metric_field(traj, n)
+    eps = traj.params.epsilon
+    return [metric_field_curvature(field, warped_base_point(n, eps, s0), sch).scalar for s0 in svals]
 
-    def wrapper(*args, **kwargs) -> CheckRecord:
-        try:
-            return fn(*args, **kwargs)
-        except MobiusFlatError as exc:
-            return CheckRecord(
-                name=fn.__name__.removeprefix("check_"),
-                anchor="(check crashed before reporting)",
-                passed=False,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        except Exception as exc:  # noqa: BLE001 - any crash is a failed check
-            return CheckRecord(
-                name=fn.__name__.removeprefix("check_"),
-                anchor="(check crashed before reporting)",
-                passed=False,
-                error=f"{type(exc).__name__}: {exc} | {traceback.format_exc(limit=2)}",
-            )
 
-    wrapper.__name__ = fn.__name__
-    return wrapper
+def _spread(values) -> float:
+    return float(np.max(values) - np.min(values))
+
+
+def _mean_by_convention(full_values, n: int) -> dict[str, float]:
+    """The mean of full-trace scalars, converted to each normalization, by name."""
+    return {
+        name: float(np.mean([convert_scalar(v, Convention.FULL_TRACE, conv, n) for v in full_values]))
+        for name, conv in CONVENTION_BY_NAME.items()
+    }
+
+
+def _audit_row(identity: str, residual_by_convention: dict[str, float]) -> dict:
+    """One convention-audit row: the identity and its residual per normalization."""
+    return {
+        "identity": identity,
+        "best_convention": min(residual_by_convention, key=residual_by_convention.get),
+        "residual_by_convention": residual_by_convention,
+    }
 
 
 # ---------------------------------------------------------------------------
-# individual checks
+# registration and the record builder
 
 
-@_guard
-def check_moebius_metric_match(cfg: RunConfig, surfaces, rng) -> CheckRecord:
+class Residuals:
+    """What a check measured: its worst residual and its sample count.
+
+    ``add`` folds residuals in the order given; ``require`` adds a pass
+    condition beyond the tolerance, such as a negative control.
+    """
+
+    def __init__(self):
+        self.worst = 0.0
+        self.samples = 0
+        self.required = True
+
+    def add(self, *values: float, samples: int = 1) -> None:
+        """Fold in the residuals of ``samples`` samples; a sample may carry none."""
+        for value in values:
+            self.worst = max(self.worst, value)
+        self.samples += samples
+
+    def require(self, condition: bool) -> None:
+        self.required = self.required and bool(condition)
+
+
+@dataclass(frozen=True)
+class Check:
+    """One registered check; calling it on (cfg, surfaces, rng) gives its record."""
+
+    name: str
+    anchor: str
+    tolerance: str | float  # a RunConfig field name, or a constant
+    body: Callable  # (cfg, surfaces, rng, Residuals) -> details
+    kind: str = "assert"  # "assert" gates the exit code, "audit" reports data
+
+    def tolerance_for(self, cfg: RunConfig) -> float:
+        return getattr(cfg, self.tolerance) if isinstance(self.tolerance, str) else self.tolerance
+
+    def __call__(self, cfg: RunConfig, surfaces, rng) -> CheckRecord:
+        """Run the body and build the record; a crash becomes a failed record."""
+        res = Residuals()
+        try:
+            details = self.body(cfg, surfaces, rng, res)
+            tolerance = self.tolerance_for(cfg)
+            measured = {
+                "kind": self.kind,
+                "samples": res.samples,
+                "max_residual": float(res.worst),
+                "tolerance": tolerance,
+                "passed": self.kind == "audit" or (res.worst < tolerance and res.required),
+                "details": details,
+            }
+        except MobiusFlatError as exc:
+            measured = {"passed": False, "error": f"{type(exc).__name__}: {exc}"}
+        except Exception as exc:  # noqa: BLE001 - any crash is a failed check
+            error = f"{type(exc).__name__}: {exc} | {traceback.format_exc(limit=2)}"
+            measured = {"passed": False, "error": error}
+        # a crash keeps the CheckRecord defaults, an assert that measured
+        # nothing, so a crashed audit fails the run too
+        return CheckRecord(name=self.name, anchor=self.anchor, **measured)
+
+
+CHECK_FUNCTIONS: dict[str, Check] = {}
+
+
+def register(name: str, anchor: str, tolerance: str | float, kind: str = "assert"):
+    """Register the decorated body as the check ``name``; the decorated name is the Check."""
+
+    def decorate(body) -> Check:
+        CHECK_FUNCTIONS[name] = Check(name, anchor, tolerance, body, kind)
+        return CHECK_FUNCTIONS[name]
+
+    return decorate
+
+
+# ---------------------------------------------------------------------------
+# individual checks, registered in CHECK_NAMES order
+
+
+@register(
+    "moebius_metric_match",
+    "Moebius metric of cylinder/cone/rotational generators equals "
+    "kappa(s)^2 (ds^2 + I_{-eps}) entrywise",
+    "tol_metric_match",
+)
+def check_moebius_metric_match(cfg: RunConfig, surfaces, rng, res: Residuals) -> dict:
     """Computed Moebius metric equals kappa(s)^2 (ds^2 + I_{-eps}) entrywise."""
-    worst = 0.0
-    total = 0
     per_family = {}
     for surf in surfaces:
         if surf.traj is None:
@@ -256,186 +353,144 @@ def check_moebius_metric_match(cfg: RunConfig, surfaces, rng) -> CheckRecord:
         scale = np.max(np.abs(expected), axis=(1, 2))
         resid = np.max(np.abs(computed - expected), axis=(1, 2)) / scale
         per_family[surf.name] = float(np.max(resid))
-        worst = max(worst, per_family[surf.name])
-        total += pts.shape[0]
-    return CheckRecord(
-        name="moebius_metric_match",
-        anchor="Moebius metric of cylinder/cone/rotational generators equals "
-        "kappa(s)^2 (ds^2 + I_{-eps}) entrywise",
-        samples=total,
-        max_residual=worst,
-        tolerance=cfg.tol_metric_match,
-        passed=worst < cfg.tol_metric_match,
-        details={"relative_residual_by_family": per_family},
-    )
+        res.add(per_family[surf.name], samples=pts.shape[0])
+    return {"relative_residual_by_family": per_family}
 
 
-@_guard
-def check_trace_identities(cfg: RunConfig, surfaces, rng) -> CheckRecord:
+@register(
+    "trace_identities",
+    "tr B = 0 and |B|^2 = (n-1)/n in the Moebius-metric orthonormal frame",
+    "tol_trace",
+)
+def check_trace_identities(cfg: RunConfig, surfaces, rng, res: Residuals) -> dict:
     """tr B = 0 and |B|^2 = (n-1)/n at every sample."""
     n = cfg.n
-    worst = 0.0
-    total = 0
     for surf in surfaces:
         pts = sample_points(surf.imm, cfg.samples, rng, cfg.jitter)
         g, h, rho, mean = surf.fields.sample(pts)
         for i in range(pts.shape[0]):
             b = moebius_B(g[i], h[i], rho[i], mean[i])
-            worst = max(worst, abs(float(np.trace(b))))
-            worst = max(worst, abs(float(np.sum(b * b)) - (n - 1) / n))
-        total += pts.shape[0]
-    return CheckRecord(
-        name="trace_identities",
-        anchor="tr B = 0 and |B|^2 = (n-1)/n in the Moebius-metric orthonormal frame",
-        samples=total,
-        max_residual=worst,
-        tolerance=cfg.tol_trace,
-        passed=worst < cfg.tol_trace,
-    )
+            res.add(abs(float(np.trace(b))), abs(float(np.sum(b * b)) - (n - 1) / n))
+    return {}
 
 
-@_guard
-def check_moebius_form_structure(cfg: RunConfig, surfaces, rng) -> CheckRecord:
+@register(
+    "moebius_form_structure",
+    "Moebius 1-form: zero on the torus and circle cylinder; only the "
+    "profile component survives on generic generators",
+    "tol_form",
+)
+def check_moebius_form_structure(cfg: RunConfig, surfaces, rng, res: Residuals) -> dict:
     """C vanishes on the torus and circle cylinder; only C_1 survives otherwise."""
     details = {}
-    worst = 0.0
-    total = 0
 
-    torus = next(s for s in surfaces if s.name == "torus")
+    torus = _surface(surfaces, "torus")
     pts = sample_points(torus.imm, 4, rng, cfg.jitter, pad=0.2)
     wide = FDScheme(step=0.05, order=4, scaled=False)
-    c_tor = max(float(np.max(np.abs(moebius_form(torus.fields, p, wide)))) for p in pts)
-    details["torus_max_C"] = c_tor
-    worst = max(worst, c_tor)
-    total += pts.shape[0]
+    details["torus_max_C"] = max(
+        float(np.max(np.abs(moebius_form(torus.fields, p, wide)))) for p in pts
+    )
+    res.add(details["torus_max_C"], samples=pts.shape[0])
 
     circle = cylinder_immersion(
         spiral_trajectory(cfg.n, 0, 0.0, 1.0, 0.0, 6.0, cfg.step), cfg.n
     )
-    circle_fields = get_fields(circle, INNER_SCHEME)
-    c_circ = float(np.max(np.abs(moebius_form(circle_fields, circle.base_point, FIELD_SCHEME))))
-    details["circle_cylinder_max_C"] = c_circ
-    worst = max(worst, c_circ)
-    total += 1
+    c_circ = moebius_form(circle.analytic_fields, circle.base_point, FIELD_SCHEME)
+    details["circle_cylinder_max_C"] = float(np.max(np.abs(c_circ)))
+    res.add(details["circle_cylinder_max_C"])
 
-    cyl = next(s for s in surfaces if s.name == "cylinder")
-    cyl_fields = get_fields(cyl.imm, INNER_SCHEME)
+    cyl = _surface(surfaces, "cylinder")
     tangential = 0.0
     c1_err = 0.0
     for p in sample_points(cyl.imm, 4, rng, cfg.jitter):
-        c = moebius_form(cyl_fields, p, FIELD_SCHEME)
+        c = moebius_form(cyl.closed_form, p, FIELD_SCHEME)
         kap = float(cyl.traj.kappa_at(p[0:1])[0])
         ks = float(cyl.traj.kappa_s_at(p[0:1])[0])
         tangential = max(tangential, float(np.max(np.abs(c[1:]))))
         c1_err = max(c1_err, abs(c[0] + ks / kap**2))
     details["cylinder_max_C_alpha"] = tangential
     details["cylinder_C1_vs_minus_kappa_s_over_kappa_sq"] = c1_err
-    worst = max(worst, tangential)
-    total += 4
+    res.add(tangential, samples=4)
+    res.require(c1_err < 1e-6)
 
     # independent cross-check: sum_j B_ij,j = -(n-1) C_i
     div_sch = FDScheme(step=0.01, order=FD_ORDER, scaled=False)
     details["divergence_identity_residual"] = {
         surf.name: float(
-            moebius_form_divergence_residual(
-                get_fields(surf.imm, INNER_SCHEME), surf.imm.base_point, div_sch
-            )
+            moebius_form_divergence_residual(surf.closed_form, surf.imm.base_point, div_sch)
         )
         for surf in surfaces
         if surf.name in ("cylinder", "rotational")
     }
-
-    return CheckRecord(
-        name="moebius_form_structure",
-        anchor="Moebius 1-form: zero on the torus and circle cylinder; only the "
-        "profile component survives on generic generators",
-        samples=total,
-        max_residual=worst,
-        tolerance=cfg.tol_form,
-        passed=worst < cfg.tol_form and c1_err < 1e-6,
-        details=details,
-    )
+    return details
 
 
-@_guard
-def check_commutator_closure(cfg: RunConfig, surfaces, rng) -> CheckRecord:
+@register(
+    "commutator_closure",
+    "closed Moebius form equivalence: commutator of B and A vanishes",
+    "tol_commutator",
+)
+def check_commutator_closure(cfg: RunConfig, surfaces, rng, res: Residuals) -> dict:
     """B A - A B = 0: B and A are simultaneously diagonalizable."""
-    worst = 0.0
-    pipeline_worst = 0.0
-    total = 0
+    pipeline_max = 0.0
     for surf in surfaces:
-        fields = get_fields(surf.imm, INNER_SCHEME)
         pts = sample_points(surf.imm, 3, rng, cfg.jitter)
-        for p in pts:
-            d = moebius_data(fields, p, FIELD_SCHEME)
-            worst = max(worst, d.commutator_norm())
+        res.add(
+            *(moebius_data(surf.closed_form, p, FIELD_SCHEME).commutator_norm() for p in pts),
+            samples=pts.shape[0],
+        )
         d = moebius_data(surf.fields, pts[0], outer_scheme(cfg))
-        pipeline_worst = max(pipeline_worst, d.commutator_norm())
-        total += pts.shape[0]
-    return CheckRecord(
-        name="commutator_closure",
-        anchor="closed Moebius form equivalence: commutator of B and A vanishes",
-        samples=total,
-        max_residual=worst,
-        tolerance=cfg.tol_commutator,
-        passed=worst < cfg.tol_commutator,
-        details={"pipeline_route_max": pipeline_worst},
-    )
+        pipeline_max = max(pipeline_max, d.commutator_norm())
+    return {"pipeline_route_max": pipeline_max}
 
 
-@_guard
-def check_principal_multiplicity(cfg: RunConfig, surfaces, rng) -> CheckRecord:
+@register(
+    "principal_multiplicity",
+    "conformal flatness criterion: at least n-1 equal principal "
+    "curvatures; torus has exactly two with gap 1/(r sqrt(1-r^2))",
+    "tol_multiplicity",
+)
+def check_principal_multiplicity(cfg: RunConfig, surfaces, rng, res: Residuals) -> dict:
     """At least n-1 principal curvatures coincide on every generated surface."""
-    worst = 0.0
-    total = 0
     torus_gap = None
     for surf in surfaces:
         pts = sample_points(surf.imm, cfg.samples, rng, cfg.jitter)
         g, h = fundamental_forms_batch(surf.imm, pts, INNER_SCHEME)
         for i in range(pts.shape[0]):
             lam = np.sort(principal_curvatures(g[i], h[i]))
-            cluster = min(lam[-2] - lam[0], lam[-1] - lam[1])
-            worst = max(worst, float(cluster))
+            res.add(float(min(lam[-2] - lam[0], lam[-1] - lam[1])))
             if surf.name == "torus":
                 gap = max(lam[-1] - lam[-2], lam[1] - lam[0])
                 torus_gap = gap if torus_gap is None else min(torus_gap, gap)
-        total += pts.shape[0]
     r = cfg.torus_r
     expected_gap = 1.0 / (r * np.sqrt(1 - r * r))
-    gap_ok = torus_gap is not None and abs(torus_gap - expected_gap) < 1e-6
-    return CheckRecord(
-        name="principal_multiplicity",
-        anchor="conformal flatness criterion: at least n-1 equal principal "
-        "curvatures; torus has exactly two with gap 1/(r sqrt(1-r^2))",
-        samples=total,
-        max_residual=worst,
-        tolerance=cfg.tol_multiplicity,
-        passed=worst < cfg.tol_multiplicity and gap_ok,
-        details={"torus_gap": torus_gap, "torus_gap_expected": expected_gap},
-    )
+    res.require(torus_gap is not None and abs(torus_gap - expected_gap) < 1e-6)
+    return {"torus_gap": torus_gap, "torus_gap_expected": expected_gap}
 
 
-@_guard
-def check_schouten_codazzi(cfg: RunConfig, surfaces, rng) -> CheckRecord:
+@register(
+    "schouten_codazzi",
+    "Schouten tensor S = Ric - R/(2(n-1)) Id is a Codazzi tensor for "
+    "conformally flat metrics",
+    "tol_codazzi",
+)
+def check_schouten_codazzi(cfg: RunConfig, surfaces, rng, res: Residuals) -> dict:
     """Schouten tensor of the induced metrics is Codazzi; a generic metric is not.
 
     Also audits which scalar normalization in S = Ric - R/(2(n-1)) Id keeps
     the property on a metric with non-constant scalar curvature.
     """
     sch = outer_scheme(cfg)
-    worst = 0.0
     per_surface = {}
-    total = 0
     for surf in surfaces:
         if surf.name == "torus":
             continue
-        fields = get_fields(surf.imm, INNER_SCHEME)
-        sfield = schouten_coordinate_field(fields.metric, sch, Convention.FULL_TRACE)
+        metric = surf.closed_form.metric
+        sfield = schouten_coordinate_field(metric, sch, Convention.FULL_TRACE)
         pts = sample_points(surf.imm, 3, rng, cfg.jitter, pad=0.2)
-        vals = [codazzi_defect(sfield, fields.metric, p, sch) for p in pts]
+        vals = [codazzi_defect(sfield, metric, p, sch) for p in pts]
         per_surface[surf.name] = float(np.max(vals))
-        worst = max(worst, per_surface[surf.name])
-        total += len(vals)
+        res.add(per_surface[surf.name], samples=len(vals))
 
     def control_field(pts):
         pts = np.atleast_2d(pts)
@@ -444,89 +499,67 @@ def check_schouten_codazzi(cfg: RunConfig, surfaces, rng) -> CheckRecord:
         return out
 
     control_sfield = schouten_coordinate_field(control_field, sch, Convention.FULL_TRACE)
-    control = codazzi_defect(
-        control_sfield, control_field, np.full(cfg.n, 0.4), sch
-    )
-    total += 1
+    control = codazzi_defect(control_sfield, control_field, np.full(cfg.n, 0.4), sch)
+    res.add(samples=1)
+    res.require(control > 10 * cfg.tol_codazzi)
 
     # convention audit on a metric whose scalar curvature varies
-    rot = next(s for s in surfaces if s.name == "rotational")
-    rot_fields = get_fields(rot.imm, INNER_SCHEME)
+    rot = _surface(surfaces, "rotational")
+    metric = rot.closed_form.metric
     p_aud = sample_points(rot.imm, 1, rng, cfg.jitter, pad=0.2)[0]
-    audit = {}
-    for name, conv in CONVENTION_BY_NAME.items():
-        sfield = schouten_coordinate_field(rot_fields.metric, sch, conv)
-        audit[name] = float(codazzi_defect(sfield, rot_fields.metric, p_aud, sch))
-    best = min(audit, key=audit.get)
-
-    passed = worst < cfg.tol_codazzi and control > 10 * cfg.tol_codazzi
-    return CheckRecord(
-        name="schouten_codazzi",
-        anchor="Schouten tensor S = Ric - R/(2(n-1)) Id is a Codazzi tensor for "
-        "conformally flat metrics",
-        samples=total,
-        max_residual=worst,
-        tolerance=cfg.tol_codazzi,
-        passed=passed,
-        details={
-            "defect_by_surface": per_surface,
-            "non_conformally_flat_control": float(control),
-            "convention_audit_defects": audit,
-            "best_convention": best,
-            "audit_rows": [
-                {
-                    "identity": "Codazzi defect of S = Ric - R/(2(n-1)) Id on a "
-                    "metric with varying scalar curvature",
-                    "best_convention": best,
-                    "residual_by_convention": audit,
-                }
-            ],
-        },
+    audit = {
+        name: float(
+            codazzi_defect(schouten_coordinate_field(metric, sch, conv), metric, p_aud, sch)
+        )
+        for name, conv in CONVENTION_BY_NAME.items()
+    }
+    row = _audit_row(
+        "Codazzi defect of S = Ric - R/(2(n-1)) Id on a metric with varying scalar curvature",
+        audit,
     )
+    return {
+        "defect_by_surface": per_surface,
+        "non_conformally_flat_control": float(control),
+        "convention_audit_defects": audit,
+        "best_convention": row["best_convention"],
+        "audit_rows": [row],
+    }
 
 
-@_guard
-def check_two_route_scalar(cfg: RunConfig, surfaces, rng) -> CheckRecord:
+@register(
+    "two_route_scalar",
+    "scalar curvature of the Moebius metric: direct metric-field route "
+    "vs conformal-change route",
+    "tol_two_route",
+)
+def check_two_route_scalar(cfg: RunConfig, surfaces, rng, res: Residuals) -> dict:
     """Direct curvature of rho^2 I agrees with the conformal-change route."""
     sch = outer_scheme(cfg, 0.6)
-    worst = 0.0
-    total = 0
-    count = max(3, cfg.samples // 4)
     for surf in surfaces:
-        for p in sample_points(surf.imm, count, rng, cfg.jitter):
-            res = moebius_scalar(surf.fields, p, INNER_SCHEME, curvature_scheme=sch)
-            worst = max(worst, res.spread())
-            total += 1
-    return CheckRecord(
-        name="two_route_scalar",
-        anchor="scalar curvature of the Moebius metric: direct metric-field route "
-        "vs conformal-change route",
-        samples=total,
-        max_residual=worst,
-        tolerance=cfg.tol_two_route,
-        passed=worst < cfg.tol_two_route,
-    )
+        for p in sample_points(surf.imm, max(3, cfg.samples // 4), rng, cfg.jitter):
+            res.add(moebius_scalar(surf.fields, p, curvature_scheme=sch).spread())
+    return {}
 
 
-@_guard
-def check_scalar_constancy(cfg: RunConfig, surfaces, rng) -> CheckRecord:
+@register(
+    "scalar_constancy",
+    "constant Moebius scalar curvature along spiral-generated "
+    "hypersurfaces; non-spiral control varies",
+    "tol_constancy",
+)
+def check_scalar_constancy(cfg: RunConfig, surfaces, rng, res: Residuals) -> dict:
     """Moebius scalar curvature is constant along spiral-generated surfaces.
 
     Negative control: a rotational surface over kappa = 1 + 0.3 sin s (not a
     spiral solution) must exceed ten times the tolerance.
     """
     spreads = {}
-    worst = 0.0
-    total = 0
     for surf in surfaces:
         if surf.traj is None:
             continue
-        vals = []
-        for p in sample_points(surf.imm, cfg.samples, rng, cfg.jitter):
-            vals.append(direct_scalar(surf.fields, p, outer_scheme(cfg)))
-            total += 1
-        spreads[surf.name] = float(np.max(vals) - np.min(vals))
-        worst = max(worst, spreads[surf.name])
+        pts = sample_points(surf.imm, cfg.samples, rng, cfg.jitter)
+        spreads[surf.name] = _spread([direct_scalar(surf.fields, p, outer_scheme(cfg)) for p in pts])
+        res.add(spreads[surf.name], samples=len(pts))
 
     control_traj = prescribed_curvature_trajectory(
         cfg.n,
@@ -537,28 +570,23 @@ def check_scalar_constancy(cfg: RunConfig, surfaces, rng) -> CheckRecord:
     )
     control_imm = rotational_immersion(control_traj, cfg.n)
     control_fields = fields_from_immersion(control_imm, INNER_SCHEME)
-    control_vals = [
-        direct_scalar(control_fields, p, outer_scheme(cfg))
-        for p in sample_points(control_imm, max(6, cfg.samples // 3), rng, cfg.jitter)
-    ]
-    control_spread = float(np.max(control_vals) - np.min(control_vals))
-    total += len(control_vals)
-
-    passed = worst < cfg.tol_constancy and control_spread > 10 * cfg.tol_constancy
-    return CheckRecord(
-        name="scalar_constancy",
-        anchor="constant Moebius scalar curvature along spiral-generated "
-        "hypersurfaces; non-spiral control varies",
-        samples=total,
-        max_residual=worst,
-        tolerance=cfg.tol_constancy,
-        passed=passed,
-        details={"spread_by_family": spreads, "negative_control_spread": control_spread},
+    control_pts = sample_points(control_imm, max(6, cfg.samples // 3), rng, cfg.jitter)
+    control_spread = _spread(
+        [direct_scalar(control_fields, p, outer_scheme(cfg)) for p in control_pts]
     )
+    res.add(samples=len(control_pts))
+    res.require(control_spread > 10 * cfg.tol_constancy)
+    return {"spread_by_family": spreads, "negative_control_spread": control_spread}
 
 
-@_guard
-def check_warped_metric_scalar(cfg: RunConfig, surfaces, rng) -> CheckRecord:
+@register(
+    "warped_metric_scalar",
+    "kappa^2 (ds^2 + I_{-eps}) has constant scalar curvature exactly "
+    "along spirals of the standard coefficient convention; affine "
+    "relation computed-vs-prescribed R audited per normalization",
+    "tol_constancy",
+)
+def check_warped_metric_scalar(cfg: RunConfig, surfaces, rng, res: Residuals) -> dict:
     """Constancy and normalization audit for kappa^2 (ds^2 + I_{-eps}).
 
     Asserts: along standard-variant spirals the numerically computed scalar
@@ -569,13 +597,15 @@ def check_warped_metric_scalar(cfg: RunConfig, surfaces, rng) -> CheckRecord:
     """
     n = cfg.n
     sch = outer_scheme(cfg, 0.6)
-    worst_spread = 0.0
-    total = 0
     fits = {}
     spreads = {}
+    # audit rows: under which normalization does the computed scalar equal
+    # the prescribed R itself (unit slope)?  None exactly: the relation is
+    # affine with slope 2(n-1) in the full trace, and the rows record how
+    # far each normalization sits from slope one.
+    audit_rows = []
     for eps in (0, 1, -1):
         computed = {name: [] for name in CONVENTION_BY_NAME}
-        prescribed = []
         for big_r in WARPED_AUDIT_R[eps]:
             _, k0, ks0, s_max = FAMILY_PRESETS[eps]
             kstar = equilibrium_kappa(SpiralParams(n, eps, big_r))
@@ -583,111 +613,74 @@ def check_warped_metric_scalar(cfg: RunConfig, surfaces, rng) -> CheckRecord:
                 # start near the equilibrium so unstable families survive
                 k0, ks0 = 1.05 * kstar, 0.0
             traj = spiral_trajectory(n, eps, big_r, k0, ks0, s_max, cfg.step)
-            field = warped_metric_field(traj, n)
             lo, hi = float(traj.s[0]) + 0.2, float(traj.s[-1]) - 0.2
             svals = np.linspace(lo, hi, max(20, cfg.samples))
-            vals = []
-            for s0 in svals:
-                b = metric_field_curvature(field, warped_base_point(n, eps, s0), sch)
-                vals.append(b.scalar)
-            vals = np.asarray(vals)
-            spread = float(np.max(vals) - np.min(vals))
-            spreads[f"eps={eps},R={big_r}"] = spread
-            worst_spread = max(worst_spread, spread)
-            total += svals.size
-            prescribed.append(big_r)
-            # vals holds the full-trace scalars at the first points already;
+            vals = _warped_scalars(traj, n, svals, sch)
+            spreads[f"eps={eps},R={big_r}"] = _spread(vals)
+            res.add(spreads[f"eps={eps},R={big_r}"], samples=svals.size)
             # the conversion is exact (dimension n, the base point's size)
-            for name, conv in CONVENTION_BY_NAME.items():
-                scalars = [convert_scalar(v, Convention.FULL_TRACE, conv, n) for v in vals[:3]]
-                computed[name].append(float(np.mean(scalars)))
-        x = np.asarray(prescribed)
+            for name, mean in _mean_by_convention(vals[:3], n).items():
+                computed[name].append(mean)
+        a = np.vstack([np.asarray(WARPED_AUDIT_R[eps]), np.ones(len(WARPED_AUDIT_R[eps]))]).T
+        off_unit = {}
         for name in CONVENTION_BY_NAME:
             y = np.asarray(computed[name])
-            a = np.vstack([x, np.ones_like(x)]).T
-            (slope, intercept), res, *_ = np.linalg.lstsq(a, y, rcond=None)
-            fits[f"eps={eps},{name}"] = {
+            (slope, intercept), *_ = np.linalg.lstsq(a, y, rcond=None)
+            fit = {
                 "slope": float(slope),
                 "intercept": float(intercept),
                 "residual": float(np.max(np.abs(a @ np.array([slope, intercept]) - y))),
             }
+            fits[f"eps={eps},{name}"] = fit
+            off_unit[name] = abs(fit["slope"] - 1.0) + abs(fit["intercept"])
+        audit_rows.append(
+            _audit_row(f"warped-metric scalar equals prescribed R (eps = {eps})", off_unit)
+        )
 
     # alternate coefficient convention: spread recorded, not asserted
     alt = spiral_trajectory(n, -1, -0.75, 1.25, 0.05, 4.5, cfg.step, variant=ALTERNATE)
-    field = warped_metric_field(alt, n)
     svals = np.linspace(float(alt.s[0]) + 0.2, float(alt.s[-1]) - 0.2, 20)
-    alt_vals = [
-        metric_field_curvature(field, warped_base_point(n, -1, s0), sch).scalar for s0 in svals
-    ]
-    alt_spread = float(np.max(alt_vals) - np.min(alt_vals))
-    total += svals.size
+    alt_spread = _spread(_warped_scalars(alt, n, svals, sch))
+    res.add(samples=svals.size)
 
-    # audit rows: under which normalization does the computed scalar equal
-    # the prescribed R itself (unit slope)?  None exactly: the relation is
-    # affine with slope 2(n-1) in the full trace, and the rows record how
-    # far each normalization sits from slope one.
-    audit_rows = []
-    for eps in (0, 1, -1):
-        residual_by_conv = {
-            name: abs(fits[f"eps={eps},{name}"]["slope"] - 1.0)
-            + abs(fits[f"eps={eps},{name}"]["intercept"])
-            for name in CONVENTION_BY_NAME
-        }
-        audit_rows.append(
-            {
-                "identity": f"warped-metric scalar equals prescribed R (eps = {eps})",
-                "best_convention": min(residual_by_conv, key=residual_by_conv.get),
-                "residual_by_convention": residual_by_conv,
-            }
-        )
-
-    return CheckRecord(
-        name="warped_metric_scalar",
-        anchor="kappa^2 (ds^2 + I_{-eps}) has constant scalar curvature exactly "
-        "along spirals of the standard coefficient convention; affine "
-        "relation computed-vs-prescribed R audited per normalization",
-        samples=total,
-        max_residual=worst_spread,
-        tolerance=cfg.tol_constancy,
-        passed=worst_spread < cfg.tol_constancy,
-        details={
-            "constancy_spread": spreads,
-            "affine_fits": fits,
-            "expected_full_trace_slope": 2.0 * (n - 1),
-            "alternate_variant_spread": alt_spread,
-            "audit_rows": audit_rows,
-        },
-    )
+    return {
+        "constancy_spread": spreads,
+        "affine_fits": fits,
+        "expected_full_trace_slope": 2.0 * (n - 1),
+        "alternate_variant_spread": alt_spread,
+        "audit_rows": audit_rows,
+    }
 
 
-@_guard
-def check_torus_scalar_audit(cfg: RunConfig, surfaces, rng) -> CheckRecord:
+@register(
+    "torus_scalar_audit",
+    "compact case: claimed value (n-1)(n-2) r^2 for the torus versus "
+    "the computed Moebius scalar under each normalization and factor "
+    "labeling",
+    1e-5,
+    kind="audit",
+)
+def check_torus_scalar_audit(cfg: RunConfig, surfaces, rng, res: Residuals) -> dict:
     """Convention x candidate table for the torus Moebius scalar curvature.
 
     Candidates per radius r: (n-1)(n-2) r^2 and (n-1)(n-2)(1-r^2), each also
     in half and normalized variants.  The table reports every residual; at
-    least one pair is expected to match, and the report states which.
+    least one pair is expected to match, and the report states which.  The
+    audit's residual is the worst over radii of the best match.
     """
     n = cfg.n
+    base = (n - 1) * (n - 2)
     table = []
-    any_match_all = True
-    worst_best = 0.0
-    total = 0
     match_sets = []
+    audit_rows = []
     for r in TORUS_AUDIT_RADII:
         imm = torus_immersion(r, n)
         fields = fields_from_immersion(imm, INNER_SCHEME)
         pts = sample_points(imm, 3, rng, cfg.jitter)
-        vals_full = [
-            moebius_scalar(fields, p, INNER_SCHEME, curvature_scheme=outer_scheme(cfg, 0.6)).direct
-            for p in pts
-        ]
-        total += len(vals_full)
-        per_conv = {
-            name: float(np.mean([convert_scalar(v, Convention.FULL_TRACE, conv, n) for v in vals_full]))
-            for name, conv in CONVENTION_BY_NAME.items()
-        }
-        base = (n - 1) * (n - 2)
+        sch = outer_scheme(cfg, 0.6)
+        per_conv = _mean_by_convention(
+            [moebius_scalar(fields, p, curvature_scheme=sch).direct for p in pts], n
+        )
         candidates = {
             "r^2": base * r**2,
             "1-r^2": base * (1 - r**2),
@@ -696,119 +689,83 @@ def check_torus_scalar_audit(cfg: RunConfig, surfaces, rng) -> CheckRecord:
             "r^2/(n(n-1))": base * r**2 / (n * (n - 1)),
             "(1-r^2)/(n(n-1))": base * (1 - r**2) / (n * (n - 1)),
         }
-        matches = []
+        rows = []
         for conv_name, value in per_conv.items():
             for cand_name, cand in candidates.items():
                 resid = abs(value - cand)
-                row = {
-                    "r": r,
-                    "convention": conv_name,
-                    "candidate": cand_name,
-                    "candidate_value": cand,
-                    "computed": value,
-                    "residual": resid,
-                    "match": bool(resid < 1e-5 * max(1.0, abs(cand))),
-                }
-                table.append(row)
-                if row["match"]:
-                    matches.append((conv_name, cand_name, resid))
-        match_sets.append({(m[0], m[1]) for m in matches})
-        if matches:
-            worst_best = max(worst_best, min(m[2] for m in matches))
-        else:
-            any_match_all = False
-    consistent = sorted(set.intersection(*match_sets)) if match_sets else []
-    audit_rows = []
-    for r in TORUS_AUDIT_RADII:
-        residual_by_conv = {}
-        for conv_name in CONVENTION_BY_NAME:
-            vals = [
-                row["residual"]
-                for row in table
-                if row["r"] == r
-                and row["convention"] == conv_name
-                and row["candidate"] in ("r^2", "1-r^2")
-            ]
-            residual_by_conv[conv_name] = float(min(vals))
+                rows.append(
+                    {
+                        "r": r,
+                        "convention": conv_name,
+                        "candidate": cand_name,
+                        "candidate_value": cand,
+                        "computed": value,
+                        "residual": resid,
+                        "match": bool(resid < 1e-5 * max(1.0, abs(cand))),
+                    }
+                )
+        table.extend(rows)
+        matches = [row for row in rows if row["match"]]
+        match_sets.append({(m["convention"], m["candidate"]) for m in matches})
+        best = [min(m["residual"] for m in matches)] if matches else []
+        res.add(*best, samples=len(pts))
+        closed_forms = (candidates["r^2"], candidates["1-r^2"])
         audit_rows.append(
-            {
-                "identity": f"torus scalar equals (n-1)(n-2) r^2 or (n-1)(n-2)(1-r^2), "
-                f"r = {r:.6f}",
-                "best_convention": min(residual_by_conv, key=residual_by_conv.get),
-                "residual_by_convention": residual_by_conv,
-            }
+            _audit_row(
+                f"torus scalar equals (n-1)(n-2) r^2 or (n-1)(n-2)(1-r^2), r = {r:.6f}",
+                {c: float(min(abs(v - cand) for cand in closed_forms)) for c, v in per_conv.items()},
+            )
         )
-    return CheckRecord(
-        name="torus_scalar_audit",
-        anchor="compact case: claimed value (n-1)(n-2) r^2 for the torus versus "
-        "the computed Moebius scalar under each normalization and factor "
-        "labeling",
-        kind="audit",
-        samples=total,
-        max_residual=worst_best,
-        tolerance=1e-5,
-        passed=True,
-        details={
-            "table": table,
-            "every_radius_has_match": any_match_all,
-            "pairs_matching_every_radius": [list(p) for p in consistent],
-            "audit_rows": audit_rows,
-        },
-    )
+    return {
+        "table": table,
+        "every_radius_has_match": all(match_sets),
+        "pairs_matching_every_radius": [list(p) for p in sorted(set.intersection(*match_sets))],
+        "audit_rows": audit_rows,
+    }
 
 
-@_guard
-def check_blaschke_trace_audit(cfg: RunConfig, surfaces, rng) -> CheckRecord:
+@register(
+    "blaschke_trace_audit",
+    "Blaschke tensor trace identity tr A = 1/(2n) + R/(2(n-1)) under "
+    "each scalar normalization",
+    1e-6,
+    kind="audit",
+)
+def check_blaschke_trace_audit(cfg: RunConfig, surfaces, rng, res: Residuals) -> dict:
     """Which normalization satisfies tr A = 1/(2n) + R/(2(n-1))?
 
     The Blaschke tensor trace is computed from closed-form surface fields;
     the scalar curvature of the Moebius metric is measured independently in
     the full trace and converted per convention.  Audit: the residual of
-    the identity under each normalization, per surface.
+    the identity under each normalization, per surface.  The audit's
+    residual is the best over surfaces and normalizations.
     """
     n = cfg.n
     audit_rows = []
-    total = 0
-    best_residual = float("inf")
     for surf in surfaces:
-        fields = get_fields(surf.imm, INNER_SCHEME)
         pts = sample_points(surf.imm, 2, rng, cfg.jitter, pad=0.2)
+        sch = FDScheme(step=0.05 if surf.name == "torus" else 0.005, order=4, scaled=False)
         resid = {name: 0.0 for name in CONVENTION_BY_NAME}
         for p in pts:
-            sch = FDScheme(step=0.05 if surf.name == "torus" else 0.005, order=4, scaled=False)
-            tr_a = float(np.trace(blaschke_A(fields, p, sch)))
-            full = direct_scalar(fields, p, outer_scheme(cfg, 0.6))
-            for name, conv in CONVENTION_BY_NAME.items():
-                r_c = convert_scalar(full, Convention.FULL_TRACE, conv, n)
+            tr_a = float(np.trace(blaschke_A(surf.closed_form, p, sch)))
+            full = direct_scalar(surf.closed_form, p, outer_scheme(cfg, 0.6))
+            for name, r_c in _mean_by_convention([full], n).items():
                 target = 1.0 / (2 * n) + r_c / (2 * (n - 1))
                 resid[name] = max(resid[name], abs(tr_a - target))
-            total += 1
-        audit_rows.append(
-            {
-                "identity": f"tr A = 1/(2n) + R/(2(n-1)) on the {surf.name}",
-                "best_convention": min(resid, key=resid.get),
-                "residual_by_convention": resid,
-            }
-        )
-        best_residual = min(best_residual, min(resid.values()))
-    return CheckRecord(
-        name="blaschke_trace_audit",
-        anchor="Blaschke tensor trace identity tr A = 1/(2n) + R/(2(n-1)) under "
-        "each scalar normalization",
-        kind="audit",
-        samples=total,
-        max_residual=best_residual,
-        tolerance=1e-6,
-        passed=True,
-        details={"audit_rows": audit_rows},
-    )
+        res.add(samples=len(pts))
+        audit_rows.append(_audit_row(f"tr A = 1/(2n) + R/(2(n-1)) on the {surf.name}", resid))
+    res.worst = min(min(row["residual_by_convention"].values()) for row in audit_rows)
+    return {"audit_rows": audit_rows}
 
 
-@_guard
-def check_sigma_invariance(cfg: RunConfig, surfaces, rng) -> CheckRecord:
+@register(
+    "sigma_invariance",
+    "conformal lift to the sphere preserves the Moebius metric and "
+    "second fundamental form: eigenvalues of B and the scalar agree",
+    "tol_sigma",
+)
+def check_sigma_invariance(cfg: RunConfig, surfaces, rng, res: Residuals) -> dict:
     """B eigenvalues and Moebius scalar agree between f and its sphere lift."""
-    worst = 0.0
-    total = 0
     for surf in surfaces:
         if surf.name not in ("cylinder", "rotational"):
             continue
@@ -816,27 +773,25 @@ def check_sigma_invariance(cfg: RunConfig, surfaces, rng) -> CheckRecord:
         for p in sample_points(surf.imm, 3, rng, cfg.jitter):
             d0 = moebius_data(surf.fields, p, FIELD_SCHEME)
             d1 = moebius_data(lift_fields, p, FIELD_SCHEME)
-            worst = max(worst, float(np.max(np.abs(d0.B_eigenvalues - d1.B_eigenvalues))))
             s0, s1 = (direct_scalar(f, p, outer_scheme(cfg)) for f in (surf.fields, lift_fields))
-            worst = max(worst, abs(s0 - s1))
-            total += 1
-    return CheckRecord(
-        name="sigma_invariance",
-        anchor="conformal lift to the sphere preserves the Moebius metric and "
-        "second fundamental form: eigenvalues of B and the scalar agree",
-        samples=total,
-        max_residual=worst,
-        tolerance=cfg.tol_sigma,
-        passed=worst < cfg.tol_sigma,
-    )
+            res.add(float(np.max(np.abs(d0.B_eigenvalues - d1.B_eigenvalues))), abs(s0 - s1))
+    return {}
 
 
-@_guard
-def check_fd_convergence(cfg: RunConfig, surfaces, rng) -> CheckRecord:
-    """Halving the curvature step reduces the truncation residual >= 2x."""
+@register(
+    "fd_convergence",
+    "step halving reduces the finite-difference residual of the "
+    "scalar curvature by at least 2x (order >= 2 empirically)",
+    float("inf"),
+)
+def check_fd_convergence(cfg: RunConfig, surfaces, rng, res: Residuals) -> dict:
+    """Halving the curvature step reduces the truncation residual >= 2x.
+
+    The residual is the error at the finer step; the ratio is the pass
+    condition.
+    """
     n = cfg.n
-    rot = next(s for s in surfaces if s.name == "rotational")
-    traj = rot.traj
+    traj = _surface(surfaces, "rotational").traj
     field = warped_metric_field(traj, n)
     s0 = 0.5 * (traj.s[0] + traj.s[-1])
     p = warped_base_point(n, -1, float(s0))
@@ -844,38 +799,15 @@ def check_fd_convergence(cfg: RunConfig, surfaces, rng) -> CheckRecord:
     ks = float(traj.kappa_s_at(np.array([s0]))[0])
     kss = float(kappa_accel(traj.params, k, ks))
     exact = warped_scalar_reference(n, -1, k, ks, kss)
-    errs = []
-    for factor in (4.0, 2.0):
-        b = metric_field_curvature(field, p, outer_scheme(cfg, factor))
-        errs.append(abs(b.scalar - exact))
+    errs = [
+        abs(metric_field_curvature(field, p, outer_scheme(cfg, factor)).scalar - exact)
+        for factor in (4.0, 2.0)
+    ]
     ratio = errs[0] / max(errs[1], 1e-300)
-    return CheckRecord(
-        name="fd_convergence",
-        anchor="step halving reduces the finite-difference residual of the "
-        "scalar curvature by at least 2x (order >= 2 empirically)",
-        samples=2,
-        max_residual=float(errs[1]),
-        tolerance=float("inf"),
-        passed=ratio >= 2.0,
-        details={"errors": errs, "ratio": float(ratio)},
-    )
-
-
-CHECK_FUNCTIONS = {
-    "moebius_metric_match": check_moebius_metric_match,
-    "trace_identities": check_trace_identities,
-    "moebius_form_structure": check_moebius_form_structure,
-    "commutator_closure": check_commutator_closure,
-    "principal_multiplicity": check_principal_multiplicity,
-    "schouten_codazzi": check_schouten_codazzi,
-    "two_route_scalar": check_two_route_scalar,
-    "scalar_constancy": check_scalar_constancy,
-    "warped_metric_scalar": check_warped_metric_scalar,
-    "torus_scalar_audit": check_torus_scalar_audit,
-    "blaschke_trace_audit": check_blaschke_trace_audit,
-    "sigma_invariance": check_sigma_invariance,
-    "fd_convergence": check_fd_convergence,
-}
+    res.worst = float(errs[1])
+    res.add(samples=2)
+    res.require(ratio >= 2.0)
+    return {"errors": errs, "ratio": float(ratio)}
 
 
 def run_suite(cfg: RunConfig) -> VerificationReport:

@@ -25,7 +25,6 @@ from .checks import (
     CONVENTION_BY_NAME,
     FIELD_SCHEME,
     INNER_SCHEME,
-    build_family,
     outer_scheme,
     rigidity_scan,
     run_suite,
@@ -37,7 +36,7 @@ from .errors import ConfigError, MobiusFlatError
 from .meshes import export_obj_slice
 from .moebius import fields_from_immersion, moebius_data, moebius_scalar
 from .spiral import IntegratorControls, SpiralParams, export_csv, integrate_grid
-from .zoo import FAMILY_BY_EPSILON, torus_immersion
+from .zoo import EPSILON_BY_FAMILY, build_family, torus_immersion
 
 
 def _controls(cfg: RunConfig) -> IntegratorControls:
@@ -51,12 +50,12 @@ def _controls(cfg: RunConfig) -> IntegratorControls:
 
 def _build_surface(cfg: RunConfig):
     if cfg.family == "torus":
-        return torus_immersion(cfg.torus_r, cfg.n), None
-    eps = next(e for e, name in FAMILY_BY_EPSILON.items() if name == cfg.family)
+        return torus_immersion(cfg.torus_r, cfg.n)
+    eps = EPSILON_BY_FAMILY[cfg.family]
     traj = spiral_trajectory(
         cfg.n, eps, cfg.R, cfg.kappa0, cfg.kappa_s0, cfg.s_max, cfg.step, cfg.spiral_variant
     )
-    return build_family(traj, cfg.n), traj
+    return build_family(cfg.family, traj, cfg.n)
 
 
 def cmd_spiral(cfg: RunConfig, out: str, convention: str) -> int:
@@ -73,7 +72,7 @@ def cmd_spiral(cfg: RunConfig, out: str, convention: str) -> int:
 
 
 def cmd_build(cfg: RunConfig, out: str, convention: str) -> int:
-    imm, _ = _build_surface(cfg)
+    imm = _build_surface(cfg)
     axes = tuple(int(a) for a in cfg.slice_axes.split(","))
     ambient: tuple | str = "auto"
     if cfg.obj_axes.strip() != "auto":
@@ -87,7 +86,7 @@ def cmd_build(cfg: RunConfig, out: str, convention: str) -> int:
 
 
 def cmd_invariants(cfg: RunConfig, out: str, convention: str) -> int:
-    imm, _ = _build_surface(cfg)
+    imm = _build_surface(cfg)
     fields = fields_from_immersion(imm, INNER_SCHEME)
     rng = np.random.default_rng(cfg.seed)
     pts = sample_points(imm, cfg.samples, rng, cfg.jitter)
@@ -105,7 +104,7 @@ def cmd_invariants(cfg: RunConfig, out: str, convention: str) -> int:
     rows = []
     for p in pts:
         d = moebius_data(fields, p, FIELD_SCHEME)
-        s = moebius_scalar(fields, p, INNER_SCHEME, conv, outer_scheme(cfg))
+        s = moebius_scalar(fields, p, convention=conv, curvature_scheme=outer_scheme(cfg))
         rows.append(
             list(p)
             + [d.rho, d.H]
@@ -134,38 +133,17 @@ def cmd_invariants(cfg: RunConfig, out: str, convention: str) -> int:
 
 def cmd_verify(cfg: RunConfig, out: str, convention: str) -> int:
     report = run_suite(cfg)
-    json_path = os.path.join(out, "report.json")
-    with open(json_path, "w") as fh:
-        fh.write(report.to_json())
-    md_path = os.path.join(out, "report.md")
-    with open(md_path, "w") as fh:
-        fh.write(report.to_markdown())
-    csv_path = os.path.join(out, "checks.csv")
-    with open(csv_path, "w") as fh:
-        fh.write("name,kind,samples,max_residual,tolerance,passed\n")
-        for r in report.records:
-            fh.write(
-                f"{r.name},{r.kind},{r.samples},{r.max_residual!r},{r.tolerance!r},{r.passed}\n"
-            )
-    resid_path = os.path.join(out, "residuals.csv")
-    with open(resid_path, "w") as fh:
-        fh.write("check,key,value\n")
-
-        def emit(check, key, value):
-            if isinstance(value, dict):
-                for k, v in value.items():
-                    emit(check, f"{key}.{k}", v)
-            elif isinstance(value, (list, tuple)):
-                for i, v in enumerate(value):
-                    emit(check, f"{key}[{i}]", v)
-            elif isinstance(value, (int, float, np.floating, np.integer, bool, np.bool_)):
-                fh.write(f"{check},{key},{float(value)!r}\n")
-            else:
-                fh.write(f"{check},{key},{value}\n")
-
-        for r in report.records:
-            for key, value in r.details.items():
-                emit(r.name, key, value)
+    texts = {
+        "report.json": report.to_json(),
+        "report.md": report.to_markdown(),
+        "checks.csv": report.to_checks_csv(),
+        "residuals.csv": report.to_residuals_csv(),
+    }
+    paths = []
+    for name, text in texts.items():
+        paths.append(os.path.join(out, name))
+        with open(paths[-1], "w") as fh:
+            fh.write(text)
     for r in report.records:
         status = "ERROR" if r.error else ("pass" if r.passed else "FAIL")
         if r.kind == "audit" and not r.error:
@@ -173,7 +151,7 @@ def cmd_verify(cfg: RunConfig, out: str, convention: str) -> int:
         print(f"  [{status:5s}] {r.name}: residual {r.max_residual:.3e} (tol {r.tolerance:.3e})")
     ok = report.all_asserts_pass
     print(f"verify: {'PASS' if ok else 'FAIL'} ({len(report.records)} checks)")
-    print(f"wrote {json_path}, {md_path}, {csv_path}, {resid_path}")
+    print(f"wrote {', '.join(paths)}")
     return 0 if ok else 1
 
 

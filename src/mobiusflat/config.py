@@ -107,8 +107,11 @@ class RunConfig:
         return config_hash(self.canonical_text())
 
     def validate(self) -> "RunConfig":
-        if self.n < 3:
-            raise ConfigError("n must be >= 3")
+        if self.n < 4:
+            raise ConfigError(
+                "n must be >= 4: the classification holds for n >= 4, and at n = 3 "
+                "equal principal curvatures no longer characterize conformal flatness"
+            )
         if self.epsilon not in (-1, 0, 1):
             raise ConfigError("epsilon must be one of -1, 0, 1")
         if self.spiral_variant not in VARIANTS:

@@ -337,7 +337,7 @@ class MoebiusScalarResult(NamedTuple):
 def moebius_scalar(
     fields: SurfaceFields,
     p: np.ndarray,
-    scheme: FDScheme,
+    *,
     convention: Convention = Convention.FULL_TRACE,
     curvature_scheme: FDScheme = CURVATURE_SCHEME,
 ) -> MoebiusScalarResult:
@@ -347,7 +347,8 @@ def moebius_scalar(
     conformal-change formula applied to the induced metric with
     u = log rho.  Their agreement is the two-route consistency check.  The
     routes share only the evaluation of their inputs: one stencil of the
-    packed field (rho^2 I, I, log rho).
+    packed field (rho^2 I, I, log rho), with step and order from
+    ``curvature_scheme``.
     """
     p = np.asarray(p, dtype=float)
 

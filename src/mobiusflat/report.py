@@ -1,4 +1,4 @@
-"""Structured verification reports: JSON document plus markdown summary.
+"""Structured verification reports: JSON, markdown and two CSV tables.
 
 Every check record carries a non-empty ``anchor`` string naming the exact
 mathematical identity or experiment it exercises; the schema rejects
@@ -104,6 +104,36 @@ class VerificationReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=False, default=_json_default) + "\n"
+
+    def to_checks_csv(self) -> str:
+        """One row per check: name, kind, samples, max residual, tolerance, passed."""
+        lines = ["name,kind,samples,max_residual,tolerance,passed"]
+        for r in self.records:
+            lines.append(
+                f"{r.name},{r.kind},{r.samples},{r.max_residual!r},{r.tolerance!r},{r.passed}"
+            )
+        return "\n".join(lines) + "\n"
+
+    def to_residuals_csv(self) -> str:
+        """Every detail leaf as a (check, key, value) row; keys are dotted/indexed paths."""
+        lines = ["check,key,value"]
+
+        def emit(check, key, value):
+            if isinstance(value, dict):
+                for k, v in value.items():
+                    emit(check, f"{key}.{k}", v)
+            elif isinstance(value, (list, tuple)):
+                for i, v in enumerate(value):
+                    emit(check, f"{key}[{i}]", v)
+            elif isinstance(value, (int, float, np.floating, np.integer, bool, np.bool_)):
+                lines.append(f"{check},{key},{float(value)!r}")
+            else:
+                lines.append(f"{check},{key},{value}")
+
+        for r in self.records:
+            for key, value in r.details.items():
+                emit(r.name, key, value)
+        return "\n".join(lines) + "\n"
 
     def to_markdown(self) -> str:
         lines = [

@@ -476,18 +476,27 @@ class HypersurfaceSpec:
             raise InputError(f"{self.kind} needs a spiral trajectory")
 
 
+# spiral families by name, with the model curvature eps of their profile curve
+EPSILON_BY_FAMILY = {"cylinder": 0, "cone": 1, "rotational": -1}
+
+
+def build_family(family: str, traj: SpiralTrajectory, n: int) -> ImmersionHandle:
+    """The hypersurface of a spiral family (cylinder, cone or rotational) over traj."""
+    # the one name -> generator table; read at call time, so a generator
+    # patched on this module is the one called
+    generators = {
+        "cylinder": cylinder_immersion,
+        "cone": cone_immersion,
+        "rotational": rotational_immersion,
+    }
+    return generators[family](traj, n)
+
+
 def build_hypersurface(spec: HypersurfaceSpec) -> ImmersionHandle:
-    if spec.kind == "cylinder":
-        imm = cylinder_immersion(spec.trajectory, spec.n)
-    elif spec.kind == "cone":
-        imm = cone_immersion(spec.trajectory, spec.n)
-    elif spec.kind == "rotational":
-        imm = rotational_immersion(spec.trajectory, spec.n)
-    else:
+    if spec.kind == "torus":
         imm = torus_immersion(spec.torus_r, spec.n)
+    else:
+        imm = build_family(spec.kind, spec.trajectory, spec.n)
     if spec.lift:
         imm = lift_to_sphere(imm)
     return imm
-
-
-FAMILY_BY_EPSILON = {0: "cylinder", 1: "cone", -1: "rotational"}

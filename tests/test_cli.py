@@ -62,6 +62,11 @@ class TestConfigErrors:
         cfg = write_cfg(tmp_path, "zzz = 7\n")
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    def test_n_three_exit_two(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "n = 3\n")
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "n must be >= 4" in capsys.readouterr().err
+
     def test_missing_file_exit_two(self, tmp_path):
         assert main(["verify", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == 2
 

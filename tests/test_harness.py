@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -61,6 +62,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config("checks = nonexistent_check\n")
 
+    def test_n_below_four_refused(self):
+        # the classification covers n >= 4; at n = 3 the multiplicity test of
+        # conformal flatness does not hold
+        with pytest.raises(ConfigError, match="n must be >= 4"):
+            RunConfig(n=3).validate()
+        with pytest.raises(ConfigError, match="n must be >= 4"):
+            parse_config("n = 3\n")
+        assert RunConfig(n=4).validate().n == 4
+
     def test_hash_tracks_content(self):
         a = RunConfig().validate()
         b = RunConfig(seed=1).validate()
@@ -106,6 +116,33 @@ class TestReportSchema:
         assert data["summary"]["all_asserts_pass"] is True
         assert "| a |" in rep.to_markdown()
 
+    def test_csv_tables(self):
+        rep = VerificationReport(version="x", seed=0, config_hash="h")
+        rep.add(
+            CheckRecord(
+                name="a",
+                anchor="identity",
+                samples=3,
+                max_residual=1e-9,
+                tolerance=1e-8,
+                details={"by": {"x": np.float64(0.5), "ok": True}, "rows": [1, "best"], "v": None},
+            )
+        )
+        rep.add(CheckRecord(name="b", anchor="identity", kind="audit"))
+        assert rep.to_checks_csv() == (
+            "name,kind,samples,max_residual,tolerance,passed\n"
+            "a,assert,3,1e-09,1e-08,True\n"
+            "b,audit,0,nan,nan,True\n"
+        )
+        assert rep.to_residuals_csv() == (
+            "check,key,value\n"
+            "a,by.x,0.5\n"
+            "a,by.ok,1.0\n"
+            "a,rows[0],1.0\n"
+            "a,rows[1],best\n"
+            "a,v,None\n"
+        )
+
 
 @pytest.fixture(scope="module")
 def fast_cfg():
@@ -147,6 +184,49 @@ class TestSuite:
             assert rec.error is None, f"{name}: {rec.error}"
             assert rec.name == name
             assert rec.anchor.strip()
+            # the record states what the check registered
+            assert (rec.anchor, rec.kind) == (fn.anchor, fn.kind)
+            if isinstance(fn.tolerance, str):
+                assert fn.tolerance.startswith("tol_")
+                assert rec.tolerance == getattr(cfg, fn.tolerance)
+            else:
+                assert rec.tolerance == fn.tolerance
+
+    def test_crashed_check_keeps_its_registration(self, monkeypatch):
+        def crash(cfg, surfaces, rng, res):
+            raise TypeError("forced")
+
+        spec = CHECK_FUNCTIONS["trace_identities"]
+        monkeypatch.setitem(CHECK_FUNCTIONS, spec.name, dataclasses.replace(spec, body=crash))
+        cfg = RunConfig(samples=4, checks="trace_identities,fd_convergence").validate()
+        crashed, after = run_suite(cfg).records
+        assert (crashed.name, crashed.anchor) == (spec.name, spec.anchor)
+        assert crashed.kind == "assert" and not crashed.passed
+        assert crashed.error.startswith("TypeError: forced")
+        # the suite goes on to the next check
+        assert after.name == "fd_convergence" and after.error is None and after.passed
+
+    def test_residual_is_reported_as_a_float(self, monkeypatch):
+        # checks.csv prints the repr of the residual, so it must be a Python float
+        def measure(cfg, surfaces, rng, res):
+            res.add(np.float64(2.5e-9))
+            return {}
+
+        spec = CHECK_FUNCTIONS["trace_identities"]
+        monkeypatch.setitem(CHECK_FUNCTIONS, spec.name, dataclasses.replace(spec, body=measure))
+        report = run_suite(RunConfig(samples=4, checks="trace_identities").validate())
+        assert type(report.records[0].max_residual) is float
+        assert report.to_checks_csv().splitlines()[1] == "trace_identities,assert,1,2.5e-09,1e-08,True"
+
+    def test_crashed_audit_fails_the_run(self, monkeypatch):
+        def crash(cfg, surfaces, rng, res):
+            raise ValueError("forced")
+
+        spec = CHECK_FUNCTIONS["blaschke_trace_audit"]
+        monkeypatch.setitem(CHECK_FUNCTIONS, spec.name, dataclasses.replace(spec, body=crash))
+        report = run_suite(RunConfig(samples=4, checks="blaschke_trace_audit").validate())
+        assert report.records[0].error.startswith("ValueError: forced")
+        assert not report.all_asserts_pass
 
 
 class TestGridIntegration:

@@ -188,7 +188,7 @@ class TestOneRequestPerPointSet:
 
     def test_moebius_scalar_one_outer_stencil_request(self, torus):
         fields, calls = counting_fields(torus)
-        moebius_scalar(fields, torus.base_point, SCHEME)
+        moebius_scalar(fields, torus.base_point)
         assert calls == [self.STENCIL**2]
 
     @pytest.mark.parametrize("analytic", [True, False], ids=["closed-form", "fd"])
@@ -206,7 +206,7 @@ class TestOneRequestPerPointSet:
             for name in ("rho", "H", "B", "A", "C", "principal_curvatures", "A_eigenvalues"):
                 assert close(getattr(d, name), getattr(ref, name)), name
             assert close(d.g_moebius.g, ref.g_moebius.g)
-            s = moebius_scalar(fields, p, SCHEME)
+            s = moebius_scalar(fields, p)
             s_ref = moebius_oracle.moebius_scalar(fields, p, CURVATURE_SCHEME)
             assert close(s, s_ref)
 
@@ -235,14 +235,14 @@ class TestTensorB:
         p = cylinder.base_point + 0.1
         noise_aware = FDScheme(step=0.008, order=4)
         f1 = fields_from_immersion(cylinder, noise_aware)
-        s1 = moebius_scalar(f1, p, noise_aware)
+        s1 = moebius_scalar(f1, p)
         for lam in (0.5, 2.0):
             scaled = scale_immersion(cylinder, lam)
             f2 = fields_from_immersion(scaled, noise_aware)
             d1 = moebius_data(f1, p, SCHEME)
             d2 = moebius_data(f2, lam * p, SCHEME)
             assert np.allclose(d1.B_eigenvalues, d2.B_eigenvalues, atol=1e-7)
-            s2 = moebius_scalar(f2, lam * p, noise_aware)
+            s2 = moebius_scalar(f2, lam * p)
             assert abs(s1.direct - s2.direct) < 1e-6
 
 
@@ -355,7 +355,7 @@ class TestMoebiusScalar:
         imm = cylinder_immersion(traj, N_DIM)
         fields = get_fields(imm, SCHEME)
         for conv in Convention:
-            res = moebius_scalar(fields, imm.base_point, SCHEME, conv)
+            res = moebius_scalar(fields, imm.base_point, convention=conv)
             assert abs(res.direct) < 1e-7
             assert abs(res.conformal_route) < 1e-7
 
@@ -363,23 +363,29 @@ class TestMoebiusScalar:
         # product structure: circle of radius 1/r and sphere of radius
         # 1/sqrt(1-r^2): full-trace scalar (n-1)(n-2)(1-r^2)
         fields = get_fields(torus, SCHEME)
-        res = moebius_scalar(fields, torus.base_point, SCHEME, Convention.FULL_TRACE)
+        res = moebius_scalar(fields, torus.base_point, convention=Convention.FULL_TRACE)
         expected = (N_DIM - 1) * (N_DIM - 2) * 0.75
         assert res.direct == pytest.approx(expected, rel=1e-6)
         assert res.conformal_route == pytest.approx(expected, rel=1e-6)
+
+    def test_options_are_keyword_only(self, torus):
+        # a stale positional FD scheme must not be read as the convention
+        fields = get_fields(torus, SCHEME)
+        with pytest.raises(TypeError):
+            moebius_scalar(fields, torus.base_point, SCHEME)
 
     def test_two_routes_agree_on_pipeline_fields(self, rotational):
         fields = fields_from_immersion(rotational, SCHEME)
         pts = interior_points(rotational, 3, seed=39)
         for p in pts:
-            res = moebius_scalar(fields, p, SCHEME)
+            res = moebius_scalar(fields, p)
             assert res.spread() < 1e-5
 
     def test_rotational_scalar_constant(self, rotational):
         # constant-scalar spiral with R parameter 0.75: full trace 4.5
         fields = get_fields(rotational, SCHEME)
         pts = interior_points(rotational, 6, seed=41)
-        vals = [moebius_scalar(fields, p, SCHEME).direct for p in pts]
+        vals = [moebius_scalar(fields, p).direct for p in pts]
         assert np.max(np.abs(np.asarray(vals) - 4.5)) < 1e-6
 
 
@@ -392,6 +398,6 @@ class TestLiftInvariance:
         d_plain = moebius_data(f_plain, p, SCHEME)
         d_lift = moebius_data(f_lift, p, SCHEME)
         assert np.allclose(d_plain.B_eigenvalues, d_lift.B_eigenvalues, atol=1e-6)
-        s_plain = moebius_scalar(f_plain, p, SCHEME)
-        s_lift = moebius_scalar(f_lift, p, SCHEME)
+        s_plain = moebius_scalar(f_plain, p)
+        s_lift = moebius_scalar(f_lift, p)
         assert abs(s_plain.direct - s_lift.direct) < 1e-5

@@ -15,6 +15,7 @@ from mobiusflat.immersion import (
 )
 from mobiusflat.zoo import (
     HypersurfaceSpec,
+    build_family,
     build_hypersurface,
     hyperboloid_to_hemisphere,
     inverse_stereographic,
@@ -293,6 +294,18 @@ class TestSpecBuilder:
     def test_torus_spec(self):
         imm = build_hypersurface(HypersurfaceSpec(kind="torus", n=4, torus_r=0.3))
         assert imm.ambient_kind == "unit-sphere"
+
+    @pytest.mark.parametrize("family", ["cylinder", "cone", "rotational"])
+    def test_spiral_family_specs(self, family, request):
+        # the spec builder and build_family share one name -> generator table
+        direct = request.getfixturevalue(family)
+        traj = request.getfixturevalue(f"{family}_traj")
+        for imm in (
+            build_hypersurface(HypersurfaceSpec(kind=family, n=4, trajectory=traj)),
+            build_family(family, traj, 4),
+        ):
+            assert imm.name == direct.name
+            assert np.array_equal(imm(direct.base_point), direct(direct.base_point))
 
     def test_bad_specs(self):
         with pytest.raises(InputError):
