@@ -2,7 +2,8 @@
 """Moebius invariants of a rotational hypersurface, from first principles.
 
 Builds the hypersurface (s, angles) -> (x(s), y(s) * sphere(angles)) over a
-half-plane spiral, runs the finite-difference geometry pipeline, and prints
+half-plane spiral, runs the geometry pipeline (exact jets of the immersion,
+finite differences on the Moebius fields), and prints
 the classical identities: the warped-product Moebius metric, the trace-free
 tensor B with eigenvalues ((n-1)/n, -1/n, ...), the Blaschke trace identity,
 and the commuting of B with A.
@@ -21,7 +22,7 @@ traj = reconstruct_curve(
     integrate_spiral(params, SpiralState(0.0, 1.25, 0.05), IntegratorControls(s_max=4.0))
 )
 imm = rotational_immersion(traj, n)
-fields = fields_from_immersion(imm, FDScheme(step=0.004, order=4))
+fields = fields_from_immersion(imm)
 
 p = imm.base_point.copy()
 p[0] = 1.7

@@ -20,15 +20,14 @@ from mobiusflat.moebius import fields_from_immersion, moebius_form, moebius_scal
 from mobiusflat.zoo import torus_immersion
 
 n = 4
-scheme = FDScheme(step=0.004, order=4)
 
 for r in (0.3, 0.5, 1 / np.sqrt(2)):
     imm = torus_immersion(r, n)
     p = imm.base_point
     lam = principal_curvatures(
-        first_fundamental_form(imm, p, scheme), second_fundamental_form(imm, p, scheme)
+        first_fundamental_form(imm, p), second_fundamental_form(imm, p)
     )
-    fields = fields_from_immersion(imm, scheme)
+    fields = fields_from_immersion(imm)
     c = moebius_form(fields, p, FDScheme(step=0.05, order=4, scaled=False))
     full = moebius_scalar(fields, p).direct
     base = (n - 1) * (n - 2)

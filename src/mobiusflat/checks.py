@@ -21,13 +21,15 @@ failed assert record under the registered name and anchor, so the suite
 goes on.  ``CHECK_FUNCTIONS`` is the registry, in ``CHECK_NAMES`` order.
 
 Closed-form fields of the generators (``SuiteSurface.closed_form``) back the
-tight-tolerance identity checks; the finite-difference pipeline route
-(``SuiteSurface.fields``) is exercised in parallel wherever runtime permits,
-and the two routes cross-validate.
+tight-tolerance identity checks; the pipeline route (``SuiteSurface.fields``:
+I and II from the immersion's exact jet, finite differences above them) is
+exercised in parallel wherever runtime permits, and the two routes
+cross-validate.
 """
 
 from __future__ import annotations
 
+import math
 import traceback
 from dataclasses import dataclass
 from typing import Callable
@@ -66,10 +68,12 @@ from .spiral import (
     STANDARD,
     IntegratorControls,
     SpiralParams,
+    SpiralState,
     SpiralTrajectory,
     closure_test,
     equilibrium_kappa,
     integrate_grid,
+    integrate_spiral,
     kappa_accel,
     prescribed_curvature_trajectory,
 )
@@ -109,12 +113,6 @@ TORUS_AUDIT_RADII = (0.3, 0.5, 1.0 / np.sqrt(2.0))
 # steps and tolerances it fails most asserts.
 FD_ORDER = 4
 
-# Immersion-level differencing for the suite.  The step sits above the
-# pointwise optimum: rounding noise in the fields is what the outer curvature
-# stencils amplify, and a slightly larger inner step pushes that incoherent
-# floor down by an order of magnitude at negligible truncation cost.
-INNER_SCHEME = FDScheme(step=0.004, order=FD_ORDER)
-
 # Derivatives of the rho/H/metric fields for the C and A tensors.
 FIELD_SCHEME = FDScheme(step=0.005, order=FD_ORDER, scaled=False)
 
@@ -123,8 +121,9 @@ FIELD_SCHEME = FDScheme(step=0.005, order=FD_ORDER, scaled=False)
 class SuiteSurface:
     """One suite surface with both field routes.
 
-    ``fields`` are the finite-difference fields, built once; ``closed_form``
-    are the generator's closed-form fields.
+    ``fields`` are the pipeline fields, built once from the derivatives of
+    the immersion (its exact jet); ``closed_form`` are the generator's
+    closed-form fields.
     """
 
     name: str
@@ -137,9 +136,18 @@ class SuiteSurface:
         return self.imm.analytic_fields
 
 
-def spiral_trajectory(n, epsilon, big_r, kappa0, kappa_s0, s_max, step=1e-3, variant=STANDARD):
+def spiral_trajectory(
+    n, epsilon, big_r, kappa0, kappa_s0, s_max, step=1e-3, variant=STANDARD, curve=True
+):
+    """A spiral from one integration; with curve=False the kappa samples alone.
+
+    The kappa subsystem does not read the curve, so its samples are the same
+    either way.
+    """
     params = SpiralParams(n, epsilon, big_r, variant=variant)
     controls = IntegratorControls(s_max=s_max, step=step)
+    if not curve:
+        return integrate_spiral(params, SpiralState(0.0, kappa0, kappa_s0), controls)
     return integrate_grid(params, [[kappa0, kappa_s0]], controls)[0]
 
 
@@ -154,7 +162,7 @@ def suite_surfaces(cfg: RunConfig) -> list[SuiteSurface]:
         traj = preset_trajectory(cfg.n, eps, cfg.step)
         out.append((family, build_family(family, traj, cfg.n), traj))
     out.append(("torus", torus_immersion(cfg.torus_r, cfg.n), None))
-    return [SuiteSurface(*s, fields_from_immersion(s[1], INNER_SCHEME)) for s in out]
+    return [SuiteSurface(*s, fields_from_immersion(s[1])) for s in out]
 
 
 def _surface(surfaces: list[SuiteSurface], name: str) -> SuiteSurface:
@@ -262,7 +270,8 @@ class Residuals:
     """What a check measured: its worst residual and its sample count.
 
     ``add`` folds residuals in the order given; ``require`` adds a pass
-    condition beyond the tolerance, such as a negative control.
+    condition beyond the tolerance, such as a negative control.  A NaN
+    residual is the worst of all: it sticks, and the record fails.
     """
 
     def __init__(self):
@@ -273,7 +282,9 @@ class Residuals:
     def add(self, *values: float, samples: int = 1) -> None:
         """Fold in the residuals of ``samples`` samples; a sample may carry none."""
         for value in values:
-            self.worst = max(self.worst, value)
+            # a NaN is kept, where max() would drop it: max(0.0, nan) is 0.0
+            if math.isnan(value) or value > self.worst:
+                self.worst = value
         self.samples += samples
 
     def require(self, condition: bool) -> None:
@@ -299,12 +310,14 @@ class Check:
         try:
             details = self.body(cfg, surfaces, rng, res)
             tolerance = self.tolerance_for(cfg)
+            # a NaN residual fails an audit too: nothing was measured
+            passed = self.kind == "audit" or (res.worst < tolerance and res.required)
             measured = {
                 "kind": self.kind,
                 "samples": res.samples,
                 "max_residual": float(res.worst),
                 "tolerance": tolerance,
-                "passed": self.kind == "audit" or (res.worst < tolerance and res.required),
+                "passed": passed and not math.isnan(res.worst),
                 "details": details,
             }
         except MobiusFlatError as exc:
@@ -455,7 +468,7 @@ def check_principal_multiplicity(cfg: RunConfig, surfaces, rng, res: Residuals) 
     torus_gap = None
     for surf in surfaces:
         pts = sample_points(surf.imm, cfg.samples, rng, cfg.jitter)
-        g, h = fundamental_forms_batch(surf.imm, pts, INNER_SCHEME)
+        g, h = fundamental_forms_batch(surf.imm, pts)
         for i in range(pts.shape[0]):
             lam = np.sort(principal_curvatures(g[i], h[i]))
             res.add(float(min(lam[-2] - lam[0], lam[-1] - lam[1])))
@@ -569,7 +582,7 @@ def check_scalar_constancy(cfg: RunConfig, surfaces, rng, res: Residuals) -> dic
         IntegratorControls(s_max=4.5, step=cfg.step),
     )
     control_imm = rotational_immersion(control_traj, cfg.n)
-    control_fields = fields_from_immersion(control_imm, INNER_SCHEME)
+    control_fields = fields_from_immersion(control_imm)
     control_pts = sample_points(control_imm, max(6, cfg.samples // 3), rng, cfg.jitter)
     control_spread = _spread(
         [direct_scalar(control_fields, p, outer_scheme(cfg)) for p in control_pts]
@@ -612,7 +625,7 @@ def check_warped_metric_scalar(cfg: RunConfig, surfaces, rng, res: Residuals) ->
             if kstar is not None:
                 # start near the equilibrium so unstable families survive
                 k0, ks0 = 1.05 * kstar, 0.0
-            traj = spiral_trajectory(n, eps, big_r, k0, ks0, s_max, cfg.step)
+            traj = spiral_trajectory(n, eps, big_r, k0, ks0, s_max, cfg.step, curve=False)
             lo, hi = float(traj.s[0]) + 0.2, float(traj.s[-1]) - 0.2
             svals = np.linspace(lo, hi, max(20, cfg.samples))
             vals = _warped_scalars(traj, n, svals, sch)
@@ -638,7 +651,9 @@ def check_warped_metric_scalar(cfg: RunConfig, surfaces, rng, res: Residuals) ->
         )
 
     # alternate coefficient convention: spread recorded, not asserted
-    alt = spiral_trajectory(n, -1, -0.75, 1.25, 0.05, 4.5, cfg.step, variant=ALTERNATE)
+    alt = spiral_trajectory(
+        n, -1, -0.75, 1.25, 0.05, 4.5, cfg.step, variant=ALTERNATE, curve=False
+    )
     svals = np.linspace(float(alt.s[0]) + 0.2, float(alt.s[-1]) - 0.2, 20)
     alt_spread = _spread(_warped_scalars(alt, n, svals, sch))
     res.add(samples=svals.size)
@@ -675,7 +690,7 @@ def check_torus_scalar_audit(cfg: RunConfig, surfaces, rng, res: Residuals) -> d
     audit_rows = []
     for r in TORUS_AUDIT_RADII:
         imm = torus_immersion(r, n)
-        fields = fields_from_immersion(imm, INNER_SCHEME)
+        fields = fields_from_immersion(imm)
         pts = sample_points(imm, 3, rng, cfg.jitter)
         sch = outer_scheme(cfg, 0.6)
         per_conv = _mean_by_convention(
@@ -738,7 +753,8 @@ def check_blaschke_trace_audit(cfg: RunConfig, surfaces, rng, res: Residuals) ->
     the scalar curvature of the Moebius metric is measured independently in
     the full trace and converted per convention.  Audit: the residual of
     the identity under each normalization, per surface.  The audit's
-    residual is the best over surfaces and normalizations.
+    residual is the worst over surfaces of the best normalization, so a
+    surface that no normalization fits shows.
     """
     n = cfg.n
     audit_rows = []
@@ -752,9 +768,8 @@ def check_blaschke_trace_audit(cfg: RunConfig, surfaces, rng, res: Residuals) ->
             for name, r_c in _mean_by_convention([full], n).items():
                 target = 1.0 / (2 * n) + r_c / (2 * (n - 1))
                 resid[name] = max(resid[name], abs(tr_a - target))
-        res.add(samples=len(pts))
+        res.add(min(resid.values()), samples=len(pts))
         audit_rows.append(_audit_row(f"tr A = 1/(2n) + R/(2(n-1)) on the {surf.name}", resid))
-    res.worst = min(min(row["residual_by_convention"].values()) for row in audit_rows)
     return {"audit_rows": audit_rows}
 
 
@@ -769,7 +784,7 @@ def check_sigma_invariance(cfg: RunConfig, surfaces, rng, res: Residuals) -> dic
     for surf in surfaces:
         if surf.name not in ("cylinder", "rotational"):
             continue
-        lift_fields = fields_from_immersion(lift_to_sphere(surf.imm), INNER_SCHEME)
+        lift_fields = fields_from_immersion(lift_to_sphere(surf.imm))
         for p in sample_points(surf.imm, 3, rng, cfg.jitter):
             d0 = moebius_data(surf.fields, p, FIELD_SCHEME)
             d1 = moebius_data(lift_fields, p, FIELD_SCHEME)

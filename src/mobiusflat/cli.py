@@ -24,7 +24,6 @@ from . import __version__
 from .checks import (
     CONVENTION_BY_NAME,
     FIELD_SCHEME,
-    INNER_SCHEME,
     outer_scheme,
     rigidity_scan,
     run_suite,
@@ -87,7 +86,7 @@ def cmd_build(cfg: RunConfig, out: str, convention: str) -> int:
 
 def cmd_invariants(cfg: RunConfig, out: str, convention: str) -> int:
     imm = _build_surface(cfg)
-    fields = fields_from_immersion(imm, INNER_SCHEME)
+    fields = fields_from_immersion(imm)
     rng = np.random.default_rng(cfg.seed)
     pts = sample_points(imm, cfg.samples, rng, cfg.jitter)
     conv = CONVENTION_BY_NAME[convention]

@@ -17,8 +17,7 @@ from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .report import config_hash
-
-FAMILIES = ("cylinder", "cone", "rotational", "torus")
+from .zoo import FAMILIES
 VARIANTS = ("standard", "alternate")
 CONVENTIONS = ("half", "full", "normalized")
 CHECK_NAMES = (
@@ -52,8 +51,10 @@ class RunConfig:
     step: float = 1e-3
     kappa_floor: float = 1e-6
     kappa_ceiling: float = 1e6
-    # finite differencing
-    curvature_step: float = 0.02
+    # finite differencing: the outer curvature step.  I and II come from
+    # exact jets, so no inner-stencil rounding floor competes with this
+    # step's truncation error
+    curvature_step: float = 0.01
     # sampling
     samples: int = 20
     jitter: float = 0.1

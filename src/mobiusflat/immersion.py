@@ -1,10 +1,15 @@
 """Immersed hypersurfaces given by an explicit chart evaluator.
 
 The handle wraps a vectorized evaluator f: (K, m) -> (K, N) together with
-chart bounds and an orientation seed.  Everything downstream (fundamental
-forms, normals, shape data) is pure finite-difference numerics on f.  A
-request that needs the second fundamental form takes positions, jacobians
-and second derivatives from one jet of f (one evaluator call).
+chart bounds, an orientation seed and, optionally, an exact second-order jet
+of f: pts -> (values (K, N), d1 (K, m, N), d2 (K, m, m, N)), the layout of
+``fd.jet_batch``.  Everything downstream (fundamental forms, normals, shape
+data) is computed from derivatives of f.  A handle with a jet gives them
+exactly, from one jet evaluation per point; a handle without one gets them
+by finite differences on a caller's FDScheme, where a request that needs the
+second fundamental form takes positions, jacobians and second derivatives
+from one FD jet of f (one evaluator call).  The FD route is also the test
+oracle for the jets.
 
 Normals are produced by the generalized cross product of the tangent
 vectors (plus the position vector for immersions into the unit sphere),
@@ -69,6 +74,10 @@ class ImmersionHandle:
     domain: tuple[tuple[float, float], ...] | None = None
     name: str = ""
     analytic_fields: object = field(default=None, compare=False, repr=False)
+    # exact (values, d1, d2) of the evaluator; None selects finite differences
+    jet: Callable[[np.ndarray], tuple[np.ndarray, ...]] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if self.ambient_kind not in (EUCLIDEAN, UNIT_SPHERE):
@@ -94,15 +103,19 @@ class ImmersionHandle:
                     f"range [{lo:.6g}, {hi:.6g}]"
                 )
 
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
+    def _chart_points(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if pts.shape[1] != self.chart_dimension:
             raise InputError(
                 f"expected chart dimension {self.chart_dimension}, got {pts.shape[1]}"
             )
         self.check_domain(pts)
-        out = np.asarray(self.evaluator(pts), dtype=float)
-        if out.shape != (pts.shape[0], self.ambient_dimension):
+        return pts
+
+    def _image(self, out, count: int) -> np.ndarray:
+        """Evaluator values at count points, checked for shape and, in the sphere, norm."""
+        out = np.asarray(out, dtype=float)
+        if out.shape != (count, self.ambient_dimension):
             raise InputError("evaluator returned a wrongly shaped array")
         if self.ambient_kind == UNIT_SPHERE:
             r = np.linalg.norm(out, axis=1)
@@ -113,18 +126,70 @@ class ImmersionHandle:
                 )
         return out
 
+    def __call__(self, pts: np.ndarray) -> np.ndarray:
+        pts = self._chart_points(pts)
+        return self._image(self.evaluator(pts), pts.shape[0])
+
+    def evaluate_jet(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Exact values (K, N), first (K, m, N) and second partials (K, m, m, N) at pts.
+
+        Applies every check of ``__call__`` (chart dimension, domain, shape
+        and the unit-sphere tolerance on the values), plus the shapes of the
+        derivatives.
+        """
+        if self.jet is None:
+            raise InputError(f"immersion {self.name or '(unnamed)'} has no exact jet")
+        pts = self._chart_points(pts)
+        values, d1, d2 = self.jet(pts)
+        k, m, n = pts.shape[0], self.chart_dimension, self.ambient_dimension
+        d1, d2 = np.asarray(d1, dtype=float), np.asarray(d2, dtype=float)
+        if d1.shape != (k, m, n) or d2.shape != (k, m, m, n):
+            raise InputError("jet returned wrongly shaped derivatives")
+        return self._image(values, k), d1, d2
+
 
 # ---------------------------------------------------------------------------
 # derivatives of the immersion
+#
+# Each function takes the derivatives of f from the handle's exact jet when
+# it has one; scheme is read only for a handle without a jet.
 
 
-def jacobian_batch(imm: ImmersionHandle, pts: np.ndarray, scheme: FDScheme) -> np.ndarray:
-    """d f / d x_a as columns: returns (K, N, m)."""
-    d = diff1_batch(imm, pts, scheme)  # (K, m, N)
-    return np.swapaxes(d, 1, 2)
+def _fd_scheme(imm: ImmersionHandle, scheme: FDScheme | None) -> FDScheme:
+    if scheme is None:
+        raise InputError(
+            f"immersion {imm.name or '(unnamed)'} has no exact jet; pass an FD scheme"
+        )
+    return scheme
 
 
-def jacobian(imm: ImmersionHandle, p: np.ndarray, scheme: FDScheme) -> np.ndarray:
+def immersion_jet(
+    imm: ImmersionHandle, pts: np.ndarray, scheme: FDScheme | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values (K, N), first (K, m, N) and second partials (K, m, m, N) of f at pts.
+
+    Exact from the handle's jet; otherwise one FD jet on scheme's stencil.
+    """
+    if imm.jet is not None:
+        return imm.evaluate_jet(pts)
+    return jet_batch(imm, pts, _fd_scheme(imm, scheme))
+
+
+def jacobian_batch(
+    imm: ImmersionHandle, pts: np.ndarray, scheme: FDScheme | None = None
+) -> np.ndarray:
+    """d f / d x_a as columns: returns (K, N, m).
+
+    Without a jet, from the 4m-point first-difference stencil alone.
+    """
+    if imm.jet is not None:
+        d1 = imm.evaluate_jet(pts)[1]
+    else:
+        d1 = diff1_batch(imm, pts, _fd_scheme(imm, scheme))  # (K, m, N)
+    return np.swapaxes(d1, 1, 2)
+
+
+def jacobian(imm: ImmersionHandle, p: np.ndarray, scheme: FDScheme | None = None) -> np.ndarray:
     return jacobian_batch(imm, np.asarray(p, dtype=float)[None, :], scheme)[0]
 
 
@@ -135,12 +200,14 @@ def _gram(jac: np.ndarray) -> np.ndarray:
 
 
 def first_fundamental_form_batch(
-    imm: ImmersionHandle, pts: np.ndarray, scheme: FDScheme
+    imm: ImmersionHandle, pts: np.ndarray, scheme: FDScheme | None = None
 ) -> np.ndarray:
     return _gram(jacobian_batch(imm, pts, scheme))
 
 
-def first_fundamental_form(imm: ImmersionHandle, p: np.ndarray, scheme: FDScheme) -> MetricSample:
+def first_fundamental_form(
+    imm: ImmersionHandle, p: np.ndarray, scheme: FDScheme | None = None
+) -> MetricSample:
     g = first_fundamental_form_batch(imm, np.asarray(p, dtype=float)[None, :], scheme)[0]
     return MetricSample(point=np.asarray(p, dtype=float), g=g)
 
@@ -168,7 +235,7 @@ def _cross_complement(mat: np.ndarray) -> np.ndarray:
     return np.stack(comps, axis=-1)
 
 
-def _raw_normal(imm: ImmersionHandle, pos: np.ndarray | None, jac: np.ndarray) -> np.ndarray:
+def _raw_normal(imm: ImmersionHandle, pos: np.ndarray, jac: np.ndarray) -> np.ndarray:
     """Unit normal before the orientation sign, from positions (K, N) and jacobians (K, N, m).
 
     pos is only read for sphere-ambient immersions.
@@ -190,14 +257,14 @@ def _raw_normal(imm: ImmersionHandle, pos: np.ndarray | None, jac: np.ndarray) -
     return raw / nrm[:, None]
 
 
-def _raw_normal_batch(imm: ImmersionHandle, pts: np.ndarray, scheme: FDScheme) -> np.ndarray:
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    jac = jacobian_batch(imm, pts, scheme)  # (K, N, m)
-    pos = imm(pts) if imm.ambient_kind == UNIT_SPHERE else None
-    return _raw_normal(imm, pos, jac)
+def _raw_normal_batch(
+    imm: ImmersionHandle, pts: np.ndarray, scheme: FDScheme | None
+) -> np.ndarray:
+    pos, d1, _ = immersion_jet(imm, np.atleast_2d(np.asarray(pts, dtype=float)), scheme)
+    return _raw_normal(imm, pos, np.swapaxes(d1, 1, 2))
 
 
-def orientation_sign(imm: ImmersionHandle, scheme: FDScheme) -> float:
+def orientation_sign(imm: ImmersionHandle, scheme: FDScheme | None = None) -> float:
     """+1 or -1: the sign that points the normal at the base point along the seed."""
     if imm.orientation_seed is None or imm.base_point is None:
         return 1.0
@@ -208,24 +275,29 @@ def orientation_sign(imm: ImmersionHandle, scheme: FDScheme) -> float:
     return 1.0 if dot > 0.0 else -1.0
 
 
-def unit_normal_batch(imm: ImmersionHandle, pts: np.ndarray, scheme: FDScheme) -> np.ndarray:
+def unit_normal_batch(
+    imm: ImmersionHandle, pts: np.ndarray, scheme: FDScheme | None = None
+) -> np.ndarray:
     return orientation_sign(imm, scheme) * _raw_normal_batch(imm, pts, scheme)
 
 
-def unit_normal(imm: ImmersionHandle, p: np.ndarray, scheme: FDScheme) -> np.ndarray:
+def unit_normal(imm: ImmersionHandle, p: np.ndarray, scheme: FDScheme | None = None) -> np.ndarray:
     return unit_normal_batch(imm, np.asarray(p, dtype=float)[None, :], scheme)[0]
 
 
 def fundamental_forms_batch(
-    imm: ImmersionHandle, pts: np.ndarray, scheme: FDScheme, sign: float | None = None
+    imm: ImmersionHandle,
+    pts: np.ndarray,
+    scheme: FDScheme | None = None,
+    sign: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(I, II) at each point from one jet of the immersion: (K, m, m) each.
 
     h_ab = <d^2 f / dx_a dx_b, normal>, with the normal built from the
-    jet's jacobian (and its centre values for sphere-ambient immersions).
-    sign is the handle's orientation sign, resolved here when not given.
+    jet's jacobian (and its values for sphere-ambient immersions).  sign is
+    the handle's orientation sign, resolved here when not given.
     """
-    pos, d1, hess = jet_batch(imm, pts, scheme)  # hess: (K, m, m, N)
+    pos, d1, hess = immersion_jet(imm, pts, scheme)  # hess: (K, m, m, N)
     jac = np.swapaxes(d1, 1, 2)
     gram = _gram(jac)
     if sign is None:
@@ -235,7 +307,7 @@ def fundamental_forms_batch(
 
 
 def second_fundamental_form_batch(
-    imm: ImmersionHandle, pts: np.ndarray, scheme: FDScheme
+    imm: ImmersionHandle, pts: np.ndarray, scheme: FDScheme | None = None
 ) -> np.ndarray:
     """h_ab = <d^2 f / dx_a dx_b, normal>: returns (K, m, m).
 
@@ -246,7 +318,9 @@ def second_fundamental_form_batch(
     return fundamental_forms_batch(imm, pts, scheme)[1]
 
 
-def second_fundamental_form(imm: ImmersionHandle, p: np.ndarray, scheme: FDScheme) -> np.ndarray:
+def second_fundamental_form(
+    imm: ImmersionHandle, p: np.ndarray, scheme: FDScheme | None = None
+) -> np.ndarray:
     return second_fundamental_form_batch(imm, np.asarray(p, dtype=float)[None, :], scheme)[0]
 
 

@@ -22,8 +22,9 @@ immersions into the unit sphere); the constant enters A's isotropic term.
 
 Each computation asks its fields once per point set: one ``sample`` request
 for (I, h, rho, H) at p, and one stencil of a field that packs every
-differenced quantity side by side.  On finite-difference fields each request
-is one jet of the immersion.
+differenced quantity side by side.  On fields from an immersion each request
+is one jet of the immersion per point: exact for the suite's generators,
+by finite differences for a handle without a jet.
 """
 
 from __future__ import annotations
@@ -137,7 +138,8 @@ class SurfaceFields:
     metric(pts) -> (K, m, m) first fundamental form I, shape(pts) -> (K, m, m)
     second fundamental form h, rho(pts) -> (K,), mean(pts) -> (K,).
     sample(pts) -> (I, h, rho, H) answers all four in one request: one jet of
-    the immersion for FD fields, the four callables composed when not given.
+    the immersion for fields_from_immersion, the four callables composed
+    when not given.
     ambient_curvature is 0 for Euclidean ambient, 1 for the unit sphere.
     """
 
@@ -168,12 +170,13 @@ class SurfaceFields:
         return field
 
 
-def fields_from_immersion(imm: ImmersionHandle, scheme: FDScheme) -> SurfaceFields:
-    """Finite-difference backed fields for any immersion handle.
+def fields_from_immersion(imm: ImmersionHandle, scheme: FDScheme | None = None) -> SurfaceFields:
+    """Fields of any immersion handle, from the derivatives of f.
 
-    The metric alone takes the first-difference stencil; every other
-    request takes I and II from one jet of the immersion, that is one
-    evaluator call.  The orientation sign is resolved once, here.
+    Every request takes I and II from one jet of the immersion: the handle's
+    exact jet when it has one, else one FD jet on scheme (one evaluator
+    call), which is then required; the metric alone takes the first-
+    difference stencil there.  The orientation sign is resolved once, here.
     """
     sign = orientation_sign(imm, scheme)
 
@@ -195,8 +198,10 @@ def fields_from_immersion(imm: ImmersionHandle, scheme: FDScheme) -> SurfaceFiel
     )
 
 
-def get_fields(imm: ImmersionHandle, scheme: FDScheme, analytic: bool = True) -> SurfaceFields:
-    """The handle's closed-form fields when present and requested, else FD."""
+def get_fields(
+    imm: ImmersionHandle, scheme: FDScheme | None = None, analytic: bool = True
+) -> SurfaceFields:
+    """The handle's closed-form fields when present and requested, else fields_from_immersion."""
     if analytic and imm.analytic_fields is not None:
         return imm.analytic_fields
     return fields_from_immersion(imm, scheme)

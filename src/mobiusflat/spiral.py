@@ -208,6 +208,29 @@ def _frame_rhs(model: str, kappa: np.ndarray, curve: np.ndarray) -> np.ndarray:
     return out
 
 
+def _frame_accel(model: str, kappa, kappa_s, curve: np.ndarray, vel: np.ndarray) -> np.ndarray:
+    """d^2 curve / ds^2: the s-derivative of _frame_rhs, given its value vel."""
+    out = np.empty_like(curve)
+    if model == PLANE:
+        out[:, 0] = -vel[:, 1] * kappa
+        out[:, 1] = vel[:, 0] * kappa
+        out[:, 2] = kappa_s
+    elif model == HALF_PLANE:
+        # x' = y cos phi and y' = y sin phi, so y sin phi = y' and y cos phi = x'
+        phi = curve[:, 2]
+        out[:, 0] = vel[:, 1] * (np.cos(phi) - vel[:, 2])
+        out[:, 1] = vel[:, 1] * np.sin(phi) + vel[:, 0] * vel[:, 2]
+        out[:, 2] = kappa_s + np.sin(phi) * vel[:, 2]
+    else:
+        # gamma'' = T'; T'' = kappa_s gamma x T + kappa gamma x T' - T, as gamma' x T = 0
+        gam, tan, tan_s = curve[:, 0:3], curve[:, 3:6], vel[:, 3:6]
+        out[:, 0:3] = tan_s
+        out[:, 3:6] = (
+            kappa_s[:, None] * np.cross(gam, tan) + kappa[:, None] * np.cross(gam, tan_s) - tan
+        )
+    return out
+
+
 # ---------------------------------------------------------------------------
 # fused RK4 kernel
 #
@@ -627,6 +650,20 @@ class SpiralTrajectory:
     def curve_velocity_at(self, sq) -> np.ndarray:
         coords = np.atleast_2d(self.curve_at(sq))
         return _frame_rhs(self.model, np.atleast_1d(self.kappa_at(sq)), coords)
+
+    def curve_jet(self, sq) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(c, c', c'') of the curve at arbitrary s, each (K, curve_dim).
+
+        c is curve_at; c' is the frame equations' right-hand side at
+        (kappa_at, c), as in curve_velocity_at, and c'' its s-derivative with
+        kappa_s_at.  The derivatives come from the ODE, not from the C^1
+        Hermite interpolant, whose second derivative is only O(h^2) accurate.
+        """
+        sq = np.atleast_1d(np.asarray(sq, dtype=float))
+        coords = np.atleast_2d(self.curve_at(sq))
+        kappa = self.kappa_at(sq)
+        vel = _frame_rhs(self.model, kappa, coords)
+        return coords, vel, _frame_accel(self.model, kappa, self.kappa_s_at(sq), coords, vel)
 
 
 def _return_watch(params: SpiralParams, row, controls: IntegratorControls) -> _Return | None:

@@ -10,8 +10,10 @@ Four generators, all built over a spiral trajectory or a radius parameter:
                             a = sqrt(1 - r^2)
 
 Each handle carries closed-form first/second fundamental forms and density
-fields (``analytic_fields``) next to the generic finite-difference pipeline,
-so identity checks can be run on either route.
+fields (``analytic_fields``) and an exact second-order jet of its immersion
+(``jet``), which the generic pipeline differentiates instead of f itself, so
+identity checks can be run on either route.  The lift and the homothety
+below carry the jet of their base handle through their map.
 
 The model maps between the ambient space forms are also here: the inverse
 stereographic lift R^(n+1) -> S^(n+1), its inverse, and the hyperboloid to
@@ -33,6 +35,60 @@ POLE_MARGIN = 0.2
 
 
 # ---------------------------------------------------------------------------
+# exact second-order jets
+#
+# Every generator is a product of one-variable factors in each component:
+# f_i(p) = prod_a g_ai(p_a).  Its jet needs only each factor's value and
+# first two derivatives, and comes out in the layout of fd.jet_batch.
+
+
+def _product_jet(factors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(values (K, N), d1 (K, m, N), d2 (K, m, m, N)) of f_i = prod_a g_ai(p_a).
+
+    factors[a] = (g_a, g_a', g_a'') for chart coordinate a, each (K, N).
+    d_b f = g_b' prod_{a != b} g_a; d_b d_c f = g_b' g_c' prod_{a != b, c} g_a
+    for b != c and g_b'' prod_{a != b} g_a for b = c.
+    """
+    val, der, sec = (np.stack(level, axis=1) for level in zip(*factors))  # (K, m, N)
+    k, m, width = val.shape
+
+    def others(*skip):
+        out = np.ones((k, width))
+        for a in range(m):
+            if a not in skip:
+                out = out * val[:, a]
+        return out
+
+    d1 = np.empty((k, m, width))
+    d2 = np.empty((k, m, m, width))
+    for b in range(m):
+        rest = others(b)
+        d1[:, b] = der[:, b] * rest
+        d2[:, b, b] = sec[:, b] * rest
+        for c in range(b + 1, m):
+            d2[:, b, c] = d2[:, c, b] = der[:, b] * der[:, c] * others(b, c)
+    return others(), d1, d2
+
+
+def _coordinate_factor(x: np.ndarray, width: int, cols) -> tuple[np.ndarray, ...]:
+    """The chart coordinate x itself in the components cols, and 1 in the others."""
+    on = np.zeros(width, dtype=bool)
+    on[cols] = True
+    d = np.broadcast_to(on.astype(float), (x.size, width))
+    return np.where(on, x[:, None], 1.0), d, np.zeros_like(d)
+
+
+def _padded(factor, before: int = 0, after: int = 0) -> tuple[np.ndarray, ...]:
+    """factor (value, first, second; each (K, q)) with `before` leading and
+    `after` trailing components in which its coordinate does not enter."""
+    k = factor[0].shape[0]
+    return tuple(
+        np.concatenate([np.full((k, before), fill), x, np.full((k, after), fill)], axis=1)
+        for x, fill in zip(factor, (1.0, 0.0, 0.0))
+    )
+
+
+# ---------------------------------------------------------------------------
 # spherical charts
 
 
@@ -51,6 +107,29 @@ def sphere_chart(angles: np.ndarray) -> np.ndarray:
         sin_prod = sin_prod * np.sin(angles[:, i])
     out[:, d] = sin_prod
     return out
+
+
+def _sphere_factors(angles: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """Per angle, its factor in each component of sphere_chart, with two derivatives.
+
+    Component i is prod_{j<i} sin(a_j) cos(a_i) (the last one has no cosine),
+    so angle j is 1 in the components before j, cos in component j and sin
+    after it.  Each returned array is (K, d+1).
+    """
+    d = angles.shape[1]
+    idx = np.arange(d + 1)
+    out = []
+    for j in range(d):
+        c, s = np.cos(angles[:, j : j + 1]), np.sin(angles[:, j : j + 1])
+        v = np.where(idx < j, 1.0, np.where(idx == j, c, s))
+        dv = np.where(idx < j, 0.0, np.where(idx == j, -s, c))
+        out.append((v, dv, np.where(idx < j, 0.0, -v)))
+    return out
+
+
+def sphere_chart_jet(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sphere_chart with its exact partials: (K, d+1), (K, d, d+1), (K, d, d, d+1)."""
+    return _product_jet(_sphere_factors(np.atleast_2d(angles)))
 
 
 def sphere_chart_metric(angles: np.ndarray) -> np.ndarray:
@@ -102,6 +181,13 @@ def cylinder_immersion(traj: SpiralTrajectory, n: int, margin: float = 0.15) -> 
         c = traj.curve_at(pts[:, 0])
         return np.concatenate([c[:, 0:2], pts[:, 1:]], axis=1)
 
+    def jet(pts: np.ndarray):
+        c, vel, acc = traj.curve_jet(pts[:, 0])
+        curve = _padded((c[:, 0:2], vel[:, 0:2], acc[:, 0:2]), after=n - 1)
+        return _product_jet(
+            [curve] + [_coordinate_factor(pts[:, j], n + 1, j + 1) for j in range(1, n)]
+        )
+
     s_base = 0.5 * (lo + hi)
     theta0 = float(traj.curve_at(np.array([s_base]))[0, 2])
     seed = np.zeros(n + 1)
@@ -138,6 +224,7 @@ def cylinder_immersion(traj: SpiralTrajectory, n: int, margin: float = 0.15) -> 
         domain=tuple(domain),
         name="cylinder",
         analytic_fields=fields,
+        jet=jet,
     )
 
 
@@ -164,6 +251,14 @@ def cone_immersion(
         pts = np.atleast_2d(pts)
         gam = traj.curve_at(pts[:, 0])[:, 0:3]
         return np.concatenate([pts[:, 1:2] * gam, pts[:, 2:]], axis=1)
+
+    def jet(pts: np.ndarray):
+        c, vel, acc = traj.curve_jet(pts[:, 0])
+        gam = _padded((c[:, 0:3], vel[:, 0:3], acc[:, 0:3]), after=n - 2)
+        t = _coordinate_factor(pts[:, 1], n + 1, slice(0, 3))
+        return _product_jet(
+            [gam, t] + [_coordinate_factor(pts[:, j], n + 1, j + 1) for j in range(2, n)]
+        )
 
     s_base = 0.5 * (lo + hi)
     st = traj.curve_at(np.array([s_base]))[0]
@@ -205,11 +300,18 @@ def cone_immersion(
         domain=tuple(domain),
         name="cone",
         analytic_fields=fields,
+        jet=jet,
     )
 
 
 # ---------------------------------------------------------------------------
 # rotational hypersurface over a half-plane curve
+
+
+def _upper(curve: np.ndarray) -> np.ndarray:
+    if np.any(curve[:, 1] <= 0):
+        raise ChartDomainError("rotational profile curve left y > 0")
+    return curve
 
 
 def rotational_immersion(
@@ -225,11 +327,21 @@ def rotational_immersion(
 
     def evaluator(pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
-        c = traj.curve_at(pts[:, 0])
-        if np.any(c[:, 1] <= 0):
-            raise ChartDomainError("rotational profile curve left y > 0")
+        c = _upper(traj.curve_at(pts[:, 0]))
         sph = sphere_chart(pts[:, 1:])
         return np.concatenate([c[:, 0:1], c[:, 1:2] * sph], axis=1)
+
+    def jet(pts: np.ndarray):
+        # x(s) in the first component, y(s) times the sphere factors in the others
+        c, vel, acc = traj.curve_jet(pts[:, 0])
+        _upper(c)
+        profile = tuple(
+            np.concatenate([x[:, 0:1], np.repeat(x[:, 1:2], n, axis=1)], axis=1)
+            for x in (c, vel, acc)
+        )
+        return _product_jet(
+            [profile] + [_padded(f, before=1) for f in _sphere_factors(pts[:, 1:])]
+        )
 
     s_base = 0.5 * (lo + hi)
     c0 = traj.curve_at(np.array([s_base]))[0]
@@ -289,6 +401,7 @@ def rotational_immersion(
         domain=tuple(domain),
         name="rotational",
         analytic_fields=fields,
+        jet=jet,
     )
 
 
@@ -310,6 +423,17 @@ def torus_immersion(r: float, n: int) -> ImmersionHandle:
         return np.concatenate(
             [a * np.cos(u)[:, None], a * np.sin(u)[:, None], r * sph], axis=1
         )
+
+    def jet(pts: np.ndarray):
+        # (a cos u, a sin u) in the first two components, r times the sphere factors after
+        cu, su = np.cos(pts[:, 0:1]), np.sin(pts[:, 0:1])
+        radius, zero = np.full((pts.shape[0], n), r), np.zeros((pts.shape[0], n))
+        u = (
+            np.concatenate([a * cu, a * su, radius], axis=1),
+            np.concatenate([-a * su, a * cu, zero], axis=1),
+            np.concatenate([-a * cu, -a * su, zero], axis=1),
+        )
+        return _product_jet([u] + [_padded(f, before=2) for f in _sphere_factors(pts[:, 1:])])
 
     base = np.concatenate([[0.0], _angle_base(d)])
     sph0 = sphere_chart(_angle_base(d)[None, :])[0]
@@ -350,6 +474,7 @@ def torus_immersion(r: float, n: int) -> ImmersionHandle:
         domain=tuple(domain),
         name="torus",
         analytic_fields=fields,
+        jet=jet,
     )
 
 
@@ -391,6 +516,33 @@ def _stereo_lift_differential(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return dnum / den - num * dden / den**2
 
 
+def _lift_jet(u: np.ndarray, du: np.ndarray, ddu: np.ndarray):
+    """The jet of inverse_stereographic(f) from the jet of f, by the chain rule.
+
+    The lift is (2 sig - 1, 2 sig u) with sig = 1 / (1 + |u|^2); second
+    derivatives follow d2(g o f) = Dg d2f + D^2 g[d1f, d1f].
+    """
+    sig = 1.0 / (1.0 + np.sum(u * u, axis=1))
+    w = np.einsum("kn,kan->ka", u, du)  # <u, d_a u>
+    dsig = -2.0 * sig[:, None] ** 2 * w
+    dots = np.einsum("kan,kbn->kab", du, du) + np.einsum("kn,kabn->kab", u, ddu)
+    ddsig = 2.0 * sig[:, None, None] ** 2 * (
+        4.0 * sig[:, None, None] * w[:, :, None] * w[:, None, :] - dots
+    )
+    value = np.concatenate([2.0 * sig[:, None] - 1.0, 2.0 * sig[:, None] * u], axis=1)
+    # partials of sig u, then those of sig in front for the first component
+    d1 = dsig[..., None] * u[:, None] + sig[:, None, None] * du
+    d2 = (
+        ddsig[..., None] * u[:, None, None]
+        + dsig[:, :, None, None] * du[:, None]
+        + dsig[:, None, :, None] * du[:, :, None]
+        + sig[:, None, None, None] * ddu
+    )
+    d1 = np.concatenate([dsig[..., None], d1], axis=2)
+    d2 = np.concatenate([ddsig[..., None], d2], axis=3)
+    return value, 2.0 * d1, 2.0 * d2
+
+
 def lift_to_sphere(imm: ImmersionHandle) -> ImmersionHandle:
     """Post-compose a Euclidean-ambient immersion with the stereographic lift."""
     if imm.ambient_kind != EUCLIDEAN:
@@ -398,6 +550,9 @@ def lift_to_sphere(imm: ImmersionHandle) -> ImmersionHandle:
 
     def evaluator(pts: np.ndarray) -> np.ndarray:
         return inverse_stereographic(imm(pts))
+
+    def jet(pts: np.ndarray):
+        return _lift_jet(*imm.evaluate_jet(pts))
 
     seed = None
     if imm.orientation_seed is not None and imm.base_point is not None:
@@ -418,6 +573,7 @@ def lift_to_sphere(imm: ImmersionHandle) -> ImmersionHandle:
         domain=imm.domain,
         name=f"{imm.name}+lift" if imm.name else "lift",
         analytic_fields=None,
+        jet=None if imm.jet is None else jet,
     )
 
 
@@ -432,6 +588,10 @@ def scale_immersion(imm: ImmersionHandle, factor: float) -> ImmersionHandle:
 
     def evaluator(pts: np.ndarray) -> np.ndarray:
         return factor * imm(np.atleast_2d(pts) / factor)
+
+    def jet(pts: np.ndarray):
+        values, d1, d2 = imm.evaluate_jet(np.atleast_2d(pts) / factor)
+        return factor * values, d1, d2 / factor
 
     domain = None
     if imm.domain is not None:
@@ -449,6 +609,7 @@ def scale_immersion(imm: ImmersionHandle, factor: float) -> ImmersionHandle:
         domain=domain,
         name=f"{imm.name}*{factor:g}" if imm.name else f"scale*{factor:g}",
         analytic_fields=None,
+        jet=None if imm.jet is None else jet,
     )
 
 
@@ -456,18 +617,24 @@ def scale_immersion(imm: ImmersionHandle, factor: float) -> ImmersionHandle:
 # declarative construction
 
 
+# the one table of family names: the spiral families, with the model
+# curvature eps of their profile curve, then the torus
+EPSILON_BY_FAMILY = {"cylinder": 0, "cone": 1, "rotational": -1}
+FAMILIES = (*EPSILON_BY_FAMILY, "torus")
+
+
 @dataclass(frozen=True)
 class HypersurfaceSpec:
     """What to build: family, dimension, generator data, optional lift."""
 
-    kind: str  # cylinder | cone | rotational | torus
+    kind: str  # one of FAMILIES
     n: int
     trajectory: SpiralTrajectory | None = None
     torus_r: float | None = None
     lift: bool = False
 
     def __post_init__(self):
-        if self.kind not in ("cylinder", "cone", "rotational", "torus"):
+        if self.kind not in FAMILIES:
             raise InputError(f"unknown hypersurface kind {self.kind!r}")
         if self.kind == "torus":
             if self.torus_r is None or not 0.0 < self.torus_r < 1.0:
@@ -476,8 +643,6 @@ class HypersurfaceSpec:
             raise InputError(f"{self.kind} needs a spiral trajectory")
 
 
-# spiral families by name, with the model curvature eps of their profile curve
-EPSILON_BY_FAMILY = {"cylinder": 0, "cone": 1, "rotational": -1}
 
 
 def build_family(family: str, traj: SpiralTrajectory, n: int) -> ImmersionHandle:

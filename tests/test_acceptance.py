@@ -204,3 +204,14 @@ def test_criterion_10_determinism(cfg, suite):
 def test_suite_has_at_least_ten_checks(suite):
     assert len(suite.records) >= 10
     assert suite.all_asserts_pass
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_pipeline_scalar_margins(seed):
+    # exact inner jets leave the nested pipeline with outer truncation alone:
+    # its scalar asserts sit at 5% of their tolerances or less
+    names = ("two_route_scalar", "scalar_constancy", "sigma_invariance")
+    report = run_suite(RunConfig(seed=seed, checks=",".join(names)).validate())
+    assert [r.name for r in report.records] == list(names)
+    for rec in report.records:
+        assert rec.passed and rec.max_residual <= 0.05 * rec.tolerance, rec.name

@@ -218,6 +218,42 @@ class TestSuite:
         assert type(report.records[0].max_residual) is float
         assert report.to_checks_csv().splitlines()[1] == "trace_identities,assert,1,2.5e-09,1e-08,True"
 
+    @pytest.mark.parametrize("name", ["trace_identities", "torus_scalar_audit"])
+    def test_nan_residual_fails(self, name, monkeypatch):
+        # max(0.0, nan) is 0.0: a NaN residual must not be dropped as a pass
+        def measure(cfg, surfaces, rng, res):
+            res.add(float("nan"), 1e-12)
+            return {}
+
+        spec = CHECK_FUNCTIONS[name]
+        monkeypatch.setitem(CHECK_FUNCTIONS, spec.name, dataclasses.replace(spec, body=measure))
+        (record,) = run_suite(RunConfig(samples=4, checks=name).validate()).records
+        assert record.error is None and np.isnan(record.max_residual)
+        assert not record.passed
+
+    def test_blaschke_audit_reports_worst_surface(self, monkeypatch):
+        # shift tr A on the torus only: no normalization fits it, and the
+        # audit's residual must show that surface, not the best one
+        from mobiusflat import checks
+
+        cfg = RunConfig(samples=4).validate()
+        surfaces = suite_surfaces(cfg)
+        torus_fields = checks._surface(surfaces, "torus").closed_form
+        honest = checks.blaschke_A
+
+        def shifted(fields, p, sch):
+            a = honest(fields, p, sch)
+            return a + np.eye(a.shape[0]) if fields is torus_fields else a
+
+        monkeypatch.setattr(checks, "blaschke_A", shifted)
+        record = CHECK_FUNCTIONS["blaschke_trace_audit"](cfg, surfaces, np.random.default_rng(0))
+        best = {
+            row["identity"].rsplit(" ", 1)[-1]: min(row["residual_by_convention"].values())
+            for row in record.details["audit_rows"]
+        }
+        assert best["torus"] > 0.5 and best["cylinder"] < 1e-6
+        assert record.max_residual == max(best.values())
+
     def test_crashed_audit_fails_the_run(self, monkeypatch):
         def crash(cfg, surfaces, rng, res):
             raise ValueError("forced")

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mobiusflat.errors import ChartDomainError, DegenerateGeometryError
+from mobiusflat.errors import ChartDomainError, DegenerateGeometryError, InputError
 from mobiusflat.fd import FDScheme
 from mobiusflat.immersion import (
     ImmersionHandle,
@@ -133,7 +135,8 @@ class TestOneJet:
         if surface == "graph":
             imm, pts = graph_surface(), np.array([[0.3, 0.2], [0.7, 0.1], [-1.1, 0.4]])
         else:
-            imm = request.getfixturevalue("torus")
+            # the FD route: the handle's exact jet is dropped
+            imm = dataclasses.replace(request.getfixturevalue("torus"), jet=None)
             pts = interior_points(imm, 5, seed=3)
         hess = fd_oracle.diff2_batch(imm, pts, SCHEME)
         h_oracle = np.einsum("kabn,kn->kab", hess, unit_normal_batch(imm, pts, SCHEME))
@@ -143,6 +146,39 @@ class TestOneJet:
         assert np.array_equal(h, h_oracle)
         g, h = fundamental_forms_batch(imm, pts, SCHEME, sign=-1.0)
         assert np.array_equal(h, -h_oracle)
+
+
+class TestExactJetFrontEnd:
+    """The jet path applies every check of the evaluator path."""
+
+    def test_domain_error(self, rotational):
+        off = rotational.base_point.copy()
+        off[0] = rotational.domain[0][1] + 0.01
+        with pytest.raises(ChartDomainError, match="coordinate 0"):
+            fundamental_forms_batch(rotational, off[None, :], sign=1.0)
+        with pytest.raises(InputError, match="chart dimension"):
+            rotational.evaluate_jet(off[None, 1:])
+
+    def test_unit_sphere_tolerance(self, torus):
+        def off_sphere(pts):
+            values, d1, d2 = torus.jet(pts)
+            return (1.0 + 1e-9) * values, d1, d2
+
+        imm = dataclasses.replace(torus, jet=off_sphere)
+        with pytest.raises(DegenerateGeometryError, match="unit sphere"):
+            fundamental_forms_batch(imm, torus.base_point[None, :], sign=1.0)
+
+    def test_derivative_shapes(self, torus):
+        def flat(pts):
+            values, d1, d2 = torus.jet(pts)
+            return values, d1, d2[:, 0]
+
+        with pytest.raises(InputError, match="wrongly shaped"):
+            dataclasses.replace(torus, jet=flat).evaluate_jet(torus.base_point)
+
+    def test_fd_route_needs_a_scheme(self, torus):
+        with pytest.raises(InputError, match="no exact jet"):
+            fundamental_forms_batch(dataclasses.replace(torus, jet=None), torus.base_point)
 
 
 class TestPrincipalCurvatures:

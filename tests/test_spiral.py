@@ -368,6 +368,21 @@ def test_hermite_slopes_match_joint_rhs(case):
     assert np.array_equal(traj.curve_velocity_at(sq), numpy_stepper.joint_rhs(params, at)[:, 2:])
 
 
+@pytest.mark.parametrize("case", list(ORACLE_CASES), ids=lambda c: f"{c[0]}-{c[1]}")
+def test_curve_jet(case):
+    # c and c' are curve_at and curve_velocity_at bit for bit; c'' is the
+    # s-derivative of c', checked by a central difference of it
+    params, k0, ks0 = ORACLE_CASES[case]
+    traj = integrate_grid(params, [[k0, ks0]], IntegratorControls(s_max=1.0))[0]
+    sq = np.linspace(0.05, 0.95, 41)
+    c, vel, acc = traj.curve_jet(sq)
+    assert np.array_equal(c, traj.curve_at(sq))
+    assert np.array_equal(vel, traj.curve_velocity_at(sq))
+    h = 1e-4
+    diff = (traj.curve_velocity_at(sq + h) - traj.curve_velocity_at(sq - h)) / (2 * h)
+    assert np.max(np.abs(acc - diff)) < 1e-6
+
+
 # ---------------------------------------------------------------------------
 # period-map closure against the full-horizon scan it replaced
 

@@ -1,12 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mobiusflat.errors import ChartDomainError, InputError
-from mobiusflat.fd import FDScheme
+from mobiusflat.fd import FDScheme, jet_batch
 from mobiusflat.immersion import (
     first_fundamental_form_batch,
+    fundamental_forms_batch,
     jacobian,
     principal_curvatures,
     second_fundamental_form_batch,
@@ -20,7 +23,9 @@ from mobiusflat.zoo import (
     hyperboloid_to_hemisphere,
     inverse_stereographic,
     lift_to_sphere,
+    scale_immersion,
     sphere_chart,
+    sphere_chart_jet,
     sphere_chart_metric,
     stereographic,
     torus_immersion,
@@ -33,8 +38,9 @@ SCHEME = FDScheme(order=4)
 
 def fd_vs_analytic(imm, count=8, seed=1):
     pts = interior_points(imm, count, seed)
-    g_fd = first_fundamental_form_batch(imm, pts, SCHEME)
-    h_fd = second_fundamental_form_batch(imm, pts, SCHEME)
+    fd = dataclasses.replace(imm, jet=None)  # the FD route, not the handle's exact jet
+    g_fd = first_fundamental_form_batch(fd, pts, SCHEME)
+    h_fd = second_fundamental_form_batch(fd, pts, SCHEME)
     fields = imm.analytic_fields
     return pts, g_fd, h_fd, fields.metric(pts), fields.shape(pts)
 
@@ -56,6 +62,75 @@ def build_sphere_handle():
     from mobiusflat.immersion import ImmersionHandle
 
     return ImmersionHandle(chart_dimension=3, ambient_dimension=4, evaluator=sphere_chart)
+
+
+class TestExactJet:
+    """Each handle's exact jet against the FD jet (the oracle) and the closed forms."""
+
+    HANDLES = {
+        "cylinder": lambda imm: imm,
+        "cone": lambda imm: imm,
+        "rotational": lambda imm: imm,
+        "torus": lambda imm: imm,
+        "cylinder+lift": lift_to_sphere,
+        "rotational+lift": lift_to_sphere,
+        "cone*0.5": lambda imm: scale_immersion(imm, 0.5),
+        "rotational*2": lambda imm: scale_immersion(imm, 2.0),
+    }
+
+    @pytest.mark.parametrize("name", list(HANDLES))
+    def test_jet_matches_fd_jet(self, name, request):
+        base = request.getfixturevalue(name.split("+")[0].split("*")[0])
+        imm = self.HANDLES[name](base)
+        pts = interior_points(imm, 6, seed=2)
+        exact = imm.evaluate_jet(pts)
+        oracle = jet_batch(dataclasses.replace(imm, jet=None), pts, SCHEME)
+        values = imm(pts)
+        assert np.max(np.abs(exact[0] - values)) <= 4e-16 * np.max(np.abs(values))
+        for level, (x, ref) in enumerate(zip(exact[1:], oracle[1:]), start=1):
+            # FD truncation and rounding of the order-4 stencil
+            assert np.max(np.abs(x - ref)) <= 1e-6 * max(1.0, np.max(np.abs(ref))), level
+
+    @pytest.mark.parametrize("fixture", ["cylinder", "cone", "rotational", "torus"])
+    def test_forms_match_closed_form(self, fixture, request):
+        imm = request.getfixturevalue(fixture)
+        pts = interior_points(imm, 8, seed=1)
+        g, h = fundamental_forms_batch(imm, pts)
+        fields = imm.analytic_fields
+        scale = np.max(np.abs(fields.metric(pts)))
+        assert np.max(np.abs(g - fields.metric(pts))) <= 1e-12 * scale
+        assert np.max(np.abs(h - fields.shape(pts))) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_scaled_forms(self, factor, rotational):
+        # f_l(l p) = l f(p): the same I, and II divided by l
+        pts = interior_points(rotational, 6, seed=3)
+        g, h = fundamental_forms_batch(scale_immersion(rotational, factor), factor * pts)
+        fields = rotational.analytic_fields
+        assert np.max(np.abs(g - fields.metric(pts))) <= 1e-12
+        assert np.max(np.abs(factor * h - fields.shape(pts))) <= 1e-12
+
+    @pytest.mark.parametrize("fixture", ["cylinder", "rotational"])
+    def test_lift_keeps_moebius_metric(self, fixture, request):
+        # the lift is conformal: rho^2 I from its jet equals the closed form
+        from mobiusflat.moebius import fields_from_immersion
+
+        imm = request.getfixturevalue(fixture)
+        pts = interior_points(imm, 6, seed=4)
+        g, _, rho, _ = fields_from_immersion(lift_to_sphere(imm)).sample(pts)
+        fields = imm.analytic_fields
+        expected = fields.rho(pts)[:, None, None] ** 2 * fields.metric(pts)
+        assert np.max(np.abs(rho[:, None, None] ** 2 * g - expected)) <= 1e-12 * np.max(
+            np.abs(expected)
+        )
+
+    def test_sphere_chart_jet(self):
+        angles = np.array([[0.9, 1.1, 2.0], [1.5, 0.4, 5.0]])
+        exact = sphere_chart_jet(angles)
+        assert np.array_equal(exact[0], sphere_chart(angles))
+        oracle = jet_batch(sphere_chart, angles, SCHEME)
+        for x, ref in zip(exact[1:], oracle[1:]):
+            assert np.max(np.abs(x - ref)) <= 1e-8
 
 
 class TestCylinder:
