@@ -12,7 +12,7 @@ numerically.
 import numpy as np
 
 from mobiusflat.checks import warped_metric_field, warped_base_point
-from mobiusflat.curvature import Convention, metric_field_curvature
+from mobiusflat.curvature import Convention, metric_field_curvature, metric_field_curvature_batch
 from mobiusflat.fd import FDScheme
 from mobiusflat.spiral import (
     ALTERNATE,
@@ -31,12 +31,9 @@ def scalar_profile(params, k0, ks0, s_max=4.0):
     traj = reconstruct_curve(
         integrate_spiral(params, SpiralState(0.0, k0, ks0), IntegratorControls(s_max=s_max))
     )
-    field = warped_metric_field(traj, n)
     svals = np.linspace(traj.s[0] + 0.3, traj.s[-1] - 0.3, 12)
-    return np.array(
-        [metric_field_curvature(field, warped_base_point(n, params.epsilon, s), sch).scalar
-         for s in svals]
-    )
+    pts = np.array([warped_base_point(n, params.epsilon, s) for s in svals])
+    return metric_field_curvature_batch(warped_metric_field(traj, n), pts, sch).scalar
 
 
 print("standard variant, eps = -1 (sphere cross-section):")

@@ -41,8 +41,10 @@ from .config import RunConfig
 from .curvature import (
     Convention,
     codazzi_defect,
+    codazzi_defect_batch,
     convert_scalar,
     metric_field_curvature,
+    metric_field_curvature_batch,
     schouten_coordinate_field,
 )
 from .errors import MobiusFlatError
@@ -234,11 +236,13 @@ def warped_base_point(n, eps, s0):
     return p
 
 
-def _warped_scalars(traj: SpiralTrajectory, n: int, svals, sch: FDScheme) -> list[float]:
-    """Full-trace scalars of the warped metric over traj at the profile parameters svals."""
-    field = warped_metric_field(traj, n)
-    eps = traj.params.epsilon
-    return [metric_field_curvature(field, warped_base_point(n, eps, s0), sch).scalar for s0 in svals]
+def _warped_scalars(traj: SpiralTrajectory, n: int, svals, sch: FDScheme) -> np.ndarray:
+    """Full-trace scalars of the warped metric over traj at the profile parameters svals.
+
+    One curvature batch over all the parameters.
+    """
+    pts = np.array([warped_base_point(n, traj.params.epsilon, s0) for s0 in svals])
+    return metric_field_curvature_batch(warped_metric_field(traj, n), pts, sch).scalar
 
 
 def _spread(values) -> float:
@@ -501,7 +505,7 @@ def check_schouten_codazzi(cfg: RunConfig, surfaces, rng, res: Residuals) -> dic
         metric = surf.closed_form.metric
         sfield = schouten_coordinate_field(metric, sch, Convention.FULL_TRACE)
         pts = sample_points(surf.imm, 3, rng, cfg.jitter, pad=0.2)
-        vals = [codazzi_defect(sfield, metric, p, sch) for p in pts]
+        vals = codazzi_defect_batch(sfield, metric, pts, sch)
         per_surface[surf.name] = float(np.max(vals))
         res.add(per_surface[surf.name], samples=len(vals))
 
@@ -580,6 +584,7 @@ def check_scalar_constancy(cfg: RunConfig, surfaces, rng, res: Residuals) -> dic
         lambda s: 1.15 + 0.3 * np.sin(np.asarray(s)),
         lambda s: 0.3 * np.cos(np.asarray(s)),
         IntegratorControls(s_max=4.5, step=cfg.step),
+        kappa_ss_fn=lambda s: -0.3 * np.sin(np.asarray(s)),
     )
     control_imm = rotational_immersion(control_traj, cfg.n)
     control_fields = fields_from_immersion(control_imm)

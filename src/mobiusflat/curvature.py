@@ -18,6 +18,19 @@ states one explicitly:
     HALF_TRACE  = sum_{i>j} R_ijij   (orthonormal frame)
     FULL_TRACE  = 2 * HALF_TRACE     (the trace of Ricci; the common one)
     NORMALIZED  = FULL_TRACE / (n (n-1))
+
+The layer works on point sets.  ``metric_field_curvature_batch`` asks the
+field for the metric 2-jets at K points in one call (``fd.jet_batch``), and
+``curvature_batch`` turns them into Christoffel symbols, the Riemann tensor
+in the Gram-Schmidt frame, Ricci and the scalar with one vectorized pass:
+einsums over a leading K axis, a batched inverse, ``linalg.gram_schmidt_frames``
+and a positivity check by ``numpy.linalg.eigvalsh`` that names the first
+failing point.  Per point the arithmetic is that of a one-point request, and
+the tests hold a batch to the bits of the per-point algebra it replaced.
+``metric_field_curvature``, ``curvature_from_jet`` and ``codazzi_defect`` are
+its one-point front ends, as ``fd.jet`` is of ``jet_batch``.  A Schouten
+field is one curvature batch per call, so the Codazzi defect over a point
+set is three metric-field calls however many points it has.
 """
 
 from __future__ import annotations
@@ -28,8 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometryError, InputError
-from .fd import FDScheme, diff1, jet
-from .linalg import gram_schmidt_frame, jacobi_eigh, require_symmetric
+from .fd import FDScheme, diff1_batch, jet, jet_batch
+from .linalg import gram_schmidt_frames, require_symmetric
 
 
 # Metric fields are often themselves finite-difference pipelines whose
@@ -44,8 +57,8 @@ class Convention(enum.Enum):
     NORMALIZED = "normalized"
 
 
-def convert_scalar(value: float, src: Convention, dst: Convention, n: int) -> float:
-    """Convert a scalar-curvature value between normalizations."""
+def convert_scalar(value, src: Convention, dst: Convention, n: int):
+    """Convert a scalar-curvature value, or an array of them, between normalizations."""
     full = {
         Convention.HALF_TRACE: 2.0 * value,
         Convention.FULL_TRACE: value,
@@ -85,13 +98,50 @@ class CurvatureBundle:
         return convert_scalar(self.scalar, self.convention, convention, self.dim)
 
 
-def _check_metric(g: np.ndarray) -> np.ndarray:
+@dataclass(frozen=True)
+class CurvatureBatch:
+    """Curvature data of a metric field at K points.
+
+    The fields of ``CurvatureBundle`` with a leading K axis (scalar is (K,));
+    ``batch[i]`` is the bundle at point i.
+    """
+
+    points: np.ndarray
+    metric: np.ndarray
+    frame: np.ndarray
+    christoffel: np.ndarray
+    riemann: np.ndarray
+    ricci: np.ndarray
+    scalar: np.ndarray
+    convention: Convention
+
+    def __getitem__(self, i: int) -> CurvatureBundle:
+        return CurvatureBundle(
+            point=self.points[i],
+            metric=self.metric[i],
+            frame=self.frame[i],
+            christoffel=self.christoffel[i],
+            riemann=self.riemann[i],
+            ricci=self.ricci[i],
+            scalar=float(self.scalar[i]),
+            convention=self.convention,
+        )
+
+
+def _check_metrics(g: np.ndarray) -> np.ndarray:
+    """The symmetrized metrics (K, m, m), each finite and positive definite."""
     g = require_symmetric(g, tol=1e-8, what="metric field value")
-    w, _ = jacobi_eigh(g)
-    scale = max(1.0, float(np.max(np.abs(w))))
-    if w[0] <= 1e-12 * scale:
+    bad = np.flatnonzero(~np.all(np.isfinite(g), axis=(1, 2)))
+    if bad.size:
+        raise DegenerateGeometryError(f"metric field value at point {int(bad[0])} is not finite")
+    w = np.linalg.eigvalsh(g)
+    scale = np.maximum(1.0, np.max(np.abs(w), axis=1))
+    bad = np.flatnonzero(w[:, 0] <= 1e-12 * scale)
+    if bad.size:
+        i = int(bad[0])
         raise DegenerateGeometryError(
-            f"metric field is indefinite or near singular (min eigenvalue {w[0]:.3e})"
+            f"metric field is indefinite or near singular at point {i} "
+            f"(min eigenvalue {w[i, 0]:.3e})"
         )
     return g
 
@@ -99,8 +149,8 @@ def _check_metric(g: np.ndarray) -> np.ndarray:
 def christoffel_symbols(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
     """Gamma^k_ij = 1/2 g^{kl} (d_i g_lj + d_j g_li - d_l g_ij) as [..., k, i, j].
 
-    ginv is the inverse metric and dg[a, i, j] = d_a g_ij.  Leading axes of
-    either argument broadcast, so the same formula gives both terms of the
+    ginv is the inverse metric and dg[..., a, i, j] = d_a g_ij.  Leading axes
+    of either argument broadcast, so the same formula gives both terms of the
     derivative d_a Gamma from (d_a g^{-1}, dg) and (g^{-1}, d_a dg).
     """
     bracket = np.einsum("...ilj->...lij", dg) + np.einsum("...jli->...lij", dg) - dg
@@ -108,36 +158,82 @@ def christoffel_symbols(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
 
 
 def _riemann(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Gamma, R_abcd) in chart coordinates from the metric 2-jet at a point.
+    """(Gamma, R_abcd) in chart coordinates from the metric 2-jets at K points.
 
-    dg[a, i, j] = d_a g_ij, ddg[a, b, i, j] = d_a d_b g_ij.
+    g (K, m, m), dg[k, a, i, j] = d_a g_ij, ddg[k, a, b, i, j] = d_a d_b g_ij.
     """
     ginv = np.linalg.inv(g)
     gamma = christoffel_symbols(ginv, dg)
-    dginv = -np.einsum("kp,apq,ql->akl", ginv, dg, ginv)
-    dgamma = christoffel_symbols(dginv, dg) + christoffel_symbols(ginv, ddg)
+    dginv = -np.einsum("...kp,...apq,...ql->...akl", ginv, dg, ginv)
+    dgamma = christoffel_symbols(dginv, dg[:, None]) + christoffel_symbols(ginv[:, None], ddg)
 
     # R^a_{bcd} = d_c Gamma^a_db - d_d Gamma^a_cb + Gamma^a_ce Gamma^e_db - Gamma^a_de Gamma^e_cb
     riem_up = (
-        np.einsum("cadb->abcd", dgamma)
-        - np.einsum("dacb->abcd", dgamma)
-        + np.einsum("ace,edb->abcd", gamma, gamma)
-        - np.einsum("ade,ecb->abcd", gamma, gamma)
+        np.einsum("...cadb->...abcd", dgamma)
+        - np.einsum("...dacb->...abcd", dgamma)
+        + np.einsum("...ace,...edb->...abcd", gamma, gamma)
+        - np.einsum("...ade,...ecb->...abcd", gamma, gamma)
     )
-    return gamma, np.einsum("ae,ebcd->abcd", g, riem_up)
+    return gamma, np.einsum("...ae,...ebcd->...abcd", g, riem_up)
 
 
 def _on_frame(tensor: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    """Components of a covariant tensor in the frame's columns.
+    """Components of covariant tensors (K, m, ..., m) in the frames' columns (K, m, m).
 
     One single-index contraction per slot: m^(r+1) work for rank r instead
     of the m^(2r) of contracting all slots at once.  Each contraction takes
     the leading slot and appends the frame index last, so after r of them
     the slots are back in order.
     """
-    for _ in range(tensor.ndim):
-        tensor = np.tensordot(tensor, frame, axes=(0, 0))
+    k, m = frame.shape[:2]
+    for _ in range(tensor.ndim - 1):
+        rest = tensor.shape[2:]
+        moved = np.moveaxis(tensor, 1, -1).reshape(k, -1, m)
+        tensor = (moved @ frame).reshape((k,) + rest + (m,))
     return tensor
+
+
+def curvature_batch(
+    points: np.ndarray,
+    g: np.ndarray,
+    dg: np.ndarray,
+    ddg: np.ndarray,
+    convention: Convention = Convention.FULL_TRACE,
+) -> CurvatureBatch:
+    """Curvature at K points from the metric 2-jets, with the layout of ``fd.jet_batch``.
+
+    g (K, m, m), dg[k, a, i, j] = d_a g_ij and ddg[k, a, b, i, j] = d_a d_b g_ij.
+    A metric that is not symmetric raises InputError and one that is not
+    finite and positive definite DegenerateGeometryError, each naming the
+    first such point.
+    """
+    g = _check_metrics(g)
+    gamma, riem = _riemann(g, dg, ddg)
+    frame = gram_schmidt_frames(g)
+    riem_on = _on_frame(riem, frame)
+    ricci_on = np.einsum("...ikjk->...ij", riem_on)
+    full = np.einsum("...ii->...", ricci_on)
+    return CurvatureBatch(
+        points=points,
+        metric=g,
+        frame=frame,
+        christoffel=gamma,
+        riemann=riem_on,
+        ricci=ricci_on,
+        scalar=convert_scalar(full, Convention.FULL_TRACE, convention, g.shape[-1]),
+        convention=convention,
+    )
+
+
+def metric_field_curvature_batch(
+    metric_field,
+    pts: np.ndarray,
+    scheme: FDScheme = CURVATURE_SCHEME,
+    convention: Convention = Convention.FULL_TRACE,
+) -> CurvatureBatch:
+    """Curvature of a metric field at the points (K, m): one field call, one batch of algebra."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    return curvature_batch(pts, *jet_batch(metric_field, pts, scheme), convention)
 
 
 def metric_field_curvature(
@@ -146,13 +242,9 @@ def metric_field_curvature(
     scheme: FDScheme = CURVATURE_SCHEME,
     convention: Convention = Convention.FULL_TRACE,
 ) -> CurvatureBundle:
-    """Full curvature bundle of a metric field at p.
-
-    The value and both derivative levels come from one field call on one
-    stencil; ``curvature_from_jet`` does the rest.
-    """
+    """Full curvature bundle of a metric field at p: ``metric_field_curvature_batch`` at one point."""
     p = np.asarray(p, dtype=float)
-    return curvature_from_jet(p, *jet(metric_field, p, scheme), convention)
+    return metric_field_curvature_batch(metric_field, p[None, :], scheme, convention)[0]
 
 
 def curvature_from_jet(
@@ -163,25 +255,8 @@ def curvature_from_jet(
     convention: Convention = Convention.FULL_TRACE,
 ) -> CurvatureBundle:
     """Curvature bundle at p from the metric's value, dg[a, i, j] = d_a g_ij and ddg[a, b, i, j]."""
-    g = _check_metric(g)
-    gamma, riem = _riemann(g, dg, ddg)
-
-    frame = gram_schmidt_frame(g)
-    riem_on = _on_frame(riem, frame)
-    ricci_on = np.einsum("ikjk->ij", riem_on)
-    full = float(np.einsum("ii->", ricci_on))
-    scalar = convert_scalar(full, Convention.FULL_TRACE, convention, g.shape[0])
-
-    return CurvatureBundle(
-        point=p,
-        metric=g,
-        frame=frame,
-        christoffel=gamma,
-        riemann=riem_on,
-        ricci=ricci_on,
-        scalar=scalar,
-        convention=convention,
-    )
+    jets = (np.asarray(x, dtype=float)[None] for x in (g, dg, ddg))
+    return curvature_batch(np.asarray(p)[None], *jets, convention)[0]
 
 
 def riemann_symmetry_residuals(bundle: CurvatureBundle) -> dict[str, float]:
@@ -251,29 +326,50 @@ def schouten_coordinate_field(
     scheme: FDScheme = CURVATURE_SCHEME,
     convention: Convention = Convention.FULL_TRACE,
 ):
-    """Vectorized field p -> S_ab in chart coordinates (for FD derivatives)."""
+    """Vectorized field p -> S_ab in chart coordinates (for FD derivatives).
+
+    A call on K points is one curvature batch of the metric field.
+    """
 
     def field(pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        out = np.empty((pts.shape[0], pts.shape[1], pts.shape[1]))
-        for i, q in enumerate(pts):
-            b = metric_field_curvature(metric_field, q, scheme, Convention.FULL_TRACE)
-            r = convert_scalar(b.scalar, Convention.FULL_TRACE, convention, b.dim)
-            inv_frame = np.linalg.inv(b.frame)
-            ric_coord = inv_frame.T @ b.ricci @ inv_frame
-            out[i] = ric_coord - r / (2.0 * (b.dim - 1)) * b.metric
-        return out
+        b = metric_field_curvature_batch(metric_field, pts, scheme, Convention.FULL_TRACE)
+        n = b.metric.shape[-1]
+        r = convert_scalar(b.scalar, Convention.FULL_TRACE, convention, n)
+        inv_frame = np.linalg.inv(b.frame)
+        ric_coord = np.swapaxes(inv_frame, -1, -2) @ b.ricci @ inv_frame
+        return ric_coord - (r / (2.0 * (n - 1)))[:, None, None] * b.metric
 
     return field
 
 
 def covariant_derivative(s0: np.ndarray, ds: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """[a, b, c] = S_ab;c from S_ab (s0), d_c S_ab (ds[c, a, b]) and Gamma^k_ij."""
+    """[..., a, b, c] = S_ab;c from S_ab (s0), d_c S_ab (ds[..., c, a, b]) and Gamma^k_ij."""
     return (
-        np.einsum("cab->abc", ds)
-        - np.einsum("dca,db->abc", gamma, s0)
-        - np.einsum("dcb,ad->abc", gamma, s0)
+        np.einsum("...cab->...abc", ds)
+        - np.einsum("...dca,...db->...abc", gamma, s0)
+        - np.einsum("...dcb,...ad->...abc", gamma, s0)
     )
+
+
+def codazzi_defect_batch(
+    schouten_field,
+    metric_field,
+    pts: np.ndarray,
+    scheme: FDScheme = CURVATURE_SCHEME,
+) -> np.ndarray:
+    """max_{a,b,c} |S_ab;c - S_ac;b| in the orthonormal frame at each point (K,).
+
+    The covariant derivative uses the Christoffel symbols of the metric
+    field; the Schouten field must supply chart-coordinate components.  The
+    point set is one curvature batch of the metric field, one call of the
+    Schouten field and one first-difference stencil of it.
+    """
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    batch = metric_field_curvature_batch(metric_field, pts, scheme)
+    s0 = np.asarray(schouten_field(pts))
+    ds = diff1_batch(schouten_field, pts, scheme)  # [k, c, a, b] = d_c S_ab
+    nabla_on = _on_frame(covariant_derivative(s0, ds, batch.christoffel), batch.frame)
+    return np.max(np.abs(nabla_on - np.einsum("...ijk->...ikj", nabla_on)), axis=(1, 2, 3))
 
 
 def codazzi_defect(
@@ -282,14 +378,6 @@ def codazzi_defect(
     p: np.ndarray,
     scheme: FDScheme = CURVATURE_SCHEME,
 ) -> float:
-    """max_{a,b,c} |S_ab;c - S_ac;b| in the orthonormal frame at p.
-
-    The covariant derivative uses the Christoffel symbols of the metric
-    field; the Schouten field must supply chart-coordinate components.
-    """
+    """``codazzi_defect_batch`` at the one point p."""
     p = np.asarray(p, dtype=float)
-    bundle = metric_field_curvature(metric_field, p, scheme)
-    s0 = np.asarray(schouten_field(p[None, :]))[0]
-    ds = diff1(schouten_field, p, scheme)  # (c, a, b) = d_c S_ab
-    nabla_on = _on_frame(covariant_derivative(s0, ds, bundle.christoffel), bundle.frame)
-    return float(np.max(np.abs(nabla_on - np.einsum("ijk->ikj", nabla_on))))
+    return float(codazzi_defect_batch(schouten_field, metric_field, p[None, :], scheme)[0])

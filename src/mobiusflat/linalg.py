@@ -3,7 +3,8 @@
 Everything here targets symmetric matrices of size <= 8, where robustness
 and determinism matter more than speed.  The Jacobi sweep order is fixed
 (row-major over the strict upper triangle), so results are reproducible
-bit-for-bit across runs.
+bit-for-bit across runs.  ``require_symmetric`` and ``gram_schmidt_frames``
+also take a stack (K, m, m) of matrices and name the first failing one.
 """
 
 from __future__ import annotations
@@ -13,18 +14,17 @@ import numpy as np
 from .errors import DegenerateGeometryError, InputError
 
 
-def symmetry_defect(a: np.ndarray) -> float:
-    """Largest absolute entry of a - a^T."""
-    a = np.asarray(a, dtype=float)
-    return float(np.max(np.abs(a - a.T))) if a.size else 0.0
-
-
 def require_symmetric(a: np.ndarray, tol: float = 1e-10, what: str = "matrix") -> np.ndarray:
+    """(a + a^T) / 2, once max|a - a^T| <= tol * max(1, max|a|) holds for each matrix."""
     a = np.asarray(a, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
-    if symmetry_defect(a) > tol * scale:
-        raise InputError(f"{what} is not symmetric within tolerance {tol}")
-    return 0.5 * (a + a.T)
+    at = np.swapaxes(a, -1, -2)
+    if a.size:
+        scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
+        bad = np.flatnonzero(np.max(np.abs(a - at), axis=(-2, -1)) > tol * scale)
+        if bad.size:
+            where = f" at point {int(bad[0])}" if a.ndim > 2 else ""
+            raise InputError(f"{what} is not symmetric within tolerance {tol}{where}")
+    return 0.5 * (a + at)
 
 
 def jacobi_eigh(a: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60):
@@ -91,22 +91,31 @@ def generalized_eigvals_descending(b: np.ndarray, a: np.ndarray) -> np.ndarray:
     return w[::-1].copy()
 
 
-def gram_schmidt_frame(g: np.ndarray, floor: float = 1e-14) -> np.ndarray:
-    """g-orthonormal frame from the coordinate basis, in fixed index order.
+def gram_schmidt_frames(g: np.ndarray, floor: float = 1e-14) -> np.ndarray:
+    """g-orthonormal frames of a stack of metrics (K, m, m), in fixed index order.
 
-    Returns E with columns E[:, i] such that E^T g E = I.  Deterministic:
-    classical Gram-Schmidt applied to e_0, e_1, ... in order.
+    Returns E (K, m, m) with E[k]^T g[k] E[k] = I.  Deterministic: classical
+    Gram-Schmidt applied to e_0, e_1, ... in order, for every metric at once.
     """
     g = require_symmetric(g, what="metric")
-    m = g.shape[0]
-    e = np.eye(m)
-    cols = []
+    k, m = g.shape[:2]
+    frames = np.zeros_like(g)
     for i in range(m):
-        v = e[:, i].copy()
-        for u in cols:
-            v -= (u @ g @ v) * u
-        nrm2 = v @ g @ v
-        if nrm2 <= floor:
-            raise DegenerateGeometryError("metric is degenerate along the coordinate basis")
-        cols.append(v / np.sqrt(nrm2))
-    return np.stack(cols, axis=1)
+        v = np.zeros((k, m))
+        v[:, i] = 1.0
+        for j in range(i):
+            u = frames[:, :, j]
+            v -= (u[:, None, :] @ g @ v[:, :, None])[:, 0] * u
+        nrm2 = (v[:, None, :] @ g @ v[:, :, None])[:, 0]
+        bad = np.flatnonzero(nrm2 <= floor)
+        if bad.size:
+            raise DegenerateGeometryError(
+                f"metric is degenerate along the coordinate basis at point {int(bad[0])}"
+            )
+        frames[:, :, i] = v / np.sqrt(nrm2)
+    return frames
+
+
+def gram_schmidt_frame(g: np.ndarray, floor: float = 1e-14) -> np.ndarray:
+    """The frame of ``gram_schmidt_frames`` for one metric (m, m): columns E[:, i], E^T g E = I."""
+    return gram_schmidt_frames(np.asarray(g, dtype=float)[None], floor)[0]

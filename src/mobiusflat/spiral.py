@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import io
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import ceil, cos, isfinite, nan, sin, sqrt
 
@@ -370,19 +370,17 @@ def _prescribed_step(model: str, kappa_fn, kappa_s_fn):
     """RK4 step of the curve under kappa(s) = kappa_fn(s).
 
     Column 0 integrates kappa_s_fn so that the floor and ceiling events can
-    watch it; column 1 is carried unchanged.
+    watch it; column 1 is carried unchanged.  Each function is called once
+    per step, on the stage points [s, s + h/2, s + h].
     """
     frame = _FRAME_STEP[model]
 
-    def at(fn, s):
-        return np.asarray(fn(np.array([s])), dtype=float).item()
-
     def step(s, y, h):
-        s_mid, s_end = s + 0.5 * h, s + h
-        q_mid, d_mid = at(kappa_fn, s_mid), at(kappa_s_fn, s_mid)
-        d_sum = ((at(kappa_s_fn, s) + 2.0 * d_mid) + 2.0 * d_mid) + at(kappa_s_fn, s_end)
-        kn = y[0] + h / 6.0 * d_sum
-        return frame(kn, y[1], at(kappa_fn, s), q_mid, q_mid, at(kappa_fn, s_end), h, y)
+        stages = np.array([s, s + 0.5 * h, s + h])
+        q0, q_mid, q_end = np.asarray(kappa_fn(stages), dtype=float).tolist()
+        d0, d_mid, d_end = np.asarray(kappa_s_fn(stages), dtype=float).tolist()
+        kn = y[0] + h / 6.0 * (((d0 + 2.0 * d_mid) + 2.0 * d_mid) + d_end)
+        return frame(kn, y[1], q0, q_mid, q_mid, q_end, h, y)
 
     return step
 
@@ -585,6 +583,9 @@ class SpiralTrajectory:
     # set when the row stopped at its first kappa return: the samples cover
     # one period, and the horizon controls.s_max is covered by periodicity
     period_map: PeriodMap | None = None
+    # kappa_ss at the samples of a prescribed-curvature curve, which need not
+    # solve the spiral equation; None takes kappa_ss from the equation
+    prescribed_kappa_ss: np.ndarray | None = None
 
     @property
     def model(self) -> str:
@@ -603,6 +604,8 @@ class SpiralTrajectory:
     @cached_property
     def _kappa_ss(self) -> np.ndarray:
         """d kappa_s / ds at the samples, the Hermite slopes of kappa_s_at."""
+        if self.prescribed_kappa_ss is not None:
+            return self.prescribed_kappa_ss
         return kappa_accel(self.params, self.kappa, self.kappa_s)
 
     @cached_property
@@ -789,15 +792,18 @@ def prescribed_curvature_trajectory(
     kappa_s_fn,
     controls: IntegratorControls,
     initial_curve: np.ndarray | None = None,
+    *,
+    kappa_ss_fn,
 ) -> SpiralTrajectory:
     """Curve with an arbitrary prescribed geodesic curvature kappa(s).
 
     Used for negative controls: the curvature need not solve the spiral
     equation.  The frame equations are integrated with kappa evaluated
-    analytically at the RK4 stage points (one-element array arguments);
-    kappa_s_fn supplies the exact derivative for smooth interpolation
-    between nodes and drives the kappa column that the floor and ceiling
-    events watch.
+    analytically at the RK4 stage points (one array of the three stage
+    points per step); kappa_s_fn supplies the exact derivative, which drives
+    the kappa column that the floor and ceiling events watch.  kappa_s_fn
+    and kappa_ss_fn at the samples are the Hermite slopes of kappa_at and
+    kappa_s_at, so both interpolate the prescribed curvature between nodes.
     """
     params = SpiralParams(n, epsilon, 0.0, variant=STANDARD)
     model = params.model
@@ -824,6 +830,7 @@ def prescribed_curvature_trajectory(
         termination=termination,
         first_integral_constant=float(first_integral(params, kap[0], kap_s[0])),
         initial_curve=start,
+        prescribed_kappa_ss=np.asarray(kappa_ss_fn(s_arr), dtype=float),
     )
 
 
@@ -994,29 +1001,29 @@ def recomputed_curvature(traj: SpiralTrajectory) -> tuple[np.ndarray, np.ndarray
     """
     if traj.curve is None:
         raise InputError("needs a reconstructed curve")
-    diffs = np.diff(traj.s)
+    s, curve = traj.s, traj.curve
+    diffs = np.diff(s)
     h = float(diffs[0])
     bad = np.nonzero(np.abs(diffs - h) > 1e-9)[0]
     if bad.size:  # event-terminated runs end with one shortened interval
         stop = int(bad[0]) + 1
-        traj = replace(traj, s=traj.s[:stop], kappa=traj.kappa[:stop],
-                       kappa_s=traj.kappa_s[:stop], curve=traj.curve[:stop])
-    if traj.s.size < 9:
+        s, curve = s[:stop], curve[:stop]
+    if s.size < 9:
         raise InputError("trajectory too short for the differencing stencil")
 
     def d(arr):
         out = (arr[:-4] - 8 * arr[1:-3] + 8 * arr[3:-1] - arr[4:]) / (12 * h)
         return out
 
-    s_mid = traj.s[4:-4]
+    s_mid = s[4:-4]
     if traj.model == SPHERE:
         # each application of d() trims 2 samples from both ends
-        gam = traj.curve[:, 0:3]
+        gam = curve[:, 0:3]
         g2 = d(d(gam))
         g1 = d(gam)[2:-2]
         gmid = gam[4:-4]
         return s_mid, np.einsum("ij,ij->i", np.cross(gmid, g1), g2)
-    x, y = traj.curve[:, 0], traj.curve[:, 1]
+    x, y = curve[:, 0], curve[:, 1]
     x1, y1 = d(x), d(y)
     x2, y2 = d(d(x)), d(d(y))
     x1, y1 = x1[2:-2], y1[2:-2]

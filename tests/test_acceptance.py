@@ -215,3 +215,17 @@ def test_pipeline_scalar_margins(seed):
     assert [r.name for r in report.records] == list(names)
     for rec in report.records:
         assert rec.passed and rec.max_residual <= 0.05 * rec.tolerance, rec.name
+
+
+def test_batch_algebra_matches_per_point_route(monkeypatch):
+    # the curvature layer batched over each point set gives the report of the
+    # per-point algebra it replaced, byte for byte
+    import curvature_oracle
+
+    from mobiusflat import curvature
+
+    cfg = RunConfig(seed=0, checks="schouten_codazzi,warped_metric_scalar,two_route_scalar")
+    batched = run_suite(cfg.validate()).to_json()
+    monkeypatch.setattr(curvature, "curvature_batch", curvature_oracle.curvature_batch)
+    per_point = run_suite(cfg.validate()).to_json()
+    assert '"passed": true' in batched and batched == per_point

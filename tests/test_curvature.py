@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
-from mobiusflat import curvature
+from mobiusflat import checks, curvature
 from mobiusflat.curvature import (
     Convention,
     codazzi_defect,
+    codazzi_defect_batch,
     conformal_scalar,
     convert_scalar,
     covariant_derivative,
+    curvature_batch,
     metric_field_curvature,
+    metric_field_curvature_batch,
     riemann_symmetry_residuals,
     schouten_coordinate_field,
     schouten_tensor,
@@ -16,8 +19,10 @@ from mobiusflat.curvature import (
 from mobiusflat.errors import DegenerateGeometryError, InputError
 from mobiusflat.fd import FDScheme, diff1, jet
 from mobiusflat.moebius import fields_from_immersion
+from mobiusflat.spiral import IntegratorControls, SpiralParams, SpiralState, integrate_spiral
 from mobiusflat.zoo import sphere_chart_metric
 
+import curvature_oracle
 import fd_oracle
 from conftest import interior_points
 
@@ -337,8 +342,8 @@ class TestFrameRotationOracle:
         sch = FDScheme(step=0.02, order=4, scaled=False)
         for p in interior_points(imm, 2, seed=11):
             bundle = metric_field_curvature(field, p, sch)
-            _, riem = curvature._riemann(*jet(field, p, sch))
-            self.assert_close(bundle.riemann, fd_oracle.frame_components(riem, bundle.frame))
+            _, riem = curvature._riemann(*(x[None] for x in jet(field, p, sch)))
+            self.assert_close(bundle.riemann, fd_oracle.frame_components(riem[0], bundle.frame))
 
     def test_riemann_and_codazzi_on_sheared_metric(self):
         sch = FDScheme(step=0.02, order=4)
@@ -346,14 +351,160 @@ class TestFrameRotationOracle:
         for p in (np.array([0.4, -0.2, 0.7, 0.1]), np.array([-0.9, 0.3, 0.0, 1.2])):
             bundle = metric_field_curvature(sheared_field, p, sch)
             assert np.max(np.abs(bundle.frame - bundle.frame.T)) > 0.1
-            _, riem = curvature._riemann(*jet(sheared_field, p, sch))
-            self.assert_close(bundle.riemann, fd_oracle.frame_components(riem, bundle.frame))
+            _, riem = curvature._riemann(*(x[None] for x in jet(sheared_field, p, sch)))
+            self.assert_close(bundle.riemann, fd_oracle.frame_components(riem[0], bundle.frame))
 
             s0 = sfield(p[None, :])[0]
             nabla = covariant_derivative(s0, diff1(sfield, p, sch), bundle.christoffel)
             oracle = fd_oracle.frame_components(nabla, bundle.frame)
-            self.assert_close(curvature._on_frame(nabla, bundle.frame), oracle)
+            self.assert_close(curvature._on_frame(nabla[None], bundle.frame[None])[0], oracle)
             defect = np.max(np.abs(oracle - np.einsum("ijk->ikj", oracle)))
             assert abs(codazzi_defect(sfield, sheared_field, p, sch) - defect) <= 1e-13 * np.max(
                 np.abs(oracle)
             )
+
+
+def control_field(pts):
+    """The non-conformally-flat control metric of the ``schouten_codazzi`` check."""
+    pts = np.atleast_2d(pts)
+    out = np.broadcast_to(np.eye(4), (pts.shape[0], 4, 4)).copy()
+    out[:, 0, 0] = 1.0 + 0.4 * np.sin(pts[:, 0]) * np.sin(pts[:, 1])
+    return out
+
+
+def counted(field):
+    """field, and a list that records the number of points of each of its calls."""
+    calls = []
+
+    def wrapped(pts):
+        calls.append(np.atleast_2d(pts).shape[0])
+        return field(pts)
+
+    return wrapped, calls
+
+
+BATCH_SCHEME = FDScheme(step=0.01, order=4, scaled=False)
+
+
+class TestBatchOracle:
+    """The batch algebra against the per-point oracle it replaced, bit for bit."""
+
+    @staticmethod
+    def assert_matches_oracle(field, pts, sch=BATCH_SCHEME):
+        batch = metric_field_curvature_batch(field, pts, sch)
+        assert batch.scalar.shape == (pts.shape[0],)
+        for i, p in enumerate(pts):
+            oracle = curvature_oracle.metric_field_curvature(field, p, sch)
+            for name in ("scalar", "ricci", "christoffel", "frame", "riemann", "metric"):
+                assert np.array_equal(getattr(batch, name)[i], getattr(oracle, name)), name
+            assert batch[i].scalar == oracle.scalar
+
+    @pytest.mark.parametrize("surface", ["cylinder", "cone", "rotational", "torus"])
+    def test_suite_moebius_metrics(self, surface, request):
+        imm = request.getfixturevalue(surface)
+        field = fields_from_immersion(imm).moebius_metric_field()
+        self.assert_matches_oracle(field, interior_points(imm, 4, seed=5, pad=0.2))
+
+    @pytest.mark.parametrize("eps,rest", [(-1, None), (0, 0.3), (1, 1.2)])
+    def test_warped_fields(self, eps, rest):
+        field = warped_field(4, eps, lambda s: 1.0 + 0.3 * np.sin(s))
+        pts = np.array([warped_point(4, s0, rest) for s0 in np.linspace(0.2, 2.5, 7)])
+        self.assert_matches_oracle(field, pts)
+
+    def test_codazzi_control_field(self):
+        pts = np.array([[0.4, 0.4, 0.4, 0.4], [0.9, -0.3, 0.2, 0.0], [-0.5, 1.1, 0.3, 0.7]])
+        self.assert_matches_oracle(control_field, pts)
+        sfield = schouten_coordinate_field(control_field, BATCH_SCHEME)
+        oracle_sfield = curvature_oracle.schouten_coordinate_field(control_field, BATCH_SCHEME)
+        assert np.array_equal(sfield(pts), oracle_sfield(pts))
+        defects = codazzi_defect_batch(sfield, control_field, pts, BATCH_SCHEME)
+        expected = [
+            curvature_oracle.codazzi_defect(oracle_sfield, control_field, p, BATCH_SCHEME)
+            for p in pts
+        ]
+        assert np.array_equal(defects, expected)
+        assert codazzi_defect(sfield, control_field, pts[1], BATCH_SCHEME) == expected[1]
+
+    def test_front_ends_are_one_point_batches(self):
+        field = warped_field(4, -1, lambda s: 1.0 + 0.3 * np.sin(s))
+        p = warped_point(4, 0.7)
+        bundle = metric_field_curvature(field, p, BATCH_SCHEME, Convention.HALF_TRACE)
+        oracle = curvature_oracle.metric_field_curvature(field, p, BATCH_SCHEME, Convention.HALF_TRACE)
+        assert bundle.scalar == oracle.scalar
+        assert np.array_equal(bundle.riemann, oracle.riemann)
+        via_jet = curvature.curvature_from_jet(p, *jet(field, p, BATCH_SCHEME))
+        assert np.array_equal(via_jet.ricci, oracle.ricci)
+
+
+def flat_jets(g):
+    """A stack of metrics g (K, m, m) with zero first and second derivatives."""
+    k, m = g.shape[:2]
+    return np.zeros((k, k)), g, np.zeros((k, m, m, m)), np.zeros((k, m, m, m, m))
+
+
+class TestBatchErrors:
+    def test_degenerate_point_is_named(self):
+        g = np.tile(np.eye(3), (4, 1, 1))
+        g[2] = np.diag([1.0, -1.0, 1.0])
+        with pytest.raises(DegenerateGeometryError, match="at point 2"):
+            curvature_batch(*flat_jets(g))
+
+    def test_asymmetric_point_is_named(self):
+        g = np.tile(np.eye(3), (4, 1, 1))
+        g[1, 0, 2] = 0.5
+        with pytest.raises(InputError, match="at point 1"):
+            curvature_batch(*flat_jets(g))
+
+    def test_non_finite_point_is_named(self):
+        g = np.tile(np.eye(3), (3, 1, 1))
+        g[2, 1, 1] = np.nan
+        with pytest.raises(DegenerateGeometryError, match="at point 2"):
+            curvature_batch(*flat_jets(g))
+
+    def test_degenerate_point_of_a_field_batch(self):
+        def field(pts):
+            pts = np.atleast_2d(pts)
+            out = np.broadcast_to(np.eye(2), (pts.shape[0], 2, 2)).copy()
+            out[:, 1, 1] = pts[:, 0]
+            return out
+
+        pts = np.array([[1.0, 0.0], [2.0, 0.0], [-1.0, 0.0]])
+        with pytest.raises(DegenerateGeometryError, match="at point 2"):
+            metric_field_curvature_batch(field, pts, BATCH_SCHEME)
+
+
+class TestRequestCounts:
+    def test_warped_scalars_one_field_call(self, monkeypatch):
+        original, made = checks.warped_metric_field, []
+
+        def counting_warped_field(traj, n):
+            field, calls = counted(original(traj, n))
+            made.append(calls)
+            return field
+
+        monkeypatch.setattr(checks, "warped_metric_field", counting_warped_field)
+        traj = integrate_spiral(
+            SpiralParams(4, -1, 0.75), SpiralState(0.0, 1.25, 0.05), IntegratorControls(s_max=4.0)
+        )
+        svals = np.linspace(0.3, 3.7, 20)
+        vals = checks._warped_scalars(traj, 4, svals, BATCH_SCHEME)
+        assert len(made) == 1 and len(made[0]) == 1
+        assert made[0][0] == 20 * 116  # the 116-point second-difference stencil per point
+        field = original(traj, 4)
+        oracle = [
+            curvature_oracle.metric_field_curvature(
+                field, checks.warped_base_point(4, -1, s0), BATCH_SCHEME
+            ).scalar
+            for s0 in svals
+        ]
+        assert np.array_equal(vals, oracle)
+
+    def test_codazzi_calls_do_not_grow_with_points(self):
+        counts = []
+        for k in (1, 3):
+            metric, calls = counted(control_field)
+            sfield = schouten_coordinate_field(metric, BATCH_SCHEME)
+            pts = np.tile(np.full(4, 0.4), (k, 1)) + 0.1 * np.arange(k)[:, None]
+            codazzi_defect_batch(sfield, metric, pts, BATCH_SCHEME)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == 3

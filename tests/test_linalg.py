@@ -4,9 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mobiusflat.errors import DegenerateGeometryError, InputError
+
+import curvature_oracle
 from mobiusflat.linalg import (
     generalized_eigvals_descending,
     gram_schmidt_frame,
+    gram_schmidt_frames,
     jacobi_eigh,
     require_symmetric,
     sym_inv_sqrt,
@@ -78,3 +81,28 @@ def test_require_symmetric_symmetrizes():
     a = np.array([[1.0, 2.0 + 1e-13], [2.0, 3.0]])
     s = require_symmetric(a)
     assert np.all(s == s.T)
+
+
+def test_gram_schmidt_frames_match_per_metric_loop():
+    # the batch runs the per-metric loop's arithmetic on every metric at once
+    rng = np.random.default_rng(6)
+    q = rng.standard_normal((7, 4, 4))
+    g = q @ np.swapaxes(q, 1, 2) + 4 * np.eye(4)
+    frames = gram_schmidt_frames(g)
+    for gk, ek in zip(g, frames):
+        assert np.array_equal(ek, curvature_oracle.gram_schmidt_frame(gk))
+        assert np.array_equal(gram_schmidt_frame(gk), ek)
+
+
+def test_batched_checks_name_the_point():
+    g = np.tile(np.eye(3), (4, 1, 1))
+    g[3, 1, 1] = 0.0
+    with pytest.raises(DegenerateGeometryError, match="at point 3"):
+        gram_schmidt_frames(g)
+    g[3, 1, 1] = 1.0
+    g[1, 0, 1] = 0.5
+    with pytest.raises(InputError, match="at point 1"):
+        require_symmetric(g)
+    with pytest.raises(InputError) as one:
+        require_symmetric(g[1])
+    assert "point" not in str(one.value)

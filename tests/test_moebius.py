@@ -45,6 +45,7 @@ def sin_curve_cylinder(n=N_DIM):
         lambda s: 1.0 + 0.3 * np.sin(np.asarray(s)),
         lambda s: 0.3 * np.cos(np.asarray(s)),
         IntegratorControls(s_max=7.0, step=1e-3),
+        kappa_ss_fn=lambda s: -0.3 * np.sin(np.asarray(s)),
     )
     return traj, cylinder_immersion(traj, n)
 

@@ -2,6 +2,7 @@ import numpy as np
 import numpy_stepper
 import pytest
 
+from mobiusflat import spiral
 from mobiusflat.errors import ChartDomainError, DegenerateGeometryError, InputError
 from mobiusflat.spiral import (
     ALTERNATE,
@@ -344,12 +345,91 @@ class TestKernelOracle:
             return 0.3 * np.cos(np.asarray(s))
 
         controls = IntegratorControls(s_max=3.0)
-        traj = prescribed_curvature_trajectory(4, epsilon, kappa_fn, kappa_s_fn, controls)
+        traj = prescribed_curvature_trajectory(
+            4, epsilon, kappa_fn, kappa_s_fn, controls, kappa_ss_fn=sin_kappa_ss
+        )
         y0 = np.concatenate([kappa_fn(np.zeros(1)), kappa_s_fn(np.zeros(1)), traj.initial_curve])
         s, ys, term = numpy_stepper.prescribed_row(traj.model, kappa_fn, kappa_s_fn, y0, controls)
         assert traj.termination == term == "horizon"
         assert np.array_equal(traj.s, s)
         assert np.max(np.abs(traj.curve - ys[:, 2:])) <= 1e-12
+
+
+def sin_kappa(s):
+    return 1.15 + 0.3 * np.sin(np.asarray(s))
+
+
+def sin_kappa_s(s):
+    return 0.3 * np.cos(np.asarray(s))
+
+
+def sin_kappa_ss(s):
+    return -0.3 * np.sin(np.asarray(s))
+
+
+def per_stage_prescribed_step(model, kappa_fn, kappa_s_fn):
+    """The prescribed-curvature RK4 step with one one-element call per stage point."""
+    frame = spiral._FRAME_STEP[model]
+
+    def at(fn, s):
+        return np.asarray(fn(np.array([s])), dtype=float).item()
+
+    def step(s, y, h):
+        s_mid, s_end = s + 0.5 * h, s + h
+        q_mid, d_mid = at(kappa_fn, s_mid), at(kappa_s_fn, s_mid)
+        d_sum = ((at(kappa_s_fn, s) + 2.0 * d_mid) + 2.0 * d_mid) + at(kappa_s_fn, s_end)
+        kn = y[0] + h / 6.0 * d_sum
+        return frame(kn, y[1], at(kappa_fn, s), q_mid, q_mid, at(kappa_fn, s_end), h, y)
+
+    return step
+
+
+class TestPrescribedCurvature:
+    @pytest.mark.parametrize(
+        "epsilon,s_max,floor",
+        [(0, 3.0, 1e-6), (1, 3.0, 1e-6), (-1, 4.5, 1e-6), (-1, 5.0, 0.9)],
+        ids=["plane", "sphere", "half-plane", "half-plane-floor"],
+    )
+    def test_one_call_per_step_matches_per_stage_calls(self, epsilon, s_max, floor):
+        calls = []
+
+        def kappa_fn(s):
+            calls.append(np.size(s))
+            return sin_kappa(s)
+
+        controls = IntegratorControls(s_max=s_max, step=1e-3, kappa_floor=floor)
+        traj = prescribed_curvature_trajectory(
+            4, epsilon, kappa_fn, sin_kappa_s, controls, kappa_ss_fn=sin_kappa_ss
+        )
+        y0 = np.concatenate([sin_kappa(np.zeros(1)), sin_kappa_s(np.zeros(1)), traj.initial_curve])
+        step = per_stage_prescribed_step(traj.model, sin_kappa, sin_kappa_s)
+        s, ys, term = spiral._march(step, y0, s_max, controls)
+        assert traj.termination == term
+        assert term == ("kappa_floor" if floor > 1e-3 else "horizon")
+        assert np.array_equal(traj.s, s)
+        assert np.array_equal(traj.curve, ys[:, 2:])
+        # the start, one call per RK4 step (bisection steps included), the samples
+        assert calls[0] == 1 and calls[-1] == traj.s.size
+        assert set(calls[1:-1]) == {3}
+        if term == "horizon":
+            assert len(calls) == round(s_max / controls.step) + 2
+
+    def test_queries_follow_the_prescribed_curvature(self):
+        # kappa_s_at interpolates with the prescribed kappa_ss as slopes, not
+        # the spiral equation's
+        controls = IntegratorControls(s_max=4.5, step=1e-3)
+        traj = prescribed_curvature_trajectory(
+            4, -1, sin_kappa, sin_kappa_s, controls, kappa_ss_fn=sin_kappa_ss
+        )
+        sq = np.linspace(0.0, 4.498, 4001) + 3.7e-4
+        assert sq[-1] < traj.s[-1] and not np.any(np.isin(sq, traj.s))
+        assert np.max(np.abs(traj.kappa_s_at(sq) - sin_kappa_s(sq))) <= 1e-10
+        assert np.max(np.abs(traj.kappa_at(sq) - sin_kappa(sq))) <= 1e-10
+        # c'' of curve_jet reads kappa_s_at: the angle's second derivative is
+        # kappa_s + sin(phi) phi' on the half-plane
+        _, vel, acc = traj.curve_jet(sq)
+        phi = traj.curve_at(sq)[:, 2]
+        assert np.max(np.abs(acc[:, 2] - (sin_kappa_s(sq) + np.sin(phi) * vel[:, 2]))) <= 1e-10
 
 
 @pytest.mark.parametrize("case", list(ORACLE_CASES), ids=lambda c: f"{c[0]}-{c[1]}")
