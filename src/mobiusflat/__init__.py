@@ -46,7 +46,6 @@ from .moebius import (
     SurfaceFields,
     blaschke_A,
     fields_from_immersion,
-    get_fields,
     moebius_B,
     moebius_data,
     moebius_density,
@@ -65,11 +64,8 @@ from .spiral import (
     first_integral,
     integrate_spiral,
     reconstruct_curve,
-    spiral_rhs,
 )
 from .zoo import (
-    HypersurfaceSpec,
-    build_hypersurface,
     cone_immersion,
     cylinder_immersion,
     hyperboloid_to_hemisphere,

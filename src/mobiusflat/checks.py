@@ -192,6 +192,11 @@ def outer_scheme(cfg: RunConfig, factor: float = 1.0) -> FDScheme:
     return FDScheme(step=cfg.curvature_step * factor, order=FD_ORDER, scaled=False)
 
 
+def _first_form_field(fields: SurfaceFields) -> Callable[[np.ndarray], np.ndarray]:
+    """pts -> (K, m, m) first fundamental form I, from one sample request."""
+    return lambda pts: fields.sample(pts)[0]
+
+
 def direct_scalar(fields: SurfaceFields, p: np.ndarray, sch: FDScheme) -> float:
     """Full-trace scalar curvature of the Moebius metric rho^2 I at p."""
     return metric_field_curvature(fields.moebius_metric_field(), p, sch).scalar
@@ -502,7 +507,7 @@ def check_schouten_codazzi(cfg: RunConfig, surfaces, rng, res: Residuals) -> dic
     for surf in surfaces:
         if surf.name == "torus":
             continue
-        metric = surf.closed_form.metric
+        metric = _first_form_field(surf.closed_form)
         sfield = schouten_coordinate_field(metric, sch, Convention.FULL_TRACE)
         pts = sample_points(surf.imm, 3, rng, cfg.jitter, pad=0.2)
         vals = codazzi_defect_batch(sfield, metric, pts, sch)
@@ -522,7 +527,7 @@ def check_schouten_codazzi(cfg: RunConfig, surfaces, rng, res: Residuals) -> dic
 
     # convention audit on a metric whose scalar curvature varies
     rot = _surface(surfaces, "rotational")
-    metric = rot.closed_form.metric
+    metric = _first_form_field(rot.closed_form)
     p_aud = sample_points(rot.imm, 1, rng, cfg.jitter, pad=0.2)[0]
     audit = {
         name: float(

@@ -8,7 +8,6 @@ exactly, unknown keys are rejected.  Example::
     R = 0.75
     family = rotational
     seed = 7
-    conventions = half,full,normalized
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from .errors import ConfigError
 from .report import config_hash
 from .zoo import FAMILIES
 VARIANTS = ("standard", "alternate")
-CONVENTIONS = ("half", "full", "normalized")
 CHECK_NAMES = (
     "moebius_metric_match",
     "trace_identities",
@@ -63,7 +61,6 @@ class RunConfig:
     family: str = "rotational"
     torus_r: float = 0.5
     # verification scope
-    conventions: str = "half,full,normalized"
     checks: str = "all"
     # rigidity experiment
     horizon: float = 200.0
@@ -78,8 +75,6 @@ class RunConfig:
     tol_codazzi: float = 1e-4
     tol_two_route: float = 1e-5
     tol_constancy: float = 1e-5
-    tol_first_integral: float = 1e-9
-    tol_roundtrip: float = 1e-6
     tol_closed: float = 1e-6
     tol_open: float = 1e-3
     tol_sigma: float = 1e-5
@@ -87,11 +82,6 @@ class RunConfig:
     slice_axes: str = "0,1"
     slice_res: int = 24
     obj_axes: str = "auto"
-
-    def convention_list(self) -> list[str]:
-        if not self.conventions.strip():
-            return []
-        return [c.strip() for c in self.conventions.split(",") if c.strip()]
 
     def check_list(self) -> list[str]:
         if self.checks.strip() == "all":
@@ -138,9 +128,6 @@ class RunConfig:
         for f in fields(self):
             if f.name.startswith("tol_") and getattr(self, f.name) <= 0:
                 raise ConfigError(f"{f.name} must be positive")
-        for c in self.convention_list():
-            if c not in CONVENTIONS:
-                raise ConfigError(f"unknown convention {c!r}")
         for c in self.check_list():
             if c not in CHECK_NAMES:
                 raise ConfigError(f"unknown check {c!r}")

@@ -1,15 +1,13 @@
 """Immersed hypersurfaces given by an explicit chart evaluator.
 
 The handle wraps a vectorized evaluator f: (K, m) -> (K, N) together with
-chart bounds, an orientation seed and, optionally, an exact second-order jet
-of f: pts -> (values (K, N), d1 (K, m, N), d2 (K, m, m, N)), the layout of
-``fd.jet_batch``.  Everything downstream (fundamental forms, normals, shape
-data) is computed from derivatives of f.  A handle with a jet gives them
-exactly, from one jet evaluation per point; a handle without one gets them
-by finite differences on a caller's FDScheme, where a request that needs the
-second fundamental form takes positions, jacobians and second derivatives
-from one FD jet of f (one evaluator call).  The FD route is also the test
-oracle for the jets.
+chart bounds, an orientation seed and a second-order jet of f:
+pts -> (values (K, N), d1 (K, m, N), d2 (K, m, m, N)), the layout of
+``fd.jet_batch``.  Every handle carries a jet; one without is refused.
+Everything downstream (fundamental forms, normals, shape data) is computed
+from one jet evaluation per point set.  The generators' jets are exact;
+``with_fd_jet`` gives a handle the FD jet of its evaluator instead, which is
+the test oracle for the exact jets.
 
 Normals are produced by the generalized cross product of the tangent
 vectors (plus the position vector for immersions into the unit sphere),
@@ -20,18 +18,14 @@ handle's base point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from .errors import ChartDomainError, DegenerateGeometryError, InputError
-from .fd import FDScheme, diff1_batch, jet_batch
-from .linalg import (
-    generalized_eigvals_descending,
-    jacobi_eigh,
-    require_symmetric,
-)
+from .fd import FDScheme, jet_batch
+from .linalg import generalized_eigvals_descending, require_symmetric
 
 EUCLIDEAN = "euclidean"
 UNIT_SPHERE = "unit-sphere"
@@ -49,7 +43,7 @@ class MetricSample:
     def __post_init__(self):
         object.__setattr__(self, "point", np.asarray(self.point, dtype=float))
         g = require_symmetric(np.asarray(self.g, dtype=float), tol=1e-12, what="metric sample")
-        w, _ = jacobi_eigh(g)
+        w = np.linalg.eigvalsh(g)
         if w[0] <= 0.0:
             raise DegenerateGeometryError(
                 f"metric sample is not positive definite (min eigenvalue {w[0]:.3e})"
@@ -74,12 +68,14 @@ class ImmersionHandle:
     domain: tuple[tuple[float, float], ...] | None = None
     name: str = ""
     analytic_fields: object = field(default=None, compare=False, repr=False)
-    # exact (values, d1, d2) of the evaluator; None selects finite differences
+    # (values, d1, d2) of the evaluator, in the layout of fd.jet_batch; required
     jet: Callable[[np.ndarray], tuple[np.ndarray, ...]] | None = field(
         default=None, compare=False, repr=False
     )
 
     def __post_init__(self):
+        if not callable(self.jet):
+            raise InputError(f"immersion {self.name or '(unnamed)'} has no jet")
         if self.ambient_kind not in (EUCLIDEAN, UNIT_SPHERE):
             raise InputError(f"unknown ambient kind {self.ambient_kind!r}")
         if self.base_point is not None:
@@ -131,14 +127,12 @@ class ImmersionHandle:
         return self._image(self.evaluator(pts), pts.shape[0])
 
     def evaluate_jet(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Exact values (K, N), first (K, m, N) and second partials (K, m, m, N) at pts.
+        """Values (K, N), first (K, m, N) and second partials (K, m, m, N) at pts.
 
         Applies every check of ``__call__`` (chart dimension, domain, shape
         and the unit-sphere tolerance on the values), plus the shapes of the
         derivatives.
         """
-        if self.jet is None:
-            raise InputError(f"immersion {self.name or '(unnamed)'} has no exact jet")
         pts = self._chart_points(pts)
         values, d1, d2 = self.jet(pts)
         k, m, n = pts.shape[0], self.chart_dimension, self.ambient_dimension
@@ -151,46 +145,27 @@ class ImmersionHandle:
 # ---------------------------------------------------------------------------
 # derivatives of the immersion
 #
-# Each function takes the derivatives of f from the handle's exact jet when
-# it has one; scheme is read only for a handle without a jet.
+# Each function takes the derivatives of f from the handle's jet: one jet
+# evaluation per point set.
 
 
-def _fd_scheme(imm: ImmersionHandle, scheme: FDScheme | None) -> FDScheme:
-    if scheme is None:
-        raise InputError(
-            f"immersion {imm.name or '(unnamed)'} has no exact jet; pass an FD scheme"
-        )
-    return scheme
+def with_fd_jet(imm: ImmersionHandle, scheme: FDScheme) -> ImmersionHandle:
+    """imm differentiated by finite differences: its jet becomes one FD jet of
+    the handle on scheme's stencil (one evaluator call per request).
 
-
-def immersion_jet(
-    imm: ImmersionHandle, pts: np.ndarray, scheme: FDScheme | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Values (K, N), first (K, m, N) and second partials (K, m, m, N) of f at pts.
-
-    Exact from the handle's jet; otherwise one FD jet on scheme's stencil.
+    Its first partials equal ``fd.diff1_batch`` bit for bit.  This is the
+    test oracle for the exact jets.
     """
-    if imm.jet is not None:
-        return imm.evaluate_jet(pts)
-    return jet_batch(imm, pts, _fd_scheme(imm, scheme))
+    return replace(imm, jet=lambda pts: jet_batch(imm, pts, scheme))
 
 
-def jacobian_batch(
-    imm: ImmersionHandle, pts: np.ndarray, scheme: FDScheme | None = None
-) -> np.ndarray:
-    """d f / d x_a as columns: returns (K, N, m).
-
-    Without a jet, from the 4m-point first-difference stencil alone.
-    """
-    if imm.jet is not None:
-        d1 = imm.evaluate_jet(pts)[1]
-    else:
-        d1 = diff1_batch(imm, pts, _fd_scheme(imm, scheme))  # (K, m, N)
-    return np.swapaxes(d1, 1, 2)
+def jacobian_batch(imm: ImmersionHandle, pts: np.ndarray) -> np.ndarray:
+    """d f / d x_a as columns: returns (K, N, m)."""
+    return np.swapaxes(imm.evaluate_jet(pts)[1], 1, 2)
 
 
-def jacobian(imm: ImmersionHandle, p: np.ndarray, scheme: FDScheme | None = None) -> np.ndarray:
-    return jacobian_batch(imm, np.asarray(p, dtype=float)[None, :], scheme)[0]
+def jacobian(imm: ImmersionHandle, p: np.ndarray) -> np.ndarray:
+    return jacobian_batch(imm, np.asarray(p, dtype=float)[None, :])[0]
 
 
 def _gram(jac: np.ndarray) -> np.ndarray:
@@ -199,16 +174,12 @@ def _gram(jac: np.ndarray) -> np.ndarray:
     return gram
 
 
-def first_fundamental_form_batch(
-    imm: ImmersionHandle, pts: np.ndarray, scheme: FDScheme | None = None
-) -> np.ndarray:
-    return _gram(jacobian_batch(imm, pts, scheme))
+def first_fundamental_form_batch(imm: ImmersionHandle, pts: np.ndarray) -> np.ndarray:
+    return _gram(jacobian_batch(imm, pts))
 
 
-def first_fundamental_form(
-    imm: ImmersionHandle, p: np.ndarray, scheme: FDScheme | None = None
-) -> MetricSample:
-    g = first_fundamental_form_batch(imm, np.asarray(p, dtype=float)[None, :], scheme)[0]
+def first_fundamental_form(imm: ImmersionHandle, p: np.ndarray) -> MetricSample:
+    g = first_fundamental_form_batch(imm, np.asarray(p, dtype=float)[None, :])[0]
     return MetricSample(point=np.asarray(p, dtype=float), g=g)
 
 
@@ -257,39 +228,32 @@ def _raw_normal(imm: ImmersionHandle, pos: np.ndarray, jac: np.ndarray) -> np.nd
     return raw / nrm[:, None]
 
 
-def _raw_normal_batch(
-    imm: ImmersionHandle, pts: np.ndarray, scheme: FDScheme | None
-) -> np.ndarray:
-    pos, d1, _ = immersion_jet(imm, np.atleast_2d(np.asarray(pts, dtype=float)), scheme)
+def _raw_normal_batch(imm: ImmersionHandle, pts: np.ndarray) -> np.ndarray:
+    pos, d1, _ = imm.evaluate_jet(pts)
     return _raw_normal(imm, pos, np.swapaxes(d1, 1, 2))
 
 
-def orientation_sign(imm: ImmersionHandle, scheme: FDScheme | None = None) -> float:
+def orientation_sign(imm: ImmersionHandle) -> float:
     """+1 or -1: the sign that points the normal at the base point along the seed."""
     if imm.orientation_seed is None or imm.base_point is None:
         return 1.0
-    raw0 = _raw_normal_batch(imm, imm.base_point[None, :], scheme)[0]
+    raw0 = _raw_normal_batch(imm, imm.base_point[None, :])[0]
     dot = float(raw0 @ imm.orientation_seed)
     if dot == 0.0:
         raise DegenerateGeometryError("orientation seed is orthogonal to the normal at base point")
     return 1.0 if dot > 0.0 else -1.0
 
 
-def unit_normal_batch(
-    imm: ImmersionHandle, pts: np.ndarray, scheme: FDScheme | None = None
-) -> np.ndarray:
-    return orientation_sign(imm, scheme) * _raw_normal_batch(imm, pts, scheme)
+def unit_normal_batch(imm: ImmersionHandle, pts: np.ndarray) -> np.ndarray:
+    return orientation_sign(imm) * _raw_normal_batch(imm, pts)
 
 
-def unit_normal(imm: ImmersionHandle, p: np.ndarray, scheme: FDScheme | None = None) -> np.ndarray:
-    return unit_normal_batch(imm, np.asarray(p, dtype=float)[None, :], scheme)[0]
+def unit_normal(imm: ImmersionHandle, p: np.ndarray) -> np.ndarray:
+    return unit_normal_batch(imm, np.asarray(p, dtype=float)[None, :])[0]
 
 
 def fundamental_forms_batch(
-    imm: ImmersionHandle,
-    pts: np.ndarray,
-    scheme: FDScheme | None = None,
-    sign: float | None = None,
+    imm: ImmersionHandle, pts: np.ndarray, sign: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """(I, II) at each point from one jet of the immersion: (K, m, m) each.
 
@@ -297,31 +261,27 @@ def fundamental_forms_batch(
     jet's jacobian (and its values for sphere-ambient immersions).  sign is
     the handle's orientation sign, resolved here when not given.
     """
-    pos, d1, hess = immersion_jet(imm, pts, scheme)  # hess: (K, m, m, N)
+    pos, d1, hess = imm.evaluate_jet(pts)  # hess: (K, m, m, N)
     jac = np.swapaxes(d1, 1, 2)
     gram = _gram(jac)
     if sign is None:
-        sign = orientation_sign(imm, scheme)
+        sign = orientation_sign(imm)
     nrm = sign * _raw_normal(imm, pos, jac)  # (K, N)
     return gram, np.einsum("kabn,kn->kab", hess, nrm)
 
 
-def second_fundamental_form_batch(
-    imm: ImmersionHandle, pts: np.ndarray, scheme: FDScheme | None = None
-) -> np.ndarray:
+def second_fundamental_form_batch(imm: ImmersionHandle, pts: np.ndarray) -> np.ndarray:
     """h_ab = <d^2 f / dx_a dx_b, normal>: returns (K, m, m).
 
     For sphere-ambient immersions this is the shape tensor within the unit
     sphere: the ambient-sphere correction to the second derivative is along
     the position vector, which the normal is orthogonal to.
     """
-    return fundamental_forms_batch(imm, pts, scheme)[1]
+    return fundamental_forms_batch(imm, pts)[1]
 
 
-def second_fundamental_form(
-    imm: ImmersionHandle, p: np.ndarray, scheme: FDScheme | None = None
-) -> np.ndarray:
-    return second_fundamental_form_batch(imm, np.asarray(p, dtype=float)[None, :], scheme)[0]
+def second_fundamental_form(imm: ImmersionHandle, p: np.ndarray) -> np.ndarray:
+    return second_fundamental_form_batch(imm, np.asarray(p, dtype=float)[None, :])[0]
 
 
 def principal_curvatures(first: MetricSample | np.ndarray, second: np.ndarray) -> np.ndarray:

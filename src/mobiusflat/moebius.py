@@ -20,11 +20,10 @@ failure of (H, rho) to be parallel.  The A and C formulas acquire an
 ambient-curvature constant (0 for immersions into Euclidean space, +1 for
 immersions into the unit sphere); the constant enters A's isotropic term.
 
-Each computation asks its fields once per point set: one ``sample`` request
-for (I, h, rho, H) at p, and one stencil of a field that packs every
-differenced quantity side by side.  On fields from an immersion each request
-is one jet of the immersion per point: exact for the suite's generators,
-by finite differences for a handle without a jet.
+A field set is one request, ``sample``, for (I, h, rho, H) at a point set.
+Each computation asks it once at p and once on one stencil of a field that
+packs every differenced quantity side by side.  On fields from an immersion
+each request is one jet of the immersion per point.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ from .immersion import (
     UNIT_SPHERE,
     ImmersionHandle,
     MetricSample,
-    first_fundamental_form_batch,
     fundamental_forms_batch,
     orientation_sign,
     principal_curvatures,
@@ -135,30 +133,15 @@ def moebius_B(
 class SurfaceFields:
     """Vectorized per-point data of one hypersurface.
 
-    metric(pts) -> (K, m, m) first fundamental form I, shape(pts) -> (K, m, m)
-    second fundamental form h, rho(pts) -> (K,), mean(pts) -> (K,).
-    sample(pts) -> (I, h, rho, H) answers all four in one request: one jet of
-    the immersion for fields_from_immersion, the four callables composed
-    when not given.
-    ambient_curvature is 0 for Euclidean ambient, 1 for the unit sphere.
+    sample(pts) -> (I, h, rho, H): the first fundamental form I and second
+    fundamental form h, each (K, m, m), and rho and H, each (K,), from one
+    request.  ambient_curvature is 0 for Euclidean ambient, 1 for the unit
+    sphere.
     """
 
     dim: int
-    metric: Callable[[np.ndarray], np.ndarray]
-    shape: Callable[[np.ndarray], np.ndarray]
-    rho: Callable[[np.ndarray], np.ndarray]
-    mean: Callable[[np.ndarray], np.ndarray]
-    ambient_curvature: float = 0.0
-    sample: Callable[[np.ndarray], tuple[np.ndarray, ...]] | None = None
-
-    def __post_init__(self):
-        if self.sample is None:
-            parts = (self.metric, self.shape, self.rho, self.mean)
-
-            def sample(pts):
-                return tuple(f(np.atleast_2d(pts)) for f in parts)
-
-            object.__setattr__(self, "sample", sample)
+    sample: Callable[[np.ndarray], tuple[np.ndarray, ...]]
+    ambient_curvature: float
 
     def moebius_metric_field(self) -> Callable[[np.ndarray], np.ndarray]:
         """pts -> (K, m, m) Moebius metric rho^2 I, one sample request per call."""
@@ -170,41 +153,20 @@ class SurfaceFields:
         return field
 
 
-def fields_from_immersion(imm: ImmersionHandle, scheme: FDScheme | None = None) -> SurfaceFields:
-    """Fields of any immersion handle, from the derivatives of f.
-
-    Every request takes I and II from one jet of the immersion: the handle's
-    exact jet when it has one, else one FD jet on scheme (one evaluator
-    call), which is then required; the metric alone takes the first-
-    difference stencil there.  The orientation sign is resolved once, here.
-    """
-    sign = orientation_sign(imm, scheme)
-
-    def metric(pts):
-        return first_fundamental_form_batch(imm, np.atleast_2d(pts), scheme)
+def fields_from_immersion(imm: ImmersionHandle) -> SurfaceFields:
+    """Fields of any immersion handle: each request takes I and II from one
+    jet of the immersion.  The orientation sign is resolved once, here."""
+    sign = orientation_sign(imm)
 
     def sample(pts):
-        g, h = fundamental_forms_batch(imm, np.atleast_2d(pts), scheme, sign)
+        g, h = fundamental_forms_batch(imm, np.atleast_2d(pts), sign)
         return (g, h) + _density(g, h)
 
     return SurfaceFields(
         dim=imm.chart_dimension,
-        metric=metric,
-        shape=lambda pts: sample(pts)[1],
-        rho=lambda pts: sample(pts)[2],
-        mean=lambda pts: sample(pts)[3],
-        ambient_curvature=1.0 if imm.ambient_kind == UNIT_SPHERE else 0.0,
         sample=sample,
+        ambient_curvature=1.0 if imm.ambient_kind == UNIT_SPHERE else 0.0,
     )
-
-
-def get_fields(
-    imm: ImmersionHandle, scheme: FDScheme | None = None, analytic: bool = True
-) -> SurfaceFields:
-    """The handle's closed-form fields when present and requested, else fields_from_immersion."""
-    if analytic and imm.analytic_fields is not None:
-        return imm.analytic_fields
-    return fields_from_immersion(imm, scheme)
 
 
 # ---------------------------------------------------------------------------

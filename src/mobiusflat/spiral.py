@@ -53,7 +53,7 @@ from math import ceil, cos, isfinite, nan, sin, sqrt
 
 import numpy as np
 
-from .errors import ChartDomainError, DegenerateGeometryError, InputError
+from .errors import ChartDomainError, InputError
 
 STANDARD = "standard"
 ALTERNATE = "alternate"
@@ -132,15 +132,6 @@ def kappa_accel(params: SpiralParams, kappa, kappa_s):
     c2, c1, big_r = _coefficients(params)
     safe = np.where(np.abs(kappa) < 1e-300, 1e-300, kappa)
     return c2 * kappa_s**2 / (2.0 * safe) + c1 * kappa / 2.0 - big_r * kappa**3
-
-
-def spiral_rhs(state: SpiralState, params: SpiralParams, kappa_floor: float = 1e-6):
-    """(d kappa / ds, d kappa_s / ds) at the given state."""
-    if state.kappa <= kappa_floor:
-        raise DegenerateGeometryError(
-            f"kappa = {state.kappa:.3e} at or below the floor {kappa_floor:.3e}"
-        )
-    return state.kappa_s, float(kappa_accel(params, state.kappa, state.kappa_s))
 
 
 def equilibrium_kappa(params: SpiralParams) -> float | None:

@@ -9,11 +9,12 @@ Four generators, all built over a spiral trajectory or a radius parameter:
 * torus      (u, angles) -> (a cos u, a sin u, r sphere(angles)) in S^(n+1),
                             a = sqrt(1 - r^2)
 
-Each handle carries closed-form first/second fundamental forms and density
-fields (``analytic_fields``) and an exact second-order jet of its immersion
-(``jet``), which the generic pipeline differentiates instead of f itself, so
-identity checks can be run on either route.  The lift and the homothety
-below carry the jet of their base handle through their map.
+Each handle carries closed-form fields (``analytic_fields``), whose one
+``sample`` gives I, II, rho and H from one query of the trajectory, and an
+exact second-order jet of its immersion (``jet``), from which the generic
+pipeline takes every derivative of f, so identity checks can be run on
+either route.  The lift and the homothety below carry the jet of their base
+handle through their map.
 
 The model maps between the ambient space forms are also here: the inverse
 stereographic lift R^(n+1) -> S^(n+1), its inverse, and the hyperboloid to
@@ -21,8 +22,6 @@ hemisphere map H^(n+1) -> S^(n+1)_+.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -196,24 +195,15 @@ def cylinder_immersion(traj: SpiralTrajectory, n: int, margin: float = 0.15) -> 
     base[0] = s_base
     domain = [(lo, hi)] + [(-5.0, 5.0)] * (n - 1)
 
-    def metric(pts):
+    def sample(pts):
         pts = np.atleast_2d(pts)
-        return np.broadcast_to(np.eye(n), (pts.shape[0], n, n)).copy()
+        kap = traj.kappa_at(pts[:, 0])
+        metric = np.broadcast_to(np.eye(n), (pts.shape[0], n, n)).copy()
+        shape = np.zeros((pts.shape[0], n, n))
+        shape[:, 0, 0] = kap
+        return metric, shape, kap, kap / n
 
-    def shape(pts):
-        pts = np.atleast_2d(pts)
-        out = np.zeros((pts.shape[0], n, n))
-        out[:, 0, 0] = traj.kappa_at(pts[:, 0])
-        return out
-
-    fields = SurfaceFields(
-        dim=n,
-        metric=metric,
-        shape=shape,
-        rho=lambda pts: traj.kappa_at(np.atleast_2d(pts)[:, 0]),
-        mean=lambda pts: traj.kappa_at(np.atleast_2d(pts)[:, 0]) / n,
-        ambient_curvature=0.0,
-    )
+    fields = SurfaceFields(dim=n, sample=sample, ambient_curvature=0.0)
     return ImmersionHandle(
         chart_dimension=n,
         ambient_dimension=n + 1,
@@ -269,27 +259,16 @@ def cone_immersion(
     base[0], base[1] = s_base, 1.0
     domain = [(lo, hi), t_range] + [(-5.0, 5.0)] * (n - 2)
 
-    def metric(pts):
+    def sample(pts):
         pts = np.atleast_2d(pts)
-        out = np.broadcast_to(np.eye(n), (pts.shape[0], n, n)).copy()
-        out[:, 0, 0] = pts[:, 1] ** 2
-        return out
+        kap, t = traj.kappa_at(pts[:, 0]), pts[:, 1]
+        metric = np.broadcast_to(np.eye(n), (pts.shape[0], n, n)).copy()
+        metric[:, 0, 0] = t**2
+        shape = np.zeros((pts.shape[0], n, n))
+        shape[:, 0, 0] = t * kap
+        return metric, shape, kap / t, kap / (n * t)
 
-    def shape(pts):
-        pts = np.atleast_2d(pts)
-        out = np.zeros((pts.shape[0], n, n))
-        out[:, 0, 0] = pts[:, 1] * traj.kappa_at(pts[:, 0])
-        return out
-
-    fields = SurfaceFields(
-        dim=n,
-        metric=metric,
-        shape=shape,
-        rho=lambda pts: traj.kappa_at(np.atleast_2d(pts)[:, 0]) / np.atleast_2d(pts)[:, 1],
-        mean=lambda pts: traj.kappa_at(np.atleast_2d(pts)[:, 0])
-        / (n * np.atleast_2d(pts)[:, 1]),
-        ambient_curvature=0.0,
-    )
+    fields = SurfaceFields(dim=n, sample=sample, ambient_curvature=0.0)
     return ImmersionHandle(
         chart_dimension=n,
         ambient_dimension=n + 1,
@@ -351,46 +330,23 @@ def rotational_immersion(
     base = np.concatenate([[s_base], _angle_base(d)])
     domain = [(lo, hi)] + _angle_domain(d)
 
-    def curve_data(pts):
+    def sample(pts):
+        # one query of the trajectory: kappa, y and x' = y cos(phi) at s
         pts = np.atleast_2d(pts)
         c = traj.curve_at(pts[:, 0])
         kap = traj.kappa_at(pts[:, 0])
         y = c[:, 1]
         xp = y * np.cos(c[:, 2])
-        return kap, y, xp
+        sphere = sphere_chart_metric(pts[:, 1:])
+        metric = np.zeros((pts.shape[0], n, n))
+        metric[:, 0, 0] = 1.0
+        metric[:, 1:, 1:] = sphere
+        shape = np.zeros((pts.shape[0], n, n))
+        shape[:, 0, 0] = y * kap - xp
+        shape[:, 1:, 1:] = -xp[:, None, None] * sphere
+        return y[:, None, None] ** 2 * metric, shape, kap / y, (kap * y - n * xp) / (n * y**2)
 
-    def metric(pts):
-        pts = np.atleast_2d(pts)
-        _, y, _ = curve_data(pts)
-        out = np.zeros((pts.shape[0], n, n))
-        out[:, 0, 0] = 1.0
-        out[:, 1:, 1:] = sphere_chart_metric(pts[:, 1:])
-        return y[:, None, None] ** 2 * out
-
-    def shape(pts):
-        pts = np.atleast_2d(pts)
-        kap, y, xp = curve_data(pts)
-        out = np.zeros((pts.shape[0], n, n))
-        out[:, 0, 0] = y * kap - xp
-        out[:, 1:, 1:] = -xp[:, None, None] * sphere_chart_metric(pts[:, 1:])
-        return out
-
-    def rho(pts):
-        kap, y, _ = curve_data(pts)
-        return kap / y
-
-    def mean(pts):
-        kap, y, xp = curve_data(pts)
-        return (kap * y - n * xp) / (n * y**2)
-
-    fields = SurfaceFields(
-        dim=n,
-        metric=metric,
-        shape=shape,
-        rho=rho,
-        mean=mean,
-        ambient_curvature=0.0,
-    )
+    fields = SurfaceFields(dim=n, sample=sample, ambient_curvature=0.0)
     return ImmersionHandle(
         chart_dimension=n,
         ambient_dimension=n + 1,
@@ -440,30 +396,22 @@ def torus_immersion(r: float, n: int) -> ImmersionHandle:
     seed = np.concatenate([[-r, 0.0], a * sph0])
     domain = [(-np.pi, np.pi)] + _angle_domain(d)
 
-    def metric(pts):
-        pts = np.atleast_2d(pts)
-        out = np.zeros((pts.shape[0], n, n))
-        out[:, 0, 0] = a * a
-        out[:, 1:, 1:] = r * r * sphere_chart_metric(pts[:, 1:])
-        return out
-
-    def shape(pts):
-        pts = np.atleast_2d(pts)
-        out = np.zeros((pts.shape[0], n, n))
-        out[:, 0, 0] = a * r
-        out[:, 1:, 1:] = -a * r * sphere_chart_metric(pts[:, 1:])
-        return out
-
     rho0 = 1.0 / (a * r)
     mean0 = (r / a - (n - 1) * a / r) / n
-    fields = SurfaceFields(
-        dim=n,
-        metric=metric,
-        shape=shape,
-        rho=lambda pts: np.full(np.atleast_2d(pts).shape[0], rho0),
-        mean=lambda pts: np.full(np.atleast_2d(pts).shape[0], mean0),
-        ambient_curvature=1.0,
-    )
+
+    def sample(pts):
+        pts = np.atleast_2d(pts)
+        k = pts.shape[0]
+        sphere = sphere_chart_metric(pts[:, 1:])
+        metric = np.zeros((k, n, n))
+        metric[:, 0, 0] = a * a
+        metric[:, 1:, 1:] = r * r * sphere
+        shape = np.zeros((k, n, n))
+        shape[:, 0, 0] = a * r
+        shape[:, 1:, 1:] = -a * r * sphere
+        return metric, shape, np.full(k, rho0), np.full(k, mean0)
+
+    fields = SurfaceFields(dim=n, sample=sample, ambient_curvature=1.0)
     return ImmersionHandle(
         chart_dimension=n,
         ambient_dimension=n + 2,
@@ -573,7 +521,7 @@ def lift_to_sphere(imm: ImmersionHandle) -> ImmersionHandle:
         domain=imm.domain,
         name=f"{imm.name}+lift" if imm.name else "lift",
         analytic_fields=None,
-        jet=None if imm.jet is None else jet,
+        jet=jet,
     )
 
 
@@ -609,40 +557,18 @@ def scale_immersion(imm: ImmersionHandle, factor: float) -> ImmersionHandle:
         domain=domain,
         name=f"{imm.name}*{factor:g}" if imm.name else f"scale*{factor:g}",
         analytic_fields=None,
-        jet=None if imm.jet is None else jet,
+        jet=jet,
     )
 
 
 # ---------------------------------------------------------------------------
-# declarative construction
+# families by name
 
 
 # the one table of family names: the spiral families, with the model
 # curvature eps of their profile curve, then the torus
 EPSILON_BY_FAMILY = {"cylinder": 0, "cone": 1, "rotational": -1}
 FAMILIES = (*EPSILON_BY_FAMILY, "torus")
-
-
-@dataclass(frozen=True)
-class HypersurfaceSpec:
-    """What to build: family, dimension, generator data, optional lift."""
-
-    kind: str  # one of FAMILIES
-    n: int
-    trajectory: SpiralTrajectory | None = None
-    torus_r: float | None = None
-    lift: bool = False
-
-    def __post_init__(self):
-        if self.kind not in FAMILIES:
-            raise InputError(f"unknown hypersurface kind {self.kind!r}")
-        if self.kind == "torus":
-            if self.torus_r is None or not 0.0 < self.torus_r < 1.0:
-                raise InputError("torus needs a radius in (0, 1)")
-        elif self.trajectory is None:
-            raise InputError(f"{self.kind} needs a spiral trajectory")
-
-
 
 
 def build_family(family: str, traj: SpiralTrajectory, n: int) -> ImmersionHandle:
@@ -656,12 +582,3 @@ def build_family(family: str, traj: SpiralTrajectory, n: int) -> ImmersionHandle
     }
     return generators[family](traj, n)
 
-
-def build_hypersurface(spec: HypersurfaceSpec) -> ImmersionHandle:
-    if spec.kind == "torus":
-        imm = torus_immersion(spec.torus_r, spec.n)
-    else:
-        imm = build_family(spec.kind, spec.trajectory, spec.n)
-    if spec.lift:
-        imm = lift_to_sphere(imm)
-    return imm

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from mobiusflat.fd import FDScheme, jet_batch
+from mobiusflat.immersion import ImmersionHandle
 from mobiusflat.spiral import (
     IntegratorControls,
     SpiralParams,
@@ -16,6 +18,23 @@ from mobiusflat.zoo import (
 )
 
 N_DIM = 4
+FD_SCHEME = FDScheme(order=4)
+
+
+def fd_handle(m, n, evaluator, **kw):
+    """A handle over a bare evaluator, differentiated by finite differences.
+
+    Its jet is the one ``with_fd_jet`` gives: one FD jet of the handle itself
+    on FD_SCHEME, so stencil points are checked against the domain too.
+    """
+    imm = ImmersionHandle(
+        chart_dimension=m,
+        ambient_dimension=n,
+        evaluator=evaluator,
+        jet=lambda pts: jet_batch(imm, pts, FD_SCHEME),
+        **kw,
+    )
+    return imm
 
 
 def make_trajectory(epsilon, big_r, kappa0, kappa_s0, s_max, variant="standard"):

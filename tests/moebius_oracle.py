@@ -1,7 +1,7 @@
 """The separate-request compositions that ``moebius_data`` and ``moebius_scalar`` replaced.
 
 Kept as the test oracle.  Each quantity is asked of the fields on its own:
-I, h, rho and H at p one callable at a time, the partials of log rho, H and
+I, h, rho and H at p one sample request at a time, the partials of log rho, H and
 I each from their own stencil, and the two scalar routes each from their
 own metric-field jets.  The A and C formulas are written out here a second
 time, as they stood before the kernels were shared, so the oracle does not
@@ -28,22 +28,30 @@ from mobiusflat.moebius import (
 )
 
 
+def _part(fields, i):
+    """pts -> quantity i (0: I, 1: h, 2: rho, 3: H) of its own sample request."""
+    return lambda pts: fields.sample(np.atleast_2d(pts))[i]
+
+
 def _metric_at(fields, p):
-    return require_symmetric(fields.metric(p[None, :])[0], tol=1e-8, what="first fundamental form")
+    return require_symmetric(_part(fields, 0)(p)[0], tol=1e-8, what="first fundamental form")
 
 
 def _shape_at(fields, p):
-    return require_symmetric(fields.shape(p[None, :])[0], tol=1e-6, what="second fundamental form")
+    return require_symmetric(_part(fields, 1)(p)[0], tol=1e-6, what="second fundamental form")
+
+
+def _scalar_at(fields, i, p):
+    return float(_part(fields, i)(p)[0])
 
 
 def log_rho(fields):
-    return lambda pts: np.log(fields.rho(np.atleast_2d(pts)))
+    return lambda pts: np.log(_part(fields, 2)(pts))
 
 
 def moebius_metric_field(fields):
     def field(pts):
-        pts = np.atleast_2d(pts)
-        return fields.rho(pts)[:, None, None] ** 2 * fields.metric(pts)
+        return _part(fields, 2)(pts)[:, None, None] ** 2 * _part(fields, 0)(pts)
 
     return field
 
@@ -51,11 +59,11 @@ def moebius_metric_field(fields):
 def moebius_form(fields, p, scheme):
     g = _metric_at(fields, p)
     h = _shape_at(fields, p)
-    rho = float(fields.rho(p[None, :])[0])
-    mean = float(fields.mean(p[None, :])[0])
+    rho = _scalar_at(fields, 2, p)
+    mean = _scalar_at(fields, 3, p)
     frame = gram_schmidt_frame(g)
     h_frame = frame.T @ h @ frame
-    e_mean = frame.T @ diff1(fields.mean, p, scheme)
+    e_mean = frame.T @ diff1(_part(fields, 3), p, scheme)
     e_logrho = frame.T @ diff1(log_rho(fields), p, scheme)
     n = g.shape[0]
     return -(e_mean + (h_frame - mean * np.eye(n)) @ e_logrho) / rho / rho
@@ -64,13 +72,13 @@ def moebius_form(fields, p, scheme):
 def blaschke_A(fields, p, scheme):
     g = _metric_at(fields, p)
     h = _shape_at(fields, p)
-    rho = float(fields.rho(p[None, :])[0])
-    mean = float(fields.mean(p[None, :])[0])
+    rho = _scalar_at(fields, 2, p)
+    mean = _scalar_at(fields, 3, p)
     n = g.shape[0]
     frame = gram_schmidt_frame(g)
     h_frame = frame.T @ h @ frame
     _, d_logrho, dd_logrho = jet(log_rho(fields), p, scheme)
-    dg = diff1(fields.metric, p, scheme)
+    dg = diff1(_part(fields, 0), p, scheme)
     ginv = np.linalg.inv(g)
     bracket = np.einsum("ilj->lij", dg) + np.einsum("jli->lij", dg) - dg
     gamma = 0.5 * np.einsum("kl,lij->kij", ginv, bracket)
@@ -113,7 +121,7 @@ def moebius_scalar(fields, p, curvature_scheme, convention=Convention.FULL_TRACE
     direct = metric_field_curvature(
         moebius_metric_field(fields), p, curvature_scheme, convention
     ).scalar
-    base = metric_field_curvature(fields.metric, p, curvature_scheme, Convention.FULL_TRACE)
+    base = metric_field_curvature(_part(fields, 0), p, curvature_scheme, Convention.FULL_TRACE)
     via = conformal_scalar(base, log_rho(fields), p, curvature_scheme)
     via = convert_scalar(via, Convention.FULL_TRACE, convention, fields.dim)
     return MoebiusScalarResult(direct=float(direct), conformal_route=float(via))

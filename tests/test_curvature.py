@@ -338,7 +338,7 @@ class TestFrameRotationOracle:
     @pytest.mark.parametrize("surface", ["torus", "rotational"])
     def test_riemann_on_moebius_metric(self, surface, request):
         imm = request.getfixturevalue(surface)
-        field = fields_from_immersion(imm, FDScheme(order=4)).moebius_metric_field()
+        field = fields_from_immersion(imm).moebius_metric_field()
         sch = FDScheme(step=0.02, order=4, scaled=False)
         for p in interior_points(imm, 2, seed=11):
             bundle = metric_field_curvature(field, p, sch)

@@ -1,5 +1,8 @@
 import dataclasses
+import importlib
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,8 +33,15 @@ class TestConfig:
         assert cfg.samples == RunConfig().samples
 
     def test_unknown_key(self):
-        with pytest.raises(ConfigError, match="unknown key"):
-            parse_config("frobnicate = 1\n")
+        # conventions, tol_first_integral and tol_roundtrip were never read
+        for text in (
+            "frobnicate = 1\n",
+            "conventions = half,full,normalized\n",
+            "tol_first_integral = 1e-9\n",
+            "tol_roundtrip = 1e-6\n",
+        ):
+            with pytest.raises(ConfigError, match="unknown key"):
+                parse_config(text)
 
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -76,6 +86,35 @@ class TestConfig:
         b = RunConfig(seed=1).validate()
         assert a.hash() != b.hash()
         assert a.hash() == RunConfig().validate().hash()
+
+
+class TestTracerNames:
+    """Every name the benchmark's span tracer wraps exists on the package.
+
+    ``perfbench/tracer.py`` is read, not edited: a name deleted from the
+    package would otherwise break only a traced benchmark run.
+    """
+
+    @staticmethod
+    def tracer():
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_functions_and_methods_resolve(self):
+        tracer = self.tracer()
+        for owner in tracer.MODULES:
+            importlib.import_module(f"mobiusflat.{owner}")
+        for _, owner, names, _ in tracer.FUNCTIONS:
+            module = importlib.import_module(f"mobiusflat.{owner}")
+            for name in names:
+                assert callable(getattr(module, name, None)), f"{owner}.{name}"
+        for _, owner, cls_name, names, _ in tracer.METHODS:
+            cls = getattr(importlib.import_module(f"mobiusflat.{owner}"), cls_name)
+            for name in names:
+                assert callable(vars(cls).get(name)), f"{owner}.{cls_name}.{name}"
 
 
 class TestReportSchema:

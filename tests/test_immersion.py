@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mobiusflat.errors import ChartDomainError, DegenerateGeometryError, InputError
-from mobiusflat.fd import FDScheme
+from mobiusflat.fd import diff1_batch, jet_batch
 from mobiusflat.immersion import (
     ImmersionHandle,
     MetricSample,
@@ -19,17 +19,14 @@ from mobiusflat.immersion import (
     second_fundamental_form_batch,
     unit_normal,
     unit_normal_batch,
+    with_fd_jet,
 )
 from mobiusflat.zoo import inverse_stereographic, sphere_chart
 
 import fd_oracle
-from conftest import interior_points
-
-SCHEME = FDScheme(order=4)
-
-
-def handle(m, n, fn, **kw):
-    return ImmersionHandle(chart_dimension=m, ambient_dimension=n, evaluator=fn, **kw)
+from conftest import FD_SCHEME as SCHEME
+from conftest import fd_handle as handle
+from conftest import N_DIM, interior_points
 
 
 def graph_surface():
@@ -46,27 +43,27 @@ def graph_surface():
 class TestJacobian:
     def test_identity_map(self):
         ident = handle(2, 2, lambda pts: np.atleast_2d(pts).copy())
-        j = jacobian(ident, np.array([0.4, -1.7]), SCHEME)
+        j = jacobian(ident, np.array([0.4, -1.7]))
         assert np.allclose(j, np.eye(2), atol=1e-12)
 
     def test_stereographic_lift_at_origin(self):
         # columns orthogonal, each of norm 2: the conformal factor at 0
         lift = handle(3, 4, inverse_stereographic)
-        j = jacobian(lift, np.zeros(3), SCHEME)
+        j = jacobian(lift, np.zeros(3))
         assert np.allclose(j.T @ j, 4.0 * np.eye(3), atol=1e-10)
 
     def test_domain_error_names_coordinate(self):
         fn = lambda pts: np.atleast_2d(pts).copy()
         imm = handle(2, 2, fn, domain=((0.0, 1.0), (-10.0, 10.0)))
         with pytest.raises(ChartDomainError, match="coordinate 0"):
-            jacobian(imm, np.array([0.0005, 0.0]), SCHEME)
+            jacobian(imm, np.array([0.0005, 0.0]))
 
 
 class TestFundamentalForms:
     def test_graph_first_form(self):
         imm = graph_surface()
         p = np.array([0.3, 0.2])
-        sample = first_fundamental_form(imm, p, SCHEME)
+        sample = first_fundamental_form(imm, p)
         fx = np.cos(0.3) * np.cos(0.2)
         fy = -np.sin(0.3) * np.sin(0.2)
         expected = np.array([[1 + fx * fx, fx * fy], [fx * fy, 1 + fy * fy]])
@@ -79,7 +76,7 @@ class TestFundamentalForms:
 
         imm = handle(2, 3, collapse)
         with pytest.raises(DegenerateGeometryError):
-            first_fundamental_form(imm, np.array([0.1, 0.1]), SCHEME)
+            first_fundamental_form(imm, np.array([0.1, 0.1]))
 
     def test_metric_sample_validation(self):
         with pytest.raises(DegenerateGeometryError):
@@ -96,33 +93,33 @@ class TestUnitNormal:
             base_point=np.array([1.2, 0.8]),
         )
         p = np.array([1.0, 2.0])
-        eta = unit_normal(imm, p, SCHEME)
+        eta = unit_normal(imm, p)
         assert np.allclose(eta, sphere_chart(p[None, :])[0], atol=1e-9)
 
     def test_seed_flip_flips_everything(self):
         imm = graph_surface()
-        flipped = ImmersionHandle(
-            chart_dimension=2,
-            ambient_dimension=3,
-            evaluator=imm.evaluator,
+        flipped = handle(
+            2,
+            3,
+            imm.evaluator,
             orientation_seed=-imm.orientation_seed,
             base_point=imm.base_point,
         )
         p = np.array([0.5, -0.4])
-        eta = unit_normal(imm, p, SCHEME)
-        assert np.allclose(unit_normal(flipped, p, SCHEME), -eta, atol=1e-12)
-        h = second_fundamental_form(imm, p, SCHEME)
-        h_flip = second_fundamental_form(flipped, p, SCHEME)
+        eta = unit_normal(imm, p)
+        assert np.allclose(unit_normal(flipped, p), -eta, atol=1e-12)
+        h = second_fundamental_form(imm, p)
+        h_flip = second_fundamental_form(flipped, p)
         assert np.allclose(h_flip, -h, atol=1e-10)
-        lam = principal_curvatures(first_fundamental_form(imm, p, SCHEME), h)
-        lam_flip = principal_curvatures(first_fundamental_form(imm, p, SCHEME), h_flip)
+        lam = principal_curvatures(first_fundamental_form(imm, p), h)
+        lam_flip = principal_curvatures(first_fundamental_form(imm, p), h_flip)
         assert np.allclose(np.sort(lam_flip), np.sort(-lam), atol=1e-10)
 
     def test_normal_orthogonality(self):
         imm = graph_surface()
         p = np.array([0.7, 0.1])
-        eta = unit_normal(imm, p, SCHEME)
-        j = jacobian(imm, p, SCHEME)
+        eta = unit_normal(imm, p)
+        j = jacobian(imm, p)
         assert abs(np.linalg.norm(eta) - 1.0) < 1e-12
         assert np.max(np.abs(j.T @ eta)) < 1e-10
 
@@ -135,16 +132,16 @@ class TestOneJet:
         if surface == "graph":
             imm, pts = graph_surface(), np.array([[0.3, 0.2], [0.7, 0.1], [-1.1, 0.4]])
         else:
-            # the FD route: the handle's exact jet is dropped
-            imm = dataclasses.replace(request.getfixturevalue("torus"), jet=None)
+            # the FD route: the handle's exact jet is replaced by the FD jet
+            imm = with_fd_jet(request.getfixturevalue("torus"), SCHEME)
             pts = interior_points(imm, 5, seed=3)
         hess = fd_oracle.diff2_batch(imm, pts, SCHEME)
-        h_oracle = np.einsum("kabn,kn->kab", hess, unit_normal_batch(imm, pts, SCHEME))
-        assert np.array_equal(second_fundamental_form_batch(imm, pts, SCHEME), h_oracle)
-        g, h = fundamental_forms_batch(imm, pts, SCHEME)
-        assert np.array_equal(g, first_fundamental_form_batch(imm, pts, SCHEME))
+        h_oracle = np.einsum("kabn,kn->kab", hess, unit_normal_batch(imm, pts))
+        assert np.array_equal(second_fundamental_form_batch(imm, pts), h_oracle)
+        g, h = fundamental_forms_batch(imm, pts)
+        assert np.array_equal(g, first_fundamental_form_batch(imm, pts))
         assert np.array_equal(h, h_oracle)
-        g, h = fundamental_forms_batch(imm, pts, SCHEME, sign=-1.0)
+        g, h = fundamental_forms_batch(imm, pts, sign=-1.0)
         assert np.array_equal(h, -h_oracle)
 
 
@@ -176,9 +173,31 @@ class TestExactJetFrontEnd:
         with pytest.raises(InputError, match="wrongly shaped"):
             dataclasses.replace(torus, jet=flat).evaluate_jet(torus.base_point)
 
-    def test_fd_route_needs_a_scheme(self, torus):
-        with pytest.raises(InputError, match="no exact jet"):
-            fundamental_forms_batch(dataclasses.replace(torus, jet=None), torus.base_point)
+
+
+class TestConstruction:
+    """Every handle carries a jet; the FD one is a constructor of its own."""
+
+    def test_handle_without_jet_refused(self, torus):
+        with pytest.raises(InputError, match="no jet"):
+            dataclasses.replace(torus, jet=None)
+        with pytest.raises(InputError, match="no jet"):
+            ImmersionHandle(chart_dimension=2, ambient_dimension=3, evaluator=sphere_chart)
+
+    def test_with_fd_jet_is_one_fd_jet_of_the_handle(self, torus):
+        calls = []
+
+        def evaluator(pts):
+            calls.append(pts.shape[0])
+            return torus.evaluator(pts)
+
+        imm = with_fd_jet(dataclasses.replace(torus, evaluator=evaluator), SCHEME)
+        pts = interior_points(imm, 3, seed=2)
+        got = imm.evaluate_jet(pts)
+        ref = jet_batch(imm, pts, SCHEME)
+        assert all(np.array_equal(x, y) for x, y in zip(got, ref))
+        assert calls == [3 * (5 * N_DIM + 16 * N_DIM * (N_DIM - 1) // 2)] * 2
+        assert np.array_equal(got[1], diff1_batch(imm, pts, SCHEME))
 
 
 class TestPrincipalCurvatures:
@@ -192,7 +211,7 @@ class TestPrincipalCurvatures:
         )
         p = np.array([1.4, 2.2])
         lam = principal_curvatures(
-            first_fundamental_form(imm, p, SCHEME), second_fundamental_form(imm, p, SCHEME)
+            first_fundamental_form(imm, p), second_fundamental_form(imm, p)
         )
         assert np.allclose(lam, [1.0, 1.0], atol=1e-9)
 
@@ -210,17 +229,17 @@ class TestPrincipalCurvatures:
             return imm.evaluator((pts - b) @ np.linalg.inv(a).T)
 
         q = a @ p + b
-        imm2 = ImmersionHandle(
-            chart_dimension=2,
-            ambient_dimension=3,
-            evaluator=reparam,
+        imm2 = handle(
+            2,
+            3,
+            reparam,
             orientation_seed=imm.orientation_seed,
             base_point=q,
         )
         lam1 = principal_curvatures(
-            first_fundamental_form(imm, p, SCHEME), second_fundamental_form(imm, p, SCHEME)
+            first_fundamental_form(imm, p), second_fundamental_form(imm, p)
         )
         lam2 = principal_curvatures(
-            first_fundamental_form(imm2, q, SCHEME), second_fundamental_form(imm2, q, SCHEME)
+            first_fundamental_form(imm2, q), second_fundamental_form(imm2, q)
         )
         assert np.allclose(lam1, lam2, atol=1e-10)

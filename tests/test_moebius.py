@@ -10,11 +10,11 @@ from mobiusflat.immersion import (
     MetricSample,
     first_fundamental_form_batch,
     second_fundamental_form_batch,
+    with_fd_jet,
 )
 from mobiusflat.moebius import (
     blaschke_A,
     fields_from_immersion,
-    get_fields,
     moebius_B,
     moebius_data,
     moebius_density,
@@ -53,9 +53,8 @@ def sin_curve_cylinder(n=N_DIM):
 class TestDensity:
     def test_cylinder_rho_kappa(self, cylinder, cylinder_traj):
         pts = interior_points(cylinder, 6, seed=21)
-        fields = fields_from_immersion(cylinder, SCHEME)
-        g = fields.metric(pts)
-        h = fields.shape(pts)
+        fields = fields_from_immersion(cylinder)
+        g, h = fields.sample(pts)[:2]
         for i, p in enumerate(pts):
             rho, mean = moebius_density(MetricSample(point=p, g=g[i]), h[i])
             kap = float(cylinder_traj.kappa_at(p[0:1])[0])
@@ -64,8 +63,8 @@ class TestDensity:
 
     def test_cone_rho_scaled_by_t(self, cone, cone_traj):
         pts = interior_points(cone, 6, seed=23)
-        fields = fields_from_immersion(cone, SCHEME)
-        g, h = fields.metric(pts), fields.shape(pts)
+        fields = fields_from_immersion(cone)
+        g, h = fields.sample(pts)[:2]
         for i, p in enumerate(pts):
             rho, mean = moebius_density(MetricSample(point=p, g=g[i]), h[i])
             kap = float(cone_traj.kappa_at(p[0:1])[0])
@@ -74,8 +73,8 @@ class TestDensity:
 
     def test_rotational_rho(self, rotational, rotational_traj):
         pts = interior_points(rotational, 6, seed=25)
-        fields = fields_from_immersion(rotational, SCHEME)
-        g, h = fields.metric(pts), fields.shape(pts)
+        fields = fields_from_immersion(rotational)
+        g, h = fields.sample(pts)[:2]
         y = rotational_traj.curve_at(pts[:, 0])[:, 1]
         kap = rotational_traj.kappa_at(pts[:, 0])
         for i, p in enumerate(pts):
@@ -96,8 +95,8 @@ class TestMoebiusMetric:
         imm = request.getfixturevalue(fixture)
         traj = request.getfixturevalue(f"{fixture}_traj")
         pts = interior_points(imm, 20, seed=27)
-        fields = fields_from_immersion(imm, SCHEME)
-        g, h = fields.metric(pts), fields.shape(pts)
+        fields = fields_from_immersion(imm)
+        g, h = fields.sample(pts)[:2]
         kap = traj.kappa_at(pts[:, 0])
         n = N_DIM
         for i, p in enumerate(pts):
@@ -118,8 +117,8 @@ class TestMoebiusMetric:
 
 def composed_fields(imm, pts):
     """(I, II, rho, H) composed from the public form functions, as before the jet."""
-    g = first_fundamental_form_batch(imm, pts, SCHEME)
-    h = second_fundamental_form_batch(imm, pts, SCHEME)
+    g = first_fundamental_form_batch(imm, pts)
+    h = second_fundamental_form_batch(imm, pts)
     n = g.shape[-1]
     shape_op = np.linalg.solve(g, h)
     mean = np.einsum("kii->k", shape_op) / n
@@ -130,15 +129,16 @@ def composed_fields(imm, pts):
 class TestOneJetFields:
     @pytest.mark.parametrize("fixture", ["torus", "rotational"])
     def test_fields_match_composed_forms(self, fixture, request):
-        # the FD route: the handle's exact jet is dropped
-        imm = dataclasses.replace(request.getfixturevalue(fixture), jet=None)
+        # the FD route: the handle's exact jet is replaced by the FD jet
+        imm = with_fd_jet(request.getfixturevalue(fixture), SCHEME)
         pts = interior_points(imm, 7, seed=5)
-        fields = fields_from_immersion(imm, SCHEME)
+        fields = fields_from_immersion(imm)
         g, h, rho, mean = composed_fields(imm, pts)
-        assert np.array_equal(fields.metric(pts), g)
-        assert np.array_equal(fields.shape(pts), h)
-        assert np.array_equal(fields.rho(pts), rho)
-        assert np.array_equal(fields.mean(pts), mean)
+        sample = fields.sample(pts)
+        assert np.array_equal(sample[0], g)
+        assert np.array_equal(sample[1], h)
+        assert np.array_equal(sample[2], rho)
+        assert np.array_equal(sample[3], mean)
         assert np.array_equal(fields.moebius_metric_field()(pts), rho[:, None, None] ** 2 * g)
 
     def test_one_evaluator_call_per_request(self, torus):
@@ -148,27 +148,18 @@ class TestOneJetFields:
             calls.append(pts.shape[0])
             return torus.evaluator(pts)
 
-        imm = dataclasses.replace(torus, evaluator=evaluator, jet=None)
-        fields = fields_from_immersion(imm, SCHEME)
+        imm = with_fd_jet(dataclasses.replace(torus, evaluator=evaluator), SCHEME)
+        fields = fields_from_immersion(imm)
         pts = interior_points(imm, 3, seed=7)
         stencil = 5 * N_DIM + 16 * N_DIM * (N_DIM - 1) // 2
-        for request in (
-            fields.sample,
-            fields.moebius_metric_field(),
-            fields.shape,
-            fields.rho,
-            fields.mean,
-        ):
+        for request in (fields.sample, fields.moebius_metric_field()):
             calls.clear()
             request(pts)
             assert calls == [3 * stencil]
-        calls.clear()
-        fields.metric(pts)
-        assert calls == [3 * 4 * N_DIM]
 
 
 def counting_fields(imm):
-    """FD fields over imm (its exact jet dropped) whose evaluator records the size of each call."""
+    """FD fields over imm (its exact jet replaced) whose evaluator records the size of each call."""
     calls = []
 
     def evaluator(pts):
@@ -176,7 +167,7 @@ def counting_fields(imm):
         return imm.evaluator(pts)
 
     fields = fields_from_immersion(
-        dataclasses.replace(imm, evaluator=evaluator, jet=None), SCHEME
+        with_fd_jet(dataclasses.replace(imm, evaluator=evaluator), SCHEME)
     )
     calls.clear()  # the orientation sign, resolved once at construction
     return fields, calls
@@ -199,7 +190,7 @@ class TestOneRequestPerPointSet:
     @pytest.mark.parametrize("fixture", ["torus", "rotational"])
     def test_agrees_with_separate_request_oracle(self, fixture, analytic, request):
         imm = request.getfixturevalue(fixture)
-        fields = get_fields(imm, SCHEME, analytic=analytic)
+        fields = imm.analytic_fields if analytic else fields_from_immersion(imm)
 
         def close(new, old):
             new, old = np.asarray(new), np.asarray(old)
@@ -220,8 +211,8 @@ class TestTensorB:
     def test_eigenvalues_and_traces(self, fixture, request):
         imm = request.getfixturevalue(fixture)
         pts = interior_points(imm, 6, seed=29)
-        fields = fields_from_immersion(imm, SCHEME)
-        g, h = fields.metric(pts), fields.shape(pts)
+        fields = fields_from_immersion(imm)
+        g, h = fields.sample(pts)[:2]
         n = N_DIM
         for i, p in enumerate(pts):
             sample = MetricSample(point=p, g=g[i])
@@ -234,15 +225,13 @@ class TestTensorB:
             assert np.allclose(eig, expected, atol=1e-7)
 
     def test_homothety_leaves_eigenvalues_and_scalar(self, cylinder):
-        # ambient rescaling doubles both f and the chart; the larger inner
-        # step keeps the rounding floor low on the rescaled evaluations
+        # ambient rescaling doubles both f and the chart
         p = cylinder.base_point + 0.1
-        noise_aware = FDScheme(step=0.008, order=4)
-        f1 = fields_from_immersion(cylinder, noise_aware)
+        f1 = fields_from_immersion(cylinder)
         s1 = moebius_scalar(f1, p)
         for lam in (0.5, 2.0):
             scaled = scale_immersion(cylinder, lam)
-            f2 = fields_from_immersion(scaled, noise_aware)
+            f2 = fields_from_immersion(scaled)
             d1 = moebius_data(f1, p, SCHEME)
             d2 = moebius_data(f2, lam * p, SCHEME)
             assert np.allclose(d1.B_eigenvalues, d2.B_eigenvalues, atol=1e-7)
@@ -253,8 +242,8 @@ class TestTensorB:
 class TestMoebiusForm:
     def test_torus_form_vanishes(self, torus):
         for fields, tol in [
-            (get_fields(torus, SCHEME, analytic=True), 1e-12),
-            (fields_from_immersion(torus, SCHEME), 1e-8),
+            (torus.analytic_fields, 1e-12),
+            (fields_from_immersion(torus), 1e-8),
         ]:
             c = moebius_form(fields, torus.base_point, FDScheme(step=0.05, order=4))
             assert np.max(np.abs(c)) < tol
@@ -265,7 +254,7 @@ class TestMoebiusForm:
 
         traj = make_trajectory(0, 0.0, 1.0, 0.0, 6.0)
         imm = cylinder_immersion(traj, N_DIM)
-        fields = fields_from_immersion(imm, SCHEME)
+        fields = fields_from_immersion(imm)
         c = moebius_form(fields, imm.base_point, FDScheme(step=0.03, order=4))
         assert np.max(np.abs(c)) < 1e-8
 
@@ -279,7 +268,7 @@ class TestMoebiusForm:
             (rotational, FDScheme(step=0.01, order=4, scaled=False)),
             (torus, FDScheme(step=0.05, order=4, scaled=False)),
         ]:
-            fields = get_fields(handle, SCHEME)
+            fields = handle.analytic_fields
             p = handle.base_point
             resid = moebius_form_divergence_residual(fields, p, sch)
             assert resid < 1e-6, handle.name
@@ -288,7 +277,7 @@ class TestMoebiusForm:
         # C = (-kappa_s / kappa^2, 0, ..., 0) in the Moebius frame
         traj, imm = sin_curve_cylinder()
         pts = interior_points(imm, 5, seed=31)
-        fields = get_fields(imm, SCHEME)
+        fields = imm.analytic_fields
         for p in pts:
             c = moebius_form(fields, p, FINE)
             kap = float(traj.kappa_at(p[0:1])[0])
@@ -303,7 +292,7 @@ class TestBlaschke:
         # here R(s) = 6 * 0.3 sin(s) / kappa(s)^3 varies along the surface
         _, imm = sin_curve_cylinder()
         pts = interior_points(imm, 5, seed=33)
-        fields = get_fields(imm, SCHEME)
+        fields = imm.analytic_fields
         n = N_DIM
         for p in pts:
             a = blaschke_A(fields, p, FINE)
@@ -316,7 +305,7 @@ class TestBlaschke:
 
     def test_trace_identity_rotational(self, rotational):
         # constant-scalar spiral: R_full = 2 (n-1) * 0.75 = 4.5
-        fields = get_fields(rotational, SCHEME)
+        fields = rotational.analytic_fields
         pts = interior_points(rotational, 4, seed=35)
         target = 1.0 / (2 * N_DIM) + 4.5 / (2 * (N_DIM - 1))
         for p in pts:
@@ -325,13 +314,13 @@ class TestBlaschke:
 
     def test_trace_identity_torus_sphere_ambient(self, torus):
         # r = 0.5: full-trace scalar (n-1)(n-2)(1-r^2) = 4.5
-        fields = get_fields(torus, SCHEME)
+        fields = torus.analytic_fields
         a = blaschke_A(fields, torus.base_point, FDScheme(step=0.05, order=4))
         target = 1.0 / (2 * N_DIM) + 4.5 / (2 * (N_DIM - 1))
         assert np.trace(a) == pytest.approx(target, abs=1e-9)
 
     def test_torus_A_eigen_multiplicities(self, torus):
-        fields = get_fields(torus, SCHEME)
+        fields = torus.analytic_fields
         d = moebius_data(fields, torus.base_point, FDScheme(step=0.05, order=4))
         eig = np.sort(d.A_eigenvalues)
         # one simple eigenvalue at one end, the other n-1 coincide
@@ -343,7 +332,7 @@ class TestBlaschke:
     @pytest.mark.parametrize("fixture", ["cylinder", "cone", "rotational", "torus"])
     def test_commutator_vanishes(self, fixture, request):
         imm = request.getfixturevalue(fixture)
-        fields = get_fields(imm, SCHEME)
+        fields = imm.analytic_fields
         pts = interior_points(imm, 4, seed=37)
         for p in pts:
             d = moebius_data(fields, p, FINE)
@@ -357,7 +346,7 @@ class TestMoebiusScalar:
 
         traj = make_trajectory(0, 0.0, 1.0, 0.0, 6.0)
         imm = cylinder_immersion(traj, N_DIM)
-        fields = get_fields(imm, SCHEME)
+        fields = imm.analytic_fields
         for conv in Convention:
             res = moebius_scalar(fields, imm.base_point, convention=conv)
             assert abs(res.direct) < 1e-7
@@ -366,7 +355,7 @@ class TestMoebiusScalar:
     def test_torus_full_trace_value(self, torus):
         # product structure: circle of radius 1/r and sphere of radius
         # 1/sqrt(1-r^2): full-trace scalar (n-1)(n-2)(1-r^2)
-        fields = get_fields(torus, SCHEME)
+        fields = torus.analytic_fields
         res = moebius_scalar(fields, torus.base_point, convention=Convention.FULL_TRACE)
         expected = (N_DIM - 1) * (N_DIM - 2) * 0.75
         assert res.direct == pytest.approx(expected, rel=1e-6)
@@ -374,12 +363,12 @@ class TestMoebiusScalar:
 
     def test_options_are_keyword_only(self, torus):
         # a stale positional FD scheme must not be read as the convention
-        fields = get_fields(torus, SCHEME)
+        fields = torus.analytic_fields
         with pytest.raises(TypeError):
             moebius_scalar(fields, torus.base_point, SCHEME)
 
     def test_two_routes_agree_on_pipeline_fields(self, rotational):
-        fields = fields_from_immersion(rotational, SCHEME)
+        fields = fields_from_immersion(rotational)
         pts = interior_points(rotational, 3, seed=39)
         for p in pts:
             res = moebius_scalar(fields, p)
@@ -387,7 +376,7 @@ class TestMoebiusScalar:
 
     def test_rotational_scalar_constant(self, rotational):
         # constant-scalar spiral with R parameter 0.75: full trace 4.5
-        fields = get_fields(rotational, SCHEME)
+        fields = rotational.analytic_fields
         pts = interior_points(rotational, 6, seed=41)
         vals = [moebius_scalar(fields, p).direct for p in pts]
         assert np.max(np.abs(np.asarray(vals) - 4.5)) < 1e-6
@@ -397,8 +386,8 @@ class TestLiftInvariance:
     def test_B_and_scalar_invariant_under_lift(self, cylinder):
         lifted = lift_to_sphere(cylinder)
         p = cylinder.base_point + 0.15
-        f_plain = fields_from_immersion(cylinder, SCHEME)
-        f_lift = fields_from_immersion(lifted, SCHEME)
+        f_plain = fields_from_immersion(cylinder)
+        f_lift = fields_from_immersion(lifted)
         d_plain = moebius_data(f_plain, p, SCHEME)
         d_lift = moebius_data(f_lift, p, SCHEME)
         assert np.allclose(d_plain.B_eigenvalues, d_lift.B_eigenvalues, atol=1e-6)

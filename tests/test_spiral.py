@@ -3,7 +3,7 @@ import numpy_stepper
 import pytest
 
 from mobiusflat import spiral
-from mobiusflat.errors import ChartDomainError, DegenerateGeometryError, InputError
+from mobiusflat.errors import ChartDomainError, InputError
 from mobiusflat.spiral import (
     ALTERNATE,
     STANDARD,
@@ -21,7 +21,6 @@ from mobiusflat.spiral import (
     prescribed_curvature_trajectory,
     reconstruct_curve,
     recomputed_curvature,
-    spiral_rhs,
 )
 
 
@@ -56,13 +55,6 @@ class TestRhs:
         kstar = equilibrium_kappa(p)
         assert kstar == pytest.approx(np.sqrt((4 - 2) / (2 * 0.75)))
         assert kappa_accel(p, kstar, 0.0) == pytest.approx(0.0, abs=1e-14)
-
-    def test_rhs_floor_error(self):
-        p = SpiralParams(4, 0, 0.0)
-        with pytest.raises(DegenerateGeometryError):
-            spiral_rhs(SpiralState(0.0, 1e-9, 0.0), p)
-        dk, dks = spiral_rhs(SpiralState(0.0, 1.0, 0.5), p)
-        assert dk == 0.5
 
 
 class TestEquilibrium:

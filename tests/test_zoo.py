@@ -1,12 +1,10 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mobiusflat.errors import ChartDomainError, InputError
-from mobiusflat.fd import FDScheme, jet_batch
+from mobiusflat.fd import jet_batch
 from mobiusflat.immersion import (
     first_fundamental_form_batch,
     fundamental_forms_batch,
@@ -15,11 +13,10 @@ from mobiusflat.immersion import (
     second_fundamental_form_batch,
     unit_normal,
     unit_normal_batch,
+    with_fd_jet,
 )
 from mobiusflat.zoo import (
-    HypersurfaceSpec,
     build_family,
-    build_hypersurface,
     hyperboloid_to_hemisphere,
     inverse_stereographic,
     lift_to_sphere,
@@ -31,18 +28,17 @@ from mobiusflat.zoo import (
     torus_immersion,
 )
 
-from conftest import N_DIM, interior_points
-
-SCHEME = FDScheme(order=4)
+from conftest import FD_SCHEME as SCHEME
+from conftest import N_DIM, fd_handle, interior_points
 
 
 def fd_vs_analytic(imm, count=8, seed=1):
     pts = interior_points(imm, count, seed)
-    fd = dataclasses.replace(imm, jet=None)  # the FD route, not the handle's exact jet
-    g_fd = first_fundamental_form_batch(fd, pts, SCHEME)
-    h_fd = second_fundamental_form_batch(fd, pts, SCHEME)
-    fields = imm.analytic_fields
-    return pts, g_fd, h_fd, fields.metric(pts), fields.shape(pts)
+    fd = with_fd_jet(imm, SCHEME)  # the FD route, not the handle's exact jet
+    g_fd = first_fundamental_form_batch(fd, pts)
+    h_fd = second_fundamental_form_batch(fd, pts)
+    g, h = imm.analytic_fields.sample(pts)[:2]
+    return pts, g_fd, h_fd, g, h
 
 
 class TestSphereChart:
@@ -53,15 +49,9 @@ class TestSphereChart:
 
     def test_chart_metric_matches_fd(self):
         angles = np.array([[0.9, 1.1, 2.0]])
-        imm_handle = build_sphere_handle()
-        g = first_fundamental_form_batch(imm_handle, angles, SCHEME)
+        imm_handle = fd_handle(3, 4, sphere_chart)
+        g = first_fundamental_form_batch(imm_handle, angles)
         assert np.allclose(g, sphere_chart_metric(angles), atol=1e-9)
-
-
-def build_sphere_handle():
-    from mobiusflat.immersion import ImmersionHandle
-
-    return ImmersionHandle(chart_dimension=3, ambient_dimension=4, evaluator=sphere_chart)
 
 
 class TestExactJet:
@@ -84,7 +74,7 @@ class TestExactJet:
         imm = self.HANDLES[name](base)
         pts = interior_points(imm, 6, seed=2)
         exact = imm.evaluate_jet(pts)
-        oracle = jet_batch(dataclasses.replace(imm, jet=None), pts, SCHEME)
+        oracle = with_fd_jet(imm, SCHEME).evaluate_jet(pts)
         values = imm(pts)
         assert np.max(np.abs(exact[0] - values)) <= 4e-16 * np.max(np.abs(values))
         for level, (x, ref) in enumerate(zip(exact[1:], oracle[1:]), start=1):
@@ -96,19 +86,19 @@ class TestExactJet:
         imm = request.getfixturevalue(fixture)
         pts = interior_points(imm, 8, seed=1)
         g, h = fundamental_forms_batch(imm, pts)
-        fields = imm.analytic_fields
-        scale = np.max(np.abs(fields.metric(pts)))
-        assert np.max(np.abs(g - fields.metric(pts))) <= 1e-12 * scale
-        assert np.max(np.abs(h - fields.shape(pts))) <= 1e-12 * scale
+        g_closed, h_closed = imm.analytic_fields.sample(pts)[:2]
+        scale = np.max(np.abs(g_closed))
+        assert np.max(np.abs(g - g_closed)) <= 1e-12 * scale
+        assert np.max(np.abs(h - h_closed)) <= 1e-12 * scale
 
     @pytest.mark.parametrize("factor", [0.5, 2.0])
     def test_scaled_forms(self, factor, rotational):
         # f_l(l p) = l f(p): the same I, and II divided by l
         pts = interior_points(rotational, 6, seed=3)
         g, h = fundamental_forms_batch(scale_immersion(rotational, factor), factor * pts)
-        fields = rotational.analytic_fields
-        assert np.max(np.abs(g - fields.metric(pts))) <= 1e-12
-        assert np.max(np.abs(factor * h - fields.shape(pts))) <= 1e-12
+        g_closed, h_closed = rotational.analytic_fields.sample(pts)[:2]
+        assert np.max(np.abs(g - g_closed)) <= 1e-12
+        assert np.max(np.abs(factor * h - h_closed)) <= 1e-12
 
     @pytest.mark.parametrize("fixture", ["cylinder", "rotational"])
     def test_lift_keeps_moebius_metric(self, fixture, request):
@@ -118,8 +108,7 @@ class TestExactJet:
         imm = request.getfixturevalue(fixture)
         pts = interior_points(imm, 6, seed=4)
         g, _, rho, _ = fields_from_immersion(lift_to_sphere(imm)).sample(pts)
-        fields = imm.analytic_fields
-        expected = fields.rho(pts)[:, None, None] ** 2 * fields.metric(pts)
+        expected = imm.analytic_fields.moebius_metric_field()(pts)
         assert np.max(np.abs(rho[:, None, None] ** 2 * g - expected)) <= 1e-12 * np.max(
             np.abs(expected)
         )
@@ -147,7 +136,7 @@ class TestCylinder:
 
     def test_jacobian_structure(self, cylinder, cylinder_traj):
         p = cylinder.base_point
-        j = jacobian(cylinder, p, SCHEME)
+        j = jacobian(cylinder, p)
         vel = cylinder_traj.curve_velocity_at(np.array([p[0]]))[0]
         assert np.allclose(j[0:2, 0], vel[0:2], atol=1e-10)
         assert np.allclose(j[2:, 0], 0.0, atol=1e-10)
@@ -160,7 +149,7 @@ class TestCylinder:
         traj = make_trajectory(0, 0.0, 1.0, 0.0, 6.0)  # unit circle
         imm = cylinder_immersion(traj, N_DIM)
         pts = interior_points(imm, 5, seed=3)
-        eta = unit_normal_batch(imm, pts, SCHEME)
+        eta = unit_normal_batch(imm, pts)
         assert np.max(np.abs(eta[:, 2:])) < 1e-10
         # radial for the circle: the in-plane part has unit norm and points
         # from the curve toward the circle's center (0, 1)
@@ -181,7 +170,7 @@ class TestCone:
 
     def test_rho_is_t_scaled(self, cone, cone_traj):
         pts = interior_points(cone, 6, seed=5)
-        rho = cone.analytic_fields.rho(pts)
+        rho = cone.analytic_fields.sample(pts)[2]
         assert np.allclose(rho * pts[:, 1], cone_traj.kappa_at(pts[:, 0]), atol=1e-12)
 
     def test_t_positive_enforced(self, cone_traj):
@@ -201,7 +190,7 @@ class TestRotational:
     def test_normal_matches_profile_formula(self, rotational, rotational_traj):
         # eta = (-y', x' theta) / y
         pts = interior_points(rotational, 5, seed=7)
-        eta = unit_normal_batch(rotational, pts, SCHEME)
+        eta = unit_normal_batch(rotational, pts)
         c = rotational_traj.curve_at(pts[:, 0])
         y, phi = c[:, 1], c[:, 2]
         xp, yp = y * np.cos(phi), y * np.sin(phi)
@@ -213,8 +202,7 @@ class TestRotational:
 
     def test_principal_curvatures_formula(self, rotational, rotational_traj):
         pts = interior_points(rotational, 6, seed=9)
-        g = rotational.analytic_fields.metric(pts)
-        h = rotational.analytic_fields.shape(pts)
+        g, h = rotational.analytic_fields.sample(pts)[:2]
         c = rotational_traj.curve_at(pts[:, 0])
         kap = rotational_traj.kappa_at(pts[:, 0])
         y, phi = c[:, 1], c[:, 2]
@@ -235,8 +223,8 @@ class TestTorus:
 
     def test_two_principal_curvatures_with_multiplicity(self, torus):
         pts = interior_points(torus, 6, seed=13)
-        g = first_fundamental_form_batch(torus, pts, SCHEME)
-        h = second_fundamental_form_batch(torus, pts, SCHEME)
+        g = first_fundamental_form_batch(torus, pts)
+        h = second_fundamental_form_batch(torus, pts)
         r, a = 0.5, np.sqrt(0.75)
         for i in range(pts.shape[0]):
             lam = principal_curvatures(g[i], h[i])
@@ -262,8 +250,8 @@ class TestCartanSchoutenMultiplicity:
     def test_at_least_n_minus_1_coincide(self, fixture, request):
         imm = request.getfixturevalue(fixture)
         pts = interior_points(imm, 8, seed=17)
-        g = first_fundamental_form_batch(imm, pts, SCHEME)
-        h = second_fundamental_form_batch(imm, pts, SCHEME)
+        g = first_fundamental_form_batch(imm, pts)
+        h = second_fundamental_form_batch(imm, pts)
         for i in range(pts.shape[0]):
             lam = np.sort(principal_curvatures(g[i], h[i]))
             spread = min(lam[-2] - lam[0], lam[-1] - lam[1])
@@ -317,10 +305,22 @@ class TestLift:
         pts = interior_points(lifted, 5, seed=19)
         vals = lifted(pts)
         assert np.max(np.abs(np.linalg.norm(vals, axis=1) - 1.0)) < 1e-12
-        eta = unit_normal(lifted, pts[0], SCHEME)
-        j = jacobian(lifted, pts[0], SCHEME)
+        eta = unit_normal(lifted, pts[0])
+        j = jacobian(lifted, pts[0])
         assert np.max(np.abs(j.T @ eta)) < 1e-9
         assert abs(eta @ vals[0]) < 1e-10
+
+    @pytest.mark.parametrize("base_jet", ["exact", "fd"])
+    def test_lift_and_scale_carry_a_jet(self, base_jet, cylinder):
+        # the lift and the homothety push any base jet through their map
+        base = cylinder if base_jet == "exact" else with_fd_jet(cylinder, SCHEME)
+        for imm in (lift_to_sphere(base), scale_immersion(base, 2.0)):
+            assert callable(imm.jet)
+            pts = interior_points(imm, 4, seed=23)
+            jet = imm.evaluate_jet(pts)
+            oracle = with_fd_jet(imm, SCHEME).evaluate_jet(pts)
+            for x, ref in zip(jet, oracle):
+                assert np.max(np.abs(x - ref)) <= 1e-6 * max(1.0, np.max(np.abs(ref)))
 
 
 class TestDimensionFive:
@@ -349,11 +349,7 @@ class TestDimensionFive:
         )
         for imm in (cylinder_immersion(traj5, n), torus_immersion(0.4, n)):
             pts = interior_points(imm, 3, seed=43)
-            fields = fields_from_immersion(imm, SCHEME)
-            g = fields.metric(pts)
-            h = fields.shape(pts)
-            rho = fields.rho(pts)
-            mean = fields.mean(pts)
+            g, h, rho, mean = fields_from_immersion(imm).sample(pts)
             from mobiusflat.linalg import gram_schmidt_frame
 
             for i in range(pts.shape[0]):
@@ -366,26 +362,11 @@ class TestDimensionFive:
 
 
 class TestSpecBuilder:
-    def test_torus_spec(self):
-        imm = build_hypersurface(HypersurfaceSpec(kind="torus", n=4, torus_r=0.3))
-        assert imm.ambient_kind == "unit-sphere"
-
     @pytest.mark.parametrize("family", ["cylinder", "cone", "rotational"])
     def test_spiral_family_specs(self, family, request):
-        # the spec builder and build_family share one name -> generator table
+        # build_family is the one name -> generator table
         direct = request.getfixturevalue(family)
         traj = request.getfixturevalue(f"{family}_traj")
-        for imm in (
-            build_hypersurface(HypersurfaceSpec(kind=family, n=4, trajectory=traj)),
-            build_family(family, traj, 4),
-        ):
-            assert imm.name == direct.name
-            assert np.array_equal(imm(direct.base_point), direct(direct.base_point))
-
-    def test_bad_specs(self):
-        with pytest.raises(InputError):
-            HypersurfaceSpec(kind="torus", n=4, torus_r=2.0)
-        with pytest.raises(InputError):
-            HypersurfaceSpec(kind="cylinder", n=4)
-        with pytest.raises(InputError):
-            HypersurfaceSpec(kind="banana", n=4, torus_r=0.5)
+        imm = build_family(family, traj, 4)
+        assert imm.name == direct.name
+        assert np.array_equal(imm(direct.base_point), direct(direct.base_point))
