@@ -11,7 +11,8 @@ and the commuting of B with A.
 
 import numpy as np
 
-from mobiusflat.fd import FDScheme
+from mobiusflat.checks import FIELD_STEP
+from mobiusflat.config import RunConfig
 from mobiusflat.moebius import fields_from_immersion, moebius_data, moebius_scalar
 from mobiusflat.spiral import IntegratorControls, SpiralParams, SpiralState, integrate_spiral, reconstruct_curve
 from mobiusflat.zoo import rotational_immersion
@@ -26,7 +27,7 @@ fields = fields_from_immersion(imm)
 
 p = imm.base_point.copy()
 p[0] = 1.7
-d = moebius_data(fields, p, FDScheme(step=0.005, order=4, scaled=False))
+d = moebius_data(fields, p, FIELD_STEP)
 
 print(f"sample point s = {p[0]:.2f}: rho = {d.rho:.6f}, H = {d.H:.6f}")
 print(f"principal curvatures: {np.round(d.principal_curvatures, 6)}")
@@ -38,7 +39,7 @@ print(f"|BA - AB| = {d.commutator_norm():.2e}  (closed Moebius form)")
 print(f"C components: {np.round(d.C, 8)}  (only the profile direction survives)")
 
 # the Blaschke trace identity ties tr A to the scalar curvature of rho^2 I
-s = moebius_scalar(fields, p)
+s = moebius_scalar(fields, p, RunConfig().curvature_step)
 target = 1 / (2 * n) + s.direct / (2 * (n - 1))
 print(f"\nMoebius scalar (full trace): direct {s.direct:.8f}, conformal route {s.conformal_route:.8f}")
 print(f"tr A = {np.sum(d.A_eigenvalues):.8f} vs 1/(2n) + R/(2(n-1)) = {target:.8f}")

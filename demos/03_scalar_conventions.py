@@ -11,9 +11,9 @@ numerically.
 
 import numpy as np
 
-from mobiusflat.checks import warped_metric_field, warped_base_point
+from mobiusflat.checks import suite_steps, warped_metric_field, warped_base_point
+from mobiusflat.config import RunConfig
 from mobiusflat.curvature import Convention, metric_field_curvature, metric_field_curvature_batch
-from mobiusflat.fd import FDScheme
 from mobiusflat.spiral import (
     ALTERNATE,
     IntegratorControls,
@@ -24,7 +24,7 @@ from mobiusflat.spiral import (
 )
 
 n = 4
-sch = FDScheme(step=0.012, order=4, scaled=False)
+step = suite_steps(RunConfig())["scalar"]  # the suite's warped-metric scalar step
 
 
 def scalar_profile(params, k0, ks0, s_max=4.0):
@@ -33,7 +33,7 @@ def scalar_profile(params, k0, ks0, s_max=4.0):
     )
     svals = np.linspace(traj.s[0] + 0.3, traj.s[-1] - 0.3, 12)
     pts = np.array([warped_base_point(n, params.epsilon, s) for s in svals])
-    return metric_field_curvature_batch(warped_metric_field(traj, n), pts, sch).scalar
+    return metric_field_curvature_batch(warped_metric_field(traj, n), pts, step).scalar
 
 
 print("standard variant, eps = -1 (sphere cross-section):")
@@ -58,5 +58,5 @@ traj = reconstruct_curve(
 field = warped_metric_field(traj, n)
 p = warped_base_point(n, -1, 2.0)
 for conv in Convention:
-    b = metric_field_curvature(field, p, sch, conv)
+    b = metric_field_curvature(field, p, step, conv)
     print(f"  {conv.value:10s}: {b.scalar:.8f}")

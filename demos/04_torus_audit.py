@@ -9,8 +9,9 @@ forms (n-1)(n-2) r^2 and (n-1)(n-2)(1-r^2) under all three normalizations.
 
 import numpy as np
 
+from mobiusflat.checks import TORUS_FIELD_STEP
+from mobiusflat.config import RunConfig
 from mobiusflat.curvature import Convention, convert_scalar
-from mobiusflat.fd import FDScheme
 from mobiusflat.immersion import (
     first_fundamental_form,
     principal_curvatures,
@@ -28,8 +29,8 @@ for r in (0.3, 0.5, 1 / np.sqrt(2)):
         first_fundamental_form(imm, p), second_fundamental_form(imm, p)
     )
     fields = fields_from_immersion(imm)
-    c = moebius_form(fields, p, FDScheme(step=0.05, order=4, scaled=False))
-    full = moebius_scalar(fields, p).direct
+    c = moebius_form(fields, p, TORUS_FIELD_STEP)
+    full = moebius_scalar(fields, p, RunConfig().curvature_step).direct
     base = (n - 1) * (n - 2)
     print(f"r = {r:.4f}")
     print(f"  principal curvatures {np.round(lam, 6)} (two values, multiplicities 1 and {n-1})")

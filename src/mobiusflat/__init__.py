@@ -31,7 +31,6 @@ from .errors import (
     MobiusFlatError,
     UmbilicPointError,
 )
-from .fd import FDScheme
 from .immersion import (
     ImmersionHandle,
     MetricSample,

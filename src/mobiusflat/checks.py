@@ -48,7 +48,6 @@ from .curvature import (
     schouten_coordinate_field,
 )
 from .errors import MobiusFlatError
-from .fd import FDScheme
 from .immersion import (
     ImmersionHandle,
     fundamental_forms_batch,
@@ -111,12 +110,26 @@ WARPED_AUDIT_R = {
 
 TORUS_AUDIT_RADII = (0.3, 0.5, 1.0 / np.sqrt(2.0))
 
-# Order 2 stays in FDScheme for the convergence tests only: at the suite's
-# steps and tolerances it fails most asserts.
-FD_ORDER = 4
+# Every finite-difference step of the suite, in one table.  Each request is
+# an order-4 central stencil with one step in every coordinate.
+FIELD_STEP = 0.005  # the partials of (rho, H, I) behind C and A
+TORUS_FIELD_STEP = 0.05  # the same on the torus
+DIVERGENCE_STEP = 0.01  # the divergence identity sum_j B_ij,j = -(n-1) C_i
 
-# Derivatives of the rho/H/metric fields for the C and A tensors.
-FIELD_SCHEME = FDScheme(step=0.005, order=FD_ORDER, scaled=False)
+
+def suite_steps(cfg: RunConfig) -> dict[str, float]:
+    """The table at cfg, by name: the constants above, and the multiples of
+    cfg.curvature_step, the step of a metric field's curvature."""
+    h = cfg.curvature_step
+    return {
+        "field": FIELD_STEP,
+        "torus_field": TORUS_FIELD_STEP,
+        "divergence": DIVERGENCE_STEP,
+        "curvature": h,
+        "scalar": h * 0.6,  # the Moebius scalar by two routes, and the warped-metric scalars
+        "convergence_coarse": h * 4.0,  # fd_convergence: a step and its half
+        "convergence_fine": h * 2.0,
+    }
 
 
 @dataclass
@@ -188,18 +201,14 @@ def sample_points(imm: ImmersionHandle, count: int, rng, jitter: float = 0.1, pa
     return pts
 
 
-def outer_scheme(cfg: RunConfig, factor: float = 1.0) -> FDScheme:
-    return FDScheme(step=cfg.curvature_step * factor, order=FD_ORDER, scaled=False)
-
-
 def _first_form_field(fields: SurfaceFields) -> Callable[[np.ndarray], np.ndarray]:
     """pts -> (K, m, m) first fundamental form I, from one sample request."""
     return lambda pts: fields.sample(pts)[0]
 
 
-def direct_scalar(fields: SurfaceFields, p: np.ndarray, sch: FDScheme) -> float:
+def direct_scalar(fields: SurfaceFields, p: np.ndarray, step: float) -> float:
     """Full-trace scalar curvature of the Moebius metric rho^2 I at p."""
-    return metric_field_curvature(fields.moebius_metric_field(), p, sch).scalar
+    return metric_field_curvature(fields.moebius_metric_field(), p, step).scalar
 
 
 def warped_scalar_reference(n, eps, kappa, kappa_s, kappa_ss):
@@ -241,13 +250,13 @@ def warped_base_point(n, eps, s0):
     return p
 
 
-def _warped_scalars(traj: SpiralTrajectory, n: int, svals, sch: FDScheme) -> np.ndarray:
+def _warped_scalars(traj: SpiralTrajectory, n: int, svals, step: float) -> np.ndarray:
     """Full-trace scalars of the warped metric over traj at the profile parameters svals.
 
     One curvature batch over all the parameters.
     """
     pts = np.array([warped_base_point(n, traj.params.epsilon, s0) for s0 in svals])
-    return metric_field_curvature_batch(warped_metric_field(traj, n), pts, sch).scalar
+    return metric_field_curvature_batch(warped_metric_field(traj, n), pts, step).scalar
 
 
 def _spread(values) -> float:
@@ -408,16 +417,15 @@ def check_moebius_form_structure(cfg: RunConfig, surfaces, rng, res: Residuals) 
 
     torus = _surface(surfaces, "torus")
     pts = sample_points(torus.imm, 4, rng, cfg.jitter, pad=0.2)
-    wide = FDScheme(step=0.05, order=4, scaled=False)
     details["torus_max_C"] = max(
-        float(np.max(np.abs(moebius_form(torus.fields, p, wide)))) for p in pts
+        float(np.max(np.abs(moebius_form(torus.fields, p, TORUS_FIELD_STEP)))) for p in pts
     )
     res.add(details["torus_max_C"], samples=pts.shape[0])
 
     circle = cylinder_immersion(
         spiral_trajectory(cfg.n, 0, 0.0, 1.0, 0.0, 6.0, cfg.step), cfg.n
     )
-    c_circ = moebius_form(circle.analytic_fields, circle.base_point, FIELD_SCHEME)
+    c_circ = moebius_form(circle.analytic_fields, circle.base_point, FIELD_STEP)
     details["circle_cylinder_max_C"] = float(np.max(np.abs(c_circ)))
     res.add(details["circle_cylinder_max_C"])
 
@@ -425,7 +433,7 @@ def check_moebius_form_structure(cfg: RunConfig, surfaces, rng, res: Residuals) 
     tangential = 0.0
     c1_err = 0.0
     for p in sample_points(cyl.imm, 4, rng, cfg.jitter):
-        c = moebius_form(cyl.closed_form, p, FIELD_SCHEME)
+        c = moebius_form(cyl.closed_form, p, FIELD_STEP)
         kap = float(cyl.traj.kappa_at(p[0:1])[0])
         ks = float(cyl.traj.kappa_s_at(p[0:1])[0])
         tangential = max(tangential, float(np.max(np.abs(c[1:]))))
@@ -436,10 +444,9 @@ def check_moebius_form_structure(cfg: RunConfig, surfaces, rng, res: Residuals) 
     res.require(c1_err < 1e-6)
 
     # independent cross-check: sum_j B_ij,j = -(n-1) C_i
-    div_sch = FDScheme(step=0.01, order=FD_ORDER, scaled=False)
     details["divergence_identity_residual"] = {
         surf.name: float(
-            moebius_form_divergence_residual(surf.closed_form, surf.imm.base_point, div_sch)
+            moebius_form_divergence_residual(surf.closed_form, surf.imm.base_point, DIVERGENCE_STEP)
         )
         for surf in surfaces
         if surf.name in ("cylinder", "rotational")
@@ -458,10 +465,10 @@ def check_commutator_closure(cfg: RunConfig, surfaces, rng, res: Residuals) -> d
     for surf in surfaces:
         pts = sample_points(surf.imm, 3, rng, cfg.jitter)
         res.add(
-            *(moebius_data(surf.closed_form, p, FIELD_SCHEME).commutator_norm() for p in pts),
+            *(moebius_data(surf.closed_form, p, FIELD_STEP).commutator_norm() for p in pts),
             samples=pts.shape[0],
         )
-        d = moebius_data(surf.fields, pts[0], outer_scheme(cfg))
+        d = moebius_data(surf.fields, pts[0], cfg.curvature_step)
         pipeline_max = max(pipeline_max, d.commutator_norm())
     return {"pipeline_route_max": pipeline_max}
 
@@ -502,15 +509,15 @@ def check_schouten_codazzi(cfg: RunConfig, surfaces, rng, res: Residuals) -> dic
     Also audits which scalar normalization in S = Ric - R/(2(n-1)) Id keeps
     the property on a metric with non-constant scalar curvature.
     """
-    sch = outer_scheme(cfg)
+    step = cfg.curvature_step
     per_surface = {}
     for surf in surfaces:
         if surf.name == "torus":
             continue
         metric = _first_form_field(surf.closed_form)
-        sfield = schouten_coordinate_field(metric, sch, Convention.FULL_TRACE)
+        sfield = schouten_coordinate_field(metric, step, Convention.FULL_TRACE)
         pts = sample_points(surf.imm, 3, rng, cfg.jitter, pad=0.2)
-        vals = codazzi_defect_batch(sfield, metric, pts, sch)
+        vals = codazzi_defect_batch(sfield, metric, pts, step)
         per_surface[surf.name] = float(np.max(vals))
         res.add(per_surface[surf.name], samples=len(vals))
 
@@ -520,8 +527,8 @@ def check_schouten_codazzi(cfg: RunConfig, surfaces, rng, res: Residuals) -> dic
         out[:, 0, 0] = 1.0 + 0.4 * np.sin(pts[:, 0]) * np.sin(pts[:, 1])
         return out
 
-    control_sfield = schouten_coordinate_field(control_field, sch, Convention.FULL_TRACE)
-    control = codazzi_defect(control_sfield, control_field, np.full(cfg.n, 0.4), sch)
+    control_sfield = schouten_coordinate_field(control_field, step, Convention.FULL_TRACE)
+    control = codazzi_defect(control_sfield, control_field, np.full(cfg.n, 0.4), step)
     res.add(samples=1)
     res.require(control > 10 * cfg.tol_codazzi)
 
@@ -531,7 +538,7 @@ def check_schouten_codazzi(cfg: RunConfig, surfaces, rng, res: Residuals) -> dic
     p_aud = sample_points(rot.imm, 1, rng, cfg.jitter, pad=0.2)[0]
     audit = {
         name: float(
-            codazzi_defect(schouten_coordinate_field(metric, sch, conv), metric, p_aud, sch)
+            codazzi_defect(schouten_coordinate_field(metric, step, conv), metric, p_aud, step)
         )
         for name, conv in CONVENTION_BY_NAME.items()
     }
@@ -556,10 +563,10 @@ def check_schouten_codazzi(cfg: RunConfig, surfaces, rng, res: Residuals) -> dic
 )
 def check_two_route_scalar(cfg: RunConfig, surfaces, rng, res: Residuals) -> dict:
     """Direct curvature of rho^2 I agrees with the conformal-change route."""
-    sch = outer_scheme(cfg, 0.6)
+    step = suite_steps(cfg)["scalar"]
     for surf in surfaces:
         for p in sample_points(surf.imm, max(3, cfg.samples // 4), rng, cfg.jitter):
-            res.add(moebius_scalar(surf.fields, p, curvature_scheme=sch).spread())
+            res.add(moebius_scalar(surf.fields, p, step).spread())
     return {}
 
 
@@ -580,7 +587,9 @@ def check_scalar_constancy(cfg: RunConfig, surfaces, rng, res: Residuals) -> dic
         if surf.traj is None:
             continue
         pts = sample_points(surf.imm, cfg.samples, rng, cfg.jitter)
-        spreads[surf.name] = _spread([direct_scalar(surf.fields, p, outer_scheme(cfg)) for p in pts])
+        spreads[surf.name] = _spread(
+            [direct_scalar(surf.fields, p, cfg.curvature_step) for p in pts]
+        )
         res.add(spreads[surf.name], samples=len(pts))
 
     control_traj = prescribed_curvature_trajectory(
@@ -595,7 +604,7 @@ def check_scalar_constancy(cfg: RunConfig, surfaces, rng, res: Residuals) -> dic
     control_fields = fields_from_immersion(control_imm)
     control_pts = sample_points(control_imm, max(6, cfg.samples // 3), rng, cfg.jitter)
     control_spread = _spread(
-        [direct_scalar(control_fields, p, outer_scheme(cfg)) for p in control_pts]
+        [direct_scalar(control_fields, p, cfg.curvature_step) for p in control_pts]
     )
     res.add(samples=len(control_pts))
     res.require(control_spread > 10 * cfg.tol_constancy)
@@ -619,7 +628,7 @@ def check_warped_metric_scalar(cfg: RunConfig, surfaces, rng, res: Residuals) ->
     convention.
     """
     n = cfg.n
-    sch = outer_scheme(cfg, 0.6)
+    step = suite_steps(cfg)["scalar"]
     fits = {}
     spreads = {}
     # audit rows: under which normalization does the computed scalar equal
@@ -638,7 +647,7 @@ def check_warped_metric_scalar(cfg: RunConfig, surfaces, rng, res: Residuals) ->
             traj = spiral_trajectory(n, eps, big_r, k0, ks0, s_max, cfg.step, curve=False)
             lo, hi = float(traj.s[0]) + 0.2, float(traj.s[-1]) - 0.2
             svals = np.linspace(lo, hi, max(20, cfg.samples))
-            vals = _warped_scalars(traj, n, svals, sch)
+            vals = _warped_scalars(traj, n, svals, step)
             spreads[f"eps={eps},R={big_r}"] = _spread(vals)
             res.add(spreads[f"eps={eps},R={big_r}"], samples=svals.size)
             # the conversion is exact (dimension n, the base point's size)
@@ -665,7 +674,7 @@ def check_warped_metric_scalar(cfg: RunConfig, surfaces, rng, res: Residuals) ->
         n, -1, -0.75, 1.25, 0.05, 4.5, cfg.step, variant=ALTERNATE, curve=False
     )
     svals = np.linspace(float(alt.s[0]) + 0.2, float(alt.s[-1]) - 0.2, 20)
-    alt_spread = _spread(_warped_scalars(alt, n, svals, sch))
+    alt_spread = _spread(_warped_scalars(alt, n, svals, step))
     res.add(samples=svals.size)
 
     return {
@@ -698,14 +707,12 @@ def check_torus_scalar_audit(cfg: RunConfig, surfaces, rng, res: Residuals) -> d
     table = []
     match_sets = []
     audit_rows = []
+    step = suite_steps(cfg)["scalar"]
     for r in TORUS_AUDIT_RADII:
         imm = torus_immersion(r, n)
         fields = fields_from_immersion(imm)
         pts = sample_points(imm, 3, rng, cfg.jitter)
-        sch = outer_scheme(cfg, 0.6)
-        per_conv = _mean_by_convention(
-            [moebius_scalar(fields, p, curvature_scheme=sch).direct for p in pts], n
-        )
+        per_conv = _mean_by_convention([moebius_scalar(fields, p, step).direct for p in pts], n)
         candidates = {
             "r^2": base * r**2,
             "1-r^2": base * (1 - r**2),
@@ -767,14 +774,15 @@ def check_blaschke_trace_audit(cfg: RunConfig, surfaces, rng, res: Residuals) ->
     surface that no normalization fits shows.
     """
     n = cfg.n
+    scalar_step = suite_steps(cfg)["scalar"]
     audit_rows = []
     for surf in surfaces:
         pts = sample_points(surf.imm, 2, rng, cfg.jitter, pad=0.2)
-        sch = FDScheme(step=0.05 if surf.name == "torus" else 0.005, order=4, scaled=False)
+        step = TORUS_FIELD_STEP if surf.name == "torus" else FIELD_STEP
         resid = {name: 0.0 for name in CONVENTION_BY_NAME}
         for p in pts:
-            tr_a = float(np.trace(blaschke_A(surf.closed_form, p, sch)))
-            full = direct_scalar(surf.closed_form, p, outer_scheme(cfg, 0.6))
+            tr_a = float(np.trace(blaschke_A(surf.closed_form, p, step)))
+            full = direct_scalar(surf.closed_form, p, scalar_step)
             for name, r_c in _mean_by_convention([full], n).items():
                 target = 1.0 / (2 * n) + r_c / (2 * (n - 1))
                 resid[name] = max(resid[name], abs(tr_a - target))
@@ -796,9 +804,9 @@ def check_sigma_invariance(cfg: RunConfig, surfaces, rng, res: Residuals) -> dic
             continue
         lift_fields = fields_from_immersion(lift_to_sphere(surf.imm))
         for p in sample_points(surf.imm, 3, rng, cfg.jitter):
-            d0 = moebius_data(surf.fields, p, FIELD_SCHEME)
-            d1 = moebius_data(lift_fields, p, FIELD_SCHEME)
-            s0, s1 = (direct_scalar(f, p, outer_scheme(cfg)) for f in (surf.fields, lift_fields))
+            d0 = moebius_data(surf.fields, p, FIELD_STEP)
+            d1 = moebius_data(lift_fields, p, FIELD_STEP)
+            s0, s1 = (direct_scalar(f, p, cfg.curvature_step) for f in (surf.fields, lift_fields))
             res.add(float(np.max(np.abs(d0.B_eigenvalues - d1.B_eigenvalues))), abs(s0 - s1))
     return {}
 
@@ -824,9 +832,10 @@ def check_fd_convergence(cfg: RunConfig, surfaces, rng, res: Residuals) -> dict:
     ks = float(traj.kappa_s_at(np.array([s0]))[0])
     kss = float(kappa_accel(traj.params, k, ks))
     exact = warped_scalar_reference(n, -1, k, ks, kss)
+    steps = suite_steps(cfg)
     errs = [
-        abs(metric_field_curvature(field, p, outer_scheme(cfg, factor)).scalar - exact)
-        for factor in (4.0, 2.0)
+        abs(metric_field_curvature(field, p, steps[name]).scalar - exact)
+        for name in ("convergence_coarse", "convergence_fine")
     ]
     ratio = errs[0] / max(errs[1], 1e-300)
     res.worst = float(errs[1])

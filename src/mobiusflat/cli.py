@@ -23,8 +23,7 @@ import numpy as np
 from . import __version__
 from .checks import (
     CONVENTION_BY_NAME,
-    FIELD_SCHEME,
-    outer_scheme,
+    FIELD_STEP,
     rigidity_scan,
     run_suite,
     sample_points,
@@ -72,12 +71,13 @@ def cmd_spiral(cfg: RunConfig, out: str, convention: str) -> int:
 
 def cmd_build(cfg: RunConfig, out: str, convention: str) -> int:
     imm = _build_surface(cfg)
-    axes = tuple(int(a) for a in cfg.slice_axes.split(","))
-    ambient: tuple | str = "auto"
-    if cfg.obj_axes.strip() != "auto":
-        ambient = tuple(int(a) for a in cfg.obj_axes.split(","))
     desc = export_obj_slice(
-        imm, out, axes=axes, res=cfg.slice_res, ambient_axes=ambient, stem=cfg.family
+        imm,
+        out,
+        axes=cfg.slice_axis_pair(),
+        res=cfg.slice_res,
+        ambient_axes=cfg.obj_axis_triple(),
+        stem=cfg.family,
     )
     print(f"build: {cfg.family} slice {desc['vertices']} vertices, {desc['faces']} faces")
     print(f"wrote {os.path.join(out, desc['obj_file'])} and descriptor")
@@ -102,8 +102,8 @@ def cmd_invariants(cfg: RunConfig, out: str, convention: str) -> int:
     )
     rows = []
     for p in pts:
-        d = moebius_data(fields, p, FIELD_SCHEME)
-        s = moebius_scalar(fields, p, convention=conv, curvature_scheme=outer_scheme(cfg))
+        d = moebius_data(fields, p, FIELD_STEP)
+        s = moebius_scalar(fields, p, cfg.curvature_step, convention=conv)
         rows.append(
             list(p)
             + [d.rho, d.H]

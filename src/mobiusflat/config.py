@@ -83,6 +83,22 @@ class RunConfig:
     slice_res: int = 24
     obj_axes: str = "auto"
 
+    def slice_axis_pair(self) -> tuple[int, ...]:
+        """slice_axes as two distinct chart axes in [0, n)."""
+        axes = _int_tuple("slice_axes", self.slice_axes)
+        if len(axes) != 2 or axes[0] == axes[1] or not all(0 <= a < self.n for a in axes):
+            raise ConfigError(f"slice_axes must be two distinct integers in [0, {self.n})")
+        return axes
+
+    def obj_axis_triple(self) -> tuple[int, ...] | str:
+        """obj_axes as "auto" or three ambient axes."""
+        if self.obj_axes.strip() == "auto":
+            return "auto"
+        axes = _int_tuple("obj_axes", self.obj_axes)
+        if len(axes) != 3:
+            raise ConfigError("obj_axes must be 'auto' or three comma-separated integers")
+        return axes
+
     def check_list(self) -> list[str]:
         if self.checks.strip() == "all":
             return list(CHECK_NAMES)
@@ -118,6 +134,7 @@ class RunConfig:
             "kappa_ceiling",
             "curvature_step",
             "horizon",
+            "grid_spread",
         ):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
@@ -131,7 +148,16 @@ class RunConfig:
         for c in self.check_list():
             if c not in CHECK_NAMES:
                 raise ConfigError(f"unknown check {c!r}")
+        self.slice_axis_pair()
+        self.obj_axis_triple()
         return self
+
+
+def _int_tuple(key: str, raw: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(a) for a in raw.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"{key} must be comma-separated integers, got {raw!r}") from exc
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}

@@ -31,6 +31,9 @@ the tests hold a batch to the bits of the per-point algebra it replaced.
 its one-point front ends, as ``fd.jet`` is of ``jet_batch``.  A Schouten
 field is one curvature batch per call, so the Codazzi defect over a point
 set is three metric-field calls however many points it has.
+
+Every function here that differences a field takes the step of its order-4
+stencils as a required argument; there is no library default.
 """
 
 from __future__ import annotations
@@ -41,14 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometryError, InputError
-from .fd import FDScheme, diff1_batch, jet, jet_batch
+from .fd import diff1_batch, jet, jet_batch
 from .linalg import gram_schmidt_frames, require_symmetric
-
-
-# Metric fields are often themselves finite-difference pipelines whose
-# evaluation noise the second derivatives taken here amplify, so the default
-# curvature step is wider than the immersion-level default.
-CURVATURE_SCHEME = FDScheme(step=0.02, order=4, scaled=False)
 
 
 class Convention(enum.Enum):
@@ -228,23 +225,23 @@ def curvature_batch(
 def metric_field_curvature_batch(
     metric_field,
     pts: np.ndarray,
-    scheme: FDScheme = CURVATURE_SCHEME,
+    step: float,
     convention: Convention = Convention.FULL_TRACE,
 ) -> CurvatureBatch:
     """Curvature of a metric field at the points (K, m): one field call, one batch of algebra."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    return curvature_batch(pts, *jet_batch(metric_field, pts, scheme), convention)
+    return curvature_batch(pts, *jet_batch(metric_field, pts, step), convention)
 
 
 def metric_field_curvature(
     metric_field,
     p: np.ndarray,
-    scheme: FDScheme = CURVATURE_SCHEME,
+    step: float,
     convention: Convention = Convention.FULL_TRACE,
 ) -> CurvatureBundle:
     """Full curvature bundle of a metric field at p: ``metric_field_curvature_batch`` at one point."""
     p = np.asarray(p, dtype=float)
-    return metric_field_curvature_batch(metric_field, p[None, :], scheme, convention)[0]
+    return metric_field_curvature_batch(metric_field, p[None, :], step, convention)[0]
 
 
 def curvature_from_jet(
@@ -280,9 +277,7 @@ def riemann_symmetry_residuals(bundle: CurvatureBundle) -> dict[str, float]:
     }
 
 
-def conformal_scalar(
-    base: CurvatureBundle, u_field, p: np.ndarray, scheme: FDScheme = CURVATURE_SCHEME
-) -> float:
+def conformal_scalar(base: CurvatureBundle, u_field, p: np.ndarray, step: float) -> float:
     """Full-trace scalar curvature of e^{2u} g0 by the conformal change rule.
 
     R~ = e^{-2u} (R0 - 2 (n-1) Lap u - (n-1)(n-2) |grad u|^2),
@@ -292,7 +287,7 @@ def conformal_scalar(
     rescaled metrics.  u's jet is one field call; ``conformal_scalar_from_jet``
     applies the rule.
     """
-    return conformal_scalar_from_jet(base, *jet(u_field, np.asarray(p, dtype=float), scheme))
+    return conformal_scalar_from_jet(base, *jet(u_field, np.asarray(p, dtype=float), step))
 
 
 def conformal_scalar_from_jet(base: CurvatureBundle, u0, du: np.ndarray, ddu: np.ndarray) -> float:
@@ -322,9 +317,7 @@ def schouten_tensor(bundle: CurvatureBundle, convention: Convention | None = Non
 
 
 def schouten_coordinate_field(
-    metric_field,
-    scheme: FDScheme = CURVATURE_SCHEME,
-    convention: Convention = Convention.FULL_TRACE,
+    metric_field, step: float, convention: Convention = Convention.FULL_TRACE
 ):
     """Vectorized field p -> S_ab in chart coordinates (for FD derivatives).
 
@@ -332,7 +325,7 @@ def schouten_coordinate_field(
     """
 
     def field(pts: np.ndarray) -> np.ndarray:
-        b = metric_field_curvature_batch(metric_field, pts, scheme, Convention.FULL_TRACE)
+        b = metric_field_curvature_batch(metric_field, pts, step, Convention.FULL_TRACE)
         n = b.metric.shape[-1]
         r = convert_scalar(b.scalar, Convention.FULL_TRACE, convention, n)
         inv_frame = np.linalg.inv(b.frame)
@@ -351,12 +344,7 @@ def covariant_derivative(s0: np.ndarray, ds: np.ndarray, gamma: np.ndarray) -> n
     )
 
 
-def codazzi_defect_batch(
-    schouten_field,
-    metric_field,
-    pts: np.ndarray,
-    scheme: FDScheme = CURVATURE_SCHEME,
-) -> np.ndarray:
+def codazzi_defect_batch(schouten_field, metric_field, pts: np.ndarray, step: float) -> np.ndarray:
     """max_{a,b,c} |S_ab;c - S_ac;b| in the orthonormal frame at each point (K,).
 
     The covariant derivative uses the Christoffel symbols of the metric
@@ -365,19 +353,14 @@ def codazzi_defect_batch(
     Schouten field and one first-difference stencil of it.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    batch = metric_field_curvature_batch(metric_field, pts, scheme)
+    batch = metric_field_curvature_batch(metric_field, pts, step)
     s0 = np.asarray(schouten_field(pts))
-    ds = diff1_batch(schouten_field, pts, scheme)  # [k, c, a, b] = d_c S_ab
+    ds = diff1_batch(schouten_field, pts, step)  # [k, c, a, b] = d_c S_ab
     nabla_on = _on_frame(covariant_derivative(s0, ds, batch.christoffel), batch.frame)
     return np.max(np.abs(nabla_on - np.einsum("...ijk->...ikj", nabla_on)), axis=(1, 2, 3))
 
 
-def codazzi_defect(
-    schouten_field,
-    metric_field,
-    p: np.ndarray,
-    scheme: FDScheme = CURVATURE_SCHEME,
-) -> float:
+def codazzi_defect(schouten_field, metric_field, p: np.ndarray, step: float) -> float:
     """``codazzi_defect_batch`` at the one point p."""
     p = np.asarray(p, dtype=float)
-    return float(codazzi_defect_batch(schouten_field, metric_field, p[None, :], scheme)[0])
+    return float(codazzi_defect_batch(schouten_field, metric_field, p[None, :], step)[0])

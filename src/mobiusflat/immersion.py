@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ChartDomainError, DegenerateGeometryError, InputError
-from .fd import FDScheme, jet_batch
+from .fd import jet_batch
 from .linalg import generalized_eigvals_descending, require_symmetric
 
 EUCLIDEAN = "euclidean"
@@ -149,14 +149,14 @@ class ImmersionHandle:
 # evaluation per point set.
 
 
-def with_fd_jet(imm: ImmersionHandle, scheme: FDScheme) -> ImmersionHandle:
+def with_fd_jet(imm: ImmersionHandle, step: float) -> ImmersionHandle:
     """imm differentiated by finite differences: its jet becomes one FD jet of
-    the handle on scheme's stencil (one evaluator call per request).
+    the handle with the given step (one evaluator call per request).
 
     Its first partials equal ``fd.diff1_batch`` bit for bit.  This is the
     test oracle for the exact jets.
     """
-    return replace(imm, jet=lambda pts: jet_batch(imm, pts, scheme))
+    return replace(imm, jet=lambda pts: jet_batch(imm, pts, step))
 
 
 def jacobian_batch(imm: ImmersionHandle, pts: np.ndarray) -> np.ndarray:

@@ -21,9 +21,10 @@ ambient-curvature constant (0 for immersions into Euclidean space, +1 for
 immersions into the unit sphere); the constant enters A's isotropic term.
 
 A field set is one request, ``sample``, for (I, h, rho, H) at a point set.
-Each computation asks it once at p and once on one stencil of a field that
-packs every differenced quantity side by side.  On fields from an immersion
-each request is one jet of the immersion per point.
+Each computation asks it once at p and once on one order-4 jet stencil, with
+the step its caller gives, of a field that packs every differenced quantity
+side by side.  On fields from an immersion each request is one jet of the
+immersion per point.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .curvature import (
-    CURVATURE_SCHEME,
     Convention,
     christoffel_symbols,
     conformal_scalar_from_jet,
@@ -43,7 +43,7 @@ from .curvature import (
     curvature_from_jet,
 )
 from .errors import UmbilicPointError
-from .fd import FDScheme, diff1, jet
+from .fd import jet
 from .immersion import (
     UNIT_SPHERE,
     ImmersionHandle,
@@ -181,11 +181,12 @@ def _pointwise(fields: SurfaceFields, p: np.ndarray) -> _Pointwise:
     return _Pointwise.build(g, h, float(rho), float(mean))
 
 
-def _differenced(fields: SurfaceFields, quantities, diff, p: np.ndarray, scheme: FDScheme):
-    """diff (``diff1`` or ``jet``) at p of quantities(I, h, rho, H), from one stencil request.
+def _differenced(fields: SurfaceFields, quantities, p: np.ndarray, step: float):
+    """The jet at p of quantities(I, h, rho, H), from one stencil request.
 
     The quantities are packed side by side into one field, so the stencil is
-    sampled once; each derivative level comes back split per quantity.
+    sampled once; each level (values, first and second partials) comes back
+    split per quantity.
     """
     shapes = []  # per-point shapes of the quantities, recorded by the one field call
 
@@ -194,14 +195,14 @@ def _differenced(fields: SurfaceFields, quantities, diff, p: np.ndarray, scheme:
         shapes[:] = [q.shape[1:] for q in parts]
         return np.concatenate([q.reshape(q.shape[0], -1) for q in parts], axis=1)
 
-    levels = diff(field, p, scheme)
+    levels = jet(field, p, step)
     ends = np.cumsum([int(np.prod(shape, dtype=int)) for shape in shapes])[:-1]
 
     def split(x: np.ndarray) -> list[np.ndarray]:
         pieces = np.split(x, ends, axis=-1)
         return [q.reshape(x.shape[:-1] + shape).copy() for q, shape in zip(pieces, shapes)]
 
-    return [split(x) for x in levels] if isinstance(levels, tuple) else split(levels)
+    return [split(x) for x in levels]
 
 
 def _log_rho_mean_metric(g, h, rho, mean):
@@ -236,7 +237,7 @@ def _blaschke(pt: _Pointwise, ambient_curvature: float, d_logrho, dd_logrho, dg)
     return a_theta / pt.rho**2
 
 
-def moebius_form(fields: SurfaceFields, p: np.ndarray, scheme: FDScheme) -> np.ndarray:
+def moebius_form(fields: SurfaceFields, p: np.ndarray, step: float) -> np.ndarray:
     """Moebius 1-form components C_i in the g-orthonormal frame.
 
     C_i = -rho^{-1} [ e_i(H) + sum_j (h_ij - H delta_ij) e_j(log rho) ]
@@ -244,13 +245,15 @@ def moebius_form(fields: SurfaceFields, p: np.ndarray, scheme: FDScheme) -> np.n
     The sum against e_j(log rho) completes the gradient coupling so that
     the expression is a well-formed 1-form; the divergence identity
     sum_j B_ij,j = -(n-1) C_i is exposed separately as a numerical check.
+    The partials come from the jet stencil of ``blaschke_A`` and
+    ``moebius_data``, so all three agree bit for bit on C's inputs.
     """
     p = np.asarray(p, dtype=float)
-    d_logrho, d_mean, _ = _differenced(fields, _log_rho_mean_metric, diff1, p, scheme)
+    _, (d_logrho, d_mean, _), _ = _differenced(fields, _log_rho_mean_metric, p, step)
     return _form(_pointwise(fields, p), d_logrho, d_mean)
 
 
-def blaschke_A(fields: SurfaceFields, p: np.ndarray, scheme: FDScheme) -> np.ndarray:
+def blaschke_A(fields: SurfaceFields, p: np.ndarray, step: float) -> np.ndarray:
     """Blaschke tensor components in the g-orthonormal frame.
 
     A_ij = e_i(log rho) e_j(log rho) - Hess_ij(log rho) + H h_ij
@@ -260,15 +263,11 @@ def blaschke_A(fields: SurfaceFields, p: np.ndarray, scheme: FDScheme) -> np.nda
     divided by rho^2.  c is the ambient curvature constant of the fields.
     """
     p = np.asarray(p, dtype=float)
-    _, (d_logrho, _, dg), (dd_logrho, _, _) = _differenced(
-        fields, _log_rho_mean_metric, jet, p, scheme
-    )
+    _, (d_logrho, _, dg), (dd_logrho, _, _) = _differenced(fields, _log_rho_mean_metric, p, step)
     return _blaschke(_pointwise(fields, p), fields.ambient_curvature, d_logrho, dd_logrho, dg)
 
 
-def moebius_form_divergence_residual(
-    fields: SurfaceFields, p: np.ndarray, scheme: FDScheme
-) -> float:
+def moebius_form_divergence_residual(fields: SurfaceFields, p: np.ndarray, step: float) -> float:
     """Residual of the divergence identity sum_j B_ij,j = -(n-1) C_i.
 
     Both sides live in the g-orthonormal frame; the covariant divergence of
@@ -282,7 +281,7 @@ def moebius_form_divergence_residual(
         b = rho[:, None, None] * (h - mean[:, None, None] * g)
         return rho[:, None, None] ** 2 * g, b, np.log(rho), mean
 
-    values, (d_gm, d_b, d_logrho, d_mean), _ = _differenced(fields, quantities, jet, p, scheme)
+    values, (d_gm, d_b, d_logrho, d_mean), _ = _differenced(fields, quantities, p, step)
     g, b0 = values[:2]
     ginv = np.linalg.inv(g)
     nabla = covariant_derivative(b0, d_b, christoffel_symbols(ginv, d_gm))
@@ -304,9 +303,9 @@ class MoebiusScalarResult(NamedTuple):
 def moebius_scalar(
     fields: SurfaceFields,
     p: np.ndarray,
+    step: float,
     *,
     convention: Convention = Convention.FULL_TRACE,
-    curvature_scheme: FDScheme = CURVATURE_SCHEME,
 ) -> MoebiusScalarResult:
     """Scalar curvature of the Moebius metric by two independent routes.
 
@@ -314,15 +313,14 @@ def moebius_scalar(
     conformal-change formula applied to the induced metric with
     u = log rho.  Their agreement is the two-route consistency check.  The
     routes share only the evaluation of their inputs: one stencil of the
-    packed field (rho^2 I, I, log rho), with step and order from
-    ``curvature_scheme``.
+    packed field (rho^2 I, I, log rho), with the given step.
     """
     p = np.asarray(p, dtype=float)
 
     def quantities(g, h, rho, mean):
         return rho[:, None, None] ** 2 * g, g, np.log(rho)
 
-    moebius, induced, u = zip(*_differenced(fields, quantities, jet, p, curvature_scheme))
+    moebius, induced, u = zip(*_differenced(fields, quantities, p, step))
     direct = curvature_from_jet(p, *moebius, convention).scalar
     base = curvature_from_jet(p, *induced)
     via = conformal_scalar_from_jet(base, *u)
@@ -360,12 +358,12 @@ class MoebiusData:
         return float(np.max(np.abs(c)))
 
 
-def moebius_data(fields: SurfaceFields, p: np.ndarray, scheme: FDScheme) -> MoebiusData:
+def moebius_data(fields: SurfaceFields, p: np.ndarray, step: float) -> MoebiusData:
     """All invariants at p from one sample request and one stencil request."""
     p = np.asarray(p, dtype=float)
     pt = _pointwise(fields, p)
     _, (d_logrho, d_mean, dg), (dd_logrho, _, _) = _differenced(
-        fields, _log_rho_mean_metric, jet, p, scheme
+        fields, _log_rho_mean_metric, p, step
     )
     b = pt.B
     a = _blaschke(pt, fields.ambient_curvature, d_logrho, dd_logrho, dg)

@@ -726,8 +726,11 @@ def integrate_spiral(
     """Integrate the kappa subsystem with classic fixed-step RK4.
 
     Floor and ceiling crossings terminate cleanly with the event time
-    refined by bisection on the step size (to 1e-10 in s).
+    refined by bisection on the step size (to 1e-10 in s).  Every
+    trajectory starts at s = 0, so an initial state at another s is refused.
     """
+    if initial.s != 0.0:
+        raise InputError(f"initial state must sit at s = 0, got s = {initial.s!r}")
     return _integrate_rows(params, [[initial.kappa, initial.kappa_s]], controls, None)[0]
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mobiusflat.fd import FDScheme, jet_batch
+from mobiusflat.fd import jet_batch
 from mobiusflat.immersion import ImmersionHandle
 from mobiusflat.spiral import (
     IntegratorControls,
@@ -18,20 +18,21 @@ from mobiusflat.zoo import (
 )
 
 N_DIM = 4
-FD_SCHEME = FDScheme(order=4)
+# the classical optimum eps**(1/6) of the order-4 second difference
+FD_STEP = np.finfo(float).eps ** (1 / 6)
 
 
 def fd_handle(m, n, evaluator, **kw):
     """A handle over a bare evaluator, differentiated by finite differences.
 
     Its jet is the one ``with_fd_jet`` gives: one FD jet of the handle itself
-    on FD_SCHEME, so stencil points are checked against the domain too.
+    with FD_STEP, so stencil points are checked against the domain too.
     """
     imm = ImmersionHandle(
         chart_dimension=m,
         ambient_dimension=n,
         evaluator=evaluator,
-        jet=lambda pts: jet_batch(imm, pts, FD_SCHEME),
+        jet=lambda pts: jet_batch(imm, pts, FD_STEP),
         **kw,
     )
     return imm

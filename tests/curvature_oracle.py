@@ -100,17 +100,17 @@ def curvature_batch(points, g, dg, ddg, convention=Convention.FULL_TRACE):
     )
 
 
-def metric_field_curvature(metric_field, p, scheme, convention=Convention.FULL_TRACE):
+def metric_field_curvature(metric_field, p, step, convention=Convention.FULL_TRACE):
     p = np.asarray(p, dtype=float)
-    return curvature_from_jet(p, *jet(metric_field, p, scheme), convention)
+    return curvature_from_jet(p, *jet(metric_field, p, step), convention)
 
 
-def schouten_coordinate_field(metric_field, scheme, convention=Convention.FULL_TRACE):
+def schouten_coordinate_field(metric_field, step, convention=Convention.FULL_TRACE):
     def field(pts):
         pts = np.atleast_2d(pts)
         out = np.empty((pts.shape[0], pts.shape[1], pts.shape[1]))
         for i, q in enumerate(pts):
-            b = metric_field_curvature(metric_field, q, scheme, Convention.FULL_TRACE)
+            b = metric_field_curvature(metric_field, q, step, Convention.FULL_TRACE)
             r = convert_scalar(b.scalar, Convention.FULL_TRACE, convention, b.dim)
             inv_frame = np.linalg.inv(b.frame)
             ric_coord = inv_frame.T @ b.ricci @ inv_frame
@@ -128,10 +128,10 @@ def covariant_derivative(s0, ds, gamma):
     )
 
 
-def codazzi_defect(schouten_field, metric_field, p, scheme):
+def codazzi_defect(schouten_field, metric_field, p, step):
     p = np.asarray(p, dtype=float)
-    bundle = metric_field_curvature(metric_field, p, scheme)
+    bundle = metric_field_curvature(metric_field, p, step)
     s0 = np.asarray(schouten_field(p[None, :]))[0]
-    ds = diff1(schouten_field, p, scheme)
+    ds = diff1(schouten_field, p, step)
     nabla_on = on_frame(covariant_derivative(s0, ds, bundle.christoffel), bundle.frame)
     return float(np.max(np.abs(nabla_on - np.einsum("ijk->ikj", nabla_on))))

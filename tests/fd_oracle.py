@@ -8,15 +8,15 @@ these bit for bit.
 
 import numpy as np
 
-from mobiusflat.fd import _D1, _D2, FDScheme, _eval
+from mobiusflat.fd import _D1_OFFS, _D1_WTS, _D2_OFFS, _D2_WTS, _eval
 
 
-def diff2_batch(field, points: np.ndarray, scheme: FDScheme) -> np.ndarray:
+def diff2_batch(field, points: np.ndarray, step: float) -> np.ndarray:
     points = np.atleast_2d(np.asarray(points, dtype=float))
     k, m = points.shape
-    offs1, wts1 = _D1[scheme.order]
-    offs2, wts2 = _D2[scheme.order]
-    h = scheme.steps_at(points)
+    offs1, wts1 = _D1_OFFS, _D1_WTS
+    offs2, wts2 = _D2_OFFS, _D2_WTS
+    h = np.full_like(points, step)
 
     blocks = []  # (a, b, weights per stencil point, point offsets)
     pts_list = []

@@ -56,20 +56,20 @@ def moebius_metric_field(fields):
     return field
 
 
-def moebius_form(fields, p, scheme):
+def moebius_form(fields, p, step):
     g = _metric_at(fields, p)
     h = _shape_at(fields, p)
     rho = _scalar_at(fields, 2, p)
     mean = _scalar_at(fields, 3, p)
     frame = gram_schmidt_frame(g)
     h_frame = frame.T @ h @ frame
-    e_mean = frame.T @ diff1(_part(fields, 3), p, scheme)
-    e_logrho = frame.T @ diff1(log_rho(fields), p, scheme)
+    e_mean = frame.T @ diff1(_part(fields, 3), p, step)
+    e_logrho = frame.T @ diff1(log_rho(fields), p, step)
     n = g.shape[0]
     return -(e_mean + (h_frame - mean * np.eye(n)) @ e_logrho) / rho / rho
 
 
-def blaschke_A(fields, p, scheme):
+def blaschke_A(fields, p, step):
     g = _metric_at(fields, p)
     h = _shape_at(fields, p)
     rho = _scalar_at(fields, 2, p)
@@ -77,8 +77,8 @@ def blaschke_A(fields, p, scheme):
     n = g.shape[0]
     frame = gram_schmidt_frame(g)
     h_frame = frame.T @ h @ frame
-    _, d_logrho, dd_logrho = jet(log_rho(fields), p, scheme)
-    dg = diff1(_part(fields, 0), p, scheme)
+    _, d_logrho, dd_logrho = jet(log_rho(fields), p, step)
+    dg = diff1(_part(fields, 0), p, step)
     ginv = np.linalg.inv(g)
     bracket = np.einsum("ilj->lij", dg) + np.einsum("jli->lij", dg) - dg
     gamma = 0.5 * np.einsum("kl,lij->kij", ginv, bracket)
@@ -92,14 +92,14 @@ def blaschke_A(fields, p, scheme):
     return a_theta / rho**2
 
 
-def moebius_data(fields, p, scheme):
+def moebius_data(fields, p, step):
     p = np.asarray(p, dtype=float)
     g = _metric_at(fields, p)
     h = _shape_at(fields, p)
     sample = MetricSample(point=p, g=g)
     rho, mean = moebius_density(sample, h)
     b = moebius_B(sample, h, rho, mean)
-    a = blaschke_A(fields, p, scheme)
+    a = blaschke_A(fields, p, step)
     wb, _ = jacobi_eigh(b)
     wa, _ = jacobi_eigh(a)
     return MoebiusData(
@@ -109,19 +109,19 @@ def moebius_data(fields, p, scheme):
         g_moebius=moebius_metric(sample, rho),
         B=b,
         A=a,
-        C=moebius_form(fields, p, scheme),
+        C=moebius_form(fields, p, step),
         principal_curvatures=principal_curvatures(sample, h),
         B_eigenvalues=wb[::-1].copy(),
         A_eigenvalues=wa[::-1].copy(),
     )
 
 
-def moebius_scalar(fields, p, curvature_scheme, convention=Convention.FULL_TRACE):
+def moebius_scalar(fields, p, step, convention=Convention.FULL_TRACE):
     p = np.asarray(p, dtype=float)
     direct = metric_field_curvature(
-        moebius_metric_field(fields), p, curvature_scheme, convention
+        moebius_metric_field(fields), p, step, convention
     ).scalar
-    base = metric_field_curvature(_part(fields, 0), p, curvature_scheme, Convention.FULL_TRACE)
-    via = conformal_scalar(base, log_rho(fields), p, curvature_scheme)
+    base = metric_field_curvature(_part(fields, 0), p, step, Convention.FULL_TRACE)
+    via = conformal_scalar(base, log_rho(fields), p, step)
     via = convert_scalar(via, Convention.FULL_TRACE, convention, fields.dim)
     return MoebiusScalarResult(direct=float(direct), conformal_route=float(via))

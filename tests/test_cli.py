@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from mobiusflat.cli import main
 
 FAST_VERIFY = "checks = trace_identities,principal_multiplicity\nsamples = 4\n"
@@ -69,6 +71,28 @@ class TestConfigErrors:
 
     def test_missing_file_exit_two(self, tmp_path):
         assert main(["verify", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "text,command,reason",
+        [
+            ("obj_axes = a,b,c\n", "build", "obj_axes must be comma-separated integers"),
+            ("obj_axes = 0,1\n", "build", "obj_axes must be 'auto' or three"),
+            ("slice_axes = 1,1\n", "build", "slice_axes must be two distinct integers"),
+            ("slice_axes = 0,4\n", "build", "slice_axes must be two distinct integers"),
+            ("grid_spread = 0\n", "rigidity", "grid_spread must be positive"),
+        ],
+        ids=[
+            "obj_axes-text", "obj_axes-count", "slice_axes-repeat", "slice_axes-range", "grid_spread"
+        ],
+    )
+    def test_unrunnable_config_exit_two(self, tmp_path, capsys, text, command, reason):
+        # validate() refuses each, so no command starts on it: non-integer axes
+        # would escape build as a traceback, and a zero grid_spread makes every
+        # rigidity row the equilibrium
+        cfg = write_cfg(tmp_path, text)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and reason in err
 
 
 class TestOutputErrors:

@@ -17,7 +17,7 @@ from mobiusflat.curvature import (
     schouten_tensor,
 )
 from mobiusflat.errors import DegenerateGeometryError, InputError
-from mobiusflat.fd import FDScheme, diff1, jet
+from mobiusflat.fd import diff1, jet
 from mobiusflat.moebius import fields_from_immersion
 from mobiusflat.spiral import IntegratorControls, SpiralParams, SpiralState, integrate_spiral
 from mobiusflat.zoo import sphere_chart_metric
@@ -26,7 +26,7 @@ import curvature_oracle
 import fd_oracle
 from conftest import interior_points
 
-FINE = FDScheme(step=0.005, order=4)
+FINE = 0.005
 
 
 def flat_field(m):
@@ -179,7 +179,7 @@ class TestSymmetriesAndConvergence:
         exact = warped_scalar_closed_form(4, -1, k, ks, kss)
         errs = []
         for h in (0.16, 0.08, 0.04):
-            b = metric_field_curvature(field, p, FDScheme(step=h, order=4))
+            b = metric_field_curvature(field, p, h)
             errs.append(abs(b.scalar - exact))
         rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(rates > 3.5)
@@ -204,21 +204,9 @@ class TestSymmetriesAndConvergence:
 
         p = np.array([0.4, -0.3, 0.7])
         for h in (0.2, 0.1, 0.05):
-            b = metric_field_curvature(field, p, FDScheme(step=h, order=4))
+            b = metric_field_curvature(field, p, h)
             res = riemann_symmetry_residuals(b)
             assert max(res.values()) < 1e-12, (h, res)
-
-    def test_second_order_scheme_converges_at_two(self):
-        field = warped_field(4, -1, lambda s: 1.0 + 0.3 * np.sin(s))
-        p = warped_point(4, 0.7)
-        k, ks, kss = 1 + 0.3 * np.sin(0.7), 0.3 * np.cos(0.7), -0.3 * np.sin(0.7)
-        exact = warped_scalar_closed_form(4, -1, k, ks, kss)
-        errs = []
-        for h in (0.08, 0.04, 0.02):
-            b = metric_field_curvature(field, p, FDScheme(step=h, order=2))
-            errs.append(abs(b.scalar - exact))
-        rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
-        assert np.all(np.abs(rates - 2.0) < 0.5)
 
 
 class TestConformalScalar:
@@ -296,9 +284,9 @@ class TestCodazzi:
             return 0.25 * np.sin(pts[:, 0]) * np.cos(pts[:, 1]) + 0.1 * pts[:, 3]
 
         field = conformal_field(4, u)
-        sch = FDScheme(step=0.02, order=4)
-        sfield = schouten_coordinate_field(field, sch, Convention.FULL_TRACE)
-        d = codazzi_defect(sfield, field, np.array([0.4, -0.2, 0.7, 0.1]), sch)
+        step = 0.02
+        sfield = schouten_coordinate_field(field, step, Convention.FULL_TRACE)
+        d = codazzi_defect(sfield, field, np.array([0.4, -0.2, 0.7, 0.1]), step)
         assert d < 2e-6
 
     def test_generic_metric_fails_codazzi(self):
@@ -308,9 +296,9 @@ class TestCodazzi:
             out[:, 0, 0] = 1.0 + 0.4 * np.sin(pts[:, 0]) * np.sin(pts[:, 1])
             return out
 
-        sch = FDScheme(step=0.02, order=4)
-        sfield = schouten_coordinate_field(field, sch, Convention.FULL_TRACE)
-        d = codazzi_defect(sfield, field, np.array([0.4, -0.2, 0.7, 0.1]), sch)
+        step = 0.02
+        sfield = schouten_coordinate_field(field, step, Convention.FULL_TRACE)
+        d = codazzi_defect(sfield, field, np.array([0.4, -0.2, 0.7, 0.1]), step)
         assert d > 1e-2
 
 
@@ -339,27 +327,27 @@ class TestFrameRotationOracle:
     def test_riemann_on_moebius_metric(self, surface, request):
         imm = request.getfixturevalue(surface)
         field = fields_from_immersion(imm).moebius_metric_field()
-        sch = FDScheme(step=0.02, order=4, scaled=False)
+        step = 0.02
         for p in interior_points(imm, 2, seed=11):
-            bundle = metric_field_curvature(field, p, sch)
-            _, riem = curvature._riemann(*(x[None] for x in jet(field, p, sch)))
+            bundle = metric_field_curvature(field, p, step)
+            _, riem = curvature._riemann(*(x[None] for x in jet(field, p, step)))
             self.assert_close(bundle.riemann, fd_oracle.frame_components(riem[0], bundle.frame))
 
     def test_riemann_and_codazzi_on_sheared_metric(self):
-        sch = FDScheme(step=0.02, order=4)
-        sfield = schouten_coordinate_field(sheared_field, sch, Convention.FULL_TRACE)
+        step = 0.02
+        sfield = schouten_coordinate_field(sheared_field, step, Convention.FULL_TRACE)
         for p in (np.array([0.4, -0.2, 0.7, 0.1]), np.array([-0.9, 0.3, 0.0, 1.2])):
-            bundle = metric_field_curvature(sheared_field, p, sch)
+            bundle = metric_field_curvature(sheared_field, p, step)
             assert np.max(np.abs(bundle.frame - bundle.frame.T)) > 0.1
-            _, riem = curvature._riemann(*(x[None] for x in jet(sheared_field, p, sch)))
+            _, riem = curvature._riemann(*(x[None] for x in jet(sheared_field, p, step)))
             self.assert_close(bundle.riemann, fd_oracle.frame_components(riem[0], bundle.frame))
 
             s0 = sfield(p[None, :])[0]
-            nabla = covariant_derivative(s0, diff1(sfield, p, sch), bundle.christoffel)
+            nabla = covariant_derivative(s0, diff1(sfield, p, step), bundle.christoffel)
             oracle = fd_oracle.frame_components(nabla, bundle.frame)
             self.assert_close(curvature._on_frame(nabla[None], bundle.frame[None])[0], oracle)
             defect = np.max(np.abs(oracle - np.einsum("ijk->ikj", oracle)))
-            assert abs(codazzi_defect(sfield, sheared_field, p, sch) - defect) <= 1e-13 * np.max(
+            assert abs(codazzi_defect(sfield, sheared_field, p, step) - defect) <= 1e-13 * np.max(
                 np.abs(oracle)
             )
 
@@ -383,18 +371,18 @@ def counted(field):
     return wrapped, calls
 
 
-BATCH_SCHEME = FDScheme(step=0.01, order=4, scaled=False)
+BATCH_STEP = 0.01
 
 
 class TestBatchOracle:
     """The batch algebra against the per-point oracle it replaced, bit for bit."""
 
     @staticmethod
-    def assert_matches_oracle(field, pts, sch=BATCH_SCHEME):
-        batch = metric_field_curvature_batch(field, pts, sch)
+    def assert_matches_oracle(field, pts, step=BATCH_STEP):
+        batch = metric_field_curvature_batch(field, pts, step)
         assert batch.scalar.shape == (pts.shape[0],)
         for i, p in enumerate(pts):
-            oracle = curvature_oracle.metric_field_curvature(field, p, sch)
+            oracle = curvature_oracle.metric_field_curvature(field, p, step)
             for name in ("scalar", "ricci", "christoffel", "frame", "riemann", "metric"):
                 assert np.array_equal(getattr(batch, name)[i], getattr(oracle, name)), name
             assert batch[i].scalar == oracle.scalar
@@ -414,25 +402,25 @@ class TestBatchOracle:
     def test_codazzi_control_field(self):
         pts = np.array([[0.4, 0.4, 0.4, 0.4], [0.9, -0.3, 0.2, 0.0], [-0.5, 1.1, 0.3, 0.7]])
         self.assert_matches_oracle(control_field, pts)
-        sfield = schouten_coordinate_field(control_field, BATCH_SCHEME)
-        oracle_sfield = curvature_oracle.schouten_coordinate_field(control_field, BATCH_SCHEME)
+        sfield = schouten_coordinate_field(control_field, BATCH_STEP)
+        oracle_sfield = curvature_oracle.schouten_coordinate_field(control_field, BATCH_STEP)
         assert np.array_equal(sfield(pts), oracle_sfield(pts))
-        defects = codazzi_defect_batch(sfield, control_field, pts, BATCH_SCHEME)
+        defects = codazzi_defect_batch(sfield, control_field, pts, BATCH_STEP)
         expected = [
-            curvature_oracle.codazzi_defect(oracle_sfield, control_field, p, BATCH_SCHEME)
+            curvature_oracle.codazzi_defect(oracle_sfield, control_field, p, BATCH_STEP)
             for p in pts
         ]
         assert np.array_equal(defects, expected)
-        assert codazzi_defect(sfield, control_field, pts[1], BATCH_SCHEME) == expected[1]
+        assert codazzi_defect(sfield, control_field, pts[1], BATCH_STEP) == expected[1]
 
     def test_front_ends_are_one_point_batches(self):
         field = warped_field(4, -1, lambda s: 1.0 + 0.3 * np.sin(s))
         p = warped_point(4, 0.7)
-        bundle = metric_field_curvature(field, p, BATCH_SCHEME, Convention.HALF_TRACE)
-        oracle = curvature_oracle.metric_field_curvature(field, p, BATCH_SCHEME, Convention.HALF_TRACE)
+        bundle = metric_field_curvature(field, p, BATCH_STEP, Convention.HALF_TRACE)
+        oracle = curvature_oracle.metric_field_curvature(field, p, BATCH_STEP, Convention.HALF_TRACE)
         assert bundle.scalar == oracle.scalar
         assert np.array_equal(bundle.riemann, oracle.riemann)
-        via_jet = curvature.curvature_from_jet(p, *jet(field, p, BATCH_SCHEME))
+        via_jet = curvature.curvature_from_jet(p, *jet(field, p, BATCH_STEP))
         assert np.array_equal(via_jet.ricci, oracle.ricci)
 
 
@@ -470,7 +458,7 @@ class TestBatchErrors:
 
         pts = np.array([[1.0, 0.0], [2.0, 0.0], [-1.0, 0.0]])
         with pytest.raises(DegenerateGeometryError, match="at point 2"):
-            metric_field_curvature_batch(field, pts, BATCH_SCHEME)
+            metric_field_curvature_batch(field, pts, BATCH_STEP)
 
 
 class TestRequestCounts:
@@ -487,13 +475,13 @@ class TestRequestCounts:
             SpiralParams(4, -1, 0.75), SpiralState(0.0, 1.25, 0.05), IntegratorControls(s_max=4.0)
         )
         svals = np.linspace(0.3, 3.7, 20)
-        vals = checks._warped_scalars(traj, 4, svals, BATCH_SCHEME)
+        vals = checks._warped_scalars(traj, 4, svals, BATCH_STEP)
         assert len(made) == 1 and len(made[0]) == 1
         assert made[0][0] == 20 * 116  # the 116-point second-difference stencil per point
         field = original(traj, 4)
         oracle = [
             curvature_oracle.metric_field_curvature(
-                field, checks.warped_base_point(4, -1, s0), BATCH_SCHEME
+                field, checks.warped_base_point(4, -1, s0), BATCH_STEP
             ).scalar
             for s0 in svals
         ]
@@ -503,8 +491,8 @@ class TestRequestCounts:
         counts = []
         for k in (1, 3):
             metric, calls = counted(control_field)
-            sfield = schouten_coordinate_field(metric, BATCH_SCHEME)
+            sfield = schouten_coordinate_field(metric, BATCH_STEP)
             pts = np.tile(np.full(4, 0.4), (k, 1)) + 0.1 * np.arange(k)[:, None]
-            codazzi_defect_batch(sfield, metric, pts, BATCH_SCHEME)
+            codazzi_defect_batch(sfield, metric, pts, BATCH_STEP)
             counts.append(len(calls))
         assert counts[0] == counts[1] == 3

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from mobiusflat.fd import FDScheme, diff1, diff1_batch, diff2, diff2_batch, jet, jet_batch
+from mobiusflat.errors import InputError
+from mobiusflat.fd import diff1, diff1_batch, diff2_batch, jet, jet_batch
 
 import fd_oracle
+from conftest import FD_STEP
 
 
 def poly_field(pts):
@@ -18,22 +20,17 @@ def vector_field(pts):
     return np.stack([np.sin(x) * np.cos(y), x * y], axis=1)
 
 
-def test_scheme_validation():
-    with pytest.raises(ValueError):
-        FDScheme(order=3)
-
-
-def test_default_step_scaling():
-    s = FDScheme(order=4)
-    h = s.steps_at(np.array([0.0, 10.0]))
-    assert h[1] == pytest.approx(10.0 * h[0])
-    assert s.base_step() == pytest.approx(np.finfo(float).eps ** (1 / 6))
+@pytest.mark.parametrize("step", [0.0, -0.01, float("nan")])
+def test_nonpositive_step_refused(step):
+    for request in (diff1_batch, jet_batch):
+        with pytest.raises(InputError, match="step must be positive"):
+            request(poly_field, np.zeros((1, 2)), step)
 
 
 def test_diff1_polynomial_exact_for_order4():
     # order-4 first differences are exact on cubics
     p = np.array([0.7, -0.4])
-    d = diff1(poly_field, p, FDScheme(step=0.05, order=4))
+    d = diff1(poly_field, p, 0.05)
     x, y = p
     assert d[0] == pytest.approx(3 * x**2 * y - 1.0, abs=1e-9)
     assert d[1] == pytest.approx(x**3 + 4 * y, abs=1e-9)
@@ -41,7 +38,7 @@ def test_diff1_polynomial_exact_for_order4():
 
 def test_diff2_polynomial():
     p = np.array([0.7, -0.4])
-    dd = diff2(poly_field, p, FDScheme(step=0.05, order=4))
+    dd = jet(poly_field, p, 0.05)[2]
     x, y = p
     expected = np.array([[6 * x * y, 3 * x**2], [3 * x**2, 4.0]])
     assert np.allclose(dd, expected, atol=1e-8)
@@ -50,7 +47,7 @@ def test_diff2_polynomial():
 
 def test_vector_valued_derivatives():
     p = np.array([0.3, 0.9])
-    d = diff1(vector_field, p, FDScheme(order=4))
+    d = diff1(vector_field, p, FD_STEP)
     x, y = p
     assert d[0, 0] == pytest.approx(np.cos(x) * np.cos(y), abs=1e-10)
     assert d[1, 0] == pytest.approx(-np.sin(x) * np.sin(y), abs=1e-10)
@@ -60,26 +57,27 @@ def test_vector_valued_derivatives():
 
 def test_batched_matches_single():
     pts = np.array([[0.1, 0.2], [0.5, -0.3], [1.5, 2.0]])
-    sch = FDScheme(order=4)
-    batch = diff1_batch(vector_field, pts, sch)
+    batch = diff1_batch(vector_field, pts, FD_STEP)
     for i, p in enumerate(pts):
-        assert np.allclose(batch[i], diff1(vector_field, p, sch))
-    batch2 = diff2_batch(vector_field, pts, sch)
+        assert np.allclose(batch[i], diff1(vector_field, p, FD_STEP))
+    batch2 = diff2_batch(vector_field, pts, FD_STEP)
     for i, p in enumerate(pts):
-        assert np.allclose(batch2[i], diff2(vector_field, p, sch))
+        assert np.allclose(batch2[i], jet(vector_field, p, FD_STEP)[2])
 
 
-@pytest.mark.parametrize("order,slope", [(2, 2.0), (4, 4.0)])
+# The stencils are order 4; the order parameters below name it.
+
+
+@pytest.mark.parametrize("order,slope", [(4, 4.0)])
 def test_convergence_order(order, slope):
     # truncation error of d^2/dx^2 sin at steps where rounding is negligible
     def f(pts):
         return np.sin(np.atleast_2d(pts)[:, 0])
 
     p = np.array([0.6])
-    steps = [0.4, 0.2, 0.1] if order == 2 else [0.6, 0.3, 0.15]
     errs = []
-    for h in steps:
-        dd = diff2(f, p, FDScheme(step=h, order=order))[0, 0]
+    for h in [0.6, 0.3, 0.15]:
+        dd = jet(f, p, h)[2][0, 0]
         errs.append(abs(dd + np.sin(0.6)))
     rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(np.abs(rates - slope) < 0.5)
@@ -93,26 +91,26 @@ def matrix_field(pts):
 class TestJet:
     """One stencil for values, first and second partials."""
 
-    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("order", [4])
     @pytest.mark.parametrize("field", [poly_field, vector_field, matrix_field])
     def test_matches_separate_stencils(self, order, field):
         pts = np.array([[0.1, 0.2], [0.5, -0.3], [1.5, 2.0], [-3.0, 0.0]])
-        for sch in (FDScheme(order=order), FDScheme(step=0.02, order=order, scaled=False)):
-            values, d1, d2 = jet_batch(field, pts, sch)
+        for step in (FD_STEP, 0.02):
+            values, d1, d2 = jet_batch(field, pts, step)
             assert np.array_equal(values, field(pts))
-            assert np.array_equal(d1, diff1_batch(field, pts, sch))
-            assert np.array_equal(d2, fd_oracle.diff2_batch(field, pts, sch))
-            assert np.array_equal(diff2_batch(field, pts, sch), d2)
+            assert np.array_equal(d1, diff1_batch(field, pts, step))
+            # the oracle differences with a per-coordinate step array
+            assert np.array_equal(d2, fd_oracle.diff2_batch(field, pts, step))
+            assert np.array_equal(diff2_batch(field, pts, step), d2)
 
     def test_single_point_front_end(self):
         p = np.array([0.3, 0.9])
-        sch = FDScheme(order=4)
-        value, d1, d2 = jet(matrix_field, p, sch)
+        value, d1, d2 = jet(matrix_field, p, FD_STEP)
         assert np.array_equal(value, matrix_field(p[None, :])[0])
-        assert np.array_equal(d1, diff1(matrix_field, p, sch))
-        assert np.array_equal(d2, diff2(matrix_field, p, sch))
+        assert np.array_equal(d1, diff1(matrix_field, p, FD_STEP))
+        assert np.array_equal(d2, diff2_batch(matrix_field, p[None, :], FD_STEP)[0])
 
-    @pytest.mark.parametrize("order,points", [(2, 2 * 3 + 4), (4, 2 * 5 + 16)])
+    @pytest.mark.parametrize("order,points", [(4, 2 * 5 + 16)])
     def test_one_field_call(self, order, points):
         calls = []
 
@@ -120,5 +118,5 @@ class TestJet:
             calls.append(pts.shape[0])
             return poly_field(pts)
 
-        jet_batch(field, np.zeros((3, 2)), FDScheme(order=order))
+        jet_batch(field, np.zeros((3, 2)), FD_STEP)
         assert calls == [3 * points]

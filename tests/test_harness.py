@@ -2,15 +2,18 @@ import dataclasses
 import importlib
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mobiusflat import cli, fd
 from mobiusflat.checks import (
     CHECK_FUNCTIONS,
     rigidity_scan,
     run_suite,
+    suite_steps,
     suite_surfaces,
 )
 from mobiusflat.config import CHECK_NAMES, RunConfig, parse_config
@@ -356,3 +359,32 @@ class TestRigidity:
         cfg = RunConfig(R=-0.75).validate()  # standard variant: needs R > 0
         result = rigidity_scan(cfg)
         assert result["status"] == "trivial"
+
+
+class TestStepTable:
+    """Every finite-difference step of verify and invariants is an entry of the one table."""
+
+    def test_requested_steps_are_the_table(self, monkeypatch, tmp_path):
+        requested = set()
+        namespaces = [m for name, m in sys.modules.items() if name.split(".")[0] == "mobiusflat"]
+        for name in ("jet_batch", "diff1_batch"):
+            original = getattr(fd, name)
+
+            def wrapped(field, points, step, _original=original):
+                requested.add(step)
+                return _original(field, points, step)
+
+            for module in namespaces:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, wrapped)
+
+        # a curvature step at which no two entries of the table coincide
+        cfg = RunConfig(curvature_step=0.008, samples=4).validate()
+        table = suite_steps(cfg)
+        assert len(set(table.values())) == len(table)
+        run_suite(cfg)
+        for family in ("rotational", "torus"):
+            run_cfg = dataclasses.replace(cfg, family=family)
+            assert cli.cmd_invariants(run_cfg, str(tmp_path), "full") == 0
+        assert requested <= set(table.values())
+        assert {name for name, step in table.items() if step in requested} == set(table)

@@ -24,7 +24,7 @@ from mobiusflat.immersion import (
 from mobiusflat.zoo import inverse_stereographic, sphere_chart
 
 import fd_oracle
-from conftest import FD_SCHEME as SCHEME
+from conftest import FD_STEP as STEP
 from conftest import fd_handle as handle
 from conftest import N_DIM, interior_points
 
@@ -133,9 +133,9 @@ class TestOneJet:
             imm, pts = graph_surface(), np.array([[0.3, 0.2], [0.7, 0.1], [-1.1, 0.4]])
         else:
             # the FD route: the handle's exact jet is replaced by the FD jet
-            imm = with_fd_jet(request.getfixturevalue("torus"), SCHEME)
+            imm = with_fd_jet(request.getfixturevalue("torus"), STEP)
             pts = interior_points(imm, 5, seed=3)
-        hess = fd_oracle.diff2_batch(imm, pts, SCHEME)
+        hess = fd_oracle.diff2_batch(imm, pts, STEP)
         h_oracle = np.einsum("kabn,kn->kab", hess, unit_normal_batch(imm, pts))
         assert np.array_equal(second_fundamental_form_batch(imm, pts), h_oracle)
         g, h = fundamental_forms_batch(imm, pts)
@@ -191,13 +191,13 @@ class TestConstruction:
             calls.append(pts.shape[0])
             return torus.evaluator(pts)
 
-        imm = with_fd_jet(dataclasses.replace(torus, evaluator=evaluator), SCHEME)
+        imm = with_fd_jet(dataclasses.replace(torus, evaluator=evaluator), STEP)
         pts = interior_points(imm, 3, seed=2)
         got = imm.evaluate_jet(pts)
-        ref = jet_batch(imm, pts, SCHEME)
+        ref = jet_batch(imm, pts, STEP)
         assert all(np.array_equal(x, y) for x, y in zip(got, ref))
         assert calls == [3 * (5 * N_DIM + 16 * N_DIM * (N_DIM - 1) // 2)] * 2
-        assert np.array_equal(got[1], diff1_batch(imm, pts, SCHEME))
+        assert np.array_equal(got[1], diff1_batch(imm, pts, STEP))
 
 
 class TestPrincipalCurvatures:

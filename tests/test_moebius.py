@@ -3,9 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mobiusflat.curvature import CURVATURE_SCHEME, Convention
+from mobiusflat.curvature import Convention
 from mobiusflat.errors import UmbilicPointError
-from mobiusflat.fd import FDScheme
 from mobiusflat.immersion import (
     MetricSample,
     first_fundamental_form_batch,
@@ -31,10 +30,10 @@ from mobiusflat.zoo import (
 )
 
 import moebius_oracle
-from conftest import N_DIM, interior_points
+from conftest import FD_STEP, N_DIM, interior_points
 
-SCHEME = FDScheme(order=4)
-FINE = FDScheme(step=0.005, order=4, scaled=False)
+FINE = 0.005
+SCALAR_STEP = 0.02  # the step of the two-route Moebius scalar
 
 
 def sin_curve_cylinder(n=N_DIM):
@@ -130,7 +129,7 @@ class TestOneJetFields:
     @pytest.mark.parametrize("fixture", ["torus", "rotational"])
     def test_fields_match_composed_forms(self, fixture, request):
         # the FD route: the handle's exact jet is replaced by the FD jet
-        imm = with_fd_jet(request.getfixturevalue(fixture), SCHEME)
+        imm = with_fd_jet(request.getfixturevalue(fixture), FD_STEP)
         pts = interior_points(imm, 7, seed=5)
         fields = fields_from_immersion(imm)
         g, h, rho, mean = composed_fields(imm, pts)
@@ -148,7 +147,7 @@ class TestOneJetFields:
             calls.append(pts.shape[0])
             return torus.evaluator(pts)
 
-        imm = with_fd_jet(dataclasses.replace(torus, evaluator=evaluator), SCHEME)
+        imm = with_fd_jet(dataclasses.replace(torus, evaluator=evaluator), FD_STEP)
         fields = fields_from_immersion(imm)
         pts = interior_points(imm, 3, seed=7)
         stencil = 5 * N_DIM + 16 * N_DIM * (N_DIM - 1) // 2
@@ -167,7 +166,7 @@ def counting_fields(imm):
         return imm.evaluator(pts)
 
     fields = fields_from_immersion(
-        with_fd_jet(dataclasses.replace(imm, evaluator=evaluator), SCHEME)
+        with_fd_jet(dataclasses.replace(imm, evaluator=evaluator), FD_STEP)
     )
     calls.clear()  # the orientation sign, resolved once at construction
     return fields, calls
@@ -183,7 +182,7 @@ class TestOneRequestPerPointSet:
 
     def test_moebius_scalar_one_outer_stencil_request(self, torus):
         fields, calls = counting_fields(torus)
-        moebius_scalar(fields, torus.base_point)
+        moebius_scalar(fields, torus.base_point, SCALAR_STEP)
         assert calls == [self.STENCIL**2]
 
     @pytest.mark.parametrize("analytic", [True, False], ids=["closed-form", "fd"])
@@ -201,8 +200,8 @@ class TestOneRequestPerPointSet:
             for name in ("rho", "H", "B", "A", "C", "principal_curvatures", "A_eigenvalues"):
                 assert close(getattr(d, name), getattr(ref, name)), name
             assert close(d.g_moebius.g, ref.g_moebius.g)
-            s = moebius_scalar(fields, p)
-            s_ref = moebius_oracle.moebius_scalar(fields, p, CURVATURE_SCHEME)
+            s = moebius_scalar(fields, p, SCALAR_STEP)
+            s_ref = moebius_oracle.moebius_scalar(fields, p, SCALAR_STEP)
             assert close(s, s_ref)
 
 
@@ -228,14 +227,14 @@ class TestTensorB:
         # ambient rescaling doubles both f and the chart
         p = cylinder.base_point + 0.1
         f1 = fields_from_immersion(cylinder)
-        s1 = moebius_scalar(f1, p)
+        s1 = moebius_scalar(f1, p, SCALAR_STEP)
         for lam in (0.5, 2.0):
             scaled = scale_immersion(cylinder, lam)
             f2 = fields_from_immersion(scaled)
-            d1 = moebius_data(f1, p, SCHEME)
-            d2 = moebius_data(f2, lam * p, SCHEME)
+            d1 = moebius_data(f1, p, FD_STEP)
+            d2 = moebius_data(f2, lam * p, FD_STEP)
             assert np.allclose(d1.B_eigenvalues, d2.B_eigenvalues, atol=1e-7)
-            s2 = moebius_scalar(f2, lam * p)
+            s2 = moebius_scalar(f2, lam * p, SCALAR_STEP)
             assert abs(s1.direct - s2.direct) < 1e-6
 
 
@@ -245,7 +244,7 @@ class TestMoebiusForm:
             (torus.analytic_fields, 1e-12),
             (fields_from_immersion(torus), 1e-8),
         ]:
-            c = moebius_form(fields, torus.base_point, FDScheme(step=0.05, order=4))
+            c = moebius_form(fields, torus.base_point, 0.05)
             assert np.max(np.abs(c)) < tol
 
     def test_circle_cylinder_form_vanishes(self):
@@ -255,7 +254,7 @@ class TestMoebiusForm:
         traj = make_trajectory(0, 0.0, 1.0, 0.0, 6.0)
         imm = cylinder_immersion(traj, N_DIM)
         fields = fields_from_immersion(imm)
-        c = moebius_form(fields, imm.base_point, FDScheme(step=0.03, order=4))
+        c = moebius_form(fields, imm.base_point, 0.03)
         assert np.max(np.abs(c)) < 1e-8
 
     def test_divergence_identity_cross_check(self, rotational, torus):
@@ -263,14 +262,14 @@ class TestMoebiusForm:
         from mobiusflat.moebius import moebius_form_divergence_residual
 
         traj, imm = sin_curve_cylinder()
-        for handle, sch in [
-            (imm, FDScheme(step=0.01, order=4, scaled=False)),
-            (rotational, FDScheme(step=0.01, order=4, scaled=False)),
-            (torus, FDScheme(step=0.05, order=4, scaled=False)),
+        for handle, step in [
+            (imm, 0.01),
+            (rotational, 0.01),
+            (torus, 0.05),
         ]:
             fields = handle.analytic_fields
             p = handle.base_point
-            resid = moebius_form_divergence_residual(fields, p, sch)
+            resid = moebius_form_divergence_residual(fields, p, step)
             assert resid < 1e-6, handle.name
 
     def test_spiral_cylinder_form_first_component_only(self):
@@ -315,13 +314,13 @@ class TestBlaschke:
     def test_trace_identity_torus_sphere_ambient(self, torus):
         # r = 0.5: full-trace scalar (n-1)(n-2)(1-r^2) = 4.5
         fields = torus.analytic_fields
-        a = blaschke_A(fields, torus.base_point, FDScheme(step=0.05, order=4))
+        a = blaschke_A(fields, torus.base_point, 0.05)
         target = 1.0 / (2 * N_DIM) + 4.5 / (2 * (N_DIM - 1))
         assert np.trace(a) == pytest.approx(target, abs=1e-9)
 
     def test_torus_A_eigen_multiplicities(self, torus):
         fields = torus.analytic_fields
-        d = moebius_data(fields, torus.base_point, FDScheme(step=0.05, order=4))
+        d = moebius_data(fields, torus.base_point, 0.05)
         eig = np.sort(d.A_eigenvalues)
         # one simple eigenvalue at one end, the other n-1 coincide
         cluster = min(eig[-1] - eig[1], eig[-2] - eig[0])
@@ -348,7 +347,7 @@ class TestMoebiusScalar:
         imm = cylinder_immersion(traj, N_DIM)
         fields = imm.analytic_fields
         for conv in Convention:
-            res = moebius_scalar(fields, imm.base_point, convention=conv)
+            res = moebius_scalar(fields, imm.base_point, SCALAR_STEP, convention=conv)
             assert abs(res.direct) < 1e-7
             assert abs(res.conformal_route) < 1e-7
 
@@ -356,29 +355,31 @@ class TestMoebiusScalar:
         # product structure: circle of radius 1/r and sphere of radius
         # 1/sqrt(1-r^2): full-trace scalar (n-1)(n-2)(1-r^2)
         fields = torus.analytic_fields
-        res = moebius_scalar(fields, torus.base_point, convention=Convention.FULL_TRACE)
+        res = moebius_scalar(
+            fields, torus.base_point, SCALAR_STEP, convention=Convention.FULL_TRACE
+        )
         expected = (N_DIM - 1) * (N_DIM - 2) * 0.75
         assert res.direct == pytest.approx(expected, rel=1e-6)
         assert res.conformal_route == pytest.approx(expected, rel=1e-6)
 
     def test_options_are_keyword_only(self, torus):
-        # a stale positional FD scheme must not be read as the convention
+        # a positional argument after the step must not be read as the convention
         fields = torus.analytic_fields
         with pytest.raises(TypeError):
-            moebius_scalar(fields, torus.base_point, SCHEME)
+            moebius_scalar(fields, torus.base_point, SCALAR_STEP, Convention.HALF_TRACE)
 
     def test_two_routes_agree_on_pipeline_fields(self, rotational):
         fields = fields_from_immersion(rotational)
         pts = interior_points(rotational, 3, seed=39)
         for p in pts:
-            res = moebius_scalar(fields, p)
+            res = moebius_scalar(fields, p, SCALAR_STEP)
             assert res.spread() < 1e-5
 
     def test_rotational_scalar_constant(self, rotational):
         # constant-scalar spiral with R parameter 0.75: full trace 4.5
         fields = rotational.analytic_fields
         pts = interior_points(rotational, 6, seed=41)
-        vals = [moebius_scalar(fields, p).direct for p in pts]
+        vals = [moebius_scalar(fields, p, SCALAR_STEP).direct for p in pts]
         assert np.max(np.abs(np.asarray(vals) - 4.5)) < 1e-6
 
 
@@ -388,9 +389,9 @@ class TestLiftInvariance:
         p = cylinder.base_point + 0.15
         f_plain = fields_from_immersion(cylinder)
         f_lift = fields_from_immersion(lifted)
-        d_plain = moebius_data(f_plain, p, SCHEME)
-        d_lift = moebius_data(f_lift, p, SCHEME)
+        d_plain = moebius_data(f_plain, p, FD_STEP)
+        d_lift = moebius_data(f_lift, p, FD_STEP)
         assert np.allclose(d_plain.B_eigenvalues, d_lift.B_eigenvalues, atol=1e-6)
-        s_plain = moebius_scalar(f_plain, p)
-        s_lift = moebius_scalar(f_lift, p)
+        s_plain = moebius_scalar(f_plain, p, SCALAR_STEP)
+        s_lift = moebius_scalar(f_lift, p, SCALAR_STEP)
         assert abs(s_plain.direct - s_lift.direct) < 1e-5

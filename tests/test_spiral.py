@@ -150,6 +150,12 @@ class TestTermination:
         with pytest.raises(InputError):
             integrate_grid(p, [[1.0, 0.0]], IntegratorControls(), [0.0, np.inf, 0.0])
 
+    def test_start_away_from_zero_refused(self):
+        # every trajectory starts at s = 0; a state at s = 2 is not moved there silently
+        p = SpiralParams(4, -1, 0.75)
+        with pytest.raises(InputError, match="s = 0"):
+            integrate_spiral(p, SpiralState(2.0, 1.25, 0.05), IntegratorControls(s_max=1.0))
+
 
 class TestCurveReconstruction:
     def test_plane_circle_closes(self):

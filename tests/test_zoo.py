@@ -28,13 +28,13 @@ from mobiusflat.zoo import (
     torus_immersion,
 )
 
-from conftest import FD_SCHEME as SCHEME
+from conftest import FD_STEP as STEP
 from conftest import N_DIM, fd_handle, interior_points
 
 
 def fd_vs_analytic(imm, count=8, seed=1):
     pts = interior_points(imm, count, seed)
-    fd = with_fd_jet(imm, SCHEME)  # the FD route, not the handle's exact jet
+    fd = with_fd_jet(imm, STEP)  # the FD route, not the handle's exact jet
     g_fd = first_fundamental_form_batch(fd, pts)
     h_fd = second_fundamental_form_batch(fd, pts)
     g, h = imm.analytic_fields.sample(pts)[:2]
@@ -74,7 +74,7 @@ class TestExactJet:
         imm = self.HANDLES[name](base)
         pts = interior_points(imm, 6, seed=2)
         exact = imm.evaluate_jet(pts)
-        oracle = with_fd_jet(imm, SCHEME).evaluate_jet(pts)
+        oracle = with_fd_jet(imm, STEP).evaluate_jet(pts)
         values = imm(pts)
         assert np.max(np.abs(exact[0] - values)) <= 4e-16 * np.max(np.abs(values))
         for level, (x, ref) in enumerate(zip(exact[1:], oracle[1:]), start=1):
@@ -117,7 +117,7 @@ class TestExactJet:
         angles = np.array([[0.9, 1.1, 2.0], [1.5, 0.4, 5.0]])
         exact = sphere_chart_jet(angles)
         assert np.array_equal(exact[0], sphere_chart(angles))
-        oracle = jet_batch(sphere_chart, angles, SCHEME)
+        oracle = jet_batch(sphere_chart, angles, STEP)
         for x, ref in zip(exact[1:], oracle[1:]):
             assert np.max(np.abs(x - ref)) <= 1e-8
 
@@ -313,12 +313,12 @@ class TestLift:
     @pytest.mark.parametrize("base_jet", ["exact", "fd"])
     def test_lift_and_scale_carry_a_jet(self, base_jet, cylinder):
         # the lift and the homothety push any base jet through their map
-        base = cylinder if base_jet == "exact" else with_fd_jet(cylinder, SCHEME)
+        base = cylinder if base_jet == "exact" else with_fd_jet(cylinder, STEP)
         for imm in (lift_to_sphere(base), scale_immersion(base, 2.0)):
             assert callable(imm.jet)
             pts = interior_points(imm, 4, seed=23)
             jet = imm.evaluate_jet(pts)
-            oracle = with_fd_jet(imm, SCHEME).evaluate_jet(pts)
+            oracle = with_fd_jet(imm, STEP).evaluate_jet(pts)
             for x, ref in zip(jet, oracle):
                 assert np.max(np.abs(x - ref)) <= 1e-6 * max(1.0, np.max(np.abs(ref)))
 
