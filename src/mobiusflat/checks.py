@@ -41,10 +41,10 @@ from .config import RunConfig
 from .curvature import (
     Convention,
     codazzi_defect,
-    codazzi_defect_batch,
     convert_scalar,
     metric_field_curvature,
     metric_field_curvature_batch,
+    schouten_codazzi_defects,
     schouten_coordinate_field,
 )
 from .errors import MobiusFlatError
@@ -73,6 +73,7 @@ from .spiral import (
     SpiralTrajectory,
     closure_test,
     equilibrium_kappa,
+    first_integral,
     integrate_grid,
     integrate_spiral,
     kappa_accel,
@@ -156,8 +157,8 @@ def spiral_trajectory(
 ):
     """A spiral from one integration; with curve=False the kappa samples alone.
 
-    The kappa subsystem does not read the curve, so its samples are the same
-    either way.
+    The kappa subsystem does not read the curve, so its samples agree either
+    way, to round-off (the joint Taylor steps also follow the curve).
     """
     params = SpiralParams(n, epsilon, big_r, variant=variant)
     controls = IntegratorControls(s_max=s_max, step=step)
@@ -515,9 +516,8 @@ def check_schouten_codazzi(cfg: RunConfig, surfaces, rng, res: Residuals) -> dic
         if surf.name == "torus":
             continue
         metric = _first_form_field(surf.closed_form)
-        sfield = schouten_coordinate_field(metric, step, Convention.FULL_TRACE)
         pts = sample_points(surf.imm, 3, rng, cfg.jitter, pad=0.2)
-        vals = codazzi_defect_batch(sfield, metric, pts, step)
+        vals = schouten_codazzi_defects(metric, pts, step, [Convention.FULL_TRACE])[0]
         per_surface[surf.name] = float(np.max(vals))
         res.add(per_surface[surf.name], samples=len(vals))
 
@@ -535,13 +535,9 @@ def check_schouten_codazzi(cfg: RunConfig, surfaces, rng, res: Residuals) -> dic
     # convention audit on a metric whose scalar curvature varies
     rot = _surface(surfaces, "rotational")
     metric = _first_form_field(rot.closed_form)
-    p_aud = sample_points(rot.imm, 1, rng, cfg.jitter, pad=0.2)[0]
-    audit = {
-        name: float(
-            codazzi_defect(schouten_coordinate_field(metric, step, conv), metric, p_aud, step)
-        )
-        for name, conv in CONVENTION_BY_NAME.items()
-    }
+    p_aud = sample_points(rot.imm, 1, rng, cfg.jitter, pad=0.2)[:1]
+    defects = schouten_codazzi_defects(metric, p_aud, step, list(CONVENTION_BY_NAME.values()))
+    audit = {name: float(d[0]) for name, d in zip(CONVENTION_BY_NAME, defects)}
     row = _audit_row(
         "Codazzi defect of S = Ric - R/(2(n-1)) Id on a metric with varying scalar curvature",
         audit,
@@ -871,7 +867,10 @@ def rigidity_scan(cfg: RunConfig) -> dict:
     over the horizon.  Each grid row is integrated for one kappa period only;
     its period map (period T and holonomy trace, reported per row) carries
     the closure test over the rest of the horizon.  A small flat-model
-    control with non-constant curvature is included.
+    control with non-constant curvature is included; each of its rows also
+    reports its conserved E = kappa_s^2 kappa^(n-4), whose sign certifies
+    that kappa is monotone there (flat_control_certified_open), next to the
+    march that status reads.
     """
     n = cfg.n
     params = SpiralParams(n, -1, cfg.R, variant=cfg.spiral_variant)
@@ -941,10 +940,21 @@ def rigidity_scan(cfg: RunConfig) -> dict:
     flat_rows = []
     for traj in flat_trajs:
         res = closure_test(traj, cfg.tol_closed, cfg.tol_open)
+        # E = kappa_s^2 kappa^(n-4) is conserved here (eps = 0, R = 0,
+        # standard): E > 0 keeps kappa_s away from 0, so kappa is strictly
+        # monotone and the profile cannot close
+        energy = float(first_integral(flat_params, traj.kappa[0], traj.kappa_s[0]))
         flat_rows.append(
-            {"kappa_s0": float(traj.kappa_s[0]), "status": res.status, "min_defect": res.defect}
+            {
+                "kappa_s0": float(traj.kappa_s[0]),
+                "status": res.status,
+                "min_defect": res.defect,
+                "E": energy,
+                "kappa_monotone": energy > 0.0,
+            }
         )
     result["flat_control"] = flat_rows
+    result["flat_control_certified_open"] = all(r["kappa_monotone"] for r in flat_rows)
 
     result["status"] = (
         "pass"

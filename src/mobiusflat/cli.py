@@ -76,7 +76,7 @@ def cmd_build(cfg: RunConfig, out: str, convention: str) -> int:
         out,
         axes=cfg.slice_axis_pair(),
         res=cfg.slice_res,
-        ambient_axes=cfg.obj_axis_triple(),
+        ambient_axes=cfg.obj_axis_triple(imm.ambient_dimension),
         stem=cfg.family,
     )
     print(f"build: {cfg.family} slice {desc['vertices']} vertices, {desc['faces']} faces")
@@ -229,6 +229,9 @@ def main(argv=None) -> int:
     try:
         os.makedirs(args.out, exist_ok=True)
         return COMMANDS[args.command](cfg, args.out, args.convention)
+    except ConfigError as exc:  # a setting that only the built surface can check
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except MobiusFlatError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -90,13 +90,24 @@ class RunConfig:
             raise ConfigError(f"slice_axes must be two distinct integers in [0, {self.n})")
         return axes
 
-    def obj_axis_triple(self) -> tuple[int, ...] | str:
-        """obj_axes as "auto" or three ambient axes."""
+    def obj_axis_triple(self, ambient_dimension: int | None = None) -> tuple[int, ...] | str:
+        """obj_axes as "auto" or three distinct ambient axes.
+
+        The ambient dimension depends on the family's surface, so the axes
+        are checked against it only where the caller gives it.
+        """
         if self.obj_axes.strip() == "auto":
             return "auto"
         axes = _int_tuple("obj_axes", self.obj_axes)
         if len(axes) != 3:
             raise ConfigError("obj_axes must be 'auto' or three comma-separated integers")
+        if len(set(axes)) != 3:
+            raise ConfigError("obj_axes must be three distinct integers")
+        if ambient_dimension is not None and not all(0 <= a < ambient_dimension for a in axes):
+            raise ConfigError(
+                f"obj_axes must lie in [0, {ambient_dimension}), the ambient axes of "
+                f"family {self.family} at n = {self.n}"
+            )
         return axes
 
     def check_list(self) -> list[str]:

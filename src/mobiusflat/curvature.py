@@ -316,6 +316,15 @@ def schouten_tensor(bundle: CurvatureBundle, convention: Convention | None = Non
     return bundle.ricci - r / (2.0 * (n - 1)) * np.eye(n)
 
 
+def _schouten_coordinates(b: CurvatureBatch, convention: Convention) -> np.ndarray:
+    """S_ab in chart coordinates at the points of a curvature batch (K, m, m)."""
+    n = b.metric.shape[-1]
+    r = convert_scalar(b.scalar, Convention.FULL_TRACE, convention, n)
+    inv_frame = np.linalg.inv(b.frame)
+    ric_coord = np.swapaxes(inv_frame, -1, -2) @ b.ricci @ inv_frame
+    return ric_coord - (r / (2.0 * (n - 1)))[:, None, None] * b.metric
+
+
 def schouten_coordinate_field(
     metric_field, step: float, convention: Convention = Convention.FULL_TRACE
 ):
@@ -326,11 +335,7 @@ def schouten_coordinate_field(
 
     def field(pts: np.ndarray) -> np.ndarray:
         b = metric_field_curvature_batch(metric_field, pts, step, Convention.FULL_TRACE)
-        n = b.metric.shape[-1]
-        r = convert_scalar(b.scalar, Convention.FULL_TRACE, convention, n)
-        inv_frame = np.linalg.inv(b.frame)
-        ric_coord = np.swapaxes(inv_frame, -1, -2) @ b.ricci @ inv_frame
-        return ric_coord - (r / (2.0 * (n - 1)))[:, None, None] * b.metric
+        return _schouten_coordinates(b, convention)
 
     return field
 
@@ -344,6 +349,14 @@ def covariant_derivative(s0: np.ndarray, ds: np.ndarray, gamma: np.ndarray) -> n
     )
 
 
+def _codazzi(schouten_field, batch: CurvatureBatch, pts: np.ndarray, step: float) -> np.ndarray:
+    """The Codazzi defects at pts, given the metric's curvature batch there."""
+    s0 = np.asarray(schouten_field(pts))
+    ds = diff1_batch(schouten_field, pts, step)  # [k, c, a, b] = d_c S_ab
+    nabla_on = _on_frame(covariant_derivative(s0, ds, batch.christoffel), batch.frame)
+    return np.max(np.abs(nabla_on - np.einsum("...ijk->...ikj", nabla_on)), axis=(1, 2, 3))
+
+
 def codazzi_defect_batch(schouten_field, metric_field, pts: np.ndarray, step: float) -> np.ndarray:
     """max_{a,b,c} |S_ab;c - S_ac;b| in the orthonormal frame at each point (K,).
 
@@ -354,10 +367,32 @@ def codazzi_defect_batch(schouten_field, metric_field, pts: np.ndarray, step: fl
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     batch = metric_field_curvature_batch(metric_field, pts, step)
-    s0 = np.asarray(schouten_field(pts))
-    ds = diff1_batch(schouten_field, pts, step)  # [k, c, a, b] = d_c S_ab
-    nabla_on = _on_frame(covariant_derivative(s0, ds, batch.christoffel), batch.frame)
-    return np.max(np.abs(nabla_on - np.einsum("...ijk->...ikj", nabla_on)), axis=(1, 2, 3))
+    return _codazzi(schouten_field, batch, pts, step)
+
+
+def schouten_codazzi_defects(metric_field, pts: np.ndarray, step: float, conventions) -> np.ndarray:
+    """Codazzi defects of the metric's own Schouten tensor, one row per normalization.
+
+    Row i is codazzi_defect_batch(schouten_coordinate_field(metric_field,
+    step, conventions[i]), metric_field, pts, step), value for value.  The
+    normalizations differ only in the scalar term of S, so the metric's
+    curvature is computed once at the points and once on their
+    first-difference stencil, and every Schouten field is formed from those.
+    """
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    batches = {}  # the bytes of a point set -> the metric's curvature batch there
+
+    def curvature(q: np.ndarray) -> CurvatureBatch:
+        key = q.tobytes()
+        if key not in batches:
+            batches[key] = metric_field_curvature_batch(metric_field, q, step)
+        return batches[key]
+
+    def schouten(conv):
+        return lambda q: _schouten_coordinates(curvature(q), conv)
+
+    here = curvature(pts)
+    return np.array([_codazzi(schouten(conv), here, pts, step) for conv in conventions])
 
 
 def codazzi_defect(schouten_field, metric_field, p: np.ndarray, step: float) -> float:

@@ -51,7 +51,7 @@ def export_obj_slice(
         ambient_axes = tuple(int(i) for i in np.argsort(variance)[::-1][:3])
     else:
         ambient_axes = tuple(int(a) for a in ambient_axes)
-        if len(ambient_axes) != 3 or any(
+        if len(set(ambient_axes)) != 3 or any(
             a < 0 or a >= imm.ambient_dimension for a in ambient_axes
         ):
             raise InputError(f"ambient projection axes {ambient_axes} invalid")

@@ -21,15 +21,19 @@ the Euclidean plane (eps = 0), the unit 2-sphere (eps = +1), or the
 Poincare half-plane (eps = -1), by co-integrating the unit-speed frame
 equations.
 
-Every integration in this module (single trajectories, grids,
-prescribed-curvature controls and the closure refinement) runs through one
-fixed-step RK4 marcher, _march, which advances one row at a time with a
-fused step on Python floats.  Each system has one unrolled step, built once
-per parameter set: the kappa equation, finished by a frame step for the
-plane, the sphere or the half-plane curve.  The marcher bisects a crossing
-of the kappa floor, the kappa ceiling or a non-finite value and ends the row
-there.  A grid is a loop over its rows, so a row is the same alone or in a
-grid by construction.
+The spiral system (single trajectories, grids and the closure refinement)
+is marched by its Taylor series, one row at a time on Python floats: each
+step computes the coefficients of kappa and of the frame to the fixed order
+TAYLOR_ORDER, and takes a step of about a seventh of the series' estimated
+radius of convergence (Jorba and Zou).  The integrator's own steps thus come
+from the Taylor coefficients; IntegratorControls.step is the spacing of the
+stored samples (every store_stride-th point of that grid is kept), and the
+step polynomials are evaluated there.  The marcher roots a crossing of the
+kappa floor, the kappa ceiling or a non-finite value on the step polynomial
+and ends the row there.  A grid is a loop over its rows, so a row is the
+same alone or in a grid by construction.  Prescribed-curvature controls,
+whose kappa(s) is an opaque callable with no Taylor coefficients, run
+through the fixed-step RK4 marcher _march instead, with the spacing step.
 
 Closure of a half-plane curve is decided from one kappa period.  The kappa
 subsystem conserves first_integral, so a bounded (kappa, kappa_s) orbit is
@@ -49,10 +53,11 @@ import io
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import ceil, cos, isfinite, nan, sin, sqrt
+from math import ceil, cos, nan, sin, sqrt
 
 import numpy as np
 
+from . import taylor
 from .errors import ChartDomainError, InputError
 
 STANDARD = "standard"
@@ -223,24 +228,17 @@ def _frame_accel(model: str, kappa, kappa_s, curve: np.ndarray, vel: np.ndarray)
 
 
 # ---------------------------------------------------------------------------
-# fused RK4 kernel
+# fused RK4 kernel of the prescribed-curvature curves
 #
 # A state is a tuple (kappa, kappa_s, *curve) of Python floats.  One step is
 # written out stage by stage in the arithmetic order of the vectorized right
 # hand sides above: stage states y + (0.5 h) k, the update
-# y + (h / 6) (((k1 + 2 k2) + 2 k3) + k4), the 1e-300 guard of kappa_accel
-# and the component order of np.cross.  Only kappa**3 rounds differently:
-# it is libm pow here and numpy's own power on arrays, which differ in the
-# last bit for a few percent of inputs.
+# y + (h / 6) (((k1 + 2 k2) + 2 k3) + k4) and the component order of
+# np.cross.
 #
 # A frame step frame(kn, ksn, q1, q2, q3, q4, h, y) returns the stepped
 # state: kn and ksn are the new kappa and kappa_s, q1..q4 the kappa of the
-# four stages and y the state before the step.  The spiral and the
-# prescribed-curvature systems share the frame steps.
-
-
-def _no_curve(kn, ksn, q1, q2, q3, q4, h, y):
-    return kn, ksn
+# four stages and y the state before the step.
 
 
 def _plane_frame(kn, ksn, q1, q2, q3, q4, h, y):
@@ -331,32 +329,6 @@ def _sphere_frame(kn, ksn, q1, q2, q3, q4, h, y):
 _FRAME_STEP = {PLANE: _plane_frame, SPHERE: _sphere_frame, HALF_PLANE: _half_plane_frame}
 
 
-def _spiral_step(params: SpiralParams, frame):
-    """RK4 step (s, y, h) -> y of the spiral equation; frame advances the curve."""
-    c2, c1, big_r = _coefficients(params)
-
-    def step(s, y, h):
-        k, ks = y[0], y[1]
-        hh = 0.5 * h
-        a1 = (c2 * (ks * ks) / (2.0 * (1e-300 if abs(k) < 1e-300 else k))
-              + c1 * k / 2.0 - big_r * k**3)
-        k2, ks2 = k + hh * ks, ks + hh * a1
-        a2 = (c2 * (ks2 * ks2) / (2.0 * (1e-300 if abs(k2) < 1e-300 else k2))
-              + c1 * k2 / 2.0 - big_r * k2**3)
-        k3, ks3 = k + hh * ks2, ks + hh * a2
-        a3 = (c2 * (ks3 * ks3) / (2.0 * (1e-300 if abs(k3) < 1e-300 else k3))
-              + c1 * k3 / 2.0 - big_r * k3**3)
-        k4, ks4 = k + h * ks3, ks + h * a3
-        a4 = (c2 * (ks4 * ks4) / (2.0 * (1e-300 if abs(k4) < 1e-300 else k4))
-              + c1 * k4 / 2.0 - big_r * k4**3)
-        h6 = h / 6.0
-        kn = k + h6 * (((ks + 2.0 * ks2) + 2.0 * ks3) + ks4)
-        ksn = ks + h6 * (((a1 + 2.0 * a2) + 2.0 * a3) + a4)
-        return frame(kn, ksn, k, k2, k3, k4, h, y)
-
-    return step
-
-
 def _prescribed_step(model: str, kappa_fn, kappa_s_fn):
     """RK4 step of the curve under kappa(s) = kappa_fn(s).
 
@@ -400,62 +372,16 @@ def _bisect(step, s_now: float, y: tuple, step_h: float, floor: float, ceiling: 
         if hi - lo < 1e-10:
             break
     y_end = _finite_step(step, s_now, y, hi)
-    if not all(isfinite(v) for v in y_end):
-        termination = "non_finite"
-    elif y_end[0] < sqrt(floor * ceiling):
-        termination = "kappa_floor"
-    else:
-        termination = "kappa_ceiling"
-    return s_now + hi, y_end, termination
+    return s_now + hi, y_end, taylor.band_exit(y_end, floor, ceiling)
 
 
-class _Return:
-    """First return of (kappa, kappa_s) to its start y0.
-
-    Watched through the section g(y) = (y - y0) . f(y0) normal to the flow
-    f at y0: g starts at 0 and grows, and the orbit is back at y0 when g
-    next crosses from - to +.  A crossing counts only within a few steps'
-    travel of y0, so an orbit that meets the section line elsewhere does
-    not stop the march.
-    """
-
-    def __init__(self, y0: tuple, flow: tuple, h: float):
-        self.k0, self.ks0 = y0
-        self.f0, self.f1 = flow
-        self.reach2 = (4.0 * h) ** 2 * (self.f0 * self.f0 + self.f1 * self.f1)
-        self.g_prev = 0.0
-
-    def g(self, y) -> float:
-        return (y[0] - self.k0) * self.f0 + (y[1] - self.ks0) * self.f1
-
-    def crossed(self, y) -> bool:
-        """Whether the step that ended at y crossed the section from - to + near y0."""
-        g_prev, self.g_prev = self.g_prev, self.g(y)
-        if not g_prev < 0.0 <= self.g_prev:
-            return False
-        dk, dks = y[0] - self.k0, y[1] - self.ks0
-        return dk * dk + dks * dks < self.reach2
-
-    def bisect(self, step, s_now: float, y: tuple, step_h: float):
-        """The crossing within one step, bisected on the step size to round-off."""
-        lo, hi = 0.0, step_h
-        while lo < (mid := 0.5 * (lo + hi)) < hi:
-            if self.g(step(s_now, y, mid)) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return s_now + hi, step(s_now, y, hi)
-
-
-def _march(step, y0, s_max: float, controls: IntegratorControls, ret: _Return | None = None):
+def _march(step, y0, s_max: float, controls: IntegratorControls):
     """Fixed-step RK4 of one row y0 from s = 0 to s_max with step(s, y, h).
 
     Element 0 of the row is kappa.  A step that leaves the open band
     (kappa_floor, kappa_ceiling) or turns non-finite is refined by bisection
     on the step size (to 1e-10 in s); the state at the crossing is the last
-    sample.  With ret, the march also ends at the first return of
-    (kappa, kappa_s) to its start, bisected to round-off and tagged
-    "return".  States are stored every store_stride steps and at the end.
+    sample.  States are stored every store_stride steps and at the end.
     Returns (s, states (K, d), termination).
     """
     floor, ceiling = controls.kappa_floor, controls.kappa_ceiling
@@ -477,18 +403,83 @@ def _march(step, y0, s_max: float, controls: IntegratorControls, ret: _Return | 
             stored_s.append(s_end)
             stored.extend(y_end)
             break
-        if ret is not None and ret.crossed(y_new):
-            s_end, y_end = ret.bisect(step, s_now, y, step_h)
-            stored_s.append(s_end)
-            stored.extend(y_end)
-            termination = "return"
-            break
         y = y_new
         s_now += step_h
         if (i + 1) % stride == 0 or i == n_steps - 1:
             stored_s.append(s_now)
             stored.extend(y)
     return np.frombuffer(stored_s), np.frombuffer(stored).reshape(-1, len(y)), termination
+
+
+# ---------------------------------------------------------------------------
+# Taylor marching of the spiral system (see taylor.py)
+
+_FRAME_SERIES = {
+    PLANE: taylor.plane_series,
+    SPHERE: taylor.sphere_series,
+    HALF_PLANE: taylor.half_plane_series,
+}
+
+
+def _spiral_series(params: SpiralParams, joint: bool):
+    """y -> (series of each component of y, step) for the spiral system.
+
+    y is (kappa, kappa_s), followed by the curve when joint.
+    """
+    kappa = taylor.kappa_series(*_coefficients(params))
+    frame = _FRAME_SERIES[params.model] if joint else None
+
+    def series(y):
+        k, u = kappa(y[0], y[1])
+        cols = [k[: taylor.TAYLOR_ORDER + 1], u]
+        if frame is not None:
+            cols += frame(k, *y[2:])
+        return cols, taylor.step_size(cols)
+
+    return series
+
+
+def _sample_grid(controls: IntegratorControls) -> np.ndarray:
+    """The stored sample points of a row marched to controls.s_max, read-only.
+
+    Every store_stride-th point of the grid of spacing controls.step, and the
+    end; the points are summed step by step, as _march sums them.  Rows that
+    reach the horizon share the array as their s.
+    """
+    h, stride = controls.step, controls.store_stride
+    s_max = float(controls.s_max)
+    n_steps = ceil(s_max / h - 1e-12)
+    block = stride * ceil(4096 / stride)  # steps summed at once, a multiple of stride
+    parts, prev, s = [[0.0]], 0.0, 0.0
+    for start in range(0, n_steps, block):
+        sums = np.full(min(block, n_steps - start), h)
+        sums[0] += s
+        np.cumsum(sums, out=sums)  # s_k = s_(k-1) + h, in order
+        prev, s = (float(sums[-2]) if sums.size > 1 else s), float(sums[-1])
+        parts.append(sums[stride - 1 :: stride].copy())
+    end = prev + min(h, s_max - prev)  # the last step is cut at s_max
+    grid = np.concatenate(parts + ([[end]] if n_steps % stride else []))
+    grid[-1] = end
+    grid.flags.writeable = False
+    return grid
+
+
+def _taylor_march(series, y0, grid: np.ndarray, controls: IntegratorControls, ret=None):
+    """Taylor march of one row y0 over the sample points grid: (s, states (K, d), termination).
+
+    The states are the step polynomials at the points of grid before the
+    row's end, followed by the state at the end.
+    """
+    steps, s_stop, y_stop, termination = taylor.march(
+        series, y0, float(grid[-1]), controls.kappa_floor, controls.kappa_ceiling, ret
+    )
+    if termination == "horizon":
+        s = grid
+    else:
+        s = np.append(grid[: np.searchsorted(grid, s_stop)], s_stop)
+    states = steps.at(s[:-1], np.empty((s.size, len(y_stop))))
+    states[-1] = y_stop
+    return s, states, termination
 
 
 def _check_start(model: str, states, curve_start, controls: IntegratorControls) -> None:
@@ -660,13 +651,13 @@ class SpiralTrajectory:
         return coords, vel, _frame_accel(self.model, kappa, self.kappa_s_at(sq), coords, vel)
 
 
-def _return_watch(params: SpiralParams, row, controls: IntegratorControls) -> _Return | None:
+def _return_watch(params: SpiralParams, row, controls: IntegratorControls):
     """The first-return watch of a row, or None at a rest point (f(y0) ~ 0)."""
     k0, ks0 = float(row[0]), float(row[1])
     flow = (ks0, float(kappa_accel(params, k0, ks0)))
     if sqrt(flow[0] ** 2 + flow[1] ** 2) <= 1e-9 * sqrt(k0 * k0 + ks0 * ks0):
         return None
-    return _Return((k0, ks0), flow, controls.step)
+    return taylor.FirstReturn((k0, ks0), flow, controls.step)
 
 
 def _integrate_rows(
@@ -683,13 +674,14 @@ def _integrate_rows(
     _check_start(model, y0, curve_start, controls)
     if joint:
         y0 = np.concatenate([y0, np.tile(curve_start, (y0.shape[0], 1))], axis=1)
-    step = _spiral_step(params, _FRAME_STEP[model] if joint else _no_curve)
+    series = _spiral_series(params, joint)
+    grid = _sample_grid(controls)
     watch = period_map and joint and model == HALF_PLANE
 
     out = []
     for row in y0:
         ret = _return_watch(params, row, controls) if watch else None
-        s, ys, termination = _march(step, row, controls.s_max, controls, ret)
+        s, ys, termination = _taylor_march(series, row, grid, controls, ret)
         pmap = None
         if termination == "return":
             pmap = PeriodMap.from_frames(float(s[-1]), ys[0, 2:], ys[-1, 2:])
@@ -723,10 +715,10 @@ def _curve_start(model: str, initial_curve) -> np.ndarray:
 def integrate_spiral(
     params: SpiralParams, initial: SpiralState, controls: IntegratorControls
 ) -> SpiralTrajectory:
-    """Integrate the kappa subsystem with classic fixed-step RK4.
+    """Integrate the kappa subsystem with the Taylor marcher.
 
     Floor and ceiling crossings terminate cleanly with the event time
-    refined by bisection on the step size (to 1e-10 in s).  Every
+    refined by bisection on the step polynomial (to 1e-10 in s).  Every
     trajectory starts at s = 0, so an initial state at another s is refused.
     """
     if initial.s != 0.0:
@@ -739,11 +731,11 @@ def reconstruct_curve(
 ) -> SpiralTrajectory:
     """Fill the model-space curve by co-integrating the frame equations.
 
-    Re-runs the joint system from the trajectory's first sample with the
-    same kernel.  The kappa subsystem is autonomous and its arithmetic does
-    not depend on the curve, so this reproduces the stored kappa samples bit
-    for bit; when both are needed, integrate_grid on one row gets them from
-    a single integration.
+    Re-runs the joint system from the trajectory's first sample.  The kappa
+    subsystem does not read the curve, but the joint steps also follow the
+    curve's series, so the kappa samples agree with the stored ones to
+    round-off rather than bit for bit; when both are needed, integrate_grid
+    on one row gets them from a single integration.
     """
     start = _curve_start(traj.model, initial_curve)
     row = [[traj.kappa[0], traj.kappa_s[0]]]
@@ -913,8 +905,9 @@ def closure_test(
     defect(s) = position distance + tangent angle distance
                 + |kappa(s) - kappa(0)| + |kappa_s(s) - kappa_s(0)|,
     minimized over candidate samples with s >= s_min, then refined by a
-    golden-section search over local re-integration from the candidate
-    before the best one.  The candidates are the stored samples or, for a
+    33-point scan and a golden-section search on the Taylor polynomials of
+    the flow from the candidate before the best one (one expansion there
+    covers the bracket).  The candidates are the stored samples or, for a
     row with a period map, their images under the holonomy M**k at
     s = k T + u up to the horizon; the defect can only vanish near some
     k T, and there it is small exactly when M**k is close to the identity.
@@ -925,30 +918,39 @@ def closure_test(
     cand_s, cand = _closure_candidates(traj)
     if s_min is None:
         s_min = min(1.0, 0.25 * float(cand_s[-1]))
-    mask = cand_s >= s_min
-    if not np.any(mask):
+    first = int(np.searchsorted(cand_s, s_min))  # the candidates are in s order
+    if first == cand_s.size:
         return ClosureResult("inconclusive", None, float("inf"))
 
-    defects = _full_defect(traj, cand[mask, 2:], cand[mask, 0], cand[mask, 1])
-    k_rel = int(np.argmin(defects))
-    k = int(np.nonzero(mask)[0][k_rel])
-    coarse = float(defects[k_rel])
+    late = cand[first:]
+    defects = _full_defect(traj, late[:, 2:], late[:, 0], late[:, 1])
+    k = first + int(np.argmin(defects))
+    coarse = float(defects[k - first])
 
-    # refine within the bracket of neighbouring candidates by re-stepping
-    # from the left one with the trajectory's own stepper
+    # refine within the bracket of neighbouring candidates on the Taylor
+    # polynomials of the flow from the left one
     lo_idx = max(k - 1, 0)
     hi_idx = min(k + 1, cand_s.size - 1)
-    y_left = cand[lo_idx]
     span = float(cand_s[hi_idx] - cand_s[lo_idx])
-    step = _spiral_step(traj.params, _FRAME_STEP[traj.model])
+    controls = traj.controls
+    steps = taylor.march(
+        _spiral_series(traj.params, joint=True),
+        cand[lo_idx],
+        span,
+        controls.kappa_floor,
+        controls.kappa_ceiling,
+    )[0]
+
+    def defect_at(offsets) -> np.ndarray:
+        offsets = np.atleast_1d(offsets)
+        y = steps.at(offsets, np.empty((offsets.size, cand.shape[1])))
+        return _full_defect(traj, y[:, 2:], y[:, 0], y[:, 1])
 
     def probe(offset: float) -> float:
-        _, ys, _ = _march(step, y_left, offset, traj.controls)
-        y = ys[-1:]
-        return float(_full_defect(traj, y[:, 2:], y[:, 0], y[:, 1])[0])
+        return float(defect_at(offset)[0])
 
     offsets = np.linspace(0.0, span, 33)
-    vals = np.array([probe(o) for o in offsets])
+    vals = defect_at(offsets)
     j = int(np.argmin(vals))
     a = offsets[max(j - 1, 0)]
     b = offsets[min(j + 1, offsets.size - 1)]

@@ -95,6 +95,29 @@ class TestConfigErrors:
         assert err.startswith("config error:") and reason in err
 
 
+    @pytest.mark.parametrize(
+        "family,axes,reason",
+        [
+            ("rotational", "0,1,9", "obj_axes must lie in [0, 5)"),
+            ("torus", "0,1,6", "obj_axes must lie in [0, 6)"),
+            ("rotational", "0,0,0", "obj_axes must be three distinct integers"),
+        ],
+        ids=["range", "torus-range", "repeat"],
+    )
+    def test_obj_axes_outside_the_surface_exit_two(self, tmp_path, capsys, family, axes, reason):
+        # the ambient dimension is the family's (n + 1, or n + 2 for the
+        # torus), so the range is checked once the surface is built
+        cfg = write_cfg(tmp_path, f"family = {family}\nobj_axes = {axes}\n")
+        assert main(["build", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and reason in err
+        assert not (tmp_path / "o" / f"{family}.obj").exists()
+
+    def test_obj_axes_inside_the_torus_space(self, tmp_path):
+        cfg = write_cfg(tmp_path, "family = torus\nobj_axes = 0,1,5\n")
+        assert main(["build", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
 class TestOutputErrors:
     def test_unwritable_out_exit_two(self, tmp_path, capsys):
         # a regular file where a directory is expected: makedirs fails

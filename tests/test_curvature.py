@@ -13,6 +13,7 @@ from mobiusflat.curvature import (
     metric_field_curvature,
     metric_field_curvature_batch,
     riemann_symmetry_residuals,
+    schouten_codazzi_defects,
     schouten_coordinate_field,
     schouten_tensor,
 )
@@ -496,3 +497,15 @@ class TestRequestCounts:
             codazzi_defect_batch(sfield, metric, pts, BATCH_STEP)
             counts.append(len(calls))
         assert counts[0] == counts[1] == 3
+
+    def test_schouten_defects_share_one_curvature_per_point_set(self):
+        # the convention audit of schouten_codazzi: three normalizations from
+        # two metric-field calls, each defect equal to its own Codazzi request
+        conventions = list(Convention)
+        pts = np.array([[0.4, 0.4, 0.4, 0.4], [0.9, -0.3, 0.2, 0.0]])
+        metric, calls = counted(control_field)
+        defects = schouten_codazzi_defects(metric, pts, BATCH_STEP, conventions)
+        assert calls == [2 * 116, 2 * 16 * 116]  # the points' jets, then their stencil's
+        for conv, row in zip(conventions, defects):
+            sfield = schouten_coordinate_field(control_field, BATCH_STEP, conv)
+            assert np.array_equal(row, codazzi_defect_batch(sfield, control_field, pts, BATCH_STEP))

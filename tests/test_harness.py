@@ -355,6 +355,22 @@ class TestRigidity:
         assert all(row["min_defect"] > 1e-3 for row in result["grid"])
         assert all(row["status"] == "open" for row in result["flat_control"])
 
+    def test_flat_control_certificate(self):
+        # n = 4, eps = 0, R = 0: E = kappa_s^2 from kappa = 1, so E = kappa_s0^2 > 0
+        cfg = RunConfig(horizon=10.0, grid_size=2, grid_spread=0.2).validate()
+        result = rigidity_scan(cfg)
+        rows = result["flat_control"]
+        assert [row["E"] for row in rows] == pytest.approx([0.05**2, 0.1**2], rel=1e-14)
+        assert all(row["kappa_monotone"] for row in rows)
+        assert result["flat_control_certified_open"] is True
+        # the march agrees: kappa_s keeps its sign, so kappa is monotone
+        params = SpiralParams(4, 0, 0.0)
+        for row in rows:
+            traj = integrate_spiral(
+                params, SpiralState(0.0, 1.0, row["kappa_s0"]), IntegratorControls(s_max=10.0)
+            )
+            assert np.all(np.diff(traj.kappa) > 0)
+
     def test_no_equilibrium_is_trivial(self):
         cfg = RunConfig(R=-0.75).validate()  # standard variant: needs R > 0
         result = rigidity_scan(cfg)

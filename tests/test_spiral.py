@@ -1,6 +1,7 @@
 import numpy as np
 import numpy_stepper
 import pytest
+import rk4_oracle
 
 from mobiusflat import spiral
 from mobiusflat.errors import ChartDomainError, InputError
@@ -110,11 +111,16 @@ class TestFirstIntegral:
         assert np.max(np.abs(traj.kappa_s)) < 1e-12
 
     def test_rk4_order_by_step_halving(self):
-        # steps chosen so truncation dominates rounding at the endpoint
+        # the RK4 oracle; steps chosen so truncation dominates rounding at the endpoint
         p = SpiralParams(4, -1, 0.75, variant=STANDARD)
-        ref = run(p, 1.3, 0.0, s_max=2.0, step=0.02 / 16).kappa[-1]
-        e1 = abs(run(p, 1.3, 0.0, s_max=2.0, step=0.02).kappa[-1] - ref)
-        e2 = abs(run(p, 1.3, 0.0, s_max=2.0, step=0.01).kappa[-1] - ref)
+
+        def end_kappa(step):
+            controls = IntegratorControls(s_max=2.0, step=step)
+            return rk4_oracle.row(p, 1.3, 0.0, controls, joint=False)[1][-1, 0]
+
+        ref = end_kappa(0.02 / 16)
+        e1 = abs(end_kappa(0.02) - ref)
+        e2 = abs(end_kappa(0.01) - ref)
         assert e1 / e2 == pytest.approx(16.0, rel=0.35)
 
     def test_time_reversal_symmetry(self):
@@ -246,7 +252,8 @@ def test_csv_export_roundtrip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the fused float kernel against the numpy batch stepper it replaced
+# the fused RK4 float kernel (the oracle of the Taylor marcher, run by
+# spiral._march) against the numpy batch stepper it replaced
 
 ORACLE_CASES = {
     ("plane", STANDARD): (SpiralParams(4, 0, -0.05), 1.1, 0.1),
@@ -258,13 +265,17 @@ ORACLE_CASES = {
 }
 
 
+EVENT_CASES = [
+    (SpiralParams(4, 0, 0.5), 1.0, -0.5, IntegratorControls(s_max=3.0), "kappa_floor"),
+    (SpiralParams(4, 0, -0.5), 1.0, 0.5, IntegratorControls(s_max=3.0, kappa_ceiling=10.0),
+     "kappa_ceiling"),
+]
+EVENT_IDS = ["floor", "ceiling"]
+
+
 def kernel_row(params, k0, ks0, controls, joint):
-    """(s, states, termination) of one row through the public front ends."""
-    if joint:
-        traj = integrate_grid(params, [[k0, ks0]], controls)[0]
-        return traj.s, np.column_stack([traj.kappa, traj.kappa_s, traj.curve]), traj.termination
-    traj = integrate_spiral(params, SpiralState(0.0, k0, ks0), controls)
-    return traj.s, np.column_stack([traj.kappa, traj.kappa_s]), traj.termination
+    """(s, states, termination) of one row through the RK4 kernel and spiral._march."""
+    return rk4_oracle.row(params, k0, ks0, controls, joint)
 
 
 def oracle_row(params, k0, ks0, controls, joint):
@@ -292,20 +303,7 @@ class TestKernelOracle:
         assert kernel[2] == "horizon"
         assert_rows_match(kernel, oracle_row(params, k0, ks0, controls, joint))
 
-    @pytest.mark.parametrize(
-        "params,k0,ks0,controls,termination",
-        [
-            (SpiralParams(4, 0, 0.5), 1.0, -0.5, IntegratorControls(s_max=3.0), "kappa_floor"),
-            (
-                SpiralParams(4, 0, -0.5),
-                1.0,
-                0.5,
-                IntegratorControls(s_max=3.0, kappa_ceiling=10.0),
-                "kappa_ceiling",
-            ),
-        ],
-        ids=["floor", "ceiling"],
-    )
+    @pytest.mark.parametrize("params,k0,ks0,controls,termination", EVENT_CASES, ids=EVENT_IDS)
     @pytest.mark.parametrize("joint", [False, True], ids=["kappa", "joint"])
     def test_events_match_numpy_stepper(self, params, k0, ks0, controls, termination, joint):
         kernel = kernel_row(params, k0, ks0, controls, joint)
@@ -317,8 +315,12 @@ class TestKernelOracle:
     def test_non_finite_start_refused(self, joint):
         # a NaN kappa_s would end the row inside the first step, so it is refused
         controls = IntegratorControls(s_max=3.0)
+        params = SpiralParams(4, -1, 0.75)
         with pytest.raises(InputError):
-            kernel_row(SpiralParams(4, -1, 0.75), 1.0, float("nan"), controls, joint)
+            if joint:
+                integrate_grid(params, [[1.0, float("nan")]], controls)
+            else:
+                integrate_spiral(params, SpiralState(0.0, 1.0, float("nan")), controls)
 
     def test_overflow_ends_the_row(self):
         # kappa blows up in finite s; with the ceiling out of reach the step
@@ -523,3 +525,122 @@ class TestPeriodMap:
             assert np.array_equal(getattr(watched, name), getattr(plain, name))
         if plain.termination == "horizon":
             assert closure_test(watched) == closure_test(plain)
+
+
+# ---------------------------------------------------------------------------
+# the Taylor marcher against the RK4 oracle it replaced
+
+
+def assert_matches_oracle(traj, controls, atol=1e-10):
+    """traj against the RK4 oracle marched with the same controls from the same start."""
+    s_o, ys_o, term_o = rk4_oracle.row(
+        traj.params, traj.kappa[0], traj.kappa_s[0], controls, joint=True
+    )
+    assert traj.termination == term_o == "horizon"
+    assert np.array_equal(traj.s[:-1], s_o[:-1])  # the same sample grid
+    assert traj.s[-1] == pytest.approx(s_o[-1], abs=1e-12)
+    assert np.max(np.abs(np.column_stack([traj.kappa, traj.kappa_s, traj.curve]) - ys_o)) <= atol
+
+
+class TestTaylorOracle:
+    @pytest.mark.parametrize(
+        "s_max,step,stride",
+        [(40.0, 1e-3, 10), (16.3, 1e-3, 1), (0.0105, 1e-3, 3), (5e-4, 1e-3, 3), (8.2, 1e-3, 4097)],
+    )
+    def test_sample_grid_is_the_rk4_grid(self, s_max, step, stride):
+        # the samples sit where the fixed-step march stores them, bit for bit
+        controls = IntegratorControls(s_max=s_max, step=step, store_stride=stride)
+        s_o = spiral._march(lambda s, y, h: y, [1.0], s_max, controls)[0]
+        assert np.array_equal(spiral._sample_grid(controls), s_o)
+
+    @pytest.mark.parametrize(
+        "dk,dks",
+        [(0.2, 0.16), (-0.2, -0.16), (-0.1, 0.0), (0.025, -0.08), (0.2, -0.16)],
+        ids=["far", "low", "kappa-only", "near", "far-down"],
+    )
+    def test_half_plane_grid_rows_over_one_period(self, dk, dks):
+        # rows of the rigidity grid (spread 0.2, stride 10), each up to its
+        # first kappa return; the oracle is marched to the same s
+        controls = IntegratorControls(s_max=40.0, store_stride=10)
+        row = [[KSTAR * (1.0 + dk), KSTAR * dks]]
+        traj = integrate_grid(HALF_PLANE_PARAMS, row, controls, period_map=True)[0]
+        period = traj.period_map.period
+        assert period == traj.s_end < 5.0
+        assert_matches_oracle(traj, IntegratorControls(s_max=period, store_stride=10))
+
+    @pytest.mark.parametrize(
+        "params,k0,ks0",
+        [
+            (SpiralParams(4, 0, 0.3, variant=ALTERNATE), 1.1, 0.1),
+            (SpiralParams(5, 1, 0.5, variant=ALTERNATE), 1.5, 0.05),
+            (SpiralParams(4, 1, 1.0, variant=ALTERNATE), 1.1, 0.05),
+        ],
+        ids=["plane", "sphere", "sphere-n4"],
+    )
+    def test_plane_and_sphere_rows_to_ten(self, params, k0, ks0):
+        controls = IntegratorControls(s_max=10.0)
+        assert_matches_oracle(integrate_grid(params, [[k0, ks0]], controls)[0], controls)
+
+    @pytest.mark.parametrize("ks0", [0.05, 0.1])
+    def test_flat_control_to_forty(self, ks0):
+        controls = IntegratorControls(s_max=40.0, store_stride=10)
+        traj = integrate_grid(SpiralParams(4, 0, 0.0), [[1.0, ks0]], controls)[0]
+        assert_matches_oracle(traj, controls)
+
+    @pytest.mark.parametrize("params,k0,ks0,controls,termination", EVENT_CASES, ids=EVENT_IDS)
+    @pytest.mark.parametrize("joint", [False, True], ids=["kappa", "joint"])
+    def test_events_match_oracle(self, params, k0, ks0, controls, termination, joint):
+        if joint:
+            traj = integrate_grid(params, [[k0, ks0]], controls)[0]
+        else:
+            traj = integrate_spiral(params, SpiralState(0.0, k0, ks0), controls)
+        s_o, ys_o, term_o = rk4_oracle.row(params, k0, ks0, controls, joint)
+        assert traj.termination == term_o == termination
+        assert abs(traj.s_end - s_o[-1]) < 1e-9
+        assert np.array_equal(traj.s[:-1], s_o[:-1])
+        if termination == "kappa_floor":
+            assert traj.kappa[-1] <= 2e-6
+
+    def test_blow_up_ends_non_finite(self):
+        # kappa = 1 / (1 - s/2) solves kappa_ss = kappa^3 / 2 from (1, 1/2):
+        # with the ceiling out of reach the series overflows at the pole s = 2
+        controls = IntegratorControls(s_max=3.0, kappa_ceiling=1e300)
+        traj = integrate_grid(SpiralParams(4, 0, -0.5), [[1.0, 0.5]], controls)[0]
+        assert traj.termination == "non_finite"
+        assert abs(traj.s_end - 2.0) < 1e-9
+        assert np.all(np.isnan(traj.kappa[-1:]))
+        before = traj.s <= 1.999  # up to kappa = 2000
+        rel = traj.kappa[before] * (1.0 - traj.s[before] / 2.0) - 1.0
+        assert np.max(np.abs(rel)) < 1e-9
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_small_amplitude_period(self, n):
+        # the linearization of the standard eps = -1 equation at kappa* is
+        # kappa_ss = -(n - 2) (kappa - kappa*), whatever R: T -> 2 pi / sqrt(n - 2)
+        params = SpiralParams(n, -1, 0.75)
+        kstar = equilibrium_kappa(params)
+        controls = IntegratorControls(s_max=20.0)
+        traj = integrate_grid(params, [[kstar * (1.0 + 1e-3), 0.0]], controls, period_map=True)[0]
+        assert traj.period_map.period == pytest.approx(2.0 * np.pi / np.sqrt(n - 2), rel=1e-5)
+
+    def test_closure_refinement_is_one_expansion(self, monkeypatch):
+        # the refinement expands once at its left candidate and probes the
+        # polynomial; a plane circle closes at 2 pi
+        controls = IntegratorControls(s_max=7.0)
+        traj = integrate_grid(SpiralParams(4, 0, 0.0), [[1.0, 0.0]], controls)[0]
+        expansions = []
+        march = spiral.taylor.march
+
+        def counted(series, *args, **kwargs):
+            def counted_series(y):
+                expansions.append(y)
+                return series(y)
+
+            return march(counted_series, *args, **kwargs)
+
+        monkeypatch.setattr(spiral.taylor, "march", counted)
+        res = closure_test(traj, tol_closed=1e-6)
+        assert len(expansions) == 1
+        assert res.status == "closed"
+        assert res.period == pytest.approx(2.0 * np.pi, abs=1e-9)
+        assert res.defect < 1e-10
