@@ -22,7 +22,7 @@ from mobiusflat.spiral import (
 # --- plane model: kappa == 1 gives the unit circle ------------------------
 plane = SpiralParams(n=4, epsilon=0, R=0.0)
 traj = reconstruct_curve(
-    integrate_spiral(plane, SpiralState(0.0, 1.0, 0.0), IntegratorControls(s_max=7.0))
+    integrate_spiral(plane, SpiralState(1.0, 0.0), IntegratorControls(s_max=7.0))
 )
 res = closure_test(traj)
 print(f"plane, kappa = 1: {res.status}, period {res.period:.9f} (2 pi = {2*np.pi:.9f})")
@@ -33,14 +33,14 @@ kstar = equilibrium_kappa(half)
 print(f"\nhalf-plane equilibrium kappa* = {kstar:.6f} (constant solution)")
 period = 2 * np.pi / np.sqrt(kstar**2 - 1)
 traj = reconstruct_curve(
-    integrate_spiral(half, SpiralState(0.0, kstar, 0.0), IntegratorControls(s_max=1.3 * period))
+    integrate_spiral(half, SpiralState(kstar, 0.0), IntegratorControls(s_max=1.3 * period))
 )
 res = closure_test(traj)
 print(f"equilibrium spiral: {res.status}, defect {res.defect:.3e}, period {res.period:.6f}")
 
 # --- a non-equilibrium spiral oscillates and does not close ----------------
 traj = reconstruct_curve(
-    integrate_spiral(half, SpiralState(0.0, 1.3, 0.05), IntegratorControls(s_max=60.0))
+    integrate_spiral(half, SpiralState(1.3, 0.05), IntegratorControls(s_max=60.0))
 )
 print(
     f"perturbed spiral: kappa oscillates in [{traj.kappa.min():.4f}, {traj.kappa.max():.4f}], "
@@ -52,7 +52,7 @@ print(f"closure over s <= 60: {res.status} (min defect {res.defect:.3e})")
 # --- sphere model, and a CSV export ----------------------------------------
 sphere = SpiralParams(n=4, epsilon=1, R=-1.0)
 traj = reconstruct_curve(
-    integrate_spiral(sphere, SpiralState(0.0, 1.05, 0.0), IntegratorControls(s_max=3.0))
+    integrate_spiral(sphere, SpiralState(1.05, 0.0), IntegratorControls(s_max=3.0))
 )
 gam = traj.curve[:, 0:3]
 print(f"\nsphere model: |gamma| stays at 1 within {np.abs(np.linalg.norm(gam, axis=1)-1).max():.2e}")

@@ -20,7 +20,7 @@ from mobiusflat.zoo import rotational_immersion
 n = 4
 params = SpiralParams(n=n, epsilon=-1, R=0.75)
 traj = reconstruct_curve(
-    integrate_spiral(params, SpiralState(0.0, 1.25, 0.05), IntegratorControls(s_max=4.0))
+    integrate_spiral(params, SpiralState(1.25, 0.05), IntegratorControls(s_max=4.0))
 )
 imm = rotational_immersion(traj, n)
 fields = fields_from_immersion(imm)

@@ -29,7 +29,7 @@ step = suite_steps(RunConfig())["scalar"]  # the suite's warped-metric scalar st
 
 def scalar_profile(params, k0, ks0, s_max=4.0):
     traj = reconstruct_curve(
-        integrate_spiral(params, SpiralState(0.0, k0, ks0), IntegratorControls(s_max=s_max))
+        integrate_spiral(params, SpiralState(k0, ks0), IntegratorControls(s_max=s_max))
     )
     svals = np.linspace(traj.s[0] + 0.3, traj.s[-1] - 0.3, 12)
     pts = np.array([warped_base_point(n, params.epsilon, s) for s in svals])
@@ -53,7 +53,7 @@ print(f"  scalar range [{vals.min():.4f}, {vals.max():.4f}]: not constant")
 print("\nper-normalization values at one point (standard, R = 0.75):")
 params = SpiralParams(n, -1, 0.75)
 traj = reconstruct_curve(
-    integrate_spiral(params, SpiralState(0.0, 1.25, 0.05), IntegratorControls(s_max=4.0))
+    integrate_spiral(params, SpiralState(1.25, 0.05), IntegratorControls(s_max=4.0))
 )
 field = warped_metric_field(traj, n)
 p = warped_base_point(n, -1, 2.0)

@@ -16,12 +16,12 @@ out = tempfile.mkdtemp(prefix="mobiusflat_meshes_")
 
 plane = reconstruct_curve(
     integrate_spiral(
-        SpiralParams(4, 0, -0.05), SpiralState(0.0, 1.1, 0.1), IntegratorControls(s_max=4.0)
+        SpiralParams(4, 0, -0.05), SpiralState(1.1, 0.1), IntegratorControls(s_max=4.0)
     )
 )
 half = reconstruct_curve(
     integrate_spiral(
-        SpiralParams(4, -1, 0.75), SpiralState(0.0, 1.25, 0.05), IntegratorControls(s_max=4.0)
+        SpiralParams(4, -1, 0.75), SpiralState(1.25, 0.05), IntegratorControls(s_max=4.0)
     )
 )
 

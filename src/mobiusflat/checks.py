@@ -78,6 +78,7 @@ from .spiral import (
     integrate_spiral,
     kappa_accel,
     prescribed_curvature_trajectory,
+    sine_curvature,
 )
 from .zoo import (
     EPSILON_BY_FAMILY,
@@ -163,7 +164,7 @@ def spiral_trajectory(
     params = SpiralParams(n, epsilon, big_r, variant=variant)
     controls = IntegratorControls(s_max=s_max, step=step)
     if not curve:
-        return integrate_spiral(params, SpiralState(0.0, kappa0, kappa_s0), controls)
+        return integrate_spiral(params, SpiralState(kappa0, kappa_s0), controls)
     return integrate_grid(params, [[kappa0, kappa_s0]], controls)[0]
 
 
@@ -575,7 +576,7 @@ def check_two_route_scalar(cfg: RunConfig, surfaces, rng, res: Residuals) -> dic
 def check_scalar_constancy(cfg: RunConfig, surfaces, rng, res: Residuals) -> dict:
     """Moebius scalar curvature is constant along spiral-generated surfaces.
 
-    Negative control: a rotational surface over kappa = 1 + 0.3 sin s (not a
+    Negative control: a rotational surface over kappa = 1.15 + 0.3 sin s (not a
     spiral solution) must exceed ten times the tolerance.
     """
     spreads = {}
@@ -589,12 +590,7 @@ def check_scalar_constancy(cfg: RunConfig, surfaces, rng, res: Residuals) -> dic
         res.add(spreads[surf.name], samples=len(pts))
 
     control_traj = prescribed_curvature_trajectory(
-        cfg.n,
-        -1,
-        lambda s: 1.15 + 0.3 * np.sin(np.asarray(s)),
-        lambda s: 0.3 * np.cos(np.asarray(s)),
-        IntegratorControls(s_max=4.5, step=cfg.step),
-        kappa_ss_fn=lambda s: -0.3 * np.sin(np.asarray(s)),
+        cfg.n, -1, sine_curvature(1.15, 0.3), IntegratorControls(s_max=4.5, step=cfg.step)
     )
     control_imm = rotational_immersion(control_traj, cfg.n)
     control_fields = fields_from_immersion(control_imm)

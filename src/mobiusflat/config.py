@@ -13,6 +13,7 @@ exactly, unknown keys are rejected.  Example::
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from math import isfinite
 
 from .errors import ConfigError
 from .report import config_hash
@@ -125,6 +126,9 @@ class RunConfig:
         return config_hash(self.canonical_text())
 
     def validate(self) -> "RunConfig":
+        for f in fields(self):
+            if f.type == "float" and not isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         if self.n < 4:
             raise ConfigError(
                 "n must be >= 4: the classification holds for n >= 4, and at n = 3 "

@@ -31,9 +31,10 @@ stored samples (every store_stride-th point of that grid is kept), and the
 step polynomials are evaluated there.  The marcher roots a crossing of the
 kappa floor, the kappa ceiling or a non-finite value on the step polynomial
 and ends the row there.  A grid is a loop over its rows, so a row is the
-same alone or in a grid by construction.  Prescribed-curvature controls,
-whose kappa(s) is an opaque callable with no Taylor coefficients, run
-through the fixed-step RK4 marcher _march instead, with the spacing step.
+same alone or in a grid by construction.  Prescribed-curvature controls go
+through the same marcher: their kappa(s) is given by its Taylor
+coefficients about each arc length, and only the frame's series is
+computed by the recurrences.
 
 Closure of a half-plane curve is decided from one kappa period.  The kappa
 subsystem conserves first_integral, so a bounded (kappa, kappa_s) orbit is
@@ -50,10 +51,9 @@ horizon.
 from __future__ import annotations
 
 import io
-from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import ceil, cos, nan, sin, sqrt
+from math import ceil, cos, factorial, inf, sin, sqrt
 
 import numpy as np
 
@@ -100,7 +100,8 @@ class SpiralParams:
 
 @dataclass(frozen=True)
 class SpiralState:
-    s: float
+    """Initial (kappa, kappa_s) of a trajectory, which starts at s = 0."""
+
     kappa: float
     kappa_s: float
 
@@ -114,8 +115,8 @@ class IntegratorControls:
     store_stride: int = 1
 
     def __post_init__(self):
-        if self.step <= 0 or self.s_max <= 0:
-            raise InputError("step and s_max must be positive")
+        if not (0 < self.step < inf and 0 < self.s_max < inf):
+            raise InputError("step and s_max must be positive and finite")
         if not (0 < self.kappa_floor < self.kappa_ceiling):
             raise InputError("need 0 < kappa_floor < kappa_ceiling")
         if self.store_stride < 1:
@@ -228,190 +229,6 @@ def _frame_accel(model: str, kappa, kappa_s, curve: np.ndarray, vel: np.ndarray)
 
 
 # ---------------------------------------------------------------------------
-# fused RK4 kernel of the prescribed-curvature curves
-#
-# A state is a tuple (kappa, kappa_s, *curve) of Python floats.  One step is
-# written out stage by stage in the arithmetic order of the vectorized right
-# hand sides above: stage states y + (0.5 h) k, the update
-# y + (h / 6) (((k1 + 2 k2) + 2 k3) + k4) and the component order of
-# np.cross.
-#
-# A frame step frame(kn, ksn, q1, q2, q3, q4, h, y) returns the stepped
-# state: kn and ksn are the new kappa and kappa_s, q1..q4 the kappa of the
-# four stages and y the state before the step.
-
-
-def _plane_frame(kn, ksn, q1, q2, q3, q4, h, y):
-    """(x, y, theta)' = (cos theta, sin theta, kappa); q1..q4 are the stage kappas."""
-    _, _, x, v, th = y
-    hh = 0.5 * h
-    t2, t3, t4 = th + hh * q1, th + hh * q2, th + h * q3
-    c1, c2, c3, c4 = cos(th), cos(t2), cos(t3), cos(t4)
-    s1, s2, s3, s4 = sin(th), sin(t2), sin(t3), sin(t4)
-    h6 = h / 6.0
-    return (
-        kn,
-        ksn,
-        x + h6 * (((c1 + 2.0 * c2) + 2.0 * c3) + c4),
-        v + h6 * (((s1 + 2.0 * s2) + 2.0 * s3) + s4),
-        th + h6 * (((q1 + 2.0 * q2) + 2.0 * q3) + q4),
-    )
-
-
-def _half_plane_frame(kn, ksn, q1, q2, q3, q4, h, y):
-    """(x, y, phi)' = (y cos phi, y sin phi, kappa - cos phi)."""
-    _, _, x, v, p = y
-    hh = 0.5 * h
-    c, s = cos(p), sin(p)
-    dx1, dv1, dp1 = v * c, v * s, q1 - c
-    va, pa = v + hh * dv1, p + hh * dp1
-    c, s = cos(pa), sin(pa)
-    dx2, dv2, dp2 = va * c, va * s, q2 - c
-    va, pa = v + hh * dv2, p + hh * dp2
-    c, s = cos(pa), sin(pa)
-    dx3, dv3, dp3 = va * c, va * s, q3 - c
-    va, pa = v + h * dv3, p + h * dp3
-    c, s = cos(pa), sin(pa)
-    dx4, dv4, dp4 = va * c, va * s, q4 - c
-    h6 = h / 6.0
-    return (
-        kn,
-        ksn,
-        x + h6 * (((dx1 + 2.0 * dx2) + 2.0 * dx3) + dx4),
-        v + h6 * (((dv1 + 2.0 * dv2) + 2.0 * dv3) + dv4),
-        p + h6 * (((dp1 + 2.0 * dp2) + 2.0 * dp3) + dp4),
-    )
-
-
-def _sphere_frame(kn, ksn, q1, q2, q3, q4, h, y):
-    """(gamma, T)' = (T, kappa gamma x T - gamma), then re-orthonormalized."""
-    _, _, g1, g2, g3, t1, t2, t3 = y
-    hh = 0.5 * h
-    # stage 1 at (g, t)
-    a1 = q1 * (g2 * t3 - g3 * t2) - g1
-    a2 = q1 * (g3 * t1 - g1 * t3) - g2
-    a3 = q1 * (g1 * t2 - g2 * t1) - g3
-    # stage 2 at (g + hh t, t + hh a)
-    u1, u2, u3 = g1 + hh * t1, g2 + hh * t2, g3 + hh * t3
-    v1, v2, v3 = t1 + hh * a1, t2 + hh * a2, t3 + hh * a3
-    b1 = q2 * (u2 * v3 - u3 * v2) - u1
-    b2 = q2 * (u3 * v1 - u1 * v3) - u2
-    b3 = q2 * (u1 * v2 - u2 * v1) - u3
-    # stage 3 at (g + hh v, t + hh b)
-    u1, u2, u3 = g1 + hh * v1, g2 + hh * v2, g3 + hh * v3
-    w1, w2, w3 = t1 + hh * b1, t2 + hh * b2, t3 + hh * b3
-    c1 = q3 * (u2 * w3 - u3 * w2) - u1
-    c2 = q3 * (u3 * w1 - u1 * w3) - u2
-    c3 = q3 * (u1 * w2 - u2 * w1) - u3
-    # stage 4 at (g + h w, t + h c)
-    u1, u2, u3 = g1 + h * w1, g2 + h * w2, g3 + h * w3
-    z1, z2, z3 = t1 + h * c1, t2 + h * c2, t3 + h * c3
-    d1 = q4 * (u2 * z3 - u3 * z2) - u1
-    d2 = q4 * (u3 * z1 - u1 * z3) - u2
-    d3 = q4 * (u1 * z2 - u2 * z1) - u3
-    h6 = h / 6.0
-    g1 += h6 * (((t1 + 2.0 * v1) + 2.0 * w1) + z1)
-    g2 += h6 * (((t2 + 2.0 * v2) + 2.0 * w2) + z2)
-    g3 += h6 * (((t3 + 2.0 * v3) + 2.0 * w3) + z3)
-    t1 += h6 * (((a1 + 2.0 * b1) + 2.0 * c1) + d1)
-    t2 += h6 * (((a2 + 2.0 * b2) + 2.0 * c2) + d2)
-    t3 += h6 * (((a3 + 2.0 * b3) + 2.0 * c3) + d3)
-    # unit gamma, then T projected off gamma and normalized; the dot product
-    # is summed in the order numpy's einsum uses for three terms
-    norm = sqrt((g1 * g1 + g2 * g2) + g3 * g3)
-    g1, g2, g3 = g1 / norm, g2 / norm, g3 / norm
-    dot = (t1 * g1 + t3 * g3) + t2 * g2
-    t1, t2, t3 = t1 - dot * g1, t2 - dot * g2, t3 - dot * g3
-    norm = sqrt((t1 * t1 + t2 * t2) + t3 * t3)
-    return kn, ksn, g1, g2, g3, t1 / norm, t2 / norm, t3 / norm
-
-
-_FRAME_STEP = {PLANE: _plane_frame, SPHERE: _sphere_frame, HALF_PLANE: _half_plane_frame}
-
-
-def _prescribed_step(model: str, kappa_fn, kappa_s_fn):
-    """RK4 step of the curve under kappa(s) = kappa_fn(s).
-
-    Column 0 integrates kappa_s_fn so that the floor and ceiling events can
-    watch it; column 1 is carried unchanged.  Each function is called once
-    per step, on the stage points [s, s + h/2, s + h].
-    """
-    frame = _FRAME_STEP[model]
-
-    def step(s, y, h):
-        stages = np.array([s, s + 0.5 * h, s + h])
-        q0, q_mid, q_end = np.asarray(kappa_fn(stages), dtype=float).tolist()
-        d0, d_mid, d_end = np.asarray(kappa_s_fn(stages), dtype=float).tolist()
-        kn = y[0] + h / 6.0 * (((d0 + 2.0 * d_mid) + 2.0 * d_mid) + d_end)
-        return frame(kn, y[1], q0, q_mid, q_mid, q_end, h, y)
-
-    return step
-
-
-def _finite_step(step, s: float, y: tuple, h: float) -> tuple:
-    """step(s, y, h), with an all-NaN state where the float arithmetic overflows.
-
-    Python floats raise (x**3 overflowing, cos of an infinity) where numpy
-    arrays give inf or nan; either way the state has left the band.
-    """
-    try:
-        return step(s, y, h)
-    except (ArithmeticError, ValueError):
-        return (nan,) * len(y)
-
-
-def _bisect(step, s_now: float, y: tuple, step_h: float, floor: float, ceiling: float):
-    """Refine a band crossing within one step to 1e-10 in s and tag it."""
-    lo, hi = 0.0, step_h
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if floor < _finite_step(step, s_now, y, mid)[0] < ceiling:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-10:
-            break
-    y_end = _finite_step(step, s_now, y, hi)
-    return s_now + hi, y_end, taylor.band_exit(y_end, floor, ceiling)
-
-
-def _march(step, y0, s_max: float, controls: IntegratorControls):
-    """Fixed-step RK4 of one row y0 from s = 0 to s_max with step(s, y, h).
-
-    Element 0 of the row is kappa.  A step that leaves the open band
-    (kappa_floor, kappa_ceiling) or turns non-finite is refined by bisection
-    on the step size (to 1e-10 in s); the state at the crossing is the last
-    sample.  States are stored every store_stride steps and at the end.
-    Returns (s, states (K, d), termination).
-    """
-    floor, ceiling = controls.kappa_floor, controls.kappa_ceiling
-    h, stride = controls.step, controls.store_stride
-    s_max = float(s_max)
-    n_steps = ceil(s_max / h - 1e-12)
-    y = tuple(float(v) for v in y0)
-    stored_s, stored = array("d", [0.0]), array("d", y)
-    s_now, termination = 0.0, "horizon"
-    for i in range(n_steps):
-        step_h = min(h, s_max - s_now)
-        try:  # _finite_step, inline in the hot loop
-            y_new = step(s_now, y, step_h)
-            inside = floor < y_new[0] < ceiling
-        except (ArithmeticError, ValueError):
-            inside = False
-        if not inside:
-            s_end, y_end, termination = _bisect(step, s_now, y, step_h, floor, ceiling)
-            stored_s.append(s_end)
-            stored.extend(y_end)
-            break
-        y = y_new
-        s_now += step_h
-        if (i + 1) % stride == 0 or i == n_steps - 1:
-            stored_s.append(s_now)
-            stored.extend(y)
-    return np.frombuffer(stored_s), np.frombuffer(stored).reshape(-1, len(y)), termination
-
-
-# ---------------------------------------------------------------------------
 # Taylor marching of the spiral system (see taylor.py)
 
 _FRAME_SERIES = {
@@ -422,14 +239,15 @@ _FRAME_SERIES = {
 
 
 def _spiral_series(params: SpiralParams, joint: bool):
-    """y -> (series of each component of y, step) for the spiral system.
+    """(s, y) -> (series of each component of y, step) for the spiral system.
 
-    y is (kappa, kappa_s), followed by the curve when joint.
+    y is (kappa, kappa_s), followed by the curve when joint; the system is
+    autonomous, so s is not read.
     """
     kappa = taylor.kappa_series(*_coefficients(params))
     frame = _FRAME_SERIES[params.model] if joint else None
 
-    def series(y):
+    def series(s, y):
         k, u = kappa(y[0], y[1])
         cols = [k[: taylor.TAYLOR_ORDER + 1], u]
         if frame is not None:
@@ -443,8 +261,9 @@ def _sample_grid(controls: IntegratorControls) -> np.ndarray:
     """The stored sample points of a row marched to controls.s_max, read-only.
 
     Every store_stride-th point of the grid of spacing controls.step, and the
-    end; the points are summed step by step, as _march sums them.  Rows that
-    reach the horizon share the array as their s.
+    end; the points are summed step by step, as a fixed-step march of
+    spacing step sums them.  Rows that reach the horizon share the array as
+    their s.
     """
     h, stride = controls.step, controls.store_stride
     s_max = float(controls.s_max)
@@ -715,14 +534,11 @@ def _curve_start(model: str, initial_curve) -> np.ndarray:
 def integrate_spiral(
     params: SpiralParams, initial: SpiralState, controls: IntegratorControls
 ) -> SpiralTrajectory:
-    """Integrate the kappa subsystem with the Taylor marcher.
+    """Integrate the kappa subsystem with the Taylor marcher from s = 0.
 
     Floor and ceiling crossings terminate cleanly with the event time
-    refined by bisection on the step polynomial (to 1e-10 in s).  Every
-    trajectory starts at s = 0, so an initial state at another s is refused.
+    refined by bisection on the step polynomial (to 1e-10 in s).
     """
-    if initial.s != 0.0:
-        raise InputError(f"initial state must sit at s = 0, got s = {initial.s!r}")
     return _integrate_rows(params, [[initial.kappa, initial.kappa_s]], controls, None)[0]
 
 
@@ -771,41 +587,71 @@ def integrate_grid(
     return _integrate_rows(params, initial_states, controls, start, period_map)
 
 
+def sine_curvature(mean: float, amplitude: float):
+    """kappa(s) = mean + amplitude sin s, as the kappa_taylor of prescribed_curvature_trajectory.
+
+    Column j at s is amplitude sin^(j)(s) / j!, plus mean in column 0.
+    """
+
+    def kappa_taylor(s, order: int) -> np.ndarray:
+        sin_s, cos_s = np.sin(s), np.cos(s)
+        ders = (sin_s, cos_s, -sin_s, -cos_s)  # sin^(j) cycles with period 4
+        out = np.column_stack([amplitude * ders[j % 4] / factorial(j) for j in range(order + 1)])
+        out[:, 0] += mean
+        return out
+
+    return kappa_taylor
+
+
+def _prescribed_series(model: str, kappa_taylor):
+    """(s, y) -> (series of each component of y, step) under a prescribed kappa(s).
+
+    y is (kappa, kappa_s, *curve); the kappa columns are the prescribed
+    curvature's own coefficients about s, and only the curve is read from y.
+    """
+    frame = _FRAME_SERIES[model]
+    order = taylor.TAYLOR_ORDER
+
+    def series(s, y):
+        k = kappa_taylor(np.array([s]), order + 1)[0].tolist()
+        cols = [k[: order + 1], [(j + 1) * k[j + 1] for j in range(order + 1)]]
+        cols += frame(k, *y[2:])
+        return cols, taylor.step_size(cols)
+
+    return series
+
+
 def prescribed_curvature_trajectory(
     n: int,
     epsilon: int,
-    kappa_fn,
-    kappa_s_fn,
+    kappa_taylor,
     controls: IntegratorControls,
     initial_curve: np.ndarray | None = None,
-    *,
-    kappa_ss_fn,
 ) -> SpiralTrajectory:
     """Curve with an arbitrary prescribed geodesic curvature kappa(s).
 
     Used for negative controls: the curvature need not solve the spiral
-    equation.  The frame equations are integrated with kappa evaluated
-    analytically at the RK4 stage points (one array of the three stage
-    points per step); kappa_s_fn supplies the exact derivative, which drives
-    the kappa column that the floor and ceiling events watch.  kappa_s_fn
-    and kappa_ss_fn at the samples are the Hermite slopes of kappa_at and
-    kappa_s_at, so both interpolate the prescribed curvature between nodes.
+    equation.  kappa_taylor(s, order) gives the Taylor coefficients of kappa
+    about each arc length in s, shape (len(s), order + 1) (sine_curvature
+    is one).  The frame equations are marched by taylor.march with kappa's
+    series read from it, and the floor and ceiling events watch kappa as
+    they do on a spiral row.  At the samples, kappa, kappa_s and kappa_ss
+    come from columns 0-2, so kappa_at and kappa_s_at interpolate the
+    prescribed curvature between nodes.
     """
     params = SpiralParams(n, epsilon, 0.0, variant=STANDARD)
     model = params.model
     start = _curve_start(model, initial_curve)
-    at0 = np.zeros(1)
-    kappa0 = np.asarray(kappa_fn(at0), dtype=float)
-    kappa_s0 = np.asarray(kappa_s_fn(at0), dtype=float)
-    _check_start(model, np.column_stack([kappa0, kappa_s0]), start, controls)
+    kappa_start = kappa_taylor(np.zeros(1), 1)  # (1, 2): kappa and kappa_s at s = 0
+    _check_start(model, kappa_start, start, controls)
 
-    y0 = np.concatenate([kappa0, kappa_s0, start])
-    step = _prescribed_step(model, kappa_fn, kappa_s_fn)
-    s_arr, ys, termination = _march(step, y0, controls.s_max, controls)
+    series = _prescribed_series(model, kappa_taylor)
+    s_arr, ys, termination = _taylor_march(
+        series, np.concatenate([kappa_start[0], start]), _sample_grid(controls), controls
+    )
     curve = ys[:, 2:]
     _check_half_plane(model, curve)
-    kap = np.asarray(kappa_fn(s_arr), dtype=float)
-    kap_s = np.asarray(kappa_s_fn(s_arr), dtype=float)
+    kap, kap_s, half_kap_ss = kappa_taylor(s_arr, 2).T
     return SpiralTrajectory(
         params=params,
         controls=controls,
@@ -816,7 +662,7 @@ def prescribed_curvature_trajectory(
         termination=termination,
         first_integral_constant=float(first_integral(params, kap[0], kap_s[0])),
         initial_curve=start,
-        prescribed_kappa_ss=np.asarray(kappa_ss_fn(s_arr), dtype=float),
+        prescribed_kappa_ss=2.0 * half_kap_ss,
     )
 
 
@@ -829,12 +675,6 @@ class ClosureResult:
     status: str  # "closed" | "open" | "inconclusive"
     period: float | None
     defect: float
-
-    @property
-    def closed(self) -> bool | None:
-        if self.status == "inconclusive":
-            return None
-        return self.status == "closed"
 
 
 def _pos_angle_split(model: str, coords: np.ndarray):

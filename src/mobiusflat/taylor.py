@@ -1,4 +1,4 @@
-"""Taylor-series marching of the spiral system.
+"""Taylor-series marching of the spiral system and the prescribed-curvature curves.
 
 The curvature equation kappa'' = c2 kappa'^2 / (2 kappa) + c1 kappa / 2 -
 R kappa^3 and the frame equations of the curve (see ``spiral``) are tiny,
@@ -234,7 +234,8 @@ class Piecewise:
 def march(series, y0, s_end: float, floor: float, ceiling: float, ret: FirstReturn | None = None):
     """Taylor steps of one row y0 from s = 0 towards s_end.
 
-    series(y) gives the series of every component of y and the step there.
+    series(s, y) gives the series of every component of y about the arc
+    length s and the step there.
     Returns (Piecewise, s_stop, y_stop, termination).  kappa (element 0) is
     watched at _WATCH within each step: a step that leaves the open band
     (floor, ceiling) or turns non-finite ends the row at the crossing,
@@ -247,7 +248,7 @@ def march(series, y0, s_end: float, floor: float, ceiling: float, ret: FirstRetu
     steps = Piecewise([], [])
     while True:
         try:
-            cols, h = series(y)
+            cols, h = series(s, y)
         except (ArithmeticError, ValueError):  # cos of an infinite angle
             return steps, s, (nan,) * len(y), "non_finite"
         last = h >= s_end - s

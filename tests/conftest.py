@@ -41,7 +41,7 @@ def fd_handle(m, n, evaluator, **kw):
 def make_trajectory(epsilon, big_r, kappa0, kappa_s0, s_max, variant="standard"):
     params = SpiralParams(N_DIM, epsilon, big_r, variant=variant)
     traj = integrate_spiral(
-        params, SpiralState(0.0, kappa0, kappa_s0), IntegratorControls(s_max=s_max, step=1e-3)
+        params, SpiralState(kappa0, kappa_s0), IntegratorControls(s_max=s_max, step=1e-3)
     )
     return reconstruct_curve(traj)
 

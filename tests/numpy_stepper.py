@@ -134,14 +134,18 @@ def spiral_rows(params: SpiralParams, y0, controls: IntegratorControls):
     return march(lambda s, y: joint_rhs(params, y), y0, controls.s_max, controls, sphere)
 
 
-def prescribed_row(model, kappa_fn, kappa_s_fn, y0, controls: IntegratorControls):
-    """One prescribed-curvature row through the batch stepper."""
+def prescribed_row(model, kappa_taylor, y0, controls: IntegratorControls):
+    """One prescribed-curvature row through the batch stepper.
+
+    kappa_taylor(s, order) gives the Taylor coefficients of kappa about s;
+    columns 0 and 1 are kappa and kappa_s.
+    """
 
     def rhs(s, y):
-        at = np.asarray([s])
+        kappa, kappa_s = kappa_taylor(np.asarray([s]), 1).T
         out = np.zeros_like(y)
-        out[:, 0] = kappa_s_fn(at)
-        frame_rhs(model, np.asarray(kappa_fn(at), dtype=float), y, out)
+        out[:, 0] = kappa_s
+        frame_rhs(model, kappa, y, out)
         return out
 
     y0 = np.asarray(y0, dtype=float)[None, :]

@@ -107,7 +107,7 @@ def test_criterion_05_first_integral_drift():
             k0 = center * rng.uniform(0.92, 1.1)
             ks0 = rng.uniform(-0.08, 0.08)
             draws += 1
-            traj = integrate_spiral(params, SpiralState(0.0, k0, ks0), controls)
+            traj = integrate_spiral(params, SpiralState(k0, ks0), controls)
             if traj.termination != "horizon":
                 continue
             if traj.kappa.min() < 0.25 or traj.kappa.max() > 4.0:
@@ -131,7 +131,7 @@ def test_criterion_06_curve_round_trip():
     for params, k0, ks0, s_max in ROUND_TRIP_CASES:
         traj = reconstruct_curve(
             integrate_spiral(
-                params, SpiralState(0.0, k0, ks0), IntegratorControls(s_max=s_max, step=1e-3)
+                params, SpiralState(k0, ks0), IntegratorControls(s_max=s_max, step=1e-3)
             )
         )
         s_mid, recomputed = recomputed_curvature(traj)

@@ -1,9 +1,14 @@
 import json
 import math
+from dataclasses import fields, replace
 
 import pytest
 
 from mobiusflat.cli import main
+from mobiusflat.config import RunConfig
+from mobiusflat.errors import ConfigError
+
+FLOAT_KEYS = [f.name for f in fields(RunConfig) if f.type == "float"]
 
 FAST_VERIFY = "checks = trace_identities,principal_multiplicity\nsamples = 4\n"
 
@@ -80,20 +85,32 @@ class TestConfigErrors:
             ("slice_axes = 1,1\n", "build", "slice_axes must be two distinct integers"),
             ("slice_axes = 0,4\n", "build", "slice_axes must be two distinct integers"),
             ("grid_spread = 0\n", "rigidity", "grid_spread must be positive"),
+            ("step = nan\n", "verify", "step must be finite"),
+            ("step = nan\n", "rigidity", "step must be finite"),
+            ("horizon = inf\n", "rigidity", "horizon must be finite"),
+            ("tol_constancy = nan\n", "verify", "tol_constancy must be finite"),
         ],
         ids=[
-            "obj_axes-text", "obj_axes-count", "slice_axes-repeat", "slice_axes-range", "grid_spread"
+            "obj_axes-text", "obj_axes-count", "slice_axes-repeat", "slice_axes-range",
+            "grid_spread", "step-nan-verify", "step-nan-rigidity", "horizon-inf",
+            "tol_constancy-nan",
         ],
     )
     def test_unrunnable_config_exit_two(self, tmp_path, capsys, text, command, reason):
         # validate() refuses each, so no command starts on it: non-integer axes
-        # would escape build as a traceback, and a zero grid_spread makes every
-        # rigidity row the equilibrium
+        # would escape build as a traceback, a zero grid_spread makes every
+        # rigidity row the equilibrium, and a NaN or infinite value passes
+        # every "<= 0" test and escapes as a traceback or a NaN verdict
         cfg = write_cfg(tmp_path, text)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and reason in err
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("name", FLOAT_KEYS)
+    def test_non_finite_float_key_refused(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            replace(RunConfig(), **{name: value}).validate()
 
     @pytest.mark.parametrize(
         "family,axes,reason",

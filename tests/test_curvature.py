@@ -473,7 +473,7 @@ class TestRequestCounts:
 
         monkeypatch.setattr(checks, "warped_metric_field", counting_warped_field)
         traj = integrate_spiral(
-            SpiralParams(4, -1, 0.75), SpiralState(0.0, 1.25, 0.05), IntegratorControls(s_max=4.0)
+            SpiralParams(4, -1, 0.75), SpiralState(1.25, 0.05), IntegratorControls(s_max=4.0)
         )
         svals = np.linspace(0.3, 3.7, 20)
         vals = checks._warped_scalars(traj, 4, svals, BATCH_STEP)

@@ -326,7 +326,7 @@ class TestGridIntegration:
         grid = integrate_grid(params, np.array(states), controls)
         for row, (k0, ks0) in zip(grid, states):
             single = reconstruct_curve(
-                integrate_spiral(params, SpiralState(0.0, k0, ks0), controls)
+                integrate_spiral(params, SpiralState(k0, ks0), controls)
             )
             assert row.termination == single.termination == "horizon"
             assert np.array_equal(row.s, single.s)
@@ -367,7 +367,7 @@ class TestRigidity:
         params = SpiralParams(4, 0, 0.0)
         for row in rows:
             traj = integrate_spiral(
-                params, SpiralState(0.0, 1.0, row["kappa_s0"]), IntegratorControls(s_max=10.0)
+                params, SpiralState(1.0, row["kappa_s0"]), IntegratorControls(s_max=10.0)
             )
             assert np.all(np.diff(traj.kappa) > 0)
 

@@ -21,7 +21,7 @@ from mobiusflat.moebius import (
     moebius_metric,
     moebius_scalar,
 )
-from mobiusflat.spiral import IntegratorControls, prescribed_curvature_trajectory
+from mobiusflat.spiral import IntegratorControls, prescribed_curvature_trajectory, sine_curvature
 from mobiusflat.zoo import (
     cylinder_immersion,
     lift_to_sphere,
@@ -39,12 +39,7 @@ SCALAR_STEP = 0.02  # the step of the two-route Moebius scalar
 def sin_curve_cylinder(n=N_DIM):
     """Cylinder over kappa(s) = 1 + 0.3 sin s: not a spiral solution."""
     traj = prescribed_curvature_trajectory(
-        n,
-        0,
-        lambda s: 1.0 + 0.3 * np.sin(np.asarray(s)),
-        lambda s: 0.3 * np.cos(np.asarray(s)),
-        IntegratorControls(s_max=7.0, step=1e-3),
-        kappa_ss_fn=lambda s: -0.3 * np.sin(np.asarray(s)),
+        n, 0, sine_curvature(1.0, 0.3), IntegratorControls(s_max=7.0, step=1e-3)
     )
     return traj, cylinder_immersion(traj, n)
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import numpy_stepper
 import pytest
@@ -22,12 +24,16 @@ from mobiusflat.spiral import (
     prescribed_curvature_trajectory,
     reconstruct_curve,
     recomputed_curvature,
+    sine_curvature,
 )
+
+# the prescribed curvature of the negative controls, kappa = 1.15 + 0.3 sin s
+SINE = sine_curvature(1.15, 0.3)
 
 
 def run(params, kappa0, kappa_s0, s_max=10.0, step=1e-3, curve=False, stride=1):
     controls = IntegratorControls(s_max=s_max, step=step, store_stride=stride)
-    traj = integrate_spiral(params, SpiralState(0.0, kappa0, kappa_s0), controls)
+    traj = integrate_spiral(params, SpiralState(kappa0, kappa_s0), controls)
     if curve:
         traj = reconstruct_curve(traj)
     return traj
@@ -143,7 +149,7 @@ class TestTermination:
     def test_ceiling_event(self):
         p = SpiralParams(4, 0, -0.5, variant=STANDARD)
         controls = IntegratorControls(s_max=50.0, step=1e-3, kappa_ceiling=50.0)
-        traj = integrate_spiral(p, SpiralState(0.0, 1.0, 0.5), controls)
+        traj = integrate_spiral(p, SpiralState(1.0, 0.5), controls)
         assert traj.termination == "kappa_ceiling"
         assert traj.kappa[-1] >= 49.0
 
@@ -156,11 +162,11 @@ class TestTermination:
         with pytest.raises(InputError):
             integrate_grid(p, [[1.0, 0.0]], IntegratorControls(), [0.0, np.inf, 0.0])
 
-    def test_start_away_from_zero_refused(self):
-        # every trajectory starts at s = 0; a state at s = 2 is not moved there silently
-        p = SpiralParams(4, -1, 0.75)
-        with pytest.raises(InputError, match="s = 0"):
-            integrate_spiral(p, SpiralState(2.0, 1.25, 0.05), IntegratorControls(s_max=1.0))
+    @pytest.mark.parametrize("name", ["step", "s_max"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_controls_refused(self, name, value):
+        with pytest.raises(InputError, match="positive and finite"):
+            IntegratorControls(**{name: value})
 
 
 class TestCurveReconstruction:
@@ -253,7 +259,7 @@ def test_csv_export_roundtrip(tmp_path):
 
 # ---------------------------------------------------------------------------
 # the fused RK4 float kernel (the oracle of the Taylor marcher, run by
-# spiral._march) against the numpy batch stepper it replaced
+# rk4_oracle.march) against the numpy batch stepper it replaced
 
 ORACLE_CASES = {
     ("plane", STANDARD): (SpiralParams(4, 0, -0.05), 1.1, 0.1),
@@ -274,7 +280,7 @@ EVENT_IDS = ["floor", "ceiling"]
 
 
 def kernel_row(params, k0, ks0, controls, joint):
-    """(s, states, termination) of one row through the RK4 kernel and spiral._march."""
+    """(s, states, termination) of one row through the RK4 kernel and rk4_oracle.march."""
     return rk4_oracle.row(params, k0, ks0, controls, joint)
 
 
@@ -320,7 +326,7 @@ class TestKernelOracle:
             if joint:
                 integrate_grid(params, [[1.0, float("nan")]], controls)
             else:
-                integrate_spiral(params, SpiralState(0.0, 1.0, float("nan")), controls)
+                integrate_spiral(params, SpiralState(1.0, float("nan")), controls)
 
     def test_overflow_ends_the_row(self):
         # kappa blows up in finite s; with the ceiling out of reach the step
@@ -336,100 +342,60 @@ class TestKernelOracle:
         # bits are noise; kappa and kappa_s agree to amplified round-off
         assert np.allclose(ys[:-1, :2], ys_o[:-1, :2], rtol=1e-10, atol=1e-12)
 
-    @pytest.mark.parametrize("epsilon", [0, 1, -1])
-    def test_prescribed_curvature_matches_numpy_stepper(self, epsilon):
-        def kappa_fn(s):
-            return 1.15 + 0.3 * np.sin(np.asarray(s))
-
-        def kappa_s_fn(s):
-            return 0.3 * np.cos(np.asarray(s))
-
-        controls = IntegratorControls(s_max=3.0)
-        traj = prescribed_curvature_trajectory(
-            4, epsilon, kappa_fn, kappa_s_fn, controls, kappa_ss_fn=sin_kappa_ss
-        )
-        y0 = np.concatenate([kappa_fn(np.zeros(1)), kappa_s_fn(np.zeros(1)), traj.initial_curve])
-        s, ys, term = numpy_stepper.prescribed_row(traj.model, kappa_fn, kappa_s_fn, y0, controls)
-        assert traj.termination == term == "horizon"
-        assert np.array_equal(traj.s, s)
-        assert np.max(np.abs(traj.curve - ys[:, 2:])) <= 1e-12
-
-
-def sin_kappa(s):
-    return 1.15 + 0.3 * np.sin(np.asarray(s))
-
-
-def sin_kappa_s(s):
-    return 0.3 * np.cos(np.asarray(s))
-
-
-def sin_kappa_ss(s):
-    return -0.3 * np.sin(np.asarray(s))
-
-
-def per_stage_prescribed_step(model, kappa_fn, kappa_s_fn):
-    """The prescribed-curvature RK4 step with one one-element call per stage point."""
-    frame = spiral._FRAME_STEP[model]
-
-    def at(fn, s):
-        return np.asarray(fn(np.array([s])), dtype=float).item()
-
-    def step(s, y, h):
-        s_mid, s_end = s + 0.5 * h, s + h
-        q_mid, d_mid = at(kappa_fn, s_mid), at(kappa_s_fn, s_mid)
-        d_sum = ((at(kappa_s_fn, s) + 2.0 * d_mid) + 2.0 * d_mid) + at(kappa_s_fn, s_end)
-        kn = y[0] + h / 6.0 * d_sum
-        return frame(kn, y[1], at(kappa_fn, s), q_mid, q_mid, at(kappa_fn, s_end), h, y)
-
-    return step
+    @pytest.mark.parametrize(
+        "epsilon,s_max,floor,atol",
+        [(0, 3.0, 1e-6, 1e-12), (1, 3.0, 1e-6, 1e-12), (-1, 3.0, 1e-6, 1e-12),
+         (-1, 5.0, 0.9, 5e-12)],
+        ids=["0", "1", "-1", "half-plane-floor"],
+    )
+    def test_prescribed_curvature_matches_numpy_stepper(self, epsilon, s_max, floor, atol):
+        # the Taylor-marched control against the numpy RK4 stepper on its
+        # grid, within RK4's own error at h = 1e-3 (1.9e-12 by s = 4.1 on the
+        # half-plane); kappa = 1.15 + 0.3 sin s crosses the floor 0.9 near
+        # s = 4.13, and the two bisected crossings agree to 1.1e-11
+        controls = IntegratorControls(s_max=s_max, kappa_floor=floor)
+        traj = prescribed_curvature_trajectory(4, epsilon, SINE, controls)
+        y0 = np.concatenate([SINE(np.zeros(1), 1)[0], traj.initial_curve])
+        s, ys, term = numpy_stepper.prescribed_row(traj.model, SINE, y0, controls)
+        assert traj.termination == term == ("kappa_floor" if floor > 1e-3 else "horizon")
+        assert np.array_equal(traj.s[:-1], s[:-1])
+        assert np.max(np.abs(traj.curve[:-1] - ys[:-1, 2:])) <= atol
+        if term == "horizon":
+            assert traj.s[-1] == s[-1]
+            assert np.max(np.abs(traj.curve[-1] - ys[-1, 2:])) <= atol
+        else:
+            assert abs(traj.s[-1] - s[-1]) <= 1e-9
+            assert np.max(np.abs(traj.curve[-1] - ys[-1, 2:])) <= 1e-9
 
 
 class TestPrescribedCurvature:
-    @pytest.mark.parametrize(
-        "epsilon,s_max,floor",
-        [(0, 3.0, 1e-6), (1, 3.0, 1e-6), (-1, 4.5, 1e-6), (-1, 5.0, 0.9)],
-        ids=["plane", "sphere", "half-plane", "half-plane-floor"],
-    )
-    def test_one_call_per_step_matches_per_stage_calls(self, epsilon, s_max, floor):
-        calls = []
-
-        def kappa_fn(s):
-            calls.append(np.size(s))
-            return sin_kappa(s)
-
-        controls = IntegratorControls(s_max=s_max, step=1e-3, kappa_floor=floor)
-        traj = prescribed_curvature_trajectory(
-            4, epsilon, kappa_fn, sin_kappa_s, controls, kappa_ss_fn=sin_kappa_ss
-        )
-        y0 = np.concatenate([sin_kappa(np.zeros(1)), sin_kappa_s(np.zeros(1)), traj.initial_curve])
-        step = per_stage_prescribed_step(traj.model, sin_kappa, sin_kappa_s)
-        s, ys, term = spiral._march(step, y0, s_max, controls)
-        assert traj.termination == term
-        assert term == ("kappa_floor" if floor > 1e-3 else "horizon")
-        assert np.array_equal(traj.s, s)
-        assert np.array_equal(traj.curve, ys[:, 2:])
-        # the start, one call per RK4 step (bisection steps included), the samples
-        assert calls[0] == 1 and calls[-1] == traj.s.size
-        assert set(calls[1:-1]) == {3}
-        if term == "horizon":
-            assert len(calls) == round(s_max / controls.step) + 2
+    def test_sine_coefficients_are_the_scaled_derivatives(self):
+        # column j is kappa^(j) / j! of kappa = 1.15 + 0.3 sin s
+        s = np.random.default_rng(3).uniform(-10.0, 10.0, 17)
+        ders = [
+            1.15 + 0.3 * np.sin(s), 0.3 * np.cos(s), -0.3 * np.sin(s), -0.3 * np.cos(s),
+            0.3 * np.sin(s),
+        ]
+        coefs = SINE(s, 4)
+        assert coefs.shape == (s.size, 5)
+        for j, der in enumerate(ders):
+            assert np.allclose(coefs[:, j], der / math.factorial(j), rtol=0.0, atol=1e-15)
 
     def test_queries_follow_the_prescribed_curvature(self):
         # kappa_s_at interpolates with the prescribed kappa_ss as slopes, not
         # the spiral equation's
         controls = IntegratorControls(s_max=4.5, step=1e-3)
-        traj = prescribed_curvature_trajectory(
-            4, -1, sin_kappa, sin_kappa_s, controls, kappa_ss_fn=sin_kappa_ss
-        )
+        traj = prescribed_curvature_trajectory(4, -1, SINE, controls)
         sq = np.linspace(0.0, 4.498, 4001) + 3.7e-4
         assert sq[-1] < traj.s[-1] and not np.any(np.isin(sq, traj.s))
-        assert np.max(np.abs(traj.kappa_s_at(sq) - sin_kappa_s(sq))) <= 1e-10
-        assert np.max(np.abs(traj.kappa_at(sq) - sin_kappa(sq))) <= 1e-10
+        kappa, kappa_s = SINE(sq, 1).T
+        assert np.max(np.abs(traj.kappa_s_at(sq) - kappa_s)) <= 1e-10
+        assert np.max(np.abs(traj.kappa_at(sq) - kappa)) <= 1e-10
         # c'' of curve_jet reads kappa_s_at: the angle's second derivative is
         # kappa_s + sin(phi) phi' on the half-plane
         _, vel, acc = traj.curve_jet(sq)
         phi = traj.curve_at(sq)[:, 2]
-        assert np.max(np.abs(acc[:, 2] - (sin_kappa_s(sq) + np.sin(phi) * vel[:, 2]))) <= 1e-10
+        assert np.max(np.abs(acc[:, 2] - (kappa_s + np.sin(phi) * vel[:, 2]))) <= 1e-10
 
 
 @pytest.mark.parametrize("case", list(ORACLE_CASES), ids=lambda c: f"{c[0]}-{c[1]}")
@@ -550,7 +516,7 @@ class TestTaylorOracle:
     def test_sample_grid_is_the_rk4_grid(self, s_max, step, stride):
         # the samples sit where the fixed-step march stores them, bit for bit
         controls = IntegratorControls(s_max=s_max, step=step, store_stride=stride)
-        s_o = spiral._march(lambda s, y, h: y, [1.0], s_max, controls)[0]
+        s_o = rk4_oracle.march(lambda s, y, h: y, [1.0], s_max, controls)[0]
         assert np.array_equal(spiral._sample_grid(controls), s_o)
 
     @pytest.mark.parametrize(
@@ -593,7 +559,7 @@ class TestTaylorOracle:
         if joint:
             traj = integrate_grid(params, [[k0, ks0]], controls)[0]
         else:
-            traj = integrate_spiral(params, SpiralState(0.0, k0, ks0), controls)
+            traj = integrate_spiral(params, SpiralState(k0, ks0), controls)
         s_o, ys_o, term_o = rk4_oracle.row(params, k0, ks0, controls, joint)
         assert traj.termination == term_o == termination
         assert abs(traj.s_end - s_o[-1]) < 1e-9
@@ -632,9 +598,9 @@ class TestTaylorOracle:
         march = spiral.taylor.march
 
         def counted(series, *args, **kwargs):
-            def counted_series(y):
+            def counted_series(s, y):
                 expansions.append(y)
-                return series(y)
+                return series(s, y)
 
             return march(counted_series, *args, **kwargs)
 

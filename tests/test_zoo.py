@@ -343,7 +343,7 @@ class TestDimensionFive:
         traj5 = reconstruct_curve(
             integrate_spiral(
                 SpiralParams(n, 0, 0.0),
-                SpiralState(0.0, 1.2, 0.08),
+                SpiralState(1.2, 0.08),
                 IntegratorControls(s_max=4.0, step=1e-3),
             )
         )
