@@ -259,7 +259,8 @@ def test_csv_export_roundtrip(tmp_path):
 
 # ---------------------------------------------------------------------------
 # the fused RK4 float kernel (the oracle of the Taylor marcher, run by
-# rk4_oracle.march) against the numpy batch stepper it replaced
+# rk4_oracle.march) against the numpy batch stepper it replaced, and the
+# Taylor-marched prescribed-curvature controls against the same stepper
 
 ORACLE_CASES = {
     ("plane", STANDARD): (SpiralParams(4, 0, -0.05), 1.1, 0.1),
