@@ -21,20 +21,26 @@ the Euclidean plane (eps = 0), the unit 2-sphere (eps = +1), or the
 Poincare half-plane (eps = -1), by co-integrating the unit-speed frame
 equations.
 
-The spiral system (single trajectories, grids and the closure refinement)
-is marched by its Taylor series, one row at a time on Python floats: each
-step computes the coefficients of kappa and of the frame to the fixed order
-TAYLOR_ORDER, and takes a step of about a seventh of the series' estimated
-radius of convergence (Jorba and Zou).  The integrator's own steps thus come
-from the Taylor coefficients; IntegratorControls.step is the spacing of the
-stored samples (every store_stride-th point of that grid is kept), and the
-step polynomials are evaluated there.  The marcher roots a crossing of the
-kappa floor, the kappa ceiling or a non-finite value on the step polynomial
-and ends the row there.  A grid is a loop over its rows, so a row is the
-same alone or in a grid by construction.  Prescribed-curvature controls go
-through the same marcher: their kappa(s) is given by its Taylor
-coefficients about each arc length, and only the frame's series is
-computed by the recurrences.
+Every row (single trajectories, grids and the prescribed-curvature
+controls) is marched by its Taylor series, one row at a time on Python
+floats: each step computes the coefficients of kappa and of the frame to the
+fixed order TAYLOR_ORDER, and takes a step of about a seventh of the series'
+estimated radius of convergence (Jorba and Zou).  The marcher roots a
+crossing of the kappa floor, the kappa ceiling or a non-finite value on the
+step polynomial and ends the row there.  A grid is a loop over its rows, so
+a row is the same alone or in a grid by construction.  Prescribed-curvature
+controls go through the same marcher and row builder: their kappa(s) is
+given by its Taylor coefficients about each arc length, and only the
+frame's series is computed by the recurrences.
+
+A trajectory keeps its step polynomials, and they are its one continuous
+representation: the stored samples are the polynomials evaluated on the grid
+of spacing IntegratorControls.step (every store_stride-th point of it), and
+the queries (kappa_at, kappa_s_at, curve_at, curve_velocity_at, curve_jet)
+and the closure refinement read values and s-derivatives from the
+polynomials at any s.  IntegratorControls.step thus spaces the stored samples
+and nothing else; the integrator's own steps come from the Taylor
+coefficients.
 
 Closure of a half-plane curve is decided from one kappa period.  The kappa
 subsystem conserves first_integral, so a bounded (kappa, kappa_s) orbit is
@@ -52,7 +58,6 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import ceil, cos, factorial, inf, sin, sqrt
 
 import numpy as np
@@ -185,49 +190,6 @@ def default_curve_start(model: str) -> np.ndarray:
     return np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
 
 
-def _frame_rhs(model: str, kappa: np.ndarray, curve: np.ndarray) -> np.ndarray:
-    """Unit-speed frame equations: d curve / ds at the rows of curve (vectorized)."""
-    out = np.empty_like(curve)
-    if model == PLANE:
-        theta = curve[:, 2]
-        out[:, 0] = np.cos(theta)
-        out[:, 1] = np.sin(theta)
-        out[:, 2] = kappa
-    elif model == HALF_PLANE:
-        yy, phi = curve[:, 1], curve[:, 2]
-        out[:, 0] = yy * np.cos(phi)
-        out[:, 1] = yy * np.sin(phi)
-        out[:, 2] = kappa - np.cos(phi)
-    else:
-        gam, tan = curve[:, 0:3], curve[:, 3:6]
-        out[:, 0:3] = tan
-        out[:, 3:6] = kappa[:, None] * np.cross(gam, tan) - gam
-    return out
-
-
-def _frame_accel(model: str, kappa, kappa_s, curve: np.ndarray, vel: np.ndarray) -> np.ndarray:
-    """d^2 curve / ds^2: the s-derivative of _frame_rhs, given its value vel."""
-    out = np.empty_like(curve)
-    if model == PLANE:
-        out[:, 0] = -vel[:, 1] * kappa
-        out[:, 1] = vel[:, 0] * kappa
-        out[:, 2] = kappa_s
-    elif model == HALF_PLANE:
-        # x' = y cos phi and y' = y sin phi, so y sin phi = y' and y cos phi = x'
-        phi = curve[:, 2]
-        out[:, 0] = vel[:, 1] * (np.cos(phi) - vel[:, 2])
-        out[:, 1] = vel[:, 1] * np.sin(phi) + vel[:, 0] * vel[:, 2]
-        out[:, 2] = kappa_s + np.sin(phi) * vel[:, 2]
-    else:
-        # gamma'' = T'; T'' = kappa_s gamma x T + kappa gamma x T' - T, as gamma' x T = 0
-        gam, tan, tan_s = curve[:, 0:3], curve[:, 3:6], vel[:, 3:6]
-        out[:, 0:3] = tan_s
-        out[:, 3:6] = (
-            kappa_s[:, None] * np.cross(gam, tan) + kappa[:, None] * np.cross(gam, tan_s) - tan
-        )
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Taylor marching of the spiral system (see taylor.py)
 
@@ -283,11 +245,15 @@ def _sample_grid(controls: IntegratorControls) -> np.ndarray:
     return grid
 
 
-def _taylor_march(series, y0, grid: np.ndarray, controls: IntegratorControls, ret=None):
-    """Taylor march of one row y0 over the sample points grid: (s, states (K, d), termination).
+def _taylor_march(
+    params: SpiralParams, series, y0, grid: np.ndarray, controls: IntegratorControls, ret=None
+) -> SpiralTrajectory:
+    """The trajectory of one row y0 = (kappa, kappa_s, *curve), Taylor-marched over grid.
 
-    The states are the step polynomials at the points of grid before the
-    row's end, followed by the state at the end.
+    The samples are the step polynomials at the points of grid before the
+    row's end, followed by the state at the end; the trajectory keeps the
+    polynomials for its queries.  A row that ends at its first return (ret)
+    carries the PeriodMap of that period, with termination "horizon".
     """
     steps, s_stop, y_stop, termination = taylor.march(
         series, y0, float(grid[-1]), controls.kappa_floor, controls.kappa_ceiling, ret
@@ -296,9 +262,28 @@ def _taylor_march(series, y0, grid: np.ndarray, controls: IntegratorControls, re
         s = grid
     else:
         s = np.append(grid[: np.searchsorted(grid, s_stop)], s_stop)
-    states = steps.at(s[:-1], np.empty((s.size, len(y_stop))))
-    states[-1] = y_stop
-    return s, states, termination
+    ys = steps.at(s[:-1], out=np.empty((1, s.size, len(y_stop))))[0]
+    ys[-1] = y_stop
+    pmap = None
+    if termination == "return":
+        pmap = PeriodMap.from_frames(float(s[-1]), ys[0, 2:], ys[-1, 2:])
+        termination = "horizon"
+    joint = ys.shape[1] > 2
+    if joint:
+        _check_half_plane(params.model, ys[:, 2:])
+    return SpiralTrajectory(
+        params=params,
+        controls=controls,
+        s=s,
+        kappa=ys[:, 0],
+        kappa_s=ys[:, 1],
+        curve=ys[:, 2:] if joint else None,
+        termination=termination,
+        first_integral_constant=float(first_integral(params, ys[0, 0], ys[0, 1])),
+        steps=steps,
+        initial_curve=np.array(y0[2:], dtype=float) if joint else None,
+        period_map=pmap,
+    )
 
 
 def _check_start(model: str, states, curve_start, controls: IntegratorControls) -> None:
@@ -370,7 +355,14 @@ class PeriodMap:
 
 @dataclass(frozen=True)
 class SpiralTrajectory:
-    """Arc-length samples of (kappa, kappa_s) plus, optionally, the curve."""
+    """Arc-length samples of (kappa, kappa_s) plus, optionally, the curve, and their steps.
+
+    steps holds the Taylor step polynomials the row was marched with, and
+    the queries (kappa_at, kappa_s_at, curve_at, curve_velocity_at,
+    curve_jet) read values and s-derivatives from them at any s in range.
+    The samples are those polynomials at the grid of spacing
+    controls.step, which spaces the stored samples and nothing else.
+    """
 
     params: SpiralParams
     controls: IntegratorControls
@@ -380,13 +372,11 @@ class SpiralTrajectory:
     curve: np.ndarray | None  # (K, curve_dim) in model coordinates
     termination: str
     first_integral_constant: float
+    steps: taylor.Piecewise  # the components (kappa, kappa_s, *curve)
     initial_curve: np.ndarray = field(default=None)
     # set when the row stopped at its first kappa return: the samples cover
     # one period, and the horizon controls.s_max is covered by periodicity
     period_map: PeriodMap | None = None
-    # kappa_ss at the samples of a prescribed-curvature curve, which need not
-    # solve the spiral equation; None takes kappa_ss from the equation
-    prescribed_kappa_ss: np.ndarray | None = None
 
     @property
     def model(self) -> str:
@@ -400,74 +390,46 @@ class SpiralTrajectory:
         e = first_integral(self.params, self.kappa, self.kappa_s)
         return float(np.max(np.abs(e - self.first_integral_constant)))
 
-    # -- smooth evaluation between nodes (cubic Hermite on stored data) -----
+    # -- evaluation between samples, on the step polynomials -----------------
 
-    @cached_property
-    def _kappa_ss(self) -> np.ndarray:
-        """d kappa_s / ds at the samples, the Hermite slopes of kappa_s_at."""
-        if self.prescribed_kappa_ss is not None:
-            return self.prescribed_kappa_ss
-        return kappa_accel(self.params, self.kappa, self.kappa_s)
-
-    @cached_property
-    def _curve_ders(self) -> np.ndarray:
-        """d curve / ds at the samples, the Hermite slopes of curve_at."""
-        return _frame_rhs(self.model, self.kappa, self.curve)
-
-    def _check_range(self, sq: np.ndarray) -> None:
+    def _read(self, sq, columns: slice, order: int = 0) -> np.ndarray:
+        """(order + 1, *sq.shape, width): the columns and their s-derivatives at sq."""
+        sq = np.asarray(sq, dtype=float)
         if np.any(sq < self.s[0] - 1e-12) or np.any(sq > self.s[-1] + 1e-12):
             raise ChartDomainError(
                 f"arc length query outside trajectory range [{self.s[0]:.6g}, {self.s[-1]:.6g}]"
             )
+        out = self.steps.at(sq, order, columns)
+        return out.reshape(out.shape[:1] + sq.shape + out.shape[2:])
 
-    def _hermite(self, vals: np.ndarray, ders: np.ndarray, sq: np.ndarray) -> np.ndarray:
-        sq = np.asarray(sq, dtype=float)
-        self._check_range(sq)
-        idx = np.clip(np.searchsorted(self.s, sq, side="right") - 1, 0, self.s.size - 2)
-        h = self.s[idx + 1] - self.s[idx]
-        t = (sq - self.s[idx]) / h
-        t2, t3 = t * t, t * t * t
-        h00 = 2 * t3 - 3 * t2 + 1
-        h10 = t3 - 2 * t2 + t
-        h01 = -2 * t3 + 3 * t2
-        h11 = t3 - t2
-        sh = (-1,) + (1,) * (vals.ndim - 1)
-        return (
-            h00.reshape(sh) * vals[idx]
-            + (h10 * h).reshape(sh) * ders[idx]
-            + h01.reshape(sh) * vals[idx + 1]
-            + (h11 * h).reshape(sh) * ders[idx + 1]
-        )
+    def _curve(self, sq, order: int) -> np.ndarray:
+        if self.curve is None:
+            raise InputError("trajectory has no reconstructed curve; run reconstruct_curve")
+        return self._read(sq, slice(2, None), order)
 
     def kappa_at(self, sq) -> np.ndarray:
-        return self._hermite(self.kappa, self.kappa_s, np.asarray(sq, dtype=float))
+        return self._read(sq, slice(0, 1))[0, ..., 0]
 
     def kappa_s_at(self, sq) -> np.ndarray:
-        return self._hermite(self.kappa_s, self._kappa_ss, np.asarray(sq, dtype=float))
+        return self._read(sq, slice(1, 2))[0, ..., 0]
 
     def curve_at(self, sq) -> np.ndarray:
         """Model coordinates of the reconstructed curve at arbitrary s."""
-        if self.curve is None:
-            raise InputError("trajectory has no reconstructed curve; run reconstruct_curve")
-        return self._hermite(self.curve, self._curve_ders, np.asarray(sq, dtype=float))
+        return self._curve(sq, 0)[0]
 
     def curve_velocity_at(self, sq) -> np.ndarray:
-        coords = np.atleast_2d(self.curve_at(sq))
-        return _frame_rhs(self.model, np.atleast_1d(self.kappa_at(sq)), coords)
+        """d curve / ds at arbitrary s, (K, curve_dim)."""
+        return self._curve(np.atleast_1d(sq), 1)[1]
 
     def curve_jet(self, sq) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(c, c', c'') of the curve at arbitrary s, each (K, curve_dim).
 
-        c is curve_at; c' is the frame equations' right-hand side at
-        (kappa_at, c), as in curve_velocity_at, and c'' its s-derivative with
-        kappa_s_at.  The derivatives come from the ODE, not from the C^1
-        Hermite interpolant, whose second derivative is only O(h^2) accurate.
+        One evaluation of the step polynomials and of their first two
+        derivatives, so c' and c'' are as accurate as c, whatever the sample
+        spacing controls.step.
         """
-        sq = np.atleast_1d(np.asarray(sq, dtype=float))
-        coords = np.atleast_2d(self.curve_at(sq))
-        kappa = self.kappa_at(sq)
-        vel = _frame_rhs(self.model, kappa, coords)
-        return coords, vel, _frame_accel(self.model, kappa, self.kappa_s_at(sq), coords, vel)
+        c, vel, acc = self._curve(np.atleast_1d(sq), 2)
+        return c, vel, acc
 
 
 def _return_watch(params: SpiralParams, row, controls: IntegratorControls):
@@ -496,32 +458,10 @@ def _integrate_rows(
     series = _spiral_series(params, joint)
     grid = _sample_grid(controls)
     watch = period_map and joint and model == HALF_PLANE
-
     out = []
     for row in y0:
         ret = _return_watch(params, row, controls) if watch else None
-        s, ys, termination = _taylor_march(series, row, grid, controls, ret)
-        pmap = None
-        if termination == "return":
-            pmap = PeriodMap.from_frames(float(s[-1]), ys[0, 2:], ys[-1, 2:])
-            termination = "horizon"
-        curve = ys[:, 2:] if joint else None
-        if joint:
-            _check_half_plane(model, curve)
-        out.append(
-            SpiralTrajectory(
-                params=params,
-                controls=controls,
-                s=s,
-                kappa=ys[:, 0],
-                kappa_s=ys[:, 1],
-                curve=curve,
-                termination=termination,
-                first_integral_constant=float(first_integral(params, ys[0, 0], ys[0, 1])),
-                initial_curve=curve_start.copy() if joint else None,
-                period_map=pmap,
-            )
-        )
+        out.append(_taylor_march(params, series, row, grid, controls, ret))
     return out
 
 
@@ -634,10 +574,9 @@ def prescribed_curvature_trajectory(
     equation.  kappa_taylor(s, order) gives the Taylor coefficients of kappa
     about each arc length in s, shape (len(s), order + 1) (sine_curvature
     is one).  The frame equations are marched by taylor.march with kappa's
-    series read from it, and the floor and ceiling events watch kappa as
-    they do on a spiral row.  At the samples, kappa, kappa_s and kappa_ss
-    come from columns 0-2, so kappa_at and kappa_s_at interpolate the
-    prescribed curvature between nodes.
+    series read from it, and the row is built, watched for the floor and
+    ceiling and queried as a spiral row is: the step polynomials of kappa
+    and kappa_s are those of the prescribed curvature.
     """
     params = SpiralParams(n, epsilon, 0.0, variant=STANDARD)
     model = params.model
@@ -645,24 +584,9 @@ def prescribed_curvature_trajectory(
     kappa_start = kappa_taylor(np.zeros(1), 1)  # (1, 2): kappa and kappa_s at s = 0
     _check_start(model, kappa_start, start, controls)
 
-    series = _prescribed_series(model, kappa_taylor)
-    s_arr, ys, termination = _taylor_march(
-        series, np.concatenate([kappa_start[0], start]), _sample_grid(controls), controls
-    )
-    curve = ys[:, 2:]
-    _check_half_plane(model, curve)
-    kap, kap_s, half_kap_ss = kappa_taylor(s_arr, 2).T
-    return SpiralTrajectory(
-        params=params,
-        controls=controls,
-        s=s_arr,
-        kappa=kap,
-        kappa_s=kap_s,
-        curve=curve,
-        termination=termination,
-        first_integral_constant=float(first_integral(params, kap[0], kap_s[0])),
-        initial_curve=start,
-        prescribed_kappa_ss=2.0 * half_kap_ss,
+    y0 = np.concatenate([kappa_start[0], start])
+    return _taylor_march(
+        params, _prescribed_series(model, kappa_taylor), y0, _sample_grid(controls), controls
     )
 
 
@@ -734,6 +658,23 @@ def _closure_candidates(traj: SpiralTrajectory) -> tuple[np.ndarray, np.ndarray]
     return np.concatenate(s_parts), np.concatenate(state_parts)
 
 
+def _flow_at(traj: SpiralTrajectory, s: np.ndarray) -> np.ndarray:
+    """(kappa, kappa_s, *curve) at arc lengths s up to the horizon, (K, 2 + curve_dim).
+
+    Read on the step polynomials; for a row with a period map, the state at
+    s = k T + u is the state at u with its curve moved by M**k.
+    """
+    pmap = traj.period_map
+    if pmap is None:
+        return traj.steps.at(s)[0]
+    turns = np.floor(s / pmap.period)
+    out = traj.steps.at(s - turns * pmap.period)[0]
+    for k in set(turns.tolist()) - {0.0}:
+        rows = turns == k
+        out[rows, 2:] = pmap.act(out[rows, 2:], int(k))
+    return out
+
+
 def closure_test(
     traj: SpiralTrajectory,
     tol_closed: float = 1e-6,
@@ -744,13 +685,15 @@ def closure_test(
 
     defect(s) = position distance + tangent angle distance
                 + |kappa(s) - kappa(0)| + |kappa_s(s) - kappa_s(0)|,
-    minimized over candidate samples with s >= s_min, then refined by a
-    33-point scan and a golden-section search on the Taylor polynomials of
-    the flow from the candidate before the best one (one expansion there
-    covers the bracket).  The candidates are the stored samples or, for a
+    minimized over candidate samples with s >= s_min, then refined between
+    the neighbouring candidates on the trajectory's own step polynomials, by
+    33-point scans that keep the neighbours of the least value until the
+    bracket is below 1e-11.  The candidates are the stored samples or, for a
     row with a period map, their images under the holonomy M**k at
-    s = k T + u up to the horizon; the defect can only vanish near some
-    k T, and there it is small exactly when M**k is close to the identity.
+    s = k T + u up to the horizon, and the refinement reads the polynomials
+    the same way (a bracket may cross k T); the defect can only vanish near
+    some k T, and there it is small exactly when M**k is close to the
+    identity.
     A row that ended before the horizon is never reported open.
     """
     if traj.curve is None:
@@ -767,49 +710,20 @@ def closure_test(
     k = first + int(np.argmin(defects))
     coarse = float(defects[k - first])
 
-    # refine within the bracket of neighbouring candidates on the Taylor
-    # polynomials of the flow from the left one
-    lo_idx = max(k - 1, 0)
-    hi_idx = min(k + 1, cand_s.size - 1)
-    span = float(cand_s[hi_idx] - cand_s[lo_idx])
-    controls = traj.controls
-    steps = taylor.march(
-        _spiral_series(traj.params, joint=True),
-        cand[lo_idx],
-        span,
-        controls.kappa_floor,
-        controls.kappa_ceiling,
-    )[0]
-
-    def defect_at(offsets) -> np.ndarray:
-        offsets = np.atleast_1d(offsets)
-        y = steps.at(offsets, np.empty((offsets.size, cand.shape[1])))
-        return _full_defect(traj, y[:, 2:], y[:, 0], y[:, 1])
-
-    def probe(offset: float) -> float:
-        return float(defect_at(offset)[0])
-
-    offsets = np.linspace(0.0, span, 33)
-    vals = defect_at(offsets)
-    j = int(np.argmin(vals))
-    a = offsets[max(j - 1, 0)]
-    b = offsets[min(j + 1, offsets.size - 1)]
-    gr = 0.5 * (np.sqrt(5.0) - 1.0)
-    x1, x2 = b - gr * (b - a), a + gr * (b - a)
-    f1, f2 = probe(x1), probe(x2)
-    for _ in range(60):
+    # refine within the bracket of neighbouring candidates on the trajectory's
+    # step polynomials: scan 33 points, keep the neighbours of the least
+    a, b = float(cand_s[max(k - 1, 0)]), float(cand_s[min(k + 1, cand_s.size - 1)])
+    best, best_s = coarse, float(cand_s[k])
+    for _ in range(16):  # each scan shrinks the bracket 16-fold
         if b - a < 1e-11:
             break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - gr * (b - a)
-            f1 = probe(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + gr * (b - a)
-            f2 = probe(x2)
-    best = min(coarse, f1, f2)
-    best_s = float(cand_s[lo_idx] + (x1 if f1 <= f2 else x2))
+        probes = np.linspace(a, b, 33)
+        y = _flow_at(traj, probes)
+        vals = _full_defect(traj, y[:, 2:], y[:, 0], y[:, 1])
+        j = int(np.argmin(vals))
+        if vals[j] < best:
+            best, best_s = float(vals[j]), float(probes[j])
+        a, b = float(probes[max(j - 1, 0)]), float(probes[min(j + 1, probes.size - 1)])
 
     if best < tol_closed:
         return ClosureResult("closed", best_s, best)

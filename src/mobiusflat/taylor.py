@@ -7,8 +7,10 @@ Taylor methods (Jorba and Zou, Experimental Mathematics 14, 2005; Griewank
 and Walther, Evaluating Derivatives, ch. 13).  At each step the coefficients
 of the state are computed to the fixed order TAYLOR_ORDER by the standard
 recurrences, and the step is a share of the series' estimated radius of
-convergence.  Each step's polynomial is the dense output: samples are
-evaluated on it, and the band events and the first return are rooted on it.
+convergence.  Each step's polynomial is the dense output: the band events
+and the first return are rooted on it, and a march returns its polynomials
+(Piecewise), on which the samples, the trajectory's queries and the closure
+refinement are evaluated.
 
 A series is a list of Python floats, a[j] the coefficient of t**j; a state
 is a tuple (kappa, kappa_s, *curve) and its series one list per component.
@@ -31,6 +33,7 @@ _RADIUS_SHARE = exp(-2.0)
 _WATCH = np.arange(1, 17) / 16.0
 # dense output evaluates at most this many points of a step at once
 _CHUNK = 128
+_DEGREES = np.arange(TAYLOR_ORDER + 1.0)  # d/dt t^j = _DEGREES[j] t^(j - 1)
 
 
 def kappa_series(c2: float, c1: float, big_r: float):
@@ -208,26 +211,48 @@ class FirstReturn:
 
 @dataclass
 class Piecewise:
-    """The step polynomials of a march: step i covers s >= starts[i].
+    """The step polynomials of a march, its dense output.
 
-    coefs[i] holds the coefficients of every component, (TAYLOR_ORDER + 1, d).
+    Step i covers [starts[i], starts[i + 1]) and coefs[i] holds the
+    coefficients of every component about starts[i], (TAYLOR_ORDER + 1, d).
+    The polynomials are the integrator's own solution, so a state or an
+    s-derivative read from them between the stored samples is as accurate
+    as the samples themselves.
     """
 
     starts: list
     coefs: list
 
-    def at(self, t: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Fill out[:len(t)] with the states at the sorted points t >= 0.
+    def at(self, t, order: int = 0, columns=slice(None), out=None) -> np.ndarray:
+        """The states at the points t (in any order) and their first order <= 2 s-derivatives.
 
-        A step's points are taken _CHUNK at a time, which bounds the
-        matrix of their powers.
+        Fills and returns out[:, :len(t)], out of shape (order + 1, >= len(t),
+        width) (allocated when None): out[j, i] is the j-th derivative at t[i]
+        of the components selected by columns.  A point is read on the step
+        that covers it, a point before the first step on the first.  A
+        value does not depend on order, bit for bit, nor a derivative on
+        whether the other one is asked for.  A step's points are taken
+        _CHUNK at a time, which bounds the matrices of their powers.
         """
-        bounds = np.searchsorted(t, [*self.starts, inf])  # step i: t[bounds[i]:bounds[i + 1]]
-        for i, (s0, coefs) in enumerate(zip(self.starts, self.coefs)):
+        t = np.asarray(t, dtype=float).reshape(-1)
+        if out is None:
+            out = np.empty((order + 1, t.size, self.coefs[0][:, columns].shape[1]))
+        step = np.searchsorted(self.starts, t, side="right") - 1
+        np.maximum(step, 0, out=step)
+        # the points of step i are t[perm[bounds[i]:bounds[i + 1]]]
+        perm = np.argsort(step, kind="stable")
+        bounds = np.searchsorted(step[perm], np.arange(len(self.starts) + 1))
+        for i in np.flatnonzero(np.diff(bounds)).tolist():
+            coefs = self.coefs[i][:, columns]
             for a in range(bounds[i], bounds[i + 1], _CHUNK):
-                b = min(a + _CHUNK, bounds[i + 1])
-                powers = np.vander(t[a:b] - s0, TAYLOR_ORDER + 1, increasing=True)
-                out[a:b] = np.einsum("ij,jk->ik", powers, coefs)
+                rows = perm[a : min(a + _CHUNK, bounds[i + 1])]
+                powers = np.vander(t[rows] - self.starts[i], TAYLOR_ORDER + 1, increasing=True)
+                out[0, rows] = np.einsum("ij,jk->ik", powers, coefs)
+                if order:  # the first and second derivatives of the powers
+                    ders = np.zeros((2, rows.size, TAYLOR_ORDER + 1))
+                    ders[0, :, 1:] = powers[:, :-1] * _DEGREES[1:]
+                    ders[1, :, 2:] = ders[0, :, 1:-1] * _DEGREES[2:]
+                    out[1:, rows] = np.einsum("oij,jk->oik", ders, coefs)[:order]
         return out
 
 

@@ -89,18 +89,23 @@ class TestConfigErrors:
             ("step = nan\n", "rigidity", "step must be finite"),
             ("horizon = inf\n", "rigidity", "horizon must be finite"),
             ("tol_constancy = nan\n", "verify", "tol_constancy must be finite"),
+            ("kappa0 = 0.0\n", "spiral", "kappa0 must lie strictly between"),
+            ("kappa0 = -1.0\n", "build", "kappa0 must lie strictly between"),
+            ("kappa0 = 2e6\n", "spiral", "kappa0 must lie strictly between"),
         ],
         ids=[
             "obj_axes-text", "obj_axes-count", "slice_axes-repeat", "slice_axes-range",
             "grid_spread", "step-nan-verify", "step-nan-rigidity", "horizon-inf",
-            "tol_constancy-nan",
+            "tol_constancy-nan", "kappa0-zero", "kappa0-negative", "kappa0-above-ceiling",
         ],
     )
     def test_unrunnable_config_exit_two(self, tmp_path, capsys, text, command, reason):
         # validate() refuses each, so no command starts on it: non-integer axes
         # would escape build as a traceback, a zero grid_spread makes every
         # rigidity row the equilibrium, and a NaN or infinite value passes
-        # every "<= 0" test and escapes as a traceback or a NaN verdict
+        # every "<= 0" test and escapes as a traceback or a NaN verdict, and a
+        # kappa0 outside (kappa_floor, kappa_ceiling) stops spiral and build
+        # with an integration error (exit 1)
         cfg = write_cfg(tmp_path, text)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err

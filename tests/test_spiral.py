@@ -225,13 +225,27 @@ class TestCurveReconstruction:
         res = closure_test(traj, s_min=1.0)
         assert res.status == "inconclusive"
 
-    def test_hermite_evaluation_accuracy(self):
+    def test_queries_do_not_depend_on_the_sample_step(self):
+        # controls.step only spaces the stored samples: the step polynomials,
+        # and so every query, are the same bit for bit at any spacing
         p = SpiralParams(4, -1, 0.75, variant=STANDARD)
         fine = run(p, 1.3, 0.0, s_max=2.0, step=5e-4, curve=True)
         coarse = run(p, 1.3, 0.0, s_max=2.0, step=1e-3, curve=True)
-        sq = np.linspace(0.1, 1.9, 57)
-        assert np.max(np.abs(coarse.kappa_at(sq) - fine.kappa_at(sq))) < 1e-8
-        assert np.max(np.abs(coarse.curve_at(sq) - fine.curve_at(sq))) < 1e-8
+        assert fine.steps.starts == coarse.steps.starts
+        assert all(map(np.array_equal, fine.steps.coefs, coarse.steps.coefs))
+        sq = np.linspace(0.1, 1.9, 57) + 3.7e-4
+        for name in ("kappa_at", "kappa_s_at", "curve_at", "curve_velocity_at", "curve_jet"):
+            assert np.array_equal(getattr(fine, name)(sq), getattr(coarse, name)(sq))
+        # against the RK4 oracle at step 2.5e-4, at its points between the
+        # samples; the bound is the oracle's own error, its rounding over 8000
+        # steps: the largest difference, 3.8e-13 in x, grows to 6.4e-13 at
+        # step 1.25e-4, so it is not truncation
+        controls = IntegratorControls(s_max=2.0, step=2.5e-4)
+        s_o, ys_o, _ = rk4_oracle.row(p, 1.3, 0.0, controls, joint=True)
+        off = np.arange(s_o.size) % 4 != 0
+        at = s_o[off]
+        states = np.column_stack([coarse.kappa_at(at), coarse.kappa_s_at(at), coarse.curve_at(at)])
+        assert np.max(np.abs(states - ys_o[off])) <= 5e-13
 
     def test_query_outside_range_raises(self):
         p = SpiralParams(4, 0, 0.0, variant=STANDARD)
@@ -383,8 +397,8 @@ class TestPrescribedCurvature:
             assert np.allclose(coefs[:, j], der / math.factorial(j), rtol=0.0, atol=1e-15)
 
     def test_queries_follow_the_prescribed_curvature(self):
-        # kappa_s_at interpolates with the prescribed kappa_ss as slopes, not
-        # the spiral equation's
+        # the queries read the prescribed curvature's own step polynomials,
+        # not the spiral equation's
         controls = IntegratorControls(s_max=4.5, step=1e-3)
         traj = prescribed_curvature_trajectory(4, -1, SINE, controls)
         sq = np.linspace(0.0, 4.498, 4001) + 3.7e-4
@@ -392,27 +406,58 @@ class TestPrescribedCurvature:
         kappa, kappa_s = SINE(sq, 1).T
         assert np.max(np.abs(traj.kappa_s_at(sq) - kappa_s)) <= 1e-10
         assert np.max(np.abs(traj.kappa_at(sq) - kappa)) <= 1e-10
-        # c'' of curve_jet reads kappa_s_at: the angle's second derivative is
+        # c'' of curve_jet follows kappa_s: the angle's second derivative is
         # kappa_s + sin(phi) phi' on the half-plane
         _, vel, acc = traj.curve_jet(sq)
         phi = traj.curve_at(sq)[:, 2]
         assert np.max(np.abs(acc[:, 2] - (kappa_s + np.sin(phi) * vel[:, 2]))) <= 1e-10
 
 
+def frame_accel(model, kappa, kappa_s, curve, vel):
+    """d^2 curve / ds^2 from the frame equations, given their value vel (the c'' oracle).
+
+    The s-derivative of numpy_stepper.frame_rhs, by the chain rule with
+    kappa' = kappa_s; curve_jet reads c'' from the step polynomials instead.
+    """
+    out = np.empty_like(curve)
+    if model == "plane":
+        out[:, 0] = -vel[:, 1] * kappa
+        out[:, 1] = vel[:, 0] * kappa
+        out[:, 2] = kappa_s
+    elif model == "half-plane":
+        # x' = y cos phi and y' = y sin phi, so y sin phi = y' and y cos phi = x'
+        phi = curve[:, 2]
+        out[:, 0] = vel[:, 1] * (np.cos(phi) - vel[:, 2])
+        out[:, 1] = vel[:, 1] * np.sin(phi) + vel[:, 0] * vel[:, 2]
+        out[:, 2] = kappa_s + np.sin(phi) * vel[:, 2]
+    else:
+        # gamma'' = T'; T'' = kappa_s gamma x T + kappa gamma x T' - T, as gamma' x T = 0
+        gam, tan, tan_s = curve[:, 0:3], curve[:, 3:6], vel[:, 3:6]
+        out[:, 0:3] = tan_s
+        out[:, 3:6] = (
+            kappa_s[:, None] * np.cross(gam, tan) + kappa[:, None] * np.cross(gam, tan_s) - tan
+        )
+    return out
+
+
 @pytest.mark.parametrize("case", list(ORACLE_CASES), ids=lambda c: f"{c[0]}-{c[1]}")
-def test_hermite_slopes_match_joint_rhs(case):
-    # the derivative arrays are computed once per trajectory; queries must
-    # equal the Hermite interpolant built from the joint right-hand side
+def test_queries_read_the_step_polynomials(case):
+    # between the samples, c' is the frame equations' right-hand side at
+    # (kappa, c) and c'' its s-derivative, to round-off; at the samples the
+    # queries give the samples back
     params, k0, ks0 = ORACLE_CASES[case]
     traj = integrate_grid(params, [[k0, ks0]], IntegratorControls(s_max=1.0))[0]
-    full = np.column_stack([traj.kappa, traj.kappa_s, traj.curve])
-    ders = numpy_stepper.joint_rhs(params, full)
-    sq = np.linspace(0.05, 0.95, 41)
-    for _ in range(2):
-        assert np.array_equal(traj.curve_at(sq), traj._hermite(traj.curve, ders[:, 2:], sq))
-        assert np.array_equal(traj.kappa_s_at(sq), traj._hermite(traj.kappa_s, ders[:, 1], sq))
-    at = np.column_stack([traj.kappa_at(sq), np.zeros(sq.size), traj.curve_at(sq)])
-    assert np.array_equal(traj.curve_velocity_at(sq), numpy_stepper.joint_rhs(params, at)[:, 2:])
+    sq = np.linspace(0.05, 0.95, 41) + 3.7e-4
+    assert not np.any(np.isin(sq, traj.s))
+    kappa, kappa_s, c = traj.kappa_at(sq), traj.kappa_s_at(sq), traj.curve_at(sq)
+    rhs = numpy_stepper.joint_rhs(params, np.column_stack([kappa, kappa_s, c]))[:, 2:]
+    assert np.max(np.abs(traj.curve_velocity_at(sq) - rhs)) <= 1e-12
+    acc = traj.curve_jet(sq)[2]
+    assert np.max(np.abs(acc - frame_accel(params.model, kappa, kappa_s, c, rhs))) <= 1e-12
+    for query, samples in (
+        (traj.kappa_at, traj.kappa), (traj.kappa_s_at, traj.kappa_s), (traj.curve_at, traj.curve)
+    ):
+        assert np.max(np.abs(query(traj.s) - samples)) <= 1e-13
 
 
 @pytest.mark.parametrize("case", list(ORACLE_CASES), ids=lambda c: f"{c[0]}-{c[1]}")
@@ -456,6 +501,23 @@ class TestPeriodMap:
         assert 4.4 < periodic.period_map.period == periodic.s_end < 4.7
         ref, res = closure_test(full), closure_test(periodic)
         assert res.status == ref.status == "open"
+        assert res.defect == pytest.approx(ref.defect, rel=1e-8)
+
+    def test_refinement_bracket_across_a_period(self):
+        # this row's least candidate defect sits at 5 T, so the refinement
+        # bracket runs from the last sample before T moved by M**4 to the
+        # first after 0 moved by M**5
+        controls = IntegratorControls(s_max=40.0, store_stride=10)
+        row = [[KSTAR * 1.1, KSTAR * 0.04]]
+        full = integrate_grid(HALF_PLANE_PARAMS, row, controls)[0]
+        periodic = integrate_grid(HALF_PLANE_PARAMS, row, controls, period_map=True)[0]
+        cand_s, cand = spiral._closure_candidates(periodic)
+        late = np.flatnonzero(cand_s >= 1.0)  # closure_test's default s_min here
+        defects = spiral._full_defect(periodic, cand[late, 2:], cand[late, 0], cand[late, 1])
+        k = late[np.argmin(defects)]
+        assert cand_s[k - 1] < 5.0 * periodic.period_map.period < cand_s[k + 1]
+        ref, res = closure_test(full), closure_test(periodic)
+        assert res.status == ref.status
         assert res.defect == pytest.approx(ref.defect, rel=1e-8)
 
     def test_holonomy_carries_the_frame_one_period_on(self):
@@ -590,24 +652,21 @@ class TestTaylorOracle:
         traj = integrate_grid(params, [[kstar * (1.0 + 1e-3), 0.0]], controls, period_map=True)[0]
         assert traj.period_map.period == pytest.approx(2.0 * np.pi / np.sqrt(n - 2), rel=1e-5)
 
-    def test_closure_refinement_is_one_expansion(self, monkeypatch):
-        # the refinement expands once at its left candidate and probes the
-        # polynomial; a plane circle closes at 2 pi
+    def test_closure_refinement_marches_nothing(self, monkeypatch):
+        # the refinement reads the trajectory's own step polynomials; a plane
+        # circle closes at 2 pi
         controls = IntegratorControls(s_max=7.0)
         traj = integrate_grid(SpiralParams(4, 0, 0.0), [[1.0, 0.0]], controls)[0]
-        expansions = []
+        marches = []
         march = spiral.taylor.march
 
-        def counted(series, *args, **kwargs):
-            def counted_series(s, y):
-                expansions.append(y)
-                return series(s, y)
-
-            return march(counted_series, *args, **kwargs)
+        def counted(*args, **kwargs):
+            marches.append(args)
+            return march(*args, **kwargs)
 
         monkeypatch.setattr(spiral.taylor, "march", counted)
         res = closure_test(traj, tol_closed=1e-6)
-        assert len(expansions) == 1
+        assert marches == []
         assert res.status == "closed"
         assert res.period == pytest.approx(2.0 * np.pi, abs=1e-9)
         assert res.defect < 1e-10
