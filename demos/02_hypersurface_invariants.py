@@ -11,7 +11,7 @@ and the commuting of B with A.
 
 import numpy as np
 
-from mobiusflat.checks import FIELD_STEP
+from mobiusflat.checks import field_step
 from mobiusflat.config import RunConfig
 from mobiusflat.moebius import fields_from_immersion, moebius_data, moebius_scalar
 from mobiusflat.spiral import IntegratorControls, SpiralParams, SpiralState, integrate_spiral, reconstruct_curve
@@ -27,7 +27,7 @@ fields = fields_from_immersion(imm)
 
 p = imm.base_point.copy()
 p[0] = 1.7
-d = moebius_data(fields, p, FIELD_STEP)
+d = moebius_data(fields, p, field_step("rotational"))
 
 print(f"sample point s = {p[0]:.2f}: rho = {d.rho:.6f}, H = {d.H:.6f}")
 print(f"principal curvatures: {np.round(d.principal_curvatures, 6)}")

@@ -56,6 +56,7 @@ from .immersion import (
 from .moebius import (
     SurfaceFields,
     blaschke_A,
+    direct_scalar,
     fields_from_immersion,
     moebius_B,
     moebius_data,
@@ -115,7 +116,7 @@ TORUS_AUDIT_RADII = (0.3, 0.5, 1.0 / np.sqrt(2.0))
 # Every finite-difference step of the suite, in one table.  Each request is
 # an order-4 central stencil with one step in every coordinate.
 FIELD_STEP = 0.005  # the partials of (rho, H, I) behind C and A
-TORUS_FIELD_STEP = 0.05  # the same on the torus
+TORUS_FIELD_STEP = 0.05  # the same on the torus (see ``field_step``)
 DIVERGENCE_STEP = 0.01  # the divergence identity sum_j B_ij,j = -(n-1) C_i
 
 
@@ -132,6 +133,11 @@ def suite_steps(cfg: RunConfig) -> dict[str, float]:
         "convergence_coarse": h * 4.0,  # fd_convergence: a step and its half
         "convergence_fine": h * 2.0,
     }
+
+
+def field_step(surface: str) -> float:
+    """The step of the partials behind C and A on the named surface or family."""
+    return TORUS_FIELD_STEP if surface == "torus" else FIELD_STEP
 
 
 @dataclass
@@ -206,11 +212,6 @@ def sample_points(imm: ImmersionHandle, count: int, rng, jitter: float = 0.1, pa
 def _first_form_field(fields: SurfaceFields) -> Callable[[np.ndarray], np.ndarray]:
     """pts -> (K, m, m) first fundamental form I, from one sample request."""
     return lambda pts: fields.sample(pts)[0]
-
-
-def direct_scalar(fields: SurfaceFields, p: np.ndarray, step: float) -> float:
-    """Full-trace scalar curvature of the Moebius metric rho^2 I at p."""
-    return metric_field_curvature(fields.moebius_metric_field(), p, step).scalar
 
 
 def warped_scalar_reference(n, eps, kappa, kappa_s, kappa_ss):
@@ -420,14 +421,14 @@ def check_moebius_form_structure(cfg: RunConfig, surfaces, rng, res: Residuals) 
     torus = _surface(surfaces, "torus")
     pts = sample_points(torus.imm, 4, rng, cfg.jitter, pad=0.2)
     details["torus_max_C"] = max(
-        float(np.max(np.abs(moebius_form(torus.fields, p, TORUS_FIELD_STEP)))) for p in pts
+        float(np.max(np.abs(moebius_form(torus.fields, p, field_step(torus.name))))) for p in pts
     )
     res.add(details["torus_max_C"], samples=pts.shape[0])
 
     circle = cylinder_immersion(
         spiral_trajectory(cfg.n, 0, 0.0, 1.0, 0.0, 6.0, cfg.step), cfg.n
     )
-    c_circ = moebius_form(circle.analytic_fields, circle.base_point, FIELD_STEP)
+    c_circ = moebius_form(circle.analytic_fields, circle.base_point, field_step("cylinder"))
     details["circle_cylinder_max_C"] = float(np.max(np.abs(c_circ)))
     res.add(details["circle_cylinder_max_C"])
 
@@ -435,7 +436,7 @@ def check_moebius_form_structure(cfg: RunConfig, surfaces, rng, res: Residuals) 
     tangential = 0.0
     c1_err = 0.0
     for p in sample_points(cyl.imm, 4, rng, cfg.jitter):
-        c = moebius_form(cyl.closed_form, p, FIELD_STEP)
+        c = moebius_form(cyl.closed_form, p, field_step(cyl.name))
         kap = float(cyl.traj.kappa_at(p[0:1])[0])
         ks = float(cyl.traj.kappa_s_at(p[0:1])[0])
         tangential = max(tangential, float(np.max(np.abs(c[1:]))))
@@ -466,8 +467,9 @@ def check_commutator_closure(cfg: RunConfig, surfaces, rng, res: Residuals) -> d
     pipeline_max = 0.0
     for surf in surfaces:
         pts = sample_points(surf.imm, 3, rng, cfg.jitter)
+        step = field_step(surf.name)
         res.add(
-            *(moebius_data(surf.closed_form, p, FIELD_STEP).commutator_norm() for p in pts),
+            *(moebius_data(surf.closed_form, p, step).commutator_norm() for p in pts),
             samples=pts.shape[0],
         )
         d = moebius_data(surf.fields, pts[0], cfg.curvature_step)
@@ -704,7 +706,7 @@ def check_torus_scalar_audit(cfg: RunConfig, surfaces, rng, res: Residuals) -> d
         imm = torus_immersion(r, n)
         fields = fields_from_immersion(imm)
         pts = sample_points(imm, 3, rng, cfg.jitter)
-        per_conv = _mean_by_convention([moebius_scalar(fields, p, step).direct for p in pts], n)
+        per_conv = _mean_by_convention([direct_scalar(fields, p, step) for p in pts], n)
         candidates = {
             "r^2": base * r**2,
             "1-r^2": base * (1 - r**2),
@@ -770,7 +772,7 @@ def check_blaschke_trace_audit(cfg: RunConfig, surfaces, rng, res: Residuals) ->
     audit_rows = []
     for surf in surfaces:
         pts = sample_points(surf.imm, 2, rng, cfg.jitter, pad=0.2)
-        step = TORUS_FIELD_STEP if surf.name == "torus" else FIELD_STEP
+        step = field_step(surf.name)
         resid = {name: 0.0 for name in CONVENTION_BY_NAME}
         for p in pts:
             tr_a = float(np.trace(blaschke_A(surf.closed_form, p, step)))
@@ -795,9 +797,10 @@ def check_sigma_invariance(cfg: RunConfig, surfaces, rng, res: Residuals) -> dic
         if surf.name not in ("cylinder", "rotational"):
             continue
         lift_fields = fields_from_immersion(lift_to_sphere(surf.imm))
+        step = field_step(surf.name)
         for p in sample_points(surf.imm, 3, rng, cfg.jitter):
-            d0 = moebius_data(surf.fields, p, FIELD_STEP)
-            d1 = moebius_data(lift_fields, p, FIELD_STEP)
+            d0 = moebius_data(surf.fields, p, step)
+            d1 = moebius_data(lift_fields, p, step)
             s0, s1 = (direct_scalar(f, p, cfg.curvature_step) for f in (surf.fields, lift_fields))
             res.add(float(np.max(np.abs(d0.B_eigenvalues - d1.B_eigenvalues))), abs(s0 - s1))
     return {}

@@ -21,14 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .checks import (
-    CONVENTION_BY_NAME,
-    FIELD_STEP,
-    rigidity_scan,
-    run_suite,
-    sample_points,
-    spiral_trajectory,
-)
+from .checks import CONVENTION_BY_NAME, field_step, rigidity_scan, run_suite, sample_points
 from .config import RunConfig, load_config
 from .errors import ConfigError, MobiusFlatError
 from .meshes import export_obj_slice
@@ -37,28 +30,27 @@ from .spiral import IntegratorControls, SpiralParams, export_csv, integrate_grid
 from .zoo import EPSILON_BY_FAMILY, build_family, torus_immersion
 
 
-def _controls(cfg: RunConfig) -> IntegratorControls:
-    return IntegratorControls(
+def _trajectory(cfg: RunConfig, epsilon: int):
+    """The config's spiral in the model space of curvature epsilon, within its kappa band."""
+    params = SpiralParams(cfg.n, epsilon, cfg.R, variant=cfg.spiral_variant)
+    controls = IntegratorControls(
         s_max=cfg.s_max,
         step=cfg.step,
         kappa_floor=cfg.kappa_floor,
         kappa_ceiling=cfg.kappa_ceiling,
     )
+    return integrate_grid(params, [[cfg.kappa0, cfg.kappa_s0]], controls)[0]
 
 
 def _build_surface(cfg: RunConfig):
     if cfg.family == "torus":
         return torus_immersion(cfg.torus_r, cfg.n)
-    eps = EPSILON_BY_FAMILY[cfg.family]
-    traj = spiral_trajectory(
-        cfg.n, eps, cfg.R, cfg.kappa0, cfg.kappa_s0, cfg.s_max, cfg.step, cfg.spiral_variant
-    )
+    traj = _trajectory(cfg, EPSILON_BY_FAMILY[cfg.family])
     return build_family(cfg.family, traj, cfg.n)
 
 
 def cmd_spiral(cfg: RunConfig, out: str, convention: str) -> int:
-    params = SpiralParams(cfg.n, cfg.epsilon, cfg.R, variant=cfg.spiral_variant)
-    traj = integrate_grid(params, [[cfg.kappa0, cfg.kappa_s0]], _controls(cfg))[0]
+    traj = _trajectory(cfg, cfg.epsilon)
     path = os.path.join(out, "trajectory.csv")
     export_csv(traj, path)
     print(
@@ -102,7 +94,7 @@ def cmd_invariants(cfg: RunConfig, out: str, convention: str) -> int:
     )
     rows = []
     for p in pts:
-        d = moebius_data(fields, p, FIELD_STEP)
+        d = moebius_data(fields, p, field_step(cfg.family))
         s = moebius_scalar(fields, p, cfg.curvature_step, convention=conv)
         rows.append(
             list(p)

@@ -157,6 +157,8 @@ class RunConfig:
             raise ConfigError("kappa_floor must be below kappa_ceiling")
         if not self.kappa_floor < self.kappa0 < self.kappa_ceiling:
             raise ConfigError("kappa0 must lie strictly between kappa_floor and kappa_ceiling")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.samples < 1 or self.grid_size < 1 or self.slice_res < 2:
             raise ConfigError("samples, grid_size and slice_res must be positive")
         for f in fields(self):

@@ -349,10 +349,8 @@ def covariant_derivative(s0: np.ndarray, ds: np.ndarray, gamma: np.ndarray) -> n
     )
 
 
-def _codazzi(schouten_field, batch: CurvatureBatch, pts: np.ndarray, step: float) -> np.ndarray:
-    """The Codazzi defects at pts, given the metric's curvature batch there."""
-    s0 = np.asarray(schouten_field(pts))
-    ds = diff1_batch(schouten_field, pts, step)  # [k, c, a, b] = d_c S_ab
+def _codazzi(s0: np.ndarray, ds: np.ndarray, batch: CurvatureBatch) -> np.ndarray:
+    """The Codazzi defects at a curvature batch's points from S_ab and d_c S_ab ([k, c, a, b])."""
     nabla_on = _on_frame(covariant_derivative(s0, ds, batch.christoffel), batch.frame)
     return np.max(np.abs(nabla_on - np.einsum("...ijk->...ikj", nabla_on)), axis=(1, 2, 3))
 
@@ -367,7 +365,8 @@ def codazzi_defect_batch(schouten_field, metric_field, pts: np.ndarray, step: fl
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     batch = metric_field_curvature_batch(metric_field, pts, step)
-    return _codazzi(schouten_field, batch, pts, step)
+    s0 = np.asarray(schouten_field(pts))
+    return _codazzi(s0, diff1_batch(schouten_field, pts, step), batch)
 
 
 def schouten_codazzi_defects(metric_field, pts: np.ndarray, step: float, conventions) -> np.ndarray:
@@ -376,23 +375,20 @@ def schouten_codazzi_defects(metric_field, pts: np.ndarray, step: float, convent
     Row i is codazzi_defect_batch(schouten_coordinate_field(metric_field,
     step, conventions[i]), metric_field, pts, step), value for value.  The
     normalizations differ only in the scalar term of S, so the metric's
-    curvature is computed once at the points and once on their
-    first-difference stencil, and every Schouten field is formed from those.
+    curvature is computed once at the points, and once on their
+    first-difference stencil by one field that stacks every normalization's S.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    batches = {}  # the bytes of a point set -> the metric's curvature batch there
 
-    def curvature(q: np.ndarray) -> CurvatureBatch:
-        key = q.tobytes()
-        if key not in batches:
-            batches[key] = metric_field_curvature_batch(metric_field, q, step)
-        return batches[key]
+    def schouten(b: CurvatureBatch) -> np.ndarray:  # (K, normalizations, m, m)
+        return np.stack([_schouten_coordinates(b, conv) for conv in conventions], axis=1)
 
-    def schouten(conv):
-        return lambda q: _schouten_coordinates(curvature(q), conv)
+    def field(q: np.ndarray) -> np.ndarray:
+        return schouten(metric_field_curvature_batch(metric_field, q, step))
 
-    here = curvature(pts)
-    return np.array([_codazzi(schouten(conv), here, pts, step) for conv in conventions])
+    here = metric_field_curvature_batch(metric_field, pts, step)
+    s0, ds = schouten(here), diff1_batch(field, pts, step)  # ds[k, c, i] = d_c S of row i
+    return np.array([_codazzi(s0[:, i], ds[:, :, i], here) for i in range(len(conventions))])
 
 
 def codazzi_defect(schouten_field, metric_field, p: np.ndarray, step: float) -> float:

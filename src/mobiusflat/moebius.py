@@ -21,10 +21,11 @@ ambient-curvature constant (0 for immersions into Euclidean space, +1 for
 immersions into the unit sphere); the constant enters A's isotropic term.
 
 A field set is one request, ``sample``, for (I, h, rho, H) at a point set.
-Each computation asks it once at p and once on one order-4 jet stencil, with
-the step its caller gives, of a field that packs every differenced quantity
-side by side.  On fields from an immersion each request is one jet of the
-immersion per point.
+Every invariant at p is one such request, on the order-4 jet stencil about p
+(the step its caller gives), of one field that packs I, h, rho^2 I,
+rho (h - H I), rho, log rho and H side by side; the pointwise record is the
+stencil's centre.  On fields from an immersion each request is one jet of
+the immersion per point.
 """
 
 from __future__ import annotations
@@ -107,6 +108,13 @@ class _Pointwise(NamedTuple):
         frame = gram_schmidt_frame(g)
         return cls(g, h, rho, mean, frame, frame.T @ h @ frame)
 
+    @classmethod
+    def at_centre(cls, jets: "_Jets") -> "_Pointwise":
+        """The record at p from the values of one request's jets."""
+        g = require_symmetric(jets.g.value, tol=1e-8, what="first fundamental form")
+        h = require_symmetric(jets.h.value, tol=1e-6, what="second fundamental form")
+        return cls.build(g, h, float(jets.rho.value), float(jets.mean.value))
+
     @property
     def B(self) -> np.ndarray:
         return (self.h_frame - self.mean * np.eye(self.g.shape[0])) / self.rho
@@ -143,15 +151,6 @@ class SurfaceFields:
     sample: Callable[[np.ndarray], tuple[np.ndarray, ...]]
     ambient_curvature: float
 
-    def moebius_metric_field(self) -> Callable[[np.ndarray], np.ndarray]:
-        """pts -> (K, m, m) Moebius metric rho^2 I, one sample request per call."""
-
-        def field(pts: np.ndarray) -> np.ndarray:
-            g, _, rho, _ = self.sample(pts)
-            return rho[:, None, None] ** 2 * g
-
-        return field
-
 
 def fields_from_immersion(imm: ImmersionHandle) -> SurfaceFields:
     """Fields of any immersion handle: each request takes I and II from one
@@ -170,62 +169,68 @@ def fields_from_immersion(imm: ImmersionHandle) -> SurfaceFields:
 
 
 # ---------------------------------------------------------------------------
-# one request per point set
+# one request per point
 
 
-def _pointwise(fields: SurfaceFields, p: np.ndarray) -> _Pointwise:
-    """The pointwise record at p from one sample request."""
-    g, h, rho, mean = (q[0] for q in fields.sample(p[None, :]))
-    g = require_symmetric(g, tol=1e-8, what="first fundamental form")
-    h = require_symmetric(h, tol=1e-6, what="second fundamental form")
-    return _Pointwise.build(g, h, float(rho), float(mean))
+class _Jet(NamedTuple):
+    """Value, first partials (m, ...) and second partials (m, m, ...) at p."""
+
+    value: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
 
 
-def _differenced(fields: SurfaceFields, quantities, p: np.ndarray, step: float):
-    """The jet at p of quantities(I, h, rho, H), from one stencil request.
+class _Jets(NamedTuple):
+    """The jet at p of every quantity a Moebius invariant reads."""
 
-    The quantities are packed side by side into one field, so the stencil is
-    sampled once; each level (values, first and second partials) comes back
-    split per quantity.
-    """
-    shapes = []  # per-point shapes of the quantities, recorded by the one field call
+    g: _Jet  # I
+    h: _Jet
+    moebius: _Jet  # rho^2 I
+    b: _Jet  # the coordinate tensor B = rho (h - H I)
+    rho: _Jet
+    log_rho: _Jet
+    mean: _Jet  # H
+
+
+def _jets(fields: SurfaceFields, p: np.ndarray, step: float) -> _Jets:
+    """The jets of ``_Jets`` at p from one stencil request: the quantities are
+    packed side by side into one field, and split back per quantity."""
+    m = p.size
+    shapes = [(m, m)] * 4 + [()] * 3
+    ends = np.cumsum([0] + [m * m] * 4 + [1] * 3)
 
     def field(pts: np.ndarray) -> np.ndarray:
-        parts = quantities(*fields.sample(np.atleast_2d(pts)))
-        shapes[:] = [q.shape[1:] for q in parts]
+        g, h, rho, mean = fields.sample(np.atleast_2d(pts))
+        r = rho[:, None, None]
+        parts = (g, h, r**2 * g, r * (h - mean[:, None, None] * g), rho, np.log(rho), mean)
         return np.concatenate([q.reshape(q.shape[0], -1) for q in parts], axis=1)
 
     levels = jet(field, p, step)
-    ends = np.cumsum([int(np.prod(shape, dtype=int)) for shape in shapes])[:-1]
-
-    def split(x: np.ndarray) -> list[np.ndarray]:
-        pieces = np.split(x, ends, axis=-1)
-        return [q.reshape(x.shape[:-1] + shape).copy() for q, shape in zip(pieces, shapes)]
-
-    return [split(x) for x in levels]
-
-
-def _log_rho_mean_metric(g, h, rho, mean):
-    return np.log(rho), mean, g
+    quantities = (
+        _Jet(*(x[..., a:b].reshape(x.shape[:-1] + shape).copy() for x in levels))
+        for a, b, shape in zip(ends, ends[1:], shapes)
+    )
+    return _Jets(*quantities)
 
 
 # ---------------------------------------------------------------------------
 # derivative-level invariants
 
 
-def _form(pt: _Pointwise, d_logrho: np.ndarray, d_mean: np.ndarray) -> np.ndarray:
+def _form(pt: _Pointwise, jets: _Jets) -> np.ndarray:
     """C in the g-frame from the pointwise record and the partials of log rho and H."""
-    e_mean = pt.frame.T @ d_mean
-    e_logrho = pt.frame.T @ d_logrho
+    e_mean = pt.frame.T @ jets.mean.d1
+    e_logrho = pt.frame.T @ jets.log_rho.d1
     n = pt.g.shape[0]
     c_theta = -(e_mean + (pt.h_frame - pt.mean * np.eye(n)) @ e_logrho) / pt.rho
     return c_theta / pt.rho
 
 
-def _blaschke(pt: _Pointwise, ambient_curvature: float, d_logrho, dd_logrho, dg) -> np.ndarray:
+def _blaschke(pt: _Pointwise, jets: _Jets, ambient_curvature: float) -> np.ndarray:
     """A in the g-frame from the pointwise record, the partials of log rho and dI."""
+    d_logrho, dd_logrho = jets.log_rho.d1, jets.log_rho.d2
     ginv = np.linalg.inv(pt.g)
-    hess = dd_logrho - np.einsum("kij,k->ij", christoffel_symbols(ginv, dg), d_logrho)
+    hess = dd_logrho - np.einsum("kij,k->ij", christoffel_symbols(ginv, jets.g.d1), d_logrho)
     e_logrho = pt.frame.T @ d_logrho
     hess_frame = pt.frame.T @ hess @ pt.frame
     grad2 = float(d_logrho @ ginv @ d_logrho)
@@ -237,6 +242,11 @@ def _blaschke(pt: _Pointwise, ambient_curvature: float, d_logrho, dd_logrho, dg)
     return a_theta / pt.rho**2
 
 
+def _direct(p: np.ndarray, jets: _Jets, convention=Convention.FULL_TRACE) -> float:
+    """Scalar curvature of the metric rho^2 I from its jet."""
+    return float(curvature_from_jet(p, *jets.moebius, convention).scalar)
+
+
 def moebius_form(fields: SurfaceFields, p: np.ndarray, step: float) -> np.ndarray:
     """Moebius 1-form components C_i in the g-orthonormal frame.
 
@@ -245,12 +255,11 @@ def moebius_form(fields: SurfaceFields, p: np.ndarray, step: float) -> np.ndarra
     The sum against e_j(log rho) completes the gradient coupling so that
     the expression is a well-formed 1-form; the divergence identity
     sum_j B_ij,j = -(n-1) C_i is exposed separately as a numerical check.
-    The partials come from the jet stencil of ``blaschke_A`` and
-    ``moebius_data``, so all three agree bit for bit on C's inputs.
+    The request is that of ``blaschke_A`` and ``moebius_data``, so all three
+    agree bit for bit on C's inputs.
     """
-    p = np.asarray(p, dtype=float)
-    _, (d_logrho, d_mean, _), _ = _differenced(fields, _log_rho_mean_metric, p, step)
-    return _form(_pointwise(fields, p), d_logrho, d_mean)
+    jets = _jets(fields, np.asarray(p, dtype=float), step)
+    return _form(_Pointwise.at_centre(jets), jets)
 
 
 def blaschke_A(fields: SurfaceFields, p: np.ndarray, step: float) -> np.ndarray:
@@ -262,9 +271,8 @@ def blaschke_A(fields: SurfaceFields, p: np.ndarray, step: float) -> np.ndarray:
     in an I-orthonormal frame (Hessian of the induced metric's connection),
     divided by rho^2.  c is the ambient curvature constant of the fields.
     """
-    p = np.asarray(p, dtype=float)
-    _, (d_logrho, _, dg), (dd_logrho, _, _) = _differenced(fields, _log_rho_mean_metric, p, step)
-    return _blaschke(_pointwise(fields, p), fields.ambient_curvature, d_logrho, dd_logrho, dg)
+    jets = _jets(fields, np.asarray(p, dtype=float), step)
+    return _blaschke(_Pointwise.at_centre(jets), jets, fields.ambient_curvature)
 
 
 def moebius_form_divergence_residual(fields: SurfaceFields, p: np.ndarray, step: float) -> float:
@@ -275,21 +283,23 @@ def moebius_form_divergence_residual(fields: SurfaceFields, p: np.ndarray, step:
     metric's connection.  This is the independent cross-check for the
     completed gradient coupling in the C formula.
     """
-    p = np.asarray(p, dtype=float)
-
-    def quantities(g, h, rho, mean):
-        b = rho[:, None, None] * (h - mean[:, None, None] * g)
-        return rho[:, None, None] ** 2 * g, b, np.log(rho), mean
-
-    values, (d_gm, d_b, d_logrho, d_mean), _ = _differenced(fields, quantities, p, step)
-    g, b0 = values[:2]
+    jets = _jets(fields, np.asarray(p, dtype=float), step)
+    g = jets.moebius.value
     ginv = np.linalg.inv(g)
-    nabla = covariant_derivative(b0, d_b, christoffel_symbols(ginv, d_gm))
+    gamma = christoffel_symbols(ginv, jets.moebius.d1)
+    nabla = covariant_derivative(jets.b.value, jets.b.d1, gamma)
     div = np.einsum("bc,abc->a", ginv, nabla)
     frame = gram_schmidt_frame(g)
     div_frame = frame.T @ div  # frame components of the 1-form g^{bc} B_ab;c
-    c_frame = _form(_pointwise(fields, p), d_logrho, d_mean)
-    return float(np.max(np.abs(div_frame + (p.size - 1) * c_frame)))
+    c_frame = _form(_Pointwise.at_centre(jets), jets)
+    return float(np.max(np.abs(div_frame + (g.shape[0] - 1) * c_frame)))
+
+
+def direct_scalar(fields: SurfaceFields, p: np.ndarray, step: float) -> float:
+    """Full-trace scalar curvature of the Moebius metric rho^2 I at p: the
+    direct route of ``moebius_scalar`` alone, from the same one request."""
+    p = np.asarray(p, dtype=float)
+    return _direct(p, _jets(fields, p, step))
 
 
 class MoebiusScalarResult(NamedTuple):
@@ -309,23 +319,17 @@ def moebius_scalar(
 ) -> MoebiusScalarResult:
     """Scalar curvature of the Moebius metric by two independent routes.
 
-    direct: curvature of the metric field rho^2 I; conformal_route: the
-    conformal-change formula applied to the induced metric with
-    u = log rho.  Their agreement is the two-route consistency check.  The
-    routes share only the evaluation of their inputs: one stencil of the
-    packed field (rho^2 I, I, log rho), with the given step.
+    direct: curvature of the metric field rho^2 I (``direct_scalar``);
+    conformal_route: the conformal-change formula applied to the induced
+    metric with u = log rho.  Their agreement is the two-route consistency
+    check.  The routes share only the evaluation of their inputs: one
+    stencil request of the fields, with the given step.
     """
     p = np.asarray(p, dtype=float)
-
-    def quantities(g, h, rho, mean):
-        return rho[:, None, None] ** 2 * g, g, np.log(rho)
-
-    moebius, induced, u = zip(*_differenced(fields, quantities, p, step))
-    direct = curvature_from_jet(p, *moebius, convention).scalar
-    base = curvature_from_jet(p, *induced)
-    via = conformal_scalar_from_jet(base, *u)
+    jets = _jets(fields, p, step)
+    via = conformal_scalar_from_jet(curvature_from_jet(p, *jets.g), *jets.log_rho)
     via = convert_scalar(via, Convention.FULL_TRACE, convention, fields.dim)
-    return MoebiusScalarResult(direct=float(direct), conformal_route=float(via))
+    return MoebiusScalarResult(direct=_direct(p, jets, convention), conformal_route=float(via))
 
 
 # ---------------------------------------------------------------------------
@@ -359,14 +363,12 @@ class MoebiusData:
 
 
 def moebius_data(fields: SurfaceFields, p: np.ndarray, step: float) -> MoebiusData:
-    """All invariants at p from one sample request and one stencil request."""
+    """All invariants at p from one stencil request; the pointwise ones from its centre."""
     p = np.asarray(p, dtype=float)
-    pt = _pointwise(fields, p)
-    _, (d_logrho, d_mean, dg), (dd_logrho, _, _) = _differenced(
-        fields, _log_rho_mean_metric, p, step
-    )
+    jets = _jets(fields, p, step)
+    pt = _Pointwise.at_centre(jets)
     b = pt.B
-    a = _blaschke(pt, fields.ambient_curvature, d_logrho, dd_logrho, dg)
+    a = _blaschke(pt, jets, fields.ambient_curvature)
     sample = MetricSample(point=p, g=pt.g)
     wb, _ = jacobi_eigh(b)
     wa, _ = jacobi_eigh(a)
@@ -377,7 +379,7 @@ def moebius_data(fields: SurfaceFields, p: np.ndarray, step: float) -> MoebiusDa
         g_moebius=moebius_metric(sample, pt.rho),
         B=b,
         A=a,
-        C=_form(pt, d_logrho, d_mean),
+        C=_form(pt, jets),
         principal_curvatures=principal_curvatures(sample, pt.h),
         B_eigenvalues=wb[::-1].copy(),
         A_eigenvalues=wa[::-1].copy(),

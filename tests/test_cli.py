@@ -92,11 +92,13 @@ class TestConfigErrors:
             ("kappa0 = 0.0\n", "spiral", "kappa0 must lie strictly between"),
             ("kappa0 = -1.0\n", "build", "kappa0 must lie strictly between"),
             ("kappa0 = 2e6\n", "spiral", "kappa0 must lie strictly between"),
+            ("seed = -1\n", "invariants", "seed must be >= 0"),
         ],
         ids=[
             "obj_axes-text", "obj_axes-count", "slice_axes-repeat", "slice_axes-range",
             "grid_spread", "step-nan-verify", "step-nan-rigidity", "horizon-inf",
             "tol_constancy-nan", "kappa0-zero", "kappa0-negative", "kappa0-above-ceiling",
+            "seed-negative",
         ],
     )
     def test_unrunnable_config_exit_two(self, tmp_path, capsys, text, command, reason):
@@ -105,11 +107,18 @@ class TestConfigErrors:
         # rigidity row the equilibrium, and a NaN or infinite value passes
         # every "<= 0" test and escapes as a traceback or a NaN verdict, and a
         # kappa0 outside (kappa_floor, kappa_ceiling) stops spiral and build
-        # with an integration error (exit 1)
+        # with an integration error (exit 1), and a negative seed escapes
+        # numpy's generator as a traceback
         cfg = write_cfg(tmp_path, text)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and reason in err
+
+    def test_negative_seed_override_exit_two(self, tmp_path, capsys):
+        # --seed re-validates the config it overrides
+        assert main(["verify", "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "seed must be >= 0" in err
 
     @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("name", FLOAT_KEYS)
@@ -187,6 +196,14 @@ class TestDataCommands:
         lines = (tmp_path / "invariants.csv").read_text().splitlines()
         assert "convention=half" in lines[0]
         assert len(lines) == 2 + 3
+
+    def test_invariants_stay_inside_the_kappa_band(self, tmp_path):
+        # at the default config the spiral reaches kappa = 1.1 at s = 1.66055,
+        # so the surface that invariants samples ends there
+        cfg = write_cfg(tmp_path, "kappa_floor = 1.1\n")
+        assert main(["invariants", "--config", cfg, "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "invariants.csv").read_text().splitlines()[2:]
+        assert rows and all(float(row.split(",")[0]) < 1.66 for row in rows)
 
     def test_rigidity_small(self, tmp_path):
         cfg = write_cfg(tmp_path, "horizon = 30\ngrid_size = 2\n")

@@ -11,6 +11,8 @@ import pytest
 from mobiusflat import cli, fd
 from mobiusflat.checks import (
     CHECK_FUNCTIONS,
+    FIELD_STEP,
+    field_step,
     rigidity_scan,
     run_suite,
     suite_steps,
@@ -399,8 +401,14 @@ class TestStepTable:
         table = suite_steps(cfg)
         assert len(set(table.values())) == len(table)
         run_suite(cfg)
+        seen = set(requested)
         for family in ("rotational", "torus"):
+            requested.clear()
             run_cfg = dataclasses.replace(cfg, family=family)
             assert cli.cmd_invariants(run_cfg, str(tmp_path), "full") == 0
-        assert requested <= set(table.values())
-        assert {name for name, step in table.items() if step in requested} == set(table)
+            # the field-step rule of the suite: the torus takes its own step
+            assert field_step(family) in requested
+            assert (FIELD_STEP in requested) == (family != "torus")
+            seen |= requested
+        assert seen <= set(table.values())
+        assert {name for name, step in table.items() if step in seen} == set(table)

@@ -13,11 +13,13 @@ from mobiusflat.immersion import (
 )
 from mobiusflat.moebius import (
     blaschke_A,
+    direct_scalar,
     fields_from_immersion,
     moebius_B,
     moebius_data,
     moebius_density,
     moebius_form,
+    moebius_form_divergence_residual,
     moebius_metric,
     moebius_scalar,
 )
@@ -133,7 +135,6 @@ class TestOneJetFields:
         assert np.array_equal(sample[1], h)
         assert np.array_equal(sample[2], rho)
         assert np.array_equal(sample[3], mean)
-        assert np.array_equal(fields.moebius_metric_field()(pts), rho[:, None, None] ** 2 * g)
 
     def test_one_evaluator_call_per_request(self, torus):
         calls = []
@@ -146,10 +147,9 @@ class TestOneJetFields:
         fields = fields_from_immersion(imm)
         pts = interior_points(imm, 3, seed=7)
         stencil = 5 * N_DIM + 16 * N_DIM * (N_DIM - 1) // 2
-        for request in (fields.sample, fields.moebius_metric_field()):
-            calls.clear()
-            request(pts)
-            assert calls == [3 * stencil]
+        calls.clear()  # the orientation sign, resolved once at construction
+        fields.sample(pts)
+        assert calls == [3 * stencil]
 
 
 def counting_fields(imm):
@@ -170,14 +170,22 @@ def counting_fields(imm):
 class TestOneRequestPerPointSet:
     STENCIL = 5 * N_DIM + 16 * N_DIM * (N_DIM - 1) // 2  # points of one jet
 
-    def test_moebius_data_one_pointwise_request(self, torus):
+    @pytest.mark.parametrize(
+        "invariant",
+        [
+            moebius_data,
+            moebius_form,
+            blaschke_A,
+            moebius_form_divergence_residual,
+            moebius_scalar,
+            direct_scalar,
+        ],
+        ids=lambda f: f.__name__,
+    )
+    def test_one_stencil_request(self, torus, invariant):
+        # the pointwise record is read from the stencil's centre: no one-point request
         fields, calls = counting_fields(torus)
-        moebius_data(fields, torus.base_point, FINE)
-        assert calls == [self.STENCIL, self.STENCIL**2]
-
-    def test_moebius_scalar_one_outer_stencil_request(self, torus):
-        fields, calls = counting_fields(torus)
-        moebius_scalar(fields, torus.base_point, SCALAR_STEP)
+        invariant(fields, torus.base_point, FINE)
         assert calls == [self.STENCIL**2]
 
     @pytest.mark.parametrize("analytic", [True, False], ids=["closed-form", "fd"])
@@ -195,9 +203,12 @@ class TestOneRequestPerPointSet:
             for name in ("rho", "H", "B", "A", "C", "principal_curvatures", "A_eigenvalues"):
                 assert close(getattr(d, name), getattr(ref, name)), name
             assert close(d.g_moebius.g, ref.g_moebius.g)
+            assert close(moebius_form(fields, p, FINE), moebius_oracle.moebius_form(fields, p, FINE))
+            assert close(blaschke_A(fields, p, FINE), moebius_oracle.blaschke_A(fields, p, FINE))
             s = moebius_scalar(fields, p, SCALAR_STEP)
             s_ref = moebius_oracle.moebius_scalar(fields, p, SCALAR_STEP)
             assert close(s, s_ref)
+            assert close(direct_scalar(fields, p, SCALAR_STEP), s_ref.direct)
 
 
 class TestTensorB:
@@ -254,8 +265,6 @@ class TestMoebiusForm:
 
     def test_divergence_identity_cross_check(self, rotational, torus):
         # sum_j B_ij,j = -(n-1) C_i ties the C formula to the divergence of B
-        from mobiusflat.moebius import moebius_form_divergence_residual
-
         traj, imm = sin_curve_cylinder()
         for handle, step in [
             (imm, 0.01),
