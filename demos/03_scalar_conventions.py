@@ -2,11 +2,11 @@
 """Scalar-curvature normalization audit on the warped metric family.
 
 The metric kappa(s)^2 (ds^2 + I_{-eps}) has constant scalar curvature
-exactly when kappa solves the standard-variant spiral ODE; the constant is
-an affine function of the prescribed R whose slope depends on the
-normalization (2(n-1) for the full trace).  The alternate coefficient
-convention does not preserve the scalar curvature, which the audit shows
-numerically.
+exactly when kappa solves the spiral ODE; the constant is an affine function
+of the prescribed R whose slope depends on the normalization (2(n-1) for the
+full trace).  A prescribed curvature that does not solve the ODE (the
+non-solution control of scalar_constancy, kappa = 1.15 + 0.3 sin s) does not
+keep the scalar curvature constant, which the audit shows numerically.
 """
 
 import numpy as np
@@ -15,46 +15,50 @@ from mobiusflat.checks import suite_steps, warped_metric_field, warped_base_poin
 from mobiusflat.config import RunConfig
 from mobiusflat.curvature import Convention, metric_field_curvature, metric_field_curvature_batch
 from mobiusflat.spiral import (
-    ALTERNATE,
     IntegratorControls,
     SpiralParams,
     SpiralState,
     integrate_spiral,
+    prescribed_curvature_trajectory,
     reconstruct_curve,
+    sine_curvature,
 )
 
 n = 4
 step = suite_steps(RunConfig())["scalar"]  # the suite's warped-metric scalar step
 
 
-def scalar_profile(params, k0, ks0, s_max=4.0):
-    traj = reconstruct_curve(
+def spiral(params, k0, ks0, s_max=4.0):
+    return reconstruct_curve(
         integrate_spiral(params, SpiralState(k0, ks0), IntegratorControls(s_max=s_max))
     )
+
+
+def scalar_profile(traj):
     svals = np.linspace(traj.s[0] + 0.3, traj.s[-1] - 0.3, 12)
-    pts = np.array([warped_base_point(n, params.epsilon, s) for s in svals])
+    pts = np.array([warped_base_point(n, traj.params.epsilon, s) for s in svals])
     return metric_field_curvature_batch(warped_metric_field(traj, n), pts, step).scalar
 
 
-print("standard variant, eps = -1 (sphere cross-section):")
+print("spiral equation, eps = -1 (sphere cross-section):")
 for big_r in (0.3, 0.75, 1.2):
     params = SpiralParams(n, -1, big_r)
-    vals = scalar_profile(params, 1.05 * np.sqrt((n - 2) / (2 * big_r)), 0.0)
+    vals = scalar_profile(spiral(params, 1.05 * np.sqrt((n - 2) / (2 * big_r)), 0.0))
     print(
         f"  R = {big_r:5.2f}: computed scalar {vals.mean():12.8f} "
         f"(spread {vals.max()-vals.min():.2e}); ratio to R = {vals.mean()/big_r:.6f}"
     )
 print(f"  -> full-trace slope 2(n-1) = {2*(n-1)}; half and normalized scale accordingly")
 
-print("\nalternate coefficient convention (same R = 0.75, eps = -1):")
-vals = scalar_profile(SpiralParams(n, -1, -0.75, variant=ALTERNATE), 1.25, 0.05)
+print("\nnon-solution control, kappa = 1.15 + 0.3 sin s (eps = -1):")
+control = prescribed_curvature_trajectory(
+    n, -1, sine_curvature(1.15, 0.3), IntegratorControls(s_max=4.0)
+)
+vals = scalar_profile(control)
 print(f"  scalar range [{vals.min():.4f}, {vals.max():.4f}]: not constant")
 
-print("\nper-normalization values at one point (standard, R = 0.75):")
-params = SpiralParams(n, -1, 0.75)
-traj = reconstruct_curve(
-    integrate_spiral(params, SpiralState(1.25, 0.05), IntegratorControls(s_max=4.0))
-)
+print("\nper-normalization values at one point (R = 0.75):")
+traj = spiral(SpiralParams(n, -1, 0.75), 1.25, 0.05)
 field = warped_metric_field(traj, n)
 p = warped_base_point(n, -1, 2.0)
 for conv in Convention:

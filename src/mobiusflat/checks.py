@@ -66,8 +66,6 @@ from .moebius import (
 )
 from .report import CheckRecord, VerificationReport
 from .spiral import (
-    ALTERNATE,
-    STANDARD,
     IntegratorControls,
     SpiralParams,
     SpiralState,
@@ -159,15 +157,13 @@ class SuiteSurface:
         return self.imm.analytic_fields
 
 
-def spiral_trajectory(
-    n, epsilon, big_r, kappa0, kappa_s0, s_max, step=1e-3, variant=STANDARD, curve=True
-):
+def spiral_trajectory(n, epsilon, big_r, kappa0, kappa_s0, s_max, step=1e-3, curve=True):
     """A spiral from one integration; with curve=False the kappa samples alone.
 
     The kappa subsystem does not read the curve, so its samples agree either
     way, to round-off (the joint Taylor steps also follow the curve).
     """
-    params = SpiralParams(n, epsilon, big_r, variant=variant)
+    params = SpiralParams(n, epsilon, big_r)
     controls = IntegratorControls(s_max=s_max, step=step)
     if not curve:
         return integrate_spiral(params, SpiralState(kappa0, kappa_s0), controls)
@@ -615,11 +611,11 @@ def check_scalar_constancy(cfg: RunConfig, surfaces, rng, res: Residuals) -> dic
 def check_warped_metric_scalar(cfg: RunConfig, surfaces, rng, res: Residuals) -> dict:
     """Constancy and normalization audit for kappa^2 (ds^2 + I_{-eps}).
 
-    Asserts: along standard-variant spirals the numerically computed scalar
-    curvature is constant.  Audits: the affine relation between the computed
-    constant and the prescribed R under each normalization (the full-trace
-    slope is 2(n-1)), and the non-constancy of the alternate coefficient
-    convention.
+    Asserts: along spirals the numerically computed scalar curvature is
+    constant.  Audits: the affine relation between the computed constant and
+    the prescribed R under each normalization (the full-trace slope is
+    2(n-1)).  The non-solution control of scalar_constancy shows that a
+    profile off the spiral equation does not keep the scalar constant.
     """
     n = cfg.n
     step = suite_steps(cfg)["scalar"]
@@ -663,19 +659,10 @@ def check_warped_metric_scalar(cfg: RunConfig, surfaces, rng, res: Residuals) ->
             _audit_row(f"warped-metric scalar equals prescribed R (eps = {eps})", off_unit)
         )
 
-    # alternate coefficient convention: spread recorded, not asserted
-    alt = spiral_trajectory(
-        n, -1, -0.75, 1.25, 0.05, 4.5, cfg.step, variant=ALTERNATE, curve=False
-    )
-    svals = np.linspace(float(alt.s[0]) + 0.2, float(alt.s[-1]) - 0.2, 20)
-    alt_spread = _spread(_warped_scalars(alt, n, svals, step))
-    res.add(samples=svals.size)
-
     return {
         "constancy_spread": spreads,
         "affine_fits": fits,
         "expected_full_trace_slope": 2.0 * (n - 1),
-        "alternate_variant_spread": alt_spread,
         "audit_rows": audit_rows,
     }
 
@@ -872,10 +859,10 @@ def rigidity_scan(cfg: RunConfig) -> dict:
     march that status reads.
     """
     n = cfg.n
-    params = SpiralParams(n, -1, cfg.R, variant=cfg.spiral_variant)
+    params = SpiralParams(n, -1, cfg.R)
     kstar = equilibrium_kappa(params)
     result = {
-        "params": {"n": n, "epsilon": -1, "R": cfg.R, "variant": cfg.spiral_variant},
+        "params": {"n": n, "epsilon": -1, "R": cfg.R},
         "equilibrium_kappa": kstar,
     }
     if kstar is None or kstar <= 1.0:
@@ -930,7 +917,7 @@ def rigidity_scan(cfg: RunConfig) -> dict:
     result["grid_closures"] = closures
     result["grid_all_open"] = all(r["status"] == "open" for r in grid_rows)
 
-    flat_params = SpiralParams(n, 0, 0.0, variant=STANDARD)
+    flat_params = SpiralParams(n, 0, 0.0)
     flat_trajs = integrate_grid(
         flat_params,
         np.array([[1.0, 0.05], [1.0, 0.1]]),
@@ -939,8 +926,8 @@ def rigidity_scan(cfg: RunConfig) -> dict:
     flat_rows = []
     for traj in flat_trajs:
         res = closure_test(traj, cfg.tol_closed, cfg.tol_open)
-        # E = kappa_s^2 kappa^(n-4) is conserved here (eps = 0, R = 0,
-        # standard): E > 0 keeps kappa_s away from 0, so kappa is strictly
+        # E = kappa_s^2 kappa^(n-4) is conserved here (eps = 0, R = 0):
+        # E > 0 keeps kappa_s away from 0, so kappa is strictly
         # monotone and the profile cannot close
         energy = float(first_integral(flat_params, traj.kappa[0], traj.kappa_s[0]))
         flat_rows.append(

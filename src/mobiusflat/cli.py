@@ -32,7 +32,7 @@ from .zoo import EPSILON_BY_FAMILY, build_family, torus_immersion
 
 def _trajectory(cfg: RunConfig, epsilon: int):
     """The config's spiral in the model space of curvature epsilon, within its kappa band."""
-    params = SpiralParams(cfg.n, epsilon, cfg.R, variant=cfg.spiral_variant)
+    params = SpiralParams(cfg.n, epsilon, cfg.R)
     controls = IntegratorControls(
         s_max=cfg.s_max,
         step=cfg.step,

@@ -18,7 +18,7 @@ from math import isfinite
 from .errors import ConfigError
 from .report import config_hash
 from .zoo import FAMILIES
-VARIANTS = ("standard", "alternate")
+
 CHECK_NAMES = (
     "moebius_metric_match",
     "trace_identities",
@@ -42,7 +42,6 @@ class RunConfig:
     n: int = 4
     epsilon: int = -1
     R: float = 0.75
-    spiral_variant: str = "standard"
     kappa0: float = 1.25
     kappa_s0: float = 0.05
     # integrator controls
@@ -136,8 +135,6 @@ class RunConfig:
             )
         if self.epsilon not in (-1, 0, 1):
             raise ConfigError("epsilon must be one of -1, 0, 1")
-        if self.spiral_variant not in VARIANTS:
-            raise ConfigError(f"spiral_variant must be one of {VARIANTS}")
         if self.family not in FAMILIES:
             raise ConfigError(f"family must be one of {FAMILIES}")
         if not 0.0 < self.torus_r < 1.0:

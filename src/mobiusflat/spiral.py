@@ -5,16 +5,10 @@ order ODE of the family
 
     kappa_ss = c2 * kappa_s**2 / (2 kappa) + c1 * kappa / 2 - R * kappa**3,
 
-with two supported coefficient conventions for (c2, c1):
-
-* ``standard``:  c2 = 4 - n,   c1 = -eps (n - 2).  With this choice the
-  warped metric kappa(s)^2 (ds^2 + I_{-eps}) has constant scalar curvature,
-  equal to 2 (n - 1) R in the full-trace normalization (see
-  ``checks.check_warped_metric_scalar`` for the empirical audit).
-* ``alternate``: c2 = n + 2,   c1 = +eps (n - 2).  An alternative sign and
-  coefficient convention for the same equation that circulates in this
-  problem area; kept selectable so the harness can compare the two.  It does
-  not keep the warped-metric scalar curvature constant.
+with c2 = 4 - n and c1 = -eps (n - 2).  These are the coefficients for which
+the warped metric kappa(s)^2 (ds^2 + I_{-eps}) has constant scalar
+curvature, equal to 2 (n - 1) R in the full-trace normalization (see
+``checks.check_warped_metric_scalar`` for the empirical audit).
 
 Curves are reconstructed alongside kappa in the model space N^2(eps):
 the Euclidean plane (eps = 0), the unit 2-sphere (eps = +1), or the
@@ -65,9 +59,6 @@ import numpy as np
 from . import taylor
 from .errors import ChartDomainError, InputError
 
-STANDARD = "standard"
-ALTERNATE = "alternate"
-
 PLANE = "plane"
 SPHERE = "sphere"
 HALF_PLANE = "half-plane"
@@ -88,15 +79,12 @@ class SpiralParams:
     n: int
     epsilon: int
     R: float
-    variant: str = STANDARD
 
     def __post_init__(self):
         if self.n < 3:
             raise InputError(f"hypersurface dimension must be >= 3, got {self.n}")
         if self.epsilon not in (-1, 0, 1):
             raise InputError(f"epsilon must be -1, 0 or +1, got {self.epsilon}")
-        if self.variant not in (STANDARD, ALTERNATE):
-            raise InputError(f"unknown spiral variant {self.variant!r}")
 
     @property
     def model(self) -> str:
@@ -131,13 +119,11 @@ class IntegratorControls:
 def _coefficients(params: SpiralParams) -> tuple[float, float, float]:
     """(c2, c1, R) of kappa_ss = c2 kappa_s^2 / (2 kappa) + c1 kappa / 2 - R kappa^3."""
     n, eps = params.n, params.epsilon
-    if params.variant == STANDARD:
-        return float(4 - n), float(-eps * (n - 2)), float(params.R)
-    return float(n + 2), float(eps * (n - 2)), float(params.R)
+    return float(4 - n), float(-eps * (n - 2)), float(params.R)
 
 
 def kappa_accel(params: SpiralParams, kappa, kappa_s):
-    """kappa_ss for the selected coefficient convention (vectorized)."""
+    """kappa_ss of the spiral equation (vectorized)."""
     kappa = np.asarray(kappa, dtype=float)
     kappa_s = np.asarray(kappa_s, dtype=float)
     c2, c1, big_r = _coefficients(params)
@@ -150,10 +136,7 @@ def equilibrium_kappa(params: SpiralParams) -> float | None:
     n, eps, big_r = params.n, params.epsilon, params.R
     if eps == 0 or big_r == 0.0:
         return None
-    if params.variant == STANDARD:
-        val = -eps * (n - 2) / (2.0 * big_r)
-    else:
-        val = eps * (n - 2) / (2.0 * big_r)
+    val = -eps * (n - 2) / (2.0 * big_r)
     return float(np.sqrt(val)) if val > 0 else None
 
 
@@ -163,19 +146,12 @@ def first_integral(params: SpiralParams, kappa, kappa_s):
     Obtained by the linear reduction of kappa_s**2 as a function of kappa
     with integrating factor kappa**(-c2):
 
-    standard : E = kappa_s^2 k^(n-4) + eps k^(n-2) + (2R/n) k^n
-    alternate: E = kappa_s^2 k^-(n+2) + eps (n-2)/(n k^n) - 2R / ((n-2) k^(n-2))
+        E = kappa_s^2 k^(n-4) + eps k^(n-2) + (2R/n) k^n
     """
     k = np.asarray(kappa, dtype=float)
     ks = np.asarray(kappa_s, dtype=float)
     n, eps, big_r = params.n, params.epsilon, params.R
-    if params.variant == STANDARD:
-        return ks**2 * k ** (n - 4) + eps * k ** (n - 2) + (2.0 * big_r / n) * k**n
-    return (
-        ks**2 * k ** (-(n + 2))
-        + eps * (n - 2) / n * k ** (-n)
-        - 2.0 * big_r / (n - 2) * k ** (-(n - 2))
-    )
+    return ks**2 * k ** (n - 4) + eps * k ** (n - 2) + (2.0 * big_r / n) * k**n
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +554,7 @@ def prescribed_curvature_trajectory(
     ceiling and queried as a spiral row is: the step polynomials of kappa
     and kappa_s are those of the prescribed curvature.
     """
-    params = SpiralParams(n, epsilon, 0.0, variant=STANDARD)
+    params = SpiralParams(n, epsilon, 0.0)
     model = params.model
     start = _curve_start(model, initial_curve)
     kappa_start = kappa_taylor(np.zeros(1), 1)  # (1, 2): kappa and kappa_s at s = 0
@@ -788,7 +764,7 @@ def export_csv(traj: SpiralTrajectory, path=None) -> str:
     p = traj.params
     buf = io.StringIO()
     buf.write(
-        f"# n={p.n} epsilon={p.epsilon} R={p.R!r} variant={p.variant} "
+        f"# n={p.n} epsilon={p.epsilon} R={p.R!r} "
         f"model={p.model} step={traj.controls.step!r} termination={traj.termination}\n"
     )
     cols = ["s", "kappa", "kappa_s"]

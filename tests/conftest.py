@@ -38,8 +38,8 @@ def fd_handle(m, n, evaluator, **kw):
     return imm
 
 
-def make_trajectory(epsilon, big_r, kappa0, kappa_s0, s_max, variant="standard"):
-    params = SpiralParams(N_DIM, epsilon, big_r, variant=variant)
+def make_trajectory(epsilon, big_r, kappa0, kappa_s0, s_max):
+    params = SpiralParams(N_DIM, epsilon, big_r)
     traj = integrate_spiral(
         params, SpiralState(kappa0, kappa_s0), IntegratorControls(s_max=s_max, step=1e-3)
     )

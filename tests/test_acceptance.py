@@ -13,8 +13,6 @@ import pytest
 from mobiusflat.checks import rigidity_scan, run_suite
 from mobiusflat.config import RunConfig
 from mobiusflat.spiral import (
-    ALTERNATE,
-    STANDARD,
     IntegratorControls,
     SpiralParams,
     equilibrium_kappa,
@@ -87,11 +85,11 @@ def test_criterion_04_two_route_oracle(suite):
 
 FIRST_INTEGRAL_CASES = [
     # bounded-oscillation parameter sets; others leave the admissible band
-    (SpiralParams(4, -1, 0.75, variant=STANDARD), None),
-    (SpiralParams(4, -1, 0.3, variant=STANDARD), None),
-    (SpiralParams(4, 0, 0.0, variant=STANDARD), 1.1),
-    (SpiralParams(4, 1, 1.0, variant=ALTERNATE), None),
-    (SpiralParams(4, 1, 0.5, variant=ALTERNATE), None),
+    (SpiralParams(4, -1, 0.75), None),
+    (SpiralParams(4, -1, 0.3), None),
+    (SpiralParams(4, 0, 0.0), 1.1),
+    (SpiralParams(5, -1, 0.75), None),
+    (SpiralParams(6, -1, 0.75), None),
 ]
 
 
@@ -120,9 +118,9 @@ def test_criterion_05_first_integral_drift():
 
 
 ROUND_TRIP_CASES = [
-    (SpiralParams(4, 0, -0.05, variant=STANDARD), 1.1, 0.1, 4.0),
-    (SpiralParams(4, 1, -1.0, variant=STANDARD), 1.02, 0.0, 2.5),
-    (SpiralParams(4, -1, 0.75, variant=STANDARD), 1.25, 0.05, 4.0),
+    (SpiralParams(4, 0, -0.05), 1.1, 0.1, 4.0),
+    (SpiralParams(4, 1, -1.0), 1.02, 0.0, 2.5),
+    (SpiralParams(4, -1, 0.75), 1.25, 0.05, 4.0),
 ]
 
 

@@ -65,9 +65,11 @@ class TestConfigErrors:
         cfg = write_cfg(tmp_path, "tol_constancy = 0\n")
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
-    def test_unknown_key_exit_two(self, tmp_path):
-        cfg = write_cfg(tmp_path, "zzz = 7\n")
-        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    def test_unknown_key_exit_two(self, tmp_path, capsys):
+        for text in ("zzz = 7\n", "spiral_variant = alternate\n"):
+            cfg = write_cfg(tmp_path, text)
+            assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+            assert "unknown key" in capsys.readouterr().err
 
     def test_n_three_exit_two(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "n = 3\n")

@@ -38,12 +38,14 @@ class TestConfig:
         assert cfg.samples == RunConfig().samples
 
     def test_unknown_key(self):
-        # conventions, tol_first_integral and tol_roundtrip were never read
+        # conventions, tol_first_integral and tol_roundtrip were never read;
+        # the spiral equation has one set of coefficients, so no spiral_variant
         for text in (
             "frobnicate = 1\n",
             "conventions = half,full,normalized\n",
             "tol_first_integral = 1e-9\n",
             "tol_roundtrip = 1e-6\n",
+            "spiral_variant = alternate\n",
         ):
             with pytest.raises(ConfigError, match="unknown key"):
                 parse_config(text)
@@ -374,7 +376,7 @@ class TestRigidity:
             assert np.all(np.diff(traj.kappa) > 0)
 
     def test_no_equilibrium_is_trivial(self):
-        cfg = RunConfig(R=-0.75).validate()  # standard variant: needs R > 0
+        cfg = RunConfig(R=-0.75).validate()  # the half-plane equilibrium needs R > 0
         result = rigidity_scan(cfg)
         assert result["status"] == "trivial"
 

@@ -8,8 +8,6 @@ import rk4_oracle
 from mobiusflat import spiral
 from mobiusflat.errors import ChartDomainError, InputError
 from mobiusflat.spiral import (
-    ALTERNATE,
-    STANDARD,
     IntegratorControls,
     SpiralParams,
     SpiralState,
@@ -40,39 +38,14 @@ def run(params, kappa0, kappa_s0, s_max=10.0, step=1e-3, curve=False, stride=1):
 
 
 class TestRhs:
-    def test_alternate_equilibrium_relation(self):
-        # kappa_ss vanishes exactly when eps (n-2) / (2 kappa^2) = R
-        for n, eps, big_r in [(4, 1, 1.0), (5, 1, 0.3), (4, -1, -0.7)]:
-            kstar = np.sqrt(eps * (n - 2) / (2 * big_r))
-            p = SpiralParams(n, eps, big_r, variant=ALTERNATE)
-            assert kappa_accel(p, kstar, 0.0) == pytest.approx(0.0, abs=1e-14)
-
-    def test_alternate_flat_zero_r_line_of_equilibria(self):
-        p = SpiralParams(4, 0, 0.0, variant=ALTERNATE)
-        for k in (0.2, 1.0, 3.7):
-            assert kappa_accel(p, k, 0.0) == 0.0
-
-    def test_alternate_direct_substitution_n4(self):
-        # n=4, eps=1, R=1, kappa=1, kappa_s=0: 3*0/2 + 1*1 - 1 = 0
-        p = SpiralParams(4, 1, 1.0, variant=ALTERNATE)
-        assert kappa_accel(p, 1.0, 0.0) == pytest.approx(0.0)
-
     def test_standard_equilibrium_relation(self):
-        p = SpiralParams(4, -1, 0.75, variant=STANDARD)
+        p = SpiralParams(4, -1, 0.75)
         kstar = equilibrium_kappa(p)
         assert kstar == pytest.approx(np.sqrt((4 - 2) / (2 * 0.75)))
         assert kappa_accel(p, kstar, 0.0) == pytest.approx(0.0, abs=1e-14)
 
 
 class TestEquilibrium:
-    def test_alternate_formulas(self):
-        assert equilibrium_kappa(SpiralParams(4, 1, 1.0, variant=ALTERNATE)) == pytest.approx(1.0)
-        assert equilibrium_kappa(SpiralParams(4, 0, 0.5, variant=ALTERNATE)) is None
-        assert equilibrium_kappa(SpiralParams(4, -1, -0.5, variant=ALTERNATE)) == pytest.approx(
-            np.sqrt(1 / 0.5)
-        )
-        assert equilibrium_kappa(SpiralParams(4, -1, 0.5, variant=ALTERNATE)) is None
-
     def test_standard_needs_opposite_signs(self):
         assert equilibrium_kappa(SpiralParams(4, -1, 0.75)) is not None
         assert equilibrium_kappa(SpiralParams(4, -1, -0.75)) is None
@@ -80,7 +53,7 @@ class TestEquilibrium:
 
     def test_stability_matches_linearization(self):
         # sign of d(kappa_ss)/d(kappa) at the equilibrium decides the scan
-        p = SpiralParams(4, -1, 0.75, variant=STANDARD)
+        p = SpiralParams(4, -1, 0.75)
         kstar = equilibrium_kappa(p)
         h = 1e-6
         num = (kappa_accel(p, kstar + h, 0.0) - kappa_accel(p, kstar - h, 0.0)) / (2 * h)
@@ -97,11 +70,11 @@ class TestFirstIntegral:
     @pytest.mark.parametrize(
         "params,k0,ks0",
         [
-            (SpiralParams(4, -1, 0.75, variant=STANDARD), 1.1, 0.05),
-            (SpiralParams(4, -1, 0.3, variant=STANDARD), 1.9, 0.05),
-            (SpiralParams(4, 0, 0.0, variant=STANDARD), 1.1, 0.05),
-            (SpiralParams(4, 1, 1.0, variant=ALTERNATE), 1.1, 0.05),
-            (SpiralParams(4, 1, 0.5, variant=ALTERNATE), 1.5, 0.05),
+            (SpiralParams(4, -1, 0.75), 1.1, 0.05),
+            (SpiralParams(4, -1, 0.3), 1.9, 0.05),
+            (SpiralParams(4, 0, 0.0), 1.1, 0.05),
+            (SpiralParams(6, -1, 0.75), 1.1, 0.05),
+            (SpiralParams(5, -1, 0.75), 1.5, 0.05),
         ],
     )
     def test_drift_below_1e9_over_horizon_10(self, params, k0, ks0):
@@ -110,7 +83,7 @@ class TestFirstIntegral:
         assert traj.first_integral_drift() < 1e-9
 
     def test_equilibrium_is_constant_trajectory(self):
-        p = SpiralParams(4, -1, 0.75, variant=STANDARD)
+        p = SpiralParams(4, -1, 0.75)
         kstar = equilibrium_kappa(p)
         traj = run(p, kstar, 0.0, s_max=5.0)
         assert np.max(np.abs(traj.kappa - kstar)) < 1e-12
@@ -118,7 +91,7 @@ class TestFirstIntegral:
 
     def test_rk4_order_by_step_halving(self):
         # the RK4 oracle; steps chosen so truncation dominates rounding at the endpoint
-        p = SpiralParams(4, -1, 0.75, variant=STANDARD)
+        p = SpiralParams(4, -1, 0.75)
 
         def end_kappa(step):
             controls = IntegratorControls(s_max=2.0, step=step)
@@ -130,7 +103,7 @@ class TestFirstIntegral:
         assert e1 / e2 == pytest.approx(16.0, rel=0.35)
 
     def test_time_reversal_symmetry(self):
-        p = SpiralParams(4, -1, 0.6, variant=STANDARD)
+        p = SpiralParams(4, -1, 0.6)
         fwd = run(p, 1.2, 0.1, s_max=3.0)
         back = run(p, fwd.kappa[-1], -fwd.kappa_s[-1], s_max=3.0)
         assert back.kappa[-1] == pytest.approx(1.2, abs=1e-10)
@@ -140,14 +113,14 @@ class TestFirstIntegral:
 class TestTermination:
     def test_floor_event(self):
         # flat model, positive R pulls kappa through zero
-        p = SpiralParams(4, 0, 0.5, variant=STANDARD)
+        p = SpiralParams(4, 0, 0.5)
         traj = run(p, 1.0, -0.5, s_max=50.0)
         assert traj.termination == "kappa_floor"
         assert traj.kappa[-1] <= 2e-6
         assert traj.s_end < 50.0
 
     def test_ceiling_event(self):
-        p = SpiralParams(4, 0, -0.5, variant=STANDARD)
+        p = SpiralParams(4, 0, -0.5)
         controls = IntegratorControls(s_max=50.0, step=1e-3, kappa_ceiling=50.0)
         traj = integrate_spiral(p, SpiralState(1.0, 0.5), controls)
         assert traj.termination == "kappa_ceiling"
@@ -171,7 +144,7 @@ class TestTermination:
 
 class TestCurveReconstruction:
     def test_plane_circle_closes(self):
-        p = SpiralParams(4, 0, 0.0, variant=STANDARD)
+        p = SpiralParams(4, 0, 0.0)
         traj = run(p, 1.0, 0.0, s_max=7.0, curve=True)
         res = closure_test(traj, tol_closed=1e-6)
         assert res.status == "closed"
@@ -180,7 +153,7 @@ class TestCurveReconstruction:
 
     def test_half_plane_circle_closes(self):
         # constant geodesic curvature > 1 in the half-plane: a circle
-        p = SpiralParams(4, -1, 0.75, variant=STANDARD)
+        p = SpiralParams(4, -1, 0.75)
         kstar = equilibrium_kappa(p)  # 2/sqrt(3) > 1
         period = 2 * np.pi / np.sqrt(kstar**2 - 1.0)
         traj = run(p, kstar, 0.0, s_max=1.3 * period, curve=True)
@@ -190,7 +163,7 @@ class TestCurveReconstruction:
         assert res.period == pytest.approx(period, abs=1e-6)
 
     def test_sphere_constraints_maintained(self):
-        p = SpiralParams(4, 1, -1.0, variant=STANDARD)
+        p = SpiralParams(4, 1, -1.0)
         traj = run(p, 1.05, 0.0, s_max=6.0, curve=True)
         gam = traj.curve[:, 0:3]
         tan = traj.curve[:, 3:6]
@@ -201,9 +174,9 @@ class TestCurveReconstruction:
     @pytest.mark.parametrize(
         "params,k0,ks0,s_max",
         [
-            (SpiralParams(4, 0, -0.05, variant=STANDARD), 1.1, 0.1, 4.0),
-            (SpiralParams(4, 1, -1.0, variant=STANDARD), 1.02, 0.0, 2.5),
-            (SpiralParams(4, -1, 0.75, variant=STANDARD), 1.3, 0.05, 4.0),
+            (SpiralParams(4, 0, -0.05), 1.1, 0.1, 4.0),
+            (SpiralParams(4, 1, -1.0), 1.02, 0.0, 2.5),
+            (SpiralParams(4, -1, 0.75), 1.3, 0.05, 4.0),
         ],
     )
     def test_curvature_round_trip(self, params, k0, ks0, s_max):
@@ -213,14 +186,14 @@ class TestCurveReconstruction:
         assert np.max(np.abs(kap - target)) < 1e-6
 
     def test_non_equilibrium_does_not_close(self):
-        p = SpiralParams(4, -1, 0.75, variant=STANDARD)
+        p = SpiralParams(4, -1, 0.75)
         traj = run(p, 1.3, 0.0, s_max=60.0, curve=True, stride=5)
         res = closure_test(traj, tol_closed=1e-6, tol_open=1e-3)
         assert res.status == "open"
         assert res.defect > 1e-3
 
     def test_too_short_is_inconclusive(self):
-        p = SpiralParams(4, 0, 0.0, variant=STANDARD)
+        p = SpiralParams(4, 0, 0.0)
         traj = run(p, 1.0, 0.0, s_max=0.5, curve=True)
         res = closure_test(traj, s_min=1.0)
         assert res.status == "inconclusive"
@@ -228,7 +201,7 @@ class TestCurveReconstruction:
     def test_queries_do_not_depend_on_the_sample_step(self):
         # controls.step only spaces the stored samples: the step polynomials,
         # and so every query, are the same bit for bit at any spacing
-        p = SpiralParams(4, -1, 0.75, variant=STANDARD)
+        p = SpiralParams(4, -1, 0.75)
         fine = run(p, 1.3, 0.0, s_max=2.0, step=5e-4, curve=True)
         coarse = run(p, 1.3, 0.0, s_max=2.0, step=1e-3, curve=True)
         assert fine.steps.starts == coarse.steps.starts
@@ -248,20 +221,20 @@ class TestCurveReconstruction:
         assert np.max(np.abs(states - ys_o[off])) <= 5e-13
 
     def test_query_outside_range_raises(self):
-        p = SpiralParams(4, 0, 0.0, variant=STANDARD)
+        p = SpiralParams(4, 0, 0.0)
         traj = run(p, 1.0, 0.0, s_max=2.0, curve=True)
         with pytest.raises(ChartDomainError):
             traj.kappa_at(np.array([2.5]))
 
 
 def test_csv_export_roundtrip(tmp_path):
-    p = SpiralParams(4, -1, 0.75, variant=STANDARD)
+    p = SpiralParams(4, -1, 0.75)
     traj = run(p, 1.2, 0.0, s_max=1.0, curve=True)
     path = tmp_path / "traj.csv"
     text = export_csv(traj, path)
     assert path.read_text() == text
     header, columns = text.splitlines()[0], text.splitlines()[1]
-    assert "epsilon=-1" in header and "variant=standard" in header
+    assert "epsilon=-1" in header and "variant" not in header
     assert columns.split(",") == ["s", "kappa", "kappa_s", "x", "y", "phi", "E"]
     body = np.array(
         [[float(v) for v in line.split(",")] for line in text.splitlines()[2:]]
@@ -277,12 +250,9 @@ def test_csv_export_roundtrip(tmp_path):
 # Taylor-marched prescribed-curvature controls against the same stepper
 
 ORACLE_CASES = {
-    ("plane", STANDARD): (SpiralParams(4, 0, -0.05), 1.1, 0.1),
-    ("plane", ALTERNATE): (SpiralParams(4, 0, 0.3, variant=ALTERNATE), 1.1, 0.1),
-    ("sphere", STANDARD): (SpiralParams(4, 1, -1.0), 1.02, 0.05),
-    ("sphere", ALTERNATE): (SpiralParams(5, 1, 0.5, variant=ALTERNATE), 1.5, 0.05),
-    ("half-plane", STANDARD): (SpiralParams(4, -1, 0.75), 1.3, 0.05),
-    ("half-plane", ALTERNATE): (SpiralParams(4, -1, -0.5, variant=ALTERNATE), 1.3, 0.05),
+    ("plane", "standard"): (SpiralParams(4, 0, -0.05), 1.1, 0.1),
+    ("sphere", "standard"): (SpiralParams(4, 1, -1.0), 1.02, 0.05),
+    ("half-plane", "standard"): (SpiralParams(4, -1, 0.75), 1.3, 0.05),
 }
 
 
@@ -600,11 +570,15 @@ class TestTaylorOracle:
     @pytest.mark.parametrize(
         "params,k0,ks0",
         [
-            (SpiralParams(4, 0, 0.3, variant=ALTERNATE), 1.1, 0.1),
-            (SpiralParams(5, 1, 0.5, variant=ALTERNATE), 1.5, 0.05),
-            (SpiralParams(4, 1, 1.0, variant=ALTERNATE), 1.1, 0.05),
+            # n = 5: c2 = -1, so the quotient recurrence of kappa_series runs
+            (SpiralParams(5, 0, 0.0), 1.1, 0.1),
+            # the equilibrium kappa* = 1; every other sphere row reaches the
+            # kappa floor or leaves this saddle before s = 10
+            (SpiralParams(4, 1, -1.0), 1.0, 0.0),
+            (SpiralParams(5, -1, 0.75), 1.5, 0.05),
+            (SpiralParams(6, -1, 0.75), 1.7, 0.05),
         ],
-        ids=["plane", "sphere", "sphere-n4"],
+        ids=["plane", "sphere-n4", "half-plane-n5", "half-plane-n6"],
     )
     def test_plane_and_sphere_rows_to_ten(self, params, k0, ks0):
         controls = IntegratorControls(s_max=10.0)
