@@ -14,14 +14,12 @@ import numpy as np
 from mobiusflat.checks import field_step
 from mobiusflat.config import RunConfig
 from mobiusflat.moebius import fields_from_immersion, moebius_data, moebius_scalar
-from mobiusflat.spiral import IntegratorControls, SpiralParams, SpiralState, integrate_spiral, reconstruct_curve
+from mobiusflat.spiral import IntegratorControls, SpiralParams, integrate_grid
 from mobiusflat.zoo import rotational_immersion
 
 n = 4
 params = SpiralParams(n=n, epsilon=-1, R=0.75)
-traj = reconstruct_curve(
-    integrate_spiral(params, SpiralState(1.25, 0.05), IntegratorControls(s_max=4.0))
-)
+traj = integrate_grid(params, [[1.25, 0.05]], IntegratorControls(s_max=4.0))[0]
 imm = rotational_immersion(traj, n)
 fields = fields_from_immersion(imm)
 

@@ -13,14 +13,17 @@ import numpy as np
 
 from mobiusflat.checks import suite_steps, warped_metric_field, warped_base_point
 from mobiusflat.config import RunConfig
-from mobiusflat.curvature import Convention, metric_field_curvature, metric_field_curvature_batch
+from mobiusflat.curvature import (
+    Convention,
+    convert_scalar,
+    metric_field_curvature,
+    metric_field_curvature_batch,
+)
 from mobiusflat.spiral import (
     IntegratorControls,
     SpiralParams,
-    SpiralState,
-    integrate_spiral,
+    integrate_grid,
     prescribed_curvature_trajectory,
-    reconstruct_curve,
     sine_curvature,
 )
 
@@ -29,9 +32,7 @@ step = suite_steps(RunConfig())["scalar"]  # the suite's warped-metric scalar st
 
 
 def spiral(params, k0, ks0, s_max=4.0):
-    return reconstruct_curve(
-        integrate_spiral(params, SpiralState(k0, ks0), IntegratorControls(s_max=s_max))
-    )
+    return integrate_grid(params, [[k0, ks0]], IntegratorControls(s_max=s_max))[0]
 
 
 def scalar_profile(traj):
@@ -60,7 +61,6 @@ print(f"  scalar range [{vals.min():.4f}, {vals.max():.4f}]: not constant")
 print("\nper-normalization values at one point (R = 0.75):")
 traj = spiral(SpiralParams(n, -1, 0.75), 1.25, 0.05)
 field = warped_metric_field(traj, n)
-p = warped_base_point(n, -1, 2.0)
+full = metric_field_curvature(field, warped_base_point(n, -1, 2.0), step).scalar
 for conv in Convention:
-    b = metric_field_curvature(field, p, step, conv)
-    print(f"  {conv.value:10s}: {b.scalar:.8f}")
+    print(f"  {conv.value:10s}: {convert_scalar(full, Convention.FULL_TRACE, conv, n):.8f}")

@@ -9,21 +9,13 @@ JSON descriptor next to each OBJ records the slice specification.
 import tempfile
 
 from mobiusflat.meshes import export_obj_slice
-from mobiusflat.spiral import IntegratorControls, SpiralParams, SpiralState, integrate_spiral, reconstruct_curve
+from mobiusflat.spiral import IntegratorControls, SpiralParams, integrate_grid
 from mobiusflat.zoo import cylinder_immersion, rotational_immersion, torus_immersion
 
 out = tempfile.mkdtemp(prefix="mobiusflat_meshes_")
 
-plane = reconstruct_curve(
-    integrate_spiral(
-        SpiralParams(4, 0, -0.05), SpiralState(1.1, 0.1), IntegratorControls(s_max=4.0)
-    )
-)
-half = reconstruct_curve(
-    integrate_spiral(
-        SpiralParams(4, -1, 0.75), SpiralState(1.25, 0.05), IntegratorControls(s_max=4.0)
-    )
-)
+plane = integrate_grid(SpiralParams(4, 0, -0.05), [[1.1, 0.1]], IntegratorControls(s_max=4.0))[0]
+half = integrate_grid(SpiralParams(4, -1, 0.75), [[1.25, 0.05]], IntegratorControls(s_max=4.0))[0]
 
 for imm, axes in (
     (cylinder_immersion(plane, 4), (0, 1)),

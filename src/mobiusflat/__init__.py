@@ -4,11 +4,15 @@ Library layout:
 
 * ``fd``, ``linalg``    -- finite-difference stencils, small-matrix eigensolvers
 * ``immersion``         -- fundamental forms and normals of explicit immersions
-* ``curvature``         -- Riemann/Ricci/scalar of metric fields, Schouten, Codazzi
+* ``curvature``         -- Riemann/Ricci/full-trace scalar of metric fields, Schouten, Codazzi
 * ``moebius``           -- conformal density, Moebius metric, B, A, C invariants
 * ``spiral``            -- prescribed-curvature curve ODE in the 2d model spaces
+* ``taylor``            -- order-20 Taylor marcher behind every spiral trajectory
 * ``zoo``               -- cylinder/cone/rotational/torus generators, model maps
+* ``meshes``            -- OBJ slice export
 * ``checks``, ``report``-- verification harness with structured reports
+* ``config``            -- flat key = value run configuration
+* ``errors``            -- the MobiusFlatError hierarchy
 * ``cli``               -- command-line front end (spiral/build/invariants/verify/rigidity)
 """
 
@@ -33,7 +37,6 @@ from .errors import (
 )
 from .immersion import (
     ImmersionHandle,
-    MetricSample,
     first_fundamental_form,
     jacobian,
     principal_curvatures,
@@ -49,7 +52,6 @@ from .moebius import (
     moebius_data,
     moebius_density,
     moebius_form,
-    moebius_metric,
     moebius_scalar,
 )
 from .spiral import (
@@ -61,6 +63,7 @@ from .spiral import (
     closure_test,
     equilibrium_kappa,
     first_integral,
+    integrate_grid,
     integrate_spiral,
     reconstruct_curve,
 )

@@ -89,11 +89,7 @@ from .zoo import (
     torus_immersion,
 )
 
-CONVENTION_BY_NAME = {
-    "half": Convention.HALF_TRACE,
-    "full": Convention.FULL_TRACE,
-    "normalized": Convention.NORMALIZED,
-}
+CONVENTION_BY_NAME = {c.value: c for c in Convention}
 
 # spiral presets per model curvature: (R, kappa0, kappa_s0, s_max); the
 # cone family is dynamically unstable, so its arc is kept short

@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .checks import CONVENTION_BY_NAME, field_step, rigidity_scan, run_suite, sample_points
 from .config import RunConfig, load_config
+from .curvature import Convention, convert_scalar
 from .errors import ConfigError, MobiusFlatError
 from .meshes import export_obj_slice
 from .moebius import fields_from_immersion, moebius_data, moebius_scalar
@@ -49,7 +50,7 @@ def _build_surface(cfg: RunConfig):
     return build_family(cfg.family, traj, cfg.n)
 
 
-def cmd_spiral(cfg: RunConfig, out: str, convention: str) -> int:
+def cmd_spiral(cfg: RunConfig, out: str) -> int:
     traj = _trajectory(cfg, cfg.epsilon)
     path = os.path.join(out, "trajectory.csv")
     export_csv(traj, path)
@@ -61,7 +62,7 @@ def cmd_spiral(cfg: RunConfig, out: str, convention: str) -> int:
     return 0
 
 
-def cmd_build(cfg: RunConfig, out: str, convention: str) -> int:
+def cmd_build(cfg: RunConfig, out: str) -> int:
     imm = _build_surface(cfg)
     desc = export_obj_slice(
         imm,
@@ -95,7 +96,7 @@ def cmd_invariants(cfg: RunConfig, out: str, convention: str) -> int:
     rows = []
     for p in pts:
         d = moebius_data(fields, p, field_step(cfg.family))
-        s = moebius_scalar(fields, p, cfg.curvature_step, convention=conv)
+        s = moebius_scalar(fields, p, cfg.curvature_step)
         rows.append(
             list(p)
             + [d.rho, d.H]
@@ -107,8 +108,8 @@ def cmd_invariants(cfg: RunConfig, out: str, convention: str) -> int:
                 d.trace_B(),
                 d.norm2_B() - (n - 1) / n,
                 d.commutator_norm(),
-                s.direct,
-                s.conformal_route,
+                convert_scalar(s.direct, Convention.FULL_TRACE, conv, n),
+                convert_scalar(s.conformal_route, Convention.FULL_TRACE, conv, n),
             ]
         )
     path = os.path.join(out, "invariants.csv")
@@ -122,7 +123,7 @@ def cmd_invariants(cfg: RunConfig, out: str, convention: str) -> int:
     return 0
 
 
-def cmd_verify(cfg: RunConfig, out: str, convention: str) -> int:
+def cmd_verify(cfg: RunConfig, out: str) -> int:
     report = run_suite(cfg)
     texts = {
         "report.json": report.to_json(),
@@ -146,7 +147,7 @@ def cmd_verify(cfg: RunConfig, out: str, convention: str) -> int:
     return 0 if ok else 1
 
 
-def cmd_rigidity(cfg: RunConfig, out: str, convention: str) -> int:
+def cmd_rigidity(cfg: RunConfig, out: str) -> int:
     result = rigidity_scan(cfg)
     path = os.path.join(out, "rigidity.json")
     with open(path, "w") as fh:
@@ -198,13 +199,14 @@ def make_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=fn.__doc__)
         p.add_argument("--config", default=None, help="path to a key = value config file")
         p.add_argument("--out", default=".", help="output directory (created if missing)")
-        p.add_argument(
-            "--convention",
-            choices=("half", "full", "normalized"),
-            default="full",
-            help="scalar-curvature normalization for reported values",
-        )
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        if name == "invariants":
+            p.add_argument(
+                "--convention",
+                choices=tuple(CONVENTION_BY_NAME),
+                default="full",
+                help="scalar-curvature normalization of the two scalar columns",
+            )
     return parser
 
 
@@ -220,7 +222,8 @@ def main(argv=None) -> int:
         return 2
     try:
         os.makedirs(args.out, exist_ok=True)
-        return COMMANDS[args.command](cfg, args.out, args.convention)
+        options = (args.convention,) if args.command == "invariants" else ()
+        return COMMANDS[args.command](cfg, args.out, *options)
     except ConfigError as exc:  # a setting that only the built surface can check
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -12,12 +12,14 @@ its fully lowered form, Ricci, and the scalar curvature.  With this sign
 convention the unit round sphere has positive scalar curvature (full trace
 n(n-1)).
 
-Scalar-curvature normalizations differ across sources, so every consumer
-states one explicitly:
+Scalar-curvature normalizations differ across sources:
 
     HALF_TRACE  = sum_{i>j} R_ijij   (orthonormal frame)
     FULL_TRACE  = 2 * HALF_TRACE     (the trace of Ricci; the common one)
     NORMALIZED  = FULL_TRACE / (n (n-1))
+
+Every scalar this layer computes is the full trace; code that reports a
+value in another normalization converts it with ``convert_scalar``.
 
 The layer works on point sets.  ``metric_field_curvature_batch`` asks the
 field for the metric 2-jets at K points in one call (``fd.jet_batch``), and
@@ -70,58 +72,34 @@ def convert_scalar(value, src: Convention, dst: Convention, n: int):
 
 @dataclass(frozen=True)
 class CurvatureBundle:
-    """Curvature data of a metric field at one point.
+    """Curvature data of a metric field at one point, or at K points.
 
     christoffel[k, i, j] = Gamma^k_ij in chart coordinates; riemann, ricci
-    and scalar are components in the deterministic Gram-Schmidt orthonormal
-    frame (columns of ``frame``), so the convention sums above apply as
-    written.
+    and the full-trace scalar are components in the deterministic
+    Gram-Schmidt orthonormal frame (columns of ``frame``), so the sums above
+    apply as written.  A bundle over K points carries a leading K axis on
+    every field (scalar is (K,)); ``bundle[i]`` is the bundle at point i.
     """
 
-    point: np.ndarray
     metric: np.ndarray
     frame: np.ndarray
     christoffel: np.ndarray
     riemann: np.ndarray
     ricci: np.ndarray
-    scalar: float
-    convention: Convention
+    scalar: float | np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.metric.shape[0]
-
-    def scalar_as(self, convention: Convention) -> float:
-        return convert_scalar(self.scalar, self.convention, convention, self.dim)
-
-
-@dataclass(frozen=True)
-class CurvatureBatch:
-    """Curvature data of a metric field at K points.
-
-    The fields of ``CurvatureBundle`` with a leading K axis (scalar is (K,));
-    ``batch[i]`` is the bundle at point i.
-    """
-
-    points: np.ndarray
-    metric: np.ndarray
-    frame: np.ndarray
-    christoffel: np.ndarray
-    riemann: np.ndarray
-    ricci: np.ndarray
-    scalar: np.ndarray
-    convention: Convention
+        return self.metric.shape[-1]
 
     def __getitem__(self, i: int) -> CurvatureBundle:
         return CurvatureBundle(
-            point=self.points[i],
             metric=self.metric[i],
             frame=self.frame[i],
             christoffel=self.christoffel[i],
             riemann=self.riemann[i],
             ricci=self.ricci[i],
             scalar=float(self.scalar[i]),
-            convention=self.convention,
         )
 
 
@@ -190,13 +168,7 @@ def _on_frame(tensor: np.ndarray, frame: np.ndarray) -> np.ndarray:
     return tensor
 
 
-def curvature_batch(
-    points: np.ndarray,
-    g: np.ndarray,
-    dg: np.ndarray,
-    ddg: np.ndarray,
-    convention: Convention = Convention.FULL_TRACE,
-) -> CurvatureBatch:
+def curvature_batch(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> CurvatureBundle:
     """Curvature at K points from the metric 2-jets, with the layout of ``fd.jet_batch``.
 
     g (K, m, m), dg[k, a, i, j] = d_a g_ij and ddg[k, a, b, i, j] = d_a d_b g_ij.
@@ -209,51 +181,32 @@ def curvature_batch(
     frame = gram_schmidt_frames(g)
     riem_on = _on_frame(riem, frame)
     ricci_on = np.einsum("...ikjk->...ij", riem_on)
-    full = np.einsum("...ii->...", ricci_on)
-    return CurvatureBatch(
-        points=points,
+    return CurvatureBundle(
         metric=g,
         frame=frame,
         christoffel=gamma,
         riemann=riem_on,
         ricci=ricci_on,
-        scalar=convert_scalar(full, Convention.FULL_TRACE, convention, g.shape[-1]),
-        convention=convention,
+        scalar=np.einsum("...ii->...", ricci_on),
     )
 
 
-def metric_field_curvature_batch(
-    metric_field,
-    pts: np.ndarray,
-    step: float,
-    convention: Convention = Convention.FULL_TRACE,
-) -> CurvatureBatch:
+def metric_field_curvature_batch(metric_field, pts: np.ndarray, step: float) -> CurvatureBundle:
     """Curvature of a metric field at the points (K, m): one field call, one batch of algebra."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    return curvature_batch(pts, *jet_batch(metric_field, pts, step), convention)
+    return curvature_batch(*jet_batch(metric_field, pts, step))
 
 
-def metric_field_curvature(
-    metric_field,
-    p: np.ndarray,
-    step: float,
-    convention: Convention = Convention.FULL_TRACE,
-) -> CurvatureBundle:
+def metric_field_curvature(metric_field, p: np.ndarray, step: float) -> CurvatureBundle:
     """Full curvature bundle of a metric field at p: ``metric_field_curvature_batch`` at one point."""
     p = np.asarray(p, dtype=float)
-    return metric_field_curvature_batch(metric_field, p[None, :], step, convention)[0]
+    return metric_field_curvature_batch(metric_field, p[None, :], step)[0]
 
 
-def curvature_from_jet(
-    p: np.ndarray,
-    g: np.ndarray,
-    dg: np.ndarray,
-    ddg: np.ndarray,
-    convention: Convention = Convention.FULL_TRACE,
-) -> CurvatureBundle:
-    """Curvature bundle at p from the metric's value, dg[a, i, j] = d_a g_ij and ddg[a, b, i, j]."""
-    jets = (np.asarray(x, dtype=float)[None] for x in (g, dg, ddg))
-    return curvature_batch(np.asarray(p)[None], *jets, convention)[0]
+def curvature_from_jet(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> CurvatureBundle:
+    """Curvature bundle at one point from the metric's value, dg[a, i, j] = d_a g_ij
+    and ddg[a, b, i, j] = d_a d_b g_ij."""
+    return curvature_batch(*(np.asarray(x, dtype=float)[None] for x in (g, dg, ddg)))[0]
 
 
 def riemann_symmetry_residuals(bundle: CurvatureBundle) -> dict[str, float]:
@@ -297,28 +250,29 @@ def conformal_scalar_from_jet(base: CurvatureBundle, u0, du: np.ndarray, ddu: np
     hess = ddu - np.einsum("kij,k->ij", base.christoffel, du)
     lap = float(np.einsum("ij,ij->", ginv, hess))
     grad2 = float(du @ ginv @ du)
-    r0 = base.scalar_as(Convention.FULL_TRACE)
+    r0 = base.scalar
     return float(np.exp(-2.0 * u0) * (r0 - 2.0 * (n - 1) * lap - (n - 1) * (n - 2) * grad2))
 
 
-def schouten_tensor(bundle: CurvatureBundle, convention: Convention | None = None) -> np.ndarray:
+def schouten_tensor(
+    bundle: CurvatureBundle, convention: Convention = Convention.FULL_TRACE
+) -> np.ndarray:
     """S = Ricci - R / (2 (n-1)) Id in the orthonormal frame.
 
     The normalization of R in this definition is ambiguous across sources;
-    the convention argument (default: the bundle's own) selects one, and
-    the verification harness audits which choice makes S a Codazzi tensor.
+    the convention argument selects one, and the verification harness
+    audits which choice makes S a Codazzi tensor.
     """
     n = bundle.dim
     if n < 3:
         raise InputError("Schouten tensor needs dimension >= 3")
-    conv = convention or bundle.convention
-    r = bundle.scalar_as(conv)
+    r = convert_scalar(bundle.scalar, Convention.FULL_TRACE, convention, n)
     return bundle.ricci - r / (2.0 * (n - 1)) * np.eye(n)
 
 
-def _schouten_coordinates(b: CurvatureBatch, convention: Convention) -> np.ndarray:
-    """S_ab in chart coordinates at the points of a curvature batch (K, m, m)."""
-    n = b.metric.shape[-1]
+def _schouten_coordinates(b: CurvatureBundle, convention: Convention) -> np.ndarray:
+    """S_ab in chart coordinates at the points of a K-point curvature bundle (K, m, m)."""
+    n = b.dim
     r = convert_scalar(b.scalar, Convention.FULL_TRACE, convention, n)
     inv_frame = np.linalg.inv(b.frame)
     ric_coord = np.swapaxes(inv_frame, -1, -2) @ b.ricci @ inv_frame
@@ -334,7 +288,7 @@ def schouten_coordinate_field(
     """
 
     def field(pts: np.ndarray) -> np.ndarray:
-        b = metric_field_curvature_batch(metric_field, pts, step, Convention.FULL_TRACE)
+        b = metric_field_curvature_batch(metric_field, pts, step)
         return _schouten_coordinates(b, convention)
 
     return field
@@ -349,8 +303,8 @@ def covariant_derivative(s0: np.ndarray, ds: np.ndarray, gamma: np.ndarray) -> n
     )
 
 
-def _codazzi(s0: np.ndarray, ds: np.ndarray, batch: CurvatureBatch) -> np.ndarray:
-    """The Codazzi defects at a curvature batch's points from S_ab and d_c S_ab ([k, c, a, b])."""
+def _codazzi(s0: np.ndarray, ds: np.ndarray, batch: CurvatureBundle) -> np.ndarray:
+    """The Codazzi defects at a K-point bundle's points from S_ab and d_c S_ab ([k, c, a, b])."""
     nabla_on = _on_frame(covariant_derivative(s0, ds, batch.christoffel), batch.frame)
     return np.max(np.abs(nabla_on - np.einsum("...ijk->...ikj", nabla_on)), axis=(1, 2, 3))
 
@@ -380,7 +334,7 @@ def schouten_codazzi_defects(metric_field, pts: np.ndarray, step: float, convent
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
 
-    def schouten(b: CurvatureBatch) -> np.ndarray:  # (K, normalizations, m, m)
+    def schouten(b: CurvatureBundle) -> np.ndarray:  # (K, normalizations, m, m)
         return np.stack([_schouten_coordinates(b, conv) for conv in conventions], axis=1)
 
     def field(q: np.ndarray) -> np.ndarray:

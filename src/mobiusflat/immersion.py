@@ -25,34 +25,12 @@ import numpy as np
 
 from .errors import ChartDomainError, DegenerateGeometryError, InputError
 from .fd import jet_batch
-from .linalg import generalized_eigvals_descending, require_symmetric
+from .linalg import generalized_eigvals_descending
 
 EUCLIDEAN = "euclidean"
 UNIT_SPHERE = "unit-sphere"
 
 _SPHERE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class MetricSample:
-    """Metric components g_ij in the chart basis at one point."""
-
-    point: np.ndarray
-    g: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "point", np.asarray(self.point, dtype=float))
-        g = require_symmetric(np.asarray(self.g, dtype=float), tol=1e-12, what="metric sample")
-        w = np.linalg.eigvalsh(g)
-        if w[0] <= 0.0:
-            raise DegenerateGeometryError(
-                f"metric sample is not positive definite (min eigenvalue {w[0]:.3e})"
-            )
-        object.__setattr__(self, "g", g)
-
-    @property
-    def dim(self) -> int:
-        return self.g.shape[0]
 
 
 @dataclass(frozen=True)
@@ -178,9 +156,8 @@ def first_fundamental_form_batch(imm: ImmersionHandle, pts: np.ndarray) -> np.nd
     return _gram(jacobian_batch(imm, pts))
 
 
-def first_fundamental_form(imm: ImmersionHandle, p: np.ndarray) -> MetricSample:
-    g = first_fundamental_form_batch(imm, np.asarray(p, dtype=float)[None, :])[0]
-    return MetricSample(point=np.asarray(p, dtype=float), g=g)
+def first_fundamental_form(imm: ImmersionHandle, p: np.ndarray) -> np.ndarray:
+    return first_fundamental_form_batch(imm, np.asarray(p, dtype=float)[None, :])[0]
 
 
 def _require_full_rank(gram: np.ndarray, floor: float = 1e-18) -> None:
@@ -284,12 +261,14 @@ def second_fundamental_form(imm: ImmersionHandle, p: np.ndarray) -> np.ndarray:
     return second_fundamental_form_batch(imm, np.asarray(p, dtype=float)[None, :])[0]
 
 
-def principal_curvatures(first: MetricSample | np.ndarray, second: np.ndarray) -> np.ndarray:
+def principal_curvatures(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """Eigenvalues of the shape operator, descending.
 
     Solves II v = lam I v on the Jacobi-symmetrized pencil
-    I^{-1/2} II I^{-1/2}.
+    I^{-1/2} II I^{-1/2}; an I that is not positive definite raises
+    DegenerateGeometryError.
     """
-    g = first.g if isinstance(first, MetricSample) else np.asarray(first, dtype=float)
-    return generalized_eigvals_descending(np.asarray(second, dtype=float), g)
+    return generalized_eigvals_descending(
+        np.asarray(second, dtype=float), np.asarray(first, dtype=float)
+    )
 

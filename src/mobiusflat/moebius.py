@@ -36,10 +36,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .curvature import (
-    Convention,
     christoffel_symbols,
     conformal_scalar_from_jet,
-    convert_scalar,
     covariant_derivative,
     curvature_from_jet,
 )
@@ -48,7 +46,6 @@ from .fd import jet
 from .immersion import (
     UNIT_SPHERE,
     ImmersionHandle,
-    MetricSample,
     fundamental_forms_batch,
     orientation_sign,
     principal_curvatures,
@@ -75,22 +72,17 @@ def _density(g: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.sqrt(rho2), mean
 
 
-def moebius_density(first: MetricSample | np.ndarray, second: np.ndarray) -> tuple[float, float]:
-    """(rho, H) from one sample of the fundamental forms.
+def moebius_density(first: np.ndarray, second: np.ndarray) -> tuple[float, float]:
+    """(rho, H) from the fundamental forms (m, m) at one point.
 
     H is the trace of the shape operator over n; rho is the positive root
     of the density formula.  Raises UmbilicPointError when rho^2 falls at
     or below 1e-18.
     """
-    g = first.g if isinstance(first, MetricSample) else np.asarray(first, dtype=float)
+    g = np.asarray(first, dtype=float)
     h = require_symmetric(np.asarray(second, dtype=float), what="shape tensor")
     rho, mean = _density(g[None], h[None])
     return float(rho[0]), float(mean[0])
-
-
-def moebius_metric(first: MetricSample, rho: float) -> MetricSample:
-    """g = rho^2 I, componentwise in the chart basis."""
-    return MetricSample(point=first.point, g=rho**2 * first.g)
 
 
 class _Pointwise(NamedTuple):
@@ -120,16 +112,15 @@ class _Pointwise(NamedTuple):
         return (self.h_frame - self.mean * np.eye(self.g.shape[0])) / self.rho
 
 
-def moebius_B(
-    first: MetricSample | np.ndarray, second: np.ndarray, rho: float, mean: float
-) -> np.ndarray:
+def moebius_B(first: np.ndarray, second: np.ndarray, rho: float, mean: float) -> np.ndarray:
     """Trace-free tensor B in the g-orthonormal frame.
 
     As a tensor B = rho (II - H I); dividing its I-orthonormal components
     by rho^2 re-expresses them in the g-frame, where tr B = 0 and
-    |B|^2 = (n-1)/n hold identically.
+    |B|^2 = (n-1)/n hold identically.  An I that is not positive definite
+    raises DegenerateGeometryError.
     """
-    g = first.g if isinstance(first, MetricSample) else np.asarray(first, dtype=float)
+    g = np.asarray(first, dtype=float)
     return _Pointwise.build(g, np.asarray(second, dtype=float), rho, mean).B
 
 
@@ -242,9 +233,9 @@ def _blaschke(pt: _Pointwise, jets: _Jets, ambient_curvature: float) -> np.ndarr
     return a_theta / pt.rho**2
 
 
-def _direct(p: np.ndarray, jets: _Jets, convention=Convention.FULL_TRACE) -> float:
-    """Scalar curvature of the metric rho^2 I from its jet."""
-    return float(curvature_from_jet(p, *jets.moebius, convention).scalar)
+def _direct(jets: _Jets) -> float:
+    """Full-trace scalar curvature of the metric rho^2 I from its jet."""
+    return float(curvature_from_jet(*jets.moebius).scalar)
 
 
 def moebius_form(fields: SurfaceFields, p: np.ndarray, step: float) -> np.ndarray:
@@ -298,8 +289,7 @@ def moebius_form_divergence_residual(fields: SurfaceFields, p: np.ndarray, step:
 def direct_scalar(fields: SurfaceFields, p: np.ndarray, step: float) -> float:
     """Full-trace scalar curvature of the Moebius metric rho^2 I at p: the
     direct route of ``moebius_scalar`` alone, from the same one request."""
-    p = np.asarray(p, dtype=float)
-    return _direct(p, _jets(fields, p, step))
+    return _direct(_jets(fields, np.asarray(p, dtype=float), step))
 
 
 class MoebiusScalarResult(NamedTuple):
@@ -310,14 +300,8 @@ class MoebiusScalarResult(NamedTuple):
         return abs(self.direct - self.conformal_route)
 
 
-def moebius_scalar(
-    fields: SurfaceFields,
-    p: np.ndarray,
-    step: float,
-    *,
-    convention: Convention = Convention.FULL_TRACE,
-) -> MoebiusScalarResult:
-    """Scalar curvature of the Moebius metric by two independent routes.
+def moebius_scalar(fields: SurfaceFields, p: np.ndarray, step: float) -> MoebiusScalarResult:
+    """Full-trace scalar curvature of the Moebius metric by two independent routes.
 
     direct: curvature of the metric field rho^2 I (``direct_scalar``);
     conformal_route: the conformal-change formula applied to the induced
@@ -325,11 +309,9 @@ def moebius_scalar(
     check.  The routes share only the evaluation of their inputs: one
     stencil request of the fields, with the given step.
     """
-    p = np.asarray(p, dtype=float)
-    jets = _jets(fields, p, step)
-    via = conformal_scalar_from_jet(curvature_from_jet(p, *jets.g), *jets.log_rho)
-    via = convert_scalar(via, Convention.FULL_TRACE, convention, fields.dim)
-    return MoebiusScalarResult(direct=_direct(p, jets, convention), conformal_route=float(via))
+    jets = _jets(fields, np.asarray(p, dtype=float), step)
+    via = conformal_scalar_from_jet(curvature_from_jet(*jets.g), *jets.log_rho)
+    return MoebiusScalarResult(direct=_direct(jets), conformal_route=via)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +325,7 @@ class MoebiusData:
     point: np.ndarray
     rho: float
     H: float
-    g_moebius: MetricSample
+    g_moebius: np.ndarray  # rho^2 I in the chart basis
     B: np.ndarray
     A: np.ndarray
     C: np.ndarray
@@ -369,18 +351,17 @@ def moebius_data(fields: SurfaceFields, p: np.ndarray, step: float) -> MoebiusDa
     pt = _Pointwise.at_centre(jets)
     b = pt.B
     a = _blaschke(pt, jets, fields.ambient_curvature)
-    sample = MetricSample(point=p, g=pt.g)
     wb, _ = jacobi_eigh(b)
     wa, _ = jacobi_eigh(a)
     return MoebiusData(
         point=p,
         rho=pt.rho,
         H=pt.mean,
-        g_moebius=moebius_metric(sample, pt.rho),
+        g_moebius=pt.rho**2 * pt.g,
         B=b,
         A=a,
         C=_form(pt, jets),
-        principal_curvatures=principal_curvatures(sample, pt.h),
+        principal_curvatures=principal_curvatures(pt.g, pt.h),
         B_eigenvalues=wb[::-1].copy(),
         A_eigenvalues=wa[::-1].copy(),
     )

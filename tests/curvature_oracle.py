@@ -10,7 +10,7 @@ point.  Nothing here calls the batch code under test.
 
 import numpy as np
 
-from mobiusflat.curvature import Convention, CurvatureBatch, CurvatureBundle, convert_scalar
+from mobiusflat.curvature import Convention, CurvatureBundle, convert_scalar
 from mobiusflat.errors import DegenerateGeometryError
 from mobiusflat.fd import diff1, jet
 from mobiusflat.linalg import jacobi_eigh, require_symmetric
@@ -69,40 +69,35 @@ def on_frame(tensor, frame):
     return tensor
 
 
-def curvature_from_jet(p, g, dg, ddg, convention=Convention.FULL_TRACE):
+def curvature_from_jet(g, dg, ddg):
     g = check_metric(g)
     gamma, riem = riemann(g, dg, ddg)
     frame = gram_schmidt_frame(g)
     riem_on = on_frame(riem, frame)
     ricci_on = np.einsum("ikjk->ij", riem_on)
-    full = float(np.einsum("ii->", ricci_on))
     return CurvatureBundle(
-        point=p,
         metric=g,
         frame=frame,
         christoffel=gamma,
         riemann=riem_on,
         ricci=ricci_on,
-        scalar=convert_scalar(full, Convention.FULL_TRACE, convention, g.shape[0]),
-        convention=convention,
+        scalar=float(np.einsum("ii->", ricci_on)),
     )
 
 
-def curvature_batch(points, g, dg, ddg, convention=Convention.FULL_TRACE):
+def curvature_batch(g, dg, ddg):
     """``curvature.curvature_batch`` by a loop of ``curvature_from_jet`` over the points."""
-    bundles = [curvature_from_jet(*jets, convention) for jets in zip(points, g, dg, ddg)]
+    bundles = [curvature_from_jet(*jets) for jets in zip(g, dg, ddg)]
     fields = ("metric", "frame", "christoffel", "riemann", "ricci")
-    return CurvatureBatch(
-        points=points,
+    return CurvatureBundle(
         **{name: np.stack([getattr(b, name) for b in bundles]) for name in fields},
         scalar=np.array([b.scalar for b in bundles]),
-        convention=convention,
     )
 
 
-def metric_field_curvature(metric_field, p, step, convention=Convention.FULL_TRACE):
+def metric_field_curvature(metric_field, p, step):
     p = np.asarray(p, dtype=float)
-    return curvature_from_jet(p, *jet(metric_field, p, step), convention)
+    return curvature_from_jet(*jet(metric_field, p, step))
 
 
 def schouten_coordinate_field(metric_field, step, convention=Convention.FULL_TRACE):
@@ -110,7 +105,7 @@ def schouten_coordinate_field(metric_field, step, convention=Convention.FULL_TRA
         pts = np.atleast_2d(pts)
         out = np.empty((pts.shape[0], pts.shape[1], pts.shape[1]))
         for i, q in enumerate(pts):
-            b = metric_field_curvature(metric_field, q, step, Convention.FULL_TRACE)
+            b = metric_field_curvature(metric_field, q, step)
             r = convert_scalar(b.scalar, Convention.FULL_TRACE, convention, b.dim)
             inv_frame = np.linalg.inv(b.frame)
             ric_coord = inv_frame.T @ b.ricci @ inv_frame

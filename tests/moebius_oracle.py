@@ -10,21 +10,15 @@ lean on the code under test.
 
 import numpy as np
 
-from mobiusflat.curvature import (
-    Convention,
-    conformal_scalar,
-    convert_scalar,
-    metric_field_curvature,
-)
+from mobiusflat.curvature import conformal_scalar, metric_field_curvature
 from mobiusflat.fd import diff1, jet
-from mobiusflat.immersion import MetricSample, principal_curvatures
+from mobiusflat.immersion import principal_curvatures
 from mobiusflat.linalg import gram_schmidt_frame, jacobi_eigh, require_symmetric
 from mobiusflat.moebius import (
     MoebiusData,
     MoebiusScalarResult,
     moebius_B,
     moebius_density,
-    moebius_metric,
 )
 
 
@@ -96,9 +90,8 @@ def moebius_data(fields, p, step):
     p = np.asarray(p, dtype=float)
     g = _metric_at(fields, p)
     h = _shape_at(fields, p)
-    sample = MetricSample(point=p, g=g)
-    rho, mean = moebius_density(sample, h)
-    b = moebius_B(sample, h, rho, mean)
+    rho, mean = moebius_density(g, h)
+    b = moebius_B(g, h, rho, mean)
     a = blaschke_A(fields, p, step)
     wb, _ = jacobi_eigh(b)
     wa, _ = jacobi_eigh(a)
@@ -106,22 +99,19 @@ def moebius_data(fields, p, step):
         point=p,
         rho=rho,
         H=mean,
-        g_moebius=moebius_metric(sample, rho),
+        g_moebius=rho**2 * g,
         B=b,
         A=a,
         C=moebius_form(fields, p, step),
-        principal_curvatures=principal_curvatures(sample, h),
+        principal_curvatures=principal_curvatures(g, h),
         B_eigenvalues=wb[::-1].copy(),
         A_eigenvalues=wa[::-1].copy(),
     )
 
 
-def moebius_scalar(fields, p, step, convention=Convention.FULL_TRACE):
+def moebius_scalar(fields, p, step):
     p = np.asarray(p, dtype=float)
-    direct = metric_field_curvature(
-        moebius_metric_field(fields), p, step, convention
-    ).scalar
-    base = metric_field_curvature(_part(fields, 0), p, step, Convention.FULL_TRACE)
+    direct = metric_field_curvature(moebius_metric_field(fields), p, step).scalar
+    base = metric_field_curvature(_part(fields, 0), p, step)
     via = conformal_scalar(base, log_rho(fields), p, step)
-    via = convert_scalar(via, Convention.FULL_TRACE, convention, fields.dim)
     return MoebiusScalarResult(direct=float(direct), conformal_route=float(via))

@@ -6,6 +6,7 @@ import pytest
 
 from mobiusflat.cli import main
 from mobiusflat.config import RunConfig
+from mobiusflat.curvature import Convention, convert_scalar
 from mobiusflat.errors import ConfigError
 
 FLOAT_KEYS = [f.name for f in fields(RunConfig) if f.type == "float"]
@@ -75,6 +76,14 @@ class TestConfigErrors:
         cfg = write_cfg(tmp_path, "n = 3\n")
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "n must be >= 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["spiral", "build", "verify", "rigidity"])
+    def test_convention_belongs_to_invariants(self, tmp_path, capsys, command):
+        # only invariants reports a normalization; the other commands refuse the flag
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--out", str(tmp_path / "o"), "--convention", "half"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --convention" in capsys.readouterr().err
 
     def test_missing_file_exit_two(self, tmp_path):
         assert main(["verify", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == 2
@@ -191,13 +200,28 @@ class TestDataCommands:
         assert len(desc["ambient_projection_axes"]) == 3
 
     def test_invariants_csv(self, tmp_path):
+        # the normalization converts the two full-trace scalar columns and nothing else
         cfg = write_cfg(tmp_path, "family = torus\nsamples = 3\n")
-        assert main(
-            ["invariants", "--config", cfg, "--out", str(tmp_path), "--convention", "half"]
-        ) == 0
-        lines = (tmp_path / "invariants.csv").read_text().splitlines()
-        assert "convention=half" in lines[0]
-        assert len(lines) == 2 + 3
+        tables = {}
+        for conv in Convention:
+            out = tmp_path / conv.value
+            args = ["invariants", "--config", cfg, "--out", str(out), "--convention", conv.value]
+            assert main(args) == 0
+            lines = (out / "invariants.csv").read_text().splitlines()
+            assert f"convention={conv.value}" in lines[0]
+            assert len(lines) == 2 + 3
+            tables[conv] = [line.split(",") for line in lines[1:]]
+        header, *full_rows = tables[Convention.FULL_TRACE]
+        scalars = [header.index("scalar_direct"), header.index("scalar_conformal")]
+        for conv in (Convention.HALF_TRACE, Convention.NORMALIZED):
+            assert tables[conv][0] == header
+            for row, full in zip(tables[conv][1:], full_rows):
+                for j, (value, full_value) in enumerate(zip(row, full)):
+                    if j in scalars:
+                        expected = convert_scalar(float(full_value), Convention.FULL_TRACE, conv, 4)
+                        assert float(value) == expected
+                    else:
+                        assert value == full_value
 
     def test_invariants_stay_inside_the_kappa_band(self, tmp_path):
         # at the default config the spiral reaches kappa = 1.1 at s = 1.66055,

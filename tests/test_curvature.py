@@ -147,13 +147,15 @@ class TestConventions:
     def test_half_is_sum_over_pairs(self):
         field = lambda pts: sphere_chart_metric(np.atleast_2d(pts))
         p = np.array([1.2, 0.9, 2.1])
-        b = metric_field_curvature(field, p, FINE, convention=Convention.HALF_TRACE)
+        b = metric_field_curvature(field, p, FINE)
+        half = convert_scalar(b.scalar, Convention.FULL_TRACE, Convention.HALF_TRACE, 3)
         explicit = sum(
             b.riemann[i, j, i, j] for i in range(3) for j in range(3) if i > j
         )
-        assert b.scalar == pytest.approx(explicit, rel=1e-12)
-        assert b.scalar_as(Convention.FULL_TRACE) == pytest.approx(2 * b.scalar)
-        assert b.scalar_as(Convention.NORMALIZED) == pytest.approx(2 * b.scalar / (3 * 2))
+        assert half == pytest.approx(explicit, rel=1e-12)
+        assert b.scalar == pytest.approx(2 * half)
+        normalized = convert_scalar(b.scalar, Convention.FULL_TRACE, Convention.NORMALIZED, 3)
+        assert normalized == pytest.approx(2 * half / (3 * 2))
 
     def test_convert_scalar_round_trip(self):
         v = 7.3
@@ -418,18 +420,18 @@ class TestBatchOracle:
     def test_front_ends_are_one_point_batches(self):
         field = warped_field(4, -1, lambda s: 1.0 + 0.3 * np.sin(s))
         p = warped_point(4, 0.7)
-        bundle = metric_field_curvature(field, p, BATCH_STEP, Convention.HALF_TRACE)
-        oracle = curvature_oracle.metric_field_curvature(field, p, BATCH_STEP, Convention.HALF_TRACE)
+        bundle = metric_field_curvature(field, p, BATCH_STEP)
+        oracle = curvature_oracle.metric_field_curvature(field, p, BATCH_STEP)
         assert bundle.scalar == oracle.scalar
         assert np.array_equal(bundle.riemann, oracle.riemann)
-        via_jet = curvature.curvature_from_jet(p, *jet(field, p, BATCH_STEP))
+        via_jet = curvature.curvature_from_jet(*jet(field, p, BATCH_STEP))
         assert np.array_equal(via_jet.ricci, oracle.ricci)
 
 
 def flat_jets(g):
     """A stack of metrics g (K, m, m) with zero first and second derivatives."""
     k, m = g.shape[:2]
-    return np.zeros((k, k)), g, np.zeros((k, m, m, m)), np.zeros((k, m, m, m, m))
+    return g, np.zeros((k, m, m, m)), np.zeros((k, m, m, m, m))
 
 
 class TestBatchErrors:

@@ -9,7 +9,6 @@ from mobiusflat.errors import ChartDomainError, DegenerateGeometryError, InputEr
 from mobiusflat.fd import diff1_batch, jet_batch
 from mobiusflat.immersion import (
     ImmersionHandle,
-    MetricSample,
     first_fundamental_form,
     first_fundamental_form_batch,
     fundamental_forms_batch,
@@ -21,6 +20,7 @@ from mobiusflat.immersion import (
     unit_normal_batch,
     with_fd_jet,
 )
+from mobiusflat.moebius import moebius_B
 from mobiusflat.zoo import inverse_stereographic, sphere_chart
 
 import fd_oracle
@@ -63,11 +63,11 @@ class TestFundamentalForms:
     def test_graph_first_form(self):
         imm = graph_surface()
         p = np.array([0.3, 0.2])
-        sample = first_fundamental_form(imm, p)
+        g = first_fundamental_form(imm, p)
         fx = np.cos(0.3) * np.cos(0.2)
         fy = -np.sin(0.3) * np.sin(0.2)
         expected = np.array([[1 + fx * fx, fx * fy], [fx * fy, 1 + fy * fy]])
-        assert np.allclose(sample.g, expected, atol=1e-9)
+        assert np.allclose(g, expected, atol=1e-9)
 
     def test_rank_deficiency_detected(self):
         def collapse(pts):
@@ -78,9 +78,12 @@ class TestFundamentalForms:
         with pytest.raises(DegenerateGeometryError):
             first_fundamental_form(imm, np.array([0.1, 0.1]))
 
-    def test_metric_sample_validation(self):
+    def test_indefinite_first_form_refused(self):
+        g, h = np.diag([1.0, -0.5]), np.eye(2)
         with pytest.raises(DegenerateGeometryError):
-            MetricSample(point=np.zeros(2), g=np.diag([1.0, -0.5]))
+            principal_curvatures(g, h)
+        with pytest.raises(DegenerateGeometryError):
+            moebius_B(g, h, 3.0, -0.5)
 
 
 class TestUnitNormal:

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from mobiusflat.curvature import Convention
-from mobiusflat.errors import UmbilicPointError
+from mobiusflat.curvature import convert_scalar
+from mobiusflat.errors import DegenerateGeometryError, UmbilicPointError
 from mobiusflat.immersion import (
-    MetricSample,
     first_fundamental_form_batch,
     second_fundamental_form_batch,
     with_fd_jet,
 )
 from mobiusflat.moebius import (
+    SurfaceFields,
     blaschke_A,
     direct_scalar,
     fields_from_immersion,
@@ -20,7 +21,6 @@ from mobiusflat.moebius import (
     moebius_density,
     moebius_form,
     moebius_form_divergence_residual,
-    moebius_metric,
     moebius_scalar,
 )
 from mobiusflat.spiral import IntegratorControls, prescribed_curvature_trajectory, sine_curvature
@@ -52,7 +52,7 @@ class TestDensity:
         fields = fields_from_immersion(cylinder)
         g, h = fields.sample(pts)[:2]
         for i, p in enumerate(pts):
-            rho, mean = moebius_density(MetricSample(point=p, g=g[i]), h[i])
+            rho, mean = moebius_density(g[i], h[i])
             kap = float(cylinder_traj.kappa_at(p[0:1])[0])
             assert rho == pytest.approx(kap, rel=1e-8)
             assert mean == pytest.approx(kap / N_DIM, rel=1e-8)
@@ -62,7 +62,7 @@ class TestDensity:
         fields = fields_from_immersion(cone)
         g, h = fields.sample(pts)[:2]
         for i, p in enumerate(pts):
-            rho, mean = moebius_density(MetricSample(point=p, g=g[i]), h[i])
+            rho, mean = moebius_density(g[i], h[i])
             kap = float(cone_traj.kappa_at(p[0:1])[0])
             assert rho == pytest.approx(kap / p[1], rel=1e-7)
             assert mean == pytest.approx(kap / (N_DIM * p[1]), rel=1e-7)
@@ -74,14 +74,25 @@ class TestDensity:
         y = rotational_traj.curve_at(pts[:, 0])[:, 1]
         kap = rotational_traj.kappa_at(pts[:, 0])
         for i, p in enumerate(pts):
-            rho, _ = moebius_density(MetricSample(point=p, g=g[i]), h[i])
+            rho, _ = moebius_density(g[i], h[i])
             assert rho == pytest.approx(kap[i] / y[i], rel=1e-7)
 
     def test_umbilic_rejected(self):
         g = np.eye(4)
         h = 0.7 * np.eye(4)
         with pytest.raises(UmbilicPointError):
-            moebius_density(MetricSample(point=np.zeros(4), g=g), h)
+            moebius_density(g, h)
+
+    def test_indefinite_first_form_refused(self):
+        # I = diag(1, -0.5) and h = Id: rho^2 = 9 > 0, so only I's sign is at fault
+        def sample(pts):
+            k = np.atleast_2d(pts).shape[0]
+            g = np.tile(np.diag([1.0, -0.5]), (k, 1, 1))
+            return g, np.tile(np.eye(2), (k, 1, 1)), np.full(k, 3.0), np.full(k, -0.5)
+
+        fields = SurfaceFields(dim=2, sample=sample, ambient_curvature=0.0)
+        with pytest.raises(DegenerateGeometryError):
+            moebius_data(fields, np.zeros(2), FINE)
 
 
 class TestMoebiusMetric:
@@ -96,8 +107,8 @@ class TestMoebiusMetric:
         kap = traj.kappa_at(pts[:, 0])
         n = N_DIM
         for i, p in enumerate(pts):
-            rho, _ = moebius_density(MetricSample(point=p, g=g[i]), h[i])
-            gm = moebius_metric(MetricSample(point=p, g=g[i]), rho).g
+            rho, _ = moebius_density(g[i], h[i])
+            gm = rho**2 * g[i]
             expected = np.zeros((n, n))
             expected[0, 0] = 1.0
             if fixture == "cylinder":
@@ -202,7 +213,7 @@ class TestOneRequestPerPointSet:
             d, ref = moebius_data(fields, p, FINE), moebius_oracle.moebius_data(fields, p, FINE)
             for name in ("rho", "H", "B", "A", "C", "principal_curvatures", "A_eigenvalues"):
                 assert close(getattr(d, name), getattr(ref, name)), name
-            assert close(d.g_moebius.g, ref.g_moebius.g)
+            assert close(d.g_moebius, ref.g_moebius)
             assert close(moebius_form(fields, p, FINE), moebius_oracle.moebius_form(fields, p, FINE))
             assert close(blaschke_A(fields, p, FINE), moebius_oracle.blaschke_A(fields, p, FINE))
             s = moebius_scalar(fields, p, SCALAR_STEP)
@@ -220,9 +231,8 @@ class TestTensorB:
         g, h = fields.sample(pts)[:2]
         n = N_DIM
         for i, p in enumerate(pts):
-            sample = MetricSample(point=p, g=g[i])
-            rho, mean = moebius_density(sample, h[i])
-            b = moebius_B(sample, h[i], rho, mean)
+            rho, mean = moebius_density(g[i], h[i])
+            b = moebius_B(g[i], h[i], rho, mean)
             assert abs(np.trace(b)) < 1e-8
             assert np.sum(b * b) == pytest.approx((n - 1) / n, abs=1e-8)
             eig = np.sort(np.linalg.eigvalsh(b))
@@ -350,27 +360,19 @@ class TestMoebiusScalar:
         traj = make_trajectory(0, 0.0, 1.0, 0.0, 6.0)
         imm = cylinder_immersion(traj, N_DIM)
         fields = imm.analytic_fields
+        res = moebius_scalar(fields, imm.base_point, SCALAR_STEP)
         for conv in Convention:
-            res = moebius_scalar(fields, imm.base_point, SCALAR_STEP, convention=conv)
-            assert abs(res.direct) < 1e-7
-            assert abs(res.conformal_route) < 1e-7
+            for value in res:
+                assert abs(convert_scalar(value, Convention.FULL_TRACE, conv, N_DIM)) < 1e-7
 
     def test_torus_full_trace_value(self, torus):
         # product structure: circle of radius 1/r and sphere of radius
         # 1/sqrt(1-r^2): full-trace scalar (n-1)(n-2)(1-r^2)
         fields = torus.analytic_fields
-        res = moebius_scalar(
-            fields, torus.base_point, SCALAR_STEP, convention=Convention.FULL_TRACE
-        )
+        res = moebius_scalar(fields, torus.base_point, SCALAR_STEP)
         expected = (N_DIM - 1) * (N_DIM - 2) * 0.75
         assert res.direct == pytest.approx(expected, rel=1e-6)
         assert res.conformal_route == pytest.approx(expected, rel=1e-6)
-
-    def test_options_are_keyword_only(self, torus):
-        # a positional argument after the step must not be read as the convention
-        fields = torus.analytic_fields
-        with pytest.raises(TypeError):
-            moebius_scalar(fields, torus.base_point, SCALAR_STEP, Convention.HALF_TRACE)
 
     def test_two_routes_agree_on_pipeline_fields(self, rotational):
         fields = fields_from_immersion(rotational)
