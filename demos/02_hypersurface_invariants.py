@@ -2,8 +2,8 @@
 """Moebius invariants of a rotational hypersurface, from first principles.
 
 Builds the hypersurface (s, angles) -> (x(s), y(s) * sphere(angles)) over a
-half-plane spiral, runs the geometry pipeline (exact jets of the immersion,
-finite differences on the Moebius fields), and prints
+half-plane spiral, runs the geometry pipeline (one exact order-4 jet of the
+immersion per request, no finite differences), and prints
 the classical identities: the warped-product Moebius metric, the trace-free
 tensor B with eigenvalues ((n-1)/n, -1/n, ...), the Blaschke trace identity,
 and the commuting of B with A.

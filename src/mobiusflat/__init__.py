@@ -3,7 +3,8 @@
 Library layout:
 
 * ``fd``, ``linalg``    -- finite-difference stencils, small-matrix eigensolvers
-* ``immersion``         -- fundamental forms and normals of explicit immersions
+* ``jets``              -- truncated Taylor jets of tensor fields, batched over points
+* ``immersion``         -- fundamental forms and normals of explicit immersions, and their jets
 * ``curvature``         -- Riemann/Ricci/full-trace scalar of metric fields, Schouten, Codazzi
 * ``moebius``           -- conformal density, Moebius metric, B, A, C invariants
 * ``spiral``            -- prescribed-curvature curve ODE in the 2d model spaces
@@ -50,9 +51,11 @@ from .moebius import (
     fields_from_immersion,
     moebius_B,
     moebius_data,
+    moebius_data_batch,
     moebius_density,
     moebius_form,
     moebius_scalar,
+    moebius_scalars,
 )
 from .spiral import (
     ClosureResult,

@@ -21,10 +21,15 @@ failed assert record under the registered name and anchor, so the suite
 goes on.  ``CHECK_FUNCTIONS`` is the registry, in ``CHECK_NAMES`` order.
 
 Closed-form fields of the generators (``SuiteSurface.closed_form``) back the
-tight-tolerance identity checks; the pipeline route (``SuiteSurface.fields``:
-I and II from the immersion's exact jet, finite differences above them) is
-exercised in parallel wherever runtime permits, and the two routes
-cross-validate.
+tight-tolerance identity checks; the pipeline route (``SuiteSurface.fields``)
+is exercised in parallel, and the two routes cross-validate.  The pipeline
+is exact: every Moebius quantity and both scalar routes come from one
+order-4 jet of the immersion per point set, and the checks that read it
+(``two_route_scalar``, ``scalar_constancy``, ``torus_scalar_audit``,
+``sigma_invariance``) make one request per surface point set.  The finite
+differences that remain are those of ``suite_steps``: the closed-form
+fields' requests, the warped metric's curvature, the Schouten/Codazzi
+defects and ``fd_convergence``.  A pipeline request ignores its step.
 """
 
 from __future__ import annotations
@@ -53,6 +58,7 @@ from .immersion import (
     fundamental_forms_batch,
     principal_curvatures,
 )
+from .linalg import jacobi_eigh
 from .moebius import (
     SurfaceFields,
     blaschke_A,
@@ -60,9 +66,10 @@ from .moebius import (
     fields_from_immersion,
     moebius_B,
     moebius_data,
+    moebius_data_batch,
     moebius_form,
     moebius_form_divergence_residual,
-    moebius_scalar,
+    moebius_scalars,
 )
 from .report import CheckRecord, VerificationReport
 from .spiral import (
@@ -108,8 +115,9 @@ WARPED_AUDIT_R = {
 TORUS_AUDIT_RADII = (0.3, 0.5, 1.0 / np.sqrt(2.0))
 
 # Every finite-difference step of the suite, in one table.  Each request is
-# an order-4 central stencil with one step in every coordinate.
-FIELD_STEP = 0.005  # the partials of (rho, H, I) behind C and A
+# an order-4 central stencil with one step in every coordinate; requests on
+# the pipeline fields are exact and ignore theirs.
+FIELD_STEP = 0.005  # the partials of (rho, H, I) behind C and A, on closed forms
 TORUS_FIELD_STEP = 0.05  # the same on the torus (see ``field_step``)
 DIVERGENCE_STEP = 0.01  # the divergence identity sum_j B_ij,j = -(n-1) C_i
 
@@ -123,7 +131,7 @@ def suite_steps(cfg: RunConfig) -> dict[str, float]:
         "torus_field": TORUS_FIELD_STEP,
         "divergence": DIVERGENCE_STEP,
         "curvature": h,
-        "scalar": h * 0.6,  # the Moebius scalar by two routes, and the warped-metric scalars
+        "scalar": h * 0.6,  # the closed-form Moebius scalar, and the warped-metric scalars
         "convergence_coarse": h * 4.0,  # fd_convergence: a step and its half
         "convergence_fine": h * 2.0,
     }
@@ -199,6 +207,14 @@ def sample_points(imm: ImmersionHandle, count: int, rng, jitter: float = 0.1, pa
         pts[:, a] += rng.uniform(-jitter, jitter, size=count) * width
         pts[:, a] = np.clip(pts[:, a], lo + pad, hi - pad)
     return pts
+
+
+def _B_eigenvalues(fields: SurfaceFields, pts: np.ndarray) -> np.ndarray:
+    """The eigenvalues of B at each point (K, m), descending, from one sample request."""
+    g, h, rho, mean = fields.sample(pts)
+    return np.array(
+        [jacobi_eigh(moebius_B(*point))[0][::-1] for point in zip(g, h, rho, mean)]
+    )
 
 
 def _first_form_field(fields: SurfaceFields) -> Callable[[np.ndarray], np.ndarray]:
@@ -412,9 +428,8 @@ def check_moebius_form_structure(cfg: RunConfig, surfaces, rng, res: Residuals) 
 
     torus = _surface(surfaces, "torus")
     pts = sample_points(torus.imm, 4, rng, cfg.jitter, pad=0.2)
-    details["torus_max_C"] = max(
-        float(np.max(np.abs(moebius_form(torus.fields, p, field_step(torus.name))))) for p in pts
-    )
+    records = moebius_data_batch(torus.fields, pts, field_step(torus.name))
+    details["torus_max_C"] = max(float(np.max(np.abs(d.C))) for d in records)
     res.add(details["torus_max_C"], samples=pts.shape[0])
 
     circle = cylinder_immersion(
@@ -556,8 +571,8 @@ def check_two_route_scalar(cfg: RunConfig, surfaces, rng, res: Residuals) -> dic
     """Direct curvature of rho^2 I agrees with the conformal-change route."""
     step = suite_steps(cfg)["scalar"]
     for surf in surfaces:
-        for p in sample_points(surf.imm, max(3, cfg.samples // 4), rng, cfg.jitter):
-            res.add(moebius_scalar(surf.fields, p, step).spread())
+        pts = sample_points(surf.imm, max(3, cfg.samples // 4), rng, cfg.jitter)
+        res.add(*moebius_scalars(surf.fields, pts, step).spread(), samples=len(pts))
     return {}
 
 
@@ -578,9 +593,7 @@ def check_scalar_constancy(cfg: RunConfig, surfaces, rng, res: Residuals) -> dic
         if surf.traj is None:
             continue
         pts = sample_points(surf.imm, cfg.samples, rng, cfg.jitter)
-        spreads[surf.name] = _spread(
-            [direct_scalar(surf.fields, p, cfg.curvature_step) for p in pts]
-        )
+        spreads[surf.name] = _spread(direct_scalar(surf.fields, pts, cfg.curvature_step))
         res.add(spreads[surf.name], samples=len(pts))
 
     control_traj = prescribed_curvature_trajectory(
@@ -589,9 +602,7 @@ def check_scalar_constancy(cfg: RunConfig, surfaces, rng, res: Residuals) -> dic
     control_imm = rotational_immersion(control_traj, cfg.n)
     control_fields = fields_from_immersion(control_imm)
     control_pts = sample_points(control_imm, max(6, cfg.samples // 3), rng, cfg.jitter)
-    control_spread = _spread(
-        [direct_scalar(control_fields, p, cfg.curvature_step) for p in control_pts]
-    )
+    control_spread = _spread(direct_scalar(control_fields, control_pts, cfg.curvature_step))
     res.add(samples=len(control_pts))
     res.require(control_spread > 10 * cfg.tol_constancy)
     return {"spread_by_family": spreads, "negative_control_spread": control_spread}
@@ -689,7 +700,7 @@ def check_torus_scalar_audit(cfg: RunConfig, surfaces, rng, res: Residuals) -> d
         imm = torus_immersion(r, n)
         fields = fields_from_immersion(imm)
         pts = sample_points(imm, 3, rng, cfg.jitter)
-        per_conv = _mean_by_convention([direct_scalar(fields, p, step) for p in pts], n)
+        per_conv = _mean_by_convention(direct_scalar(fields, pts, step), n)
         candidates = {
             "r^2": base * r**2,
             "1-r^2": base * (1 - r**2),
@@ -780,12 +791,11 @@ def check_sigma_invariance(cfg: RunConfig, surfaces, rng, res: Residuals) -> dic
         if surf.name not in ("cylinder", "rotational"):
             continue
         lift_fields = fields_from_immersion(lift_to_sphere(surf.imm))
-        step = field_step(surf.name)
-        for p in sample_points(surf.imm, 3, rng, cfg.jitter):
-            d0 = moebius_data(surf.fields, p, step)
-            d1 = moebius_data(lift_fields, p, step)
-            s0, s1 = (direct_scalar(f, p, cfg.curvature_step) for f in (surf.fields, lift_fields))
-            res.add(float(np.max(np.abs(d0.B_eigenvalues - d1.B_eigenvalues))), abs(s0 - s1))
+        pts = sample_points(surf.imm, 3, rng, cfg.jitter)
+        b0, b1 = (_B_eigenvalues(f, pts) for f in (surf.fields, lift_fields))
+        s0, s1 = (direct_scalar(f, pts, cfg.curvature_step) for f in (surf.fields, lift_fields))
+        for gap, r in zip(np.max(np.abs(b0 - b1), axis=1), np.abs(s0 - s1)):
+            res.add(float(gap), float(r))
     return {}
 
 

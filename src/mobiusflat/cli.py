@@ -26,7 +26,7 @@ from .config import RunConfig, load_config
 from .curvature import Convention, convert_scalar
 from .errors import ConfigError, MobiusFlatError
 from .meshes import export_obj_slice
-from .moebius import fields_from_immersion, moebius_data, moebius_scalar
+from .moebius import fields_from_immersion, moebius_data_batch, moebius_scalars
 from .spiral import IntegratorControls, SpiralParams, export_csv, integrate_grid
 from .zoo import EPSILON_BY_FAMILY, build_family, torus_immersion
 
@@ -94,9 +94,9 @@ def cmd_invariants(cfg: RunConfig, out: str, convention: str) -> int:
         + ["trace_B", "norm2_B_defect", "commutator", "scalar_direct", "scalar_conformal"]
     )
     rows = []
-    for p in pts:
-        d = moebius_data(fields, p, field_step(cfg.family))
-        s = moebius_scalar(fields, p, cfg.curvature_step)
+    records = moebius_data_batch(fields, pts, field_step(cfg.family))
+    scalars = moebius_scalars(fields, pts, cfg.curvature_step)
+    for p, d, direct, via in zip(pts, records, scalars.direct, scalars.conformal_route):
         rows.append(
             list(p)
             + [d.rho, d.H]
@@ -108,8 +108,8 @@ def cmd_invariants(cfg: RunConfig, out: str, convention: str) -> int:
                 d.trace_B(),
                 d.norm2_B() - (n - 1) / n,
                 d.commutator_norm(),
-                convert_scalar(s.direct, Convention.FULL_TRACE, conv, n),
-                convert_scalar(s.conformal_route, Convention.FULL_TRACE, conv, n),
+                convert_scalar(direct, Convention.FULL_TRACE, conv, n),
+                convert_scalar(via, Convention.FULL_TRACE, conv, n),
             ]
         )
     path = os.path.join(out, "invariants.csv")

@@ -49,9 +49,9 @@ class RunConfig:
     step: float = 1e-3
     kappa_floor: float = 1e-6
     kappa_ceiling: float = 1e6
-    # finite differencing: the outer curvature step.  I and II come from
-    # exact jets, so no inner-stencil rounding floor competes with this
-    # step's truncation error
+    # finite differencing: the curvature step of a differenced metric field
+    # (the warped metric, Schouten/Codazzi, the closed-form Moebius
+    # scalar); the Moebius invariants of an immersion are exact and take none
     curvature_step: float = 0.01
     # sampling
     samples: int = 20

@@ -29,10 +29,12 @@ einsums over a leading K axis, a batched inverse, ``linalg.gram_schmidt_frames``
 and a positivity check by ``numpy.linalg.eigvalsh`` that names the first
 failing point.  Per point the arithmetic is that of a one-point request, and
 the tests hold a batch to the bits of the per-point algebra it replaced.
-``metric_field_curvature``, ``curvature_from_jet`` and ``codazzi_defect`` are
-its one-point front ends, as ``fd.jet`` is of ``jet_batch``.  A Schouten
-field is one curvature batch per call, so the Codazzi defect over a point
-set is three metric-field calls however many points it has.
+``metric_field_curvature`` and ``codazzi_defect`` are its one-point front
+ends, as ``fd.jet`` is of ``jet_batch``; ``curvature_from_jet`` takes metric
+jets that are already known, at one point or at K points (the exact Moebius
+requests pass theirs).  A Schouten field is one curvature batch per call, so
+the Codazzi defect over a point set is three metric-field calls however many
+points it has.
 
 Every function here that differences a field takes the step of its order-4
 stencils as a required argument; there is no library default.
@@ -204,9 +206,13 @@ def metric_field_curvature(metric_field, p: np.ndarray, step: float) -> Curvatur
 
 
 def curvature_from_jet(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> CurvatureBundle:
-    """Curvature bundle at one point from the metric's value, dg[a, i, j] = d_a g_ij
-    and ddg[a, b, i, j] = d_a d_b g_ij."""
-    return curvature_batch(*(np.asarray(x, dtype=float)[None] for x in (g, dg, ddg)))[0]
+    """Curvature bundle from the metric's value, dg[..., a, i, j] = d_a g_ij and
+    ddg[..., a, b, i, j] = d_a d_b g_ij: at one point, or at K points when g
+    is (K, m, m)."""
+    g, dg, ddg = (np.asarray(x, dtype=float) for x in (g, dg, ddg))
+    if g.ndim == 3:
+        return curvature_batch(g, dg, ddg)
+    return curvature_batch(g[None], dg[None], ddg[None])[0]
 
 
 def riemann_symmetry_residuals(bundle: CurvatureBundle) -> dict[str, float]:
@@ -240,18 +246,19 @@ def conformal_scalar(base: CurvatureBundle, u_field, p: np.ndarray, step: float)
     rescaled metrics.  u's jet is one field call; ``conformal_scalar_from_jet``
     applies the rule.
     """
-    return conformal_scalar_from_jet(base, *jet(u_field, np.asarray(p, dtype=float), step))
+    return float(conformal_scalar_from_jet(base, *jet(u_field, np.asarray(p, dtype=float), step)))
 
 
-def conformal_scalar_from_jet(base: CurvatureBundle, u0, du: np.ndarray, ddu: np.ndarray) -> float:
-    """The conformal change rule from u's value, first partials (m,) and second partials (m, m)."""
+def conformal_scalar_from_jet(base: CurvatureBundle, u0, du: np.ndarray, ddu: np.ndarray):
+    """The conformal change rule from u's value, first partials (..., m) and second
+    partials (..., m, m): at one point, or at K points of a K-point bundle."""
     n = base.dim
     ginv = np.linalg.inv(base.metric)
-    hess = ddu - np.einsum("kij,k->ij", base.christoffel, du)
-    lap = float(np.einsum("ij,ij->", ginv, hess))
-    grad2 = float(du @ ginv @ du)
+    hess = ddu - np.einsum("...kij,...k->...ij", base.christoffel, du)
+    lap = np.einsum("...ij,...ij->...", ginv, hess)
+    grad2 = np.einsum("...i,...i->...", np.einsum("...i,...ij->...j", du, ginv), du)
     r0 = base.scalar
-    return float(np.exp(-2.0 * u0) * (r0 - 2.0 * (n - 1) * lap - (n - 1) * (n - 2) * grad2))
+    return np.exp(-2.0 * u0) * (r0 - 2.0 * (n - 1) * lap - (n - 1) * (n - 2) * grad2)
 
 
 def schouten_tensor(

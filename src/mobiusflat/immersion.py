@@ -1,13 +1,16 @@
 """Immersed hypersurfaces given by an explicit chart evaluator.
 
 The handle wraps a vectorized evaluator f: (K, m) -> (K, N) together with
-chart bounds, an orientation seed and a second-order jet of f:
-pts -> (values (K, N), d1 (K, m, N), d2 (K, m, m, N)), the layout of
-``fd.jet_batch``.  Every handle carries a jet; one without is refused.
-Everything downstream (fundamental forms, normals, shape data) is computed
-from one jet evaluation per point set.  The generators' jets are exact;
-``with_fd_jet`` gives a handle the FD jet of its evaluator instead, which is
-the test oracle for the exact jets.
+chart bounds, an orientation seed and a jet of f: jet(pts, order=2) gives
+the partials of order 0..order, level j of shape (K, m, ..., m, N) (the
+layout of ``fd.jet_batch`` at order 2).  Every handle carries a jet; one
+without is refused.  Everything downstream is computed from one jet
+evaluation per point set: the fundamental forms and normals from the 2-jet,
+and the 2-jets of the fundamental forms (``fundamental_form_jets``, what a
+Moebius request reads) from the 4-jet, in the truncated Taylor arithmetic of
+``jets``.  The generators' jets are exact at any order; ``with_fd_jet`` gives
+a handle the FD 2-jet of its evaluator instead, which is the test oracle for
+the exact jets.
 
 Normals are produced by the generalized cross product of the tangent
 vectors (plus the position vector for immersions into the unit sphere),
@@ -25,6 +28,7 @@ import numpy as np
 
 from .errors import ChartDomainError, DegenerateGeometryError, InputError
 from .fd import jet_batch
+from .jets import Jet, compose, contract, inverse, power_derivatives
 from .linalg import generalized_eigvals_descending
 
 EUCLIDEAN = "euclidean"
@@ -46,8 +50,9 @@ class ImmersionHandle:
     domain: tuple[tuple[float, float], ...] | None = None
     name: str = ""
     analytic_fields: object = field(default=None, compare=False, repr=False)
-    # (values, d1, d2) of the evaluator, in the layout of fd.jet_batch; required
-    jet: Callable[[np.ndarray], tuple[np.ndarray, ...]] | None = field(
+    # jet(pts, order=2): the evaluator's partials of order 0..order, level j
+    # (K, m, ..., m, N), in the layout of fd.jet_batch; required
+    jet: Callable[..., tuple[np.ndarray, ...]] | None = field(
         default=None, compare=False, repr=False
     )
 
@@ -104,37 +109,45 @@ class ImmersionHandle:
         pts = self._chart_points(pts)
         return self._image(self.evaluator(pts), pts.shape[0])
 
-    def evaluate_jet(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Values (K, N), first (K, m, N) and second partials (K, m, m, N) at pts.
+    def evaluate_jet(self, pts: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
+        """The partials of order 0..order at pts: values (K, N), first (K, m, N),
+        second (K, m, m, N) and so on.
 
         Applies every check of ``__call__`` (chart dimension, domain, shape
         and the unit-sphere tolerance on the values), plus the shapes of the
-        derivatives.
+        derivatives.  The jet is called as jet(pts) at the default order 2.
         """
         pts = self._chart_points(pts)
-        values, d1, d2 = self.jet(pts)
+        values, *ders = self.jet(pts) if order == 2 else self.jet(pts, order)
         k, m, n = pts.shape[0], self.chart_dimension, self.ambient_dimension
-        d1, d2 = np.asarray(d1, dtype=float), np.asarray(d2, dtype=float)
-        if d1.shape != (k, m, n) or d2.shape != (k, m, m, n):
+        ders = [np.asarray(d, dtype=float) for d in ders]
+        if [d.shape for d in ders] != [(k,) + (m,) * j + (n,) for j in range(1, order + 1)]:
             raise InputError("jet returned wrongly shaped derivatives")
-        return self._image(values, k), d1, d2
+        return (self._image(values, k), *ders)
 
 
 # ---------------------------------------------------------------------------
 # derivatives of the immersion
 #
 # Each function takes the derivatives of f from the handle's jet: one jet
-# evaluation per point set.
+# evaluation per point set, of order 2 (order 4 for the jets of the forms).
 
 
 def with_fd_jet(imm: ImmersionHandle, step: float) -> ImmersionHandle:
     """imm differentiated by finite differences: its jet becomes one FD jet of
     the handle with the given step (one evaluator call per request).
 
-    Its first partials equal ``fd.diff1_batch`` bit for bit.  This is the
-    test oracle for the exact jets.
+    Its first partials equal ``fd.diff1_batch`` bit for bit.  The FD jet has
+    order 2; a request of a higher order is refused.  This is the test
+    oracle for the exact jets.
     """
-    return replace(imm, jet=lambda pts: jet_batch(imm, pts, step))
+
+    def jet(pts: np.ndarray, order: int = 2):
+        if order > 2:
+            raise InputError(f"a finite-difference jet has order 2, not {order}")
+        return jet_batch(imm, pts, step)[: order + 1]
+
+    return replace(imm, jet=jet)
 
 
 def jacobian_batch(imm: ImmersionHandle, pts: np.ndarray) -> np.ndarray:
@@ -245,6 +258,36 @@ def fundamental_forms_batch(
         sign = orientation_sign(imm)
     nrm = sign * _raw_normal(imm, pos, jac)  # (K, N)
     return gram, np.einsum("kabn,kn->kab", hess, nrm)
+
+
+def fundamental_form_jets(
+    imm: ImmersionHandle, pts: np.ndarray, sign: float | None = None
+) -> tuple[Jet, Jet, Jet]:
+    """The 2-jets of I, II and I^-1 at each point, from one order-4 jet of the immersion.
+
+    I_ab = <d_a f, d_b f> and h_ab = <d_a d_b f, nu> in the jet arithmetic.
+    The unit normal nu near a point is the normalized projection of its
+    value nu0 there onto the normal line, nu0 - T^T I^-1 T nu0 with T the
+    tangent vectors d_a f (minus f <f, nu0> for sphere-ambient immersions,
+    where |f| = 1 and f is orthogonal to T), which stays parallel to nu.
+    sign is the handle's orientation sign, resolved here when not given.
+    """
+    levels = imm.evaluate_jet(pts, 4)
+    tangent, hess = Jet(levels[1:4]), Jet(levels[2:5])  # (m, N) and (m, m, N) fields
+    first = contract("an,bn->ab", tangent, tangent)
+    _require_full_rank(first.value)
+    if sign is None:
+        sign = orientation_sign(imm)
+    nu0 = Jet.constant(sign * _raw_normal(imm, levels[0], np.swapaxes(levels[1], 1, 2)), 2)
+    first_inverse = inverse(first)
+    along = contract("ab,b->a", first_inverse, contract("an,n->a", tangent, nu0))
+    projected = nu0 - contract("a,an->n", along, tangent)
+    if imm.ambient_kind == UNIT_SPHERE:
+        position = Jet(levels[:3])
+        projected = projected - contract(",n->n", contract("n,n->", position, nu0), position)
+    norm2 = contract("n,n->", projected, projected)
+    nu = contract(",n->n", compose(norm2, power_derivatives(norm2.value, -0.5, 2)), projected)
+    return first, contract("abn,n->ab", hess, nu), first_inverse
 
 
 def second_fundamental_form_batch(imm: ImmersionHandle, pts: np.ndarray) -> np.ndarray:

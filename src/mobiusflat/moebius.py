@@ -20,12 +20,23 @@ failure of (H, rho) to be parallel.  The A and C formulas acquire an
 ambient-curvature constant (0 for immersions into Euclidean space, +1 for
 immersions into the unit sphere); the constant enters A's isotropic term.
 
-A field set is one request, ``sample``, for (I, h, rho, H) at a point set.
-Every invariant at p is one such request, on the order-4 jet stencil about p
-(the step its caller gives), of one field that packs I, h, rho^2 I,
-rho (h - H I), rho, log rho and H side by side; the pointwise record is the
-stencil's centre.  On fields from an immersion each request is one jet of
-the immersion per point.
+A field set answers ``sample``, one request for (I, h, rho, H) at a point
+set.  Every invariant reads the 2-jets (value, gradient and Hessian) of I, h,
+rho^2 I, rho (h - H I), rho, log rho and H at a point set, from one request;
+the pointwise record is the jets' value.  The field set decides how the
+jets are obtained:
+
+* fields from an immersion (``fields_from_immersion``) compute them exactly,
+  from one order-4 jet of the immersion at the point set pushed through the
+  truncated Taylor arithmetic of ``jets``;
+* any other fields (the generators' closed forms) take them from one
+  order-4 finite-difference stencil (``fd.jet_batch``, the step the caller
+  gives) of one field that packs the seven quantities side by side.
+
+The one-point functions (``moebius_data``, ``moebius_scalar``,
+``moebius_form``, ``blaschke_A``) are the point-set requests at one point,
+and ``direct_scalar``, ``moebius_scalars`` and ``moebius_data_batch`` take a
+point set; a request at K points equals K one-point requests bit for bit.
 """
 
 from __future__ import annotations
@@ -41,15 +52,17 @@ from .curvature import (
     covariant_derivative,
     curvature_from_jet,
 )
-from .errors import UmbilicPointError
-from .fd import jet
+from .errors import DegenerateGeometryError, UmbilicPointError
+from .fd import jet_batch
 from .immersion import (
     UNIT_SPHERE,
     ImmersionHandle,
+    fundamental_form_jets,
     fundamental_forms_batch,
     orientation_sign,
     principal_curvatures,
 )
+from .jets import Jet, compose, contract, log_derivatives, power_derivatives
 from .linalg import gram_schmidt_frame, jacobi_eigh, require_symmetric
 
 UMBILIC_THRESHOLD = 1e-18
@@ -59,17 +72,20 @@ UMBILIC_THRESHOLD = 1e-18
 # pointwise kernels
 
 
+def _umbilic_free(rho2: np.ndarray) -> np.ndarray:
+    if np.any(rho2 <= UMBILIC_THRESHOLD):
+        worst = float(np.min(rho2))
+        raise UmbilicPointError(f"rho^2 = {worst:.3e}: umbilic point, invariants undefined")
+    return rho2
+
+
 def _density(g: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(rho, H) per point from batches of the fundamental forms."""
     n = g.shape[-1]
     shape_op = np.linalg.solve(g, h)
     mean = np.einsum("kii->k", shape_op) / n
     norm2 = np.einsum("kij,kji->k", shape_op, shape_op)
-    rho2 = n / (n - 1) * (norm2 - n * mean**2)
-    if np.any(rho2 <= UMBILIC_THRESHOLD):
-        worst = float(np.min(rho2))
-        raise UmbilicPointError(f"rho^2 = {worst:.3e}: umbilic point, invariants undefined")
-    return np.sqrt(rho2), mean
+    return np.sqrt(_umbilic_free(n / (n - 1) * (norm2 - n * mean**2))), mean
 
 
 def moebius_density(first: np.ndarray, second: np.ndarray) -> tuple[float, float]:
@@ -77,10 +93,17 @@ def moebius_density(first: np.ndarray, second: np.ndarray) -> tuple[float, float
 
     H is the trace of the shape operator over n; rho is the positive root
     of the density formula.  Raises UmbilicPointError when rho^2 falls at
-    or below 1e-18.
+    or below 1e-18, and DegenerateGeometryError when I is not positive
+    definite (its least eigenvalue at or below 1e-14 of its largest), as
+    ``moebius_B`` and ``principal_curvatures`` do.
     """
     g = np.asarray(first, dtype=float)
     h = require_symmetric(np.asarray(second, dtype=float), what="shape tensor")
+    w = np.linalg.eigvalsh(g)
+    if w[0] <= 1e-14 * max(1.0, float(np.max(np.abs(w)))):
+        raise DegenerateGeometryError(
+            f"first fundamental form is not positive definite (min eigenvalue {w[0]:.3e})"
+        )
     rho, mean = _density(g[None], h[None])
     return float(rho[0]), float(mean[0])
 
@@ -101,7 +124,7 @@ class _Pointwise(NamedTuple):
         return cls(g, h, rho, mean, frame, frame.T @ h @ frame)
 
     @classmethod
-    def at_centre(cls, jets: "_Jets") -> "_Pointwise":
+    def from_jets(cls, jets: "_Jets") -> "_Pointwise":
         """The record at p from the values of one request's jets."""
         g = require_symmetric(jets.g.value, tol=1e-8, what="first fundamental form")
         h = require_symmetric(jets.h.value, tol=1e-6, what="second fundamental form")
@@ -128,6 +151,31 @@ def moebius_B(first: np.ndarray, second: np.ndarray, rho: float, mean: float) ->
 # field bundle
 
 
+class _Jet(NamedTuple):
+    """Value, first partials (m, ...) and second partials (m, m, ...), each with a
+    leading point axis in a point-set request."""
+
+    value: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
+
+
+class _Jets(NamedTuple):
+    """The jets of every quantity a Moebius invariant reads, at a point set."""
+
+    g: _Jet  # I
+    h: _Jet
+    moebius: _Jet  # rho^2 I
+    b: _Jet  # the coordinate tensor B = rho (h - H I)
+    rho: _Jet
+    log_rho: _Jet
+    mean: _Jet  # H
+
+    def point(self, k: int) -> "_Jets":
+        """The jets at point k of the set."""
+        return _Jets(*(_Jet(*(x[k] for x in q)) for q in self))
+
+
 @dataclass(frozen=True)
 class SurfaceFields:
     """Vectorized per-point data of one hypersurface.
@@ -135,17 +183,51 @@ class SurfaceFields:
     sample(pts) -> (I, h, rho, H): the first fundamental form I and second
     fundamental form h, each (K, m, m), and rho and H, each (K,), from one
     request.  ambient_curvature is 0 for Euclidean ambient, 1 for the unit
-    sphere.
+    sphere.  jets(pts), when given, is the exact ``_Jets`` request at a
+    point set; fields without it are differenced by the stencil of the
+    step each request names.
     """
 
     dim: int
     sample: Callable[[np.ndarray], tuple[np.ndarray, ...]]
     ambient_curvature: float
+    jets: Callable[[np.ndarray], _Jets] | None = None
+
+
+def _jets_from_forms(first: Jet, second: Jet, first_inverse: Jet) -> _Jets:
+    """The ``_Jets`` of the 2-jets of I, h and I^-1, in the jet arithmetic."""
+    n = first.value.shape[-1]
+
+    def trace(a: np.ndarray) -> np.ndarray:  # summed in index order
+        return sum(a[..., i, i] for i in range(n))
+
+    shape_op = contract("ab,bc->ac", first_inverse, second)
+    mean = shape_op.linear(lambda a: trace(a) / n)
+    norm2 = contract("ab,bc->ac", shape_op, shape_op).linear(trace)
+    rho2 = n / (n - 1) * (norm2 - n * contract(",->", mean, mean))
+    _umbilic_free(rho2.value)
+    rho = compose(rho2, power_derivatives(rho2.value, 0.5, 2))
+    log_rho = 0.5 * compose(rho2, log_derivatives(rho2.value, 2))
+    quantities = (
+        first,
+        second,
+        contract(",ab->ab", rho2, first),
+        contract(",ab->ab", rho, second - contract(",ab->ab", mean, first)),
+        rho,
+        log_rho,
+        mean,
+    )
+    return _Jets(*(_Jet(*q.levels) for q in quantities))
 
 
 def fields_from_immersion(imm: ImmersionHandle) -> SurfaceFields:
-    """Fields of any immersion handle: each request takes I and II from one
-    jet of the immersion.  The orientation sign is resolved once, here."""
+    """Fields of any immersion handle, exact to the handle's jet.
+
+    sample takes I and II from one 2-jet of the immersion, and a Moebius
+    request at a point set from one order-4 jet of it (``_jets_from_forms``
+    of ``immersion.fundamental_form_jets``): no stencil, so the step a
+    request names is ignored.  The orientation sign is resolved once, here.
+    """
     sign = orientation_sign(imm)
 
     def sample(pts):
@@ -156,52 +238,45 @@ def fields_from_immersion(imm: ImmersionHandle) -> SurfaceFields:
         dim=imm.chart_dimension,
         sample=sample,
         ambient_curvature=1.0 if imm.ambient_kind == UNIT_SPHERE else 0.0,
+        jets=lambda pts: _jets_from_forms(*fundamental_form_jets(imm, pts, sign)),
     )
 
 
 # ---------------------------------------------------------------------------
-# one request per point
+# one request per point set
 
 
-class _Jet(NamedTuple):
-    """Value, first partials (m, ...) and second partials (m, m, ...) at p."""
-
-    value: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
-
-
-class _Jets(NamedTuple):
-    """The jet at p of every quantity a Moebius invariant reads."""
-
-    g: _Jet  # I
-    h: _Jet
-    moebius: _Jet  # rho^2 I
-    b: _Jet  # the coordinate tensor B = rho (h - H I)
-    rho: _Jet
-    log_rho: _Jet
-    mean: _Jet  # H
-
-
-def _jets(fields: SurfaceFields, p: np.ndarray, step: float) -> _Jets:
-    """The jets of ``_Jets`` at p from one stencil request: the quantities are
+def _stencil_jets(fields: SurfaceFields, pts: np.ndarray, step: float) -> _Jets:
+    """The jets of ``_Jets`` at pts from one stencil request: the quantities are
     packed side by side into one field, and split back per quantity."""
-    m = p.size
+    m = pts.shape[1]
     shapes = [(m, m)] * 4 + [()] * 3
     ends = np.cumsum([0] + [m * m] * 4 + [1] * 3)
 
-    def field(pts: np.ndarray) -> np.ndarray:
-        g, h, rho, mean = fields.sample(np.atleast_2d(pts))
+    def field(q: np.ndarray) -> np.ndarray:
+        g, h, rho, mean = fields.sample(np.atleast_2d(q))
         r = rho[:, None, None]
         parts = (g, h, r**2 * g, r * (h - mean[:, None, None] * g), rho, np.log(rho), mean)
-        return np.concatenate([q.reshape(q.shape[0], -1) for q in parts], axis=1)
+        return np.concatenate([x.reshape(x.shape[0], -1) for x in parts], axis=1)
 
-    levels = jet(field, p, step)
+    levels = jet_batch(field, pts, step)
     quantities = (
         _Jet(*(x[..., a:b].reshape(x.shape[:-1] + shape).copy() for x in levels))
         for a, b, shape in zip(ends, ends[1:], shapes)
     )
     return _Jets(*quantities)
+
+
+def _jets(fields: SurfaceFields, pts: np.ndarray, step: float) -> _Jets:
+    """The one request at the point set pts (K, m): exact where the fields have
+    jets, else the stencil of the step."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    return fields.jets(pts) if fields.jets is not None else _stencil_jets(fields, pts, step)
+
+
+def _jets_at(fields: SurfaceFields, p: np.ndarray, step: float) -> _Jets:
+    """The request at the one point p."""
+    return _jets(fields, np.asarray(p, dtype=float)[None, :], step).point(0)
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +308,9 @@ def _blaschke(pt: _Pointwise, jets: _Jets, ambient_curvature: float) -> np.ndarr
     return a_theta / pt.rho**2
 
 
-def _direct(jets: _Jets) -> float:
-    """Full-trace scalar curvature of the metric rho^2 I from its jet."""
-    return float(curvature_from_jet(*jets.moebius).scalar)
+def _direct(jets: _Jets) -> np.ndarray:
+    """Full-trace scalar curvature of the metric rho^2 I from its jets at a point set."""
+    return curvature_from_jet(*jets.moebius).scalar
 
 
 def moebius_form(fields: SurfaceFields, p: np.ndarray, step: float) -> np.ndarray:
@@ -249,8 +324,8 @@ def moebius_form(fields: SurfaceFields, p: np.ndarray, step: float) -> np.ndarra
     The request is that of ``blaschke_A`` and ``moebius_data``, so all three
     agree bit for bit on C's inputs.
     """
-    jets = _jets(fields, np.asarray(p, dtype=float), step)
-    return _form(_Pointwise.at_centre(jets), jets)
+    jets = _jets_at(fields, p, step)
+    return _form(_Pointwise.from_jets(jets), jets)
 
 
 def blaschke_A(fields: SurfaceFields, p: np.ndarray, step: float) -> np.ndarray:
@@ -262,8 +337,8 @@ def blaschke_A(fields: SurfaceFields, p: np.ndarray, step: float) -> np.ndarray:
     in an I-orthonormal frame (Hessian of the induced metric's connection),
     divided by rho^2.  c is the ambient curvature constant of the fields.
     """
-    jets = _jets(fields, np.asarray(p, dtype=float), step)
-    return _blaschke(_Pointwise.at_centre(jets), jets, fields.ambient_curvature)
+    jets = _jets_at(fields, p, step)
+    return _blaschke(_Pointwise.from_jets(jets), jets, fields.ambient_curvature)
 
 
 def moebius_form_divergence_residual(fields: SurfaceFields, p: np.ndarray, step: float) -> float:
@@ -274,7 +349,7 @@ def moebius_form_divergence_residual(fields: SurfaceFields, p: np.ndarray, step:
     metric's connection.  This is the independent cross-check for the
     completed gradient coupling in the C formula.
     """
-    jets = _jets(fields, np.asarray(p, dtype=float), step)
+    jets = _jets_at(fields, p, step)
     g = jets.moebius.value
     ginv = np.linalg.inv(g)
     gamma = christoffel_symbols(ginv, jets.moebius.d1)
@@ -282,36 +357,49 @@ def moebius_form_divergence_residual(fields: SurfaceFields, p: np.ndarray, step:
     div = np.einsum("bc,abc->a", ginv, nabla)
     frame = gram_schmidt_frame(g)
     div_frame = frame.T @ div  # frame components of the 1-form g^{bc} B_ab;c
-    c_frame = _form(_Pointwise.at_centre(jets), jets)
+    c_frame = _form(_Pointwise.from_jets(jets), jets)
     return float(np.max(np.abs(div_frame + (g.shape[0] - 1) * c_frame)))
 
 
-def direct_scalar(fields: SurfaceFields, p: np.ndarray, step: float) -> float:
-    """Full-trace scalar curvature of the Moebius metric rho^2 I at p: the
-    direct route of ``moebius_scalar`` alone, from the same one request."""
-    return _direct(_jets(fields, np.asarray(p, dtype=float), step))
+def direct_scalar(fields: SurfaceFields, pts: np.ndarray, step: float):
+    """Full-trace scalar curvature of the Moebius metric rho^2 I: the direct
+    route of ``moebius_scalars`` alone, from the same one request.
+
+    pts is one point (m,), which gives a float, or a point set (K, m),
+    which gives an array (K,).
+    """
+    pts = np.asarray(pts, dtype=float)
+    scalars = _direct(_jets(fields, pts, step))
+    return float(scalars[0]) if pts.ndim == 1 else scalars
 
 
 class MoebiusScalarResult(NamedTuple):
-    direct: float
-    conformal_route: float
+    direct: float | np.ndarray
+    conformal_route: float | np.ndarray
 
-    def spread(self) -> float:
+    def spread(self):
         return abs(self.direct - self.conformal_route)
 
 
-def moebius_scalar(fields: SurfaceFields, p: np.ndarray, step: float) -> MoebiusScalarResult:
-    """Full-trace scalar curvature of the Moebius metric by two independent routes.
+def moebius_scalars(fields: SurfaceFields, pts: np.ndarray, step: float) -> MoebiusScalarResult:
+    """Full-trace scalar curvature of the Moebius metric by two independent routes,
+    at the point set pts (K, m), each route an array (K,).
 
     direct: curvature of the metric field rho^2 I (``direct_scalar``);
     conformal_route: the conformal-change formula applied to the induced
     metric with u = log rho.  Their agreement is the two-route consistency
     check.  The routes share only the evaluation of their inputs: one
-    stencil request of the fields, with the given step.
+    request of the fields, with the given step.
     """
-    jets = _jets(fields, np.asarray(p, dtype=float), step)
+    jets = _jets(fields, pts, step)
     via = conformal_scalar_from_jet(curvature_from_jet(*jets.g), *jets.log_rho)
     return MoebiusScalarResult(direct=_direct(jets), conformal_route=via)
+
+
+def moebius_scalar(fields: SurfaceFields, p: np.ndarray, step: float) -> MoebiusScalarResult:
+    """``moebius_scalars`` at the one point p, as floats."""
+    both = moebius_scalars(fields, np.asarray(p, dtype=float)[None, :], step)
+    return MoebiusScalarResult(*(float(x[0]) for x in both))
 
 
 # ---------------------------------------------------------------------------
@@ -344,24 +432,36 @@ class MoebiusData:
         return float(np.max(np.abs(c)))
 
 
+def moebius_data_batch(fields: SurfaceFields, pts: np.ndarray, step: float) -> list[MoebiusData]:
+    """All invariants at each point of pts (K, m) from one request; the pointwise
+    ones from its value."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    request = _jets(fields, pts, step)
+    out = []
+    for k, p in enumerate(pts):
+        jets = request.point(k)
+        pt = _Pointwise.from_jets(jets)
+        b = pt.B
+        a = _blaschke(pt, jets, fields.ambient_curvature)
+        wb, _ = jacobi_eigh(b)
+        wa, _ = jacobi_eigh(a)
+        out.append(
+            MoebiusData(
+                point=p,
+                rho=pt.rho,
+                H=pt.mean,
+                g_moebius=pt.rho**2 * pt.g,
+                B=b,
+                A=a,
+                C=_form(pt, jets),
+                principal_curvatures=principal_curvatures(pt.g, pt.h),
+                B_eigenvalues=wb[::-1].copy(),
+                A_eigenvalues=wa[::-1].copy(),
+            )
+        )
+    return out
+
+
 def moebius_data(fields: SurfaceFields, p: np.ndarray, step: float) -> MoebiusData:
-    """All invariants at p from one stencil request; the pointwise ones from its centre."""
-    p = np.asarray(p, dtype=float)
-    jets = _jets(fields, p, step)
-    pt = _Pointwise.at_centre(jets)
-    b = pt.B
-    a = _blaschke(pt, jets, fields.ambient_curvature)
-    wb, _ = jacobi_eigh(b)
-    wa, _ = jacobi_eigh(a)
-    return MoebiusData(
-        point=p,
-        rho=pt.rho,
-        H=pt.mean,
-        g_moebius=pt.rho**2 * pt.g,
-        B=b,
-        A=a,
-        C=_form(pt, jets),
-        principal_curvatures=principal_curvatures(pt.g, pt.h),
-        B_eigenvalues=wb[::-1].copy(),
-        A_eigenvalues=wa[::-1].copy(),
-    )
+    """``moebius_data_batch`` at the one point p."""
+    return moebius_data_batch(fields, np.asarray(p, dtype=float)[None, :], step)[0]

@@ -397,15 +397,14 @@ class SpiralTrajectory:
         """d curve / ds at arbitrary s, (K, curve_dim)."""
         return self._curve(np.atleast_1d(sq), 1)[1]
 
-    def curve_jet(self, sq) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(c, c', c'') of the curve at arbitrary s, each (K, curve_dim).
+    def curve_jet(self, sq, order: int = 2) -> tuple[np.ndarray, ...]:
+        """(c, c', ..., c^(order)) of the curve at arbitrary s, each (K, curve_dim).
 
-        One evaluation of the step polynomials and of their first two
-        derivatives, so c' and c'' are as accurate as c, whatever the sample
-        spacing controls.step.
+        One evaluation of the step polynomials and of their first `order`
+        derivatives, so every derivative is as accurate as c, whatever the
+        sample spacing controls.step.
         """
-        c, vel, acc = self._curve(np.atleast_1d(sq), 2)
-        return c, vel, acc
+        return tuple(self._curve(np.atleast_1d(sq), order))
 
 
 def _return_watch(params: SpiralParams, row, controls: IntegratorControls):

@@ -224,15 +224,16 @@ class Piecewise:
     coefs: list
 
     def at(self, t, order: int = 0, columns=slice(None), out=None) -> np.ndarray:
-        """The states at the points t (in any order) and their first order <= 2 s-derivatives.
+        """The states at the points t (in any order) and their first `order` s-derivatives.
 
         Fills and returns out[:, :len(t)], out of shape (order + 1, >= len(t),
         width) (allocated when None): out[j, i] is the j-th derivative at t[i]
-        of the components selected by columns.  A point is read on the step
-        that covers it, a point before the first step on the first.  A
-        value does not depend on order, bit for bit, nor a derivative on
-        whether the other one is asked for.  A step's points are taken
-        _CHUNK at a time, which bounds the matrices of their powers.
+        of the components selected by columns, the j-th derivative of the
+        step polynomial.  A point is read on the step that covers it, a
+        point before the first step on the first.  A value does not depend
+        on order, bit for bit, nor a derivative on which others are asked
+        for.  A step's points are taken _CHUNK at a time, which bounds the
+        matrices of their powers.
         """
         t = np.asarray(t, dtype=float).reshape(-1)
         if out is None:
@@ -248,11 +249,13 @@ class Piecewise:
                 rows = perm[a : min(a + _CHUNK, bounds[i + 1])]
                 powers = np.vander(t[rows] - self.starts[i], TAYLOR_ORDER + 1, increasing=True)
                 out[0, rows] = np.einsum("ij,jk->ik", powers, coefs)
-                if order:  # the first and second derivatives of the powers
-                    ders = np.zeros((2, rows.size, TAYLOR_ORDER + 1))
-                    ders[0, :, 1:] = powers[:, :-1] * _DEGREES[1:]
-                    ders[1, :, 2:] = ders[0, :, 1:-1] * _DEGREES[2:]
-                    out[1:, rows] = np.einsum("oij,jk->oik", ders, coefs)[:order]
+                if order:  # d^j/dt^j t^i = i d^(j-1)/dt^(j-1) t^(i-1), row j - 1
+                    ders = np.zeros((order, rows.size, TAYLOR_ORDER + 1))
+                    prev = powers
+                    for j in range(order):
+                        ders[j, :, j + 1 :] = prev[:, j:-1] * _DEGREES[j + 1 :]
+                        prev = ders[j]
+                    out[1:, rows] = np.einsum("oij,jk->oik", ders, coefs)
         return out
 
 

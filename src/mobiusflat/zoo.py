@@ -11,10 +11,17 @@ Four generators, all built over a spiral trajectory or a radius parameter:
 
 Each handle carries closed-form fields (``analytic_fields``), whose one
 ``sample`` gives I, II, rho and H from one query of the trajectory, and an
-exact second-order jet of its immersion (``jet``), from which the generic
+exact jet of its immersion at any order (``jet``), from which the generic
 pipeline takes every derivative of f, so identity checks can be run on
-either route.  The lift and the homothety below carry the jet of their base
-handle through their map.
+either route.  The curve factors read their s-derivatives from the
+trajectory's step polynomials (``curve_jet``).  The lift and the homothety
+below carry the jet of their base handle through their map, at the order
+asked: the lift in the truncated Taylor arithmetic of ``jets``, the
+homothety by its scaling of each level.
+
+The closed-form fields have no exact jets of their own: a Moebius request on
+them is an order-4 stencil of their sample (see ``moebius``), which keeps
+the closed-form route independent of the pipeline's.
 
 The model maps between the ambient space forms are also here: the inverse
 stereographic lift R^(n+1) -> S^(n+1), its inverse, and the hyperboloid to
@@ -23,10 +30,14 @@ hemisphere map H^(n+1) -> S^(n+1)_+.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import product
+
 import numpy as np
 
 from .errors import ChartDomainError, DegenerateGeometryError, InputError
 from .immersion import EUCLIDEAN, UNIT_SPHERE, ImmersionHandle
+from .jets import Jet, compose, contract, power_derivatives
 from .moebius import SurfaceFields
 from .spiral import HALF_PLANE, PLANE, SPHERE, SpiralTrajectory
 
@@ -34,57 +45,66 @@ POLE_MARGIN = 0.2
 
 
 # ---------------------------------------------------------------------------
-# exact second-order jets
+# exact jets at any order
 #
 # Every generator is a product of one-variable factors in each component:
-# f_i(p) = prod_a g_ai(p_a).  Its jet needs only each factor's value and
-# first two derivatives, and comes out in the layout of fd.jet_batch.
+# f_i(p) = prod_a g_ai(p_a).  A partial with multi-index alpha is then the
+# product of the factors' derivatives, prod_a g_ai^(alpha_a)(p_a), so a jet
+# of order k is one gather of the factor derivatives over the table of
+# multi-indices |alpha| <= k.  It comes out level by level, level j the full
+# (K, m, ..., m, N) tensor of the j-th partials.
 
 
-def _product_jet(factors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(values (K, N), d1 (K, m, N), d2 (K, m, m, N)) of f_i = prod_a g_ai(p_a).
+@lru_cache(maxsize=None)
+def _multi_indices(m: int, order: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """(alphas (U, m), per level j the row of alphas of each of the m^j index tuples)."""
+    rows: dict[tuple[int, ...], int] = {}
+    levels = []
+    for j in range(order + 1):
+        alphas = (tuple(t.count(a) for a in range(m)) for t in product(range(m), repeat=j))
+        levels.append(np.array([rows.setdefault(alpha, len(rows)) for alpha in alphas]))
+    return np.array(list(rows), dtype=int).reshape(-1, m), tuple(levels)
 
-    factors[a] = (g_a, g_a', g_a'') for chart coordinate a, each (K, N).
-    d_b f = g_b' prod_{a != b} g_a; d_b d_c f = g_b' g_c' prod_{a != b, c} g_a
-    for b != c and g_b'' prod_{a != b} g_a for b = c.
+
+def _product_jet(factors) -> tuple[np.ndarray, ...]:
+    """The levels 0..k of f_i = prod_a g_ai(p_a): level j is (K, m, ..., m, N).
+
+    factors[a] = (g_a, g_a', ..., g_a^(k)) for chart coordinate a, each (K, N).
     """
-    val, der, sec = (np.stack(level, axis=1) for level in zip(*factors))  # (K, m, N)
-    k, m, width = val.shape
-
-    def others(*skip):
-        out = np.ones((k, width))
-        for a in range(m):
-            if a not in skip:
-                out = out * val[:, a]
-        return out
-
-    d1 = np.empty((k, m, width))
-    d2 = np.empty((k, m, m, width))
-    for b in range(m):
-        rest = others(b)
-        d1[:, b] = der[:, b] * rest
-        d2[:, b, b] = sec[:, b] * rest
-        for c in range(b + 1, m):
-            d2[:, b, c] = d2[:, c, b] = der[:, b] * der[:, c] * others(b, c)
-    return others(), d1, d2
+    ders = np.stack([np.stack(f) for f in factors])  # (m, k + 1, K, N)
+    m, order, k, width = ders.shape[0], ders.shape[1] - 1, ders.shape[2], ders.shape[3]
+    alphas, levels = _multi_indices(m, order)
+    partials = np.prod(ders[np.arange(m), alphas], axis=1)  # (U, K, N), factor by factor
+    return tuple(
+        np.moveaxis(partials[rows], 0, 1).reshape((k,) + (m,) * j + (width,))
+        for j, rows in enumerate(levels)
+    )
 
 
-def _coordinate_factor(x: np.ndarray, width: int, cols) -> tuple[np.ndarray, ...]:
+def _coordinate_factor(x: np.ndarray, width: int, cols, order: int) -> tuple[np.ndarray, ...]:
     """The chart coordinate x itself in the components cols, and 1 in the others."""
     on = np.zeros(width, dtype=bool)
     on[cols] = True
     d = np.broadcast_to(on.astype(float), (x.size, width))
-    return np.where(on, x[:, None], 1.0), d, np.zeros_like(d)
+    zero = np.zeros_like(d)
+    return (np.where(on, x[:, None], 1.0), d, *([zero] * (order - 1)))[: order + 1]
 
 
 def _padded(factor, before: int = 0, after: int = 0) -> tuple[np.ndarray, ...]:
-    """factor (value, first, second; each (K, q)) with `before` leading and
-    `after` trailing components in which its coordinate does not enter."""
+    """factor (its derivatives, each (K, q)) with `before` leading and `after`
+    trailing components in which its coordinate does not enter."""
     k = factor[0].shape[0]
     return tuple(
         np.concatenate([np.full((k, before), fill), x, np.full((k, after), fill)], axis=1)
-        for x, fill in zip(factor, (1.0, 0.0, 0.0))
+        for x, fill in zip(factor, [1.0] + [0.0] * (len(factor) - 1))
     )
+
+
+def _trig(angle: np.ndarray, order: int):
+    """The derivatives of cos and sin at angle to the order, by their cycle of four."""
+    c, s = np.cos(angle), np.sin(angle)
+    cycles = ((c, -s, -c, s), (s, c, -s, -c))
+    return tuple([cycle[j % 4] for j in range(order + 1)] for cycle in cycles)
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +128,8 @@ def sphere_chart(angles: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sphere_factors(angles: np.ndarray) -> list[tuple[np.ndarray, ...]]:
-    """Per angle, its factor in each component of sphere_chart, with two derivatives.
+def _sphere_factors(angles: np.ndarray, order: int) -> list[tuple[np.ndarray, ...]]:
+    """Per angle, its factor in each component of sphere_chart, with `order` derivatives.
 
     Component i is prod_{j<i} sin(a_j) cos(a_i) (the last one has no cosine),
     so angle j is 1 in the components before j, cos in component j and sin
@@ -119,16 +139,19 @@ def _sphere_factors(angles: np.ndarray) -> list[tuple[np.ndarray, ...]]:
     idx = np.arange(d + 1)
     out = []
     for j in range(d):
-        c, s = np.cos(angles[:, j : j + 1]), np.sin(angles[:, j : j + 1])
-        v = np.where(idx < j, 1.0, np.where(idx == j, c, s))
-        dv = np.where(idx < j, 0.0, np.where(idx == j, -s, c))
-        out.append((v, dv, np.where(idx < j, 0.0, -v)))
+        cos_ders, sin_ders = _trig(angles[:, j : j + 1], order)
+        out.append(
+            tuple(
+                np.where(idx < j, float(i == 0), np.where(idx == j, c, s))
+                for i, (c, s) in enumerate(zip(cos_ders, sin_ders))
+            )
+        )
     return out
 
 
 def sphere_chart_jet(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """sphere_chart with its exact partials: (K, d+1), (K, d, d+1), (K, d, d, d+1)."""
-    return _product_jet(_sphere_factors(np.atleast_2d(angles)))
+    return _product_jet(_sphere_factors(np.atleast_2d(angles), 2))
 
 
 def sphere_chart_metric(angles: np.ndarray) -> np.ndarray:
@@ -180,11 +203,10 @@ def cylinder_immersion(traj: SpiralTrajectory, n: int, margin: float = 0.15) -> 
         c = traj.curve_at(pts[:, 0])
         return np.concatenate([c[:, 0:2], pts[:, 1:]], axis=1)
 
-    def jet(pts: np.ndarray):
-        c, vel, acc = traj.curve_jet(pts[:, 0])
-        curve = _padded((c[:, 0:2], vel[:, 0:2], acc[:, 0:2]), after=n - 1)
+    def jet(pts: np.ndarray, order: int = 2):
+        curve = _padded([c[:, 0:2] for c in traj.curve_jet(pts[:, 0], order)], after=n - 1)
         return _product_jet(
-            [curve] + [_coordinate_factor(pts[:, j], n + 1, j + 1) for j in range(1, n)]
+            [curve] + [_coordinate_factor(pts[:, j], n + 1, j + 1, order) for j in range(1, n)]
         )
 
     s_base = 0.5 * (lo + hi)
@@ -242,12 +264,11 @@ def cone_immersion(
         gam = traj.curve_at(pts[:, 0])[:, 0:3]
         return np.concatenate([pts[:, 1:2] * gam, pts[:, 2:]], axis=1)
 
-    def jet(pts: np.ndarray):
-        c, vel, acc = traj.curve_jet(pts[:, 0])
-        gam = _padded((c[:, 0:3], vel[:, 0:3], acc[:, 0:3]), after=n - 2)
-        t = _coordinate_factor(pts[:, 1], n + 1, slice(0, 3))
+    def jet(pts: np.ndarray, order: int = 2):
+        gam = _padded([c[:, 0:3] for c in traj.curve_jet(pts[:, 0], order)], after=n - 2)
+        t = _coordinate_factor(pts[:, 1], n + 1, slice(0, 3), order)
         return _product_jet(
-            [gam, t] + [_coordinate_factor(pts[:, j], n + 1, j + 1) for j in range(2, n)]
+            [gam, t] + [_coordinate_factor(pts[:, j], n + 1, j + 1, order) for j in range(2, n)]
         )
 
     s_base = 0.5 * (lo + hi)
@@ -310,16 +331,15 @@ def rotational_immersion(
         sph = sphere_chart(pts[:, 1:])
         return np.concatenate([c[:, 0:1], c[:, 1:2] * sph], axis=1)
 
-    def jet(pts: np.ndarray):
+    def jet(pts: np.ndarray, order: int = 2):
         # x(s) in the first component, y(s) times the sphere factors in the others
-        c, vel, acc = traj.curve_jet(pts[:, 0])
-        _upper(c)
+        curve = traj.curve_jet(pts[:, 0], order)
+        _upper(curve[0])
         profile = tuple(
-            np.concatenate([x[:, 0:1], np.repeat(x[:, 1:2], n, axis=1)], axis=1)
-            for x in (c, vel, acc)
+            np.concatenate([x[:, 0:1], np.repeat(x[:, 1:2], n, axis=1)], axis=1) for x in curve
         )
         return _product_jet(
-            [profile] + [_padded(f, before=1) for f in _sphere_factors(pts[:, 1:])]
+            [profile] + [_padded(f, before=1) for f in _sphere_factors(pts[:, 1:], order)]
         )
 
     s_base = 0.5 * (lo + hi)
@@ -380,16 +400,17 @@ def torus_immersion(r: float, n: int) -> ImmersionHandle:
             [a * np.cos(u)[:, None], a * np.sin(u)[:, None], r * sph], axis=1
         )
 
-    def jet(pts: np.ndarray):
+    def jet(pts: np.ndarray, order: int = 2):
         # (a cos u, a sin u) in the first two components, r times the sphere factors after
-        cu, su = np.cos(pts[:, 0:1]), np.sin(pts[:, 0:1])
+        cos_ders, sin_ders = _trig(pts[:, 0:1], order)
         radius, zero = np.full((pts.shape[0], n), r), np.zeros((pts.shape[0], n))
-        u = (
-            np.concatenate([a * cu, a * su, radius], axis=1),
-            np.concatenate([-a * su, a * cu, zero], axis=1),
-            np.concatenate([-a * cu, -a * su, zero], axis=1),
+        u = tuple(
+            np.concatenate([a * c, a * s, radius if i == 0 else zero], axis=1)
+            for i, (c, s) in enumerate(zip(cos_ders, sin_ders))
         )
-        return _product_jet([u] + [_padded(f, before=2) for f in _sphere_factors(pts[:, 1:])])
+        return _product_jet(
+            [u] + [_padded(f, before=2) for f in _sphere_factors(pts[:, 1:], order)]
+        )
 
     base = np.concatenate([[0.0], _angle_base(d)])
     sph0 = sphere_chart(_angle_base(d)[None, :])[0]
@@ -464,31 +485,18 @@ def _stereo_lift_differential(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return dnum / den - num * dden / den**2
 
 
-def _lift_jet(u: np.ndarray, du: np.ndarray, ddu: np.ndarray):
-    """The jet of inverse_stereographic(f) from the jet of f, by the chain rule.
+def _lift_jet(levels) -> tuple[np.ndarray, ...]:
+    """The jet of inverse_stereographic(f) from the jet of f, in the jet arithmetic.
 
-    The lift is (2 sig - 1, 2 sig u) with sig = 1 / (1 + |u|^2); second
-    derivatives follow d2(g o f) = Dg d2f + D^2 g[d1f, d1f].
+    The lift is (2 sig - 1, 2 sig u) with sig = 1 / (1 + |u|^2).
     """
-    sig = 1.0 / (1.0 + np.sum(u * u, axis=1))
-    w = np.einsum("kn,kan->ka", u, du)  # <u, d_a u>
-    dsig = -2.0 * sig[:, None] ** 2 * w
-    dots = np.einsum("kan,kbn->kab", du, du) + np.einsum("kn,kabn->kab", u, ddu)
-    ddsig = 2.0 * sig[:, None, None] ** 2 * (
-        4.0 * sig[:, None, None] * w[:, :, None] * w[:, None, :] - dots
+    u = Jet(levels)
+    one_plus = contract("n,n->", u, u) + 1.0
+    sig = compose(one_plus, power_derivatives(one_plus.value, -1.0, u.order))
+    first, rest = 2.0 * sig - 1.0, 2.0 * contract(",n->n", sig, u)
+    return tuple(
+        np.concatenate([f[..., None], r], axis=-1) for f, r in zip(first.levels, rest.levels)
     )
-    value = np.concatenate([2.0 * sig[:, None] - 1.0, 2.0 * sig[:, None] * u], axis=1)
-    # partials of sig u, then those of sig in front for the first component
-    d1 = dsig[..., None] * u[:, None] + sig[:, None, None] * du
-    d2 = (
-        ddsig[..., None] * u[:, None, None]
-        + dsig[:, :, None, None] * du[:, None]
-        + dsig[:, None, :, None] * du[:, :, None]
-        + sig[:, None, None, None] * ddu
-    )
-    d1 = np.concatenate([dsig[..., None], d1], axis=2)
-    d2 = np.concatenate([ddsig[..., None], d2], axis=3)
-    return value, 2.0 * d1, 2.0 * d2
 
 
 def lift_to_sphere(imm: ImmersionHandle) -> ImmersionHandle:
@@ -499,8 +507,8 @@ def lift_to_sphere(imm: ImmersionHandle) -> ImmersionHandle:
     def evaluator(pts: np.ndarray) -> np.ndarray:
         return inverse_stereographic(imm(pts))
 
-    def jet(pts: np.ndarray):
-        return _lift_jet(*imm.evaluate_jet(pts))
+    def jet(pts: np.ndarray, order: int = 2):
+        return _lift_jet(imm.evaluate_jet(pts, order))
 
     seed = None
     if imm.orientation_seed is not None and imm.base_point is not None:
@@ -537,9 +545,10 @@ def scale_immersion(imm: ImmersionHandle, factor: float) -> ImmersionHandle:
     def evaluator(pts: np.ndarray) -> np.ndarray:
         return factor * imm(np.atleast_2d(pts) / factor)
 
-    def jet(pts: np.ndarray):
-        values, d1, d2 = imm.evaluate_jet(np.atleast_2d(pts) / factor)
-        return factor * values, d1, d2 / factor
+    def jet(pts: np.ndarray, order: int = 2):
+        # level j of f_l(x) = l f(x / l) is l^(1 - j) times that of f at x / l
+        values, d1, *higher = imm.evaluate_jet(np.atleast_2d(pts) / factor, order)
+        return (factor * values, d1, *(d / factor ** (j + 1) for j, d in enumerate(higher)))
 
     domain = None
     if imm.domain is not None:

@@ -1,12 +1,20 @@
-"""The separate-request compositions that ``moebius_data`` and ``moebius_scalar`` replaced.
+"""The separate-request compositions that ``moebius_data`` and ``moebius_scalar`` replaced,
+and the nested finite-difference pipeline that the exact jets replaced.
 
-Kept as the test oracle.  Each quantity is asked of the fields on its own:
+Kept as the test oracles.  Each quantity is asked of the fields on its own:
 I, h, rho and H at p one sample request at a time, the partials of log rho, H and
 I each from their own stencil, and the two scalar routes each from their
 own metric-field jets.  The A and C formulas are written out here a second
 time, as they stood before the kernels were shared, so the oracle does not
 lean on the code under test.
+
+``nested_fd_fields`` is the pipeline as it stood before the exact jets: the
+fields of an immersion, differenced by the order-4 stencil of
+``fd.jet_batch`` over their ``sample``, each stencil point one 2-jet of the
+immersion.
 """
+
+import dataclasses
 
 import numpy as np
 
@@ -17,9 +25,16 @@ from mobiusflat.linalg import gram_schmidt_frame, jacobi_eigh, require_symmetric
 from mobiusflat.moebius import (
     MoebiusData,
     MoebiusScalarResult,
+    fields_from_immersion,
     moebius_B,
     moebius_density,
 )
+
+
+def nested_fd_fields(imm):
+    """The fields of imm without their exact jets: every Moebius request on them
+    is one stencil over ``sample``, the closed-form route."""
+    return dataclasses.replace(fields_from_immersion(imm), jets=None)
 
 
 def _part(fields, i):

@@ -227,3 +227,12 @@ def test_batch_algebra_matches_per_point_route(monkeypatch):
     monkeypatch.setattr(curvature, "curvature_batch", curvature_oracle.curvature_batch)
     per_point = run_suite(cfg.validate()).to_json()
     assert '"passed": true' in batched and batched == per_point
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_every_accepted_dimension_passes(n):
+    # the pipeline reads exact jets, so no step constant depends on n
+    report = run_suite(RunConfig(n=n, samples=8, seed=0).validate())
+    assert len(report.records) == 13
+    failed = [(r.name, r.max_residual, r.error) for r in report.records if not r.passed]
+    assert not failed

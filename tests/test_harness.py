@@ -382,7 +382,7 @@ class TestRigidity:
 
 
 class TestStepTable:
-    """Every finite-difference step of verify and invariants is an entry of the one table."""
+    """Every finite-difference step of verify is an entry of the one table; invariants takes none."""
 
     def test_requested_steps_are_the_table(self, monkeypatch, tmp_path):
         requested = set()
@@ -403,14 +403,11 @@ class TestStepTable:
         table = suite_steps(cfg)
         assert len(set(table.values())) == len(table)
         run_suite(cfg)
-        seen = set(requested)
+        assert requested <= set(table.values())
+        assert {name for name, step in table.items() if step in requested} == set(table)
         for family in ("rotational", "torus"):
             requested.clear()
             run_cfg = dataclasses.replace(cfg, family=family)
             assert cli.cmd_invariants(run_cfg, str(tmp_path), "full") == 0
-            # the field-step rule of the suite: the torus takes its own step
-            assert field_step(family) in requested
-            assert (FIELD_STEP in requested) == (family != "torus")
-            seen |= requested
-        assert seen <= set(table.values())
-        assert {name for name, step in table.items() if step in seen} == set(table)
+            # invariants reads the fields of an immersion: exact jets, no stencil
+            assert requested == set()

@@ -18,10 +18,12 @@ from mobiusflat.moebius import (
     fields_from_immersion,
     moebius_B,
     moebius_data,
+    moebius_data_batch,
     moebius_density,
     moebius_form,
     moebius_form_divergence_residual,
     moebius_scalar,
+    moebius_scalars,
 )
 from mobiusflat.spiral import IntegratorControls, prescribed_curvature_trajectory, sine_curvature
 from mobiusflat.zoo import (
@@ -29,6 +31,7 @@ from mobiusflat.zoo import (
     lift_to_sphere,
     scale_immersion,
     sphere_chart_metric,
+    torus_immersion,
 )
 
 import moebius_oracle
@@ -82,6 +85,13 @@ class TestDensity:
         h = 0.7 * np.eye(4)
         with pytest.raises(UmbilicPointError):
             moebius_density(g, h)
+
+    def test_density_refuses_an_indefinite_first_form(self):
+        # rho^2 = 9 here, so only I's sign is at fault
+        with pytest.raises(DegenerateGeometryError, match="positive definite"):
+            moebius_density(np.diag([1.0, -0.5]), np.eye(2))
+        with pytest.raises(DegenerateGeometryError):
+            moebius_density(np.diag([1.0, 0.0]), np.eye(2))
 
     def test_indefinite_first_form_refused(self):
         # I = diag(1, -0.5) and h = Id: rho^2 = 9 > 0, so only I's sign is at fault
@@ -164,14 +174,15 @@ class TestOneJetFields:
 
 
 def counting_fields(imm):
-    """FD fields over imm (its exact jet replaced) whose evaluator records the size of each call."""
+    """Nested-FD oracle fields over imm (its exact jet replaced by the FD one) whose
+    evaluator records the size of each call."""
     calls = []
 
     def evaluator(pts):
         calls.append(pts.shape[0])
         return imm.evaluator(pts)
 
-    fields = fields_from_immersion(
+    fields = moebius_oracle.nested_fd_fields(
         with_fd_jet(dataclasses.replace(imm, evaluator=evaluator), FD_STEP)
     )
     calls.clear()  # the orientation sign, resolved once at construction
@@ -194,7 +205,8 @@ class TestOneRequestPerPointSet:
         ids=lambda f: f.__name__,
     )
     def test_one_stencil_request(self, torus, invariant):
-        # the pointwise record is read from the stencil's centre: no one-point request
+        # on fields without exact jets (here the nested-FD oracle) each request is
+        # one stencil, and the pointwise record is read from the stencil's centre
         fields, calls = counting_fields(torus)
         invariant(fields, torus.base_point, FINE)
         assert calls == [self.STENCIL**2]
@@ -202,8 +214,10 @@ class TestOneRequestPerPointSet:
     @pytest.mark.parametrize("analytic", [True, False], ids=["closed-form", "fd"])
     @pytest.mark.parametrize("fixture", ["torus", "rotational"])
     def test_agrees_with_separate_request_oracle(self, fixture, analytic, request):
+        # the packed stencil request against separate stencils, on the closed forms
+        # and on the nested-FD pipeline
         imm = request.getfixturevalue(fixture)
-        fields = imm.analytic_fields if analytic else fields_from_immersion(imm)
+        fields = imm.analytic_fields if analytic else moebius_oracle.nested_fd_fields(imm)
 
         def close(new, old):
             new, old = np.asarray(new), np.asarray(old)
@@ -220,6 +234,145 @@ class TestOneRequestPerPointSet:
             s_ref = moebius_oracle.moebius_scalar(fields, p, SCALAR_STEP)
             assert close(s, s_ref)
             assert close(direct_scalar(fields, p, SCALAR_STEP), s_ref.direct)
+
+
+def jet_counting(imm):
+    """imm with a jet that records (points, order) of each call."""
+    calls = []
+
+    def jet(pts, order=2):
+        calls.append((pts.shape[0], order))
+        return imm.jet(pts, order)
+
+    return dataclasses.replace(imm, jet=jet), calls
+
+
+class TestOneJetPerPointSet:
+    """Fields from an immersion answer a request from one order-4 jet of it."""
+
+    @pytest.mark.parametrize(
+        "invariant",
+        [
+            moebius_data,
+            moebius_form,
+            blaschke_A,
+            moebius_form_divergence_residual,
+            moebius_scalar,
+            direct_scalar,
+        ],
+        ids=lambda f: f.__name__,
+    )
+    def test_one_jet_evaluation_per_request(self, torus, invariant):
+        imm, calls = jet_counting(torus)
+        fields = fields_from_immersion(imm)
+        calls.clear()  # the orientation sign, resolved once at construction
+        invariant(fields, torus.base_point, FINE)
+        assert calls == [(1, 4)]
+
+    @pytest.mark.parametrize(
+        "point_set_request",
+        [moebius_data_batch, moebius_scalars, direct_scalar],
+        ids=lambda f: f.__name__,
+    )
+    def test_one_jet_evaluation_per_point_set(self, rotational, point_set_request):
+        imm, calls = jet_counting(rotational)
+        fields = fields_from_immersion(imm)
+        pts = interior_points(imm, 6, seed=17)
+        calls.clear()
+        point_set_request(fields, pts, FINE)
+        assert calls == [(6, 4)]
+
+    @pytest.mark.parametrize(
+        "invariant", [moebius_data, moebius_scalar, direct_scalar], ids=lambda f: f.__name__
+    )
+    def test_closed_forms_keep_one_stencil(self, torus, invariant):
+        # fields without exact jets: one sample call on the stencil of the point
+        calls = []
+        closed = torus.analytic_fields
+
+        def sample(pts):
+            calls.append(np.atleast_2d(pts).shape[0])
+            return closed.sample(pts)
+
+        invariant(dataclasses.replace(closed, sample=sample), torus.base_point, FINE)
+        assert calls == [TestOneRequestPerPointSet.STENCIL]
+
+
+SURFACES = ["cylinder", "cone", "rotational", "torus", "rotational+lift"]
+
+
+def surface(name, request):
+    base = request.getfixturevalue(name.split("+")[0])
+    return lift_to_sphere(base) if name.endswith("+lift") else base
+
+
+def exact_and_nested_fd(imm, pts, step):
+    """quantity -> (exact, nested-FD oracle at step) for rho, H, B, A, C and both scalars."""
+    out = {}
+    for fields in (fields_from_immersion(imm), moebius_oracle.nested_fd_fields(imm)):
+        records = moebius_data_batch(fields, pts, step)
+        scalars = moebius_scalars(fields, pts, step)
+        for name in ("rho", "H", "B", "A", "C"):
+            out.setdefault(name, []).append(np.array([getattr(r, name) for r in records]))
+        out.setdefault("direct", []).append(scalars.direct)
+        out.setdefault("conformal_route", []).append(scalars.conformal_route)
+    return out
+
+
+class TestExactAgainstNestedFD:
+    """The exact requests against the nested-FD pipeline they replaced."""
+
+    @pytest.mark.parametrize("name", SURFACES)
+    def test_within_the_oracle_error(self, name, request):
+        imm = surface(name, request)
+        pts = interior_points(imm, 3, seed=11, pad=0.2)
+        for quantity, (exact, oracle) in exact_and_nested_fd(imm, pts, 0.02).items():
+            scale = max(1.0, float(np.max(np.abs(oracle))))
+            assert np.max(np.abs(exact - oracle)) <= 1e-5 * scale, quantity
+
+    # the cylinder over a linear kappa leaves the oracle at rounding level
+    @pytest.mark.parametrize("name", [s for s in SURFACES if s != "cylinder"])
+    def test_oracle_error_falls_sixteen_times(self, name, request):
+        # the difference is the oracle's order-4 truncation: it falls about 16
+        # times when the outer step halves, wherever it is above rounding
+        imm = surface(name, request)
+        pts = interior_points(imm, 3, seed=11, pad=0.2)
+        coarse, fine = (exact_and_nested_fd(imm, pts, h) for h in (0.04, 0.02))
+        ratios = {}
+        for quantity in coarse:
+            e_coarse = np.max(np.abs(np.subtract(*coarse[quantity])))
+            e_fine = np.max(np.abs(np.subtract(*fine[quantity])))
+            if e_coarse > 1e-9:
+                ratios[quantity] = e_coarse / e_fine
+        assert {"direct", "conformal_route"} <= set(ratios)
+        assert all(12.0 < r < 20.0 for r in ratios.values()), ratios
+
+
+class TestBatchEqualsOnePointRequests:
+    @pytest.mark.parametrize(
+        "name", SURFACES + ["torus-n6"] + [f"{s}-closed-form" for s in SURFACES[:4]]
+    )
+    def test_bit_for_bit(self, name, request):
+        imm = (
+            torus_immersion(0.5, 6)
+            if name == "torus-n6"
+            else surface(name.removesuffix("-closed-form"), request)
+        )
+        fields = imm.analytic_fields if name.endswith("closed-form") else fields_from_immersion(imm)
+        pts = interior_points(imm, 5, seed=13)
+        records = moebius_data_batch(fields, pts, FINE)
+        scalars = moebius_scalars(fields, pts, SCALAR_STEP)
+        direct = direct_scalar(fields, pts, SCALAR_STEP)
+        assert np.array_equal(direct, scalars.direct)
+        for i, p in enumerate(pts):
+            one = moebius_data(fields, p, FINE)
+            for field in dataclasses.fields(one):
+                assert np.array_equal(getattr(records[i], field.name), getattr(one, field.name))
+            assert np.array_equal(moebius_form(fields, p, FINE), one.C)
+            assert np.array_equal(blaschke_A(fields, p, FINE), one.A)
+            s = moebius_scalar(fields, p, SCALAR_STEP)
+            assert (s.direct, s.conformal_route) == (direct[i], scalars.conformal_route[i])
+            assert direct_scalar(fields, p, SCALAR_STEP) == direct[i]
 
 
 class TestTensorB:

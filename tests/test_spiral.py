@@ -445,6 +445,60 @@ def test_curve_jet(case):
     assert np.max(np.abs(acc - diff)) < 1e-6
 
 
+@pytest.mark.parametrize("case", list(ORACLE_CASES), ids=lambda c: f"{c[0]}-{c[1]}")
+def test_curve_jet_to_order_four(case):
+    # the order-4 jet extends the order-2 one bit for bit; its third and fourth
+    # derivatives are the s-derivatives of the second and third, checked by
+    # central differences whose error falls about 16 times when the step halves
+    params, k0, ks0 = ORACLE_CASES[case]
+    traj = integrate_grid(params, [[k0, ks0]], IntegratorControls(s_max=1.0))[0]
+    sq = np.linspace(0.1, 0.9, 33) + 3.7e-4
+    jet4 = traj.curve_jet(sq, 4)
+    assert all(map(np.array_equal, jet4[:3], traj.curve_jet(sq)))
+
+    def errors(h):
+        ahead, behind = traj.curve_jet(sq + h, 4), traj.curve_jet(sq - h, 4)
+        ahead2, behind2 = traj.curve_jet(sq + 2 * h, 4), traj.curve_jet(sq - 2 * h, 4)
+        return [
+            np.max(
+                np.abs(
+                    jet4[j + 1]
+                    - (8 * (ahead[j] - behind[j]) - (ahead2[j] - behind2[j])) / (12 * h)
+                )
+            )
+            for j in (2, 3)
+        ]
+
+    coarse, fine = errors(0.02), errors(0.01)
+    for e_coarse, e_fine in zip(coarse, fine):
+        assert e_fine < 1e-6
+        assert 12.0 < e_coarse / e_fine < 20.0
+
+
+def test_piecewise_at_reads_differentiated_horner():
+    # every order of Piecewise.at is the derivative of the stored step
+    # polynomial, evaluated by Horner on its differentiated coefficients
+    from numpy.polynomial import polynomial as P
+
+    params, k0, ks0 = ORACLE_CASES[("half-plane", "standard")]
+    traj = integrate_grid(params, [[k0, ks0]], IntegratorControls(s_max=2.0))[0]
+    steps = traj.steps
+    t = np.linspace(0.0, 1.99, 29) + 3.7e-4
+    got = steps.at(t, 4)
+    # a lower order reads the same leading rows, bit for bit
+    assert np.array_equal(steps.at(t, 2), got[:3])
+    assert np.array_equal(steps.at(t), got[:1])
+    index = np.searchsorted(steps.starts, t, side="right") - 1
+    for i, (ti, step) in enumerate(zip(t, index)):
+        coefs = steps.coefs[step]
+        for order in range(5):
+            ref = [
+                P.polyval(ti - steps.starts[step], P.polyder(coefs[:, c], order))
+                for c in range(coefs.shape[1])
+            ]
+            assert np.max(np.abs(got[order, i] - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
 # ---------------------------------------------------------------------------
 # period-map closure against the full-horizon scan it replaced
 

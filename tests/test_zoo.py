@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mobiusflat import zoo
 from mobiusflat.errors import ChartDomainError, InputError
 from mobiusflat.fd import jet_batch
 from mobiusflat.immersion import (
@@ -40,6 +41,26 @@ def fd_vs_analytic(imm, count=8, seed=1):
     h_fd = second_fundamental_form_batch(fd, pts)
     g, h = imm.analytic_fields.sample(pts)[:2]
     return pts, g_fd, h_fd, g, h
+
+
+def check_third_and_fourth(jet4, second, pts):
+    """Levels 3 and 4 of a jet against the FD jet of its level 2 (second(pts)).
+
+    d_c (d_a d_b f) is level 3 at [a, b, c] and d_c d_d (d_a d_b f) level 4 at
+    [a, b, c, d].  The FD error at step 0.01 is bounded relative to the
+    level, and where it is not at rounding it falls about 16 times from step
+    0.02 (the order-4 stencil's truncation).
+    """
+
+    def errors(step):
+        _, d1, d2 = jet_batch(second, pts, step)  # [k, c, a, b, n] and [k, c, d, a, b, n]
+        d3 = np.moveaxis(d1, 1, 3)
+        d4 = np.moveaxis(np.moveaxis(d2, 1, 3), 2, 4)
+        return [np.max(np.abs(jet4[3] - d3)), np.max(np.abs(jet4[4] - d4))]
+
+    for level, coarse, fine in zip(jet4[3:], errors(0.02), errors(0.01)):
+        assert fine <= 1e-5 * max(1.0, np.max(np.abs(level)))
+        assert coarse <= 1e-12 or 12.0 < coarse / fine < 20.0
 
 
 class TestSphereChart:
@@ -81,6 +102,25 @@ class TestExactJet:
         for level, (x, ref) in enumerate(zip(exact[1:], oracle[1:]), start=1):
             # FD truncation and rounding of the order-4 stencil
             assert np.max(np.abs(x - ref)) <= 1e-6 * max(1.0, np.max(np.abs(ref))), level
+
+    @pytest.mark.parametrize("name", list(HANDLES))
+    def test_order_four_jet_matches_fd_of_the_two_jet(self, name, request):
+        # levels 0-2 of the order-4 jet are the 2-jet bit for bit; levels 3 and 4
+        # are the first and second partials of level 2, checked by the order-4
+        # stencil on the exact 2-jet, whose error falls about 16 times when the
+        # step halves
+        base = request.getfixturevalue(name.split("+")[0].split("*")[0])
+        imm = self.HANDLES[name](base)
+        pts = interior_points(imm, 4, seed=5, pad=0.2)
+        jet4 = imm.evaluate_jet(pts, 4)
+        assert all(map(np.array_equal, jet4[:3], imm.evaluate_jet(pts)))
+        check_third_and_fourth(jet4, lambda q: imm.evaluate_jet(q)[2], pts)
+
+    def test_sphere_chart_factors_to_order_four(self):
+        angles = np.array([[0.9, 1.1, 2.0], [1.5, 0.4, 5.0]])
+        jet4 = zoo._product_jet(zoo._sphere_factors(angles, 4))
+        assert all(map(np.array_equal, jet4[:3], sphere_chart_jet(angles)))
+        check_third_and_fourth(jet4, lambda q: sphere_chart_jet(q)[2], angles)
 
     @pytest.mark.parametrize("fixture", ["cylinder", "cone", "rotational", "torus"])
     def test_forms_match_closed_form(self, fixture, request):
