@@ -11,8 +11,6 @@ and the commuting of B with A.
 
 import numpy as np
 
-from mobiusflat.checks import field_step
-from mobiusflat.config import RunConfig
 from mobiusflat.moebius import fields_from_immersion, moebius_data, moebius_scalar
 from mobiusflat.spiral import IntegratorControls, SpiralParams, integrate_grid
 from mobiusflat.zoo import rotational_immersion
@@ -25,7 +23,7 @@ fields = fields_from_immersion(imm)
 
 p = imm.base_point.copy()
 p[0] = 1.7
-d = moebius_data(fields, p, field_step("rotational"))
+d = moebius_data(fields, p)
 
 print(f"sample point s = {p[0]:.2f}: rho = {d.rho:.6f}, H = {d.H:.6f}")
 print(f"principal curvatures: {np.round(d.principal_curvatures, 6)}")
@@ -37,7 +35,7 @@ print(f"|BA - AB| = {d.commutator_norm():.2e}  (closed Moebius form)")
 print(f"C components: {np.round(d.C, 8)}  (only the profile direction survives)")
 
 # the Blaschke trace identity ties tr A to the scalar curvature of rho^2 I
-s = moebius_scalar(fields, p, RunConfig().curvature_step)
+s = moebius_scalar(fields, p)
 target = 1 / (2 * n) + s.direct / (2 * (n - 1))
 print(f"\nMoebius scalar (full trace): direct {s.direct:.8f}, conformal route {s.conformal_route:.8f}")
 print(f"tr A = {np.sum(d.A_eigenvalues):.8f} vs 1/(2n) + R/(2(n-1)) = {target:.8f}")

@@ -28,7 +28,7 @@ from mobiusflat.spiral import (
 )
 
 n = 4
-step = suite_steps(RunConfig())["scalar"]  # the suite's warped-metric scalar step
+step = suite_steps(RunConfig())["warped"]  # the suite's warped-metric scalar step
 
 
 def spiral(params, k0, ks0, s_max=4.0):

@@ -9,8 +9,6 @@ forms (n-1)(n-2) r^2 and (n-1)(n-2)(1-r^2) under all three normalizations.
 
 import numpy as np
 
-from mobiusflat.checks import field_step
-from mobiusflat.config import RunConfig
 from mobiusflat.curvature import Convention, convert_scalar
 from mobiusflat.immersion import (
     first_fundamental_form,
@@ -29,8 +27,8 @@ for r in (0.3, 0.5, 1 / np.sqrt(2)):
         first_fundamental_form(imm, p), second_fundamental_form(imm, p)
     )
     fields = fields_from_immersion(imm)
-    c = moebius_form(fields, p, field_step("torus"))
-    full = moebius_scalar(fields, p, RunConfig().curvature_step).direct
+    c = moebius_form(fields, p)
+    full = moebius_scalar(fields, p).direct
     base = (n - 1) * (n - 2)
     print(f"r = {r:.4f}")
     print(f"  principal curvatures {np.round(lam, 6)} (two values, multiplicities 1 and {n-1})")

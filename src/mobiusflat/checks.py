@@ -22,14 +22,13 @@ goes on.  ``CHECK_FUNCTIONS`` is the registry, in ``CHECK_NAMES`` order.
 
 Closed-form fields of the generators (``SuiteSurface.closed_form``) back the
 tight-tolerance identity checks; the pipeline route (``SuiteSurface.fields``)
-is exercised in parallel, and the two routes cross-validate.  The pipeline
-is exact: every Moebius quantity and both scalar routes come from one
-order-4 jet of the immersion per point set, and the checks that read it
-(``two_route_scalar``, ``scalar_constancy``, ``torus_scalar_audit``,
-``sigma_invariance``) make one request per surface point set.  The finite
-differences that remain are those of ``suite_steps``: the closed-form
-fields' requests, the warped metric's curvature, the Schouten/Codazzi
-defects and ``fd_convergence``.  A pipeline request ignores its step.
+is exercised in parallel, and the two routes cross-validate.  Both routes
+are exact and take no step: a Moebius request on the pipeline is one order-4
+jet of the immersion per point set, and on the closed forms one 2-jet of
+their factor tables, and every check makes one request per surface point
+set.  The finite differences that remain are those of ``suite_steps``, all
+on differenced metric fields: the Schouten/Codazzi defects, the warped
+metric's curvature and ``fd_convergence``.
 """
 
 from __future__ import annotations
@@ -61,7 +60,6 @@ from .immersion import (
 from .linalg import jacobi_eigh
 from .moebius import (
     SurfaceFields,
-    blaschke_A,
     direct_scalar,
     fields_from_immersion,
     moebius_B,
@@ -88,6 +86,7 @@ from .spiral import (
 )
 from .zoo import (
     EPSILON_BY_FAMILY,
+    ClosedFormFields,
     build_family,
     cylinder_immersion,
     lift_to_sphere,
@@ -114,32 +113,21 @@ WARPED_AUDIT_R = {
 
 TORUS_AUDIT_RADII = (0.3, 0.5, 1.0 / np.sqrt(2.0))
 
-# Every finite-difference step of the suite, in one table.  Each request is
-# an order-4 central stencil with one step in every coordinate; requests on
-# the pipeline fields are exact and ignore theirs.
-FIELD_STEP = 0.005  # the partials of (rho, H, I) behind C and A, on closed forms
-TORUS_FIELD_STEP = 0.05  # the same on the torus (see ``field_step``)
-DIVERGENCE_STEP = 0.01  # the divergence identity sum_j B_ij,j = -(n-1) C_i
-
 
 def suite_steps(cfg: RunConfig) -> dict[str, float]:
-    """The table at cfg, by name: the constants above, and the multiples of
-    cfg.curvature_step, the step of a metric field's curvature."""
+    """Every finite-difference step of the suite, by name: the multiples of
+    cfg.curvature_step, the step of a differenced metric field's curvature.
+
+    Each request is an order-4 central stencil with one step in every
+    coordinate.  No Moebius request takes a step.
+    """
     h = cfg.curvature_step
     return {
-        "field": FIELD_STEP,
-        "torus_field": TORUS_FIELD_STEP,
-        "divergence": DIVERGENCE_STEP,
-        "curvature": h,
-        "scalar": h * 0.6,  # the closed-form Moebius scalar, and the warped-metric scalars
+        "schouten": h,  # the Schouten/Codazzi defects of the induced metrics
+        "warped": h * 0.6,  # the warped-metric scalars
         "convergence_coarse": h * 4.0,  # fd_convergence: a step and its half
         "convergence_fine": h * 2.0,
     }
-
-
-def field_step(surface: str) -> float:
-    """The step of the partials behind C and A on the named surface or family."""
-    return TORUS_FIELD_STEP if surface == "torus" else FIELD_STEP
 
 
 @dataclass
@@ -157,7 +145,7 @@ class SuiteSurface:
     fields: SurfaceFields
 
     @property
-    def closed_form(self) -> SurfaceFields:
+    def closed_form(self) -> ClosedFormFields:
         return self.imm.analytic_fields
 
 
@@ -215,11 +203,6 @@ def _B_eigenvalues(fields: SurfaceFields, pts: np.ndarray) -> np.ndarray:
     return np.array(
         [jacobi_eigh(moebius_B(*point))[0][::-1] for point in zip(g, h, rho, mean)]
     )
-
-
-def _first_form_field(fields: SurfaceFields) -> Callable[[np.ndarray], np.ndarray]:
-    """pts -> (K, m, m) first fundamental form I, from one sample request."""
-    return lambda pts: fields.sample(pts)[0]
 
 
 def warped_scalar_reference(n, eps, kappa, kappa_s, kappa_ss):
@@ -428,36 +411,31 @@ def check_moebius_form_structure(cfg: RunConfig, surfaces, rng, res: Residuals) 
 
     torus = _surface(surfaces, "torus")
     pts = sample_points(torus.imm, 4, rng, cfg.jitter, pad=0.2)
-    records = moebius_data_batch(torus.fields, pts, field_step(torus.name))
+    records = moebius_data_batch(torus.fields, pts)
     details["torus_max_C"] = max(float(np.max(np.abs(d.C))) for d in records)
     res.add(details["torus_max_C"], samples=pts.shape[0])
 
     circle = cylinder_immersion(
         spiral_trajectory(cfg.n, 0, 0.0, 1.0, 0.0, 6.0, cfg.step), cfg.n
     )
-    c_circ = moebius_form(circle.analytic_fields, circle.base_point, field_step("cylinder"))
+    c_circ = moebius_form(circle.analytic_fields, circle.base_point)
     details["circle_cylinder_max_C"] = float(np.max(np.abs(c_circ)))
     res.add(details["circle_cylinder_max_C"])
 
     cyl = _surface(surfaces, "cylinder")
-    tangential = 0.0
-    c1_err = 0.0
-    for p in sample_points(cyl.imm, 4, rng, cfg.jitter):
-        c = moebius_form(cyl.closed_form, p, field_step(cyl.name))
-        kap = float(cyl.traj.kappa_at(p[0:1])[0])
-        ks = float(cyl.traj.kappa_s_at(p[0:1])[0])
-        tangential = max(tangential, float(np.max(np.abs(c[1:]))))
-        c1_err = max(c1_err, abs(c[0] + ks / kap**2))
+    pts = sample_points(cyl.imm, 4, rng, cfg.jitter)
+    c = np.array([d.C for d in moebius_data_batch(cyl.closed_form, pts)])
+    kap, ks = cyl.traj.kappa_at(pts[:, 0]), cyl.traj.kappa_s_at(pts[:, 0])
+    tangential = float(np.max(np.abs(c[:, 1:])))
+    c1_err = float(np.max(np.abs(c[:, 0] + ks / kap**2)))
     details["cylinder_max_C_alpha"] = tangential
     details["cylinder_C1_vs_minus_kappa_s_over_kappa_sq"] = c1_err
-    res.add(tangential, samples=4)
+    res.add(tangential, samples=len(pts))
     res.require(c1_err < 1e-6)
 
     # independent cross-check: sum_j B_ij,j = -(n-1) C_i
     details["divergence_identity_residual"] = {
-        surf.name: float(
-            moebius_form_divergence_residual(surf.closed_form, surf.imm.base_point, DIVERGENCE_STEP)
-        )
+        surf.name: moebius_form_divergence_residual(surf.closed_form, surf.imm.base_point)
         for surf in surfaces
         if surf.name in ("cylinder", "rotational")
     }
@@ -474,12 +452,9 @@ def check_commutator_closure(cfg: RunConfig, surfaces, rng, res: Residuals) -> d
     pipeline_max = 0.0
     for surf in surfaces:
         pts = sample_points(surf.imm, 3, rng, cfg.jitter)
-        step = field_step(surf.name)
-        res.add(
-            *(moebius_data(surf.closed_form, p, step).commutator_norm() for p in pts),
-            samples=pts.shape[0],
-        )
-        d = moebius_data(surf.fields, pts[0], cfg.curvature_step)
+        records = moebius_data_batch(surf.closed_form, pts)
+        res.add(*(d.commutator_norm() for d in records), samples=pts.shape[0])
+        d = moebius_data(surf.fields, pts[0])
         pipeline_max = max(pipeline_max, d.commutator_norm())
     return {"pipeline_route_max": pipeline_max}
 
@@ -520,12 +495,12 @@ def check_schouten_codazzi(cfg: RunConfig, surfaces, rng, res: Residuals) -> dic
     Also audits which scalar normalization in S = Ric - R/(2(n-1)) Id keeps
     the property on a metric with non-constant scalar curvature.
     """
-    step = cfg.curvature_step
+    step = suite_steps(cfg)["schouten"]
     per_surface = {}
     for surf in surfaces:
         if surf.name == "torus":
             continue
-        metric = _first_form_field(surf.closed_form)
+        metric = surf.closed_form.first_form
         pts = sample_points(surf.imm, 3, rng, cfg.jitter, pad=0.2)
         vals = schouten_codazzi_defects(metric, pts, step, [Convention.FULL_TRACE])[0]
         per_surface[surf.name] = float(np.max(vals))
@@ -544,7 +519,7 @@ def check_schouten_codazzi(cfg: RunConfig, surfaces, rng, res: Residuals) -> dic
 
     # convention audit on a metric whose scalar curvature varies
     rot = _surface(surfaces, "rotational")
-    metric = _first_form_field(rot.closed_form)
+    metric = rot.closed_form.first_form
     p_aud = sample_points(rot.imm, 1, rng, cfg.jitter, pad=0.2)[:1]
     defects = schouten_codazzi_defects(metric, p_aud, step, list(CONVENTION_BY_NAME.values()))
     audit = {name: float(d[0]) for name, d in zip(CONVENTION_BY_NAME, defects)}
@@ -569,10 +544,9 @@ def check_schouten_codazzi(cfg: RunConfig, surfaces, rng, res: Residuals) -> dic
 )
 def check_two_route_scalar(cfg: RunConfig, surfaces, rng, res: Residuals) -> dict:
     """Direct curvature of rho^2 I agrees with the conformal-change route."""
-    step = suite_steps(cfg)["scalar"]
     for surf in surfaces:
         pts = sample_points(surf.imm, max(3, cfg.samples // 4), rng, cfg.jitter)
-        res.add(*moebius_scalars(surf.fields, pts, step).spread(), samples=len(pts))
+        res.add(*moebius_scalars(surf.fields, pts).spread(), samples=len(pts))
     return {}
 
 
@@ -593,7 +567,7 @@ def check_scalar_constancy(cfg: RunConfig, surfaces, rng, res: Residuals) -> dic
         if surf.traj is None:
             continue
         pts = sample_points(surf.imm, cfg.samples, rng, cfg.jitter)
-        spreads[surf.name] = _spread(direct_scalar(surf.fields, pts, cfg.curvature_step))
+        spreads[surf.name] = _spread(direct_scalar(surf.fields, pts))
         res.add(spreads[surf.name], samples=len(pts))
 
     control_traj = prescribed_curvature_trajectory(
@@ -602,7 +576,7 @@ def check_scalar_constancy(cfg: RunConfig, surfaces, rng, res: Residuals) -> dic
     control_imm = rotational_immersion(control_traj, cfg.n)
     control_fields = fields_from_immersion(control_imm)
     control_pts = sample_points(control_imm, max(6, cfg.samples // 3), rng, cfg.jitter)
-    control_spread = _spread(direct_scalar(control_fields, control_pts, cfg.curvature_step))
+    control_spread = _spread(direct_scalar(control_fields, control_pts))
     res.add(samples=len(control_pts))
     res.require(control_spread > 10 * cfg.tol_constancy)
     return {"spread_by_family": spreads, "negative_control_spread": control_spread}
@@ -625,7 +599,7 @@ def check_warped_metric_scalar(cfg: RunConfig, surfaces, rng, res: Residuals) ->
     profile off the spiral equation does not keep the scalar constant.
     """
     n = cfg.n
-    step = suite_steps(cfg)["scalar"]
+    step = suite_steps(cfg)["warped"]
     fits = {}
     spreads = {}
     # audit rows: under which normalization does the computed scalar equal
@@ -695,12 +669,11 @@ def check_torus_scalar_audit(cfg: RunConfig, surfaces, rng, res: Residuals) -> d
     table = []
     match_sets = []
     audit_rows = []
-    step = suite_steps(cfg)["scalar"]
     for r in TORUS_AUDIT_RADII:
         imm = torus_immersion(r, n)
         fields = fields_from_immersion(imm)
         pts = sample_points(imm, 3, rng, cfg.jitter)
-        per_conv = _mean_by_convention(direct_scalar(fields, pts, step), n)
+        per_conv = _mean_by_convention(direct_scalar(fields, pts), n)
         candidates = {
             "r^2": base * r**2,
             "1-r^2": base * (1 - r**2),
@@ -762,15 +735,13 @@ def check_blaschke_trace_audit(cfg: RunConfig, surfaces, rng, res: Residuals) ->
     surface that no normalization fits shows.
     """
     n = cfg.n
-    scalar_step = suite_steps(cfg)["scalar"]
     audit_rows = []
     for surf in surfaces:
         pts = sample_points(surf.imm, 2, rng, cfg.jitter, pad=0.2)
-        step = field_step(surf.name)
+        records = moebius_data_batch(surf.closed_form, pts)
         resid = {name: 0.0 for name in CONVENTION_BY_NAME}
-        for p in pts:
-            tr_a = float(np.trace(blaschke_A(surf.closed_form, p, step)))
-            full = direct_scalar(surf.closed_form, p, scalar_step)
+        for d, full in zip(records, direct_scalar(surf.closed_form, pts)):
+            tr_a = float(np.trace(d.A))
             for name, r_c in _mean_by_convention([full], n).items():
                 target = 1.0 / (2 * n) + r_c / (2 * (n - 1))
                 resid[name] = max(resid[name], abs(tr_a - target))
@@ -793,7 +764,7 @@ def check_sigma_invariance(cfg: RunConfig, surfaces, rng, res: Residuals) -> dic
         lift_fields = fields_from_immersion(lift_to_sphere(surf.imm))
         pts = sample_points(surf.imm, 3, rng, cfg.jitter)
         b0, b1 = (_B_eigenvalues(f, pts) for f in (surf.fields, lift_fields))
-        s0, s1 = (direct_scalar(f, pts, cfg.curvature_step) for f in (surf.fields, lift_fields))
+        s0, s1 = (direct_scalar(f, pts) for f in (surf.fields, lift_fields))
         for gap, r in zip(np.max(np.abs(b0 - b1), axis=1), np.abs(s0 - s1)):
             res.add(float(gap), float(r))
     return {}

@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .checks import CONVENTION_BY_NAME, field_step, rigidity_scan, run_suite, sample_points
+from .checks import CONVENTION_BY_NAME, rigidity_scan, run_suite, sample_points
 from .config import RunConfig, load_config
 from .curvature import Convention, convert_scalar
 from .errors import ConfigError, MobiusFlatError
@@ -94,8 +94,8 @@ def cmd_invariants(cfg: RunConfig, out: str, convention: str) -> int:
         + ["trace_B", "norm2_B_defect", "commutator", "scalar_direct", "scalar_conformal"]
     )
     rows = []
-    records = moebius_data_batch(fields, pts, field_step(cfg.family))
-    scalars = moebius_scalars(fields, pts, cfg.curvature_step)
+    records = moebius_data_batch(fields, pts)
+    scalars = moebius_scalars(fields, pts)
     for p, d, direct, via in zip(pts, records, scalars.direct, scalars.conformal_route):
         rows.append(
             list(p)

@@ -50,8 +50,8 @@ class RunConfig:
     kappa_floor: float = 1e-6
     kappa_ceiling: float = 1e6
     # finite differencing: the curvature step of a differenced metric field
-    # (the warped metric, Schouten/Codazzi, the closed-form Moebius
-    # scalar); the Moebius invariants of an immersion are exact and take none
+    # (Schouten/Codazzi, the warped metric, fd_convergence); the Moebius
+    # invariants are exact on both field routes and take none
     curvature_step: float = 0.01
     # sampling
     samples: int = 20

@@ -96,8 +96,10 @@ def gram_schmidt_frames(g: np.ndarray, floor: float = 1e-14) -> np.ndarray:
 
     Returns E (K, m, m) with E[k]^T g[k] E[k] = I.  Deterministic: classical
     Gram-Schmidt applied to e_0, e_1, ... in order, for every metric at once.
+    The stack is made C-ordered first, so a metric's frame is the same bits
+    in any stack and in any memory layout.
     """
-    g = require_symmetric(g, what="metric")
+    g = np.ascontiguousarray(require_symmetric(g, what="metric"))
     k, m = g.shape[:2]
     frames = np.zeros_like(g)
     for i in range(m):

@@ -21,19 +21,20 @@ ambient-curvature constant (0 for immersions into Euclidean space, +1 for
 immersions into the unit sphere); the constant enters A's isotropic term.
 
 A field set answers ``sample``, one request for (I, h, rho, H) at a point
-set.  Every invariant reads the 2-jets (value, gradient and Hessian) of I, h,
-rho^2 I, rho (h - H I), rho, log rho and H at a point set, from one request;
-the pointwise record is the jets' value.  The field set decides how the
-jets are obtained:
+set, and ``jets``, one Moebius request at a point set: the exact 2-jets
+(value, gradient and Hessian) of I, h, rho^2 I, rho (h - H I), rho, log rho
+and H, which every invariant reads; the pointwise record is the jets'
+value.  Both routes pack the 2-jets of (I, h, rho, H) the same way
+(``moebius_jets``, in the truncated Taylor arithmetic of ``jets``):
 
-* fields from an immersion (``fields_from_immersion``) compute them exactly,
-  from one order-4 jet of the immersion at the point set pushed through the
-  truncated Taylor arithmetic of ``jets``;
-* any other fields (the generators' closed forms) take them from one
-  order-4 finite-difference stencil (``fd.jet_batch``, the step the caller
-  gives) of one field that packs the seven quantities side by side.
+* fields from an immersion (``fields_from_immersion``) take I and h from
+  one order-4 jet of the immersion at the point set, and rho and H from
+  them;
+* the generators' closed forms (``zoo``) give all four as exact products of
+  one-variable factors.
 
-The one-point functions (``moebius_data``, ``moebius_scalar``,
+No request takes a step, and fields without ``jets`` are refused.  The
+one-point functions (``moebius_data``, ``moebius_scalar``,
 ``moebius_form``, ``blaschke_A``) are the point-set requests at one point,
 and ``direct_scalar``, ``moebius_scalars`` and ``moebius_data_batch`` take a
 point set; a request at K points equals K one-point requests bit for bit.
@@ -52,8 +53,7 @@ from .curvature import (
     covariant_derivative,
     curvature_from_jet,
 )
-from .errors import DegenerateGeometryError, UmbilicPointError
-from .fd import jet_batch
+from .errors import DegenerateGeometryError, InputError, UmbilicPointError
 from .immersion import (
     UNIT_SPHERE,
     ImmersionHandle,
@@ -183,9 +183,8 @@ class SurfaceFields:
     sample(pts) -> (I, h, rho, H): the first fundamental form I and second
     fundamental form h, each (K, m, m), and rho and H, each (K,), from one
     request.  ambient_curvature is 0 for Euclidean ambient, 1 for the unit
-    sphere.  jets(pts), when given, is the exact ``_Jets`` request at a
-    point set; fields without it are differenced by the stencil of the
-    step each request names.
+    sphere.  jets(pts) is the exact ``_Jets`` request at a point set (K, m),
+    required: fields without it are refused with InputError.
     """
 
     dim: int
@@ -193,9 +192,27 @@ class SurfaceFields:
     ambient_curvature: float
     jets: Callable[[np.ndarray], _Jets] | None = None
 
+    def __post_init__(self):
+        if not callable(self.jets):
+            raise InputError("surface fields have no jets")
+
+
+def moebius_jets(first: Jet, second: Jet, rho: Jet, mean: Jet) -> _Jets:
+    """The ``_Jets`` of a request from the 2-jets of I, h, rho and H, in the jet arithmetic."""
+    quantities = (
+        first,
+        second,
+        contract(",ab->ab", contract(",->", rho, rho), first),
+        contract(",ab->ab", rho, second - contract(",ab->ab", mean, first)),
+        rho,
+        compose(rho, log_derivatives(rho.value, 2)),
+        mean,
+    )
+    return _Jets(*(_Jet(*q.levels) for q in quantities))
+
 
 def _jets_from_forms(first: Jet, second: Jet, first_inverse: Jet) -> _Jets:
-    """The ``_Jets`` of the 2-jets of I, h and I^-1, in the jet arithmetic."""
+    """The ``_Jets`` of the 2-jets of I, h and I^-1: rho and H from them, in the jet arithmetic."""
     n = first.value.shape[-1]
 
     def trace(a: np.ndarray) -> np.ndarray:  # summed in index order
@@ -206,18 +223,7 @@ def _jets_from_forms(first: Jet, second: Jet, first_inverse: Jet) -> _Jets:
     norm2 = contract("ab,bc->ac", shape_op, shape_op).linear(trace)
     rho2 = n / (n - 1) * (norm2 - n * contract(",->", mean, mean))
     _umbilic_free(rho2.value)
-    rho = compose(rho2, power_derivatives(rho2.value, 0.5, 2))
-    log_rho = 0.5 * compose(rho2, log_derivatives(rho2.value, 2))
-    quantities = (
-        first,
-        second,
-        contract(",ab->ab", rho2, first),
-        contract(",ab->ab", rho, second - contract(",ab->ab", mean, first)),
-        rho,
-        log_rho,
-        mean,
-    )
-    return _Jets(*(_Jet(*q.levels) for q in quantities))
+    return moebius_jets(first, second, compose(rho2, power_derivatives(rho2.value, 0.5, 2)), mean)
 
 
 def fields_from_immersion(imm: ImmersionHandle) -> SurfaceFields:
@@ -225,8 +231,8 @@ def fields_from_immersion(imm: ImmersionHandle) -> SurfaceFields:
 
     sample takes I and II from one 2-jet of the immersion, and a Moebius
     request at a point set from one order-4 jet of it (``_jets_from_forms``
-    of ``immersion.fundamental_form_jets``): no stencil, so the step a
-    request names is ignored.  The orientation sign is resolved once, here.
+    of ``immersion.fundamental_form_jets``).  The orientation sign is
+    resolved once, here.
     """
     sign = orientation_sign(imm)
 
@@ -246,37 +252,14 @@ def fields_from_immersion(imm: ImmersionHandle) -> SurfaceFields:
 # one request per point set
 
 
-def _stencil_jets(fields: SurfaceFields, pts: np.ndarray, step: float) -> _Jets:
-    """The jets of ``_Jets`` at pts from one stencil request: the quantities are
-    packed side by side into one field, and split back per quantity."""
-    m = pts.shape[1]
-    shapes = [(m, m)] * 4 + [()] * 3
-    ends = np.cumsum([0] + [m * m] * 4 + [1] * 3)
-
-    def field(q: np.ndarray) -> np.ndarray:
-        g, h, rho, mean = fields.sample(np.atleast_2d(q))
-        r = rho[:, None, None]
-        parts = (g, h, r**2 * g, r * (h - mean[:, None, None] * g), rho, np.log(rho), mean)
-        return np.concatenate([x.reshape(x.shape[0], -1) for x in parts], axis=1)
-
-    levels = jet_batch(field, pts, step)
-    quantities = (
-        _Jet(*(x[..., a:b].reshape(x.shape[:-1] + shape).copy() for x in levels))
-        for a, b, shape in zip(ends, ends[1:], shapes)
-    )
-    return _Jets(*quantities)
+def _jets(fields: SurfaceFields, pts: np.ndarray) -> _Jets:
+    """The one request at the point set pts (K, m)."""
+    return fields.jets(np.atleast_2d(np.asarray(pts, dtype=float)))
 
 
-def _jets(fields: SurfaceFields, pts: np.ndarray, step: float) -> _Jets:
-    """The one request at the point set pts (K, m): exact where the fields have
-    jets, else the stencil of the step."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    return fields.jets(pts) if fields.jets is not None else _stencil_jets(fields, pts, step)
-
-
-def _jets_at(fields: SurfaceFields, p: np.ndarray, step: float) -> _Jets:
+def _jets_at(fields: SurfaceFields, p: np.ndarray) -> _Jets:
     """The request at the one point p."""
-    return _jets(fields, np.asarray(p, dtype=float)[None, :], step).point(0)
+    return _jets(fields, np.asarray(p, dtype=float)[None, :]).point(0)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +296,7 @@ def _direct(jets: _Jets) -> np.ndarray:
     return curvature_from_jet(*jets.moebius).scalar
 
 
-def moebius_form(fields: SurfaceFields, p: np.ndarray, step: float) -> np.ndarray:
+def moebius_form(fields: SurfaceFields, p: np.ndarray) -> np.ndarray:
     """Moebius 1-form components C_i in the g-orthonormal frame.
 
     C_i = -rho^{-1} [ e_i(H) + sum_j (h_ij - H delta_ij) e_j(log rho) ]
@@ -324,11 +307,11 @@ def moebius_form(fields: SurfaceFields, p: np.ndarray, step: float) -> np.ndarra
     The request is that of ``blaschke_A`` and ``moebius_data``, so all three
     agree bit for bit on C's inputs.
     """
-    jets = _jets_at(fields, p, step)
+    jets = _jets_at(fields, p)
     return _form(_Pointwise.from_jets(jets), jets)
 
 
-def blaschke_A(fields: SurfaceFields, p: np.ndarray, step: float) -> np.ndarray:
+def blaschke_A(fields: SurfaceFields, p: np.ndarray) -> np.ndarray:
     """Blaschke tensor components in the g-orthonormal frame.
 
     A_ij = e_i(log rho) e_j(log rho) - Hess_ij(log rho) + H h_ij
@@ -337,11 +320,11 @@ def blaschke_A(fields: SurfaceFields, p: np.ndarray, step: float) -> np.ndarray:
     in an I-orthonormal frame (Hessian of the induced metric's connection),
     divided by rho^2.  c is the ambient curvature constant of the fields.
     """
-    jets = _jets_at(fields, p, step)
+    jets = _jets_at(fields, p)
     return _blaschke(_Pointwise.from_jets(jets), jets, fields.ambient_curvature)
 
 
-def moebius_form_divergence_residual(fields: SurfaceFields, p: np.ndarray, step: float) -> float:
+def moebius_form_divergence_residual(fields: SurfaceFields, p: np.ndarray) -> float:
     """Residual of the divergence identity sum_j B_ij,j = -(n-1) C_i.
 
     Both sides live in the g-orthonormal frame; the covariant divergence of
@@ -349,7 +332,7 @@ def moebius_form_divergence_residual(fields: SurfaceFields, p: np.ndarray, step:
     metric's connection.  This is the independent cross-check for the
     completed gradient coupling in the C formula.
     """
-    jets = _jets_at(fields, p, step)
+    jets = _jets_at(fields, p)
     g = jets.moebius.value
     ginv = np.linalg.inv(g)
     gamma = christoffel_symbols(ginv, jets.moebius.d1)
@@ -361,7 +344,7 @@ def moebius_form_divergence_residual(fields: SurfaceFields, p: np.ndarray, step:
     return float(np.max(np.abs(div_frame + (g.shape[0] - 1) * c_frame)))
 
 
-def direct_scalar(fields: SurfaceFields, pts: np.ndarray, step: float):
+def direct_scalar(fields: SurfaceFields, pts: np.ndarray):
     """Full-trace scalar curvature of the Moebius metric rho^2 I: the direct
     route of ``moebius_scalars`` alone, from the same one request.
 
@@ -369,7 +352,7 @@ def direct_scalar(fields: SurfaceFields, pts: np.ndarray, step: float):
     which gives an array (K,).
     """
     pts = np.asarray(pts, dtype=float)
-    scalars = _direct(_jets(fields, pts, step))
+    scalars = _direct(_jets(fields, pts))
     return float(scalars[0]) if pts.ndim == 1 else scalars
 
 
@@ -381,7 +364,7 @@ class MoebiusScalarResult(NamedTuple):
         return abs(self.direct - self.conformal_route)
 
 
-def moebius_scalars(fields: SurfaceFields, pts: np.ndarray, step: float) -> MoebiusScalarResult:
+def moebius_scalars(fields: SurfaceFields, pts: np.ndarray) -> MoebiusScalarResult:
     """Full-trace scalar curvature of the Moebius metric by two independent routes,
     at the point set pts (K, m), each route an array (K,).
 
@@ -389,16 +372,16 @@ def moebius_scalars(fields: SurfaceFields, pts: np.ndarray, step: float) -> Moeb
     conformal_route: the conformal-change formula applied to the induced
     metric with u = log rho.  Their agreement is the two-route consistency
     check.  The routes share only the evaluation of their inputs: one
-    request of the fields, with the given step.
+    request of the fields.
     """
-    jets = _jets(fields, pts, step)
+    jets = _jets(fields, pts)
     via = conformal_scalar_from_jet(curvature_from_jet(*jets.g), *jets.log_rho)
     return MoebiusScalarResult(direct=_direct(jets), conformal_route=via)
 
 
-def moebius_scalar(fields: SurfaceFields, p: np.ndarray, step: float) -> MoebiusScalarResult:
+def moebius_scalar(fields: SurfaceFields, p: np.ndarray) -> MoebiusScalarResult:
     """``moebius_scalars`` at the one point p, as floats."""
-    both = moebius_scalars(fields, np.asarray(p, dtype=float)[None, :], step)
+    both = moebius_scalars(fields, np.asarray(p, dtype=float)[None, :])
     return MoebiusScalarResult(*(float(x[0]) for x in both))
 
 
@@ -432,11 +415,11 @@ class MoebiusData:
         return float(np.max(np.abs(c)))
 
 
-def moebius_data_batch(fields: SurfaceFields, pts: np.ndarray, step: float) -> list[MoebiusData]:
+def moebius_data_batch(fields: SurfaceFields, pts: np.ndarray) -> list[MoebiusData]:
     """All invariants at each point of pts (K, m) from one request; the pointwise
     ones from its value."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    request = _jets(fields, pts, step)
+    request = _jets(fields, pts)
     out = []
     for k, p in enumerate(pts):
         jets = request.point(k)
@@ -462,6 +445,6 @@ def moebius_data_batch(fields: SurfaceFields, pts: np.ndarray, step: float) -> l
     return out
 
 
-def moebius_data(fields: SurfaceFields, p: np.ndarray, step: float) -> MoebiusData:
+def moebius_data(fields: SurfaceFields, p: np.ndarray) -> MoebiusData:
     """``moebius_data_batch`` at the one point p."""
-    return moebius_data_batch(fields, np.asarray(p, dtype=float)[None, :], step)[0]
+    return moebius_data_batch(fields, np.asarray(p, dtype=float)[None, :])[0]

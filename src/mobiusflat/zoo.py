@@ -9,19 +9,17 @@ Four generators, all built over a spiral trajectory or a radius parameter:
 * torus      (u, angles) -> (a cos u, a sin u, r sphere(angles)) in S^(n+1),
                             a = sqrt(1 - r^2)
 
-Each handle carries closed-form fields (``analytic_fields``), whose one
-``sample`` gives I, II, rho and H from one query of the trajectory, and an
-exact jet of its immersion at any order (``jet``), from which the generic
+Each handle carries closed-form fields (``analytic_fields``) and an exact
+jet of its immersion at any order (``jet``), from which the generic
 pipeline takes every derivative of f, so identity checks can be run on
-either route.  The curve factors read their s-derivatives from the
-trajectory's step polynomials (``curve_jet``).  The lift and the homothety
-below carry the jet of their base handle through their map, at the order
-asked: the lift in the truncated Taylor arithmetic of ``jets``, the
-homothety by its scaling of each level.
-
-The closed-form fields have no exact jets of their own: a Moebius request on
-them is an order-4 stencil of their sample (see ``moebius``), which keeps
-the closed-form route independent of the pipeline's.
+either route.  The closed forms are exact jets of their own: I, II, rho and
+H as products of one-variable factors (see "closed forms" below), which
+never read the immersion's jet, so the closed-form route stays independent
+of the pipeline's.  The curve factors of both read their s-derivatives
+from the trajectory's step polynomials.  The lift and the homothety below
+carry the jet of their base handle through their map, at the order asked:
+the lift in the truncated Taylor arithmetic of ``jets``, the homothety by
+its scaling of each level.
 
 The model maps between the ambient space forms are also here: the inverse
 stereographic lift R^(n+1) -> S^(n+1), its inverse, and the hyperboloid to
@@ -30,15 +28,17 @@ hemisphere map H^(n+1) -> S^(n+1)_+.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import lru_cache, reduce
 from itertools import product
+from typing import Callable
 
 import numpy as np
 
 from .errors import ChartDomainError, DegenerateGeometryError, InputError
 from .immersion import EUCLIDEAN, UNIT_SPHERE, ImmersionHandle
 from .jets import Jet, compose, contract, power_derivatives
-from .moebius import SurfaceFields
+from .moebius import SurfaceFields, moebius_jets
 from .spiral import HALF_PLANE, PLANE, SPHERE, SpiralTrajectory
 
 POLE_MARGIN = 0.2
@@ -71,14 +71,25 @@ def _product_jet(factors) -> tuple[np.ndarray, ...]:
 
     factors[a] = (g_a, g_a', ..., g_a^(k)) for chart coordinate a, each (K, N).
     """
-    ders = np.stack([np.stack(f) for f in factors])  # (m, k + 1, K, N)
-    m, order, k, width = ders.shape[0], ders.shape[1] - 1, ders.shape[2], ders.shape[3]
+    m, order, (k, width) = len(factors), len(factors[0]) - 1, factors[0][0].shape
     alphas, levels = _multi_indices(m, order)
-    partials = np.prod(ders[np.arange(m), alphas], axis=1)  # (U, K, N), factor by factor
+    # (U, K, N), multiplied factor by factor in coordinate order
+    partials = reduce(np.multiply, (np.stack(f)[alphas[:, a]] for a, f in enumerate(factors)))
     return tuple(
         np.moveaxis(partials[rows], 0, 1).reshape((k,) + (m,) * j + (width,))
         for j, rows in enumerate(levels)
     )
+
+
+def _factor(columns, k: int, order: int) -> tuple[np.ndarray, ...]:
+    """A factor (K, N) per derivative from its N columns: a number is a constant
+    column, any other column lists its derivatives 0..order, each a number or
+    an array of K entries (such as the levels of a one-variable ``Jet``)."""
+    out = np.zeros((order + 1, k, len(columns)))
+    for i, c in enumerate(columns):
+        for j, x in enumerate([c] if np.isscalar(c) else c):
+            out[j, :, i] = np.asarray(x).reshape(-1)
+    return tuple(out)
 
 
 def _coordinate_factor(x: np.ndarray, width: int, cols, order: int) -> tuple[np.ndarray, ...]:
@@ -105,6 +116,75 @@ def _trig(angle: np.ndarray, order: int):
     c, s = np.cos(angle), np.sin(angle)
     cycles = ((c, -s, -c, s), (s, c, -s, -c))
     return tuple([cycle[j % 4] for j in range(order + 1)] for cycle in cycles)
+
+
+# ---------------------------------------------------------------------------
+# closed forms
+#
+# In all four families I and h are diagonal, and each diagonal entry, rho and
+# H is a product of one-variable factors.  A family's closed form is two
+# tables of factors: the metric table (columns: the diagonal of I) and the
+# shape table (the diagonal of h, rho, H).  ``sample`` is their level 0, a
+# Moebius request their 2-jet, and ``first_form`` the metric table alone.
+
+
+@dataclass(frozen=True)
+class ClosedFormFields(SurfaceFields):
+    """Closed-form fields; first_form(pts) -> I (K, m, m) reads the metric table alone."""
+
+    first_form: Callable[[np.ndarray], np.ndarray] | None = None
+
+
+def _diagonal(levels) -> tuple[np.ndarray, ...]:
+    """Each level (..., n) as the level (..., n, n) of the diagonal matrices it holds."""
+    return tuple(d[..., None] * np.eye(d.shape[-1]) for d in levels)
+
+
+def _closed_form_fields(n: int, metric_table, shape_table, curvature: float) -> ClosedFormFields:
+    """The fields of the tables metric_table(pts, order) and shape_table(pts, order)."""
+
+    def forms(pts, order: int):
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        shape = _product_jet(shape_table(pts, order))
+        rho, mean = ([np.ascontiguousarray(x[..., c]) for x in shape] for c in (n, n + 1))
+        first = _diagonal(_product_jet(metric_table(pts, order)))
+        return first, _diagonal(x[..., :n] for x in shape), rho, mean
+
+    return ClosedFormFields(
+        dim=n,
+        sample=lambda pts: tuple(q[0] for q in forms(pts, 0)),
+        ambient_curvature=curvature,
+        jets=lambda pts: moebius_jets(*(Jet(q) for q in forms(pts, 2))),
+        first_form=lambda pts: _diagonal(_product_jet(metric_table(np.atleast_2d(pts), 0)))[0],
+    )
+
+
+def _s_jet(ders) -> Jet:
+    """The jet in one variable with the derivatives ders[j], each (K,)."""
+    return Jet(np.reshape(d, (-1,) + (1,) * j) for j, d in enumerate(ders))
+
+
+def _kappa_factor(traj: SpiralTrajectory, s: np.ndarray, n: int, order: int):
+    """The s-factor of the cylinder's and the cone's shape table: (kappa, 0, ..., 0,
+    kappa, kappa / n)."""
+    kap = list(traj._read(s, slice(0, 1), order)[..., 0])
+    return _factor([kap] + [0.0] * (n - 1) + [kap, [x / n for x in kap]], s.size, order)
+
+
+def _sphere_metric_factors(angles: np.ndarray, order: int) -> list[tuple[np.ndarray, ...]]:
+    """Per angle, its factor in the diagonal of sphere_chart_metric, (K, d).
+
+    Entry i is prod_{j < i} sin^2(a_j): angle j is sin^2 in the entries after
+    j and 1 in the others.
+    """
+    idx = np.arange(angles.shape[1])
+    out = []
+    for j in idx:
+        a = angles[:, j : j + 1]
+        cos_2a = _trig(2.0 * a, order)[0]  # sin^2 a = (1 - cos 2a) / 2
+        sin2 = [np.sin(a) ** 2] + [-(2.0 ** (i - 1)) * cos_2a[i] for i in range(1, order + 1)]
+        out.append(tuple(np.where(idx > j, x, float(i == 0)) for i, x in enumerate(sin2)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -217,15 +297,14 @@ def cylinder_immersion(traj: SpiralTrajectory, n: int, margin: float = 0.15) -> 
     base[0] = s_base
     domain = [(lo, hi)] + [(-5.0, 5.0)] * (n - 1)
 
-    def sample(pts):
-        pts = np.atleast_2d(pts)
-        kap = traj.kappa_at(pts[:, 0])
-        metric = np.broadcast_to(np.eye(n), (pts.shape[0], n, n)).copy()
-        shape = np.zeros((pts.shape[0], n, n))
-        shape[:, 0, 0] = kap
-        return metric, shape, kap, kap / n
+    def metric_table(pts, order):
+        return [_factor([1.0] * n, pts.shape[0], order)] * n
 
-    fields = SurfaceFields(dim=n, sample=sample, ambient_curvature=0.0)
+    def shape_table(pts, order):
+        rest = [_factor([1.0] * (n + 2), pts.shape[0], order)] * (n - 1)
+        return [_kappa_factor(traj, pts[:, 0], n, order)] + rest
+
+    fields = _closed_form_fields(n, metric_table, shape_table, 0.0)
     return ImmersionHandle(
         chart_dimension=n,
         ambient_dimension=n + 1,
@@ -280,16 +359,19 @@ def cone_immersion(
     base[0], base[1] = s_base, 1.0
     domain = [(lo, hi), t_range] + [(-5.0, 5.0)] * (n - 2)
 
-    def sample(pts):
-        pts = np.atleast_2d(pts)
-        kap, t = traj.kappa_at(pts[:, 0]), pts[:, 1]
-        metric = np.broadcast_to(np.eye(n), (pts.shape[0], n, n)).copy()
-        metric[:, 0, 0] = t**2
-        shape = np.zeros((pts.shape[0], n, n))
-        shape[:, 0, 0] = t * kap
-        return metric, shape, kap / t, kap / (n * t)
+    # I = diag(t^2, 1, ...), h = diag(t kappa, 0, ...), rho = kappa / t, H = rho / n
+    def metric_table(pts, order):
+        k, t = pts.shape[0], power_derivatives(pts[:, 1], 2.0, order)
+        ones = _factor([1.0] * n, k, order)
+        return [ones, _factor([t] + [1.0] * (n - 1), k, order)] + [ones] * (n - 2)
 
-    fields = SurfaceFields(dim=n, sample=sample, ambient_curvature=0.0)
+    def shape_table(pts, order):
+        k, (t, inv_t) = pts.shape[0], (power_derivatives(pts[:, 1], p, order) for p in (1, -1))
+        t = _factor([t] + [1.0] * (n - 1) + [inv_t, inv_t], k, order)
+        ones = _factor([1.0] * (n + 2), k, order)
+        return [_kappa_factor(traj, pts[:, 0], n, order), t] + [ones] * (n - 2)
+
+    fields = _closed_form_fields(n, metric_table, shape_table, 0.0)
     return ImmersionHandle(
         chart_dimension=n,
         ambient_dimension=n + 1,
@@ -350,23 +432,27 @@ def rotational_immersion(
     base = np.concatenate([[s_base], _angle_base(d)])
     domain = [(lo, hi)] + _angle_domain(d)
 
-    def sample(pts):
-        # one query of the trajectory: kappa, y and x' = y cos(phi) at s
-        pts = np.atleast_2d(pts)
-        c = traj.curve_at(pts[:, 0])
-        kap = traj.kappa_at(pts[:, 0])
-        y = c[:, 1]
-        xp = y * np.cos(c[:, 2])
-        sphere = sphere_chart_metric(pts[:, 1:])
-        metric = np.zeros((pts.shape[0], n, n))
-        metric[:, 0, 0] = 1.0
-        metric[:, 1:, 1:] = sphere
-        shape = np.zeros((pts.shape[0], n, n))
-        shape[:, 0, 0] = y * kap - xp
-        shape[:, 1:, 1:] = -xp[:, None, None] * sphere
-        return y[:, None, None] ** 2 * metric, shape, kap / y, (kap * y - n * xp) / (n * y**2)
+    # with S = diag(1, sphere metric): I = y^2 S, h = diag(y kappa - x', -x' S_11, ...),
+    # rho = kappa / y and H = kappa / (n y) - x' / y^2
+    def metric_table(pts, order):
+        y = _s_jet(c[:, 1] for c in traj.curve_jet(pts[:, 0], order))
+        s = _factor([contract(",->", y, y).levels] * n, pts.shape[0], order)
+        return [s] + [_padded(f, before=1) for f in _sphere_metric_factors(pts[:, 1:], order)]
 
-    fields = SurfaceFields(dim=n, sample=sample, ambient_curvature=0.0)
+    def shape_table(pts, order):
+        curve = traj.curve_jet(pts[:, 0], order + 1)
+        y = _s_jet(c[:, 1] for c in curve[:-1])
+        xp = _s_jet(c[:, 0] for c in curve[1:])
+        kap = _s_jet(traj._read(pts[:, 0], slice(0, 1), order)[..., 0])
+        inv_y = compose(y, power_derivatives(y.value, -1.0, order))
+        rho = contract(",->", kap, inv_y)
+        mean = rho * (1.0 / n) - contract(",->", xp, contract(",->", inv_y, inv_y))
+        columns = [contract(",->", y, kap) - xp] + [-xp] * (n - 1) + [rho, mean]
+        s = _factor([x.levels for x in columns], pts.shape[0], order)
+        sphere = _sphere_metric_factors(pts[:, 1:], order)
+        return [s] + [_padded(f, before=1, after=2) for f in sphere]
+
+    fields = _closed_form_fields(n, metric_table, shape_table, 0.0)
     return ImmersionHandle(
         chart_dimension=n,
         ambient_dimension=n + 1,
@@ -420,19 +506,18 @@ def torus_immersion(r: float, n: int) -> ImmersionHandle:
     rho0 = 1.0 / (a * r)
     mean0 = (r / a - (n - 1) * a / r) / n
 
-    def sample(pts):
-        pts = np.atleast_2d(pts)
-        k = pts.shape[0]
-        sphere = sphere_chart_metric(pts[:, 1:])
-        metric = np.zeros((k, n, n))
-        metric[:, 0, 0] = a * a
-        metric[:, 1:, 1:] = r * r * sphere
-        shape = np.zeros((k, n, n))
-        shape[:, 0, 0] = a * r
-        shape[:, 1:, 1:] = -a * r * sphere
-        return metric, shape, np.full(k, rho0), np.full(k, mean0)
+    # with S = diag(1, sphere metric): I = diag(a^2, r^2 S_11, ...) and
+    # h = diag(a r, -a r S_11, ...); rho and H are constant
+    def metric_table(pts, order):
+        u = _factor([a * a] + [r * r] * (n - 1), pts.shape[0], order)
+        return [u] + [_padded(f, before=1) for f in _sphere_metric_factors(pts[:, 1:], order)]
 
-    fields = SurfaceFields(dim=n, sample=sample, ambient_curvature=1.0)
+    def shape_table(pts, order):
+        u = _factor([a * r] + [-a * r] * (n - 1) + [rho0, mean0], pts.shape[0], order)
+        sphere = _sphere_metric_factors(pts[:, 1:], order)
+        return [u] + [_padded(f, before=1, after=2) for f in sphere]
+
+    fields = _closed_form_fields(n, metric_table, shape_table, 1.0)
     return ImmersionHandle(
         chart_dimension=n,
         ambient_dimension=n + 2,

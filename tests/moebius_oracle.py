@@ -8,10 +8,12 @@ own metric-field jets.  The A and C formulas are written out here a second
 time, as they stood before the kernels were shared, so the oracle does not
 lean on the code under test.
 
-``nested_fd_fields`` is the pipeline as it stood before the exact jets: the
-fields of an immersion, differenced by the order-4 stencil of
-``fd.jet_batch`` over their ``sample``, each stencil point one 2-jet of the
-immersion.
+``stencil_fields`` is the Moebius request as it stood before the exact
+jets: one order-4 stencil of ``fd.jet_batch`` over the fields' ``sample``,
+with the seven quantities packed side by side into one field.  On the
+closed forms it is the oracle of their exact jets; ``nested_fd_fields`` is
+the pipeline as it stood before them, the stencil over the fields of an
+immersion, each stencil point one 2-jet of the immersion.
 """
 
 import dataclasses
@@ -19,22 +21,50 @@ import dataclasses
 import numpy as np
 
 from mobiusflat.curvature import conformal_scalar, metric_field_curvature
-from mobiusflat.fd import diff1, jet
+from mobiusflat.fd import diff1, jet, jet_batch
 from mobiusflat.immersion import principal_curvatures
 from mobiusflat.linalg import gram_schmidt_frame, jacobi_eigh, require_symmetric
 from mobiusflat.moebius import (
     MoebiusData,
     MoebiusScalarResult,
+    _Jet,
+    _Jets,
     fields_from_immersion,
     moebius_B,
     moebius_density,
 )
 
 
-def nested_fd_fields(imm):
-    """The fields of imm without their exact jets: every Moebius request on them
-    is one stencil over ``sample``, the closed-form route."""
-    return dataclasses.replace(fields_from_immersion(imm), jets=None)
+def stencil_jets(fields, pts, step):
+    """The ``_Jets`` of a request at pts from one stencil of the step: the quantities
+    are packed side by side into one field, and split back per quantity."""
+    m = pts.shape[1]
+    shapes = [(m, m)] * 4 + [()] * 3
+    ends = np.cumsum([0] + [m * m] * 4 + [1] * 3)
+
+    def field(q):
+        g, h, rho, mean = fields.sample(np.atleast_2d(q))
+        r = rho[:, None, None]
+        parts = (g, h, r**2 * g, r * (h - mean[:, None, None] * g), rho, np.log(rho), mean)
+        return np.concatenate([x.reshape(x.shape[0], -1) for x in parts], axis=1)
+
+    levels = jet_batch(field, pts, step)
+    return _Jets(
+        *(
+            _Jet(*(x[..., a:b].reshape(x.shape[:-1] + shape).copy() for x in levels))
+            for a, b, shape in zip(ends, ends[1:], shapes)
+        )
+    )
+
+
+def stencil_fields(fields, step):
+    """fields whose Moebius requests are one stencil of the step over their ``sample``."""
+    return dataclasses.replace(fields, jets=lambda pts: stencil_jets(fields, pts, step))
+
+
+def nested_fd_fields(imm, step):
+    """The fields of imm differenced by the stencil of the step: the nested-FD pipeline."""
+    return stencil_fields(fields_from_immersion(imm), step)
 
 
 def _part(fields, i):

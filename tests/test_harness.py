@@ -11,8 +11,6 @@ import pytest
 from mobiusflat import cli, fd
 from mobiusflat.checks import (
     CHECK_FUNCTIONS,
-    FIELD_STEP,
-    field_step,
     rigidity_scan,
     run_suite,
     suite_steps,
@@ -285,13 +283,15 @@ class TestSuite:
         cfg = RunConfig(samples=4).validate()
         surfaces = suite_surfaces(cfg)
         torus_fields = checks._surface(surfaces, "torus").closed_form
-        honest = checks.blaschke_A
+        honest = checks.moebius_data_batch
 
-        def shifted(fields, p, sch):
-            a = honest(fields, p, sch)
-            return a + np.eye(a.shape[0]) if fields is torus_fields else a
+        def shifted(fields, pts):
+            records = honest(fields, pts)
+            if fields is not torus_fields:
+                return records
+            return [dataclasses.replace(d, A=d.A + np.eye(d.A.shape[0])) for d in records]
 
-        monkeypatch.setattr(checks, "blaschke_A", shifted)
+        monkeypatch.setattr(checks, "moebius_data_batch", shifted)
         record = CHECK_FUNCTIONS["blaschke_trace_audit"](cfg, surfaces, np.random.default_rng(0))
         best = {
             row["identity"].rsplit(" ", 1)[-1]: min(row["residual_by_convention"].values())

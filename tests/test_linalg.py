@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from mobiusflat.errors import DegenerateGeometryError, InputError
 
 import curvature_oracle
+from conftest import interior_points
 from mobiusflat.linalg import (
     generalized_eigvals_descending,
     gram_schmidt_frame,
@@ -14,6 +15,7 @@ from mobiusflat.linalg import (
     require_symmetric,
     sym_inv_sqrt,
 )
+from mobiusflat.moebius import fields_from_immersion, moebius_data_batch
 
 
 def random_symmetric(rng, m):
@@ -92,6 +94,16 @@ def test_gram_schmidt_frames_match_per_metric_loop():
     for gk, ek in zip(g, frames):
         assert np.array_equal(ek, curvature_oracle.gram_schmidt_frame(gk))
         assert np.array_equal(gram_schmidt_frame(gk), ek)
+
+
+def test_gram_schmidt_frames_ignore_the_memory_layout(rotational):
+    # the Moebius metrics of seven points, stacked in Fortran order: each frame
+    # equals that of the point alone, bit for bit
+    pts = interior_points(rotational, 7, seed=0)
+    g = np.array([d.g_moebius for d in moebius_data_batch(fields_from_immersion(rotational), pts)])
+    frames = gram_schmidt_frames(np.asfortranarray(g))
+    for k in range(len(pts)):
+        assert np.array_equal(frames[k], gram_schmidt_frame(g[k]))
 
 
 def test_batched_checks_name_the_point():

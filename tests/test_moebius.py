@@ -1,12 +1,17 @@
+import ast
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
+from mobiusflat import moebius
+from mobiusflat.checks import preset_trajectory, sample_points, warped_scalar_reference
 from mobiusflat.curvature import Convention
 from mobiusflat.curvature import convert_scalar
-from mobiusflat.errors import DegenerateGeometryError, UmbilicPointError
+from mobiusflat.errors import DegenerateGeometryError, InputError, UmbilicPointError
 from mobiusflat.immersion import (
+    ImmersionHandle,
     first_fundamental_form_batch,
     second_fundamental_form_batch,
     with_fd_jet,
@@ -27,6 +32,8 @@ from mobiusflat.moebius import (
 )
 from mobiusflat.spiral import IntegratorControls, prescribed_curvature_trajectory, sine_curvature
 from mobiusflat.zoo import (
+    EPSILON_BY_FAMILY,
+    build_family,
     cylinder_immersion,
     lift_to_sphere,
     scale_immersion,
@@ -35,10 +42,10 @@ from mobiusflat.zoo import (
 )
 
 import moebius_oracle
-from conftest import FD_STEP, N_DIM, interior_points
+from conftest import FD_STEP, N_DIM, interior_points, make_trajectory
 
-FINE = 0.005
-SCALAR_STEP = 0.02  # the step of the two-route Moebius scalar
+FINE = 0.005  # the outer step of the stencil oracle
+SCALAR_STEP = 0.02  # the same for the two-route Moebius scalar
 
 
 def sin_curve_cylinder(n=N_DIM):
@@ -100,9 +107,12 @@ class TestDensity:
             g = np.tile(np.diag([1.0, -0.5]), (k, 1, 1))
             return g, np.tile(np.eye(2), (k, 1, 1)), np.full(k, 3.0), np.full(k, -0.5)
 
-        fields = SurfaceFields(dim=2, sample=sample, ambient_curvature=0.0)
+        def jets(pts):
+            return moebius_oracle.stencil_jets(fields, pts, FINE)
+
+        fields = SurfaceFields(dim=2, sample=sample, ambient_curvature=0.0, jets=jets)
         with pytest.raises(DegenerateGeometryError):
-            moebius_data(fields, np.zeros(2), FINE)
+            moebius_data(fields, np.zeros(2))
 
 
 class TestMoebiusMetric:
@@ -174,8 +184,8 @@ class TestOneJetFields:
 
 
 def counting_fields(imm):
-    """Nested-FD oracle fields over imm (its exact jet replaced by the FD one) whose
-    evaluator records the size of each call."""
+    """Nested-FD oracle fields over imm (its exact jet replaced by the FD one, outer
+    step FINE) whose evaluator records the size of each call."""
     calls = []
 
     def evaluator(pts):
@@ -183,7 +193,7 @@ def counting_fields(imm):
         return imm.evaluator(pts)
 
     fields = moebius_oracle.nested_fd_fields(
-        with_fd_jet(dataclasses.replace(imm, evaluator=evaluator), FD_STEP)
+        with_fd_jet(dataclasses.replace(imm, evaluator=evaluator), FD_STEP), FINE
     )
     calls.clear()  # the orientation sign, resolved once at construction
     return fields, calls
@@ -205,35 +215,37 @@ class TestOneRequestPerPointSet:
         ids=lambda f: f.__name__,
     )
     def test_one_stencil_request(self, torus, invariant):
-        # on fields without exact jets (here the nested-FD oracle) each request is
-        # one stencil, and the pointwise record is read from the stencil's centre
+        # on the stencil oracle (here the nested-FD pipeline) each request is one
+        # stencil, and the pointwise record is read from the stencil's centre
         fields, calls = counting_fields(torus)
-        invariant(fields, torus.base_point, FINE)
+        invariant(fields, torus.base_point)
         assert calls == [self.STENCIL**2]
 
     @pytest.mark.parametrize("analytic", [True, False], ids=["closed-form", "fd"])
     @pytest.mark.parametrize("fixture", ["torus", "rotational"])
     def test_agrees_with_separate_request_oracle(self, fixture, analytic, request):
-        # the packed stencil request against separate stencils, on the closed forms
-        # and on the nested-FD pipeline
+        # the packed stencil request against separate stencils, over the closed
+        # forms' sample and over the pipeline's (the nested-FD pipeline)
         imm = request.getfixturevalue(fixture)
-        fields = imm.analytic_fields if analytic else moebius_oracle.nested_fd_fields(imm)
+        base = imm.analytic_fields if analytic else fields_from_immersion(imm)
+        fields = moebius_oracle.stencil_fields(base, FINE)
+        scalar_fields = moebius_oracle.stencil_fields(base, SCALAR_STEP)
 
         def close(new, old):
             new, old = np.asarray(new), np.asarray(old)
             return np.max(np.abs(new - old)) <= 1e-10 * max(1.0, float(np.max(np.abs(old))))
 
         for p in interior_points(imm, 2, seed=43):
-            d, ref = moebius_data(fields, p, FINE), moebius_oracle.moebius_data(fields, p, FINE)
+            d, ref = moebius_data(fields, p), moebius_oracle.moebius_data(fields, p, FINE)
             for name in ("rho", "H", "B", "A", "C", "principal_curvatures", "A_eigenvalues"):
                 assert close(getattr(d, name), getattr(ref, name)), name
             assert close(d.g_moebius, ref.g_moebius)
-            assert close(moebius_form(fields, p, FINE), moebius_oracle.moebius_form(fields, p, FINE))
-            assert close(blaschke_A(fields, p, FINE), moebius_oracle.blaschke_A(fields, p, FINE))
-            s = moebius_scalar(fields, p, SCALAR_STEP)
+            assert close(moebius_form(fields, p), moebius_oracle.moebius_form(fields, p, FINE))
+            assert close(blaschke_A(fields, p), moebius_oracle.blaschke_A(fields, p, FINE))
+            s = moebius_scalar(scalar_fields, p)
             s_ref = moebius_oracle.moebius_scalar(fields, p, SCALAR_STEP)
             assert close(s, s_ref)
-            assert close(direct_scalar(fields, p, SCALAR_STEP), s_ref.direct)
+            assert close(direct_scalar(scalar_fields, p), s_ref.direct)
 
 
 def jet_counting(imm):
@@ -266,7 +278,7 @@ class TestOneJetPerPointSet:
         imm, calls = jet_counting(torus)
         fields = fields_from_immersion(imm)
         calls.clear()  # the orientation sign, resolved once at construction
-        invariant(fields, torus.base_point, FINE)
+        invariant(fields, torus.base_point)
         assert calls == [(1, 4)]
 
     @pytest.mark.parametrize(
@@ -279,23 +291,22 @@ class TestOneJetPerPointSet:
         fields = fields_from_immersion(imm)
         pts = interior_points(imm, 6, seed=17)
         calls.clear()
-        point_set_request(fields, pts, FINE)
+        point_set_request(fields, pts)
         assert calls == [(6, 4)]
 
     @pytest.mark.parametrize(
         "invariant", [moebius_data, moebius_scalar, direct_scalar], ids=lambda f: f.__name__
     )
-    def test_closed_forms_keep_one_stencil(self, torus, invariant):
-        # fields without exact jets: one sample call on the stencil of the point
-        calls = []
-        closed = torus.analytic_fields
+    def test_closed_forms_are_a_route_of_their_own(self, rotational, invariant, monkeypatch):
+        # a request on the closed forms reads their factor tables: no sample call,
+        # no jet of the immersion and no pipeline fields
+        def refuse(*args, **kwargs):
+            raise AssertionError("the closed forms reached the pipeline")
 
-        def sample(pts):
-            calls.append(np.atleast_2d(pts).shape[0])
-            return closed.sample(pts)
-
-        invariant(dataclasses.replace(closed, sample=sample), torus.base_point, FINE)
-        assert calls == [TestOneRequestPerPointSet.STENCIL]
+        monkeypatch.setattr(ImmersionHandle, "evaluate_jet", refuse)
+        monkeypatch.setattr(moebius, "_jets_from_forms", refuse)
+        closed = rotational.analytic_fields
+        invariant(dataclasses.replace(closed, sample=refuse), rotational.base_point)
 
 
 SURFACES = ["cylinder", "cone", "rotational", "torus", "rotational+lift"]
@@ -309,9 +320,9 @@ def surface(name, request):
 def exact_and_nested_fd(imm, pts, step):
     """quantity -> (exact, nested-FD oracle at step) for rho, H, B, A, C and both scalars."""
     out = {}
-    for fields in (fields_from_immersion(imm), moebius_oracle.nested_fd_fields(imm)):
-        records = moebius_data_batch(fields, pts, step)
-        scalars = moebius_scalars(fields, pts, step)
+    for fields in (fields_from_immersion(imm), moebius_oracle.nested_fd_fields(imm, step)):
+        records = moebius_data_batch(fields, pts)
+        scalars = moebius_scalars(fields, pts)
         for name in ("rho", "H", "B", "A", "C"):
             out.setdefault(name, []).append(np.array([getattr(r, name) for r in records]))
         out.setdefault("direct", []).append(scalars.direct)
@@ -360,19 +371,19 @@ class TestBatchEqualsOnePointRequests:
         )
         fields = imm.analytic_fields if name.endswith("closed-form") else fields_from_immersion(imm)
         pts = interior_points(imm, 5, seed=13)
-        records = moebius_data_batch(fields, pts, FINE)
-        scalars = moebius_scalars(fields, pts, SCALAR_STEP)
-        direct = direct_scalar(fields, pts, SCALAR_STEP)
+        records = moebius_data_batch(fields, pts)
+        scalars = moebius_scalars(fields, pts)
+        direct = direct_scalar(fields, pts)
         assert np.array_equal(direct, scalars.direct)
         for i, p in enumerate(pts):
-            one = moebius_data(fields, p, FINE)
+            one = moebius_data(fields, p)
             for field in dataclasses.fields(one):
                 assert np.array_equal(getattr(records[i], field.name), getattr(one, field.name))
-            assert np.array_equal(moebius_form(fields, p, FINE), one.C)
-            assert np.array_equal(blaschke_A(fields, p, FINE), one.A)
-            s = moebius_scalar(fields, p, SCALAR_STEP)
+            assert np.array_equal(moebius_form(fields, p), one.C)
+            assert np.array_equal(blaschke_A(fields, p), one.A)
+            s = moebius_scalar(fields, p)
             assert (s.direct, s.conformal_route) == (direct[i], scalars.conformal_route[i])
-            assert direct_scalar(fields, p, SCALAR_STEP) == direct[i]
+            assert direct_scalar(fields, p) == direct[i]
 
 
 class TestTensorB:
@@ -396,14 +407,14 @@ class TestTensorB:
         # ambient rescaling doubles both f and the chart
         p = cylinder.base_point + 0.1
         f1 = fields_from_immersion(cylinder)
-        s1 = moebius_scalar(f1, p, SCALAR_STEP)
+        s1 = moebius_scalar(f1, p)
         for lam in (0.5, 2.0):
             scaled = scale_immersion(cylinder, lam)
             f2 = fields_from_immersion(scaled)
-            d1 = moebius_data(f1, p, FD_STEP)
-            d2 = moebius_data(f2, lam * p, FD_STEP)
+            d1 = moebius_data(f1, p)
+            d2 = moebius_data(f2, lam * p)
             assert np.allclose(d1.B_eigenvalues, d2.B_eigenvalues, atol=1e-7)
-            s2 = moebius_scalar(f2, lam * p, SCALAR_STEP)
+            s2 = moebius_scalar(f2, lam * p)
             assert abs(s1.direct - s2.direct) < 1e-6
 
 
@@ -413,7 +424,7 @@ class TestMoebiusForm:
             (torus.analytic_fields, 1e-12),
             (fields_from_immersion(torus), 1e-8),
         ]:
-            c = moebius_form(fields, torus.base_point, 0.05)
+            c = moebius_form(fields, torus.base_point)
             assert np.max(np.abs(c)) < tol
 
     def test_circle_cylinder_form_vanishes(self):
@@ -423,20 +434,14 @@ class TestMoebiusForm:
         traj = make_trajectory(0, 0.0, 1.0, 0.0, 6.0)
         imm = cylinder_immersion(traj, N_DIM)
         fields = fields_from_immersion(imm)
-        c = moebius_form(fields, imm.base_point, 0.03)
+        c = moebius_form(fields, imm.base_point)
         assert np.max(np.abs(c)) < 1e-8
 
     def test_divergence_identity_cross_check(self, rotational, torus):
         # sum_j B_ij,j = -(n-1) C_i ties the C formula to the divergence of B
-        traj, imm = sin_curve_cylinder()
-        for handle, step in [
-            (imm, 0.01),
-            (rotational, 0.01),
-            (torus, 0.05),
-        ]:
-            fields = handle.analytic_fields
-            p = handle.base_point
-            resid = moebius_form_divergence_residual(fields, p, step)
+        _, imm = sin_curve_cylinder()
+        for handle in (imm, rotational, torus):
+            resid = moebius_form_divergence_residual(handle.analytic_fields, handle.base_point)
             assert resid < 1e-6, handle.name
 
     def test_spiral_cylinder_form_first_component_only(self):
@@ -445,7 +450,7 @@ class TestMoebiusForm:
         pts = interior_points(imm, 5, seed=31)
         fields = imm.analytic_fields
         for p in pts:
-            c = moebius_form(fields, p, FINE)
+            c = moebius_form(fields, p)
             kap = float(traj.kappa_at(p[0:1])[0])
             ks = float(traj.kappa_s_at(p[0:1])[0])
             assert c[0] == pytest.approx(-ks / kap**2, abs=1e-9)
@@ -461,7 +466,7 @@ class TestBlaschke:
         fields = imm.analytic_fields
         n = N_DIM
         for p in pts:
-            a = blaschke_A(fields, p, FINE)
+            a = blaschke_A(fields, p)
             s = p[0]
             kap = 1.0 + 0.3 * np.sin(s)
             r_full = 6.0 * 0.3 * np.sin(s) / kap**3
@@ -475,19 +480,19 @@ class TestBlaschke:
         pts = interior_points(rotational, 4, seed=35)
         target = 1.0 / (2 * N_DIM) + 4.5 / (2 * (N_DIM - 1))
         for p in pts:
-            a = blaschke_A(fields, p, FINE)
+            a = blaschke_A(fields, p)
             assert np.trace(a) == pytest.approx(target, abs=1e-7)
 
     def test_trace_identity_torus_sphere_ambient(self, torus):
         # r = 0.5: full-trace scalar (n-1)(n-2)(1-r^2) = 4.5
         fields = torus.analytic_fields
-        a = blaschke_A(fields, torus.base_point, 0.05)
+        a = blaschke_A(fields, torus.base_point)
         target = 1.0 / (2 * N_DIM) + 4.5 / (2 * (N_DIM - 1))
         assert np.trace(a) == pytest.approx(target, abs=1e-9)
 
     def test_torus_A_eigen_multiplicities(self, torus):
         fields = torus.analytic_fields
-        d = moebius_data(fields, torus.base_point, 0.05)
+        d = moebius_data(fields, torus.base_point)
         eig = np.sort(d.A_eigenvalues)
         # one simple eigenvalue at one end, the other n-1 coincide
         cluster = min(eig[-1] - eig[1], eig[-2] - eig[0])
@@ -501,7 +506,7 @@ class TestBlaschke:
         fields = imm.analytic_fields
         pts = interior_points(imm, 4, seed=37)
         for p in pts:
-            d = moebius_data(fields, p, FINE)
+            d = moebius_data(fields, p)
             assert d.commutator_norm() < 1e-8
 
 
@@ -513,7 +518,7 @@ class TestMoebiusScalar:
         traj = make_trajectory(0, 0.0, 1.0, 0.0, 6.0)
         imm = cylinder_immersion(traj, N_DIM)
         fields = imm.analytic_fields
-        res = moebius_scalar(fields, imm.base_point, SCALAR_STEP)
+        res = moebius_scalar(fields, imm.base_point)
         for conv in Convention:
             for value in res:
                 assert abs(convert_scalar(value, Convention.FULL_TRACE, conv, N_DIM)) < 1e-7
@@ -522,7 +527,7 @@ class TestMoebiusScalar:
         # product structure: circle of radius 1/r and sphere of radius
         # 1/sqrt(1-r^2): full-trace scalar (n-1)(n-2)(1-r^2)
         fields = torus.analytic_fields
-        res = moebius_scalar(fields, torus.base_point, SCALAR_STEP)
+        res = moebius_scalar(fields, torus.base_point)
         expected = (N_DIM - 1) * (N_DIM - 2) * 0.75
         assert res.direct == pytest.approx(expected, rel=1e-6)
         assert res.conformal_route == pytest.approx(expected, rel=1e-6)
@@ -531,14 +536,14 @@ class TestMoebiusScalar:
         fields = fields_from_immersion(rotational)
         pts = interior_points(rotational, 3, seed=39)
         for p in pts:
-            res = moebius_scalar(fields, p, SCALAR_STEP)
+            res = moebius_scalar(fields, p)
             assert res.spread() < 1e-5
 
     def test_rotational_scalar_constant(self, rotational):
         # constant-scalar spiral with R parameter 0.75: full trace 4.5
         fields = rotational.analytic_fields
         pts = interior_points(rotational, 6, seed=41)
-        vals = [moebius_scalar(fields, p, SCALAR_STEP).direct for p in pts]
+        vals = [moebius_scalar(fields, p).direct for p in pts]
         assert np.max(np.abs(np.asarray(vals) - 4.5)) < 1e-6
 
 
@@ -548,9 +553,111 @@ class TestLiftInvariance:
         p = cylinder.base_point + 0.15
         f_plain = fields_from_immersion(cylinder)
         f_lift = fields_from_immersion(lifted)
-        d_plain = moebius_data(f_plain, p, FD_STEP)
-        d_lift = moebius_data(f_lift, p, FD_STEP)
+        d_plain = moebius_data(f_plain, p)
+        d_lift = moebius_data(f_lift, p)
         assert np.allclose(d_plain.B_eigenvalues, d_lift.B_eigenvalues, atol=1e-6)
-        s_plain = moebius_scalar(f_plain, p, SCALAR_STEP)
-        s_lift = moebius_scalar(f_lift, p, SCALAR_STEP)
+        s_plain = moebius_scalar(f_plain, p)
+        s_lift = moebius_scalar(f_lift, p)
         assert abs(s_plain.direct - s_lift.direct) < 1e-5
+
+
+class TestNoStep:
+    """The Moebius layer takes no step: its requests are exact jets on both routes."""
+
+    def test_moebius_imports_nothing_from_fd(self):
+        tree = ast.parse(inspect.getsource(moebius))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                assert node.module != "fd" and "fd" not in {a.name for a in node.names}
+
+    def test_no_public_function_takes_a_step(self):
+        public = {
+            name: fn
+            for name, fn in inspect.getmembers(moebius, inspect.isfunction)
+            if fn.__module__ == moebius.__name__ and not name.startswith("_")
+        }
+        assert {"moebius_data", "moebius_scalars", "direct_scalar", "blaschke_A"} <= set(public)
+        for name, fn in public.items():
+            assert "step" not in inspect.signature(fn).parameters, name
+
+    def test_fields_without_jets_are_refused(self, torus):
+        with pytest.raises(InputError, match="no jets"):
+            SurfaceFields(dim=N_DIM, sample=torus.analytic_fields.sample, ambient_curvature=1.0)
+        with pytest.raises(InputError, match="no jets"):
+            dataclasses.replace(fields_from_immersion(torus), jets=None)
+
+
+CLOSED_FORMS = [
+    f"{family}-n{n}" for n in (4, 6) for family in ("cylinder", "cone", "rotational", "torus")
+] + ["circle-cylinder"]
+
+
+def closed_form_handle(name):
+    """A generator's handle by name: a suite family or the torus at n, or the circle cylinder."""
+    if name == "circle-cylinder":
+        return cylinder_immersion(make_trajectory(0, 0.0, 1.0, 0.0, 6.0), N_DIM)
+    family, n = name.rsplit("-n", 1)
+    if family == "torus":
+        return torus_immersion(0.5, int(n))
+    return build_family(family, preset_trajectory(int(n), EPSILON_BY_FAMILY[family]), int(n))
+
+
+def jets_and_stencil(imm, step):
+    """(quantity, level) -> (exact jet, stencil of the closed forms' own sample at step)."""
+    fields = imm.analytic_fields
+    pts = interior_points(imm, 3, seed=11, pad=0.2)
+    exact, oracle = fields.jets(pts), moebius_oracle.stencil_jets(fields, pts, step)
+    return {
+        (quantity, level): (getattr(getattr(exact, quantity), level), getattr(q, level))
+        for quantity, q in zip(exact._fields, oracle)
+        for level in q._fields
+    }
+
+
+class TestClosedFormJetsAgainstTheirStencil:
+    """The closed forms' exact jets against the order-4 stencil of their own sample."""
+
+    @pytest.mark.parametrize("name", CLOSED_FORMS)
+    def test_within_the_stencil_error(self, name):
+        for key, (exact, oracle) in jets_and_stencil(closed_form_handle(name), 0.02).items():
+            scale = max(1.0, float(np.max(np.abs(oracle))))
+            assert np.max(np.abs(exact - oracle)) <= 1e-4 * scale, key
+
+    @pytest.mark.parametrize("name", CLOSED_FORMS)
+    def test_stencil_error_falls_sixteen_times(self, name):
+        # the difference is the stencil's order-4 truncation: it falls about 16
+        # times when the step halves, wherever it is above rounding
+        imm = closed_form_handle(name)
+        coarse, fine = (jets_and_stencil(imm, h) for h in (0.04, 0.02))
+        ratios = {}
+        for key in coarse:
+            e_coarse = np.max(np.abs(np.subtract(*coarse[key])))
+            if e_coarse > 1e-9:
+                ratios[key] = e_coarse / np.max(np.abs(np.subtract(*fine[key])))
+        if name == "circle-cylinder":
+            # constant along s, where the stencil is exact: no error above rounding
+            assert ratios == {}
+        else:
+            assert any(level == "d2" for _, level in ratios)
+            assert all(12.0 < r < 20.0 for r in ratios.values()), ratios
+
+
+class TestProfileScalarIdentity:
+    """Off the spiral equation, the Moebius scalar of each spiral family is, point by
+    point, the scalar of the warped metric kappa^2 (ds^2 + I_{-eps}) over its profile."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    @pytest.mark.parametrize("family", list(EPSILON_BY_FAMILY))
+    def test_direct_scalar_is_the_profile_formula(self, family, n):
+        eps = EPSILON_BY_FAMILY[family]
+        traj = prescribed_curvature_trajectory(
+            n, eps, sine_curvature(1.15, 0.3), IntegratorControls(s_max=4.5, step=1e-3)
+        )
+        imm = build_family(family, traj, n)
+        pts = sample_points(imm, 8, np.random.default_rng(0))
+        # kappa, kappa_s and kappa_ss from the step polynomials
+        expected = warped_scalar_reference(n, eps, *traj._read(pts[:, 0], slice(0, 1), 2)[..., 0])
+        # worst measured: 2.1e-12 on the pipeline, 1.3e-15 on the closed forms
+        for fields, bound in ((fields_from_immersion(imm), 1e-10), (imm.analytic_fields, 2e-14)):
+            err = np.abs(direct_scalar(fields, pts) - expected) / np.maximum(1.0, np.abs(expected))
+            assert np.max(err) < bound

@@ -16,6 +16,7 @@ from mobiusflat.immersion import (
     unit_normal_batch,
     with_fd_jet,
 )
+from mobiusflat.spiral import SpiralTrajectory
 from mobiusflat.zoo import (
     build_family,
     hyperboloid_to_hemisphere,
@@ -161,6 +162,29 @@ class TestExactJet:
         oracle = jet_batch(sphere_chart, angles, STEP)
         for x, ref in zip(exact[1:], oracle[1:]):
             assert np.max(np.abs(x - ref)) <= 1e-8
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("fixture", ["cylinder", "cone", "rotational", "torus"])
+    def test_first_form_is_the_sample_metric(self, fixture, request):
+        imm = request.getfixturevalue(fixture)
+        pts = interior_points(imm, 6, seed=3)
+        fields = imm.analytic_fields
+        assert np.array_equal(fields.first_form(pts), fields.sample(pts)[0])
+
+    @pytest.mark.parametrize("fixture", ["cylinder", "cone", "torus"])
+    def test_first_form_reads_the_metric_table_alone(self, fixture, request, monkeypatch):
+        # I of these surfaces does not depend on kappa or the curve, so the
+        # metric view makes no query of the trajectory
+        imm = request.getfixturevalue(fixture)
+        pts = interior_points(imm, 4, seed=3)
+        expected = imm.analytic_fields.first_form(pts)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the metric view queried the trajectory")
+
+        monkeypatch.setattr(SpiralTrajectory, "_read", refuse)
+        assert np.array_equal(imm.analytic_fields.first_form(pts), expected)
 
 
 class TestCylinder:
