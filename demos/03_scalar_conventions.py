@@ -7,18 +7,14 @@ of the prescribed R whose slope depends on the normalization (2(n-1) for the
 full trace).  A prescribed curvature that does not solve the ODE (the
 non-solution control of scalar_constancy, kappa = 1.15 + 0.3 sin s) does not
 keep the scalar curvature constant, which the audit shows numerically.
+Every scalar is the curvature of the metric's exact 2-jet, built from the
+step polynomials of the trajectory: no step is taken.
 """
 
 import numpy as np
 
-from mobiusflat.checks import suite_steps, warped_metric_field, warped_base_point
-from mobiusflat.config import RunConfig
-from mobiusflat.curvature import (
-    Convention,
-    convert_scalar,
-    metric_field_curvature,
-    metric_field_curvature_batch,
-)
+from mobiusflat.checks import warped_base_point
+from mobiusflat.curvature import Convention, convert_scalar, curvature_from_jet
 from mobiusflat.spiral import (
     IntegratorControls,
     SpiralParams,
@@ -26,9 +22,9 @@ from mobiusflat.spiral import (
     prescribed_curvature_trajectory,
     sine_curvature,
 )
+from mobiusflat.zoo import warped_metric_jet
 
 n = 4
-step = suite_steps(RunConfig())["warped"]  # the suite's warped-metric scalar step
 
 
 def spiral(params, k0, ks0, s_max=4.0):
@@ -38,7 +34,7 @@ def spiral(params, k0, ks0, s_max=4.0):
 def scalar_profile(traj):
     svals = np.linspace(traj.s[0] + 0.3, traj.s[-1] - 0.3, 12)
     pts = np.array([warped_base_point(n, traj.params.epsilon, s) for s in svals])
-    return metric_field_curvature_batch(warped_metric_field(traj, n), pts, step).scalar
+    return curvature_from_jet(*warped_metric_jet(traj, pts, 2).levels).scalar
 
 
 print("spiral equation, eps = -1 (sphere cross-section):")
@@ -60,7 +56,7 @@ print(f"  scalar range [{vals.min():.4f}, {vals.max():.4f}]: not constant")
 
 print("\nper-normalization values at one point (R = 0.75):")
 traj = spiral(SpiralParams(n, -1, 0.75), 1.25, 0.05)
-field = warped_metric_field(traj, n)
-full = metric_field_curvature(field, warped_base_point(n, -1, 2.0), step).scalar
+p = warped_base_point(n, -1, 2.0)
+full = curvature_from_jet(*warped_metric_jet(traj, p[None, :], 2).levels).scalar[0]
 for conv in Convention:
     print(f"  {conv.value:10s}: {convert_scalar(full, Convention.FULL_TRACE, conv, n):.8f}")

@@ -25,7 +25,6 @@ from .curvature import (
     convert_scalar,
     metric_field_curvature,
     riemann_symmetry_residuals,
-    schouten_coordinate_field,
     schouten_tensor,
 )
 from .errors import (

@@ -22,13 +22,14 @@ goes on.  ``CHECK_FUNCTIONS`` is the registry, in ``CHECK_NAMES`` order.
 
 Closed-form fields of the generators (``SuiteSurface.closed_form``) back the
 tight-tolerance identity checks; the pipeline route (``SuiteSurface.fields``)
-is exercised in parallel, and the two routes cross-validate.  Both routes
-are exact and take no step: a Moebius request on the pipeline is one order-4
-jet of the immersion per point set, and on the closed forms one 2-jet of
-their factor tables, and every check makes one request per surface point
-set.  The finite differences that remain are those of ``suite_steps``, all
-on differenced metric fields: the Schouten/Codazzi defects, the warped
-metric's curvature and ``fd_convergence``.
+is exercised in parallel, and the two routes cross-validate.  Every check
+reads exact jets and takes no step: a Moebius request on the pipeline is one
+order-4 jet of the immersion per point set and on the closed forms one 2-jet
+of their factor tables, the Schouten/Codazzi defects read the 3-jet of the
+closed forms' metric table, and the warped metric kappa^2 (ds^2 + I_{-eps})
+is the 2-jet of its own factor table.  The one finite-difference request
+left is ``fd_convergence``, an audit of the differenced curvature of the
+warped metric at two fixed steps (``FD_CONVERGENCE_STEPS``).
 """
 
 from __future__ import annotations
@@ -44,12 +45,10 @@ from . import __version__
 from .config import RunConfig
 from .curvature import (
     Convention,
-    codazzi_defect,
     convert_scalar,
+    curvature_from_jet,
     metric_field_curvature,
-    metric_field_curvature_batch,
     schouten_codazzi_defects,
-    schouten_coordinate_field,
 )
 from .errors import MobiusFlatError
 from .immersion import (
@@ -57,8 +56,9 @@ from .immersion import (
     fundamental_forms_batch,
     principal_curvatures,
 )
-from .linalg import jacobi_eigh
+from .jets import Jet, compose, contract
 from .moebius import (
+    B_eigenvalues_and_scalars,
     SurfaceFields,
     direct_scalar,
     fields_from_immersion,
@@ -91,8 +91,8 @@ from .zoo import (
     cylinder_immersion,
     lift_to_sphere,
     rotational_immersion,
-    sphere_chart_metric,
     torus_immersion,
+    warped_metric_jet,
 )
 
 CONVENTION_BY_NAME = {c.value: c for c in Convention}
@@ -114,20 +114,8 @@ WARPED_AUDIT_R = {
 TORUS_AUDIT_RADII = (0.3, 0.5, 1.0 / np.sqrt(2.0))
 
 
-def suite_steps(cfg: RunConfig) -> dict[str, float]:
-    """Every finite-difference step of the suite, by name: the multiples of
-    cfg.curvature_step, the step of a differenced metric field's curvature.
-
-    Each request is an order-4 central stencil with one step in every
-    coordinate.  No Moebius request takes a step.
-    """
-    h = cfg.curvature_step
-    return {
-        "schouten": h,  # the Schouten/Codazzi defects of the induced metrics
-        "warped": h * 0.6,  # the warped-metric scalars
-        "convergence_coarse": h * 4.0,  # fd_convergence: a step and its half
-        "convergence_fine": h * 2.0,
-    }
+# fd_convergence: a curvature step and its half
+FD_CONVERGENCE_STEPS = (0.04, 0.02)
 
 
 @dataclass
@@ -197,45 +185,11 @@ def sample_points(imm: ImmersionHandle, count: int, rng, jitter: float = 0.1, pa
     return pts
 
 
-def _B_eigenvalues(fields: SurfaceFields, pts: np.ndarray) -> np.ndarray:
-    """The eigenvalues of B at each point (K, m), descending, from one sample request."""
-    g, h, rho, mean = fields.sample(pts)
-    return np.array(
-        [jacobi_eigh(moebius_B(*point))[0][::-1] for point in zip(g, h, rho, mean)]
-    )
-
-
 def warped_scalar_reference(n, eps, kappa, kappa_s, kappa_ss):
     """Full-trace scalar of kappa^2 (ds^2 + I_{-eps}), closed form."""
     w1 = kappa_s / kappa
     w2 = kappa_ss / kappa - w1**2
     return (n - 1) / kappa**2 * (-(n - 2) * eps - 2.0 * w2 - (n - 2) * w1**2)
-
-
-def warped_metric_field(traj: SpiralTrajectory, n: int):
-    """Analytic field kappa(s)^2 (ds^2 + I_{-eps}) in suite coordinates.
-
-    Cross-section charts: flat identity (eps = 0), half-space t-coordinates
-    (eps = +1, metric Id / t^2), unit-sphere spherical angles (eps = -1).
-    """
-    eps = traj.params.epsilon
-
-    def field(pts):
-        pts = np.atleast_2d(pts)
-        k = pts.shape[0]
-        out = np.zeros((k, n, n))
-        out[:, 0, 0] = 1.0
-        if eps == 0:
-            idx = np.arange(1, n)
-            out[:, idx, idx] = 1.0
-        elif eps == 1:
-            idx = np.arange(1, n)
-            out[:, idx, idx] = 1.0 / pts[:, 1][:, None] ** 2
-        else:
-            out[:, 1:, 1:] = sphere_chart_metric(pts[:, 1:])
-        return traj.kappa_at(pts[:, 0])[:, None, None] ** 2 * out
-
-    return field
 
 
 def warped_base_point(n, eps, s0):
@@ -244,13 +198,26 @@ def warped_base_point(n, eps, s0):
     return p
 
 
-def _warped_scalars(traj: SpiralTrajectory, n: int, svals, step: float) -> np.ndarray:
-    """Full-trace scalars of the warped metric over traj at the profile parameters svals.
-
-    One curvature batch over all the parameters.
-    """
+def _warped_scalars(traj: SpiralTrajectory, n: int, svals) -> np.ndarray:
+    """Full-trace scalars of the warped metric over traj at the profile parameters
+    svals, from one exact 2-jet of the metric."""
     pts = np.array([warped_base_point(n, traj.params.epsilon, s0) for s0 in svals])
-    return metric_field_curvature_batch(warped_metric_field(traj, n), pts, step).scalar
+    return curvature_from_jet(*warped_metric_jet(traj, pts, 2).levels).scalar
+
+
+def codazzi_control_jet(pts: np.ndarray, order: int) -> Jet:
+    """The jet at the points (K, n) of a metric that is not conformally flat:
+    the identity with 1 + 0.4 sin x_0 sin x_1 in its first entry."""
+    k, n = pts.shape
+    term = Jet.constant(np.full(k, 0.4), order)
+    for a in (0, 1):
+        x = pts[:, a]
+        coordinate = Jet(([x, np.tile(np.eye(n)[a], (k, 1))] + [None] * order)[: order + 1])
+        cycle = (np.sin(x), np.cos(x), -np.sin(x), -np.cos(x))
+        term = contract(",->", term, compose(coordinate, [cycle[j % 4] for j in range(order + 1)]))
+    corner = np.zeros((n, n))
+    corner[0, 0] = 1.0
+    return term.linear(lambda t: t[..., None, None] * corner) + np.eye(n)
 
 
 def _spread(values) -> float:
@@ -373,7 +340,7 @@ def check_moebius_metric_match(cfg: RunConfig, surfaces, rng, res: Residuals) ->
             continue
         pts = sample_points(surf.imm, cfg.samples, rng, cfg.jitter)
         g, _, rho, _ = surf.fields.sample(pts)
-        expected = warped_metric_field(surf.traj, cfg.n)(pts)
+        expected = warped_metric_jet(surf.traj, pts, 0).value
         computed = rho[:, None, None] ** 2 * g
         scale = np.max(np.abs(expected), axis=(1, 2))
         resid = np.max(np.abs(computed - expected), axis=(1, 2)) / scale
@@ -495,33 +462,25 @@ def check_schouten_codazzi(cfg: RunConfig, surfaces, rng, res: Residuals) -> dic
     Also audits which scalar normalization in S = Ric - R/(2(n-1)) Id keeps
     the property on a metric with non-constant scalar curvature.
     """
-    step = suite_steps(cfg)["schouten"]
     per_surface = {}
     for surf in surfaces:
         if surf.name == "torus":
             continue
-        metric = surf.closed_form.first_form
         pts = sample_points(surf.imm, 3, rng, cfg.jitter, pad=0.2)
-        vals = schouten_codazzi_defects(metric, pts, step, [Convention.FULL_TRACE])[0]
+        vals = schouten_codazzi_defects(surf.closed_form.first_form(pts, 3))[0]
         per_surface[surf.name] = float(np.max(vals))
         res.add(per_surface[surf.name], samples=len(vals))
 
-    def control_field(pts):
-        pts = np.atleast_2d(pts)
-        out = np.broadcast_to(np.eye(cfg.n), (pts.shape[0], cfg.n, cfg.n)).copy()
-        out[:, 0, 0] = 1.0 + 0.4 * np.sin(pts[:, 0]) * np.sin(pts[:, 1])
-        return out
-
-    control_sfield = schouten_coordinate_field(control_field, step, Convention.FULL_TRACE)
-    control = codazzi_defect(control_sfield, control_field, np.full(cfg.n, 0.4), step)
+    control_jet = codazzi_control_jet(np.full((1, cfg.n), 0.4), 3)
+    control = float(schouten_codazzi_defects(control_jet)[0, 0])
     res.add(samples=1)
     res.require(control > 10 * cfg.tol_codazzi)
 
     # convention audit on a metric whose scalar curvature varies
     rot = _surface(surfaces, "rotational")
-    metric = rot.closed_form.first_form
     p_aud = sample_points(rot.imm, 1, rng, cfg.jitter, pad=0.2)[:1]
-    defects = schouten_codazzi_defects(metric, p_aud, step, list(CONVENTION_BY_NAME.values()))
+    conventions = list(CONVENTION_BY_NAME.values())
+    defects = schouten_codazzi_defects(rot.closed_form.first_form(p_aud, 3), conventions)
     audit = {name: float(d[0]) for name, d in zip(CONVENTION_BY_NAME, defects)}
     row = _audit_row(
         "Codazzi defect of S = Ric - R/(2(n-1)) Id on a metric with varying scalar curvature",
@@ -599,7 +558,6 @@ def check_warped_metric_scalar(cfg: RunConfig, surfaces, rng, res: Residuals) ->
     profile off the spiral equation does not keep the scalar constant.
     """
     n = cfg.n
-    step = suite_steps(cfg)["warped"]
     fits = {}
     spreads = {}
     # audit rows: under which normalization does the computed scalar equal
@@ -618,7 +576,7 @@ def check_warped_metric_scalar(cfg: RunConfig, surfaces, rng, res: Residuals) ->
             traj = spiral_trajectory(n, eps, big_r, k0, ks0, s_max, cfg.step, curve=False)
             lo, hi = float(traj.s[0]) + 0.2, float(traj.s[-1]) - 0.2
             svals = np.linspace(lo, hi, max(20, cfg.samples))
-            vals = _warped_scalars(traj, n, svals, step)
+            vals = _warped_scalars(traj, n, svals)
             spreads[f"eps={eps},R={big_r}"] = _spread(vals)
             res.add(spreads[f"eps={eps},R={big_r}"], samples=svals.size)
             # the conversion is exact (dimension n, the base point's size)
@@ -763,8 +721,9 @@ def check_sigma_invariance(cfg: RunConfig, surfaces, rng, res: Residuals) -> dic
             continue
         lift_fields = fields_from_immersion(lift_to_sphere(surf.imm))
         pts = sample_points(surf.imm, 3, rng, cfg.jitter)
-        b0, b1 = (_B_eigenvalues(f, pts) for f in (surf.fields, lift_fields))
-        s0, s1 = (direct_scalar(f, pts) for f in (surf.fields, lift_fields))
+        (b0, s0), (b1, s1) = (
+            B_eigenvalues_and_scalars(f, pts) for f in (surf.fields, lift_fields)
+        )
         for gap, r in zip(np.max(np.abs(b0 - b1), axis=1), np.abs(s0 - s1)):
             res.add(float(gap), float(r))
     return {}
@@ -784,18 +743,17 @@ def check_fd_convergence(cfg: RunConfig, surfaces, rng, res: Residuals) -> dict:
     """
     n = cfg.n
     traj = _surface(surfaces, "rotational").traj
-    field = warped_metric_field(traj, n)
     s0 = 0.5 * (traj.s[0] + traj.s[-1])
     p = warped_base_point(n, -1, float(s0))
     k = float(traj.kappa_at(np.array([s0]))[0])
     ks = float(traj.kappa_s_at(np.array([s0]))[0])
     kss = float(kappa_accel(traj.params, k, ks))
     exact = warped_scalar_reference(n, -1, k, ks, kss)
-    steps = suite_steps(cfg)
-    errs = [
-        abs(metric_field_curvature(field, p, steps[name]).scalar - exact)
-        for name in ("convergence_coarse", "convergence_fine")
-    ]
+
+    def field(q):
+        return warped_metric_jet(traj, q, 0).value
+
+    errs = [abs(metric_field_curvature(field, p, h).scalar - exact) for h in FD_CONVERGENCE_STEPS]
     ratio = errs[0] / max(errs[1], 1e-300)
     res.worst = float(errs[1])
     res.add(samples=2)

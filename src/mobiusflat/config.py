@@ -49,10 +49,6 @@ class RunConfig:
     step: float = 1e-3
     kappa_floor: float = 1e-6
     kappa_ceiling: float = 1e6
-    # finite differencing: the curvature step of a differenced metric field
-    # (Schouten/Codazzi, the warped metric, fd_convergence); the Moebius
-    # invariants are exact on both field routes and take none
-    curvature_step: float = 0.01
     # sampling
     samples: int = 20
     jitter: float = 0.1
@@ -144,7 +140,6 @@ class RunConfig:
             "step",
             "kappa_floor",
             "kappa_ceiling",
-            "curvature_step",
             "horizon",
             "grid_spread",
         ):

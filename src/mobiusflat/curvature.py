@@ -1,16 +1,20 @@
-"""Riemannian curvature of an explicit metric field by finite differences.
+"""Riemannian curvature of a metric from its Taylor jet.
 
-The core object is a *metric field*: a vectorized callable mapping (K, m)
-chart points to (K, m, m) symmetric positive matrices.  From first and
-second derivatives of the field we assemble Christoffel symbols, the
-Riemann tensor
+One formula, on ``jets.Jet`` (``riemann_jet``): the jet of dg is the
+metric's levels shifted by one, the Christoffel symbols are 1/2 g^-1 (dg
+permuted), and the Riemann tensor
 
     R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb}
-                + Gamma^a_{ce} Gamma^e_{db} - Gamma^a_{de} Gamma^e_{cb},
+                + Gamma^a_{ce} Gamma^e_{db} - Gamma^a_{de} Gamma^e_{cb}
 
-its fully lowered form, Ricci, and the scalar curvature.  With this sign
-convention the unit round sphere has positive scalar curvature (full trace
-n(n-1)).
+is the shifted Christoffel jet with two index permutations plus the
+products.  With this sign convention the unit round sphere has positive
+scalar curvature (full trace n(n-1)).  A metric's 2-jet gives the curvature
+(``curvature_batch``: the Riemann tensor in the Gram-Schmidt frame, Ricci
+and the scalar at K points, with a positivity check that names the first
+failing point); its 3-jet gives Ricci, the scalar and the Schouten tensor to
+order 1, so the Codazzi defect of the Schouten tensor takes no stencil
+(``schouten_codazzi_defects``).
 
 Scalar-curvature normalizations differ across sources:
 
@@ -21,23 +25,11 @@ Scalar-curvature normalizations differ across sources:
 Every scalar this layer computes is the full trace; code that reports a
 value in another normalization converts it with ``convert_scalar``.
 
-The layer works on point sets.  ``metric_field_curvature_batch`` asks the
-field for the metric 2-jets at K points in one call (``fd.jet_batch``), and
-``curvature_batch`` turns them into Christoffel symbols, the Riemann tensor
-in the Gram-Schmidt frame, Ricci and the scalar with one vectorized pass:
-einsums over a leading K axis, a batched inverse, ``linalg.gram_schmidt_frames``
-and a positivity check by ``numpy.linalg.eigvalsh`` that names the first
-failing point.  Per point the arithmetic is that of a one-point request, and
-the tests hold a batch to the bits of the per-point algebra it replaced.
-``metric_field_curvature`` and ``codazzi_defect`` are its one-point front
-ends, as ``fd.jet`` is of ``jet_batch``; ``curvature_from_jet`` takes metric
-jets that are already known, at one point or at K points (the exact Moebius
-requests pass theirs).  A Schouten field is one curvature batch per call, so
-the Codazzi defect over a point set is three metric-field calls however many
-points it has.
-
-Every function here that differences a field takes the step of its order-4
-stencils as a required argument; there is no library default.
+The finite-difference front ends (``metric_field_curvature(_batch)``,
+``codazzi_defect(_batch)``, ``conformal_scalar``) take the jets of a metric
+field from order-4 stencils (``fd``), with a required step; they are the
+oracle the exact routes are tested against.  Per point the arithmetic of a
+batch is that of a one-point request.
 """
 
 from __future__ import annotations
@@ -49,6 +41,7 @@ import numpy as np
 
 from .errors import DegenerateGeometryError, InputError
 from .fd import diff1_batch, jet, jet_batch
+from .jets import Jet, contract, inverse
 from .linalg import gram_schmidt_frames, require_symmetric
 
 
@@ -123,35 +116,57 @@ def _check_metrics(g: np.ndarray) -> np.ndarray:
     return g
 
 
+def _bracket(dg: np.ndarray) -> np.ndarray:
+    """d_i g_lj + d_j g_li - d_l g_ij as [..., l, i, j] from dg[..., a, i, j] = d_a g_ij."""
+    return np.einsum("...ilj->...lij", dg) + np.einsum("...jli->...lij", dg) - dg
+
+
 def christoffel_symbols(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
     """Gamma^k_ij = 1/2 g^{kl} (d_i g_lj + d_j g_li - d_l g_ij) as [..., k, i, j].
 
-    ginv is the inverse metric and dg[..., a, i, j] = d_a g_ij.  Leading axes
-    of either argument broadcast, so the same formula gives both terms of the
-    derivative d_a Gamma from (d_a g^{-1}, dg) and (g^{-1}, d_a dg).
+    ginv is the inverse metric and dg[..., a, i, j] = d_a g_ij.
     """
-    bracket = np.einsum("...ilj->...lij", dg) + np.einsum("...jli->...lij", dg) - dg
-    return 0.5 * np.einsum("...kl,...lij->...kij", ginv, bracket)
+    return 0.5 * np.einsum("...kl,...lij->...kij", ginv, _bracket(dg))
+
+
+def riemann_jet(g: Jet) -> tuple[Jet, Jet, Jet]:
+    """(g^-1, Gamma^k_ij, R^a_bcd) in chart coordinates from the metric's jet g at
+    K points, of order r >= 2: g^-1 and Gamma to order r - 1, R to order r - 2.
+
+    The jet of dg is g's levels shifted by one, so Gamma = 1/2 g^-1 (dg
+    permuted) is one product, and with d Gamma the Christoffel jet's levels
+    shifted by one
+
+        R^a_bcd = d_c Gamma^a_db - d_d Gamma^a_cb + Gamma^a_ce Gamma^e_db - Gamma^a_de Gamma^e_cb.
+
+    The first level of g^-1 is the one einsum -g^-1 dg g^-1 (the higher ones
+    come from ``jets.inverse``), which keeps level 0 of the result equal bit
+    for bit to the point-by-point algebra of the metric's 2-jet.
+    """
+    x0 = np.linalg.inv(g.value)
+    higher = inverse(Jet(g.levels[:-1])).levels[2:] if g.order > 2 else []
+    ginv = Jet([x0, -np.einsum("...kp,...apq,...ql->...akl", x0, g.levels[1], x0)] + higher)
+    gamma = 0.5 * contract("kl,lij->kij", ginv, Jet(g.levels[1:]).linear(_bracket))
+    dgamma = Jet(gamma.levels[1:])  # [..., c, a, d, b] = d_c Gamma^a_db
+    lower = Jet(gamma.levels[:-1])  # the products are needed to order r - 2 only
+    riem_up = (
+        dgamma.linear(
+            lambda x: np.einsum("...cadb->...abcd", x) - np.einsum("...dacb->...abcd", x)
+        )
+        + contract("ace,edb->abcd", lower, lower)
+        - contract("ade,ecb->abcd", lower, lower)
+    )
+    return ginv, gamma, riem_up
 
 
 def _riemann(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Gamma, R_abcd) in chart coordinates from the metric 2-jets at K points.
 
-    g (K, m, m), dg[k, a, i, j] = d_a g_ij, ddg[k, a, b, i, j] = d_a d_b g_ij.
+    g (K, m, m), dg[k, a, i, j] = d_a g_ij, ddg[k, a, b, i, j] = d_a d_b g_ij:
+    level 0 of ``riemann_jet``, lowered.
     """
-    ginv = np.linalg.inv(g)
-    gamma = christoffel_symbols(ginv, dg)
-    dginv = -np.einsum("...kp,...apq,...ql->...akl", ginv, dg, ginv)
-    dgamma = christoffel_symbols(dginv, dg[:, None]) + christoffel_symbols(ginv[:, None], ddg)
-
-    # R^a_{bcd} = d_c Gamma^a_db - d_d Gamma^a_cb + Gamma^a_ce Gamma^e_db - Gamma^a_de Gamma^e_cb
-    riem_up = (
-        np.einsum("...cadb->...abcd", dgamma)
-        - np.einsum("...dacb->...abcd", dgamma)
-        + np.einsum("...ace,...edb->...abcd", gamma, gamma)
-        - np.einsum("...ade,...ecb->...abcd", gamma, gamma)
-    )
-    return gamma, np.einsum("...ae,...ebcd->...abcd", g, riem_up)
+    _, gamma, riem_up = riemann_jet(Jet([g, dg, ddg]))
+    return gamma.value, np.einsum("...ae,...ebcd->...abcd", g, riem_up.value)
 
 
 def _on_frame(tensor: np.ndarray, frame: np.ndarray) -> np.ndarray:
@@ -218,11 +233,11 @@ def curvature_from_jet(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> Curvat
 def riemann_symmetry_residuals(bundle: CurvatureBundle) -> dict[str, float]:
     """Max-abs residuals of the pair symmetries and the first Bianchi sum.
 
-    The tensor is assembled as the exact Riemann algebra of the differenced
-    metric 2-jet, so these are all roundoff-level regardless of the step;
-    truncation displaces the jet (value errors) without breaking the
-    algebraic symmetries.  Antisymmetry in the last index pair is exact by
-    construction and not reported.
+    The tensor is assembled as the exact Riemann algebra of the metric 2-jet,
+    so these are all roundoff-level however the jet was obtained; the
+    truncation of a differenced jet displaces the jet (value errors) without
+    breaking the algebraic symmetries.  Antisymmetry in the last index pair
+    is exact by construction and not reported.
     """
     r = bundle.riemann
     return {
@@ -277,30 +292,6 @@ def schouten_tensor(
     return bundle.ricci - r / (2.0 * (n - 1)) * np.eye(n)
 
 
-def _schouten_coordinates(b: CurvatureBundle, convention: Convention) -> np.ndarray:
-    """S_ab in chart coordinates at the points of a K-point curvature bundle (K, m, m)."""
-    n = b.dim
-    r = convert_scalar(b.scalar, Convention.FULL_TRACE, convention, n)
-    inv_frame = np.linalg.inv(b.frame)
-    ric_coord = np.swapaxes(inv_frame, -1, -2) @ b.ricci @ inv_frame
-    return ric_coord - (r / (2.0 * (n - 1)))[:, None, None] * b.metric
-
-
-def schouten_coordinate_field(
-    metric_field, step: float, convention: Convention = Convention.FULL_TRACE
-):
-    """Vectorized field p -> S_ab in chart coordinates (for FD derivatives).
-
-    A call on K points is one curvature batch of the metric field.
-    """
-
-    def field(pts: np.ndarray) -> np.ndarray:
-        b = metric_field_curvature_batch(metric_field, pts, step)
-        return _schouten_coordinates(b, convention)
-
-    return field
-
-
 def covariant_derivative(s0: np.ndarray, ds: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """[..., a, b, c] = S_ab;c from S_ab (s0), d_c S_ab (ds[..., c, a, b]) and Gamma^k_ij."""
     return (
@@ -310,14 +301,16 @@ def covariant_derivative(s0: np.ndarray, ds: np.ndarray, gamma: np.ndarray) -> n
     )
 
 
-def _codazzi(s0: np.ndarray, ds: np.ndarray, batch: CurvatureBundle) -> np.ndarray:
-    """The Codazzi defects at a K-point bundle's points from S_ab and d_c S_ab ([k, c, a, b])."""
-    nabla_on = _on_frame(covariant_derivative(s0, ds, batch.christoffel), batch.frame)
+def _codazzi(s0: np.ndarray, ds: np.ndarray, gamma: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """The Codazzi defects at K points from S_ab, d_c S_ab ([k, c, a, b]), the
+    Christoffel symbols and the orthonormal frames."""
+    nabla_on = _on_frame(covariant_derivative(s0, ds, gamma), frame)
     return np.max(np.abs(nabla_on - np.einsum("...ijk->...ikj", nabla_on)), axis=(1, 2, 3))
 
 
 def codazzi_defect_batch(schouten_field, metric_field, pts: np.ndarray, step: float) -> np.ndarray:
-    """max_{a,b,c} |S_ab;c - S_ac;b| in the orthonormal frame at each point (K,).
+    """max_{a,b,c} |S_ab;c - S_ac;b| in the orthonormal frame at each point (K,),
+    by finite differences.
 
     The covariant derivative uses the Christoffel symbols of the metric
     field; the Schouten field must supply chart-coordinate components.  The
@@ -327,29 +320,33 @@ def codazzi_defect_batch(schouten_field, metric_field, pts: np.ndarray, step: fl
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     batch = metric_field_curvature_batch(metric_field, pts, step)
     s0 = np.asarray(schouten_field(pts))
-    return _codazzi(s0, diff1_batch(schouten_field, pts, step), batch)
+    ds = diff1_batch(schouten_field, pts, step)
+    return _codazzi(s0, ds, batch.christoffel, batch.frame)
 
 
-def schouten_codazzi_defects(metric_field, pts: np.ndarray, step: float, conventions) -> np.ndarray:
-    """Codazzi defects of the metric's own Schouten tensor, one row per normalization.
+def schouten_codazzi_defects(g: Jet, conventions=(Convention.FULL_TRACE,)) -> np.ndarray:
+    """Codazzi defects of the metric's own Schouten tensor, one row (K,) per normalization.
 
-    Row i is codazzi_defect_batch(schouten_coordinate_field(metric_field,
-    step, conventions[i]), metric_field, pts, step), value for value.  The
-    normalizations differ only in the scalar term of S, so the metric's
-    curvature is computed once at the points, and once on their
-    first-difference stencil by one field that stacks every normalization's S.
+    g is the metric's jet of order 3 at K points.  ``riemann_jet`` gives
+    Ricci R^a_bad and the scalar to order 1, so S = Ric - R / (2 (n-1)) g is
+    known to order 1 and its covariant derivative needs no differencing.
+    The normalizations differ only in the scalar term of S.
     """
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-
-    def schouten(b: CurvatureBundle) -> np.ndarray:  # (K, normalizations, m, m)
-        return np.stack([_schouten_coordinates(b, conv) for conv in conventions], axis=1)
-
-    def field(q: np.ndarray) -> np.ndarray:
-        return schouten(metric_field_curvature_batch(metric_field, q, step))
-
-    here = metric_field_curvature_batch(metric_field, pts, step)
-    s0, ds = schouten(here), diff1_batch(field, pts, step)  # ds[k, c, i] = d_c S of row i
-    return np.array([_codazzi(s0[:, i], ds[:, :, i], here) for i in range(len(conventions))])
+    g0 = _check_metrics(g.value)
+    n = g0.shape[-1]
+    g = Jet([g0] + g.levels[1:])
+    ginv, gamma, riem_up = riemann_jet(g)
+    ricci = riem_up.linear(lambda r: np.einsum("...abad->...bd", r))
+    scalar = contract("bd,bd->", ginv, ricci)
+    frame = gram_schmidt_frames(g0)
+    rows = []
+    for conv in conventions:
+        term = scalar.linear(
+            lambda r: convert_scalar(r, Convention.FULL_TRACE, conv, n) / (2.0 * (n - 1))
+        )
+        schouten = ricci - contract(",ab->ab", term, g)
+        rows.append(_codazzi(schouten.value, schouten.levels[1], gamma.value, frame))
+    return np.array(rows)
 
 
 def codazzi_defect(schouten_field, metric_field, p: np.ndarray, step: float) -> float:

@@ -8,9 +8,7 @@ without is refused.  Everything downstream is computed from one jet
 evaluation per point set: the fundamental forms and normals from the 2-jet,
 and the 2-jets of the fundamental forms (``fundamental_form_jets``, what a
 Moebius request reads) from the 4-jet, in the truncated Taylor arithmetic of
-``jets``.  The generators' jets are exact at any order; ``with_fd_jet`` gives
-a handle the FD 2-jet of its evaluator instead, which is the test oracle for
-the exact jets.
+``jets``.  The generators' jets are exact at any order.
 
 Normals are produced by the generalized cross product of the tangent
 vectors (plus the position vector for immersions into the unit sphere),
@@ -21,13 +19,12 @@ handle's base point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import ChartDomainError, DegenerateGeometryError, InputError
-from .fd import jet_batch
 from .jets import Jet, compose, contract, inverse, power_derivatives
 from .linalg import generalized_eigvals_descending
 
@@ -131,23 +128,6 @@ class ImmersionHandle:
 #
 # Each function takes the derivatives of f from the handle's jet: one jet
 # evaluation per point set, of order 2 (order 4 for the jets of the forms).
-
-
-def with_fd_jet(imm: ImmersionHandle, step: float) -> ImmersionHandle:
-    """imm differentiated by finite differences: its jet becomes one FD jet of
-    the handle with the given step (one evaluator call per request).
-
-    Its first partials equal ``fd.diff1_batch`` bit for bit.  The FD jet has
-    order 2; a request of a higher order is refused.  This is the test
-    oracle for the exact jets.
-    """
-
-    def jet(pts: np.ndarray, order: int = 2):
-        if order > 2:
-            raise InputError(f"a finite-difference jet has order 2, not {order}")
-        return jet_batch(imm, pts, step)[: order + 1]
-
-    return replace(imm, jet=jet)
 
 
 def jacobian_batch(imm: ImmersionHandle, pts: np.ndarray) -> np.ndarray:

@@ -356,6 +356,15 @@ def direct_scalar(fields: SurfaceFields, pts: np.ndarray):
     return float(scalars[0]) if pts.ndim == 1 else scalars
 
 
+def B_eigenvalues_and_scalars(fields: SurfaceFields, pts: np.ndarray):
+    """The eigenvalues of B at each point of pts (K, m), descending (K, m), and the
+    direct scalar (K,), from one request: B from its value, as in ``moebius_data``."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    request = _jets(fields, pts)
+    b = [_Pointwise.from_jets(request.point(k)).B for k in range(len(pts))]
+    return np.array([jacobi_eigh(x)[0][::-1] for x in b]), _direct(request)
+
+
 class MoebiusScalarResult(NamedTuple):
     direct: float | np.ndarray
     conformal_route: float | np.ndarray

@@ -710,52 +710,7 @@ def closure_test(
 
 
 # ---------------------------------------------------------------------------
-# round-trip curvature recovery and export
-
-
-def recomputed_curvature(traj: SpiralTrajectory) -> tuple[np.ndarray, np.ndarray]:
-    """Geodesic curvature recomputed from the stored curve by differencing.
-
-    plane:      kappa = x' y'' - x'' y'            (unit speed)
-    sphere:     kappa = det[gamma, gamma', gamma'']
-    half-plane: kappa = (x' y'' - x'' y') / y^2 + x' / y
-
-    Uses order-4 central differences on the sample grid (4 nodes clipped at
-    each end; an event-shortened final interval is dropped).  Returns
-    (s values, recomputed kappa) on the surviving interior nodes.
-    """
-    if traj.curve is None:
-        raise InputError("needs a reconstructed curve")
-    s, curve = traj.s, traj.curve
-    diffs = np.diff(s)
-    h = float(diffs[0])
-    bad = np.nonzero(np.abs(diffs - h) > 1e-9)[0]
-    if bad.size:  # event-terminated runs end with one shortened interval
-        stop = int(bad[0]) + 1
-        s, curve = s[:stop], curve[:stop]
-    if s.size < 9:
-        raise InputError("trajectory too short for the differencing stencil")
-
-    def d(arr):
-        out = (arr[:-4] - 8 * arr[1:-3] + 8 * arr[3:-1] - arr[4:]) / (12 * h)
-        return out
-
-    s_mid = s[4:-4]
-    if traj.model == SPHERE:
-        # each application of d() trims 2 samples from both ends
-        gam = curve[:, 0:3]
-        g2 = d(d(gam))
-        g1 = d(gam)[2:-2]
-        gmid = gam[4:-4]
-        return s_mid, np.einsum("ij,ij->i", np.cross(gmid, g1), g2)
-    x, y = curve[:, 0], curve[:, 1]
-    x1, y1 = d(x), d(y)
-    x2, y2 = d(d(x)), d(d(y))
-    x1, y1 = x1[2:-2], y1[2:-2]
-    if traj.model == PLANE:
-        return s_mid, x1 * y2 - x2 * y1
-    ymid = y[4:-4]
-    return s_mid, (x1 * y2 - x2 * y1) / ymid**2 + x1 / ymid
+# export
 
 
 def export_csv(traj: SpiralTrajectory, path=None) -> str:

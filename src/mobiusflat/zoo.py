@@ -125,14 +125,17 @@ def _trig(angle: np.ndarray, order: int):
 # H is a product of one-variable factors.  A family's closed form is two
 # tables of factors: the metric table (columns: the diagonal of I) and the
 # shape table (the diagonal of h, rho, H).  ``sample`` is their level 0, a
-# Moebius request their 2-jet, and ``first_form`` the metric table alone.
+# Moebius request their 2-jet, and ``first_form`` the metric table alone, at
+# any order.  The warped metric kappa^2 (ds^2 + I_{-eps}) is a metric table
+# of the same kind (``warped_metric_jet``).
 
 
 @dataclass(frozen=True)
 class ClosedFormFields(SurfaceFields):
-    """Closed-form fields; first_form(pts) -> I (K, m, m) reads the metric table alone."""
+    """Closed-form fields; first_form(pts) -> I (K, m, m) reads the metric table
+    alone, and first_form(pts, order) gives the ``Jet`` of I to that order."""
 
-    first_form: Callable[[np.ndarray], np.ndarray] | None = None
+    first_form: Callable[..., np.ndarray | Jet] | None = None
 
 
 def _diagonal(levels) -> tuple[np.ndarray, ...]:
@@ -140,8 +143,17 @@ def _diagonal(levels) -> tuple[np.ndarray, ...]:
     return tuple(d[..., None] * np.eye(d.shape[-1]) for d in levels)
 
 
+def _metric_jet(table, pts, order: int) -> Jet:
+    """The jet of the diagonal metric of the table(pts, order) at the points."""
+    return Jet(_diagonal(_product_jet(table(np.atleast_2d(np.asarray(pts, dtype=float)), order))))
+
+
 def _closed_form_fields(n: int, metric_table, shape_table, curvature: float) -> ClosedFormFields:
     """The fields of the tables metric_table(pts, order) and shape_table(pts, order)."""
+
+    def first_form(pts, order: int | None = None):
+        jet = _metric_jet(metric_table, pts, order or 0)
+        return jet.value if order is None else jet
 
     def forms(pts, order: int):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -155,7 +167,7 @@ def _closed_form_fields(n: int, metric_table, shape_table, curvature: float) -> 
         sample=lambda pts: tuple(q[0] for q in forms(pts, 0)),
         ambient_curvature=curvature,
         jets=lambda pts: moebius_jets(*(Jet(q) for q in forms(pts, 2))),
-        first_form=lambda pts: _diagonal(_product_jet(metric_table(np.atleast_2d(pts), 0)))[0],
+        first_form=first_form,
     )
 
 
@@ -169,6 +181,30 @@ def _kappa_factor(traj: SpiralTrajectory, s: np.ndarray, n: int, order: int):
     kappa, kappa / n)."""
     kap = list(traj._read(s, slice(0, 1), order)[..., 0])
     return _factor([kap] + [0.0] * (n - 1) + [kap, [x / n for x in kap]], s.size, order)
+
+
+def warped_metric_jet(traj: SpiralTrajectory, pts: np.ndarray, order: int) -> Jet:
+    """The jet of kappa(s)^2 (ds^2 + I_{-eps}) at the points (K, n), s the first coordinate.
+
+    kappa and its s-derivatives come from the step polynomials.  The
+    cross-section charts: the flat identity (eps = 0), half-space
+    coordinates with metric Id / t^2, t the second coordinate (eps = +1),
+    and the unit sphere's spherical angles (eps = -1).
+    """
+
+    def table(pts, order):
+        k, n = pts.shape
+        kappa = _s_jet(traj._read(pts[:, 0], slice(0, 1), order)[..., 0])
+        s = _factor([contract(",->", kappa, kappa).levels] * n, k, order)
+        if traj.params.epsilon == -1:
+            return [s] + [_padded(f, before=1) for f in _sphere_metric_factors(pts[:, 1:], order)]
+        ones = _factor([1.0] * n, k, order)
+        if traj.params.epsilon == 1:
+            inv_t2 = power_derivatives(pts[:, 1], -2.0, order)
+            return [s, _factor([1.0] + [inv_t2] * (n - 1), k, order)] + [ones] * (n - 2)
+        return [s] + [ones] * (n - 1)
+
+    return _metric_jet(table, pts, order)
 
 
 def _sphere_metric_factors(angles: np.ndarray, order: int) -> list[tuple[np.ndarray, ...]]:
@@ -236,17 +272,7 @@ def sphere_chart_jet(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
 
 def sphere_chart_metric(angles: np.ndarray) -> np.ndarray:
     """Round metric of S^d in spherical coordinates: diag(1, sin^2, ...)."""
-    angles = np.atleast_2d(angles)
-    k, d = angles.shape
-    diag = np.ones((k, d))
-    sin_prod = np.ones(k)
-    for i in range(1, d):
-        sin_prod = sin_prod * np.sin(angles[:, i - 1]) ** 2
-        diag[:, i] = sin_prod
-    out = np.zeros((k, d, d))
-    idx = np.arange(d)
-    out[:, idx, idx] = diag
-    return out
+    return _diagonal(_product_jet(_sphere_metric_factors(np.atleast_2d(angles), 0)))[0]
 
 
 def _angle_domain(d: int) -> list[tuple[float, float]]:

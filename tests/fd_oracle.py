@@ -1,14 +1,23 @@
-"""The separate second-difference stencil that ``fd.jet_batch`` replaced.
+"""Finite-difference oracles for the exact routes.
 
-Kept as the test oracle: one field call on the pure and mixed second-
+``diff2_batch`` is the separate second-difference stencil that
+``fd.jet_batch`` replaced: one field call on the pure and mixed second-
 difference stencils of each point, summed block by block.  ``jet_batch``
 builds the same points in the same order, so its second partials must equal
 these bit for bit.
+
+``with_fd_jet`` gives a handle the FD 2-jet of its evaluator in place of its
+exact jet, and ``recomputed_curvature`` differences a stored spiral curve on
+its sample grid.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
-from mobiusflat.fd import _D1_OFFS, _D1_WTS, _D2_OFFS, _D2_WTS, _eval
+from mobiusflat.errors import InputError
+from mobiusflat.fd import _D1_OFFS, _D1_WTS, _D2_OFFS, _D2_WTS, _eval, jet_batch
+from mobiusflat.spiral import PLANE, SPHERE
 
 
 def diff2_batch(field, points: np.ndarray, step: float) -> np.ndarray:
@@ -61,3 +70,63 @@ def frame_components(tensor: np.ndarray, frame: np.ndarray) -> np.ndarray:
     if tensor.ndim == 4:
         return np.einsum("abcd,ai,bj,ck,dl->ijkl", tensor, frame, frame, frame, frame)
     return np.einsum("abc,ai,bj,ck->ijk", tensor, frame, frame, frame)
+
+
+def with_fd_jet(imm, step):
+    """imm differentiated by finite differences: its jet becomes one FD jet of
+    the handle with the given step (one evaluator call per request).
+
+    Its first partials equal ``fd.diff1_batch`` bit for bit.  The FD jet has
+    order 2; a request of a higher order is refused.
+    """
+
+    def jet(pts, order=2):
+        if order > 2:
+            raise InputError(f"a finite-difference jet has order 2, not {order}")
+        return jet_batch(imm, pts, step)[: order + 1]
+
+    return replace(imm, jet=jet)
+
+
+def recomputed_curvature(traj):
+    """Geodesic curvature recomputed from the stored curve by differencing.
+
+    plane:      kappa = x' y'' - x'' y'            (unit speed)
+    sphere:     kappa = det[gamma, gamma', gamma'']
+    half-plane: kappa = (x' y'' - x'' y') / y^2 + x' / y
+
+    Uses order-4 central differences on the sample grid (4 nodes clipped at
+    each end; an event-shortened final interval is dropped).  Returns
+    (s values, recomputed kappa) on the surviving interior nodes.
+    """
+    if traj.curve is None:
+        raise InputError("needs a reconstructed curve")
+    s, curve = traj.s, traj.curve
+    diffs = np.diff(s)
+    h = float(diffs[0])
+    bad = np.nonzero(np.abs(diffs - h) > 1e-9)[0]
+    if bad.size:  # event-terminated runs end with one shortened interval
+        stop = int(bad[0]) + 1
+        s, curve = s[:stop], curve[:stop]
+    if s.size < 9:
+        raise InputError("trajectory too short for the differencing stencil")
+
+    def d(arr):
+        return (arr[:-4] - 8 * arr[1:-3] + 8 * arr[3:-1] - arr[4:]) / (12 * h)
+
+    s_mid = s[4:-4]
+    if traj.model == SPHERE:
+        # each application of d() trims 2 samples from both ends
+        gam = curve[:, 0:3]
+        g2 = d(d(gam))
+        g1 = d(gam)[2:-2]
+        gmid = gam[4:-4]
+        return s_mid, np.einsum("ij,ij->i", np.cross(gmid, g1), g2)
+    x, y = curve[:, 0], curve[:, 1]
+    x1, y1 = d(x), d(y)
+    x2, y2 = d(d(x)), d(d(y))
+    x1, y1 = x1[2:-2], y1[2:-2]
+    if traj.model == PLANE:
+        return s_mid, x1 * y2 - x2 * y1
+    ymid = y[4:-4]
+    return s_mid, (x1 * y2 - x2 * y1) / ymid**2 + x1 / ymid

@@ -18,9 +18,10 @@ from mobiusflat.spiral import (
     equilibrium_kappa,
     integrate_spiral,
     reconstruct_curve,
-    recomputed_curvature,
     SpiralState,
 )
+
+from fd_oracle import recomputed_curvature
 
 
 @pytest.fixture(scope="module")

@@ -67,7 +67,7 @@ class TestConfigErrors:
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
     def test_unknown_key_exit_two(self, tmp_path, capsys):
-        for text in ("zzz = 7\n", "spiral_variant = alternate\n"):
+        for text in ("zzz = 7\n", "spiral_variant = alternate\n", "curvature_step = 0.01\n"):
             cfg = write_cfg(tmp_path, text)
             assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
             assert "unknown key" in capsys.readouterr().err

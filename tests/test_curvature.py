@@ -14,14 +14,20 @@ from mobiusflat.curvature import (
     metric_field_curvature_batch,
     riemann_symmetry_residuals,
     schouten_codazzi_defects,
-    schouten_coordinate_field,
     schouten_tensor,
 )
 from mobiusflat.errors import DegenerateGeometryError, InputError
 from mobiusflat.fd import diff1, jet
 from mobiusflat.moebius import fields_from_immersion
-from mobiusflat.spiral import IntegratorControls, SpiralParams, SpiralState, integrate_spiral
-from mobiusflat.zoo import sphere_chart_metric
+from mobiusflat.spiral import (
+    IntegratorControls,
+    SpiralParams,
+    equilibrium_kappa,
+    kappa_accel,
+    prescribed_curvature_trajectory,
+    sine_curvature,
+)
+from mobiusflat.zoo import sphere_chart_metric, warped_metric_jet
 
 import curvature_oracle
 import fd_oracle
@@ -289,7 +295,7 @@ class TestCodazzi:
 
         field = conformal_field(4, u)
         step = 0.02
-        sfield = schouten_coordinate_field(field, step, Convention.FULL_TRACE)
+        sfield = curvature_oracle.schouten_coordinate_field(field, step, Convention.FULL_TRACE)
         d = codazzi_defect(sfield, field, np.array([0.4, -0.2, 0.7, 0.1]), step)
         assert d < 2e-6
 
@@ -301,7 +307,7 @@ class TestCodazzi:
             return out
 
         step = 0.02
-        sfield = schouten_coordinate_field(field, step, Convention.FULL_TRACE)
+        sfield = curvature_oracle.schouten_coordinate_field(field, step, Convention.FULL_TRACE)
         d = codazzi_defect(sfield, field, np.array([0.4, -0.2, 0.7, 0.1]), step)
         assert d > 1e-2
 
@@ -339,7 +345,9 @@ class TestFrameRotationOracle:
 
     def test_riemann_and_codazzi_on_sheared_metric(self):
         step = 0.02
-        sfield = schouten_coordinate_field(sheared_field, step, Convention.FULL_TRACE)
+        sfield = curvature_oracle.schouten_coordinate_field(
+            sheared_field, step, Convention.FULL_TRACE
+        )
         for p in (np.array([0.4, -0.2, 0.7, 0.1]), np.array([-0.9, 0.3, 0.0, 1.2])):
             bundle = metric_field_curvature(sheared_field, p, step)
             assert np.max(np.abs(bundle.frame - bundle.frame.T)) > 0.1
@@ -406,13 +414,10 @@ class TestBatchOracle:
     def test_codazzi_control_field(self):
         pts = np.array([[0.4, 0.4, 0.4, 0.4], [0.9, -0.3, 0.2, 0.0], [-0.5, 1.1, 0.3, 0.7]])
         self.assert_matches_oracle(control_field, pts)
-        sfield = schouten_coordinate_field(control_field, BATCH_STEP)
-        oracle_sfield = curvature_oracle.schouten_coordinate_field(control_field, BATCH_STEP)
-        assert np.array_equal(sfield(pts), oracle_sfield(pts))
+        sfield = curvature_oracle.schouten_coordinate_field(control_field, BATCH_STEP)
         defects = codazzi_defect_batch(sfield, control_field, pts, BATCH_STEP)
         expected = [
-            curvature_oracle.codazzi_defect(oracle_sfield, control_field, p, BATCH_STEP)
-            for p in pts
+            curvature_oracle.codazzi_defect(sfield, control_field, p, BATCH_STEP) for p in pts
         ]
         assert np.array_equal(defects, expected)
         assert codazzi_defect(sfield, control_field, pts[1], BATCH_STEP) == expected[1]
@@ -466,49 +471,120 @@ class TestBatchErrors:
 
 
 class TestRequestCounts:
-    def test_warped_scalars_one_field_call(self, monkeypatch):
-        original, made = checks.warped_metric_field, []
-
-        def counting_warped_field(traj, n):
-            field, calls = counted(original(traj, n))
-            made.append(calls)
-            return field
-
-        monkeypatch.setattr(checks, "warped_metric_field", counting_warped_field)
-        traj = integrate_spiral(
-            SpiralParams(4, -1, 0.75), SpiralState(1.25, 0.05), IntegratorControls(s_max=4.0)
-        )
-        svals = np.linspace(0.3, 3.7, 20)
-        vals = checks._warped_scalars(traj, 4, svals, BATCH_STEP)
-        assert len(made) == 1 and len(made[0]) == 1
-        assert made[0][0] == 20 * 116  # the 116-point second-difference stencil per point
-        field = original(traj, 4)
-        oracle = [
-            curvature_oracle.metric_field_curvature(
-                field, checks.warped_base_point(4, -1, s0), BATCH_STEP
-            ).scalar
-            for s0 in svals
-        ]
-        assert np.array_equal(vals, oracle)
-
     def test_codazzi_calls_do_not_grow_with_points(self):
+        # one curvature batch of the metric, and the Schouten field at the
+        # points and on their stencil, however many points
         counts = []
         for k in (1, 3):
-            metric, calls = counted(control_field)
-            sfield = schouten_coordinate_field(metric, BATCH_STEP)
+            metric, metric_calls = counted(control_field)
+            sfield, schouten_calls = counted(control_field)  # any symmetric field
             pts = np.tile(np.full(4, 0.4), (k, 1)) + 0.1 * np.arange(k)[:, None]
             codazzi_defect_batch(sfield, metric, pts, BATCH_STEP)
-            counts.append(len(calls))
-        assert counts[0] == counts[1] == 3
+            counts.append((len(metric_calls), len(schouten_calls)))
+        assert counts[0] == counts[1] == (1, 2)
 
-    def test_schouten_defects_share_one_curvature_per_point_set(self):
-        # the convention audit of schouten_codazzi: three normalizations from
-        # two metric-field calls, each defect equal to its own Codazzi request
-        conventions = list(Convention)
+
+def closed_form_metric(imm):
+    """The closed forms' metric table as a field, for the finite-difference oracle."""
+    return lambda pts: imm.analytic_fields.first_form(np.atleast_2d(pts))
+
+
+class TestExactCodazzi:
+    """Codazzi defects from the metric's exact 3-jet, against the nested stencils."""
+
+    @pytest.mark.parametrize("surface", ["cylinder", "cone", "rotational", "control"])
+    def test_agrees_with_fd_oracle_within_its_error(self, surface, request):
+        if surface == "control":
+            pts = np.array([[0.4, 0.4, 0.4, 0.4], [0.9, -0.3, 0.2, 0.0]])
+            metric, jet3 = control_field, checks.codazzi_control_jet(pts, 3)
+        else:
+            imm = request.getfixturevalue(surface)
+            pts = interior_points(imm, 2, seed=4, pad=0.2)
+            metric, jet3 = closed_form_metric(imm), imm.analytic_fields.first_form(pts, 3)
+        exact = schouten_codazzi_defects(jet3)[0]
+        errors = []
+        for step in (0.04, 0.02):
+            sfield = curvature_oracle.schouten_coordinate_field(metric, step)
+            fd = [curvature_oracle.codazzi_defect(sfield, metric, p, step) for p in pts]
+            errors.append(np.max(np.abs(np.array(fd) - exact)))
+        if surface in ("cylinder", "cone"):
+            # flat metrics, polynomial in the chart (Id and diag(t^2, 1, ...)): the
+            # order-4 stencils are exact on them, so the oracle's error is round-off
+            assert np.max(exact) <= 1e-14 and max(errors) <= 1e-10
+        else:
+            assert errors[0] <= 1e-5 * max(1.0, np.max(exact))
+            assert errors[1] * 10 <= errors[0]
+
+    def test_conformally_flat_defects_at_round_off(self, cone, rotational):
+        for imm in (cone, rotational):
+            pts = interior_points(imm, 3, seed=6, pad=0.2)
+            assert np.max(schouten_codazzi_defects(imm.analytic_fields.first_form(pts, 3))) < 1e-13
+
+    def test_conventions_differ_only_in_the_scalar_term(self, rotational):
+        pts = interior_points(rotational, 2, seed=8, pad=0.2)
+        jet3 = rotational.analytic_fields.first_form(pts, 3)
+        rows = schouten_codazzi_defects(jet3, list(Convention))
+        assert rows.shape == (3, 2)
+        full = list(Convention).index(Convention.FULL_TRACE)
+        assert np.array_equal(rows[full], schouten_codazzi_defects(jet3)[0])
+        # the rotational metric's scalar varies, so only the full trace is Codazzi
+        assert np.max(rows[full]) < 1e-13 and np.min(np.delete(rows, full, axis=0)) > 1e-5
+
+    def test_control_jet_value_is_the_control_field(self):
         pts = np.array([[0.4, 0.4, 0.4, 0.4], [0.9, -0.3, 0.2, 0.0]])
-        metric, calls = counted(control_field)
-        defects = schouten_codazzi_defects(metric, pts, BATCH_STEP, conventions)
-        assert calls == [2 * 116, 2 * 16 * 116]  # the points' jets, then their stencil's
-        for conv, row in zip(conventions, defects):
-            sfield = schouten_coordinate_field(control_field, BATCH_STEP, conv)
-            assert np.array_equal(row, codazzi_defect_batch(sfield, control_field, pts, BATCH_STEP))
+        assert np.array_equal(checks.codazzi_control_jet(pts, 0).value, control_field(pts))
+
+    def test_order_one_jet_starts_with_the_batch(self, rotational):
+        pts = interior_points(rotational, 3, seed=2, pad=0.2)
+        g = rotational.analytic_fields.first_form(pts, 3)
+        _, gamma, riem_up = curvature.riemann_jet(g)
+        assert (gamma.order, riem_up.order) == (2, 1)
+        batch = curvature_batch(*g.levels[:3])
+        assert np.array_equal(gamma.value, batch.christoffel)
+        lowered = np.einsum("...ae,...ebcd->...abcd", g.value, riem_up.value)
+        assert np.array_equal(curvature._on_frame(lowered, batch.frame), batch.riemann)
+
+
+class TestExactWarpedScalar:
+    """The warped metric kappa^2 (ds^2 + I_{-eps}) from its exact 2-jet."""
+
+    @staticmethod
+    def assert_is_reference(traj, n, svals, k, ks, kss):
+        expected = checks.warped_scalar_reference(n, traj.params.epsilon, k, ks, kss)
+        got = checks._warped_scalars(traj, n, svals)
+        assert np.all(np.abs(got - expected) <= 1e-12 * np.abs(expected))
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    @pytest.mark.parametrize("eps", [0, 1, -1])
+    def test_spirals(self, n, eps):
+        big_r = checks.WARPED_AUDIT_R[eps][1]
+        _, k0, ks0, s_max = checks.FAMILY_PRESETS[eps]
+        kstar = equilibrium_kappa(SpiralParams(n, eps, big_r))
+        if kstar is not None:
+            k0, ks0 = 1.05 * kstar, 0.0
+        traj = checks.spiral_trajectory(n, eps, big_r, k0, ks0, s_max, curve=False)
+        svals = np.linspace(traj.s[0] + 0.2, traj.s[-1] - 0.2, 7)
+        k, ks = traj.kappa_at(svals), traj.kappa_s_at(svals)
+        # kappa'' from the spiral equation, not from the step polynomials
+        self.assert_is_reference(traj, n, svals, k, ks, kappa_accel(traj.params, k, ks))
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    @pytest.mark.parametrize("eps", [0, 1, -1])
+    def test_sine_control(self, n, eps):
+        traj = prescribed_curvature_trajectory(
+            n, eps, sine_curvature(1.15, 0.3), IntegratorControls(s_max=4.5, step=1e-3)
+        )
+        svals = np.linspace(0.3, 4.2, 7)
+        k, ks, kss = 1.15 + 0.3 * np.sin(svals), 0.3 * np.cos(svals), -0.3 * np.sin(svals)
+        self.assert_is_reference(traj, n, svals, k, ks, kss)
+
+    @pytest.mark.parametrize("eps", [0, 1, -1])
+    def test_jet_value_is_the_warped_field(self, eps):
+        traj = prescribed_curvature_trajectory(
+            4, eps, sine_curvature(1.15, 0.3), IntegratorControls(s_max=4.5, step=1e-3)
+        )
+        pts = np.array([warped_point(4, s0, {0: 0.3, 1: 1.2}.get(eps)) for s0 in (0.4, 2.2)])
+        expected = warped_field(4, eps, traj.kappa_at)(pts)
+        assert np.max(np.abs(warped_metric_jet(traj, pts, 0).value - expected)) <= 1e-15 * np.max(
+            np.abs(expected)
+        )

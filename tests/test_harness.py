@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -11,9 +12,9 @@ import pytest
 from mobiusflat import cli, fd
 from mobiusflat.checks import (
     CHECK_FUNCTIONS,
+    FD_CONVERGENCE_STEPS,
     rigidity_scan,
     run_suite,
-    suite_steps,
     suite_surfaces,
 )
 from mobiusflat.config import CHECK_NAMES, RunConfig, parse_config
@@ -37,13 +38,15 @@ class TestConfig:
 
     def test_unknown_key(self):
         # conventions, tol_first_integral and tol_roundtrip were never read;
-        # the spiral equation has one set of coefficients, so no spiral_variant
+        # the spiral equation has one set of coefficients, so no spiral_variant;
+        # every curvature but fd_convergence's is exact, so no curvature_step
         for text in (
             "frobnicate = 1\n",
             "conventions = half,full,normalized\n",
             "tol_first_integral = 1e-9\n",
             "tol_roundtrip = 1e-6\n",
             "spiral_variant = alternate\n",
+            "curvature_step = 0.01\n",
         ):
             with pytest.raises(ConfigError, match="unknown key"):
                 parse_config(text)
@@ -382,32 +385,82 @@ class TestRigidity:
 
 
 class TestStepTable:
-    """Every finite-difference step of verify is an entry of the one table; invariants takes none."""
+    """verify requests the two steps of fd_convergence, its one finite-difference
+    audit, and nothing else; invariants takes none."""
 
     def test_requested_steps_are_the_table(self, monkeypatch, tmp_path):
-        requested = set()
+        requested = []
         namespaces = [m for name, m in sys.modules.items() if name.split(".")[0] == "mobiusflat"]
         for name in ("jet_batch", "diff1_batch"):
             original = getattr(fd, name)
 
             def wrapped(field, points, step, _original=original):
-                requested.add(step)
+                requested.append(step)
                 return _original(field, points, step)
 
             for module in namespaces:
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, wrapped)
 
-        # a curvature step at which no two entries of the table coincide
-        cfg = RunConfig(curvature_step=0.008, samples=4).validate()
-        table = suite_steps(cfg)
-        assert len(set(table.values())) == len(table)
+        cfg = RunConfig(samples=4).validate()
         run_suite(cfg)
-        assert requested <= set(table.values())
-        assert {name for name, step in table.items() if step in requested} == set(table)
+        assert sorted(requested) == sorted(FD_CONVERGENCE_STEPS)
+        requested.clear()
+        others = ",".join(name for name in CHECK_NAMES if name != "fd_convergence")
+        run_suite(dataclasses.replace(cfg, checks=others))
+        assert requested == []
         for family in ("rotational", "torus"):
-            requested.clear()
             run_cfg = dataclasses.replace(cfg, family=family)
             assert cli.cmd_invariants(run_cfg, str(tmp_path), "full") == 0
             # invariants reads the fields of an immersion: exact jets, no stencil
-            assert requested == set()
+            assert requested == []
+
+
+class TestFiniteDifferenceScope:
+    """Finite differences stay behind the curvature layer's oracle functions, and
+    the checks call them from fd_convergence alone."""
+
+    SRC = Path(__file__).resolve().parent.parent / "src" / "mobiusflat"
+    FD_CURVATURE = {
+        "metric_field_curvature",
+        "metric_field_curvature_batch",
+        "codazzi_defect",
+        "codazzi_defect_batch",
+        "conformal_scalar",
+    }
+
+    @staticmethod
+    def imports_fd(tree) -> bool:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = {node.module.split(".")[-1]} if node.module else set()
+            elif isinstance(node, ast.Import):
+                names = set()
+            else:
+                continue
+            names |= {a.name.split(".")[-1] for a in node.names}
+            if "fd" in names:
+                return True
+        return False
+
+    def test_only_curvature_imports_fd(self):
+        importers = {
+            path.stem
+            for path in self.SRC.glob("*.py")
+            if self.imports_fd(ast.parse(path.read_text()))
+        }
+        assert importers == {"curvature"}
+
+    def test_checks_difference_only_in_fd_convergence(self):
+        fd_names = self.FD_CURVATURE | {
+            name for name, fn in vars(fd).items() if callable(fn) and fn.__module__ == fd.__name__
+        }
+        callers = set()
+        for top in ast.parse((self.SRC / "checks.py").read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name in fd_names:
+                        callers.add(top.name)
+        assert callers == {"check_fd_convergence"}

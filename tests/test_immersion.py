@@ -18,12 +18,12 @@ from mobiusflat.immersion import (
     second_fundamental_form_batch,
     unit_normal,
     unit_normal_batch,
-    with_fd_jet,
 )
 from mobiusflat.moebius import moebius_B
 from mobiusflat.zoo import inverse_stereographic, sphere_chart
 
 import fd_oracle
+from fd_oracle import with_fd_jet
 from conftest import FD_STEP as STEP
 from conftest import fd_handle as handle
 from conftest import N_DIM, interior_points

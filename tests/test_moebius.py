@@ -14,7 +14,6 @@ from mobiusflat.immersion import (
     ImmersionHandle,
     first_fundamental_form_batch,
     second_fundamental_form_batch,
-    with_fd_jet,
 )
 from mobiusflat.moebius import (
     SurfaceFields,
@@ -42,6 +41,7 @@ from mobiusflat.zoo import (
 )
 
 import moebius_oracle
+from fd_oracle import with_fd_jet
 from conftest import FD_STEP, N_DIM, interior_points, make_trajectory
 
 FINE = 0.005  # the outer step of the stencil oracle

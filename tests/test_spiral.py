@@ -4,6 +4,7 @@ import numpy as np
 import numpy_stepper
 import pytest
 import rk4_oracle
+from fd_oracle import recomputed_curvature
 
 from mobiusflat import spiral
 from mobiusflat.errors import ChartDomainError, InputError
@@ -21,7 +22,6 @@ from mobiusflat.spiral import (
     kappa_accel,
     prescribed_curvature_trajectory,
     reconstruct_curve,
-    recomputed_curvature,
     sine_curvature,
 )
 

@@ -14,7 +14,6 @@ from mobiusflat.immersion import (
     second_fundamental_form_batch,
     unit_normal,
     unit_normal_batch,
-    with_fd_jet,
 )
 from mobiusflat.spiral import SpiralTrajectory
 from mobiusflat.zoo import (
@@ -31,6 +30,7 @@ from mobiusflat.zoo import (
 )
 
 import moebius_oracle
+from fd_oracle import with_fd_jet
 from conftest import FD_STEP as STEP
 from conftest import N_DIM, fd_handle, interior_points
 
