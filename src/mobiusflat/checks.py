@@ -46,7 +46,7 @@ from .config import RunConfig
 from .curvature import (
     Convention,
     convert_scalar,
-    curvature_from_jet,
+    curvature_batch,
     metric_field_curvature,
     schouten_codazzi_defects,
 )
@@ -198,11 +198,15 @@ def warped_base_point(n, eps, s0):
     return p
 
 
-def _warped_scalars(traj: SpiralTrajectory, n: int, svals) -> np.ndarray:
-    """Full-trace scalars of the warped metric over traj at the profile parameters
-    svals, from one exact 2-jet of the metric."""
+def _warped_jet(traj: SpiralTrajectory, n: int, svals) -> Jet:
+    """The exact 2-jet of the warped metric over traj at the profile parameters svals."""
     pts = np.array([warped_base_point(n, traj.params.epsilon, s0) for s0 in svals])
-    return curvature_from_jet(*warped_metric_jet(traj, pts, 2).levels).scalar
+    return warped_metric_jet(traj, pts, 2)
+
+
+def _warped_scalars(traj: SpiralTrajectory, n: int, svals) -> np.ndarray:
+    """Full-trace scalars of the warped metric over traj at svals: one request of its 2-jet."""
+    return curvature_batch(*_warped_jet(traj, n, svals).levels).scalar
 
 
 def codazzi_control_jet(pts: np.ndarray, order: int) -> Jet:
@@ -359,10 +363,10 @@ def check_trace_identities(cfg: RunConfig, surfaces, rng, res: Residuals) -> dic
     n = cfg.n
     for surf in surfaces:
         pts = sample_points(surf.imm, cfg.samples, rng, cfg.jitter)
-        g, h, rho, mean = surf.fields.sample(pts)
-        for i in range(pts.shape[0]):
-            b = moebius_B(g[i], h[i], rho[i], mean[i])
-            res.add(abs(float(np.trace(b))), abs(float(np.sum(b * b)) - (n - 1) / n))
+        b = moebius_B(*surf.fields.sample(pts))
+        traces = np.abs(np.trace(b, axis1=1, axis2=2))
+        norms = np.abs(np.sum(b * b, axis=(1, 2)) - (n - 1) / n)
+        res.add(*traces.tolist(), *norms.tolist(), samples=pts.shape[0])
     return {}
 
 
@@ -565,8 +569,9 @@ def check_warped_metric_scalar(cfg: RunConfig, surfaces, rng, res: Residuals) ->
     # affine with slope 2(n-1) in the full trace, and the rows record how
     # far each normalization sits from slope one.
     audit_rows = []
+    # the trajectories are integrated one by one; their metrics' jets are one request
+    jets = []
     for eps in (0, 1, -1):
-        computed = {name: [] for name in CONVENTION_BY_NAME}
         for big_r in WARPED_AUDIT_R[eps]:
             _, k0, ks0, s_max = FAMILY_PRESETS[eps]
             kstar = equilibrium_kappa(SpiralParams(n, eps, big_r))
@@ -575,10 +580,15 @@ def check_warped_metric_scalar(cfg: RunConfig, surfaces, rng, res: Residuals) ->
                 k0, ks0 = 1.05 * kstar, 0.0
             traj = spiral_trajectory(n, eps, big_r, k0, ks0, s_max, cfg.step, curve=False)
             lo, hi = float(traj.s[0]) + 0.2, float(traj.s[-1]) - 0.2
-            svals = np.linspace(lo, hi, max(20, cfg.samples))
-            vals = _warped_scalars(traj, n, svals)
+            jets.append(_warped_jet(traj, n, np.linspace(lo, hi, max(20, cfg.samples))))
+    stacked = (np.concatenate(levels) for levels in zip(*(j.levels for j in jets)))
+    scalars = iter(np.split(curvature_batch(*stacked).scalar, len(jets)))
+    for eps in (0, 1, -1):
+        computed = {name: [] for name in CONVENTION_BY_NAME}
+        for big_r in WARPED_AUDIT_R[eps]:
+            vals = next(scalars)
             spreads[f"eps={eps},R={big_r}"] = _spread(vals)
-            res.add(spreads[f"eps={eps},R={big_r}"], samples=svals.size)
+            res.add(spreads[f"eps={eps},R={big_r}"], samples=vals.size)
             # the conversion is exact (dimension n, the base point's size)
             for name, mean in _mean_by_convention(vals[:3], n).items():
                 computed[name].append(mean)

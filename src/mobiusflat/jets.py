@@ -14,10 +14,10 @@ Taylor series (Griewank and Walther, Evaluating Derivatives, 2nd ed., ch. 13):
 * the inverse of a matrix, by the Neumann series in the same part
   (``inverse``).
 
-Every operation acts point by point on C-ordered levels, so a jet at K
-points equals K one-point jets bit for bit (einsum's loops follow the memory
-layout of their operands, and one layout keeps a point's arithmetic
-independent of the set it is in).
+Every operation acts point by point and ``contract`` leaves its levels
+C-ordered, so a jet at K points equals K one-point jets bit for bit (einsum's
+loops follow the memory layout of their operands, and one layout keeps a
+point's arithmetic independent of the set it is in).
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ def contract(spec: str, x: Jet, y: Jet) -> Jet:
 
     Level k is the sum over subsets S of the k derivative axes of x's
     |S|-th partials on S times y's partials on the rest; the terms of one
-    |S| are transposes of one einsum.  Every level is C-ordered.
+    |S| are transposes of one einsum; each summed level is made C-ordered.
     """
     levels = []
     for k in range(min(x.order, y.order) + 1):
@@ -119,7 +119,7 @@ def contract(spec: str, x: Jet, y: Jet) -> Jet:
             if a is None or b is None:
                 continue
             einsum, perms = _leibniz_terms(spec, k, j)
-            t = np.einsum(einsum, a, b, order="C")
+            t = np.einsum(einsum, a, b)
             for perm in perms:
                 term = t if perm is None else t.transpose(perm)
                 acc = term if acc is None else acc + term

@@ -21,11 +21,11 @@ ambient-curvature constant (0 for immersions into Euclidean space, +1 for
 immersions into the unit sphere); the constant enters A's isotropic term.
 
 A field set answers ``sample``, one request for (I, h, rho, H) at a point
-set, and ``jets``, one Moebius request at a point set: the exact 2-jets
-(value, gradient and Hessian) of I, h, rho^2 I, rho (h - H I), rho, log rho
-and H, which every invariant reads; the pointwise record is the jets'
-value.  Both routes pack the 2-jets of (I, h, rho, H) the same way
-(``moebius_jets``, in the truncated Taylor arithmetic of ``jets``):
+set, and ``jets``, one Moebius request at a point set: the exact 2-jets, as
+``jets.Jet``s over the set's K points, of I, h, rho^2 I, rho (h - H I),
+rho, log rho and H, which every invariant reads.  Both routes pack the
+2-jets of (I, h, rho, H) the same way (``moebius_jets``, in the truncated
+Taylor arithmetic of ``jets``):
 
 * fields from an immersion (``fields_from_immersion``) take I and h from
   one order-4 jet of the immersion at the point set, and rho and H from
@@ -33,11 +33,18 @@ value.  Both routes pack the 2-jets of (I, h, rho, H) the same way
 * the generators' closed forms (``zoo``) give all four as exact products of
   one-variable factors.
 
-No request takes a step, and fields without ``jets`` are refused.  The
-one-point functions (``moebius_data``, ``moebius_scalar``,
-``moebius_form``, ``blaschke_A``) are the point-set requests at one point,
-and ``direct_scalar``, ``moebius_scalars`` and ``moebius_data_batch`` take a
-point set; a request at K points equals K one-point requests bit for bit.
+No request takes a step, and fields without ``jets`` are refused.  B, C, A
+and the divergence residual are each one expression over the K points:
+one ``gram_schmidt_frames`` of the stack of I gives the I-orthonormal
+frames (the g-frames are these over rho), and the components are stacked
+matrix products in them.  Only the spectra (``jacobi_eigh``) and the
+principal curvatures are taken point by point.  ``direct_scalar``,
+``moebius_scalars``, ``moebius_data_batch`` and
+``moebius_form_divergence_residuals`` take a point set; the one-point
+functions (``moebius_data``, ``moebius_scalar``, ``moebius_form``,
+``blaschke_A``, ``moebius_form_divergence_residual``) are the point-set
+requests at one point, and a request at K points equals K one-point
+requests bit for bit.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ from .curvature import (
     christoffel_symbols,
     conformal_scalar_from_jet,
     covariant_derivative,
-    curvature_from_jet,
+    curvature_batch,
 )
 from .errors import DegenerateGeometryError, InputError, UmbilicPointError
 from .immersion import (
@@ -63,13 +70,13 @@ from .immersion import (
     principal_curvatures,
 )
 from .jets import Jet, compose, contract, log_derivatives, power_derivatives
-from .linalg import gram_schmidt_frame, jacobi_eigh, require_symmetric
+from .linalg import gram_schmidt_frames, jacobi_eigh, require_symmetric
 
 UMBILIC_THRESHOLD = 1e-18
 
 
 # ---------------------------------------------------------------------------
-# pointwise kernels
+# value-level kernels
 
 
 def _umbilic_free(rho2: np.ndarray) -> np.ndarray:
@@ -108,72 +115,46 @@ def moebius_density(first: np.ndarray, second: np.ndarray) -> tuple[float, float
     return float(rho[0]), float(mean[0])
 
 
-class _Pointwise(NamedTuple):
-    """I, h, rho and H at one point, with the I-orthonormal frame and h in it."""
-
-    g: np.ndarray
-    h: np.ndarray
-    rho: float
-    mean: float
-    frame: np.ndarray
-    h_frame: np.ndarray
-
-    @classmethod
-    def build(cls, g: np.ndarray, h: np.ndarray, rho: float, mean: float) -> "_Pointwise":
-        frame = gram_schmidt_frame(g)
-        return cls(g, h, rho, mean, frame, frame.T @ h @ frame)
-
-    @classmethod
-    def from_jets(cls, jets: "_Jets") -> "_Pointwise":
-        """The record at p from the values of one request's jets."""
-        g = require_symmetric(jets.g.value, tol=1e-8, what="first fundamental form")
-        h = require_symmetric(jets.h.value, tol=1e-6, what="second fundamental form")
-        return cls.build(g, h, float(jets.rho.value), float(jets.mean.value))
-
-    @property
-    def B(self) -> np.ndarray:
-        return (self.h_frame - self.mean * np.eye(self.g.shape[0])) / self.rho
+def _apply(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a[k] @ v[k] for a stack of matrices (K, m, m) and vectors (K, m)."""
+    return (a @ v[..., None])[..., 0]
 
 
-def moebius_B(first: np.ndarray, second: np.ndarray, rho: float, mean: float) -> np.ndarray:
+def _trace_free(h_frame: np.ndarray, rho: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """B = (h - H I) / rho in the g-frame, from h in the I-frame, (K, m, m)."""
+    return (h_frame - mean[:, None, None] * np.eye(h_frame.shape[-1])) / rho[:, None, None]
+
+
+def moebius_B(first: np.ndarray, second: np.ndarray, rho, mean) -> np.ndarray:
     """Trace-free tensor B in the g-orthonormal frame.
 
     As a tensor B = rho (II - H I); dividing its I-orthonormal components
     by rho^2 re-expresses them in the g-frame, where tr B = 0 and
-    |B|^2 = (n-1)/n hold identically.  An I that is not positive definite
-    raises DegenerateGeometryError.
+    |B|^2 = (n-1)/n hold identically.  The forms are one point (m, m) with
+    rho and H floats, or a stack (K, m, m) with rho and H (K,).  An I that
+    is not positive definite raises DegenerateGeometryError.
     """
-    g = np.asarray(first, dtype=float)
-    return _Pointwise.build(g, np.asarray(second, dtype=float), rho, mean).B
+    g, h, rho, mean = (np.asarray(x, dtype=float) for x in (first, second, rho, mean))
+    if g.ndim == 2:
+        return moebius_B(g[None], h[None], rho[None], mean[None])[0]
+    frame = gram_schmidt_frames(g)
+    return _trace_free(frame.mT @ h @ frame, rho, mean)
 
 
 # ---------------------------------------------------------------------------
 # field bundle
 
 
-class _Jet(NamedTuple):
-    """Value, first partials (m, ...) and second partials (m, m, ...), each with a
-    leading point axis in a point-set request."""
-
-    value: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
-
-
 class _Jets(NamedTuple):
-    """The jets of every quantity a Moebius invariant reads, at a point set."""
+    """The 2-jets (``jets.Jet``) of every quantity a Moebius invariant reads, at a point set."""
 
-    g: _Jet  # I
-    h: _Jet
-    moebius: _Jet  # rho^2 I
-    b: _Jet  # the coordinate tensor B = rho (h - H I)
-    rho: _Jet
-    log_rho: _Jet
-    mean: _Jet  # H
-
-    def point(self, k: int) -> "_Jets":
-        """The jets at point k of the set."""
-        return _Jets(*(_Jet(*(x[k] for x in q)) for q in self))
+    g: Jet  # I
+    h: Jet
+    moebius: Jet  # rho^2 I
+    b: Jet  # the coordinate tensor B = rho (h - H I)
+    rho: Jet
+    log_rho: Jet
+    mean: Jet  # H
 
 
 @dataclass(frozen=True)
@@ -199,7 +180,7 @@ class SurfaceFields:
 
 def moebius_jets(first: Jet, second: Jet, rho: Jet, mean: Jet) -> _Jets:
     """The ``_Jets`` of a request from the 2-jets of I, h, rho and H, in the jet arithmetic."""
-    quantities = (
+    return _Jets(
         first,
         second,
         contract(",ab->ab", contract(",->", rho, rho), first),
@@ -208,7 +189,6 @@ def moebius_jets(first: Jet, second: Jet, rho: Jet, mean: Jet) -> _Jets:
         compose(rho, log_derivatives(rho.value, 2)),
         mean,
     )
-    return _Jets(*(_Jet(*q.levels) for q in quantities))
 
 
 def _jets_from_forms(first: Jet, second: Jet, first_inverse: Jet) -> _Jets:
@@ -253,95 +233,97 @@ def fields_from_immersion(imm: ImmersionHandle) -> SurfaceFields:
 
 
 def _jets(fields: SurfaceFields, pts: np.ndarray) -> _Jets:
-    """The one request at the point set pts (K, m)."""
+    """The one request at the point set pts (K, m), or at the one point pts (m,)."""
     return fields.jets(np.atleast_2d(np.asarray(pts, dtype=float)))
 
 
-def _jets_at(fields: SurfaceFields, p: np.ndarray) -> _Jets:
-    """The request at the one point p."""
-    return _jets(fields, np.asarray(p, dtype=float)[None, :]).point(0)
-
-
 # ---------------------------------------------------------------------------
-# derivative-level invariants
+# derivative-level invariants, each one expression over the request's points
 
 
-def _form(pt: _Pointwise, jets: _Jets) -> np.ndarray:
-    """C in the g-frame from the pointwise record and the partials of log rho and H."""
-    e_mean = pt.frame.T @ jets.mean.d1
-    e_logrho = pt.frame.T @ jets.log_rho.d1
-    n = pt.g.shape[0]
-    c_theta = -(e_mean + (pt.h_frame - pt.mean * np.eye(n)) @ e_logrho) / pt.rho
-    return c_theta / pt.rho
+def _frames(request: _Jets) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(I, h, the I-orthonormal frames E, E^T h E) at the request's points, each (K, m, m)."""
+    g = require_symmetric(request.g.value, tol=1e-8, what="first fundamental form")
+    h = require_symmetric(request.h.value, tol=1e-6, what="second fundamental form")
+    frame = gram_schmidt_frames(g)
+    return g, h, frame, frame.mT @ h @ frame
 
 
-def _blaschke(pt: _Pointwise, jets: _Jets, ambient_curvature: float) -> np.ndarray:
-    """A in the g-frame from the pointwise record, the partials of log rho and dI."""
-    d_logrho, dd_logrho = jets.log_rho.d1, jets.log_rho.d2
-    ginv = np.linalg.inv(pt.g)
-    hess = dd_logrho - np.einsum("kij,k->ij", christoffel_symbols(ginv, jets.g.d1), d_logrho)
-    e_logrho = pt.frame.T @ d_logrho
-    hess_frame = pt.frame.T @ hess @ pt.frame
-    grad2 = float(d_logrho @ ginv @ d_logrho)
-    iso = 0.5 * (ambient_curvature - pt.mean**2 - grad2)
-    n = pt.g.shape[0]
-    a_theta = (
-        np.outer(e_logrho, e_logrho) - hess_frame + pt.mean * pt.h_frame + iso * np.eye(n)
-    )
-    return a_theta / pt.rho**2
+def _form(request: _Jets, frame: np.ndarray, h_frame: np.ndarray) -> np.ndarray:
+    """The Moebius 1-form C in the g-frame (K, m), from the frames and the partials of
+    log rho and H:
 
+        C_i = -rho^{-1} [ e_i(H) + sum_j (h_ij - H delta_ij) e_j(log rho) ]
 
-def _direct(jets: _Jets) -> np.ndarray:
-    """Full-trace scalar curvature of the metric rho^2 I from its jets at a point set."""
-    return curvature_from_jet(*jets.moebius).scalar
-
-
-def moebius_form(fields: SurfaceFields, p: np.ndarray) -> np.ndarray:
-    """Moebius 1-form components C_i in the g-orthonormal frame.
-
-    C_i = -rho^{-1} [ e_i(H) + sum_j (h_ij - H delta_ij) e_j(log rho) ]
-    in an I-orthonormal frame e, then rescaled by 1/rho into the g-frame.
-    The sum against e_j(log rho) completes the gradient coupling so that
-    the expression is a well-formed 1-form; the divergence identity
-    sum_j B_ij,j = -(n-1) C_i is exposed separately as a numerical check.
-    The request is that of ``blaschke_A`` and ``moebius_data``, so all three
-    agree bit for bit on C's inputs.
+    in the I-orthonormal frame e, then rescaled by 1/rho into the g-frame.
+    The sum against e_j(log rho) completes the gradient coupling so that the
+    expression is a well-formed 1-form; the divergence identity
+    sum_j B_ij,j = -(n-1) C_i checks it (``moebius_form_divergence_residuals``).
     """
-    jets = _jets_at(fields, p)
-    return _form(_Pointwise.from_jets(jets), jets)
+    rho, mean = request.rho.value[:, None], request.mean.value[:, None, None]
+    e_mean = _apply(frame.mT, request.mean.levels[1])
+    e_logrho = _apply(frame.mT, request.log_rho.levels[1])
+    trace_free = h_frame - mean * np.eye(frame.shape[-1])
+    return -(e_mean + _apply(trace_free, e_logrho)) / rho / rho
 
 
-def blaschke_A(fields: SurfaceFields, p: np.ndarray) -> np.ndarray:
-    """Blaschke tensor components in the g-orthonormal frame.
+def _blaschke(
+    request: _Jets, g: np.ndarray, frame: np.ndarray, h_frame: np.ndarray, ambient_curvature: float
+) -> np.ndarray:
+    """The Blaschke tensor A in the g-frame (K, m, m), from the frames, the partials of
+    log rho and dI:
 
-    A_ij = e_i(log rho) e_j(log rho) - Hess_ij(log rho) + H h_ij
-           + 1/2 (c - H^2 - |grad log rho|^2) delta_ij,
+        A_ij = e_i(log rho) e_j(log rho) - Hess_ij(log rho) + H h_ij
+               + 1/2 (c - H^2 - |grad log rho|^2) delta_ij
 
-    in an I-orthonormal frame (Hessian of the induced metric's connection),
+    in the I-orthonormal frame e (Hessian of the induced metric's connection),
     divided by rho^2.  c is the ambient curvature constant of the fields.
     """
-    jets = _jets_at(fields, p)
-    return _blaschke(_Pointwise.from_jets(jets), jets, fields.ambient_curvature)
+    d_logrho, dd_logrho = request.log_rho.levels[1:]
+    ginv = np.linalg.inv(g)
+    gamma = christoffel_symbols(ginv, request.g.levels[1])
+    hess = dd_logrho - np.einsum("...kij,...k->...ij", gamma, d_logrho)
+    e_logrho = _apply(frame.mT, d_logrho)
+    grad2 = (d_logrho[:, None, :] @ ginv @ d_logrho[:, :, None])[:, 0]
+    mean = request.mean.value[:, None, None]
+    iso = 0.5 * (ambient_curvature - mean**2 - grad2[:, None])
+    a_theta = (
+        e_logrho[:, :, None] * e_logrho[:, None, :]
+        - frame.mT @ hess @ frame
+        + mean * h_frame
+        + iso * np.eye(g.shape[-1])
+    )
+    return a_theta / request.rho.value[:, None, None] ** 2
+
+
+def _direct(request: _Jets) -> np.ndarray:
+    """Full-trace scalar curvature of the metric rho^2 I from its jet at a point set."""
+    return curvature_batch(*request.moebius.levels).scalar
+
+
+def moebius_form_divergence_residuals(fields: SurfaceFields, pts: np.ndarray) -> np.ndarray:
+    """Residual of the divergence identity sum_j B_ij,j = -(n-1) C_i at each point (K,).
+
+    Both sides live in the g-orthonormal frame, which is the I-frame over
+    rho; the covariant divergence of the coordinate tensor B = rho (II - H I)
+    is taken with the Moebius metric's connection.  This is the independent
+    cross-check for the completed gradient coupling in the C formula.
+    """
+    request = _jets(fields, pts)
+    _, _, frame, h_frame = _frames(request)
+    g = request.moebius.value
+    ginv = np.linalg.inv(g)
+    gamma = christoffel_symbols(ginv, request.moebius.levels[1])
+    nabla = covariant_derivative(request.b.value, request.b.levels[1], gamma)
+    div = np.einsum("...bc,...abc->...a", ginv, nabla)
+    div_frame = _apply(frame.mT, div) / request.rho.value[:, None]
+    residual = div_frame + (g.shape[-1] - 1) * _form(request, frame, h_frame)
+    return np.max(np.abs(residual), axis=1)
 
 
 def moebius_form_divergence_residual(fields: SurfaceFields, p: np.ndarray) -> float:
-    """Residual of the divergence identity sum_j B_ij,j = -(n-1) C_i.
-
-    Both sides live in the g-orthonormal frame; the covariant divergence of
-    the coordinate tensor B = rho (II - H I) is taken with the Moebius
-    metric's connection.  This is the independent cross-check for the
-    completed gradient coupling in the C formula.
-    """
-    jets = _jets_at(fields, p)
-    g = jets.moebius.value
-    ginv = np.linalg.inv(g)
-    gamma = christoffel_symbols(ginv, jets.moebius.d1)
-    nabla = covariant_derivative(jets.b.value, jets.b.d1, gamma)
-    div = np.einsum("bc,abc->a", ginv, nabla)
-    frame = gram_schmidt_frame(g)
-    div_frame = frame.T @ div  # frame components of the 1-form g^{bc} B_ab;c
-    c_frame = _form(_Pointwise.from_jets(jets), jets)
-    return float(np.max(np.abs(div_frame + (g.shape[0] - 1) * c_frame)))
+    """``moebius_form_divergence_residuals`` at the one point p."""
+    return float(moebius_form_divergence_residuals(fields, p)[0])
 
 
 def direct_scalar(fields: SurfaceFields, pts: np.ndarray):
@@ -359,9 +341,8 @@ def direct_scalar(fields: SurfaceFields, pts: np.ndarray):
 def B_eigenvalues_and_scalars(fields: SurfaceFields, pts: np.ndarray):
     """The eigenvalues of B at each point of pts (K, m), descending (K, m), and the
     direct scalar (K,), from one request: B from its value, as in ``moebius_data``."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
     request = _jets(fields, pts)
-    b = [_Pointwise.from_jets(request.point(k)).B for k in range(len(pts))]
+    b = _trace_free(_frames(request)[3], request.rho.value, request.mean.value)
     return np.array([jacobi_eigh(x)[0][::-1] for x in b]), _direct(request)
 
 
@@ -383,14 +364,14 @@ def moebius_scalars(fields: SurfaceFields, pts: np.ndarray) -> MoebiusScalarResu
     check.  The routes share only the evaluation of their inputs: one
     request of the fields.
     """
-    jets = _jets(fields, pts)
-    via = conformal_scalar_from_jet(curvature_from_jet(*jets.g), *jets.log_rho)
-    return MoebiusScalarResult(direct=_direct(jets), conformal_route=via)
+    request = _jets(fields, pts)
+    via = conformal_scalar_from_jet(curvature_batch(*request.g.levels), *request.log_rho.levels)
+    return MoebiusScalarResult(direct=_direct(request), conformal_route=via)
 
 
 def moebius_scalar(fields: SurfaceFields, p: np.ndarray) -> MoebiusScalarResult:
     """``moebius_scalars`` at the one point p, as floats."""
-    both = moebius_scalars(fields, np.asarray(p, dtype=float)[None, :])
+    both = moebius_scalars(fields, p)
     return MoebiusScalarResult(*(float(x[0]) for x in both))
 
 
@@ -425,35 +406,43 @@ class MoebiusData:
 
 
 def moebius_data_batch(fields: SurfaceFields, pts: np.ndarray) -> list[MoebiusData]:
-    """All invariants at each point of pts (K, m) from one request; the pointwise
-    ones from its value."""
+    """All invariants at each point of pts (K, m) from one request: B, C and A as one
+    expression over the points, the spectra and principal curvatures point by point."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     request = _jets(fields, pts)
-    out = []
-    for k, p in enumerate(pts):
-        jets = request.point(k)
-        pt = _Pointwise.from_jets(jets)
-        b = pt.B
-        a = _blaschke(pt, jets, fields.ambient_curvature)
-        wb, _ = jacobi_eigh(b)
-        wa, _ = jacobi_eigh(a)
-        out.append(
-            MoebiusData(
-                point=p,
-                rho=pt.rho,
-                H=pt.mean,
-                g_moebius=pt.rho**2 * pt.g,
-                B=b,
-                A=a,
-                C=_form(pt, jets),
-                principal_curvatures=principal_curvatures(pt.g, pt.h),
-                B_eigenvalues=wb[::-1].copy(),
-                A_eigenvalues=wa[::-1].copy(),
-            )
+    g, h, frame, h_frame = _frames(request)
+    rho, mean = request.rho.value, request.mean.value
+    b = _trace_free(h_frame, rho, mean)
+    a = _blaschke(request, g, frame, h_frame, fields.ambient_curvature)
+    c = _form(request, frame, h_frame)
+    g_moebius = rho[:, None, None] ** 2 * g
+    return [
+        MoebiusData(
+            point=p,
+            rho=float(rho[k]),
+            H=float(mean[k]),
+            g_moebius=g_moebius[k],
+            B=b[k],
+            A=a[k],
+            C=c[k],
+            principal_curvatures=principal_curvatures(g[k], h[k]),
+            B_eigenvalues=jacobi_eigh(b[k])[0][::-1].copy(),
+            A_eigenvalues=jacobi_eigh(a[k])[0][::-1].copy(),
         )
-    return out
+        for k, p in enumerate(pts)
+    ]
 
 
 def moebius_data(fields: SurfaceFields, p: np.ndarray) -> MoebiusData:
     """``moebius_data_batch`` at the one point p."""
-    return moebius_data_batch(fields, np.asarray(p, dtype=float)[None, :])[0]
+    return moebius_data_batch(fields, p)[0]
+
+
+def moebius_form(fields: SurfaceFields, p: np.ndarray) -> np.ndarray:
+    """C in the g-orthonormal frame at the one point p: ``moebius_data``'s C."""
+    return moebius_data(fields, p).C
+
+
+def blaschke_A(fields: SurfaceFields, p: np.ndarray) -> np.ndarray:
+    """A in the g-orthonormal frame at the one point p: ``moebius_data``'s A."""
+    return moebius_data(fields, p).A

@@ -23,11 +23,11 @@ import numpy as np
 from mobiusflat.curvature import conformal_scalar, metric_field_curvature
 from mobiusflat.fd import diff1, jet, jet_batch
 from mobiusflat.immersion import principal_curvatures
+from mobiusflat.jets import Jet
 from mobiusflat.linalg import gram_schmidt_frame, jacobi_eigh, require_symmetric
 from mobiusflat.moebius import (
     MoebiusData,
     MoebiusScalarResult,
-    _Jet,
     _Jets,
     fields_from_immersion,
     moebius_B,
@@ -51,7 +51,7 @@ def stencil_jets(fields, pts, step):
     levels = jet_batch(field, pts, step)
     return _Jets(
         *(
-            _Jet(*(x[..., a:b].reshape(x.shape[:-1] + shape).copy() for x in levels))
+            Jet(x[..., a:b].reshape(x.shape[:-1] + shape).copy() for x in levels)
             for a, b, shape in zip(ends, ends[1:], shapes)
         )
     )

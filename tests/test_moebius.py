@@ -5,7 +5,7 @@ import inspect
 import numpy as np
 import pytest
 
-from mobiusflat import moebius
+from mobiusflat import linalg, moebius
 from mobiusflat.checks import preset_trajectory, sample_points, warped_scalar_reference
 from mobiusflat.curvature import Convention
 from mobiusflat.curvature import convert_scalar
@@ -15,7 +15,9 @@ from mobiusflat.immersion import (
     first_fundamental_form_batch,
     second_fundamental_form_batch,
 )
+from mobiusflat.linalg import gram_schmidt_frames
 from mobiusflat.moebius import (
+    B_eigenvalues_and_scalars,
     SurfaceFields,
     blaschke_A,
     direct_scalar,
@@ -26,6 +28,7 @@ from mobiusflat.moebius import (
     moebius_density,
     moebius_form,
     moebius_form_divergence_residual,
+    moebius_form_divergence_residuals,
     moebius_scalar,
     moebius_scalars,
 )
@@ -283,7 +286,7 @@ class TestOneJetPerPointSet:
 
     @pytest.mark.parametrize(
         "point_set_request",
-        [moebius_data_batch, moebius_scalars, direct_scalar],
+        [moebius_data_batch, moebius_scalars, direct_scalar, moebius_form_divergence_residuals],
         ids=lambda f: f.__name__,
     )
     def test_one_jet_evaluation_per_point_set(self, rotational, point_set_request):
@@ -385,6 +388,43 @@ class TestBatchEqualsOnePointRequests:
             assert (s.direct, s.conformal_route) == (direct[i], scalars.conformal_route[i])
             assert direct_scalar(fields, p) == direct[i]
 
+    @pytest.mark.parametrize("name", ["cylinder", "rotational", "torus"])
+    @pytest.mark.parametrize("route", ["fields", "closed-form"])
+    def test_divergence_residual(self, name, route, request):
+        imm = surface(name, request)
+        fields = imm.analytic_fields if route == "closed-form" else fields_from_immersion(imm)
+        pts = interior_points(imm, 5, seed=13)
+        batch = moebius_form_divergence_residuals(fields, pts)
+        for i, p in enumerate(pts):
+            assert moebius_form_divergence_residual(fields, p) == batch[i]
+
+
+class TestOneFrameStackPerRequest:
+    """A request's invariants are one expression over its points: one stack of
+    I-frames, and no frame of a single metric."""
+
+    @pytest.mark.parametrize(
+        "point_set_request",
+        [moebius_data_batch, B_eigenvalues_and_scalars, moebius_form_divergence_residuals],
+        ids=lambda f: f.__name__,
+    )
+    def test_one_gram_schmidt_frames_call(self, rotational, point_set_request, monkeypatch):
+        stacks = []
+
+        def frames(g, *args):
+            stacks.append(g.shape[0])
+            return gram_schmidt_frames(g, *args)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a frame of one metric was built")
+
+        monkeypatch.setattr(moebius, "gram_schmidt_frames", frames)
+        monkeypatch.setattr(linalg, "gram_schmidt_frame", refuse)
+        monkeypatch.setattr(moebius, "gram_schmidt_frame", refuse, raising=False)
+        fields = fields_from_immersion(rotational)
+        point_set_request(fields, interior_points(rotational, 6, seed=17))
+        assert stacks == [6]
+
 
 class TestTensorB:
     @pytest.mark.parametrize("fixture", ["cylinder", "cone", "rotational", "torus"])
@@ -402,6 +442,15 @@ class TestTensorB:
             eig = np.sort(np.linalg.eigvalsh(b))
             expected = np.sort([(n - 1) / n] + [-1 / n] * (n - 1))
             assert np.allclose(eig, expected, atol=1e-7)
+
+    @pytest.mark.parametrize("fixture", ["cylinder", "torus"])
+    def test_stack_equals_one_point_calls(self, fixture, request):
+        imm = request.getfixturevalue(fixture)
+        g, h, rho, mean = fields_from_immersion(imm).sample(interior_points(imm, 6, seed=29))
+        stack = moebius_B(g, h, rho, mean)
+        assert stack.shape == g.shape
+        for i in range(len(g)):
+            assert np.array_equal(stack[i], moebius_B(g[i], h[i], rho[i], mean[i]))
 
     def test_homothety_leaves_eigenvalues_and_scalar(self, cylinder):
         # ambient rescaling doubles both f and the chart
@@ -608,9 +657,9 @@ def jets_and_stencil(imm, step):
     pts = interior_points(imm, 3, seed=11, pad=0.2)
     exact, oracle = fields.jets(pts), moebius_oracle.stencil_jets(fields, pts, step)
     return {
-        (quantity, level): (getattr(getattr(exact, quantity), level), getattr(q, level))
+        (quantity, level): (getattr(exact, quantity).levels[level], q.levels[level])
         for quantity, q in zip(exact._fields, oracle)
-        for level in q._fields
+        for level in range(3)
     }
 
 
@@ -638,7 +687,7 @@ class TestClosedFormJetsAgainstTheirStencil:
             # constant along s, where the stencil is exact: no error above rounding
             assert ratios == {}
         else:
-            assert any(level == "d2" for _, level in ratios)
+            assert any(level == 2 for _, level in ratios)  # the second partials
             assert all(12.0 < r < 20.0 for r in ratios.values()), ratios
 
 
