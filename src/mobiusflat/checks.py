@@ -23,9 +23,10 @@ goes on.  ``CHECK_FUNCTIONS`` is the registry, in ``CHECK_NAMES`` order.
 Closed-form fields of the generators (``SuiteSurface.closed_form``) back the
 tight-tolerance identity checks; the pipeline route (``SuiteSurface.fields``)
 is exercised in parallel, and the two routes cross-validate.  Every check
-reads exact jets and takes no step: a Moebius request on the pipeline is one
-order-4 jet of the immersion per point set and on the closed forms one 2-jet
-of their factor tables, the Schouten/Codazzi defects read the 3-jet of the
+reads exact jets and takes no step: a Moebius request of order k (2, or 0
+for the checks that read values only) is on the pipeline one (k + 2)-jet of
+the immersion per point set and on the closed forms one k-jet of their
+factor tables, the Schouten/Codazzi defects read the 3-jet of the
 closed forms' metric table, and the warped metric kappa^2 (ds^2 + I_{-eps})
 is the 2-jet of its own factor table.  The one finite-difference request
 left is ``fd_convergence``, an audit of the differenced curvature of the
@@ -51,11 +52,7 @@ from .curvature import (
     schouten_codazzi_defects,
 )
 from .errors import MobiusFlatError
-from .immersion import (
-    ImmersionHandle,
-    fundamental_forms_batch,
-    principal_curvatures,
-)
+from .immersion import ImmersionHandle, principal_curvatures
 from .jets import Jet, compose, contract
 from .moebius import (
     B_eigenvalues_and_scalars,
@@ -343,9 +340,8 @@ def check_moebius_metric_match(cfg: RunConfig, surfaces, rng, res: Residuals) ->
         if surf.traj is None:
             continue
         pts = sample_points(surf.imm, cfg.samples, rng, cfg.jitter)
-        g, _, rho, _ = surf.fields.sample(pts)
+        computed = surf.fields.jets(pts, 0).moebius.value
         expected = warped_metric_jet(surf.traj, pts, 0).value
-        computed = rho[:, None, None] ** 2 * g
         scale = np.max(np.abs(expected), axis=(1, 2))
         resid = np.max(np.abs(computed - expected), axis=(1, 2)) / scale
         per_family[surf.name] = float(np.max(resid))
@@ -363,7 +359,8 @@ def check_trace_identities(cfg: RunConfig, surfaces, rng, res: Residuals) -> dic
     n = cfg.n
     for surf in surfaces:
         pts = sample_points(surf.imm, cfg.samples, rng, cfg.jitter)
-        b = moebius_B(*surf.fields.sample(pts))
+        values = surf.fields.jets(pts, 0)
+        b = moebius_B(values.g.value, values.h.value, values.rho.value, values.mean.value)
         traces = np.abs(np.trace(b, axis1=1, axis2=2))
         norms = np.abs(np.sum(b * b, axis=(1, 2)) - (n - 1) / n)
         res.add(*traces.tolist(), *norms.tolist(), samples=pts.shape[0])
@@ -441,7 +438,8 @@ def check_principal_multiplicity(cfg: RunConfig, surfaces, rng, res: Residuals) 
     torus_gap = None
     for surf in surfaces:
         pts = sample_points(surf.imm, cfg.samples, rng, cfg.jitter)
-        g, h = fundamental_forms_batch(surf.imm, pts)
+        values = surf.fields.jets(pts, 0)
+        g, h = values.g.value, values.h.value
         for i in range(pts.shape[0]):
             lam = np.sort(principal_curvatures(g[i], h[i]))
             res.add(float(min(lam[-2] - lam[0], lam[-1] - lam[1])))

@@ -5,10 +5,10 @@ chart bounds, an orientation seed and a jet of f: jet(pts, order=2) gives
 the partials of order 0..order, level j of shape (K, m, ..., m, N) (the
 layout of ``fd.jet_batch`` at order 2).  Every handle carries a jet; one
 without is refused.  Everything downstream is computed from one jet
-evaluation per point set: the fundamental forms and normals from the 2-jet,
-and the 2-jets of the fundamental forms (``fundamental_form_jets``, what a
-Moebius request reads) from the 4-jet, in the truncated Taylor arithmetic of
-``jets``.  The generators' jets are exact at any order.
+evaluation per point set: I, II and the normals from the 2-jet, and the
+k-jets of I, II and I^-1 (``fundamental_form_jets``, what a Moebius request
+of order k reads) from the (k + 2)-jet, in the truncated Taylor arithmetic
+of ``jets``.  The generators' jets are exact at any order.
 
 Normals are produced by the generalized cross product of the tangent
 vectors (plus the position vector for immersions into the unit sphere),
@@ -127,7 +127,7 @@ class ImmersionHandle:
 # derivatives of the immersion
 #
 # Each function takes the derivatives of f from the handle's jet: one jet
-# evaluation per point set, of order 2 (order 4 for the jets of the forms).
+# evaluation per point set, of order 2 (order k + 2 for the k-jets of the forms).
 
 
 def jacobian_batch(imm: ImmersionHandle, pts: np.ndarray) -> np.ndarray:
@@ -139,14 +139,11 @@ def jacobian(imm: ImmersionHandle, p: np.ndarray) -> np.ndarray:
     return jacobian_batch(imm, np.asarray(p, dtype=float)[None, :])[0]
 
 
-def _gram(jac: np.ndarray) -> np.ndarray:
+def first_fundamental_form_batch(imm: ImmersionHandle, pts: np.ndarray) -> np.ndarray:
+    jac = jacobian_batch(imm, pts)
     gram = np.einsum("kna,knb->kab", jac, jac)
     _require_full_rank(gram)
     return gram
-
-
-def first_fundamental_form_batch(imm: ImmersionHandle, pts: np.ndarray) -> np.ndarray:
-    return _gram(jacobian_batch(imm, pts))
 
 
 def first_fundamental_form(imm: ImmersionHandle, p: np.ndarray) -> np.ndarray:
@@ -222,28 +219,11 @@ def unit_normal(imm: ImmersionHandle, p: np.ndarray) -> np.ndarray:
     return unit_normal_batch(imm, np.asarray(p, dtype=float)[None, :])[0]
 
 
-def fundamental_forms_batch(
-    imm: ImmersionHandle, pts: np.ndarray, sign: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(I, II) at each point from one jet of the immersion: (K, m, m) each.
-
-    h_ab = <d^2 f / dx_a dx_b, normal>, with the normal built from the
-    jet's jacobian (and its values for sphere-ambient immersions).  sign is
-    the handle's orientation sign, resolved here when not given.
-    """
-    pos, d1, hess = imm.evaluate_jet(pts)  # hess: (K, m, m, N)
-    jac = np.swapaxes(d1, 1, 2)
-    gram = _gram(jac)
-    if sign is None:
-        sign = orientation_sign(imm)
-    nrm = sign * _raw_normal(imm, pos, jac)  # (K, N)
-    return gram, np.einsum("kabn,kn->kab", hess, nrm)
-
-
 def fundamental_form_jets(
-    imm: ImmersionHandle, pts: np.ndarray, sign: float | None = None
+    imm: ImmersionHandle, pts: np.ndarray, sign: float | None = None, order: int = 2
 ) -> tuple[Jet, Jet, Jet]:
-    """The 2-jets of I, II and I^-1 at each point, from one order-4 jet of the immersion.
+    """The jets of I, II and I^-1 to the order at each point, from one jet of the
+    immersion of order + 2.
 
     I_ab = <d_a f, d_b f> and h_ab = <d_a d_b f, nu> in the jet arithmetic.
     The unit normal nu near a point is the normalized projection of its
@@ -252,32 +232,38 @@ def fundamental_form_jets(
     where |f| = 1 and f is orthogonal to T), which stays parallel to nu.
     sign is the handle's orientation sign, resolved here when not given.
     """
-    levels = imm.evaluate_jet(pts, 4)
-    tangent, hess = Jet(levels[1:4]), Jet(levels[2:5])  # (m, N) and (m, m, N) fields
+    levels = imm.evaluate_jet(pts, order + 2)
+    tangent, hess = Jet(levels[1 : order + 2]), Jet(levels[2:])  # (m, N) and (m, m, N) fields
     first = contract("an,bn->ab", tangent, tangent)
     _require_full_rank(first.value)
     if sign is None:
         sign = orientation_sign(imm)
-    nu0 = Jet.constant(sign * _raw_normal(imm, levels[0], np.swapaxes(levels[1], 1, 2)), 2)
+    nu0 = Jet.constant(sign * _raw_normal(imm, levels[0], np.swapaxes(levels[1], 1, 2)), order)
     first_inverse = inverse(first)
     along = contract("ab,b->a", first_inverse, contract("an,n->a", tangent, nu0))
     projected = nu0 - contract("a,an->n", along, tangent)
     if imm.ambient_kind == UNIT_SPHERE:
-        position = Jet(levels[:3])
+        position = Jet(levels[: order + 1])
         projected = projected - contract(",n->n", contract("n,n->", position, nu0), position)
     norm2 = contract("n,n->", projected, projected)
-    nu = contract(",n->n", compose(norm2, power_derivatives(norm2.value, -0.5, 2)), projected)
+    nu = contract(",n->n", compose(norm2, power_derivatives(norm2.value, -0.5, order)), projected)
     return first, contract("abn,n->ab", hess, nu), first_inverse
 
 
 def second_fundamental_form_batch(imm: ImmersionHandle, pts: np.ndarray) -> np.ndarray:
-    """h_ab = <d^2 f / dx_a dx_b, normal>: returns (K, m, m).
+    """h_ab = <d^2 f / dx_a dx_b, normal>: returns (K, m, m), from one 2-jet.
 
-    For sphere-ambient immersions this is the shape tensor within the unit
-    sphere: the ambient-sphere correction to the second derivative is along
-    the position vector, which the normal is orthogonal to.
+    The normal is that of ``unit_normal_batch``; the order-0
+    ``fundamental_form_jets``, whose normal is projected in the jet
+    arithmetic, gives the same h to rounding.  For sphere-ambient immersions
+    this is the shape tensor within the unit sphere: the ambient-sphere
+    correction to the second derivative is along the position vector, which
+    the normal is orthogonal to.
     """
-    return fundamental_forms_batch(imm, pts)[1]
+    pos, d1, hess = imm.evaluate_jet(pts)  # hess: (K, m, m, N)
+    jac = np.swapaxes(d1, 1, 2)
+    _require_full_rank(np.einsum("kna,knb->kab", jac, jac))
+    return np.einsum("kabn,kn->kab", hess, orientation_sign(imm) * _raw_normal(imm, pos, jac))
 
 
 def second_fundamental_form(imm: ImmersionHandle, p: np.ndarray) -> np.ndarray:

@@ -20,16 +20,17 @@ failure of (H, rho) to be parallel.  The A and C formulas acquire an
 ambient-curvature constant (0 for immersions into Euclidean space, +1 for
 immersions into the unit sphere); the constant enters A's isotropic term.
 
-A field set answers ``sample``, one request for (I, h, rho, H) at a point
-set, and ``jets``, one Moebius request at a point set: the exact 2-jets, as
-``jets.Jet``s over the set's K points, of I, h, rho^2 I, rho (h - H I),
-rho, log rho and H, which every invariant reads.  Both routes pack the
-2-jets of (I, h, rho, H) the same way (``moebius_jets``, in the truncated
-Taylor arithmetic of ``jets``):
+A field set answers one request, ``jets(pts, order=2)``: the exact jets,
+as ``jets.Jet``s over the point set's K points, of I, h, rho^2 I,
+rho (h - H I), rho, log rho and H, which every invariant reads.  Order 0
+gives their values, and is the same bits as level 0 of the order-2
+request.  Both routes pack the jets of (I, h, rho, H) the same way
+(``moebius_jets``, in the truncated Taylor arithmetic of ``jets``):
 
 * fields from an immersion (``fields_from_immersion``) take I and h from
-  one order-4 jet of the immersion at the point set, and rho and H from
-  them;
+  one jet of the immersion at the point set, of the request's order plus
+  two, and rho and H from them (``_jets_from_forms``, the one formula of
+  rho and H, which ``moebius_density`` applies at one point);
 * the generators' closed forms (``zoo``) give all four as exact products of
   one-variable factors.
 
@@ -65,11 +66,10 @@ from .immersion import (
     UNIT_SPHERE,
     ImmersionHandle,
     fundamental_form_jets,
-    fundamental_forms_batch,
     orientation_sign,
     principal_curvatures,
 )
-from .jets import Jet, compose, contract, log_derivatives, power_derivatives
+from .jets import Jet, compose, contract, inverse, log_derivatives, power_derivatives
 from .linalg import gram_schmidt_frames, jacobi_eigh, require_symmetric
 
 UMBILIC_THRESHOLD = 1e-18
@@ -86,20 +86,12 @@ def _umbilic_free(rho2: np.ndarray) -> np.ndarray:
     return rho2
 
 
-def _density(g: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rho, H) per point from batches of the fundamental forms."""
-    n = g.shape[-1]
-    shape_op = np.linalg.solve(g, h)
-    mean = np.einsum("kii->k", shape_op) / n
-    norm2 = np.einsum("kij,kji->k", shape_op, shape_op)
-    return np.sqrt(_umbilic_free(n / (n - 1) * (norm2 - n * mean**2))), mean
-
-
 def moebius_density(first: np.ndarray, second: np.ndarray) -> tuple[float, float]:
     """(rho, H) from the fundamental forms (m, m) at one point.
 
     H is the trace of the shape operator over n; rho is the positive root
-    of the density formula.  Raises UmbilicPointError when rho^2 falls at
+    of the density formula: the order-0 request of the forms at one point
+    (``_jets_from_forms``).  Raises UmbilicPointError when rho^2 falls at
     or below 1e-18, and DegenerateGeometryError when I is not positive
     definite (its least eigenvalue at or below 1e-14 of its largest), as
     ``moebius_B`` and ``principal_curvatures`` do.
@@ -111,8 +103,9 @@ def moebius_density(first: np.ndarray, second: np.ndarray) -> tuple[float, float
         raise DegenerateGeometryError(
             f"first fundamental form is not positive definite (min eigenvalue {w[0]:.3e})"
         )
-    rho, mean = _density(g[None], h[None])
-    return float(rho[0]), float(mean[0])
+    first = Jet([g[None]])
+    request = _jets_from_forms(first, Jet([h[None]]), inverse(first))
+    return float(request.rho.value[0]), float(request.mean.value[0])
 
 
 def _apply(a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -146,7 +139,7 @@ def moebius_B(first: np.ndarray, second: np.ndarray, rho, mean) -> np.ndarray:
 
 
 class _Jets(NamedTuple):
-    """The 2-jets (``jets.Jet``) of every quantity a Moebius invariant reads, at a point set."""
+    """The jets (``jets.Jet``) of every quantity a Moebius invariant reads, at a point set."""
 
     g: Jet  # I
     h: Jet
@@ -161,17 +154,16 @@ class _Jets(NamedTuple):
 class SurfaceFields:
     """Vectorized per-point data of one hypersurface.
 
-    sample(pts) -> (I, h, rho, H): the first fundamental form I and second
-    fundamental form h, each (K, m, m), and rho and H, each (K,), from one
-    request.  ambient_curvature is 0 for Euclidean ambient, 1 for the unit
-    sphere.  jets(pts) is the exact ``_Jets`` request at a point set (K, m),
-    required: fields without it are refused with InputError.
+    ambient_curvature is 0 for Euclidean ambient, 1 for the unit sphere.
+    jets(pts, order=2) is the exact ``_Jets`` request at a point set (K, m),
+    each quantity to the order; order 0 gives the values, among them I and
+    h (K, m, m) and rho and H (K,).  It is required: fields without it are
+    refused with InputError.
     """
 
     dim: int
-    sample: Callable[[np.ndarray], tuple[np.ndarray, ...]]
     ambient_curvature: float
-    jets: Callable[[np.ndarray], _Jets] | None = None
+    jets: Callable[..., _Jets] | None = None
 
     def __post_init__(self):
         if not callable(self.jets):
@@ -179,20 +171,21 @@ class SurfaceFields:
 
 
 def moebius_jets(first: Jet, second: Jet, rho: Jet, mean: Jet) -> _Jets:
-    """The ``_Jets`` of a request from the 2-jets of I, h, rho and H, in the jet arithmetic."""
+    """The ``_Jets`` of a request from the jets of I, h, rho and H, at their order, in the
+    jet arithmetic."""
     return _Jets(
         first,
         second,
         contract(",ab->ab", contract(",->", rho, rho), first),
         contract(",ab->ab", rho, second - contract(",ab->ab", mean, first)),
         rho,
-        compose(rho, log_derivatives(rho.value, 2)),
+        compose(rho, log_derivatives(rho.value, rho.order)),
         mean,
     )
 
 
 def _jets_from_forms(first: Jet, second: Jet, first_inverse: Jet) -> _Jets:
-    """The ``_Jets`` of the 2-jets of I, h and I^-1: rho and H from them, in the jet arithmetic."""
+    """The ``_Jets`` of the jets of I, h and I^-1: rho and H from them, in the jet arithmetic."""
     n = first.value.shape[-1]
 
     def trace(a: np.ndarray) -> np.ndarray:  # summed in index order
@@ -203,28 +196,26 @@ def _jets_from_forms(first: Jet, second: Jet, first_inverse: Jet) -> _Jets:
     norm2 = contract("ab,bc->ac", shape_op, shape_op).linear(trace)
     rho2 = n / (n - 1) * (norm2 - n * contract(",->", mean, mean))
     _umbilic_free(rho2.value)
-    return moebius_jets(first, second, compose(rho2, power_derivatives(rho2.value, 0.5, 2)), mean)
+    rho = compose(rho2, power_derivatives(rho2.value, 0.5, rho2.order))
+    return moebius_jets(first, second, rho, mean)
 
 
 def fields_from_immersion(imm: ImmersionHandle) -> SurfaceFields:
     """Fields of any immersion handle, exact to the handle's jet.
 
-    sample takes I and II from one 2-jet of the immersion, and a Moebius
-    request at a point set from one order-4 jet of it (``_jets_from_forms``
-    of ``immersion.fundamental_form_jets``).  The orientation sign is
-    resolved once, here.
+    A request of order k at a point set reads one jet of order k + 2 of the
+    immersion (``_jets_from_forms`` of ``immersion.fundamental_form_jets``).
+    The orientation sign is resolved once, here.
     """
     sign = orientation_sign(imm)
 
-    def sample(pts):
-        g, h = fundamental_forms_batch(imm, np.atleast_2d(pts), sign)
-        return (g, h) + _density(g, h)
+    def jets(pts, order: int = 2) -> _Jets:
+        return _jets_from_forms(*fundamental_form_jets(imm, pts, sign, order))
 
     return SurfaceFields(
         dim=imm.chart_dimension,
-        sample=sample,
         ambient_curvature=1.0 if imm.ambient_kind == UNIT_SPHERE else 0.0,
-        jets=lambda pts: _jets_from_forms(*fundamental_form_jets(imm, pts, sign)),
+        jets=jets,
     )
 
 

@@ -124,10 +124,10 @@ def _trig(angle: np.ndarray, order: int):
 # In all four families I and h are diagonal, and each diagonal entry, rho and
 # H is a product of one-variable factors.  A family's closed form is two
 # tables of factors: the metric table (columns: the diagonal of I) and the
-# shape table (the diagonal of h, rho, H).  ``sample`` is their level 0, a
-# Moebius request their 2-jet, and ``first_form`` the metric table alone, at
-# any order.  The warped metric kappa^2 (ds^2 + I_{-eps}) is a metric table
-# of the same kind (``warped_metric_jet``).
+# shape table (the diagonal of h, rho, H).  A Moebius request of order k is
+# their k-jet, and ``first_form`` the metric table alone, at any order.  The
+# warped metric kappa^2 (ds^2 + I_{-eps}) is a metric table of the same kind
+# (``warped_metric_jet``).
 
 
 @dataclass(frozen=True)
@@ -162,13 +162,10 @@ def _closed_form_fields(n: int, metric_table, shape_table, curvature: float) -> 
         first = _diagonal(_product_jet(metric_table(pts, order)))
         return first, _diagonal(x[..., :n] for x in shape), rho, mean
 
-    return ClosedFormFields(
-        dim=n,
-        sample=lambda pts: tuple(q[0] for q in forms(pts, 0)),
-        ambient_curvature=curvature,
-        jets=lambda pts: moebius_jets(*(Jet(q) for q in forms(pts, 2))),
-        first_form=first_form,
-    )
+    def jets(pts, order: int = 2):
+        return moebius_jets(*(Jet(q) for q in forms(pts, order)))
+
+    return ClosedFormFields(dim=n, ambient_curvature=curvature, jets=jets, first_form=first_form)
 
 
 def _s_jet(ders) -> Jet:
@@ -648,18 +645,23 @@ def scale_immersion(imm: ImmersionHandle, factor: float) -> ImmersionHandle:
     """Ambient homothety x -> factor * x with the chart rescaled to match.
 
     The chart point factor * p on the scaled surface corresponds to p on the
-    original, so invariant quantities can be compared point by point.
+    original, so invariant quantities can be compared point by point.  A
+    homothety moves the unit sphere off itself, so only Euclidean-ambient
+    immersions are taken.
     """
     if factor <= 0:
         raise InputError("homothety factor must be positive")
+    if imm.ambient_kind != EUCLIDEAN:
+        raise InputError("only Euclidean-ambient immersions can be scaled")
 
     def evaluator(pts: np.ndarray) -> np.ndarray:
         return factor * imm(np.atleast_2d(pts) / factor)
 
     def jet(pts: np.ndarray, order: int = 2):
         # level j of f_l(x) = l f(x / l) is l^(1 - j) times that of f at x / l
-        values, d1, *higher = imm.evaluate_jet(np.atleast_2d(pts) / factor, order)
-        return (factor * values, d1, *(d / factor ** (j + 1) for j, d in enumerate(higher)))
+        values, *ders = imm.evaluate_jet(np.atleast_2d(pts) / factor, order)
+        higher = (d / factor ** (j + 1) for j, d in enumerate(ders[1:]))
+        return (factor * values, *ders[:1], *higher)
 
     domain = None
     if imm.domain is not None:

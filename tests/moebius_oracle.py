@@ -2,18 +2,19 @@
 and the nested finite-difference pipeline that the exact jets replaced.
 
 Kept as the test oracles.  Each quantity is asked of the fields on its own:
-I, h, rho and H at p one sample request at a time, the partials of log rho, H and
-I each from their own stencil, and the two scalar routes each from their
+I, h, rho and H at p one order-0 request at a time, the partials of log rho,
+H and I each from their own stencil, and the two scalar routes each from their
 own metric-field jets.  The A and C formulas are written out here a second
 time, as they stood before the kernels were shared, so the oracle does not
 lean on the code under test.
 
 ``stencil_fields`` is the Moebius request as it stood before the exact
-jets: one order-4 stencil of ``fd.jet_batch`` over the fields' ``sample``,
-with the seven quantities packed side by side into one field.  On the
-closed forms it is the oracle of their exact jets; ``nested_fd_fields`` is
-the pipeline as it stood before them, the stencil over the fields of an
-immersion, each stencil point one 2-jet of the immersion.
+jets: one order-4 stencil of ``fd.jet_batch`` over the values of the
+fields' order-0 request, with the seven quantities packed side by side into
+one field.  On the closed forms it is the oracle of their exact jets;
+``nested_fd_fields`` is the pipeline as it stood before them, the stencil
+over the fields of an immersion, each stencil point one 2-jet of the
+immersion.
 """
 
 import dataclasses
@@ -43,7 +44,7 @@ def stencil_jets(fields, pts, step):
     ends = np.cumsum([0] + [m * m] * 4 + [1] * 3)
 
     def field(q):
-        g, h, rho, mean = fields.sample(np.atleast_2d(q))
+        g, h, rho, mean = values(fields, q)
         r = rho[:, None, None]
         parts = (g, h, r**2 * g, r * (h - mean[:, None, None] * g), rho, np.log(rho), mean)
         return np.concatenate([x.reshape(x.shape[0], -1) for x in parts], axis=1)
@@ -58,8 +59,16 @@ def stencil_jets(fields, pts, step):
 
 
 def stencil_fields(fields, step):
-    """fields whose Moebius requests are one stencil of the step over their ``sample``."""
-    return dataclasses.replace(fields, jets=lambda pts: stencil_jets(fields, pts, step))
+    """fields whose Moebius requests of order 2 are one stencil of the step over the
+    values of their order-0 request, which they answer as before; other orders are
+    refused."""
+
+    def jets(pts, order=2):
+        if order not in (0, 2):
+            raise ValueError(f"the stencil request has order 0 or 2, not {order}")
+        return fields.jets(pts, 0) if order == 0 else stencil_jets(fields, pts, step)
+
+    return dataclasses.replace(fields, jets=jets)
 
 
 def nested_fd_fields(imm, step):
@@ -67,9 +76,15 @@ def nested_fd_fields(imm, step):
     return stencil_fields(fields_from_immersion(imm), step)
 
 
+def values(fields, pts):
+    """(I, h, rho, H) at pts, the values of the fields' order-0 request."""
+    request = fields.jets(np.atleast_2d(pts), 0)
+    return request.g.value, request.h.value, request.rho.value, request.mean.value
+
+
 def _part(fields, i):
-    """pts -> quantity i (0: I, 1: h, 2: rho, 3: H) of its own sample request."""
-    return lambda pts: fields.sample(np.atleast_2d(pts))[i]
+    """pts -> quantity i (0: I, 1: h, 2: rho, 3: H) of its own order-0 request."""
+    return lambda pts: values(fields, pts)[i]
 
 
 def _metric_at(fields, p):

@@ -9,6 +9,8 @@ test prints one summary line.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mobiusflat.checks import rigidity_scan, run_suite
 from mobiusflat.config import RunConfig
@@ -237,3 +239,24 @@ def test_every_accepted_dimension_passes(n):
     assert len(report.records) == 13
     failed = [(r.name, r.max_residual, r.error) for r in report.records if not r.passed]
     assert not failed
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(
+    seed=st.integers(0, 2**20),
+    n=st.integers(4, 7),
+    samples=st.sampled_from([8, 20]),
+)
+def test_every_seed_passes_far_inside_the_tolerances(seed, n, samples):
+    # no seed flips a verdict: every record passes, and every assert with a
+    # finite tolerance stays below 1e-2 of it (worst measured: 1.2e-4 over
+    # seeds 0-7 at n = 4-7 and samples 8 and 20, 9.7e-6 over these draws)
+    report = run_suite(RunConfig(n=n, samples=samples, seed=seed).validate())
+    failed = [(r.name, r.max_residual, r.error) for r in report.records if not r.passed]
+    assert not failed
+    margins = {
+        r.name: r.max_residual / r.tolerance
+        for r in report.records
+        if r.kind == "assert" and np.isfinite(r.tolerance)
+    }
+    assert margins and max(margins.values()) <= 1e-2, margins

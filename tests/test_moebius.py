@@ -13,8 +13,9 @@ from mobiusflat.errors import DegenerateGeometryError, InputError, UmbilicPointE
 from mobiusflat.immersion import (
     ImmersionHandle,
     first_fundamental_form_batch,
-    second_fundamental_form_batch,
+    fundamental_form_jets,
 )
+from mobiusflat.jets import Jet
 from mobiusflat.linalg import gram_schmidt_frames
 from mobiusflat.moebius import (
     B_eigenvalues_and_scalars,
@@ -29,6 +30,7 @@ from mobiusflat.moebius import (
     moebius_form,
     moebius_form_divergence_residual,
     moebius_form_divergence_residuals,
+    moebius_jets,
     moebius_scalar,
     moebius_scalars,
 )
@@ -62,8 +64,7 @@ def sin_curve_cylinder(n=N_DIM):
 class TestDensity:
     def test_cylinder_rho_kappa(self, cylinder, cylinder_traj):
         pts = interior_points(cylinder, 6, seed=21)
-        fields = fields_from_immersion(cylinder)
-        g, h = fields.sample(pts)[:2]
+        g, h = moebius_oracle.values(fields_from_immersion(cylinder), pts)[:2]
         for i, p in enumerate(pts):
             rho, mean = moebius_density(g[i], h[i])
             kap = float(cylinder_traj.kappa_at(p[0:1])[0])
@@ -72,8 +73,7 @@ class TestDensity:
 
     def test_cone_rho_scaled_by_t(self, cone, cone_traj):
         pts = interior_points(cone, 6, seed=23)
-        fields = fields_from_immersion(cone)
-        g, h = fields.sample(pts)[:2]
+        g, h = moebius_oracle.values(fields_from_immersion(cone), pts)[:2]
         for i, p in enumerate(pts):
             rho, mean = moebius_density(g[i], h[i])
             kap = float(cone_traj.kappa_at(p[0:1])[0])
@@ -82,13 +82,27 @@ class TestDensity:
 
     def test_rotational_rho(self, rotational, rotational_traj):
         pts = interior_points(rotational, 6, seed=25)
-        fields = fields_from_immersion(rotational)
-        g, h = fields.sample(pts)[:2]
+        g, h = moebius_oracle.values(fields_from_immersion(rotational), pts)[:2]
         y = rotational_traj.curve_at(pts[:, 0])[:, 1]
         kap = rotational_traj.kappa_at(pts[:, 0])
         for i, p in enumerate(pts):
             rho, _ = moebius_density(g[i], h[i])
             assert rho == pytest.approx(kap[i] / y[i], rel=1e-7)
+
+    @pytest.mark.parametrize("n", [2, 4, 7])
+    def test_density_is_the_solved_shape_operator_formula(self, n):
+        # rho and H from the shape operator I^-1 h by a linear solve, as the
+        # fields composed them before the order-0 request; on random pencils
+        # the two agree to 5 eps relative (measured at n = 2-7)
+        rng = np.random.default_rng(n)
+        a, b = rng.normal(size=(2, 30, n, n))
+        g, h = a @ a.mT + n * np.eye(n), b + b.mT
+        shape_op = np.linalg.solve(g, h)
+        mean = np.einsum("kii->k", shape_op) / n
+        norm2 = np.einsum("kij,kji->k", shape_op, shape_op)
+        rho = np.sqrt(n / (n - 1) * (norm2 - n * mean**2))
+        for i in range(len(g)):
+            assert moebius_density(g[i], h[i]) == pytest.approx((rho[i], mean[i]), rel=1e-13)
 
     def test_umbilic_rejected(self):
         g = np.eye(4)
@@ -105,15 +119,16 @@ class TestDensity:
 
     def test_indefinite_first_form_refused(self):
         # I = diag(1, -0.5) and h = Id: rho^2 = 9 > 0, so only I's sign is at fault
-        def sample(pts):
+        def jets(pts, order=2):
+            if order == 2:
+                return moebius_oracle.stencil_jets(fields, pts, FINE)
+            assert order == 0, order
             k = np.atleast_2d(pts).shape[0]
             g = np.tile(np.diag([1.0, -0.5]), (k, 1, 1))
-            return g, np.tile(np.eye(2), (k, 1, 1)), np.full(k, 3.0), np.full(k, -0.5)
+            values = (g, np.tile(np.eye(2), (k, 1, 1)), np.full(k, 3.0), np.full(k, -0.5))
+            return moebius_jets(*(Jet([x]) for x in values))
 
-        def jets(pts):
-            return moebius_oracle.stencil_jets(fields, pts, FINE)
-
-        fields = SurfaceFields(dim=2, sample=sample, ambient_curvature=0.0, jets=jets)
+        fields = SurfaceFields(dim=2, ambient_curvature=0.0, jets=jets)
         with pytest.raises(DegenerateGeometryError):
             moebius_data(fields, np.zeros(2))
 
@@ -125,8 +140,7 @@ class TestMoebiusMetric:
         imm = request.getfixturevalue(fixture)
         traj = request.getfixturevalue(f"{fixture}_traj")
         pts = interior_points(imm, 20, seed=27)
-        fields = fields_from_immersion(imm)
-        g, h = fields.sample(pts)[:2]
+        g, h = moebius_oracle.values(fields_from_immersion(imm), pts)[:2]
         kap = traj.kappa_at(pts[:, 0])
         n = N_DIM
         for i, p in enumerate(pts):
@@ -145,30 +159,41 @@ class TestMoebiusMetric:
             assert np.max(np.abs(gm - expected)) / scale < 1e-6
 
 
+SURFACES = ["cylinder", "cone", "rotational", "torus", "rotational+lift"]
+
+
+def surface(name, request):
+    base = request.getfixturevalue(name.split("+")[0])
+    return lift_to_sphere(base) if name.endswith("+lift") else base
+
+
 def composed_fields(imm, pts):
-    """(I, II, rho, H) composed from the public form functions, as before the jet."""
+    """(I, II, rho, H) composed from the public form functions: I of
+    ``first_fundamental_form_batch``, II of the order-0 ``fundamental_form_jets``
+    (``second_fundamental_form_batch`` to rounding, see test_immersion) and rho
+    and H of ``moebius_density``, one point at a time."""
     g = first_fundamental_form_batch(imm, pts)
-    h = second_fundamental_form_batch(imm, pts)
-    n = g.shape[-1]
-    shape_op = np.linalg.solve(g, h)
-    mean = np.einsum("kii->k", shape_op) / n
-    norm2 = np.einsum("kij,kji->k", shape_op, shape_op)
-    return g, h, np.sqrt(n / (n - 1) * (norm2 - n * mean**2)), mean
+    h = fundamental_form_jets(imm, pts, order=0)[1].value
+    rho, mean = np.array([moebius_density(a, b) for a, b in zip(g, h)]).T
+    return g, h, rho, mean
 
 
 class TestOneJetFields:
-    @pytest.mark.parametrize("fixture", ["torus", "rotational"])
-    def test_fields_match_composed_forms(self, fixture, request):
-        # the FD route: the handle's exact jet is replaced by the FD jet
-        imm = with_fd_jet(request.getfixturevalue(fixture), FD_STEP)
+    @pytest.mark.parametrize("name", ["torus-fd", "rotational-fd"] + SURFACES)
+    def test_fields_match_composed_forms(self, name, request):
+        # a same-formula consistency check: the values of a request on pipeline
+        # fields are the public form functions composed with moebius_density, bit
+        # for bit (the formula itself is checked against the solved shape
+        # operator in TestDensity); on the FD route the handle's exact jet is
+        # replaced by the FD jet
+        imm = surface(name.removesuffix("-fd"), request)
+        if name.endswith("-fd"):
+            imm = with_fd_jet(imm, FD_STEP)
         pts = interior_points(imm, 7, seed=5)
         fields = fields_from_immersion(imm)
-        g, h, rho, mean = composed_fields(imm, pts)
-        sample = fields.sample(pts)
-        assert np.array_equal(sample[0], g)
-        assert np.array_equal(sample[1], h)
-        assert np.array_equal(sample[2], rho)
-        assert np.array_equal(sample[3], mean)
+        values = moebius_oracle.values(fields, pts)
+        for x, composed in zip(values, composed_fields(imm, pts)):
+            assert np.array_equal(x, composed)
 
     def test_one_evaluator_call_per_request(self, torus):
         calls = []
@@ -182,7 +207,7 @@ class TestOneJetFields:
         pts = interior_points(imm, 3, seed=7)
         stencil = 5 * N_DIM + 16 * N_DIM * (N_DIM - 1) // 2
         calls.clear()  # the orientation sign, resolved once at construction
-        fields.sample(pts)
+        fields.jets(pts, 0)
         assert calls == [3 * stencil]
 
 
@@ -228,7 +253,7 @@ class TestOneRequestPerPointSet:
     @pytest.mark.parametrize("fixture", ["torus", "rotational"])
     def test_agrees_with_separate_request_oracle(self, fixture, analytic, request):
         # the packed stencil request against separate stencils, over the closed
-        # forms' sample and over the pipeline's (the nested-FD pipeline)
+        # forms' order-0 request and over the pipeline's (the nested-FD pipeline)
         imm = request.getfixturevalue(fixture)
         base = imm.analytic_fields if analytic else fields_from_immersion(imm)
         fields = moebius_oracle.stencil_fields(base, FINE)
@@ -301,23 +326,38 @@ class TestOneJetPerPointSet:
         "invariant", [moebius_data, moebius_scalar, direct_scalar], ids=lambda f: f.__name__
     )
     def test_closed_forms_are_a_route_of_their_own(self, rotational, invariant, monkeypatch):
-        # a request on the closed forms reads their factor tables: no sample call,
-        # no jet of the immersion and no pipeline fields
+        # a request on the closed forms reads their factor tables: no jet of the
+        # immersion and no pipeline fields
         def refuse(*args, **kwargs):
             raise AssertionError("the closed forms reached the pipeline")
 
         monkeypatch.setattr(ImmersionHandle, "evaluate_jet", refuse)
         monkeypatch.setattr(moebius, "_jets_from_forms", refuse)
         closed = rotational.analytic_fields
-        invariant(dataclasses.replace(closed, sample=refuse), rotational.base_point)
+        invariant(closed, rotational.base_point)
 
 
-SURFACES = ["cylinder", "cone", "rotational", "torus", "rotational+lift"]
+class TestOrderZeroRequest:
+    """The values (I, h, rho, H) are the order-0 request, the same bits as level 0 of
+    the order-2 request."""
 
+    @pytest.mark.parametrize("name", SURFACES + [f"{s}-closed-form" for s in SURFACES[:4]])
+    def test_level_zero_of_every_order(self, name, request):
+        imm = surface(name.removesuffix("-closed-form"), request)
+        fields = imm.analytic_fields if name.endswith("closed-form") else fields_from_immersion(imm)
+        pts = interior_points(imm, 5, seed=13)
+        values, full = fields.jets(pts, 0), fields.jets(pts, 2)
+        assert [q.order for q in values] == [0] * 7
+        assert [q.order for q in full] == [2] * 7
+        for quantity, x, y in zip(values._fields, values, full):
+            assert np.array_equal(x.value, y.value), quantity
 
-def surface(name, request):
-    base = request.getfixturevalue(name.split("+")[0])
-    return lift_to_sphere(base) if name.endswith("+lift") else base
+    def test_one_jet_evaluation_of_order_two(self, rotational):
+        imm, calls = jet_counting(rotational)
+        fields = fields_from_immersion(imm)
+        calls.clear()  # the orientation sign, resolved once at construction
+        fields.jets(interior_points(imm, 6, seed=17), 0)
+        assert calls == [(6, 2)]
 
 
 def exact_and_nested_fd(imm, pts, step):
@@ -431,8 +471,7 @@ class TestTensorB:
     def test_eigenvalues_and_traces(self, fixture, request):
         imm = request.getfixturevalue(fixture)
         pts = interior_points(imm, 6, seed=29)
-        fields = fields_from_immersion(imm)
-        g, h = fields.sample(pts)[:2]
+        g, h = moebius_oracle.values(fields_from_immersion(imm), pts)[:2]
         n = N_DIM
         for i, p in enumerate(pts):
             rho, mean = moebius_density(g[i], h[i])
@@ -446,7 +485,8 @@ class TestTensorB:
     @pytest.mark.parametrize("fixture", ["cylinder", "torus"])
     def test_stack_equals_one_point_calls(self, fixture, request):
         imm = request.getfixturevalue(fixture)
-        g, h, rho, mean = fields_from_immersion(imm).sample(interior_points(imm, 6, seed=29))
+        pts = interior_points(imm, 6, seed=29)
+        g, h, rho, mean = moebius_oracle.values(fields_from_immersion(imm), pts)
         stack = moebius_B(g, h, rho, mean)
         assert stack.shape == g.shape
         for i in range(len(g)):
@@ -631,7 +671,7 @@ class TestNoStep:
 
     def test_fields_without_jets_are_refused(self, torus):
         with pytest.raises(InputError, match="no jets"):
-            SurfaceFields(dim=N_DIM, sample=torus.analytic_fields.sample, ambient_curvature=1.0)
+            SurfaceFields(dim=N_DIM, ambient_curvature=1.0)
         with pytest.raises(InputError, match="no jets"):
             dataclasses.replace(fields_from_immersion(torus), jets=None)
 
@@ -652,7 +692,8 @@ def closed_form_handle(name):
 
 
 def jets_and_stencil(imm, step):
-    """(quantity, level) -> (exact jet, stencil of the closed forms' own sample at step)."""
+    """(quantity, level) -> (exact jet, stencil of the closed forms' own order-0 request
+    at step)."""
     fields = imm.analytic_fields
     pts = interior_points(imm, 3, seed=11, pad=0.2)
     exact, oracle = fields.jets(pts), moebius_oracle.stencil_jets(fields, pts, step)
@@ -664,7 +705,8 @@ def jets_and_stencil(imm, step):
 
 
 class TestClosedFormJetsAgainstTheirStencil:
-    """The closed forms' exact jets against the order-4 stencil of their own sample."""
+    """The closed forms' exact jets against the order-4 stencil of their own order-0
+    request."""
 
     @pytest.mark.parametrize("name", CLOSED_FORMS)
     def test_within_the_stencil_error(self, name):

@@ -8,7 +8,7 @@ from mobiusflat.errors import ChartDomainError, InputError
 from mobiusflat.fd import jet_batch
 from mobiusflat.immersion import (
     first_fundamental_form_batch,
-    fundamental_forms_batch,
+    fundamental_form_jets,
     jacobian,
     principal_curvatures,
     second_fundamental_form_batch,
@@ -40,7 +40,7 @@ def fd_vs_analytic(imm, count=8, seed=1):
     fd = with_fd_jet(imm, STEP)  # the FD route, not the handle's exact jet
     g_fd = first_fundamental_form_batch(fd, pts)
     h_fd = second_fundamental_form_batch(fd, pts)
-    g, h = imm.analytic_fields.sample(pts)[:2]
+    g, h = moebius_oracle.values(imm.analytic_fields, pts)[:2]
     return pts, g_fd, h_fd, g, h
 
 
@@ -86,7 +86,9 @@ class TestExactJet:
         "rotational": lambda imm: imm,
         "torus": lambda imm: imm,
         "cylinder+lift": lift_to_sphere,
+        "cone+lift": lift_to_sphere,
         "rotational+lift": lift_to_sphere,
+        "cylinder*1.5": lambda imm: scale_immersion(imm, 1.5),
         "cone*0.5": lambda imm: scale_immersion(imm, 0.5),
         "rotational*2": lambda imm: scale_immersion(imm, 2.0),
     }
@@ -117,6 +119,19 @@ class TestExactJet:
         assert all(map(np.array_equal, jet4[:3], imm.evaluate_jet(pts)))
         check_third_and_fourth(jet4, lambda q: imm.evaluate_jet(q)[2], pts)
 
+    @pytest.mark.parametrize("name", list(HANDLES))
+    def test_orders_zero_and_one_lead_the_two_jet(self, name, request):
+        # every handle answers a jet of order 0 and 1, the leading levels of
+        # its 2-jet bit for bit
+        base = request.getfixturevalue(name.split("+")[0].split("*")[0])
+        imm = self.HANDLES[name](base)
+        pts = interior_points(imm, 4, seed=23)
+        jet2 = imm.evaluate_jet(pts)
+        for order in (0, 1):
+            jet = imm.evaluate_jet(pts, order)
+            assert len(jet) == order + 1
+            assert all(map(np.array_equal, jet, jet2))
+
     def test_sphere_chart_factors_to_order_four(self):
         angles = np.array([[0.9, 1.1, 2.0], [1.5, 0.4, 5.0]])
         jet4 = zoo._product_jet(zoo._sphere_factors(angles, 4))
@@ -127,8 +142,8 @@ class TestExactJet:
     def test_forms_match_closed_form(self, fixture, request):
         imm = request.getfixturevalue(fixture)
         pts = interior_points(imm, 8, seed=1)
-        g, h = fundamental_forms_batch(imm, pts)
-        g_closed, h_closed = imm.analytic_fields.sample(pts)[:2]
+        g, h = (x.value for x in fundamental_form_jets(imm, pts, order=0)[:2])
+        g_closed, h_closed = moebius_oracle.values(imm.analytic_fields, pts)[:2]
         scale = np.max(np.abs(g_closed))
         assert np.max(np.abs(g - g_closed)) <= 1e-12 * scale
         assert np.max(np.abs(h - h_closed)) <= 1e-12 * scale
@@ -137,8 +152,9 @@ class TestExactJet:
     def test_scaled_forms(self, factor, rotational):
         # f_l(l p) = l f(p): the same I, and II divided by l
         pts = interior_points(rotational, 6, seed=3)
-        g, h = fundamental_forms_batch(scale_immersion(rotational, factor), factor * pts)
-        g_closed, h_closed = rotational.analytic_fields.sample(pts)[:2]
+        forms = fundamental_form_jets(scale_immersion(rotational, factor), factor * pts, order=0)
+        g, h = (x.value for x in forms[:2])
+        g_closed, h_closed = moebius_oracle.values(rotational.analytic_fields, pts)[:2]
         assert np.max(np.abs(g - g_closed)) <= 1e-12
         assert np.max(np.abs(factor * h - h_closed)) <= 1e-12
 
@@ -149,7 +165,7 @@ class TestExactJet:
 
         imm = request.getfixturevalue(fixture)
         pts = interior_points(imm, 6, seed=4)
-        g, _, rho, _ = fields_from_immersion(lift_to_sphere(imm)).sample(pts)
+        g, _, rho, _ = moebius_oracle.values(fields_from_immersion(lift_to_sphere(imm)), pts)
         expected = moebius_oracle.moebius_metric_field(imm.analytic_fields)(pts)
         assert np.max(np.abs(rho[:, None, None] ** 2 * g - expected)) <= 1e-12 * np.max(
             np.abs(expected)
@@ -170,7 +186,7 @@ class TestClosedForms:
         imm = request.getfixturevalue(fixture)
         pts = interior_points(imm, 6, seed=3)
         fields = imm.analytic_fields
-        assert np.array_equal(fields.first_form(pts), fields.sample(pts)[0])
+        assert np.array_equal(fields.first_form(pts), fields.jets(pts, 0).g.value)
 
     @pytest.mark.parametrize("fixture", ["cylinder", "cone", "torus"])
     def test_first_form_reads_the_metric_table_alone(self, fixture, request, monkeypatch):
@@ -235,7 +251,7 @@ class TestCone:
 
     def test_rho_is_t_scaled(self, cone, cone_traj):
         pts = interior_points(cone, 6, seed=5)
-        rho = cone.analytic_fields.sample(pts)[2]
+        rho = moebius_oracle.values(cone.analytic_fields, pts)[2]
         assert np.allclose(rho * pts[:, 1], cone_traj.kappa_at(pts[:, 0]), atol=1e-12)
 
     def test_t_positive_enforced(self, cone_traj):
@@ -267,7 +283,7 @@ class TestRotational:
 
     def test_principal_curvatures_formula(self, rotational, rotational_traj):
         pts = interior_points(rotational, 6, seed=9)
-        g, h = rotational.analytic_fields.sample(pts)[:2]
+        g, h = moebius_oracle.values(rotational.analytic_fields, pts)[:2]
         c = rotational_traj.curve_at(pts[:, 0])
         kap = rotational_traj.kappa_at(pts[:, 0])
         y, phi = c[:, 1], c[:, 2]
@@ -375,6 +391,11 @@ class TestLift:
         assert np.max(np.abs(j.T @ eta)) < 1e-9
         assert abs(eta @ vals[0]) < 1e-10
 
+    def test_scale_refuses_a_sphere_ambient_handle(self, torus):
+        # a homothety moves the unit sphere off itself
+        with pytest.raises(InputError, match="Euclidean"):
+            scale_immersion(torus, 1.5)
+
     @pytest.mark.parametrize("base_jet", ["exact", "fd"])
     def test_lift_and_scale_carry_a_jet(self, base_jet, cylinder):
         # the lift and the homothety push any base jet through their map
@@ -414,7 +435,7 @@ class TestDimensionFive:
         )
         for imm in (cylinder_immersion(traj5, n), torus_immersion(0.4, n)):
             pts = interior_points(imm, 3, seed=43)
-            g, h, rho, mean = fields_from_immersion(imm).sample(pts)
+            g, h, rho, mean = moebius_oracle.values(fields_from_immersion(imm), pts)
             from mobiusflat.linalg import gram_schmidt_frame
 
             for i in range(pts.shape[0]):
