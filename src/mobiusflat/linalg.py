@@ -3,8 +3,10 @@
 Everything here targets symmetric matrices of size <= 8, where robustness
 and determinism matter more than speed.  The Jacobi sweep order is fixed
 (row-major over the strict upper triangle), so results are reproducible
-bit-for-bit across runs.  ``require_symmetric`` and ``gram_schmidt_frames``
-also take a stack (K, m, m) of matrices and name the first failing one.
+bit-for-bit across runs.  ``jacobi_eigh``, ``require_symmetric`` and
+``gram_schmidt_frames`` also take a stack (K, m, m) of matrices, and the
+checks name the first failing one; a matrix gets the same bits alone and in
+any stack.
 """
 
 from __future__ import annotations
@@ -28,67 +30,55 @@ def require_symmetric(a: np.ndarray, tol: float = 1e-10, what: str = "matrix") -
 
 
 def jacobi_eigh(a: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60):
-    """Eigen-decomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigen-decomposition of a symmetric matrix (m, m), or of a stack (K, m, m),
+    by cyclic Jacobi rotations.
 
-    Returns (w, v) with eigenvalues ascending and v[:, i] the eigenvector
-    for w[i], matching the numpy.linalg.eigh layout.  Convergence is
-    declared when every off-diagonal entry is below tol * scale.
+    Returns (w, v) with eigenvalues ascending and v[..., :, i] the eigenvector
+    for w[..., i], matching the numpy.linalg.eigh layout.  A matrix is
+    converged, and no longer rotated, once every off-diagonal entry is below
+    tol * max(1, max|a|) at the start of a sweep.  Each rotation updates rows
+    and columns p and q elementwise (Golub-Van Loan sec. 8.5), so a matrix
+    gets the same bits in any stack.
     """
     a = require_symmetric(a, what="eigensolver input")
-    m = a.shape[0]
-    v = np.eye(m)
-    if m == 1:
-        return a.diagonal().copy(), v
-    scale = max(1.0, float(np.max(np.abs(a))))
+    one = a.ndim == 2
+    a = a[None] if one else a
+    k, m = a.shape[:2]
+    v = np.tile(np.eye(m), (k, 1, 1))
+    scale = np.maximum(1.0, np.max(np.abs(a), axis=(1, 2)))
+    done = np.zeros(k, dtype=bool)
     for _ in range(max_sweeps):
-        off = np.max(np.abs(a - np.diag(a.diagonal())))
-        if off <= tol * scale:
+        done |= np.max(np.abs(a - a * np.eye(m)), axis=(1, 2)) <= tol * scale
+        if done.all():
             break
         for p in range(m - 1):
             for q in range(p + 1, m):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
+                # a NaN entry is rotated, so that it spreads instead of passing as zero
+                i = np.flatnonzero(~done & ~(np.abs(a[:, p, q]) <= 1e-300))
+                if not i.size:
                     continue
-                # classic two-sided rotation, Golub-Van Loan sec. 8.4
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.hypot(1.0, theta))
-                if theta == 0.0:
-                    t = 1.0
+                sub, rot = a[i], v[i]
+                apq = sub[:, p, q]
+                theta = (sub[:, q, q] - sub[:, p, p]) / (2.0 * apq)
+                t = np.sign(theta) / (np.abs(theta) + np.hypot(1.0, theta))
+                t[theta == 0.0] = 1.0
                 c = 1.0 / np.hypot(1.0, t)
                 s = t * c
-                rot = np.eye(m)
-                rot[p, p] = c
-                rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-                v = v @ rot
-    w = a.diagonal().copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+                for x in (sub.mT, sub, rot):  # rows of a, then columns of a and v
+                    _rotate(x, p, q, c[:, None], s[:, None])
+                a[i], v[i] = sub, rot
+    w = a.diagonal(axis1=1, axis2=2)
+    order = np.argsort(w, axis=1, kind="stable")
+    w, v = np.take_along_axis(w, order, axis=1), np.take_along_axis(v, order[:, None], axis=2)
+    return (w[0], v[0]) if one else (w, v)
 
 
-def sym_inv_sqrt(a: np.ndarray, floor: float = 1e-14) -> np.ndarray:
-    """Inverse square root of a symmetric positive definite matrix."""
-    w, v = jacobi_eigh(a)
-    scale = max(1.0, float(np.max(np.abs(w))))
-    if np.min(w) <= floor * scale:
-        raise DegenerateGeometryError(
-            f"matrix is not positive definite (min eigenvalue {np.min(w):.3e})"
-        )
-    return (v / np.sqrt(w)) @ v.T
-
-
-def generalized_eigvals_descending(b: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the symmetric pencil b x = lam a x, a positive definite.
-
-    Solved on the symmetrized form a^{-1/2} b a^{-1/2}; descending order.
-    """
-    b = require_symmetric(b, what="pencil numerator")
-    a = require_symmetric(a, what="pencil denominator")
-    r = sym_inv_sqrt(a)
-    w, _ = jacobi_eigh(r @ b @ r)
-    return w[::-1].copy()
+def _rotate(x: np.ndarray, p: int, q: int, c: np.ndarray, s: np.ndarray) -> None:
+    """Columns p and q of each matrix of the stack x (K, m, m) times the rotation
+    [[c, s], [-s, c]], in place."""
+    xp, xq = x[:, :, p].copy(), x[:, :, q].copy()
+    x[:, :, p] = c * xp - s * xq
+    x[:, :, q] = s * xp + c * xq
 
 
 def gram_schmidt_frames(g: np.ndarray, floor: float = 1e-14) -> np.ndarray:

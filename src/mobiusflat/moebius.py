@@ -38,8 +38,9 @@ No request takes a step, and fields without ``jets`` are refused.  B, C, A
 and the divergence residual are each one expression over the K points:
 one ``gram_schmidt_frames`` of the stack of I gives the I-orthonormal
 frames (the g-frames are these over rho), and the components are stacked
-matrix products in them.  Only the spectra (``jacobi_eigh``) and the
-principal curvatures are taken point by point.  ``direct_scalar``,
+matrix products in them.  The spectra are stacked ``jacobi_eigh`` solves:
+one of h in the I-frame gives the principal curvatures lambda and B's
+eigenvalues (lambda - H) / rho, one of A gives A's.  ``direct_scalar``,
 ``moebius_scalars``, ``moebius_data_batch`` and
 ``moebius_form_divergence_residuals`` take a point set; the one-point
 functions (``moebius_data``, ``moebius_scalar``, ``moebius_form``,
@@ -62,13 +63,7 @@ from .curvature import (
     curvature_batch,
 )
 from .errors import DegenerateGeometryError, InputError, UmbilicPointError
-from .immersion import (
-    UNIT_SPHERE,
-    ImmersionHandle,
-    fundamental_form_jets,
-    orientation_sign,
-    principal_curvatures,
-)
+from .immersion import UNIT_SPHERE, ImmersionHandle, fundamental_form_jets, orientation_sign
 from .jets import Jet, compose, contract, inverse, log_derivatives, power_derivatives
 from .linalg import gram_schmidt_frames, jacobi_eigh, require_symmetric
 
@@ -232,12 +227,12 @@ def _jets(fields: SurfaceFields, pts: np.ndarray) -> _Jets:
 # derivative-level invariants, each one expression over the request's points
 
 
-def _frames(request: _Jets) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(I, h, the I-orthonormal frames E, E^T h E) at the request's points, each (K, m, m)."""
+def _frames(request: _Jets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(I, the I-orthonormal frames E, E^T h E) at the request's points, each (K, m, m)."""
     g = require_symmetric(request.g.value, tol=1e-8, what="first fundamental form")
     h = require_symmetric(request.h.value, tol=1e-6, what="second fundamental form")
     frame = gram_schmidt_frames(g)
-    return g, h, frame, frame.mT @ h @ frame
+    return g, frame, frame.mT @ h @ frame
 
 
 def _form(request: _Jets, frame: np.ndarray, h_frame: np.ndarray) -> np.ndarray:
@@ -301,7 +296,7 @@ def moebius_form_divergence_residuals(fields: SurfaceFields, pts: np.ndarray) ->
     cross-check for the completed gradient coupling in the C formula.
     """
     request = _jets(fields, pts)
-    _, _, frame, h_frame = _frames(request)
+    _, frame, h_frame = _frames(request)
     g = request.moebius.value
     ginv = np.linalg.inv(g)
     gamma = christoffel_symbols(ginv, request.moebius.levels[1])
@@ -329,12 +324,19 @@ def direct_scalar(fields: SurfaceFields, pts: np.ndarray):
     return float(scalars[0]) if pts.ndim == 1 else scalars
 
 
+def _spectra(request: _Jets, h_frame: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The principal curvatures and B's eigenvalues at the request's points, each (K, m)
+    and descending, from one stacked solve of h in the I-frame: B = (E^T h E - H Id) / rho
+    (``_trace_free``), so eig B = (lambda - H) / rho."""
+    lam = jacobi_eigh(h_frame)[0][:, ::-1]
+    return lam, (lam - request.mean.value[:, None]) / request.rho.value[:, None]
+
+
 def B_eigenvalues_and_scalars(fields: SurfaceFields, pts: np.ndarray):
     """The eigenvalues of B at each point of pts (K, m), descending (K, m), and the
-    direct scalar (K,), from one request: B from its value, as in ``moebius_data``."""
+    direct scalar (K,), from one request: the spectrum of ``moebius_data``."""
     request = _jets(fields, pts)
-    b = _trace_free(_frames(request)[3], request.rho.value, request.mean.value)
-    return np.array([jacobi_eigh(x)[0][::-1] for x in b]), _direct(request)
+    return _spectra(request, _frames(request)[2])[1], _direct(request)
 
 
 class MoebiusScalarResult(NamedTuple):
@@ -398,15 +400,18 @@ class MoebiusData:
 
 def moebius_data_batch(fields: SurfaceFields, pts: np.ndarray) -> list[MoebiusData]:
     """All invariants at each point of pts (K, m) from one request: B, C and A as one
-    expression over the points, the spectra and principal curvatures point by point."""
+    expression over the points, and the spectra as two stacked solves, of h in the
+    I-frame (the principal curvatures and B's eigenvalues) and of A."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     request = _jets(fields, pts)
-    g, h, frame, h_frame = _frames(request)
+    g, frame, h_frame = _frames(request)
     rho, mean = request.rho.value, request.mean.value
     b = _trace_free(h_frame, rho, mean)
     a = _blaschke(request, g, frame, h_frame, fields.ambient_curvature)
     c = _form(request, frame, h_frame)
     g_moebius = rho[:, None, None] ** 2 * g
+    lam, b_eig = _spectra(request, h_frame)
+    a_eig = jacobi_eigh(a)[0][:, ::-1]
     return [
         MoebiusData(
             point=p,
@@ -416,9 +421,9 @@ def moebius_data_batch(fields: SurfaceFields, pts: np.ndarray) -> list[MoebiusDa
             B=b[k],
             A=a[k],
             C=c[k],
-            principal_curvatures=principal_curvatures(g[k], h[k]),
-            B_eigenvalues=jacobi_eigh(b[k])[0][::-1].copy(),
-            A_eigenvalues=jacobi_eigh(a[k])[0][::-1].copy(),
+            principal_curvatures=lam[k],
+            B_eigenvalues=b_eig[k],
+            A_eigenvalues=a_eig[k],
         )
         for k, p in enumerate(pts)
     ]

@@ -23,7 +23,6 @@ import numpy as np
 
 from mobiusflat.curvature import conformal_scalar, metric_field_curvature
 from mobiusflat.fd import diff1, jet, jet_batch
-from mobiusflat.immersion import principal_curvatures
 from mobiusflat.jets import Jet
 from mobiusflat.linalg import gram_schmidt_frame, jacobi_eigh, require_symmetric
 from mobiusflat.moebius import (
@@ -163,7 +162,8 @@ def moebius_data(fields, p, step):
         B=b,
         A=a,
         C=moebius_form(fields, p, step),
-        principal_curvatures=principal_curvatures(g, h),
+        # numpy's route to the principal curvatures, not the I-frame solve under test
+        principal_curvatures=np.sort(np.linalg.eigvals(np.linalg.solve(g, h)).real)[::-1],
         B_eigenvalues=wb[::-1].copy(),
         A_eigenvalues=wa[::-1].copy(),
     )

@@ -303,6 +303,25 @@ class TestSuite:
         assert best["torus"] > 0.5 and best["cylinder"] < 1e-6
         assert record.max_residual == max(best.values())
 
+    def test_scalar_constancy_spreads_over_two_points_at_one_sample(self, monkeypatch):
+        # one point per surface would give a spread of exactly 0, measuring nothing
+        from mobiusflat import checks
+
+        counts = []
+        honest = checks.direct_scalar
+
+        def counting(fields, pts):
+            counts.append(len(pts))
+            return honest(fields, pts)
+
+        monkeypatch.setattr(checks, "direct_scalar", counting)
+        cfg = RunConfig(samples=1).validate()
+        check = CHECK_FUNCTIONS["scalar_constancy"]
+        record = check(cfg, suite_surfaces(cfg), np.random.default_rng(0))
+        families = record.details["spread_by_family"]
+        assert len(families) == 3 and len(counts) == len(families) + 1  # and the control
+        assert min(counts[: len(families)]) >= 2
+
     def test_crashed_audit_fails_the_run(self, monkeypatch):
         def crash(cfg, surfaces, rng, res):
             raise ValueError("forced")

@@ -7,31 +7,57 @@ from mobiusflat.errors import DegenerateGeometryError, InputError
 
 import curvature_oracle
 from conftest import interior_points
+from mobiusflat.immersion import principal_curvatures
 from mobiusflat.linalg import (
-    generalized_eigvals_descending,
     gram_schmidt_frame,
     gram_schmidt_frames,
     jacobi_eigh,
     require_symmetric,
-    sym_inv_sqrt,
 )
 from mobiusflat.moebius import fields_from_immersion, moebius_data_batch
 
 
-def random_symmetric(rng, m):
-    a = rng.standard_normal((m, m))
-    return 0.5 * (a + a.T)
+def random_symmetric(rng, shape):
+    """A random symmetric matrix (m, m) for an int m, or a stack of them for a shape."""
+    a = rng.standard_normal((shape, shape) if isinstance(shape, int) else shape)
+    return 0.5 * (a + a.mT)
 
 
 def test_jacobi_matches_numpy():
+    # one matrix, and a stack of four
     rng = np.random.default_rng(7)
     for m in (1, 2, 3, 5, 8):
-        a = random_symmetric(rng, m)
+        for a in (random_symmetric(rng, m), random_symmetric(rng, (4, m, m))):
+            w, v = jacobi_eigh(a)
+            assert w.shape == a.shape[:-1] and v.shape == a.shape
+            assert np.allclose(w, np.linalg.eigvalsh(a), atol=1e-12)
+            assert np.allclose((v * w[..., None, :]) @ v.mT, a, atol=1e-12)
+            assert np.allclose(v.mT @ v, np.eye(m), atol=1e-12)
+
+
+def sweeps(a):
+    """The number of sweeps ``jacobi_eigh`` takes on the matrix a: the least
+    max_sweeps that gives its result."""
+    final = jacobi_eigh(a)
+    for k in range(61):
+        if all(np.array_equal(x, y) for x, y in zip(jacobi_eigh(a, max_sweeps=k), final)):
+            return k
+
+
+def test_jacobi_stack_equals_one_matrix_calls():
+    # a diagonal matrix, dense matrices that converge after different numbers of
+    # sweeps, and m = 1: each matrix of the stack is the same bits as alone
+    rng = np.random.default_rng(12)
+    diagonal = np.diag([3.0, 1.0, -2.0, 0.5])
+    stack = np.array(
+        [diagonal] + [diagonal + eps * random_symmetric(rng, 4) for eps in (1e-9, 1e-5, 1e-2, 1.0)]
+    )
+    assert [sweeps(a) for a in stack] == [0, 1, 2, 3, 4]
+    for a in (stack, rng.standard_normal((3, 1, 1))):
         w, v = jacobi_eigh(a)
-        w_ref = np.linalg.eigvalsh(a)
-        assert np.allclose(w, w_ref, atol=1e-12)
-        assert np.allclose(v @ np.diag(w) @ v.T, a, atol=1e-12)
-        assert np.allclose(v.T @ v, np.eye(m), atol=1e-12)
+        for k in range(len(a)):
+            wk, vk = jacobi_eigh(a[k])
+            assert np.array_equal(w[k], wk) and np.array_equal(v[k], vk)
 
 
 def test_jacobi_residual_tolerance():
@@ -49,24 +75,16 @@ def test_jacobi_rejects_asymmetric():
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=10_000))
-def test_generalized_eigvals_against_numpy(m, seed):
+def test_principal_curvatures_against_numpy(m, seed):
+    # random pencils II v = lam I v: the eigenvalues of I^-1 II, descending, at one
+    # point and for a stack of three
     rng = np.random.default_rng(seed)
-    b = random_symmetric(rng, m)
-    q = rng.standard_normal((m, m))
-    a = q @ q.T + m * np.eye(m)
-    lam = generalized_eigvals_descending(b, a)
-    ref = np.sort(np.linalg.eigvals(np.linalg.solve(a, b)).real)[::-1]
-    assert np.allclose(lam, ref, atol=1e-9)
-
-
-def test_sym_inv_sqrt():
-    rng = np.random.default_rng(11)
-    q = rng.standard_normal((4, 4))
-    a = q @ q.T + 4 * np.eye(4)
-    r = sym_inv_sqrt(a)
-    assert np.allclose(r @ a @ r, np.eye(4), atol=1e-12)
-    with pytest.raises(DegenerateGeometryError):
-        sym_inv_sqrt(np.diag([1.0, 0.0]))
+    h = random_symmetric(rng, (3, m, m))
+    q = rng.standard_normal((3, m, m))
+    g = q @ q.mT + m * np.eye(m)
+    ref = np.sort(np.linalg.eigvals(np.linalg.solve(g, h)).real)[:, ::-1]
+    assert np.allclose(principal_curvatures(g[0], h[0]), ref[0], atol=1e-9)
+    assert np.allclose(principal_curvatures(g, h), ref, atol=1e-9)
 
 
 def test_gram_schmidt_frame_orthonormalizes():

@@ -5,7 +5,7 @@ import inspect
 import numpy as np
 import pytest
 
-from mobiusflat import linalg, moebius
+from mobiusflat import immersion, linalg, moebius
 from mobiusflat.checks import preset_trajectory, sample_points, warped_scalar_reference
 from mobiusflat.curvature import Convention
 from mobiusflat.curvature import convert_scalar
@@ -14,9 +14,10 @@ from mobiusflat.immersion import (
     ImmersionHandle,
     first_fundamental_form_batch,
     fundamental_form_jets,
+    principal_curvatures,
 )
 from mobiusflat.jets import Jet
-from mobiusflat.linalg import gram_schmidt_frames
+from mobiusflat.linalg import gram_schmidt_frames, jacobi_eigh
 from mobiusflat.moebius import (
     B_eigenvalues_and_scalars,
     SurfaceFields,
@@ -265,7 +266,8 @@ class TestOneRequestPerPointSet:
 
         for p in interior_points(imm, 2, seed=43):
             d, ref = moebius_data(fields, p), moebius_oracle.moebius_data(fields, p, FINE)
-            for name in ("rho", "H", "B", "A", "C", "principal_curvatures", "A_eigenvalues"):
+            spectra = ("principal_curvatures", "B_eigenvalues", "A_eigenvalues")
+            for name in ("rho", "H", "B", "A", "C", *spectra):
                 assert close(getattr(d, name), getattr(ref, name)), name
             assert close(d.g_moebius, ref.g_moebius)
             assert close(moebius_form(fields, p), moebius_oracle.moebius_form(fields, p, FINE))
@@ -465,6 +467,32 @@ class TestOneFrameStackPerRequest:
         point_set_request(fields, interior_points(rotational, 6, seed=17))
         assert stacks == [6]
 
+    @pytest.mark.parametrize(
+        "point_set_request, solves",
+        [
+            (moebius_data_batch, 2),
+            (B_eigenvalues_and_scalars, 1),
+            (lambda f, pts: principal_curvatures(*moebius_oracle.values(f, pts)[:2]), 1),
+        ],
+        ids=["moebius_data_batch", "B_eigenvalues_and_scalars", "principal_curvatures"],
+    )
+    def test_one_jacobi_eigh_call_per_spectrum(
+        self, rotational, point_set_request, solves, monkeypatch
+    ):
+        # h in the I-frame is one stacked solve (principal curvatures and B's
+        # eigenvalues), A another
+        stacks = []
+
+        def eigh(a, *args):
+            stacks.append(a.shape[0])
+            return jacobi_eigh(a, *args)
+
+        monkeypatch.setattr(moebius, "jacobi_eigh", eigh)
+        monkeypatch.setattr(immersion, "jacobi_eigh", eigh)
+        fields = fields_from_immersion(rotational)
+        point_set_request(fields, interior_points(rotational, 6, seed=17))
+        assert stacks == [6] * solves
+
 
 class TestTensorB:
     @pytest.mark.parametrize("fixture", ["cylinder", "cone", "rotational", "torus"])
@@ -481,6 +509,19 @@ class TestTensorB:
             eig = np.sort(np.linalg.eigvalsh(b))
             expected = np.sort([(n - 1) / n] + [-1 / n] * (n - 1))
             assert np.allclose(eig, expected, atol=1e-7)
+
+    @pytest.mark.parametrize("fixture", ["cylinder", "cone", "rotational", "torus"])
+    def test_one_spectrum_formula(self, fixture, request):
+        # B's eigenvalues are (lambda - H) / rho of the principal curvatures, the
+        # same bits in moebius_data_batch and B_eigenvalues_and_scalars
+        imm = request.getfixturevalue(fixture)
+        fields = fields_from_immersion(imm)
+        pts = interior_points(imm, 6, seed=29)
+        records = moebius_data_batch(fields, pts)
+        b_eig = np.array([d.B_eigenvalues for d in records])
+        assert np.array_equal(B_eigenvalues_and_scalars(fields, pts)[0], b_eig)
+        for d in records:
+            assert np.array_equal(d.B_eigenvalues, (d.principal_curvatures - d.H) / d.rho)
 
     @pytest.mark.parametrize("fixture", ["cylinder", "torus"])
     def test_stack_equals_one_point_calls(self, fixture, request):
