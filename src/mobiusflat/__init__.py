@@ -63,6 +63,7 @@ from .spiral import (
     SpiralState,
     SpiralTrajectory,
     closure_test,
+    closure_tests,
     equilibrium_kappa,
     first_integral,
     integrate_grid,

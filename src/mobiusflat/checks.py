@@ -74,6 +74,7 @@ from .spiral import (
     SpiralState,
     SpiralTrajectory,
     closure_test,
+    closure_tests,
     equilibrium_kappa,
     first_integral,
     integrate_grid,
@@ -786,6 +787,17 @@ def run_suite(cfg: RunConfig) -> VerificationReport:
 # rigidity experiment
 
 
+def rigidity_initials(cfg: RunConfig, kstar: float) -> np.ndarray:
+    """(grid_size**2, 2): the scan's perturbed (kappa, kappa_s) around the equilibrium kstar.
+
+    It serves rigidity_scan, and the tests that march the scan's grid.
+    """
+    offsets = np.linspace(-cfg.grid_spread, cfg.grid_spread, cfg.grid_size)
+    offsets[np.abs(offsets) < 1e-9] = cfg.grid_spread / 8.0
+    ks_offsets = np.linspace(-0.8 * cfg.grid_spread, 0.8 * cfg.grid_spread, cfg.grid_size)
+    return np.array([[kstar * (1.0 + dk), kstar * dks] for dk in offsets for dks in ks_offsets])
+
+
 def rigidity_scan(cfg: RunConfig) -> dict:
     """Closure experiment for half-plane spirals around the equilibrium.
 
@@ -794,7 +806,9 @@ def rigidity_scan(cfg: RunConfig) -> dict:
     kappa_s offsets up to 0.8 * grid_spread * kappa*) is tested for closure
     over the horizon.  Each grid row is integrated for one kappa period only;
     its period map (period T and holonomy trace, reported per row) carries
-    the closure test over the rest of the horizon.  A small flat-model
+    the closure test over the rest of the horizon.  The grid is one
+    integrate_grid block and one closure_tests call, which march the rows in
+    lockstep and refine their closures together.  A small flat-model
     control with non-constant curvature is included; each of its rows also
     reports its conserved E = kappa_s^2 kappa^(n-4), whose sign certifies
     that kappa is monotone there (flat_control_certified_open), next to the
@@ -824,24 +838,13 @@ def rigidity_scan(cfg: RunConfig) -> dict:
         "defect": eq.defect,
     }
 
-    offsets = np.linspace(-cfg.grid_spread, cfg.grid_spread, cfg.grid_size)
-    offsets[np.abs(offsets) < 1e-9] = cfg.grid_spread / 8.0
-    ks_offsets = np.linspace(
-        -0.8 * cfg.grid_spread, 0.8 * cfg.grid_spread, cfg.grid_size
-    )
-    initials = np.array(
-        [
-            [kstar * (1.0 + dk), kstar * dks]
-            for dk in offsets
-            for dks in ks_offsets
-        ]
-    )
+    initials = rigidity_initials(cfg, kstar)
     controls = IntegratorControls(s_max=cfg.horizon, step=cfg.step, store_stride=10)
     trajectories = integrate_grid(params, initials, controls, period_map=True)
     grid_rows = []
     closures = 0
-    for (k0, ks0), traj in zip(initials, trajectories):
-        res = closure_test(traj, cfg.tol_closed, cfg.tol_open)
+    results = closure_tests(trajectories, cfg.tol_closed, cfg.tol_open)
+    for (k0, ks0), traj, res in zip(initials, trajectories, results):
         closures += int(res.status == "closed")
         pmap = traj.period_map
         grid_rows.append(

@@ -26,7 +26,7 @@ from .config import RunConfig, load_config
 from .curvature import Convention, convert_scalar
 from .errors import ConfigError, MobiusFlatError
 from .meshes import export_obj_slice
-from .moebius import fields_from_immersion, moebius_data_batch, moebius_scalars
+from .moebius import _data_and_scalars, fields_from_immersion
 from .spiral import IntegratorControls, SpiralParams, export_csv, integrate_grid
 from .zoo import EPSILON_BY_FAMILY, build_family, torus_immersion
 
@@ -94,8 +94,7 @@ def cmd_invariants(cfg: RunConfig, out: str, convention: str) -> int:
         + ["trace_B", "norm2_B_defect", "commutator", "scalar_direct", "scalar_conformal"]
     )
     rows = []
-    records = moebius_data_batch(fields, pts)
-    scalars = moebius_scalars(fields, pts)
+    records, scalars = _data_and_scalars(fields, pts)
     for p, d, direct, via in zip(pts, records, scalars.direct, scalars.conformal_route):
         rows.append(
             list(p)

@@ -102,7 +102,8 @@ def gram_schmidt_frames(g: np.ndarray, floor: float = 1e-14) -> np.ndarray:
         bad = np.flatnonzero(nrm2 <= floor)
         if bad.size:
             raise DegenerateGeometryError(
-                f"metric is degenerate along the coordinate basis at point {int(bad[0])}"
+                "metric is not positive definite: degenerate along the coordinate basis"
+                f" at point {int(bad[0])}"
             )
         frames[:, :, i] = v / np.sqrt(nrm2)
     return frames

@@ -42,7 +42,8 @@ matrix products in them.  The spectra are stacked ``jacobi_eigh`` solves:
 one of h in the I-frame gives the principal curvatures lambda and B's
 eigenvalues (lambda - H) / rho, one of A gives A's.  ``direct_scalar``,
 ``moebius_scalars``, ``moebius_data_batch`` and
-``moebius_form_divergence_residuals`` take a point set; the one-point
+``moebius_form_divergence_residuals`` take a point set (``_data_and_scalars``
+gives the records and the scalars from one request); the one-point
 functions (``moebius_data``, ``moebius_scalar``, ``moebius_form``,
 ``blaschke_A``, ``moebius_form_divergence_residual``) are the point-set
 requests at one point, and a request at K points equals K one-point
@@ -62,7 +63,7 @@ from .curvature import (
     covariant_derivative,
     curvature_batch,
 )
-from .errors import DegenerateGeometryError, InputError, UmbilicPointError
+from .errors import InputError, UmbilicPointError
 from .immersion import UNIT_SPHERE, ImmersionHandle, fundamental_form_jets, orientation_sign
 from .jets import Jet, compose, contract, inverse, log_derivatives, power_derivatives
 from .linalg import gram_schmidt_frames, jacobi_eigh, require_symmetric
@@ -88,16 +89,12 @@ def moebius_density(first: np.ndarray, second: np.ndarray) -> tuple[float, float
     of the density formula: the order-0 request of the forms at one point
     (``_jets_from_forms``).  Raises UmbilicPointError when rho^2 falls at
     or below 1e-18, and DegenerateGeometryError when I is not positive
-    definite (its least eigenvalue at or below 1e-14 of its largest), as
-    ``moebius_B`` and ``principal_curvatures`` do.
+    definite, by the test of ``gram_schmidt_frames`` that ``moebius_B`` and
+    ``principal_curvatures`` apply.
     """
     g = np.asarray(first, dtype=float)
     h = require_symmetric(np.asarray(second, dtype=float), what="shape tensor")
-    w = np.linalg.eigvalsh(g)
-    if w[0] <= 1e-14 * max(1.0, float(np.max(np.abs(w)))):
-        raise DegenerateGeometryError(
-            f"first fundamental form is not positive definite (min eigenvalue {w[0]:.3e})"
-        )
+    gram_schmidt_frames(g[None])
     first = Jet([g[None]])
     request = _jets_from_forms(first, Jet([h[None]]), inverse(first))
     return float(request.rho.value[0]), float(request.mean.value[0])
@@ -357,7 +354,11 @@ def moebius_scalars(fields: SurfaceFields, pts: np.ndarray) -> MoebiusScalarResu
     check.  The routes share only the evaluation of their inputs: one
     request of the fields.
     """
-    request = _jets(fields, pts)
+    return _scalars(_jets(fields, pts))
+
+
+def _scalars(request: _Jets) -> MoebiusScalarResult:
+    """The two scalar routes of ``moebius_scalars`` from the request."""
     via = conformal_scalar_from_jet(curvature_batch(*request.g.levels), *request.log_rho.levels)
     return MoebiusScalarResult(direct=_direct(request), conformal_route=via)
 
@@ -403,11 +404,25 @@ def moebius_data_batch(fields: SurfaceFields, pts: np.ndarray) -> list[MoebiusDa
     expression over the points, and the spectra as two stacked solves, of h in the
     I-frame (the principal curvatures and B's eigenvalues) and of A."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    return _records(_jets(fields, pts), pts, fields.ambient_curvature)
+
+
+def _data_and_scalars(
+    fields: SurfaceFields, pts: np.ndarray
+) -> tuple[list[MoebiusData], MoebiusScalarResult]:
+    """``moebius_data_batch`` and ``moebius_scalars`` at the point set pts (K, m), from
+    one request: the immersion's jet is evaluated once for both."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
     request = _jets(fields, pts)
+    return _records(request, pts, fields.ambient_curvature), _scalars(request)
+
+
+def _records(request: _Jets, pts: np.ndarray, ambient_curvature: float) -> list[MoebiusData]:
+    """The records of ``moebius_data_batch`` from the request at pts (K, m)."""
     g, frame, h_frame = _frames(request)
     rho, mean = request.rho.value, request.mean.value
     b = _trace_free(h_frame, rho, mean)
-    a = _blaschke(request, g, frame, h_frame, fields.ambient_curvature)
+    a = _blaschke(request, g, frame, h_frame, ambient_curvature)
     c = _form(request, frame, h_frame)
     g_moebius = rho[:, None, None] ** 2 * g
     lam, b_eig = _spectra(request, h_frame)

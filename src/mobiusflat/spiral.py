@@ -16,13 +16,15 @@ Poincare half-plane (eps = -1), by co-integrating the unit-speed frame
 equations.
 
 Every row (single trajectories, grids and the prescribed-curvature
-controls) is marched by its Taylor series, one row at a time on Python
-floats: each step computes the coefficients of kappa and of the frame to the
-fixed order TAYLOR_ORDER, and takes a step of about a seventh of the series'
-estimated radius of convergence (Jorba and Zou).  The marcher roots a
-crossing of the kappa floor, the kappa ceiling or a non-finite value on the
-step polynomial and ends the row there.  A grid is a loop over its rows, so
-a row is the same alone or in a grid by construction.  Prescribed-curvature
+controls) is marched by its Taylor series: each step computes the
+coefficients of kappa and of the frame to the fixed order TAYLOR_ORDER, and
+takes a step of about a seventh of the series' estimated radius of
+convergence (Jorba and Zou).  The marcher roots a crossing of the kappa
+floor, the kappa ceiling or a non-finite value on the step polynomial and
+ends the row there.  A grid of at least taylor.LOCKSTEP_ROWS rows is marched
+as one block in lockstep, a smaller one row by row on Python floats; the
+block runs the same recurrences in the same summation order, so a row is
+the same alone or in a grid, bit for bit.  Prescribed-curvature
 controls go through the same marcher and row builder: their kappa(s) is
 given by its Taylor coefficients about each arc length, and only the
 frame's series is computed by the recurrences.
@@ -44,8 +46,8 @@ half-plane, its holonomy (the argument Langer and Singer use for closed
 elastic curves, J. Differential Geom. 20, 1984).  integrate_grid with
 period_map marches a row only until (kappa, kappa_s) first returns to its
 start, and closure_test reads the defect over the horizon from the images
-M^k of that period.  Plane and sphere rows are always marched to the
-horizon.
+M^k of that period; closure_tests does so for many rows at once.  Plane and
+sphere rows are always marched to the horizon.
 """
 
 from __future__ import annotations
@@ -222,18 +224,28 @@ def _sample_grid(controls: IntegratorControls) -> np.ndarray:
 
 
 def _taylor_march(
-    params: SpiralParams, series, y0, grid: np.ndarray, controls: IntegratorControls, ret=None
+    params: SpiralParams, series, y0, grid: np.ndarray, controls: IntegratorControls, rets=None
+) -> list[SpiralTrajectory]:
+    """The trajectories of the rows y0 = (kappa, kappa_s, *curve), Taylor-marched over grid.
+
+    rets holds each row's FirstReturn or None (taylor.march).
+    """
+    ends = taylor.march(
+        series, y0, float(grid[-1]), controls.kappa_floor, controls.kappa_ceiling, rets
+    )
+    return [_trajectory(params, row, grid, controls, *end) for row, end in zip(y0, ends)]
+
+
+def _trajectory(
+    params: SpiralParams, y0, grid, controls, steps, s_stop, y_stop, termination
 ) -> SpiralTrajectory:
-    """The trajectory of one row y0 = (kappa, kappa_s, *curve), Taylor-marched over grid.
+    """The trajectory of the row y0 from its march (taylor.march).
 
     The samples are the step polynomials at the points of grid before the
     row's end, followed by the state at the end; the trajectory keeps the
-    polynomials for its queries.  A row that ends at its first return (ret)
+    polynomials for its queries.  A row that ends at its first return
     carries the PeriodMap of that period, with termination "horizon".
     """
-    steps, s_stop, y_stop, termination = taylor.march(
-        series, y0, float(grid[-1]), controls.kappa_floor, controls.kappa_ceiling, ret
-    )
     if termination == "horizon":
         s = grid
     else:
@@ -317,16 +329,27 @@ class PeriodMap:
         return float(self.holonomy[0, 0] + self.holonomy[1, 1])
 
     def act(self, curve: np.ndarray, power: int = 1) -> np.ndarray:
-        """Half-plane rows (x, y, phi) moved by M**power = [[a, b], [c, d]].
+        """Half-plane rows (x, y, phi) moved by M**power."""
+        return _moebius(curve, self.powers([power])[0])
 
-        z -> (a z + b) / (c z + d) and phi -> phi - 2 arg(c z + d).
-        """
-        (a, b), (c, d) = np.linalg.matrix_power(self.holonomy, power)
-        x, y, phi = curve[:, 0], curve[:, 1], curve[:, 2]
-        p, q = c * x + d, c * y
-        r = p * p + q * q
-        x_new = ((a * x + b) * p + a * y * q) / r
-        return np.column_stack([x_new, (a * d - b * c) * y / r, phi - 2.0 * np.arctan2(q, p)])
+    def powers(self, ks) -> np.ndarray:
+        """(len(ks), 2, 2): M**k for each k in ks."""
+        powers = [np.linalg.matrix_power(self.holonomy, int(k)) for k in ks]
+        return np.array(powers).reshape(-1, 2, 2)
+
+
+def _moebius(curve: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Half-plane states (..., 3) = (x, y, phi) moved by m = [[a, b], [c, d]] in SL(2, R).
+
+    z -> (a z + b) / (c z + d) and phi -> phi - 2 arg(c z + d); m (..., 2, 2)
+    broadcasts against the states, so one call moves each state by its own m.
+    """
+    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    x, y, phi = curve[..., 0], curve[..., 1], curve[..., 2]
+    p, q = c * x + d, c * y
+    r = p * p + q * q
+    x_new = ((a * x + b) * p + a * y * q) / r
+    return np.stack([x_new, (a * d - b * c) * y / r, phi - 2.0 * np.arctan2(q, p)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -430,14 +453,11 @@ def _integrate_rows(
     _check_start(model, y0, curve_start, controls)
     if joint:
         y0 = np.concatenate([y0, np.tile(curve_start, (y0.shape[0], 1))], axis=1)
-    series = _spiral_series(params, joint)
-    grid = _sample_grid(controls)
     watch = period_map and joint and model == HALF_PLANE
-    out = []
-    for row in y0:
-        ret = _return_watch(params, row, controls) if watch else None
-        out.append(_taylor_march(params, series, row, grid, controls, ret))
-    return out
+    rets = [_return_watch(params, row, controls) if watch else None for row in y0]
+    return _taylor_march(
+        params, _spiral_series(params, joint), y0, _sample_grid(controls), controls, rets
+    )
 
 
 def _curve_start(model: str, initial_curve) -> np.ndarray:
@@ -483,9 +503,11 @@ def integrate_grid(
     """Joint (kappa, curve) integration of many initial states.
 
     All trajectories share the curve start and the controls.  The rows are
-    marched one after another with one step function built for the
-    parameters, so each row is the same as that state run on its own, and a
-    one-row grid is the way to get kappa and the curve from one integration.
+    marched by one step function built for the parameters, in lockstep when
+    there are at least taylor.LOCKSTEP_ROWS of them and one after another
+    otherwise; either way each row is the same as that state run on its own,
+    bit for bit, and a one-row grid is the way to get kappa and the curve
+    from one integration.
     A row that crosses the floor or ceiling is handled as in
     integrate_spiral: the crossing is bisected, stored and tagged in the
     row's termination ("non_finite" when the state blew up).
@@ -493,10 +515,10 @@ def integrate_grid(
     With period_map, a half-plane row stops where its (kappa, kappa_s)
     first returns to the start (bisected to round-off) and carries the
     PeriodMap of that period, with termination "horizon": its samples cover
-    one period and closure_test covers the horizon s_max from them.  Rows
-    without a return (a rest point, a row that leaves the band or does not
-    come back before s_max, and every plane or sphere row) are marched to
-    s_max exactly as without period_map.
+    one period and closure_test (closure_tests for many rows) covers the
+    horizon s_max from them.  Rows without a return (a rest point, a row
+    that leaves the band or does not come back before s_max, and every plane
+    or sphere row) are marched to s_max exactly as without period_map.
     """
     start = _curve_start(params.model, curve_start)
     return _integrate_rows(params, initial_states, controls, start, period_map)
@@ -561,8 +583,8 @@ def prescribed_curvature_trajectory(
 
     y0 = np.concatenate([kappa_start[0], start])
     return _taylor_march(
-        params, _prescribed_series(model, kappa_taylor), y0, _sample_grid(controls), controls
-    )
+        params, _prescribed_series(model, kappa_taylor), [y0], _sample_grid(controls), controls
+    )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -583,33 +605,48 @@ def _pos_angle_split(model: str, coords: np.ndarray):
 
 
 def curve_defect(model: str, coords: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Positional + tangent mismatch between curve states and a reference.
+    """Positional + tangent mismatch between curve states (..., d) and a reference.
 
-    plane: Euclidean distance; half-plane: hyperbolic distance
-    acosh(1 + (dx^2 + dy^2) / (2 y y0)); sphere: chordal distances of
-    position and tangent.  Angles compare modulo 2 pi.
+    The reference broadcasts against the states.  plane: Euclidean
+    distance; half-plane: hyperbolic distance acosh(1 + (dx^2 + dy^2) /
+    (2 y y0)); sphere: chordal distances of position and tangent.  Angles
+    compare modulo 2 pi.
     """
     coords = np.atleast_2d(coords)
     if model == SPHERE:
-        return np.linalg.norm(coords[:, 0:3] - ref[0:3], axis=1) + np.linalg.norm(
-            coords[:, 3:6] - ref[3:6], axis=1
+        return np.linalg.norm(coords[..., 0:3] - ref[..., 0:3], axis=-1) + np.linalg.norm(
+            coords[..., 3:6] - ref[..., 3:6], axis=-1
         )
     pos, ang = _pos_angle_split(model, coords)
     rpos, rang = _pos_angle_split(model, ref)
     if model == PLANE:
-        d = np.linalg.norm(pos - rpos, axis=1)
+        d = np.linalg.norm(pos - rpos, axis=-1)
     else:
-        sq = np.sum((pos - rpos) ** 2, axis=1)
-        d = np.arccosh(1.0 + sq / (2.0 * pos[:, 1] * rpos[1]))
+        sq = np.sum((pos - rpos) ** 2, axis=-1)
+        d = np.arccosh(1.0 + sq / (2.0 * pos[..., 1] * rpos[..., 1]))
     dang = np.abs(np.mod(ang - rang + np.pi, 2.0 * np.pi) - np.pi)
     return d + dang
 
 
-def _full_defect(traj: SpiralTrajectory, coords, kappa, kappa_s) -> np.ndarray:
+def _full_defect(traj: SpiralTrajectory, y: np.ndarray) -> np.ndarray:
+    """closure_test's defect of the states y (..., 2 + curve_dim) against the row's start."""
+    return _defects(traj.model, y, _start(traj))
+
+
+def _start(traj: SpiralTrajectory) -> np.ndarray:
+    """The row's state (kappa, kappa_s, *curve) at s = 0."""
+    return np.array([traj.kappa[0], traj.kappa_s[0], *traj.curve[0]])
+
+
+def _defects(model: str, y: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """The defect of states y against reference states ref, which broadcast against them.
+
+    Position and tangent distance (curve_defect) + |kappa - kappa0| + |kappa_s - kappa_s0|.
+    """
     return (
-        curve_defect(traj.model, coords, traj.curve[0])
-        + np.abs(np.atleast_1d(kappa) - traj.kappa[0])
-        + np.abs(np.atleast_1d(kappa_s) - traj.kappa_s[0])
+        curve_defect(model, y[..., 2:], ref[..., 2:])
+        + np.abs(y[..., 0] - ref[..., 0])
+        + np.abs(y[..., 1] - ref[..., 1])
     )
 
 
@@ -625,12 +662,12 @@ def _closure_candidates(traj: SpiralTrajectory) -> tuple[np.ndarray, np.ndarray]
         return traj.s, states
     u, one = traj.s[:-1], states[:-1]  # the sample at T is the image of u = 0
     horizon = traj.controls.s_max
-    s_parts, state_parts = [u], [one]
-    for k in range(1, int(horizon // pmap.period) + 1):
-        keep = k * pmap.period + u <= horizon
-        s_parts.append(k * pmap.period + u[keep])
-        state_parts.append(np.column_stack([one[keep, :2], pmap.act(one[keep, 2:], k)]))
-    return np.concatenate(s_parts), np.concatenate(state_parts)
+    turns = np.arange(1, int(horizon // pmap.period) + 1)
+    s_k = turns[:, None] * pmap.period + u  # (turns, samples)
+    keep = s_k <= horizon
+    moved = _moebius(one[:, 2:], pmap.powers(turns)[:, None])  # every sample by every M**k
+    images = np.concatenate([np.broadcast_to(one[:, :2], moved.shape[:2] + (2,)), moved], axis=-1)
+    return np.concatenate([u, s_k[keep]]), np.concatenate([one, images[keep]])
 
 
 def _flow_at(traj: SpiralTrajectory, s: np.ndarray) -> np.ndarray:
@@ -671,6 +708,30 @@ def closure_test(
     identity.
     A row that ended before the horizon is never reported open.
     """
+    coarse = _coarse_closure(traj, s_min)
+    if coarse is None:
+        return ClosureResult("inconclusive", None, float("inf"))
+    # refine within the bracket of neighbouring candidates on the trajectory's
+    # step polynomials: scan 33 points, keep the neighbours of the least
+    a, b, best, best_s = coarse
+    for _ in range(16):  # each scan shrinks the bracket 16-fold
+        if b - a < 1e-11:
+            break
+        probes = np.linspace(a, b, 33)
+        y = _flow_at(traj, probes)
+        vals = _full_defect(traj, y)
+        j = int(np.argmin(vals))
+        if vals[j] < best:
+            best, best_s = float(vals[j]), float(probes[j])
+        a, b = float(probes[max(j - 1, 0)]), float(probes[min(j + 1, probes.size - 1)])
+    return _closure_verdict(traj, best, best_s, tol_closed, tol_open)
+
+
+def _coarse_closure(traj: SpiralTrajectory, s_min: float | None):
+    """(a, b, defect, s): closure_test's least candidate at s >= s_min and its bracket.
+
+    None when no candidate lies at or after s_min.
+    """
     if traj.curve is None:
         raise InputError("closure test needs a reconstructed curve")
     cand_s, cand = _closure_candidates(traj)
@@ -678,28 +739,14 @@ def closure_test(
         s_min = min(1.0, 0.25 * float(cand_s[-1]))
     first = int(np.searchsorted(cand_s, s_min))  # the candidates are in s order
     if first == cand_s.size:
-        return ClosureResult("inconclusive", None, float("inf"))
-
-    late = cand[first:]
-    defects = _full_defect(traj, late[:, 2:], late[:, 0], late[:, 1])
+        return None
+    defects = _full_defect(traj, cand[first:])
     k = first + int(np.argmin(defects))
-    coarse = float(defects[k - first])
-
-    # refine within the bracket of neighbouring candidates on the trajectory's
-    # step polynomials: scan 33 points, keep the neighbours of the least
     a, b = float(cand_s[max(k - 1, 0)]), float(cand_s[min(k + 1, cand_s.size - 1)])
-    best, best_s = coarse, float(cand_s[k])
-    for _ in range(16):  # each scan shrinks the bracket 16-fold
-        if b - a < 1e-11:
-            break
-        probes = np.linspace(a, b, 33)
-        y = _flow_at(traj, probes)
-        vals = _full_defect(traj, y[:, 2:], y[:, 0], y[:, 1])
-        j = int(np.argmin(vals))
-        if vals[j] < best:
-            best, best_s = float(vals[j]), float(probes[j])
-        a, b = float(probes[max(j - 1, 0)]), float(probes[min(j + 1, probes.size - 1)])
+    return a, b, float(defects[k - first]), float(cand_s[k])
 
+
+def _closure_verdict(traj, best: float, best_s: float, tol_closed: float, tol_open: float):
     if best < tol_closed:
         return ClosureResult("closed", best_s, best)
     if traj.termination != "horizon":
@@ -707,6 +754,87 @@ def closure_test(
     if best > tol_open:
         return ClosureResult("open", None, best)
     return ClosureResult("inconclusive", None, best)
+
+
+def closure_tests(
+    trajs: list[SpiralTrajectory], tol_closed: float = 1e-6, tol_open: float = 1e-3
+) -> list[ClosureResult]:
+    """closure_test of every row (rows of one model), bit for bit, the refinements batched.
+
+    The candidates are scanned row by row, as closure_test scans them.  Each
+    refinement scan then takes the 33 probes of every row still refining at
+    once: each probe is read on its row's step polynomial, those of one
+    (row, step) pair by one product with the step's coefficients and all
+    pairs by one einsum, which sums as Piecewise.at does, and is moved by its
+    row's holonomy power.
+    """
+    if len({traj.model for traj in trajs}) > 1:
+        raise InputError("closure_tests takes rows of one model")
+    out = [None] * len(trajs)
+    refine = []
+    for i, traj in enumerate(trajs):
+        coarse = _coarse_closure(traj, None)
+        if coarse is None:
+            out[i] = ClosureResult("inconclusive", None, float("inf"))
+        else:
+            refine.append((i, *coarse))
+    if refine:
+        rows, a, b, best, best_s = (np.array(v) for v in zip(*refine))
+        _refine_rows([trajs[i] for i in rows], a, b, best, best_s)
+        for i, value, s in zip(rows.tolist(), best.tolist(), best_s.tolist()):
+            out[i] = _closure_verdict(trajs[i], value, s, tol_closed, tol_open)
+    return out
+
+
+def _refine_rows(trajs, a, b, best, best_s) -> None:
+    """closure_test's bracket scans of every row at once, updating best and best_s in place."""
+    model = trajs[0].model
+    ref = np.array([_start(t) for t in trajs])
+    period = np.array([t.period_map.period if t.period_map else 1.0 for t in trajs])
+    watched = np.array([t.period_map is not None for t in trajs])
+    width = max(len(t.steps.starts) for t in trajs)
+    starts = np.full((len(trajs), width), inf)  # each row's step starts, padded
+    for i, t in enumerate(trajs):
+        starts[i, : len(t.steps.starts)] = t.steps.starts
+    moves = {}  # (row, k) -> M**k
+    for _ in range(16):  # each scan shrinks every bracket 16-fold
+        live = np.flatnonzero(~(b - a < 1e-11))
+        if not live.size:
+            break
+        probes = np.linspace(a[live], b[live], 33, axis=1)
+        turns = np.where(watched[live, None], np.floor(probes / period[live, None]), 0.0)
+        u = probes - turns * period[live, None]
+        # the step of each probe, as Piecewise.at finds it, and its (row, step) pair
+        step = np.maximum((u[..., None] >= starts[live, None, :]).sum(-1) - 1, 0)
+        pairs, pair_of = np.unique(live[:, None] * width + step, return_inverse=True)
+        row, at = np.divmod(pairs, width)
+        coefs = np.stack([trajs[r].steps.coefs[k].T for r, k in zip(row.tolist(), at.tolist())])
+        local = np.searchsorted(live, row)
+        flows = np.einsum(
+            "bij,bjk->bik",
+            taylor.powers(u[local] - starts[row, at][:, None]),
+            coefs.transpose(0, 2, 1),
+        )
+        y = flows[pair_of.reshape(u.shape), np.arange(u.shape[1])]
+        turned = np.nonzero(turns)
+        if turned[0].size:  # each such probe moved by its row's M**k, one act for all
+            ks = turns[turned].astype(int)
+            keys, key_of = np.unique(live[turned[0]] * (ks.max() + 1) + ks, return_inverse=True)
+            m = []
+            for r, k in zip(*np.divmod(keys, ks.max() + 1)):
+                if (r, k) not in moves:
+                    moves[r, k] = trajs[r].period_map.powers([k])[0]
+                m.append(moves[r, k])
+            y[turned + (slice(2, None),)] = _moebius(y[turned][:, 2:], np.array(m)[key_of.ravel()])
+        vals = _defects(model, y, ref[live, None])
+        j = np.argmin(vals, axis=1)
+        probe = np.arange(live.size)
+        least = vals[probe, j]
+        better = least < best[live]
+        best[live[better]] = least[better]
+        best_s[live[better]] = probes[probe, j][better]
+        a[live] = probes[probe, np.maximum(j - 1, 0)]
+        b[live] = probes[probe, np.minimum(j + 1, probes.shape[1] - 1)]
 
 
 # ---------------------------------------------------------------------------

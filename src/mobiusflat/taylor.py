@@ -12,15 +12,28 @@ and the first return are rooted on it, and a march returns its polynomials
 (Piecewise), on which the samples, the trajectory's queries and the closure
 refinement are evaluated.
 
-A series is a list of Python floats, a[j] the coefficient of t**j; a state
-is a tuple (kappa, kappa_s, *curve) and its series one list per component.
+A set of at least LOCKSTEP_ROWS rows is marched as one block, in lockstep:
+each step computes the series of every live row at once, and the band watch,
+the first-return test and the advance act on all of them, while each row
+keeps its own step size and arc length.  Smaller sets are marched one row at
+a time.  A series is a coefficient store, a[j] the coefficient of t**j: a
+list of Python floats for a row marched alone, an (order, B) float64 array
+for a block of B rows.  The recurrences and the step size are written once
+over both; only the Cauchy product, cos and sin, and the step's max and root
+depend on the store (_Floats, _Block).  Both Cauchy products add their terms left to
+right (for B >= 2 a block's sum down axis 0 does), and every other operation
+is elementwise, so each row of a block is bit for bit the row marched alone.
+A state is a tuple (kappa, kappa_s, *curve) of floats or of (B,) arrays, and
+its series one store per component.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from functools import reduce
 from math import cos, exp, inf, isfinite, nan, sin, sqrt
-from operator import mul
+from operator import add, mul
 
 import numpy as np
 
@@ -34,6 +47,77 @@ _WATCH = np.arange(1, 17) / 16.0
 # dense output evaluates at most this many points of a step at once
 _CHUNK = 128
 _DEGREES = np.arange(TAYLOR_ORDER + 1.0)  # d/dt t^j = _DEGREES[j] t^(j - 1)
+# the fewest rows marched as one block; below it each row is marched alone,
+# which is faster (see CHANGES.md for the timing)
+LOCKSTEP_ROWS = 7
+
+
+if sys.version_info < (3, 12):
+
+    def _cauchy(a, b, j: int) -> float:
+        """sum_i a[i] b[j - i] over i = 0 .. j, the product's coefficient of degree j.
+
+        Added left to right: Python's sum does so for floats before 3.12.
+        """
+        return sum(map(mul, a, b[j::-1]))
+
+else:
+
+    def _cauchy(a, b, j: int) -> float:
+        # from 3.12 on Python's sum compensates float rounding (Neumaier),
+        # which a block's sum does not
+        return reduce(add, map(mul, a, b[j::-1]), 0.0)
+
+
+class _Floats:
+    """The kernels of a row marched alone: a series is a list of Python floats."""
+
+    cos, sin, sqrt = staticmethod(cos), staticmethod(sin), staticmethod(sqrt)
+    fmax, cauchy = staticmethod(max), staticmethod(_cauchy)
+
+    @staticmethod
+    def zeros(n: int, like) -> list[float]:
+        return [0.0] * n
+
+    @staticmethod
+    def bound(radius: float, scale: float, cj: float, j: int) -> float:
+        """min(radius, (scale / |cj|)^(1/j)); a zero or nan cj sets no bound."""
+        return min(radius, (scale / abs(cj)) ** (1.0 / j)) if cj else radius
+
+
+class _Block:
+    """The kernels of B >= 2 rows in lockstep: a series is an (order, B) array."""
+
+    sqrt, fmax = staticmethod(np.sqrt), staticmethod(np.fmax)
+
+    @staticmethod
+    def zeros(n: int, like) -> np.ndarray:
+        return np.zeros((n, like.size))
+
+    @staticmethod
+    def cauchy(a, b, j: int):
+        return (a[: j + 1] * b[j::-1]).sum(0)
+
+    @staticmethod
+    def bound(radius, scale, cj, j: int):
+        # each row's root by Python's pow: numpy's ** can differ from it in the last bit
+        with np.errstate(divide="ignore"):
+            root = np.array([v ** (1.0 / j) for v in (scale / np.abs(cj)).tolist()])
+        return np.where(root < radius, root, radius)
+
+    # math's cos and sin row by row: numpy's may round differently, and
+    # math's raise on an infinite angle, as a lone row's series does
+    @staticmethod
+    def cos(x):
+        return np.array([cos(v) for v in x.tolist()])
+
+    @staticmethod
+    def sin(x):
+        return np.array([sin(v) for v in x.tolist()])
+
+
+def _kernels(x):
+    return _Block if isinstance(x, np.ndarray) else _Floats
 
 
 def kappa_series(c2: float, c1: float, big_r: float):
@@ -45,45 +129,50 @@ def kappa_series(c2: float, c1: float, big_r: float):
     """
     half2, half1 = 0.5 * c2, 0.5 * c1
 
-    def series(k0: float, ks0: float):
-        k, u = [k0, ks0], [ks0]  # u[j] = (j + 1) k[j + 1], the series of kappa_s
-        quot, square = [], []  # kappa_s^2 / kappa and kappa^2
+    def series(k0, ks0):
+        ops = _kernels(k0)
+        cauchy = ops.cauchy
+        k, u = ops.zeros(TAYLOR_ORDER + 2, k0), ops.zeros(TAYLOR_ORDER + 1, k0)
+        quot, square = ops.zeros(TAYLOR_ORDER, k0), ops.zeros(TAYLOR_ORDER, k0)
+        k[0], k[1], u[0] = k0, ks0, ks0  # u[j] = (j + 1) k[j + 1], the series of kappa_s
         for j in range(TAYLOR_ORDER):
             acc = half1 * k[j]
-            if c2:
-                uj = u[: j + 1]
-                q = sum(map(mul, uj, reversed(uj))) - sum(map(mul, k[1 : j + 1], reversed(quot)))
-                quot.append(q / k0)
+            if c2:  # quot = kappa_s^2 / kappa
+                quot[j] = (cauchy(u, u, j) - (cauchy(k[1:], quot, j - 1) if j else 0.0)) / k0
                 acc += half2 * quot[j]
             if big_r:
-                kj = k[: j + 1]
-                square.append(sum(map(mul, kj, reversed(kj))))
-                acc -= big_r * sum(map(mul, square, reversed(kj)))
-            k.append(acc / ((j + 1) * (j + 2)))
-            u.append((j + 2) * k[j + 2])
+                square[j] = cauchy(k, k, j)
+                acc -= big_r * cauchy(square, k, j)
+            k[j + 2] = acc / ((j + 1) * (j + 2))
+            u[j + 1] = (j + 2) * k[j + 2]
         return k, u
 
     return series
 
 
-def _cos_sin(angle0: float, rate: list[float]):
+def _cos_sin(angle0, rate):
     """Series of cos and sin of an angle whose derivative has the series rate.
 
     (cos a)' = -sin a a' and (sin a)' = cos a a', so j c[j] is the Cauchy
     product of rate with -s at degree j - 1, and j s[j] that with c.
     """
-    c, s = [cos(angle0)], [sin(angle0)]
+    ops = _kernels(angle0)
+    cauchy = ops.cauchy
+    c, s = ops.zeros(TAYLOR_ORDER, angle0), ops.zeros(TAYLOR_ORDER, angle0)
+    c[0], s[0] = ops.cos(angle0), ops.sin(angle0)
     for j in range(1, TAYLOR_ORDER):
-        r = rate[:j]
-        cj = -sum(map(mul, r, reversed(s))) / j
-        s.append(sum(map(mul, r, reversed(c))) / j)
-        c.append(cj)
+        c[j] = -cauchy(rate, s, j - 1) / j
+        s[j] = cauchy(rate, c, j - 1) / j
     return c, s
 
 
-def _integral(start: float, rate) -> list[float]:
+def _integral(start, rate):
     """Series of the function with value start and derivative series rate."""
-    return [start] + [r / (j + 1) for j, r in enumerate(rate)]
+    out = _kernels(start).zeros(len(rate) + 1, start)
+    out[0] = start
+    for j in range(len(rate)):
+        out[j + 1] = rate[j] / (j + 1)
+    return out
 
 
 def plane_series(k, x, y, theta):
@@ -94,70 +183,82 @@ def plane_series(k, x, y, theta):
 
 def half_plane_series(k, x, y, phi):
     """(x, y, phi)' = (y cos phi, y sin phi, kappa - cos phi), given kappa's series k."""
-    c, s = [cos(phi)], [sin(phi)]
-    rate = []  # the series of phi'
-    xs, ys, ps = [x], [y], [phi]
+    ops = _kernels(phi)
+    cauchy = ops.cauchy
+    c, s, rate = (ops.zeros(TAYLOR_ORDER, phi) for _ in range(3))  # rate: the series of phi'
+    xs, ys, ps = (ops.zeros(TAYLOR_ORDER + 1, phi) for _ in range(3))
+    c[0], s[0] = ops.cos(phi), ops.sin(phi)
+    xs[0], ys[0], ps[0] = x, y, phi
     for j in range(TAYLOR_ORDER):
         if j:
-            cj = -sum(map(mul, rate, reversed(s))) / j
-            s.append(sum(map(mul, rate, reversed(c))) / j)
-            c.append(cj)
-        rate.append(k[j] - c[j])
-        ps.append(rate[j] / (j + 1))
-        xj = sum(map(mul, ys, reversed(c))) / (j + 1)
-        ys.append(sum(map(mul, ys, reversed(s))) / (j + 1))
-        xs.append(xj)
+            c[j] = -cauchy(rate, s, j - 1) / j
+            s[j] = cauchy(rate, c, j - 1) / j
+        rate[j] = k[j] - c[j]
+        ps[j + 1] = rate[j] / (j + 1)
+        xs[j + 1] = cauchy(ys, c, j) / (j + 1)
+        ys[j + 1] = cauchy(ys, s, j) / (j + 1)
     return [xs, ys, ps]
 
 
 def sphere_series(k, g1, g2, g3, t1, t2, t3):
     """(gamma, T)' = (T, kappa gamma x T - gamma) from the state made orthonormal."""
-    norm = sqrt((g1 * g1 + g2 * g2) + g3 * g3)
+    ops = _kernels(g1)
+    cauchy = ops.cauchy
+    norm = ops.sqrt((g1 * g1 + g2 * g2) + g3 * g3)
     g1, g2, g3 = g1 / norm, g2 / norm, g3 / norm
     dot = (t1 * g1 + t3 * g3) + t2 * g2
     t1, t2, t3 = t1 - dot * g1, t2 - dot * g2, t3 - dot * g3
-    norm = sqrt((t1 * t1 + t2 * t2) + t3 * t3)
-    ga, gb, gc = [g1], [g2], [g3]
-    ta, tb, tc = [t1 / norm], [t2 / norm], [t3 / norm]
-    xa, xb, xc = [], [], []  # the series of gamma x T
+    norm = ops.sqrt((t1 * t1 + t2 * t2) + t3 * t3)
+    ga, gb, gc, ta, tb, tc = (ops.zeros(TAYLOR_ORDER + 1, g1) for _ in range(6))
+    xa, xb, xc = (ops.zeros(TAYLOR_ORDER, g1) for _ in range(3))  # the series of gamma x T
+    ga[0], gb[0], gc[0] = g1, g2, g3
+    ta[0], tb[0], tc[0] = t1 / norm, t2 / norm, t3 / norm
     for j in range(TAYLOR_ORDER):
-        xa.append(sum(map(mul, gb, reversed(tc))) - sum(map(mul, gc, reversed(tb))))
-        xb.append(sum(map(mul, gc, reversed(ta))) - sum(map(mul, ga, reversed(tc))))
-        xc.append(sum(map(mul, ga, reversed(tb))) - sum(map(mul, gb, reversed(ta))))
-        kj = k[: j + 1]
+        xa[j] = cauchy(gb, tc, j) - cauchy(gc, tb, j)
+        xb[j] = cauchy(gc, ta, j) - cauchy(ga, tc, j)
+        xc[j] = cauchy(ga, tb, j) - cauchy(gb, ta, j)
         for g, t, x in ((ga, ta, xa), (gb, tb, xb), (gc, tc, xc)):
-            g.append(t[j] / (j + 1))
-            t.append((sum(map(mul, kj, reversed(x))) - g[j]) / (j + 1))
+            g[j + 1] = t[j] / (j + 1)
+            t[j + 1] = (cauchy(k, x, j) - g[j]) / (j + 1)
     return [ga, gb, gc, ta, tb, tc]
 
 
-def step_size(cols) -> float:
+def step_size(cols):
     """The Taylor step at a state whose components have the series cols.
 
     Jorba and Zou's estimate of the radius of convergence, the least
     (max(1, |c[0]|) / |c[j]|)^(1/j) over the components c and the two
     highest orders j, times e^-2.  The frame is in it because its own
     singularities (the half-plane angle solves a Riccati equation) can lie
-    closer than those of kappa.
+    closer than those of kappa.  A block gets one step per row.
     """
+    ops = _kernels(cols[0])
     radius = inf
     for c in cols:
-        scale = max(1.0, abs(c[0]))
+        scale = ops.fmax(1.0, abs(c[0]))  # 1 for a nan c[0]
         for j in (TAYLOR_ORDER - 1, TAYLOR_ORDER):
-            if c[j]:
-                radius = min(radius, (scale / abs(c[j])) ** (1.0 / j))
+            radius = ops.bound(radius, scale, c[j], j)
     return _RADIUS_SHARE * radius
 
 
-def horner(col: list[float], t: float) -> float:
+def horner(col, t):
     acc = 0.0
     for c in reversed(col):
         acc = acc * t + c
     return acc
 
 
-def state(cols, t: float) -> tuple:
+def state(cols, t) -> tuple:
     return tuple(horner(col, t) for col in cols)
+
+
+def powers(t: np.ndarray) -> np.ndarray:
+    """t**j for j = 0 .. TAYLOR_ORDER on a new last axis, by running products as np.vander."""
+    out = np.empty(t.shape + (TAYLOR_ORDER + 1,))
+    out[..., 0] = 1.0
+    out[..., 1:] = t[..., None]
+    np.multiply.accumulate(out[..., 1:], axis=-1, out=out[..., 1:])
+    return out
 
 
 def band_exit(y_end, floor: float, ceiling: float) -> str:
@@ -174,7 +275,8 @@ class FirstReturn:
     f at y0: g starts at 0 and grows, and the orbit is back at y0 when g
     next crosses from - to +.  A crossing counts only within four steps of
     size h of y0, so an orbit that meets the section line elsewhere does not
-    stop the march.
+    stop the march.  The section's parameters may be (B, 1) columns, one row
+    of a block each, for g alone.
     """
 
     def __init__(self, y0: tuple, flow: tuple, h: float):
@@ -189,14 +291,21 @@ class FirstReturn:
     def find(self, cols, ts: np.ndarray, watched: np.ndarray) -> float | None:
         """The return within a step with series cols, watched at ts, if there is one.
 
-        Each crossing of g from - to + between watch points (the first
-        after the previous step's end) is bisected on the polynomial to
-        round-off; the first one near y0 is the return.
+        The crossings of g from - to + between watch points (the first after
+        the previous step's end) go to near().
         """
         g = self.g(watched[:, 0], watched[:, 1])
         before = np.concatenate(([self.g_prev], g[:-1]))
         self.g_prev = float(g[-1])
-        for i in np.flatnonzero((before < 0.0) & (g >= 0.0)).tolist():
+        return self.near(cols, ts, np.flatnonzero((before < 0.0) & (g >= 0.0)).tolist())
+
+    def near(self, cols, ts: np.ndarray, crossings: list[int]) -> float | None:
+        """The first crossing near y0, bisected on the polynomial to round-off.
+
+        crossings are watch indices i: g crosses between ts[i - 1] (0 for
+        i = 0) and ts[i].
+        """
+        for i in crossings:
             lo, hi = (ts[i - 1] if i else 0.0), ts[i]
             while lo < (mid := 0.5 * (lo + hi)) < hi:
                 if self.g(horner(cols[0], mid), horner(cols[1], mid)) < 0.0:
@@ -247,11 +356,11 @@ class Piecewise:
             coefs = self.coefs[i][:, columns]
             for a in range(bounds[i], bounds[i + 1], _CHUNK):
                 rows = perm[a : min(a + _CHUNK, bounds[i + 1])]
-                powers = np.vander(t[rows] - self.starts[i], TAYLOR_ORDER + 1, increasing=True)
-                out[0, rows] = np.einsum("ij,jk->ik", powers, coefs)
+                pows = powers(t[rows] - self.starts[i])
+                out[0, rows] = np.einsum("ij,jk->ik", pows, coefs)
                 if order:  # d^j/dt^j t^i = i d^(j-1)/dt^(j-1) t^(i-1), row j - 1
                     ders = np.zeros((order, rows.size, TAYLOR_ORDER + 1))
-                    prev = powers
+                    prev = pows
                     for j in range(order):
                         ders[j, :, j + 1 :] = prev[:, j:-1] * _DEGREES[j + 1 :]
                         prev = ders[j]
@@ -259,21 +368,50 @@ class Piecewise:
         return out
 
 
-def march(series, y0, s_end: float, floor: float, ceiling: float, ret: FirstReturn | None = None):
-    """Taylor steps of one row y0 from s = 0 towards s_end.
+def _band_end(cols, ts: np.ndarray, exit_at: int, floor: float, ceiling: float):
+    """(t, state, termination) of a row that leaves the band in a step, or stalls.
+
+    The crossing after watch point exit_at - 1 is bisected on kappa's
+    polynomial to 1e-10 in t; a stalled row (exit_at = len(ts)) ends at t = 0
+    with a nan state.
+    """
+    lo = ts[exit_at - 1] if 0 < exit_at < ts.size else 0.0
+    hi = ts[exit_at] if exit_at < ts.size else 0.0
+    while hi - lo >= 1e-10:
+        mid = 0.5 * (lo + hi)
+        if floor < horner(cols[0], mid) < ceiling:
+            lo = mid
+        else:
+            hi = mid
+    y_stop = state(cols, hi) if hi > 0.0 else (nan,) * len(cols)
+    return hi, y_stop, band_exit(y_stop, floor, ceiling)
+
+
+def march(series, y0, s_end: float, floor: float, ceiling: float, rets=None) -> list:
+    """Taylor steps of the rows y0 (B, d) from s = 0 towards s_end.
 
     series(s, y) gives the series of every component of y about the arc
-    length s and the step there.
-    Returns (Piecewise, s_stop, y_stop, termination).  kappa (element 0) is
-    watched at _WATCH within each step: a step that leaves the open band
-    (floor, ceiling) or turns non-finite ends the row at the crossing,
-    bisected on the polynomial to 1e-10 in s and tagged by band_exit; with
-    ret, the row ends at the first return of (kappa, kappa_s) to its start,
-    tagged "return".  Otherwise the row ends at s_end, tagged "horizon".
+    length s and the step there, for one row (floats) or a block ((B,)
+    arrays); rets holds each row's FirstReturn or None.
+    Returns one (Piecewise, s_stop, y_stop, termination) per row.  kappa
+    (element 0) is watched at _WATCH within each step: a step that leaves
+    the open band (floor, ceiling) or turns non-finite ends the row at the
+    crossing, bisected on the polynomial to 1e-10 in s and tagged by
+    band_exit; with a FirstReturn, the row ends at the first return of
+    (kappa, kappa_s) to its start, tagged "return".  Otherwise the row ends
+    at s_end, tagged "horizon".  At least LOCKSTEP_ROWS rows are marched in
+    lockstep, fewer one at a time; a row ends the same either way, bit for bit.
     """
-    y = tuple(float(v) for v in y0)
-    s = 0.0
-    steps = Piecewise([], [])
+    rets = list(rets) if rets is not None else [None] * len(y0)
+    if len(y0) < LOCKSTEP_ROWS:
+        return [_march_row(series, row, s_end, floor, ceiling, ret) for row, ret in zip(y0, rets)]
+    return _march_block(series, y0, s_end, floor, ceiling, rets)
+
+
+def _march_row(series, y, s_end, floor, ceiling, ret, s=0.0, steps=None):
+    """march of one row on Python floats, from the arc length s after the steps."""
+    y = tuple(float(v) for v in y)
+    steps = steps if steps is not None else Piecewise([], [])
     while True:
         try:
             cols, h = series(s, y)
@@ -285,11 +423,10 @@ def march(series, y0, s_end: float, floor: float, ceiling: float, ret: FirstRetu
         steps.starts.append(s)
         steps.coefs.append(np.array(cols).T)
         ts = h * _WATCH
-        powers = np.vander(ts, TAYLOR_ORDER + 1, increasing=True)
         # kappa's own contiguous array: einsum on a strided view buffers, at a
         # measurable cost in peak memory
         with np.errstate(all="ignore"):  # a blown-up series gives nan
-            watched = np.einsum("ij,kj->ik", powers, np.array(cols[:2]))
+            watched = np.einsum("ij,kj->ik", powers(ts), np.array(cols[:2]))
         outside = ~((watched[:, 0] > floor) & (watched[:, 0] < ceiling))
         exit_at = int(np.argmax(outside)) if outside.any() else ts.size
         t = None
@@ -298,17 +435,87 @@ def march(series, y0, s_end: float, floor: float, ceiling: float, ret: FirstRetu
         if t is not None:
             return steps, s + t, state(cols, t), "return"
         if exit_at < ts.size or not (last or s + h > s):  # left the band, or stalled
-            lo = ts[exit_at - 1] if 0 < exit_at < ts.size else 0.0
-            hi = ts[exit_at] if exit_at < ts.size else 0.0
-            while hi - lo >= 1e-10:
-                mid = 0.5 * (lo + hi)
-                if floor < horner(cols[0], mid) < ceiling:
-                    lo = mid
-                else:
-                    hi = mid
-            y_stop = state(cols, hi) if hi > 0.0 else (nan,) * len(y)
-            return steps, s + hi, y_stop, band_exit(y_stop, floor, ceiling)
+            t, y_stop, termination = _band_end(cols, ts, exit_at, floor, ceiling)
+            return steps, s + t, y_stop, termination
         y = state(cols, h)
         if last:
             return steps, s_end, y, "horizon"
         s += h
+
+
+def _march_block(series, y0, s_end, floor, ceiling, rets):
+    """march of B >= 2 rows in lockstep; the last live row goes on alone, on floats."""
+    y = np.array(y0, dtype=float).T.copy()  # (d, live rows)
+    s = np.zeros(y.shape[1])
+    live = list(range(y.shape[1]))  # the rows of the block, in order
+    steps = [Piecewise([], []) for _ in live]
+    out = [None] * len(live)
+    sections = np.array(
+        [(r.k0, r.ks0, r.f0, r.f1) if r else (nan,) * 4 for r in rets]
+    ).T  # a row without a watch has a nan section: g never crosses
+    index = np.arange(_WATCH.size)
+    with np.errstate(all="ignore"):  # a blown-up series gives nan, as on floats
+        while len(live) >= 2:
+            try:
+                cols, h = series(s, tuple(y))
+            except (ArithmeticError, ValueError):
+                # the rows whose own series raises end there, as they would alone
+                bad = []
+                for i in range(len(live)):
+                    try:
+                        series(float(s[i]), tuple(y[:, i].tolist()))
+                    except (ArithmeticError, ValueError):
+                        bad.append(i)
+                if not bad:
+                    raise
+                for i in bad:
+                    out[live[i]] = (steps[live[i]], float(s[i]), (nan,) * y.shape[0], "non_finite")
+                keep = np.ones(len(live), bool)
+                keep[bad] = False
+                y, s, live = y[:, keep], s[keep], [row for row, k in zip(live, keep) if k]
+                continue
+            last = h >= s_end - s
+            h = np.where(last, s_end - s, h)
+            # one C-contiguous (d, order + 1) block per row, stored transposed,
+            # as a row alone stores its coefficients
+            coefs = np.ascontiguousarray(np.array(cols).transpose(2, 0, 1))
+            for i, row in enumerate(live):
+                steps[row].starts.append(float(s[i]))
+                steps[row].coefs.append(coefs[i].T)
+            ts = h[:, None] * _WATCH
+            watched = np.einsum("bij,bkj->bik", powers(ts), coefs[:, :2])
+            kappa = watched[..., 0]
+            outside = ~((kappa > floor) & (kappa < ceiling))
+            exit_at = np.where(outside.any(1), np.argmax(outside, 1), _WATCH.size)
+            sec = sections[:, live, None]
+            g = FirstReturn((sec[0], sec[1]), (sec[2], sec[3]), 0.0).g(kappa, watched[..., 1])
+            g_prev = np.array([rets[row].g_prev if rets[row] else nan for row in live])
+            before = np.concatenate([g_prev[:, None], g[:, :-1]], axis=1)
+            crossing = (before < 0.0) & (g >= 0.0) & (index < exit_at[:, None])
+            for i, row in enumerate(live):
+                if rets[row]:
+                    rets[row].g_prev = float(g[i, -1])
+            stalled = ~(last | (s + h > s))
+            y_next = np.array(state(cols, h))
+            keep = np.ones(len(live), bool)
+            for i in np.flatnonzero(crossing.any(1) | (exit_at < _WATCH.size) | stalled | last):
+                row, t = live[i], None
+                row_cols = [c[:, i].tolist() for c in cols]
+                if crossing[i].any():
+                    t = rets[row].near(row_cols, ts[i], np.flatnonzero(crossing[i]).tolist())
+                if t is not None:
+                    out[row] = (steps[row], float(s[i]) + t, state(row_cols, t), "return")
+                elif exit_at[i] < _WATCH.size or stalled[i]:
+                    t, y_stop, termination = _band_end(row_cols, ts[i], exit_at[i], floor, ceiling)
+                    out[row] = (steps[row], float(s[i]) + t, y_stop, termination)
+                elif last[i]:
+                    out[row] = (steps[row], s_end, tuple(y_next[:, i].tolist()), "horizon")
+                else:
+                    continue
+                keep[i] = False
+            y, s, live = y_next[:, keep], (s + h)[keep], [row for row, k in zip(live, keep) if k]
+    for i, row in enumerate(live):
+        out[row] = _march_row(
+            series, y[:, i], s_end, floor, ceiling, rets[row], float(s[i]), steps[row]
+        )
+    return out

@@ -2,10 +2,15 @@ import json
 import math
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
+from mobiusflat import cli
+from mobiusflat.checks import sample_points
 from mobiusflat.cli import main
-from mobiusflat.config import RunConfig
+from mobiusflat.config import RunConfig, load_config
+from mobiusflat.immersion import ImmersionHandle
+from mobiusflat.moebius import moebius_data_batch, moebius_scalars
 from mobiusflat.curvature import Convention, convert_scalar
 from mobiusflat.errors import ConfigError
 
@@ -222,6 +227,41 @@ class TestDataCommands:
                         assert float(value) == expected
                     else:
                         assert value == full_value
+
+    @pytest.mark.parametrize("family", ["rotational", "cylinder", "cone", "torus"])
+    def test_invariants_make_one_request(self, tmp_path, monkeypatch, family):
+        # the records and both scalar routes come from one jet of the immersion
+        # at the sample points, and the table is the bytes of the two requests
+        # of moebius_data_batch and moebius_scalars
+        cfg_path = write_cfg(tmp_path, f"family = {family}\nsamples = 5\n")
+        cfg = load_config(cfg_path)
+        imm = cli._build_surface(cfg)
+        pts = sample_points(imm, cfg.samples, np.random.default_rng(cfg.seed), cfg.jitter)
+        at_samples, depth = [], []
+        evaluate = ImmersionHandle.evaluate_jet
+
+        def counted(self, points, order=2):
+            if not depth:  # a lifted surface evaluates its base inside its own jet
+                at_samples.append(np.array_equal(points, pts))
+            depth.append(1)
+            try:
+                return evaluate(self, points, order)
+            finally:
+                depth.pop()
+
+        monkeypatch.setattr(ImmersionHandle, "evaluate_jet", counted)
+        assert main(["invariants", "--config", cfg_path, "--out", str(tmp_path / "one")]) == 0
+        assert sum(at_samples) == 1
+        monkeypatch.setattr(
+            cli,
+            "_data_and_scalars",
+            lambda fields, p: (moebius_data_batch(fields, p), moebius_scalars(fields, p)),
+        )
+        at_samples.clear()
+        assert main(["invariants", "--config", cfg_path, "--out", str(tmp_path / "two")]) == 0
+        assert sum(at_samples) == 2
+        one = (tmp_path / "one" / "invariants.csv").read_bytes()
+        assert one == (tmp_path / "two" / "invariants.csv").read_bytes()
 
     def test_invariants_stay_inside_the_kappa_band(self, tmp_path):
         # at the default config the spiral reaches kappa = 1.1 at s = 1.66055,

@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 from mobiusflat import cli, fd
+from mobiusflat import spiral, taylor
 from mobiusflat.checks import (
     CHECK_FUNCTIONS,
     FD_CONVERGENCE_STEPS,
+    rigidity_initials,
     rigidity_scan,
     run_suite,
     suite_surfaces,
@@ -24,6 +26,7 @@ from mobiusflat.spiral import (
     IntegratorControls,
     SpiralParams,
     SpiralState,
+    equilibrium_kappa,
     integrate_grid,
     integrate_spiral,
     reconstruct_curve,
@@ -333,32 +336,161 @@ class TestSuite:
         assert not report.all_asserts_pass
 
 
+RIGIDITY_CFG = RunConfig(horizon=40.0).validate()
+RIGIDITY_PARAMS = SpiralParams(RIGIDITY_CFG.n, -1, RIGIDITY_CFG.R)
+RIGIDITY_ROWS = rigidity_initials(RIGIDITY_CFG, equilibrium_kappa(RIGIDITY_PARAMS))
+SHORT = IntegratorControls(s_max=3.0, step=1e-3, store_stride=5)
+RIGIDITY_CONTROLS = IntegratorControls(s_max=40.0, store_stride=10)
+# kappa_ss = kappa^3 / 2 (n = 4, eps = 0, R = -0.5): kappa = 1 / (1 - s/2) from
+# (1, 1/2) blows up at s = 2, kappa = 1 / (1 + s/2) from (1, -1/2) reaches s = 3,
+# and from (1, -2) kappa_s^2 = kappa^4 / 4 + 3.75 drives kappa to the floor
+MIXED_ROWS = [
+    (1.0, 0.5), (1.0, -2.0), (1.0, -0.5), (1.0, 0.45), (1.0, -1.0), (1.2, -3.0), (0.8, 0.1)
+]
+
+
+def assert_same_row(row, single):
+    """Two trajectories of one start marched alike, bit for bit."""
+    assert row.termination == single.termination
+    for name in ("s", "kappa", "kappa_s", "curve"):
+        assert np.array_equal(getattr(row, name), getattr(single, name), equal_nan=True), name
+    assert row.steps.starts == single.steps.starts
+    assert all(np.array_equal(a, b) for a, b in zip(row.steps.coefs, single.steps.coefs))
+    assert len(row.steps.coefs) == len(single.steps.coefs)
+    assert (row.period_map is None) == (single.period_map is None)
+    if row.period_map is not None:
+        assert row.period_map.period == single.period_map.period
+        assert np.array_equal(row.period_map.holonomy, single.period_map.holonomy)
+
+
 class TestGridIntegration:
     @pytest.mark.parametrize(
-        "params,states",
+        "params,states,controls,period_map,terminations",
         [
-            (SpiralParams(4, 0, -0.05), [(1.0, 0.1), (1.1, -0.05)]),
-            (SpiralParams(4, 1, -1.0), [(1.02, 0.0), (1.0, -0.01)]),
-            (SpiralParams(4, -1, 0.75), [(1.2, 0.05), (1.3, -0.1)]),
+            (SpiralParams(4, 0, -0.05), [(1.0, 0.1), (1.1, -0.05)], SHORT, False, {"horizon"}),
+            (SpiralParams(4, 1, -1.0), [(1.02, 0.0), (1.0, -0.01)], SHORT, False, {"horizon"}),
+            (SpiralParams(4, -1, 0.75), [(1.2, 0.05), (1.3, -0.1)], SHORT, False, {"horizon"}),
             (
                 SpiralParams(4, -1, 0.75),
                 [(k0, ks0) for k0 in np.linspace(1.1, 1.2, 5) for ks0 in np.linspace(-0.02, 0.02, 5)],
+                SHORT,
+                False,
+                {"horizon"},
+            ),
+            # the rows end at their first return, on 12 to 18 steps
+            (RIGIDITY_PARAMS, RIGIDITY_ROWS, RIGIDITY_CONTROLS, True, {"horizon"}),
+            (
+                RIGIDITY_PARAMS,
+                RIGIDITY_ROWS[: taylor.LOCKSTEP_ROWS],
+                RIGIDITY_CONTROLS,
+                True,
+                {"horizon"},
+            ),
+            (
+                RIGIDITY_PARAMS,
+                RIGIDITY_ROWS[: taylor.LOCKSTEP_ROWS - 1],
+                RIGIDITY_CONTROLS,
+                True,
+                {"horizon"},
+            ),
+            (
+                SpiralParams(4, 0, -0.5),
+                MIXED_ROWS,
+                IntegratorControls(s_max=3.0, kappa_ceiling=1e300, store_stride=10),
+                False,
+                {"non_finite", "kappa_floor", "horizon"},
+            ),
+            (
+                SpiralParams(5, 0, -0.05),
+                [(1.0 + 0.02 * i, 0.1 - 0.03 * i) for i in range(8)],
+                SHORT,
+                False,
+                {"horizon"},
+            ),
+            (
+                SpiralParams(4, 1, -1.0),
+                [(1.0 + 0.01 * i, 0.02 * (i - 4)) for i in range(9)],
+                SHORT,
+                False,
+                {"kappa_floor", "horizon", "kappa_ceiling"},
             ),
         ],
-        ids=["plane", "sphere", "half-plane", "half-plane-25-rows"],
+        ids=[
+            "plane",
+            "sphere",
+            "half-plane",
+            "half-plane-25-rows",
+            "rigidity-grid-period-map",
+            "crossover-block",
+            "below-crossover",
+            "mixed-terminations",
+            "plane-block",
+            "sphere-block",
+        ],
     )
-    def test_matches_single_trajectory(self, params, states):
-        controls = IntegratorControls(s_max=3.0, step=1e-3, store_stride=5)
-        grid = integrate_grid(params, np.array(states), controls)
+    def test_matches_single_trajectory(self, params, states, controls, period_map, terminations):
+        # a block of at least taylor.LOCKSTEP_ROWS rows is marched in lockstep,
+        # fewer one at a time; each row is the same as that state run alone
+        grid = integrate_grid(params, np.array(states), controls, period_map=period_map)
+        assert len(grid) == len(states)
         for row, (k0, ks0) in zip(grid, states):
-            single = reconstruct_curve(
-                integrate_spiral(params, SpiralState(k0, ks0), controls)
-            )
-            assert row.termination == single.termination == "horizon"
-            assert np.array_equal(row.s, single.s)
-            assert np.array_equal(row.kappa, single.kappa)
-            assert np.array_equal(row.kappa_s, single.kappa_s)
-            assert np.array_equal(row.curve, single.curve)
+            if period_map:
+                single = integrate_grid(params, [[k0, ks0]], controls, period_map=True)[0]
+                assert single.period_map is not None
+            else:
+                single = reconstruct_curve(
+                    integrate_spiral(params, SpiralState(k0, ks0), controls)
+                )
+            assert_same_row(row, single)
+        assert {row.termination for row in grid} == terminations
+
+    def test_cauchy_products_add_left_to_right(self):
+        # a row is the same alone and in a block because both stores' Cauchy
+        # products add their terms left to right; a compensated sum (Python's
+        # sum of floats from 3.12 on) gives 1.0 here
+        a, b = [1.0, 1.0, 1.0], [-1e16, 1.0, 1e16]
+        assert taylor._Floats.cauchy(a, b, 2) == 0.0
+        block = taylor._Block.cauchy(np.array([a, a]).T, np.array([b, b]).T, 2)
+        assert block.tolist() == [0.0, 0.0]
+
+    def test_block_row_whose_series_raises(self):
+        # an infinite angle makes math.cos raise in a row's series: that row
+        # ends non-finite at once, in a block as alone, and the others go on
+        series = spiral._spiral_series(SpiralParams(4, 0, -0.05), joint=True)
+        rows = np.array([[1.0 + 0.01 * i, 0.05, 0, 0, 0] for i in range(taylor.LOCKSTEP_ROWS)])
+        rows[2, 4] = np.inf
+        block = taylor.march(series, rows, 3.0, 1e-6, 1e6)
+        for row, (steps, s_stop, y_stop, termination) in zip(rows, block):
+            alone = taylor.march(series, [row], 3.0, 1e-6, 1e6)[0]
+            assert (s_stop, termination) == (alone[1], alone[3])
+            assert np.array_equal(y_stop, alone[2], equal_nan=True)
+            assert steps.starts == alone[0].starts
+            assert all(np.array_equal(a, b) for a, b in zip(steps.coefs, alone[0].coefs))
+        assert [end[3] for end in block] == ["horizon"] * 2 + ["non_finite"] + ["horizon"] * 4
+        assert block[2][1] == 0.0 and block[2][0].starts == []
+
+    def test_lockstep_steps_the_grid_together(self, monkeypatch):
+        # the rigidity grid is one block: one series call per lockstep step (as
+        # many as its longest row's steps), not one per row and step
+        calls = []
+        build = spiral._spiral_series
+
+        def counted(params, joint):
+            series = build(params, joint)
+
+            def wrapped(s, y):
+                calls.append(isinstance(y[0], np.ndarray))
+                return series(s, y)
+
+            return wrapped
+
+        monkeypatch.setattr(spiral, "_spiral_series", counted)
+        grid = integrate_grid(RIGIDITY_PARAMS, RIGIDITY_ROWS, RIGIDITY_CONTROLS, period_map=True)
+        steps = [len(row.steps.starts) for row in grid]
+        assert sum(steps) == 392 and max(steps) == 18  # the rows' own steps, as alone
+        assert len(calls) == max(steps) <= 18
+        # all but the last: the last live row finishes alone, on floats
+        assert calls[:-1] == [True] * (len(calls) - 1)
 
     def test_terminated_rows_are_tagged(self):
         params = SpiralParams(4, 0, 0.5)  # pulls kappa to the floor

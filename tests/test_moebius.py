@@ -118,6 +118,23 @@ class TestDensity:
         with pytest.raises(DegenerateGeometryError):
             moebius_density(np.diag([1.0, 0.0]), np.eye(2))
 
+    def test_one_positive_definiteness_test_of_I(self):
+        # a badly scaled but positive definite I is taken by all three, and
+        # an indefinite one refused by all three
+        h = np.array([[2.0, 0.3], [0.3, -1.0]])
+        wide = np.diag([1e6, 1e-9])
+        rho, mean = moebius_density(wide, h)
+        assert np.isfinite(rho) and rho > 0.0 and np.isfinite(mean)
+        assert np.all(np.isfinite(moebius_B(wide, h, rho, mean)))
+        assert np.all(np.isfinite(principal_curvatures(wide, h)))
+        for refuse in (
+            lambda g: moebius_density(g, h),
+            lambda g: moebius_B(g, h, 1.0, 0.0),
+            lambda g: principal_curvatures(g, h),
+        ):
+            with pytest.raises(DegenerateGeometryError, match="positive definite"):
+                refuse(np.diag([1.0, -0.5]))
+
     def test_indefinite_first_form_refused(self):
         # I = diag(1, -0.5) and h = Id: rho^2 = 9 > 0, so only I's sign is at fault
         def jets(pts, order=2):

@@ -7,12 +7,15 @@ import rk4_oracle
 from fd_oracle import recomputed_curvature
 
 from mobiusflat import spiral
+from mobiusflat.checks import rigidity_initials
+from mobiusflat.config import RunConfig
 from mobiusflat.errors import ChartDomainError, InputError
 from mobiusflat.spiral import (
     IntegratorControls,
     SpiralParams,
     SpiralState,
     closure_test,
+    closure_tests,
     default_curve_start,
     equilibrium_kappa,
     export_csv,
@@ -537,12 +540,42 @@ class TestPeriodMap:
         periodic = integrate_grid(HALF_PLANE_PARAMS, row, controls, period_map=True)[0]
         cand_s, cand = spiral._closure_candidates(periodic)
         late = np.flatnonzero(cand_s >= 1.0)  # closure_test's default s_min here
-        defects = spiral._full_defect(periodic, cand[late, 2:], cand[late, 0], cand[late, 1])
+        defects = spiral._full_defect(periodic, cand[late])
         k = late[np.argmin(defects)]
         assert cand_s[k - 1] < 5.0 * periodic.period_map.period < cand_s[k + 1]
         ref, res = closure_test(full), closure_test(periodic)
         assert res.status == ref.status
         assert res.defect == pytest.approx(ref.defect, rel=1e-8)
+
+    @pytest.mark.parametrize("horizon", [40.0, 200.0])
+    def test_batched_refinement_matches_closure_test(self, horizon):
+        # every row of the rigidity grid, and the row whose bracket crosses 5 T
+        # (test_refinement_bracket_across_a_period), refined together
+        rows = np.vstack([rigidity_initials(RunConfig(), KSTAR), [[KSTAR * 1.1, KSTAR * 0.04]]])
+        controls = IntegratorControls(s_max=horizon, store_stride=10)
+        trajs = integrate_grid(HALF_PLANE_PARAMS, rows, controls, period_map=True)
+        assert all(t.period_map is not None for t in trajs)
+        assert closure_tests(trajs) == [closure_test(t) for t in trajs]
+
+    def test_batched_refinement_without_period_maps(self):
+        # plane rows (a circle that closes at 2 pi, and two flat controls) and
+        # sphere rows, each marched to the horizon
+        plane = integrate_grid(
+            SpiralParams(4, 0, 0.0),
+            [[1.0, 0.0], [1.0, 0.05], [1.0, 0.1]],
+            IntegratorControls(s_max=7.0),
+        )
+        sphere = integrate_grid(
+            SpiralParams(4, 1, -1.0),
+            [[1.0, 0.0], [1.0, 0.01], [1.02, 0.0]],
+            IntegratorControls(s_max=10.0),
+        )
+        for trajs in (plane, sphere):
+            assert closure_tests(trajs) == [closure_test(t) for t in trajs]
+        assert closure_tests(plane)[0].status == "closed"
+        assert closure_tests([]) == []
+        with pytest.raises(InputError, match="one model"):
+            closure_tests(plane + sphere)
 
     def test_holonomy_carries_the_frame_one_period_on(self):
         pmap = integrate_grid(
