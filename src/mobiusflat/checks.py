@@ -203,11 +203,6 @@ def _warped_jet(traj: SpiralTrajectory, n: int, svals) -> Jet:
     return warped_metric_jet(traj, pts, 2)
 
 
-def _warped_scalars(traj: SpiralTrajectory, n: int, svals) -> np.ndarray:
-    """Full-trace scalars of the warped metric over traj at svals: one request of its 2-jet."""
-    return curvature_batch(*_warped_jet(traj, n, svals).levels).scalar
-
-
 def codazzi_control_jet(pts: np.ndarray, order: int) -> Jet:
     """The jet at the points (K, n) of a metric that is not conformally flat:
     the identity with 1 + 0.4 sin x_0 sin x_1 in its first entry."""
@@ -809,10 +804,12 @@ def rigidity_scan(cfg: RunConfig) -> dict:
     the closure test over the rest of the horizon.  The grid is one
     integrate_grid block and one closure_tests call, which march the rows in
     lockstep and refine their closures together.  A small flat-model
-    control with non-constant curvature is included; each of its rows also
-    reports its conserved E = kappa_s^2 kappa^(n-4), whose sign certifies
-    that kappa is monotone there (flat_control_certified_open), next to the
-    march that status reads.
+    control with non-constant curvature is included, its two rows tested
+    by one more closure_tests call (the equilibrium row alone goes through
+    closure_test).  Each flat row also reports its conserved
+    E = kappa_s^2 kappa^(n-4), whose sign certifies that kappa is monotone
+    there (flat_control_certified_open), next to the march that status
+    reads.
     """
     n = cfg.n
     params = SpiralParams(n, -1, cfg.R)
@@ -869,8 +866,7 @@ def rigidity_scan(cfg: RunConfig) -> dict:
         IntegratorControls(s_max=min(cfg.horizon, 60.0), step=cfg.step, store_stride=10),
     )
     flat_rows = []
-    for traj in flat_trajs:
-        res = closure_test(traj, cfg.tol_closed, cfg.tol_open)
+    for traj, res in zip(flat_trajs, closure_tests(flat_trajs, cfg.tol_closed, cfg.tol_open)):
         # E = kappa_s^2 kappa^(n-4) is conserved here (eps = 0, R = 0):
         # E > 0 keeps kappa_s away from 0, so kappa is strictly
         # monotone and the profile cannot close

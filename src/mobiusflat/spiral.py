@@ -45,9 +45,10 @@ curve on [T, 2T] is the curve on [0, T] moved by one isometry M of the
 half-plane, its holonomy (the argument Langer and Singer use for closed
 elastic curves, J. Differential Geom. 20, 1984).  integrate_grid with
 period_map marches a row only until (kappa, kappa_s) first returns to its
-start, and closure_test reads the defect over the horizon from the images
-M^k of that period; closure_tests does so for many rows at once.  Plane and
-sphere rows are always marched to the horizon.
+start, and closure_tests reads the defect over the horizon from the images
+M^k of that period, refining the closures of many rows in one batched search
+(closure_test is that search on one row).  Plane and sphere rows are always
+marched to the horizon.
 """
 
 from __future__ import annotations
@@ -313,7 +314,7 @@ class PeriodMap:
     Curvature fixes a curve up to isometry, so once (kappa, kappa_s) is back
     at its start after s = T the curve repeats, moved by the holonomy
     M = F_T F_0^-1 (det 1), where F_s is the frame matrix of the curve state
-    at s.  The curve state at s = k T + u is act(state at u, k).
+    at s.  The curve state at s = k T + u is the state at u moved by M**k.
     """
 
     period: float
@@ -327,10 +328,6 @@ class PeriodMap:
     @property
     def trace(self) -> float:
         return float(self.holonomy[0, 0] + self.holonomy[1, 1])
-
-    def act(self, curve: np.ndarray, power: int = 1) -> np.ndarray:
-        """Half-plane rows (x, y, phi) moved by M**power."""
-        return _moebius(curve, self.powers([power])[0])
 
     def powers(self, ks) -> np.ndarray:
         """(len(ks), 2, 2): M**k for each k in ks."""
@@ -515,10 +512,10 @@ def integrate_grid(
     With period_map, a half-plane row stops where its (kappa, kappa_s)
     first returns to the start (bisected to round-off) and carries the
     PeriodMap of that period, with termination "horizon": its samples cover
-    one period and closure_test (closure_tests for many rows) covers the
-    horizon s_max from them.  Rows without a return (a rest point, a row
-    that leaves the band or does not come back before s_max, and every plane
-    or sphere row) are marched to s_max exactly as without period_map.
+    one period and closure_tests covers the horizon s_max from them.  Rows
+    without a return (a rest point, a row that leaves the band or does not
+    come back before s_max, and every plane or sphere row) are marched to
+    s_max exactly as without period_map.
     """
     start = _curve_start(params.model, curve_start)
     return _integrate_rows(params, initial_states, controls, start, period_map)
@@ -650,11 +647,24 @@ def _defects(model: str, y: np.ndarray, ref: np.ndarray) -> np.ndarray:
     )
 
 
-def _closure_candidates(traj: SpiralTrajectory) -> tuple[np.ndarray, np.ndarray]:
-    """(s, states (K, 2 + curve_dim)) over which closure_test minimizes the defect.
+def _holonomy_table(traj: SpiralTrajectory) -> np.ndarray:
+    """(kmax + 1, 2, 2): M**k of the row for k = 0, ..., kmax, its one table of powers.
 
-    The stored samples; for a row with a period map, the images under M**k of
-    its samples u < T, at s = k T + u <= the horizon controls.s_max.
+    kmax = floor(s_max / T) is the last turn a candidate or refinement probe
+    reaches; a row without a period map has the identity alone.
+    """
+    pmap = traj.period_map
+    if pmap is None:
+        return np.eye(2)[None]
+    return pmap.powers(range(int(traj.controls.s_max / pmap.period) + 1))
+
+
+def _closure_candidates(traj: SpiralTrajectory, table) -> tuple[np.ndarray, np.ndarray]:
+    """(s, states (K, 2 + curve_dim)) over which closure_tests minimizes the defect.
+
+    The stored samples; for a row with a period map, the images under
+    M**k = table[k] of its samples u < T, at s = k T + u <= the horizon
+    controls.s_max.
     """
     states = np.column_stack([traj.kappa, traj.kappa_s, traj.curve])
     pmap = traj.period_map
@@ -665,81 +675,25 @@ def _closure_candidates(traj: SpiralTrajectory) -> tuple[np.ndarray, np.ndarray]
     turns = np.arange(1, int(horizon // pmap.period) + 1)
     s_k = turns[:, None] * pmap.period + u  # (turns, samples)
     keep = s_k <= horizon
-    moved = _moebius(one[:, 2:], pmap.powers(turns)[:, None])  # every sample by every M**k
+    moved = _moebius(one[:, 2:], table[turns][:, None])  # every sample by every M**k
     images = np.concatenate([np.broadcast_to(one[:, :2], moved.shape[:2] + (2,)), moved], axis=-1)
     return np.concatenate([u, s_k[keep]]), np.concatenate([one, images[keep]])
 
 
-def _flow_at(traj: SpiralTrajectory, s: np.ndarray) -> np.ndarray:
-    """(kappa, kappa_s, *curve) at arc lengths s up to the horizon, (K, 2 + curve_dim).
-
-    Read on the step polynomials; for a row with a period map, the state at
-    s = k T + u is the state at u with its curve moved by M**k.
-    """
-    pmap = traj.period_map
-    if pmap is None:
-        return traj.steps.at(s)[0]
-    turns = np.floor(s / pmap.period)
-    out = traj.steps.at(s - turns * pmap.period)[0]
-    for k in set(turns.tolist()) - {0.0}:
-        rows = turns == k
-        out[rows, 2:] = pmap.act(out[rows, 2:], int(k))
-    return out
-
-
 def closure_test(
-    traj: SpiralTrajectory,
-    tol_closed: float = 1e-6,
-    tol_open: float = 1e-3,
-    s_min: float | None = None,
+    traj: SpiralTrajectory, tol_closed: float = 1e-6, tol_open: float = 1e-3
 ) -> ClosureResult:
-    """Scan for a return to the initial curve state, then refine by search.
-
-    defect(s) = position distance + tangent angle distance
-                + |kappa(s) - kappa(0)| + |kappa_s(s) - kappa_s(0)|,
-    minimized over candidate samples with s >= s_min, then refined between
-    the neighbouring candidates on the trajectory's own step polynomials, by
-    33-point scans that keep the neighbours of the least value until the
-    bracket is below 1e-11.  The candidates are the stored samples or, for a
-    row with a period map, their images under the holonomy M**k at
-    s = k T + u up to the horizon, and the refinement reads the polynomials
-    the same way (a bracket may cross k T); the defect can only vanish near
-    some k T, and there it is small exactly when M**k is close to the
-    identity.
-    A row that ended before the horizon is never reported open.
-    """
-    coarse = _coarse_closure(traj, s_min)
-    if coarse is None:
-        return ClosureResult("inconclusive", None, float("inf"))
-    # refine within the bracket of neighbouring candidates on the trajectory's
-    # step polynomials: scan 33 points, keep the neighbours of the least
-    a, b, best, best_s = coarse
-    for _ in range(16):  # each scan shrinks the bracket 16-fold
-        if b - a < 1e-11:
-            break
-        probes = np.linspace(a, b, 33)
-        y = _flow_at(traj, probes)
-        vals = _full_defect(traj, y)
-        j = int(np.argmin(vals))
-        if vals[j] < best:
-            best, best_s = float(vals[j]), float(probes[j])
-        a, b = float(probes[max(j - 1, 0)]), float(probes[min(j + 1, probes.size - 1)])
-    return _closure_verdict(traj, best, best_s, tol_closed, tol_open)
+    """closure_tests of the one row traj."""
+    return closure_tests([traj], tol_closed, tol_open)[0]
 
 
-def _coarse_closure(traj: SpiralTrajectory, s_min: float | None):
-    """(a, b, defect, s): closure_test's least candidate at s >= s_min and its bracket.
-
-    None when no candidate lies at or after s_min.
-    """
+def _coarse_closure(traj: SpiralTrajectory, table):
+    """(a, b, defect, s): the row's least candidate (closure_tests) and its bracket."""
     if traj.curve is None:
         raise InputError("closure test needs a reconstructed curve")
-    cand_s, cand = _closure_candidates(traj)
-    if s_min is None:
-        s_min = min(1.0, 0.25 * float(cand_s[-1]))
-    first = int(np.searchsorted(cand_s, s_min))  # the candidates are in s order
-    if first == cand_s.size:
-        return None
+    cand_s, cand = _closure_candidates(traj, table)
+    # the candidates are in s order, and the last one is at or after the start
+    first = int(np.searchsorted(cand_s, min(1.0, 0.25 * float(cand_s[-1]))))
     defects = _full_defect(traj, cand[first:])
     k = first + int(np.argmin(defects))
     a, b = float(cand_s[max(k - 1, 0)]), float(cand_s[min(k + 1, cand_s.size - 1)])
@@ -749,9 +703,7 @@ def _coarse_closure(traj: SpiralTrajectory, s_min: float | None):
 def _closure_verdict(traj, best: float, best_s: float, tol_closed: float, tol_open: float):
     if best < tol_closed:
         return ClosureResult("closed", best_s, best)
-    if traj.termination != "horizon":
-        return ClosureResult("inconclusive", None, best)
-    if best > tol_open:
+    if best > tol_open and traj.termination == "horizon":  # a row that ended early is never open
         return ClosureResult("open", None, best)
     return ClosureResult("inconclusive", None, best)
 
@@ -759,44 +711,55 @@ def _closure_verdict(traj, best: float, best_s: float, tol_closed: float, tol_op
 def closure_tests(
     trajs: list[SpiralTrajectory], tol_closed: float = 1e-6, tol_open: float = 1e-3
 ) -> list[ClosureResult]:
-    """closure_test of every row (rows of one model), bit for bit, the refinements batched.
+    """Scan each row (rows of one model) for a return to its initial curve state, then refine.
 
-    The candidates are scanned row by row, as closure_test scans them.  Each
-    refinement scan then takes the 33 probes of every row still refining at
-    once: each probe is read on its row's step polynomial, those of one
-    (row, step) pair by one product with the step's coefficients and all
-    pairs by one einsum, which sums as Piecewise.at does, and is moved by its
-    row's holonomy power.
+    defect(s) = position distance + tangent angle distance
+                + |kappa(s) - kappa(0)| + |kappa_s(s) - kappa_s(0)|,
+    minimized over the candidate samples at s >= min(1, s_last / 4), s_last
+    the last candidate's arc length (the horizon or the row's end), then
+    refined between the neighbouring candidates on the row's own step
+    polynomials, by 33-point scans that keep the neighbours of the least
+    value until the bracket is below 1e-11.  The candidates are the stored
+    samples or, for a row with a period map, their images under the holonomy
+    M**k at s = k T + u up to the horizon, and the refinement reads the
+    polynomials the same way (a bracket may cross k T); the defect can only
+    vanish near some k T, and there it is small exactly when M**k is close
+    to the identity.
+    A row that ended before the horizon is never reported open.
+
+    The candidates are scanned row by row.  Each refinement scan takes the
+    33 probes of every row still refining at once: each probe is read on its
+    row's step polynomial, those of one (row, step) pair by one product with
+    the step's coefficients and all pairs by one einsum, which sums as
+    Piecewise.at does.  On half-plane rows every probe is then moved by
+    M**k of its turn k, from the row's one table of powers: M**0 = Id leaves
+    a state as it is, bit for bit.
     """
     if len({traj.model for traj in trajs}) > 1:
         raise InputError("closure_tests takes rows of one model")
-    out = [None] * len(trajs)
-    refine = []
-    for i, traj in enumerate(trajs):
-        coarse = _coarse_closure(traj, None)
-        if coarse is None:
-            out[i] = ClosureResult("inconclusive", None, float("inf"))
-        else:
-            refine.append((i, *coarse))
-    if refine:
-        rows, a, b, best, best_s = (np.array(v) for v in zip(*refine))
-        _refine_rows([trajs[i] for i in rows], a, b, best, best_s)
-        for i, value, s in zip(rows.tolist(), best.tolist(), best_s.tolist()):
-            out[i] = _closure_verdict(trajs[i], value, s, tol_closed, tol_open)
-    return out
+    if not trajs:
+        return []
+    tables = [_holonomy_table(traj) for traj in trajs]
+    a, b, best, best_s = (np.array(v) for v in zip(*map(_coarse_closure, trajs, tables)))
+    _refine_rows(trajs, tables, a, b, best, best_s)
+    return [
+        _closure_verdict(traj, value, s, tol_closed, tol_open)
+        for traj, value, s in zip(trajs, best.tolist(), best_s.tolist())
+    ]
 
 
-def _refine_rows(trajs, a, b, best, best_s) -> None:
-    """closure_test's bracket scans of every row at once, updating best and best_s in place."""
+def _refine_rows(trajs, tables, a, b, best, best_s) -> None:
+    """The bracket scans of every row at once, updating best and best_s in place."""
     model = trajs[0].model
     ref = np.array([_start(t) for t in trajs])
     period = np.array([t.period_map.period if t.period_map else 1.0 for t in trajs])
     watched = np.array([t.period_map is not None for t in trajs])
     width = max(len(t.steps.starts) for t in trajs)
     starts = np.full((len(trajs), width), inf)  # each row's step starts, padded
-    for i, t in enumerate(trajs):
+    holonomy = np.tile(np.eye(2), (len(trajs), max(map(len, tables)), 1, 1))  # padded by Id
+    for i, (t, table) in enumerate(zip(trajs, tables)):
         starts[i, : len(t.steps.starts)] = t.steps.starts
-    moves = {}  # (row, k) -> M**k
+        holonomy[i, : len(table)] = table
     for _ in range(16):  # each scan shrinks every bracket 16-fold
         live = np.flatnonzero(~(b - a < 1e-11))
         if not live.size:
@@ -816,16 +779,8 @@ def _refine_rows(trajs, a, b, best, best_s) -> None:
             coefs.transpose(0, 2, 1),
         )
         y = flows[pair_of.reshape(u.shape), np.arange(u.shape[1])]
-        turned = np.nonzero(turns)
-        if turned[0].size:  # each such probe moved by its row's M**k, one act for all
-            ks = turns[turned].astype(int)
-            keys, key_of = np.unique(live[turned[0]] * (ks.max() + 1) + ks, return_inverse=True)
-            m = []
-            for r, k in zip(*np.divmod(keys, ks.max() + 1)):
-                if (r, k) not in moves:
-                    moves[r, k] = trajs[r].period_map.powers([k])[0]
-                m.append(moves[r, k])
-            y[turned + (slice(2, None),)] = _moebius(y[turned][:, 2:], np.array(m)[key_of.ravel()])
+        if model == HALF_PLANE:  # every probe moved by M**k of its turn, Id on unmapped rows
+            y[..., 2:] = _moebius(y[..., 2:], holonomy[live[:, None], turns.astype(int)])
         vals = _defects(model, y, ref[live, None])
         j = np.argmin(vals, axis=1)
         probe = np.arange(live.size)

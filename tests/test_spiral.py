@@ -1,5 +1,6 @@
 import math
 
+import closure_oracle
 import numpy as np
 import numpy_stepper
 import pytest
@@ -195,11 +196,25 @@ class TestCurveReconstruction:
         assert res.status == "open"
         assert res.defect > 1e-3
 
-    def test_too_short_is_inconclusive(self):
-        p = SpiralParams(4, 0, 0.0)
-        traj = run(p, 1.0, 0.0, s_max=0.5, curve=True)
-        res = closure_test(traj, s_min=1.0)
+    def test_row_that_left_its_band_is_never_open(self):
+        # the "ceiling" row of test_rows_without_return_are_unchanged: its
+        # least defect is far above tol_open, but it ended before the horizon
+        controls = IntegratorControls(s_max=10.0, store_stride=10, kappa_ceiling=50.0)
+        traj = integrate_grid(SpiralParams(4, -1, -0.5), [[1.0, 0.5]], controls)[0]
+        assert traj.termination == "kappa_ceiling"
+        res = closure_test(traj, tol_closed=1e-6, tol_open=1e-3)
         assert res.status == "inconclusive"
+        assert res.defect > 1e-3
+
+    def test_defect_between_the_tolerances_is_inconclusive(self):
+        # a plane near-circle: after one turn it misses its start by about
+        # 4 pi kappa_s, between tol_closed and tol_open
+        controls = IntegratorControls(s_max=7.0)
+        traj = integrate_grid(SpiralParams(4, 0, 0.0), [[1.0, 1e-5]], controls)[0]
+        assert traj.termination == "horizon"
+        res = closure_test(traj, tol_closed=1e-6, tol_open=1e-3)
+        assert res.status == "inconclusive"
+        assert 1e-6 < res.defect < 1e-3
 
     def test_queries_do_not_depend_on_the_sample_step(self):
         # controls.step only spaces the stored samples: the step polynomials,
@@ -538,8 +553,8 @@ class TestPeriodMap:
         row = [[KSTAR * 1.1, KSTAR * 0.04]]
         full = integrate_grid(HALF_PLANE_PARAMS, row, controls)[0]
         periodic = integrate_grid(HALF_PLANE_PARAMS, row, controls, period_map=True)[0]
-        cand_s, cand = spiral._closure_candidates(periodic)
-        late = np.flatnonzero(cand_s >= 1.0)  # closure_test's default s_min here
+        cand_s, cand = spiral._closure_candidates(periodic, spiral._holonomy_table(periodic))
+        late = np.flatnonzero(cand_s >= 1.0)  # the scan starts at min(1, 40 / 4) = 1 here
         defects = spiral._full_defect(periodic, cand[late])
         k = late[np.argmin(defects)]
         assert cand_s[k - 1] < 5.0 * periodic.period_map.period < cand_s[k + 1]
@@ -555,7 +570,8 @@ class TestPeriodMap:
         controls = IntegratorControls(s_max=horizon, store_stride=10)
         trajs = integrate_grid(HALF_PLANE_PARAMS, rows, controls, period_map=True)
         assert all(t.period_map is not None for t in trajs)
-        assert closure_tests(trajs) == [closure_test(t) for t in trajs]
+        oracle = [closure_oracle.closure_test(t) for t in trajs]
+        assert closure_tests(trajs) == [closure_test(t) for t in trajs] == oracle
 
     def test_batched_refinement_without_period_maps(self):
         # plane rows (a circle that closes at 2 pi, and two flat controls) and
@@ -571,11 +587,23 @@ class TestPeriodMap:
             IntegratorControls(s_max=10.0),
         )
         for trajs in (plane, sphere):
-            assert closure_tests(trajs) == [closure_test(t) for t in trajs]
+            oracle = [closure_oracle.closure_test(t) for t in trajs]
+            assert closure_tests(trajs) == [closure_test(t) for t in trajs] == oracle
         assert closure_tests(plane)[0].status == "closed"
         assert closure_tests([]) == []
         with pytest.raises(InputError, match="one model"):
             closure_tests(plane + sphere)
+
+    def test_identity_leaves_states_bit_for_bit(self):
+        # the closure search moves every probe by M**k of its turn, M**0 = Id
+        # before T and on rows without a period map
+        rows = rigidity_initials(RunConfig(), KSTAR)
+        controls = IntegratorControls(s_max=40.0, store_stride=10)
+        trajs = integrate_grid(HALF_PLANE_PARAMS, rows, controls)
+        states = np.concatenate([t.curve for t in trajs])
+        assert np.ptp(states[:, 0]) > 1.0 and np.ptp(states[:, 2]) > 1.0
+        moved = spiral._moebius(states, np.eye(2))
+        assert moved.tobytes() == states.tobytes()
 
     def test_holonomy_carries_the_frame_one_period_on(self):
         pmap = integrate_grid(
@@ -586,7 +614,7 @@ class TestPeriodMap:
             HALF_PLANE_PARAMS, [[1.3, 0.05]], IntegratorControls(s_max=pmap.period + 2.0)
         )[0]
         u = np.array([0.3, 1.7])
-        moved = pmap.act(marched.curve_at(u))
+        moved = spiral._moebius(marched.curve_at(u), pmap.powers([1])[0])
         later = marched.curve_at(pmap.period + u)
         assert np.max(np.abs(moved[:, :2] - later[:, :2])) < 1e-9
         assert np.max(angle_gap(moved[:, 2], later[:, 2])) < 1e-9
@@ -611,6 +639,8 @@ class TestPeriodMap:
             assert np.array_equal(getattr(watched, name), getattr(plain, name))
         if plain.termination == "horizon":
             assert closure_test(watched) == closure_test(plain)
+        oracle = [closure_oracle.closure_test(t) for t in (watched, plain)]
+        assert closure_tests([watched, plain]) == oracle
 
 
 # ---------------------------------------------------------------------------
