@@ -14,7 +14,7 @@ step polynomials of the trajectory: no step is taken.
 import numpy as np
 
 from mobiusflat.checks import warped_base_point
-from mobiusflat.curvature import Convention, convert_scalar, curvature_from_jet
+from mobiusflat.curvature import Convention, convert_scalar, curvature_batch
 from mobiusflat.spiral import (
     IntegratorControls,
     SpiralParams,
@@ -34,7 +34,7 @@ def spiral(params, k0, ks0, s_max=4.0):
 def scalar_profile(traj):
     svals = np.linspace(traj.s[0] + 0.3, traj.s[-1] - 0.3, 12)
     pts = np.array([warped_base_point(n, traj.params.epsilon, s) for s in svals])
-    return curvature_from_jet(*warped_metric_jet(traj, pts, 2).levels).scalar
+    return curvature_batch(*warped_metric_jet(traj, pts, 2).levels).scalar
 
 
 print("spiral equation, eps = -1 (sphere cross-section):")
@@ -57,6 +57,6 @@ print(f"  scalar range [{vals.min():.4f}, {vals.max():.4f}]: not constant")
 print("\nper-normalization values at one point (R = 0.75):")
 traj = spiral(SpiralParams(n, -1, 0.75), 1.25, 0.05)
 p = warped_base_point(n, -1, 2.0)
-full = curvature_from_jet(*warped_metric_jet(traj, p[None, :], 2).levels).scalar[0]
+full = curvature_batch(*warped_metric_jet(traj, p[None, :], 2).levels).scalar[0]
 for conv in Convention:
     print(f"  {conv.value:10s}: {convert_scalar(full, Convention.FULL_TRACE, conv, n):.8f}")

@@ -24,7 +24,6 @@ from .curvature import (
     conformal_scalar,
     convert_scalar,
     metric_field_curvature,
-    riemann_symmetry_residuals,
     schouten_tensor,
 )
 from .errors import (

@@ -9,21 +9,23 @@ permuted), and the Riemann tensor
 
 is the shifted Christoffel jet with two index permutations plus the
 products.  With this sign convention the unit round sphere has positive
-scalar curvature (full trace n(n-1)).  A metric's 2-jet gives the curvature
-(``curvature_batch``: the Riemann tensor in the Gram-Schmidt frame, Ricci
-and the scalar at K points, with a positivity check that names the first
-failing point); its 3-jet gives Ricci, the scalar and the Schouten tensor to
-order 1, so the Codazzi defect of the Schouten tensor takes no stencil
-(``schouten_codazzi_defects``).
+scalar curvature (full trace n(n-1)).  Ricci R_bd = R^a_bad and the scalar
+g^bd R_bd are one contraction of that jet (``ricci_jet``), in chart
+coordinates.  A metric's 2-jet gives them at K points (``curvature_batch``,
+with a positivity check that names the first failing point); its 3-jet
+gives Ricci, the scalar and the Schouten tensor to order 1, so the Codazzi
+defect of the Schouten tensor takes no stencil (``schouten_codazzi_defects``).
 
 Scalar-curvature normalizations differ across sources:
 
-    HALF_TRACE  = sum_{i>j} R_ijij   (orthonormal frame)
+    HALF_TRACE  = sum_{i>j} R_ijij   (in an orthonormal frame)
     FULL_TRACE  = 2 * HALF_TRACE     (the trace of Ricci; the common one)
     NORMALIZED  = FULL_TRACE / (n (n-1))
 
-Every scalar this layer computes is the full trace; code that reports a
-value in another normalization converts it with ``convert_scalar``.
+Every scalar this layer computes is the full trace g^bd R_bd, which needs
+no frame; code that reports a value in another normalization converts it
+with ``convert_scalar``.  Only the Codazzi defects are read in the
+Gram-Schmidt orthonormal frame.
 
 The finite-difference front ends (``metric_field_curvature(_batch)``,
 ``codazzi_defect(_batch)``, ``conformal_scalar``) take the jets of a metric
@@ -69,17 +71,14 @@ def convert_scalar(value, src: Convention, dst: Convention, n: int):
 class CurvatureBundle:
     """Curvature data of a metric field at one point, or at K points.
 
-    christoffel[k, i, j] = Gamma^k_ij in chart coordinates; riemann, ricci
-    and the full-trace scalar are components in the deterministic
-    Gram-Schmidt orthonormal frame (columns of ``frame``), so the sums above
-    apply as written.  A bundle over K points carries a leading K axis on
-    every field (scalar is (K,)); ``bundle[i]`` is the bundle at point i.
+    All in chart coordinates: the metric g_ij, christoffel[k, i, j] =
+    Gamma^k_ij, ricci[b, d] = R_bd and the full-trace scalar g^bd R_bd.  A
+    bundle over K points carries a leading K axis on every field (scalar is
+    (K,)); ``bundle[i]`` is the bundle at point i.
     """
 
     metric: np.ndarray
-    frame: np.ndarray
     christoffel: np.ndarray
-    riemann: np.ndarray
     ricci: np.ndarray
     scalar: float | np.ndarray
 
@@ -90,9 +89,7 @@ class CurvatureBundle:
     def __getitem__(self, i: int) -> CurvatureBundle:
         return CurvatureBundle(
             metric=self.metric[i],
-            frame=self.frame[i],
             christoffel=self.christoffel[i],
-            riemann=self.riemann[i],
             ricci=self.ricci[i],
             scalar=float(self.scalar[i]),
         )
@@ -159,34 +156,17 @@ def riemann_jet(g: Jet) -> tuple[Jet, Jet, Jet]:
     return ginv, gamma, riem_up
 
 
-def _riemann(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Gamma, R_abcd) in chart coordinates from the metric 2-jets at K points.
-
-    g (K, m, m), dg[k, a, i, j] = d_a g_ij, ddg[k, a, b, i, j] = d_a d_b g_ij:
-    level 0 of ``riemann_jet``, lowered.
-    """
-    _, gamma, riem_up = riemann_jet(Jet([g, dg, ddg]))
-    return gamma.value, np.einsum("...ae,...ebcd->...abcd", g, riem_up.value)
-
-
-def _on_frame(tensor: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    """Components of covariant tensors (K, m, ..., m) in the frames' columns (K, m, m).
-
-    One single-index contraction per slot: m^(r+1) work for rank r instead
-    of the m^(2r) of contracting all slots at once.  Each contraction takes
-    the leading slot and appends the frame index last, so after r of them
-    the slots are back in order.
-    """
-    k, m = frame.shape[:2]
-    for _ in range(tensor.ndim - 1):
-        rest = tensor.shape[2:]
-        moved = np.moveaxis(tensor, 1, -1).reshape(k, -1, m)
-        tensor = (moved @ frame).reshape((k,) + rest + (m,))
-    return tensor
+def ricci_jet(ginv: Jet, riem_up: Jet) -> tuple[Jet, Jet]:
+    """(R_bd = R^a_bad, the full-trace scalar g^bd R_bd) in chart coordinates, from
+    the inverse metric's and the Riemann tensor's jets of ``riemann_jet``, to
+    the Riemann jet's order."""
+    ricci = riem_up.linear(lambda r: np.einsum("...abad->...bd", r))
+    return ricci, contract("bd,bd->", ginv, ricci)
 
 
 def curvature_batch(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> CurvatureBundle:
-    """Curvature at K points from the metric 2-jets, with the layout of ``fd.jet_batch``.
+    """Curvature at K points from the metric 2-jets, with the layout of ``fd.jet_batch``:
+    level 0 of ``riemann_jet`` and ``ricci_jet``.
 
     g (K, m, m), dg[k, a, i, j] = d_a g_ij and ddg[k, a, b, i, j] = d_a d_b g_ij.
     A metric that is not symmetric raises InputError and one that is not
@@ -194,17 +174,10 @@ def curvature_batch(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> Curvature
     first such point.
     """
     g = _check_metrics(g)
-    gamma, riem = _riemann(g, dg, ddg)
-    frame = gram_schmidt_frames(g)
-    riem_on = _on_frame(riem, frame)
-    ricci_on = np.einsum("...ikjk->...ij", riem_on)
+    ginv, gamma, riem_up = riemann_jet(Jet([g, dg, ddg]))
+    ricci, scalar = ricci_jet(ginv, riem_up)
     return CurvatureBundle(
-        metric=g,
-        frame=frame,
-        christoffel=gamma,
-        riemann=riem_on,
-        ricci=ricci_on,
-        scalar=np.einsum("...ii->...", ricci_on),
+        metric=g, christoffel=gamma.value, ricci=ricci.value, scalar=scalar.value
     )
 
 
@@ -218,37 +191,6 @@ def metric_field_curvature(metric_field, p: np.ndarray, step: float) -> Curvatur
     """Full curvature bundle of a metric field at p: ``metric_field_curvature_batch`` at one point."""
     p = np.asarray(p, dtype=float)
     return metric_field_curvature_batch(metric_field, p[None, :], step)[0]
-
-
-def curvature_from_jet(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> CurvatureBundle:
-    """Curvature bundle from the metric's value, dg[..., a, i, j] = d_a g_ij and
-    ddg[..., a, b, i, j] = d_a d_b g_ij: at one point, or at K points when g
-    is (K, m, m)."""
-    g, dg, ddg = (np.asarray(x, dtype=float) for x in (g, dg, ddg))
-    if g.ndim == 3:
-        return curvature_batch(g, dg, ddg)
-    return curvature_batch(g[None], dg[None], ddg[None])[0]
-
-
-def riemann_symmetry_residuals(bundle: CurvatureBundle) -> dict[str, float]:
-    """Max-abs residuals of the pair symmetries and the first Bianchi sum.
-
-    The tensor is assembled as the exact Riemann algebra of the metric 2-jet,
-    so these are all roundoff-level however the jet was obtained; the
-    truncation of a differenced jet displaces the jet (value errors) without
-    breaking the algebraic symmetries.  Antisymmetry in the last index pair
-    is exact by construction and not reported.
-    """
-    r = bundle.riemann
-    return {
-        "antisym_first_pair": float(np.max(np.abs(r + np.einsum("ijkl->jikl", r)))),
-        "pair_exchange": float(np.max(np.abs(r - np.einsum("ijkl->klij", r)))),
-        "bianchi_first": float(
-            np.max(
-                np.abs(r + np.einsum("ijkl->iklj", r) + np.einsum("ijkl->iljk", r))
-            )
-        ),
-    }
 
 
 def conformal_scalar(base: CurvatureBundle, u_field, p: np.ndarray, step: float) -> float:
@@ -277,19 +219,22 @@ def conformal_scalar_from_jet(base: CurvatureBundle, u0, du: np.ndarray, ddu: np
 
 
 def schouten_tensor(
-    bundle: CurvatureBundle, convention: Convention = Convention.FULL_TRACE
-) -> np.ndarray:
-    """S = Ricci - R / (2 (n-1)) Id in the orthonormal frame.
+    g: Jet, ricci: Jet, scalar: Jet, convention: Convention = Convention.FULL_TRACE
+) -> Jet:
+    """S = Ric - R / (2 (n-1)) g in chart coordinates, from the jets of the metric,
+    Ricci and the full-trace scalar (``ricci_jet``), to the lower of their orders.
 
     The normalization of R in this definition is ambiguous across sources;
     the convention argument selects one, and the verification harness
     audits which choice makes S a Codazzi tensor.
     """
-    n = bundle.dim
+    n = g.value.shape[-1]
     if n < 3:
         raise InputError("Schouten tensor needs dimension >= 3")
-    r = convert_scalar(bundle.scalar, Convention.FULL_TRACE, convention, n)
-    return bundle.ricci - r / (2.0 * (n - 1)) * np.eye(n)
+    term = scalar.linear(
+        lambda r: convert_scalar(r, Convention.FULL_TRACE, convention, n) / (2.0 * (n - 1))
+    )
+    return ricci - contract(",ab->ab", term, g)
 
 
 def covariant_derivative(s0: np.ndarray, ds: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -299,6 +244,22 @@ def covariant_derivative(s0: np.ndarray, ds: np.ndarray, gamma: np.ndarray) -> n
         - np.einsum("...dca,...db->...abc", gamma, s0)
         - np.einsum("...dcb,...ad->...abc", gamma, s0)
     )
+
+
+def _on_frame(tensor: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """Components of covariant tensors (K, m, ..., m) in the frames' columns (K, m, m).
+
+    One single-index contraction per slot: m^(r+1) work for rank r instead
+    of the m^(2r) of contracting all slots at once.  Each contraction takes
+    the leading slot and appends the frame index last, so after r of them
+    the slots are back in order.
+    """
+    k, m = frame.shape[:2]
+    for _ in range(tensor.ndim - 1):
+        rest = tensor.shape[2:]
+        moved = np.moveaxis(tensor, 1, -1).reshape(k, -1, m)
+        tensor = (moved @ frame).reshape((k,) + rest + (m,))
+    return tensor
 
 
 def _codazzi(s0: np.ndarray, ds: np.ndarray, gamma: np.ndarray, frame: np.ndarray) -> np.ndarray:
@@ -321,7 +282,7 @@ def codazzi_defect_batch(schouten_field, metric_field, pts: np.ndarray, step: fl
     batch = metric_field_curvature_batch(metric_field, pts, step)
     s0 = np.asarray(schouten_field(pts))
     ds = diff1_batch(schouten_field, pts, step)
-    return _codazzi(s0, ds, batch.christoffel, batch.frame)
+    return _codazzi(s0, ds, batch.christoffel, gram_schmidt_frames(batch.metric))
 
 
 def schouten_codazzi_defects(g: Jet, conventions=(Convention.FULL_TRACE,)) -> np.ndarray:
@@ -333,18 +294,13 @@ def schouten_codazzi_defects(g: Jet, conventions=(Convention.FULL_TRACE,)) -> np
     The normalizations differ only in the scalar term of S.
     """
     g0 = _check_metrics(g.value)
-    n = g0.shape[-1]
     g = Jet([g0] + g.levels[1:])
     ginv, gamma, riem_up = riemann_jet(g)
-    ricci = riem_up.linear(lambda r: np.einsum("...abad->...bd", r))
-    scalar = contract("bd,bd->", ginv, ricci)
+    ricci, scalar = ricci_jet(ginv, riem_up)
     frame = gram_schmidt_frames(g0)
     rows = []
     for conv in conventions:
-        term = scalar.linear(
-            lambda r: convert_scalar(r, Convention.FULL_TRACE, conv, n) / (2.0 * (n - 1))
-        )
-        schouten = ricci - contract(",ab->ab", term, g)
+        schouten = schouten_tensor(g, ricci, scalar, conv)
         rows.append(_codazzi(schouten.value, schouten.levels[1], gamma.value, frame))
     return np.array(rows)
 

@@ -731,9 +731,10 @@ def closure_tests(
     33 probes of every row still refining at once: each probe is read on its
     row's step polynomial, those of one (row, step) pair by one product with
     the step's coefficients and all pairs by one einsum, which sums as
-    Piecewise.at does.  On half-plane rows every probe is then moved by
-    M**k of its turn k, from the row's one table of powers: M**0 = Id leaves
-    a state as it is, bit for bit.
+    Piecewise.at does.  When a row of the call has a period map, every
+    probe is then moved by M**k of its turn k, from its row's one table of
+    powers: M**0 = Id, on the first turn and on rows without a map, leaves a
+    state as it is, bit for bit, so a call without maps moves none.
     """
     if len({traj.model for traj in trajs}) > 1:
         raise InputError("closure_tests takes rows of one model")
@@ -779,7 +780,7 @@ def _refine_rows(trajs, tables, a, b, best, best_s) -> None:
             coefs.transpose(0, 2, 1),
         )
         y = flows[pair_of.reshape(u.shape), np.arange(u.shape[1])]
-        if model == HALF_PLANE:  # every probe moved by M**k of its turn, Id on unmapped rows
+        if model == HALF_PLANE and watched.any():  # each probe moved by M**k of its turn
             y[..., 2:] = _moebius(y[..., 2:], holonomy[live[:, None], turns.astype(int)])
         vals = _defects(model, y, ref[live, None])
         j = np.argmin(vals, axis=1)

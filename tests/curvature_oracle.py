@@ -1,11 +1,15 @@
 """The per-point curvature algebra that the batched ``curvature`` layer replaced.
 
 Kept as the test oracle.  Each point is its own request: one metric jet,
-the Jacobi eigensolver for the positivity check, the Riemann algebra on
-(m, m) arrays, a Gram-Schmidt loop over the coordinate basis and the frame
-rotation by ``tensordot``, one slot at a time.  The Schouten field loops
-over its points, one curvature bundle each, and ``codazzi_defect`` takes one
-point.  Nothing here calls the batch code under test.
+the Jacobi eigensolver for the positivity check and the Riemann algebra on
+(m, m) arrays.  Ricci and the scalar are the chart contractions of the
+batch, point by point (``curvature_from_jet``).  The frame route
+(``frame_curvature``) is the second, independent one: a Gram-Schmidt loop
+over the coordinate basis, the lowered Riemann tensor rotated into it by
+``tensordot``, one slot at a time, and Ricci and the scalar traced there.
+The Schouten field loops over its points, one curvature bundle each, and
+``codazzi_defect`` takes one point.  Nothing here calls the batch code
+under test.
 """
 
 import numpy as np
@@ -48,8 +52,8 @@ def christoffel_symbols(ginv, dg):
     return 0.5 * np.einsum("...kl,...lij->...kij", ginv, bracket)
 
 
-def riemann(g, dg, ddg):
-    """(Gamma, R_abcd) in chart coordinates from the metric 2-jet at one point."""
+def riemann_up(g, dg, ddg):
+    """(g^-1, Gamma, R^a_bcd) in chart coordinates from the metric 2-jet at one point."""
     ginv = np.linalg.inv(g)
     gamma = christoffel_symbols(ginv, dg)
     dginv = -np.einsum("kp,apq,ql->akl", ginv, dg, ginv)
@@ -60,7 +64,12 @@ def riemann(g, dg, ddg):
         + np.einsum("ace,edb->abcd", gamma, gamma)
         - np.einsum("ade,ecb->abcd", gamma, gamma)
     )
-    return gamma, np.einsum("ae,ebcd->abcd", g, riem_up)
+    return ginv, gamma, riem_up
+
+
+def lowered_riemann(g, dg, ddg):
+    """R_abcd = g_ae R^e_bcd in chart coordinates at one point."""
+    return np.einsum("ae,ebcd->abcd", g, riemann_up(g, dg, ddg)[2])
 
 
 def on_frame(tensor, frame):
@@ -71,24 +80,30 @@ def on_frame(tensor, frame):
 
 def curvature_from_jet(g, dg, ddg):
     g = check_metric(g)
-    gamma, riem = riemann(g, dg, ddg)
-    frame = gram_schmidt_frame(g)
-    riem_on = on_frame(riem, frame)
-    ricci_on = np.einsum("ikjk->ij", riem_on)
+    ginv, gamma, riem_up = riemann_up(g, dg, ddg)
+    # C-ordered, so that the scalar's einsum sums in the batch's order
+    ricci = np.ascontiguousarray(np.einsum("abad->bd", riem_up))
     return CurvatureBundle(
         metric=g,
-        frame=frame,
         christoffel=gamma,
-        riemann=riem_on,
-        ricci=ricci_on,
-        scalar=float(np.einsum("ii->", ricci_on)),
+        ricci=ricci,
+        scalar=float(np.einsum("bd,bd->", ginv, ricci)),
     )
+
+
+def frame_curvature(g, dg, ddg):
+    """(frame, R_ijkl, Ricci_ij, full-trace scalar) in the Gram-Schmidt frame at one point."""
+    g = check_metric(g)
+    frame = gram_schmidt_frame(g)
+    riem_on = on_frame(lowered_riemann(g, dg, ddg), frame)
+    ricci_on = np.einsum("ikjk->ij", riem_on)
+    return frame, riem_on, ricci_on, float(np.einsum("ii->", ricci_on))
 
 
 def curvature_batch(g, dg, ddg):
     """``curvature.curvature_batch`` by a loop of ``curvature_from_jet`` over the points."""
     bundles = [curvature_from_jet(*jets) for jets in zip(g, dg, ddg)]
-    fields = ("metric", "frame", "christoffel", "riemann", "ricci")
+    fields = ("metric", "christoffel", "ricci")
     return CurvatureBundle(
         **{name: np.stack([getattr(b, name) for b in bundles]) for name in fields},
         scalar=np.array([b.scalar for b in bundles]),
@@ -107,9 +122,7 @@ def schouten_coordinate_field(metric_field, step, convention=Convention.FULL_TRA
         for i, q in enumerate(pts):
             b = metric_field_curvature(metric_field, q, step)
             r = convert_scalar(b.scalar, Convention.FULL_TRACE, convention, b.dim)
-            inv_frame = np.linalg.inv(b.frame)
-            ric_coord = inv_frame.T @ b.ricci @ inv_frame
-            out[i] = ric_coord - r / (2.0 * (b.dim - 1)) * b.metric
+            out[i] = b.ricci - r / (2.0 * (b.dim - 1)) * b.metric
         return out
 
     return field
@@ -128,5 +141,6 @@ def codazzi_defect(schouten_field, metric_field, p, step):
     bundle = metric_field_curvature(metric_field, p, step)
     s0 = np.asarray(schouten_field(p[None, :]))[0]
     ds = diff1(schouten_field, p, step)
-    nabla_on = on_frame(covariant_derivative(s0, ds, bundle.christoffel), bundle.frame)
+    frame = gram_schmidt_frame(bundle.metric)
+    nabla_on = on_frame(covariant_derivative(s0, ds, bundle.christoffel), frame)
     return float(np.max(np.abs(nabla_on - np.einsum("ijk->ikj", nabla_on))))

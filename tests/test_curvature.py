@@ -12,12 +12,15 @@ from mobiusflat.curvature import (
     curvature_batch,
     metric_field_curvature,
     metric_field_curvature_batch,
-    riemann_symmetry_residuals,
+    riemann_jet,
+    ricci_jet,
     schouten_codazzi_defects,
     schouten_tensor,
 )
 from mobiusflat.errors import DegenerateGeometryError, InputError
 from mobiusflat.fd import diff1, jet
+from mobiusflat.jets import Jet
+from mobiusflat.linalg import gram_schmidt_frame
 from mobiusflat.moebius import fields_from_immersion
 from mobiusflat.spiral import (
     IntegratorControls,
@@ -92,10 +95,39 @@ def warped_point(n, value_first, rest=None):
     return p
 
 
+def lowered_riemann(field, p, step):
+    """R_abcd in chart coordinates at p: level 0 of ``riemann_jet`` on the field's
+    stencil 2-jet, lowered by the metric."""
+    g, dg, ddg = (x[None] for x in jet(field, p, step))
+    riem_up = riemann_jet(Jet([g, dg, ddg]))[2].value
+    return np.einsum("ae,ebcd->abcd", g[0], riem_up[0])
+
+
+def riemann_symmetry_residuals(r):
+    """Max-abs residuals of the first-pair antisymmetry, the pair exchange and the
+    first Bianchi sum of a lowered Riemann tensor; antisymmetry in the last pair
+    is exact by construction and not reported."""
+    return {
+        "antisym_first_pair": float(np.max(np.abs(r + np.einsum("ijkl->jikl", r)))),
+        "pair_exchange": float(np.max(np.abs(r - np.einsum("ijkl->klij", r)))),
+        "bianchi_first": float(
+            np.max(np.abs(r + np.einsum("ijkl->iklj", r) + np.einsum("ijkl->iljk", r)))
+        ),
+    }
+
+
+def schouten(bundle, convention=Convention.FULL_TRACE):
+    """``schouten_tensor`` of a one-point bundle, in chart coordinates."""
+    levels = (bundle.metric, bundle.ricci, np.asarray(bundle.scalar))
+    return schouten_tensor(*(Jet([x[None]]) for x in levels), convention).value[0]
+
+
 class TestKnownScalars:
     def test_flat_is_flat(self):
-        b = metric_field_curvature(flat_field(4), np.array([0.3, -1.0, 2.0, 0.1]), FINE)
-        assert np.max(np.abs(b.riemann)) < 1e-9
+        p = np.array([0.3, -1.0, 2.0, 0.1])
+        b = metric_field_curvature(flat_field(4), p, FINE)
+        assert np.max(np.abs(lowered_riemann(flat_field(4), p, FINE))) < 1e-9
+        assert np.max(np.abs(b.ricci)) < 1e-9
         assert abs(b.scalar) < 1e-9
 
     def test_round_two_sphere(self):
@@ -109,7 +141,7 @@ class TestKnownScalars:
         p = np.linspace(1.0, 1.8, n)
         b = metric_field_curvature(field, p, FINE)
         assert b.scalar == pytest.approx(n * (n - 1), abs=1e-7)
-        assert np.allclose(b.ricci, (n - 1) * np.eye(n), atol=1e-7)
+        assert np.allclose(b.ricci, (n - 1) * b.metric, atol=1e-7)
 
     def test_hyperbolic_space(self):
         def field(pts):
@@ -155,9 +187,10 @@ class TestConventions:
         p = np.array([1.2, 0.9, 2.1])
         b = metric_field_curvature(field, p, FINE)
         half = convert_scalar(b.scalar, Convention.FULL_TRACE, Convention.HALF_TRACE, 3)
-        explicit = sum(
-            b.riemann[i, j, i, j] for i in range(3) for j in range(3) if i > j
+        on_frame = fd_oracle.frame_components(
+            lowered_riemann(field, p, FINE), gram_schmidt_frame(b.metric)
         )
+        explicit = sum(on_frame[i, j, i, j] for i in range(3) for j in range(3) if i > j)
         assert half == pytest.approx(explicit, rel=1e-12)
         assert b.scalar == pytest.approx(2 * half)
         normalized = convert_scalar(b.scalar, Convention.FULL_TRACE, Convention.NORMALIZED, 3)
@@ -174,8 +207,7 @@ class TestConventions:
 class TestSymmetriesAndConvergence:
     def test_residuals_small_on_analytic_field(self):
         field = warped_field(4, -1, lambda s: 1.0 + 0.3 * np.sin(s))
-        b = metric_field_curvature(field, warped_point(4, 0.7), FINE)
-        res = riemann_symmetry_residuals(b)
+        res = riemann_symmetry_residuals(lowered_riemann(field, warped_point(4, 0.7), FINE))
         assert max(res.values()) < 1e-7
 
     def test_fourth_order_convergence(self):
@@ -214,8 +246,7 @@ class TestSymmetriesAndConvergence:
 
         p = np.array([0.4, -0.3, 0.7])
         for h in (0.2, 0.1, 0.05):
-            b = metric_field_curvature(field, p, h)
-            res = riemann_symmetry_residuals(b)
+            res = riemann_symmetry_residuals(lowered_riemann(field, p, h))
             assert max(res.values()) < 1e-12, (h, res)
 
 
@@ -263,21 +294,21 @@ class TestConformalScalar:
 class TestSchouten:
     def test_flat_is_zero(self):
         b = metric_field_curvature(flat_field(4), np.zeros(4), FINE)
-        assert np.max(np.abs(schouten_tensor(b))) < 1e-10
+        assert np.max(np.abs(schouten(b))) < 1e-10
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_round_sphere_value(self, n):
-        # Ricci = (n-1) Id and full R = n(n-1) give S = (n-2)/2 Id
+        # Ricci = (n-1) g and full R = n(n-1) give S = (n/2 - 1) g
         field = lambda pts: sphere_chart_metric(np.atleast_2d(pts))
         p = np.linspace(1.0, 1.7, n)
         b = metric_field_curvature(field, p, FINE)
-        s = schouten_tensor(b, Convention.FULL_TRACE)
-        assert np.allclose(s, (n - 2) / 2.0 * np.eye(n), atol=1e-7)
+        s = schouten(b, Convention.FULL_TRACE)
+        assert np.allclose(s, (n / 2.0 - 1.0) * b.metric, atol=1e-7)
 
     def test_dimension_guard(self):
         b = metric_field_curvature(flat_field(2), np.zeros(2), FINE)
         with pytest.raises(InputError):
-            schouten_tensor(b)
+            schouten(b)
 
 
 class TestCodazzi:
@@ -339,9 +370,10 @@ class TestFrameRotationOracle:
         field = moebius_oracle.moebius_metric_field(fields_from_immersion(imm))
         step = 0.02
         for p in interior_points(imm, 2, seed=11):
-            bundle = metric_field_curvature(field, p, step)
-            _, riem = curvature._riemann(*(x[None] for x in jet(field, p, step)))
-            self.assert_close(bundle.riemann, fd_oracle.frame_components(riem[0], bundle.frame))
+            riem = lowered_riemann(field, p, step)
+            frame = gram_schmidt_frame(jet(field, p, step)[0])
+            on_frame = curvature._on_frame(riem[None], frame[None])[0]
+            self.assert_close(on_frame, fd_oracle.frame_components(riem, frame))
 
     def test_riemann_and_codazzi_on_sheared_metric(self):
         step = 0.02
@@ -350,14 +382,16 @@ class TestFrameRotationOracle:
         )
         for p in (np.array([0.4, -0.2, 0.7, 0.1]), np.array([-0.9, 0.3, 0.0, 1.2])):
             bundle = metric_field_curvature(sheared_field, p, step)
-            assert np.max(np.abs(bundle.frame - bundle.frame.T)) > 0.1
-            _, riem = curvature._riemann(*(x[None] for x in jet(sheared_field, p, step)))
-            self.assert_close(bundle.riemann, fd_oracle.frame_components(riem[0], bundle.frame))
+            frame = gram_schmidt_frame(bundle.metric)
+            assert np.max(np.abs(frame - frame.T)) > 0.1
+            riem = lowered_riemann(sheared_field, p, step)
+            on_frame = curvature._on_frame(riem[None], frame[None])[0]
+            self.assert_close(on_frame, fd_oracle.frame_components(riem, frame))
 
             s0 = sfield(p[None, :])[0]
             nabla = covariant_derivative(s0, diff1(sfield, p, step), bundle.christoffel)
-            oracle = fd_oracle.frame_components(nabla, bundle.frame)
-            self.assert_close(curvature._on_frame(nabla[None], bundle.frame[None])[0], oracle)
+            oracle = fd_oracle.frame_components(nabla, frame)
+            self.assert_close(curvature._on_frame(nabla[None], frame[None])[0], oracle)
             defect = np.max(np.abs(oracle - np.einsum("ijk->ikj", oracle)))
             assert abs(codazzi_defect(sfield, sheared_field, p, step) - defect) <= 1e-13 * np.max(
                 np.abs(oracle)
@@ -387,7 +421,8 @@ BATCH_STEP = 0.01
 
 
 class TestBatchOracle:
-    """The batch algebra against the per-point oracle it replaced, bit for bit."""
+    """The batch algebra against the per-point oracle it replaced, bit for bit, and
+    against the oracle's frame route at round-off."""
 
     @staticmethod
     def assert_matches_oracle(field, pts, step=BATCH_STEP):
@@ -395,9 +430,16 @@ class TestBatchOracle:
         assert batch.scalar.shape == (pts.shape[0],)
         for i, p in enumerate(pts):
             oracle = curvature_oracle.metric_field_curvature(field, p, step)
-            for name in ("scalar", "ricci", "christoffel", "frame", "riemann", "metric"):
+            for name in ("scalar", "ricci", "christoffel", "metric"):
                 assert np.array_equal(getattr(batch, name)[i], getattr(oracle, name)), name
             assert batch[i].scalar == oracle.scalar
+            # the frame route: R rotated into the Gram-Schmidt frame, traced there
+            frame, riem_on, ricci_on, scalar_on = curvature_oracle.frame_curvature(
+                *jet(field, p, step)
+            )
+            scale = np.max(np.abs(riem_on))
+            assert np.max(np.abs(frame.T @ batch.ricci[i] @ frame - ricci_on)) <= 1e-13 * scale
+            assert abs(batch.scalar[i] - scalar_on) <= 1e-13 * scale
 
     @pytest.mark.parametrize("surface", ["cylinder", "cone", "rotational", "torus"])
     def test_suite_moebius_metrics(self, surface, request):
@@ -428,9 +470,10 @@ class TestBatchOracle:
         bundle = metric_field_curvature(field, p, BATCH_STEP)
         oracle = curvature_oracle.metric_field_curvature(field, p, BATCH_STEP)
         assert bundle.scalar == oracle.scalar
-        assert np.array_equal(bundle.riemann, oracle.riemann)
-        via_jet = curvature.curvature_from_jet(*jet(field, p, BATCH_STEP))
+        assert np.array_equal(bundle.ricci, oracle.ricci)
+        via_jet = curvature_batch(*(x[None] for x in jet(field, p, BATCH_STEP)))[0]
         assert np.array_equal(via_jet.ricci, oracle.ricci)
+        assert via_jet.scalar == oracle.scalar
 
 
 def flat_jets(g):
@@ -537,12 +580,13 @@ class TestExactCodazzi:
     def test_order_one_jet_starts_with_the_batch(self, rotational):
         pts = interior_points(rotational, 3, seed=2, pad=0.2)
         g = rotational.analytic_fields.first_form(pts, 3)
-        _, gamma, riem_up = curvature.riemann_jet(g)
-        assert (gamma.order, riem_up.order) == (2, 1)
+        ginv, gamma, riem_up = riemann_jet(g)
+        ricci, scalar = ricci_jet(ginv, riem_up)
+        assert (gamma.order, riem_up.order, ricci.order, scalar.order) == (2, 1, 1, 1)
         batch = curvature_batch(*g.levels[:3])
         assert np.array_equal(gamma.value, batch.christoffel)
-        lowered = np.einsum("...ae,...ebcd->...abcd", g.value, riem_up.value)
-        assert np.array_equal(curvature._on_frame(lowered, batch.frame), batch.riemann)
+        assert np.array_equal(ricci.value, batch.ricci)
+        assert np.array_equal(scalar.value, batch.scalar)
 
 
 class TestExactWarpedScalar:

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import inspect
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from mobiusflat import immersion, linalg, moebius
 from mobiusflat.checks import preset_trajectory, sample_points, warped_scalar_reference
 from mobiusflat.curvature import Convention
-from mobiusflat.curvature import convert_scalar
+from mobiusflat.curvature import convert_scalar, curvature_batch
 from mobiusflat.errors import DegenerateGeometryError, InputError, UmbilicPointError
 from mobiusflat.immersion import (
     ImmersionHandle,
@@ -509,6 +510,38 @@ class TestOneFrameStackPerRequest:
         fields = fields_from_immersion(rotational)
         point_set_request(fields, interior_points(rotational, 6, seed=17))
         assert stacks == [6] * solves
+
+
+class TestScalarRequestsBuildNoFrame:
+    """The scalar of a request is g^bd R_bd in chart coordinates: no Gram-Schmidt
+    frame, and a curvature batch at K points is K one-point batches."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    @pytest.mark.parametrize("route", ["fields", "closed-form"])
+    def test_no_frame_and_one_point_batches(self, n, route, monkeypatch):
+        imm = build_family("rotational", preset_trajectory(n, EPSILON_BY_FAMILY["rotational"]), n)
+        fields = imm.analytic_fields if route == "closed-form" else fields_from_immersion(imm)
+        pts = interior_points(imm, 5, seed=n, pad=0.2)
+        built = []
+
+        def frames(g, *args):
+            built.append(g.shape[0])
+            return gram_schmidt_frames(g, *args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("mobiusflat") and hasattr(module, "gram_schmidt_frames"):
+                monkeypatch.setattr(module, "gram_schmidt_frames", frames)
+        direct_scalar(fields, pts)
+        assert built == []
+        moebius_scalars(fields, pts)
+        assert built == []
+
+        levels = fields.jets(pts).moebius.levels
+        batch = curvature_batch(*levels)
+        for i in range(len(pts)):
+            one = curvature_batch(*(x[i : i + 1] for x in levels))
+            for name in ("metric", "christoffel", "ricci", "scalar"):
+                assert np.array_equal(getattr(batch, name)[i], getattr(one, name)[0]), name
 
 
 class TestTensorB:

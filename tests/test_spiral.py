@@ -605,6 +605,23 @@ class TestPeriodMap:
         moved = spiral._moebius(states, np.eye(2))
         assert moved.tobytes() == states.tobytes()
 
+    def test_rows_without_maps_are_not_moved(self, monkeypatch):
+        rows = rigidity_initials(RunConfig(), KSTAR)[:3]
+        controls = IntegratorControls(s_max=40.0, store_stride=10)
+        plain = integrate_grid(HALF_PLANE_PARAMS, rows, controls)
+        watched = integrate_grid(HALF_PLANE_PARAMS, rows, controls, period_map=True)
+        moves, original = [], spiral._moebius
+
+        def moebius(curve, m):
+            moves.append(curve.shape)
+            return original(curve, m)
+
+        monkeypatch.setattr(spiral, "_moebius", moebius)
+        assert closure_tests(plain) == [closure_oracle.closure_test(t) for t in plain]
+        assert moves == []
+        assert closure_tests(watched) == [closure_oracle.closure_test(t) for t in watched]
+        assert moves
+
     def test_holonomy_carries_the_frame_one_period_on(self):
         pmap = integrate_grid(
             HALF_PLANE_PARAMS, [[1.3, 0.05]], IntegratorControls(s_max=10.0), period_map=True

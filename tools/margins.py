@@ -1,0 +1,145 @@
+#!/usr/bin/env python3
+"""Assert margins of the verification suite over 64 runs, and their drift against another tree.
+
+Usage (from the repository root):
+
+    python3 tools/margins.py [--against PATH]
+
+Runs ``checks.run_suite`` at seeds 0-7, n = 4-7 and samples 20 and 8, and
+prints, for each assert, its worst residual over its tolerance and the run
+(seed, n, samples) where it fell, and whether every assert passed on every
+run.  With ``--against PATH``, the root of another checkout of the project,
+the same 64 runs are made there too, and for each check the largest
+absolute change of a float of its report record between the two trees is
+printed, with the run where it fell and the number of floats that changed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+RUNS = [(seed, n, samples) for samples in (20, 8) for n in range(4, 8) for seed in range(8)]
+
+
+def emit() -> None:
+    """Print the reports of the 64 runs, as one JSON list, from the tree on the path."""
+    from mobiusflat.checks import run_suite
+    from mobiusflat.config import RunConfig
+
+    reports = []
+    for seed, n, samples in RUNS:
+        report = run_suite(RunConfig(seed=seed, n=n, samples=samples).validate())
+        reports.append(json.loads(report.to_json()))
+    json.dump(reports, sys.stdout)
+
+
+def reports(roots: list[Path]) -> list[list[dict]]:
+    """The 64 reports of each tree, the trees side by side, each in its own interpreter."""
+    procs = [
+        subprocess.Popen(
+            [sys.executable, __file__, "--emit"],
+            env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        for root in roots
+    ]
+    outs = [proc.communicate()[0] for proc in procs]
+    for root, proc in zip(roots, procs):
+        if proc.returncode != 0:
+            sys.exit(f"the runs in {root} failed (exit code {proc.returncode})")
+    return [json.loads(out) for out in outs]
+
+
+def floats(node, path=""):
+    """(path, value) of every number under a JSON node; booleans are not numbers."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from floats(value, f"{path}.{key}")
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from floats(value, f"{path}[{i}]")
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path, float(node)
+
+
+def records(report: dict) -> dict[str, dict]:
+    return {rec["name"]: rec for rec in report["checks"]}
+
+
+def margins(reports: list[dict]) -> None:
+    worst: dict[str, tuple[float, tuple]] = {}
+    failed = []
+    for run, report in zip(RUNS, reports):
+        for name, rec in records(report).items():
+            if rec["kind"] != "assert":
+                continue
+            if not rec["passed"]:
+                failed.append((name, run))
+            ratio = rec["max_residual"] / rec["tolerance"]
+            if name not in worst or not ratio <= worst[name][0]:  # a NaN ratio is the worst
+                worst[name] = (ratio, run)
+    print(f"assert margins over {len(RUNS)} runs (worst residual / tolerance, at seed, n, samples)")
+    for name, (ratio, run) in worst.items():
+        print(f"  {name:28s} {ratio:10.3e}  at {run}")
+    overall = max(worst.items(), key=lambda item: item[1][0])
+    print(f"  worst: {overall[0]} {overall[1][0]:.3e} at {overall[1][1]}")
+    print("every assert passed on every run" if not failed else f"FAILED: {failed}")
+
+
+def drift(ours: list[dict], theirs: list[dict]) -> None:
+    largest: dict[str, tuple[float, tuple]] = {}
+    moved: dict[str, int] = {}
+    unmatched = []
+    for run, mine, other in zip(RUNS, ours, theirs):
+        a, b = records(mine), records(other)
+        unmatched += [(name, run) for name in a.keys() ^ b.keys()]
+        for name in a.keys() & b.keys():
+            va, vb = dict(floats(a[name])), dict(floats(b[name]))
+            unmatched += [(name + path, run) for path in va.keys() ^ vb.keys()]
+            for path in va.keys() & vb.keys():
+                x, y = va[path], vb[path]
+                if x == y or (math.isnan(x) and math.isnan(y)):
+                    continue
+                change = abs(x - y)
+                moved[name] = moved.get(name, 0) + 1
+                if name not in largest or not change <= largest[name][0]:
+                    largest[name] = (change, run)
+    print(
+        f"drift against the other tree over {len(RUNS)} runs"
+        " (largest |change| and its run, floats changed)"
+    )
+    for name in records(ours[0]):
+        if name in largest:
+            change, run = largest[name]
+            print(f"  {name:28s} {change:10.3e} at {run}  {moved[name]:6d} floats")
+        else:
+            print(f"  {name:28s} {'identical':>10s}")
+    print(f"  floats changed: {sum(moved.values())}")
+    if unmatched:
+        print(f"  values in one tree only: {len(unmatched)}, first {unmatched[:5]}")
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", type=Path, help="root of another checkout to compare with")
+    parser.add_argument("--emit", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.emit:
+        emit()
+        return
+    trees = reports([ROOT] + ([args.against.resolve()] if args.against else []))
+    margins(trees[0])
+    if args.against:
+        drift(*trees)
+
+
+if __name__ == "__main__":
+    main()
