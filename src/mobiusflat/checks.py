@@ -76,7 +76,6 @@ from .spiral import (
     closure_test,
     closure_tests,
     equilibrium_kappa,
-    first_integral,
     integrate_grid,
     integrate_spiral,
     kappa_accel,
@@ -870,10 +869,10 @@ def rigidity_scan(cfg: RunConfig) -> dict:
         # E = kappa_s^2 kappa^(n-4) is conserved here (eps = 0, R = 0):
         # E > 0 keeps kappa_s away from 0, so kappa is strictly
         # monotone and the profile cannot close
-        energy = float(first_integral(flat_params, traj.kappa[0], traj.kappa_s[0]))
+        energy = traj.first_integral_constant
         flat_rows.append(
             {
-                "kappa_s0": float(traj.kappa_s[0]),
+                "kappa_s0": float(traj.start[1]),
                 "status": res.status,
                 "min_defect": res.defect,
                 "E": energy,

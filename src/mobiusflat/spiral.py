@@ -30,13 +30,15 @@ given by its Taylor coefficients about each arc length, and only the
 frame's series is computed by the recurrences.
 
 A trajectory keeps its step polynomials, and they are its one continuous
-representation: the stored samples are the polynomials evaluated on the grid
-of spacing IntegratorControls.step (every store_stride-th point of it), and
-the queries (kappa_at, kappa_s_at, curve_at, curve_velocity_at, curve_jet)
-and the closure refinement read values and s-derivatives from the
-polynomials at any s.  IntegratorControls.step thus spaces the stored samples
-and nothing else; the integrator's own steps come from the Taylor
-coefficients.
+representation: the samples are the polynomials evaluated on the grid of
+spacing IntegratorControls.step (every store_stride-th point of it), built
+on first read (a half-plane curve's at construction, for its y > 0 check),
+and the queries (kappa_at, kappa_s_at, curve_at, curve_velocity_at,
+curve_jet) and the closure refinement read values and s-derivatives from the
+polynomials at any s.  Every such read is one gathered pass over its points,
+whatever their steps (taylor.evaluate).  IntegratorControls.step thus spaces
+the samples and nothing else; the integrator's own steps come from the
+Taylor coefficients.
 
 Closure of a half-plane curve is decided from one kappa period.  The kappa
 subsystem conserves first_integral, so a bounded (kappa, kappa_s) orbit is
@@ -54,7 +56,8 @@ marched to the horizon.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from math import ceil, cos, factorial, inf, sin, sqrt
 
 import numpy as np
@@ -242,37 +245,33 @@ def _trajectory(
 ) -> SpiralTrajectory:
     """The trajectory of the row y0 from its march (taylor.march).
 
-    The samples are the step polynomials at the points of grid before the
-    row's end, followed by the state at the end; the trajectory keeps the
-    polynomials for its queries.  A row that ends at its first return
-    carries the PeriodMap of that period, with termination "horizon".
+    Its s is the points of grid before the row's end, followed by the end.
+    Its samples are built here only for a half-plane curve, whose y > 0 is
+    checked on them, and otherwise on first read.  A row that ends at its
+    first return carries the PeriodMap of that period, from its start and
+    end states, with termination "horizon".
     """
     if termination == "horizon":
         s = grid
     else:
         s = np.append(grid[: np.searchsorted(grid, s_stop)], s_stop)
-    ys = steps.at(s[:-1], out=np.empty((1, s.size, len(y_stop))))[0]
-    ys[-1] = y_stop
     pmap = None
     if termination == "return":
-        pmap = PeriodMap.from_frames(float(s[-1]), ys[0, 2:], ys[-1, 2:])
+        pmap = PeriodMap.from_frames(float(s[-1]), y0[2:], y_stop[2:])
         termination = "horizon"
-    joint = ys.shape[1] > 2
-    if joint:
-        _check_half_plane(params.model, ys[:, 2:])
-    return SpiralTrajectory(
+    traj = SpiralTrajectory(
         params=params,
         controls=controls,
         s=s,
-        kappa=ys[:, 0],
-        kappa_s=ys[:, 1],
-        curve=ys[:, 2:] if joint else None,
         termination=termination,
-        first_integral_constant=float(first_integral(params, ys[0, 0], ys[0, 1])),
         steps=steps,
-        initial_curve=np.array(y0[2:], dtype=float) if joint else None,
+        start=np.array(y0, dtype=float),
+        end=np.array(y_stop, dtype=float),
         period_map=pmap,
     )
+    if params.model == HALF_PLANE and traj.joint:  # reads, so builds, the samples
+        _check_half_plane(traj.curve)
+    return traj
 
 
 def _check_start(model: str, states, curve_start, controls: IntegratorControls) -> None:
@@ -292,8 +291,8 @@ def _check_start(model: str, states, curve_start, controls: IntegratorControls) 
         raise ChartDomainError("half-plane curve start must have y > 0")
 
 
-def _check_half_plane(model: str, curve: np.ndarray) -> None:
-    if model == HALF_PLANE and np.any(curve[:, 1] <= 0):
+def _check_half_plane(curve: np.ndarray) -> None:
+    if np.any(curve[:, 1] <= 0):
         raise ChartDomainError("curve left the half-plane y > 0: integration fault")
 
 
@@ -356,20 +355,19 @@ class SpiralTrajectory:
     steps holds the Taylor step polynomials the row was marched with, and
     the queries (kappa_at, kappa_s_at, curve_at, curve_velocity_at,
     curve_jet) read values and s-derivatives from them at any s in range.
-    The samples are those polynomials at the grid of spacing
-    controls.step, which spaces the stored samples and nothing else.
+    The samples kappa, kappa_s and curve are those polynomials at s, the
+    grid of spacing controls.step, with the end state last; they are built
+    on first read (a half-plane curve's at construction, see _trajectory)
+    and kept.  controls.step spaces the samples and nothing else.
     """
 
     params: SpiralParams
     controls: IntegratorControls
     s: np.ndarray
-    kappa: np.ndarray
-    kappa_s: np.ndarray
-    curve: np.ndarray | None  # (K, curve_dim) in model coordinates
     termination: str
-    first_integral_constant: float
     steps: taylor.Piecewise  # the components (kappa, kappa_s, *curve)
-    initial_curve: np.ndarray = field(default=None)
+    start: np.ndarray  # the state (kappa, kappa_s, *curve) the row was marched from
+    end: np.ndarray  # the state at s[-1]
     # set when the row stopped at its first kappa return: the samples cover
     # one period, and the horizon controls.s_max is covered by periodicity
     period_map: PeriodMap | None = None
@@ -381,6 +379,36 @@ class SpiralTrajectory:
     @property
     def s_end(self) -> float:
         return float(self.s[-1])
+
+    @cached_property
+    def _samples(self) -> np.ndarray:
+        """(len(s), len(start)): the step polynomials at s[:-1], and the end state."""
+        ys = self.steps.at(self.s[:-1], out=np.empty((1, self.s.size, self.end.size)))[0]
+        ys[-1] = self.end
+        return ys
+
+    @property
+    def kappa(self) -> np.ndarray:
+        return self._samples[:, 0]
+
+    @property
+    def kappa_s(self) -> np.ndarray:
+        return self._samples[:, 1]
+
+    @property
+    def joint(self) -> bool:
+        """Whether the row was marched with its curve; reads no sample."""
+        return self.start.size > 2
+
+    @property
+    def curve(self) -> np.ndarray | None:
+        """(len(s), curve_dim) in model coordinates, or None for a kappa-only row."""
+        return self._samples[:, 2:] if self.joint else None
+
+    @property
+    def first_integral_constant(self) -> float:
+        """first_integral of the start state."""
+        return float(first_integral(self.params, self.start[0], self.start[1]))
 
     def first_integral_drift(self) -> float:
         e = first_integral(self.params, self.kappa, self.kappa_s)
@@ -399,7 +427,7 @@ class SpiralTrajectory:
         return out.reshape(out.shape[:1] + sq.shape + out.shape[2:])
 
     def _curve(self, sq, order: int) -> np.ndarray:
-        if self.curve is None:
+        if not self.joint:
             raise InputError("trajectory has no reconstructed curve; run reconstruct_curve")
         return self._read(sq, slice(2, None), order)
 
@@ -479,15 +507,14 @@ def reconstruct_curve(
 ) -> SpiralTrajectory:
     """Fill the model-space curve by co-integrating the frame equations.
 
-    Re-runs the joint system from the trajectory's first sample.  The kappa
+    Re-runs the joint system from the trajectory's start state.  The kappa
     subsystem does not read the curve, but the joint steps also follow the
     curve's series, so the kappa samples agree with the stored ones to
     round-off rather than bit for bit; when both are needed, integrate_grid
     on one row gets them from a single integration.
     """
     start = _curve_start(traj.model, initial_curve)
-    row = [[traj.kappa[0], traj.kappa_s[0]]]
-    return _integrate_rows(traj.params, row, traj.controls, start)[0]
+    return _integrate_rows(traj.params, [traj.start[:2]], traj.controls, start)[0]
 
 
 def integrate_grid(
@@ -689,7 +716,7 @@ def closure_test(
 
 def _coarse_closure(traj: SpiralTrajectory, table):
     """(a, b, defect, s): the row's least candidate (closure_tests) and its bracket."""
-    if traj.curve is None:
+    if not traj.joint:
         raise InputError("closure test needs a reconstructed curve")
     cand_s, cand = _closure_candidates(traj, table)
     # the candidates are in s order, and the last one is at or after the start
@@ -728,13 +755,12 @@ def closure_tests(
     A row that ended before the horizon is never reported open.
 
     The candidates are scanned row by row.  Each refinement scan takes the
-    33 probes of every row still refining at once: each probe is read on its
-    row's step polynomial, those of one (row, step) pair by one product with
-    the step's coefficients and all pairs by one einsum, which sums as
-    Piecewise.at does.  When a row of the call has a period map, every
-    probe is then moved by M**k of its turn k, from its row's one table of
-    powers: M**0 = Id, on the first turn and on rows without a map, leaves a
-    state as it is, bit for bit, so a call without maps moves none.
+    33 probes of every row still refining at once and reads them on their
+    rows' step polynomials in one gathered pass (taylor.evaluate, as
+    Piecewise.at reads a row).  When a row of the call has a period map,
+    every probe is then moved by M**k of its turn k, from its row's one table
+    of powers: M**0 = Id, on the first turn and on rows without a map, leaves
+    a state as it is, bit for bit, so a call without maps moves none.
     """
     if len({traj.model for traj in trajs}) > 1:
         raise InputError("closure_tests takes rows of one model")
@@ -755,12 +781,15 @@ def _refine_rows(trajs, tables, a, b, best, best_s) -> None:
     ref = np.array([_start(t) for t in trajs])
     period = np.array([t.period_map.period if t.period_map else 1.0 for t in trajs])
     watched = np.array([t.period_map is not None for t in trajs])
-    width = max(len(t.steps.starts) for t in trajs)
-    starts = np.full((len(trajs), width), inf)  # each row's step starts, padded
+    counts = [len(t.steps.starts) for t in trajs]
+    starts = np.full((len(trajs), max(counts)), inf)  # each row's step starts, padded
     holonomy = np.tile(np.eye(2), (len(trajs), max(map(len, tables)), 1, 1))  # padded by Id
     for i, (t, table) in enumerate(zip(trajs, tables)):
-        starts[i, : len(t.steps.starts)] = t.steps.starts
+        starts[i, : counts[i]] = t.steps.starts
         holonomy[i, : len(table)] = table
+    # the rows' steps one after another, in the layout Piecewise keeps them in
+    coefs = np.concatenate([t.steps.coefs for t in trajs])
+    first = np.cumsum([0] + counts[:-1])  # each row's first step in coefs
     for _ in range(16):  # each scan shrinks every bracket 16-fold
         live = np.flatnonzero(~(b - a < 1e-11))
         if not live.size:
@@ -768,18 +797,11 @@ def _refine_rows(trajs, tables, a, b, best, best_s) -> None:
         probes = np.linspace(a[live], b[live], 33, axis=1)
         turns = np.where(watched[live, None], np.floor(probes / period[live, None]), 0.0)
         u = probes - turns * period[live, None]
-        # the step of each probe, as Piecewise.at finds it, and its (row, step) pair
+        # the step of each probe, as Piecewise.at finds it, read as it reads it
         step = np.maximum((u[..., None] >= starts[live, None, :]).sum(-1) - 1, 0)
-        pairs, pair_of = np.unique(live[:, None] * width + step, return_inverse=True)
-        row, at = np.divmod(pairs, width)
-        coefs = np.stack([trajs[r].steps.coefs[k].T for r, k in zip(row.tolist(), at.tolist())])
-        local = np.searchsorted(live, row)
-        flows = np.einsum(
-            "bij,bjk->bik",
-            taylor.powers(u[local] - starts[row, at][:, None]),
-            coefs.transpose(0, 2, 1),
-        )
-        y = flows[pair_of.reshape(u.shape), np.arange(u.shape[1])]
+        dt = u - starts[live[:, None], step]
+        y = taylor.evaluate(coefs, (first[live, None] + step).ravel(), dt.ravel())[0]
+        y = y.reshape(u.shape + y.shape[-1:])
         if model == HALF_PLANE and watched.any():  # each probe moved by M**k of its turn
             y[..., 2:] = _moebius(y[..., 2:], holonomy[live[:, None], turns.astype(int)])
         vals = _defects(model, y, ref[live, None])
@@ -807,7 +829,7 @@ def export_csv(traj: SpiralTrajectory, path=None) -> str:
     )
     cols = ["s", "kappa", "kappa_s"]
     data = [traj.s, traj.kappa, traj.kappa_s]
-    if traj.curve is not None:
+    if traj.joint:
         cols += list(_CURVE_COLUMNS[traj.model])
         data += [traj.curve[:, i] for i in range(traj.curve.shape[1])]
     cols.append("E")

@@ -44,7 +44,8 @@ TAYLOR_ORDER = 20
 _RADIUS_SHARE = exp(-2.0)
 # the band and the first return are watched at these fractions of each step
 _WATCH = np.arange(1, 17) / 16.0
-# dense output evaluates at most this many points of a step at once
+# dense output evaluates this many points at once, whatever their steps: it
+# bounds the gathered (_CHUNK, TAYLOR_ORDER + 1, width) coefficients
 _CHUNK = 128
 _DEGREES = np.arange(TAYLOR_ORDER + 1.0)  # d/dt t^j = _DEGREES[j] t^(j - 1)
 # the fewest rows marched as one block; below it each row is marched alone,
@@ -323,14 +324,22 @@ class Piecewise:
     """The step polynomials of a march, its dense output.
 
     Step i covers [starts[i], starts[i + 1]) and coefs[i] holds the
-    coefficients of every component about starts[i], (TAYLOR_ORDER + 1, d).
-    The polynomials are the integrator's own solution, so a state or an
-    s-derivative read from them between the stored samples is as accurate
-    as the samples themselves.
+    coefficients of every component about starts[i], (TAYLOR_ORDER + 1, d):
+    coefs is one (steps, TAYLOR_ORDER + 1, d) array, the transposed view of
+    a C-ordered (steps, d, TAYLOR_ORDER + 1) one, so that a component's
+    coefficients lie together, the layout evaluate sums in.  The polynomials
+    are the integrator's own solution, so a state or an s-derivative read
+    from them between the samples is as accurate as the samples themselves.
     """
 
     starts: list
-    coefs: list
+    coefs: np.ndarray
+
+    @classmethod
+    def of(cls, starts: list, coefs: list, width: int) -> "Piecewise":
+        """The march's step starts and (width, TAYLOR_ORDER + 1) coefficients, stacked once."""
+        stacked = np.array(coefs).reshape(-1, width, TAYLOR_ORDER + 1)
+        return cls(starts, stacked.transpose(0, 2, 1))
 
     def at(self, t, order: int = 0, columns=slice(None), out=None) -> np.ndarray:
         """The states at the points t (in any order) and their first `order` s-derivatives.
@@ -339,33 +348,42 @@ class Piecewise:
         width) (allocated when None): out[j, i] is the j-th derivative at t[i]
         of the components selected by columns, the j-th derivative of the
         step polynomial.  A point is read on the step that covers it, a
-        point before the first step on the first.  A value does not depend
-        on order, bit for bit, nor a derivative on which others are asked
-        for.  A step's points are taken _CHUNK at a time, which bounds the
-        matrices of their powers.
+        point before the first step on the first: every point's step is
+        found in one pass, and evaluate reads them all in one gathered pass.
         """
         t = np.asarray(t, dtype=float).reshape(-1)
-        if out is None:
-            out = np.empty((order + 1, t.size, self.coefs[0][:, columns].shape[1]))
-        step = np.searchsorted(self.starts, t, side="right") - 1
+        starts = np.array(self.starts)
+        step = np.searchsorted(starts, t, side="right") - 1
         np.maximum(step, 0, out=step)
-        # the points of step i are t[perm[bounds[i]:bounds[i + 1]]]
-        perm = np.argsort(step, kind="stable")
-        bounds = np.searchsorted(step[perm], np.arange(len(self.starts) + 1))
-        for i in np.flatnonzero(np.diff(bounds)).tolist():
-            coefs = self.coefs[i][:, columns]
-            for a in range(bounds[i], bounds[i + 1], _CHUNK):
-                rows = perm[a : min(a + _CHUNK, bounds[i + 1])]
-                pows = powers(t[rows] - self.starts[i])
-                out[0, rows] = np.einsum("ij,jk->ik", pows, coefs)
-                if order:  # d^j/dt^j t^i = i d^(j-1)/dt^(j-1) t^(i-1), row j - 1
-                    ders = np.zeros((order, rows.size, TAYLOR_ORDER + 1))
-                    prev = pows
-                    for j in range(order):
-                        ders[j, :, j + 1 :] = prev[:, j:-1] * _DEGREES[j + 1 :]
-                        prev = ders[j]
-                    out[1:, rows] = np.einsum("oij,jk->oik", ders, coefs)
-        return out
+        return evaluate(self.coefs[:, :, columns], step, t - starts[step], order, out)
+
+
+def evaluate(coefs: np.ndarray, step: np.ndarray, dt: np.ndarray, order: int = 0, out=None):
+    """out[j, i]: the j-th derivative at dt[i] of the polynomial coefs[step[i]], j <= order.
+
+    coefs is (steps, TAYLOR_ORDER + 1, width), a polynomial's coefficients
+    of t**0 .. t**TAYLOR_ORDER down axis 1, laid out as Piecewise keeps them
+    (the einsum's summation order follows the layout of its operands); out
+    (order + 1, >= len(dt), width) is allocated when None, and filled and
+    returned.  The points are taken _CHUNK at a time, whatever their steps:
+    each chunk's C-contiguous powers of dt meet its gathered coefficients in
+    one einsum, so a value depends neither on the other points nor on
+    order, bit for bit.
+    """
+    if out is None:
+        out = np.empty((order + 1, dt.size, coefs.shape[2]))
+    for a in range(0, dt.size, _CHUNK):
+        b = min(a + _CHUNK, dt.size)
+        pows, gathered = powers(dt[a:b]), coefs[step[a:b]]
+        out[0, a:b] = np.einsum("kj,kjw->kw", pows, gathered)
+        if order:  # d^j/dt^j t^i = i d^(j-1)/dt^(j-1) t^(i-1), row j - 1
+            ders = np.zeros((order, b - a, TAYLOR_ORDER + 1))
+            prev = pows
+            for j in range(order):
+                ders[j, :, j + 1 :] = prev[:, j:-1] * _DEGREES[j + 1 :]
+                prev = ders[j]
+            out[1:, a:b] = np.einsum("okj,kjw->okw", ders, gathered)
+    return out
 
 
 def _band_end(cols, ts: np.ndarray, exit_at: int, floor: float, ceiling: float):
@@ -404,14 +422,20 @@ def march(series, y0, s_end: float, floor: float, ceiling: float, rets=None) -> 
     """
     rets = list(rets) if rets is not None else [None] * len(y0)
     if len(y0) < LOCKSTEP_ROWS:
-        return [_march_row(series, row, s_end, floor, ceiling, ret) for row, ret in zip(y0, rets)]
-    return _march_block(series, y0, s_end, floor, ceiling, rets)
+        ends = [_march_row(series, row, s_end, floor, ceiling, ret) for row, ret in zip(y0, rets)]
+    else:
+        ends = _march_block(series, y0, s_end, floor, ceiling, rets)
+    width = len(y0[0]) if len(y0) else 0
+    return [(Piecewise.of(*steps, width), *end) for steps, *end in ends]
 
 
 def _march_row(series, y, s_end, floor, ceiling, ret, s=0.0, steps=None):
-    """march of one row on Python floats, from the arc length s after the steps."""
+    """march of one row on Python floats, from the arc length s after the steps.
+
+    steps is the row's (starts, coefficients) so far, two lists it appends to.
+    """
     y = tuple(float(v) for v in y)
-    steps = steps if steps is not None else Piecewise([], [])
+    steps = steps if steps is not None else ([], [])
     while True:
         try:
             cols, h = series(s, y)
@@ -420,8 +444,8 @@ def _march_row(series, y, s_end, floor, ceiling, ret, s=0.0, steps=None):
         last = h >= s_end - s
         if last:
             h = s_end - s
-        steps.starts.append(s)
-        steps.coefs.append(np.array(cols).T)
+        steps[0].append(s)
+        steps[1].append(np.array(cols))
         ts = h * _WATCH
         # kappa's own contiguous array: einsum on a strided view buffers, at a
         # measurable cost in peak memory
@@ -448,7 +472,7 @@ def _march_block(series, y0, s_end, floor, ceiling, rets):
     y = np.array(y0, dtype=float).T.copy()  # (d, live rows)
     s = np.zeros(y.shape[1])
     live = list(range(y.shape[1]))  # the rows of the block, in order
-    steps = [Piecewise([], []) for _ in live]
+    steps = [([], []) for _ in live]
     out = [None] * len(live)
     sections = np.array(
         [(r.k0, r.ks0, r.f0, r.f1) if r else (nan,) * 4 for r in rets]
@@ -476,12 +500,12 @@ def _march_block(series, y0, s_end, floor, ceiling, rets):
                 continue
             last = h >= s_end - s
             h = np.where(last, s_end - s, h)
-            # one C-contiguous (d, order + 1) block per row, stored transposed,
-            # as a row alone stores its coefficients
+            # one C-contiguous (d, order + 1) block per row, as a row alone
+            # stores its coefficients
             coefs = np.ascontiguousarray(np.array(cols).transpose(2, 0, 1))
             for i, row in enumerate(live):
-                steps[row].starts.append(float(s[i]))
-                steps[row].coefs.append(coefs[i].T)
+                steps[row][0].append(float(s[i]))
+                steps[row][1].append(coefs[i])
             ts = h[:, None] * _WATCH
             watched = np.einsum("bij,bkj->bik", powers(ts), coefs[:, :2])
             kappa = watched[..., 0]

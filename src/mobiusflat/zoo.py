@@ -297,7 +297,7 @@ def cylinder_immersion(traj: SpiralTrajectory, n: int, margin: float = 0.15) -> 
     """(s, y_1..y_{n-1}) -> (curve(s), y) with the curve in R^2, unit speed."""
     if traj.model != PLANE:
         raise InputError("cylinder generator needs a plane-model trajectory")
-    if traj.curve is None:
+    if not traj.joint:
         raise InputError("run reconstruct_curve on the trajectory first")
     lo, hi = _traj_margin(traj, margin)
 
@@ -355,7 +355,7 @@ def cone_immersion(
     """(s, t, y_1..y_{n-2}) -> (t curve(s), y) with the curve in the unit S^2."""
     if traj.model != SPHERE:
         raise InputError("cone generator needs a sphere-model trajectory")
-    if traj.curve is None:
+    if not traj.joint:
         raise InputError("run reconstruct_curve on the trajectory first")
     if t_range[0] <= 0:
         raise ChartDomainError("cone parameter t must stay positive")
@@ -425,7 +425,7 @@ def rotational_immersion(
     """(s, angles) -> (x(s), y(s) sphere(angles)); the curve lives in y > 0."""
     if traj.model != HALF_PLANE:
         raise InputError("rotational generator needs a half-plane trajectory")
-    if traj.curve is None:
+    if not traj.joint:
         raise InputError("run reconstruct_curve on the trajectory first")
     lo, hi = _traj_margin(traj, margin)
     d = n - 1  # sphere factor dimension

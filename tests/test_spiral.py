@@ -1,13 +1,15 @@
+import functools
 import math
 
 import closure_oracle
+import dense_oracle
 import numpy as np
 import numpy_stepper
 import pytest
 import rk4_oracle
 from fd_oracle import recomputed_curvature
 
-from mobiusflat import spiral
+from mobiusflat import spiral, taylor
 from mobiusflat.checks import rigidity_initials
 from mobiusflat.config import RunConfig
 from mobiusflat.errors import ChartDomainError, InputError
@@ -28,6 +30,7 @@ from mobiusflat.spiral import (
     reconstruct_curve,
     sine_curvature,
 )
+from mobiusflat.zoo import build_family
 
 # the prescribed curvature of the negative controls, kappa = 1.15 + 0.3 sin s
 SINE = sine_curvature(1.15, 0.3)
@@ -358,7 +361,7 @@ class TestKernelOracle:
         # s = 4.13, and the two bisected crossings agree to 1.1e-11
         controls = IntegratorControls(s_max=s_max, kappa_floor=floor)
         traj = prescribed_curvature_trajectory(4, epsilon, SINE, controls)
-        y0 = np.concatenate([SINE(np.zeros(1), 1)[0], traj.initial_curve])
+        y0 = np.concatenate([SINE(np.zeros(1), 1)[0], traj.start[2:]])
         s, ys, term = numpy_stepper.prescribed_row(traj.model, SINE, y0, controls)
         assert traj.termination == term == ("kappa_floor" if floor > 1e-3 else "horizon")
         assert np.array_equal(traj.s[:-1], s[:-1])
@@ -778,3 +781,119 @@ class TestTaylorOracle:
         assert res.status == "closed"
         assert res.period == pytest.approx(2.0 * np.pi, abs=1e-9)
         assert res.defect < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the gathered dense output against the per-step evaluator it replaced
+
+
+@functools.cache
+def dense_rows():
+    """A half-plane row marched alone and a row of a lockstep block, both to s = 12."""
+    controls = IntegratorControls(s_max=12.0, store_stride=10)
+    alone = integrate_grid(HALF_PLANE_PARAMS, [[KSTAR * 1.1, KSTAR * 0.04]], controls)[0]
+    rows = rigidity_initials(RunConfig(), KSTAR)[: taylor.LOCKSTEP_ROWS]
+    return {"alone": alone, "block": integrate_grid(HALF_PLANE_PARAMS, rows, controls)[3]}
+
+
+@pytest.mark.parametrize("size", [1, 127, 128, 129, 16326])
+@pytest.mark.parametrize("row", ["alone", "block"])
+def test_gathered_dense_output_is_the_per_step_one(row, size):
+    # unsorted points over every step, some before the first one and some on
+    # the step starts, read at orders 0-3 and on column slices, bit for bit
+    steps = dense_rows()[row].steps
+    assert len(steps.starts) > 8
+    rng = np.random.default_rng(size)
+    t = rng.uniform(-0.3, dense_rows()[row].s_end, size)
+    t[: len(steps.starts)] = steps.starts[:size]
+    rng.shuffle(t)
+    for order in range(4):
+        for columns in (slice(None), slice(0, 1), slice(1, 2), slice(2, None), slice(0, 5, 2)):
+            got = steps.at(t, order, columns)
+            assert np.array_equal(got, dense_oracle.at(steps, t, order, columns))
+    out = np.full((2, size + 3, 5), 7.0)
+    assert steps.at(t, 1, out=out) is out
+    assert np.array_equal(out[:, :size], dense_oracle.at(steps, t, 1))
+    assert np.all(out[:, size:] == 7.0)
+
+
+class TestLazySamples:
+    """A trajectory evaluates its samples on first read; a half-plane curve at construction."""
+
+    CONTROLS = IntegratorControls(s_max=3.0)
+
+    @pytest.fixture
+    def evaluated(self, monkeypatch):
+        """The number of points of every Piecewise.at call."""
+        points, at = [], taylor.Piecewise.at
+
+        def counted(steps, t, *args, **kwargs):
+            points.append(np.size(t))
+            return at(steps, t, *args, **kwargs)
+
+        monkeypatch.setattr(taylor.Piecewise, "at", counted)
+        return points
+
+    ROWS = {
+        "kappa": lambda c: [integrate_spiral(HALF_PLANE_PARAMS, SpiralState(1.5, 0.05), c)],
+        "plane": lambda c: integrate_grid(SpiralParams(4, 0, 0.0), [[1.0, 0.05]], c),
+        "sphere": lambda c: integrate_grid(SpiralParams(4, 1, -1.0), [[1.0, 0.01]], c),
+        "control": lambda c: [prescribed_curvature_trajectory(4, 1, SINE, c)],
+        "half-plane": lambda c: integrate_grid(HALF_PLANE_PARAMS, [[1.5, 0.05]], c),
+        "period-map": lambda c: integrate_grid(  # one period is about 4.5 long
+            HALF_PLANE_PARAMS,
+            rigidity_initials(RunConfig(), KSTAR)[:8],
+            IntegratorControls(s_max=10.0, store_stride=10),
+            period_map=True,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(ROWS))
+    def test_built_once_as_the_per_step_evaluator_built_them(self, name, evaluated):
+        trajs = self.ROWS[name](self.CONTROLS)
+        eager = name in ("half-plane", "period-map")
+        assert evaluated == [t.s.size - 1 for t in trajs if eager]
+        if name == "period-map":
+            assert all(t.period_map is not None for t in trajs)
+        evaluated.clear()
+        for traj in trajs:
+            ref = dense_oracle.samples(traj)
+            for _ in range(2):  # the second read evaluates nothing
+                assert np.array_equal(traj.kappa, ref[:, 0])
+                assert np.array_equal(traj.kappa_s, ref[:, 1])
+                if traj.joint:
+                    assert np.array_equal(traj.curve, ref[:, 2:])
+                else:
+                    assert traj.curve is None
+            e0 = first_integral(traj.params, traj.kappa[0], traj.kappa_s[0])
+            assert traj.first_integral_constant == e0
+        assert evaluated == ([] if eager else [t.s.size - 1 for t in trajs])
+
+    def test_joint_tests_and_queries_build_no_samples(self, evaluated):
+        kappa = integrate_spiral(SpiralParams(4, 0, 0.0), SpiralState(1.0, 0.05), self.CONTROLS)
+        kappa.first_integral_constant
+        with pytest.raises(InputError, match="no reconstructed curve"):
+            kappa.curve_at(np.array([0.5]))
+        plane = reconstruct_curve(kappa)
+        build_family("cylinder", plane, 4)
+        plane.curve_jet(np.array([0.5, 1.5]))
+        assert evaluated and max(evaluated) <= 2
+
+
+def test_refinement_reads_each_scan_in_one_gathered_pass(monkeypatch):
+    # every row's 33 probes of a scan go through one taylor.evaluate call
+    controls = IntegratorControls(s_max=40.0, store_stride=10)
+    trajs = integrate_grid(
+        HALF_PLANE_PARAMS, rigidity_initials(RunConfig(), KSTAR), controls, period_map=True
+    )
+    calls, evaluate = [], taylor.evaluate
+
+    def counted(coefs, step, dt, *args, **kwargs):
+        calls.append(step.size)
+        return evaluate(coefs, step, dt, *args, **kwargs)
+
+    monkeypatch.setattr(taylor, "evaluate", counted)
+    results = closure_tests(trajs)
+    assert 0 < len(calls) <= 16
+    assert calls[0] == 33 * len(trajs)
+    assert results == [closure_oracle.closure_test(t) for t in trajs]

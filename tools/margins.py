@@ -6,9 +6,10 @@ Usage (from the repository root):
     python3 tools/margins.py [--against PATH]
 
 Runs ``checks.run_suite`` at seeds 0-7, n = 4-7 and samples 20 and 8, and
-prints, for each assert, its worst residual over its tolerance and the run
-(seed, n, samples) where it fell, and whether every assert passed on every
-run.  With ``--against PATH``, the root of another checkout of the project,
+prints, for each assert, its worst residual over its tolerance (for
+``fd_convergence``, whose pass condition is a convergence ratio of at least
+2, 2 / ratio) and the run (seed, n, samples) where it fell, and whether
+every assert passed on every run.  With ``--against PATH``, the root of another checkout of the project,
 the same 64 runs are made there too, and for each check the largest
 absolute change of a float of its report record between the two trees is
 printed, with the run where it fell and the number of floats that changed.
@@ -74,6 +75,18 @@ def records(report: dict) -> dict[str, dict]:
     return {rec["name"]: rec for rec in report["checks"]}
 
 
+def margin(rec: dict) -> float:
+    """How close an assert record came to failing: 1 is the pass limit.
+
+    Its worst residual over its tolerance; for fd_convergence, whose
+    tolerance is inf and whose pass condition is ratio >= 2, 2 / ratio.
+    """
+    if rec["name"] == "fd_convergence":
+        ratio = rec["details"].get("ratio", math.nan)
+        return 2.0 / ratio if ratio else math.inf
+    return rec["max_residual"] / rec["tolerance"]
+
+
 def margins(reports: list[dict]) -> None:
     worst: dict[str, tuple[float, tuple]] = {}
     failed = []
@@ -83,10 +96,13 @@ def margins(reports: list[dict]) -> None:
                 continue
             if not rec["passed"]:
                 failed.append((name, run))
-            ratio = rec["max_residual"] / rec["tolerance"]
+            ratio = margin(rec)
             if name not in worst or not ratio <= worst[name][0]:  # a NaN ratio is the worst
                 worst[name] = (ratio, run)
-    print(f"assert margins over {len(RUNS)} runs (worst residual / tolerance, at seed, n, samples)")
+    print(
+        f"assert margins over {len(RUNS)} runs (worst residual / tolerance,"
+        " fd_convergence 2 / ratio, at seed, n, samples)"
+    )
     for name, (ratio, run) in worst.items():
         print(f"  {name:28s} {ratio:10.3e}  at {run}")
     overall = max(worst.items(), key=lambda item: item[1][0])
