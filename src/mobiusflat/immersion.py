@@ -1,7 +1,7 @@
 """Immersed hypersurfaces given by an explicit chart evaluator.
 
 The handle wraps a vectorized evaluator f: (K, m) -> (K, N) together with
-chart bounds, an orientation seed and a jet of f: jet(pts, order=2) gives
+chart bounds, an orientation seed and a jet of f: jet(pts, order) gives
 the partials of order 0..order, level j of shape (K, m, ..., m, N) (the
 layout of ``fd.jet_batch`` at order 2).  Every handle carries a jet; one
 without is refused.  Everything downstream is computed from one jet
@@ -32,6 +32,8 @@ EUCLIDEAN = "euclidean"
 UNIT_SPHERE = "unit-sphere"
 
 _SPHERE_TOL = 1e-12
+# det I at or below this, relative to max(1, max|I|)^m, is a rank-deficient jacobian
+_RANK_FLOOR = 1e-18
 
 
 @dataclass(frozen=True)
@@ -47,7 +49,7 @@ class ImmersionHandle:
     domain: tuple[tuple[float, float], ...] | None = None
     name: str = ""
     analytic_fields: object = field(default=None, compare=False, repr=False)
-    # jet(pts, order=2): the evaluator's partials of order 0..order, level j
+    # jet(pts, order): the evaluator's partials of order 0..order, level j
     # (K, m, ..., m, N), in the layout of fd.jet_batch; required
     jet: Callable[..., tuple[np.ndarray, ...]] | None = field(
         default=None, compare=False, repr=False
@@ -112,10 +114,10 @@ class ImmersionHandle:
 
         Applies every check of ``__call__`` (chart dimension, domain, shape
         and the unit-sphere tolerance on the values), plus the shapes of the
-        derivatives.  The jet is called as jet(pts) at the default order 2.
+        derivatives.
         """
         pts = self._chart_points(pts)
-        values, *ders = self.jet(pts) if order == 2 else self.jet(pts, order)
+        values, *ders = self.jet(pts, order)
         k, m, n = pts.shape[0], self.chart_dimension, self.ambient_dimension
         ders = [np.asarray(d, dtype=float) for d in ders]
         if [d.shape for d in ders] != [(k,) + (m,) * j + (n,) for j in range(1, order + 1)]:
@@ -150,10 +152,10 @@ def first_fundamental_form(imm: ImmersionHandle, p: np.ndarray) -> np.ndarray:
     return first_fundamental_form_batch(imm, np.asarray(p, dtype=float)[None, :])[0]
 
 
-def _require_full_rank(gram: np.ndarray, floor: float = 1e-18) -> None:
+def _require_full_rank(gram: np.ndarray) -> None:
     scale = np.maximum(1.0, np.abs(gram).max(axis=(-2, -1))) ** gram.shape[-1]
     det = np.linalg.det(gram)
-    if np.any(det <= floor * scale):
+    if np.any(det <= _RANK_FLOOR * scale):
         raise DegenerateGeometryError("jacobian is rank deficient at a requested point")
 
 

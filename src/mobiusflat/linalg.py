@@ -15,6 +15,12 @@ import numpy as np
 
 from .errors import DegenerateGeometryError, InputError
 
+# jacobi_eigh's relative convergence tolerance and its cap on sweeps
+JACOBI_TOL = 1e-14
+JACOBI_MAX_SWEEPS = 60
+# gram_schmidt_frames: a squared g-norm at or below this is a degenerate metric
+FRAME_FLOOR = 1e-14
+
 
 def require_symmetric(a: np.ndarray, tol: float = 1e-10, what: str = "matrix") -> np.ndarray:
     """(a + a^T) / 2, once max|a - a^T| <= tol * max(1, max|a|) holds for each matrix."""
@@ -29,16 +35,17 @@ def require_symmetric(a: np.ndarray, tol: float = 1e-10, what: str = "matrix") -
     return 0.5 * (a + at)
 
 
-def jacobi_eigh(a: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60):
+def jacobi_eigh(a: np.ndarray):
     """Eigen-decomposition of a symmetric matrix (m, m), or of a stack (K, m, m),
     by cyclic Jacobi rotations.
 
     Returns (w, v) with eigenvalues ascending and v[..., :, i] the eigenvector
     for w[..., i], matching the numpy.linalg.eigh layout.  A matrix is
     converged, and no longer rotated, once every off-diagonal entry is below
-    tol * max(1, max|a|) at the start of a sweep.  Each rotation updates rows
-    and columns p and q elementwise (Golub-Van Loan sec. 8.5), so a matrix
-    gets the same bits in any stack.
+    JACOBI_TOL * max(1, max|a|) at the start of a sweep; the solve stops after
+    JACOBI_MAX_SWEEPS sweeps in any case.  Each rotation updates rows and
+    columns p and q elementwise (Golub-Van Loan sec. 8.5), so a matrix gets
+    the same bits in any stack.
     """
     a = require_symmetric(a, what="eigensolver input")
     one = a.ndim == 2
@@ -47,8 +54,8 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60):
     v = np.tile(np.eye(m), (k, 1, 1))
     scale = np.maximum(1.0, np.max(np.abs(a), axis=(1, 2)))
     done = np.zeros(k, dtype=bool)
-    for _ in range(max_sweeps):
-        done |= np.max(np.abs(a - a * np.eye(m)), axis=(1, 2)) <= tol * scale
+    for _ in range(JACOBI_MAX_SWEEPS):
+        done |= np.max(np.abs(a - a * np.eye(m)), axis=(1, 2)) <= JACOBI_TOL * scale
         if done.all():
             break
         for p in range(m - 1):
@@ -81,7 +88,7 @@ def _rotate(x: np.ndarray, p: int, q: int, c: np.ndarray, s: np.ndarray) -> None
     x[:, :, q] = s * xp + c * xq
 
 
-def gram_schmidt_frames(g: np.ndarray, floor: float = 1e-14) -> np.ndarray:
+def gram_schmidt_frames(g: np.ndarray) -> np.ndarray:
     """g-orthonormal frames of a stack of metrics (K, m, m), in fixed index order.
 
     Returns E (K, m, m) with E[k]^T g[k] E[k] = I.  Deterministic: classical
@@ -99,7 +106,7 @@ def gram_schmidt_frames(g: np.ndarray, floor: float = 1e-14) -> np.ndarray:
             u = frames[:, :, j]
             v -= (u[:, None, :] @ g @ v[:, :, None])[:, 0] * u
         nrm2 = (v[:, None, :] @ g @ v[:, :, None])[:, 0]
-        bad = np.flatnonzero(nrm2 <= floor)
+        bad = np.flatnonzero(nrm2 <= FRAME_FLOOR)
         if bad.size:
             raise DegenerateGeometryError(
                 "metric is not positive definite: degenerate along the coordinate basis"
@@ -109,6 +116,6 @@ def gram_schmidt_frames(g: np.ndarray, floor: float = 1e-14) -> np.ndarray:
     return frames
 
 
-def gram_schmidt_frame(g: np.ndarray, floor: float = 1e-14) -> np.ndarray:
+def gram_schmidt_frame(g: np.ndarray) -> np.ndarray:
     """The frame of ``gram_schmidt_frames`` for one metric (m, m): columns E[:, i], E^T g E = I."""
-    return gram_schmidt_frames(np.asarray(g, dtype=float)[None], floor)[0]
+    return gram_schmidt_frames(np.asarray(g, dtype=float)[None])[0]

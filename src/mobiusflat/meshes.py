@@ -17,14 +17,17 @@ import numpy as np
 from .errors import InputError
 from .immersion import ImmersionHandle
 
+# the chart distance a slice keeps from each end of a swept axis
+SLICE_PAD = 0.1
 
-def slice_grid(imm: ImmersionHandle, axes: tuple[int, int], res: int, pad: float = 0.1):
+
+def slice_grid(imm: ImmersionHandle, axes: tuple[int, int], res: int):
     if len(set(axes)) != 2 or any(a < 0 or a >= imm.chart_dimension for a in axes):
         raise InputError(f"slice axes {axes} invalid for chart dimension {imm.chart_dimension}")
     grids = []
     for a in axes:
         lo, hi = imm.domain[a]
-        lo, hi = lo + pad, hi - pad
+        lo, hi = lo + SLICE_PAD, hi - SLICE_PAD
         if not lo < hi:
             raise InputError(f"chart axis {a} too narrow for a slice")
         grids.append(np.linspace(lo, hi, res))

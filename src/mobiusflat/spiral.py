@@ -36,9 +36,15 @@ on first read (a half-plane curve's at construction, for its y > 0 check),
 and the queries (kappa_at, kappa_s_at, curve_at, curve_velocity_at,
 curve_jet) and the closure refinement read values and s-derivatives from the
 polynomials at any s.  Every such read is one gathered pass over its points,
-whatever their steps (taylor.evaluate).  IntegratorControls.step thus spaces
-the samples and nothing else; the integrator's own steps come from the
-Taylor coefficients.
+whatever their steps (taylor.evaluate).  The integrator's own steps come from
+the Taylor coefficients, not from IntegratorControls.step: step spaces the
+samples, and it sizes the first-return watch of a period-map row, which
+counts a return only within 4 step |f| of the start in (kappa, kappa_s), f
+the flow there (taylor.FirstReturn).
+
+Every curve starts at default_curve_start of its model: curvature fixes a
+curve up to an isometry of the model space, so another start would move the
+curve by an isometry and change no invariant.
 
 Closure of a half-plane curve is decided from one kappa period.  The kappa
 subsystem conserves first_integral, so a bounded (kappa, kappa_s) orbit is
@@ -70,7 +76,6 @@ SPHERE = "sphere"
 HALF_PLANE = "half-plane"
 
 _MODEL_BY_EPS = {0: PLANE, 1: SPHERE, -1: HALF_PLANE}
-_CURVE_DIM = {PLANE: 3, SPHERE: 6, HALF_PLANE: 3}
 _CURVE_COLUMNS = {
     PLANE: ("x", "y", "theta"),
     SPHERE: ("g1", "g2", "g3", "t1", "t2", "t3"),
@@ -212,17 +217,12 @@ def _sample_grid(controls: IntegratorControls) -> np.ndarray:
     h, stride = controls.step, controls.store_stride
     s_max = float(controls.s_max)
     n_steps = ceil(s_max / h - 1e-12)
-    block = stride * ceil(4096 / stride)  # steps summed at once, a multiple of stride
-    parts, prev, s = [[0.0]], 0.0, 0.0
-    for start in range(0, n_steps, block):
-        sums = np.full(min(block, n_steps - start), h)
-        sums[0] += s
-        np.cumsum(sums, out=sums)  # s_k = s_(k-1) + h, in order
-        prev, s = (float(sums[-2]) if sums.size > 1 else s), float(sums[-1])
-        parts.append(sums[stride - 1 :: stride].copy())
+    sums = np.full(n_steps + 1, h)
+    sums[0] = 0.0
+    np.cumsum(sums, out=sums)  # s_k = s_(k-1) + h, in order
+    prev = float(sums[n_steps - 1])
     end = prev + min(h, s_max - prev)  # the last step is cut at s_max
-    grid = np.concatenate(parts + ([[end]] if n_steps % stride else []))
-    grid[-1] = end
+    grid = np.append(sums[:n_steps:stride], end)
     grid.flags.writeable = False
     return grid
 
@@ -274,21 +274,13 @@ def _trajectory(
     return traj
 
 
-def _check_start(model: str, states, curve_start, controls: IntegratorControls) -> None:
+def _check_start(states, controls: IntegratorControls) -> None:
     """Input checks shared by every integration entry point; states is (B, 2)."""
     kappa0, kappa_s0 = states[:, 0], states[:, 1]
     if not np.all((kappa0 > controls.kappa_floor) & (kappa0 < controls.kappa_ceiling)):
         raise InputError("initial kappa must lie strictly between floor and ceiling")
     if not np.all(np.isfinite(kappa_s0)):
         raise InputError("initial kappa_s must be finite")
-    if curve_start is None:
-        return
-    if not np.all(np.isfinite(curve_start)):
-        raise InputError("curve start must be finite")
-    if curve_start.size != _CURVE_DIM[model]:
-        raise InputError(f"curve start for model {model} needs {_CURVE_DIM[model]} coords")
-    if model == HALF_PLANE and curve_start[1] <= 0:
-        raise ChartDomainError("half-plane curve start must have y > 0")
 
 
 def _check_half_plane(curve: np.ndarray) -> None:
@@ -358,7 +350,8 @@ class SpiralTrajectory:
     The samples kappa, kappa_s and curve are those polynomials at s, the
     grid of spacing controls.step, with the end state last; they are built
     on first read (a half-plane curve's at construction, see _trajectory)
-    and kept.  controls.step spaces the samples and nothing else.
+    and kept.  controls.step spaces the samples and sizes the first-return
+    watch (see the module docstring); the march picks its own steps.
     """
 
     params: SpiralParams
@@ -468,27 +461,20 @@ def _integrate_rows(
     params: SpiralParams,
     initial_states,
     controls: IntegratorControls,
-    curve_start: np.ndarray | None,
+    joint: bool,
     period_map: bool = False,
 ) -> list[SpiralTrajectory]:
-    """Integrate (kappa, kappa_s) rows, with the curve when curve_start is given."""
+    """Integrate (kappa, kappa_s) rows, with the curve from default_curve_start when joint."""
     y0 = np.atleast_2d(np.asarray(initial_states, dtype=float))
-    model = params.model
-    joint = curve_start is not None
-    _check_start(model, y0, curve_start, controls)
+    _check_start(y0, controls)
     if joint:
-        y0 = np.concatenate([y0, np.tile(curve_start, (y0.shape[0], 1))], axis=1)
-    watch = period_map and joint and model == HALF_PLANE
+        start = np.tile(default_curve_start(params.model), (y0.shape[0], 1))
+        y0 = np.concatenate([y0, start], axis=1)
+    watch = period_map and joint and params.model == HALF_PLANE
     rets = [_return_watch(params, row, controls) if watch else None for row in y0]
     return _taylor_march(
         params, _spiral_series(params, joint), y0, _sample_grid(controls), controls, rets
     )
-
-
-def _curve_start(model: str, initial_curve) -> np.ndarray:
-    if initial_curve is None:
-        return default_curve_start(model)
-    return np.asarray(initial_curve, dtype=float)
 
 
 def integrate_spiral(
@@ -499,34 +485,31 @@ def integrate_spiral(
     Floor and ceiling crossings terminate cleanly with the event time
     refined by bisection on the step polynomial (to 1e-10 in s).
     """
-    return _integrate_rows(params, [[initial.kappa, initial.kappa_s]], controls, None)[0]
+    return _integrate_rows(params, [[initial.kappa, initial.kappa_s]], controls, False)[0]
 
 
-def reconstruct_curve(
-    traj: SpiralTrajectory, initial_curve: np.ndarray | None = None
-) -> SpiralTrajectory:
+def reconstruct_curve(traj: SpiralTrajectory) -> SpiralTrajectory:
     """Fill the model-space curve by co-integrating the frame equations.
 
-    Re-runs the joint system from the trajectory's start state.  The kappa
-    subsystem does not read the curve, but the joint steps also follow the
-    curve's series, so the kappa samples agree with the stored ones to
-    round-off rather than bit for bit; when both are needed, integrate_grid
-    on one row gets them from a single integration.
+    Re-runs the joint system from the trajectory's start state, with the
+    curve at default_curve_start.  The kappa subsystem does not read the
+    curve, but the joint steps also follow the curve's series, so the kappa
+    samples agree with the stored ones to round-off rather than bit for bit;
+    when both are needed, integrate_grid on one row gets them from a single
+    integration.
     """
-    start = _curve_start(traj.model, initial_curve)
-    return _integrate_rows(traj.params, [traj.start[:2]], traj.controls, start)[0]
+    return _integrate_rows(traj.params, [traj.start[:2]], traj.controls, True)[0]
 
 
 def integrate_grid(
     params: SpiralParams,
     initial_states: np.ndarray,
     controls: IntegratorControls,
-    curve_start: np.ndarray | None = None,
     period_map: bool = False,
 ) -> list[SpiralTrajectory]:
     """Joint (kappa, curve) integration of many initial states.
 
-    All trajectories share the curve start and the controls.  The rows are
+    All trajectories share the controls.  The rows are
     marched by one step function built for the parameters, in lockstep when
     there are at least taylor.LOCKSTEP_ROWS of them and one after another
     otherwise; either way each row is the same as that state run on its own,
@@ -544,8 +527,7 @@ def integrate_grid(
     come back before s_max, and every plane or sphere row) are marched to
     s_max exactly as without period_map.
     """
-    start = _curve_start(params.model, curve_start)
-    return _integrate_rows(params, initial_states, controls, start, period_map)
+    return _integrate_rows(params, initial_states, controls, True, period_map)
 
 
 def sine_curvature(mean: float, amplitude: float):
@@ -583,11 +565,7 @@ def _prescribed_series(model: str, kappa_taylor):
 
 
 def prescribed_curvature_trajectory(
-    n: int,
-    epsilon: int,
-    kappa_taylor,
-    controls: IntegratorControls,
-    initial_curve: np.ndarray | None = None,
+    n: int, epsilon: int, kappa_taylor, controls: IntegratorControls
 ) -> SpiralTrajectory:
     """Curve with an arbitrary prescribed geodesic curvature kappa(s).
 
@@ -601,11 +579,10 @@ def prescribed_curvature_trajectory(
     """
     params = SpiralParams(n, epsilon, 0.0)
     model = params.model
-    start = _curve_start(model, initial_curve)
     kappa_start = kappa_taylor(np.zeros(1), 1)  # (1, 2): kappa and kappa_s at s = 0
-    _check_start(model, kappa_start, start, controls)
+    _check_start(kappa_start, controls)
 
-    y0 = np.concatenate([kappa_start[0], start])
+    y0 = np.concatenate([kappa_start[0], default_curve_start(model)])
     return _taylor_march(
         params, _prescribed_series(model, kappa_taylor), [y0], _sample_grid(controls), controls
     )[0]

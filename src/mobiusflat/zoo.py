@@ -42,6 +42,10 @@ from .moebius import SurfaceFields, moebius_jets
 from .spiral import HALF_PLANE, PLANE, SPHERE, SpiralTrajectory
 
 POLE_MARGIN = 0.2
+# the arc length a spiral generator's chart keeps from each end of its trajectory
+CHART_MARGIN = 0.15
+# the cone's radial parameter t, away from the apex t = 0
+CONE_T_RANGE = (0.4, 2.5)
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +136,10 @@ def _trig(angle: np.ndarray, order: int):
 
 @dataclass(frozen=True)
 class ClosedFormFields(SurfaceFields):
-    """Closed-form fields; first_form(pts) -> I (K, m, m) reads the metric table
-    alone, and first_form(pts, order) gives the ``Jet`` of I to that order."""
+    """Closed-form fields; first_form(pts, order=0) gives the ``Jet`` of I to the
+    order, read from the metric table alone (its value is I, (K, m, m))."""
 
-    first_form: Callable[..., np.ndarray | Jet] | None = None
+    first_form: Callable[..., Jet] | None = None
 
 
 def _diagonal(levels) -> tuple[np.ndarray, ...]:
@@ -151,9 +155,8 @@ def _metric_jet(table, pts, order: int) -> Jet:
 def _closed_form_fields(n: int, metric_table, shape_table, curvature: float) -> ClosedFormFields:
     """The fields of the tables metric_table(pts, order) and shape_table(pts, order)."""
 
-    def first_form(pts, order: int | None = None):
-        jet = _metric_jet(metric_table, pts, order or 0)
-        return jet.value if order is None else jet
+    def first_form(pts, order: int = 0):
+        return _metric_jet(metric_table, pts, order)
 
     def forms(pts, order: int):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -282,10 +285,11 @@ def _angle_base(d: int) -> np.ndarray:
     return np.full(d, 0.5 * np.pi)
 
 
-def _traj_margin(traj: SpiralTrajectory, margin: float) -> tuple[float, float]:
-    lo, hi = float(traj.s[0]) + margin, float(traj.s[-1]) - margin
+def _traj_margin(traj: SpiralTrajectory) -> tuple[float, float]:
+    """The chart's arc-length range: the trajectory's, less CHART_MARGIN at each end."""
+    lo, hi = float(traj.s[0]) + CHART_MARGIN, float(traj.s[-1]) - CHART_MARGIN
     if lo >= hi:
-        raise InputError("trajectory too short for the requested chart margin")
+        raise InputError("trajectory too short for the chart margin")
     return lo, hi
 
 
@@ -293,20 +297,20 @@ def _traj_margin(traj: SpiralTrajectory, margin: float) -> tuple[float, float]:
 # cylinder over a plane curve
 
 
-def cylinder_immersion(traj: SpiralTrajectory, n: int, margin: float = 0.15) -> ImmersionHandle:
+def cylinder_immersion(traj: SpiralTrajectory, n: int) -> ImmersionHandle:
     """(s, y_1..y_{n-1}) -> (curve(s), y) with the curve in R^2, unit speed."""
     if traj.model != PLANE:
         raise InputError("cylinder generator needs a plane-model trajectory")
     if not traj.joint:
         raise InputError("run reconstruct_curve on the trajectory first")
-    lo, hi = _traj_margin(traj, margin)
+    lo, hi = _traj_margin(traj)
 
     def evaluator(pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
         c = traj.curve_at(pts[:, 0])
         return np.concatenate([c[:, 0:2], pts[:, 1:]], axis=1)
 
-    def jet(pts: np.ndarray, order: int = 2):
+    def jet(pts: np.ndarray, order: int):
         curve = _padded([c[:, 0:2] for c in traj.curve_jet(pts[:, 0], order)], after=n - 1)
         return _product_jet(
             [curve] + [_coordinate_factor(pts[:, j], n + 1, j + 1, order) for j in range(1, n)]
@@ -346,27 +350,20 @@ def cylinder_immersion(traj: SpiralTrajectory, n: int, margin: float = 0.15) -> 
 # cone over a spherical curve
 
 
-def cone_immersion(
-    traj: SpiralTrajectory,
-    n: int,
-    t_range: tuple[float, float] = (0.4, 2.5),
-    margin: float = 0.15,
-) -> ImmersionHandle:
-    """(s, t, y_1..y_{n-2}) -> (t curve(s), y) with the curve in the unit S^2."""
+def cone_immersion(traj: SpiralTrajectory, n: int) -> ImmersionHandle:
+    """(s, t, y_1..y_{n-2}) -> (t curve(s), y) with the curve in the unit S^2, t in CONE_T_RANGE."""
     if traj.model != SPHERE:
         raise InputError("cone generator needs a sphere-model trajectory")
     if not traj.joint:
         raise InputError("run reconstruct_curve on the trajectory first")
-    if t_range[0] <= 0:
-        raise ChartDomainError("cone parameter t must stay positive")
-    lo, hi = _traj_margin(traj, margin)
+    lo, hi = _traj_margin(traj)
 
     def evaluator(pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
         gam = traj.curve_at(pts[:, 0])[:, 0:3]
         return np.concatenate([pts[:, 1:2] * gam, pts[:, 2:]], axis=1)
 
-    def jet(pts: np.ndarray, order: int = 2):
+    def jet(pts: np.ndarray, order: int):
         gam = _padded([c[:, 0:3] for c in traj.curve_jet(pts[:, 0], order)], after=n - 2)
         t = _coordinate_factor(pts[:, 1], n + 1, slice(0, 3), order)
         return _product_jet(
@@ -380,7 +377,7 @@ def cone_immersion(
     seed[0:3] = nu
     base = np.zeros(n)
     base[0], base[1] = s_base, 1.0
-    domain = [(lo, hi), t_range] + [(-5.0, 5.0)] * (n - 2)
+    domain = [(lo, hi), CONE_T_RANGE] + [(-5.0, 5.0)] * (n - 2)
 
     # I = diag(t^2, 1, ...), h = diag(t kappa, 0, ...), rho = kappa / t, H = rho / n
     def metric_table(pts, order):
@@ -419,15 +416,13 @@ def _upper(curve: np.ndarray) -> np.ndarray:
     return curve
 
 
-def rotational_immersion(
-    traj: SpiralTrajectory, n: int, margin: float = 0.15
-) -> ImmersionHandle:
+def rotational_immersion(traj: SpiralTrajectory, n: int) -> ImmersionHandle:
     """(s, angles) -> (x(s), y(s) sphere(angles)); the curve lives in y > 0."""
     if traj.model != HALF_PLANE:
         raise InputError("rotational generator needs a half-plane trajectory")
     if not traj.joint:
         raise InputError("run reconstruct_curve on the trajectory first")
-    lo, hi = _traj_margin(traj, margin)
+    lo, hi = _traj_margin(traj)
     d = n - 1  # sphere factor dimension
 
     def evaluator(pts: np.ndarray) -> np.ndarray:
@@ -436,7 +431,7 @@ def rotational_immersion(
         sph = sphere_chart(pts[:, 1:])
         return np.concatenate([c[:, 0:1], c[:, 1:2] * sph], axis=1)
 
-    def jet(pts: np.ndarray, order: int = 2):
+    def jet(pts: np.ndarray, order: int):
         # x(s) in the first component, y(s) times the sphere factors in the others
         curve = traj.curve_jet(pts[:, 0], order)
         _upper(curve[0])
@@ -463,10 +458,10 @@ def rotational_immersion(
         return [s] + [_padded(f, before=1) for f in _sphere_metric_factors(pts[:, 1:], order)]
 
     def shape_table(pts, order):
-        curve = traj.curve_jet(pts[:, 0], order + 1)
-        y = _s_jet(c[:, 1] for c in curve[:-1])
-        xp = _s_jet(c[:, 0] for c in curve[1:])
-        kap = _s_jet(traj._read(pts[:, 0], slice(0, 1), order)[..., 0])
+        # one read of the profile: the levels of (kappa, kappa_s, x, y, phi) to order + 1
+        profile = traj._read(pts[:, 0], slice(None), order + 1)
+        y, kap = (_s_jet(profile[:-1, :, c]) for c in (3, 0))
+        xp = _s_jet(profile[1:, :, 2])
         inv_y = compose(y, power_derivatives(y.value, -1.0, order))
         rho = contract(",->", kap, inv_y)
         mean = rho * (1.0 / n) - contract(",->", xp, contract(",->", inv_y, inv_y))
@@ -509,7 +504,7 @@ def torus_immersion(r: float, n: int) -> ImmersionHandle:
             [a * np.cos(u)[:, None], a * np.sin(u)[:, None], r * sph], axis=1
         )
 
-    def jet(pts: np.ndarray, order: int = 2):
+    def jet(pts: np.ndarray, order: int):
         # (a cos u, a sin u) in the first two components, r times the sphere factors after
         cos_ders, sin_ders = _trig(pts[:, 0:1], order)
         radius, zero = np.full((pts.shape[0], n), r), np.zeros((pts.shape[0], n))
@@ -615,7 +610,7 @@ def lift_to_sphere(imm: ImmersionHandle) -> ImmersionHandle:
     def evaluator(pts: np.ndarray) -> np.ndarray:
         return inverse_stereographic(imm(pts))
 
-    def jet(pts: np.ndarray, order: int = 2):
+    def jet(pts: np.ndarray, order: int):
         return _lift_jet(imm.evaluate_jet(pts, order))
 
     seed = None
@@ -657,7 +652,7 @@ def scale_immersion(imm: ImmersionHandle, factor: float) -> ImmersionHandle:
     def evaluator(pts: np.ndarray) -> np.ndarray:
         return factor * imm(np.atleast_2d(pts) / factor)
 
-    def jet(pts: np.ndarray, order: int = 2):
+    def jet(pts: np.ndarray, order: int):
         # level j of f_l(x) = l f(x / l) is l^(1 - j) times that of f at x / l
         values, *ders = imm.evaluate_jet(np.atleast_2d(pts) / factor, order)
         higher = (d / factor ** (j + 1) for j, d in enumerate(ders[1:]))

@@ -32,7 +32,7 @@ def fd_handle(m, n, evaluator, **kw):
         chart_dimension=m,
         ambient_dimension=n,
         evaluator=evaluator,
-        jet=lambda pts: jet_batch(imm, pts, FD_STEP),
+        jet=lambda pts, order: jet_batch(imm, pts, FD_STEP)[: order + 1],
         **kw,
     )
     return imm

@@ -529,7 +529,7 @@ class TestRequestCounts:
 
 def closed_form_metric(imm):
     """The closed forms' metric table as a field, for the finite-difference oracle."""
-    return lambda pts: imm.analytic_fields.first_form(np.atleast_2d(pts))
+    return lambda pts: imm.analytic_fields.first_form(np.atleast_2d(pts)).value
 
 
 class TestExactCodazzi:

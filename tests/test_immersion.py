@@ -170,8 +170,8 @@ class TestExactJetFrontEnd:
             rotational.evaluate_jet(off[None, 1:])
 
     def test_unit_sphere_tolerance(self, torus):
-        def off_sphere(pts):
-            values, d1, d2 = torus.jet(pts)
+        def off_sphere(pts, order):
+            values, d1, d2 = torus.jet(pts, order)
             return (1.0 + 1e-9) * values, d1, d2
 
         imm = dataclasses.replace(torus, jet=off_sphere)
@@ -179,8 +179,8 @@ class TestExactJetFrontEnd:
             fundamental_form_jets(imm, torus.base_point[None, :], sign=1.0, order=0)
 
     def test_derivative_shapes(self, torus):
-        def flat(pts):
-            values, d1, d2 = torus.jet(pts)
+        def flat(pts, order):
+            values, d1, d2 = torus.jet(pts, order)
             return values, d1, d2[:, 0]
 
         with pytest.raises(InputError, match="wrongly shaped"):

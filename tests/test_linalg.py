@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mobiusflat import linalg
 from mobiusflat.errors import DegenerateGeometryError, InputError
 
 import curvature_oracle
@@ -35,16 +36,19 @@ def test_jacobi_matches_numpy():
             assert np.allclose(v.mT @ v, np.eye(m), atol=1e-12)
 
 
-def sweeps(a):
+def sweeps(a, monkeypatch):
     """The number of sweeps ``jacobi_eigh`` takes on the matrix a: the least
-    max_sweeps that gives its result."""
+    ``linalg.JACOBI_MAX_SWEEPS`` that gives its result."""
     final = jacobi_eigh(a)
-    for k in range(61):
-        if all(np.array_equal(x, y) for x, y in zip(jacobi_eigh(a, max_sweeps=k), final)):
+    for k in range(linalg.JACOBI_MAX_SWEEPS + 1):
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "JACOBI_MAX_SWEEPS", k)
+            capped = jacobi_eigh(a)
+        if all(np.array_equal(x, y) for x, y in zip(capped, final)):
             return k
 
 
-def test_jacobi_stack_equals_one_matrix_calls():
+def test_jacobi_stack_equals_one_matrix_calls(monkeypatch):
     # a diagonal matrix, dense matrices that converge after different numbers of
     # sweeps, and m = 1: each matrix of the stack is the same bits as alone
     rng = np.random.default_rng(12)
@@ -52,7 +56,7 @@ def test_jacobi_stack_equals_one_matrix_calls():
     stack = np.array(
         [diagonal] + [diagonal + eps * random_symmetric(rng, 4) for eps in (1e-9, 1e-5, 1e-2, 1.0)]
     )
-    assert [sweeps(a) for a in stack] == [0, 1, 2, 3, 4]
+    assert [sweeps(a, monkeypatch) for a in stack] == [0, 1, 2, 3, 4]
     for a in (stack, rng.standard_normal((3, 1, 1))):
         w, v = jacobi_eigh(a)
         for k in range(len(a)):

@@ -139,8 +139,6 @@ class TestTermination:
             run(p, -1.0, 0.0)
         with pytest.raises(InputError):
             run(p, 0.0, 0.0)
-        with pytest.raises(InputError):
-            integrate_grid(p, [[1.0, 0.0]], IntegratorControls(), [0.0, np.inf, 0.0])
 
     @pytest.mark.parametrize("name", ["step", "s_max"])
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
@@ -752,6 +750,38 @@ class TestTaylorOracle:
         before = traj.s <= 1.999  # up to kappa = 2000
         rel = traj.kappa[before] * (1.0 - traj.s[before] / 2.0) - 1.0
         assert np.max(np.abs(rel)) < 1e-9
+
+    def test_stalled_row_ends_alone_as_in_a_block(self, monkeypatch):
+        # a step of 0 cannot move s on: the row ends there with a nan state,
+        # tagged non_finite, whether it is marched alone on floats or in a
+        # lockstep block (where its twin keeps it from being the last live row)
+        series = spiral._spiral_series
+
+        def stalling(params, joint):
+            inner = series(params, joint)
+
+            def stalled(s, y):
+                cols, h = inner(s, y)
+                if np.ndim(s):  # a block: s and h hold one entry per row
+                    return cols, np.where(s >= 1.0, 0.0, h)
+                return cols, 0.0 if s >= 1.0 else h
+
+            return stalled
+
+        monkeypatch.setattr(spiral, "_spiral_series", stalling)
+        params, controls = SpiralParams(4, 0, 0.0), IntegratorControls(s_max=3.0)
+        row = [1.0, 0.05]
+        others = [[1.0 + 0.02 * i, 0.05] for i in range(1, taylor.LOCKSTEP_ROWS - 1)]
+        alone = integrate_grid(params, [row], controls)[0]
+        block = integrate_grid(params, [row, *others, row], controls)
+        for traj in (alone, *block):
+            assert traj.termination == "non_finite"
+            assert 1.0 <= traj.s_end < 3.0
+            assert np.all(np.isnan(traj.end))
+        for twin in (block[0], block[-1]):
+            assert twin.s_end == alone.s_end
+            assert twin.steps.starts == alone.steps.starts
+            assert np.array_equal(twin.steps.coefs, alone.steps.coefs)
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_small_amplitude_period(self, n):
