@@ -58,6 +58,10 @@ from .jets import Jet, compose, contract
 from .moebius import (
     B_eigenvalues_and_scalars,
     SurfaceFields,
+    _blaschke,
+    _direct,
+    _frames,
+    _jets,
     direct_scalar,
     fields_from_immersion,
     moebius_B,
@@ -562,9 +566,8 @@ def check_warped_metric_scalar(cfg: RunConfig, surfaces, rng, res: Residuals) ->
     # affine with slope 2(n-1) in the full trace, and the rows record how
     # far each normalization sits from slope one.
     audit_rows = []
-    # the trajectories are integrated one by one; their metrics' jets are one request
-    jets = []
     for eps in (0, 1, -1):
+        computed = {name: [] for name in CONVENTION_BY_NAME}
         for big_r in WARPED_AUDIT_R[eps]:
             _, k0, ks0, s_max = FAMILY_PRESETS[eps]
             kstar = equilibrium_kappa(SpiralParams(n, eps, big_r))
@@ -573,13 +576,10 @@ def check_warped_metric_scalar(cfg: RunConfig, surfaces, rng, res: Residuals) ->
                 k0, ks0 = 1.05 * kstar, 0.0
             traj = spiral_trajectory(n, eps, big_r, k0, ks0, s_max, cfg.step, curve=False)
             lo, hi = float(traj.s[0]) + 0.2, float(traj.s[-1]) - 0.2
-            jets.append(_warped_jet(traj, n, np.linspace(lo, hi, max(20, cfg.samples))))
-    stacked = (np.concatenate(levels) for levels in zip(*(j.levels for j in jets)))
-    scalars = iter(np.split(curvature_batch(*stacked).scalar, len(jets)))
-    for eps in (0, 1, -1):
-        computed = {name: [] for name in CONVENTION_BY_NAME}
-        for big_r in WARPED_AUDIT_R[eps]:
-            vals = next(scalars)
+            # one request per trajectory: the curvature's transients grow with
+            # the point count, and K points give the bits of K one-point requests
+            svals = np.linspace(lo, hi, max(20, cfg.samples))
+            vals = curvature_batch(*_warped_jet(traj, n, svals).levels).scalar
             spreads[f"eps={eps},R={big_r}"] = _spread(vals)
             res.add(spreads[f"eps={eps},R={big_r}"], samples=vals.size)
             # the conversion is exact (dimension n, the base point's size)
@@ -699,10 +699,11 @@ def check_blaschke_trace_audit(cfg: RunConfig, surfaces, rng, res: Residuals) ->
     audit_rows = []
     for surf in surfaces:
         pts = sample_points(surf.imm, 2, rng, cfg.jitter, pad=0.2)
-        records = moebius_data_batch(surf.closed_form, pts)
+        request = _jets(surf.closed_form, pts)  # one request for A and the scalar
+        a = _blaschke(request, *_frames(request), surf.closed_form.ambient_curvature)
         resid = {name: 0.0 for name in CONVENTION_BY_NAME}
-        for d, full in zip(records, direct_scalar(surf.closed_form, pts)):
-            tr_a = float(np.trace(d.A))
+        for a_k, full in zip(a, _direct(request)):
+            tr_a = float(np.trace(a_k))
             for name, r_c in _mean_by_convention([full], n).items():
                 target = 1.0 / (2 * n) + r_c / (2 * (n - 1))
                 resid[name] = max(resid[name], abs(tr_a - target))

@@ -171,7 +171,9 @@ def curvature_batch(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> Curvature
     g (K, m, m), dg[k, a, i, j] = d_a g_ij and ddg[k, a, b, i, j] = d_a d_b g_ij.
     A metric that is not symmetric raises InputError and one that is not
     finite and positive definite DegenerateGeometryError, each naming the
-    first such point.
+    first such point.  The transient memory grows with K (riemann_jet's
+    R^a_bcd and its products, m**4 per point), and K points give the bits of
+    K one-point requests, so a caller may split a large point set freely.
     """
     g = _check_metrics(g)
     ginv, gamma, riem_up = riemann_jet(Jet([g, dg, ddg]))

@@ -629,11 +629,6 @@ def curve_defect(model: str, coords: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return d + dang
 
 
-def _full_defect(traj: SpiralTrajectory, y: np.ndarray) -> np.ndarray:
-    """closure_test's defect of the states y (..., 2 + curve_dim) against the row's start."""
-    return _defects(traj.model, y, _start(traj))
-
-
 def _start(traj: SpiralTrajectory) -> np.ndarray:
     """The row's state (kappa, kappa_s, *curve) at s = 0."""
     return np.array([traj.kappa[0], traj.kappa_s[0], *traj.curve[0]])
@@ -663,27 +658,6 @@ def _holonomy_table(traj: SpiralTrajectory) -> np.ndarray:
     return pmap.powers(range(int(traj.controls.s_max / pmap.period) + 1))
 
 
-def _closure_candidates(traj: SpiralTrajectory, table) -> tuple[np.ndarray, np.ndarray]:
-    """(s, states (K, 2 + curve_dim)) over which closure_tests minimizes the defect.
-
-    The stored samples; for a row with a period map, the images under
-    M**k = table[k] of its samples u < T, at s = k T + u <= the horizon
-    controls.s_max.
-    """
-    states = np.column_stack([traj.kappa, traj.kappa_s, traj.curve])
-    pmap = traj.period_map
-    if pmap is None:
-        return traj.s, states
-    u, one = traj.s[:-1], states[:-1]  # the sample at T is the image of u = 0
-    horizon = traj.controls.s_max
-    turns = np.arange(1, int(horizon // pmap.period) + 1)
-    s_k = turns[:, None] * pmap.period + u  # (turns, samples)
-    keep = s_k <= horizon
-    moved = _moebius(one[:, 2:], table[turns][:, None])  # every sample by every M**k
-    images = np.concatenate([np.broadcast_to(one[:, :2], moved.shape[:2] + (2,)), moved], axis=-1)
-    return np.concatenate([u, s_k[keep]]), np.concatenate([one, images[keep]])
-
-
 def closure_test(
     traj: SpiralTrajectory, tol_closed: float = 1e-6, tol_open: float = 1e-3
 ) -> ClosureResult:
@@ -692,16 +666,35 @@ def closure_test(
 
 
 def _coarse_closure(traj: SpiralTrajectory, table):
-    """(a, b, defect, s): the row's least candidate (closure_tests) and its bracket."""
+    """(a, b, defect, s): the row's least candidate (closure_tests) and its bracket.
+
+    The candidates are scored in place on the (turn k, sample) grid: the
+    stored samples, or for a row with a period map its samples u < T moved
+    by M**k = table[k], at s = k T + u.  The grid's row-major order is s
+    order, so the candidates up to the horizon are a prefix of it.
+    """
     if not traj.joint:
         raise InputError("closure test needs a reconstructed curve")
-    cand_s, cand = _closure_candidates(traj, table)
-    # the candidates are in s order, and the last one is at or after the start
-    first = int(np.searchsorted(cand_s, min(1.0, 0.25 * float(cand_s[-1]))))
-    defects = _full_defect(traj, cand[first:])
-    k = first + int(np.argmin(defects))
-    a, b = float(cand_s[max(k - 1, 0)]), float(cand_s[min(k + 1, cand_s.size - 1)])
-    return a, b, float(defects[k - first]), float(cand_s[k])
+    states = np.column_stack([traj.kappa, traj.kappa_s, traj.curve])
+    pmap = traj.period_map
+    if pmap is None:
+        s, curve = traj.s[None], states[None, :, 2:]
+    else:
+        states = states[:-1]  # the sample at T is the image of u = 0
+        turns = np.arange(int(traj.controls.s_max // pmap.period) + 1)
+        s = turns[:, None] * pmap.period + traj.s[:-1]
+        curve = _moebius(states[:, 2:], table[: turns.size, None])  # M**0 = Id keeps the bits
+    ref = _start(traj)
+    # _defects' sum, with the kappa part taken once per sample for every turn
+    defects = curve_defect(traj.model, curve, ref[2:])
+    defects += np.abs(states[:, 0] - ref[0])
+    defects += np.abs(states[:, 1] - ref[1])
+    s, defects = s.ravel(), defects.ravel()
+    last = int(np.searchsorted(s, traj.controls.s_max, side="right")) - 1
+    first = int(np.searchsorted(s[: last + 1], min(1.0, 0.25 * float(s[last]))))
+    k = first + int(np.argmin(defects[first : last + 1]))
+    a, b = float(s[max(k - 1, 0)]), float(s[min(k + 1, last)])
+    return a, b, float(defects[k]), float(s[k])
 
 
 def _closure_verdict(traj, best: float, best_s: float, tol_closed: float, tol_open: float):

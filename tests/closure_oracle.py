@@ -11,7 +11,12 @@ search and not the distance.
 
 import numpy as np
 
-from mobiusflat.spiral import _closure_verdict, _full_defect, _moebius
+from mobiusflat.spiral import _closure_verdict, _defects, _moebius, _start
+
+
+def full_defect(traj, y):
+    """The defect of the states y (..., 2 + curve_dim) against the row's start."""
+    return _defects(traj.model, y, _start(traj))
 
 
 def candidates(traj):
@@ -52,7 +57,7 @@ def closure_test(traj, tol_closed=1e-6, tol_open=1e-3):
     bracket is below 1e-11."""
     cand_s, cand = candidates(traj)
     first = int(np.searchsorted(cand_s, min(1.0, 0.25 * float(cand_s[-1]))))
-    defects = _full_defect(traj, cand[first:])
+    defects = full_defect(traj, cand[first:])
     k = first + int(np.argmin(defects))
     a, b = float(cand_s[max(k - 1, 0)]), float(cand_s[min(k + 1, cand_s.size - 1)])
     best, best_s = float(defects[k - first]), float(cand_s[k])
@@ -60,7 +65,7 @@ def closure_test(traj, tol_closed=1e-6, tol_open=1e-3):
         if b - a < 1e-11:
             break
         probes = np.linspace(a, b, 33)
-        vals = _full_defect(traj, flow_at(traj, probes))
+        vals = full_defect(traj, flow_at(traj, probes))
         j = int(np.argmin(vals))
         if vals[j] < best:
             best, best_s = float(vals[j]), float(probes[j])

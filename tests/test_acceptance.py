@@ -7,6 +7,8 @@ the first-integral, round-trip, rigidity and determinism criteria.  Each
 test prints one summary line.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -230,6 +232,62 @@ def test_batch_algebra_matches_per_point_route(monkeypatch):
     monkeypatch.setattr(curvature, "curvature_batch", curvature_oracle.curvature_batch)
     per_point = run_suite(cfg.validate()).to_json()
     assert '"passed": true' in batched and batched == per_point
+
+
+def test_warped_audit_requests_one_trajectory_at_a_time(monkeypatch):
+    # at n = 7 the 9 trajectories x 20 points stacked into one curvature
+    # request peaked at 25.3 MiB traced; one request per trajectory peaks near
+    # 2.4 MiB and gives the stacked request's scalars bit for bit
+    from mobiusflat import checks
+    from mobiusflat.curvature import curvature_batch
+
+    cfg = RunConfig(n=7, seed=0).validate()
+    body = checks.CHECK_FUNCTIONS["warped_metric_scalar"].body
+    tracemalloc.start()
+    try:
+        body(cfg, [], None, checks.Residuals())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+    requests = []
+
+    def recorded(*levels):
+        requests.append((levels, curvature_batch(*levels)))
+        return requests[-1][1]
+
+    monkeypatch.setattr(checks, "curvature_batch", recorded)
+    body(cfg, [], None, checks.Residuals())
+    assert len(requests) == 9
+    stacked = curvature_batch(*(np.concatenate(lv) for lv in zip(*(r[0] for r in requests))))
+    for (_, bundle), old in zip(requests, np.split(stacked.scalar, len(requests))):
+        assert np.array_equal(bundle.scalar, old)
+
+
+def test_blaschke_audit_makes_one_request_per_surface(monkeypatch):
+    # tr A and the direct scalar come from one request of each surface's
+    # closed forms, with the residuals of the moebius_data_batch and
+    # direct_scalar requests it replaced
+    from mobiusflat import checks
+    from mobiusflat.moebius import direct_scalar, moebius_data_batch
+
+    requests, jets = [], checks._jets
+
+    def recorded(fields, pts):
+        requests.append((fields, pts))
+        return jets(fields, pts)
+
+    monkeypatch.setattr(checks, "_jets", recorded)
+    cfg = RunConfig(seed=0, checks="blaschke_trace_audit").validate()
+    rows = run_suite(cfg).records[0].details["audit_rows"]
+    assert len(requests) == len(rows) == 4
+    for (fields, pts), row in zip(requests, rows):
+        resid = {name: 0.0 for name in checks.CONVENTION_BY_NAME}
+        for d, full in zip(moebius_data_batch(fields, pts), direct_scalar(fields, pts)):
+            for name, r_c in checks._mean_by_convention([full], cfg.n).items():
+                target = 1.0 / (2 * cfg.n) + r_c / (2 * (cfg.n - 1))
+                resid[name] = max(resid[name], abs(float(np.trace(d.A)) - target))
+        assert row["residual_by_convention"] == resid
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])

@@ -289,15 +289,22 @@ class TestSuite:
         cfg = RunConfig(samples=4).validate()
         surfaces = suite_surfaces(cfg)
         torus_fields = checks._surface(surfaces, "torus").closed_form
-        honest = checks.moebius_data_batch
+        jets, honest, torus_requests = checks._jets, checks._blaschke, []
 
-        def shifted(fields, pts):
-            records = honest(fields, pts)
-            if fields is not torus_fields:
-                return records
-            return [dataclasses.replace(d, A=d.A + np.eye(d.A.shape[0])) for d in records]
+        def tagged(fields, pts):
+            request = jets(fields, pts)
+            if fields is torus_fields:
+                torus_requests.append(request)
+            return request
 
-        monkeypatch.setattr(checks, "moebius_data_batch", shifted)
+        def shifted(request, *frames_and_curvature):
+            a = honest(request, *frames_and_curvature)
+            if any(request is r for r in torus_requests):
+                return a + np.eye(a.shape[-1])
+            return a
+
+        monkeypatch.setattr(checks, "_jets", tagged)
+        monkeypatch.setattr(checks, "_blaschke", shifted)
         record = CHECK_FUNCTIONS["blaschke_trace_audit"](cfg, surfaces, np.random.default_rng(0))
         best = {
             row["identity"].rsplit(" ", 1)[-1]: min(row["residual_by_convention"].values())

@@ -554,9 +554,9 @@ class TestPeriodMap:
         row = [[KSTAR * 1.1, KSTAR * 0.04]]
         full = integrate_grid(HALF_PLANE_PARAMS, row, controls)[0]
         periodic = integrate_grid(HALF_PLANE_PARAMS, row, controls, period_map=True)[0]
-        cand_s, cand = spiral._closure_candidates(periodic, spiral._holonomy_table(periodic))
+        cand_s, cand = closure_oracle.candidates(periodic)
         late = np.flatnonzero(cand_s >= 1.0)  # the scan starts at min(1, 40 / 4) = 1 here
-        defects = spiral._full_defect(periodic, cand[late])
+        defects = closure_oracle.full_defect(periodic, cand[late])
         k = late[np.argmin(defects)]
         assert cand_s[k - 1] < 5.0 * periodic.period_map.period < cand_s[k + 1]
         ref, res = closure_test(full), closure_test(periodic)
@@ -573,6 +573,24 @@ class TestPeriodMap:
         assert all(t.period_map is not None for t in trajs)
         oracle = [closure_oracle.closure_test(t) for t in trajs]
         assert closure_tests(trajs) == [closure_test(t) for t in trajs] == oracle
+
+    @pytest.mark.parametrize("horizon", [40.0, 200.0])
+    def test_scan_rows_without_period_maps_match_the_oracle(self, horizon):
+        # rigidity_scan's equilibrium row (marched 1.5 periods at any horizon)
+        # and its two flat-control plane rows: their candidates are their samples
+        period = 2.0 * np.pi / np.sqrt(KSTAR**2 - 1.0)
+        eq = integrate_grid(
+            HALF_PLANE_PARAMS, [[KSTAR, 0.0]], IntegratorControls(s_max=1.5 * period)
+        )
+        flat = integrate_grid(
+            SpiralParams(4, 0, 0.0),
+            [[1.0, 0.05], [1.0, 0.1]],
+            IntegratorControls(s_max=min(horizon, 60.0), store_stride=10),
+        )
+        for trajs in (eq, flat):
+            assert all(t.period_map is None for t in trajs)
+            assert closure_tests(trajs) == [closure_oracle.closure_test(t) for t in trajs]
+        assert closure_tests(eq)[0].status == "closed"
 
     def test_batched_refinement_without_period_maps(self):
         # plane rows (a circle that closes at 2 pi, and two flat controls) and
