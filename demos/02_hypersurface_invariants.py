@@ -11,7 +11,7 @@ and the commuting of B with A.
 
 import numpy as np
 
-from mobiusflat.moebius import fields_from_immersion, moebius_data, moebius_scalar
+from mobiusflat.moebius import fields_from_immersion
 from mobiusflat.spiral import IntegratorControls, SpiralParams, integrate_grid
 from mobiusflat.zoo import rotational_immersion
 
@@ -23,7 +23,9 @@ fields = fields_from_immersion(imm)
 
 p = imm.base_point.copy()
 p[0] = 1.7
-d = moebius_data(fields, p)
+# one request at the sample point: every invariant below is read from it
+request = fields.jets(p[None])
+d = request.records(p[None])[0]
 
 print(f"sample point s = {p[0]:.2f}: rho = {d.rho:.6f}, H = {d.H:.6f}")
 print(f"principal curvatures: {np.round(d.principal_curvatures, 6)}")
@@ -35,8 +37,8 @@ print(f"|BA - AB| = {d.commutator_norm():.2e}  (closed Moebius form)")
 print(f"C components: {np.round(d.C, 8)}  (only the profile direction survives)")
 
 # the Blaschke trace identity ties tr A to the scalar curvature of rho^2 I
-s = moebius_scalar(fields, p)
-target = 1 / (2 * n) + s.direct / (2 * (n - 1))
-print(f"\nMoebius scalar (full trace): direct {s.direct:.8f}, conformal route {s.conformal_route:.8f}")
+direct, conformal = request.direct_scalar[0], request.conformal_scalar[0]
+target = 1 / (2 * n) + direct / (2 * (n - 1))
+print(f"\nMoebius scalar (full trace): direct {direct:.8f}, conformal route {conformal:.8f}")
 print(f"tr A = {np.sum(d.A_eigenvalues):.8f} vs 1/(2n) + R/(2(n-1)) = {target:.8f}")
 print(f"scalar curvature is constant ( = 2 (n-1) * 0.75 = 4.5) along the whole surface")

@@ -10,25 +10,16 @@ forms (n-1)(n-2) r^2 and (n-1)(n-2)(1-r^2) under all three normalizations.
 import numpy as np
 
 from mobiusflat.curvature import Convention, convert_scalar
-from mobiusflat.immersion import (
-    first_fundamental_form,
-    principal_curvatures,
-    second_fundamental_form,
-)
-from mobiusflat.moebius import fields_from_immersion, moebius_form, moebius_scalar
+from mobiusflat.moebius import fields_from_immersion
 from mobiusflat.zoo import torus_immersion
 
 n = 4
 
 for r in (0.3, 0.5, 1 / np.sqrt(2)):
     imm = torus_immersion(r, n)
-    p = imm.base_point
-    lam = principal_curvatures(
-        first_fundamental_form(imm, p), second_fundamental_form(imm, p)
-    )
-    fields = fields_from_immersion(imm)
-    c = moebius_form(fields, p)
-    full = moebius_scalar(fields, p).direct
+    # one request at the base point gives the spectrum, C and the scalar
+    request = fields_from_immersion(imm).jets(imm.base_point[None])
+    lam, c, full = request.spectra[0][0], request.C[0], request.direct_scalar[0]
     base = (n - 1) * (n - 2)
     print(f"r = {r:.4f}")
     print(f"  principal curvatures {np.round(lam, 6)} (two values, multiplicities 1 and {n-1})")

@@ -6,7 +6,7 @@ Library layout:
 * ``jets``              -- truncated Taylor jets of tensor fields, batched over points
 * ``immersion``         -- fundamental forms and normals of explicit immersions, and their jets
 * ``curvature``         -- Riemann/Ricci/full-trace scalar of metric fields, Schouten, Codazzi
-* ``moebius``           -- conformal density, Moebius metric, B, A, C invariants
+* ``moebius``           -- conformal density; the Moebius metric, B, A, C read from one request
 * ``spiral``            -- prescribed-curvature curve ODE in the 2d model spaces
 * ``taylor``            -- order-20 Taylor marcher behind every spiral trajectory
 * ``zoo``               -- cylinder/cone/rotational/torus generators, model maps
@@ -38,22 +38,19 @@ from .immersion import (
     ImmersionHandle,
     first_fundamental_form,
     jacobian,
-    principal_curvatures,
     second_fundamental_form,
     unit_normal,
 )
 from .moebius import (
     MoebiusData,
+    Request,
     SurfaceFields,
     blaschke_A,
     fields_from_immersion,
-    moebius_B,
     moebius_data,
-    moebius_data_batch,
     moebius_density,
     moebius_form,
     moebius_scalar,
-    moebius_scalars,
 )
 from .spiral import (
     ClosureResult,

@@ -52,25 +52,10 @@ from .curvature import (
     metric_field_curvature,
     schouten_codazzi_defects,
 )
-from .errors import MobiusFlatError
-from .immersion import ImmersionHandle, principal_curvatures
+from .errors import InputError, MobiusFlatError
+from .immersion import ImmersionHandle
 from .jets import Jet, compose, contract
-from .moebius import (
-    B_eigenvalues_and_scalars,
-    SurfaceFields,
-    _blaschke,
-    _direct,
-    _frames,
-    _jets,
-    direct_scalar,
-    fields_from_immersion,
-    moebius_B,
-    moebius_data,
-    moebius_data_batch,
-    moebius_form,
-    moebius_form_divergence_residual,
-    moebius_scalars,
-)
+from .moebius import SurfaceFields, fields_from_immersion, moebius_data, moebius_form
 from .report import CheckRecord, VerificationReport
 from .spiral import (
     IntegratorControls,
@@ -171,7 +156,14 @@ def _surface(surfaces: list[SuiteSurface], name: str) -> SuiteSurface:
 
 
 def sample_points(imm: ImmersionHandle, count: int, rng, jitter: float = 0.1, pad: float = 0.12):
-    """Seeded jittered samples spread along the first chart coordinate."""
+    """Seeded jittered samples spread along the first chart coordinate, each coordinate
+    kept pad inside the chart; a chart narrower than twice the pad raises InputError."""
+    for a, (lo, hi) in enumerate(imm.domain):
+        if lo + pad > hi - pad:
+            raise InputError(
+                f"coordinate {a} of the {imm.name or 'immersion'} chart, [{lo:.6g}, {hi:.6g}], "
+                f"is narrower than twice the sample pad {pad}"
+            )
     lo0, hi0 = imm.domain[0]
     pts = np.tile(imm.base_point, (count, 1))
     base = np.linspace(lo0 + pad, hi0 - pad, count)
@@ -359,8 +351,7 @@ def check_trace_identities(cfg: RunConfig, surfaces, rng, res: Residuals) -> dic
     n = cfg.n
     for surf in surfaces:
         pts = sample_points(surf.imm, cfg.samples, rng, cfg.jitter)
-        values = surf.fields.jets(pts, 0)
-        b = moebius_B(values.g.value, values.h.value, values.rho.value, values.mean.value)
+        b = surf.fields.jets(pts, 0).B
         traces = np.abs(np.trace(b, axis1=1, axis2=2))
         norms = np.abs(np.sum(b * b, axis=(1, 2)) - (n - 1) / n)
         res.add(*traces.tolist(), *norms.tolist(), samples=pts.shape[0])
@@ -379,8 +370,7 @@ def check_moebius_form_structure(cfg: RunConfig, surfaces, rng, res: Residuals) 
 
     torus = _surface(surfaces, "torus")
     pts = sample_points(torus.imm, 4, rng, cfg.jitter, pad=0.2)
-    records = moebius_data_batch(torus.fields, pts)
-    details["torus_max_C"] = max(float(np.max(np.abs(d.C))) for d in records)
+    details["torus_max_C"] = float(np.max(np.abs(torus.fields.jets(pts).C)))
     res.add(details["torus_max_C"], samples=pts.shape[0])
 
     circle = cylinder_immersion(
@@ -392,7 +382,7 @@ def check_moebius_form_structure(cfg: RunConfig, surfaces, rng, res: Residuals) 
 
     cyl = _surface(surfaces, "cylinder")
     pts = sample_points(cyl.imm, 4, rng, cfg.jitter)
-    c = np.array([d.C for d in moebius_data_batch(cyl.closed_form, pts)])
+    c = cyl.closed_form.jets(pts).C
     kap, ks = cyl.traj.kappa_at(pts[:, 0]), cyl.traj.kappa_s_at(pts[:, 0])
     tangential = float(np.max(np.abs(c[:, 1:])))
     c1_err = float(np.max(np.abs(c[:, 0] + ks / kap**2)))
@@ -403,7 +393,7 @@ def check_moebius_form_structure(cfg: RunConfig, surfaces, rng, res: Residuals) 
 
     # independent cross-check: sum_j B_ij,j = -(n-1) C_i
     details["divergence_identity_residual"] = {
-        surf.name: moebius_form_divergence_residual(surf.closed_form, surf.imm.base_point)
+        surf.name: float(surf.closed_form.jets(surf.imm.base_point[None]).divergence_residuals[0])
         for surf in surfaces
         if surf.name in ("cylinder", "rotational")
     }
@@ -420,7 +410,7 @@ def check_commutator_closure(cfg: RunConfig, surfaces, rng, res: Residuals) -> d
     pipeline_max = 0.0
     for surf in surfaces:
         pts = sample_points(surf.imm, 3, rng, cfg.jitter)
-        records = moebius_data_batch(surf.closed_form, pts)
+        records = surf.closed_form.jets(pts).records(pts)
         res.add(*(d.commutator_norm() for d in records), samples=pts.shape[0])
         d = moebius_data(surf.fields, pts[0])
         pipeline_max = max(pipeline_max, d.commutator_norm())
@@ -438,8 +428,7 @@ def check_principal_multiplicity(cfg: RunConfig, surfaces, rng, res: Residuals) 
     torus_gap = None
     for surf in surfaces:
         pts = sample_points(surf.imm, cfg.samples, rng, cfg.jitter)
-        values = surf.fields.jets(pts, 0)
-        lam = np.sort(principal_curvatures(values.g.value, values.h.value))
+        lam = np.sort(surf.fields.jets(pts, 0).spectra[0])
         spread = np.minimum(lam[:, -2] - lam[:, 0], lam[:, -1] - lam[:, 1])
         res.add(*spread.tolist(), samples=len(pts))
         if surf.name == "torus":
@@ -505,7 +494,8 @@ def check_two_route_scalar(cfg: RunConfig, surfaces, rng, res: Residuals) -> dic
     """Direct curvature of rho^2 I agrees with the conformal-change route."""
     for surf in surfaces:
         pts = sample_points(surf.imm, max(3, cfg.samples // 4), rng, cfg.jitter)
-        res.add(*moebius_scalars(surf.fields, pts).spread(), samples=len(pts))
+        request = surf.fields.jets(pts)
+        res.add(*np.abs(request.direct_scalar - request.conformal_scalar), samples=len(pts))
     return {}
 
 
@@ -527,7 +517,7 @@ def check_scalar_constancy(cfg: RunConfig, surfaces, rng, res: Residuals) -> dic
             continue
         # a spread needs two points
         pts = sample_points(surf.imm, max(2, cfg.samples), rng, cfg.jitter)
-        spreads[surf.name] = _spread(direct_scalar(surf.fields, pts))
+        spreads[surf.name] = _spread(surf.fields.jets(pts).direct_scalar)
         res.add(spreads[surf.name], samples=len(pts))
 
     control_traj = prescribed_curvature_trajectory(
@@ -536,7 +526,7 @@ def check_scalar_constancy(cfg: RunConfig, surfaces, rng, res: Residuals) -> dic
     control_imm = rotational_immersion(control_traj, cfg.n)
     control_fields = fields_from_immersion(control_imm)
     control_pts = sample_points(control_imm, max(6, cfg.samples // 3), rng, cfg.jitter)
-    control_spread = _spread(direct_scalar(control_fields, control_pts))
+    control_spread = _spread(control_fields.jets(control_pts).direct_scalar)
     res.add(samples=len(control_pts))
     res.require(control_spread > 10 * cfg.tol_constancy)
     return {"spread_by_family": spreads, "negative_control_spread": control_spread}
@@ -634,7 +624,7 @@ def check_torus_scalar_audit(cfg: RunConfig, surfaces, rng, res: Residuals) -> d
         imm = torus_immersion(r, n)
         fields = fields_from_immersion(imm)
         pts = sample_points(imm, 3, rng, cfg.jitter)
-        per_conv = _mean_by_convention(direct_scalar(fields, pts), n)
+        per_conv = _mean_by_convention(fields.jets(pts).direct_scalar, n)
         candidates = {
             "r^2": base * r**2,
             "1-r^2": base * (1 - r**2),
@@ -699,10 +689,9 @@ def check_blaschke_trace_audit(cfg: RunConfig, surfaces, rng, res: Residuals) ->
     audit_rows = []
     for surf in surfaces:
         pts = sample_points(surf.imm, 2, rng, cfg.jitter, pad=0.2)
-        request = _jets(surf.closed_form, pts)  # one request for A and the scalar
-        a = _blaschke(request, *_frames(request), surf.closed_form.ambient_curvature)
+        request = surf.closed_form.jets(pts)  # one request for A and the scalar
         resid = {name: 0.0 for name in CONVENTION_BY_NAME}
-        for a_k, full in zip(a, _direct(request)):
+        for a_k, full in zip(request.A, request.direct_scalar):
             tr_a = float(np.trace(a_k))
             for name, r_c in _mean_by_convention([full], n).items():
                 target = 1.0 / (2 * n) + r_c / (2 * (n - 1))
@@ -725,9 +714,8 @@ def check_sigma_invariance(cfg: RunConfig, surfaces, rng, res: Residuals) -> dic
             continue
         lift_fields = fields_from_immersion(lift_to_sphere(surf.imm))
         pts = sample_points(surf.imm, 3, rng, cfg.jitter)
-        (b0, s0), (b1, s1) = (
-            B_eigenvalues_and_scalars(f, pts) for f in (surf.fields, lift_fields)
-        )
+        plain, lift = (f.jets(pts) for f in (surf.fields, lift_fields))
+        b0, b1, s0, s1 = plain.spectra[1], lift.spectra[1], plain.direct_scalar, lift.direct_scalar
         for gap, r in zip(np.max(np.abs(b0 - b1), axis=1), np.abs(s0 - s1)):
             res.add(float(gap), float(r))
     return {}

@@ -26,7 +26,7 @@ from .config import RunConfig, load_config
 from .curvature import Convention, convert_scalar
 from .errors import ConfigError, MobiusFlatError
 from .meshes import export_obj_slice
-from .moebius import _data_and_scalars, fields_from_immersion
+from .moebius import fields_from_immersion
 from .spiral import IntegratorControls, SpiralParams, export_csv, integrate_grid
 from .zoo import EPSILON_BY_FAMILY, build_family, torus_immersion
 
@@ -94,8 +94,9 @@ def cmd_invariants(cfg: RunConfig, out: str, convention: str) -> int:
         + ["trace_B", "norm2_B_defect", "commutator", "scalar_direct", "scalar_conformal"]
     )
     rows = []
-    records, scalars = _data_and_scalars(fields, pts)
-    for p, d, direct, via in zip(pts, records, scalars.direct, scalars.conformal_route):
+    request = fields.jets(pts)
+    scalars = request.direct_scalar, request.conformal_scalar
+    for p, d, direct, via in zip(pts, request.records(pts), *scalars):
         rows.append(
             list(p)
             + [d.rho, d.H]

@@ -129,6 +129,11 @@ class RunConfig:
                 "n must be >= 4: the classification holds for n >= 4, and at n = 3 "
                 "equal principal curvatures no longer characterize conformal flatness"
             )
+        if self.n > 7:
+            raise ConfigError(
+                "n must be <= 7: the suite's spiral presets are fixed, and from n = 8 the "
+                "cone's spiral ends too early for its samples to fit in its chart"
+            )
         if self.epsilon not in (-1, 0, 1):
             raise ConfigError("epsilon must be one of -1, 0, 1")
         if self.family not in FAMILIES:

@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import ChartDomainError, DegenerateGeometryError, InputError
 from .jets import Jet, compose, contract, inverse, power_derivatives
-from .linalg import gram_schmidt_frames, jacobi_eigh, require_symmetric
 
 EUCLIDEAN = "euclidean"
 UNIT_SPHERE = "unit-sphere"
@@ -270,19 +269,3 @@ def second_fundamental_form_batch(imm: ImmersionHandle, pts: np.ndarray) -> np.n
 
 def second_fundamental_form(imm: ImmersionHandle, p: np.ndarray) -> np.ndarray:
     return second_fundamental_form_batch(imm, np.asarray(p, dtype=float)[None, :])[0]
-
-
-def principal_curvatures(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the shape operator, descending, of one point's forms (m, m)
-    or of a stack (K, m, m).
-
-    They are the eigenvalues of E^T II E in the I-orthonormal frames E of
-    ``gram_schmidt_frames``, one stacked ``jacobi_eigh``; an I that is not
-    positive definite raises DegenerateGeometryError.
-    """
-    g, h = (np.asarray(x, dtype=float) for x in (first, second))
-    if g.ndim == 2:
-        return principal_curvatures(g[None], h[None])[0]
-    frame = gram_schmidt_frames(g)
-    h = require_symmetric(h, what="second fundamental form")
-    return jacobi_eigh(frame.mT @ h @ frame)[0][:, ::-1]

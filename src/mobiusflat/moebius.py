@@ -20,12 +20,13 @@ failure of (H, rho) to be parallel.  The A and C formulas acquire an
 ambient-curvature constant (0 for immersions into Euclidean space, +1 for
 immersions into the unit sphere); the constant enters A's isotropic term.
 
-A field set answers one request, ``jets(pts, order=2)``: the exact jets,
-as ``jets.Jet``s over the point set's K points, of I, h, rho^2 I,
-rho (h - H I), rho, log rho and H, which every invariant reads.  Order 0
-gives their values, and is the same bits as level 0 of the order-2
-request.  Both routes pack the jets of (I, h, rho, H) the same way
-(``moebius_jets``, in the truncated Taylor arithmetic of ``jets``):
+A field set answers one request, ``jets(pts, order=2)``: a ``Request``
+holding the exact jets, as ``jets.Jet``s over the point set's K points, of
+I, h, rho^2 I, rho (h - H I), rho, log rho and H, which every invariant
+reads, and the ambient curvature.  Order 0 gives their values, and is the
+same bits as level 0 of the order-2 request.  Both routes pack the jets of
+(I, h, rho, H) the same way (``moebius_jets``, in the truncated Taylor
+arithmetic of ``jets``):
 
 * fields from an immersion (``fields_from_immersion``) take I and h from
   one jet of the immersion at the point set, of the request's order plus
@@ -34,25 +35,25 @@ request.  Both routes pack the jets of (I, h, rho, H) the same way
 * the generators' closed forms (``zoo``) give all four as exact products of
   one-variable factors.
 
-No request takes a step, and fields without ``jets`` are refused.  B, C, A
-and the divergence residual are each one expression over the K points:
-one ``gram_schmidt_frames`` of the stack of I gives the I-orthonormal
-frames (the g-frames are these over rho), and the components are stacked
-matrix products in them.  The spectra are stacked ``jacobi_eigh`` solves:
-one of h in the I-frame gives the principal curvatures lambda and B's
-eigenvalues (lambda - H) / rho, one of A gives A's.  ``direct_scalar``,
-``moebius_scalars``, ``moebius_data_batch`` and
-``moebius_form_divergence_residuals`` take a point set (``_data_and_scalars``
-gives the records and the scalars from one request); the one-point
-functions (``moebius_data``, ``moebius_scalar``, ``moebius_form``,
-``blaschke_A``, ``moebius_form_divergence_residual``) are the point-set
-requests at one point, and a request at K points equals K one-point
+No request takes a step, and fields without ``jets`` are refused.  Each
+invariant is an attribute of the request, computed on its first read and
+kept: ``frames``, ``B``, ``C``, ``A``, ``spectra``, ``direct_scalar``,
+``conformal_scalar`` and ``divergence_residuals``, each one expression over
+the K points, and ``records(pts)`` assembles them per point.  One
+``gram_schmidt_frames`` of the stack of I gives the I-orthonormal frames
+(the g-frames are these over rho), and the components are stacked matrix
+products in them.  The spectra are stacked ``jacobi_eigh`` solves: one of h
+in the I-frame gives the principal curvatures lambda and B's eigenvalues
+(lambda - H) / rho, one of A gives A's.  The one-point functions
+(``moebius_data``, ``moebius_scalar``, ``moebius_form``, ``blaschke_A``)
+read a request at one point, and a request at K points equals K one-point
 requests bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -89,14 +90,14 @@ def moebius_density(first: np.ndarray, second: np.ndarray) -> tuple[float, float
     of the density formula: the order-0 request of the forms at one point
     (``_jets_from_forms``).  Raises UmbilicPointError when rho^2 falls at
     or below 1e-18, and DegenerateGeometryError when I is not positive
-    definite, by the test of ``gram_schmidt_frames`` that ``moebius_B`` and
-    ``principal_curvatures`` apply.
+    definite, by the test of ``gram_schmidt_frames`` that ``Request.frames``
+    applies.
     """
     g = np.asarray(first, dtype=float)
     h = require_symmetric(np.asarray(second, dtype=float), what="shape tensor")
     gram_schmidt_frames(g[None])
     first = Jet([g[None]])
-    request = _jets_from_forms(first, Jet([h[None]]), inverse(first))
+    request = _jets_from_forms(first, Jet([h[None]]), inverse(first), 0.0)
     return float(request.rho.value[0]), float(request.mean.value[0])
 
 
@@ -105,33 +106,19 @@ def _apply(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (a @ v[..., None])[..., 0]
 
 
-def _trace_free(h_frame: np.ndarray, rho: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """B = (h - H I) / rho in the g-frame, from h in the I-frame, (K, m, m)."""
-    return (h_frame - mean[:, None, None] * np.eye(h_frame.shape[-1])) / rho[:, None, None]
-
-
-def moebius_B(first: np.ndarray, second: np.ndarray, rho, mean) -> np.ndarray:
-    """Trace-free tensor B in the g-orthonormal frame.
-
-    As a tensor B = rho (II - H I); dividing its I-orthonormal components
-    by rho^2 re-expresses them in the g-frame, where tr B = 0 and
-    |B|^2 = (n-1)/n hold identically.  The forms are one point (m, m) with
-    rho and H floats, or a stack (K, m, m) with rho and H (K,).  An I that
-    is not positive definite raises DegenerateGeometryError.
-    """
-    g, h, rho, mean = (np.asarray(x, dtype=float) for x in (first, second, rho, mean))
-    if g.ndim == 2:
-        return moebius_B(g[None], h[None], rho[None], mean[None])[0]
-    frame = gram_schmidt_frames(g)
-    return _trace_free(frame.mT @ h @ frame, rho, mean)
-
-
 # ---------------------------------------------------------------------------
-# field bundle
+# one request per point set
 
 
-class _Jets(NamedTuple):
-    """The jets (``jets.Jet``) of every quantity a Moebius invariant reads, at a point set."""
+@dataclass(frozen=True)
+class Request:
+    """The exact jets (``jets.Jet``) of every quantity a Moebius invariant reads, at a
+    point set of K points, and the invariants read from them.
+
+    Each invariant is computed on its first read and kept, so the invariants
+    a caller reads share one stack of frames and one spectrum of h.  Tensor
+    components are in the g-orthonormal frame.
+    """
 
     g: Jet  # I
     h: Jet
@@ -140,6 +127,134 @@ class _Jets(NamedTuple):
     rho: Jet
     log_rho: Jet
     mean: Jet  # H
+    ambient_curvature: float  # c: 0 for Euclidean ambient, 1 for the unit sphere
+
+    @cached_property
+    def frames(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(I, the I-orthonormal frames E, E^T h E), each (K, m, m)."""
+        g = require_symmetric(self.g.value, tol=1e-8, what="first fundamental form")
+        h = require_symmetric(self.h.value, tol=1e-6, what="second fundamental form")
+        frame = gram_schmidt_frames(g)
+        return g, frame, frame.mT @ h @ frame
+
+    @cached_property
+    def B(self) -> np.ndarray:
+        """The trace-free tensor B = (E^T h E - H Id) / rho, (K, m, m).
+
+        As a tensor B = rho (h - H I); dividing its I-orthonormal components
+        by rho^2 re-expresses them in the g-frame, where tr B = 0 and
+        |B|^2 = (n-1)/n hold identically.
+        """
+        h_frame = self.frames[2]
+        mean = self.mean.value[:, None, None]
+        return (h_frame - mean * np.eye(h_frame.shape[-1])) / self.rho.value[:, None, None]
+
+    @cached_property
+    def C(self) -> np.ndarray:
+        """The Moebius 1-form C (K, m), from the frames and the partials of log rho and H:
+
+            C_i = -rho^{-1} [ e_i(H) + sum_j (h_ij - H delta_ij) e_j(log rho) ]
+
+        in the I-orthonormal frame e, then rescaled by 1/rho into the g-frame.
+        The sum against e_j(log rho) completes the gradient coupling so that the
+        expression is a well-formed 1-form; the divergence identity
+        sum_j B_ij,j = -(n-1) C_i checks it (``divergence_residuals``).
+        """
+        _, frame, h_frame = self.frames
+        rho, mean = self.rho.value[:, None], self.mean.value[:, None, None]
+        e_mean = _apply(frame.mT, self.mean.levels[1])
+        e_logrho = _apply(frame.mT, self.log_rho.levels[1])
+        trace_free = h_frame - mean * np.eye(frame.shape[-1])
+        return -(e_mean + _apply(trace_free, e_logrho)) / rho / rho
+
+    @cached_property
+    def A(self) -> np.ndarray:
+        """The Blaschke tensor A (K, m, m), from the frames, the partials of log rho and dI:
+
+            A_ij = e_i(log rho) e_j(log rho) - Hess_ij(log rho) + H h_ij
+                   + 1/2 (c - H^2 - |grad log rho|^2) delta_ij
+
+        in the I-orthonormal frame e (Hessian of the induced metric's
+        connection), divided by rho^2.  c is the ambient curvature.
+        """
+        g, frame, h_frame = self.frames
+        d_logrho, dd_logrho = self.log_rho.levels[1:]
+        ginv = np.linalg.inv(g)
+        gamma = christoffel_symbols(ginv, self.g.levels[1])
+        hess = dd_logrho - np.einsum("...kij,...k->...ij", gamma, d_logrho)
+        e_logrho = _apply(frame.mT, d_logrho)
+        grad2 = (d_logrho[:, None, :] @ ginv @ d_logrho[:, :, None])[:, 0]
+        mean = self.mean.value[:, None, None]
+        iso = 0.5 * (self.ambient_curvature - mean**2 - grad2[:, None])
+        a_theta = (
+            e_logrho[:, :, None] * e_logrho[:, None, :]
+            - frame.mT @ hess @ frame
+            + mean * h_frame
+            + iso * np.eye(g.shape[-1])
+        )
+        return a_theta / self.rho.value[:, None, None] ** 2
+
+    @cached_property
+    def spectra(self) -> tuple[np.ndarray, np.ndarray]:
+        """The principal curvatures and B's eigenvalues, each (K, m) and descending, from
+        one stacked solve of h in the I-frame: B = (E^T h E - H Id) / rho, so
+        eig B = (lambda - H) / rho."""
+        lam = jacobi_eigh(self.frames[2])[0][:, ::-1]
+        return lam, (lam - self.mean.value[:, None]) / self.rho.value[:, None]
+
+    @cached_property
+    def direct_scalar(self) -> np.ndarray:
+        """Full-trace scalar curvature of the Moebius metric rho^2 I, from its jet (K,)."""
+        return curvature_batch(*self.moebius.levels).scalar
+
+    @cached_property
+    def conformal_scalar(self) -> np.ndarray:
+        """The same scalar by the conformal-change formula applied to I with u = log rho
+        (K,).  Its agreement with ``direct_scalar`` is the two-route check: the routes
+        share only the request's jets."""
+        return conformal_scalar_from_jet(curvature_batch(*self.g.levels), *self.log_rho.levels)
+
+    @cached_property
+    def divergence_residuals(self) -> np.ndarray:
+        """Residual of the divergence identity sum_j B_ij,j = -(n-1) C_i at each point (K,).
+
+        Both sides live in the g-orthonormal frame, which is the I-frame over
+        rho; the covariant divergence of the coordinate tensor B = rho (II - H I)
+        is taken with the Moebius metric's connection.  This is the independent
+        cross-check for the completed gradient coupling in the C formula.
+        """
+        frame = self.frames[1]
+        g = self.moebius.value
+        ginv = np.linalg.inv(g)
+        gamma = christoffel_symbols(ginv, self.moebius.levels[1])
+        nabla = covariant_derivative(self.b.value, self.b.levels[1], gamma)
+        div = np.einsum("...bc,...abc->...a", ginv, nabla)
+        div_frame = _apply(frame.mT, div) / self.rho.value[:, None]
+        residual = div_frame + (g.shape[-1] - 1) * self.C
+        return np.max(np.abs(residual), axis=1)
+
+    def records(self, pts: np.ndarray) -> list[MoebiusData]:
+        """The record of each point of pts (K, m), the request's point set: B, C, A and
+        the spectra, and A's from one more stacked solve."""
+        rho, mean = self.rho.value, self.mean.value
+        g_moebius = rho[:, None, None] ** 2 * self.frames[0]
+        lam, b_eig = self.spectra
+        a_eig = jacobi_eigh(self.A)[0][:, ::-1]
+        return [
+            MoebiusData(
+                point=p,
+                rho=float(rho[k]),
+                H=float(mean[k]),
+                g_moebius=g_moebius[k],
+                B=self.B[k],
+                A=self.A[k],
+                C=self.C[k],
+                principal_curvatures=lam[k],
+                B_eigenvalues=b_eig[k],
+                A_eigenvalues=a_eig[k],
+            )
+            for k, p in enumerate(pts)
+        ]
 
 
 @dataclass(frozen=True)
@@ -147,25 +262,27 @@ class SurfaceFields:
     """Vectorized per-point data of one hypersurface.
 
     ambient_curvature is 0 for Euclidean ambient, 1 for the unit sphere.
-    jets(pts, order=2) is the exact ``_Jets`` request at a point set (K, m),
-    each quantity to the order; order 0 gives the values, among them I and
-    h (K, m, m) and rho and H (K,).  It is required: fields without it are
+    jets(pts, order=2) is the exact ``Request`` at a point set (K, m), each
+    quantity to the order; order 0 gives the values, among them I and h
+    (K, m, m) and rho and H (K,).  It is required: fields without it are
     refused with InputError.
     """
 
     dim: int
     ambient_curvature: float
-    jets: Callable[..., _Jets] | None = None
+    jets: Callable[..., Request] | None = None
 
     def __post_init__(self):
         if not callable(self.jets):
             raise InputError("surface fields have no jets")
 
 
-def moebius_jets(first: Jet, second: Jet, rho: Jet, mean: Jet) -> _Jets:
-    """The ``_Jets`` of a request from the jets of I, h, rho and H, at their order, in the
-    jet arithmetic."""
-    return _Jets(
+def moebius_jets(
+    first: Jet, second: Jet, rho: Jet, mean: Jet, ambient_curvature: float
+) -> Request:
+    """The ``Request`` from the jets of I, h, rho and H, at their order, in the jet
+    arithmetic, in an ambient of the curvature."""
+    return Request(
         first,
         second,
         contract(",ab->ab", contract(",->", rho, rho), first),
@@ -173,11 +290,15 @@ def moebius_jets(first: Jet, second: Jet, rho: Jet, mean: Jet) -> _Jets:
         rho,
         compose(rho, log_derivatives(rho.value, rho.order)),
         mean,
+        ambient_curvature,
     )
 
 
-def _jets_from_forms(first: Jet, second: Jet, first_inverse: Jet) -> _Jets:
-    """The ``_Jets`` of the jets of I, h and I^-1: rho and H from them, in the jet arithmetic."""
+def _jets_from_forms(
+    first: Jet, second: Jet, first_inverse: Jet, ambient_curvature: float
+) -> Request:
+    """The ``Request`` of the jets of I, h and I^-1: rho and H from them, in the jet
+    arithmetic."""
     n = first.value.shape[-1]
 
     def trace(a: np.ndarray) -> np.ndarray:  # summed in index order
@@ -189,7 +310,7 @@ def _jets_from_forms(first: Jet, second: Jet, first_inverse: Jet) -> _Jets:
     rho2 = n / (n - 1) * (norm2 - n * contract(",->", mean, mean))
     _umbilic_free(rho2.value)
     rho = compose(rho2, power_derivatives(rho2.value, 0.5, rho2.order))
-    return moebius_jets(first, second, rho, mean)
+    return moebius_jets(first, second, rho, mean, ambient_curvature)
 
 
 def fields_from_immersion(imm: ImmersionHandle) -> SurfaceFields:
@@ -200,177 +321,16 @@ def fields_from_immersion(imm: ImmersionHandle) -> SurfaceFields:
     The orientation sign is resolved once, here.
     """
     sign = orientation_sign(imm)
+    curvature = 1.0 if imm.ambient_kind == UNIT_SPHERE else 0.0
 
-    def jets(pts, order: int = 2) -> _Jets:
-        return _jets_from_forms(*fundamental_form_jets(imm, pts, sign, order))
+    def jets(pts, order: int = 2) -> Request:
+        return _jets_from_forms(*fundamental_form_jets(imm, pts, sign, order), curvature)
 
-    return SurfaceFields(
-        dim=imm.chart_dimension,
-        ambient_curvature=1.0 if imm.ambient_kind == UNIT_SPHERE else 0.0,
-        jets=jets,
-    )
+    return SurfaceFields(dim=imm.chart_dimension, ambient_curvature=curvature, jets=jets)
 
 
 # ---------------------------------------------------------------------------
-# one request per point set
-
-
-def _jets(fields: SurfaceFields, pts: np.ndarray) -> _Jets:
-    """The one request at the point set pts (K, m), or at the one point pts (m,)."""
-    return fields.jets(np.atleast_2d(np.asarray(pts, dtype=float)))
-
-
-# ---------------------------------------------------------------------------
-# derivative-level invariants, each one expression over the request's points
-
-
-def _frames(request: _Jets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(I, the I-orthonormal frames E, E^T h E) at the request's points, each (K, m, m)."""
-    g = require_symmetric(request.g.value, tol=1e-8, what="first fundamental form")
-    h = require_symmetric(request.h.value, tol=1e-6, what="second fundamental form")
-    frame = gram_schmidt_frames(g)
-    return g, frame, frame.mT @ h @ frame
-
-
-def _form(request: _Jets, frame: np.ndarray, h_frame: np.ndarray) -> np.ndarray:
-    """The Moebius 1-form C in the g-frame (K, m), from the frames and the partials of
-    log rho and H:
-
-        C_i = -rho^{-1} [ e_i(H) + sum_j (h_ij - H delta_ij) e_j(log rho) ]
-
-    in the I-orthonormal frame e, then rescaled by 1/rho into the g-frame.
-    The sum against e_j(log rho) completes the gradient coupling so that the
-    expression is a well-formed 1-form; the divergence identity
-    sum_j B_ij,j = -(n-1) C_i checks it (``moebius_form_divergence_residuals``).
-    """
-    rho, mean = request.rho.value[:, None], request.mean.value[:, None, None]
-    e_mean = _apply(frame.mT, request.mean.levels[1])
-    e_logrho = _apply(frame.mT, request.log_rho.levels[1])
-    trace_free = h_frame - mean * np.eye(frame.shape[-1])
-    return -(e_mean + _apply(trace_free, e_logrho)) / rho / rho
-
-
-def _blaschke(
-    request: _Jets, g: np.ndarray, frame: np.ndarray, h_frame: np.ndarray, ambient_curvature: float
-) -> np.ndarray:
-    """The Blaschke tensor A in the g-frame (K, m, m), from the frames, the partials of
-    log rho and dI:
-
-        A_ij = e_i(log rho) e_j(log rho) - Hess_ij(log rho) + H h_ij
-               + 1/2 (c - H^2 - |grad log rho|^2) delta_ij
-
-    in the I-orthonormal frame e (Hessian of the induced metric's connection),
-    divided by rho^2.  c is the ambient curvature constant of the fields.
-    """
-    d_logrho, dd_logrho = request.log_rho.levels[1:]
-    ginv = np.linalg.inv(g)
-    gamma = christoffel_symbols(ginv, request.g.levels[1])
-    hess = dd_logrho - np.einsum("...kij,...k->...ij", gamma, d_logrho)
-    e_logrho = _apply(frame.mT, d_logrho)
-    grad2 = (d_logrho[:, None, :] @ ginv @ d_logrho[:, :, None])[:, 0]
-    mean = request.mean.value[:, None, None]
-    iso = 0.5 * (ambient_curvature - mean**2 - grad2[:, None])
-    a_theta = (
-        e_logrho[:, :, None] * e_logrho[:, None, :]
-        - frame.mT @ hess @ frame
-        + mean * h_frame
-        + iso * np.eye(g.shape[-1])
-    )
-    return a_theta / request.rho.value[:, None, None] ** 2
-
-
-def _direct(request: _Jets) -> np.ndarray:
-    """Full-trace scalar curvature of the metric rho^2 I from its jet at a point set."""
-    return curvature_batch(*request.moebius.levels).scalar
-
-
-def moebius_form_divergence_residuals(fields: SurfaceFields, pts: np.ndarray) -> np.ndarray:
-    """Residual of the divergence identity sum_j B_ij,j = -(n-1) C_i at each point (K,).
-
-    Both sides live in the g-orthonormal frame, which is the I-frame over
-    rho; the covariant divergence of the coordinate tensor B = rho (II - H I)
-    is taken with the Moebius metric's connection.  This is the independent
-    cross-check for the completed gradient coupling in the C formula.
-    """
-    request = _jets(fields, pts)
-    _, frame, h_frame = _frames(request)
-    g = request.moebius.value
-    ginv = np.linalg.inv(g)
-    gamma = christoffel_symbols(ginv, request.moebius.levels[1])
-    nabla = covariant_derivative(request.b.value, request.b.levels[1], gamma)
-    div = np.einsum("...bc,...abc->...a", ginv, nabla)
-    div_frame = _apply(frame.mT, div) / request.rho.value[:, None]
-    residual = div_frame + (g.shape[-1] - 1) * _form(request, frame, h_frame)
-    return np.max(np.abs(residual), axis=1)
-
-
-def moebius_form_divergence_residual(fields: SurfaceFields, p: np.ndarray) -> float:
-    """``moebius_form_divergence_residuals`` at the one point p."""
-    return float(moebius_form_divergence_residuals(fields, p)[0])
-
-
-def direct_scalar(fields: SurfaceFields, pts: np.ndarray):
-    """Full-trace scalar curvature of the Moebius metric rho^2 I: the direct
-    route of ``moebius_scalars`` alone, from the same one request.
-
-    pts is one point (m,), which gives a float, or a point set (K, m),
-    which gives an array (K,).
-    """
-    pts = np.asarray(pts, dtype=float)
-    scalars = _direct(_jets(fields, pts))
-    return float(scalars[0]) if pts.ndim == 1 else scalars
-
-
-def _spectra(request: _Jets, h_frame: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The principal curvatures and B's eigenvalues at the request's points, each (K, m)
-    and descending, from one stacked solve of h in the I-frame: B = (E^T h E - H Id) / rho
-    (``_trace_free``), so eig B = (lambda - H) / rho."""
-    lam = jacobi_eigh(h_frame)[0][:, ::-1]
-    return lam, (lam - request.mean.value[:, None]) / request.rho.value[:, None]
-
-
-def B_eigenvalues_and_scalars(fields: SurfaceFields, pts: np.ndarray):
-    """The eigenvalues of B at each point of pts (K, m), descending (K, m), and the
-    direct scalar (K,), from one request: the spectrum of ``moebius_data``."""
-    request = _jets(fields, pts)
-    return _spectra(request, _frames(request)[2])[1], _direct(request)
-
-
-class MoebiusScalarResult(NamedTuple):
-    direct: float | np.ndarray
-    conformal_route: float | np.ndarray
-
-    def spread(self):
-        return abs(self.direct - self.conformal_route)
-
-
-def moebius_scalars(fields: SurfaceFields, pts: np.ndarray) -> MoebiusScalarResult:
-    """Full-trace scalar curvature of the Moebius metric by two independent routes,
-    at the point set pts (K, m), each route an array (K,).
-
-    direct: curvature of the metric field rho^2 I (``direct_scalar``);
-    conformal_route: the conformal-change formula applied to the induced
-    metric with u = log rho.  Their agreement is the two-route consistency
-    check.  The routes share only the evaluation of their inputs: one
-    request of the fields.
-    """
-    return _scalars(_jets(fields, pts))
-
-
-def _scalars(request: _Jets) -> MoebiusScalarResult:
-    """The two scalar routes of ``moebius_scalars`` from the request."""
-    via = conformal_scalar_from_jet(curvature_batch(*request.g.levels), *request.log_rho.levels)
-    return MoebiusScalarResult(direct=_direct(request), conformal_route=via)
-
-
-def moebius_scalar(fields: SurfaceFields, p: np.ndarray) -> MoebiusScalarResult:
-    """``moebius_scalars`` at the one point p, as floats."""
-    both = moebius_scalars(fields, p)
-    return MoebiusScalarResult(*(float(x[0]) for x in both))
-
-
-# ---------------------------------------------------------------------------
-# assembled per-sample record
+# the record of one point, and the requests at one point
 
 
 @dataclass(frozen=True)
@@ -399,61 +359,28 @@ class MoebiusData:
         return float(np.max(np.abs(c)))
 
 
-def moebius_data_batch(fields: SurfaceFields, pts: np.ndarray) -> list[MoebiusData]:
-    """All invariants at each point of pts (K, m) from one request: B, C and A as one
-    expression over the points, and the spectra as two stacked solves, of h in the
-    I-frame (the principal curvatures and B's eigenvalues) and of A."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    return _records(_jets(fields, pts), pts, fields.ambient_curvature)
-
-
-def _data_and_scalars(
-    fields: SurfaceFields, pts: np.ndarray
-) -> tuple[list[MoebiusData], MoebiusScalarResult]:
-    """``moebius_data_batch`` and ``moebius_scalars`` at the point set pts (K, m), from
-    one request: the immersion's jet is evaluated once for both."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    request = _jets(fields, pts)
-    return _records(request, pts, fields.ambient_curvature), _scalars(request)
-
-
-def _records(request: _Jets, pts: np.ndarray, ambient_curvature: float) -> list[MoebiusData]:
-    """The records of ``moebius_data_batch`` from the request at pts (K, m)."""
-    g, frame, h_frame = _frames(request)
-    rho, mean = request.rho.value, request.mean.value
-    b = _trace_free(h_frame, rho, mean)
-    a = _blaschke(request, g, frame, h_frame, ambient_curvature)
-    c = _form(request, frame, h_frame)
-    g_moebius = rho[:, None, None] ** 2 * g
-    lam, b_eig = _spectra(request, h_frame)
-    a_eig = jacobi_eigh(a)[0][:, ::-1]
-    return [
-        MoebiusData(
-            point=p,
-            rho=float(rho[k]),
-            H=float(mean[k]),
-            g_moebius=g_moebius[k],
-            B=b[k],
-            A=a[k],
-            C=c[k],
-            principal_curvatures=lam[k],
-            B_eigenvalues=b_eig[k],
-            A_eigenvalues=a_eig[k],
-        )
-        for k, p in enumerate(pts)
-    ]
+class MoebiusScalarResult(NamedTuple):
+    direct: float
+    conformal_route: float
 
 
 def moebius_data(fields: SurfaceFields, p: np.ndarray) -> MoebiusData:
-    """``moebius_data_batch`` at the one point p."""
-    return moebius_data_batch(fields, p)[0]
+    """The record at the one point p: ``Request.records`` of a one-point request."""
+    pts = np.asarray(p, dtype=float)[None]
+    return fields.jets(pts).records(pts)[0]
+
+
+def moebius_scalar(fields: SurfaceFields, p: np.ndarray) -> MoebiusScalarResult:
+    """Both scalar routes of a one-point request at p, as floats."""
+    request = fields.jets(np.asarray(p, dtype=float)[None])
+    return MoebiusScalarResult(float(request.direct_scalar[0]), float(request.conformal_scalar[0]))
 
 
 def moebius_form(fields: SurfaceFields, p: np.ndarray) -> np.ndarray:
-    """C in the g-orthonormal frame at the one point p: ``moebius_data``'s C."""
-    return moebius_data(fields, p).C
+    """C in the g-orthonormal frame at the one point p."""
+    return fields.jets(np.asarray(p, dtype=float)[None]).C[0]
 
 
 def blaschke_A(fields: SurfaceFields, p: np.ndarray) -> np.ndarray:
-    """A in the g-orthonormal frame at the one point p: ``moebius_data``'s A."""
-    return moebius_data(fields, p).A
+    """A in the g-orthonormal frame at the one point p."""
+    return fields.jets(np.asarray(p, dtype=float)[None]).A[0]

@@ -166,7 +166,7 @@ def _closed_form_fields(n: int, metric_table, shape_table, curvature: float) -> 
         return first, _diagonal(x[..., :n] for x in shape), rho, mean
 
     def jets(pts, order: int = 2):
-        return moebius_jets(*(Jet(q) for q in forms(pts, order)))
+        return moebius_jets(*(Jet(q) for q in forms(pts, order)), curvature)
 
     return ClosedFormFields(dim=n, ambient_curvature=curvature, jets=jets, first_form=first_form)
 

@@ -3,6 +3,8 @@ import pytest
 
 from mobiusflat.fd import jet_batch
 from mobiusflat.immersion import ImmersionHandle
+from mobiusflat.jets import Jet
+from mobiusflat.moebius import moebius_jets
 from mobiusflat.spiral import (
     IntegratorControls,
     SpiralParams,
@@ -101,3 +103,28 @@ def interior_points(imm, count, seed=0, pad=0.1):
         pts[:, a] += rng.uniform(-0.1, 0.1, size=count) * width
         pts[:, a] = np.clip(pts[:, a], lo + pad, hi - pad)
     return pts
+
+
+def forms_request(g, h, rho, mean):
+    """The order-0 request of the forms I and h (K, m, m) with rho and H (K,), in a
+    flat ambient."""
+    return moebius_jets(*(Jet([np.asarray(x, dtype=float)]) for x in (g, h, rho, mean)), 0.0)
+
+
+def principal_curvatures(first, second):
+    """The principal curvatures, descending, of one point's forms (m, m) or of a stack
+    (K, m, m): the first spectrum of the forms' request.  It reads neither rho nor H,
+    for which 1 and 0 stand in, so umbilic forms are taken too."""
+    g, h = np.asarray(first, dtype=float), np.asarray(second, dtype=float)
+    if g.ndim == 2:
+        return principal_curvatures(g[None], h[None])[0]
+    return forms_request(g, h, np.ones(len(g)), np.zeros(len(g))).spectra[0]
+
+
+def moebius_B(first, second, rho, mean):
+    """B of one point's forms (m, m), with rho and H floats, or of a stack (K, m, m),
+    with rho and H (K,): the B of the forms' request."""
+    g, h, rho, mean = (np.asarray(x, dtype=float) for x in (first, second, rho, mean))
+    if g.ndim == 2:
+        return moebius_B(g[None], h[None], rho[None], mean[None])[0]
+    return forms_request(g, h, rho, mean).B

@@ -4,9 +4,9 @@ and the nested finite-difference pipeline that the exact jets replaced.
 Kept as the test oracles.  Each quantity is asked of the fields on its own:
 I, h, rho and H at p one order-0 request at a time, the partials of log rho,
 H and I each from their own stencil, and the two scalar routes each from their
-own metric-field jets.  The A and C formulas are written out here a second
-time, as they stood before the kernels were shared, so the oracle does not
-lean on the code under test.
+own metric-field jets.  The B, A and C formulas are written out here a
+second time, as they stood before the kernels were shared, so the oracle
+does not lean on the code under test.
 
 ``stencil_fields`` is the Moebius request as it stood before the exact
 jets: one order-4 stencil of ``fd.jet_batch`` over the values of the
@@ -28,16 +28,15 @@ from mobiusflat.linalg import gram_schmidt_frame, jacobi_eigh, require_symmetric
 from mobiusflat.moebius import (
     MoebiusData,
     MoebiusScalarResult,
-    _Jets,
+    Request,
     fields_from_immersion,
-    moebius_B,
     moebius_density,
 )
 
 
 def stencil_jets(fields, pts, step):
-    """The ``_Jets`` of a request at pts from one stencil of the step: the quantities
-    are packed side by side into one field, and split back per quantity."""
+    """The ``Request`` at pts from one stencil of the step: the quantities are packed
+    side by side into one field, and split back per quantity."""
     m = pts.shape[1]
     shapes = [(m, m)] * 4 + [()] * 3
     ends = np.cumsum([0] + [m * m] * 4 + [1] * 3)
@@ -49,11 +48,12 @@ def stencil_jets(fields, pts, step):
         return np.concatenate([x.reshape(x.shape[0], -1) for x in parts], axis=1)
 
     levels = jet_batch(field, pts, step)
-    return _Jets(
+    return Request(
         *(
             Jet(x[..., a:b].reshape(x.shape[:-1] + shape).copy() for x in levels)
             for a, b, shape in zip(ends, ends[1:], shapes)
-        )
+        ),
+        fields.ambient_curvature,
     )
 
 
@@ -150,7 +150,8 @@ def moebius_data(fields, p, step):
     g = _metric_at(fields, p)
     h = _shape_at(fields, p)
     rho, mean = moebius_density(g, h)
-    b = moebius_B(g, h, rho, mean)
+    frame = gram_schmidt_frame(g)
+    b = (frame.T @ h @ frame - mean * np.eye(g.shape[0])) / rho
     a = blaschke_A(fields, p, step)
     wb, _ = jacobi_eigh(b)
     wa, _ = jacobi_eigh(a)

@@ -266,24 +266,34 @@ def test_warped_audit_requests_one_trajectory_at_a_time(monkeypatch):
 
 def test_blaschke_audit_makes_one_request_per_surface(monkeypatch):
     # tr A and the direct scalar come from one request of each surface's
-    # closed forms, with the residuals of the moebius_data_batch and
-    # direct_scalar requests it replaced
+    # closed forms, with the residuals of two separate requests, one for the
+    # records and one for the direct scalar
+    import dataclasses
+
     from mobiusflat import checks
-    from mobiusflat.moebius import direct_scalar, moebius_data_batch
 
-    requests, jets = [], checks._jets
+    requests, honest = [], checks.suite_surfaces
 
-    def recorded(fields, pts):
-        requests.append((fields, pts))
-        return jets(fields, pts)
+    def recorded_surfaces(cfg):
+        surfaces = honest(cfg)
+        for surf in surfaces:
+            closed = surf.closed_form
 
-    monkeypatch.setattr(checks, "_jets", recorded)
+            def recorded(pts, order=2, closed=closed):
+                requests.append((closed, pts))
+                return closed.jets(pts, order)
+
+            recording = dataclasses.replace(closed, jets=recorded)
+            surf.imm = dataclasses.replace(surf.imm, analytic_fields=recording)
+        return surfaces
+
+    monkeypatch.setattr(checks, "suite_surfaces", recorded_surfaces)
     cfg = RunConfig(seed=0, checks="blaschke_trace_audit").validate()
     rows = run_suite(cfg).records[0].details["audit_rows"]
     assert len(requests) == len(rows) == 4
     for (fields, pts), row in zip(requests, rows):
         resid = {name: 0.0 for name in checks.CONVENTION_BY_NAME}
-        for d, full in zip(moebius_data_batch(fields, pts), direct_scalar(fields, pts)):
+        for d, full in zip(fields.jets(pts).records(pts), fields.jets(pts).direct_scalar):
             for name, r_c in checks._mean_by_convention([full], cfg.n).items():
                 target = 1.0 / (2 * cfg.n) + r_c / (2 * (cfg.n - 1))
                 resid[name] = max(resid[name], abs(float(np.trace(d.A)) - target))

@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from mobiusflat.checks import sample_points
 from mobiusflat.cli import main
 from mobiusflat.config import RunConfig, load_config
 from mobiusflat.immersion import ImmersionHandle
-from mobiusflat.moebius import moebius_data_batch, moebius_scalars
+from mobiusflat.moebius import fields_from_immersion
 from mobiusflat.curvature import Convention, convert_scalar
 from mobiusflat.errors import ConfigError
 
@@ -231,8 +232,8 @@ class TestDataCommands:
     @pytest.mark.parametrize("family", ["rotational", "cylinder", "cone", "torus"])
     def test_invariants_make_one_request(self, tmp_path, monkeypatch, family):
         # the records and both scalar routes come from one jet of the immersion
-        # at the sample points, and the table is the bytes of the two requests
-        # of moebius_data_batch and moebius_scalars
+        # at the sample points, and the table is the bytes of two requests, one
+        # for the records and one for the scalars
         cfg_path = write_cfg(tmp_path, f"family = {family}\nsamples = 5\n")
         cfg = load_config(cfg_path)
         imm = cli._build_surface(cfg)
@@ -252,11 +253,20 @@ class TestDataCommands:
         monkeypatch.setattr(ImmersionHandle, "evaluate_jet", counted)
         assert main(["invariants", "--config", cfg_path, "--out", str(tmp_path / "one")]) == 0
         assert sum(at_samples) == 1
-        monkeypatch.setattr(
-            cli,
-            "_data_and_scalars",
-            lambda fields, p: (moebius_data_batch(fields, p), moebius_scalars(fields, p)),
-        )
+        def two_requests(imm):
+            honest = fields_from_immersion(imm)
+
+            def jets(pts, order=2):
+                one, two = honest.jets(pts, order), honest.jets(pts, order)
+                return SimpleNamespace(
+                    records=one.records,
+                    direct_scalar=two.direct_scalar,
+                    conformal_scalar=two.conformal_scalar,
+                )
+
+            return replace(honest, jets=jets)
+
+        monkeypatch.setattr(cli, "fields_from_immersion", two_requests)
         at_samples.clear()
         assert main(["invariants", "--config", cfg_path, "--out", str(tmp_path / "two")]) == 0
         assert sum(at_samples) == 2

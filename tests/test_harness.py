@@ -14,9 +14,11 @@ from mobiusflat import spiral, taylor
 from mobiusflat.checks import (
     CHECK_FUNCTIONS,
     FD_CONVERGENCE_STEPS,
+    preset_trajectory,
     rigidity_initials,
     rigidity_scan,
     run_suite,
+    sample_points,
     suite_surfaces,
 )
 from mobiusflat.config import CHECK_NAMES, RunConfig, parse_config
@@ -31,6 +33,7 @@ from mobiusflat.spiral import (
     integrate_spiral,
     reconstruct_curve,
 )
+from mobiusflat.zoo import EPSILON_BY_FAMILY, build_family
 
 
 class TestConfig:
@@ -91,6 +94,23 @@ class TestConfig:
         with pytest.raises(ConfigError, match="n must be >= 4"):
             parse_config("n = 3\n")
         assert RunConfig(n=4).validate().n == 4
+
+    def test_n_above_seven_refused(self):
+        # the suite's spiral presets are fixed: from n = 8 on, the cone's spiral
+        # ends before its samples fit in its chart
+        with pytest.raises(ConfigError, match="n must be <= 7"):
+            RunConfig(n=8).validate()
+        with pytest.raises(ConfigError, match="n must be <= 7"):
+            parse_config("n = 8\n")
+        assert RunConfig(n=7).validate().n == 7
+
+    def test_samples_refuse_a_chart_narrower_than_two_pads(self):
+        # the suite cone at n = 8 spans s in [0.15, 0.48]: clipped to it at pad
+        # 0.2, every sample would land at s = 0.28
+        cone = build_family("cone", preset_trajectory(8, EPSILON_BY_FAMILY["cone"]), 8)
+        with pytest.raises(InputError, match="narrower than twice the sample pad 0.2"):
+            sample_points(cone, 3, np.random.default_rng(0), pad=0.2)
+        sample_points(cone, 3, np.random.default_rng(0), pad=0.12)
 
     def test_hash_tracks_content(self):
         a = RunConfig().validate()
@@ -284,27 +304,26 @@ class TestSuite:
     def test_blaschke_audit_reports_worst_surface(self, monkeypatch):
         # shift tr A on the torus only: no normalization fits it, and the
         # audit's residual must show that surface, not the best one
-        from mobiusflat import checks
+        from mobiusflat import checks, moebius
 
         cfg = RunConfig(samples=4).validate()
         surfaces = suite_surfaces(cfg)
-        torus_fields = checks._surface(surfaces, "torus").closed_form
-        jets, honest, torus_requests = checks._jets, checks._blaschke, []
+        torus = checks._surface(surfaces, "torus")
+        closed, honest, torus_requests = torus.closed_form, moebius.Request.A.func, []
 
-        def tagged(fields, pts):
-            request = jets(fields, pts)
-            if fields is torus_fields:
-                torus_requests.append(request)
-            return request
+        def tagged(pts, order=2):
+            torus_requests.append(closed.jets(pts, order))
+            return torus_requests[-1]
 
-        def shifted(request, *frames_and_curvature):
-            a = honest(request, *frames_and_curvature)
+        def shifted(request):
+            a = honest(request)
             if any(request is r for r in torus_requests):
                 return a + np.eye(a.shape[-1])
             return a
 
-        monkeypatch.setattr(checks, "_jets", tagged)
-        monkeypatch.setattr(checks, "_blaschke", shifted)
+        tagged_fields = dataclasses.replace(closed, jets=tagged)
+        torus.imm = dataclasses.replace(torus.imm, analytic_fields=tagged_fields)
+        monkeypatch.setattr(moebius.Request, "A", property(shifted))
         record = CHECK_FUNCTIONS["blaschke_trace_audit"](cfg, surfaces, np.random.default_rng(0))
         best = {
             row["identity"].rsplit(" ", 1)[-1]: min(row["residual_by_convention"].values())
@@ -315,16 +334,16 @@ class TestSuite:
 
     def test_scalar_constancy_spreads_over_two_points_at_one_sample(self, monkeypatch):
         # one point per surface would give a spread of exactly 0, measuring nothing
-        from mobiusflat import checks
+        from mobiusflat import moebius
 
         counts = []
-        honest = checks.direct_scalar
+        honest = moebius.Request.direct_scalar.func
 
-        def counting(fields, pts):
-            counts.append(len(pts))
-            return honest(fields, pts)
+        def counting(request):
+            counts.append(len(request.rho.value))
+            return honest(request)
 
-        monkeypatch.setattr(checks, "direct_scalar", counting)
+        monkeypatch.setattr(moebius.Request, "direct_scalar", property(counting))
         cfg = RunConfig(samples=1).validate()
         check = CHECK_FUNCTIONS["scalar_constancy"]
         record = check(cfg, suite_surfaces(cfg), np.random.default_rng(0))

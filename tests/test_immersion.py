@@ -13,20 +13,18 @@ from mobiusflat.immersion import (
     first_fundamental_form_batch,
     fundamental_form_jets,
     jacobian,
-    principal_curvatures,
     second_fundamental_form,
     second_fundamental_form_batch,
     unit_normal,
     unit_normal_batch,
 )
-from mobiusflat.moebius import moebius_B
 from mobiusflat.zoo import inverse_stereographic, sphere_chart
 
 import fd_oracle
 from fd_oracle import with_fd_jet
 from conftest import FD_STEP as STEP
 from conftest import fd_handle as handle
-from conftest import N_DIM, interior_points
+from conftest import N_DIM, interior_points, moebius_B, principal_curvatures
 
 
 def graph_surface():

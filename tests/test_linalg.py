@@ -7,15 +7,14 @@ from mobiusflat import linalg
 from mobiusflat.errors import DegenerateGeometryError, InputError
 
 import curvature_oracle
-from conftest import interior_points
-from mobiusflat.immersion import principal_curvatures
+from conftest import interior_points, principal_curvatures
 from mobiusflat.linalg import (
     gram_schmidt_frame,
     gram_schmidt_frames,
     jacobi_eigh,
     require_symmetric,
 )
-from mobiusflat.moebius import fields_from_immersion, moebius_data_batch
+from mobiusflat.moebius import fields_from_immersion
 
 
 def random_symmetric(rng, shape):
@@ -122,7 +121,8 @@ def test_gram_schmidt_frames_ignore_the_memory_layout(rotational):
     # the Moebius metrics of seven points, stacked in Fortran order: each frame
     # equals that of the point alone, bit for bit
     pts = interior_points(rotational, 7, seed=0)
-    g = np.array([d.g_moebius for d in moebius_data_batch(fields_from_immersion(rotational), pts)])
+    records = fields_from_immersion(rotational).jets(pts).records(pts)
+    g = np.array([d.g_moebius for d in records])
     frames = gram_schmidt_frames(np.asfortranarray(g))
     for k in range(len(pts)):
         assert np.array_equal(frames[k], gram_schmidt_frame(g[k]))

@@ -10,7 +10,6 @@ from mobiusflat.immersion import (
     first_fundamental_form_batch,
     fundamental_form_jets,
     jacobian,
-    principal_curvatures,
     second_fundamental_form_batch,
     unit_normal,
     unit_normal_batch,
@@ -32,7 +31,7 @@ from mobiusflat.zoo import (
 import moebius_oracle
 from fd_oracle import with_fd_jet
 from conftest import FD_STEP as STEP
-from conftest import N_DIM, fd_handle, interior_points
+from conftest import N_DIM, fd_handle, interior_points, principal_curvatures
 
 
 def fd_vs_analytic(imm, count=8, seed=1):
