@@ -34,13 +34,7 @@ from .errors import (
     MobiusFlatError,
     UmbilicPointError,
 )
-from .immersion import (
-    ImmersionHandle,
-    first_fundamental_form,
-    jacobian,
-    second_fundamental_form,
-    unit_normal,
-)
+from .immersion import ImmersionHandle
 from .moebius import (
     MoebiusData,
     Request,
@@ -48,7 +42,6 @@ from .moebius import (
     blaschke_A,
     fields_from_immersion,
     moebius_data,
-    moebius_density,
     moebius_form,
     moebius_scalar,
 )

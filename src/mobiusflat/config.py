@@ -150,6 +150,11 @@ class RunConfig:
         ):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        if self.grid_spread >= 1:
+            raise ConfigError(
+                "grid_spread must be below 1: the rigidity grid's lowest kappa0, "
+                "kappa* (1 - grid_spread), must stay positive"
+            )
         if self.kappa_floor >= self.kappa_ceiling:
             raise ConfigError("kappa_floor must be below kappa_ceiling")
         if not self.kappa_floor < self.kappa0 < self.kappa_ceiling:

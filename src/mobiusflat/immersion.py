@@ -1,14 +1,16 @@
-"""Immersed hypersurfaces given by an explicit chart evaluator.
+"""Immersed hypersurfaces given by the jet of their chart map.
 
-The handle wraps a vectorized evaluator f: (K, m) -> (K, N) together with
-chart bounds, an orientation seed and a jet of f: jet(pts, order) gives
-the partials of order 0..order, level j of shape (K, m, ..., m, N) (the
-layout of ``fd.jet_batch`` at order 2).  Every handle carries a jet; one
-without is refused.  Everything downstream is computed from one jet
-evaluation per point set: I, II and the normals from the 2-jet, and the
-k-jets of I, II and I^-1 (``fundamental_form_jets``, what a Moebius request
-of order k reads) from the (k + 2)-jet, in the truncated Taylor arithmetic
-of ``jets``.  The generators' jets are exact at any order.
+The handle carries one map, its jet: jet(pts, order) gives the partials of
+f: (K, m) -> (K, N) of order 0..order at the points, level j of shape
+(K, m, ..., m, N) (the layout of ``fd.jet_batch`` at order 2), together with
+chart bounds and an orientation seed.  Every handle carries a jet; one
+without is refused.  Calling the handle gives level 0 of its jet, so every
+value a handle returns comes from the one formula its derivatives come from.
+Everything downstream is computed from one jet evaluation per point set: I,
+II and the normals from the 2-jet, and the k-jets of I, II and I^-1
+(``fundamental_form_jets``, what a Moebius request of order k reads) from
+the (k + 2)-jet, in the truncated Taylor arithmetic of ``jets``.  The
+generators' jets are exact at any order.
 
 Normals are produced by the generalized cross product of the tangent
 vectors (plus the position vector for immersions into the unit sphere),
@@ -37,22 +39,19 @@ _RANK_FLOOR = 1e-18
 
 @dataclass(frozen=True)
 class ImmersionHandle:
-    """Evaluatable parametric map from an m-chart into R^N."""
+    """A parametric map from an m-chart into R^N, given by its jet."""
 
     chart_dimension: int
     ambient_dimension: int
-    evaluator: Callable[[np.ndarray], np.ndarray]
+    # jet(pts, order): the map's partials of order 0..order, level j
+    # (K, m, ..., m, N), in the layout of fd.jet_batch
+    jet: Callable[..., tuple[np.ndarray, ...]]
     ambient_kind: str = EUCLIDEAN
     orientation_seed: np.ndarray | None = None
     base_point: np.ndarray | None = None
     domain: tuple[tuple[float, float], ...] | None = None
     name: str = ""
     analytic_fields: object = field(default=None, compare=False, repr=False)
-    # jet(pts, order): the evaluator's partials of order 0..order, level j
-    # (K, m, ..., m, N), in the layout of fd.jet_batch; required
-    jet: Callable[..., tuple[np.ndarray, ...]] | None = field(
-        default=None, compare=False, repr=False
-    )
 
     def __post_init__(self):
         if not callable(self.jet):
@@ -80,48 +79,34 @@ class ImmersionHandle:
                     f"range [{lo:.6g}, {hi:.6g}]"
                 )
 
-    def _chart_points(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if pts.shape[1] != self.chart_dimension:
-            raise InputError(
-                f"expected chart dimension {self.chart_dimension}, got {pts.shape[1]}"
-            )
-        self.check_domain(pts)
-        return pts
-
-    def _image(self, out, count: int) -> np.ndarray:
-        """Evaluator values at count points, checked for shape and, in the sphere, norm."""
-        out = np.asarray(out, dtype=float)
-        if out.shape != (count, self.ambient_dimension):
-            raise InputError("evaluator returned a wrongly shaped array")
-        if self.ambient_kind == UNIT_SPHERE:
-            r = np.linalg.norm(out, axis=1)
-            worst = float(np.max(np.abs(r - 1.0))) if r.size else 0.0
-            if worst > _SPHERE_TOL:
-                raise DegenerateGeometryError(
-                    f"sphere-ambient image leaves the unit sphere by {worst:.3e}"
-                )
-        return out
-
     def __call__(self, pts: np.ndarray) -> np.ndarray:
-        pts = self._chart_points(pts)
-        return self._image(self.evaluator(pts), pts.shape[0])
+        """The values (K, N) at pts: level 0 of the jet, with every check of
+        ``evaluate_jet``."""
+        return self.evaluate_jet(pts, 0)[0]
 
     def evaluate_jet(self, pts: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
         """The partials of order 0..order at pts: values (K, N), first (K, m, N),
         second (K, m, m, N) and so on.
 
-        Applies every check of ``__call__`` (chart dimension, domain, shape
-        and the unit-sphere tolerance on the values), plus the shapes of the
-        derivatives.
+        Checks the chart dimension, the domain, the shape of every level and,
+        in the sphere, the norm of the values.
         """
-        pts = self._chart_points(pts)
-        values, *ders = self.jet(pts, order)
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
         k, m, n = pts.shape[0], self.chart_dimension, self.ambient_dimension
-        ders = [np.asarray(d, dtype=float) for d in ders]
-        if [d.shape for d in ders] != [(k,) + (m,) * j + (n,) for j in range(1, order + 1)]:
-            raise InputError("jet returned wrongly shaped derivatives")
-        return (self._image(values, k), *ders)
+        if pts.shape[1] != m:
+            raise InputError(f"expected chart dimension {m}, got {pts.shape[1]}")
+        self.check_domain(pts)
+        levels = tuple(np.asarray(x, dtype=float) for x in self.jet(pts, order))
+        if [x.shape for x in levels] != [(k,) + (m,) * j + (n,) for j in range(order + 1)]:
+            raise InputError("jet returned wrongly shaped levels")
+        if self.ambient_kind == UNIT_SPHERE:
+            r = np.linalg.norm(levels[0], axis=1)
+            worst = float(np.max(np.abs(r - 1.0))) if r.size else 0.0
+            if worst > _SPHERE_TOL:
+                raise DegenerateGeometryError(
+                    f"sphere-ambient image leaves the unit sphere by {worst:.3e}"
+                )
+        return levels
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +121,6 @@ def jacobian_batch(imm: ImmersionHandle, pts: np.ndarray) -> np.ndarray:
     return np.swapaxes(imm.evaluate_jet(pts)[1], 1, 2)
 
 
-def jacobian(imm: ImmersionHandle, p: np.ndarray) -> np.ndarray:
-    return jacobian_batch(imm, np.asarray(p, dtype=float)[None, :])[0]
-
 
 def first_fundamental_form_batch(imm: ImmersionHandle, pts: np.ndarray) -> np.ndarray:
     jac = jacobian_batch(imm, pts)
@@ -146,9 +128,6 @@ def first_fundamental_form_batch(imm: ImmersionHandle, pts: np.ndarray) -> np.nd
     _require_full_rank(gram)
     return gram
 
-
-def first_fundamental_form(imm: ImmersionHandle, p: np.ndarray) -> np.ndarray:
-    return first_fundamental_form_batch(imm, np.asarray(p, dtype=float)[None, :])[0]
 
 
 def _require_full_rank(gram: np.ndarray) -> None:
@@ -216,9 +195,6 @@ def unit_normal_batch(imm: ImmersionHandle, pts: np.ndarray) -> np.ndarray:
     return orientation_sign(imm) * _raw_normal_batch(imm, pts)
 
 
-def unit_normal(imm: ImmersionHandle, p: np.ndarray) -> np.ndarray:
-    return unit_normal_batch(imm, np.asarray(p, dtype=float)[None, :])[0]
-
 
 def fundamental_form_jets(
     imm: ImmersionHandle, pts: np.ndarray, sign: float | None = None, order: int = 2
@@ -266,6 +242,3 @@ def second_fundamental_form_batch(imm: ImmersionHandle, pts: np.ndarray) -> np.n
     _require_full_rank(np.einsum("kna,knb->kab", jac, jac))
     return np.einsum("kabn,kn->kab", hess, orientation_sign(imm) * _raw_normal(imm, pos, jac))
 
-
-def second_fundamental_form(imm: ImmersionHandle, p: np.ndarray) -> np.ndarray:
-    return second_fundamental_form_batch(imm, np.asarray(p, dtype=float)[None, :])[0]

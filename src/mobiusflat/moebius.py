@@ -31,7 +31,7 @@ arithmetic of ``jets``):
 * fields from an immersion (``fields_from_immersion``) take I and h from
   one jet of the immersion at the point set, of the request's order plus
   two, and rho and H from them (``_jets_from_forms``, the one formula of
-  rho and H, which ``moebius_density`` applies at one point);
+  rho and H);
 * the generators' closed forms (``zoo``) give all four as exact products of
   one-variable factors.
 
@@ -66,7 +66,7 @@ from .curvature import (
 )
 from .errors import InputError, UmbilicPointError
 from .immersion import UNIT_SPHERE, ImmersionHandle, fundamental_form_jets, orientation_sign
-from .jets import Jet, compose, contract, inverse, log_derivatives, power_derivatives
+from .jets import Jet, compose, contract, log_derivatives, power_derivatives
 from .linalg import gram_schmidt_frames, jacobi_eigh, require_symmetric
 
 UMBILIC_THRESHOLD = 1e-18
@@ -81,24 +81,6 @@ def _umbilic_free(rho2: np.ndarray) -> np.ndarray:
         worst = float(np.min(rho2))
         raise UmbilicPointError(f"rho^2 = {worst:.3e}: umbilic point, invariants undefined")
     return rho2
-
-
-def moebius_density(first: np.ndarray, second: np.ndarray) -> tuple[float, float]:
-    """(rho, H) from the fundamental forms (m, m) at one point.
-
-    H is the trace of the shape operator over n; rho is the positive root
-    of the density formula: the order-0 request of the forms at one point
-    (``_jets_from_forms``).  Raises UmbilicPointError when rho^2 falls at
-    or below 1e-18, and DegenerateGeometryError when I is not positive
-    definite, by the test of ``gram_schmidt_frames`` that ``Request.frames``
-    applies.
-    """
-    g = np.asarray(first, dtype=float)
-    h = require_symmetric(np.asarray(second, dtype=float), what="shape tensor")
-    gram_schmidt_frames(g[None])
-    first = Jet([g[None]])
-    request = _jets_from_forms(first, Jet([h[None]]), inverse(first), 0.0)
-    return float(request.rho.value[0]), float(request.mean.value[0])
 
 
 def _apply(a: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -9,10 +9,11 @@ Four generators, all built over a spiral trajectory or a radius parameter:
 * torus      (u, angles) -> (a cos u, a sin u, r sphere(angles)) in S^(n+1),
                             a = sqrt(1 - r^2)
 
-Each handle carries closed-form fields (``analytic_fields``) and an exact
-jet of its immersion at any order (``jet``), from which the generic
-pipeline takes every derivative of f, so identity checks can be run on
-either route.  The closed forms are exact jets of their own: I, II, rho and
+Each surface is written once, as the exact jet of its immersion at any
+order (``jet``): f itself is level 0, and the generic pipeline takes every
+derivative of f from the same jet.  Each handle also carries closed-form
+fields (``analytic_fields``), so identity checks can be run on either
+route.  The closed forms are exact jets of their own: I, II, rho and
 H as products of one-variable factors (see "closed forms" below), which
 never read the immersion's jet, so the closed-form route stays independent
 of the pipeline's.  The curve factors of both read their s-derivatives
@@ -22,8 +23,8 @@ the lift in the truncated Taylor arithmetic of ``jets``, the homothety by
 its scaling of each level.
 
 The model maps between the ambient space forms are also here: the inverse
-stereographic lift R^(n+1) -> S^(n+1), its inverse, and the hyperboloid to
-hemisphere map H^(n+1) -> S^(n+1)_+.
+stereographic lift R^(n+1) -> S^(n+1) (level 0 of the lift's jet), its
+inverse, and the hyperboloid to hemisphere map H^(n+1) -> S^(n+1)_+.
 """
 
 from __future__ import annotations
@@ -227,29 +228,14 @@ def _sphere_metric_factors(angles: np.ndarray, order: int) -> list[tuple[np.ndar
 # spherical charts
 
 
-def sphere_chart(angles: np.ndarray) -> np.ndarray:
-    """Spherical-coordinate immersion S^d -> R^(d+1), angles (K, d).
-
-    First d-1 angles are polar (kept away from 0 and pi by the callers),
-    the last is azimuthal.
-    """
-    angles = np.atleast_2d(angles)
-    k, d = angles.shape
-    out = np.empty((k, d + 1))
-    sin_prod = np.ones(k)
-    for i in range(d):
-        out[:, i] = sin_prod * np.cos(angles[:, i])
-        sin_prod = sin_prod * np.sin(angles[:, i])
-    out[:, d] = sin_prod
-    return out
-
-
 def _sphere_factors(angles: np.ndarray, order: int) -> list[tuple[np.ndarray, ...]]:
-    """Per angle, its factor in each component of sphere_chart, with `order` derivatives.
+    """Per angle, its factor in each component of the spherical-coordinate chart
+    S^d -> R^(d+1), with `order` derivatives; angles (K, d).
 
-    Component i is prod_{j<i} sin(a_j) cos(a_i) (the last one has no cosine),
-    so angle j is 1 in the components before j, cos in component j and sin
-    after it.  Each returned array is (K, d+1).
+    The first d-1 angles are polar (kept away from 0 and pi by the callers),
+    the last is azimuthal.  Component i is prod_{j<i} sin(a_j) cos(a_i) (the
+    last one has no cosine), so angle j is 1 in the components before j, cos
+    in component j and sin after it.  Each returned array is (K, d+1).
     """
     d = angles.shape[1]
     idx = np.arange(d + 1)
@@ -263,11 +249,6 @@ def _sphere_factors(angles: np.ndarray, order: int) -> list[tuple[np.ndarray, ..
             )
         )
     return out
-
-
-def sphere_chart_jet(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """sphere_chart with its exact partials: (K, d+1), (K, d, d+1), (K, d, d, d+1)."""
-    return _product_jet(_sphere_factors(np.atleast_2d(angles), 2))
 
 
 def sphere_chart_metric(angles: np.ndarray) -> np.ndarray:
@@ -305,11 +286,6 @@ def cylinder_immersion(traj: SpiralTrajectory, n: int) -> ImmersionHandle:
         raise InputError("run reconstruct_curve on the trajectory first")
     lo, hi = _traj_margin(traj)
 
-    def evaluator(pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        c = traj.curve_at(pts[:, 0])
-        return np.concatenate([c[:, 0:2], pts[:, 1:]], axis=1)
-
     def jet(pts: np.ndarray, order: int):
         curve = _padded([c[:, 0:2] for c in traj.curve_jet(pts[:, 0], order)], after=n - 1)
         return _product_jet(
@@ -335,14 +311,13 @@ def cylinder_immersion(traj: SpiralTrajectory, n: int) -> ImmersionHandle:
     return ImmersionHandle(
         chart_dimension=n,
         ambient_dimension=n + 1,
-        evaluator=evaluator,
+        jet=jet,
         ambient_kind=EUCLIDEAN,
         orientation_seed=seed,
         base_point=base,
         domain=tuple(domain),
         name="cylinder",
         analytic_fields=fields,
-        jet=jet,
     )
 
 
@@ -357,11 +332,6 @@ def cone_immersion(traj: SpiralTrajectory, n: int) -> ImmersionHandle:
     if not traj.joint:
         raise InputError("run reconstruct_curve on the trajectory first")
     lo, hi = _traj_margin(traj)
-
-    def evaluator(pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        gam = traj.curve_at(pts[:, 0])[:, 0:3]
-        return np.concatenate([pts[:, 1:2] * gam, pts[:, 2:]], axis=1)
 
     def jet(pts: np.ndarray, order: int):
         gam = _padded([c[:, 0:3] for c in traj.curve_jet(pts[:, 0], order)], after=n - 2)
@@ -395,14 +365,13 @@ def cone_immersion(traj: SpiralTrajectory, n: int) -> ImmersionHandle:
     return ImmersionHandle(
         chart_dimension=n,
         ambient_dimension=n + 1,
-        evaluator=evaluator,
+        jet=jet,
         ambient_kind=EUCLIDEAN,
         orientation_seed=seed,
         base_point=base,
         domain=tuple(domain),
         name="cone",
         analytic_fields=fields,
-        jet=jet,
     )
 
 
@@ -425,12 +394,6 @@ def rotational_immersion(traj: SpiralTrajectory, n: int) -> ImmersionHandle:
     lo, hi = _traj_margin(traj)
     d = n - 1  # sphere factor dimension
 
-    def evaluator(pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        c = _upper(traj.curve_at(pts[:, 0]))
-        sph = sphere_chart(pts[:, 1:])
-        return np.concatenate([c[:, 0:1], c[:, 1:2] * sph], axis=1)
-
     def jet(pts: np.ndarray, order: int):
         # x(s) in the first component, y(s) times the sphere factors in the others
         curve = traj.curve_jet(pts[:, 0], order)
@@ -445,7 +408,7 @@ def rotational_immersion(traj: SpiralTrajectory, n: int) -> ImmersionHandle:
     s_base = 0.5 * (lo + hi)
     c0 = traj.curve_at(np.array([s_base]))[0]
     phi0 = c0[2]
-    sph0 = sphere_chart(_angle_base(d)[None, :])[0]
+    sph0 = _product_jet(_sphere_factors(_angle_base(d)[None, :], 0))[0][0]
     seed = np.concatenate([[-np.sin(phi0)], np.cos(phi0) * sph0])
     base = np.concatenate([[s_base], _angle_base(d)])
     domain = [(lo, hi)] + _angle_domain(d)
@@ -474,14 +437,13 @@ def rotational_immersion(traj: SpiralTrajectory, n: int) -> ImmersionHandle:
     return ImmersionHandle(
         chart_dimension=n,
         ambient_dimension=n + 1,
-        evaluator=evaluator,
+        jet=jet,
         ambient_kind=EUCLIDEAN,
         orientation_seed=seed,
         base_point=base,
         domain=tuple(domain),
         name="rotational",
         analytic_fields=fields,
-        jet=jet,
     )
 
 
@@ -496,14 +458,6 @@ def torus_immersion(r: float, n: int) -> ImmersionHandle:
     a = float(np.sqrt(1.0 - r * r))
     d = n - 1
 
-    def evaluator(pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        u = pts[:, 0]
-        sph = sphere_chart(pts[:, 1:])
-        return np.concatenate(
-            [a * np.cos(u)[:, None], a * np.sin(u)[:, None], r * sph], axis=1
-        )
-
     def jet(pts: np.ndarray, order: int):
         # (a cos u, a sin u) in the first two components, r times the sphere factors after
         cos_ders, sin_ders = _trig(pts[:, 0:1], order)
@@ -517,7 +471,7 @@ def torus_immersion(r: float, n: int) -> ImmersionHandle:
         )
 
     base = np.concatenate([[0.0], _angle_base(d)])
-    sph0 = sphere_chart(_angle_base(d)[None, :])[0]
+    sph0 = _product_jet(_sphere_factors(_angle_base(d)[None, :], 0))[0][0]
     seed = np.concatenate([[-r, 0.0], a * sph0])
     domain = [(-np.pi, np.pi)] + _angle_domain(d)
 
@@ -539,14 +493,13 @@ def torus_immersion(r: float, n: int) -> ImmersionHandle:
     return ImmersionHandle(
         chart_dimension=n,
         ambient_dimension=n + 2,
-        evaluator=evaluator,
+        jet=jet,
         ambient_kind=UNIT_SPHERE,
         orientation_seed=seed,
         base_point=base,
         domain=tuple(domain),
         name="torus",
         analytic_fields=fields,
-        jet=jet,
     )
 
 
@@ -555,11 +508,9 @@ def torus_immersion(r: float, n: int) -> ImmersionHandle:
 
 
 def inverse_stereographic(u: np.ndarray) -> np.ndarray:
-    """R^N -> S^N in R^(N+1): u -> ((1-|u|^2)/(1+|u|^2), 2u/(1+|u|^2))."""
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    den = 1.0 + np.sum(u * u, axis=1)
-    first = (2.0 - den) / den
-    return np.concatenate([first[:, None], 2.0 * u / den[:, None]], axis=1)
+    """R^N -> S^N in R^(N+1): u -> ((1-|u|^2)/(1+|u|^2), 2u/(1+|u|^2)), level 0 of
+    ``_lift_jet``."""
+    return _lift_jet([np.atleast_2d(np.asarray(u, dtype=float))])[0]
 
 
 def stereographic(w: np.ndarray) -> np.ndarray:
@@ -579,17 +530,9 @@ def hyperboloid_to_hemisphere(y: np.ndarray) -> np.ndarray:
     return np.concatenate([1.0 / y[:, 0:1], y[:, 1:] / y[:, 0:1]], axis=1)
 
 
-def _stereo_lift_differential(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Directional derivative of the inverse stereographic lift at u along v."""
-    den = 1.0 + float(u @ u)
-    num = np.concatenate([[1.0 - u @ u], 2.0 * u])
-    dnum = np.concatenate([[-2.0 * (u @ v)], 2.0 * v])
-    dden = 2.0 * (u @ v)
-    return dnum / den - num * dden / den**2
-
-
 def _lift_jet(levels) -> tuple[np.ndarray, ...]:
-    """The jet of inverse_stereographic(f) from the jet of f, in the jet arithmetic.
+    """The jet of the inverse stereographic lift of f from the jet of f, in the jet
+    arithmetic: the one formula of the lift.
 
     The lift is (2 sig - 1, 2 sig u) with sig = 1 / (1 + |u|^2).
     """
@@ -607,16 +550,15 @@ def lift_to_sphere(imm: ImmersionHandle) -> ImmersionHandle:
     if imm.ambient_kind != EUCLIDEAN:
         raise InputError("only Euclidean-ambient immersions can be lifted")
 
-    def evaluator(pts: np.ndarray) -> np.ndarray:
-        return inverse_stereographic(imm(pts))
-
     def jet(pts: np.ndarray, order: int):
         return _lift_jet(imm.evaluate_jet(pts, order))
 
     seed = None
     if imm.orientation_seed is not None and imm.base_point is not None:
-        f0 = imm(imm.base_point[None, :])[0]
-        lifted = _stereo_lift_differential(f0, imm.orientation_seed)
+        # the lift's differential at f0 along the seed: level 1 of the lift of
+        # the line t -> f0 + t seed
+        f0 = imm(imm.base_point[None, :])
+        lifted = _lift_jet([f0, imm.orientation_seed[None, None, :]])[1][0, 0]
         nrm = np.linalg.norm(lifted)
         if nrm <= 1e-14:
             raise DegenerateGeometryError("orientation seed collapses under the lift")
@@ -625,14 +567,13 @@ def lift_to_sphere(imm: ImmersionHandle) -> ImmersionHandle:
     return ImmersionHandle(
         chart_dimension=imm.chart_dimension,
         ambient_dimension=imm.ambient_dimension + 1,
-        evaluator=evaluator,
+        jet=jet,
         ambient_kind=UNIT_SPHERE,
         orientation_seed=seed,
         base_point=imm.base_point,
         domain=imm.domain,
         name=f"{imm.name}+lift" if imm.name else "lift",
         analytic_fields=None,
-        jet=jet,
     )
 
 
@@ -649,9 +590,6 @@ def scale_immersion(imm: ImmersionHandle, factor: float) -> ImmersionHandle:
     if imm.ambient_kind != EUCLIDEAN:
         raise InputError("only Euclidean-ambient immersions can be scaled")
 
-    def evaluator(pts: np.ndarray) -> np.ndarray:
-        return factor * imm(np.atleast_2d(pts) / factor)
-
     def jet(pts: np.ndarray, order: int):
         # level j of f_l(x) = l f(x / l) is l^(1 - j) times that of f at x / l
         values, *ders = imm.evaluate_jet(np.atleast_2d(pts) / factor, order)
@@ -667,14 +605,13 @@ def scale_immersion(imm: ImmersionHandle, factor: float) -> ImmersionHandle:
     return ImmersionHandle(
         chart_dimension=imm.chart_dimension,
         ambient_dimension=imm.ambient_dimension,
-        evaluator=evaluator,
+        jet=jet,
         ambient_kind=imm.ambient_kind,
         orientation_seed=imm.orientation_seed,
         base_point=None if imm.base_point is None else factor * imm.base_point,
         domain=domain,
         name=f"{imm.name}*{factor:g}" if imm.name else f"scale*{factor:g}",
         analytic_fields=None,
-        jet=jet,
     )
 
 

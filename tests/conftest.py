@@ -1,8 +1,6 @@
 import numpy as np
 import pytest
 
-from mobiusflat.fd import jet_batch
-from mobiusflat.immersion import ImmersionHandle
 from mobiusflat.jets import Jet
 from mobiusflat.moebius import moebius_jets
 from mobiusflat.spiral import (
@@ -19,25 +17,13 @@ from mobiusflat.zoo import (
     torus_immersion,
 )
 
+import zoo_oracle
+from fd_oracle import fd_handle
+
 N_DIM = 4
 # the classical optimum eps**(1/6) of the order-4 second difference
 FD_STEP = np.finfo(float).eps ** (1 / 6)
-
-
-def fd_handle(m, n, evaluator, **kw):
-    """A handle over a bare evaluator, differentiated by finite differences.
-
-    Its jet is the one ``with_fd_jet`` gives: one FD jet of the handle itself
-    with FD_STEP, so stencil points are checked against the domain too.
-    """
-    imm = ImmersionHandle(
-        chart_dimension=m,
-        ambient_dimension=n,
-        evaluator=evaluator,
-        jet=lambda pts, order: jet_batch(imm, pts, FD_STEP)[: order + 1],
-        **kw,
-    )
-    return imm
+TORUS_R = 0.5  # the radius of the torus fixture
 
 
 def make_trajectory(epsilon, big_r, kappa0, kappa_s0, s_max):
@@ -84,7 +70,21 @@ def rotational(rotational_traj):
 
 @pytest.fixture(scope="session")
 def torus():
-    return torus_immersion(0.5, N_DIM)
+    return torus_immersion(TORUS_R, N_DIM)
+
+
+def surface_map(name, request):
+    """The bare map of the fixture surface name (cylinder, cone, rotational or torus):
+    its formula in ``zoo_oracle``, over the fixture's trajectory."""
+    if name == "torus":
+        return zoo_oracle.torus(TORUS_R)
+    return getattr(zoo_oracle, name)(request.getfixturevalue(f"{name}_traj"))
+
+
+def fd_surface(name, request):
+    """The fixture surface name on the FD route: its exact jet replaced by the FD jet
+    of its ``zoo_oracle`` map, with step FD_STEP."""
+    return fd_handle(surface_map(name, request), FD_STEP, like=request.getfixturevalue(name))
 
 
 def interior_points(imm, count, seed=0, pad=0.1):

@@ -6,9 +6,10 @@ difference stencils of each point, summed block by block.  ``jet_batch``
 builds the same points in the same order, so its second partials must equal
 these bit for bit.
 
-``with_fd_jet`` gives a handle the FD 2-jet of its evaluator in place of its
-exact jet, and ``recomputed_curvature`` differences a stored spiral curve on
-its sample grid.
+``fd_handle`` gives a handle whose jet is the FD 2-jet of a bare map, such
+as a generator's map in ``zoo_oracle``, in place of an exact jet, and
+``recomputed_curvature`` differences a stored spiral curve on its sample
+grid.
 """
 
 from dataclasses import replace
@@ -17,6 +18,7 @@ import numpy as np
 
 from mobiusflat.errors import InputError
 from mobiusflat.fd import _D1_OFFS, _D1_WTS, _D2_OFFS, _D2_WTS, _eval, jet_batch
+from mobiusflat.immersion import ImmersionHandle
 from mobiusflat.spiral import PLANE, SPHERE
 
 
@@ -72,20 +74,28 @@ def frame_components(tensor: np.ndarray, frame: np.ndarray) -> np.ndarray:
     return np.einsum("abc,ai,bj,ck->ijk", tensor, frame, frame, frame)
 
 
-def with_fd_jet(imm, step):
-    """imm differentiated by finite differences: its jet becomes one FD jet of
-    the handle with the given step (one evaluator call per request).
+def fd_handle(f, step, like=None, **fields):
+    """A handle whose jet is one FD jet of the bare map f with the given step (one
+    call of f per request): like with its jet replaced, or a handle of the fields.
 
-    Its first partials equal ``fd.diff1_batch`` bit for bit.  The FD jet has
-    order 2; a request of a higher order is refused.
+    Its first partials equal ``fd.diff1_batch`` of f bit for bit, and its
+    values are f's.  The stencil points are checked against the handle's
+    domain, but f is differenced, never the handle, whose values are read
+    from this jet.  The FD jet has order 2; a request of a higher order is
+    refused.
     """
+
+    def checked(pts):
+        imm.check_domain(pts)
+        return f(pts)
 
     def jet(pts, order=2):
         if order > 2:
             raise InputError(f"a finite-difference jet has order 2, not {order}")
-        return jet_batch(imm, pts, step)[: order + 1]
+        return jet_batch(checked, pts, step)[: order + 1]
 
-    return replace(imm, jet=jet)
+    imm = ImmersionHandle(jet=jet, **fields) if like is None else replace(like, jet=jet, **fields)
+    return imm
 
 
 def recomputed_curvature(traj):

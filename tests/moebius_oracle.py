@@ -15,6 +15,10 @@ one field.  On the closed forms it is the oracle of their exact jets;
 ``nested_fd_fields`` is the pipeline as it stood before them, the stencil
 over the fields of an immersion, each stencil point one 2-jet of the
 immersion.
+
+``moebius_density`` is rho and H of the forms at one point: the one-point
+front end of the package's formula of rho and H (``_jets_from_forms``), by
+which the tests read a point's density.
 """
 
 import dataclasses
@@ -23,15 +27,38 @@ import numpy as np
 
 from mobiusflat.curvature import conformal_scalar, metric_field_curvature
 from mobiusflat.fd import diff1, jet, jet_batch
-from mobiusflat.jets import Jet
-from mobiusflat.linalg import gram_schmidt_frame, jacobi_eigh, require_symmetric
+from mobiusflat.jets import Jet, inverse
+from mobiusflat.linalg import (
+    gram_schmidt_frame,
+    gram_schmidt_frames,
+    jacobi_eigh,
+    require_symmetric,
+)
 from mobiusflat.moebius import (
     MoebiusData,
     MoebiusScalarResult,
     Request,
+    _jets_from_forms,
     fields_from_immersion,
-    moebius_density,
 )
+
+
+def moebius_density(first, second):
+    """(rho, H) from the fundamental forms (m, m) at one point.
+
+    H is the trace of the shape operator over n; rho is the positive root
+    of the density formula: the order-0 request of the forms at one point
+    (``moebius._jets_from_forms``).  Raises UmbilicPointError when rho^2
+    falls at or below 1e-18, and DegenerateGeometryError when I is not
+    positive definite, by the test of ``gram_schmidt_frames`` that
+    ``Request.frames`` applies.
+    """
+    g = np.asarray(first, dtype=float)
+    h = require_symmetric(np.asarray(second, dtype=float), what="shape tensor")
+    gram_schmidt_frames(g[None])
+    first = Jet([g[None]])
+    request = _jets_from_forms(first, Jet([h[None]]), inverse(first), 0.0)
+    return float(request.rho.value[0]), float(request.mean.value[0])
 
 
 def stencil_jets(fields, pts, step):

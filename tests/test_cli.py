@@ -102,6 +102,8 @@ class TestConfigErrors:
             ("slice_axes = 1,1\n", "build", "slice_axes must be two distinct integers"),
             ("slice_axes = 0,4\n", "build", "slice_axes must be two distinct integers"),
             ("grid_spread = 0\n", "rigidity", "grid_spread must be positive"),
+            ("grid_spread = 1.5\nhorizon = 20\n", "rigidity", "grid_spread must be below 1"),
+            ("grid_spread = 1\n", "rigidity", "grid_spread must be below 1"),
             ("step = nan\n", "verify", "step must be finite"),
             ("step = nan\n", "rigidity", "step must be finite"),
             ("horizon = inf\n", "rigidity", "horizon must be finite"),
@@ -113,7 +115,8 @@ class TestConfigErrors:
         ],
         ids=[
             "obj_axes-text", "obj_axes-count", "slice_axes-repeat", "slice_axes-range",
-            "grid_spread", "step-nan-verify", "step-nan-rigidity", "horizon-inf",
+            "grid_spread", "grid_spread-above-one", "grid_spread-one", "step-nan-verify",
+            "step-nan-rigidity", "horizon-inf",
             "tol_constancy-nan", "kappa0-zero", "kappa0-negative", "kappa0-above-ceiling",
             "seed-negative",
         ],
@@ -121,7 +124,9 @@ class TestConfigErrors:
     def test_unrunnable_config_exit_two(self, tmp_path, capsys, text, command, reason):
         # validate() refuses each, so no command starts on it: non-integer axes
         # would escape build as a traceback, a zero grid_spread makes every
-        # rigidity row the equilibrium, and a NaN or infinite value passes
+        # rigidity row the equilibrium, a grid_spread of 1 or more gives a
+        # grid row kappa0 = kappa* (1 - grid_spread) <= 0, which stops the scan
+        # with an integration error (exit 1), and a NaN or infinite value passes
         # every "<= 0" test and escapes as a traceback or a NaN verdict, and a
         # kappa0 outside (kappa_floor, kappa_ceiling) stops spiral and build
         # with an integration error (exit 1), and a negative seed escapes

@@ -86,6 +86,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config("checks = nonexistent_check\n")
 
+    def test_grid_spread_below_one(self):
+        # the lowest grid row starts at kappa0 = kappa* (1 - grid_spread)
+        with pytest.raises(ConfigError, match="grid_spread must be below 1"):
+            RunConfig(grid_spread=1.5, horizon=20.0).validate()
+        with pytest.raises(ConfigError, match="grid_spread must be below 1"):
+            parse_config("grid_spread = 1.0\n")
+        assert RunConfig(grid_spread=0.9).validate().grid_spread == 0.9
+
     def test_n_below_four_refused(self):
         # the classification covers n >= 4; at n = 3 the multiplicity test of
         # conformal flatness does not hold

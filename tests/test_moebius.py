@@ -23,7 +23,6 @@ from mobiusflat.moebius import (
     blaschke_A,
     fields_from_immersion,
     moebius_data,
-    moebius_density,
     moebius_form,
     moebius_jets,
     moebius_scalar,
@@ -40,9 +39,11 @@ from mobiusflat.zoo import (
 )
 
 import moebius_oracle
-from fd_oracle import with_fd_jet
-from conftest import FD_STEP, N_DIM, interior_points, make_trajectory, moebius_B
-from conftest import principal_curvatures
+import zoo_oracle
+from fd_oracle import fd_handle
+from moebius_oracle import moebius_density
+from conftest import FD_STEP, N_DIM, TORUS_R, interior_points, make_trajectory, moebius_B
+from conftest import fd_surface, principal_curvatures
 
 FINE = 0.005  # the outer step of the stencil oracle
 SCALAR_STEP = 0.02  # the same for the two-route Moebius scalar
@@ -234,9 +235,10 @@ class TestOneJetFields:
         # for bit (the formula itself is checked against the solved shape
         # operator in TestDensity); on the FD route the handle's exact jet is
         # replaced by the FD jet
-        imm = surface(name.removesuffix("-fd"), request)
         if name.endswith("-fd"):
-            imm = with_fd_jet(imm, FD_STEP)
+            imm = fd_surface(name.removesuffix("-fd"), request)
+        else:
+            imm = surface(name, request)
         pts = interior_points(imm, 7, seed=5)
         fields = fields_from_immersion(imm)
         values = moebius_oracle.values(fields, pts)
@@ -244,33 +246,31 @@ class TestOneJetFields:
             assert np.array_equal(x, composed)
 
     def test_one_evaluator_call_per_request(self, torus):
-        calls = []
-
-        def evaluator(pts):
-            calls.append(pts.shape[0])
-            return torus.evaluator(pts)
-
-        imm = with_fd_jet(dataclasses.replace(torus, evaluator=evaluator), FD_STEP)
-        fields = fields_from_immersion(imm)
-        pts = interior_points(imm, 3, seed=7)
+        f, calls = counting_map(zoo_oracle.torus(TORUS_R))
+        fields = fields_from_immersion(fd_handle(f, FD_STEP, like=torus))
+        pts = interior_points(torus, 3, seed=7)
         stencil = 5 * N_DIM + 16 * N_DIM * (N_DIM - 1) // 2
         calls.clear()  # the orientation sign, resolved once at construction
         fields.jets(pts, 0)
         assert calls == [3 * stencil]
 
 
-def counting_fields(imm):
-    """Nested-FD oracle fields over imm (its exact jet replaced by the FD one, outer
-    step FINE) whose evaluator records the size of each call."""
+def counting_map(f):
+    """(f recording the size of each call, the list of sizes)."""
     calls = []
 
-    def evaluator(pts):
+    def counted(pts):
         calls.append(pts.shape[0])
-        return imm.evaluator(pts)
+        return f(pts)
 
-    fields = moebius_oracle.nested_fd_fields(
-        with_fd_jet(dataclasses.replace(imm, evaluator=evaluator), FD_STEP), FINE
-    )
+    return counted, calls
+
+
+def counting_fields(imm, f):
+    """Nested-FD oracle fields over imm (its exact jet replaced by the FD jet of its map
+    f, outer step FINE) whose map records the size of each call."""
+    counted, calls = counting_map(f)
+    fields = moebius_oracle.nested_fd_fields(fd_handle(counted, FD_STEP, like=imm), FINE)
     calls.clear()  # the orientation sign, resolved once at construction
     return fields, calls
 
@@ -282,7 +282,7 @@ class TestOneRequestPerPointSet:
     def test_one_stencil_request(self, torus, invariant):
         # on the stencil oracle (here the nested-FD pipeline) each request is one
         # stencil, and the pointwise record is read from the stencil's centre
-        fields, calls = counting_fields(torus)
+        fields, calls = counting_fields(torus, zoo_oracle.torus(TORUS_R))
         invariant(fields, torus.base_point)
         assert calls == [self.STENCIL**2]
 

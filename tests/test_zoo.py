@@ -4,39 +4,48 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mobiusflat import zoo
+from mobiusflat.checks import preset_trajectory
 from mobiusflat.errors import ChartDomainError, InputError
 from mobiusflat.fd import jet_batch
 from mobiusflat.immersion import (
     first_fundamental_form_batch,
     fundamental_form_jets,
-    jacobian,
+    jacobian_batch,
     second_fundamental_form_batch,
-    unit_normal,
     unit_normal_batch,
 )
 from mobiusflat.spiral import SpiralTrajectory
 from mobiusflat.zoo import (
+    EPSILON_BY_FAMILY,
     build_family,
     hyperboloid_to_hemisphere,
     inverse_stereographic,
     lift_to_sphere,
     scale_immersion,
-    sphere_chart,
-    sphere_chart_jet,
     sphere_chart_metric,
     stereographic,
     torus_immersion,
 )
 
 import moebius_oracle
-from fd_oracle import with_fd_jet
+import zoo_oracle
+from fd_oracle import fd_handle
+from zoo_oracle import sphere_chart
 from conftest import FD_STEP as STEP
-from conftest import N_DIM, fd_handle, interior_points, principal_curvatures
+from conftest import N_DIM, TORUS_R, interior_points, principal_curvatures, surface_map
+
+EPS = np.finfo(float).eps
 
 
-def fd_vs_analytic(imm, count=8, seed=1):
+def sphere_jet(angles, order=2):
+    """The jet of the spherical chart to the order: the product of the sphere factors."""
+    return zoo._product_jet(zoo._sphere_factors(np.atleast_2d(angles), order))
+
+
+def fd_vs_analytic(imm, f, count=8, seed=1):
+    """Points, the FD forms of the map f and the closed forms of imm at the points."""
     pts = interior_points(imm, count, seed)
-    fd = with_fd_jet(imm, STEP)  # the FD route, not the handle's exact jet
+    fd = fd_handle(f, STEP, like=imm)  # the FD route, not the handle's exact jet
     g_fd = first_fundamental_form_batch(fd, pts)
     h_fd = second_fundamental_form_batch(fd, pts)
     g, h = moebius_oracle.values(imm.analytic_fields, pts)[:2]
@@ -66,12 +75,12 @@ def check_third_and_fourth(jet4, second, pts):
 class TestSphereChart:
     def test_chart_on_unit_sphere(self):
         angles = np.array([[0.9, 1.1, 2.0], [1.5, 0.4, 5.0]])
-        pts = sphere_chart(angles)
+        pts = sphere_jet(angles, 0)[0]
         assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-14)
 
     def test_chart_metric_matches_fd(self):
         angles = np.array([[0.9, 1.1, 2.0]])
-        imm_handle = fd_handle(3, 4, sphere_chart)
+        imm_handle = fd_handle(sphere_chart, STEP, chart_dimension=3, ambient_dimension=4)
         g = first_fundamental_form_batch(imm_handle, angles)
         assert np.allclose(g, sphere_chart_metric(angles), atol=1e-9)
 
@@ -79,27 +88,37 @@ class TestSphereChart:
 class TestExactJet:
     """Each handle's exact jet against the FD jet (the oracle) and the closed forms."""
 
+    # name -> (the handle from its base handle, its map from the base map)
     HANDLES = {
-        "cylinder": lambda imm: imm,
-        "cone": lambda imm: imm,
-        "rotational": lambda imm: imm,
-        "torus": lambda imm: imm,
-        "cylinder+lift": lift_to_sphere,
-        "cone+lift": lift_to_sphere,
-        "rotational+lift": lift_to_sphere,
-        "cylinder*1.5": lambda imm: scale_immersion(imm, 1.5),
-        "cone*0.5": lambda imm: scale_immersion(imm, 0.5),
-        "rotational*2": lambda imm: scale_immersion(imm, 2.0),
+        "cylinder": (lambda imm: imm, lambda f: f),
+        "cone": (lambda imm: imm, lambda f: f),
+        "rotational": (lambda imm: imm, lambda f: f),
+        "torus": (lambda imm: imm, lambda f: f),
+        "cylinder+lift": (lift_to_sphere, zoo_oracle.lift),
+        "cone+lift": (lift_to_sphere, zoo_oracle.lift),
+        "rotational+lift": (lift_to_sphere, zoo_oracle.lift),
+        "cylinder*1.5": (
+            lambda imm: scale_immersion(imm, 1.5),
+            lambda f: zoo_oracle.scale(f, 1.5),
+        ),
+        "cone*0.5": (lambda imm: scale_immersion(imm, 0.5), lambda f: zoo_oracle.scale(f, 0.5)),
+        "rotational*2": (
+            lambda imm: scale_immersion(imm, 2.0),
+            lambda f: zoo_oracle.scale(f, 2.0),
+        ),
     }
+
+    def handle(self, name, request):
+        return self.HANDLES[name][0](request.getfixturevalue(name.split("+")[0].split("*")[0]))
 
     @pytest.mark.parametrize("name", list(HANDLES))
     def test_jet_matches_fd_jet(self, name, request):
-        base = request.getfixturevalue(name.split("+")[0].split("*")[0])
-        imm = self.HANDLES[name](base)
+        imm = self.handle(name, request)
+        f = self.HANDLES[name][1](surface_map(name.split("+")[0].split("*")[0], request))
         pts = interior_points(imm, 6, seed=2)
         exact = imm.evaluate_jet(pts)
-        oracle = with_fd_jet(imm, STEP).evaluate_jet(pts)
-        values = imm(pts)
+        oracle = fd_handle(f, STEP, like=imm).evaluate_jet(pts)
+        values = f(pts)
         assert np.max(np.abs(exact[0] - values)) <= 4e-16 * np.max(np.abs(values))
         for level, (x, ref) in enumerate(zip(exact[1:], oracle[1:]), start=1):
             # FD truncation and rounding of the order-4 stencil
@@ -111,8 +130,7 @@ class TestExactJet:
         # are the first and second partials of level 2, checked by the order-4
         # stencil on the exact 2-jet, whose error falls about 16 times when the
         # step halves
-        base = request.getfixturevalue(name.split("+")[0].split("*")[0])
-        imm = self.HANDLES[name](base)
+        imm = self.handle(name, request)
         pts = interior_points(imm, 4, seed=5, pad=0.2)
         jet4 = imm.evaluate_jet(pts, 4)
         assert all(map(np.array_equal, jet4[:3], imm.evaluate_jet(pts)))
@@ -122,8 +140,7 @@ class TestExactJet:
     def test_orders_zero_and_one_lead_the_two_jet(self, name, request):
         # every handle answers a jet of order 0 and 1, the leading levels of
         # its 2-jet bit for bit
-        base = request.getfixturevalue(name.split("+")[0].split("*")[0])
-        imm = self.HANDLES[name](base)
+        imm = self.handle(name, request)
         pts = interior_points(imm, 4, seed=23)
         jet2 = imm.evaluate_jet(pts)
         for order in (0, 1):
@@ -133,9 +150,9 @@ class TestExactJet:
 
     def test_sphere_chart_factors_to_order_four(self):
         angles = np.array([[0.9, 1.1, 2.0], [1.5, 0.4, 5.0]])
-        jet4 = zoo._product_jet(zoo._sphere_factors(angles, 4))
-        assert all(map(np.array_equal, jet4[:3], sphere_chart_jet(angles)))
-        check_third_and_fourth(jet4, lambda q: sphere_chart_jet(q)[2], angles)
+        jet4 = sphere_jet(angles, 4)
+        assert all(map(np.array_equal, jet4[:3], sphere_jet(angles)))
+        check_third_and_fourth(jet4, lambda q: sphere_jet(q)[2], angles)
 
     @pytest.mark.parametrize("fixture", ["cylinder", "cone", "rotational", "torus"])
     def test_forms_match_closed_form(self, fixture, request):
@@ -172,11 +189,58 @@ class TestExactJet:
 
     def test_sphere_chart_jet(self):
         angles = np.array([[0.9, 1.1, 2.0], [1.5, 0.4, 5.0]])
-        exact = sphere_chart_jet(angles)
+        exact = sphere_jet(angles)
         assert np.array_equal(exact[0], sphere_chart(angles))
         oracle = jet_batch(sphere_chart, angles, STEP)
         for x, ref in zip(exact[1:], oracle[1:]):
             assert np.max(np.abs(x - ref)) <= 1e-8
+
+
+class TestOneFormula:
+    """Each surface is one formula, its jet: level 0 is the generator's map as it was
+    written out before the jets (``zoo_oracle``), at n = 4 and 7."""
+
+    # each generator over the spiral families, then the torus; worst measured
+    # over 200 points each: 8.9e-16 (rotational, rounding in the order of its
+    # products), 5.3e-16 for the lifts, and the others bit for bit
+    GENERATORS = [
+        *(f"{family}_immersion" for family in EPSILON_BY_FAMILY),
+        "torus_immersion",
+        *(f"lift_to_sphere[{family}]" for family in EPSILON_BY_FAMILY),
+        *(f"scale_immersion[{family}]" for family in EPSILON_BY_FAMILY),
+    ]
+
+    @staticmethod
+    def surface(family, n):
+        """(handle, map) of the family at n, over the suite's preset trajectory."""
+        if family == "torus":
+            return torus_immersion(TORUS_R, n), zoo_oracle.torus(TORUS_R)
+        traj = preset_trajectory(n, EPSILON_BY_FAMILY[family])
+        return build_family(family, traj, n), getattr(zoo_oracle, family)(traj)
+
+    @pytest.mark.parametrize("n", [4, 7])
+    @pytest.mark.parametrize("generator", GENERATORS)
+    def test_values_are_the_oracle_map(self, generator, n):
+        name, _, family = generator.removesuffix("]").partition("[")
+        imm, f = self.surface(family or name.removesuffix("_immersion"), n)
+        if name == "lift_to_sphere":
+            imm, f = lift_to_sphere(imm), zoo_oracle.lift(f)
+        elif name == "scale_immersion":
+            imm, f = scale_immersion(imm, 0.5), zoo_oracle.scale(f, 0.5)
+        pts = interior_points(imm, 20, seed=n)
+        assert np.max(np.abs(imm.evaluate_jet(pts, 0)[0] - f(pts))) <= 1e-15
+
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_lift_seed_is_the_differential_formula(self, n):
+        # level 1 of the lift's jet on the line f0 + t seed is the lift's
+        # differential along the seed; worst measured over the three families at
+        # n = 4-7: 1.5 eps
+        for family in EPSILON_BY_FAMILY:
+            imm = self.surface(family, n)[0]
+            f0 = imm(imm.base_point[None, :])[0]
+            seed = zoo_oracle.stereo_lift_differential(f0, imm.orientation_seed)
+            seed /= np.linalg.norm(seed)
+            assert np.max(np.abs(lift_to_sphere(imm).orientation_seed - seed)) <= 4 * EPS
 
 
 class TestClosedForms:
@@ -203,20 +267,20 @@ class TestClosedForms:
 
 
 class TestCylinder:
-    def test_first_form_is_identity(self, cylinder):
-        _, g_fd, _, g_an, _ = fd_vs_analytic(cylinder)
+    def test_first_form_is_identity(self, cylinder, cylinder_traj):
+        _, g_fd, _, g_an, _ = fd_vs_analytic(cylinder, zoo_oracle.cylinder(cylinder_traj))
         assert np.allclose(g_an, np.eye(N_DIM), atol=0)
         assert np.max(np.abs(g_fd - g_an)) < 1e-7
 
     def test_shape_tensor_diag_kappa(self, cylinder, cylinder_traj):
-        pts, _, h_fd, _, h_an = fd_vs_analytic(cylinder)
+        pts, _, h_fd, _, h_an = fd_vs_analytic(cylinder, zoo_oracle.cylinder(cylinder_traj))
         kap = cylinder_traj.kappa_at(pts[:, 0])
         assert np.allclose(h_an[:, 0, 0], kap)
         assert np.max(np.abs(h_fd - h_an)) < 1e-8
 
     def test_jacobian_structure(self, cylinder, cylinder_traj):
         p = cylinder.base_point
-        j = jacobian(cylinder, p)
+        j = jacobian_batch(cylinder, p[None])[0]
         vel = cylinder_traj.curve_velocity_at(np.array([p[0]]))[0]
         assert np.allclose(j[0:2, 0], vel[0:2], atol=1e-10)
         assert np.allclose(j[2:, 0], 0.0, atol=1e-10)
@@ -240,7 +304,7 @@ class TestCylinder:
 
 class TestCone:
     def test_fundamental_forms(self, cone, cone_traj):
-        pts, g_fd, h_fd, g_an, h_an = fd_vs_analytic(cone)
+        pts, g_fd, h_fd, g_an, h_an = fd_vs_analytic(cone, zoo_oracle.cone(cone_traj))
         t = pts[:, 1]
         assert np.allclose(g_an[:, 0, 0], t**2)
         assert np.max(np.abs(g_fd - g_an)) < 1e-8
@@ -256,7 +320,8 @@ class TestCone:
 
 class TestRotational:
     def test_fundamental_forms(self, rotational, rotational_traj):
-        pts, g_fd, h_fd, g_an, h_an = fd_vs_analytic(rotational)
+        f = zoo_oracle.rotational(rotational_traj)
+        pts, g_fd, h_fd, g_an, h_an = fd_vs_analytic(rotational, f)
         scale = np.max(np.abs(g_an), axis=(1, 2), keepdims=True)
         assert np.max(np.abs(g_fd - g_an) / scale) < 1e-7
         assert np.max(np.abs(h_fd - h_an) / scale) < 1e-7
@@ -308,7 +373,8 @@ class TestTorus:
             assert gap == pytest.approx(1.0 / (r * a), abs=1e-8)
 
     def test_fd_matches_analytic(self, torus):
-        _, g_fd, h_fd, g_an, h_an = fd_vs_analytic(torus, count=6, seed=15)
+        f = zoo_oracle.torus(TORUS_R)
+        _, g_fd, h_fd, g_an, h_an = fd_vs_analytic(torus, f, count=6, seed=15)
         assert np.max(np.abs(g_fd - g_an)) < 1e-8
         assert np.max(np.abs(h_fd - h_an)) < 1e-8
 
@@ -341,6 +407,8 @@ class TestModelMaps:
         u = rng.uniform(-3, 3, size=(20, 5))
         w = inverse_stereographic(u)
         assert np.max(np.abs(np.linalg.norm(w, axis=1) - 1.0)) < 1e-14
+        # level 0 of the lift's jet is the direct formula to rounding
+        assert np.max(np.abs(w - zoo_oracle.inverse_stereographic(u))) <= 4 * EPS
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
@@ -379,8 +447,8 @@ class TestLift:
         pts = interior_points(lifted, 5, seed=19)
         vals = lifted(pts)
         assert np.max(np.abs(np.linalg.norm(vals, axis=1) - 1.0)) < 1e-12
-        eta = unit_normal(lifted, pts[0])
-        j = jacobian(lifted, pts[0])
+        eta = unit_normal_batch(lifted, pts[:1])[0]
+        j = jacobian_batch(lifted, pts[:1])[0]
         assert np.max(np.abs(j.T @ eta)) < 1e-9
         assert abs(eta @ vals[0]) < 1e-10
 
@@ -390,14 +458,18 @@ class TestLift:
             scale_immersion(torus, 1.5)
 
     @pytest.mark.parametrize("base_jet", ["exact", "fd"])
-    def test_lift_and_scale_carry_a_jet(self, base_jet, cylinder):
+    def test_lift_and_scale_carry_a_jet(self, base_jet, cylinder, cylinder_traj):
         # the lift and the homothety push any base jet through their map
-        base = cylinder if base_jet == "exact" else with_fd_jet(cylinder, STEP)
-        for imm in (lift_to_sphere(base), scale_immersion(base, 2.0)):
+        f = zoo_oracle.cylinder(cylinder_traj)
+        base = cylinder if base_jet == "exact" else fd_handle(f, STEP, like=cylinder)
+        for imm, g in (
+            (lift_to_sphere(base), zoo_oracle.lift(f)),
+            (scale_immersion(base, 2.0), zoo_oracle.scale(f, 2.0)),
+        ):
             assert callable(imm.jet)
             pts = interior_points(imm, 4, seed=23)
             jet = imm.evaluate_jet(pts)
-            oracle = with_fd_jet(imm, STEP).evaluate_jet(pts)
+            oracle = fd_handle(g, STEP, like=imm).evaluate_jet(pts)
             for x, ref in zip(jet, oracle):
                 assert np.max(np.abs(x - ref)) <= 1e-6 * max(1.0, np.max(np.abs(ref)))
 
