@@ -52,7 +52,7 @@ from .curvature import (
     metric_field_curvature,
     schouten_codazzi_defects,
 )
-from .errors import InputError, MobiusFlatError
+from .errors import ConfigError, InputError, MobiusFlatError
 from .immersion import ImmersionHandle
 from .jets import Jet, compose, contract
 from .moebius import SurfaceFields, fields_from_immersion, moebius_data, moebius_form
@@ -65,6 +65,7 @@ from .spiral import (
     closure_test,
     closure_tests,
     equilibrium_kappa,
+    first_integral,
     integrate_grid,
     integrate_spiral,
     kappa_accel,
@@ -784,12 +785,19 @@ def rigidity_initials(cfg: RunConfig, kstar: float) -> np.ndarray:
 def rigidity_scan(cfg: RunConfig) -> dict:
     """Closure experiment for half-plane spirals around the equilibrium.
 
-    The equilibrium curvature gives a hyperbolic circle (closed).  A grid of
-    perturbed initial states (relative kappa offsets up to grid_spread,
-    kappa_s offsets up to 0.8 * grid_spread * kappa*) is tested for closure
-    over the horizon.  Each grid row is integrated for one kappa period only;
-    its period map (period T and holonomy trace, reported per row) carries
-    the closure test over the rest of the horizon.  The grid is one
+    The equilibrium curvature gives a hyperbolic circle, which must close
+    with period 2 pi / sqrt(kappa*^2 - 1); it is tested over 1.5 periods.  A
+    rest point returns at every s, so the row is marched for one Taylor step
+    and that step's period map carries it over the 1.5 periods (see
+    integrate_grid).  A grid of perturbed initial states (relative kappa
+    offsets up to grid_spread, kappa_s offsets up to 0.8 * grid_spread *
+    kappa*) is tested for closure over the horizon.  The closed orbits of
+    (kappa, kappa_s) around kappa* are those with first_integral E < 0
+    (E = 0 runs through kappa = 0), so a grid with a row at E >= 0 is
+    refused with a ConfigError before any march.  Each grid row is
+    integrated for one kappa period only; its period map (period T and
+    holonomy trace, reported per row) carries the closure test over the
+    rest of the horizon.  The grid is one
     integrate_grid block and one closure_tests call, which march the rows in
     lockstep and refine their closures together.  A small flat-model
     control with non-constant curvature is included, its two rows tested
@@ -811,9 +819,23 @@ def rigidity_scan(cfg: RunConfig) -> dict:
         result["reason"] = "no equilibrium with kappa > 1 for this (epsilon, R)"
         return result
 
+    initials = rigidity_initials(cfg, kstar)
+    energies = first_integral(params, initials[:, 0], initials[:, 1])
+    if np.any(energies >= 0.0):
+        i = int(np.argmax(energies >= 0.0))
+        (k0, ks0), energy = initials[i].tolist(), float(energies[i])
+        raise ConfigError(
+            f"grid_spread {cfg.grid_spread!r} puts rigidity grid row {i} "
+            f"(kappa0 {k0!r}, kappa_s0 {ks0!r}) off the closed orbits around "
+            f"kappa*: its first integral E = {energy!r} is not below 0"
+        )
+
     period = 2.0 * np.pi / np.sqrt(kstar**2 - 1.0)
     eq_traj = integrate_grid(
-        params, [[kstar, 0.0]], IntegratorControls(s_max=1.5 * period, step=cfg.step)
+        params,
+        [[kstar, 0.0]],
+        IntegratorControls(s_max=1.5 * period, step=cfg.step),
+        period_map=True,
     )[0]
     eq = closure_test(eq_traj, cfg.tol_closed, cfg.tol_open)
     result["equilibrium"] = {
@@ -823,7 +845,6 @@ def rigidity_scan(cfg: RunConfig) -> dict:
         "defect": eq.defect,
     }
 
-    initials = rigidity_initials(cfg, kstar)
     controls = IntegratorControls(s_max=cfg.horizon, step=cfg.step, store_stride=10)
     trajectories = integrate_grid(params, initials, controls, period_map=True)
     grid_rows = []

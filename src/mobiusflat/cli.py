@@ -224,7 +224,7 @@ def main(argv=None) -> int:
         os.makedirs(args.out, exist_ok=True)
         options = (args.convention,) if args.command == "invariants" else ()
         return COMMANDS[args.command](cfg, args.out, *options)
-    except ConfigError as exc:  # a setting that only the built surface can check
+    except ConfigError as exc:  # a setting only the built surface or the rigidity grid can check
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except MobiusFlatError as exc:

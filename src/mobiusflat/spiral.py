@@ -55,7 +55,8 @@ elastic curves, J. Differential Geom. 20, 1984).  integrate_grid with
 period_map marches a row only until (kappa, kappa_s) first returns to its
 start, and closure_tests reads the defect over the horizon from the images
 M^k of that period, refining the closures of many rows in one batched search
-(closure_test is that search on one row).  Plane and sphere rows are always
+(closure_test is that search on one row).  A rest point returns at every s,
+and its period is its first Taylor step.  Plane and sphere rows are always
 marched to the horizon.
 """
 
@@ -248,8 +249,9 @@ def _trajectory(
     Its s is the points of grid before the row's end, followed by the end.
     Its samples are built here only for a half-plane curve, whose y > 0 is
     checked on them, and otherwise on first read.  A row that ends at its
-    first return carries the PeriodMap of that period, from its start and
-    end states, with termination "horizon".
+    first return (at a rest point, the end of its first step) carries the
+    PeriodMap of that period, from its start and end states, with
+    termination "horizon".
     """
     if termination == "horizon":
         s = grid
@@ -361,8 +363,9 @@ class SpiralTrajectory:
     steps: taylor.Piecewise  # the components (kappa, kappa_s, *curve)
     start: np.ndarray  # the state (kappa, kappa_s, *curve) the row was marched from
     end: np.ndarray  # the state at s[-1]
-    # set when the row stopped at its first kappa return: the samples cover
-    # one period, and the horizon controls.s_max is covered by periodicity
+    # set when the row stopped at its first kappa return (a rest point's at
+    # its first step's end): the samples cover one period, and the horizon
+    # controls.s_max is covered by periodicity
     period_map: PeriodMap | None = None
 
     @property
@@ -449,11 +452,15 @@ class SpiralTrajectory:
 
 
 def _return_watch(params: SpiralParams, row, controls: IntegratorControls):
-    """The first-return watch of a row, or None at a rest point (f(y0) ~ 0)."""
+    """The first-return watch of a row: a taylor.RestPoint at a rest point (f(y0) ~ 0).
+
+    At a rest point (kappa, kappa_s) is back at its start at every s, so the
+    row's first step is a period.
+    """
     k0, ks0 = float(row[0]), float(row[1])
     flow = (ks0, float(kappa_accel(params, k0, ks0)))
     if sqrt(flow[0] ** 2 + flow[1] ** 2) <= 1e-9 * sqrt(k0 * k0 + ks0 * ks0):
-        return None
+        return taylor.RestPoint()
     return taylor.FirstReturn((k0, ks0), flow, controls.step)
 
 
@@ -522,10 +529,13 @@ def integrate_grid(
     With period_map, a half-plane row stops where its (kappa, kappa_s)
     first returns to the start (bisected to round-off) and carries the
     PeriodMap of that period, with termination "horizon": its samples cover
-    one period and closure_tests covers the horizon s_max from them.  Rows
-    without a return (a rest point, a row that leaves the band or does not
-    come back before s_max, and every plane or sphere row) are marched to
-    s_max exactly as without period_map.
+    one period and closure_tests covers the horizon s_max from them.  A rest
+    point of (kappa, kappa_s) returns at every s: its curve is an orbit of a
+    one-parameter group of isometries, so it stops at the end of its first
+    Taylor step and carries the PeriodMap of that step.  Rows without a
+    return (a row that leaves the band or does not come back before s_max,
+    and every plane or sphere row) are marched to s_max exactly as without
+    period_map.
     """
     return _integrate_rows(params, initial_states, controls, True, period_map)
 

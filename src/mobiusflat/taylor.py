@@ -319,6 +319,28 @@ class FirstReturn:
         return None
 
 
+class RestPoint:
+    """The watch of a row at a rest point of (kappa, kappa_s): it returns at every s.
+
+    There the frame equations have constant coefficients, so the curve is an
+    orbit of a one-parameter group of isometries and every arc length is a
+    period.  The row ends at the end of its first step, unless it leaves the
+    band within it.  Its section parameters are nan, so a block's section g
+    never crosses for it; a block marks its crossing at the step's last
+    watch point instead.
+    """
+
+    k0 = ks0 = f0 = f1 = g_prev = nan
+
+    def find(self, cols, ts: np.ndarray, watched: np.ndarray) -> float | None:
+        """The end of the step, if the row stayed in the band over all of it."""
+        return float(ts[-1]) if ts.size == _WATCH.size else None
+
+    def near(self, cols, ts: np.ndarray, crossings: list[int]) -> float:
+        """The end of the step, where a block marks the crossing."""
+        return float(ts[-1])
+
+
 @dataclass
 class Piecewise:
     """The step polynomials of a march, its dense output.
@@ -410,13 +432,14 @@ def march(series, y0, s_end: float, floor: float, ceiling: float, rets=None) -> 
 
     series(s, y) gives the series of every component of y about the arc
     length s and the step there, for one row (floats) or a block ((B,)
-    arrays); rets holds each row's FirstReturn or None.
+    arrays); rets holds each row's FirstReturn, RestPoint or None.
     Returns one (Piecewise, s_stop, y_stop, termination) per row.  kappa
     (element 0) is watched at _WATCH within each step: a step that leaves
     the open band (floor, ceiling) or turns non-finite ends the row at the
     crossing, bisected on the polynomial to 1e-10 in s and tagged by
     band_exit; with a FirstReturn, the row ends at the first return of
-    (kappa, kappa_s) to its start, tagged "return".  Otherwise the row ends
+    (kappa, kappa_s) to its start, and with a RestPoint at the end of its
+    first step, tagged "return".  Otherwise the row ends
     at s_end, tagged "horizon".  At least LOCKSTEP_ROWS rows are marched in
     lockstep, fewer one at a time; a row ends the same either way, bit for bit.
     """
@@ -477,6 +500,7 @@ def _march_block(series, y0, s_end, floor, ceiling, rets):
     sections = np.array(
         [(r.k0, r.ks0, r.f0, r.f1) if r else (nan,) * 4 for r in rets]
     ).T  # a row without a watch has a nan section: g never crosses
+    rest = np.array([isinstance(r, RestPoint) for r in rets])
     index = np.arange(_WATCH.size)
     with np.errstate(all="ignore"):  # a blown-up series gives nan, as on floats
         while len(live) >= 2:
@@ -516,6 +540,7 @@ def _march_block(series, y0, s_end, floor, ceiling, rets):
             g_prev = np.array([rets[row].g_prev if rets[row] else nan for row in live])
             before = np.concatenate([g_prev[:, None], g[:, :-1]], axis=1)
             crossing = (before < 0.0) & (g >= 0.0) & (index < exit_at[:, None])
+            crossing[:, -1] |= rest[live] & (exit_at == _WATCH.size)  # as RestPoint.find
             for i, row in enumerate(live):
                 if rets[row]:
                     rets[row].g_prev = float(g[i, -1])

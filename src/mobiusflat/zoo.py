@@ -209,7 +209,8 @@ def warped_metric_jet(traj: SpiralTrajectory, pts: np.ndarray, order: int) -> Je
 
 
 def _sphere_metric_factors(angles: np.ndarray, order: int) -> list[tuple[np.ndarray, ...]]:
-    """Per angle, its factor in the diagonal of sphere_chart_metric, (K, d).
+    """Per angle, its factor in the diagonal of the round metric of S^d in
+    spherical coordinates, diag(1, sin^2 a_0, sin^2 a_0 sin^2 a_1, ...), (K, d).
 
     Entry i is prod_{j < i} sin^2(a_j): angle j is sin^2 in the entries after
     j and 1 in the others.
@@ -249,11 +250,6 @@ def _sphere_factors(angles: np.ndarray, order: int) -> list[tuple[np.ndarray, ..
             )
         )
     return out
-
-
-def sphere_chart_metric(angles: np.ndarray) -> np.ndarray:
-    """Round metric of S^d in spherical coordinates: diag(1, sin^2, ...)."""
-    return _diagonal(_product_jet(_sphere_metric_factors(np.atleast_2d(angles), 0)))[0]
 
 
 def _angle_domain(d: int) -> list[tuple[float, float]]:

@@ -104,6 +104,8 @@ class TestConfigErrors:
             ("grid_spread = 0\n", "rigidity", "grid_spread must be positive"),
             ("grid_spread = 1.5\nhorizon = 20\n", "rigidity", "grid_spread must be below 1"),
             ("grid_spread = 1\n", "rigidity", "grid_spread must be below 1"),
+            ("grid_spread = 0.9999999\nhorizon = 20\n", "rigidity", "grid row 0 (kappa0 "),
+            ("grid_spread = 0.5\n", "rigidity", "first integral E = 0.588"),
             ("step = nan\n", "verify", "step must be finite"),
             ("step = nan\n", "rigidity", "step must be finite"),
             ("horizon = inf\n", "rigidity", "horizon must be finite"),
@@ -115,18 +117,24 @@ class TestConfigErrors:
         ],
         ids=[
             "obj_axes-text", "obj_axes-count", "slice_axes-repeat", "slice_axes-range",
-            "grid_spread", "grid_spread-above-one", "grid_spread-one", "step-nan-verify",
+            "grid_spread", "grid_spread-above-one", "grid_spread-one",
+            "grid_spread-below-floor", "grid_spread-open-orbits", "step-nan-verify",
             "step-nan-rigidity", "horizon-inf",
             "tol_constancy-nan", "kappa0-zero", "kappa0-negative", "kappa0-above-ceiling",
             "seed-negative",
         ],
     )
     def test_unrunnable_config_exit_two(self, tmp_path, capsys, text, command, reason):
-        # validate() refuses each, so no command starts on it: non-integer axes
-        # would escape build as a traceback, a zero grid_spread makes every
+        # validate() refuses each but the grid_spread-below-floor and
+        # grid_spread-open-orbits ones, so no command starts on it: non-integer
+        # axes would escape build as a traceback, a zero grid_spread makes every
         # rigidity row the equilibrium, a grid_spread of 1 or more gives a
         # grid row kappa0 = kappa* (1 - grid_spread) <= 0, which stops the scan
-        # with an integration error (exit 1), and a NaN or infinite value passes
+        # with an integration error (exit 1); rigidity_scan refuses a grid
+        # with a row off the closed orbits around kappa* (first integral
+        # E >= 0) before it marches: at 0.9999999 its lowest kappa0 is below
+        # the floor 1e-6 (an integration error), and at 0.5 five rows run to
+        # the floor (status fail); and a NaN or infinite value passes
         # every "<= 0" test and escapes as a traceback or a NaN verdict, and a
         # kappa0 outside (kappa_floor, kappa_ceiling) stops spiral and build
         # with an integration error (exit 1), and a negative seed escapes
@@ -285,6 +293,14 @@ class TestDataCommands:
         assert main(["invariants", "--config", cfg, "--out", str(tmp_path)]) == 0
         rows = (tmp_path / "invariants.csv").read_text().splitlines()[2:]
         assert rows and all(float(row.split(",")[0]) < 1.66 for row in rows)
+
+    def test_rigidity_files_are_deterministic(self, tmp_path):
+        cfg = write_cfg(tmp_path, "horizon = 30\ngrid_size = 2\n")
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert main(["rigidity", "--config", cfg, "--out", str(out)]) == 0
+        for name in ("rigidity.json", "rigidity_grid.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_rigidity_small(self, tmp_path):
         cfg = write_cfg(tmp_path, "horizon = 30\ngrid_size = 2\n")

@@ -30,11 +30,12 @@ from mobiusflat.spiral import (
     prescribed_curvature_trajectory,
     sine_curvature,
 )
-from mobiusflat.zoo import sphere_chart_metric, warped_metric_jet
+from mobiusflat.zoo import warped_metric_jet
 
 import curvature_oracle
 import fd_oracle
 import moebius_oracle
+from zoo_oracle import sphere_chart_metric
 from conftest import interior_points
 
 FINE = 0.005

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mobiusflat import cli, fd
+from mobiusflat import checks, cli, fd
 from mobiusflat import spiral, taylor
 from mobiusflat.checks import (
     CHECK_FUNCTIONS,
@@ -372,7 +372,8 @@ class TestSuite:
 
 RIGIDITY_CFG = RunConfig(horizon=40.0).validate()
 RIGIDITY_PARAMS = SpiralParams(RIGIDITY_CFG.n, -1, RIGIDITY_CFG.R)
-RIGIDITY_ROWS = rigidity_initials(RIGIDITY_CFG, equilibrium_kappa(RIGIDITY_PARAMS))
+RIGIDITY_KSTAR = equilibrium_kappa(RIGIDITY_PARAMS)
+RIGIDITY_ROWS = rigidity_initials(RIGIDITY_CFG, RIGIDITY_KSTAR)
 SHORT = IntegratorControls(s_max=3.0, step=1e-3, store_stride=5)
 RIGIDITY_CONTROLS = IntegratorControls(s_max=40.0, store_stride=10)
 # kappa_ss = kappa^3 / 2 (n = 4, eps = 0, R = -0.5): kappa = 1 / (1 - s/2) from
@@ -427,6 +428,14 @@ class TestGridIntegration:
                 True,
                 {"horizon"},
             ),
+            # the equilibrium, a rest point, ends after its first step in the block too
+            (
+                RIGIDITY_PARAMS,
+                np.insert(RIGIDITY_ROWS[: taylor.LOCKSTEP_ROWS], 3, [RIGIDITY_KSTAR, 0.0], axis=0),
+                RIGIDITY_CONTROLS,
+                True,
+                {"horizon"},
+            ),
             (
                 SpiralParams(4, 0, -0.5),
                 MIXED_ROWS,
@@ -457,6 +466,7 @@ class TestGridIntegration:
             "rigidity-grid-period-map",
             "crossover-block",
             "below-crossover",
+            "rest-row-in-block",
             "mixed-terminations",
             "plane-block",
             "sphere-block",
@@ -562,6 +572,50 @@ class TestRigidity:
                 params, SpiralState(1.0, row["kappa_s0"]), IntegratorControls(s_max=10.0)
             )
             assert np.all(np.diff(traj.kappa) > 0)
+
+    def test_equilibrium_is_one_taylor_step(self, monkeypatch):
+        # the equilibrium row is carried over its 1.5 periods by the map of its
+        # first step; the full march is left to the tests
+        marched = []
+
+        def recording(*args, **kwargs):
+            marched.append(integrate(*args, **kwargs))
+            return marched[-1]
+
+        integrate = checks.integrate_grid
+        monkeypatch.setattr(checks, "integrate_grid", recording)
+        result = rigidity_scan(RunConfig(horizon=40.0, grid_size=2).validate())
+        eq = marched[0][0]
+        assert eq.start[:2].tolist() == [RIGIDITY_KSTAR, 0.0]
+        assert len(eq.steps.starts) == 1 and eq.period_map.period == eq.s_end < 1.0
+        assert eq.s.size < 1000  # 16,326 samples over the 1.5 periods
+        assert result["equilibrium"]["status"] == "closed"
+        assert result["equilibrium"]["period"] == pytest.approx(
+            result["equilibrium"]["expected_period"], abs=1e-11
+        )
+
+    @pytest.mark.parametrize(
+        "n,big_r,spread,row",
+        [(4, 0.75, 0.5, 20), (4, 0.75, 0.9, 0), (4, 0.75, 0.9999999, 0), (7, 2.0, 0.2, 20)],
+        ids=["spread-0.5", "spread-0.9", "spread-below-floor", "n7-default-spread"],
+    )
+    def test_grid_off_the_closed_orbits_is_refused(self, monkeypatch, n, big_r, spread, row):
+        # the closed orbits around kappa* have first integral E < 0; a grid with
+        # a row at E >= 0 (which reads non-open) is refused before any march
+        def no_march(*args, **kwargs):
+            raise AssertionError("marched a refused grid")
+
+        monkeypatch.setattr(checks, "integrate_grid", no_march)
+        cfg = RunConfig(n=n, R=big_r, grid_spread=spread, horizon=40.0).validate()
+        refusal = rf"grid row {row} \(.*E = [0-9.e+-]+ is not below 0"
+        with pytest.raises(ConfigError, match=refusal):
+            rigidity_scan(cfg)
+
+    @pytest.mark.parametrize("n,big_r", [(5, 0.75), (6, 1.2)], ids=["5", "6"])
+    def test_grid_on_closed_orbits_passes(self, n, big_r):
+        # every row of the default grid has E < 0 here, and the scan passes
+        result = rigidity_scan(RunConfig(n=n, R=big_r, horizon=40.0).validate())
+        assert result["status"] == "pass" and result["grid_closures"] == 0
 
     def test_no_equilibrium_is_trivial(self):
         cfg = RunConfig(R=-0.75).validate()  # the half-plane equilibrium needs R > 0

@@ -34,7 +34,6 @@ from mobiusflat.zoo import (
     cylinder_immersion,
     lift_to_sphere,
     scale_immersion,
-    sphere_chart_metric,
     torus_immersion,
 )
 
@@ -42,6 +41,7 @@ import moebius_oracle
 import zoo_oracle
 from fd_oracle import fd_handle
 from moebius_oracle import moebius_density
+from zoo_oracle import sphere_chart_metric
 from conftest import FD_STEP, N_DIM, TORUS_R, interior_points, make_trajectory, moebius_B
 from conftest import fd_surface, principal_curvatures
 

@@ -576,8 +576,10 @@ class TestPeriodMap:
 
     @pytest.mark.parametrize("horizon", [40.0, 200.0])
     def test_scan_rows_without_period_maps_match_the_oracle(self, horizon):
-        # rigidity_scan's equilibrium row (marched 1.5 periods at any horizon)
-        # and its two flat-control plane rows: their candidates are their samples
+        # the equilibrium row marched over 1.5 periods (at any horizon) without
+        # a period map, the oracle of rigidity_scan's one-step map
+        # (test_rest_point_map_closes_as_the_full_march), and rigidity_scan's
+        # two flat-control plane rows: their candidates are their samples
         period = 2.0 * np.pi / np.sqrt(KSTAR**2 - 1.0)
         eq = integrate_grid(
             HALF_PLANE_PARAMS, [[KSTAR, 0.0]], IntegratorControls(s_max=1.5 * period)
@@ -656,14 +658,62 @@ class TestPeriodMap:
         assert np.max(angle_gap(moved[:, 2], later[:, 2])) < 1e-9
         assert np.max(np.abs(marched.kappa_at(pmap.period + u) - marched.kappa_at(u))) < 1e-9
 
+    def test_rest_point_period_is_its_first_step(self):
+        # at (kappa*, 0) every arc length is a period: the row stops at the end
+        # of its first Taylor step, and that step's holonomy moves the curve
+        # one step on at every s
+        controls = IntegratorControls(s_max=12.0)
+        plain = integrate_grid(HALF_PLANE_PARAMS, [[KSTAR, 0.0]], controls)[0]
+        rest = integrate_grid(HALF_PLANE_PARAMS, [[KSTAR, 0.0]], controls, period_map=True)[0]
+        y0 = (KSTAR, 0.0, *default_curve_start(spiral.HALF_PLANE))
+        first_step = spiral._spiral_series(HALF_PLANE_PARAMS, True)(0.0, y0)[1]
+        assert rest.termination == "horizon" and rest.steps.starts == [0.0]
+        assert 0.5 < rest.period_map.period == rest.s_end == first_step < 1.0
+        assert np.array_equal(rest.steps.coefs, plain.steps.coefs[:1])
+        # the samples cover [0, first_step]: the plain row's samples before it, then its end
+        inside = rest.s.size - 1
+        assert plain.s[inside - 1] < first_step <= plain.s[inside]
+        assert rest.s[0] == 0.0 and np.array_equal(rest.s[:-1], plain.s[:inside])
+        for name in ("kappa", "kappa_s", "curve"):
+            assert np.array_equal(getattr(rest, name)[:-1], getattr(plain, name)[:inside])
+        u = np.array([0.0, 0.3, 2.0, 7.5, 10.0])
+        moved = spiral._moebius(plain.curve_at(u), rest.period_map.holonomy)
+        later = plain.curve_at(u + first_step)
+        assert np.max(np.abs(moved[:, :2] - later[:, :2])) < 1e-12
+        assert np.max(angle_gap(moved[:, 2], later[:, 2])) < 1e-12
+        results = closure_tests([rest, plain])
+        assert results == [closure_oracle.closure_test(t) for t in (rest, plain)]
+        assert [r.status for r in results] == ["closed", "closed"]
+
+    @pytest.mark.parametrize(
+        "n,big_r", [(4, 0.75), (5, 0.75), (6, 1.2), (7, 2.0)], ids=["4", "5", "6", "7"]
+    )
+    def test_rest_point_map_closes_as_the_full_march(self, n, big_r):
+        # rigidity_scan's equilibrium row: its one-step map and its march over
+        # all 1.5 periods, the oracle, both close with the hyperbolic circle's period
+        params = SpiralParams(n, -1, big_r)
+        kstar = equilibrium_kappa(params)
+        period = 2.0 * np.pi / np.sqrt(kstar**2 - 1.0)
+        controls = IntegratorControls(s_max=1.5 * period)
+        full, mapped = (
+            integrate_grid(params, [[kstar, 0.0]], controls, period_map=watch)[0]
+            for watch in (False, True)
+        )
+        assert len(mapped.steps.starts) == 1 and len(full.steps.starts) > 40
+        assert mapped.period_map is not None and full.period_map is None
+        assert closure_tests([mapped]) == [closure_oracle.closure_test(mapped)]
+        for traj in (full, mapped):
+            res = closure_test(traj)
+            assert res.status == "closed"
+            assert abs(res.period - period) <= 1e-11 and res.defect <= 1e-11
+
     @pytest.mark.parametrize(
         "params,row,s_max,stride",
         [
             (SpiralParams(4, 0, 0.0), [1.0, 0.05], 40.0, 10),  # flat control: kappa is linear
-            (HALF_PLANE_PARAMS, [KSTAR, 0.0], 12.0, 1),  # equilibrium: a rest point
             (SpiralParams(4, -1, -0.5), [1.0, 0.5], 10.0, 10),  # leaves through the ceiling
         ],
-        ids=["flat", "equilibrium", "ceiling"],
+        ids=["flat", "ceiling"],
     )
     def test_rows_without_return_are_unchanged(self, params, row, s_max, stride):
         controls = IntegratorControls(s_max=s_max, store_stride=stride, kappa_ceiling=50.0)

@@ -22,7 +22,6 @@ from mobiusflat.zoo import (
     inverse_stereographic,
     lift_to_sphere,
     scale_immersion,
-    sphere_chart_metric,
     stereographic,
     torus_immersion,
 )
@@ -30,7 +29,7 @@ from mobiusflat.zoo import (
 import moebius_oracle
 import zoo_oracle
 from fd_oracle import fd_handle
-from zoo_oracle import sphere_chart
+from zoo_oracle import sphere_chart, sphere_chart_metric
 from conftest import FD_STEP as STEP
 from conftest import N_DIM, TORUS_R, interior_points, principal_curvatures, surface_map
 

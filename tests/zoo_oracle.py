@@ -32,6 +32,20 @@ def sphere_chart(angles):
     return out
 
 
+def sphere_chart_metric(angles):
+    """Round metric of S^d in the chart of sphere_chart, angles (K, d), as (K, d, d).
+
+    diag(1, sin^2 a_0, sin^2 a_0 sin^2 a_1, ...): entry i is the product of
+    sin^2 of the angles before i.
+    """
+    angles = np.atleast_2d(angles)
+    k, d = angles.shape
+    diag = np.ones((k, d))
+    for i in range(1, d):
+        diag[:, i] = diag[:, i - 1] * np.sin(angles[:, i - 1]) ** 2
+    return diag[:, :, None] * np.eye(d)
+
+
 def cylinder(traj):
     """(s, y) -> (curve(s), y) with the curve in R^2."""
 
