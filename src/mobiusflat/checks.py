@@ -9,11 +9,13 @@ metric reproduction, closure of curves) are *asserts* and gate the exit
 status.
 
 Each check is registered once, by ``@register(name, anchor, tolerance,
-kind)`` on its body.  ``tolerance`` names a ``RunConfig`` field, or is a
-constant (the two audits and ``fd_convergence``).  The body only measures:
-it folds its residuals into a ``Residuals`` accumulator (worst value and
-sample count), states any pass condition beyond the tolerance (a negative
-control) with ``Residuals.require``, and returns its details.  Calling the
+kind)`` on its body.  ``tolerance`` is the check's threshold, a number
+written there and nowhere else: no config key moves a verdict, and a
+negative control that needs the threshold reads it from the registered
+``Check``.  The body only measures: it folds its residuals into a
+``Residuals`` accumulator (worst value and sample count), states any pass
+condition beyond the tolerance (a negative control) with
+``Residuals.require``, and returns its details.  Calling the
 registered ``Check`` is the one place a ``CheckRecord`` is built: an assert
 passes when its worst residual is below the tolerance and every extra
 condition holds, an audit always passes, and a body that raises gives a
@@ -102,6 +104,10 @@ WARPED_AUDIT_R = {
 TORUS_AUDIT_RADII = (0.3, 0.5, 1.0 / np.sqrt(2.0))
 
 
+# sample_points: the uniform jitter of each chart coordinate after the
+# first, in units of that coordinate's width capped at 1
+SAMPLE_JITTER = 0.1
+
 # fd_convergence: a curvature step and its half
 FD_CONVERGENCE_STEPS = (0.04, 0.02)
 
@@ -156,7 +162,7 @@ def _surface(surfaces: list[SuiteSurface], name: str) -> SuiteSurface:
     return next(s for s in surfaces if s.name == name)
 
 
-def sample_points(imm: ImmersionHandle, count: int, rng, jitter: float = 0.1, pad: float = 0.12):
+def sample_points(imm: ImmersionHandle, count: int, rng, pad: float = 0.12):
     """Seeded jittered samples spread along the first chart coordinate, each coordinate
     kept pad inside the chart; a chart narrower than twice the pad raises InputError."""
     for a, (lo, hi) in enumerate(imm.domain):
@@ -175,7 +181,7 @@ def sample_points(imm: ImmersionHandle, count: int, rng, jitter: float = 0.1, pa
     for a in range(1, imm.chart_dimension):
         lo, hi = imm.domain[a]
         width = min(hi - lo, 1.0)
-        pts[:, a] += rng.uniform(-jitter, jitter, size=count) * width
+        pts[:, a] += rng.uniform(-SAMPLE_JITTER, SAMPLE_JITTER, size=count) * width
         pts[:, a] = np.clip(pts[:, a], lo + pad, hi - pad)
     return pts
 
@@ -270,26 +276,22 @@ class Check:
 
     name: str
     anchor: str
-    tolerance: str | float  # a RunConfig field name, or a constant
+    tolerance: float
     body: Callable  # (cfg, surfaces, rng, Residuals) -> details
     kind: str = "assert"  # "assert" gates the exit code, "audit" reports data
-
-    def tolerance_for(self, cfg: RunConfig) -> float:
-        return getattr(cfg, self.tolerance) if isinstance(self.tolerance, str) else self.tolerance
 
     def __call__(self, cfg: RunConfig, surfaces, rng) -> CheckRecord:
         """Run the body and build the record; a crash becomes a failed record."""
         res = Residuals()
         try:
             details = self.body(cfg, surfaces, rng, res)
-            tolerance = self.tolerance_for(cfg)
             # a NaN residual fails an audit too: nothing was measured
-            passed = self.kind == "audit" or (res.worst < tolerance and res.required)
+            passed = self.kind == "audit" or (res.worst < self.tolerance and res.required)
             measured = {
                 "kind": self.kind,
                 "samples": res.samples,
                 "max_residual": float(res.worst),
-                "tolerance": tolerance,
+                "tolerance": self.tolerance,
                 "passed": passed and not math.isnan(res.worst),
                 "details": details,
             }
@@ -306,7 +308,7 @@ class Check:
 CHECK_FUNCTIONS: dict[str, Check] = {}
 
 
-def register(name: str, anchor: str, tolerance: str | float, kind: str = "assert"):
+def register(name: str, anchor: str, tolerance: float, kind: str = "assert"):
     """Register the decorated body as the check ``name``; the decorated name is the Check."""
 
     def decorate(body) -> Check:
@@ -324,7 +326,7 @@ def register(name: str, anchor: str, tolerance: str | float, kind: str = "assert
     "moebius_metric_match",
     "Moebius metric of cylinder/cone/rotational generators equals "
     "kappa(s)^2 (ds^2 + I_{-eps}) entrywise",
-    "tol_metric_match",
+    1e-6,
 )
 def check_moebius_metric_match(cfg: RunConfig, surfaces, rng, res: Residuals) -> dict:
     """Computed Moebius metric equals kappa(s)^2 (ds^2 + I_{-eps}) entrywise."""
@@ -332,7 +334,7 @@ def check_moebius_metric_match(cfg: RunConfig, surfaces, rng, res: Residuals) ->
     for surf in surfaces:
         if surf.traj is None:
             continue
-        pts = sample_points(surf.imm, cfg.samples, rng, cfg.jitter)
+        pts = sample_points(surf.imm, cfg.samples, rng)
         computed = surf.fields.jets(pts, 0).moebius.value
         expected = warped_metric_jet(surf.traj, pts, 0).value
         scale = np.max(np.abs(expected), axis=(1, 2))
@@ -345,13 +347,13 @@ def check_moebius_metric_match(cfg: RunConfig, surfaces, rng, res: Residuals) ->
 @register(
     "trace_identities",
     "tr B = 0 and |B|^2 = (n-1)/n in the Moebius-metric orthonormal frame",
-    "tol_trace",
+    1e-8,
 )
 def check_trace_identities(cfg: RunConfig, surfaces, rng, res: Residuals) -> dict:
     """tr B = 0 and |B|^2 = (n-1)/n at every sample."""
     n = cfg.n
     for surf in surfaces:
-        pts = sample_points(surf.imm, cfg.samples, rng, cfg.jitter)
+        pts = sample_points(surf.imm, cfg.samples, rng)
         b = surf.fields.jets(pts, 0).B
         traces = np.abs(np.trace(b, axis1=1, axis2=2))
         norms = np.abs(np.sum(b * b, axis=(1, 2)) - (n - 1) / n)
@@ -363,14 +365,14 @@ def check_trace_identities(cfg: RunConfig, surfaces, rng, res: Residuals) -> dic
     "moebius_form_structure",
     "Moebius 1-form: zero on the torus and circle cylinder; only the "
     "profile component survives on generic generators",
-    "tol_form",
+    1e-8,
 )
 def check_moebius_form_structure(cfg: RunConfig, surfaces, rng, res: Residuals) -> dict:
     """C vanishes on the torus and circle cylinder; only C_1 survives otherwise."""
     details = {}
 
     torus = _surface(surfaces, "torus")
-    pts = sample_points(torus.imm, 4, rng, cfg.jitter, pad=0.2)
+    pts = sample_points(torus.imm, 4, rng, pad=0.2)
     details["torus_max_C"] = float(np.max(np.abs(torus.fields.jets(pts).C)))
     res.add(details["torus_max_C"], samples=pts.shape[0])
 
@@ -382,7 +384,7 @@ def check_moebius_form_structure(cfg: RunConfig, surfaces, rng, res: Residuals) 
     res.add(details["circle_cylinder_max_C"])
 
     cyl = _surface(surfaces, "cylinder")
-    pts = sample_points(cyl.imm, 4, rng, cfg.jitter)
+    pts = sample_points(cyl.imm, 4, rng)
     c = cyl.closed_form.jets(pts).C
     kap, ks = cyl.traj.kappa_at(pts[:, 0]), cyl.traj.kappa_s_at(pts[:, 0])
     tangential = float(np.max(np.abs(c[:, 1:])))
@@ -404,13 +406,13 @@ def check_moebius_form_structure(cfg: RunConfig, surfaces, rng, res: Residuals) 
 @register(
     "commutator_closure",
     "closed Moebius form equivalence: commutator of B and A vanishes",
-    "tol_commutator",
+    1e-8,
 )
 def check_commutator_closure(cfg: RunConfig, surfaces, rng, res: Residuals) -> dict:
     """B A - A B = 0: B and A are simultaneously diagonalizable."""
     pipeline_max = 0.0
     for surf in surfaces:
-        pts = sample_points(surf.imm, 3, rng, cfg.jitter)
+        pts = sample_points(surf.imm, 3, rng)
         records = surf.closed_form.jets(pts).records(pts)
         res.add(*(d.commutator_norm() for d in records), samples=pts.shape[0])
         d = moebius_data(surf.fields, pts[0])
@@ -422,13 +424,13 @@ def check_commutator_closure(cfg: RunConfig, surfaces, rng, res: Residuals) -> d
     "principal_multiplicity",
     "conformal flatness criterion: at least n-1 equal principal "
     "curvatures; torus has exactly two with gap 1/(r sqrt(1-r^2))",
-    "tol_multiplicity",
+    1e-8,
 )
 def check_principal_multiplicity(cfg: RunConfig, surfaces, rng, res: Residuals) -> dict:
     """At least n-1 principal curvatures coincide on every generated surface."""
     torus_gap = None
     for surf in surfaces:
-        pts = sample_points(surf.imm, cfg.samples, rng, cfg.jitter)
+        pts = sample_points(surf.imm, cfg.samples, rng)
         lam = np.sort(surf.fields.jets(pts, 0).spectra[0])
         spread = np.minimum(lam[:, -2] - lam[:, 0], lam[:, -1] - lam[:, 1])
         res.add(*spread.tolist(), samples=len(pts))
@@ -444,7 +446,7 @@ def check_principal_multiplicity(cfg: RunConfig, surfaces, rng, res: Residuals) 
     "schouten_codazzi",
     "Schouten tensor S = Ric - R/(2(n-1)) Id is a Codazzi tensor for "
     "conformally flat metrics",
-    "tol_codazzi",
+    1e-4,
 )
 def check_schouten_codazzi(cfg: RunConfig, surfaces, rng, res: Residuals) -> dict:
     """Schouten tensor of the induced metrics is Codazzi; a generic metric is not.
@@ -456,7 +458,7 @@ def check_schouten_codazzi(cfg: RunConfig, surfaces, rng, res: Residuals) -> dic
     for surf in surfaces:
         if surf.name == "torus":
             continue
-        pts = sample_points(surf.imm, 3, rng, cfg.jitter, pad=0.2)
+        pts = sample_points(surf.imm, 3, rng, pad=0.2)
         vals = schouten_codazzi_defects(surf.closed_form.first_form(pts, 3))[0]
         per_surface[surf.name] = float(np.max(vals))
         res.add(per_surface[surf.name], samples=len(vals))
@@ -464,11 +466,11 @@ def check_schouten_codazzi(cfg: RunConfig, surfaces, rng, res: Residuals) -> dic
     control_jet = codazzi_control_jet(np.full((1, cfg.n), 0.4), 3)
     control = float(schouten_codazzi_defects(control_jet)[0, 0])
     res.add(samples=1)
-    res.require(control > 10 * cfg.tol_codazzi)
+    res.require(control > 10 * check_schouten_codazzi.tolerance)
 
     # convention audit on a metric whose scalar curvature varies
     rot = _surface(surfaces, "rotational")
-    p_aud = sample_points(rot.imm, 1, rng, cfg.jitter, pad=0.2)[:1]
+    p_aud = sample_points(rot.imm, 1, rng, pad=0.2)[:1]
     conventions = list(CONVENTION_BY_NAME.values())
     defects = schouten_codazzi_defects(rot.closed_form.first_form(p_aud, 3), conventions)
     audit = {name: float(d[0]) for name, d in zip(CONVENTION_BY_NAME, defects)}
@@ -489,12 +491,12 @@ def check_schouten_codazzi(cfg: RunConfig, surfaces, rng, res: Residuals) -> dic
     "two_route_scalar",
     "scalar curvature of the Moebius metric: direct metric-field route "
     "vs conformal-change route",
-    "tol_two_route",
+    1e-5,
 )
 def check_two_route_scalar(cfg: RunConfig, surfaces, rng, res: Residuals) -> dict:
     """Direct curvature of rho^2 I agrees with the conformal-change route."""
     for surf in surfaces:
-        pts = sample_points(surf.imm, max(3, cfg.samples // 4), rng, cfg.jitter)
+        pts = sample_points(surf.imm, max(3, cfg.samples // 4), rng)
         request = surf.fields.jets(pts)
         res.add(*np.abs(request.direct_scalar - request.conformal_scalar), samples=len(pts))
     return {}
@@ -504,7 +506,7 @@ def check_two_route_scalar(cfg: RunConfig, surfaces, rng, res: Residuals) -> dic
     "scalar_constancy",
     "constant Moebius scalar curvature along spiral-generated "
     "hypersurfaces; non-spiral control varies",
-    "tol_constancy",
+    1e-5,
 )
 def check_scalar_constancy(cfg: RunConfig, surfaces, rng, res: Residuals) -> dict:
     """Moebius scalar curvature is constant along spiral-generated surfaces.
@@ -517,7 +519,7 @@ def check_scalar_constancy(cfg: RunConfig, surfaces, rng, res: Residuals) -> dic
         if surf.traj is None:
             continue
         # a spread needs two points
-        pts = sample_points(surf.imm, max(2, cfg.samples), rng, cfg.jitter)
+        pts = sample_points(surf.imm, max(2, cfg.samples), rng)
         spreads[surf.name] = _spread(surf.fields.jets(pts).direct_scalar)
         res.add(spreads[surf.name], samples=len(pts))
 
@@ -526,10 +528,10 @@ def check_scalar_constancy(cfg: RunConfig, surfaces, rng, res: Residuals) -> dic
     )
     control_imm = rotational_immersion(control_traj, cfg.n)
     control_fields = fields_from_immersion(control_imm)
-    control_pts = sample_points(control_imm, max(6, cfg.samples // 3), rng, cfg.jitter)
+    control_pts = sample_points(control_imm, max(6, cfg.samples // 3), rng)
     control_spread = _spread(control_fields.jets(control_pts).direct_scalar)
     res.add(samples=len(control_pts))
-    res.require(control_spread > 10 * cfg.tol_constancy)
+    res.require(control_spread > 10 * check_scalar_constancy.tolerance)
     return {"spread_by_family": spreads, "negative_control_spread": control_spread}
 
 
@@ -538,7 +540,7 @@ def check_scalar_constancy(cfg: RunConfig, surfaces, rng, res: Residuals) -> dic
     "kappa^2 (ds^2 + I_{-eps}) has constant scalar curvature exactly "
     "along spirals of the standard coefficient convention; affine "
     "relation computed-vs-prescribed R audited per normalization",
-    "tol_constancy",
+    1e-5,
 )
 def check_warped_metric_scalar(cfg: RunConfig, surfaces, rng, res: Residuals) -> dict:
     """Constancy and normalization audit for kappa^2 (ds^2 + I_{-eps}).
@@ -624,7 +626,7 @@ def check_torus_scalar_audit(cfg: RunConfig, surfaces, rng, res: Residuals) -> d
     for r in TORUS_AUDIT_RADII:
         imm = torus_immersion(r, n)
         fields = fields_from_immersion(imm)
-        pts = sample_points(imm, 3, rng, cfg.jitter)
+        pts = sample_points(imm, 3, rng)
         per_conv = _mean_by_convention(fields.jets(pts).direct_scalar, n)
         candidates = {
             "r^2": base * r**2,
@@ -689,7 +691,7 @@ def check_blaschke_trace_audit(cfg: RunConfig, surfaces, rng, res: Residuals) ->
     n = cfg.n
     audit_rows = []
     for surf in surfaces:
-        pts = sample_points(surf.imm, 2, rng, cfg.jitter, pad=0.2)
+        pts = sample_points(surf.imm, 2, rng, pad=0.2)
         request = surf.closed_form.jets(pts)  # one request for A and the scalar
         resid = {name: 0.0 for name in CONVENTION_BY_NAME}
         for a_k, full in zip(request.A, request.direct_scalar):
@@ -706,7 +708,7 @@ def check_blaschke_trace_audit(cfg: RunConfig, surfaces, rng, res: Residuals) ->
     "sigma_invariance",
     "conformal lift to the sphere preserves the Moebius metric and "
     "second fundamental form: eigenvalues of B and the scalar agree",
-    "tol_sigma",
+    1e-5,
 )
 def check_sigma_invariance(cfg: RunConfig, surfaces, rng, res: Residuals) -> dict:
     """B eigenvalues and Moebius scalar agree between f and its sphere lift."""
@@ -714,7 +716,7 @@ def check_sigma_invariance(cfg: RunConfig, surfaces, rng, res: Residuals) -> dic
         if surf.name not in ("cylinder", "rotational"):
             continue
         lift_fields = fields_from_immersion(lift_to_sphere(surf.imm))
-        pts = sample_points(surf.imm, 3, rng, cfg.jitter)
+        pts = sample_points(surf.imm, 3, rng)
         plain, lift = (f.jets(pts) for f in (surf.fields, lift_fields))
         b0, b1, s0, s1 = plain.spectra[1], lift.spectra[1], plain.direct_scalar, lift.direct_scalar
         for gap, r in zip(np.max(np.abs(b0 - b1), axis=1), np.abs(s0 - s1)):
@@ -837,7 +839,7 @@ def rigidity_scan(cfg: RunConfig) -> dict:
         IntegratorControls(s_max=1.5 * period, step=cfg.step),
         period_map=True,
     )[0]
-    eq = closure_test(eq_traj, cfg.tol_closed, cfg.tol_open)
+    eq = closure_test(eq_traj)
     result["equilibrium"] = {
         "expected_period": period,
         "status": eq.status,
@@ -849,7 +851,7 @@ def rigidity_scan(cfg: RunConfig) -> dict:
     trajectories = integrate_grid(params, initials, controls, period_map=True)
     grid_rows = []
     closures = 0
-    results = closure_tests(trajectories, cfg.tol_closed, cfg.tol_open)
+    results = closure_tests(trajectories)
     for (k0, ks0), traj, res in zip(initials, trajectories, results):
         closures += int(res.status == "closed")
         pmap = traj.period_map
@@ -875,7 +877,7 @@ def rigidity_scan(cfg: RunConfig) -> dict:
         IntegratorControls(s_max=min(cfg.horizon, 60.0), step=cfg.step, store_stride=10),
     )
     flat_rows = []
-    for traj, res in zip(flat_trajs, closure_tests(flat_trajs, cfg.tol_closed, cfg.tol_open)):
+    for traj, res in zip(flat_trajs, closure_tests(flat_trajs)):
         # E = kappa_s^2 kappa^(n-4) is conserved here (eps = 0, R = 0):
         # E > 0 keeps kappa_s away from 0, so kappa is strictly
         # monotone and the profile cannot close

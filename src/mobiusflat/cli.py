@@ -81,7 +81,7 @@ def cmd_invariants(cfg: RunConfig, out: str, convention: str) -> int:
     imm = _build_surface(cfg)
     fields = fields_from_immersion(imm)
     rng = np.random.default_rng(cfg.seed)
-    pts = sample_points(imm, cfg.samples, rng, cfg.jitter)
+    pts = sample_points(imm, cfg.samples, rng)
     conv = CONVENTION_BY_NAME[convention]
     n = cfg.n
     header = (

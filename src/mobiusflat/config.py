@@ -51,7 +51,6 @@ class RunConfig:
     kappa_ceiling: float = 1e6
     # sampling
     samples: int = 20
-    jitter: float = 0.1
     seed: int = 0
     # hypersurface selection (build / invariants)
     family: str = "rotational"
@@ -62,18 +61,6 @@ class RunConfig:
     horizon: float = 200.0
     grid_size: int = 5
     grid_spread: float = 0.2
-    # tolerances
-    tol_metric_match: float = 1e-6
-    tol_trace: float = 1e-8
-    tol_form: float = 1e-8
-    tol_commutator: float = 1e-8
-    tol_multiplicity: float = 1e-8
-    tol_codazzi: float = 1e-4
-    tol_two_route: float = 1e-5
-    tol_constancy: float = 1e-5
-    tol_closed: float = 1e-6
-    tol_open: float = 1e-3
-    tol_sigma: float = 1e-5
     # mesh export
     slice_axes: str = "0,1"
     slice_res: int = 24
@@ -163,12 +150,12 @@ class RunConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.samples < 1 or self.grid_size < 1 or self.slice_res < 2:
             raise ConfigError("samples, grid_size and slice_res must be positive")
-        for f in fields(self):
-            if f.name.startswith("tol_") and getattr(self, f.name) <= 0:
-                raise ConfigError(f"{f.name} must be positive")
-        for c in self.check_list():
+        names = self.check_list()
+        for c in names:
             if c not in CHECK_NAMES:
                 raise ConfigError(f"unknown check {c!r}")
+            if names.count(c) > 1:
+                raise ConfigError(f"check {c!r} is named twice")
         self.slice_axis_pair()
         self.obj_axis_triple()
         return self

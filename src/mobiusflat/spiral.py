@@ -412,7 +412,7 @@ class SpiralTrajectory:
 
     # -- evaluation between samples, on the step polynomials -----------------
 
-    def _read(self, sq, columns: slice, order: int = 0) -> np.ndarray:
+    def read(self, sq, columns: slice, order: int = 0) -> np.ndarray:
         """(order + 1, *sq.shape, width): the columns and their s-derivatives at sq."""
         sq = np.asarray(sq, dtype=float)
         if np.any(sq < self.s[0] - 1e-12) or np.any(sq > self.s[-1] + 1e-12):
@@ -425,13 +425,13 @@ class SpiralTrajectory:
     def _curve(self, sq, order: int) -> np.ndarray:
         if not self.joint:
             raise InputError("trajectory has no reconstructed curve; run reconstruct_curve")
-        return self._read(sq, slice(2, None), order)
+        return self.read(sq, slice(2, None), order)
 
     def kappa_at(self, sq) -> np.ndarray:
-        return self._read(sq, slice(0, 1))[0, ..., 0]
+        return self.read(sq, slice(0, 1))[0, ..., 0]
 
     def kappa_s_at(self, sq) -> np.ndarray:
-        return self._read(sq, slice(1, 2))[0, ..., 0]
+        return self.read(sq, slice(1, 2))[0, ..., 0]
 
     def curve_at(self, sq) -> np.ndarray:
         """Model coordinates of the reconstructed curve at arbitrary s."""
@@ -472,7 +472,10 @@ def _integrate_rows(
     period_map: bool = False,
 ) -> list[SpiralTrajectory]:
     """Integrate (kappa, kappa_s) rows, with the curve from default_curve_start when joint."""
-    y0 = np.atleast_2d(np.asarray(initial_states, dtype=float))
+    states = np.asarray(initial_states, dtype=float)
+    if states.ndim > 2 or (states.size and states.shape[-1] != 2):
+        raise InputError(f"initial states must be (kappa, kappa_s) rows, got shape {states.shape}")
+    y0 = states.reshape(-1, 2)  # [] is no rows, as (0, 2) is
     _check_start(y0, controls)
     if joint:
         start = np.tile(default_curve_start(params.model), (y0.shape[0], 1))
@@ -601,6 +604,11 @@ def prescribed_curvature_trajectory(
 # ---------------------------------------------------------------------------
 # closure detection
 
+# closure verdicts: a least defect below TOL_CLOSED is closed, one above
+# TOL_OPEN (on a row marched to its horizon) is open
+TOL_CLOSED = 1e-6
+TOL_OPEN = 1e-3
+
 
 @dataclass(frozen=True)
 class ClosureResult:
@@ -668,11 +676,9 @@ def _holonomy_table(traj: SpiralTrajectory) -> np.ndarray:
     return pmap.powers(range(int(traj.controls.s_max / pmap.period) + 1))
 
 
-def closure_test(
-    traj: SpiralTrajectory, tol_closed: float = 1e-6, tol_open: float = 1e-3
-) -> ClosureResult:
+def closure_test(traj: SpiralTrajectory) -> ClosureResult:
     """closure_tests of the one row traj."""
-    return closure_tests([traj], tol_closed, tol_open)[0]
+    return closure_tests([traj])[0]
 
 
 def _coarse_closure(traj: SpiralTrajectory, table):
@@ -707,17 +713,15 @@ def _coarse_closure(traj: SpiralTrajectory, table):
     return a, b, float(defects[k]), float(s[k])
 
 
-def _closure_verdict(traj, best: float, best_s: float, tol_closed: float, tol_open: float):
-    if best < tol_closed:
+def _closure_verdict(traj, best: float, best_s: float):
+    if best < TOL_CLOSED:
         return ClosureResult("closed", best_s, best)
-    if best > tol_open and traj.termination == "horizon":  # a row that ended early is never open
+    if best > TOL_OPEN and traj.termination == "horizon":  # a row that ended early is never open
         return ClosureResult("open", None, best)
     return ClosureResult("inconclusive", None, best)
 
 
-def closure_tests(
-    trajs: list[SpiralTrajectory], tol_closed: float = 1e-6, tol_open: float = 1e-3
-) -> list[ClosureResult]:
+def closure_tests(trajs: list[SpiralTrajectory]) -> list[ClosureResult]:
     """Scan each row (rows of one model) for a return to its initial curve state, then refine.
 
     defect(s) = position distance + tangent angle distance
@@ -750,7 +754,7 @@ def closure_tests(
     a, b, best, best_s = (np.array(v) for v in zip(*map(_coarse_closure, trajs, tables)))
     _refine_rows(trajs, tables, a, b, best, best_s)
     return [
-        _closure_verdict(traj, value, s, tol_closed, tol_open)
+        _closure_verdict(traj, value, s)
         for traj, value, s in zip(trajs, best.tolist(), best_s.tolist())
     ]
 

@@ -180,7 +180,7 @@ def _s_jet(ders) -> Jet:
 def _kappa_factor(traj: SpiralTrajectory, s: np.ndarray, n: int, order: int):
     """The s-factor of the cylinder's and the cone's shape table: (kappa, 0, ..., 0,
     kappa, kappa / n)."""
-    kap = list(traj._read(s, slice(0, 1), order)[..., 0])
+    kap = list(traj.read(s, slice(0, 1), order)[..., 0])
     return _factor([kap] + [0.0] * (n - 1) + [kap, [x / n for x in kap]], s.size, order)
 
 
@@ -195,7 +195,7 @@ def warped_metric_jet(traj: SpiralTrajectory, pts: np.ndarray, order: int) -> Je
 
     def table(pts, order):
         k, n = pts.shape
-        kappa = _s_jet(traj._read(pts[:, 0], slice(0, 1), order)[..., 0])
+        kappa = _s_jet(traj.read(pts[:, 0], slice(0, 1), order)[..., 0])
         s = _factor([contract(",->", kappa, kappa).levels] * n, k, order)
         if traj.params.epsilon == -1:
             return [s] + [_padded(f, before=1) for f in _sphere_metric_factors(pts[:, 1:], order)]
@@ -418,7 +418,7 @@ def rotational_immersion(traj: SpiralTrajectory, n: int) -> ImmersionHandle:
 
     def shape_table(pts, order):
         # one read of the profile: the levels of (kappa, kappa_s, x, y, phi) to order + 1
-        profile = traj._read(pts[:, 0], slice(None), order + 1)
+        profile = traj.read(pts[:, 0], slice(None), order + 1)
         y, kap = (_s_jet(profile[:-1, :, c]) for c in (3, 0))
         xp = _s_jet(profile[1:, :, 2])
         inv_y = compose(y, power_derivatives(y.value, -1.0, order))

@@ -51,7 +51,7 @@ def flow_at(traj, s):
     return out
 
 
-def closure_test(traj, tol_closed=1e-6, tol_open=1e-3):
+def closure_test(traj):
     """The least defect from s = min(1, s_last / 4) on, s_last the last candidate's,
     refined between the neighbouring candidates by 33-point scans until the
     bracket is below 1e-11."""
@@ -70,4 +70,4 @@ def closure_test(traj, tol_closed=1e-6, tol_open=1e-3):
         if vals[j] < best:
             best, best_s = float(vals[j]), float(probes[j])
         a, b = float(probes[max(j - 1, 0)]), float(probes[min(j + 1, probes.size - 1)])
-    return _closure_verdict(traj, best, best_s, tol_closed, tol_open)
+    return _closure_verdict(traj, best, best_s)

@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 
 from mobiusflat import cli
-from mobiusflat.checks import sample_points
+from mobiusflat.checks import CHECK_FUNCTIONS, sample_points
 from mobiusflat.cli import main
-from mobiusflat.config import RunConfig, load_config
+from mobiusflat.config import RunConfig, load_config, parse_config
 from mobiusflat.immersion import ImmersionHandle
 from mobiusflat.moebius import fields_from_immersion
 from mobiusflat.curvature import Convention, convert_scalar
 from mobiusflat.errors import ConfigError
+
+from test_harness import REMOVED_KEYS
 
 FLOAT_KEYS = [f.name for f in fields(RunConfig) if f.type == "float"]
 
@@ -39,8 +41,11 @@ class TestVerifyCommand:
         }
         assert (out / "report.md").exists() and (out / "checks.csv").exists()
 
-    def test_failing_check_exit_one(self, tmp_path):
-        cfg = write_cfg(tmp_path, "checks = trace_identities\nsamples = 4\ntol_trace = 1e-30\n")
+    def test_failing_check_exit_one(self, tmp_path, monkeypatch):
+        # no config key moves a threshold, so the failure is forced in the registry
+        strict = replace(CHECK_FUNCTIONS["trace_identities"], tolerance=1e-30)
+        monkeypatch.setitem(CHECK_FUNCTIONS, "trace_identities", strict)
+        cfg = write_cfg(tmp_path, "checks = trace_identities\nsamples = 4\n")
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
     def test_empty_check_set(self, tmp_path):
@@ -68,9 +73,11 @@ class TestVerifyCommand:
 
 
 class TestConfigErrors:
-    def test_zero_tolerance_exit_two(self, tmp_path):
+    def test_zero_tolerance_exit_two(self, tmp_path, capsys):
+        # a tolerance is registered with its check, not read from the config
         cfg = write_cfg(tmp_path, "tol_constancy = 0\n")
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "unknown key 'tol_constancy'" in capsys.readouterr().err
 
     def test_unknown_key_exit_two(self, tmp_path, capsys):
         for text in ("zzz = 7\n", "spiral_variant = alternate\n", "curvature_step = 0.01\n"):
@@ -109,7 +116,12 @@ class TestConfigErrors:
             ("step = nan\n", "verify", "step must be finite"),
             ("step = nan\n", "rigidity", "step must be finite"),
             ("horizon = inf\n", "rigidity", "horizon must be finite"),
-            ("tol_constancy = nan\n", "verify", "tol_constancy must be finite"),
+            ("tol_constancy = nan\n", "verify", "unknown key 'tol_constancy'"),
+            (
+                "checks = trace_identities,trace_identities\n",
+                "verify",
+                "check 'trace_identities' is named twice",
+            ),
             ("kappa0 = 0.0\n", "spiral", "kappa0 must lie strictly between"),
             ("kappa0 = -1.0\n", "build", "kappa0 must lie strictly between"),
             ("kappa0 = 2e6\n", "spiral", "kappa0 must lie strictly between"),
@@ -120,8 +132,8 @@ class TestConfigErrors:
             "grid_spread", "grid_spread-above-one", "grid_spread-one",
             "grid_spread-below-floor", "grid_spread-open-orbits", "step-nan-verify",
             "step-nan-rigidity", "horizon-inf",
-            "tol_constancy-nan", "kappa0-zero", "kappa0-negative", "kappa0-above-ceiling",
-            "seed-negative",
+            "tol_constancy-nan", "checks-repeated", "kappa0-zero", "kappa0-negative",
+            "kappa0-above-ceiling", "seed-negative",
         ],
     )
     def test_unrunnable_config_exit_two(self, tmp_path, capsys, text, command, reason):
@@ -137,8 +149,10 @@ class TestConfigErrors:
         # the floor (status fail); and a NaN or infinite value passes
         # every "<= 0" test and escapes as a traceback or a NaN verdict, and a
         # kappa0 outside (kappa_floor, kappa_ceiling) stops spiral and build
-        # with an integration error (exit 1), and a negative seed escapes
-        # numpy's generator as a traceback
+        # with an integration error (exit 1), a negative seed escapes
+        # numpy's generator as a traceback, and a check named twice would
+        # build the suite and then stop on the duplicate record (exit 1); a
+        # removed key such as tol_constancy is unknown
         cfg = write_cfg(tmp_path, text)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
@@ -151,8 +165,12 @@ class TestConfigErrors:
         assert err.startswith("config error:") and "seed must be >= 0" in err
 
     @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
-    @pytest.mark.parametrize("name", FLOAT_KEYS)
+    @pytest.mark.parametrize("name", FLOAT_KEYS + list(REMOVED_KEYS))
     def test_non_finite_float_key_refused(self, name, value):
+        if name in REMOVED_KEYS:  # refused whatever its value, as an unknown key
+            with pytest.raises(ConfigError, match=f"unknown key '{name}'"):
+                parse_config(f"{name} = {value}\n")
+            return
         with pytest.raises(ConfigError, match=f"{name} must be finite"):
             replace(RunConfig(), **{name: value}).validate()
 
@@ -250,7 +268,7 @@ class TestDataCommands:
         cfg_path = write_cfg(tmp_path, f"family = {family}\nsamples = 5\n")
         cfg = load_config(cfg_path)
         imm = cli._build_surface(cfg)
-        pts = sample_points(imm, cfg.samples, np.random.default_rng(cfg.seed), cfg.jitter)
+        pts = sample_points(imm, cfg.samples, np.random.default_rng(cfg.seed))
         at_samples, depth = [], []
         evaluate = ImmersionHandle.evaluate_jet
 

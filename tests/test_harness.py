@@ -35,6 +35,22 @@ from mobiusflat.spiral import (
 )
 from mobiusflat.zoo import EPSILON_BY_FAMILY, build_family
 
+# the verdict thresholds and the sample jitter, config keys no more
+REMOVED_KEYS = (
+    "tol_metric_match",
+    "tol_trace",
+    "tol_form",
+    "tol_commutator",
+    "tol_multiplicity",
+    "tol_codazzi",
+    "tol_two_route",
+    "tol_constancy",
+    "tol_closed",
+    "tol_open",
+    "tol_sigma",
+    "jitter",
+)
+
 
 class TestConfig:
     def test_parse_and_defaults(self):
@@ -42,10 +58,12 @@ class TestConfig:
         assert cfg.n == 5 and cfg.seed == 3 and cfg.R == 0.5
         assert cfg.samples == RunConfig().samples
 
-    def test_unknown_key(self):
+    def test_unknown_key(self, tmp_path, capsys):
         # conventions, tol_first_integral and tol_roundtrip were never read;
         # the spiral equation has one set of coefficients, so no spiral_variant;
-        # every curvature but fd_convergence's is exact, so no curvature_step
+        # every curvature but fd_convergence's is exact, so no curvature_step;
+        # each check's tolerance, the closure thresholds and the sample jitter
+        # are constants, so no config can move a verdict
         for text in (
             "frobnicate = 1\n",
             "conventions = half,full,normalized\n",
@@ -56,6 +74,11 @@ class TestConfig:
         ):
             with pytest.raises(ConfigError, match="unknown key"):
                 parse_config(text)
+        path = tmp_path / "run.cfg"
+        for key in REMOVED_KEYS:
+            path.write_text(f"{key} = 0.1\n")
+            assert cli.main(["verify", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+            assert f"unknown key '{key}'" in capsys.readouterr().err
 
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -66,7 +89,7 @@ class TestConfig:
             parse_config("n = banana\n")
 
     def test_zero_tolerance_rejected(self):
-        with pytest.raises(ConfigError, match="tol_trace"):
+        with pytest.raises(ConfigError, match="unknown key 'tol_trace'"):
             parse_config("tol_trace = 0\n")
 
     def test_fd_order_two_refused(self):
@@ -264,11 +287,8 @@ class TestSuite:
             assert rec.anchor.strip()
             # the record states what the check registered
             assert (rec.anchor, rec.kind) == (fn.anchor, fn.kind)
-            if isinstance(fn.tolerance, str):
-                assert fn.tolerance.startswith("tol_")
-                assert rec.tolerance == getattr(cfg, fn.tolerance)
-            else:
-                assert rec.tolerance == fn.tolerance
+            assert isinstance(fn.tolerance, float) and fn.tolerance > 0
+            assert rec.tolerance == fn.tolerance
 
     def test_crashed_check_keeps_its_registration(self, monkeypatch):
         def crash(cfg, surfaces, rng, res):

@@ -882,7 +882,7 @@ class TestProfileScalarIdentity:
         imm = build_family(family, traj, n)
         pts = sample_points(imm, 8, np.random.default_rng(0))
         # kappa, kappa_s and kappa_ss from the step polynomials
-        expected = warped_scalar_reference(n, eps, *traj._read(pts[:, 0], slice(0, 1), 2)[..., 0])
+        expected = warped_scalar_reference(n, eps, *traj.read(pts[:, 0], slice(0, 1), 2)[..., 0])
         # worst measured: 2.1e-12 on the pipeline, 1.3e-15 on the closed forms
         for fields, bound in ((fields_from_immersion(imm), 1e-10), (imm.analytic_fields, 2e-14)):
             direct = fields.jets(pts).direct_scalar

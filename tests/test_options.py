@@ -1,4 +1,5 @@
-"""Every option of the package is in use: no defaulted parameter is left at its default.
+"""Every option of the package is in use: no defaulted parameter is left at its default,
+and no config key goes unread.
 
 An option that only ever takes its default is a constant in disguise.  The
 scan parses ``src/``, ``tools/`` and ``perfbench/`` and lists each defaulted
@@ -6,6 +7,10 @@ parameter of a ``def`` in ``src/`` that no call sets, by keyword or by
 position, matching calls to defs by name.  An argument that forwards the
 caller's own unset defaulted parameter (``f(x, tol)`` inside a def whose
 ``tol`` no call sets) does not set it.  Tests and demos are not callers.
+
+A config key that the package reads only by a computed name
+(``getattr(cfg, name)``) is as hard to follow, so a second scan lists each
+``RunConfig`` field that no module of ``src/`` reads as an attribute.
 """
 
 import ast
@@ -139,3 +144,47 @@ def caller(fields):
     assert scan(source.replace("front(0)", "front(0, 1e-6)")) == ["m:solve(sweeps)"]
     assert "m:read(order)" in scan(source.replace("read(1, 2)", "read(1)"))
     assert scan(source.replace("front(0)", "front(0, *args)")) == ["m:solve(sweeps)"]
+
+
+def unread_fields(sources: dict[str, str], class_name: str = "RunConfig") -> list[str]:
+    """Each annotated field of the class class_name that no source reads as an
+    attribute (x.field); sources maps a module name to its source."""
+    trees = [ast.parse(source) for source in sources.values()]
+    fields = [
+        node.target.id
+        for tree in trees
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name == class_name
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+    ]
+    read = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return [name for name in fields if name not in read]
+
+
+def test_every_config_key_is_read():
+    assert unread_fields(_sources("src")) == []
+
+
+def test_the_scan_finds_an_unread_key():
+    source = """
+class RunConfig:
+    n: int = 4
+    tol: float = 1e-8
+    seed: int = 0
+
+def check(cfg, res):
+    res.add(cfg.n)
+    return getattr(cfg, "tol")
+
+def store(cfg):
+    cfg.seed = 1
+"""
+    # tol is read by a computed name and seed is only written
+    assert unread_fields({"m": source}) == ["tol", "seed"]
+    assert unread_fields({"m": source.replace("cfg.seed = 1", "return cfg.seed")}) == ["tol"]

@@ -139,6 +139,15 @@ class TestTermination:
             run(p, -1.0, 0.0)
         with pytest.raises(InputError):
             run(p, 0.0, 0.0)
+        # a row of another width is refused, not cut into (kappa, kappa_s) pairs
+        with pytest.raises(InputError, match="rows, got shape"):
+            integrate_grid(p, np.full((3, 4), 1.2), IntegratorControls(s_max=1.0))
+
+    @pytest.mark.parametrize("rows", [[], np.zeros((0, 2))], ids=["list", "array"])
+    @pytest.mark.parametrize("period_map", [False, True])
+    def test_no_rows_give_no_trajectories(self, rows, period_map):
+        controls = IntegratorControls(s_max=1.0)
+        assert integrate_grid(SpiralParams(4, -1, 0.75), rows, controls, period_map) == []
 
     @pytest.mark.parametrize("name", ["step", "s_max"])
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
@@ -151,7 +160,7 @@ class TestCurveReconstruction:
     def test_plane_circle_closes(self):
         p = SpiralParams(4, 0, 0.0)
         traj = run(p, 1.0, 0.0, s_max=7.0, curve=True)
-        res = closure_test(traj, tol_closed=1e-6)
+        res = closure_test(traj)
         assert res.status == "closed"
         assert res.period == pytest.approx(2 * np.pi, abs=1e-6)
         assert res.defect < 1e-8
@@ -163,7 +172,7 @@ class TestCurveReconstruction:
         period = 2 * np.pi / np.sqrt(kstar**2 - 1.0)
         traj = run(p, kstar, 0.0, s_max=1.3 * period, curve=True)
         assert np.all(traj.curve[:, 1] > 0)
-        res = closure_test(traj, tol_closed=1e-6)
+        res = closure_test(traj)
         assert res.status == "closed"
         assert res.period == pytest.approx(period, abs=1e-6)
 
@@ -193,27 +202,27 @@ class TestCurveReconstruction:
     def test_non_equilibrium_does_not_close(self):
         p = SpiralParams(4, -1, 0.75)
         traj = run(p, 1.3, 0.0, s_max=60.0, curve=True, stride=5)
-        res = closure_test(traj, tol_closed=1e-6, tol_open=1e-3)
+        res = closure_test(traj)
         assert res.status == "open"
         assert res.defect > 1e-3
 
     def test_row_that_left_its_band_is_never_open(self):
         # the "ceiling" row of test_rows_without_return_are_unchanged: its
-        # least defect is far above tol_open, but it ended before the horizon
+        # least defect is far above TOL_OPEN, but it ended before the horizon
         controls = IntegratorControls(s_max=10.0, store_stride=10, kappa_ceiling=50.0)
         traj = integrate_grid(SpiralParams(4, -1, -0.5), [[1.0, 0.5]], controls)[0]
         assert traj.termination == "kappa_ceiling"
-        res = closure_test(traj, tol_closed=1e-6, tol_open=1e-3)
+        res = closure_test(traj)
         assert res.status == "inconclusive"
         assert res.defect > 1e-3
 
     def test_defect_between_the_tolerances_is_inconclusive(self):
         # a plane near-circle: after one turn it misses its start by about
-        # 4 pi kappa_s, between tol_closed and tol_open
+        # 4 pi kappa_s, between TOL_CLOSED and TOL_OPEN
         controls = IntegratorControls(s_max=7.0)
         traj = integrate_grid(SpiralParams(4, 0, 0.0), [[1.0, 1e-5]], controls)[0]
         assert traj.termination == "horizon"
-        res = closure_test(traj, tol_closed=1e-6, tol_open=1e-3)
+        res = closure_test(traj)
         assert res.status == "inconclusive"
         assert 1e-6 < res.defect < 1e-3
 
@@ -874,7 +883,7 @@ class TestTaylorOracle:
             return march(*args, **kwargs)
 
         monkeypatch.setattr(spiral.taylor, "march", counted)
-        res = closure_test(traj, tol_closed=1e-6)
+        res = closure_test(traj)
         assert marches == []
         assert res.status == "closed"
         assert res.period == pytest.approx(2.0 * np.pi, abs=1e-9)

@@ -261,7 +261,7 @@ class TestClosedForms:
         def refuse(*args, **kwargs):
             raise AssertionError("the metric view queried the trajectory")
 
-        monkeypatch.setattr(SpiralTrajectory, "_read", refuse)
+        monkeypatch.setattr(SpiralTrajectory, "read", refuse)
         assert np.array_equal(imm.analytic_fields.first_form(pts).value, expected)
 
 
