@@ -9,7 +9,7 @@ Library layout:
 * ``moebius``           -- conformal density; the Moebius metric, B, A, C read from one request
 * ``spiral``            -- prescribed-curvature curve ODE in the 2d model spaces
 * ``taylor``            -- order-20 Taylor marcher behind every spiral trajectory
-* ``zoo``               -- cylinder/cone/rotational/torus generators, model maps
+* ``zoo``               -- cylinder/cone/rotational/torus generators, stereographic lift
 * ``meshes``            -- OBJ slice export
 * ``checks``, ``report``-- verification harness with structured reports
 * ``config``            -- flat key = value run configuration
@@ -62,12 +62,9 @@ from .spiral import (
 from .zoo import (
     cone_immersion,
     cylinder_immersion,
-    hyperboloid_to_hemisphere,
-    inverse_stereographic,
     lift_to_sphere,
     rotational_immersion,
     scale_immersion,
-    stereographic,
     torus_immersion,
 )
 

@@ -20,7 +20,9 @@ registered ``Check`` is the one place a ``CheckRecord`` is built: an assert
 passes when its worst residual is below the tolerance and every extra
 condition holds, an audit always passes, and a body that raises gives a
 failed assert record under the registered name and anchor, so the suite
-goes on.  ``CHECK_FUNCTIONS`` is the registry, in ``CHECK_NAMES`` order.
+goes on.  ``CHECK_FUNCTIONS`` is the registry and the one list of check
+names: its order, that of the bodies below, is the suite's order, and each
+check's random seed comes from its position.
 
 Closed-form fields of the generators (``SuiteSurface.closed_form``) back the
 tight-tolerance identity checks; the pipeline route (``SuiteSurface.fields``)
@@ -41,12 +43,11 @@ from __future__ import annotations
 import math
 import traceback
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from . import __version__
-from .config import RunConfig
 from .curvature import (
     Convention,
     convert_scalar,
@@ -84,6 +85,9 @@ from .zoo import (
     torus_immersion,
     warped_metric_jet,
 )
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 CONVENTION_BY_NAME = {c.value: c for c in Convention}
 
@@ -162,7 +166,11 @@ def _surface(surfaces: list[SuiteSurface], name: str) -> SuiteSurface:
     return next(s for s in surfaces if s.name == name)
 
 
-def sample_points(imm: ImmersionHandle, count: int, rng, pad: float = 0.12):
+# the chart distance a sample keeps from each end of every coordinate, by default
+SAMPLE_PAD = 0.12
+
+
+def sample_points(imm: ImmersionHandle, count: int, rng, pad: float = SAMPLE_PAD):
     """Seeded jittered samples spread along the first chart coordinate, each coordinate
     kept pad inside the chart; a chart narrower than twice the pad raises InputError."""
     for a, (lo, hi) in enumerate(imm.domain):
@@ -319,7 +327,7 @@ def register(name: str, anchor: str, tolerance: float, kind: str = "assert"):
 
 
 # ---------------------------------------------------------------------------
-# individual checks, registered in CHECK_NAMES order
+# individual checks, registered in the suite's order
 
 
 @register(

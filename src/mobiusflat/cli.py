@@ -21,14 +21,14 @@ import sys
 import numpy as np
 
 from . import __version__
-from .checks import CONVENTION_BY_NAME, rigidity_scan, run_suite, sample_points
+from .checks import CONVENTION_BY_NAME, SAMPLE_PAD, rigidity_scan, run_suite, sample_points
 from .config import RunConfig, load_config
 from .curvature import Convention, convert_scalar
 from .errors import ConfigError, MobiusFlatError
-from .meshes import export_obj_slice
+from .meshes import SLICE_PAD, export_obj_slice
 from .moebius import fields_from_immersion
 from .spiral import IntegratorControls, SpiralParams, export_csv, integrate_grid
-from .zoo import EPSILON_BY_FAMILY, build_family, torus_immersion
+from .zoo import CHART_MARGIN, EPSILON_BY_FAMILY, build_family, torus_immersion
 
 
 def _trajectory(cfg: RunConfig, epsilon: int):
@@ -43,10 +43,23 @@ def _trajectory(cfg: RunConfig, epsilon: int):
     return integrate_grid(params, [[cfg.kappa0, cfg.kappa_s0]], controls)[0]
 
 
-def _build_surface(cfg: RunConfig):
+def _build_surface(cfg: RunConfig, pad: float):
+    """The config's hypersurface, whose arc-length axis must keep pad inside its chart.
+
+    A spiral family's chart is its spiral less CHART_MARGIN at each end; a
+    spiral too short for that is a setting to change, so it is refused as a
+    ConfigError before the surface is built.
+    """
     if cfg.family == "torus":
         return torus_immersion(cfg.torus_r, cfg.n)
     traj = _trajectory(cfg, EPSILON_BY_FAMILY[cfg.family])
+    lo, hi = float(traj.s[0]) + CHART_MARGIN, float(traj.s[-1]) - CHART_MARGIN
+    if not lo + pad < hi - pad:
+        raise ConfigError(
+            f"s_max = {cfg.s_max:g} is too short for the {cfg.family} chart: its spiral ends "
+            f"at s = {traj.s_end:.6g} ({traj.termination}), and the chart keeps "
+            f"{CHART_MARGIN:g} + {pad:g} inside each end"
+        )
     return build_family(cfg.family, traj, cfg.n)
 
 
@@ -63,11 +76,12 @@ def cmd_spiral(cfg: RunConfig, out: str) -> int:
 
 
 def cmd_build(cfg: RunConfig, out: str) -> int:
-    imm = _build_surface(cfg)
+    axes = cfg.slice_axis_pair()
+    imm = _build_surface(cfg, SLICE_PAD if 0 in axes else 0.0)
     desc = export_obj_slice(
         imm,
         out,
-        axes=cfg.slice_axis_pair(),
+        axes=axes,
         res=cfg.slice_res,
         ambient_axes=cfg.obj_axis_triple(imm.ambient_dimension),
         stem=cfg.family,
@@ -78,7 +92,7 @@ def cmd_build(cfg: RunConfig, out: str) -> int:
 
 
 def cmd_invariants(cfg: RunConfig, out: str, convention: str) -> int:
-    imm = _build_surface(cfg)
+    imm = _build_surface(cfg, SAMPLE_PAD)
     fields = fields_from_immersion(imm)
     rng = np.random.default_rng(cfg.seed)
     pts = sample_points(imm, cfg.samples, rng)

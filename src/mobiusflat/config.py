@@ -15,25 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from math import isfinite
 
+from .checks import CHECK_FUNCTIONS
 from .errors import ConfigError
 from .report import config_hash
 from .zoo import FAMILIES
-
-CHECK_NAMES = (
-    "moebius_metric_match",
-    "trace_identities",
-    "moebius_form_structure",
-    "commutator_closure",
-    "principal_multiplicity",
-    "schouten_codazzi",
-    "two_route_scalar",
-    "scalar_constancy",
-    "warped_metric_scalar",
-    "torus_scalar_audit",
-    "blaschke_trace_audit",
-    "sigma_invariance",
-    "fd_convergence",
-)
 
 
 @dataclass
@@ -95,7 +80,7 @@ class RunConfig:
 
     def check_list(self) -> list[str]:
         if self.checks.strip() == "all":
-            return list(CHECK_NAMES)
+            return list(CHECK_FUNCTIONS)
         if not self.checks.strip():
             return []
         return [c.strip() for c in self.checks.split(",") if c.strip()]
@@ -152,7 +137,7 @@ class RunConfig:
             raise ConfigError("samples, grid_size and slice_res must be positive")
         names = self.check_list()
         for c in names:
-            if c not in CHECK_NAMES:
+            if c not in CHECK_FUNCTIONS:
                 raise ConfigError(f"unknown check {c!r}")
             if names.count(c) > 1:
                 raise ConfigError(f"check {c!r} is named twice")

@@ -250,7 +250,6 @@ class SurfaceFields:
     refused with InputError.
     """
 
-    dim: int
     ambient_curvature: float
     jets: Callable[..., Request] | None = None
 
@@ -308,7 +307,7 @@ def fields_from_immersion(imm: ImmersionHandle) -> SurfaceFields:
     def jets(pts, order: int = 2) -> Request:
         return _jets_from_forms(*fundamental_form_jets(imm, pts, sign, order), curvature)
 
-    return SurfaceFields(dim=imm.chart_dimension, ambient_curvature=curvature, jets=jets)
+    return SurfaceFields(ambient_curvature=curvature, jets=jets)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Concrete hypersurface families and the conformal model maps.
+"""Concrete hypersurface families, their stereographic lift and homotheties.
 
 Four generators, all built over a spiral trajectory or a radius parameter:
 
@@ -21,10 +21,6 @@ from the trajectory's step polynomials.  The lift and the homothety below
 carry the jet of their base handle through their map, at the order asked:
 the lift in the truncated Taylor arithmetic of ``jets``, the homothety by
 its scaling of each level.
-
-The model maps between the ambient space forms are also here: the inverse
-stereographic lift R^(n+1) -> S^(n+1) (level 0 of the lift's jet), its
-inverse, and the hyperboloid to hemisphere map H^(n+1) -> S^(n+1)_+.
 """
 
 from __future__ import annotations
@@ -169,7 +165,7 @@ def _closed_form_fields(n: int, metric_table, shape_table, curvature: float) -> 
     def jets(pts, order: int = 2):
         return moebius_jets(*(Jet(q) for q in forms(pts, order)), curvature)
 
-    return ClosedFormFields(dim=n, ambient_curvature=curvature, jets=jets, first_form=first_form)
+    return ClosedFormFields(ambient_curvature=curvature, jets=jets, first_form=first_form)
 
 
 def _s_jet(ders) -> Jet:
@@ -500,30 +496,7 @@ def torus_immersion(r: float, n: int) -> ImmersionHandle:
 
 
 # ---------------------------------------------------------------------------
-# conformal model maps
-
-
-def inverse_stereographic(u: np.ndarray) -> np.ndarray:
-    """R^N -> S^N in R^(N+1): u -> ((1-|u|^2)/(1+|u|^2), 2u/(1+|u|^2)), level 0 of
-    ``_lift_jet``."""
-    return _lift_jet([np.atleast_2d(np.asarray(u, dtype=float))])[0]
-
-
-def stereographic(w: np.ndarray) -> np.ndarray:
-    """Inverse of the lift; undefined at the antipode (first coordinate -1)."""
-    w = np.atleast_2d(np.asarray(w, dtype=float))
-    if np.any(w[:, 0] <= -1.0 + 1e-14):
-        raise ChartDomainError("stereographic chart undefined at the antipode")
-    return w[:, 1:] / (1.0 + w[:, 0])[:, None]
-
-
-def hyperboloid_to_hemisphere(y: np.ndarray) -> np.ndarray:
-    """H^N (hyperboloid, y0 > 0) -> open upper hemisphere of S^N."""
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    quad = -(y[:, 0] ** 2) + np.sum(y[:, 1:] ** 2, axis=1)
-    if np.any(np.abs(quad + 1.0) > 1e-10) or np.any(y[:, 0] <= 0):
-        raise ChartDomainError("input does not lie on the unit hyperboloid with y0 > 0")
-    return np.concatenate([1.0 / y[:, 0:1], y[:, 1:] / y[:, 0:1]], axis=1)
+# the stereographic lift and the homothety
 
 
 def _lift_jet(levels) -> tuple[np.ndarray, ...]:

@@ -1,15 +1,15 @@
 """The fixed-step RK4 marcher of the spiral system that the Taylor marcher replaced.
 
-Kept as the test oracle of spiral.py, which marches every row, spiral and
+Kept as the one RK4 oracle of spiral.py, which marches every row, spiral and
 prescribed-curvature alike, with taylor.march.  A state is a tuple
 (kappa, kappa_s, *curve) of Python floats.  spiral_step builds, once per
-parameter set, one unrolled RK4 step of the kappa equation, finished by one
+parameter set, one unrolled RK4 step of the kappa equation, and
+prescribed_step one step of a prescribed kappa(s); either is finished by one
 of the frame steps below, and march runs a step function over the fixed
 grid of spacing IntegratorControls.step, bisecting a band crossing within a
-step.  The steps follow the arithmetic of the vectorized right-hand sides
-term for term (see tests/numpy_stepper.py, the oracle of the RK4 step
-itself): stage states y + (0.5 h) k, the update
-y + (h / 6) (((k1 + 2 k2) + 2 k3) + k4) and the component order of np.cross.
+step.  Every step is classical RK4 written out term by term: stage states
+y + (0.5 h) k, the update y + (h / 6) (((k1 + 2 k2) + 2 k3) + k4) and the
+component order of np.cross.
 
 A frame step frame(kn, ksn, q1, q2, q3, q4, h, y) returns the stepped state:
 kn and ksn are the new kappa and kappa_s, q1..q4 the kappa of the four stages
@@ -219,3 +219,26 @@ def row(params: SpiralParams, k0, ks0, controls: IntegratorControls, joint: bool
     start = list(default_curve_start(params.model)) if joint else []
     y0 = np.array([k0, ks0] + start, dtype=float)
     return march(spiral_step(params, frame), y0, controls.s_max, controls)
+
+
+def prescribed_step(model: str, kappa_taylor):
+    """RK4 step (s, y, h) -> y of the frame under a prescribed kappa(s).
+
+    kappa_taylor(s, order) gives the Taylor coefficients of kappa about each
+    s.  The stage kappas are kappa at s, s + h/2 and s + h; kappa advances by
+    the RK4 quadrature of kappa_s, and kappa_s, which no equation moves, is
+    kept.
+    """
+    frame = FRAME_STEP[model]
+
+    def step(s, y, h):
+        (q1, p1), (q2, p2), (q4, p4) = kappa_taylor(np.array([s, s + 0.5 * h, s + h]), 1).tolist()
+        kn = y[0] + (h / 6.0) * (((p1 + 2.0 * p2) + 2.0 * p2) + p4)
+        return frame(kn, y[1], q1, q2, q2, q4, h, y)
+
+    return step
+
+
+def prescribed_row(model: str, kappa_taylor, y0, controls: IntegratorControls):
+    """(s, states, termination) of one prescribed-curvature row from y0 = (kappa, kappa_s, *c)."""
+    return march(prescribed_step(model, kappa_taylor), y0, controls.s_max, controls)

@@ -7,13 +7,16 @@ import numpy as np
 import pytest
 
 from mobiusflat import cli
-from mobiusflat.checks import CHECK_FUNCTIONS, sample_points
+from mobiusflat.checks import CHECK_FUNCTIONS, SAMPLE_PAD, sample_points
 from mobiusflat.cli import main
 from mobiusflat.config import RunConfig, load_config, parse_config
 from mobiusflat.immersion import ImmersionHandle
 from mobiusflat.moebius import fields_from_immersion
 from mobiusflat.curvature import Convention, convert_scalar
-from mobiusflat.errors import ConfigError
+from mobiusflat.errors import ConfigError, InputError
+from mobiusflat.meshes import slice_grid
+from mobiusflat.spiral import IntegratorControls, SpiralParams, integrate_grid
+from mobiusflat.zoo import build_family
 
 from test_harness import REMOVED_KEYS
 
@@ -126,6 +129,10 @@ class TestConfigErrors:
             ("kappa0 = -1.0\n", "build", "kappa0 must lie strictly between"),
             ("kappa0 = 2e6\n", "spiral", "kappa0 must lie strictly between"),
             ("seed = -1\n", "invariants", "seed must be >= 0"),
+            ("family = cone\ns_max = 0.2\n", "build", "s_max = 0.2 is too short for the cone"),
+            ("family = cone\ns_max = 0.2\n", "invariants", "spiral ends at s = 0.2 (horizon)"),
+            ("family = cylinder\ns_max = 0.31\n", "build", "keeps 0.15 + 0.1 inside each end"),
+            ("family = cylinder\ns_max = 0.31\n", "invariants", "keeps 0.15 + 0.12 inside"),
         ],
         ids=[
             "obj_axes-text", "obj_axes-count", "slice_axes-repeat", "slice_axes-range",
@@ -133,7 +140,8 @@ class TestConfigErrors:
             "grid_spread-below-floor", "grid_spread-open-orbits", "step-nan-verify",
             "step-nan-rigidity", "horizon-inf",
             "tol_constancy-nan", "checks-repeated", "kappa0-zero", "kappa0-negative",
-            "kappa0-above-ceiling", "seed-negative",
+            "kappa0-above-ceiling", "seed-negative", "s_max-cone-build", "s_max-cone-invariants",
+            "s_max-cylinder-build", "s_max-cylinder-invariants",
         ],
     )
     def test_unrunnable_config_exit_two(self, tmp_path, capsys, text, command, reason):
@@ -152,11 +160,29 @@ class TestConfigErrors:
         # with an integration error (exit 1), a negative seed escapes
         # numpy's generator as a traceback, and a check named twice would
         # build the suite and then stop on the duplicate record (exit 1); a
-        # removed key such as tol_constancy is unknown
+        # removed key such as tol_constancy is unknown; and a spiral too short
+        # for its family's chart, less its margin and the slice or sample pad
+        # on the arc-length axis, stops build and invariants in the chart
+        # (an InputError, exit 1), so cli refuses it before building
         cfg = write_cfg(tmp_path, text)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and reason in err
+
+    def test_short_chart_stays_an_input_error_in_the_library(self):
+        # only cli reads a short spiral as a setting; zoo, meshes and
+        # sample_points refuse the chart it gives with an InputError
+        def spiral(epsilon, s_max):
+            controls = IntegratorControls(s_max=s_max)
+            return integrate_grid(SpiralParams(4, epsilon, 0.75), [[1.25, 0.05]], controls)[0]
+
+        with pytest.raises(InputError, match="too short for the chart margin"):
+            build_family("cone", spiral(1, 0.2), 4)
+        cylinder = build_family("cylinder", spiral(0, 0.31), 4)
+        with pytest.raises(InputError, match="chart axis 0 too narrow for a slice"):
+            slice_grid(cylinder, (0, 1), 4)
+        with pytest.raises(InputError, match="narrower than twice the sample pad 0.12"):
+            sample_points(cylinder, 3, np.random.default_rng(0))
 
     def test_negative_seed_override_exit_two(self, tmp_path, capsys):
         # --seed re-validates the config it overrides
@@ -267,7 +293,7 @@ class TestDataCommands:
         # for the records and one for the scalars
         cfg_path = write_cfg(tmp_path, f"family = {family}\nsamples = 5\n")
         cfg = load_config(cfg_path)
-        imm = cli._build_surface(cfg)
+        imm = cli._build_surface(cfg, SAMPLE_PAD)
         pts = sample_points(imm, cfg.samples, np.random.default_rng(cfg.seed))
         at_samples, depth = [], []
         evaluate = ImmersionHandle.evaluate_jet

@@ -21,7 +21,7 @@ from mobiusflat.checks import (
     sample_points,
     suite_surfaces,
 )
-from mobiusflat.config import CHECK_NAMES, RunConfig, parse_config
+from mobiusflat.config import RunConfig, parse_config
 from mobiusflat.errors import ConfigError, InputError
 from mobiusflat.report import CheckRecord, VerificationReport
 from mobiusflat.spiral import (
@@ -270,11 +270,6 @@ class TestSuite:
         a = run_suite(fast_cfg).to_json()
         b = run_suite(fast_cfg).to_json()
         assert a == b
-
-    def test_check_registry_matches_config_names(self):
-        # a check's RNG seed comes from its index in CHECK_FUNCTIONS, while
-        # validate() accepts names from CHECK_NAMES: the two lists must agree
-        assert list(CHECK_FUNCTIONS) == list(CHECK_NAMES)
 
     def test_every_check_runs_on_default_surfaces(self):
         cfg = RunConfig(samples=4).validate()
@@ -665,7 +660,7 @@ class TestStepTable:
         run_suite(cfg)
         assert sorted(requested) == sorted(FD_CONVERGENCE_STEPS)
         requested.clear()
-        others = ",".join(name for name in CHECK_NAMES if name != "fd_convergence")
+        others = ",".join(name for name in CHECK_FUNCTIONS if name != "fd_convergence")
         run_suite(dataclasses.replace(cfg, checks=others))
         assert requested == []
         for family in ("rotational", "torus"):

@@ -177,7 +177,7 @@ class TestDensity:
             values = (g, np.tile(np.eye(2), (k, 1, 1)), np.full(k, 3.0), np.full(k, -0.5))
             return moebius_jets(*(Jet([x]) for x in values), 0.0)
 
-        fields = SurfaceFields(dim=2, ambient_curvature=0.0, jets=jets)
+        fields = SurfaceFields(ambient_curvature=0.0, jets=jets)
         with pytest.raises(DegenerateGeometryError):
             moebius_data(fields, np.zeros(2))
 
@@ -806,7 +806,7 @@ class TestNoStep:
 
     def test_fields_without_jets_are_refused(self, torus):
         with pytest.raises(InputError, match="no jets"):
-            SurfaceFields(dim=N_DIM, ambient_curvature=1.0)
+            SurfaceFields(ambient_curvature=1.0)
         with pytest.raises(InputError, match="no jets"):
             dataclasses.replace(fields_from_immersion(torus), jets=None)
 

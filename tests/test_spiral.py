@@ -4,7 +4,6 @@ import math
 import closure_oracle
 import dense_oracle
 import numpy as np
-import numpy_stepper
 import pytest
 import rk4_oracle
 from fd_oracle import recomputed_curvature
@@ -97,17 +96,27 @@ class TestFirstIntegral:
         assert np.max(np.abs(traj.kappa_s)) < 1e-12
 
     def test_rk4_order_by_step_halving(self):
-        # the RK4 oracle; steps chosen so truncation dominates rounding at the endpoint
+        # the RK4 oracle, on a spiral row (its kappa) and on a half-plane
+        # prescribed-curvature row (its whole state); steps chosen so
+        # truncation dominates rounding at the endpoint
         p = SpiralParams(4, -1, 0.75)
+        y0 = np.concatenate([SINE(np.zeros(1), 1)[0], default_curve_start(p.model)])
 
-        def end_kappa(step):
-            controls = IntegratorControls(s_max=2.0, step=step)
-            return rk4_oracle.row(p, 1.3, 0.0, controls, joint=False)[1][-1, 0]
+        def spiral_end(controls):
+            return rk4_oracle.row(p, 1.3, 0.0, controls, joint=False)[1][-1, :1]
 
-        ref = end_kappa(0.02 / 16)
-        e1 = abs(end_kappa(0.02) - ref)
-        e2 = abs(end_kappa(0.01) - ref)
-        assert e1 / e2 == pytest.approx(16.0, rel=0.35)
+        def prescribed_end(controls):
+            return rk4_oracle.prescribed_row(p.model, SINE, y0, controls)[1][-1]
+
+        for end_state in (spiral_end, prescribed_end):
+
+            def end(step):
+                return end_state(IntegratorControls(s_max=2.0, step=step))
+
+            ref = end(0.02 / 16)
+            e1 = np.max(np.abs(end(0.02) - ref))
+            e2 = np.max(np.abs(end(0.01) - ref))
+            assert e1 / e2 == pytest.approx(16.0, rel=0.35), end_state.__name__
 
     def test_time_reversal_symmetry(self):
         p = SpiralParams(4, -1, 0.6)
@@ -273,9 +282,8 @@ def test_csv_export_roundtrip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the fused RK4 float kernel (the oracle of the Taylor marcher, run by
-# rk4_oracle.march) against the numpy batch stepper it replaced, and the
-# Taylor-marched prescribed-curvature controls against the same stepper
+# the Taylor-marched prescribed-curvature controls against the RK4 oracle,
+# and the queries of both kinds of row
 
 ORACLE_CASES = {
     ("plane", "standard"): (SpiralParams(4, 0, -0.05), 1.1, 0.1),
@@ -284,52 +292,7 @@ ORACLE_CASES = {
 }
 
 
-EVENT_CASES = [
-    (SpiralParams(4, 0, 0.5), 1.0, -0.5, IntegratorControls(s_max=3.0), "kappa_floor"),
-    (SpiralParams(4, 0, -0.5), 1.0, 0.5, IntegratorControls(s_max=3.0, kappa_ceiling=10.0),
-     "kappa_ceiling"),
-]
-EVENT_IDS = ["floor", "ceiling"]
-
-
-def kernel_row(params, k0, ks0, controls, joint):
-    """(s, states, termination) of one row through the RK4 kernel and rk4_oracle.march."""
-    return rk4_oracle.row(params, k0, ks0, controls, joint)
-
-
-def oracle_row(params, k0, ks0, controls, joint):
-    start = list(default_curve_start(params.model)) if joint else []
-    return numpy_stepper.spiral_rows(params, [[k0, ks0] + start], controls)[0]
-
-
-def assert_rows_match(kernel, oracle, atol=1e-12):
-    (s, ys, term), (s_o, ys_o, term_o) = kernel, oracle
-    assert term == term_o
-    assert np.array_equal(s, s_o)
-    assert ys.shape == ys_o.shape
-    assert np.array_equal(np.isnan(ys), np.isnan(ys_o))
-    finite = ~np.isnan(ys)
-    assert np.max(np.abs(ys[finite] - ys_o[finite])) <= atol
-
-
 class TestKernelOracle:
-    @pytest.mark.parametrize("joint", [False, True], ids=["kappa", "joint"])
-    @pytest.mark.parametrize("case", list(ORACLE_CASES), ids=lambda c: f"{c[0]}-{c[1]}")
-    def test_matches_numpy_stepper(self, case, joint):
-        params, k0, ks0 = ORACLE_CASES[case]
-        controls = IntegratorControls(s_max=3.0, step=1e-3)
-        kernel = kernel_row(params, k0, ks0, controls, joint)
-        assert kernel[2] == "horizon"
-        assert_rows_match(kernel, oracle_row(params, k0, ks0, controls, joint))
-
-    @pytest.mark.parametrize("params,k0,ks0,controls,termination", EVENT_CASES, ids=EVENT_IDS)
-    @pytest.mark.parametrize("joint", [False, True], ids=["kappa", "joint"])
-    def test_events_match_numpy_stepper(self, params, k0, ks0, controls, termination, joint):
-        kernel = kernel_row(params, k0, ks0, controls, joint)
-        assert kernel[2] == termination
-        assert kernel[0][-1] < 3.0
-        assert_rows_match(kernel, oracle_row(params, k0, ks0, controls, joint))
-
     @pytest.mark.parametrize("joint", [False, True], ids=["kappa", "joint"])
     def test_non_finite_start_refused(self, joint):
         # a NaN kappa_s would end the row inside the first step, so it is refused
@@ -341,35 +304,21 @@ class TestKernelOracle:
             else:
                 integrate_spiral(params, SpiralState(1.0, float("nan")), controls)
 
-    def test_overflow_ends_the_row(self):
-        # kappa blows up in finite s; with the ceiling out of reach the step
-        # overflows, which Python floats raise where numpy gives inf and nan
-        params = SpiralParams(4, 0, -0.5)
-        controls = IntegratorControls(s_max=3.0, kappa_ceiling=1e300)
-        s, ys, term = kernel_row(params, 1.0, 0.5, controls, True)
-        s_o, ys_o, term_o = oracle_row(params, 1.0, 0.5, controls, True)
-        assert term == term_o == "non_finite"
-        assert np.array_equal(s, s_o)
-        assert np.all(np.isnan(ys[-1]))
-        # kappa reaches 1e54 with the angle at 1e38, where the angle's last
-        # bits are noise; kappa and kappa_s agree to amplified round-off
-        assert np.allclose(ys[:-1, :2], ys_o[:-1, :2], rtol=1e-10, atol=1e-12)
-
     @pytest.mark.parametrize(
         "epsilon,s_max,floor,atol",
         [(0, 3.0, 1e-6, 1e-12), (1, 3.0, 1e-6, 1e-12), (-1, 3.0, 1e-6, 1e-12),
          (-1, 5.0, 0.9, 5e-12)],
         ids=["0", "1", "-1", "half-plane-floor"],
     )
-    def test_prescribed_curvature_matches_numpy_stepper(self, epsilon, s_max, floor, atol):
-        # the Taylor-marched control against the numpy RK4 stepper on its
-        # grid, within RK4's own error at h = 1e-3 (1.9e-12 by s = 4.1 on the
+    def test_prescribed_curvature_matches_rk4_oracle(self, epsilon, s_max, floor, atol):
+        # the Taylor-marched control against the RK4 oracle on its grid,
+        # within RK4's own error at h = 1e-3 (1.9e-12 by s = 4.1 on the
         # half-plane); kappa = 1.15 + 0.3 sin s crosses the floor 0.9 near
         # s = 4.13, and the two bisected crossings agree to 1.1e-11
         controls = IntegratorControls(s_max=s_max, kappa_floor=floor)
         traj = prescribed_curvature_trajectory(4, epsilon, SINE, controls)
         y0 = np.concatenate([SINE(np.zeros(1), 1)[0], traj.start[2:]])
-        s, ys, term = numpy_stepper.prescribed_row(traj.model, SINE, y0, controls)
+        s, ys, term = rk4_oracle.prescribed_row(traj.model, SINE, y0, controls)
         assert traj.termination == term == ("kappa_floor" if floor > 1e-3 else "horizon")
         assert np.array_equal(traj.s[:-1], s[:-1])
         assert np.max(np.abs(traj.curve[:-1] - ys[:-1, 2:])) <= atol
@@ -411,10 +360,30 @@ class TestPrescribedCurvature:
         assert np.max(np.abs(acc[:, 2] - (kappa_s + np.sin(phi) * vel[:, 2]))) <= 1e-10
 
 
+def frame_velocity(model, kappa, curve):
+    """d curve / ds from the unit-speed frame equations (the c' oracle)."""
+    out = np.empty_like(curve)
+    if model == "plane":
+        theta = curve[:, 2]
+        out[:, 0] = np.cos(theta)
+        out[:, 1] = np.sin(theta)
+        out[:, 2] = kappa
+    elif model == "half-plane":
+        y, phi = curve[:, 1], curve[:, 2]
+        out[:, 0] = y * np.cos(phi)
+        out[:, 1] = y * np.sin(phi)
+        out[:, 2] = kappa - np.cos(phi)
+    else:
+        gam, tan = curve[:, 0:3], curve[:, 3:6]
+        out[:, 0:3] = tan
+        out[:, 3:6] = kappa[:, None] * np.cross(gam, tan) - gam
+    return out
+
+
 def frame_accel(model, kappa, kappa_s, curve, vel):
     """d^2 curve / ds^2 from the frame equations, given their value vel (the c'' oracle).
 
-    The s-derivative of numpy_stepper.frame_rhs, by the chain rule with
+    The s-derivative of frame_velocity, by the chain rule with
     kappa' = kappa_s; curve_jet reads c'' from the step polynomials instead.
     """
     out = np.empty_like(curve)
@@ -448,7 +417,7 @@ def test_queries_read_the_step_polynomials(case):
     sq = np.linspace(0.05, 0.95, 41) + 3.7e-4
     assert not np.any(np.isin(sq, traj.s))
     kappa, kappa_s, c = traj.kappa_at(sq), traj.kappa_s_at(sq), traj.curve_at(sq)
-    rhs = numpy_stepper.joint_rhs(params, np.column_stack([kappa, kappa_s, c]))[:, 2:]
+    rhs = frame_velocity(params.model, kappa, c)
     assert np.max(np.abs(traj.curve_velocity_at(sq) - rhs)) <= 1e-12
     acc = traj.curve_jet(sq)[2]
     assert np.max(np.abs(acc - frame_accel(params.model, kappa, kappa_s, c, rhs))) <= 1e-12
@@ -740,6 +709,13 @@ class TestPeriodMap:
 
 # ---------------------------------------------------------------------------
 # the Taylor marcher against the RK4 oracle it replaced
+
+EVENT_CASES = [
+    (SpiralParams(4, 0, 0.5), 1.0, -0.5, IntegratorControls(s_max=3.0), "kappa_floor"),
+    (SpiralParams(4, 0, -0.5), 1.0, 0.5, IntegratorControls(s_max=3.0, kappa_ceiling=10.0),
+     "kappa_ceiling"),
+]
+EVENT_IDS = ["floor", "ceiling"]
 
 
 def assert_matches_oracle(traj, controls, atol=1e-10):

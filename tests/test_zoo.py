@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mobiusflat import zoo
 from mobiusflat.checks import preset_trajectory
-from mobiusflat.errors import ChartDomainError, InputError
+from mobiusflat.errors import InputError
 from mobiusflat.fd import jet_batch
 from mobiusflat.immersion import (
     first_fundamental_form_batch,
@@ -18,11 +16,8 @@ from mobiusflat.spiral import SpiralTrajectory
 from mobiusflat.zoo import (
     EPSILON_BY_FAMILY,
     build_family,
-    hyperboloid_to_hemisphere,
-    inverse_stereographic,
     lift_to_sphere,
     scale_immersion,
-    stereographic,
     torus_immersion,
 )
 
@@ -395,49 +390,6 @@ class TestCartanSchoutenMultiplicity:
             lam = np.sort(principal_curvatures(g[i], h[i]))
             spread = min(lam[-2] - lam[0], lam[-1] - lam[1])
             assert spread < 1e-8
-
-
-class TestModelMaps:
-    def test_lift_of_origin(self):
-        assert np.allclose(inverse_stereographic(np.zeros((1, 4)))[0], [1, 0, 0, 0, 0])
-
-    def test_lift_lands_on_sphere(self):
-        rng = np.random.default_rng(0)
-        u = rng.uniform(-3, 3, size=(20, 5))
-        w = inverse_stereographic(u)
-        assert np.max(np.abs(np.linalg.norm(w, axis=1) - 1.0)) < 1e-14
-        # level 0 of the lift's jet is the direct formula to rounding
-        assert np.max(np.abs(w - zoo_oracle.inverse_stereographic(u))) <= 4 * EPS
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(min_value=0, max_value=10_000))
-    def test_round_trip(self, seed):
-        rng = np.random.default_rng(seed)
-        u = rng.uniform(-1, 1, size=(1, 4))
-        u *= rng.uniform(0, 10) / max(np.linalg.norm(u), 1e-9)
-        assert np.max(np.abs(stereographic(inverse_stereographic(u)) - u)) < 1e-12
-
-    def test_antipode_rejected(self):
-        with pytest.raises(ChartDomainError):
-            stereographic(np.array([[-1.0, 0.0, 0.0]]))
-
-    def test_hyperboloid_vertex(self):
-        assert np.allclose(
-            hyperboloid_to_hemisphere(np.array([[1.0, 0.0, 0.0]]))[0], [1.0, 0.0, 0.0]
-        )
-
-    def test_hyperboloid_map_into_hemisphere(self):
-        rng = np.random.default_rng(4)
-        vec = rng.uniform(-1, 1, size=(10, 3))
-        y0 = np.sqrt(1 + np.sum(vec**2, axis=1))
-        pts = np.concatenate([y0[:, None], vec], axis=1)
-        img = hyperboloid_to_hemisphere(pts)
-        assert np.max(np.abs(np.linalg.norm(img, axis=1) - 1.0)) < 1e-12
-        assert np.all(img[:, 0] > 0)
-
-    def test_hyperboloid_rejects_off_surface(self):
-        with pytest.raises(ChartDomainError):
-            hyperboloid_to_hemisphere(np.array([[1.0, 0.5, 0.0]]))
 
 
 class TestLift:
