@@ -32,6 +32,10 @@ for row in result["grid"]:
         f"{row['kappa_period']:.6f}, holonomy trace {row['holonomy_trace']:.6f})"
     )
 print(f"\nclosures among perturbed states: {result['grid_closures']}")
-print(f"flat-model control (non-constant curvature): "
-      f"{[row['status'] for row in result['flat_control']]}")
+print("flat-model control (non-constant curvature, certified from its exact kappa(s)):")
+for row in result["flat_control"]:
+    print(
+        f"  kappa_s0 = {row['kappa_s0']:+.4f}: {row['status']} (E = {row['E']:.3e}, "
+        f"kappa monotone {row['kappa_monotone']}, defect bound {row['defect_bound']:.3e})"
+    )
 print(f"overall: {result['status']}")

@@ -709,7 +709,7 @@ def _coarse_closure(traj: SpiralTrajectory, table):
     last = int(np.searchsorted(s, traj.controls.s_max, side="right")) - 1
     first = int(np.searchsorted(s[: last + 1], min(1.0, 0.25 * float(s[last]))))
     k = first + int(np.argmin(defects[first : last + 1]))
-    a, b = float(s[max(k - 1, 0)]), float(s[min(k + 1, last)])
+    a, b = float(s[max(k - 1, first)]), float(s[min(k + 1, last)])  # within the window
     return a, b, float(defects[k]), float(s[k])
 
 
@@ -726,11 +726,13 @@ def closure_tests(trajs: list[SpiralTrajectory]) -> list[ClosureResult]:
 
     defect(s) = position distance + tangent angle distance
                 + |kappa(s) - kappa(0)| + |kappa_s(s) - kappa_s(0)|,
-    minimized over the candidate samples at s >= min(1, s_last / 4), s_last
-    the last candidate's arc length (the horizon or the row's end), then
-    refined between the neighbouring candidates on the row's own step
+    minimized over the window of candidate samples at s >= min(1, s_last / 4),
+    s_last the last candidate's arc length (the horizon or the row's end),
+    then refined between the neighbouring candidates on the row's own step
     polynomials, by 33-point scans that keep the neighbours of the least
-    value until the bracket is below 1e-11.  The candidates are the stored
+    value until the bracket is below 1e-11.  A bracket never reaches below
+    the window's first candidate, so no probe reads the start, where the
+    defect is 0 by definition.  The candidates are the stored
     samples or, for a row with a period map, their images under the holonomy
     M**k at s = k T + u up to the horizon, and the refinement reads the
     polynomials the same way (a bracket may cross k T); the defect can only
@@ -797,6 +799,51 @@ def _refine_rows(trajs, tables, a, b, best, best_s) -> None:
         best_s[live[better]] = probes[probe, j][better]
         a[live] = probes[probe, np.maximum(j - 1, 0)]
         b[live] = probes[probe, np.minimum(j + 1, probes.shape[1] - 1)]
+
+
+def flat_closure_bound(
+    params: SpiralParams, kappa0: float, kappa_s0: float, controls: IntegratorControls
+) -> float:
+    """Lower bound on the closure defect of the flat row (kappa0, kappa_s0), from its exact kappa(s).
+
+    On a flat row (epsilon = 0, R = 0) E = kappa_s^2 kappa^(n-4) is conserved,
+    so with m = (n - 2) / 2 and sigma the sign of kappa_s0
+
+        kappa(s)^m = kappa0^m + m sigma sqrt(E) s,
+        kappa_s(s) = kappa_s0 (kappa0 / kappa(s))^((n - 4) / 2),
+
+    and the tangent turns by Theta(s) = (kappa(s)^(m+1) - kappa0^(m+1)) /
+    ((m + 1) sigma sqrt(E)).  For E > 0 kappa is strictly monotone, so
+    |kappa - kappa0|, |kappa_s - kappa_s0| and, while Theta <= pi, the angle
+    distance Theta all grow with s: their sum at s1, the first candidate of
+    the window of closure_tests over controls.s_max, is at most the defect
+    that closure_tests finds for the marched row.  The bound is 0.0 when
+    E <= 0 or kappa leaves (kappa_floor, kappa_ceiling) before s_max, where
+    the marched row is never open.
+    """
+    if params.epsilon != 0 or params.R != 0.0:
+        raise InputError("flat_closure_bound needs a flat row (epsilon = 0, R = 0)")
+    _check_start(np.array([[kappa0, kappa_s0]], dtype=float), controls)
+    energy = float(first_integral(params, kappa0, kappa_s0))
+    if not energy > 0.0:
+        return 0.0
+    grid = _sample_grid(controls)
+    horizon = float(grid[-1])  # the last candidate of a row marched to s_max
+    s1 = float(grid[np.searchsorted(grid, min(1.0, 0.25 * horizon))])
+    m = 0.5 * (params.n - 2)
+    rate = m * sqrt(energy) * (1.0 if kappa_s0 > 0 else -1.0)  # d(kappa^m)/ds
+    u_end = kappa0**m + rate * horizon
+    if not controls.kappa_floor**m < u_end < controls.kappa_ceiling**m:
+        return 0.0  # kappa is monotone, so it leaves the band iff it is out at the horizon
+
+    def turning(kappa):
+        return (kappa ** (m + 1) - kappa0 ** (m + 1)) * m / ((m + 1) * rate)
+
+    k1 = (kappa0**m + rate * s1) ** (1.0 / m)
+    bound = abs(k1 - kappa0) + abs(kappa_s0 * (kappa0 / k1) ** (0.5 * (params.n - 4)) - kappa_s0)
+    if turning(u_end ** (1.0 / m)) <= np.pi:
+        bound += turning(k1)
+    return bound
 
 
 # ---------------------------------------------------------------------------

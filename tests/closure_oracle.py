@@ -53,13 +53,13 @@ def flow_at(traj, s):
 
 def closure_test(traj):
     """The least defect from s = min(1, s_last / 4) on, s_last the last candidate's,
-    refined between the neighbouring candidates by 33-point scans until the
-    bracket is below 1e-11."""
+    refined between the neighbouring candidates in that window by 33-point
+    scans until the bracket is below 1e-11."""
     cand_s, cand = candidates(traj)
     first = int(np.searchsorted(cand_s, min(1.0, 0.25 * float(cand_s[-1]))))
     defects = full_defect(traj, cand[first:])
     k = first + int(np.argmin(defects))
-    a, b = float(cand_s[max(k - 1, 0)]), float(cand_s[min(k + 1, cand_s.size - 1)])
+    a, b = float(cand_s[max(k - 1, first)]), float(cand_s[min(k + 1, cand_s.size - 1)])
     best, best_s = float(defects[k - first]), float(cand_s[k])
     for _ in range(16):
         if b - a < 1e-11:

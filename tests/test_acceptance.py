@@ -23,6 +23,7 @@ from mobiusflat.spiral import (
     integrate_spiral,
     reconstruct_curve,
     SpiralState,
+    TOL_OPEN,
 )
 
 from fd_oracle import recomputed_curvature
@@ -154,11 +155,16 @@ def test_criterion_07_rigidity_experiment(cfg):
     min_defect = min(row["min_defect"] for row in result["grid"])
     assert min_defect > 1e-3
     assert all(row["status"] == "open" for row in result["grid"])
+    flat = result["flat_control"]
+    assert all(row["status"] == "open" for row in flat)
+    assert all(row["defect_bound"] > TOL_OPEN for row in flat)
+    assert result["flat_control_certified_open"]
     announce(
         7,
         "rigidity experiment",
         f"equilibrium defect {eq['defect']:.2e}; 25 perturbed states all open "
-        f"(min defect {min_defect:.2e} over horizon 200)",
+        f"(min defect {min_defect:.2e} over horizon 200); flat control certified "
+        f"open (least defect bound {min(row['defect_bound'] for row in flat):.2e})",
     )
 
 

@@ -588,6 +588,44 @@ class TestRigidity:
             )
             assert np.all(np.diff(traj.kappa) > 0)
 
+    @pytest.mark.parametrize("horizon", [0.01, 0.04])
+    def test_short_horizon_has_no_spurious_closures(self, horizon):
+        # the closure search must not probe below its window: the sample
+        # before it is s = 0 at these horizons, where every defect is 0
+        result = rigidity_scan(RunConfig(horizon=horizon).validate())
+        assert result["status"] == "pass"
+        assert result["grid_closures"] == 0
+        assert all(row["status"] == "open" for row in result["grid"] + result["flat_control"])
+
+    def test_flat_control_is_not_marched(self, monkeypatch):
+        # the flat rows are bounded from their exact kappa(s): the scan marches
+        # the equilibrium and the grid, both half-plane, and nothing else
+        marched = []
+
+        def recording(params, *args, **kwargs):
+            marched.append(params)
+            return integrate(params, *args, **kwargs)
+
+        integrate = checks.integrate_grid
+        monkeypatch.setattr(checks, "integrate_grid", recording)
+        result = rigidity_scan(RunConfig(horizon=40.0, grid_size=2).validate())
+        assert [params.model for params in marched] == [spiral.HALF_PLANE] * 2
+        for row in result["flat_control"]:
+            assert row["status"] == "open" and row["defect_bound"] > spiral.TOL_OPEN
+
+    @pytest.mark.parametrize("slot", [0, 1])
+    @pytest.mark.parametrize("start", [(1.0, 0.0), (1.0, -0.05)], ids=["circle", "to-the-floor"])
+    def test_uncertified_flat_row_fails_the_scan(self, monkeypatch, start, slot):
+        # a circle (E = 0, which the march closes) or a row whose kappa reaches
+        # the floor at s = 20 has no bound, and the scan's status reads it
+        starts = list(checks.FLAT_CONTROL_STARTS)
+        starts[slot] = start
+        monkeypatch.setattr(checks, "FLAT_CONTROL_STARTS", tuple(starts))
+        result = rigidity_scan(RunConfig(horizon=40.0, grid_size=2).validate())
+        row = result["flat_control"][slot]
+        assert row["defect_bound"] == 0.0 and row["status"] == "inconclusive"
+        assert result["status"] == "fail"
+
     def test_equilibrium_is_one_taylor_step(self, monkeypatch):
         # the equilibrium row is carried over its 1.5 periods by the map of its
         # first step; the full march is left to the tests

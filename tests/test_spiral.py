@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 import rk4_oracle
 from fd_oracle import recomputed_curvature
+from scipy.special import fresnel
 
 from mobiusflat import spiral, taylor
-from mobiusflat.checks import rigidity_initials
+from mobiusflat.checks import FLAT_CONTROL_STARTS, rigidity_initials
 from mobiusflat.config import RunConfig
 from mobiusflat.errors import ChartDomainError, InputError
 from mobiusflat.spiral import (
@@ -556,8 +557,9 @@ class TestPeriodMap:
     def test_scan_rows_without_period_maps_match_the_oracle(self, horizon):
         # the equilibrium row marched over 1.5 periods (at any horizon) without
         # a period map, the oracle of rigidity_scan's one-step map
-        # (test_rest_point_map_closes_as_the_full_march), and rigidity_scan's
-        # two flat-control plane rows: their candidates are their samples
+        # (test_rest_point_map_closes_as_the_full_march), and the two
+        # flat-control plane rows, which rigidity_scan bounds without a march
+        # (TestFlatClosureBound): their candidates are their samples
         period = 2.0 * np.pi / np.sqrt(KSTAR**2 - 1.0)
         eq = integrate_grid(
             HALF_PLANE_PARAMS, [[KSTAR, 0.0]], IntegratorControls(s_max=1.5 * period)
@@ -864,6 +866,86 @@ class TestTaylorOracle:
         assert res.status == "closed"
         assert res.period == pytest.approx(2.0 * np.pi, abs=1e-9)
         assert res.defect < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the flat control's exact solution against the march it replaces
+
+FLAT_PARAMS = SpiralParams(4, 0, 0.0)
+
+
+def flat_solution(n, kappa_s0, s):
+    """kappa and kappa_s of the flat row from kappa0 = 1, where E = kappa_s0^2.
+
+    kappa^m = 1 + m kappa_s0 s with m = (n - 2) / 2, and kappa_s = kappa_s0 kappa^((4 - n) / 2).
+    """
+    m = 0.5 * (n - 2)
+    kappa = (1.0 + m * kappa_s0 * s) ** (1.0 / m)
+    return kappa, kappa_s0 * kappa ** (0.5 * (4 - n))
+
+
+class TestFlatClosureBound:
+    @pytest.mark.parametrize("horizon", [0.05, 1.0, 3.0, 40.0, 200.0])
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_bound_is_below_the_marched_defect(self, n, horizon):
+        # rigidity_scan's flat rows, marched as it marched them before the
+        # bound replaced the march: the closed form is the march, the bound is
+        # at most the least defect the closure search finds, and the verdicts agree
+        params = SpiralParams(n, 0, 0.0)
+        controls = IntegratorControls(s_max=horizon, store_stride=10)
+        trajs = integrate_grid(params, FLAT_CONTROL_STARTS, controls)
+        for (k0, ks0), traj, res in zip(FLAT_CONTROL_STARTS, trajs, closure_tests(trajs)):
+            assert traj.termination == "horizon"
+            kappa, kappa_s = flat_solution(n, ks0, traj.s)
+            assert np.max(np.abs(traj.kappa / kappa - 1.0)) < 1e-13
+            assert np.max(np.abs(traj.kappa_s / kappa_s - 1.0)) < 1e-13
+            bound = spiral.flat_closure_bound(params, k0, ks0, controls)
+            assert 0.0 < bound <= res.defect
+            assert res.status == ("open" if bound > spiral.TOL_OPEN else "inconclusive")
+
+    def test_circle_has_no_bound(self):
+        # kappa_s0 = 0: E = 0, the row is a unit circle and the march closes it
+        controls = IntegratorControls(s_max=40.0, store_stride=10)
+        res = closure_test(integrate_grid(FLAT_PARAMS, [[1.0, 0.0]], controls)[0])
+        assert res.status == "closed"
+        turns = res.period / (2.0 * np.pi)
+        assert turns == pytest.approx(round(turns), abs=1e-9)
+        assert spiral.flat_closure_bound(FLAT_PARAMS, 1.0, 0.0, controls) == 0.0
+
+    @pytest.mark.parametrize(
+        "kappa_s0,ceiling,termination",
+        [(-0.05, 1e6, "kappa_floor"), (0.1, 4.0, "kappa_ceiling")],
+        ids=["floor", "ceiling"],
+    )
+    def test_row_that_leaves_the_band_has_no_bound(self, kappa_s0, ceiling, termination):
+        # kappa = 1 + kappa_s0 s reaches 0 at s = 20, or the ceiling 4 at s = 30:
+        # the march ends there, and a row that ends early is never open
+        controls = IntegratorControls(s_max=40.0, kappa_ceiling=ceiling, store_stride=10)
+        traj = integrate_grid(FLAT_PARAMS, [[1.0, kappa_s0]], controls)[0]
+        assert traj.termination == termination
+        assert closure_test(traj).status != "open"
+        assert spiral.flat_closure_bound(FLAT_PARAMS, 1.0, kappa_s0, controls) == 0.0
+
+    @pytest.mark.parametrize(
+        "params", [SpiralParams(4, -1, 0.75), SpiralParams(4, 0, 0.5), SpiralParams(4, 1, 0.0)]
+    )
+    def test_refuses_a_row_that_is_not_flat(self, params):
+        with pytest.raises(InputError, match="flat row"):
+            spiral.flat_closure_bound(params, 1.0, 0.05, IntegratorControls())
+
+    @pytest.mark.parametrize("kappa_s0", [0.05, 0.1])
+    def test_n4_row_is_the_clothoid(self, kappa_s0):
+        # at n = 4 kappa = 1 + a s (a = kappa_s0), so theta = s + a s^2 / 2 and
+        # x + i y = sqrt(pi / a) e^(-i / (2 a)) [C(u) + i S(u)] from u(0) to u(s),
+        # u(s) = sqrt(a / pi) (s + 1 / a), by the Fresnel integrals
+        a = kappa_s0
+        controls = IntegratorControls(s_max=40.0, store_stride=10)
+        traj = integrate_grid(FLAT_PARAMS, [[1.0, a]], controls)[0]
+        sin_u, cos_u = fresnel(np.sqrt(a / np.pi) * (traj.s + 1.0 / a))
+        xy = np.sqrt(np.pi / a) * np.exp(-0.5j / a) * (cos_u - cos_u[0] + 1j * (sin_u - sin_u[0]))
+        assert np.max(np.abs(traj.curve[:, 0] - xy.real)) < 1e-12
+        assert np.max(np.abs(traj.curve[:, 1] - xy.imag)) < 1e-12
+        assert np.max(np.abs(traj.curve[:, 2] - (traj.s + 0.5 * a * traj.s**2))) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,11 @@ every assert passed on every run.  With ``--against PATH``, the root of another 
 the same 64 runs are made there too, and for each check the largest
 absolute change of a float of its report record between the two trees is
 printed, with the run where it fell and the number of floats that changed.
+
+It also prints the margins of ``checks.rigidity_scan`` at the default config
+for n = 4-6, from this tree: each flat-control row's TOL_OPEN / defect_bound,
+the grid's TOL_OPEN / least min_defect (both below 1 when open) and the
+equilibrium's defect / TOL_CLOSED (below 1 when closed).
 """
 
 from __future__ import annotations
@@ -110,6 +115,28 @@ def margins(reports: list[dict]) -> None:
     print("every assert passed on every run" if not failed else f"FAILED: {failed}")
 
 
+def rigidity_margins() -> None:
+    """How far the default rigidity scan's verdicts sit from their thresholds, at n = 4-6."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from mobiusflat.checks import rigidity_scan
+    from mobiusflat.config import RunConfig
+    from mobiusflat.spiral import TOL_CLOSED, TOL_OPEN
+
+    def open_margin(defect: float) -> float:
+        return TOL_OPEN / defect if defect > 0.0 else math.inf
+
+    print(
+        "rigidity margins at the default config (flat rows TOL_OPEN / defect_bound,"
+        " grid TOL_OPEN / least min_defect, equilibrium defect / TOL_CLOSED)"
+    )
+    for n in range(4, 7):
+        result = rigidity_scan(RunConfig(n=n).validate())
+        flat = " ".join(f"{open_margin(r['defect_bound']):10.3e}" for r in result["flat_control"])
+        grid = open_margin(min(row["min_defect"] for row in result["grid"]))
+        closed = result["equilibrium"]["defect"] / TOL_CLOSED
+        print(f"  n = {n}  flat {flat}  grid {grid:10.3e}  equilibrium {closed:10.3e}")
+
+
 def drift(ours: list[dict], theirs: list[dict]) -> None:
     largest: dict[str, tuple[float, tuple]] = {}
     moved: dict[str, int] = {}
@@ -153,6 +180,7 @@ def main() -> None:
         return
     trees = reports([ROOT] + ([args.against.resolve()] if args.against else []))
     margins(trees[0])
+    rigidity_margins()
     if args.against:
         drift(*trees)
 
