@@ -36,6 +36,8 @@ print("flat-model control (non-constant curvature, certified from its exact kapp
 for row in result["flat_control"]:
     print(
         f"  kappa_s0 = {row['kappa_s0']:+.4f}: {row['status']} (E = {row['E']:.3e}, "
-        f"kappa monotone {row['kappa_monotone']}, defect bound {row['defect_bound']:.3e})"
+        f"kappa monotone {row['kappa_monotone']}, in band {row['kappa_in_band']}, "
+        f"defect bound {row['defect_bound']:.3e})"
     )
+print(f"certified open: {result['flat_control_certified_open']}")
 print(f"overall: {result['status']}")

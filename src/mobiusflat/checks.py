@@ -71,6 +71,7 @@ from .spiral import (
     equilibrium_kappa,
     first_integral,
     flat_closure_bound,
+    flat_kappa_in_band,
     integrate_grid,
     integrate_spiral,
     kappa_accel,
@@ -820,11 +821,13 @@ def rigidity_scan(cfg: RunConfig) -> dict:
     non-constant curvature is included, and it is not marched: on a flat
     row E = kappa_s^2 kappa^(n-4) is conserved, so kappa(s) is known
     exactly, and E > 0 makes kappa strictly monotone, which certifies the
-    row open at every horizon (flat_control_certified_open).  Each flat row
-    reports E and defect_bound, spiral.flat_closure_bound over the grid's
-    controls: a lower bound on the closure defect that closure_tests would
-    find on the marched row over the horizon.  A row is open when its bound
-    is above TOL_OPEN.
+    row open at every horizon at which kappa is still inside the band
+    (flat_control_certified_open when every row is both).  Each flat row
+    reports E, kappa_monotone, kappa_in_band (spiral.flat_kappa_in_band)
+    and defect_bound, spiral.flat_closure_bound over the grid's controls: a
+    lower bound on the closure defect that closure_tests would find on the
+    marched row over the horizon.  A row is open when its bound is above
+    TOL_OPEN.
     """
     n = cfg.n
     params = SpiralParams(n, -1, cfg.R)
@@ -902,10 +905,13 @@ def rigidity_scan(cfg: RunConfig) -> dict:
                 "defect_bound": bound,
                 "E": energy,
                 "kappa_monotone": energy > 0.0,
+                "kappa_in_band": flat_kappa_in_band(flat_params, k0, ks0, controls),
             }
         )
     result["flat_control"] = flat_rows
-    result["flat_control_certified_open"] = all(r["kappa_monotone"] for r in flat_rows)
+    result["flat_control_certified_open"] = all(
+        r["kappa_monotone"] and r["kappa_in_band"] for r in flat_rows
+    )
 
     result["status"] = (
         "pass"

@@ -8,7 +8,6 @@ no timestamps, fixed key order, and a config hash in the environment stamp.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 
@@ -187,4 +186,7 @@ class VerificationReport:
 
 
 def config_hash(canonical_text: str) -> str:
+    # imported here: hashlib maps OpenSSL's libcrypto, which only a config hash needs
+    import hashlib
+
     return hashlib.sha256(canonical_text.encode()).hexdigest()[:16]

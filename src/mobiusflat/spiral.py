@@ -334,12 +334,17 @@ def _moebius(curve: np.ndarray, m: np.ndarray) -> np.ndarray:
     z -> (a z + b) / (c z + d) and phi -> phi - 2 arg(c z + d); m (..., 2, 2)
     broadcasts against the states, so one call moves each state by its own m.
     """
+    x_new, y_new, p, q = _moebius_position(curve, m)
+    return np.stack([x_new, y_new, curve[..., 2] - 2.0 * np.arctan2(q, p)], axis=-1)
+
+
+def _moebius_position(curve: np.ndarray, m: np.ndarray):
+    """(x, y, p, q) of _moebius: the moved position, and c z + d = p + i q, whose arg turns phi."""
     a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
-    x, y, phi = curve[..., 0], curve[..., 1], curve[..., 2]
+    x, y = curve[..., 0], curve[..., 1]
     p, q = c * x + d, c * y
     r = p * p + q * q
-    x_new = ((a * x + b) * p + a * y * q) / r
-    return np.stack([x_new, (a * d - b * c) * y / r, phi - 2.0 * np.arctan2(q, p)], axis=-1)
+    return ((a * x + b) * p + a * y * q) / r, (a * d - b * c) * y / r, p, q
 
 
 @dataclass(frozen=True)
@@ -641,10 +646,19 @@ def curve_defect(model: str, coords: np.ndarray, ref: np.ndarray) -> np.ndarray:
     if model == PLANE:
         d = np.linalg.norm(pos - rpos, axis=-1)
     else:
-        sq = np.sum((pos - rpos) ** 2, axis=-1)
-        d = np.arccosh(1.0 + sq / (2.0 * pos[..., 1] * rpos[..., 1]))
-    dang = np.abs(np.mod(ang - rang + np.pi, 2.0 * np.pi) - np.pi)
-    return d + dang
+        d = _hyperbolic_distance(pos[..., 0], pos[..., 1], rpos[..., 0], rpos[..., 1])
+    return d + _angle_distance(ang, rang)
+
+
+def _hyperbolic_distance(x, y, x0, y0):
+    """acosh(1 + (dx^2 + dy^2) / (2 y y0)) between the half-plane points (x, y) and (x0, y0)."""
+    dx, dy = x - x0, y - y0
+    return np.arccosh(1.0 + (dx * dx + dy * dy) / (2.0 * y * y0))
+
+
+def _angle_distance(ang, ref):
+    """|ang - ref| modulo 2 pi, in [0, pi]."""
+    return np.abs(np.mod(ang - ref + np.pi, 2.0 * np.pi) - np.pi)
 
 
 def _start(traj: SpiralTrajectory) -> np.ndarray:
@@ -687,30 +701,83 @@ def _coarse_closure(traj: SpiralTrajectory, table):
     The candidates are scored in place on the (turn k, sample) grid: the
     stored samples, or for a row with a period map its samples u < T moved
     by M**k = table[k], at s = k T + u.  The grid's row-major order is s
-    order, so the candidates up to the horizon are a prefix of it.
+    order, so the candidates up to the horizon are a prefix of it.  A row
+    with a period map takes the angle term only where it can give the least
+    defect (_least_half_plane_defect).
     """
     if not traj.joint:
         raise InputError("closure test needs a reconstructed curve")
     states = np.column_stack([traj.kappa, traj.kappa_s, traj.curve])
     pmap = traj.period_map
     if pmap is None:
-        s, curve = traj.s[None], states[None, :, 2:]
+        s = traj.s
     else:
         states = states[:-1]  # the sample at T is the image of u = 0
         turns = np.arange(int(traj.controls.s_max // pmap.period) + 1)
-        s = turns[:, None] * pmap.period + traj.s[:-1]
-        curve = _moebius(states[:, 2:], table[: turns.size, None])  # M**0 = Id keeps the bits
-    ref = _start(traj)
-    # _defects' sum, with the kappa part taken once per sample for every turn
-    defects = curve_defect(traj.model, curve, ref[2:])
-    defects += np.abs(states[:, 0] - ref[0])
-    defects += np.abs(states[:, 1] - ref[1])
-    s, defects = s.ravel(), defects.ravel()
+        s = (turns[:, None] * pmap.period + traj.s[:-1]).ravel()
     last = int(np.searchsorted(s, traj.controls.s_max, side="right")) - 1
     first = int(np.searchsorted(s[: last + 1], min(1.0, 0.25 * float(s[last]))))
+    ref = _start(traj)
+    # _defects' sum, with the kappa part taken once per sample for every turn
+    kappa_part = np.abs(states[:, 0] - ref[0]), np.abs(states[:, 1] - ref[1])
+
+    def least(k: int, value: float):  # candidate k with its bracket within the window
+        return float(s[max(k - 1, first)]), float(s[min(k + 1, last)]), value, float(s[k])
+
+    if pmap is None:
+        curve = states[None, :, 2:]
+    else:
+        moves = table[: turns.size, None]  # M**0 = Id keeps the bits
+        pruned = _least_half_plane_defect(states, moves, ref, kappa_part, first, last)
+        if pruned is not None:
+            return least(*pruned)
+        curve = _moebius(states[:, 2:], moves)
+    defects = curve_defect(traj.model, curve, ref[2:])
+    defects += kappa_part[0]
+    defects += kappa_part[1]
+    defects = defects.ravel()
     k = first + int(np.argmin(defects[first : last + 1]))
-    a, b = float(s[max(k - 1, first)]), float(s[min(k + 1, last)])  # within the window
-    return a, b, float(defects[k]), float(s[k])
+    return least(k, float(defects[k]))
+
+
+def _least_half_plane_defect(states, moves, ref, kappa_part, first: int, last: int):
+    """(k, defect) of the least candidate in the window [first, last] of the (turn, sample) grid.
+
+    moves holds M**k of each turn, and kappa_part the samples'
+    |kappa - kappa0| and |kappa_s - kappa_s0|.  The lower bound
+    (distance + |kappa - kappa0|) + |kappa_s - kappa_s0|, summed as
+    _defects sums, is at most the defect bit for bit: the angle term it
+    leaves out is >= 0 and rounding is monotone.  So a candidate whose
+    bound exceeds beta, the defect of the candidate with the least bound,
+    is not the least, and the angle and the defect are taken only for the
+    others; the first least of these, in index order, is the first least of
+    all, with its bits.  None when a bound is nan or an angle is not
+    finite (a defect may then be nan): the caller scores every candidate, as
+    argmin picks the first nan.
+    """
+    x, y, p, q = _moebius_position(states[:, 2:], moves)  # each (turns, samples)
+    samples = states.shape[0]
+    distance = _hyperbolic_distance(x, y, ref[2], ref[3])
+    lower = distance + kappa_part[0]
+    lower += kappa_part[1]
+    lower, distance, p, q = (v.ravel() for v in (lower, distance, p, q))
+
+    def defect(idx):
+        u = idx % samples
+        turned = _angle_distance(states[u, 4] - 2.0 * np.arctan2(q[idx], p[idx]), ref[4])
+        out = distance[idx] + turned
+        out += kappa_part[0][u]
+        out += kappa_part[1][u]
+        return out
+
+    j = first + int(np.argmin(lower[first : last + 1]))
+    if np.isnan(lower[j]) or not np.isfinite(states[:, 4]).all() or not np.isfinite(ref[4]):
+        return None
+    beta = defect(np.array([j]))[0]
+    idx = first + np.flatnonzero(lower[first : last + 1] <= beta)
+    values = defect(idx)
+    i = int(np.argmin(values))
+    return int(idx[i]), float(values[i])
 
 
 def _closure_verdict(traj, best: float, best_s: float):
@@ -740,13 +807,17 @@ def closure_tests(trajs: list[SpiralTrajectory]) -> list[ClosureResult]:
     to the identity.
     A row that ended before the horizon is never reported open.
 
-    The candidates are scanned row by row.  Each refinement scan takes the
-    33 probes of every row still refining at once and reads them on their
-    rows' step polynomials in one gathered pass (taylor.evaluate, as
-    Piecewise.at reads a row).  When a row of the call has a period map,
-    every probe is then moved by M**k of its turn k, from its row's one table
-    of powers: M**0 = Id, on the first turn and on rows without a map, leaves
-    a state as it is, bit for bit, so a call without maps moves none.
+    The candidates are scanned row by row; on a row with a period map the
+    angle term is taken only for the candidates whose distance and kappa
+    parts leave it a chance to be least, which finds the same least
+    candidate, bracket and defect, bit for bit (_coarse_closure).  Each
+    refinement scan takes the 33 probes of every row still refining at once
+    and reads them on their rows' step polynomials in one gathered pass
+    (taylor.evaluate, as Piecewise.at reads a row).  When a row of the call
+    has a period map, every probe is then moved by M**k of its turn k, from
+    its row's one table of powers: M**0 = Id, on the first turn and on rows
+    without a map, leaves a state as it is, bit for bit, so a call without
+    maps moves none.
     """
     if len({traj.model for traj in trajs}) > 1:
         raise InputError("closure_tests takes rows of one model")
@@ -801,6 +872,40 @@ def _refine_rows(trajs, tables, a, b, best, best_s) -> None:
         b[live] = probes[probe, np.minimum(j + 1, probes.shape[1] - 1)]
 
 
+def _flat_rate(params: SpiralParams, kappa0: float, kappa_s0: float, controls):
+    """(m, rate): kappa(s)^m = kappa0^m + rate s on the flat row.
+
+    On a flat row (epsilon = 0, R = 0) E = kappa_s^2 kappa^(n-4) is conserved,
+    so with m = (n - 2) / 2 and sigma the sign of kappa_s0 kappa^m is linear
+    in s, at the rate m sigma sqrt(E); rate is 0 unless E > 0.
+    """
+    if params.epsilon != 0 or params.R != 0.0:
+        raise InputError("the flat-row bounds need a flat row (epsilon = 0, R = 0)")
+    _check_start(np.array([[kappa0, kappa_s0]], dtype=float), controls)
+    m = 0.5 * (params.n - 2)
+    energy = float(first_integral(params, kappa0, kappa_s0))
+    rate = m * sqrt(energy) * (1.0 if kappa_s0 > 0 else -1.0) if energy > 0.0 else 0.0
+    return m, rate
+
+
+def _in_band_at(m: float, rate: float, kappa0: float, s: float, controls) -> bool:
+    """Whether the flat row's kappa at s lies inside (kappa_floor, kappa_ceiling)."""
+    return bool(controls.kappa_floor**m < kappa0**m + rate * s < controls.kappa_ceiling**m)
+
+
+def flat_kappa_in_band(
+    params: SpiralParams, kappa0: float, kappa_s0: float, controls: IntegratorControls
+) -> bool:
+    """Whether the flat row's exact kappa stays inside (kappa_floor, kappa_ceiling) to s_max.
+
+    kappa is monotone, so it does exactly when kappa(s_max) is inside.  The
+    sample grid ends at or before s_max, so the band test of
+    flat_closure_bound at the grid's last point then passes too.
+    """
+    m, rate = _flat_rate(params, kappa0, kappa_s0, controls)
+    return _in_band_at(m, rate, kappa0, float(controls.s_max), controls)
+
+
 def flat_closure_bound(
     params: SpiralParams, kappa0: float, kappa_s0: float, controls: IntegratorControls
 ) -> float:
@@ -821,27 +926,21 @@ def flat_closure_bound(
     E <= 0 or kappa leaves (kappa_floor, kappa_ceiling) before s_max, where
     the marched row is never open.
     """
-    if params.epsilon != 0 or params.R != 0.0:
-        raise InputError("flat_closure_bound needs a flat row (epsilon = 0, R = 0)")
-    _check_start(np.array([[kappa0, kappa_s0]], dtype=float), controls)
-    energy = float(first_integral(params, kappa0, kappa_s0))
-    if not energy > 0.0:
+    m, rate = _flat_rate(params, kappa0, kappa_s0, controls)
+    if not rate:
         return 0.0
     grid = _sample_grid(controls)
     horizon = float(grid[-1])  # the last candidate of a row marched to s_max
-    s1 = float(grid[np.searchsorted(grid, min(1.0, 0.25 * horizon))])
-    m = 0.5 * (params.n - 2)
-    rate = m * sqrt(energy) * (1.0 if kappa_s0 > 0 else -1.0)  # d(kappa^m)/ds
-    u_end = kappa0**m + rate * horizon
-    if not controls.kappa_floor**m < u_end < controls.kappa_ceiling**m:
+    if not _in_band_at(m, rate, kappa0, horizon, controls):
         return 0.0  # kappa is monotone, so it leaves the band iff it is out at the horizon
+    s1 = float(grid[np.searchsorted(grid, min(1.0, 0.25 * horizon))])
 
     def turning(kappa):
         return (kappa ** (m + 1) - kappa0 ** (m + 1)) * m / ((m + 1) * rate)
 
     k1 = (kappa0**m + rate * s1) ** (1.0 / m)
     bound = abs(k1 - kappa0) + abs(kappa_s0 * (kappa0 / k1) ** (0.5 * (params.n - 4)) - kappa_s0)
-    if turning(u_end ** (1.0 / m)) <= np.pi:
+    if turning((kappa0**m + rate * horizon) ** (1.0 / m)) <= np.pi:
         bound += turning(k1)
     return bound
 

@@ -19,10 +19,11 @@ keeps its own step size and arc length.  Smaller sets are marched one row at
 a time.  A series is a coefficient store, a[j] the coefficient of t**j: a
 list of Python floats for a row marched alone, an (order, B) float64 array
 for a block of B rows.  The recurrences and the step size are written once
-over both; only the Cauchy product, cos and sin, and the step's max and root
-depend on the store (_Floats, _Block).  Both Cauchy products add their terms left to
-right (for B >= 2 a block's sum down axis 0 does), and every other operation
-is elementwise, so each row of a block is bit for bit the row marched alone.
+over both; only the Cauchy product, cos and sin, and the step's radius depend
+on the store (_Floats, _Block).  Both Cauchy products add their terms left to
+right (for B >= 2 a block's sum down axis 0 does), the radius is a least of
+roots, exact in any order, and every other operation is elementwise, so each
+row of a block is bit for bit the row marched alone.
 A state is a tuple (kappa, kappa_s, *curve) of floats or of (B,) arrays, and
 its series one store per component.
 """
@@ -44,6 +45,9 @@ TAYLOR_ORDER = 20
 _RADIUS_SHARE = exp(-2.0)
 # the band and the first return are watched at these fractions of each step
 _WATCH = np.arange(1, 17) / 16.0
+# the first return's Newton steps, at most; a step below sqrt(eps) t ends them
+_NEWTON_STEPS = 8
+_SQRT_EPS = sys.float_info.epsilon**0.5
 # dense output evaluates this many points at once, whatever their steps: it
 # bounds the gathered (_CHUNK, TAYLOR_ORDER + 1, width) coefficients
 _CHUNK = 128
@@ -51,6 +55,9 @@ _DEGREES = np.arange(TAYLOR_ORDER + 1.0)  # d/dt t^j = _DEGREES[j] t^(j - 1)
 # the fewest rows marched as one block; below it each row is marched alone,
 # which is faster (see CHANGES.md for the timing)
 LOCKSTEP_ROWS = 7
+# the orders the step size reads, and the exponents of their roots
+_TOP = (TAYLOR_ORDER - 1, TAYLOR_ORDER)
+_ROOTS = tuple(1.0 / j for j in _TOP)
 
 
 if sys.version_info < (3, 12):
@@ -74,22 +81,30 @@ class _Floats:
     """The kernels of a row marched alone: a series is a list of Python floats."""
 
     cos, sin, sqrt = staticmethod(cos), staticmethod(sin), staticmethod(sqrt)
-    fmax, cauchy = staticmethod(max), staticmethod(_cauchy)
+    cauchy = staticmethod(_cauchy)
 
     @staticmethod
     def zeros(n: int, like) -> list[float]:
         return [0.0] * n
 
     @staticmethod
-    def bound(radius: float, scale: float, cj: float, j: int) -> float:
-        """min(radius, (scale / |cj|)^(1/j)); a zero or nan cj sets no bound."""
-        return min(radius, (scale / abs(cj)) ** (1.0 / j)) if cj else radius
+    def radius(cols) -> float:
+        """The least (scale / |c[j]|)^(1/j) of step_size, one bound at a time.
+
+        A zero or nan c[j] sets no bound: min keeps radius against a nan.
+        """
+        radius = inf
+        for c in cols:
+            scale = max(1.0, abs(c[0]))  # 1 for a nan c[0]
+            for j, root in zip(_TOP, _ROOTS):
+                radius = min(radius, (scale / abs(c[j])) ** root) if c[j] else radius
+        return radius
 
 
 class _Block:
     """The kernels of B >= 2 rows in lockstep: a series is an (order, B) array."""
 
-    sqrt, fmax = staticmethod(np.sqrt), staticmethod(np.fmax)
+    sqrt = staticmethod(np.sqrt)
 
     @staticmethod
     def zeros(n: int, like) -> np.ndarray:
@@ -100,11 +115,18 @@ class _Block:
         return (a[: j + 1] * b[j::-1]).sum(0)
 
     @staticmethod
-    def bound(radius, scale, cj, j: int):
-        # each row's root by Python's pow: numpy's ** can differ from it in the last bit
+    def radius(cols):
+        """Each row's radius of step_size: every bound in one pass, then one fmin.
+
+        The roots are Python's pow (numpy's ** can differ from it in the last
+        bit).  A zero c[j] gives an infinite root and fmin skips a nan one,
+        and min is exact in any order, so each row is its _Floats radius.
+        """
+        scale = np.fmax(1.0, np.abs([c[0] for c in cols]))  # 1 for a nan c[0]
         with np.errstate(divide="ignore"):
-            root = np.array([v ** (1.0 / j) for v in (scale / np.abs(cj)).tolist()])
-        return np.where(root < radius, root, radius)
+            ratios = scale / np.abs([[c[j] for c in cols] for j in _TOP])
+        roots = [v ** e for e, rows in zip(_ROOTS, ratios.tolist()) for row in rows for v in row]
+        return np.fmin.reduce(np.reshape(roots, (-1, scale.shape[1])), axis=0, initial=inf)
 
     # math's cos and sin row by row: numpy's may round differently, and
     # math's raise on an infinite angle, as a lone row's series does
@@ -231,18 +253,20 @@ def step_size(cols):
     (max(1, |c[0]|) / |c[j]|)^(1/j) over the components c and the two
     highest orders j, times e^-2.  The frame is in it because its own
     singularities (the half-plane angle solves a Riccati equation) can lie
-    closer than those of kappa.  A block gets one step per row.
+    closer than those of kappa.  A block gets one step per row, from all
+    its roots taken in one pass (_Block.radius), each row's bit for bit the
+    step of the row alone.
     """
-    ops = _kernels(cols[0])
-    radius = inf
-    for c in cols:
-        scale = ops.fmax(1.0, abs(c[0]))  # 1 for a nan c[0]
-        for j in (TAYLOR_ORDER - 1, TAYLOR_ORDER):
-            radius = ops.bound(radius, scale, c[j], j)
-    return _RADIUS_SHARE * radius
+    return _RADIUS_SHARE * _kernels(cols[0]).radius(cols)
 
 
 def horner(col, t):
+    """The polynomial with coefficients col[0], col[1], ... at t, by Horner's rule.
+
+    col[j] may be an array, as t may: a block's coefficients stacked
+    (order + 1, d, B) give its d components at its B rows' t in one pass,
+    by the same operations as state() on each.
+    """
     acc = 0.0
     for c in reversed(col):
         acc = acc * t + c
@@ -300,16 +324,32 @@ class FirstReturn:
         self.g_prev = float(g[-1])
         return self.near(cols, ts, np.flatnonzero((before < 0.0) & (g >= 0.0)).tolist())
 
+    def below(self, cols, t):
+        """Whether g < 0 on the step polynomials cols at t, the test of the bisection.
+
+        t may be an array: each point is tested by the same operations as alone.
+        """
+        return self.g(horner(cols[0], t), horner(cols[1], t)) < 0.0
+
     def near(self, cols, ts: np.ndarray, crossings: list[int]) -> float | None:
         """The first crossing near y0, bisected on the polynomial to round-off.
 
         crossings are watch indices i: g crosses between ts[i - 1] (0 for
-        i = 0) and ts[i].
+        i = 0) and ts[i].  The bisection keeps g(lo) < 0 <= g(hi) and ends
+        where lo and hi are neighbouring floats.  Its halvings are first
+        taken together (_replay): the Newton root of the crossing predicts
+        each one, and one vectorized test of every midpoint confirms them up
+        to the first it does not; the bisection goes on from there alone.
+        Every halving is decided by the test at its own midpoint, so hi is
+        the float of the plain bisection, bit for bit.
         """
         for i in crossings:
             lo, hi = (ts[i - 1] if i else 0.0), ts[i]
+            root = self._newton_root(cols, lo, hi)
+            if root is not None:
+                lo, hi = self._replay(cols, lo, hi, root)
             while lo < (mid := 0.5 * (lo + hi)) < hi:
-                if self.g(horner(cols[0], mid), horner(cols[1], mid)) < 0.0:
+                if self.below(cols, mid):
                     lo = mid
                 else:
                     hi = mid
@@ -317,6 +357,55 @@ class FirstReturn:
             if dk * dk + dks * dks < self.reach2:
                 return hi
         return None
+
+    def _newton_root(self, cols, lo: float, hi: float) -> float | None:
+        """Newton's root of g in (lo, hi), from its middle; None if a step leaves the bracket.
+
+        Each step reads kappa, kappa_s and their derivatives in one Horner
+        pass.  The steps stop at one below sqrt(eps) t: the error after it
+        is about its square, round-off.
+        """
+        t = 0.5 * (lo + hi)
+        for _ in range(_NEWTON_STEPS):
+            k = dk = ks = dks = 0.0
+            for a, b in zip(reversed(cols[0]), reversed(cols[1])):
+                dk, k = dk * t + k, k * t + a
+                dks, ks = dks * t + ks, ks * t + b
+            slope = dk * self.f0 + dks * self.f1
+            step = self.g(k, ks) / slope if slope else nan
+            t -= step
+            if not lo < t < hi:  # a nan t too
+                return None
+            if abs(step) <= _SQRT_EPS * t:
+                break
+        return t
+
+    def _replay(self, cols, lo: float, hi: float, root: float) -> tuple[float, float]:
+        """The bisection's bracket after the halvings that root predicts and the test confirms.
+
+        The halvings from (lo, hi) are predicted by the side of root each
+        midpoint lies on, and every midpoint is tested at once.  The result
+        is the bracket after the first unconfirmed halving, taken the tested
+        way, or after all of them: the plain bisection's after as many.
+        """
+        los, mids, his = [], [], []
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            los.append(lo)
+            mids.append(mid)
+            his.append(hi)
+            if mid < root:
+                lo = mid
+            else:
+                hi = mid
+        points = np.array(mids)
+        # kappa and kappa_s in one pass: their coefficients stacked (order + 1, 2, 1)
+        kappa, kappa_s = horner(np.array(cols[:2]).T[:, :, None], points)
+        below = self.g(kappa, kappa_s) < 0.0
+        wrong = np.flatnonzero(below != (points < root))
+        if not wrong.size:
+            return lo, hi
+        i = int(wrong[0])
+        return (mids[i], his[i]) if below[i] else (los[i], mids[i])
 
 
 class RestPoint:
@@ -524,9 +613,10 @@ def _march_block(series, y0, s_end, floor, ceiling, rets):
                 continue
             last = h >= s_end - s
             h = np.where(last, s_end - s, h)
+            stacked = np.array(cols)  # (d, order + 1, live rows)
             # one C-contiguous (d, order + 1) block per row, as a row alone
             # stores its coefficients
-            coefs = np.ascontiguousarray(np.array(cols).transpose(2, 0, 1))
+            coefs = np.ascontiguousarray(stacked.transpose(2, 0, 1))
             for i, row in enumerate(live):
                 steps[row][0].append(float(s[i]))
                 steps[row][1].append(coefs[i])
@@ -545,7 +635,7 @@ def _march_block(series, y0, s_end, floor, ceiling, rets):
                 if rets[row]:
                     rets[row].g_prev = float(g[i, -1])
             stalled = ~(last | (s + h > s))
-            y_next = np.array(state(cols, h))
+            y_next = horner(stacked.transpose(1, 0, 2), h)  # state(cols, h), in one pass
             keep = np.ones(len(live), bool)
             for i in np.flatnonzero(crossing.any(1) | (exit_at < _WATCH.size) | stalled | last):
                 row, t = live[i], None

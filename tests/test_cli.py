@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -345,6 +349,25 @@ class TestDataCommands:
             assert main(["rigidity", "--config", cfg, "--out", str(out)]) == 0
         for name in ("rigidity.json", "rigidity_grid.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_rigidity_maps_no_openssl(self, tmp_path):
+        # hashlib maps OpenSSL's libcrypto (_hashlib), which only a config hash
+        # needs, and rigidity hashes no config; in a fresh interpreter, since
+        # pytest imports hashlib itself
+        cfg = write_cfg(tmp_path, "horizon = 1\ngrid_size = 2\n")
+        code = (
+            "import sys\n"
+            "from mobiusflat.cli import main\n"
+            f"assert main(['rigidity', '--config', {cfg!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+            "print('_hashlib' in sys.modules, 'hashlib' in sys.modules)\n"
+        )
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[-2:] == ["False", "False"]
 
     def test_rigidity_small(self, tmp_path):
         cfg = write_cfg(tmp_path, "horizon = 30\ngrid_size = 2\n")

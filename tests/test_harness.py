@@ -578,7 +578,7 @@ class TestRigidity:
         result = rigidity_scan(cfg)
         rows = result["flat_control"]
         assert [row["E"] for row in rows] == pytest.approx([0.05**2, 0.1**2], rel=1e-14)
-        assert all(row["kappa_monotone"] for row in rows)
+        assert all(row["kappa_monotone"] and row["kappa_in_band"] for row in rows)
         assert result["flat_control_certified_open"] is True
         # the march agrees: kappa_s keeps its sign, so kappa is monotone
         params = SpiralParams(4, 0, 0.0)
@@ -625,6 +625,12 @@ class TestRigidity:
         row = result["flat_control"][slot]
         assert row["defect_bound"] == 0.0 and row["status"] == "inconclusive"
         assert result["status"] == "fail"
+        # neither is certified open: the circle's kappa is constant, and the
+        # other's kappa is monotone but leaves the band before the horizon
+        assert (row["kappa_monotone"], row["kappa_in_band"]) == (
+            (False, True) if start[1] == 0.0 else (True, False)
+        )
+        assert result["flat_control_certified_open"] is False
 
     def test_equilibrium_is_one_taylor_step(self, monkeypatch):
         # the equilibrium row is carried over its 1.5 periods by the map of its

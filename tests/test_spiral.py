@@ -1,12 +1,15 @@
 import functools
 import math
 
+import bisection_oracle
 import closure_oracle
 import dense_oracle
 import numpy as np
 import pytest
 import rk4_oracle
 from fd_oracle import recomputed_curvature
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import fresnel
 
 from mobiusflat import spiral, taylor
@@ -710,6 +713,238 @@ class TestPeriodMap:
 
 
 # ---------------------------------------------------------------------------
+# the lockstep grid's per-row shortcuts against the loops they replaced
+
+
+class ZeroSlope(taylor.FirstReturn):
+    """A row's first-return watch whose Newton slope dk f0 + dks f1 reads 0; g is the row's."""
+
+    def __init__(self, ret):
+        self.__dict__.update(vars(ret))
+        self.row, self.f0, self.f1 = ret, 0.0, 0.0
+
+    def g(self, kappa, kappa_s):
+        return self.row.g(kappa, kappa_s)
+
+
+def recorded_returns(monkeypatch, params, rows, controls):
+    """(return, cols, ts, crossings, t) of every FirstReturn.near call of a period-map march."""
+    calls, near = [], taylor.FirstReturn.near
+
+    def recording(ret, cols, ts, crossings):
+        calls.append((ret, cols, ts, crossings, near(ret, cols, ts, crossings)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(taylor.FirstReturn, "near", recording)
+    integrate_grid(params, rows, controls, period_map=True)
+    monkeypatch.undo()
+    return calls
+
+
+def grid_returns(monkeypatch, n, horizon, spread):
+    cfg = RunConfig(n=n, horizon=horizon, grid_spread=spread)
+    params = SpiralParams(n, -1, cfg.R)
+    rows = rigidity_initials(cfg, equilibrium_kappa(params))
+    controls = IntegratorControls(s_max=horizon, step=cfg.step, store_stride=10)
+    return recorded_returns(monkeypatch, params, rows, controls)
+
+
+class TestFirstReturn:
+    @pytest.mark.parametrize("spread", [0.1, 0.2])
+    @pytest.mark.parametrize("horizon", [40.0, 200.0])
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_grid_returns_are_the_bisection(self, monkeypatch, n, horizon, spread):
+        # every row of the rigidity grid returns where the plain bisection puts it,
+        # bit for bit, and Newton's root predicts nearly all of its halvings
+        calls = grid_returns(monkeypatch, n, horizon, spread)
+        assert sum(t is not None for *_, t in calls) == 25
+        for ret, cols, ts, crossings, t in calls:
+            assert t == bisection_oracle.near(ret, cols, ts, crossings)
+            for i in crossings:
+                watch = (ts[i - 1] if i else 0.0), ts[i]
+                root = ret._newton_root(cols, *watch)
+                assert watch[0] < root < watch[1]
+                lo, hi = ret._replay(cols, *watch, root)
+                assert watch[0] <= lo < hi <= watch[1]
+                assert hi - lo <= 2**12 * math.ulp(hi)
+
+    @pytest.mark.parametrize(
+        "root",
+        [
+            lambda lo, hi: None,
+            lambda lo, hi: 0.5 * (lo + hi),
+            lambda lo, hi: lo + 0.3 * (hi - lo),
+            lambda lo, hi: hi,
+        ],
+        ids=["no-root", "midpoint", "wrong", "bracket-end"],
+    )
+    def test_any_root_gives_the_bisection(self, monkeypatch, root):
+        # the root only predicts the halvings, and the test at each midpoint
+        # decides it: no root (the plain bisection), or a poor one, ends at the same float
+        calls = grid_returns(monkeypatch, 5, 40.0, 0.2)
+        monkeypatch.setattr(taylor.FirstReturn, "_newton_root", lambda ret, cols, lo, hi: root(lo, hi))
+        for ret, cols, ts, crossings, t in calls:
+            assert taylor.FirstReturn.near(ret, cols, ts, crossings) == t
+
+    def test_zero_slope_gives_no_root(self, monkeypatch):
+        calls = grid_returns(monkeypatch, 4, 40.0, 0.2)[:5]
+        for ret, cols, ts, crossings, t in calls:
+            zero = ZeroSlope(ret)
+            assert all(zero._newton_root(cols, 0.0, ts[i]) is None for i in crossings)
+            assert zero.near(cols, ts, crossings) == t
+
+    def test_crossing_where_g_changes_sign_more_than_once(self, monkeypatch):
+        # g's float values change sign three times within 3 ulps of this
+        # crossing: a bisection from any other bracket may end on another
+        # change, so each halving of the plain one is replayed
+        params = SpiralParams(6, -1, 0.3)
+        kstar, offset = equilibrium_kappa(params), -0.05247410411968617
+        rows = [[kstar * (1.0 + offset), kstar * offset]]
+        calls = recorded_returns(monkeypatch, params, rows, IntegratorControls(s_max=30.0))
+        ret, cols, ts, crossings, t = calls[-1]
+        assert t is not None and t == bisection_oracle.near(ret, cols, ts, crossings)
+        points = [t]
+        for _ in range(4):
+            points = [math.nextafter(points[0], 0.0)] + points + [math.nextafter(points[-1], 1.0)]
+        signs = ret.below(cols, np.array(points))
+        assert np.count_nonzero(signs[:-1] != signs[1:]) == 3
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.sampled_from([4, 5, 6]),
+        big_r=st.floats(0.3, 1.5),
+        dk=st.floats(-0.35, 0.35),
+        dks=st.floats(-0.3, 0.3),
+        block=st.booleans(),
+    )
+    def test_drawn_returns_are_the_bisection(self, n, big_r, dk, dks, block):
+        # a row alone (on floats) or in a lockstep block, anywhere on the closed
+        # orbits around kappa*
+        params = SpiralParams(n, -1, big_r)
+        kstar = equilibrium_kappa(params)
+        assume(kstar > 1.0 and abs(dk) + abs(dks) > 1e-3)  # the rest point has no crossing
+        rows = [[kstar * (1.0 + dk), kstar * dks]]
+        assume(first_integral(params, *rows[0]) < 0.0)
+        if block:
+            rows += [[kstar * (1.0 + dk * f), kstar * dks * f] for f in (0.5, 0.7, 0.9)] * 2
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = recorded_returns(monkeypatch, params, rows, IntegratorControls(s_max=30.0))
+        for ret, cols, ts, crossings, t in calls:
+            assert t == bisection_oracle.near(ret, cols, ts, crossings)
+
+
+def block_series(seed: int, rows: int = 9):
+    """Coefficients of a 5-component block, (5, TAYLOR_ORDER + 1, rows), with the edge
+    cases of the step bound: zero and nan top coefficients, a nan c[0], an infinite and
+    a subnormal c[j], and a row of zeros."""
+    rng = np.random.default_rng(seed)
+    cols = rng.standard_normal((5, taylor.TAYLOR_ORDER + 1, rows))
+    cols *= np.exp(rng.uniform(-30.0, 5.0, (5, 1, rows)))
+    cols[0, -1, 0] = cols[2, -2, 0] = 0.0
+    cols[1, -1, 1] = cols[3, -2, 2] = np.nan
+    cols[4, 0, 3] = np.nan
+    cols[2, -1, 4], cols[3, -2, 5] = np.inf, 5e-324
+    cols[:, :, 6] = 0.0
+    return cols
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_block_step_bound_is_each_rows_bound(seed):
+    # the block's one-pass bound is each row's bound on floats, bit for bit
+    cols = block_series(seed)
+    block = list(cols)
+    rows = [[c[:, i].tolist() for c in block] for i in range(cols.shape[2])]
+    radius = taylor._Block.radius(block)
+    assert radius.tolist() == [taylor._Floats.radius(row) for row in rows]
+    assert taylor.step_size(block).tolist() == [taylor.step_size(row) for row in rows]
+    assert radius[6] == math.inf and 0.0 < radius[0] < math.inf
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_stacked_next_state_is_state(seed):
+    # one Horner pass over the stacked (order + 1, d, B) block is state() on
+    # each component and on each row, bit for bit
+    cols = block_series(seed)
+    h = np.random.default_rng(seed).uniform(0.0, 0.7, cols.shape[2])
+    h[0], h[1] = 0.0, np.inf
+    with np.errstate(all="ignore"):
+        stacked = taylor.horner(cols.transpose(1, 0, 2), h)
+        assert stacked.tobytes() == np.array(taylor.state(list(cols), h)).tobytes()
+    for i in range(cols.shape[2]):
+        row = taylor.state([c[:, i].tolist() for c in cols], float(h[i]))
+        assert np.array_equal(stacked[:, i], row, equal_nan=True)
+
+
+class TestPrunedClosureScan:
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_grid_at_horizon_200_is_the_full_scan(self, n):
+        # the angle term is taken only where it can give the least defect;
+        # every row's verdict, least defect and its arc length are the full scan's
+        cfg = RunConfig(n=n)
+        params = SpiralParams(n, -1, cfg.R)
+        rows = rigidity_initials(cfg, equilibrium_kappa(params))
+        controls = IntegratorControls(s_max=cfg.horizon, step=cfg.step, store_stride=10)
+        trajs = integrate_grid(params, rows, controls, period_map=True)
+        assert closure_tests(trajs) == [closure_oracle.closure_test(t) for t in trajs]
+
+    def test_row_where_nearly_every_candidate_survives(self):
+        # just past one period at R = 0.5 the least bound (distance and kappa
+        # parts) sits where the tangent is far off, so the prune keeps almost
+        # every candidate, and the least defect is not at the least bound
+        params = SpiralParams(4, -1, 0.5)
+        row = [[0.9 * equilibrium_kappa(params), 0.0]]
+        period = integrate_grid(
+            params, row, IntegratorControls(s_max=20.0), period_map=True
+        )[0].period_map.period
+        controls = IntegratorControls(s_max=1.05 * period, store_stride=10)
+        traj = integrate_grid(params, row, controls, period_map=True)[0]
+        cand_s, cand = closure_oracle.candidates(traj)
+        window = cand_s >= min(1.0, 0.25 * cand_s[-1])
+        start = spiral._start(traj)
+        lower = spiral._hyperbolic_distance(cand[:, 2], cand[:, 3], start[2], start[3])
+        lower += np.abs(cand[:, 0] - start[0])
+        lower += np.abs(cand[:, 1] - start[1])
+        full = closure_oracle.full_defect(traj, cand)
+        least = np.argmin(np.where(window, lower, np.inf))
+        assert np.mean(lower[window] <= full[least]) > 0.9
+        assert np.argmin(np.where(window, full, np.inf)) != least
+        assert closure_tests([traj]) == [closure_oracle.closure_test(traj)]
+
+    @pytest.mark.parametrize("broken", [None, "angle", "position"])
+    def test_scan_is_the_unpruned_scan(self, monkeypatch, broken):
+        # (a, b, defect, s) of every grid row equals the scan that takes the angle
+        # everywhere, bits and all; a nan angle or position, where a defect may
+        # be nan and argmin picks the first nan, scores every candidate
+        cfg = RunConfig(n=5, horizon=40.0)
+        params = SpiralParams(5, -1, cfg.R)
+        rows = rigidity_initials(cfg, equilibrium_kappa(params))
+        controls = IntegratorControls(s_max=cfg.horizon, step=cfg.step, store_stride=10)
+        trajs = integrate_grid(params, rows, controls, period_map=True)
+        if broken:
+            samples = trajs[3]._samples.copy()
+            samples[samples.shape[0] // 2, 4 if broken == "angle" else 2] = np.nan
+            trajs[3].__dict__["_samples"] = samples
+        pruned = [spiral._coarse_closure(t, spiral._holonomy_table(t)) for t in trajs]
+        monkeypatch.setattr(spiral, "_least_half_plane_defect", lambda *args: None)
+        full = [spiral._coarse_closure(t, spiral._holonomy_table(t)) for t in trajs]
+        assert np.array(pruned).tobytes() == np.array(full).tobytes()
+        assert np.isnan(pruned[3][2]) == bool(broken)
+
+    def test_curve_defect_is_the_summed_square(self):
+        # the half-plane distance written out as dx*dx + dy*dy is the summed
+        # square it replaced, bit for bit
+        rng = np.random.default_rng(7)
+        coords = rng.normal(size=(500, 3)) * [3.0, 1.0, 4.0]
+        coords[:, 1] = rng.uniform(0.05, 4.0, 500)
+        ref = np.array([0.3, 1.1, -0.4])
+        pos, rpos = coords[:, :2], ref[:2]
+        sq = np.sum((pos - rpos) ** 2, axis=-1)
+        old = np.arccosh(1.0 + sq / (2.0 * pos[:, 1] * rpos[1]))
+        old += np.abs(np.mod(coords[:, 2] - ref[2] + np.pi, 2.0 * np.pi) - np.pi)
+        assert spiral.curve_defect(spiral.HALF_PLANE, coords, ref).tobytes() == old.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # the Taylor marcher against the RK4 oracle it replaced
 
 EVENT_CASES = [
@@ -925,6 +1160,20 @@ class TestFlatClosureBound:
         assert traj.termination == termination
         assert closure_test(traj).status != "open"
         assert spiral.flat_closure_bound(FLAT_PARAMS, 1.0, kappa_s0, controls) == 0.0
+        assert spiral.flat_kappa_in_band(FLAT_PARAMS, 1.0, kappa_s0, controls) is False
+        # a horizon before the band's edge keeps kappa inside
+        short = IntegratorControls(s_max=15.0, kappa_ceiling=ceiling, store_stride=10)
+        assert spiral.flat_kappa_in_band(FLAT_PARAMS, 1.0, kappa_s0, short) is True
+
+    @pytest.mark.parametrize("horizon", [0.05, 40.0, 200.0])
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_control_rows_stay_in_the_band(self, n, horizon):
+        # rigidity_scan's flat rows are inside the band up to the horizon, as their march is
+        params = SpiralParams(n, 0, 0.0)
+        controls = IntegratorControls(s_max=horizon, store_stride=10)
+        for k0, ks0 in FLAT_CONTROL_STARTS:
+            assert spiral.flat_kappa_in_band(params, k0, ks0, controls) is True
+        assert spiral.flat_kappa_in_band(params, 1.0, 0.0, controls) is True  # the circle
 
     @pytest.mark.parametrize(
         "params", [SpiralParams(4, -1, 0.75), SpiralParams(4, 0, 0.5), SpiralParams(4, 1, 0.0)]
@@ -932,6 +1181,8 @@ class TestFlatClosureBound:
     def test_refuses_a_row_that_is_not_flat(self, params):
         with pytest.raises(InputError, match="flat row"):
             spiral.flat_closure_bound(params, 1.0, 0.05, IntegratorControls())
+        with pytest.raises(InputError, match="flat row"):
+            spiral.flat_kappa_in_band(params, 1.0, 0.05, IntegratorControls())
 
     @pytest.mark.parametrize("kappa_s0", [0.05, 0.1])
     def test_n4_row_is_the_clothoid(self, kappa_s0):

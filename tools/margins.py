@@ -12,7 +12,10 @@ prints, for each assert, its worst residual over its tolerance (for
 every assert passed on every run.  With ``--against PATH``, the root of another checkout of the project,
 the same 64 runs are made there too, and for each check the largest
 absolute change of a float of its report record between the two trees is
-printed, with the run where it fell and the number of floats that changed.
+printed, with the run where it fell and the number of floats that changed;
+and ``checks.rigidity_scan`` is run in both trees at n = 4-6, at the default
+config and at horizon 40, and the floats of its results that changed are
+counted, with the largest change and the values found in one tree only.
 
 It also prints the margins of ``checks.rigidity_scan`` at the default config
 for n = 4-6, from this tree: each flat-control row's TOL_OPEN / defect_bound,
@@ -32,22 +35,30 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUNS = [(seed, n, samples) for samples in (20, 8) for n in range(4, 8) for seed in range(8)]
+# the rigidity scans compared between two trees: (n, horizon), None for the default
+SCANS = [(n, horizon) for n in range(4, 7) for horizon in (None, 40.0)]
 
 
 def emit() -> None:
-    """Print the reports of the 64 runs, as one JSON list, from the tree on the path."""
-    from mobiusflat.checks import run_suite
+    """Print the reports of the 64 runs and the rigidity scans, as one JSON object,
+    from the tree on the path."""
+    from mobiusflat.checks import rigidity_scan, run_suite
     from mobiusflat.config import RunConfig
 
     reports = []
     for seed, n, samples in RUNS:
         report = run_suite(RunConfig(seed=seed, n=n, samples=samples).validate())
         reports.append(json.loads(report.to_json()))
-    json.dump(reports, sys.stdout)
+    scans = []
+    for n, horizon in SCANS:
+        cfg = RunConfig(n=n) if horizon is None else RunConfig(n=n, horizon=horizon)
+        scans.append(rigidity_scan(cfg.validate()))
+    json.dump({"suite": reports, "rigidity": scans}, sys.stdout)
 
 
-def reports(roots: list[Path]) -> list[list[dict]]:
-    """The 64 reports of each tree, the trees side by side, each in its own interpreter."""
+def reports(roots: list[Path]) -> list[dict]:
+    """The 64 reports and the rigidity scans of each tree, the trees side by side,
+    each in its own interpreter."""
     procs = [
         subprocess.Popen(
             [sys.executable, __file__, "--emit"],
@@ -64,16 +75,25 @@ def reports(roots: list[Path]) -> list[list[dict]]:
     return [json.loads(out) for out in outs]
 
 
-def floats(node, path=""):
-    """(path, value) of every number under a JSON node; booleans are not numbers."""
+def leaves(node, path=""):
+    """(path, value) of every value under a JSON node that is not a dict or a list."""
     if isinstance(node, dict):
         for key, value in node.items():
-            yield from floats(value, f"{path}.{key}")
+            yield from leaves(value, f"{path}.{key}")
     elif isinstance(node, list):
         for i, value in enumerate(node):
-            yield from floats(value, f"{path}[{i}]")
-    elif isinstance(node, (int, float)) and not isinstance(node, bool):
-        yield path, float(node)
+            yield from leaves(value, f"{path}[{i}]")
+    else:
+        yield path, node
+
+
+def is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def floats(node):
+    """(path, value) of every number under a JSON node; booleans are not numbers."""
+    return ((path, float(value)) for path, value in leaves(node) if is_number(value))
 
 
 def records(report: dict) -> dict[str, dict]:
@@ -170,6 +190,33 @@ def drift(ours: list[dict], theirs: list[dict]) -> None:
         print(f"  values in one tree only: {len(unmatched)}, first {unmatched[:5]}")
 
 
+def rigidity_drift(ours: list[dict], theirs: list[dict]) -> None:
+    """The floats of the rigidity scans that changed between the trees, and the largest change."""
+    moved, largest, unmatched, other = 0, (0.0, None), [], []
+    for scan, mine, their in zip(SCANS, ours, theirs):
+        va, vb = dict(leaves(mine)), dict(leaves(their))
+        unmatched += [(scan, path) for path in sorted(va.keys() ^ vb.keys())]
+        for path in va.keys() & vb.keys():
+            x, y = va[path], vb[path]
+            if not (is_number(x) and is_number(y)):
+                other += [(scan, path)] if x != y else []
+            elif x != y and not (math.isnan(x) and math.isnan(y)):
+                moved += 1
+                if not abs(x - y) <= largest[0]:
+                    largest = (abs(x - y), (scan, path))
+    print(
+        f"rigidity drift against the other tree over {len(SCANS)} scans"
+        " ((n, horizon), None the default)"
+    )
+    print(f"  floats changed: {moved}")
+    if moved:
+        print(f"  largest change: {largest[0]:.3e} at {largest[1]}")
+    if other:
+        print(f"  other values changed: {len(other)}, first {other[:5]}")
+    if unmatched:
+        print(f"  values in one tree only: {len(unmatched)}, first {unmatched[:5]}")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", type=Path, help="root of another checkout to compare with")
@@ -179,10 +226,11 @@ def main() -> None:
         emit()
         return
     trees = reports([ROOT] + ([args.against.resolve()] if args.against else []))
-    margins(trees[0])
+    margins(trees[0]["suite"])
     rigidity_margins()
     if args.against:
-        drift(*trees)
+        drift(*(tree["suite"] for tree in trees))
+        rigidity_drift(*(tree["rigidity"] for tree in trees))
 
 
 if __name__ == "__main__":
