@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Spiral curves in the three 2d model spaces.
 
-Integrates the prescribed-curvature ODE, checks the conserved first
+Integrates the spiral curvature ODE, checks the conserved first
 integral, and shows that constant curvature closes the curve (a circle)
 while non-constant solutions precess without closing.
 """

@@ -4,9 +4,10 @@
 The metric kappa(s)^2 (ds^2 + I_{-eps}) has constant scalar curvature
 exactly when kappa solves the spiral ODE; the constant is an affine function
 of the prescribed R whose slope depends on the normalization (2(n-1) for the
-full trace).  A prescribed curvature that does not solve the ODE (the
-non-solution control of scalar_constancy, kappa = 1.15 + 0.3 sin s) does not
-keep the scalar curvature constant, which the audit shows numerically.
+full trace).  A curvature that does not solve the ODE (the non-solution
+control of scalar_constancy, kappa = 1.15 + 0.3 sin s, marched as the row of
+kappa'' = 1.15 - kappa) does not keep the scalar curvature constant, which
+the audit shows numerically.
 Every scalar is the curvature of the metric's exact 2-jet, built from the
 step polynomials of the trajectory: no step is taken.
 """
@@ -19,8 +20,7 @@ from mobiusflat.spiral import (
     IntegratorControls,
     SpiralParams,
     integrate_grid,
-    prescribed_curvature_trajectory,
-    sine_curvature,
+    sine_curvature_trajectory,
 )
 from mobiusflat.zoo import warped_metric_jet
 
@@ -48,9 +48,7 @@ for big_r in (0.3, 0.75, 1.2):
 print(f"  -> full-trace slope 2(n-1) = {2*(n-1)}; half and normalized scale accordingly")
 
 print("\nnon-solution control, kappa = 1.15 + 0.3 sin s (eps = -1):")
-control = prescribed_curvature_trajectory(
-    n, -1, sine_curvature(1.15, 0.3), IntegratorControls(s_max=4.0)
-)
+control = sine_curvature_trajectory(n, -1, 1.15, 0.3, IntegratorControls(s_max=4.0))
 vals = scalar_profile(control)
 print(f"  scalar range [{vals.min():.4f}, {vals.max():.4f}]: not constant")
 

@@ -7,7 +7,7 @@ Library layout:
 * ``immersion``         -- fundamental forms and normals of explicit immersions, and their jets
 * ``curvature``         -- Riemann/Ricci/full-trace scalar of metric fields, Schouten, Codazzi
 * ``moebius``           -- conformal density; the Moebius metric, B, A, C read from one request
-* ``spiral``            -- prescribed-curvature curve ODE in the 2d model spaces
+* ``spiral``            -- the spiral curvature ODE in the 2d model spaces, and the sine control
 * ``taylor``            -- order-20 Taylor marcher behind every spiral trajectory
 * ``zoo``               -- cylinder/cone/rotational/torus generators, stereographic lift
 * ``meshes``            -- OBJ slice export

@@ -75,8 +75,7 @@ from .spiral import (
     integrate_grid,
     integrate_spiral,
     kappa_accel,
-    prescribed_curvature_trajectory,
-    sine_curvature,
+    sine_curvature_trajectory,
 )
 from .zoo import (
     EPSILON_BY_FAMILY,
@@ -534,8 +533,8 @@ def check_scalar_constancy(cfg: RunConfig, surfaces, rng, res: Residuals) -> dic
         spreads[surf.name] = _spread(surf.fields.jets(pts).direct_scalar)
         res.add(spreads[surf.name], samples=len(pts))
 
-    control_traj = prescribed_curvature_trajectory(
-        cfg.n, -1, sine_curvature(1.15, 0.3), IntegratorControls(s_max=4.5, step=cfg.step)
+    control_traj = sine_curvature_trajectory(
+        cfg.n, -1, 1.15, 0.3, IntegratorControls(s_max=4.5, step=cfg.step)
     )
     control_imm = rotational_immersion(control_traj, cfg.n)
     control_fields = fields_from_immersion(control_imm)

@@ -133,8 +133,9 @@ class RunConfig:
             raise ConfigError("kappa0 must lie strictly between kappa_floor and kappa_ceiling")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.samples < 1 or self.grid_size < 1 or self.slice_res < 2:
-            raise ConfigError("samples, grid_size and slice_res must be positive")
+        for key, least in (("samples", 1), ("grid_size", 1), ("slice_res", 2)):
+            if getattr(self, key) < least:
+                raise ConfigError(f"{key} must be at least {least}, got {getattr(self, key)}")
         names = self.check_list()
         for c in names:
             if c not in CHECK_FUNCTIONS:

@@ -116,14 +116,8 @@ class ImmersionHandle:
 # evaluation per point set, of order 2 (order k + 2 for the k-jets of the forms).
 
 
-def jacobian_batch(imm: ImmersionHandle, pts: np.ndarray) -> np.ndarray:
-    """d f / d x_a as columns: returns (K, N, m)."""
-    return np.swapaxes(imm.evaluate_jet(pts)[1], 1, 2)
-
-
-
 def first_fundamental_form_batch(imm: ImmersionHandle, pts: np.ndarray) -> np.ndarray:
-    jac = jacobian_batch(imm, pts)
+    jac = np.swapaxes(imm.evaluate_jet(pts)[1], 1, 2)  # d f / d x_a as columns, (K, N, m)
     gram = np.einsum("kna,knb->kab", jac, jac)
     _require_full_rank(gram)
     return gram

@@ -1,4 +1,4 @@
-"""Spiral curves with prescribed-curvature dynamics in the three 2d model spaces.
+"""Spiral curves, and the sine control, in the three 2d model spaces.
 
 The geodesic curvature kappa(s) of the generating curve evolves by a second
 order ODE of the family
@@ -15,8 +15,8 @@ the Euclidean plane (eps = 0), the unit 2-sphere (eps = +1), or the
 Poincare half-plane (eps = -1), by co-integrating the unit-speed frame
 equations.
 
-Every row (single trajectories, grids and the prescribed-curvature
-controls) is marched by its Taylor series: each step computes the
+Every row (single trajectories, grids and the sine control) is marched by
+its Taylor series: each step computes the
 coefficients of kappa and of the frame to the fixed order TAYLOR_ORDER, and
 takes a step of about a seventh of the series' estimated radius of
 convergence (Jorba and Zou).  The marcher roots a crossing of the kappa
@@ -24,10 +24,11 @@ floor, the kappa ceiling or a non-finite value on the step polynomial and
 ends the row there.  A grid of at least taylor.LOCKSTEP_ROWS rows is marched
 as one block in lockstep, a smaller one row by row on Python floats; the
 block runs the same recurrences in the same summation order, so a row is
-the same alone or in a grid, bit for bit.  Prescribed-curvature
-controls go through the same marcher and row builder: their kappa(s) is
-given by its Taylor coefficients about each arc length, and only the
-frame's series is computed by the recurrences.
+the same alone or in a grid, bit for bit.  The negative control's
+curvature kappa = mean + amplitude sin s solves no spiral equation, but it
+solves the autonomous kappa'' = mean - kappa: sine_curvature_trajectory
+marches it as a row of that equation, by the same recurrences, marcher and
+row builder as every spiral row.
 
 A trajectory keeps its step polynomials, and they are its one continuous
 representation: the samples are the polynomials evaluated on the grid of
@@ -63,9 +64,10 @@ marched to the horizon.
 from __future__ import annotations
 
 import io
+import sys
 from dataclasses import dataclass
 from functools import cached_property
-from math import ceil, cos, factorial, inf, sin, sqrt
+from math import ceil, cos, inf, sin, sqrt
 
 import numpy as np
 
@@ -77,6 +79,7 @@ SPHERE = "sphere"
 HALF_PLANE = "half-plane"
 
 _MODEL_BY_EPS = {0: PLANE, 1: SPHERE, -1: HALF_PLANE}
+_EPS = sys.float_info.epsilon
 _CURVE_COLUMNS = {
     PLANE: ("x", "y", "theta"),
     SPHERE: ("g1", "g2", "g3", "t1", "t2", "t3"),
@@ -188,16 +191,17 @@ _FRAME_SERIES = {
 }
 
 
-def _spiral_series(params: SpiralParams, joint: bool):
-    """(s, y) -> (series of each component of y, step) for the spiral system.
+def _spiral_series(params: SpiralParams, joint: bool, coefficients=None):
+    """y -> (series of each component of y, step) for the row's system.
 
-    y is (kappa, kappa_s), followed by the curve when joint; the system is
-    autonomous, so s is not read.
+    y is (kappa, kappa_s), followed by the curve in params.model when joint.
+    kappa follows taylor.kappa_series of coefficients (c2, c1, R, c0), by
+    default the spiral equation's of params (c0 = 0).
     """
-    kappa = taylor.kappa_series(*_coefficients(params))
+    kappa = taylor.kappa_series(*(coefficients or _coefficients(params)))
     frame = _FRAME_SERIES[params.model] if joint else None
 
-    def series(s, y):
+    def series(y):
         k, u = kappa(y[0], y[1])
         cols = [k[: taylor.TAYLOR_ORDER + 1], u]
         if frame is not None:
@@ -218,9 +222,7 @@ def _sample_grid(controls: IntegratorControls) -> np.ndarray:
     h, stride = controls.step, controls.store_stride
     s_max = float(controls.s_max)
     n_steps = ceil(s_max / h - 1e-12)
-    sums = np.full(n_steps + 1, h)
-    sums[0] = 0.0
-    np.cumsum(sums, out=sums)  # s_k = s_(k-1) + h, in order
+    sums = _grid_sums(h, n_steps + 1)
     prev = float(sums[n_steps - 1])
     end = prev + min(h, s_max - prev)  # the last step is cut at s_max
     grid = np.append(sums[:n_steps:stride], end)
@@ -228,17 +230,15 @@ def _sample_grid(controls: IntegratorControls) -> np.ndarray:
     return grid
 
 
-def _taylor_march(
-    params: SpiralParams, series, y0, grid: np.ndarray, controls: IntegratorControls, rets=None
-) -> list[SpiralTrajectory]:
-    """The trajectories of the rows y0 = (kappa, kappa_s, *curve), Taylor-marched over grid.
+def _grid_sums(h: float, count: int) -> np.ndarray:
+    """The first count points 0, h, h + h, ... of the grid, summed in order.
 
-    rets holds each row's FirstReturn or None (taylor.march).
+    np.cumsum adds left to right, so a shorter count gives a prefix of a
+    longer one's points, bit for bit.
     """
-    ends = taylor.march(
-        series, y0, float(grid[-1]), controls.kappa_floor, controls.kappa_ceiling, rets
-    )
-    return [_trajectory(params, row, grid, controls, *end) for row, end in zip(y0, ends)]
+    sums = np.full(count, h)
+    sums[0] = 0.0
+    return np.cumsum(sums, out=sums)  # s_k = s_(k-1) + h, in order
 
 
 def _trajectory(
@@ -475,8 +475,14 @@ def _integrate_rows(
     controls: IntegratorControls,
     joint: bool,
     period_map: bool = False,
+    coefficients=None,
 ) -> list[SpiralTrajectory]:
-    """Integrate (kappa, kappa_s) rows, with the curve from default_curve_start when joint."""
+    """Integrate (kappa, kappa_s) rows, with the curve from default_curve_start when joint.
+
+    The rows are Taylor-marched over the sample grid by taylor.march, each
+    watched for its first return when period_map (_return_watch);
+    coefficients, when given, replace the spiral equation's (_spiral_series).
+    """
     states = np.asarray(initial_states, dtype=float)
     if states.ndim > 2 or (states.size and states.shape[-1] != 2):
         raise InputError(f"initial states must be (kappa, kappa_s) rows, got shape {states.shape}")
@@ -487,9 +493,12 @@ def _integrate_rows(
         y0 = np.concatenate([y0, start], axis=1)
     watch = period_map and joint and params.model == HALF_PLANE
     rets = [_return_watch(params, row, controls) if watch else None for row in y0]
-    return _taylor_march(
-        params, _spiral_series(params, joint), y0, _sample_grid(controls), controls, rets
+    grid = _sample_grid(controls)
+    series = _spiral_series(params, joint, coefficients)
+    ends = taylor.march(
+        series, y0, float(grid[-1]), controls.kappa_floor, controls.kappa_ceiling, rets
     )
+    return [_trajectory(params, row, grid, controls, *end) for row, end in zip(y0, ends)]
 
 
 def integrate_spiral(
@@ -548,61 +557,23 @@ def integrate_grid(
     return _integrate_rows(params, initial_states, controls, True, period_map)
 
 
-def sine_curvature(mean: float, amplitude: float):
-    """kappa(s) = mean + amplitude sin s, as the kappa_taylor of prescribed_curvature_trajectory.
-
-    Column j at s is amplitude sin^(j)(s) / j!, plus mean in column 0.
-    """
-
-    def kappa_taylor(s, order: int) -> np.ndarray:
-        sin_s, cos_s = np.sin(s), np.cos(s)
-        ders = (sin_s, cos_s, -sin_s, -cos_s)  # sin^(j) cycles with period 4
-        out = np.column_stack([amplitude * ders[j % 4] / factorial(j) for j in range(order + 1)])
-        out[:, 0] += mean
-        return out
-
-    return kappa_taylor
-
-
-def _prescribed_series(model: str, kappa_taylor):
-    """(s, y) -> (series of each component of y, step) under a prescribed kappa(s).
-
-    y is (kappa, kappa_s, *curve); the kappa columns are the prescribed
-    curvature's own coefficients about s, and only the curve is read from y.
-    """
-    frame = _FRAME_SERIES[model]
-    order = taylor.TAYLOR_ORDER
-
-    def series(s, y):
-        k = kappa_taylor(np.array([s]), order + 1)[0].tolist()
-        cols = [k[: order + 1], [(j + 1) * k[j + 1] for j in range(order + 1)]]
-        cols += frame(k, *y[2:])
-        return cols, taylor.step_size(cols)
-
-    return series
-
-
-def prescribed_curvature_trajectory(
-    n: int, epsilon: int, kappa_taylor, controls: IntegratorControls
+def sine_curvature_trajectory(
+    n: int, epsilon: int, mean: float, amplitude: float, controls: IntegratorControls
 ) -> SpiralTrajectory:
-    """Curve with an arbitrary prescribed geodesic curvature kappa(s).
+    """The curve whose geodesic curvature is kappa(s) = mean + amplitude sin s.
 
-    Used for negative controls: the curvature need not solve the spiral
-    equation.  kappa_taylor(s, order) gives the Taylor coefficients of kappa
-    about each arc length in s, shape (len(s), order + 1) (sine_curvature
-    is one).  The frame equations are marched by taylor.march with kappa's
-    series read from it, and the row is built, watched for the floor and
-    ceiling and queried as a spiral row is: the step polynomials of kappa
-    and kappa_s are those of the prescribed curvature.
+    Used for negative controls: the curvature solves no spiral equation.  It
+    solves kappa'' = mean - kappa, so the row is that equation's from
+    (kappa, kappa_s) = (mean, amplitude), coefficients (c2, c1, R, c0) =
+    (0, -2, 0, mean): marched, watched for the floor and ceiling and queried
+    as a spiral row is, with params SpiralParams(n, epsilon, 0).
     """
-    params = SpiralParams(n, epsilon, 0.0)
-    model = params.model
-    kappa_start = kappa_taylor(np.zeros(1), 1)  # (1, 2): kappa and kappa_s at s = 0
-    _check_start(kappa_start, controls)
-
-    y0 = np.concatenate([kappa_start[0], default_curve_start(model)])
-    return _taylor_march(
-        params, _prescribed_series(model, kappa_taylor), [y0], _sample_grid(controls), controls
+    return _integrate_rows(
+        SpiralParams(n, epsilon, 0.0),
+        [[mean, amplitude]],
+        controls,
+        True,
+        coefficients=(0.0, -2.0, 0.0, float(mean)),
     )[0]
 
 
@@ -888,22 +859,38 @@ def _flat_rate(params: SpiralParams, kappa0: float, kappa_s0: float, controls):
     return m, rate
 
 
-def _in_band_at(m: float, rate: float, kappa0: float, s: float, controls) -> bool:
-    """Whether the flat row's kappa at s lies inside (kappa_floor, kappa_ceiling)."""
-    return bool(controls.kappa_floor**m < kappa0**m + rate * s < controls.kappa_ceiling**m)
-
-
 def flat_kappa_in_band(
     params: SpiralParams, kappa0: float, kappa_s0: float, controls: IntegratorControls
 ) -> bool:
     """Whether the flat row's exact kappa stays inside (kappa_floor, kappa_ceiling) to s_max.
 
-    kappa is monotone, so it does exactly when kappa(s_max) is inside.  The
-    sample grid ends at or before s_max, so the band test of
-    flat_closure_bound at the grid's last point then passes too.
+    kappa is monotone, so it does exactly when kappa(s_max) is inside.
     """
     m, rate = _flat_rate(params, kappa0, kappa_s0, controls)
-    return _in_band_at(m, rate, kappa0, float(controls.s_max), controls)
+    s_max = float(controls.s_max)
+    return bool(controls.kappa_floor**m < kappa0**m + rate * s_max < controls.kappa_ceiling**m)
+
+
+def _window_start(controls: IntegratorControls) -> float:
+    """s1, the first candidate of the window of closure_tests on a row marched to s_max.
+
+    It is the first sample of _sample_grid at or after min(1, s_last / 4),
+    s_last the grid's last point.  s_last lies within h and the rounding of
+    the grid's n additions of h below s_max; once that leaves it at 4 or
+    more, s1 is the first sample at or after 1, found on a prefix of the
+    grid's cumsum, which has the full sum's bits.  Otherwise, or when the
+    prefix holds no such sample, s1 is read from the whole grid.
+    """
+    h, stride, s_max = controls.step, controls.store_stride, float(controls.s_max)
+    n_steps = ceil(s_max / h - 1e-12)
+    count = stride * (ceil(1.0 / (h * stride)) + 2)  # past s = 1 by a stride at least
+    if count < n_steps and s_max * (1.0 - (n_steps + 1) * _EPS) - 2.0 * h >= 4.0:
+        samples = _grid_sums(h, count)[::stride]
+        i = int(np.searchsorted(samples, 1.0))
+        if i < samples.size:
+            return float(samples[i])
+    grid = _sample_grid(controls)
+    return float(grid[np.searchsorted(grid, min(1.0, 0.25 * float(grid[-1])))])
 
 
 def flat_closure_bound(
@@ -922,25 +909,25 @@ def flat_closure_bound(
     |kappa - kappa0|, |kappa_s - kappa_s0| and, while Theta <= pi, the angle
     distance Theta all grow with s: their sum at s1, the first candidate of
     the window of closure_tests over controls.s_max, is at most the defect
-    that closure_tests finds for the marched row.  The bound is 0.0 when
-    E <= 0 or kappa leaves (kappa_floor, kappa_ceiling) before s_max, where
-    the marched row is never open.
+    that closure_tests finds for the marched row.  The angle is taken when
+    Theta(s_max) <= pi, which the last candidate, at or before s_max, then
+    meets too.  The bound is 0.0 when E <= 0 or kappa leaves (kappa_floor,
+    kappa_ceiling) before s_max (flat_kappa_in_band), where the marched row
+    is never open.
     """
+    if not flat_kappa_in_band(params, kappa0, kappa_s0, controls):
+        return 0.0
     m, rate = _flat_rate(params, kappa0, kappa_s0, controls)
     if not rate:
         return 0.0
-    grid = _sample_grid(controls)
-    horizon = float(grid[-1])  # the last candidate of a row marched to s_max
-    if not _in_band_at(m, rate, kappa0, horizon, controls):
-        return 0.0  # kappa is monotone, so it leaves the band iff it is out at the horizon
-    s1 = float(grid[np.searchsorted(grid, min(1.0, 0.25 * horizon))])
+    s1 = _window_start(controls)
 
     def turning(kappa):
         return (kappa ** (m + 1) - kappa0 ** (m + 1)) * m / ((m + 1) * rate)
 
     k1 = (kappa0**m + rate * s1) ** (1.0 / m)
     bound = abs(k1 - kappa0) + abs(kappa_s0 * (kappa0 / k1) ** (0.5 * (params.n - 4)) - kappa_s0)
-    if turning((kappa0**m + rate * horizon) ** (1.0 / m)) <= np.pi:
+    if turning((kappa0**m + rate * float(controls.s_max)) ** (1.0 / m)) <= np.pi:
         bound += turning(k1)
     return bound
 

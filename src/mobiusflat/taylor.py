@@ -1,8 +1,9 @@
-"""Taylor-series marching of the spiral system and the prescribed-curvature curves.
+"""Taylor-series marching of the spiral system and its controls.
 
-The curvature equation kappa'' = c2 kappa'^2 / (2 kappa) + c1 kappa / 2 -
-R kappa^3 and the frame equations of the curve (see ``spiral``) are tiny,
-smooth and rational or trigonometric, which is the case for high-order
+The curvature equation kappa'' = c0 + c2 kappa'^2 / (2 kappa) + c1 kappa / 2
+- R kappa^3 (c0 = 0 for every spiral; the sine control is its row with
+kappa'' = mean - kappa) and the frame equations of the curve (see ``spiral``)
+are tiny, smooth and rational or trigonometric, which is the case for high-order
 Taylor methods (Jorba and Zou, Experimental Mathematics 14, 2005; Griewank
 and Walther, Evaluating Derivatives, ch. 13).  At each step the coefficients
 of the state are computed to the fixed order TAYLOR_ORDER by the standard
@@ -120,10 +121,11 @@ class _Block:
 
         The roots are Python's pow (numpy's ** can differ from it in the last
         bit).  A zero c[j] gives an infinite root and fmin skips a nan one,
-        and min is exact in any order, so each row is its _Floats radius.
+        and min is exact in any order, so each row is its _Floats radius.  A
+        subnormal c[j] overflows the ratio to inf, as on floats.
         """
         scale = np.fmax(1.0, np.abs([c[0] for c in cols]))  # 1 for a nan c[0]
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             ratios = scale / np.abs([[c[j] for c in cols] for j in _TOP])
         roots = [v ** e for e, rows in zip(_ROOTS, ratios.tolist()) for row in rows for v in row]
         return np.fmin.reduce(np.reshape(roots, (-1, scale.shape[1])), axis=0, initial=inf)
@@ -143,12 +145,14 @@ def _kernels(x):
     return _Block if isinstance(x, np.ndarray) else _Floats
 
 
-def kappa_series(c2: float, c1: float, big_r: float):
+def kappa_series(c2: float, c1: float, big_r: float, c0: float = 0.0):
     """(kappa, kappa_s) -> series of kappa to order TAYLOR_ORDER + 1 and of kappa_s.
 
-    kappa'' = c2 kappa'^2 / (2 kappa) + c1 kappa / 2 - R kappa^3 term by
-    term: the square and the cube are Cauchy products, the quotient by
+    kappa'' = c0 + c2 kappa'^2 / (2 kappa) + c1 kappa / 2 - R kappa^3 term
+    by term: the square and the cube are Cauchy products, the quotient by
     kappa the series division, and kappa[j + 2] = kappa''[j] / ((j+1)(j+2)).
+    The constant c0 enters degree 0 only, and only when nonzero, so a spiral's
+    coefficients (c0 = 0) keep their bits, the sign of a zero among them.
     """
     half2, half1 = 0.5 * c2, 0.5 * c1
 
@@ -160,6 +164,8 @@ def kappa_series(c2: float, c1: float, big_r: float):
         k[0], k[1], u[0] = k0, ks0, ks0  # u[j] = (j + 1) k[j + 1], the series of kappa_s
         for j in range(TAYLOR_ORDER):
             acc = half1 * k[j]
+            if c0 and not j:
+                acc += c0
             if c2:  # quot = kappa_s^2 / kappa
                 quot[j] = (cauchy(u, u, j) - (cauchy(k[1:], quot, j - 1) if j else 0.0)) / k0
                 acc += half2 * quot[j]
@@ -519,9 +525,10 @@ def _band_end(cols, ts: np.ndarray, exit_at: int, floor: float, ceiling: float):
 def march(series, y0, s_end: float, floor: float, ceiling: float, rets=None) -> list:
     """Taylor steps of the rows y0 (B, d) from s = 0 towards s_end.
 
-    series(s, y) gives the series of every component of y about the arc
-    length s and the step there, for one row (floats) or a block ((B,)
-    arrays); rets holds each row's FirstReturn, RestPoint or None.
+    series(y) gives the series of every component of the state y and the
+    step there, for one row (floats) or a block ((B,) arrays): every row
+    is autonomous, so no series reads the arc length.  rets holds each
+    row's FirstReturn, RestPoint or None.
     Returns one (Piecewise, s_stop, y_stop, termination) per row.  kappa
     (element 0) is watched at _WATCH within each step: a step that leaves
     the open band (floor, ceiling) or turns non-finite ends the row at the
@@ -550,7 +557,7 @@ def _march_row(series, y, s_end, floor, ceiling, ret, s=0.0, steps=None):
     steps = steps if steps is not None else ([], [])
     while True:
         try:
-            cols, h = series(s, y)
+            cols, h = series(y)
         except (ArithmeticError, ValueError):  # cos of an infinite angle
             return steps, s, (nan,) * len(y), "non_finite"
         last = h >= s_end - s
@@ -594,13 +601,13 @@ def _march_block(series, y0, s_end, floor, ceiling, rets):
     with np.errstate(all="ignore"):  # a blown-up series gives nan, as on floats
         while len(live) >= 2:
             try:
-                cols, h = series(s, tuple(y))
+                cols, h = series(tuple(y))
             except (ArithmeticError, ValueError):
                 # the rows whose own series raises end there, as they would alone
                 bad = []
                 for i in range(len(live)):
                     try:
-                        series(float(s[i]), tuple(y[:, i].tolist()))
+                        series(tuple(y[:, i].tolist()))
                     except (ArithmeticError, ValueError):
                         bad.append(i)
                 if not bad:

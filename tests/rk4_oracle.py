@@ -1,10 +1,11 @@
 """The fixed-step RK4 marcher of the spiral system that the Taylor marcher replaced.
 
 Kept as the one RK4 oracle of spiral.py, which marches every row, spiral and
-prescribed-curvature alike, with taylor.march.  A state is a tuple
+sine control alike, with taylor.march.  A state is a tuple
 (kappa, kappa_s, *curve) of Python floats.  spiral_step builds, once per
-parameter set, one unrolled RK4 step of the kappa equation, and
-prescribed_step one step of a prescribed kappa(s); either is finished by one
+parameter set, one unrolled RK4 step of the kappa equation, and sine_step one
+step under the sine control's closed-form kappa(s) (where spiral.py marches
+the row of kappa'' = mean - kappa, an independent route); either is finished by one
 of the frame steps below, and march runs a step function over the fixed
 grid of spacing IntegratorControls.step, bisecting a band crossing within a
 step.  Every step is classical RK4 written out term by term: stage states
@@ -221,24 +222,31 @@ def row(params: SpiralParams, k0, ks0, controls: IntegratorControls, joint: bool
     return march(spiral_step(params, frame), y0, controls.s_max, controls)
 
 
-def prescribed_step(model: str, kappa_taylor):
-    """RK4 step (s, y, h) -> y of the frame under a prescribed kappa(s).
+def sine_kappa(s, mean: float, amplitude: float) -> np.ndarray:
+    """(len(s), 2): kappa = mean + amplitude sin s and kappa_s, in closed form, at s."""
+    return np.column_stack([mean + amplitude * np.sin(s), amplitude * np.cos(s)])
 
-    kappa_taylor(s, order) gives the Taylor coefficients of kappa about each
-    s.  The stage kappas are kappa at s, s + h/2 and s + h; kappa advances by
-    the RK4 quadrature of kappa_s, and kappa_s, which no equation moves, is
-    kept.
+
+def sine_step(model: str, mean: float, amplitude: float):
+    """RK4 step (s, y, h) -> y of the frame under kappa = mean + amplitude sin s.
+
+    The stage kappas are the closed form at s, s + h/2 and s + h; kappa
+    advances by the RK4 quadrature of kappa_s, and kappa_s, which no
+    equation of this route moves, is kept.
     """
     frame = FRAME_STEP[model]
 
     def step(s, y, h):
-        (q1, p1), (q2, p2), (q4, p4) = kappa_taylor(np.array([s, s + 0.5 * h, s + h]), 1).tolist()
+        (q1, p1), (q2, p2), (q4, p4) = sine_kappa(
+            np.array([s, s + 0.5 * h, s + h]), mean, amplitude
+        ).tolist()
         kn = y[0] + (h / 6.0) * (((p1 + 2.0 * p2) + 2.0 * p2) + p4)
         return frame(kn, y[1], q1, q2, q2, q4, h, y)
 
     return step
 
 
-def prescribed_row(model: str, kappa_taylor, y0, controls: IntegratorControls):
-    """(s, states, termination) of one prescribed-curvature row from y0 = (kappa, kappa_s, *c)."""
-    return march(prescribed_step(model, kappa_taylor), y0, controls.s_max, controls)
+def sine_row(model: str, mean: float, amplitude: float, controls: IntegratorControls):
+    """(s, states, termination) of the sine control's row from the default curve start."""
+    y0 = np.concatenate([sine_kappa(np.zeros(1), mean, amplitude)[0], default_curve_start(model)])
+    return march(sine_step(model, mean, amplitude), y0, controls.s_max, controls)

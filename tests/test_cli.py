@@ -133,6 +133,9 @@ class TestConfigErrors:
             ("kappa0 = -1.0\n", "build", "kappa0 must lie strictly between"),
             ("kappa0 = 2e6\n", "spiral", "kappa0 must lie strictly between"),
             ("seed = -1\n", "invariants", "seed must be >= 0"),
+            ("samples = 0\n", "verify", "samples must be at least 1, got 0"),
+            ("grid_size = 0\n", "rigidity", "grid_size must be at least 1, got 0"),
+            ("slice_res = 1\n", "build", "slice_res must be at least 2, got 1"),
             ("family = cone\ns_max = 0.2\n", "build", "s_max = 0.2 is too short for the cone"),
             ("family = cone\ns_max = 0.2\n", "invariants", "spiral ends at s = 0.2 (horizon)"),
             ("family = cylinder\ns_max = 0.31\n", "build", "keeps 0.15 + 0.1 inside each end"),
@@ -144,7 +147,8 @@ class TestConfigErrors:
             "grid_spread-below-floor", "grid_spread-open-orbits", "step-nan-verify",
             "step-nan-rigidity", "horizon-inf",
             "tol_constancy-nan", "checks-repeated", "kappa0-zero", "kappa0-negative",
-            "kappa0-above-ceiling", "seed-negative", "s_max-cone-build", "s_max-cone-invariants",
+            "kappa0-above-ceiling", "seed-negative", "samples-zero", "grid_size-zero",
+            "slice_res-one", "s_max-cone-build", "s_max-cone-invariants",
             "s_max-cylinder-build", "s_max-cylinder-invariants",
         ],
     )

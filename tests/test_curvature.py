@@ -27,8 +27,7 @@ from mobiusflat.spiral import (
     SpiralParams,
     equilibrium_kappa,
     kappa_accel,
-    prescribed_curvature_trajectory,
-    sine_curvature,
+    sine_curvature_trajectory,
 )
 from mobiusflat.zoo import warped_metric_jet
 
@@ -616,8 +615,8 @@ class TestExactWarpedScalar:
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     @pytest.mark.parametrize("eps", [0, 1, -1])
     def test_sine_control(self, n, eps):
-        traj = prescribed_curvature_trajectory(
-            n, eps, sine_curvature(1.15, 0.3), IntegratorControls(s_max=4.5, step=1e-3)
+        traj = sine_curvature_trajectory(
+            n, eps, 1.15, 0.3, IntegratorControls(s_max=4.5, step=1e-3)
         )
         svals = np.linspace(0.3, 4.2, 7)
         k, ks, kss = 1.15 + 0.3 * np.sin(svals), 0.3 * np.cos(svals), -0.3 * np.sin(svals)
@@ -625,8 +624,8 @@ class TestExactWarpedScalar:
 
     @pytest.mark.parametrize("eps", [0, 1, -1])
     def test_jet_value_is_the_warped_field(self, eps):
-        traj = prescribed_curvature_trajectory(
-            4, eps, sine_curvature(1.15, 0.3), IntegratorControls(s_max=4.5, step=1e-3)
+        traj = sine_curvature_trajectory(
+            4, eps, 1.15, 0.3, IntegratorControls(s_max=4.5, step=1e-3)
         )
         pts = np.array([warped_point(4, s0, {0: 0.3, 1: 1.2}.get(eps)) for s0 in (0.4, 2.2)])
         expected = warped_field(4, eps, traj.kappa_at)(pts)

@@ -117,6 +117,14 @@ class TestConfig:
             parse_config("grid_spread = 1.0\n")
         assert RunConfig(grid_spread=0.9).validate().grid_spread == 0.9
 
+    @pytest.mark.parametrize("key,least", [("samples", 1), ("grid_size", 1), ("slice_res", 2)])
+    def test_count_below_its_least_is_named(self, key, least):
+        # each count is refused by its own message, with its own least value:
+        # slice_res = 1 is positive but below its least, 2
+        with pytest.raises(ConfigError, match=f"^{key} must be at least {least}, got {least - 1}$"):
+            RunConfig(**{key: least - 1}).validate()
+        assert getattr(RunConfig(**{key: least}).validate(), key) == least
+
     def test_n_below_four_refused(self):
         # the classification covers n >= 4; at n = 3 the multiplicity test of
         # conformal flatness does not hold
@@ -534,12 +542,12 @@ class TestGridIntegration:
         calls = []
         build = spiral._spiral_series
 
-        def counted(params, joint):
-            series = build(params, joint)
+        def counted(*args):
+            series = build(*args)
 
-            def wrapped(s, y):
+            def wrapped(y):
                 calls.append(isinstance(y[0], np.ndarray))
-                return series(s, y)
+                return series(y)
 
             return wrapped
 

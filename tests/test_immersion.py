@@ -11,7 +11,6 @@ from mobiusflat.immersion import (
     ImmersionHandle,
     first_fundamental_form_batch,
     fundamental_form_jets,
-    jacobian_batch,
     second_fundamental_form_batch,
     unit_normal_batch,
 )
@@ -42,6 +41,11 @@ def graph_surface():
     )
 
 
+def jacobian(imm, pts):
+    """(K, N, m): d f / d x_a as columns, level 1 of the handle's jet."""
+    return np.swapaxes(imm.evaluate_jet(pts)[1], 1, 2)
+
+
 def forms_at(imm, p):
     """(I, II) at the one chart point p, from the batch functions."""
     pts = np.asarray(p, dtype=float)[None]
@@ -51,20 +55,20 @@ def forms_at(imm, p):
 class TestJacobian:
     def test_identity_map(self):
         ident = handle(2, 2, lambda pts: np.atleast_2d(pts).copy())
-        j = jacobian_batch(ident, np.array([[0.4, -1.7]]))[0]
+        j = jacobian(ident, np.array([[0.4, -1.7]]))[0]
         assert np.allclose(j, np.eye(2), atol=1e-12)
 
     def test_stereographic_lift_at_origin(self):
         # columns orthogonal, each of norm 2: the conformal factor at 0
         lift = handle(3, 4, zoo_oracle.inverse_stereographic)
-        j = jacobian_batch(lift, np.zeros((1, 3)))[0]
+        j = jacobian(lift, np.zeros((1, 3)))[0]
         assert np.allclose(j.T @ j, 4.0 * np.eye(3), atol=1e-10)
 
     def test_domain_error_names_coordinate(self):
         fn = lambda pts: np.atleast_2d(pts).copy()
         imm = handle(2, 2, fn, domain=((0.0, 1.0), (-10.0, 10.0)))
         with pytest.raises(ChartDomainError, match="coordinate 0"):
-            jacobian_batch(imm, np.array([[0.0005, 0.0]]))
+            jacobian(imm, np.array([[0.0005, 0.0]]))
 
 
 class TestFundamentalForms:
@@ -130,7 +134,7 @@ class TestUnitNormal:
         imm = graph_surface()
         p = np.array([[0.7, 0.1]])
         eta = unit_normal_batch(imm, p)[0]
-        j = jacobian_batch(imm, p)[0]
+        j = jacobian(imm, p)[0]
         assert abs(np.linalg.norm(eta) - 1.0) < 1e-12
         assert np.max(np.abs(j.T @ eta)) < 1e-10
 

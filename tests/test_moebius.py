@@ -27,7 +27,7 @@ from mobiusflat.moebius import (
     moebius_jets,
     moebius_scalar,
 )
-from mobiusflat.spiral import IntegratorControls, prescribed_curvature_trajectory, sine_curvature
+from mobiusflat.spiral import IntegratorControls, sine_curvature_trajectory
 from mobiusflat.zoo import (
     EPSILON_BY_FAMILY,
     build_family,
@@ -87,9 +87,7 @@ def readers(table, names):
 
 def sin_curve_cylinder(n=N_DIM):
     """Cylinder over kappa(s) = 1 + 0.3 sin s: not a spiral solution."""
-    traj = prescribed_curvature_trajectory(
-        n, 0, sine_curvature(1.0, 0.3), IntegratorControls(s_max=7.0, step=1e-3)
-    )
+    traj = sine_curvature_trajectory(n, 0, 1.0, 0.3, IntegratorControls(s_max=7.0, step=1e-3))
     return traj, cylinder_immersion(traj, n)
 
 
@@ -876,8 +874,8 @@ class TestProfileScalarIdentity:
     @pytest.mark.parametrize("family", list(EPSILON_BY_FAMILY))
     def test_direct_scalar_is_the_profile_formula(self, family, n):
         eps = EPSILON_BY_FAMILY[family]
-        traj = prescribed_curvature_trajectory(
-            n, eps, sine_curvature(1.15, 0.3), IntegratorControls(s_max=4.5, step=1e-3)
+        traj = sine_curvature_trajectory(
+            n, eps, 1.15, 0.3, IntegratorControls(s_max=4.5, step=1e-3)
         )
         imm = build_family(family, traj, n)
         pts = sample_points(imm, 8, np.random.default_rng(0))

@@ -29,14 +29,13 @@ from mobiusflat.spiral import (
     integrate_grid,
     integrate_spiral,
     kappa_accel,
-    prescribed_curvature_trajectory,
     reconstruct_curve,
-    sine_curvature,
+    sine_curvature_trajectory,
 )
 from mobiusflat.zoo import build_family
 
-# the prescribed curvature of the negative controls, kappa = 1.15 + 0.3 sin s
-SINE = sine_curvature(1.15, 0.3)
+# (mean, amplitude) of the negative controls' curvature, kappa = 1.15 + 0.3 sin s
+SINE = (1.15, 0.3)
 
 
 def run(params, kappa0, kappa_s0, s_max=10.0, step=1e-3, curve=False, stride=1):
@@ -101,18 +100,17 @@ class TestFirstIntegral:
 
     def test_rk4_order_by_step_halving(self):
         # the RK4 oracle, on a spiral row (its kappa) and on a half-plane
-        # prescribed-curvature row (its whole state); steps chosen so
-        # truncation dominates rounding at the endpoint
+        # sine control (its whole state); steps chosen so truncation
+        # dominates rounding at the endpoint
         p = SpiralParams(4, -1, 0.75)
-        y0 = np.concatenate([SINE(np.zeros(1), 1)[0], default_curve_start(p.model)])
 
         def spiral_end(controls):
             return rk4_oracle.row(p, 1.3, 0.0, controls, joint=False)[1][-1, :1]
 
-        def prescribed_end(controls):
-            return rk4_oracle.prescribed_row(p.model, SINE, y0, controls)[1][-1]
+        def sine_end(controls):
+            return rk4_oracle.sine_row(p.model, *SINE, controls)[1][-1]
 
-        for end_state in (spiral_end, prescribed_end):
+        for end_state in (spiral_end, sine_end):
 
             def end(step):
                 return end_state(IntegratorControls(s_max=2.0, step=step))
@@ -286,8 +284,8 @@ def test_csv_export_roundtrip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the Taylor-marched prescribed-curvature controls against the RK4 oracle,
-# and the queries of both kinds of row
+# the Taylor-marched sine controls against the RK4 oracle, which marches the
+# frame under the sine's closed form, and the queries of both kinds of row
 
 ORACLE_CASES = {
     ("plane", "standard"): (SpiralParams(4, 0, -0.05), 1.1, 0.1),
@@ -320,9 +318,8 @@ class TestKernelOracle:
         # half-plane); kappa = 1.15 + 0.3 sin s crosses the floor 0.9 near
         # s = 4.13, and the two bisected crossings agree to 1.1e-11
         controls = IntegratorControls(s_max=s_max, kappa_floor=floor)
-        traj = prescribed_curvature_trajectory(4, epsilon, SINE, controls)
-        y0 = np.concatenate([SINE(np.zeros(1), 1)[0], traj.start[2:]])
-        s, ys, term = rk4_oracle.prescribed_row(traj.model, SINE, y0, controls)
+        traj = sine_curvature_trajectory(4, epsilon, *SINE, controls)
+        s, ys, term = rk4_oracle.sine_row(traj.model, *SINE, controls)
         assert traj.termination == term == ("kappa_floor" if floor > 1e-3 else "horizon")
         assert np.array_equal(traj.s[:-1], s[:-1])
         assert np.max(np.abs(traj.curve[:-1] - ys[:-1, 2:])) <= atol
@@ -335,26 +332,62 @@ class TestKernelOracle:
 
 
 class TestPrescribedCurvature:
+    """The sine control kappa = 1.15 + 0.3 sin s, marched as the row of kappa'' = 1.15 - kappa."""
+
     def test_sine_coefficients_are_the_scaled_derivatives(self):
-        # column j is kappa^(j) / j! of kappa = 1.15 + 0.3 sin s
+        # kappa_series(0, -2, 0, mean) at (mean + a sin s, a cos s): coefficient
+        # j of kappa is kappa^(j) / j! of kappa = mean + a sin s about s, and
+        # that of kappa_s is the same of a cos s, on every order, for rows
+        # alone and for a block
+        mean, amp = SINE
         s = np.random.default_rng(3).uniform(-10.0, 10.0, 17)
-        ders = [
-            1.15 + 0.3 * np.sin(s), 0.3 * np.cos(s), -0.3 * np.sin(s), -0.3 * np.cos(s),
-            0.3 * np.sin(s),
-        ]
-        coefs = SINE(s, 4)
-        assert coefs.shape == (s.size, 5)
-        for j, der in enumerate(ders):
-            assert np.allclose(coefs[:, j], der / math.factorial(j), rtol=0.0, atol=1e-15)
+        series = taylor.kappa_series(0.0, -2.0, 0.0, mean)
+        start = mean + amp * np.sin(s), amp * np.cos(s)
+        rows = [series(k0, ks0) for k0, ks0 in zip(*(v.tolist() for v in start))]
+        alone = tuple(np.array([row[i] for row in rows]).T for i in (0, 1))
+        block = tuple(np.array(c) for c in series(*start))
+        ders = [np.sin(s), np.cos(s), -np.sin(s), -np.cos(s)]  # sin^(j) cycles with period 4
+        for k, u in (alone, block):
+            assert k.shape == (taylor.TAYLOR_ORDER + 2, s.size)
+            assert u.shape == (taylor.TAYLOR_ORDER + 1, s.size)
+            for j in range(k.shape[0]):
+                expected = amp * ders[j % 4] / math.factorial(j) + (mean if j == 0 else 0.0)
+                assert np.allclose(k[j], expected, rtol=0.0, atol=1e-15), j
+            for j in range(u.shape[0]):  # kappa_s = a cos s, so a cos^(j)(s) / j!
+                expected = amp * ders[(j + 1) % 4] / math.factorial(j)
+                assert np.allclose(u[j], expected, rtol=0.0, atol=1e-15), j
+
+    @pytest.mark.parametrize("epsilon", [0, 1, -1])
+    def test_block_rows_are_the_rows_alone(self, epsilon):
+        # LOCKSTEP_ROWS sine rows of one mean, marched as one block, are each
+        # that row marched alone, bit for bit; the row of amplitude 0.3 is the
+        # control, and crosses the floor 0.9 near s = 4.13 as the others do not
+        mean = SINE[0]
+        phases = np.linspace(0.0, 2.0, taylor.LOCKSTEP_ROWS)
+        amps = 0.3 / np.arange(1, taylor.LOCKSTEP_ROWS + 1)
+        rows = np.column_stack([mean + amps * np.sin(phases), amps * np.cos(phases)])
+        controls = IntegratorControls(s_max=5.0, kappa_floor=0.9)
+        params, sine = SpiralParams(4, epsilon, 0.0), (0.0, -2.0, 0.0, mean)
+        block = spiral._integrate_rows(params, rows, controls, True, coefficients=sine)
+        control = sine_curvature_trajectory(4, epsilon, *SINE, controls)
+        assert [t.termination for t in block] == ["kappa_floor"] + ["horizon"] * (len(rows) - 1)
+        for i, (row, traj) in enumerate(zip(rows, block)):
+            alone = spiral._integrate_rows(params, [row], controls, True, coefficients=sine)[0]
+            for got in [alone] + ([control] if i == 0 else []):
+                assert traj.termination == got.termination
+                assert traj.steps.starts == got.steps.starts
+                assert np.array_equal(traj.steps.coefs, got.steps.coefs)
+                assert np.array_equal(traj.s, got.s)
+                assert np.array_equal(traj.end, got.end)
 
     def test_queries_follow_the_prescribed_curvature(self):
-        # the queries read the prescribed curvature's own step polynomials,
-        # not the spiral equation's
+        # the queries read the control's own step polynomials, those of
+        # kappa'' = mean - kappa, not the spiral equation's
         controls = IntegratorControls(s_max=4.5, step=1e-3)
-        traj = prescribed_curvature_trajectory(4, -1, SINE, controls)
+        traj = sine_curvature_trajectory(4, -1, *SINE, controls)
         sq = np.linspace(0.0, 4.498, 4001) + 3.7e-4
         assert sq[-1] < traj.s[-1] and not np.any(np.isin(sq, traj.s))
-        kappa, kappa_s = SINE(sq, 1).T
+        kappa, kappa_s = rk4_oracle.sine_kappa(sq, *SINE).T
         assert np.max(np.abs(traj.kappa_s_at(sq) - kappa_s)) <= 1e-10
         assert np.max(np.abs(traj.kappa_at(sq) - kappa)) <= 1e-10
         # c'' of curve_jet follows kappa_s: the angle's second derivative is
@@ -649,7 +682,7 @@ class TestPeriodMap:
         plain = integrate_grid(HALF_PLANE_PARAMS, [[KSTAR, 0.0]], controls)[0]
         rest = integrate_grid(HALF_PLANE_PARAMS, [[KSTAR, 0.0]], controls, period_map=True)[0]
         y0 = (KSTAR, 0.0, *default_curve_start(spiral.HALF_PLANE))
-        first_step = spiral._spiral_series(HALF_PLANE_PARAMS, True)(0.0, y0)[1]
+        first_step = spiral._spiral_series(HALF_PLANE_PARAMS, True)(y0)[1]
         assert rest.termination == "horizon" and rest.steps.starts == [0.0]
         assert 0.5 < rest.period_map.period == rest.s_end == first_step < 1.0
         assert np.array_equal(rest.steps.coefs, plain.steps.coefs[:1])
@@ -848,9 +881,11 @@ def block_series(seed: int, rows: int = 9):
     return cols
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("seed", range(5))
 def test_block_step_bound_is_each_rows_bound(seed):
-    # the block's one-pass bound is each row's bound on floats, bit for bit
+    # the block's one-pass bound is each row's bound on floats, bit for bit,
+    # and silent: a subnormal c[j] overflows its ratio to inf, as on floats
     cols = block_series(seed)
     block = list(cols)
     rows = [[c[:, i].tolist() for c in block] for i in range(cols.shape[2])]
@@ -1044,17 +1079,19 @@ class TestTaylorOracle:
     def test_stalled_row_ends_alone_as_in_a_block(self, monkeypatch):
         # a step of 0 cannot move s on: the row ends there with a nan state,
         # tagged non_finite, whether it is marched alone on floats or in a
-        # lockstep block (where its twin keeps it from being the last live row)
+        # lockstep block (where its twin keeps it from being the last live row).
+        # The step stalls once the tangent angle theta = kappa0 s + 0.025 s^2
+        # reaches 1.2, which every row below does after s = 1
         series = spiral._spiral_series
 
-        def stalling(params, joint):
-            inner = series(params, joint)
+        def stalling(*args):
+            inner = series(*args)
 
-            def stalled(s, y):
-                cols, h = inner(s, y)
-                if np.ndim(s):  # a block: s and h hold one entry per row
-                    return cols, np.where(s >= 1.0, 0.0, h)
-                return cols, 0.0 if s >= 1.0 else h
+            def stalled(y):
+                cols, h = inner(y)
+                if np.ndim(y[4]):  # a block: theta and h hold one entry per row
+                    return cols, np.where(y[4] >= 1.2, 0.0, h)
+                return cols, 0.0 if y[4] >= 1.2 else h
 
             return stalled
 
@@ -1137,6 +1174,19 @@ class TestFlatClosureBound:
             bound = spiral.flat_closure_bound(params, k0, ks0, controls)
             assert 0.0 < bound <= res.defect
             assert res.status == ("open" if bound > spiral.TOL_OPEN else "inconclusive")
+
+    @pytest.mark.parametrize("step", [1e-3, 0.3])
+    @pytest.mark.parametrize("stride", [1, 10, 5000])
+    def test_window_start_is_the_full_grids(self, stride, step):
+        # the bound's first candidate, read from a prefix of the grid's cumsum
+        # at horizons of 4 or more, is the one the whole grid gives, also at
+        # round horizons, where the grid ends just below s_max, and where s_max
+        # is 4 to a few ulps (s_last / 4 then starts the window just below 1)
+        for horizon in (0.05, 1.0, 3.0, 4.0 - 1e-13, 4.0, 4.0 + 1e-13, 4.001, 4.5, 40.0, 200.0):
+            controls = IntegratorControls(s_max=horizon, step=step, store_stride=stride)
+            grid = spiral._sample_grid(controls)
+            first = grid[np.searchsorted(grid, min(1.0, 0.25 * grid[-1]))]
+            assert spiral._window_start(controls) == first, horizon
 
     def test_circle_has_no_bound(self):
         # kappa_s0 = 0: E = 0, the row is a unit circle and the march closes it
@@ -1254,7 +1304,7 @@ class TestLazySamples:
         "kappa": lambda c: [integrate_spiral(HALF_PLANE_PARAMS, SpiralState(1.5, 0.05), c)],
         "plane": lambda c: integrate_grid(SpiralParams(4, 0, 0.0), [[1.0, 0.05]], c),
         "sphere": lambda c: integrate_grid(SpiralParams(4, 1, -1.0), [[1.0, 0.01]], c),
-        "control": lambda c: [prescribed_curvature_trajectory(4, 1, SINE, c)],
+        "control": lambda c: [sine_curvature_trajectory(4, 1, *SINE, c)],
         "half-plane": lambda c: integrate_grid(HALF_PLANE_PARAMS, [[1.5, 0.05]], c),
         "period-map": lambda c: integrate_grid(  # one period is about 4.5 long
             HALF_PLANE_PARAMS,

@@ -8,7 +8,6 @@ from mobiusflat.fd import jet_batch
 from mobiusflat.immersion import (
     first_fundamental_form_batch,
     fundamental_form_jets,
-    jacobian_batch,
     second_fundamental_form_batch,
     unit_normal_batch,
 )
@@ -274,7 +273,7 @@ class TestCylinder:
 
     def test_jacobian_structure(self, cylinder, cylinder_traj):
         p = cylinder.base_point
-        j = jacobian_batch(cylinder, p[None])[0]
+        j = cylinder.evaluate_jet(p[None])[1][0].T  # d f / d x_a as columns, (N, m)
         vel = cylinder_traj.curve_velocity_at(np.array([p[0]]))[0]
         assert np.allclose(j[0:2, 0], vel[0:2], atol=1e-10)
         assert np.allclose(j[2:, 0], 0.0, atol=1e-10)
@@ -399,7 +398,7 @@ class TestLift:
         vals = lifted(pts)
         assert np.max(np.abs(np.linalg.norm(vals, axis=1) - 1.0)) < 1e-12
         eta = unit_normal_batch(lifted, pts[:1])[0]
-        j = jacobian_batch(lifted, pts[:1])[0]
+        j = lifted.evaluate_jet(pts[:1])[1][0].T
         assert np.max(np.abs(j.T @ eta)) < 1e-9
         assert abs(eta @ vals[0]) < 1e-10
 
